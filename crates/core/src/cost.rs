@@ -20,13 +20,15 @@
 //! preference for strategy 2 (the smaller database-conference list page)
 //! over strategy 1.
 
+use crate::arena::{scheme_of, APred, Col, Node, NodeId, PlanArena};
 use crate::stats::SiteStatistics;
 use crate::{OptError, Result};
-use nalg::expr::resolve_column;
-use nalg::{NalgExpr, Pred};
+use adm::intern::Symbol;
+use nalg::NalgExpr;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Add;
+use std::rc::Rc;
 
 /// An estimated plan cost: pages downloaded, with a bytes tiebreaker.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -102,184 +104,240 @@ pub struct NodeEstimate {
     pub pages: f64,
 }
 
-/// Display label of one operator node; mirrors the evaluator's span
-/// naming so predicted and observed rows read identically.
-fn node_label(e: &NalgExpr) -> String {
-    match e {
-        NalgExpr::External { name } => format!("external {name}"),
-        NalgExpr::Entry { scheme, .. } => format!("entry {scheme}"),
-        NalgExpr::Select { .. } => "σ".to_string(),
-        NalgExpr::Project { .. } => "π".to_string(),
-        NalgExpr::Join { .. } => "⋈".to_string(),
-        NalgExpr::Unnest { attr, .. } => format!("µ {attr}"),
-        NalgExpr::Follow { link, target, .. } => format!("–{link}→ {target}"),
-    }
-}
-
-/// Rewrites an alias-qualified column (`Ed96.Editors`) into the
-/// scheme-qualified statistics key (`EditionPage.Editors`).
-fn stats_key(aliases: &HashMap<String, String>, qualified: &str) -> String {
-    match qualified.split_once('.') {
-        Some((alias, rest)) => {
-            let scheme = aliases.get(alias).map(String::as_str).unwrap_or(alias);
-            format!("{scheme}.{rest}")
-        }
-        None => qualified.to_string(),
-    }
-}
-
-struct Estimator<'a> {
-    ws: &'a adm::WebScheme,
-    stats: &'a SiteStatistics,
-    aliases: HashMap<String, String>,
-    per_op: Vec<(String, f64)>,
-    nodes: Vec<NodeEstimate>,
-}
-
 /// Estimates the cardinality and cost of a computable expression.
 pub fn estimate(expr: &NalgExpr, ws: &adm::WebScheme, stats: &SiteStatistics) -> Result<Estimate> {
-    let aliases = expr.alias_map().map_err(OptError::Eval)?;
-    let mut est = Estimator {
-        ws,
-        stats,
-        aliases,
-        per_op: Vec::new(),
-        nodes: Vec::new(),
-    };
-    let (card, cost) = est.walk(expr)?;
-    Ok(Estimate {
-        card,
-        cost,
-        per_operator: est.per_op,
-        nodes: est.nodes,
-    })
+    let mut arena = PlanArena::new(ws, stats);
+    let id = arena.import(expr);
+    arena.estimate(id)
 }
 
-impl Estimator<'_> {
-    fn cols(&self, e: &NalgExpr) -> Result<Vec<String>> {
-        e.output_columns(self.ws).map_err(OptError::Eval)
+/// What one subtree costs: its cardinality, the accumulated cost of
+/// everything below and including it, and the pages its root alone charges.
+#[derive(Debug, Clone, Copy)]
+struct Subtotal {
+    card: f64,
+    cost: Cost,
+    pages: f64,
+}
+
+/// The arena's cost side tables: one [`Subtotal`] (or the reason there is
+/// none) per distinct subtree, and the statistics key of each column.
+#[derive(Default)]
+pub(crate) struct EstimateMemo {
+    subtotals: Vec<Option<Result<Subtotal>>>,
+    stats_keys: HashMap<(Symbol, Option<Symbol>), Rc<str>>,
+}
+
+impl PlanArena<'_> {
+    /// Estimates the cardinality and cost of a plan. Subtrees are costed
+    /// once per arena; the result is bit-equal to [`estimate`] on the
+    /// exported tree.
+    pub fn estimate(&mut self, id: NodeId) -> Result<Estimate> {
+        let total = self.subtotal(id)?;
+        let mut est = Estimate {
+            card: total.card,
+            cost: total.cost,
+            per_operator: Vec::new(),
+            nodes: Vec::new(),
+        };
+        self.itemize(id, &mut est);
+        Ok(est)
     }
 
-    fn key_for(&self, cols: &[String], attr: &str) -> Result<String> {
-        let i = resolve_column(cols, attr).map_err(OptError::Eval)?;
-        Ok(stats_key(&self.aliases, &cols[i]))
+    /// The total cost alone (what a trace event reports).
+    pub(crate) fn cost_of(&mut self, id: NodeId) -> Option<Cost> {
+        self.subtotal(id).ok().map(|t| t.cost)
     }
 
-    fn pred_selectivity(&self, cols: &[String], pred: &Pred) -> Result<f64> {
-        let mut sel = 1.0;
-        for atom in pred.conjuncts() {
-            sel *= match &atom {
-                Pred::Eq(a, _) => {
-                    let key = self.key_for(cols, a)?;
-                    1.0 / self.stats.distinct_of(&key).max(1.0)
-                }
-                Pred::EqAttr(a, b) => {
-                    let ka = self.key_for(cols, a)?;
-                    let kb = self.key_for(cols, b)?;
-                    self.stats.selectivity(&ka, &kb)
-                }
-                Pred::And(_) => unreachable!("conjuncts() returns atoms"),
-            };
+    fn subtotal(&mut self, id: NodeId) -> Result<Subtotal> {
+        self.aliases_or_err(id)?;
+        if let Some(Some(known)) = self.estimates.subtotals.get(id.index()) {
+            return known.clone();
         }
-        Ok(sel)
-    }
-
-    /// Returns (cardinality, accumulated cost) of a subexpression,
-    /// recording a [`NodeEstimate`] per node in pre-order — the same
-    /// numbering the evaluator assigns its operator spans.
-    fn walk(&mut self, e: &NalgExpr) -> Result<(f64, Cost)> {
-        let node = self.nodes.len();
-        self.nodes.push(NodeEstimate {
-            label: node_label(e),
-            card: 0.0,
-            pages: 0.0,
-        });
-        let per_op_before = self.per_op.len();
-        let (card, cost) = self.walk_node(e)?;
-        self.nodes[node].card = card;
-        if matches!(e, NalgExpr::Entry { .. } | NalgExpr::Follow { .. })
-            && self.per_op.len() > per_op_before
-        {
-            // The charge this node pushed — always the last entry, since
-            // it is recorded after the input subtree.
-            self.nodes[node].pages = self.per_op[self.per_op.len() - 1].1;
+        let computed = self.compute_subtotal(id);
+        let memo = &mut self.estimates.subtotals;
+        if memo.len() <= id.index() {
+            memo.resize(id.index() + 1, None);
         }
-        Ok((card, cost))
+        memo[id.index()] = Some(computed.clone());
+        computed
     }
 
-    fn walk_node(&mut self, e: &NalgExpr) -> Result<(f64, Cost)> {
-        match e {
-            NalgExpr::External { name } => Err(OptError::NoPlan(format!(
+    /// One node of the cost walk of Section 6.2; the inputs' subtotals
+    /// come from the memo.
+    fn compute_subtotal(&mut self, id: NodeId) -> Result<Subtotal> {
+        let stats = self.stats;
+        match self.node(id).clone() {
+            Node::External { name } => Err(OptError::NoPlan(format!(
                 "cannot cost unresolved external relation {name}"
             ))),
-            NalgExpr::Entry { scheme, .. } => {
-                let card = if self.ws.is_entry_point(scheme) {
-                    1.0
-                } else {
-                    self.stats.card(scheme)
-                };
-                self.per_op.push((format!("entry {scheme}"), 1.0));
-                Ok((
-                    card,
-                    Cost {
-                        pages: 1.0,
-                        bytes: self.stats.bytes_of(scheme),
+            Node::Entry { scheme, .. } => {
+                let scheme = scheme.as_str();
+                Ok(Subtotal {
+                    card: if self.ws.is_entry_point(scheme) {
+                        1.0
+                    } else {
+                        stats.card(scheme)
                     },
-                ))
+                    cost: Cost {
+                        pages: 1.0,
+                        bytes: stats.bytes_of(scheme),
+                    },
+                    pages: 1.0,
+                })
             }
-            NalgExpr::Select { input, pred } => {
-                let (card, cost) = self.walk(input)?;
-                let cols = self.cols(input)?;
-                let sel = self.pred_selectivity(&cols, pred)?;
-                Ok((card * sel, cost))
-            }
-            NalgExpr::Project { input, cols } => {
-                let (card, cost) = self.walk(input)?;
-                let in_cols = self.cols(input)?;
-                let mut distinct = 1.0;
-                for c in cols {
-                    let key = self.key_for(&in_cols, c)?;
-                    distinct *= self.stats.distinct_of(&key).max(1.0);
-                }
-                Ok((card.min(distinct), cost))
-            }
-            NalgExpr::Join { left, right, on } => {
-                let (cl, costl) = self.walk(left)?;
-                let (cr, costr) = self.walk(right)?;
-                let lcols = self.cols(left)?;
-                let rcols = self.cols(right)?;
+            Node::Select { input, pred } => {
+                let below = self.subtotal(input)?;
+                self.header_or_err(input)?;
                 let mut sel = 1.0;
-                for (a, b) in on {
-                    let ka = self.key_for(&lcols, a)?;
-                    let kb = self.key_for(&rcols, b)?;
-                    sel *= self.stats.selectivity(&ka, &kb);
+                self.pred_selectivity(id, input, &pred, &mut sel)?;
+                Ok(Subtotal {
+                    card: below.card * sel,
+                    cost: below.cost,
+                    pages: 0.0,
+                })
+            }
+            Node::Project { input, cols } => {
+                let below = self.subtotal(input)?;
+                self.header_or_err(input)?;
+                let mut distinct = 1.0;
+                for &c in cols.iter() {
+                    let key = self.key_for(id, input, c)?;
+                    distinct *= stats.distinct_of(&key).max(1.0);
                 }
-                Ok((cl * cr * sel, costl + costr))
+                Ok(Subtotal {
+                    card: below.card.min(distinct),
+                    cost: below.cost,
+                    pages: 0.0,
+                })
             }
-            NalgExpr::Unnest { input, attr } => {
-                let (card, cost) = self.walk(input)?;
-                let cols = self.cols(input)?;
-                let key = self.key_for(&cols, attr)?;
-                Ok((card * self.stats.fanout_of(&key), cost))
+            Node::Join { left, right, on } => {
+                let l = self.subtotal(left)?;
+                let r = self.subtotal(right)?;
+                self.header_or_err(left)?;
+                self.header_or_err(right)?;
+                let mut sel = 1.0;
+                for &(a, b) in on.iter() {
+                    let ka = self.key_for(id, left, a)?;
+                    let kb = self.key_for(id, right, b)?;
+                    sel *= stats.selectivity(&ka, &kb);
+                }
+                Ok(Subtotal {
+                    card: l.card * r.card * sel,
+                    cost: l.cost + r.cost,
+                    pages: 0.0,
+                })
             }
-            NalgExpr::Follow {
+            Node::Unnest { input, attr } => {
+                let below = self.subtotal(input)?;
+                let key = self.key_for(id, input, attr)?;
+                Ok(Subtotal {
+                    card: below.card * stats.fanout_of(&key),
+                    cost: below.cost,
+                    pages: 0.0,
+                })
+            }
+            Node::Follow {
                 input,
                 link,
                 target,
                 ..
             } => {
-                let (card, cost) = self.walk(input)?;
-                let cols = self.cols(input)?;
-                let key = self.key_for(&cols, link)?;
-                let distinct_links = card.min(self.stats.distinct_of(&key)).max(0.0);
-                self.per_op
-                    .push((format!("–{link}→ {target}"), distinct_links));
+                let below = self.subtotal(input)?;
+                let key = self.key_for(id, input, link)?;
+                let distinct_links = below.card.min(stats.distinct_of(&key)).max(0.0);
                 let nav_cost = Cost {
                     pages: distinct_links,
-                    bytes: distinct_links * self.stats.bytes_of(target),
+                    bytes: distinct_links * stats.bytes_of(target.as_str()),
                 };
-                Ok((card, cost + nav_cost))
+                Ok(Subtotal {
+                    card: below.card,
+                    cost: below.cost + nav_cost,
+                    pages: distinct_links,
+                })
             }
+        }
+    }
+
+    /// Multiplies `sel` by the selectivity of each atom of `pred`, in
+    /// conjunct order.
+    fn pred_selectivity(
+        &mut self,
+        at: NodeId,
+        input: NodeId,
+        pred: &APred,
+        sel: &mut f64,
+    ) -> Result<()> {
+        let stats = self.stats;
+        match pred {
+            APred::Eq(a, _) => {
+                let key = self.key_for(at, input, *a)?;
+                *sel *= 1.0 / stats.distinct_of(&key).max(1.0);
+            }
+            APred::EqAttr(a, b) => {
+                let ka = self.key_for(at, input, *a)?;
+                let kb = self.key_for(at, input, *b)?;
+                *sel *= stats.selectivity(&ka, &kb);
+            }
+            APred::And(ps) => {
+                for p in ps {
+                    self.pred_selectivity(at, input, p, sel)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The statistics key (`Scheme.path`) of the column `attr` resolves to
+    /// in `input`'s header, under the aliases in scope at `at`.
+    fn key_for(&mut self, at: NodeId, input: NodeId, attr: Col) -> Result<Rc<str>> {
+        let col = self.resolve_or_err(input, attr)?;
+        let scheme = self
+            .info(at)
+            .aliases
+            .as_ref()
+            .and_then(|a| scheme_of(a, col.alias))
+            .unwrap_or(col.alias);
+        let key = self
+            .estimates
+            .stats_keys
+            .entry((scheme, col.rest))
+            .or_insert_with(|| match col.rest {
+                Some(rest) => Rc::from(format!("{scheme}.{rest}")),
+                None => Rc::from(scheme.as_str()),
+            });
+        Ok(Rc::clone(key))
+    }
+
+    /// Fills the per-node and per-navigation breakdown of a costed plan:
+    /// nodes in pre-order, navigation charges in the order the walk meets
+    /// them (an operator's after its input's).
+    fn itemize(&self, id: NodeId, est: &mut Estimate) {
+        let Some(Some(Ok(t))) = self.estimates.subtotals.get(id.index()) else {
+            return;
+        };
+        // Display labels mirror the evaluator's span naming, so predicted
+        // and observed rows read identically.
+        let label = match self.node(id) {
+            Node::External { name } => format!("external {name}"),
+            Node::Entry { scheme, .. } => format!("entry {scheme}"),
+            Node::Select { .. } => "σ".to_string(),
+            Node::Project { .. } => "π".to_string(),
+            Node::Join { .. } => "⋈".to_string(),
+            Node::Unnest { attr, .. } => format!("µ {attr}"),
+            Node::Follow { link, target, .. } => format!("–{link}→ {target}"),
+        };
+        let charges = matches!(self.node(id), Node::Entry { .. } | Node::Follow { .. });
+        est.nodes.push(NodeEstimate {
+            label: label.clone(),
+            card: t.card,
+            pages: t.pages,
+        });
+        for &c in self.children(id).iter() {
+            self.itemize(c, est);
+        }
+        if charges {
+            est.per_operator.push((label, t.pages));
         }
     }
 }

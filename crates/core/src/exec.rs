@@ -31,6 +31,7 @@ use adm::WebScheme;
 use nalg::{AuditConfig, DegradationMode, EvalReport, Evaluator, PageSource, SharedPageCache};
 use obs::trace::TraceSink;
 use resilience::ConstraintHealth;
+use std::sync::Arc;
 
 /// What happened when a run's audit caught the plan's own constraint
 /// assumptions being violated and the session re-answered the query from
@@ -43,7 +44,7 @@ pub struct FallbackOutcome {
     /// attached [`ConstraintHealth`]).
     pub newly_quarantined: Vec<String>,
     /// The abandoned optimized plan's explanation.
-    pub suspect_explain: Explain,
+    pub suspect_explain: Arc<Explain>,
     /// The abandoned optimized plan's evaluation report (its audit field
     /// carries the detected violations).
     pub suspect_report: EvalReport,
@@ -57,8 +58,9 @@ pub struct FallbackOutcome {
 pub struct QueryOutcome {
     /// The optimizer's explanation (all candidate plans, costed). When a
     /// fallback fired this is the *fallback* plan's explanation; the
-    /// abandoned one is in [`FallbackOutcome::suspect_explain`].
-    pub explain: Explain,
+    /// abandoned one is in [`FallbackOutcome::suspect_explain`]. Shared,
+    /// not copied: the serving layer's plan cache holds the same plan set.
+    pub explain: Arc<Explain>,
     /// The evaluation report of the authoritative plan.
     pub report: EvalReport,
     /// Present when auditing triggered the default-navigation fallback.
@@ -374,7 +376,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         if let Some(h) = self.health {
             h.tick();
         }
-        let explain = self.explain(q)?;
+        let explain = Arc::new(self.explain(q)?);
         self.run_planned(q, explain)
     }
 
@@ -391,7 +393,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// quarantine set (a [`crate::CandidatePlan`] licensed by a
     /// since-quarantined constraint would execute here unchallenged —
     /// the serve-layer plan cache guards exactly that).
-    pub fn run_planned(&self, q: &ConjunctiveQuery, explain: Explain) -> Result<QueryOutcome> {
+    pub fn run_planned(&self, q: &ConjunctiveQuery, explain: Arc<Explain>) -> Result<QueryOutcome> {
         let mut ev = self.evaluator();
         if let Some(cfg) = self.audit_config(explain.best()) {
             ev = ev.with_audit(cfg);
@@ -406,7 +408,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     fn settle(
         &self,
         q: &ConjunctiveQuery,
-        explain: Explain,
+        explain: Arc<Explain>,
         report: EvalReport,
     ) -> Result<QueryOutcome> {
         let (violated, newly_quarantined) = {
@@ -450,7 +452,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         if self.use_incomplete {
             fb_opt = fb_opt.allow_incomplete_navigations();
         }
-        let fb_explain = fb_opt.optimize(q)?;
+        let fb_explain = Arc::new(fb_opt.optimize(q)?);
         let fb_report = self.evaluator().eval(&fb_explain.best().expr)?;
         let diverged = report.relation.sorted() != fb_report.relation.sorted();
         Ok(QueryOutcome {
@@ -473,7 +475,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// [`QuerySession::run`]; the extra work is bookkeeping only.
     pub fn run_analyzed(&self, q: &ConjunctiveQuery) -> Result<AnalyzedOutcome> {
         let sink = TraceSink::with_seed(0);
-        let explain = self.optimizer_traced(Some(&sink)).optimize(q)?;
+        let explain = Arc::new(self.optimizer_traced(Some(&sink)).optimize(q)?);
         let report = self
             .evaluator_traced(Some(&sink))
             .eval(&explain.best().expr)?;
@@ -757,7 +759,7 @@ mod tests {
             .select((0, "Type"), "Graduate")
             .project((0, "CName"));
         let plain = session.run(&q).unwrap();
-        let replayed = session.run_planned(&q, plain.explain.clone()).unwrap();
+        let replayed = session.run_planned(&q, Arc::clone(&plain.explain)).unwrap();
         assert_eq!(
             replayed.report.relation.sorted(),
             plain.report.relation.sorted()

@@ -11,8 +11,10 @@
 //!   fan-outs, distinct counts, join selectivities), collected by crawling;
 //! * [`cost`] — the cardinality estimator and the cost function 𝒞 of
 //!   Section 6.2 (network page accesses; local operators are free);
+//! * [`arena`] — the optimizer's working representation: a hash-consed
+//!   plan arena with per-subtree memo tables, alive for one `optimize`;
 //! * [`rules`] — rewrite rules 2–9, including **pointer-join** (rule 8)
-//!   and **pointer-chase** (rule 9);
+//!   and **pointer-chase** (rule 9), over that arena;
 //! * [`registry`] — the phase-staged registry naming rules 1–9, their
 //!   stages, trace labels, and ablation gates;
 //! * [`optimizer`] — Algorithm 1: staged rewriting and cost-based plan
@@ -45,6 +47,7 @@
 //! ```
 
 pub mod analyze;
+pub mod arena;
 pub mod cost;
 pub mod crawl;
 pub mod discover;
@@ -60,6 +63,7 @@ pub mod stats;
 pub mod views;
 
 pub use analyze::{ExplainAnalyze, OpAnalysis};
+pub use arena::{NodeId, PlanArena};
 pub use cost::{Cost, Estimate, NodeEstimate};
 pub use crawl::{crawl_instance, crawl_instance_parallel, SiteInstance};
 pub use discover::{discover_constraints, Discovered};

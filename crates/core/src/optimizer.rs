@@ -15,21 +15,22 @@
 //! normalizations applied to every candidate. A [`RuleMask`] can disable
 //! individual stages — this powers the ablation experiments.
 
-use crate::cost::{estimate, Estimate};
+use crate::arena::{APred, Col, Node, NodeId};
+use crate::cost::Estimate;
 use crate::query::ConjunctiveQuery;
 use crate::registry::{rules_for_phase, RewritePhase, RewriteRule, RuleOutcome, CANDIDATE_PHASES};
-use crate::rules::{
-    join_rewrite_candidates_tracked, qualify_expr, rename_alias, validate, ConstraintDependency,
-};
+use crate::rules::{ConstraintDependency, DepId, Rewriter};
 use crate::stats::SiteStatistics;
-use crate::views::{DefaultNavigation, ViewCatalog};
+use crate::views::ViewCatalog;
 use crate::{OptError, Result};
+use adm::intern::Symbol;
 use adm::WebScheme;
-use nalg::{NalgExpr, Pred};
+use nalg::NalgExpr;
 use obs::trace::{EventKind, FieldValue, TraceSink};
 use resilience::ConstraintHealth;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Enables/disables individual rewrite stages (for ablation studies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,29 +232,34 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Records one rule application: the rule's name plus the cost
-    /// estimate of the expression before (when there is one — rule 1
-    /// conjures plans out of the query) and after the rewrite.
-    /// Intermediate expressions that the estimator rejects simply omit
-    /// the corresponding fields.
+    /// estimate of the plan before (when there is one — rule 1 conjures
+    /// plans out of the query) and after the rewrite. Intermediate plans
+    /// that the estimator rejects simply omit the corresponding fields.
     fn rule_event(
         &self,
+        rewriter: &mut Rewriter<'_>,
         sink: &TraceSink,
-        rule: &str,
-        before: Option<&NalgExpr>,
-        after: &NalgExpr,
+        rule: RewriteRule,
+        before: Option<NodeId>,
+        after: NodeId,
     ) {
         let mut fields: Vec<(String, FieldValue)> = Vec::new();
-        if let Some(b) = before {
-            if let Ok(est) = estimate(b, self.ws, self.stats) {
-                fields.push(("pages_before".to_string(), est.cost.pages.into()));
-                fields.push(("bytes_before".to_string(), est.cost.bytes.into()));
+        let mut cost_fields = |plan: NodeId, pages: &str, bytes: &str| {
+            if let Some(cost) = rewriter.arena.cost_of(plan) {
+                fields.push((pages.to_string(), cost.pages.into()));
+                fields.push((bytes.to_string(), cost.bytes.into()));
             }
+        };
+        if let Some(b) = before {
+            cost_fields(b, "pages_before", "bytes_before");
         }
-        if let Ok(est) = estimate(after, self.ws, self.stats) {
-            fields.push(("pages_after".to_string(), est.cost.pages.into()));
-            fields.push(("bytes_after".to_string(), est.cost.bytes.into()));
-        }
-        sink.event(EventKind::Optimizer, rule, self.trace_parent, fields);
+        cost_fields(after, "pages_after", "bytes_after");
+        sink.event(
+            EventKind::Optimizer,
+            rule.trace_name(),
+            self.trace_parent,
+            fields,
+        );
     }
 
     /// Allows incomplete navigations (builder style).
@@ -271,92 +277,74 @@ impl<'a> Optimizer<'a> {
         let health = self.health;
         let gate =
             move |d: &ConstraintDependency| health.is_none_or(|h| !h.is_quarantined(&d.key()));
+        // Every plan of this call lives in the rewriter's arena; only the
+        // surviving candidates leave it, as trees.
+        let mut rw = Rewriter::new(self.ws, self.stats, &gate);
         // Steps 1–2: seeds (rule 1, all combinations).
-        let seeds = self.build_seeds(q)?;
+        let mut seeds = self.build_seeds(q, &mut rw)?;
         if let Some(sink) = sink {
-            for s in &seeds {
-                self.rule_event(sink, RewriteRule::DefaultNavigation.trace_name(), None, s);
+            for &s in &seeds {
+                self.rule_event(&mut rw, sink, RewriteRule::DefaultNavigation, None, s);
             }
         }
         let seed_count = seeds.len();
         // Step 3: normalization (rule 4, via the phase registry).
-        let seeds: Vec<NalgExpr> = seeds
-            .into_iter()
-            .map(|s| {
-                let mut cur = s;
-                for &rule in rules_for_phase(RewritePhase::Normalize) {
-                    if !rule.enabled(&self.mask) {
-                        continue;
-                    }
-                    if let RuleOutcome::Applied { expr, .. } =
-                        rule.apply(&cur, self.ws, self.stats, &gate)
-                    {
-                        if let Some(sink) = sink {
-                            if expr != cur {
-                                self.rule_event(sink, rule.trace_name(), Some(&cur), &expr);
-                            }
-                        }
-                        cur = expr;
-                    }
+        for seed in &mut seeds {
+            for &rule in rules_for_phase(RewritePhase::Normalize) {
+                if !rule.enabled(&self.mask) {
+                    continue;
                 }
-                cur
-            })
-            .collect();
-        // Step 4: closure under rules 8/9. Each pool entry carries the set
-        // of constraints its rewrite chain has assumed so far (provenance).
-        let mut pool: Vec<(NalgExpr, BTreeSet<ConstraintDependency>)> = Vec::new();
-        let mut seen: HashSet<NalgExpr> = HashSet::new();
-        let mut worklist: Vec<(NalgExpr, BTreeSet<ConstraintDependency>)> = Vec::new();
-        let mut cap_hit = false;
-        for s in seeds {
-            if seen.insert(s.clone()) {
-                pool.push((s.clone(), BTreeSet::new()));
-                worklist.push((s, BTreeSet::new()));
+                if let RuleOutcome::Applied { expr, .. } = rule.apply(&mut rw, *seed) {
+                    if let Some(sink) = sink {
+                        self.rule_event(&mut rw, sink, rule, Some(*seed), expr);
+                    }
+                    *seed = expr;
+                }
             }
         }
-        while let Some((e, deps)) = worklist.pop() {
+        // Step 4: closure under rules 8/9. Each pool entry carries the set
+        // of constraints its rewrite chain has assumed so far (provenance).
+        // Candidate order comes from the worklist, never from the ids.
+        let mut pool: Vec<(NodeId, Vec<DepId>)> = Vec::new();
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut worklist: Vec<usize> = Vec::new();
+        let mut cap_hit = false;
+        for s in seeds {
+            if seen.insert(s) {
+                worklist.push(pool.len());
+                pool.push((s, Vec::new()));
+            }
+        }
+        while let Some(at) = worklist.pop() {
             if pool.len() >= self.max_candidates {
                 cap_hit = true;
                 break;
             }
-            // For rule attribution only: the rule-8-only candidate set.
-            // Candidate generation itself always uses the combined call
-            // below, so tracing cannot perturb pool order.
-            let rule8: Vec<NalgExpr> = if sink.is_some() && self.mask.pointer_join {
-                join_rewrite_candidates_tracked(&e, self.ws, true, false, &gate)
-                    .into_iter()
-                    .map(|(c, _)| c)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for (cand, used) in join_rewrite_candidates_tracked(
-                &e,
-                self.ws,
-                self.mask.pointer_join,
-                self.mask.pointer_chase,
-                &gate,
-            ) {
-                if seen.insert(cand.clone()) {
+            let e = pool[at].0;
+            let fires = |rule: RewriteRule| rule.enabled(&self.mask) && rule.matches(&rw.arena, e);
+            let (join, chase) = (
+                fires(RewriteRule::PointerJoin),
+                fires(RewriteRule::PointerChase),
+            );
+            if !(join || chase) {
+                continue;
+            }
+            for cand in rw.join_rewrite_candidates(e, join, chase) {
+                if seen.insert(cand.expr) {
                     if let Some(sink) = sink {
-                        let rule = if rule8.contains(&cand) {
-                            RewriteRule::PointerJoin
-                        } else {
-                            RewriteRule::PointerChase
-                        };
-                        self.rule_event(sink, rule.trace_name(), Some(&e), &cand);
+                        self.rule_event(&mut rw, sink, cand.rule, Some(e), cand.expr);
                     }
-                    let mut cand_deps = deps.clone();
-                    cand_deps.extend(used);
-                    pool.push((cand.clone(), cand_deps.clone()));
-                    worklist.push((cand, cand_deps));
+                    let mut deps = pool[at].1.clone();
+                    add_dependencies(&mut deps, &cand.used);
+                    worklist.push(pool.len());
+                    pool.push((cand.expr, deps));
                 }
             }
         }
         let pool_count = pool.len();
         // Steps 5–7: per-candidate normalization, then validation.
-        let mut finals: Vec<(NalgExpr, BTreeSet<ConstraintDependency>)> = Vec::new();
-        let mut seen_final: HashSet<NalgExpr> = HashSet::new();
+        let mut finals: Vec<(NodeId, Vec<DepId>)> = Vec::new();
+        let mut seen_final: HashSet<NodeId> = HashSet::new();
         let (mut pruned_unpushable, mut pruned_invalid, mut pruned_duplicate) = (0u64, 0u64, 0u64);
         'pool: for (e, mut deps) in pool {
             let mut cur = e;
@@ -369,15 +357,13 @@ impl<'a> Optimizer<'a> {
                     if !rule.enabled(&self.mask) {
                         continue;
                     }
-                    match rule.apply(&cur, self.ws, self.stats, &gate) {
-                        RuleOutcome::NotApplicable => {}
+                    match rule.apply(&mut rw, cur) {
+                        RuleOutcome::NotApplicable | RuleOutcome::NoChange => {}
                         RuleOutcome::Applied { expr, used } => {
                             if let Some(sink) = sink {
-                                if expr != cur {
-                                    self.rule_event(sink, rule.trace_name(), Some(&cur), &expr);
-                                }
+                                self.rule_event(&mut rw, sink, rule, Some(cur), expr);
                             }
-                            deps.extend(used);
+                            add_dependencies(&mut deps, &used);
                             cur = expr;
                         }
                         RuleOutcome::Rejected => {
@@ -387,9 +373,9 @@ impl<'a> Optimizer<'a> {
                     }
                 }
             }
-            if !validate(&cur, self.ws) {
+            if !rw.arena.is_valid(cur) {
                 pruned_invalid += 1;
-            } else if seen_final.insert(cur.clone()) {
+            } else if seen_final.insert(cur) {
                 finals.push((cur, deps));
             } else {
                 pruned_duplicate += 1;
@@ -398,15 +384,15 @@ impl<'a> Optimizer<'a> {
         // Step 8: cost and sort.
         let mut candidates: Vec<CandidatePlan> = Vec::new();
         let mut pruned_uncostable = 0u64;
-        for (expr, deps) in finals {
-            let Ok(est) = estimate(&expr, self.ws, self.stats) else {
+        for (plan, deps) in finals {
+            let Ok(est) = rw.arena.estimate(plan) else {
                 pruned_uncostable += 1;
                 continue;
             };
             candidates.push(CandidatePlan {
-                expr,
+                expr: rw.arena.export(plan),
                 estimate: est,
-                dependencies: deps.into_iter().collect(),
+                dependencies: rw.dependencies(&deps),
             });
         }
         if let Some(sink) = sink {
@@ -448,16 +434,32 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Rule 1: replaces every atom by each of its default navigations, in
-    /// all combinations, producing fully-qualified seed expressions.
-    fn build_seeds(&self, q: &ConjunctiveQuery) -> Result<Vec<NalgExpr>> {
-        let mut options: Vec<Vec<&DefaultNavigation>> = Vec::new();
+    /// all combinations, producing fully-qualified seed plans. Each
+    /// navigation is imported and qualified once, however many seeds use it.
+    fn build_seeds(&self, q: &ConjunctiveQuery, rw: &mut Rewriter<'_>) -> Result<Vec<NodeId>> {
+        let mut options: Vec<Vec<SeedNavigation<'_>>> = Vec::new();
         for rel_name in &q.atoms {
             let rel = self.catalog.relation(rel_name)?;
-            let navs: Vec<&DefaultNavigation> = rel
-                .navigations
-                .iter()
-                .filter(|n| n.complete || self.use_incomplete_navigations)
-                .collect();
+            let mut navs = Vec::new();
+            for nav in &rel.navigations {
+                if !(nav.complete || self.use_incomplete_navigations) {
+                    continue;
+                }
+                let raw = rw.arena.import(&nav.expr);
+                let expr = rw.qualify(raw)?;
+                let bound = rw.arena.aliases_or_err(expr)?;
+                let mut aliases: Vec<Symbol> = bound.iter().map(|&(alias, _)| alias).collect();
+                aliases.sort_by_key(|a| a.as_str());
+                navs.push(SeedNavigation {
+                    expr,
+                    aliases,
+                    bindings: nav
+                        .bindings
+                        .iter()
+                        .map(|(attr, col)| (attr.as_str(), Col::parse(col)))
+                        .collect(),
+                });
+            }
             if navs.is_empty() {
                 return Err(OptError::NoPlan(format!(
                     "no usable default navigation for {rel_name}"
@@ -466,7 +468,7 @@ impl<'a> Optimizer<'a> {
             options.push(navs);
         }
         // cartesian product, capped
-        let mut combos: Vec<Vec<&DefaultNavigation>> = vec![vec![]];
+        let mut combos: Vec<Vec<&SeedNavigation<'_>>> = vec![vec![]];
         for opts in &options {
             let mut next = Vec::new();
             for combo in &combos {
@@ -475,7 +477,7 @@ impl<'a> Optimizer<'a> {
                         break;
                     }
                     let mut c = combo.clone();
-                    c.push(*o);
+                    c.push(o);
                     next.push(c);
                 }
             }
@@ -488,7 +490,7 @@ impl<'a> Optimizer<'a> {
                 if seeds.len() >= self.max_candidates {
                     return Ok(seeds);
                 }
-                seeds.push(self.build_seed(q, combo, order)?);
+                seeds.push(self.build_seed(q, rw, combo, order)?);
             }
         }
         Ok(seeds)
@@ -497,49 +499,44 @@ impl<'a> Optimizer<'a> {
     fn build_seed(
         &self,
         q: &ConjunctiveQuery,
-        navs: &[&DefaultNavigation],
+        rw: &mut Rewriter<'_>,
+        navs: &[&SeedNavigation<'_>],
         order: &[usize],
-    ) -> Result<NalgExpr> {
-        let mut used: HashSet<String> = HashSet::new();
-        let mut exprs: Vec<NalgExpr> = Vec::new();
-        let mut binds: Vec<Vec<(String, String)>> = Vec::new();
+    ) -> Result<NodeId> {
+        // Aliases must be unique across the seed: a navigation that would
+        // reuse one gets it renamed after its atom's position.
+        let mut used: Vec<Symbol> = Vec::new();
+        let mut exprs: Vec<Option<NodeId>> = Vec::new();
+        let mut binds: Vec<Vec<(&str, Col)>> = Vec::new();
         for (i, nav) in navs.iter().enumerate() {
-            let mut e = qualify_expr(&nav.expr, self.ws)?;
+            let mut e = nav.expr;
             let mut bmap = nav.bindings.clone();
-            let mut aliases: Vec<String> = e
-                .alias_map()
-                .map_err(OptError::Eval)?
-                .keys()
-                .cloned()
-                .collect();
-            aliases.sort();
-            for alias in aliases {
+            for &alias in &nav.aliases {
                 if used.contains(&alias) {
-                    let mut new = format!("{alias}_{i}");
+                    let mut new = Symbol::intern(&format!("{alias}_{i}"));
                     let mut n = 1;
                     while used.contains(&new) {
-                        new = format!("{alias}_{i}_{n}");
+                        new = Symbol::intern(&format!("{alias}_{i}_{n}"));
                         n += 1;
                     }
-                    e = rename_alias(&e, &alias, &new);
-                    let prefix = format!("{alias}.");
+                    e = rw.arena.rename_alias(e, alias, new);
                     for (_, col) in bmap.iter_mut() {
-                        if let Some(rest) = col.strip_prefix(&prefix) {
-                            *col = format!("{new}.{rest}");
+                        if col.is_under_alias(alias) {
+                            *col = col.with_alias(new);
                         }
                     }
-                    used.insert(new);
+                    used.push(new);
                 } else {
-                    used.insert(alias);
+                    used.push(alias);
                 }
             }
-            exprs.push(e);
+            exprs.push(Some(e));
             binds.push(bmap);
         }
-        let bind = |i: usize, attr: &str| -> Result<String> {
+        let bind = |i: usize, attr: &str| -> Result<Col> {
             binds[i]
                 .iter()
-                .find_map(|(a, c)| (a == attr).then(|| c.clone()))
+                .find_map(|&(a, c)| (a == attr).then_some(c))
                 .ok_or_else(|| OptError::UnknownViewAttribute {
                     relation: q.atoms[i].clone(),
                     attr: attr.to_string(),
@@ -547,18 +544,17 @@ impl<'a> Optimizer<'a> {
         };
         // left-deep join tree over the given atom order; a join predicate
         // attaches when the later (in order) of its two atoms enters
-        let mut slots: Vec<Option<NalgExpr>> = exprs.into_iter().map(Some).collect();
         let mut in_tree: Vec<usize> = Vec::new();
-        let mut tree: Option<NalgExpr> = None;
+        let mut tree: Option<NodeId> = None;
         for &k in order {
-            let e = slots
+            let e = exprs
                 .get_mut(k)
                 .and_then(Option::take)
                 .ok_or_else(|| OptError::BadQuery(format!("bad atom order index {k}")))?;
             tree = Some(match tree {
                 None => e,
                 Some(t) => {
-                    let mut on: Vec<(String, String)> = Vec::new();
+                    let mut on: Vec<(Col, Col)> = Vec::new();
                     for ((ai, aattr), (bi, battr)) in &q.joins {
                         if *ai == k && in_tree.contains(bi) {
                             on.push((bind(*bi, battr)?, bind(*ai, aattr)?));
@@ -566,11 +562,11 @@ impl<'a> Optimizer<'a> {
                             on.push((bind(*ai, aattr)?, bind(*bi, battr)?));
                         }
                     }
-                    NalgExpr::Join {
-                        left: Box::new(t),
-                        right: Box::new(e),
-                        on,
-                    }
+                    rw.arena.mk(Node::Join {
+                        left: t,
+                        right: e,
+                        on: Rc::from(on),
+                    })
                 }
             });
             in_tree.push(k);
@@ -578,28 +574,54 @@ impl<'a> Optimizer<'a> {
         let mut tree = tree.ok_or_else(|| OptError::BadQuery("no atoms".into()))?;
         // selections: constant selections plus same-atom attribute
         // equalities (which the join loop above cannot attach)
-        let mut atoms: Vec<Pred> = q
+        let mut atoms: Vec<Rc<APred>> = q
             .selections
             .iter()
-            .map(|((i, attr), v)| Ok(Pred::Eq(bind(*i, attr)?, v.clone())))
+            .map(|((i, attr), v)| Ok(Rc::new(APred::Eq(bind(*i, attr)?, v.clone()))))
             .collect::<Result<Vec<_>>>()?;
         for ((ai, aattr), (bi, battr)) in &q.joins {
             if ai == bi {
-                atoms.push(Pred::EqAttr(bind(*ai, aattr)?, bind(*bi, battr)?));
+                atoms.push(Rc::new(APred::EqAttr(bind(*ai, aattr)?, bind(*bi, battr)?)));
             }
         }
-        if let Some(pred) = Pred::from_conjuncts(atoms) {
-            tree = tree.select(pred);
+        if !atoms.is_empty() {
+            let pred = if atoms.len() == 1 {
+                atoms.remove(0)
+            } else {
+                Rc::new(APred::And(atoms))
+            };
+            tree = rw.arena.select(tree, pred);
         }
         // projection (deduplicated, order-preserving)
-        let mut cols: Vec<String> = Vec::new();
+        let mut cols: Vec<Col> = Vec::new();
         for (i, attr) in &q.projection {
             let c = bind(*i, attr)?;
             if !cols.contains(&c) {
                 cols.push(c);
             }
         }
-        Ok(tree.project(cols))
+        Ok(rw.arena.mk(Node::Project {
+            input: tree,
+            cols: Rc::from(cols),
+        }))
+    }
+}
+
+/// A default navigation ready for seed construction: imported into the
+/// arena and qualified, with its aliases in name order and its bindings
+/// parsed.
+struct SeedNavigation<'c> {
+    expr: NodeId,
+    aliases: Vec<Symbol>,
+    bindings: Vec<(&'c str, Col)>,
+}
+
+/// Adds `new` to a candidate's provenance, once each.
+fn add_dependencies(deps: &mut Vec<DepId>, new: &[DepId]) {
+    for d in new {
+        if !deps.contains(d) {
+            deps.push(*d);
+        }
     }
 }
 

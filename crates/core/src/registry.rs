@@ -13,15 +13,9 @@
 //! the repo's observability contract (`analyze`, the flight recorder, and
 //! the EXPLAIN tooling all match on them) and must never change.
 
+use crate::arena::{Node, NodeId, PlanArena};
 use crate::optimizer::RuleMask;
-use crate::rules::{
-    merge_repeated_navigations, prune_navigations_tracked, push_selections_tracked,
-    ConstraintDependency,
-};
-use crate::stats::SiteStatistics;
-use adm::WebScheme;
-use nalg::NalgExpr;
-use std::collections::BTreeSet;
+use crate::rules::{DepId, Rewriter};
 
 /// One stage of Algorithm 1, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +55,16 @@ pub enum RuleOutcome {
     /// The rule does not run in this mode (generative rules — seeds and
     /// branching — are driven by their own dedicated machinery).
     NotApplicable,
-    /// The rule ran; `expr` is the (possibly unchanged) result and `used`
-    /// the link/inclusion constraints the rewrite leaned on.
+    /// The rule had nothing to do: either its cheap pre-check found no
+    /// node it could fire on, or it ran and left the plan as it was.
+    NoChange,
+    /// The rule rewrote the plan; `used` are the link/inclusion
+    /// constraints the rewrite leaned on.
     Applied {
-        /// The rewritten expression (compare with the input to detect a
-        /// no-op — only genuine rewrites are traced).
-        expr: NalgExpr,
+        /// The rewritten plan (never the input's id).
+        expr: NodeId,
         /// Constraint provenance accumulated by this application.
-        used: BTreeSet<ConstraintDependency>,
+        used: Vec<DepId>,
     },
     /// The rule determined the candidate cannot survive (e.g. a selection
     /// that cannot be pushed into any computable position).
@@ -132,40 +128,40 @@ impl RewriteRule {
         }
     }
 
+    /// The cheap pre-check: false when the plan has no node this rule
+    /// could fire on (no join of two navigations and no second follow for
+    /// rule 4, no σ for rule 6, a root other than π for rules 3/5/7, no ⋈
+    /// for rules 8/9). Read off the arena's memo; never walks the tree.
+    pub(crate) fn matches(self, arena: &PlanArena<'_>, plan: NodeId) -> bool {
+        let info = arena.info(plan);
+        match self {
+            RewriteRule::DefaultNavigation => false,
+            RewriteRule::MergeRepeated => info.has_spine_join || info.follows >= 2,
+            RewriteRule::PointerJoin | RewriteRule::PointerChase => info.has_join,
+            RewriteRule::PushSelections => info.has_select,
+            RewriteRule::PruneNavigations => matches!(arena.node(plan), Node::Project { .. }),
+        }
+    }
+
     /// Applies a normalization rule to one candidate. Generative rules
     /// (seeds, branching) return [`RuleOutcome::NotApplicable`]; they are
     /// driven by [`crate::Optimizer`]'s dedicated seed/closure machinery.
-    pub(crate) fn apply(
-        self,
-        expr: &NalgExpr,
-        ws: &WebScheme,
-        stats: &SiteStatistics,
-        gate: &dyn Fn(&ConstraintDependency) -> bool,
-    ) -> RuleOutcome {
-        match self {
+    pub(crate) fn apply(self, rewriter: &mut Rewriter<'_>, plan: NodeId) -> RuleOutcome {
+        let rewritten = match self {
             RewriteRule::DefaultNavigation
             | RewriteRule::PointerJoin
-            | RewriteRule::PointerChase => RuleOutcome::NotApplicable,
-            RewriteRule::MergeRepeated => RuleOutcome::Applied {
-                expr: merge_repeated_navigations(expr.clone(), ws, stats),
-                used: BTreeSet::new(),
-            },
-            RewriteRule::PushSelections => match push_selections_tracked(expr, ws, gate) {
-                Ok((e, used)) => RuleOutcome::Applied {
-                    expr: e,
-                    used: used.into_iter().collect(),
-                },
-                Err(_) => RuleOutcome::Rejected,
-            },
-            RewriteRule::PruneNavigations => {
-                match prune_navigations_tracked(expr.clone(), ws, gate) {
-                    Ok((e, used)) => RuleOutcome::Applied {
-                        expr: e,
-                        used: used.into_iter().collect(),
-                    },
-                    Err(_) => RuleOutcome::Rejected,
-                }
+            | RewriteRule::PointerChase => return RuleOutcome::NotApplicable,
+            _ if !self.matches(&rewriter.arena, plan) => return RuleOutcome::NoChange,
+            RewriteRule::MergeRepeated => {
+                Ok((rewriter.merge_repeated_navigations(plan), Vec::new()))
             }
+            RewriteRule::PushSelections => rewriter.push_selections(plan),
+            RewriteRule::PruneNavigations => rewriter.prune_navigations(plan),
+        };
+        match rewritten {
+            Err(_) => RuleOutcome::Rejected,
+            Ok((expr, _)) if expr == plan => RuleOutcome::NoChange,
+            Ok((expr, used)) => RuleOutcome::Applied { expr, used },
         }
     }
 }

@@ -70,13 +70,15 @@ impl SiteStatistics {
     /// Join selectivity between two scheme-qualified attributes:
     /// an override if present, else `1/max(c_A, c_B)`.
     pub fn selectivity(&self, a: &str, b: &str) -> f64 {
-        let key = if a <= b {
-            (a.to_string(), b.to_string())
-        } else {
-            (b.to_string(), a.to_string())
-        };
-        if let Some(v) = self.join_selectivity.get(&key) {
-            return *v;
+        if !self.join_selectivity.is_empty() {
+            let key = if a <= b {
+                (a.to_string(), b.to_string())
+            } else {
+                (b.to_string(), a.to_string())
+            };
+            if let Some(v) = self.join_selectivity.get(&key) {
+                return *v;
+            }
         }
         1.0 / self.distinct_of(a).max(self.distinct_of(b)).max(1.0)
     }

@@ -2,13 +2,17 @@
 //! university view, the fully optimized plan computes the same answer as
 //! the naive (rule-1-only) plan. The naive plan is correct by
 //! construction — it just evaluates the default navigations — so this
-//! pins the whole rewrite stack.
+//! pins the whole rewrite stack. The same queries' plans also pin the
+//! optimizer's plan arena to the tree it stands for.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use websim::sitegen::{University, UniversityConfig};
 use wvcore::views::university_catalog;
-use wvcore::{ConjunctiveQuery, LiveSource, QuerySession, RuleMask, SiteStatistics, ViewCatalog};
+use wvcore::{
+    ConjunctiveQuery, LiveSource, Optimizer, PlanArena, QuerySession, RuleMask, SiteStatistics,
+    ViewCatalog,
+};
 
 struct Fixture {
     u: University,
@@ -131,6 +135,14 @@ fn answer_of(
         .collect()
 }
 
+/// `e` and every subtree of it.
+fn subtrees(e: &nalg::NalgExpr, out: &mut Vec<nalg::NalgExpr>) {
+    out.push(e.clone());
+    for c in e.children() {
+        subtrees(c, out);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
@@ -164,5 +176,46 @@ proptest! {
             ne.best().estimate.cost,
             q
         );
+    }
+
+    // Arena ≡ tree: every candidate plan of a random query (optimized and
+    // naive), every subtree of one, and a few deliberately broken plans
+    // survive the round trip through one shared arena, get one id per
+    // structure, and have the header and the estimate the tree has.
+    #[test]
+    fn arena_agrees_with_the_tree(rq in arb_query()) {
+        let fx = fixture();
+        let q = build(&rq);
+        let ws = &fx.u.site.scheme;
+        let mut plans = Vec::new();
+        for mask in [RuleMask::all(), RuleMask::none()] {
+            let explain = Optimizer::new(ws, &fx.catalog, &fx.stats)
+                .with_mask(mask)
+                .optimize(&q)
+                .expect("optimizes");
+            for c in &explain.candidates {
+                // what the optimizer reported is what the plan costs alone
+                let alone = wvcore::cost::estimate(&c.expr, ws, &fx.stats).expect("costs");
+                prop_assert_eq!(format!("{:?}", c.estimate), format!("{alone:?}"));
+                subtrees(&c.expr, &mut plans);
+            }
+        }
+        let best = plans[0].clone();
+        plans.push(best.clone().project(vec!["NoSuch.Column"]));
+        plans.push(best.clone().select(nalg::Pred::eq("URL", "/")));
+        plans.push(best.clone().join(best.clone(), vec![("URL", "URL")]));
+        plans.push(best.clone().follow("PName", "ProfPage"));
+        plans.push(nalg::NalgExpr::external("Professor").join(best, vec![("a", "b")]));
+        let mut arena = PlanArena::new(ws, &fx.stats);
+        for e in &plans {
+            let id = arena.import(e);
+            prop_assert_eq!(&arena.export(id), e);
+            prop_assert_eq!(arena.import(&e.clone()), id);
+            prop_assert_eq!(arena.output_columns(id), e.output_columns(ws).ok(), "{:?}", e);
+            // memoised across every plan of this arena vs. costed alone
+            let shared = arena.estimate(id);
+            let alone = wvcore::cost::estimate(e, ws, &fx.stats);
+            prop_assert_eq!(format!("{shared:?}"), format!("{alone:?}"), "{:?}", e);
+        }
     }
 }

@@ -662,7 +662,7 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             session = session.with_relevance_cancel();
         }
         let (explain, cached_plan) = match self.plan_cache.lookup(&key, &quarantined) {
-            Some(plan) => ((*plan).clone(), true),
+            Some(plan) => (plan, true),
             None => {
                 // Rule 1–9 enumeration is the most expensive pre-fetch
                 // phase; never start it with the budget already gone.
@@ -678,7 +678,7 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
                     }
                     return Ok(outcome_of(&obs, None, false, true, true, None));
                 }
-                (session.explain(q)?, false)
+                (Arc::new(session.explain(q)?), false)
             }
         };
         if let Some(o) = obs.as_deref_mut() {
@@ -731,8 +731,7 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             // The plan's own audit falsified it — never serve it again.
             self.plan_cache.remove(&key);
         } else if !cached_plan {
-            self.plan_cache
-                .insert(key, Arc::new(outcome.explain.clone()));
+            self.plan_cache.insert(key, Arc::clone(&outcome.explain));
         }
         Ok(outcome_of(
             &obs,
