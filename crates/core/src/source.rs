@@ -54,11 +54,7 @@ impl PageSource for LiveSource<'_> {
             .ws
             .scheme(scheme)
             .map_err(|e| SourceError::Other(e.to_string()))?;
-        let html = std::str::from_utf8(&resp.body).map_err(|e| SourceError::Malformed {
-            url: url.clone(),
-            reason: format!("non-utf8 page body: {e}"),
-        })?;
-        let tuple = wrapper::wrap_page(ps, html).map_err(|e| SourceError::Malformed {
+        let tuple = wrapper::wrap_bytes(ps, &resp.body).map_err(|e| SourceError::Malformed {
             url: url.clone(),
             reason: e.to_string(),
         })?;

@@ -240,9 +240,7 @@ impl PartialStore {
         match server.get(url) {
             Ok(resp) => {
                 let ps = ws.scheme(&skel.scheme)?;
-                let html = std::str::from_utf8(&resp.body)
-                    .map_err(|e| DataflowError::Wrap(format!("non-utf8 at {url}: {e}")))?;
-                let tuple = wrapper::wrap_page(ps, html)
+                let tuple = wrapper::wrap_bytes(ps, &resp.body)
                     .map_err(|e| DataflowError::Wrap(format!("{url}: {e}")))?;
                 let date = resp.last_modified.max(server.now());
                 self.put(ws, url.clone(), &skel.scheme, tuple.clone(), date);

@@ -411,9 +411,7 @@ impl<'a> IncrementalView<'a> {
                 Ok(resp) => {
                     rep.pages_fetched += 1;
                     let ps = ws.scheme(&scheme)?;
-                    let html = std::str::from_utf8(&resp.body)
-                        .map_err(|e| DataflowError::Wrap(format!("non-utf8 at {url}: {e}")))?;
-                    let tuple = wrapper::wrap_page(ps, html)
+                    let tuple = wrapper::wrap_bytes(ps, &resp.body)
                         .map_err(|e| DataflowError::Wrap(format!("{url}: {e}")))?;
                     let date = resp.last_modified.max(server.now());
                     self.store

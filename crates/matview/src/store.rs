@@ -272,10 +272,8 @@ impl MatStore {
             };
             report.downloaded += 1;
             let ps = ws.scheme(&scheme)?;
-            let html = std::str::from_utf8(&resp.body)
-                .map_err(|e| MatError::Wrap(format!("non-utf8 at {url}: {e}")))?;
-            let tuple =
-                wrapper::wrap_page(ps, html).map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
+            let tuple = wrapper::wrap_bytes(ps, &resp.body)
+                .map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
             for (target, link) in outlinks(&ps.fields, &tuple) {
                 if seen.insert(link.clone()) {
                     queue.push_back((link, target));

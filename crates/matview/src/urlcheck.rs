@@ -117,10 +117,8 @@ pub fn url_check(
         };
         counters.downloads += 1;
         let ps = ws.scheme(scheme)?;
-        let html = std::str::from_utf8(&resp.body)
-            .map_err(|e| MatError::Wrap(format!("non-utf8 at {url}: {e}")))?;
-        let fresh =
-            wrapper::wrap_page(ps, html).map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
+        let fresh = wrapper::wrap_bytes(ps, &resp.body)
+            .map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
         // outlink diffing against the previous version
         let old_links: HashSet<Url> = store
             .get(url)

@@ -24,6 +24,11 @@ pub enum WrapError {
     BadStructure(String),
     /// A link attribute's element had no `href`.
     MissingHref(String),
+    /// The page body is not UTF-8.
+    NotUtf8 {
+        /// Length of the longest valid prefix, in bytes.
+        valid_up_to: usize,
+    },
 }
 
 impl fmt::Display for WrapError {
@@ -40,6 +45,9 @@ impl fmt::Display for WrapError {
             }
             WrapError::BadStructure(m) => write!(f, "page structure mismatch: {m}"),
             WrapError::MissingHref(a) => write!(f, "link attribute `{a}` has no href"),
+            WrapError::NotUtf8 { valid_up_to } => {
+                write!(f, "page body is not UTF-8 (valid up to byte {valid_up_to})")
+            }
         }
     }
 }

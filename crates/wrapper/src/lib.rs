@@ -5,11 +5,16 @@
 //! toolkits). This crate is that substrate, built from scratch:
 //!
 //! * [`lexer`] — an HTML tokenizer (tags, attributes, text, entities,
-//!   comments);
-//! * [`dom`] — a tiny document tree with tolerant parsing (auto-closing of
-//!   mismatched tags, void elements);
+//!   comments) whose tokens borrow from the page body;
+//! * [`dom`] — a flat document arena with tolerant parsing (auto-closing of
+//!   mismatched tags, void elements), filled in one pass over the page;
 //! * [`wrap`] — scheme-driven extraction: given a [`adm::PageScheme`] and a
 //!   page's HTML, produce the corresponding nested [`adm::Tuple`].
+//!
+//! Nothing is copied out of the page until extraction builds the tuple:
+//! names are compared ignoring ASCII case instead of being lower-cased,
+//! values and text are owned only where an entity decoded, and no walk
+//! recurses over the document's depth.
 //!
 //! Extraction follows the microformat emitted by `websim::page`: attribute
 //! elements carry `data-attr`, lists are `ul.adm-list` with `li.adm-row`
@@ -24,7 +29,7 @@ pub mod wrap;
 
 pub use dom::{Document, Element, Node};
 pub use error::WrapError;
-pub use wrap::{wrap_page, wrap_page_columnar};
+pub use wrap::{wrap_bytes, wrap_page, wrap_page_columnar};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, WrapError>;

@@ -6,127 +6,128 @@
 //! inner lists cannot shadow or be confused with outer ones (e.g.
 //! `SessionPage.Session` vs the `CName` entries inside its `CourseList`).
 
-use crate::dom::{Document, Element};
+use crate::dom::{Document, MARK_LIST, MARK_PAGE, MARK_ROW};
 use crate::error::WrapError;
 use crate::Result;
 use adm::{ColumnRel, ColumnRelBuilder, Field, PageScheme, Tuple, Value, WebType};
 
 /// Finds the element carrying `data-attr == name` within `scope`, without
-/// crossing into nested lists.
-fn find_scoped<'a>(scope: &'a Element, name: &str) -> Option<&'a Element> {
-    for c in scope.child_elements() {
-        if c.attr("data-attr") == Some(name) {
-            return Some(c);
+/// crossing into nested lists: the first match in document order, where a
+/// list element itself may match but its subtree is jumped over.
+fn find_scoped(doc: &Document<'_>, scope: u32, name: &str) -> Option<u32> {
+    let end = doc.end_of(scope);
+    let mut id = scope + 1;
+    while id < end {
+        if doc.data_attr(id) == Some(name) {
+            return Some(id);
         }
-        if c.has_class("adm-list") {
-            continue; // do not descend into a nested level
-        }
-        if let Some(found) = find_scoped(c, name) {
-            return Some(found);
-        }
+        id = if doc.marks(id) & MARK_LIST != 0 {
+            doc.end_of(id) // do not descend into a nested level
+        } else {
+            id + 1
+        };
     }
     None
 }
 
 /// Extracts one attribute value from its element.
-fn extract_value(field: &Field, el: &Element) -> Result<Value> {
+fn extract_value(doc: &Document<'_>, field: &Field, el: u32) -> Result<Value> {
     match &field.ty {
-        WebType::Text => Ok(Value::Text(el.text_content())),
+        WebType::Text => Ok(Value::Text(doc.text_content(el))),
         WebType::Image => {
-            let src = el.attr("src").ok_or_else(|| {
+            let src = doc.attr(el, "src").ok_or_else(|| {
                 WrapError::BadStructure(format!("image attribute `{}` has no src", field.name))
             })?;
             Ok(Value::Text(src.to_string()))
         }
         WebType::Link { .. } => {
-            let href = el
-                .attr("href")
+            let href = doc
+                .attr(el, "href")
                 .ok_or_else(|| WrapError::MissingHref(field.name.clone()))?;
             Ok(Value::Link(adm::Url::new(href)))
         }
         WebType::List(inner) => {
-            if !el.has_class("adm-list") {
+            if doc.marks(el) & MARK_LIST == 0 {
                 return Err(WrapError::BadStructure(format!(
                     "attribute `{}` is a list but its element is not marked adm-list",
                     field.name
                 )));
             }
-            let mut rows = Vec::new();
-            for li in el.child_elements().filter(|e| e.has_class("adm-row")) {
-                rows.push(extract_fields(inner, li, &field.name)?);
+            let is_row = |&child: &u32| doc.marks(child) & MARK_ROW != 0;
+            let mut rows = Vec::with_capacity(doc.child_ids(el).filter(is_row).count());
+            for row in doc.child_ids(el).filter(is_row) {
+                rows.push(extract_fields(doc, inner, row, &field.name)?);
             }
             Ok(Value::List(rows))
         }
     }
 }
 
-/// Extracts all fields of one nesting level as a flat value row, in scheme
-/// order. The shared core of both the tuple and the columnar wrapper.
-fn extract_row(fields: &[Field], scope: &Element, context: &str) -> Result<Vec<Value>> {
-    let mut vals = Vec::with_capacity(fields.len());
+/// Extracts all fields of one nesting level from a scope element, in
+/// scheme order. Recursion follows the *scheme's* list nesting only; the
+/// walks over the document are index scans.
+fn extract_fields(
+    doc: &Document<'_>,
+    fields: &[Field],
+    scope: u32,
+    context: &str,
+) -> Result<Tuple> {
+    let mut pairs = Vec::with_capacity(fields.len());
     for f in fields {
-        match find_scoped(scope, &f.name) {
-            Some(el) => vals.push(extract_value(f, el)?),
-            None if f.optional => vals.push(Value::Null),
-            None if matches!(f.ty, WebType::List(_)) => {
-                // An empty list legitimately renders as an empty <ul>; if
-                // even the <ul> is missing, treat as empty list as well —
-                // real sites omit empty sections.
-                vals.push(Value::List(vec![]));
-            }
+        let value = match find_scoped(doc, scope, &f.name) {
+            Some(el) => extract_value(doc, f, el)?,
+            None if f.optional => Value::Null,
+            // An empty list legitimately renders as an empty <ul>; if
+            // even the <ul> is missing, treat as empty list as well —
+            // real sites omit empty sections.
+            None if matches!(f.ty, WebType::List(_)) => Value::List(vec![]),
             None => {
                 return Err(WrapError::MissingAttribute {
                     attr: f.name.clone(),
                     scheme: context.to_string(),
                 });
             }
-        }
+        };
+        pairs.push((f.name.clone(), value));
     }
-    Ok(vals)
-}
-
-/// Extracts all fields of one nesting level from a scope element.
-fn extract_fields(fields: &[Field], scope: &Element, context: &str) -> Result<Tuple> {
-    let vals = extract_row(fields, scope, context)?;
-    Ok(Tuple::from_pairs(
-        fields.iter().map(|f| f.name.clone()).zip(vals).collect(),
-    ))
+    Ok(Tuple::from_pairs(pairs))
 }
 
 /// Wraps a page: parses `html` and extracts the nested tuple described by
-/// `scheme`. The returned tuple conforms to the scheme's fields.
+/// `scheme`. The returned tuple conforms to the scheme's fields, and its
+/// field names and values are the only strings the call leaves allocated.
 pub fn wrap_page(scheme: &PageScheme, html: &str) -> Result<Tuple> {
     let doc = Document::parse(html)?;
-    // Prefer the marked content container; fall back to the whole <html>
-    // tree for pages without one (robustness against hand-written pages).
-    let tuple = if let Some(container) = doc.find(|e| e.has_class("adm-page")) {
-        extract_fields(&scheme.fields, container, &scheme.name)?
-    } else if let Some(root) = doc.root_elements().next() {
-        extract_fields(&scheme.fields, root, &scheme.name)?
-    } else {
-        return Err(WrapError::BadStructure("empty document".into()));
-    };
-    Ok(tuple)
+    // Prefer the marked content container; fall back to the first root
+    // element for pages without one (robustness against hand-written pages).
+    let scope = doc
+        .first_marked(MARK_PAGE)
+        .or_else(|| doc.root_elements().next().map(|e| e.id()))
+        .ok_or_else(|| WrapError::BadStructure("empty document".into()))?;
+    extract_fields(&doc, &scheme.fields, scope, &scheme.name)
 }
 
-/// Wraps a page straight into a single-row columnar relation: the extracted
-/// value row goes into a [`ColumnRelBuilder`] without materializing the
-/// intermediate nested [`Tuple`], and text/link payloads are interned as
-/// they land in the typed columns. Column names are the scheme's field
+/// Wraps a page body as it came off the wire: [`wrap_page`] behind the one
+/// UTF-8 check every fetch path needs.
+pub fn wrap_bytes(scheme: &PageScheme, body: &[u8]) -> Result<Tuple> {
+    let html = std::str::from_utf8(body).map_err(|e| WrapError::NotUtf8 {
+        valid_up_to: e.valid_up_to(),
+    })?;
+    wrap_page(scheme, html)
+}
+
+/// Wraps a page into a single-row columnar relation: [`wrap_page`]'s tuple
+/// pushed through a [`ColumnRelBuilder`], which interns text/link payloads
+/// as they land in the typed columns. Column names are the scheme's field
 /// names (unqualified — the evaluator qualifies by alias).
 pub fn wrap_page_columnar(scheme: &PageScheme, html: &str) -> Result<ColumnRel> {
-    let doc = Document::parse(html)?;
-    let row = if let Some(container) = doc.find(|e| e.has_class("adm-page")) {
-        extract_row(&scheme.fields, container, &scheme.name)?
-    } else if let Some(root) = doc.root_elements().next() {
-        extract_row(&scheme.fields, root, &scheme.name)?
-    } else {
-        return Err(WrapError::BadStructure("empty document".into()));
-    };
+    let row: Vec<Value> = (wrap_page(scheme, html)?.into_pairs().into_iter())
+        .map(|(_, value)| value)
+        .collect();
     let names: Vec<&str> = scheme.fields.iter().map(|f| f.name.as_str()).collect();
     let mut b = ColumnRelBuilder::new(&names);
     b.push_row(&row)
-        .expect("row arity equals scheme field count by construction");
+        .map_err(|e| WrapError::BadStructure(e.to_string()))?;
     Ok(b.finish())
 }
 
@@ -333,6 +334,20 @@ mod tests {
         let c = wrap_page_columnar(&scheme, html).unwrap();
         assert!(c.value_at(0, 0).is_null());
         assert_eq!(c.value_at(0, 1), Value::List(vec![]));
+    }
+
+    #[test]
+    fn wrap_bytes_checks_utf8_then_wraps() {
+        let scheme = session_scheme();
+        assert_eq!(
+            wrap_bytes(&scheme, SESSION_HTML.as_bytes()),
+            wrap_page(&scheme, SESSION_HTML)
+        );
+        let mut body = SESSION_HTML.as_bytes().to_vec();
+        body[40] = 0xff;
+        let err = wrap_bytes(&scheme, &body).unwrap_err();
+        assert_eq!(err, WrapError::NotUtf8 { valid_up_to: 40 });
+        assert!(err.to_string().contains("byte 40"));
     }
 
     #[test]

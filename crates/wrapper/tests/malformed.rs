@@ -113,18 +113,18 @@ fn entity_edge_cases_lex_cleanly() {
 #[test]
 fn mismatched_nesting_builds_a_tree() {
     let d = Document::parse("<a><b><c><d>deep</a>tail").unwrap();
-    let a = d.find(|e| e.tag == "a").unwrap();
+    let a = d.find(|e| e.is_tag("a")).unwrap();
     // everything above <a> was auto-closed into it
-    assert!(a.find(|e| e.tag == "d").is_some());
+    assert!(a.find(|e| e.is_tag("d")).is_some());
 
     // interleaved closes: </i> closes nothing open at top, </b> auto-closes <i>
     let d = Document::parse("<b><i>x</b>y</i>z").unwrap();
-    assert!(d.find(|e| e.tag == "b").is_some());
+    assert!(d.find(|e| e.is_tag("b")).is_some());
 
     // a stray close for a tag opened-and-closed twice
     let d = Document::parse("<p>a</p></p><p>b</p>").unwrap();
     assert_eq!(
-        d.root_elements().filter(|e| e.tag == "p").count(),
+        d.root_elements().filter(|e| e.is_tag("p")).count(),
         2,
         "both paragraphs survive the stray close"
     );
@@ -149,4 +149,34 @@ fn truncated_tags_return_lex_errors() {
             other => panic!("expected a lex error for {input:?}, got {other:?}"),
         }
     }
+}
+
+/// Nesting depth is input-controlled, and a fetch-pool worker has a 2 MB
+/// stack: no walk may recurse once per level (parsing, searching, text
+/// collection, dropping the document). The tree-of-vectors parser died
+/// with a stack overflow at 50 000 levels.
+#[test]
+fn deeply_nested_page_is_an_error_not_an_abort() {
+    let html = "<div>".repeat(200_000);
+    let s = scheme();
+    let wrapped = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || wrap_page(&s, &html))
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(matches!(
+        wrapped,
+        Err(WrapError::MissingAttribute { attr, .. }) if attr == "DName"
+    ));
+    // the attribute at the bottom of the pit is still found, and its text
+    // collected, without recursion
+    let html = format!(
+        "{}<i data-attr=DName>x<i data-attr=Address>y",
+        "<div>".repeat(200_000)
+    );
+    let t = wrap_page(&scheme(), &html).unwrap();
+    assert_eq!(t.get("DName").unwrap().as_text(), Some("xy"));
+    assert_eq!(t.get("Address").unwrap().as_text(), Some("y"));
+    assert!(Document::parse(&html).unwrap().len() > 200_000);
 }
