@@ -8,15 +8,22 @@
 //! the per-operator distinct-link counts (the paper's 𝒞) and the actual
 //! number of downloads.
 //!
+//! There is one engine — operators run chunk-at-a-time on interned,
+//! columnar [`ColumnRel`] batches — and one way a page is obtained:
+//! `Entry` and `Follow` both hand their distinct links to
+//! `Evaluator::acquire`, which owns the cache → shared cache → network
+//! ladder, the single drain loop and every access counter.
+//!
 //! Two engine features sit on top of the paper's model, both strictly
 //! accounted so the paper numbers stay reproducible:
 //!
 //! * **Pipelined concurrent fetch** ([`Evaluator::with_concurrent_fetch`]):
 //!   a persistent worker pool is spawned once per evaluation and serves
-//!   every `follow` in the plan; distinct links stream into the pool and
+//!   every operator in the plan; distinct links stream into the pool and
 //!   wrapped tuples are consumed as they arrive, overlapping network
-//!   latency with wrapping and row assembly. Results and all access
-//!   counts are identical to sequential evaluation.
+//!   latency with row assembly. Without it the same drain loop runs over
+//!   an inline executor — one fetch at a time on the calling thread.
+//!   Results and all access counts are identical either way.
 //! * **Shared cross-query cache** ([`Evaluator::with_shared_cache`]): hits
 //!   against a [`SharedPageCache`] avoid the network entirely and are
 //!   reported separately (`shared_cache_hits`), never as `page_accesses`,
@@ -24,17 +31,16 @@
 
 use crate::cache::SharedPageCache;
 use crate::error::EvalError;
-use crate::expr::{field_of_column, NalgExpr, Pred};
-use crate::fetch::FetchPool;
+use crate::expr::{field_of_column, resolve_column, NalgExpr, Pred};
+use crate::fetch::{Done, FetchPool, Job};
 use crate::Result;
 use adm::{
-    ColumnData, ColumnRel, ColumnRelBuilder, InclusionConstraint, LinkConstraint, Relation, Symbol,
-    Tuple, Url, Value, WebScheme,
+    ColumnRel, ColumnRelBuilder, InclusionConstraint, LinkConstraint, Relation, Symbol, Tuple, Url,
+    Value, WebScheme,
 };
 use obs::trace::{EventKind, TraceSink};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors a [`PageSource`] may return, split into the taxonomy the
 /// resilience layer acts on: **transient** failures (a retry may succeed)
@@ -305,10 +311,6 @@ pub struct Evaluator<'a, S: PageSource> {
     /// events) nest under — set by the serving layer so a whole
     /// evaluation hangs off its request's root span.
     trace_parent: Option<u64>,
-    /// When true (the default) operators run on interned, columnar
-    /// [`ColumnRel`] batches; [`Evaluator::row_path`] pins the
-    /// row-at-a-time reference implementation instead.
-    columnar: bool,
     /// The evaluation's wall-clock budget. Infinite (never fires) by
     /// default; when finite, every blocking point checks it and the
     /// evaluation fails over to a partial answer with an exact
@@ -317,7 +319,7 @@ pub struct Evaluator<'a, S: PageSource> {
     /// Cooperative cancellation shared with pool workers and coalescing
     /// followers; auto-created by [`Evaluator::with_relevance_cancel`].
     cancel: Option<obs::CancelToken>,
-    /// Hedged-GET policy for the pooled drain loop; `None` disables.
+    /// Hedged-GET policy for the drain loop; `None` disables.
     hedge: Option<crate::fetch::HedgeConfig>,
     /// When true, σ/⋈ residuals above each Follow are used to prove
     /// pending URLs irrelevant and skip their fetches.
@@ -333,14 +335,14 @@ fn run_pooled<S: PageSource + Sync>(ev: &Evaluator<'_, S>, expr: &NalgExpr) -> R
         ev.trace.as_ref(),
         ev.trace_parent,
         ev.cancel.as_ref(),
-        |pool| ev.eval_with(expr, Some(pool)),
+        |pool| ev.eval_with(expr, pool),
     )
 }
 
+#[derive(Default)]
 struct Ctx {
-    /// Per-query page cache, keyed by interned URL id: a hit hands out a
-    /// refcount bump, never a `Url`/`Tuple` clone.
-    cache: HashMap<Symbol, Arc<Tuple>>,
+    /// Per-query page cache, keyed by interned URL id.
+    cache: HashMap<Symbol, Tuple>,
     /// Pre-order index of the next operator node (tracing only); matches
     /// the node numbering of `cost::Estimate::nodes` for the same plan.
     node_seq: usize,
@@ -349,7 +351,7 @@ struct Ctx {
     shared_hits: u64,
     broken_links: u64,
     per_op: Vec<(String, u64)>,
-    unreachable: std::collections::BTreeSet<Url>,
+    unreachable: BTreeSet<Url>,
     /// Audit bookkeeping (populated only when an audit is attached):
     /// every acquired page by scheme, the dedup set (interned ids), and
     /// the sampled URLs.
@@ -360,8 +362,8 @@ struct Ctx {
     cancelled: BTreeSet<Url>,
     /// Set when a finite deadline fired at any blocking point.
     deadline_exceeded: bool,
-    /// Monotonic tag for pooled drains: a deadline-aborted drain leaves
-    /// stale completions in the channel; later drains skip them by epoch.
+    /// Monotonic tag for drains: a deadline-aborted drain leaves stale
+    /// completions in the pool; later drains skip them by epoch.
     fetch_epoch: u64,
     /// σ/⋈ residuals on the path from the root to the node being
     /// evaluated (innermost last); only maintained in relevance mode.
@@ -369,7 +371,7 @@ struct Ctx {
 }
 
 /// A filter known (from the operators above the current node) to discard
-/// rows: a σ predicate, or the join-key value set of an already-computed
+/// rows: a σ predicate, or the join-key values of an already-computed
 /// ⋈ side. A Follow output row that provably fails one can never reach
 /// the query's answer — the Benedikt/Gottlob/Senellart relevance
 /// criterion specialized to rules 6–9 plan shapes (σ/⋈ over
@@ -377,157 +379,61 @@ struct Ctx {
 enum ResidualFilter {
     /// A selection predicate above the Follow.
     Pred(Pred),
-    /// `col` must take one of `allowed` (the other join side's keys).
-    InSet {
-        col: String,
-        allowed: HashSet<Value>,
-    },
+    /// `col` must join one of `keys`: the distinct values, as a one-column
+    /// relation, of the other join side's key column.
+    InSet { col: String, keys: ColumnRel },
 }
 
-/// One residual atom resolved against a Follow's *input* columns; checks
-/// that would bind to the fetched page's own columns (or ambiguously)
-/// are dropped as inapplicable — conservative, never unsound.
-enum ResolvedCheck<'f> {
-    EqConst(usize, &'f Value),
-    EqAttrs(usize, usize),
-    InSet(usize, &'f HashSet<Value>),
-}
-
-/// Resolves `attr` against the Follow's combined output header (input
-/// columns ++ page columns), mirroring `adm`'s resolution order: exact
-/// name first, then unique dotted suffix. Returns the index only when
-/// the unique hit lies on the *input* side — a page-side or ambiguous
-/// binding makes the check inapplicable before the page is fetched.
-fn resolve_input_side(input_cols: &[&str], page_cols: &[String], attr: &str) -> Option<usize> {
-    let all = || {
-        input_cols
-            .iter()
-            .copied()
-            .chain(page_cols.iter().map(String::as_str))
-    };
-    let exact: Vec<usize> = all()
-        .enumerate()
-        .filter(|(_, c)| *c == attr)
-        .map(|(i, _)| i)
-        .collect();
-    let hits = if exact.is_empty() {
-        let suffix = format!(".{attr}");
-        all()
-            .enumerate()
-            .filter(|(_, c)| c.ends_with(&suffix))
-            .map(|(i, _)| i)
-            .collect()
-    } else {
-        exact
-    };
-    match hits.as_slice() {
-        [i] if *i < input_cols.len() => Some(*i),
-        _ => None,
-    }
-}
-
-/// Flattens the residual stack into the checks applicable to a Follow's
-/// input rows (conjunctions flatten; `Pred` has no disjunction, so each
-/// atom is independently necessary and any applicable subset is sound).
-fn applicable_checks<'f>(
-    filters: &'f [ResidualFilter],
-    input_cols: &[&str],
+/// The rows of a Follow's input `rel` that can survive `filters`, or
+/// `None` when no filter applies. Each atom is resolved against the
+/// Follow's output header (input columns ++ `page_cols`) by the rule σ and
+/// ⋈ themselves resolve by, and is applied — through the same kernels σ
+/// and ⋈ run on, so the semantics cannot drift apart — only when it binds
+/// wholly to the *input* side: a page-side or unresolvable binding cannot
+/// be judged before the page is fetched. `Pred` has no disjunction, so
+/// each atom is independently necessary and any applicable subset is
+/// sound.
+fn survivors(
+    filters: &[ResidualFilter],
+    rel: &ColumnRel,
     page_cols: &[String],
-) -> Vec<ResolvedCheck<'f>> {
-    fn add_pred<'f>(
-        p: &'f Pred,
-        input_cols: &[&str],
-        page_cols: &[String],
-        out: &mut Vec<ResolvedCheck<'f>>,
-    ) {
-        match p {
-            Pred::Eq(attr, v) => {
-                if let Some(i) = resolve_input_side(input_cols, page_cols, attr) {
-                    out.push(ResolvedCheck::EqConst(i, v));
-                }
-            }
-            Pred::EqAttr(a, b) => {
-                let (ra, rb) = (
-                    resolve_input_side(input_cols, page_cols, a),
-                    resolve_input_side(input_cols, page_cols, b),
-                );
-                if let (Some(i), Some(j)) = (ra, rb) {
-                    out.push(ResolvedCheck::EqAttrs(i, j));
-                }
-            }
-            Pred::And(ps) => {
-                for p in ps {
-                    add_pred(p, input_cols, page_cols, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
+) -> Option<ColumnRel> {
+    let n = rel.names().len();
+    let mut header = rel.column_strings();
+    header.extend_from_slice(page_cols);
+    let input = |attr: &str| resolve_column(&header, attr).ok().filter(|&i| i < n);
+    let mut cur: Option<ColumnRel> = None;
     for f in filters {
         match f {
-            ResidualFilter::Pred(p) => add_pred(p, input_cols, page_cols, &mut out),
-            ResidualFilter::InSet { col, allowed } => {
-                if let Some(i) = resolve_input_side(input_cols, page_cols, col) {
-                    out.push(ResolvedCheck::InSet(i, allowed));
+            // A semijoin: `keys` is distinct, so no row multiplies, and
+            // the key column it appends lands past every input index.
+            ResidualFilter::InSet { col, keys } => {
+                if let Some(i) = input(col) {
+                    cur = Some(cur.as_ref().unwrap_or(rel).join_on(keys, &[(i, 0)]));
+                }
+            }
+            ResidualFilter::Pred(p) => {
+                let mut atoms = vec![p];
+                while let Some(p) = atoms.pop() {
+                    let rows = cur.as_ref().unwrap_or(rel);
+                    let keep = match p {
+                        Pred::Eq(a, v) => input(a).map(|i| rows.select_eq_const(i, v)),
+                        Pred::EqAttr(a, b) => input(a)
+                            .zip(input(b))
+                            .map(|(i, j)| rows.select_eq_cols(i, j)),
+                        Pred::And(ps) => {
+                            atoms.extend(ps);
+                            None
+                        }
+                    };
+                    if let Some(keep) = keep {
+                        cur = Some(rows.take(&keep));
+                    }
                 }
             }
         }
     }
-    out
-}
-
-/// True iff `row` provably cannot survive the filters above the Follow.
-/// Semantics mirror `apply_pred` exactly: constant equality treats
-/// `Null = Null` as true, attribute equality never matches nulls, and a
-/// join key outside the other side's value set can never join.
-fn row_is_dead(row: &[Value], checks: &[ResolvedCheck<'_>]) -> bool {
-    checks.iter().any(|c| match c {
-        ResolvedCheck::EqConst(i, v) => &row[*i] != *v,
-        ResolvedCheck::EqAttrs(i, j) => row[*i].is_null() || row[*i] != row[*j],
-        ResolvedCheck::InSet(i, set) => !set.contains(&row[*i]),
-    })
-}
-
-/// The distinct values of the already-computed join side's column
-/// `attr` (nulls included, so the bound is sound whatever the engine's
-/// null-join semantics), or `None` when the column does not resolve —
-/// the residual is then simply not pushed, which is conservative.
-fn join_key_values(car: &Carrier, attr: &str) -> Option<HashSet<Value>> {
-    match car {
-        Carrier::Row(rel) => {
-            let i = rel.resolve(attr).ok()?;
-            Some(rel.rows().iter().map(|r| r[i].clone()).collect())
-        }
-        Carrier::Col(rel) => {
-            let i = rel.resolve(attr).ok()?;
-            let probe = rel.project_cols(&[i]).to_relation();
-            Some(probe.rows().iter().map(|r| r[0].clone()).collect())
-        }
-    }
-}
-
-/// The internal result of one operator: the columnar fast path, or the
-/// boundary row representation when the evaluator was pinned to the
-/// reference row path. Conversion happens once, at the report boundary.
-enum Carrier {
-    Row(Relation),
-    Col(ColumnRel),
-}
-
-impl Carrier {
-    fn len(&self) -> usize {
-        match self {
-            Carrier::Row(r) => r.len(),
-            Carrier::Col(c) => c.len(),
-        }
-    }
-
-    fn into_relation(self) -> Relation {
-        match self {
-            Carrier::Row(r) => r,
-            Carrier::Col(c) => c.to_relation(),
-        }
-    }
+    cur
 }
 
 impl<'a, S: PageSource> Evaluator<'a, S> {
@@ -545,22 +451,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             pooled_run: None,
             trace: None,
             trace_parent: None,
-            columnar: true,
             deadline: obs::Deadline::infinite(),
             cancel: None,
             hedge: None,
             relevance: false,
         }
-    }
-
-    /// Pins the row-at-a-time reference path: every operator runs over
-    /// boundary [`Relation`]s exactly as in the pre-columnar engine. Kept
-    /// so property tests can assert the columnar kernels produce
-    /// byte-identical answers and access counters; production callers have
-    /// no reason to use it.
-    pub fn row_path(mut self) -> Self {
-        self.columnar = false;
-        self
     }
 
     /// Attaches a constraint audit: a deterministic sample of the pages
@@ -652,7 +547,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         self
     }
 
-    /// Enables hedged GETs in the pooled drain loop (requires
+    /// Enables hedged GETs in the drain loop (requires
     /// [`Evaluator::with_concurrent_fetch`] to have any effect): after
     /// `cfg.delay_us` without a completion, one backup fetch is launched
     /// for the laggard; first response wins, the loser is cancelled
@@ -692,31 +587,15 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         }
         match self.pooled_run {
             Some(run) => run(self, expr),
-            None => self.eval_with(expr, None),
+            None => self.eval_with(expr, &FetchPool::inline(self.source, self.cancel.as_ref())),
         }
     }
 
-    fn eval_with(&self, expr: &NalgExpr, pool: Option<&FetchPool>) -> Result<EvalReport> {
-        let mut ctx = Ctx {
-            cache: HashMap::new(),
-            node_seq: 0,
-            page_accesses: 0,
-            cache_hits: 0,
-            shared_hits: 0,
-            broken_links: 0,
-            per_op: Vec::new(),
-            unreachable: std::collections::BTreeSet::new(),
-            audit_pages: BTreeMap::new(),
-            audit_seen: HashSet::new(),
-            audit_sampled: BTreeSet::new(),
-            cancelled: std::collections::BTreeSet::new(),
-            deadline_exceeded: false,
-            fetch_epoch: 0,
-            residual: Vec::new(),
-        };
+    fn eval_with(&self, expr: &NalgExpr, pool: &FetchPool<'_>) -> Result<EvalReport> {
+        let mut ctx = Ctx::default();
         let relation = self
             .eval_expr(expr, &mut ctx, pool, self.trace_parent)?
-            .into_relation();
+            .to_relation();
         let audit = self.run_audit(&mut ctx);
         Ok(EvalReport {
             relation,
@@ -834,148 +713,17 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         Some(report)
     }
 
-    fn fetch(&self, ctx: &mut Ctx, url: &Url, scheme: &str) -> Result<Option<Arc<Tuple>>> {
-        let sym = Symbol::from_url(url);
-        if self.cache_enabled {
-            if let Some(t) = ctx.cache.get(&sym) {
-                ctx.cache_hits += 1;
-                return Ok(Some(Arc::clone(t)));
-            }
-        }
-        if let Some(shared) = self.shared {
-            if let Some(t) = shared.get(url) {
-                ctx.shared_hits += 1;
-                let t = Arc::new(t);
-                if self.cache_enabled {
-                    ctx.cache.insert(sym, Arc::clone(&t));
-                }
-                self.audit_record(ctx, sym, scheme, &t);
-                return Ok(Some(t));
-            }
-        }
-        // Caches are free; only the network is gated by the budget. A
-        // fired deadline degrades to Partial semantics regardless of the
-        // configured mode — the deadline *is* the degradation decision.
-        if self.deadline.expired() {
-            ctx.deadline_exceeded = true;
-            ctx.unreachable.insert(url.clone());
-            return Ok(None);
-        }
-        match timed_fetch_stamped(self.source, url, scheme) {
-            Ok((t, lm)) => {
-                ctx.page_accesses += 1;
-                if let Some(shared) = self.shared {
-                    shared.insert(url, &t, lm);
-                }
-                let t = Arc::new(t);
-                if self.cache_enabled {
-                    ctx.cache.insert(sym, Arc::clone(&t));
-                }
-                self.audit_record(ctx, sym, scheme, &t);
-                Ok(Some(t))
-            }
-            Err(SourceError::NotFound(_)) => {
-                ctx.broken_links += 1;
-                ctx.unreachable.insert(url.clone());
-                Ok(None)
-            }
-            Err(_) if self.degradation == DegradationMode::Partial => {
-                ctx.unreachable.insert(url.clone());
-                Ok(None)
-            }
-            // A cancelled fetch under a finite deadline is the budget
-            // machinery working as designed, not a query failure.
-            Err(SourceError::Cancelled(_)) if self.deadline.is_finite() => {
-                ctx.deadline_exceeded = true;
-                ctx.unreachable.insert(url.clone());
-                Ok(None)
-            }
-            Err(e) => Err(EvalError::Source(e.to_string())),
-        }
-    }
-
-    /// The deadline/hedge-aware variant of [`Evaluator::fetch`]: one URL
-    /// through the worker pool, so a single laggard GET (an entry point,
-    /// typically) can be hedged or abandoned at the budget instead of
-    /// blocking the session past it. Cache handling, counters, and error
-    /// degradation match `fetch` exactly.
-    fn fetch_one_pooled(
-        &self,
-        ctx: &mut Ctx,
-        pool: &FetchPool,
-        url: &Url,
-        scheme: &str,
-    ) -> Result<Option<Arc<Tuple>>> {
-        let sym = Symbol::from_url(url);
-        if self.cache_enabled {
-            if let Some(t) = ctx.cache.get(&sym) {
-                ctx.cache_hits += 1;
-                return Ok(Some(Arc::clone(t)));
-            }
-        }
-        if let Some(shared) = self.shared {
-            if let Some(t) = shared.get(url) {
-                ctx.shared_hits += 1;
-                let t = Arc::new(t);
-                if self.cache_enabled {
-                    ctx.cache.insert(sym, Arc::clone(&t));
-                }
-                self.audit_record(ctx, sym, scheme, &t);
-                return Ok(Some(t));
-            }
-        }
-        let mut fetched: Option<Arc<Tuple>> = None;
-        self.drain_pooled(
-            ctx,
-            pool,
-            std::slice::from_ref(url),
-            scheme,
-            |ctx, u, outcome| match outcome {
-                Ok((t, lm)) => {
-                    ctx.page_accesses += 1;
-                    if let Some(shared) = self.shared {
-                        shared.insert(&u, &t, lm);
-                    }
-                    let t = Arc::new(t);
-                    let sym = Symbol::from_url(&u);
-                    if self.cache_enabled {
-                        ctx.cache.insert(sym, Arc::clone(&t));
-                    }
-                    self.audit_record(ctx, sym, scheme, &t);
-                    fetched = Some(t);
-                    Ok(())
-                }
-                Err(SourceError::NotFound(_)) => {
-                    ctx.broken_links += 1;
-                    ctx.unreachable.insert(u);
-                    Ok(())
-                }
-                Err(_) if self.degradation == DegradationMode::Partial => {
-                    ctx.unreachable.insert(u);
-                    Ok(())
-                }
-                Err(e) => Err(EvalError::Source(e.to_string())),
-            },
-        )?;
-        Ok(fetched)
-    }
-
-    /// Expands a page tuple into a single-row relation qualified by alias.
-    fn expand_page(
-        &self,
-        alias: &str,
-        scheme: &str,
-        url: &Url,
-        tuple: &Tuple,
-    ) -> Result<(Vec<String>, Vec<Value>)> {
+    /// The cell values of a page tuple as one row of its page-relation:
+    /// the URL, then each top-level field in scheme order (see
+    /// [`crate::expr::page_columns`] for the matching header).
+    fn page_values(&self, scheme: &str, url: &Url, tuple: &Tuple) -> Result<Vec<Value>> {
         let ps = self.ws.scheme(scheme)?;
-        let mut cols = vec![format!("{alias}.URL")];
-        let mut vals = vec![Value::Link(url.clone())];
+        let mut vals = Vec::with_capacity(ps.fields.len() + 1);
+        vals.push(Value::Link(url.clone()));
         for f in &ps.fields {
-            cols.push(format!("{alias}.{}", f.name));
             vals.push(tuple.get(&f.name).cloned().unwrap_or(Value::Null));
         }
-        Ok((cols, vals))
+        Ok(vals)
     }
 
     /// Traced entry to operator evaluation. Without a sink this is a
@@ -990,9 +738,9 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         &self,
         expr: &NalgExpr,
         ctx: &mut Ctx,
-        pool: Option<&FetchPool>,
+        pool: &FetchPool<'_>,
         parent: Option<u64>,
-    ) -> Result<Carrier> {
+    ) -> Result<ColumnRel> {
         let Some(sink) = &self.trace else {
             return self.eval_node(expr, ctx, pool, parent);
         };
@@ -1009,7 +757,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         let result = self.eval_node(expr, ctx, pool, Some(span.id()));
         span.set("node", node);
         match &result {
-            Ok(car) => span.set("rows_out", car.len() as u64),
+            Ok(rel) => span.set("rows_out", rel.len() as u64),
             Err(e) => span.set("error", e.to_string()),
         }
         span.set("downloads", ctx.page_accesses - before.0);
@@ -1031,9 +779,9 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         &self,
         expr: &NalgExpr,
         ctx: &mut Ctx,
-        pool: Option<&FetchPool>,
+        pool: &FetchPool<'_>,
         parent: Option<u64>,
-    ) -> Result<Carrier> {
+    ) -> Result<ColumnRel> {
         match expr {
             NalgExpr::External { name } => Err(EvalError::NotComputable(format!(
                 "external relation {name}"
@@ -1042,48 +790,24 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 let ep = self.ws.entry_point(scheme).ok_or_else(|| {
                     EvalError::NotComputable(format!("{scheme} is not an entry point"))
                 })?;
-                let url = ep.url.clone();
-                let fetched = match pool {
-                    // With a budget or hedging active, even the single
-                    // entry GET goes through the pooled drain — a tail
-                    // response there is hedged or abandoned at the
-                    // deadline rather than blocking the whole session.
-                    Some(p) if self.deadline.is_finite() || self.hedge.is_some() => {
-                        self.fetch_one_pooled(ctx, p, &url, scheme)?
-                    }
-                    _ => self.fetch(ctx, &url, scheme)?,
-                };
-                match fetched {
-                    Some(tuple) => {
-                        ctx.per_op.push((format!("entry {scheme}"), 1));
-                        let (cols, vals) = self.expand_page(alias, scheme, &url, &tuple)?;
-                        if self.columnar {
-                            let mut b = ColumnRelBuilder::new(&cols);
-                            b.push_row(&vals)?;
-                            Ok(Carrier::Col(b.finish()))
-                        } else {
-                            let mut r = Relation::new(cols);
-                            r.push_row(vals)?;
-                            Ok(Carrier::Row(r))
-                        }
-                    }
-                    // `fetch` already recorded the URL as unreachable; in
-                    // Partial mode an unreachable entry point degrades to an
-                    // empty relation (with the right header) instead of
-                    // aborting the query.
-                    None if self.degradation == DegradationMode::Partial
-                        || ctx.deadline_exceeded =>
-                    {
-                        ctx.per_op.push((format!("entry {scheme}"), 1));
-                        let cols = crate::expr::page_columns(self.ws, scheme, alias)?;
-                        if self.columnar {
-                            Ok(Carrier::Col(ColumnRel::empty(&cols)))
-                        } else {
-                            Ok(Carrier::Row(Relation::new(cols)))
-                        }
-                    }
-                    None => Err(EvalError::Source(format!("entry point {url} missing"))),
+                let header = crate::expr::page_columns(self.ws, scheme, alias)?;
+                let mut page = ColumnRelBuilder::new(&header);
+                let order = [Symbol::from_url(&ep.url)];
+                self.acquire(ctx, pool, scheme, &order, None, |_, url, tuple| {
+                    Ok(page.push_row(&self.page_values(scheme, url, tuple)?)?)
+                })?;
+                // `acquire` already recorded a skipped URL as unreachable;
+                // in Partial mode (or past the deadline) an unreachable
+                // entry point degrades to an empty relation with the right
+                // header instead of aborting the query.
+                if page.is_empty()
+                    && self.degradation != DegradationMode::Partial
+                    && !ctx.deadline_exceeded
+                {
+                    return Err(EvalError::Source(format!("entry point {} missing", ep.url)));
                 }
+                ctx.per_op.push((format!("entry {scheme}"), 1));
+                Ok(page.finish())
             }
             NalgExpr::Select { input, pred } => {
                 // Relevance: this predicate filters everything the input
@@ -1092,36 +816,31 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 if self.relevance {
                     ctx.residual.push(ResidualFilter::Pred(pred.clone()));
                 }
-                let car = self.eval_expr(input, ctx, pool, parent);
+                let rel = self.eval_expr(input, ctx, pool, parent);
                 if self.relevance {
                     ctx.residual.pop();
                 }
-                match car? {
-                    Carrier::Col(rel) => Ok(Carrier::Col(apply_pred_col(&rel, pred)?)),
-                    Carrier::Row(rel) => Ok(Carrier::Row(apply_pred(&rel, pred)?)),
-                }
+                apply_pred_col(&rel?, pred)
             }
             NalgExpr::Project { input, cols } => {
-                let car = self.eval_expr(input, ctx, pool, parent)?;
+                let rel = self.eval_expr(input, ctx, pool, parent)?;
                 let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                match car {
-                    Carrier::Col(rel) => Ok(Carrier::Col(rel.project(&refs)?)),
-                    Carrier::Row(rel) => Ok(Carrier::Row(rel.project(&refs)?)),
-                }
+                Ok(rel.project(&refs)?)
             }
             NalgExpr::Join { left, right, on } => {
                 let l = self.eval_expr(left, ctx, pool, parent)?;
                 // Relevance: the left side is computed, so its join-key
-                // value sets bound what the right side can contribute —
-                // a right-side Follow row whose key is outside the set
-                // can never join into an output tuple.
+                // values bound what the right side can contribute — a
+                // right-side Follow row whose key joins none of them can
+                // never reach an output tuple. A key column that does not
+                // resolve pushes nothing, which is conservative.
                 let mut pushed = 0usize;
                 if self.relevance {
                     for (a, b) in on {
-                        if let Some(allowed) = join_key_values(&l, a) {
+                        if let Ok(i) = l.resolve(a) {
                             ctx.residual.push(ResidualFilter::InSet {
                                 col: b.clone(),
-                                allowed,
+                                keys: l.project_cols(&[i]),
                             });
                             pushed += 1;
                         }
@@ -1131,22 +850,13 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 for _ in 0..pushed {
                     ctx.residual.pop();
                 }
-                let r = r?;
                 let pairs: Vec<(&str, &str)> =
                     on.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-                match (l, r) {
-                    (Carrier::Col(a), Carrier::Col(b)) => Ok(Carrier::Col(a.join(&b, &pairs)?)),
-                    (a, b) => Ok(Carrier::Row(
-                        a.into_relation().join(&b.into_relation(), &pairs)?,
-                    )),
-                }
+                Ok(l.join(&r?, &pairs)?)
             }
             NalgExpr::Unnest { input, attr } => {
-                let car = self.eval_expr(input, ctx, pool, parent)?;
-                let qualified = match &car {
-                    Carrier::Row(rel) => rel.columns()[rel.resolve(attr)?].clone(),
-                    Carrier::Col(rel) => rel.names()[rel.resolve(attr)?].as_str().to_string(),
-                };
+                let rel = self.eval_expr(input, ctx, pool, parent)?;
+                let qualified = rel.names()[rel.resolve(attr)?].as_str().to_string();
                 let aliases = expr.alias_map()?;
                 let field = field_of_column(self.ws, &aliases, &qualified)?;
                 let inner: Vec<String> = field
@@ -1162,135 +872,161 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     .iter()
                     .map(|f| f.name.clone())
                     .collect();
-                match car {
-                    Carrier::Col(rel) => Ok(Carrier::Col(rel.unnest(attr, &inner)?)),
-                    Carrier::Row(rel) => Ok(Carrier::Row(rel.unnest(attr, &inner)?)),
-                }
+                Ok(rel.unnest(attr, &inner)?)
             }
             NalgExpr::Follow {
                 input,
                 link,
                 target,
                 alias,
-            } => match self.eval_expr(input, ctx, pool, parent)? {
-                Carrier::Col(rel) => self.follow_col(&rel, link, target, alias, ctx, pool),
-                Carrier::Row(rel) => self.follow_row(&rel, link, target, alias, ctx, pool),
-            },
+            } => {
+                let rel = self.eval_expr(input, ctx, pool, parent)?;
+                self.follow(&rel, link, target, alias, ctx, pool)
+            }
         }
     }
 
-    /// Sequentially fetches `misses`, gating each dispatch on the
-    /// remaining budget: once the deadline fires, every remaining URL
-    /// goes to `unreachable` (the exact not-yet-fetched set) instead of
-    /// being fetched past the SLO.
-    fn drain_sequential<F>(
+    /// The one page-acquisition path: every page an `Entry` or a `Follow`
+    /// obtains comes through here. `order` holds the operator's distinct
+    /// link symbols in first-appearance order; each is served from the
+    /// per-query cache, else from the shared cache, and only the
+    /// remaining misses — minus those the relevance monitor proves dead
+    /// from `carrier`, the Follow's input relation and link column —
+    /// touch the network. Each acquired page is handed to `deliver`
+    /// once, as it arrives; a page that could not be acquired is recorded
+    /// in `ctx` (broken / unreachable / cancelled) and never delivered.
+    fn acquire(
         &self,
         ctx: &mut Ctx,
-        misses: &[Url],
+        pool: &FetchPool<'_>,
         scheme: &str,
-        mut complete: F,
-    ) -> Result<()>
-    where
-        F: FnMut(
-            &mut Ctx,
-            Url,
-            std::result::Result<(Tuple, Option<u64>), SourceError>,
-        ) -> Result<()>,
-    {
-        for u in misses {
-            if self.deadline.expired() {
-                ctx.deadline_exceeded = true;
-                ctx.unreachable.insert(u.clone());
-                continue;
+        order: &[Symbol],
+        carrier: Option<(&ColumnRel, usize, &[String])>,
+        mut deliver: impl FnMut(Symbol, &Url, &Tuple) -> Result<()>,
+    ) -> Result<()> {
+        let mut misses: Vec<Symbol> = Vec::new();
+        for &s in order {
+            if self.cache_enabled {
+                if let Some(t) = ctx.cache.get(&s) {
+                    ctx.cache_hits += 1;
+                    deliver(s, &s.to_url(), t)?;
+                    continue;
+                }
             }
-            match timed_fetch_stamped(self.source, u, scheme) {
-                Err(SourceError::Cancelled(_))
-                    if self.deadline.is_finite()
-                        || self.degradation == DegradationMode::Partial =>
-                {
-                    if self.deadline.expired() {
-                        ctx.deadline_exceeded = true;
+            if let Some(shared) = self.shared {
+                let url = s.to_url();
+                if let Some(t) = shared.get(&url) {
+                    ctx.shared_hits += 1;
+                    self.audit_record(ctx, s, scheme, &t);
+                    deliver(s, &url, &t)?;
+                    if self.cache_enabled {
+                        ctx.cache.insert(s, t);
                     }
-                    ctx.unreachable.insert(u.clone());
+                    continue;
                 }
-                outcome => complete(ctx, u.clone(), outcome)?,
             }
+            misses.push(s);
         }
-        Ok(())
+        if let Some((rel, li, page_cols)) = carrier {
+            self.prune_dead(ctx, rel, li, page_cols, &mut misses);
+        }
+        self.drain(ctx, pool, scheme, &misses, &mut deliver)
     }
 
-    /// The pooled drain: streams `misses` into the pool, then consumes
-    /// completions. Without a finite deadline or hedging this blocks on
-    /// each completion exactly as the pre-budget engine did; with
-    /// either, the loop waits in bounded quanta so it can (a) abort the
-    /// drain the moment the budget is gone — cancelling still-queued
-    /// jobs through the token and reporting the exact pending set as
-    /// unreachable — and (b) launch one backup fetch per laggard after
-    /// the hedge delay, first response winning. Completions are tagged
-    /// with a per-drain epoch so a later drain never consumes a stale
-    /// completion from an aborted one.
-    fn drain_pooled<F>(
+    /// Relevance: a missed URL none of whose carrying rows can survive
+    /// the residual σ/⋈ filters (see [`survivors`]) can never join into
+    /// an output tuple — drop it from `misses` and cancel it through the
+    /// token. The operator's `per_op` charge already counted the full
+    /// distinct set, so the cost-model numbers stay exact.
+    fn prune_dead(
         &self,
         ctx: &mut Ctx,
-        pool: &FetchPool,
-        misses: &[Url],
-        scheme: &str,
-        mut complete: F,
-    ) -> Result<()>
-    where
-        F: FnMut(
-            &mut Ctx,
-            Url,
-            std::result::Result<(Tuple, Option<u64>), SourceError>,
-        ) -> Result<()>,
-    {
-        use std::time::{Duration, Instant};
-        let shutdown = || EvalError::Source("fetch worker pool shut down".to_string());
-        if !self.deadline.is_finite() && self.hedge.is_none() {
-            // Plain path: pinned byte-identical to the pre-budget engine.
-            let mut submitted = 0usize;
-            for u in misses {
+        rel: &ColumnRel,
+        li: usize,
+        page_cols: &[String],
+        misses: &mut Vec<Symbol>,
+    ) {
+        if ctx.residual.is_empty() || misses.is_empty() {
+            return;
+        }
+        let Some(alive) = survivors(&ctx.residual, rel, page_cols) else {
+            return;
+        };
+        let live: HashSet<Symbol> = (0..alive.len())
+            .filter_map(|row| alive.link_at(row, li).ok().flatten())
+            .collect();
+        misses.retain(|s| {
+            let keep = live.contains(s);
+            if !keep {
                 if let Some(t) = &self.cancel {
-                    t.uncancel_url(u.as_str());
+                    t.cancel_url(s.as_str());
                 }
-                if !pool.submit(u.clone(), scheme.to_string()) {
-                    return Err(shutdown());
-                }
-                submitted += 1;
+                ctx.cancelled.insert(s.to_url());
             }
-            for _ in 0..submitted {
-                let Some(done) = pool.recv() else {
-                    return Err(shutdown());
-                };
-                complete(ctx, done.url, done.outcome)?;
-            }
+            keep
+        });
+    }
+
+    /// The one drain loop: streams `misses` into the pool, then consumes
+    /// completions in arrival order until none is pending. The wait for
+    /// each completion is bounded by the remaining budget and by the
+    /// earliest hedge coming due, so the loop can (a) abort the moment the
+    /// budget is gone — cancelling still-queued jobs and reporting the
+    /// exact pending set as unreachable — and (b) launch one backup fetch
+    /// per laggard after the hedge delay, first response winning. With an
+    /// infinite deadline and no hedging neither ever happens and the loop
+    /// simply blocks on each completion; over the inline pool "waiting"
+    /// runs the next job, which is sequential fetching. Completions are
+    /// tagged with a per-drain epoch so a later drain never consumes a
+    /// stale completion from an aborted one.
+    fn drain(
+        &self,
+        ctx: &mut Ctx,
+        pool: &FetchPool<'_>,
+        scheme: &str,
+        misses: &[Symbol],
+        deliver: &mut impl FnMut(Symbol, &Url, &Tuple) -> Result<()>,
+    ) -> Result<()> {
+        use std::time::{Duration, Instant};
+        if misses.is_empty() {
             return Ok(());
         }
+        let shutdown = || EvalError::Source("fetch worker pool shut down".to_string());
+        // A backup fetch needs someone to race: over the inline executor
+        // nothing runs concurrently with this loop, so hedging is inert.
+        let hedge = self.hedge.as_ref().filter(|_| self.pooled_run.is_some());
         ctx.fetch_epoch += 1;
-        let epoch = ctx.fetch_epoch;
+        let (scheme, epoch) = (Symbol::intern(scheme), ctx.fetch_epoch);
+        let job = |url, hedge| Job {
+            url,
+            scheme,
+            epoch,
+            hedge,
+        };
         struct Pending {
-            since: Instant,
+            /// Submission time; taken only when a hedge could come due.
+            since: Option<Instant>,
             hedged: bool,
         }
-        let mut pending: HashMap<Url, Pending> = HashMap::with_capacity(misses.len());
-        for u in misses {
+        let mut pending: HashMap<Symbol, Pending> = HashMap::with_capacity(misses.len());
+        for &s in misses {
             if self.deadline.expired() {
                 ctx.deadline_exceeded = true;
-                ctx.unreachable.insert(u.clone());
+                ctx.unreachable.insert(s.to_url());
                 continue;
             }
             // A URL cancelled for an earlier navigation may be needed
-            // now; clear its mark before the workers can see the job.
+            // now; clear its mark before a worker can see the job.
             if let Some(t) = &self.cancel {
-                t.uncancel_url(u.as_str());
+                t.uncancel_url(s.as_str());
             }
-            if !pool.submit_tagged(u.clone(), scheme.to_string(), epoch, false) {
+            if !pool.submit_tagged(job(s, false)) {
                 return Err(shutdown());
             }
             pending.insert(
-                u.clone(),
+                s,
                 Pending {
-                    since: Instant::now(),
+                    since: hedge.map(|_| Instant::now()),
                     hedged: false,
                 },
             );
@@ -1301,41 +1037,30 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 // fetched URL set. Cancel the queued jobs cooperatively
                 // (workers skip them pre-dispatch) and brown out.
                 ctx.deadline_exceeded = true;
-                for (u, _) in pending.drain() {
+                pool.discard_queued();
+                for (s, _) in pending.drain() {
                     if let Some(t) = &self.cancel {
-                        t.cancel_url(u.as_str());
+                        t.cancel_url(s.as_str());
                     }
-                    ctx.unreachable.insert(u);
+                    ctx.unreachable.insert(s.to_url());
                 }
                 break;
-            }
-            if let Some(h) = &self.hedge {
-                let delay = Duration::from_micros(h.delay_us);
-                let due: Vec<Url> = pending
-                    .iter()
-                    .filter(|(_, p)| !p.hedged && p.since.elapsed() >= delay)
-                    .map(|(u, _)| u.clone())
-                    .collect();
-                for u in due {
-                    if !pool.submit_tagged(u.clone(), scheme.to_string(), epoch, true) {
-                        return Err(shutdown());
-                    }
-                    h.hedges.inc();
-                    pending.get_mut(&u).expect("hedged url is pending").hedged = true;
-                }
             }
             // Sleep until the next actionable instant: budget expiry or
             // the earliest hedge coming due.
             let mut wait = self.deadline.remaining().unwrap_or(Duration::from_secs(60));
-            if let Some(h) = &self.hedge {
+            if let Some(h) = hedge {
                 let delay = Duration::from_micros(h.delay_us);
-                if let Some(next) = pending
-                    .values()
-                    .filter(|p| !p.hedged)
-                    .map(|p| delay.saturating_sub(p.since.elapsed()))
-                    .min()
-                {
-                    wait = wait.min(next);
+                for (&s, p) in pending.iter_mut().filter(|(_, p)| !p.hedged) {
+                    let waited = p.since.map_or(Duration::ZERO, |t| t.elapsed());
+                    if waited < delay {
+                        wait = wait.min(delay - waited);
+                    } else if pool.submit_tagged(job(s, true)) {
+                        h.hedges.inc();
+                        p.hedged = true;
+                    } else {
+                        return Err(shutdown());
+                    }
                 }
             }
             let wait = wait.clamp(Duration::from_micros(50), Duration::from_secs(60));
@@ -1344,254 +1069,102 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 Err(true) => continue, // quantum elapsed: re-check budget/hedges
                 Err(false) => return Err(shutdown()),
             };
-            if done.epoch != epoch {
-                continue; // stale completion from an aborted earlier drain
-            }
-            match pending.remove(&done.url) {
-                Some(p) => {
-                    if p.hedged {
-                        // First response wins; cancel the losing twin
-                        // before a worker dispatches it.
-                        if let Some(t) = &self.cancel {
-                            t.cancel_url(done.url.as_str());
-                        }
-                        if done.hedge {
-                            if let Some(h) = &self.hedge {
-                                h.hedge_wins.inc();
-                            }
-                        }
-                    }
-                    match done.outcome {
-                        Err(SourceError::Cancelled(_))
-                            if self.deadline.is_finite()
-                                || self.degradation == DegradationMode::Partial =>
-                        {
-                            if self.deadline.expired() {
-                                ctx.deadline_exceeded = true;
-                            }
-                            ctx.unreachable.insert(done.url);
-                        }
-                        outcome => complete(ctx, done.url, outcome)?,
+            let current = done.job.epoch == epoch;
+            let Some(p) = current.then(|| pending.remove(&done.job.url)).flatten() else {
+                // Not a URL this drain still waits for. In this epoch it is
+                // the losing twin of an already-settled URL: a cancelled
+                // loser cost the server nothing; a completed one is dropped
+                // here — the server counted its GET, but only the first
+                // completion was settled, keeping the paper's counters
+                // hedge-invisible. From an earlier epoch it is stale, and
+                // counts only if it is a backup twin cancelled before
+                // dispatch: this is the last place that can account for it.
+                let cancelled = matches!(done.outcome, Err(SourceError::Cancelled(_)));
+                if cancelled && (current || done.job.hedge) {
+                    if let Some(h) = hedge {
+                        h.hedge_cancelled.inc();
                     }
                 }
-                None => {
-                    // The losing twin of an already-settled URL. A
-                    // cancelled loser cost the server nothing; a
-                    // completed one is dropped here — the server counted
-                    // its GET, but `page_accesses` charged only the
-                    // first completion, keeping the paper's counters
-                    // hedge-invisible.
-                    if matches!(done.outcome, Err(SourceError::Cancelled(_))) {
-                        if let Some(h) = &self.hedge {
-                            h.hedge_cancelled.inc();
-                        }
+                continue;
+            };
+            if p.hedged {
+                // First response wins; cancel the losing twin before a
+                // worker dispatches it.
+                if let Some(t) = &self.cancel {
+                    t.cancel_url(done.job.url.as_str());
+                }
+                if done.job.hedge {
+                    if let Some(h) = hedge {
+                        h.hedge_wins.inc();
                     }
                 }
             }
+            self.settle(ctx, scheme.as_str(), done, deliver)?;
         }
         Ok(())
     }
 
-    /// The row-at-a-time `follow`: the reference implementation the pin
-    /// tests compare against (see [`Evaluator::row_path`]).
-    fn follow_row(
+    /// Settles one completed network fetch — the only place a download is
+    /// counted, shared, cached and audited, and the only place a failed
+    /// one is classified: a 404 is a broken link in every mode; any other
+    /// failure is skipped under [`DegradationMode::Partial`] and aborts
+    /// the query otherwise, except that a cancelled fetch under a finite
+    /// deadline is the budget machinery working as designed, not a query
+    /// failure.
+    fn settle(
         &self,
-        rel: &Relation,
-        link: &str,
-        target: &str,
-        alias: &str,
         ctx: &mut Ctx,
-        pool: Option<&FetchPool>,
-    ) -> Result<Carrier> {
-        {
-            {
-                let li = rel.resolve(link)?;
-                // Distinct non-null link values, in first-appearance order.
-                let mut seen: HashMap<Url, Option<Vec<Value>>> = HashMap::new();
-                let mut order: Vec<Url> = Vec::new();
-                for row in rel.rows() {
-                    if let Value::Link(u) = &row[li] {
-                        if !seen.contains_key(u) {
-                            seen.insert(u.clone(), None);
-                            order.push(u.clone());
-                        }
-                    }
+        scheme: &str,
+        done: Done,
+        deliver: &mut impl FnMut(Symbol, &Url, &Tuple) -> Result<()>,
+    ) -> Result<()> {
+        match done.outcome {
+            Ok((t, lm)) => {
+                ctx.page_accesses += 1;
+                if let Some(shared) = self.shared {
+                    shared.insert(&done.url, &t, lm);
                 }
-                ctx.per_op
-                    .push((format!("–{link}→ {target}"), order.len() as u64));
-                // Serve per-query cache hits, then shared-cache hits, and
-                // only then touch the network for the remaining misses.
-                let mut target_cols: Option<Vec<String>> = None;
-                let mut misses: Vec<Url> = Vec::new();
-                for u in &order {
-                    let sym = Symbol::from_url(u);
-                    if self.cache_enabled {
-                        if let Some(t) = ctx.cache.get(&sym).cloned() {
-                            ctx.cache_hits += 1;
-                            let (cols, vals) = self.expand_page(alias, target, u, &t)?;
-                            target_cols.get_or_insert(cols);
-                            seen.insert(u.clone(), Some(vals));
-                            continue;
-                        }
-                    }
-                    if let Some(shared) = self.shared {
-                        if let Some(t) = shared.get(u) {
-                            ctx.shared_hits += 1;
-                            let t = Arc::new(t);
-                            if self.cache_enabled {
-                                ctx.cache.insert(sym, Arc::clone(&t));
-                            }
-                            self.audit_record(ctx, sym, target, &t);
-                            let (cols, vals) = self.expand_page(alias, target, u, &t)?;
-                            target_cols.get_or_insert(cols);
-                            seen.insert(u.clone(), Some(vals));
-                            continue;
-                        }
-                    }
-                    misses.push(u.clone());
+                self.audit_record(ctx, done.job.url, scheme, &t);
+                deliver(done.job.url, &done.url, &t)?;
+                if self.cache_enabled {
+                    ctx.cache.insert(done.job.url, t);
                 }
-                // Relevance: a missed URL whose every carrying row is
-                // rejected by some residual σ/⋈ predicate bound entirely
-                // to input-side columns can never join into an output
-                // tuple — skip its fetch and cancel it through the
-                // token. `per_op` above already charged the full distinct
-                // set, so the cost-model numbers stay exact.
-                if self.relevance && !ctx.residual.is_empty() && !misses.is_empty() {
-                    let input_cols: Vec<&str> = rel.columns().iter().map(String::as_str).collect();
-                    let page_cols = crate::expr::page_columns(self.ws, target, alias)?;
-                    let dead: Vec<Url> = {
-                        let checks = applicable_checks(&ctx.residual, &input_cols, &page_cols);
-                        if checks.is_empty() {
-                            Vec::new()
-                        } else {
-                            let mut live: HashSet<Url> = HashSet::new();
-                            for row in rel.rows() {
-                                if let Value::Link(u) = &row[li] {
-                                    if !row_is_dead(row, &checks) {
-                                        live.insert(u.clone());
-                                    }
-                                }
-                            }
-                            misses
-                                .iter()
-                                .filter(|u| !live.contains(*u))
-                                .cloned()
-                                .collect()
-                        }
-                    };
-                    if !dead.is_empty() {
-                        for u in &dead {
-                            if let Some(t) = &self.cancel {
-                                t.cancel_url(u.as_str());
-                            }
-                            ctx.cancelled.insert(u.clone());
-                        }
-                        let dead: HashSet<Url> = dead.into_iter().collect();
-                        misses.retain(|u| !dead.contains(u));
-                    }
-                }
-                // A completed fetch lands in `seen` (keyed by URL), so
-                // completion order cannot affect the result.
-                let complete = |ctx: &mut Ctx,
-                                seen: &mut HashMap<Url, Option<Vec<Value>>>,
-                                target_cols: &mut Option<Vec<String>>,
-                                u: Url,
-                                outcome: std::result::Result<(Tuple, Option<u64>), SourceError>|
-                 -> Result<()> {
-                    match outcome {
-                        Ok((t, lm)) => {
-                            ctx.page_accesses += 1;
-                            if let Some(shared) = self.shared {
-                                shared.insert(&u, &t, lm);
-                            }
-                            let sym = Symbol::from_url(&u);
-                            let t = Arc::new(t);
-                            if self.cache_enabled {
-                                ctx.cache.insert(sym, Arc::clone(&t));
-                            }
-                            self.audit_record(ctx, sym, target, &t);
-                            let (cols, vals) = self.expand_page(alias, target, &u, &t)?;
-                            target_cols.get_or_insert(cols);
-                            seen.insert(u, Some(vals));
-                            Ok(())
-                        }
-                        Err(SourceError::NotFound(_)) => {
-                            ctx.broken_links += 1;
-                            ctx.unreachable.insert(u);
-                            Ok(())
-                        }
-                        Err(_) if self.degradation == DegradationMode::Partial => {
-                            ctx.unreachable.insert(u);
-                            Ok(())
-                        }
-                        Err(e) => Err(EvalError::Source(e.to_string())),
-                    }
-                };
-                match pool {
-                    // Pipelined: stream every miss into the pool up front,
-                    // then wrap and record completions as they arrive —
-                    // CPU work overlaps the fetches still in flight.
-                    Some(pool) => {
-                        self.drain_pooled(ctx, pool, &misses, target, |ctx, u, outcome| {
-                            complete(ctx, &mut seen, &mut target_cols, u, outcome)
-                        })?;
-                    }
-                    None => {
-                        self.drain_sequential(ctx, &misses, target, |ctx, u, outcome| {
-                            complete(ctx, &mut seen, &mut target_cols, u, outcome)
-                        })?;
-                    }
-                }
-                let target_cols = match target_cols {
-                    Some(c) => c,
-                    // No link was followed; synthesize the header statically.
-                    None => crate::expr::page_columns(self.ws, target, alias)?,
-                };
-                let mut columns = rel.columns().to_vec();
-                columns.extend(target_cols);
-                let mut out = Relation::new(columns);
-                for row in rel.rows() {
-                    if let Value::Link(u) = &row[li] {
-                        if let Some(Some(vals)) = seen.get(u) {
-                            let mut new_row = row.clone();
-                            new_row.extend(vals.iter().cloned());
-                            out.push_row(new_row)?;
-                        }
-                    }
-                }
-                Ok(Carrier::Row(out))
+                return Ok(());
             }
+            Err(SourceError::NotFound(_)) => ctx.broken_links += 1,
+            Err(SourceError::Cancelled(_))
+                if self.deadline.is_finite() || self.degradation == DegradationMode::Partial =>
+            {
+                if self.deadline.expired() {
+                    ctx.deadline_exceeded = true;
+                }
+            }
+            Err(_) if self.degradation == DegradationMode::Partial => {}
+            Err(e) => return Err(EvalError::Source(e.to_string())),
         }
+        ctx.unreachable.insert(done.url);
+        Ok(())
     }
 
-    /// The columnar `follow`: the fetch edge stays row-driven — distinct
-    /// interned link ids are collected in first-appearance order and
-    /// fetched one page at a time (sequential or pooled), so `per_op`
-    /// charges and every access counter are byte-identical with the row
-    /// path — while the *local* side is batch: fetched pages land in one
-    /// [`ColumnRelBuilder`] batch, and the output is a gather
-    /// (`take` + `hstack`) over input-row and page-row index vectors
-    /// instead of a per-row clone-and-extend.
-    fn follow_col(
+    /// `follow link`: acquire the distinct interned link ids of the input
+    /// in first-appearance order — so `per_op` charges and every access
+    /// counter follow the paper's rules — then gather. The *local* side is
+    /// batch: acquired pages land in one [`ColumnRelBuilder`] batch, keyed
+    /// by interned id so completion order cannot affect the result, and
+    /// the output is a gather (`take` + `hstack`) over input-row and
+    /// page-row index vectors.
+    fn follow(
         &self,
         rel: &ColumnRel,
         link: &str,
         target: &str,
         alias: &str,
         ctx: &mut Ctx,
-        pool: Option<&FetchPool>,
-    ) -> Result<Carrier> {
+        pool: &FetchPool<'_>,
+    ) -> Result<ColumnRel> {
         let li = rel.resolve(link)?;
-        // Distinct non-null link ids, first-appearance order; non-link
-        // cells are skipped, as in the row path.
-        let link_of = |row: usize| -> Option<Symbol> {
-            let col = &rel.columns()[li];
-            match &col.data {
-                ColumnData::Link(ids) => col.validity.get(row).then(|| ids[row]),
-                ColumnData::Values(vs) => vs[row].as_link().map(Symbol::from_url),
-                _ => None,
-            }
-        };
+        // Non-link cells are skipped, not an error.
+        let link_of = |row: usize| rel.link_at(row, li).ok().flatten();
         let mut page_row: HashMap<Symbol, Option<u32>> = HashMap::new();
         let mut order: Vec<Symbol> = Vec::new();
         for row in 0..rel.len() {
@@ -1608,140 +1181,18 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         // batch builder exists before any page arrives.
         let header = crate::expr::page_columns(self.ws, target, alias)?;
         let mut pages = ColumnRelBuilder::new(&header);
-        // Serve per-query cache hits, then shared-cache hits, and only
-        // then touch the network for the remaining misses.
-        let mut misses: Vec<Symbol> = Vec::new();
-        for &s in &order {
-            if self.cache_enabled {
-                if let Some(t) = ctx.cache.get(&s).cloned() {
-                    ctx.cache_hits += 1;
-                    let url = s.to_url();
-                    let (_, vals) = self.expand_page(alias, target, &url, &t)?;
-                    pages.push_row(&vals)?;
-                    page_row.insert(s, Some(pages.len() as u32 - 1));
-                    continue;
-                }
-            }
-            if let Some(shared) = self.shared {
-                let url = s.to_url();
-                if let Some(t) = shared.get(&url) {
-                    ctx.shared_hits += 1;
-                    let t = Arc::new(t);
-                    if self.cache_enabled {
-                        ctx.cache.insert(s, Arc::clone(&t));
-                    }
-                    self.audit_record(ctx, s, target, &t);
-                    let (_, vals) = self.expand_page(alias, target, &url, &t)?;
-                    pages.push_row(&vals)?;
-                    page_row.insert(s, Some(pages.len() as u32 - 1));
-                    continue;
-                }
-            }
-            misses.push(s);
-        }
-        // Relevance: same dead-URL pruning as the row path, probing a
-        // materialized copy of the input only when some residual check
-        // actually binds to input-side columns.
-        if self.relevance && !ctx.residual.is_empty() && !misses.is_empty() {
-            let names: Vec<String> = rel.names().iter().map(|s| s.as_str().to_string()).collect();
-            let input_cols: Vec<&str> = names.iter().map(String::as_str).collect();
-            let dead: Vec<Symbol> = {
-                let checks = applicable_checks(&ctx.residual, &input_cols, &header);
-                if checks.is_empty() {
-                    Vec::new()
-                } else {
-                    let probe = rel.to_relation();
-                    let mut live: HashSet<Symbol> = HashSet::new();
-                    for (row_idx, row) in probe.rows().iter().enumerate() {
-                        if let Some(s) = link_of(row_idx) {
-                            if !row_is_dead(row, &checks) {
-                                live.insert(s);
-                            }
-                        }
-                    }
-                    misses
-                        .iter()
-                        .filter(|s| !live.contains(*s))
-                        .copied()
-                        .collect()
-                }
-            };
-            if !dead.is_empty() {
-                for s in &dead {
-                    let url = s.to_url();
-                    if let Some(t) = &self.cancel {
-                        t.cancel_url(url.as_str());
-                    }
-                    ctx.cancelled.insert(url);
-                }
-                let dead: HashSet<Symbol> = dead.into_iter().collect();
-                misses.retain(|s| !dead.contains(s));
-            }
-        }
-        // A completed fetch lands in `page_row` (keyed by interned id), so
-        // pooled completion order cannot affect the result.
-        let complete = |ctx: &mut Ctx,
-                        pages: &mut ColumnRelBuilder,
-                        page_row: &mut HashMap<Symbol, Option<u32>>,
-                        s: Symbol,
-                        outcome: std::result::Result<(Tuple, Option<u64>), SourceError>|
-         -> Result<()> {
-            match outcome {
-                Ok((t, lm)) => {
-                    ctx.page_accesses += 1;
-                    let url = s.to_url();
-                    if let Some(shared) = self.shared {
-                        shared.insert(&url, &t, lm);
-                    }
-                    let t = Arc::new(t);
-                    if self.cache_enabled {
-                        ctx.cache.insert(s, Arc::clone(&t));
-                    }
-                    self.audit_record(ctx, s, target, &t);
-                    let (_, vals) = self.expand_page(alias, target, &url, &t)?;
-                    pages.push_row(&vals)?;
-                    page_row.insert(s, Some(pages.len() as u32 - 1));
-                    Ok(())
-                }
-                Err(SourceError::NotFound(_)) => {
-                    ctx.broken_links += 1;
-                    ctx.unreachable.insert(s.to_url());
-                    Ok(())
-                }
-                Err(_) if self.degradation == DegradationMode::Partial => {
-                    ctx.unreachable.insert(s.to_url());
-                    Ok(())
-                }
-                Err(e) => Err(EvalError::Source(e.to_string())),
-            }
-        };
-        let miss_urls: Vec<Url> = misses.iter().map(|s| s.to_url()).collect();
-        match pool {
-            // Pipelined: stream every miss into the pool up front, then
-            // wrap and record completions as they arrive.
-            Some(pool) => {
-                self.drain_pooled(ctx, pool, &miss_urls, target, |ctx, u, outcome| {
-                    complete(
-                        ctx,
-                        &mut pages,
-                        &mut page_row,
-                        Symbol::from_url(&u),
-                        outcome,
-                    )
-                })?;
-            }
-            None => {
-                self.drain_sequential(ctx, &miss_urls, target, |ctx, u, outcome| {
-                    complete(
-                        ctx,
-                        &mut pages,
-                        &mut page_row,
-                        Symbol::from_url(&u),
-                        outcome,
-                    )
-                })?;
-            }
-        }
+        self.acquire(
+            ctx,
+            pool,
+            target,
+            &order,
+            Some((rel, li, &header[..])),
+            |s, url, tuple| {
+                pages.push_row(&self.page_values(target, url, tuple)?)?;
+                page_row.insert(s, Some(pages.len() as u32 - 1));
+                Ok(())
+            },
+        )?;
         // Output assembly: one gather per side, input-row order.
         let mut li_idx: Vec<u32> = Vec::new();
         let mut ri_idx: Vec<u32> = Vec::new();
@@ -1753,28 +1204,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 }
             }
         }
-        let out = rel.take(&li_idx).hstack(pages.finish().take(&ri_idx));
-        Ok(Carrier::Col(out))
-    }
-}
-
-/// Fetches through the source, charging wall-clock time to the ambient
-/// request's fetch clock when one is installed (see [`obs::reqctx`]).
-/// Without a context this is a plain passthrough — timing never touches
-/// results or counters.
-pub(crate) fn timed_fetch_stamped<S: PageSource + ?Sized>(
-    source: &S,
-    url: &Url,
-    scheme: &str,
-) -> std::result::Result<(Tuple, Option<u64>), SourceError> {
-    match obs::reqctx::current() {
-        Some(ctx) => {
-            let t0 = std::time::Instant::now();
-            let out = source.fetch_stamped(url, scheme);
-            ctx.clock.add_us(t0.elapsed().as_micros() as u64);
-            out
-        }
-        None => source.fetch_stamped(url, scheme),
+        Ok(rel.take(&li_idx).hstack(pages.finish().take(&ri_idx)))
     }
 }
 
@@ -1795,8 +1225,8 @@ fn op_label(expr: &NalgExpr) -> String {
 
 /// Applies a predicate to a columnar relation: each atom produces an index
 /// vector over the current batch, gathered with one `take` per conjunct.
-/// Semantics match [`apply_pred`] cell for cell (including `Null = Null`
-/// for constant equality and null-never-equal for attribute equality).
+/// Constant equality treats `Null = Null` as true; attribute equality
+/// never matches nulls.
 fn apply_pred_col(rel: &ColumnRel, pred: &Pred) -> Result<ColumnRel> {
     match pred {
         Pred::Eq(attr, value) => {
@@ -1812,28 +1242,6 @@ fn apply_pred_col(rel: &ColumnRel, pred: &Pred) -> Result<ColumnRel> {
             let mut cur = rel.clone();
             for p in ps {
                 cur = apply_pred_col(&cur, p)?;
-            }
-            Ok(cur)
-        }
-    }
-}
-
-/// Applies a predicate to a relation.
-fn apply_pred(rel: &Relation, pred: &Pred) -> Result<Relation> {
-    match pred {
-        Pred::Eq(attr, value) => {
-            let i = rel.resolve(attr)?;
-            Ok(rel.select(|row| &row[i] == value))
-        }
-        Pred::EqAttr(a, b) => {
-            let i = rel.resolve(a)?;
-            let j = rel.resolve(b)?;
-            Ok(rel.select(|row| !row[i].is_null() && row[i] == row[j]))
-        }
-        Pred::And(ps) => {
-            let mut cur = rel.clone();
-            for p in ps {
-                cur = apply_pred(&cur, p)?;
             }
             Ok(cur)
         }
@@ -2386,6 +1794,34 @@ mod tests {
         assert_eq!(report.unreachable, vec![Url::new("/i/b")]);
     }
 
+    /// The inline executor has no worker to keep alive: there the panic
+    /// unwinds through `eval` to the caller.
+    #[test]
+    #[should_panic(expected = "source blew up")]
+    fn sequential_eval_lets_a_source_panic_unwind() {
+        let ws = scheme();
+        let src = PanickingSource { inner: source() };
+        let _ = Evaluator::new(&ws, &src).eval(&nav());
+    }
+
+    /// The inline executor consults the cancel token like a pool worker
+    /// does: a cancelled request's fetches never reach the source.
+    #[test]
+    fn sequential_eval_honours_a_cancelled_token() {
+        let ws = scheme();
+        let src = source();
+        let token = obs::CancelToken::new();
+        token.cancel_all();
+        let ev = || Evaluator::new(&ws, &src).with_cancel_token(token.clone());
+        let report = ev()
+            .with_degradation(DegradationMode::Partial)
+            .eval(&nav())
+            .unwrap();
+        assert_eq!(report.unreachable, vec![Url::new("/list.html")]);
+        assert_eq!(report.page_accesses, 0);
+        assert!(matches!(ev().eval(&nav()), Err(EvalError::Source(_))));
+    }
+
     /// A source that sleeps before serving named URLs. With `slow_once`
     /// only the first attempt per URL sleeps, so a hedged backup fetch
     /// can win deterministically.
@@ -2509,21 +1945,6 @@ mod tests {
             // The cost model is untouched by relevance pruning.
             assert_eq!(report.cost_model_accesses(), plain.cost_model_accesses());
         }
-    }
-
-    #[test]
-    fn relevance_prunes_on_row_path_too() {
-        let ws = scheme();
-        let src = source();
-        let e = nav().select(Pred::eq("Items.Name", "b"));
-        let report = Evaluator::new(&ws, &src)
-            .row_path()
-            .with_relevance_cancel()
-            .eval(&e)
-            .unwrap();
-        assert_eq!(report.relation.len(), 1);
-        assert_eq!(report.page_accesses, 2);
-        assert_eq!(report.cancelled, vec![Url::new("/i/a"), Url::new("/i/c")]);
     }
 
     #[test]
@@ -2663,5 +2084,98 @@ mod tests {
         assert!(hedges.get() >= 1);
         assert!(wins.get() >= 1);
         assert_eq!(report.page_accesses, 4, "the backup GET is never charged");
+    }
+
+    #[test]
+    fn every_hedge_is_accounted_for_when_its_twin_outlives_the_drain() {
+        let ws = scheme();
+        // One worker, every item hedged after 50ms while /i/a is still in
+        // flight: the backups queue behind the primaries, lose, and their
+        // completions surface only after the Follow's drain has settled
+        // all three URLs — during the drain of the second entry GET,
+        // which itself is answered long before a hedge could come due.
+        // While /i/b's primary dawdles, /i/a is settled and its backup
+        // cancelled before the worker gets to it.
+        let mut src = slow(&["/i/a", "/i/b", "/i/c"], 0, true);
+        src.slow
+            .insert(Url::new("/i/a"), std::time::Duration::from_millis(120));
+        src.slow
+            .insert(Url::new("/i/b"), std::time::Duration::from_millis(40));
+        let cfg = crate::fetch::HedgeConfig::new(50_000);
+        let counters = cfg.clone();
+        let e = nav().join(
+            NalgExpr::entry_as("ListPage", "L2").unnest("Items"),
+            vec![("ListPage.Items.ToItem", "L2.Items.ToItem")],
+        );
+        let report = Evaluator::new(&ws, &src)
+            .without_cache()
+            .with_concurrent_fetch(1)
+            .with_hedging(cfg)
+            .eval(&e)
+            .unwrap();
+        assert_eq!(report.relation.len(), 3);
+        assert_eq!(report.page_accesses, 5, "backup GETs are never charged");
+        assert_eq!(report.cost_model_accesses(), 5);
+        // A backup either won, was cancelled before dispatch, or reached
+        // the source as a second attempt — nothing else, none uncounted.
+        let completed_losers: u64 = src
+            .attempts
+            .lock()
+            .unwrap()
+            .values()
+            .map(|n| u64::from(*n) - 1)
+            .sum();
+        assert!(counters.hedges.get() >= 1);
+        assert_eq!(
+            counters.hedges.get(),
+            counters.hedge_wins.get() + counters.hedge_cancelled.get() + completed_losers
+        );
+    }
+
+    /// A source that is not `Sync` (it logs through a `RefCell`), as
+    /// matview's `CheckingSource` is: only the inline executor can run it.
+    struct CellSource {
+        inner: MapSource,
+        fetched: std::cell::RefCell<Vec<Url>>,
+    }
+
+    impl PageSource for CellSource {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            self.fetched.borrow_mut().push(url.clone());
+            self.inner.fetch(url, scheme)
+        }
+    }
+
+    #[test]
+    fn non_sync_source_runs_inline_with_the_counters_of_a_one_worker_pool() {
+        let ws = scheme();
+        let mut pages = source().pages;
+        pages.remove(&Url::new("/i/b"));
+        let twin = MapSource {
+            pages: pages.clone(),
+        };
+        let cell = CellSource {
+            inner: MapSource { pages },
+            fetched: Default::default(),
+        };
+        let e = nav().join(
+            NalgExpr::entry_as("ListPage", "L2").unnest("Items"),
+            vec![("ListPage.Items.ToItem", "L2.Items.ToItem")],
+        );
+        let inline = Evaluator::new(&ws, &cell).eval(&e).unwrap();
+        let pooled = Evaluator::new(&ws, &twin)
+            .with_concurrent_fetch(1)
+            .eval(&e)
+            .unwrap();
+        assert_eq!(inline.relation.sorted(), pooled.relation.sorted());
+        assert_eq!(inline.page_accesses, pooled.page_accesses);
+        assert_eq!(inline.cache_hits, pooled.cache_hits);
+        assert_eq!(inline.broken_links, pooled.broken_links);
+        assert_eq!(inline.accesses_by_operator, pooled.accesses_by_operator);
+        assert_eq!(inline.unreachable, pooled.unreachable);
+        assert_eq!((inline.page_accesses, inline.cache_hits), (3, 1));
+        // Inline is sequential: one GET at a time, in first-appearance order.
+        let order: Vec<String> = cell.fetched.borrow().iter().map(Url::to_string).collect();
+        assert_eq!(order, ["/list.html", "/i/a", "/i/b", "/i/c"]);
     }
 }

@@ -1,13 +1,21 @@
 //! Persistent fetch worker pool and single-flight request coalescing.
 //!
-//! **Pool.** Replaces per-batch scoped threads: the pool's workers are
-//! spawned **once per evaluation** and serve every `follow` operator in
-//! the plan through a pair of MPMC channels. The evaluator streams
-//! distinct links into the job channel and consumes wrapped tuples as they
-//! complete, so CPU-side work (wrapping, row assembly) overlaps network
-//! latency instead of waiting on a per-batch barrier.
+//! **Pool.** Every page the evaluator downloads is a [`Job`] submitted to
+//! a [`FetchPool`] and comes back as a [`Done`]. The pool has two
+//! executors behind one interface:
 //!
-//! Completions arrive out of order; the evaluator's `follow` assembly is
+//! * **threads** ([`with_pool`]): workers spawned **once per evaluation**
+//!   serve every operator in the plan through a pair of MPMC channels.
+//!   The evaluator streams distinct links into the job channel and
+//!   consumes wrapped tuples as they complete, so CPU-side work (row
+//!   assembly) overlaps network latency.
+//! * **inline** ([`FetchPool::inline`]): no threads at all — receiving a
+//!   completion runs the next queued job on the calling thread. This is
+//!   sequential fetching, and the only executor a non-`Sync` source (such
+//!   as matview's `CheckingSource`) can use.
+//!
+//! Both run a job through the same [`Runner::run`]. Completions of the
+//! threaded pool arrive out of order; the evaluator's `follow` assembly is
 //! keyed by URL, so results are independent of completion order.
 //!
 //! **Coalescing.** [`CoalescingSource`] wraps any `PageSource + Sync` with
@@ -21,87 +29,149 @@
 //! by the serving-equivalence proptests in `tests/serving.rs`).
 
 use crate::eval::{PageSource, SourceError};
-use adm::{Tuple, Url};
+use adm::{Symbol, Tuple, Url};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use obs::reqctx::FetchClock;
 use obs::trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-/// A fetch request: the URL and the page-scheme it is expected to match.
-/// `epoch` tags the drain the job belongs to (a deadline-aborted drain
-/// may leave stale completions in the channel; later drains skip them by
-/// epoch), `hedge` marks a tail-tolerant backup fetch.
-#[derive(Debug)]
-struct Job {
-    url: Url,
-    scheme: String,
-    epoch: u64,
-    hedge: bool,
+/// A fetch request: the URL and the page-scheme it is expected to match,
+/// both interned, so queueing a job allocates nothing. `epoch` tags the
+/// drain the job belongs to (a deadline-aborted drain may leave stale
+/// completions behind; later drains skip them by epoch), `hedge` marks a
+/// tail-tolerant backup fetch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Job {
+    pub url: Symbol,
+    pub scheme: Symbol,
+    pub epoch: u64,
+    pub hedge: bool,
 }
 
 /// The result of one page fetch: the wrapped tuple plus the source's
 /// Last-Modified stamp when known.
 pub(crate) type FetchOutcome = Result<(Tuple, Option<u64>), SourceError>;
 
-/// A completed fetch: the wrapped tuple plus the source's Last-Modified
-/// stamp when known. Carries the submitting drain's `epoch` and whether
-/// this completion came from a hedge job.
+/// A completed fetch: the job it answers and what the source said. `url`
+/// is `job.url` as the `Url` the source was called with, handed on so the
+/// evaluator need not allocate it a second time.
 pub(crate) struct Done {
+    pub job: Job,
     pub url: Url,
     pub outcome: FetchOutcome,
-    pub epoch: u64,
-    pub hedge: bool,
 }
 
-/// Handle to a running pool. Only valid inside [`with_pool`]'s closure;
-/// dropping it closes the job channel, which is what terminates workers.
-pub struct FetchPool {
-    job_tx: Sender<Job>,
-    done_rx: Receiver<Done>,
+/// What running one job takes; pool workers and the inline executor each
+/// hold one.
+pub(crate) struct Runner<'s, S: ?Sized> {
+    source: &'s S,
+    cancel: Option<obs::CancelToken>,
+    /// The fetch clock of the request this evaluation serves, when one is
+    /// installed (see [`obs::reqctx`]): fetch time is charged to it.
+    /// Timing never touches results or counters.
+    clock: Option<FetchClock>,
 }
 
-impl FetchPool {
-    /// Enqueues a fetch; some worker will pick it up. Returns `false` if
-    /// every worker has exited (the pool is shut down) — the caller must
-    /// surface that as a source error rather than panic.
-    #[must_use]
-    pub(crate) fn submit(&self, url: Url, scheme: String) -> bool {
-        self.submit_tagged(url, scheme, 0, false)
+impl<S: PageSource + ?Sized> Runner<'_, S> {
+    /// Runs `job` on the calling thread. A panic of the source unwinds
+    /// through here.
+    fn run(&self, job: Job) -> Done {
+        let t0 = self.clock.as_ref().map(|_| std::time::Instant::now());
+        let url = job.url.to_url();
+        // Cooperative cancellation, checked before dispatch: a cancelled
+        // job never reaches the source, so the server sees no GET for it.
+        // A fetch already inside the source runs to completion (and is
+        // counted).
+        let skip = self
+            .cancel
+            .as_ref()
+            .is_some_and(|t| t.is_url_cancelled(url.as_str()));
+        let outcome = if skip {
+            Err(SourceError::Cancelled(url.clone()))
+        } else {
+            self.source.fetch_stamped(&url, job.scheme.as_str())
+        };
+        if let (Some(clock), Some(t0)) = (&self.clock, t0) {
+            clock.add_us(t0.elapsed().as_micros() as u64);
+        }
+        Done { job, url, outcome }
+    }
+}
+
+/// Handle to a pool, of either executor. A threaded handle is only valid
+/// inside [`with_pool`]'s closure; dropping it closes the job channel,
+/// which is what terminates workers.
+pub(crate) enum FetchPool<'s> {
+    /// Worker threads behind a job and a completion channel.
+    Threads {
+        job_tx: Sender<Job>,
+        done_rx: Receiver<Done>,
+    },
+    /// The inline executor: jobs queue here until a receive runs them.
+    Inline {
+        runner: Runner<'s, dyn PageSource + 's>,
+        queue: RefCell<VecDeque<Job>>,
+    },
+}
+
+impl<'s> FetchPool<'s> {
+    /// The thread-less pool over `source`.
+    pub(crate) fn inline(source: &'s dyn PageSource, cancel: Option<&obs::CancelToken>) -> Self {
+        FetchPool::Inline {
+            runner: Runner {
+                source,
+                cancel: cancel.cloned(),
+                clock: obs::reqctx::current().map(|c| c.clock),
+            },
+            queue: RefCell::new(VecDeque::new()),
+        }
     }
 
-    /// Like [`FetchPool::submit`], tagging the job with the submitting
-    /// drain's epoch and whether it is a hedge.
+    /// Enqueues a fetch, tagged with the submitting drain's epoch and
+    /// whether it is a hedge. Returns `false` if every worker has exited
+    /// (the pool is shut down) — the caller must surface that as a source
+    /// error rather than panic.
     #[must_use]
-    pub(crate) fn submit_tagged(&self, url: Url, scheme: String, epoch: u64, hedge: bool) -> bool {
-        self.job_tx
-            .send(Job {
-                url,
-                scheme,
-                epoch,
-                hedge,
-            })
-            .is_ok()
+    pub(crate) fn submit_tagged(&self, job: Job) -> bool {
+        match self {
+            FetchPool::Threads { job_tx, .. } => job_tx.send(job).is_ok(),
+            FetchPool::Inline { queue, .. } => {
+                queue.borrow_mut().push_back(job);
+                true
+            }
+        }
     }
 
-    /// Blocks for the next completion, in arrival (not submission) order.
-    /// Returns `None` if the pool shut down before delivering one — a
-    /// worker died without completing its job.
-    #[must_use]
-    pub(crate) fn recv(&self) -> Option<Done> {
-        self.done_rx.recv().ok()
-    }
-
-    /// Bounded-wait [`FetchPool::recv`]: `Ok` on a completion,
-    /// `Err(true)` when `timeout` elapsed first, `Err(false)` when the
-    /// pool shut down.
+    /// The next completion, in arrival (not submission) order: `Ok` on a
+    /// completion, `Err(true)` when `timeout` elapsed first, `Err(false)`
+    /// when the pool shut down (or, inline, has no job left to run). The
+    /// inline executor runs the next queued job here and never waits.
     pub(crate) fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Done, bool> {
         use crossbeam::channel::RecvTimeoutError;
-        self.done_rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => true,
-            RecvTimeoutError::Disconnected => false,
-        })
+        match self {
+            FetchPool::Threads { done_rx, .. } => {
+                done_rx.recv_timeout(timeout).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => true,
+                    RecvTimeoutError::Disconnected => false,
+                })
+            }
+            FetchPool::Inline { runner, queue } => {
+                let job = queue.borrow_mut().pop_front().ok_or(false)?;
+                Ok(runner.run(job))
+            }
+        }
+    }
+
+    /// Forgets the jobs an aborted drain left queued. Worker threads own
+    /// their queue and skip such jobs through the cancel token instead.
+    pub(crate) fn discard_queued(&self) {
+        if let FetchPool::Inline { queue, .. } = self {
+            queue.borrow_mut().clear();
+        }
     }
 }
 
@@ -124,7 +194,7 @@ pub(crate) fn with_pool<S, R>(
     trace: Option<&TraceSink>,
     trace_parent: Option<u64>,
     cancel: Option<&obs::CancelToken>,
-    f: impl FnOnce(&FetchPool) -> R,
+    f: impl FnOnce(&FetchPool<'_>) -> R,
 ) -> R
 where
     S: PageSource + Sync,
@@ -146,50 +216,35 @@ where
             let reqctx = reqctx.clone();
             let cancel = cancel.cloned();
             scope.spawn(move || {
-                let clock = reqctx.as_ref().map(|c| c.clock.clone());
+                let runner = Runner {
+                    source,
+                    cancel,
+                    clock: reqctx.as_ref().map(|c| c.clock.clone()),
+                };
                 obs::reqctx::with_ctx(reqctx, || {
                     let mut jobs = 0u64;
                     let mut reason = "drained";
                     while let Ok(job) = job_rx.recv() {
-                        let t0 = clock.as_ref().map(|_| std::time::Instant::now());
-                        // Cooperative cancellation, checked before dispatch:
-                        // a cancelled job never reaches the source, so the
-                        // server sees no GET for it. A fetch already inside
-                        // the source runs to completion (and is counted).
-                        let skip = cancel
-                            .as_ref()
-                            .is_some_and(|t| t.is_url_cancelled(job.url.as_str()));
-                        // A panicking source must not take the worker (and with
-                        // it the whole process, via the scope join) down: catch
-                        // it and report the job as a source error instead.
-                        let outcome = if skip {
-                            Err(SourceError::Cancelled(job.url.clone()))
-                        } else {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                source.fetch_stamped(&job.url, &job.scheme)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                let msg = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| (*s).to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "unknown panic".to_string());
-                                Err(SourceError::Other(format!("fetch worker panicked: {msg}")))
-                            })
-                        };
-                        if let (Some(clock), Some(t0)) = (&clock, t0) {
-                            clock.add_us(t0.elapsed().as_micros() as u64);
-                        }
+                        // A panicking source must not take the worker (and
+                        // with it the whole process, via the scope join)
+                        // down: catch it and report the job as a source
+                        // error instead.
+                        let run = std::panic::AssertUnwindSafe(|| runner.run(job));
+                        let done = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                            let msg = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| (*s).to_string())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "unknown panic".to_string());
+                            let msg = format!("fetch worker panicked: {msg}");
+                            Done {
+                                job,
+                                url: job.url.to_url(),
+                                outcome: Err(SourceError::Other(msg)),
+                            }
+                        });
                         jobs += 1;
-                        if done_tx
-                            .send(Done {
-                                url: job.url,
-                                outcome,
-                                epoch: job.epoch,
-                                hedge: job.hedge,
-                            })
-                            .is_err()
-                        {
+                        if done_tx.send(done).is_err() {
                             // Evaluation aborted early (e.g. a source error):
                             // nobody is listening any more.
                             reason = "abandoned";
@@ -205,7 +260,7 @@ where
         // The pool handle owns the only remaining sender/receiver ends.
         drop(job_rx);
         drop(done_tx);
-        let pool = FetchPool { job_tx, done_rx };
+        let pool = FetchPool::Threads { job_tx, done_rx };
         let result = f(&pool);
         drop(pool); // closes the job channel; workers drain and exit
         result
@@ -545,6 +600,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Test shorthand: an untagged job for page-scheme `P`.
+    fn enqueue(pool: &FetchPool<'_>, url: &str) -> bool {
+        pool.submit_tagged(Job {
+            url: Symbol::intern(url),
+            scheme: Symbol::intern("P"),
+            epoch: 0,
+            hedge: false,
+        })
+    }
+
+    /// Test shorthand: the next completion of a pool that must be alive.
+    fn next_done(pool: &FetchPool<'_>) -> Done {
+        pool.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("pool alive")
+    }
+
     struct CountingSource(AtomicUsize);
 
     impl PageSource for CountingSource {
@@ -565,10 +636,10 @@ mod tests {
             let mut done = 0;
             for batch in 0..3 {
                 for i in 0..10 {
-                    assert!(pool.submit(Url::new(format!("/b{batch}/{i}")), "P".into()));
+                    assert!(enqueue(pool, &format!("/b{batch}/{i}")));
                 }
                 for _ in 0..10 {
-                    let d = pool.recv().expect("pool alive");
+                    let d = next_done(pool);
                     assert!(d.outcome.is_ok());
                     done += 1;
                 }
@@ -583,11 +654,9 @@ mod tests {
     fn completions_report_not_found() {
         let src = CountingSource(AtomicUsize::new(0));
         with_pool(&src, 2, None, None, None, |pool| {
-            assert!(pool.submit(Url::new("/ok"), "P".into()));
-            assert!(pool.submit(Url::new("/missing"), "P".into()));
-            let outcomes: Vec<_> = (0..2)
-                .map(|_| pool.recv().expect("pool alive").outcome)
-                .collect();
+            assert!(enqueue(pool, "/ok"));
+            assert!(enqueue(pool, "/missing"));
+            let outcomes: Vec<_> = (0..2).map(|_| next_done(pool).outcome).collect();
             assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 1);
             assert!(outcomes
                 .iter()
@@ -602,9 +671,9 @@ mod tests {
         // still terminate the workers (scope join would hang otherwise).
         with_pool(&src, 3, None, None, None, |pool| {
             for i in 0..20 {
-                assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                assert!(enqueue(pool, &format!("/{i}")));
             }
-            pool.recv().expect("pool alive");
+            next_done(pool);
         });
     }
 
@@ -626,10 +695,10 @@ mod tests {
         let src = CountingSource(AtomicUsize::new(0));
         with_pool(&src, 3, Some(&sink), None, None, |pool| {
             for i in 0..6 {
-                assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                assert!(enqueue(pool, &format!("/{i}")));
             }
             for _ in 0..6 {
-                pool.recv().expect("pool alive");
+                next_done(pool);
             }
         });
         let events: Vec<_> = sink
@@ -658,9 +727,9 @@ mod tests {
         let sink = TraceSink::with_seed(1);
         with_pool(&SlowSource, 2, Some(&sink), None, None, |pool| {
             for i in 0..50 {
-                assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                assert!(enqueue(pool, &format!("/{i}")));
             }
-            pool.recv().expect("pool alive");
+            next_done(pool);
         });
         let events: Vec<_> = sink
             .events()
@@ -929,11 +998,11 @@ mod tests {
         let token = obs::CancelToken::new();
         token.cancel_url("/dead");
         with_pool(&src, 2, None, None, Some(&token), |pool| {
-            assert!(pool.submit(Url::new("/live"), "P".into()));
-            assert!(pool.submit(Url::new("/dead"), "P".into()));
+            assert!(enqueue(pool, "/live"));
+            assert!(enqueue(pool, "/dead"));
             let outcomes: Vec<_> = (0..2)
                 .map(|_| {
-                    let d = pool.recv().expect("pool alive");
+                    let d = next_done(pool);
                     (d.url, d.outcome)
                 })
                 .collect();
@@ -959,12 +1028,10 @@ mod tests {
         let total = with_pool(&coalesced, 4, None, None, None, |pool| {
             for _ in 0..4 {
                 for i in 0..5 {
-                    assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                    assert!(enqueue(pool, &format!("/{i}")));
                 }
             }
-            (0..20)
-                .filter(|_| pool.recv().expect("pool alive").outcome.is_ok())
-                .count()
+            (0..20).filter(|_| next_done(pool).outcome.is_ok()).count()
         });
         assert_eq!(total, 20, "every submitted job completes");
         let stats = coalesced.stats();
@@ -1027,12 +1094,10 @@ mod tests {
     #[test]
     fn worker_panic_surfaces_as_source_error() {
         with_pool(&PanickySource, 2, None, None, None, |pool| {
-            assert!(pool.submit(Url::new("/ok"), "P".into()));
-            assert!(pool.submit(Url::new("/boom"), "P".into()));
-            assert!(pool.submit(Url::new("/ok2"), "P".into()));
-            let outcomes: Vec<_> = (0..3)
-                .map(|_| pool.recv().expect("workers survive panics").outcome)
-                .collect();
+            assert!(enqueue(pool, "/ok"));
+            assert!(enqueue(pool, "/boom"));
+            assert!(enqueue(pool, "/ok2"));
+            let outcomes: Vec<_> = (0..3).map(|_| next_done(pool).outcome).collect();
             assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 2);
             let err = outcomes
                 .iter()
