@@ -6,7 +6,7 @@
 //! — so all three serve byte-identical content every round — and three
 //! maintenance strategies race over them:
 //!
-//! * **delta** — [`dataflow::IncrementalView`]: drain the change feed,
+//! * **delta** — [`matview::IncrementalView`]: drain the change feed,
 //!   fetch only changed pages, propagate ± deltas through the operator
 //!   tree (unbudgeted);
 //! * **full refresh** — [`matview::maintain::full_refresh`]: re-crawl the
@@ -25,9 +25,8 @@
 
 use crate::table::Table;
 use adm::{Relation, Tuple, Value};
-use dataflow::IncrementalView;
 use matview::maintain::full_refresh;
-use matview::MatStore;
+use matview::{IncrementalView, MatStore};
 use nalg::{Evaluator, NalgExpr};
 use websim::sitegen::{University, UniversityConfig};
 use websim::{MutationPlan, MutationRule};
@@ -243,7 +242,7 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
         bv.sync(&ub.site).expect("budgeted sync");
         budget_held &= bv.store().stats().resident_bytes <= cfg.budget as u64;
 
-        let round_store_ok = fingerprint(iv.store().mat()) == fingerprint(&mat);
+        let round_store_ok = fingerprint(iv.store()) == fingerprint(&mat);
         store_equivalent &= round_store_ok;
 
         let src = LiveSource::new(&ws, &ud.site.server);

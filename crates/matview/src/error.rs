@@ -1,4 +1,4 @@
-//! Materialized-view errors.
+//! Errors of the maintenance engine, pull and push mode alike.
 
 use std::fmt;
 
@@ -13,8 +13,6 @@ pub enum MatError {
     Eval(nalg::EvalError),
     /// Optimization error.
     Opt(String),
-    /// A required entry-point page is gone from the site.
-    EntryGone(adm::Url),
     /// A page could not be reached (transient server failure) and no
     /// usable stored copy exists.
     Unreachable {
@@ -23,6 +21,20 @@ pub enum MatError {
         /// Human-readable failure detail.
         reason: String,
     },
+    /// A registered expression cannot be maintained (e.g. external leaf).
+    NotMaintainable(String),
+    /// A targeted upquery could not complete (transient failure at the
+    /// server); the affected view degrades and the caller should fall
+    /// back to live evaluation.
+    Upquery {
+        /// The URL whose recomputation failed.
+        url: adm::Url,
+        /// The underlying failure.
+        reason: String,
+    },
+    /// Needed operator state was evicted and could not be restored in
+    /// time; the view must rebuild from the store.
+    StateGone(String),
 }
 
 impl fmt::Display for MatError {
@@ -32,10 +44,12 @@ impl fmt::Display for MatError {
             MatError::Wrap(m) => write!(f, "wrapper failure: {m}"),
             MatError::Eval(e) => write!(f, "{e}"),
             MatError::Opt(m) => write!(f, "optimizer failure: {m}"),
-            MatError::EntryGone(u) => write!(f, "entry point {u} no longer exists"),
             MatError::Unreachable { url, reason } => {
                 write!(f, "unreachable page {url}: {reason}")
             }
+            MatError::NotMaintainable(m) => write!(f, "not maintainable: {m}"),
+            MatError::Upquery { url, reason } => write!(f, "upquery {url} failed: {reason}"),
+            MatError::StateGone(m) => write!(f, "state evicted: {m}"),
         }
     }
 }
@@ -56,7 +70,11 @@ impl From<nalg::EvalError> for MatError {
 
 impl From<wvcore::OptError> for MatError {
     fn from(e: wvcore::OptError) -> Self {
-        MatError::Opt(e.to_string())
+        match e {
+            wvcore::OptError::Adm(e) => MatError::Adm(e),
+            wvcore::OptError::Eval(e) => MatError::Eval(e),
+            other => MatError::Opt(other.to_string()),
+        }
     }
 }
 
@@ -66,7 +84,10 @@ mod tests {
 
     #[test]
     fn display() {
-        let e = MatError::EntryGone(adm::Url::new("/index.html"));
+        let e = MatError::Upquery {
+            url: adm::Url::new("/index.html"),
+            reason: "timeout".into(),
+        };
         assert!(e.to_string().contains("/index.html"));
         let e: MatError = adm::AdmError::UnknownScheme("P".into()).into();
         assert!(e.to_string().contains('P'));

@@ -13,10 +13,13 @@ use crate::store::{MatStore, UrlStatus};
 use crate::urlcheck::{url_check, CheckCounters};
 use crate::{MatError, Result};
 use adm::{Relation, Tuple, Url, WebScheme};
-use nalg::{DegradationMode, Evaluator, NalgExpr, PageSource, SharedPageCache, SourceError};
+use nalg::{DegradationMode, NalgExpr, PageSource, SharedPageCache, SourceError};
 use obs::trace::{EventKind, TraceSink};
 use std::cell::RefCell;
-use wvcore::{ConjunctiveQuery, Explain, ExplainAnalyze, Optimizer, SiteStatistics, ViewCatalog};
+use std::sync::Arc;
+use wvcore::{
+    ConjunctiveQuery, Explain, ExplainAnalyze, QuerySession, SiteStatistics, ViewCatalog,
+};
 
 /// The outcome of a materialized-view query.
 #[derive(Debug, Clone)]
@@ -79,6 +82,14 @@ struct CheckingSource<'a, P> {
 }
 
 impl<P> CheckingSource<'_, P> {
+    /// Ends the query: the first protocol error it hit, else its counters.
+    fn finish(self) -> Result<CheckCounters> {
+        match self.error.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(self.counters.into_inner()),
+        }
+    }
+
     fn trace_check(&self, url: &Url, outcome: &str, light: u64) {
         if let Some(sink) = &self.trace {
             sink.event(
@@ -247,26 +258,24 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         q: &ConjunctiveQuery,
         trace: Option<&TraceSink>,
     ) -> Result<MatOutcome> {
-        let mut opt = Optimizer::new(self.ws, self.catalog, self.stats).with_mask(self.mask);
-        if let Some(sink) = trace {
-            opt = opt.with_trace(sink);
+        let source = self.source(store, trace);
+        let session = self.session(&source, trace);
+        let explain = session.explain(q)?;
+        // `Explain::best` indexes candidates[0]: an empty candidate set is
+        // an error here, not a panic there.
+        if explain.candidates.is_empty() {
+            return Err(MatError::Opt(
+                "optimizer produced no candidate plans".into(),
+            ));
         }
-        let explain = opt.optimize(q)?;
-        // `Explain::best` indexes candidates[0]; go through `first` so an
-        // empty candidate set is an error, not a panic.
-        let best = explain
-            .candidates
-            .first()
-            .ok_or_else(|| MatError::Opt("optimizer produced no candidate plans".into()))?
-            .expr
-            .clone();
-        let (relation, counters, broken, unreachable) = self.execute_traced(store, &best, trace)?;
+        let outcome = session.run_planned(q, Arc::new(explain))?;
+        let counters = source.finish()?;
         Ok(MatOutcome {
-            explain,
-            relation,
+            explain: Arc::try_unwrap(outcome.explain).unwrap_or_else(|shared| (*shared).clone()),
+            relation: outcome.report.relation,
             counters,
-            broken_links: broken,
-            unreachable,
+            broken_links: outcome.report.broken_links,
+            unreachable: outcome.report.unreachable,
         })
     }
 
@@ -282,14 +291,11 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         store: &mut MatStore,
         q: &ConjunctiveQuery,
     ) -> Result<MatAnalyzedOutcome> {
+        // Its own sink, handed to the session and the checking source
+        // alike, so `matview.urlcheck` events land beside the operators'.
         let sink = TraceSink::with_seed(0);
         let outcome = self.run_traced(store, q, Some(&sink))?;
-        let best = outcome
-            .explain
-            .candidates
-            .first()
-            .ok_or_else(|| MatError::Opt("optimizer produced no candidate plans".into()))?;
-        let analysis = ExplainAnalyze::from_parts(&best.estimate, &sink.events());
+        let analysis = ExplainAnalyze::from_parts(&outcome.explain.best().estimate, &sink.events());
         Ok(MatAnalyzedOutcome {
             outcome,
             analysis,
@@ -305,17 +311,26 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         store: &mut MatStore,
         plan: &NalgExpr,
     ) -> Result<(Relation, CheckCounters, u64, Vec<Url>)> {
-        self.execute_traced(store, plan, self.trace.as_ref())
+        let trace = self.trace.as_ref();
+        let source = self.source(store, trace);
+        let report = self.session(&source, trace).execute(plan)?;
+        let counters = source.finish()?;
+        Ok((
+            report.relation,
+            counters,
+            report.broken_links,
+            report.unreachable,
+        ))
     }
 
-    fn execute_traced(
-        &self,
-        store: &mut MatStore,
-        plan: &NalgExpr,
+    /// A fresh query's URL-checking view of `store`.
+    fn source<'s>(
+        &'s self,
+        store: &'s mut MatStore,
         trace: Option<&TraceSink>,
-    ) -> Result<(Relation, CheckCounters, u64, Vec<Url>)> {
+    ) -> CheckingSource<'s, P> {
         store.reset_status();
-        let source = CheckingSource {
+        CheckingSource {
             ws: self.ws,
             server: self.server,
             store: RefCell::new(store),
@@ -323,21 +338,24 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
             error: RefCell::new(None),
             shared: self.shared_cache,
             trace: trace.cloned(),
-        };
-        let mut ev = Evaluator::new(self.ws, &source).with_degradation(self.degradation);
-        if let Some(sink) = trace {
-            ev = ev.with_trace(sink);
         }
-        let report = ev.eval(plan)?;
-        if let Some(e) = source.error.into_inner() {
-            return Err(e);
+    }
+
+    /// The [`QuerySession`] that plans and evaluates over `source` with
+    /// this session's mask, degradation mode and trace sink. (The shared
+    /// cache is the source's to keep in sync, not the evaluator's to read.)
+    fn session<'s, 'c>(
+        &'s self,
+        source: &'s CheckingSource<'c, P>,
+        trace: Option<&TraceSink>,
+    ) -> QuerySession<'s, CheckingSource<'c, P>> {
+        let session = QuerySession::new(self.ws, self.catalog, self.stats, source)
+            .with_mask(self.mask)
+            .with_degradation(self.degradation);
+        match trace {
+            Some(sink) => session.with_trace(sink),
+            None => session,
         }
-        Ok((
-            report.relation,
-            source.counters.into_inner(),
-            report.broken_links,
-            report.unreachable,
-        ))
     }
 }
 

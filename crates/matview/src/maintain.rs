@@ -131,7 +131,7 @@ pub fn full_refresh_traced(
     store.check_missing.clear(); // the crawl re-derives any suspicions
     store.reset_status();
     let report = store.materialize_report(ws, server)?;
-    store.retain_pages(&report.reached);
+    store.sweep_unreachable(ws);
     if let Some(sink) = trace {
         sink.event(
             EventKind::Maintenance,
@@ -153,23 +153,19 @@ pub fn audit(store: &MatStore, site: &websim::Site) -> Vec<String> {
     let mut live_urls = std::collections::HashSet::new();
     for ps in site.scheme.schemes() {
         for (url, truth) in site.instance(&ps.name) {
-            live_urls.insert(url.clone());
             match store.get(&url) {
                 None => diffs.push(format!("missing locally: {url}")),
                 Some(p) if p.tuple != truth => diffs.push(format!("stale: {url}")),
                 Some(_) => {}
             }
+            live_urls.insert(url);
         }
     }
-    // phantom pages: materialized but no longer on the site (detected by
-    // count — MatStore exposes no page iterator; queries go through
-    // URLCheck by design)
-    if store.len() > live_urls.len() {
-        diffs.push(format!(
-            "store holds {} pages but the site has {}",
-            store.len(),
-            live_urls.len()
-        ));
+    // phantom pages: materialized but no longer on the site
+    for (url, _) in store.pages_sorted() {
+        if !live_urls.contains(url) {
+            diffs.push(format!("phantom: {url}"));
+        }
     }
     diffs
 }
@@ -278,6 +274,13 @@ mod tests {
         // stale store still holds the deleted page + the two updated pages
         let diffs = audit(&store, &u.site);
         assert!(!diffs.is_empty());
+        // lacking one live page as well, the store is as large as the site
+        // again — and the phantom is still named
+        store.remove(&University::course_url(1));
+        assert_eq!(store.len(), u.site.total_pages());
+        let diffs = audit(&store, &u.site);
+        assert!(diffs.contains(&format!("phantom: {}", University::course_url(3))));
+        assert!(diffs.contains(&format!("missing locally: {}", University::course_url(1))));
         full_refresh(&mut store, &u.site.scheme, &u.site.server).unwrap();
         assert!(audit(&store, &u.site).is_empty());
     }

@@ -5,10 +5,25 @@
 //! each page, the date we accessed it". A per-query status flag
 //! (`none | checked | new | missing`) drives URLCheck, and a persistent
 //! `CheckMissing` queue collects URLs whose pages may have been deleted.
+//!
+//! State is **partial**: under a byte budget ([`MatStore::set_budget`]) the
+//! coldest payloads are evicted (LRU over one logical clock), leaving the
+//! scheme, the stale flag and the outlinks behind so reachability sweeps
+//! stay free while the bytes go away. Reading an evicted page
+//! ([`MatStore::read`]) issues a targeted **upquery** — one ordinary `GET`,
+//! counted by the server like any other fetch. An unbudgeted store never
+//! evicts and keeps no LRU stamps.
+//!
+//! Every page that enters the store comes through one routine,
+//! [`MatStore::download`]; the crawl, URLCheck, the upquery and the
+//! change-feed sync differ only in what they do when it reports the page
+//! *gone* or the server *transiently* failing.
 
 use crate::{MatError, Result};
 use adm::{Field, Tuple, Url, Value, WebScheme, WebType};
-use std::collections::{HashMap, HashSet, VecDeque};
+use obs::{Counter, Gauge, MetricsRegistry};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use websim::PageServer;
 
 /// A materialized page: its wrapped tuple plus the logical date it was
 /// last downloaded.
@@ -26,6 +41,48 @@ pub struct StoredPage {
     pub stale: bool,
 }
 
+/// What the store holds for a URL.
+#[derive(Debug, Clone)]
+enum Entry {
+    /// The payload is resident.
+    Resident(StoredPage),
+    /// The payload was evicted; what reachability and the next upquery
+    /// need stays behind.
+    Evicted {
+        scheme: String,
+        stale: bool,
+        outlinks: Vec<(String, Url)>,
+    },
+}
+
+impl Entry {
+    fn stale(&self) -> bool {
+        match self {
+            Entry::Resident(p) => p.stale,
+            Entry::Evicted { stale, .. } => *stale,
+        }
+    }
+
+    fn stale_mut(&mut self) -> &mut bool {
+        match self {
+            Entry::Resident(p) => &mut p.stale,
+            Entry::Evicted { stale, .. } => stale,
+        }
+    }
+
+    /// The entry's outlinks: computed from the resident payload, or
+    /// remembered from before the eviction.
+    fn outlinks(&self, ws: &WebScheme) -> Vec<(String, Url)> {
+        match self {
+            Entry::Resident(p) => match ws.scheme(&p.scheme) {
+                Ok(ps) => outlinks(&ps.fields, &p.tuple),
+                Err(_) => Vec::new(),
+            },
+            Entry::Evicted { outlinks, .. } => outlinks.clone(),
+        }
+    }
+}
+
 /// Per-query URL status (the paper's `status(U)` flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UrlStatus {
@@ -40,14 +97,127 @@ pub enum UrlStatus {
     Missing,
 }
 
+/// Least-recently-used order over one logical clock (the single-threaded
+/// sibling of the `nalg::cache` sharded shape). Shared by the page store
+/// and the follow operators' slices.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Lru {
+    clock: u64,
+    stamps: HashMap<Url, u64>,
+    by_stamp: BTreeMap<u64, Url>,
+}
+
+impl Lru {
+    /// Stamps `url` most-recently-used.
+    pub(crate) fn touch(&mut self, url: &Url) {
+        self.forget(url);
+        self.clock += 1;
+        self.stamps.insert(url.clone(), self.clock);
+        self.by_stamp.insert(self.clock, url.clone());
+    }
+
+    pub(crate) fn forget(&mut self, url: &Url) {
+        if let Some(stamp) = self.stamps.remove(url) {
+            self.by_stamp.remove(&stamp);
+        }
+    }
+
+    pub(crate) fn coldest(&self) -> Option<&Url> {
+        self.by_stamp.values().next()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        *self = Lru::default();
+    }
+}
+
+/// Point-in-time counters of a [`MatStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreStats {
+    /// Pages with their payload resident.
+    pub resident_pages: u64,
+    /// Pages evicted down to scheme + outlinks.
+    pub skeleton_pages: u64,
+    /// Bytes held by resident payloads (URL + tuple estimate).
+    pub resident_bytes: u64,
+    /// Payload evictions performed.
+    pub evictions: u64,
+    /// Targeted upqueries issued (each one server `GET`).
+    pub upqueries: u64,
+}
+
+/// The store's counters and gauges. Detached by default; an
+/// [`crate::IncrementalView`] registers them under its `dataflow` prefix.
+/// (They are shared handles: a cloned store reports into the same ones.)
+#[derive(Debug, Default, Clone)]
+struct StoreMetrics {
+    evictions: Counter,
+    upqueries: Counter,
+    resident_bytes: Gauge,
+    resident_pages: Gauge,
+    skeleton_pages: Gauge,
+}
+
 /// The local materialized store.
 #[derive(Debug, Default, Clone)]
 pub struct MatStore {
-    pages: HashMap<Url, StoredPage>,
+    pages: HashMap<Url, Entry>,
+    /// How many of `pages` are evicted.
+    evicted: usize,
     status: HashMap<Url, UrlStatus>,
     /// URLs suspected deleted, to be verified off-line
     /// (the paper's `CheckMissing` structure).
     pub check_missing: VecDeque<Url>,
+    budget: Option<usize>,
+    /// Bytes held by resident payloads.
+    bytes: usize,
+    /// Recency of the resident pages; kept only while a budget is set.
+    lru: Lru,
+    metrics: StoreMetrics,
+}
+
+/// What one [`MatStore::download`] found.
+#[derive(Debug)]
+pub enum Download {
+    /// The page was downloaded, wrapped, stamped and stored.
+    Fresh(Fresh),
+    /// The server failed transiently (timeout, 5xx); the store is
+    /// untouched. Carries the failure's description.
+    Transient(String),
+    /// A definite 404; the store is untouched.
+    Gone,
+}
+
+/// A successful download: the page before and after.
+#[derive(Debug)]
+pub struct Fresh {
+    /// The payload the download replaced (`None` when the page was
+    /// unknown or evicted).
+    pub old: Option<Tuple>,
+    /// The payload now stored.
+    pub new: Tuple,
+    /// Outlinks of the previous version (remembered ones if it was
+    /// evicted).
+    pub old_links: Vec<(String, Url)>,
+    /// Outlinks of the new version.
+    pub links: Vec<(String, Url)>,
+}
+
+fn only_in<'a>(a: &'a [(String, Url)], b: &'a [(String, Url)]) -> impl Iterator<Item = &'a Url> {
+    let other: HashSet<&Url> = b.iter().map(|(_, u)| u).collect();
+    a.iter().map(|(_, u)| u).filter(move |u| !other.contains(u))
+}
+
+impl Fresh {
+    /// Outlinks present only in the new version.
+    pub fn added(&self) -> impl Iterator<Item = &Url> {
+        only_in(&self.links, &self.old_links)
+    }
+
+    /// Outlinks present only in the old version.
+    pub fn removed(&self) -> impl Iterator<Item = &Url> {
+        only_in(&self.old_links, &self.links)
+    }
 }
 
 /// All outgoing links of a tuple under its scheme's fields.
@@ -72,64 +242,184 @@ pub fn outlinks(fields: &[Field], tuple: &Tuple) -> Vec<(String, Url)> {
     out
 }
 
+fn page_bytes(url: &Url, tuple: &Tuple) -> usize {
+    url.as_str().len() + tuple.approx_bytes()
+}
+
 impl MatStore {
-    /// An empty store.
+    /// An empty, unbudgeted store.
     pub fn new() -> Self {
         MatStore::default()
     }
 
-    /// The stored page at a URL.
-    pub fn get(&self, url: &Url) -> Option<&StoredPage> {
-        self.pages.get(url)
+    /// Registers the store's counters and gauges under `registry`.
+    pub(crate) fn register_metrics(&mut self, registry: &MetricsRegistry) {
+        self.metrics = StoreMetrics {
+            evictions: registry.counter("store_evictions"),
+            upqueries: registry.counter("store_upqueries"),
+            resident_bytes: registry.gauge("store.resident_bytes"),
+            resident_pages: registry.gauge("store.resident_pages"),
+            skeleton_pages: registry.gauge("store.skeleton_pages"),
+        };
     }
 
-    /// Every stored page, URL-ordered — the deterministic inventory the
+    /// Sets the payload byte budget, restarts the LRU order from the
+    /// resident pages in URL order, and evicts down to the budget.
+    pub fn set_budget(&mut self, ws: &WebScheme, budget: Option<usize>) {
+        self.budget = budget;
+        self.lru.clear();
+        if budget.is_some() {
+            let urls: Vec<Url> = self
+                .pages_sorted()
+                .into_iter()
+                .map(|(u, _)| u.clone())
+                .collect();
+            for url in &urls {
+                self.lru.touch(url);
+            }
+            self.evict_to_budget(ws);
+        }
+    }
+
+    /// The configured byte budget.
+    pub fn budget(&self) -> Option<usize> {
+        self.budget
+    }
+
+    /// Point-in-time counters.
+    pub fn stats(&self) -> StoreStats {
+        StoreStats {
+            resident_pages: self.len() as u64,
+            skeleton_pages: self.evicted as u64,
+            resident_bytes: self.bytes as u64,
+            evictions: self.metrics.evictions.get(),
+            upqueries: self.metrics.upqueries.get(),
+        }
+    }
+
+    fn publish_gauges(&self) {
+        self.metrics.resident_bytes.set(self.bytes as i64);
+        self.metrics.resident_pages.set(self.len() as i64);
+        self.metrics.skeleton_pages.set(self.evicted as i64);
+    }
+
+    /// The stored page at a URL, if its payload is resident (does not
+    /// touch the LRU).
+    pub fn get(&self, url: &Url) -> Option<&StoredPage> {
+        match self.pages.get(url) {
+            Some(Entry::Resident(p)) => Some(p),
+            _ => None,
+        }
+    }
+
+    /// True when the store knows the URL, resident or evicted.
+    pub fn knows(&self, url: &Url) -> bool {
+        self.pages.contains_key(url)
+    }
+
+    /// The outlinks of a known page: computed from the resident payload,
+    /// or remembered from before its eviction.
+    pub fn outlinks_of(&self, ws: &WebScheme, url: &Url) -> Vec<(String, Url)> {
+        self.pages
+            .get(url)
+            .map(|e| e.outlinks(ws))
+            .unwrap_or_default()
+    }
+
+    /// Every resident page, URL-ordered — the deterministic inventory the
     /// incremental-maintenance layer and the equivalence proptests compare
     /// against (queries still go through URLCheck; this is maintenance
     /// plumbing, not a query path).
     pub fn pages_sorted(&self) -> Vec<(&Url, &StoredPage)> {
-        let mut out: Vec<_> = self.pages.iter().collect();
+        let mut out: Vec<_> = self
+            .pages
+            .iter()
+            .filter_map(|(u, e)| match e {
+                Entry::Resident(p) => Some((u, p)),
+                Entry::Evicted { .. } => None,
+            })
+            .collect();
         out.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
         out
     }
 
-    /// Inserts or replaces a page. A fresh download is never stale.
+    /// Inserts or replaces a page, stamping it most-recently-used when a
+    /// budget is set. A fresh download is never stale. The budget itself
+    /// is applied by [`MatStore::download`], which knows the scheme an
+    /// eviction needs.
     pub fn put(&mut self, url: Url, scheme: impl Into<String>, tuple: Tuple, access_date: u64) {
-        self.pages.insert(
-            url,
-            StoredPage {
-                scheme: scheme.into(),
-                tuple,
-                access_date,
-                stale: false,
-            },
-        );
+        self.replace(url, scheme.into(), tuple, access_date);
     }
 
-    /// Removes a page (confirmed deleted).
+    /// [`MatStore::put`], returning the entry it replaced.
+    fn replace(
+        &mut self,
+        url: Url,
+        scheme: String,
+        tuple: Tuple,
+        access_date: u64,
+    ) -> Option<Entry> {
+        let old = self.take(&url);
+        self.bytes += page_bytes(&url, &tuple);
+        if self.budget.is_some() {
+            self.lru.touch(&url);
+        }
+        let page = StoredPage {
+            scheme,
+            tuple,
+            access_date,
+            stale: false,
+        };
+        self.pages.insert(url, Entry::Resident(page));
+        self.publish_gauges();
+        old
+    }
+
+    /// Takes an entry out, with its byte, LRU and eviction accounting.
+    fn take(&mut self, url: &Url) -> Option<Entry> {
+        let old = self.pages.remove(url)?;
+        match &old {
+            Entry::Resident(p) => {
+                self.bytes = self.bytes.saturating_sub(page_bytes(url, &p.tuple));
+                self.lru.forget(url);
+            }
+            Entry::Evicted { .. } => self.evicted -= 1,
+        }
+        Some(old)
+    }
+
+    /// Drops a page entirely (a confirmed deletion, not an eviction).
     pub fn remove(&mut self, url: &Url) -> bool {
-        self.pages.remove(url).is_some()
+        let dropped = self.take(url).is_some();
+        self.publish_gauges();
+        dropped
     }
 
-    /// Flags a stored page as stale-but-retained (its refresh failed, so
+    /// The page is definitely gone from the site: drops it, flags the URL
+    /// `missing` and queues it for the off-line sweep.
+    pub fn drop_missing(&mut self, url: &Url) {
+        self.remove(url);
+        self.set_status(url.clone(), UrlStatus::Missing);
+        self.check_missing.push_back(url.clone());
+    }
+
+    /// Flags a known page as stale-but-retained (its refresh failed, so
     /// the tuple may not match the live page). Returns `false` when the
     /// URL is not materialized.
     pub fn mark_stale(&mut self, url: &Url) -> bool {
-        match self.pages.get_mut(url) {
-            Some(p) => {
-                p.stale = true;
-                true
-            }
-            None => false,
-        }
+        self.set_stale(url, true)
     }
 
     /// Clears the staleness flag (a later check verified the copy is
     /// current again). Returns `false` when the URL is not materialized.
     pub fn clear_stale(&mut self, url: &Url) -> bool {
+        self.set_stale(url, false)
+    }
+
+    fn set_stale(&mut self, url: &Url, stale: bool) -> bool {
         match self.pages.get_mut(url) {
-            Some(p) => {
-                p.stale = false;
+            Some(e) => {
+                *e.stale_mut() = stale;
                 true
             }
             None => false,
@@ -138,26 +428,17 @@ impl MatStore {
 
     /// True when the URL is materialized and flagged stale.
     pub fn is_stale(&self, url: &Url) -> bool {
-        self.pages.get(url).is_some_and(|p| p.stale)
+        self.pages.get(url).is_some_and(Entry::stale)
     }
 
     /// Number of stale-but-retained pages.
     pub fn stale_count(&self) -> usize {
-        self.pages.values().filter(|p| p.stale).count()
+        self.pages.values().filter(|e| e.stale()).count()
     }
 
-    /// Drops every page whose URL is not in `keep` (used by a full
-    /// refresh to discard pages no longer reachable from any entry
-    /// point). Returns the number of pages dropped.
-    pub fn retain_pages(&mut self, keep: &HashSet<Url>) -> usize {
-        let before = self.pages.len();
-        self.pages.retain(|u, _| keep.contains(u));
-        before - self.pages.len()
-    }
-
-    /// Number of materialized pages.
+    /// Number of pages whose payload is resident.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.pages.len() - self.evicted
     }
 
     /// True if nothing is materialized.
@@ -165,9 +446,12 @@ impl MatStore {
         self.pages.is_empty()
     }
 
-    /// Number of pages of one scheme.
+    /// Number of resident pages of one scheme.
     pub fn cardinality(&self, scheme: &str) -> usize {
-        self.pages.values().filter(|p| p.scheme == scheme).count()
+        self.pages
+            .values()
+            .filter(|e| matches!(e, Entry::Resident(p) if p.scheme == scheme))
+            .count()
     }
 
     /// The status flag of a URL.
@@ -190,22 +474,15 @@ impl MatStore {
     /// "can be easily decomposed in flat relations and stored in a
     /// relational DBMS". One table per nesting level, named
     /// `Scheme` / `Scheme.List` / `Scheme.List.Inner`.
-    pub fn export_flat(
-        &self,
-        ws: &WebScheme,
-    ) -> Result<std::collections::BTreeMap<String, adm::Relation>> {
-        let mut out = std::collections::BTreeMap::new();
+    pub fn export_flat(&self, ws: &WebScheme) -> Result<BTreeMap<String, adm::Relation>> {
+        let mut out = BTreeMap::new();
+        let pages = self.pages_sorted();
         for scheme in ws.schemes() {
-            let instance: Vec<(Url, Tuple)> = {
-                let mut pages: Vec<(Url, Tuple)> = self
-                    .pages
-                    .iter()
-                    .filter(|(_, p)| p.scheme == scheme.name)
-                    .map(|(u, p)| (u.clone(), p.tuple.clone()))
-                    .collect();
-                pages.sort_by(|a, b| a.0.cmp(&b.0));
-                pages
-            };
+            let instance: Vec<(Url, Tuple)> = pages
+                .iter()
+                .filter(|(_, p)| p.scheme == scheme.name)
+                .map(|(u, p)| ((*u).clone(), p.tuple.clone()))
+                .collect();
             if instance.is_empty() {
                 continue;
             }
@@ -216,30 +493,182 @@ impl MatStore {
         Ok(out)
     }
 
+    /// The one page-download routine: `GET`, wrap under `scheme`, stamp
+    /// with the access date, store (evicting colder payloads if over
+    /// budget), and report the page before and after so the caller can
+    /// diff outlinks. On a failed `GET` the store is left untouched and
+    /// the caller decides what *gone* and *transient* mean for it.
+    pub fn download(
+        &mut self,
+        ws: &WebScheme,
+        server: &impl PageServer,
+        url: &Url,
+        scheme: &str,
+    ) -> Result<Download> {
+        let resp = match server.get(url) {
+            Ok(resp) => resp,
+            Err(e) if e.is_transient() => return Ok(Download::Transient(e.to_string())),
+            Err(_) => return Ok(Download::Gone),
+        };
+        let ps = ws.scheme(scheme)?;
+        let new = wrapper::wrap_bytes(ps, &resp.body)
+            .map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
+        let links = outlinks(&ps.fields, &new);
+        let date = resp.last_modified.max(server.now());
+        let old = self.replace(url.clone(), scheme.to_string(), new.clone(), date);
+        self.evict_to_budget(ws);
+        let old_links = old.as_ref().map(|e| e.outlinks(ws)).unwrap_or_default();
+        let old = match old {
+            Some(Entry::Resident(p)) => Some(p.tuple),
+            _ => None,
+        };
+        Ok(Download::Fresh(Fresh {
+            old,
+            new,
+            old_links,
+            links,
+        }))
+    }
+
+    /// Reads a page, upquerying if its payload was evicted. Returns the
+    /// tuple and scheme, or `None` if the page is gone (unknown, or the
+    /// upquery got a definite 404 — in which case the page is dropped and
+    /// the URL queued on `CheckMissing`). A transient upquery failure is
+    /// an error: the caller cannot know the page's content.
+    pub fn read(
+        &mut self,
+        ws: &WebScheme,
+        server: &impl PageServer,
+        url: &Url,
+    ) -> Result<Option<(Tuple, String)>> {
+        let scheme = match self.pages.get(url) {
+            None => return Ok(None),
+            Some(Entry::Resident(p)) => {
+                let out = (p.tuple.clone(), p.scheme.clone());
+                if self.budget.is_some() {
+                    self.lru.touch(url);
+                }
+                return Ok(Some(out));
+            }
+            Some(Entry::Evicted { scheme, .. }) => scheme.clone(),
+        };
+        // Upquery: one ordinary GET, counted by the server like any fetch.
+        self.metrics.upqueries.inc();
+        if let Some(ctx) = obs::reqctx::current() {
+            ctx.sink.event(
+                obs::EventKind::Dataflow,
+                "dataflow.upquery",
+                Some(ctx.parent),
+                vec![
+                    ("url".to_string(), url.as_str().into()),
+                    ("request".to_string(), ctx.request_id.into()),
+                ],
+            );
+        }
+        match self.download(ws, server, url, &scheme)? {
+            Download::Fresh(f) => Ok(Some((f.new, scheme))),
+            Download::Transient(reason) => Err(MatError::Upquery {
+                url: url.clone(),
+                reason,
+            }),
+            Download::Gone => {
+                self.drop_missing(url);
+                Ok(None)
+            }
+        }
+    }
+
+    /// Evicts one page's payload, keeping its scheme, stale flag and
+    /// outlinks (no-op when not resident). Public so tests and
+    /// experiments can force a miss.
+    pub fn evict(&mut self, ws: &WebScheme, url: &Url) -> bool {
+        let Some(entry @ Entry::Resident(p)) = self.pages.get(url) else {
+            return false;
+        };
+        let skeleton = Entry::Evicted {
+            scheme: p.scheme.clone(),
+            stale: p.stale,
+            outlinks: entry.outlinks(ws),
+        };
+        self.take(url);
+        self.pages.insert(url.clone(), skeleton);
+        self.evicted += 1;
+        self.metrics.evictions.inc();
+        self.publish_gauges();
+        true
+    }
+
+    fn evict_to_budget(&mut self, ws: &WebScheme) {
+        let Some(budget) = self.budget else {
+            return;
+        };
+        while self.bytes > budget {
+            let Some(url) = self.lru.coldest().cloned() else {
+                break;
+            };
+            self.evict(ws, &url);
+        }
+    }
+
+    /// Drops every known page no longer reachable from an entry point
+    /// over the stored outlinks (resident or remembered) — zero fetches.
+    /// Returns the number of pages dropped. Shared by the full refresh
+    /// and the change-feed sync.
+    pub fn sweep_unreachable(&mut self, ws: &WebScheme) -> usize {
+        let mut reached = HashSet::new();
+        let mut queue: VecDeque<Url> = ws.entry_points().iter().map(|e| e.url.clone()).collect();
+        while let Some(url) = queue.pop_front() {
+            if !self.knows(&url) || !reached.insert(url.clone()) {
+                continue;
+            }
+            for (_, next) in self.outlinks_of(ws, &url) {
+                if !reached.contains(&next) {
+                    queue.push_back(next);
+                }
+            }
+        }
+        let doomed: Vec<Url> = self
+            .pages
+            .keys()
+            .filter(|u| !reached.contains(*u))
+            .cloned()
+            .collect();
+        for url in &doomed {
+            self.remove(url);
+        }
+        doomed.len()
+    }
+
     /// Materializes the whole site by crawling it from its entry points
     /// through the live server, wrapping every page. Returns the number of
     /// pages downloaded.
-    pub fn materialize(
-        &mut self,
-        ws: &WebScheme,
-        server: &impl websim::PageServer,
-    ) -> Result<usize> {
+    pub fn materialize(&mut self, ws: &WebScheme, server: &impl PageServer) -> Result<usize> {
         Ok(self.materialize_report(ws, server)?.downloaded)
     }
 
     /// Like [`MatStore::materialize`], with a full account of the crawl.
     ///
     /// A page whose `GET` fails is **not** silently skipped: if an older
-    /// copy is materialized it is marked stale-but-retained (so nothing
-    /// pretends the failed refresh succeeded) and the crawl continues
-    /// through the *old* tuple's outlinks so the subtree behind it is not
-    /// orphaned. Pages that 404 are additionally queued on
-    /// [`MatStore::check_missing`] for the off-line sweep.
+    /// copy is known it is marked stale-but-retained (so nothing pretends
+    /// the failed refresh succeeded) and the crawl continues through the
+    /// *old* outlinks so the subtree behind it is not orphaned. Pages that
+    /// 404 are additionally queued on [`MatStore::check_missing`] for the
+    /// off-line sweep.
+    ///
+    /// The crawl itself runs unbudgeted; afterwards the budget is
+    /// re-applied over the resident pages in URL order.
     pub fn materialize_report(
         &mut self,
         ws: &WebScheme,
-        server: &impl websim::PageServer,
+        server: &impl PageServer,
     ) -> Result<MaterializeReport> {
+        let budget = self.budget.take();
+        let report = self.crawl(ws, server);
+        self.set_budget(ws, budget);
+        report
+    }
+
+    fn crawl(&mut self, ws: &WebScheme, server: &impl PageServer) -> Result<MaterializeReport> {
         let mut queue: VecDeque<(Url, String)> = ws
             .entry_points()
             .iter()
@@ -248,38 +677,26 @@ impl MatStore {
         let mut seen: HashSet<Url> = queue.iter().map(|(u, _)| u.clone()).collect();
         let mut report = MaterializeReport::default();
         while let Some((url, scheme)) = queue.pop_front() {
-            let resp = match server.get(&url) {
-                Ok(resp) => resp,
-                Err(e) => {
+            let links = match self.download(ws, server, &url, &scheme)? {
+                Download::Fresh(f) => {
+                    report.downloaded += 1;
+                    f.links
+                }
+                failure => {
                     report.failed.push(url.clone());
-                    if matches!(e, websim::WebError::NotFound(_)) {
+                    if matches!(failure, Download::Gone) {
                         self.check_missing.push_back(url.clone());
                     }
                     // Keep crawling through the stale copy's outlinks.
-                    if let Some(old) = self.pages.get_mut(&url) {
-                        old.stale = true;
-                        let old_scheme = old.scheme.clone();
-                        let old_tuple = old.tuple.clone();
-                        let ps = ws.scheme(&old_scheme)?;
-                        for (target, link) in outlinks(&ps.fields, &old_tuple) {
-                            if seen.insert(link.clone()) {
-                                queue.push_back((link, target));
-                            }
-                        }
-                    }
-                    continue;
+                    self.mark_stale(&url);
+                    self.outlinks_of(ws, &url)
                 }
             };
-            report.downloaded += 1;
-            let ps = ws.scheme(&scheme)?;
-            let tuple = wrapper::wrap_bytes(ps, &resp.body)
-                .map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
-            for (target, link) in outlinks(&ps.fields, &tuple) {
+            for (target, link) in links {
                 if seen.insert(link.clone()) {
                     queue.push_back((link, target));
                 }
             }
-            self.put(url, scheme, tuple, resp.last_modified.max(server.now()));
         }
         report.failed.sort();
         report.reached = seen;
@@ -295,8 +712,7 @@ pub struct MaterializeReport {
     /// URLs whose `GET` failed (sorted). Stored copies, if any, were
     /// marked stale-but-retained.
     pub failed: Vec<Url>,
-    /// Every URL the crawl reached — fetched or failed. A full refresh
-    /// drops pages outside this set as unreachable from any entry point.
+    /// Every URL the crawl reached — fetched or failed.
     pub reached: HashSet<Url>,
 }
 
@@ -405,30 +821,37 @@ mod tests {
 
     #[test]
     fn crawl_with_failing_page_marks_stale_and_keeps_subtree() {
-        let u = uni();
-        let mut store = MatStore::new();
-        store.materialize(&u.site.scheme, &u.site.server).unwrap();
-        // make one professor page unreachable; its courses hang below it
-        let victim = University::prof_url(0);
-        u.site.server.set_fault_plan(
-            websim::FaultPlan::new(3).with_rule(
-                websim::FaultRule::unavailable(1.0)
-                    .for_url_prefix(victim.as_str())
-                    .with_max_per_url(None),
-            ),
-        );
-        let report = store
-            .materialize_report(&u.site.scheme, &u.site.server)
-            .unwrap();
-        assert_eq!(report.failed, vec![victim.clone()]);
-        assert_eq!(report.downloaded, u.site.total_pages() - 1);
-        // the victim survives, flagged; a 5xx is not queued as missing
-        assert!(store.is_stale(&victim));
-        assert!(!store.check_missing.contains(&victim));
-        // the crawl continued through the stale copy: its courses were
-        // re-fetched, so every page of the site is in `reached`
-        assert_eq!(report.reached.len(), u.site.total_pages());
-        assert_eq!(store.len(), u.site.total_pages());
+        // make one page unreachable: a professor page, its courses hanging
+        // below it — then the sessions list with its payload evicted, the
+        // only way to the session pages being the outlinks it left behind
+        let sessions = Url::new("/univ/sessions.html");
+        for (victim, evicted) in [(University::prof_url(0), false), (sessions, true)] {
+            let u = uni();
+            let mut store = MatStore::new();
+            store.materialize(&u.site.scheme, &u.site.server).unwrap();
+            if evicted {
+                assert!(store.evict(&u.site.scheme, &victim));
+            }
+            u.site.server.set_fault_plan(
+                websim::FaultPlan::new(3).with_rule(
+                    websim::FaultRule::unavailable(1.0)
+                        .for_url_prefix(victim.as_str())
+                        .with_max_per_url(None),
+                ),
+            );
+            let report = store
+                .materialize_report(&u.site.scheme, &u.site.server)
+                .unwrap();
+            assert_eq!(report.failed, vec![victim.clone()]);
+            assert_eq!(report.downloaded, u.site.total_pages() - 1);
+            // the victim survives, flagged; a 5xx is not queued as missing
+            assert!(store.is_stale(&victim));
+            assert!(!store.check_missing.contains(&victim));
+            // the crawl continued through the stale copy: the pages below it
+            // were re-fetched, so every page of the site is in `reached`
+            assert_eq!(report.reached.len(), u.site.total_pages());
+            assert_eq!(store.len(), u.site.total_pages() - usize::from(evicted));
+        }
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! and counted in [`CheckCounters::stale_served`] — rather than deleting a
 //! page that is probably still alive.
 
-use crate::store::{outlinks, MatStore, UrlStatus};
+use crate::store::{Download, MatStore, UrlStatus};
 use crate::{MatError, Result};
 use adm::{Tuple, Url, WebScheme};
-use std::collections::HashSet;
 use websim::PageServer;
 
 /// Access counters of the maintenance protocol.
@@ -59,7 +58,9 @@ pub fn url_check(
     url: &Url,
     scheme: &str,
 ) -> Result<Option<Tuple>> {
-    if store.status(url) == UrlStatus::Checked {
+    // (A checked page whose payload a budgeted store has since evicted
+    // falls through to the download below, like any evicted page.)
+    if store.status(url) == UrlStatus::Checked && (store.get(url).is_some() || !store.knows(url)) {
         counters.from_store += 1;
         return Ok(store.get(url).map(|p| p.tuple.clone()));
     }
@@ -68,8 +69,9 @@ pub fn url_check(
     // connection (no `expect` — a missing entry means "download").
     let stored_date = store.get(url).map(|p| p.access_date);
     let must_download = match stored_date {
-        // a brand-new page (or one we never materialized): no point in a
-        // light connection, we need the content anyway
+        // a brand-new page, one we never materialized, or one whose
+        // payload was evicted: no point in a light connection, we need
+        // the content anyway
         None => true,
         Some(_) if store.status(url) == UrlStatus::New => true,
         Some(access_date) => {
@@ -83,81 +85,51 @@ pub fn url_check(
                     return Ok(serve_stale(store, counters, url));
                 }
                 Err(_) => {
-                    // the page is gone: forget it, queue for the off-line
-                    // sweep
-                    store.remove(url);
-                    store.set_status(url.clone(), UrlStatus::Missing);
-                    store.check_missing.push_back(url.clone());
+                    store.drop_missing(url);
                     return Ok(None);
                 }
             }
         }
     };
-    if must_download {
-        let resp = match server.get(url) {
-            Ok(r) => r,
-            Err(e) if e.is_transient() => {
-                // The page changed (or is new) but the download failed.
-                // An old copy is better than aborting: serve it stale.
-                // With nothing stored the page is genuinely unreachable.
-                return match serve_stale(store, counters, url) {
-                    Some(t) => Ok(Some(t)),
-                    None => Err(MatError::Unreachable {
-                        url: url.clone(),
-                        reason: e.to_string(),
-                    }),
-                };
-            }
-            Err(_) => {
-                store.remove(url);
-                store.set_status(url.clone(), UrlStatus::Missing);
-                store.check_missing.push_back(url.clone());
-                return Ok(None);
-            }
-        };
-        counters.downloads += 1;
-        let ps = ws.scheme(scheme)?;
-        let fresh = wrapper::wrap_bytes(ps, &resp.body)
-            .map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
-        // outlink diffing against the previous version
-        let old_links: HashSet<Url> = store
-            .get(url)
-            .map(|p| {
-                outlinks(&ps.fields, &p.tuple)
-                    .into_iter()
-                    .map(|(_, u)| u)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let new_links: HashSet<Url> = outlinks(&ps.fields, &fresh)
-            .into_iter()
-            .map(|(_, u)| u)
-            .collect();
-        for added in new_links.difference(&old_links) {
-            if store.status(added) == UrlStatus::None {
-                store.set_status(added.clone(), UrlStatus::New);
-            }
-        }
-        for removed in old_links.difference(&new_links) {
-            if store.status(removed) == UrlStatus::None {
-                store.set_status(removed.clone(), UrlStatus::Missing);
-            }
-        }
-        store.put(
-            url.clone(),
-            scheme,
-            fresh.clone(),
-            resp.last_modified.max(server.now()),
-        );
-        store.set_status(url.clone(), UrlStatus::Checked);
-        Ok(Some(fresh))
-    } else {
+    if !must_download {
         counters.from_store += 1;
         // a successful light connection just attested freshness: lift any
         // staleness flag left by an earlier failed check
         store.clear_stale(url);
         store.set_status(url.clone(), UrlStatus::Checked);
-        Ok(store.get(url).map(|p| p.tuple.clone()))
+        return Ok(store.get(url).map(|p| p.tuple.clone()));
+    }
+    match store.download(ws, server, url, scheme)? {
+        Download::Fresh(fresh) => {
+            counters.downloads += 1;
+            // outlink diffing against the previous version
+            for added in fresh.added() {
+                if store.status(added) == UrlStatus::None {
+                    store.set_status(added.clone(), UrlStatus::New);
+                }
+            }
+            for removed in fresh.removed() {
+                if store.status(removed) == UrlStatus::None {
+                    store.set_status(removed.clone(), UrlStatus::Missing);
+                }
+            }
+            store.set_status(url.clone(), UrlStatus::Checked);
+            Ok(Some(fresh.new))
+        }
+        // The page changed (or is new) but the download failed. An old
+        // copy is better than aborting: serve it stale. With nothing
+        // stored the page is genuinely unreachable.
+        Download::Transient(reason) => match serve_stale(store, counters, url) {
+            Some(t) => Ok(Some(t)),
+            None => Err(MatError::Unreachable {
+                url: url.clone(),
+                reason,
+            }),
+        },
+        Download::Gone => {
+            store.drop_missing(url);
+            Ok(None)
+        }
     }
 }
 
@@ -204,6 +176,41 @@ mod tests {
         // the server saw only a HEAD
         assert_eq!(u.site.server.stats().gets, 0);
         assert_eq!(u.site.server.stats().heads, 1);
+        // once the payload is evicted there is no copy a Last-Modified could
+        // vouch for: no light connection, one download
+        assert!(store.evict(&u.site.scheme, &url));
+        store.reset_status();
+        u.site.server.reset_stats();
+        let mut c = CheckCounters::default();
+        let t = url_check(
+            &mut store,
+            &mut c,
+            &u.site.scheme,
+            &u.site.server,
+            &url,
+            "ProfPage",
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(&t, u.site.ground_truth("ProfPage", &url).unwrap());
+        assert_eq!((c.light_connections, c.downloads, c.from_store), (0, 1, 0));
+        assert_eq!(u.site.server.stats().gets, 1);
+        assert_eq!(u.site.server.stats().heads, 0);
+        assert_eq!(store.get(&url).map(|p| &p.tuple), Some(&t));
+        // evicted again within the same query: `checked` or not, the content
+        // has to come from the server — never "the page is gone"
+        assert!(store.evict(&u.site.scheme, &url));
+        let again = url_check(
+            &mut store,
+            &mut c,
+            &u.site.scheme,
+            &u.site.server,
+            &url,
+            "ProfPage",
+        )
+        .unwrap();
+        assert_eq!(again, Some(t));
+        assert_eq!((c.light_connections, c.downloads, c.from_store), (0, 2, 0));
     }
 
     #[test]

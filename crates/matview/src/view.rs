@@ -1,6 +1,6 @@
 //! The maintenance loop: registered views, change-feed syncs, rebuilds.
 //!
-//! An [`IncrementalView`] owns a [`PartialStore`] and a set of compiled
+//! An [`IncrementalView`] owns a [`MatStore`] and a set of compiled
 //! views. [`IncrementalView::sync`] drains the site's change feed and
 //! applies it in three phases:
 //!
@@ -30,12 +30,12 @@
 //! a later sync rebuilds it successfully.
 
 use crate::delta::{add_row, sorted_rows, PageDelta, RowSet};
-use crate::ops::{compile, OpTree};
-use crate::store::PartialStore;
-use crate::{DataflowError, Result};
+use crate::ops::{compile, Ctx, OpTree};
+use crate::store::{Download, MatStore};
+use crate::{MatError, Result};
 use adm::{Relation, Url, WebScheme};
 use nalg::NalgExpr;
-use obs::{Counter, EventKind, MetricsRegistry, TraceSink};
+use obs::{EventKind, MetricsRegistry, TraceSink};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use websim::{ChangeKind, PageServer, Site, SiteChange};
 
@@ -83,20 +83,29 @@ struct RegisteredView {
 #[derive(Debug)]
 pub struct IncrementalView<'a> {
     ws: &'a WebScheme,
-    store: PartialStore,
+    store: MatStore,
     cursor: u64,
     views: Vec<RegisteredView>,
     registry: MetricsRegistry,
     trace: Option<TraceSink>,
     slice_budget: Option<usize>,
-    syncs_c: Counter,
-    changes_c: Counter,
-    fetched_c: Counter,
-    dropped_c: Counter,
-    stale_c: Counter,
-    rebuilds_c: Counter,
-    rows_added_c: Counter,
-    rows_removed_c: Counter,
+}
+
+/// Adds `runs` batches and their report to the `sync_*` counters (a zero
+/// report registers them).
+fn count_sync(registry: &MetricsRegistry, runs: u64, rep: &DeltaReport) {
+    for (name, n) in [
+        ("sync_runs", runs),
+        ("sync_changes", rep.changes_seen),
+        ("sync_pages_fetched", rep.pages_fetched),
+        ("sync_pages_dropped", rep.pages_dropped),
+        ("sync_marked_stale", rep.marked_stale),
+        ("sync_view_rebuilds", rep.view_rebuilds),
+        ("sync_rows_added", rep.rows_added),
+        ("sync_rows_removed", rep.rows_removed),
+    ] {
+        registry.counter(name).add(n);
+    }
 }
 
 impl<'a> IncrementalView<'a> {
@@ -104,20 +113,14 @@ impl<'a> IncrementalView<'a> {
     /// `dataflow` prefix.
     pub fn new(ws: &'a WebScheme) -> Self {
         let registry = MetricsRegistry::with_prefix("dataflow");
-        let store = PartialStore::new(&registry);
+        let mut store = MatStore::new();
+        store.register_metrics(&registry);
+        count_sync(&registry, 0, &DeltaReport::default());
         IncrementalView {
             ws,
             store,
             cursor: 0,
             views: Vec::new(),
-            syncs_c: registry.counter("sync_runs"),
-            changes_c: registry.counter("sync_changes"),
-            fetched_c: registry.counter("sync_pages_fetched"),
-            dropped_c: registry.counter("sync_pages_dropped"),
-            stale_c: registry.counter("sync_marked_stale"),
-            rebuilds_c: registry.counter("sync_view_rebuilds"),
-            rows_added_c: registry.counter("sync_rows_added"),
-            rows_removed_c: registry.counter("sync_rows_removed"),
             registry,
             trace: None,
             slice_budget: None,
@@ -149,13 +152,13 @@ impl<'a> IncrementalView<'a> {
         &self.registry
     }
 
-    /// The underlying partial page store.
-    pub fn store(&self) -> &PartialStore {
+    /// The underlying page store.
+    pub fn store(&self) -> &MatStore {
         &self.store
     }
 
     /// Mutable access to the store (tests and experiments).
-    pub fn store_mut(&mut self) -> &mut PartialStore {
+    pub fn store_mut(&mut self) -> &mut MatStore {
         &mut self.store
     }
 
@@ -193,22 +196,18 @@ impl<'a> IncrementalView<'a> {
         expr: &NalgExpr,
         server: &impl PageServer,
     ) -> Result<()> {
-        let mut tree = compile(expr, self.ws, self.slice_budget)?;
-        let rows = tree.root.init(&mut self.store, self.ws, server)?;
-        let mut answer = RowSet::new();
-        for (row, w) in rows {
-            add_row(&mut answer, row, w);
-        }
-        self.views.push(RegisteredView {
+        let mut view = RegisteredView {
             name: name.into(),
             key: key.into(),
             expr: expr.clone(),
-            tree,
-            answer,
+            tree: compile(expr, self.ws, self.slice_budget)?,
+            answer: RowSet::new(),
             degraded: false,
             needs_rebuild: false,
             rebuilds: 0,
-        });
+        };
+        view.populate(&mut self.store, self.ws, server)?;
+        self.views.push(view);
         Ok(())
     }
 
@@ -395,81 +394,48 @@ impl<'a> IncrementalView<'a> {
             if !processed.insert(url.clone()) {
                 continue;
             }
-            prewarm_views(
-                &mut self.views,
-                &url,
-                &scheme,
-                &mut self.store,
-                ws,
-                server,
-                &dirty,
-                &mut rep,
-            );
-            let old = self.store.resident(&url).map(|p| p.tuple.clone());
+            self.prewarm(&url, &scheme, server, &dirty, &mut rep);
             let was_known = self.store.knows(&url);
-            match server.get(&url) {
-                Ok(resp) => {
+            let (links, delta) = match self.store.download(ws, server, &url, &scheme)? {
+                Download::Fresh(fresh) => {
                     rep.pages_fetched += 1;
-                    let ps = ws.scheme(&scheme)?;
-                    let tuple = wrapper::wrap_bytes(ps, &resp.body)
-                        .map_err(|e| DataflowError::Wrap(format!("{url}: {e}")))?;
-                    let date = resp.last_modified.max(server.now());
-                    self.store
-                        .put(ws, url.clone(), &scheme, tuple.clone(), date);
                     dirty.remove(&url);
-                    for (tscheme, turl) in self.store.outlinks_of(ws, &url) {
-                        if !self.store.knows(&turl) && !processed.contains(&turl) {
-                            worklist.push_back((turl, tscheme));
-                        }
-                    }
-                    if old.as_ref() == Some(&tuple) {
-                        continue; // republish with identical content: no-op
-                    }
-                    let d = PageDelta {
+                    // a republish with identical content is no delta
+                    let changed = fresh.old.as_ref() != Some(&fresh.new);
+                    let delta = changed.then_some(PageDelta {
                         url,
                         scheme,
-                        old,
-                        new: Some(tuple),
+                        old: fresh.old,
+                        new: Some(fresh.new),
                         was_known,
-                    };
-                    propagate_delta(
-                        &mut self.views,
-                        &d,
-                        &mut self.store,
-                        ws,
-                        server,
-                        &dirty,
-                        &mut rep,
-                    );
+                    });
+                    (fresh.links, delta)
                 }
-                Err(e) if e.is_transient() => {
+                Download::Transient(_) => {
                     // serve stale: keep the old rows, no delta
                     if self.store.mark_stale(&url) {
                         rep.marked_stale += 1;
                     }
                     rep.failed.push(url.clone());
                     dirty.remove(&url);
-                    for (tscheme, turl) in self.store.outlinks_of(ws, &url) {
-                        if !self.store.knows(&turl) && !processed.contains(&turl) {
-                            worklist.push_back((turl, tscheme));
-                        }
-                    }
+                    (self.store.outlinks_of(ws, &url), None)
                 }
-                Err(_) => {
+                Download::Gone => {
                     // definite 404 under an add/edit entry: the page
                     // vanished between mutation and sync — treat as removal
                     dirty.remove(&url);
-                    retract_page(
-                        &mut self.views,
-                        &url,
-                        &scheme,
-                        &mut self.store,
-                        ws,
-                        server,
-                        &dirty,
-                        &mut rep,
-                    );
+                    self.retract(&url, &scheme, server, &dirty, &mut rep);
+                    (Vec::new(), None)
                 }
+            };
+            // newly linked pages fan out exactly like the crawl discovers them
+            for (tscheme, turl) in links {
+                if !self.store.knows(&turl) && !processed.contains(&turl) {
+                    worklist.push_back((turl, tscheme));
+                }
+            }
+            if let Some(d) = delta {
+                self.propagate(&d, server, &dirty, &mut rep);
             }
         }
 
@@ -483,45 +449,24 @@ impl<'a> IncrementalView<'a> {
             if !self.store.knows(url) {
                 continue;
             }
-            prewarm_views(
-                &mut self.views,
-                url,
-                scheme,
-                &mut self.store,
-                ws,
-                server,
-                &dirty,
-                &mut rep,
-            );
-            retract_page(
-                &mut self.views,
-                url,
-                scheme,
-                &mut self.store,
-                ws,
-                server,
-                &dirty,
-                &mut rep,
-            );
+            self.prewarm(url, scheme, server, &dirty, &mut rep);
+            self.retract(url, scheme, server, &dirty, &mut rep);
         }
 
         // ── phase 3: reachability sweep (store only; the link-removal
         // deltas already retracted any affected view rows) ───────────────
-        let reached = self.store.reachable(ws);
-        for url in self.store.urls() {
-            if !reached.contains(&url) && self.store.drop_page(&url) {
-                rep.pages_dropped += 1;
-            }
-        }
+        rep.pages_dropped = self.store.sweep_unreachable(ws) as u64;
 
         // rebuild any view whose state was lost (or that was degraded)
-        for v in &mut self.views {
-            if !v.needs_rebuild {
-                continue;
-            }
-            match rebuild(v, &mut self.store, ws, server, self.slice_budget) {
-                Ok(()) => rep.view_rebuilds += 1,
-                Err(DataflowError::Upquery { url, reason: _ }) => {
+        for v in self.views.iter_mut().filter(|v| v.needs_rebuild) {
+            let old = std::mem::replace(&mut v.tree, compile(&v.expr, ws, self.slice_budget)?);
+            match v.populate(&mut self.store, ws, server) {
+                Ok(()) => {
+                    v.rebuilds += 1;
+                    rep.view_rebuilds += 1;
+                }
+                Err(MatError::Upquery { url, reason: _ }) => {
+                    v.tree = old;
                     v.degraded = true;
                     rep.failed.push(url);
                 }
@@ -533,127 +478,124 @@ impl<'a> IncrementalView<'a> {
         rep.failed.sort_by(|a, b| a.as_str().cmp(b.as_str()));
         rep.failed.dedup();
 
-        self.syncs_c.inc();
-        self.changes_c.add(rep.changes_seen);
-        self.fetched_c.add(rep.pages_fetched);
-        self.dropped_c.add(rep.pages_dropped);
-        self.stale_c.add(rep.marked_stale);
-        self.rebuilds_c.add(rep.view_rebuilds);
-        self.rows_added_c.add(rep.rows_added);
-        self.rows_removed_c.add(rep.rows_removed);
-
+        count_sync(&self.registry, 1, &rep);
         Ok(rep)
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn prewarm_views(
-    views: &mut [RegisteredView],
-    url: &Url,
-    scheme: &str,
-    store: &mut PartialStore,
-    ws: &WebScheme,
-    server: &impl PageServer,
-    dirty: &HashSet<Url>,
-    rep: &mut DeltaReport,
-) {
-    for v in views.iter_mut() {
-        if v.degraded || v.needs_rebuild {
-            continue;
-        }
-        match v.tree.root.prewarm(url, scheme, store, ws, server, dirty) {
-            Ok(()) => {}
-            Err(DataflowError::Upquery { url, reason: _ }) => {
-                v.degraded = true;
-                v.needs_rebuild = true;
-                rep.failed.push(url);
+    /// The views a page delta may flow through: those still holding
+    /// trustworthy state this batch.
+    fn live_views(views: &mut [RegisteredView]) -> impl Iterator<Item = &mut RegisteredView> {
+        views.iter_mut().filter(|v| !v.degraded && !v.needs_rebuild)
+    }
+
+    fn prewarm(
+        &mut self,
+        url: &Url,
+        scheme: &str,
+        server: &impl PageServer,
+        dirty: &HashSet<Url>,
+        rep: &mut DeltaReport,
+    ) {
+        let mut cx = Ctx {
+            store: &mut self.store,
+            ws: self.ws,
+            server,
+            dirty,
+        };
+        for v in Self::live_views(&mut self.views) {
+            if let Err(e) = v.tree.root.prewarm(url, scheme, &mut cx) {
+                v.lose_state(e, rep);
             }
-            Err(_) => v.needs_rebuild = true,
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn propagate_delta(
-    views: &mut [RegisteredView],
-    d: &PageDelta,
-    store: &mut PartialStore,
-    ws: &WebScheme,
-    server: &impl PageServer,
-    dirty: &HashSet<Url>,
-    rep: &mut DeltaReport,
-) {
-    for v in views.iter_mut() {
-        if v.degraded || v.needs_rebuild {
-            continue;
-        }
-        match v.tree.root.on_delta(d, store, ws, server, dirty) {
-            Ok(rows) => {
-                for (row, w) in rows {
-                    if w > 0 {
-                        rep.rows_added += w as u64;
-                    } else {
-                        rep.rows_removed += (-w) as u64;
+    fn propagate(
+        &mut self,
+        d: &PageDelta,
+        server: &impl PageServer,
+        dirty: &HashSet<Url>,
+        rep: &mut DeltaReport,
+    ) {
+        let mut cx = Ctx {
+            store: &mut self.store,
+            ws: self.ws,
+            server,
+            dirty,
+        };
+        for v in Self::live_views(&mut self.views) {
+            match v.tree.root.on_delta(d, &mut cx) {
+                Ok(rows) => {
+                    for (row, w) in rows {
+                        if w > 0 {
+                            rep.rows_added += w as u64;
+                        } else {
+                            rep.rows_removed += (-w) as u64;
+                        }
+                        add_row(&mut v.answer, row, w);
                     }
-                    add_row(&mut v.answer, row, w);
                 }
+                Err(e) => v.lose_state(e, rep),
             }
-            Err(DataflowError::Upquery { url, reason: _ }) => {
-                v.degraded = true;
-                v.needs_rebuild = true;
-                rep.failed.push(url);
-            }
-            Err(_) => v.needs_rebuild = true,
         }
     }
+
+    /// Retracts a removed page from the views; the store keeps the old
+    /// copy stale-but-retained and queues the `CheckMissing` sweep,
+    /// matching the full-refresh crawl's treatment of a 404.
+    fn retract(
+        &mut self,
+        url: &Url,
+        scheme: &str,
+        server: &impl PageServer,
+        dirty: &HashSet<Url>,
+        rep: &mut DeltaReport,
+    ) {
+        let d = PageDelta {
+            url: url.clone(),
+            scheme: scheme.to_string(),
+            old: self.store.get(url).map(|p| p.tuple.clone()),
+            new: None,
+            was_known: true,
+        };
+        self.propagate(&d, server, dirty, rep);
+        if self.store.mark_stale(url) {
+            rep.marked_stale += 1;
+        }
+        self.store.check_missing.push_back(url.clone());
+    }
 }
 
-/// Retracts a removed page from the views; the store keeps the old copy
-/// stale-but-retained and queues the `CheckMissing` sweep, matching the
-/// full-refresh crawl's treatment of a 404.
-#[allow(clippy::too_many_arguments)]
-fn retract_page(
-    views: &mut [RegisteredView],
-    url: &Url,
-    scheme: &str,
-    store: &mut PartialStore,
-    ws: &WebScheme,
-    server: &impl PageServer,
-    dirty: &HashSet<Url>,
-    rep: &mut DeltaReport,
-) {
-    let old = store.resident(url).map(|p| p.tuple.clone());
-    let d = PageDelta {
-        url: url.clone(),
-        scheme: scheme.to_string(),
-        old,
-        new: None,
-        was_known: true,
-    };
-    propagate_delta(views, &d, store, ws, server, dirty, rep);
-    if store.mark_stale(url) {
-        rep.marked_stale += 1;
+impl RegisteredView {
+    /// (Re)builds operator state and the answer from the store.
+    fn populate(
+        &mut self,
+        store: &mut MatStore,
+        ws: &WebScheme,
+        server: &impl PageServer,
+    ) -> Result<()> {
+        let mut cx = Ctx {
+            store,
+            ws,
+            server,
+            dirty: &HashSet::new(),
+        };
+        let mut answer = RowSet::new();
+        for (row, w) in self.tree.root.eval(&mut cx, true)? {
+            add_row(&mut answer, row, w);
+        }
+        self.answer = answer;
+        self.needs_rebuild = false;
+        self.degraded = false;
+        Ok(())
     }
-    store.mat_mut().check_missing.push_back(url.clone());
-}
 
-fn rebuild(
-    v: &mut RegisteredView,
-    store: &mut PartialStore,
-    ws: &WebScheme,
-    server: &impl PageServer,
-    slice_budget: Option<usize>,
-) -> Result<()> {
-    let mut tree = compile(&v.expr, ws, slice_budget)?;
-    let rows = tree.root.init(store, ws, server)?;
-    let mut answer = RowSet::new();
-    for (row, w) in rows {
-        add_row(&mut answer, row, w);
+    /// Operator state was lost mid-batch: rebuild at batch end. A failed
+    /// upquery additionally suspends serving until that rebuild succeeds.
+    fn lose_state(&mut self, e: MatError, rep: &mut DeltaReport) {
+        self.needs_rebuild = true;
+        if let MatError::Upquery { url, reason: _ } = e {
+            self.degraded = true;
+            rep.failed.push(url);
+        }
     }
-    v.tree = tree;
-    v.answer = answer;
-    v.rebuilds += 1;
-    v.needs_rebuild = false;
-    v.degraded = false;
-    Ok(())
 }

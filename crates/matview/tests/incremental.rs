@@ -5,8 +5,8 @@
 //! corrupt) a view until a rebuild recovers it.
 
 use adm::{Relation, Value};
-use dataflow::IncrementalView;
-use matview::maintain::full_refresh;
+use matview::maintain::{full_refresh, purge_missing};
+use matview::IncrementalView;
 use matview::MatStore;
 use nalg::{Evaluator, NalgExpr};
 use websim::sitegen::{University, UniversityConfig};
@@ -122,7 +122,7 @@ fn delta_sync_tracks_live_eval_and_full_refresh() {
 
         full_refresh(&mut oracle, &ws, &u.site.server).unwrap();
         assert_eq!(
-            fingerprint(iv.store().mat()),
+            fingerprint(iv.store()),
             fingerprint(&oracle),
             "store diverged from full refresh after round {round}"
         );
@@ -310,4 +310,41 @@ fn evicted_slices_are_restored_by_targeted_upqueries() {
             .relation,
     );
     assert_eq!(iv.answer("profs").unwrap().rows().to_vec(), want);
+}
+
+/// The push engine fills `CheckMissing`; the pull engine's sweep drains it
+/// on the same store, with the byte and LRU account following along.
+#[test]
+fn purge_on_the_views_own_store_keeps_the_byte_account_exact() {
+    let mut u = university(11);
+    let ws = u.site.scheme.clone();
+    let budget = 4096usize;
+    let mut iv = IncrementalView::new(&ws).with_byte_budget(budget);
+    iv.materialize(&u.site.server).unwrap();
+    iv.set_cursor(u.site.change_cursor());
+    iv.register("courses", "courses", &course_expr(), &u.site.server)
+        .unwrap();
+
+    // deleted course pages stay linked from their professors, so the sync
+    // retracts them from the view and retains them, stale, for the sweep
+    let plan = MutationPlan::new(77).with_rule(MutationRule::delete("CoursePage", 0.25));
+    let mutated = plan.apply_round(&mut u.site, 0).unwrap();
+    assert!(mutated.deleted_pages > 0, "seed 77 must delete something");
+    let rep = iv.sync(&u.site).unwrap();
+    assert_eq!(rep.marked_stale, mutated.deleted_pages);
+    let queued: Vec<_> = iv.store().check_missing.iter().cloned().collect();
+    assert_eq!(queued.len() as u64, mutated.deleted_pages);
+    assert!(queued.iter().all(|url| iv.store().knows(url)));
+
+    let purge = purge_missing(iv.store_mut(), &u.site.server);
+    assert_eq!(purge.confirmed_deleted, mutated.deleted_pages);
+    assert!(queued.iter().all(|url| !iv.store().knows(url)));
+    let resident: usize = iv
+        .store()
+        .pages_sorted()
+        .iter()
+        .map(|(url, p)| url.as_str().len() + p.tuple.approx_bytes())
+        .sum();
+    assert_eq!(iv.store().stats().resident_bytes, resident as u64);
+    assert!(resident <= budget);
 }

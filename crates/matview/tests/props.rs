@@ -6,8 +6,8 @@
 //! byte-identically.
 
 use adm::{Relation, Value};
-use dataflow::IncrementalView;
 use matview::maintain::full_refresh;
+use matview::IncrementalView;
 use matview::MatStore;
 use nalg::{Evaluator, NalgExpr};
 use proptest::prelude::*;
@@ -120,7 +120,7 @@ proptest! {
             prop_assert!(rep.failed.is_empty(), "fault-free: {:?}", rep.failed);
 
             full_refresh(&mut oracle, &ws, &u.site.server).unwrap();
-            prop_assert_eq!(fingerprint(iv.store().mat()), fingerprint(&oracle));
+            prop_assert_eq!(fingerprint(iv.store()), fingerprint(&oracle));
 
             let src = LiveSource::new(&ws, &u.site.server);
             let live = Evaluator::new(&ws, &src);

@@ -2032,15 +2032,40 @@ mod tests {
         }
     }
 
+    /// A source gated on the evaluator itself: a fetch completes only once
+    /// the drain has given its URL up (cancelled it on the shared token),
+    /// so the completion can never race the drain's budget check. The cap
+    /// keeps a drain that never gives up from hanging the suite.
+    struct GatedSource {
+        inner: MapSource,
+        gate: obs::CancelToken,
+    }
+
+    impl PageSource for GatedSource {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            let t0 = std::time::Instant::now();
+            while !self.gate.is_url_cancelled(url.as_str())
+                && t0.elapsed() < std::time::Duration::from_secs(5)
+            {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            self.inner.fetch(url, scheme)
+        }
+    }
+
     #[test]
     fn pooled_entry_fetch_respects_the_deadline() {
         let ws = scheme();
-        // The entry GET itself is the laggard: 50ms against a 5ms budget.
-        let src = slow(&["/list.html"], 50, false);
+        // The entry GET itself is the laggard: it outlasts the 5ms budget,
+        // however long the drain takes to notice the budget is gone.
+        let gate = obs::CancelToken::new();
+        let src = GatedSource {
+            inner: source(),
+            gate: gate.clone(),
+        };
         let deadline = obs::Deadline::after_us(5_000);
         // The ambient context carries the same deadline the evaluator
-        // enforces — exactly how the serving layer installs it — so the
-        // in-flight simulated wait is severed when the budget fires.
+        // enforces — exactly how the serving layer installs it.
         let ctx = obs::reqctx::RequestCtx {
             sink: obs::trace::TraceSink::with_seed(0),
             parent: 0,
@@ -2054,6 +2079,7 @@ mod tests {
             Evaluator::new(&ws, &src)
                 .with_concurrent_fetch(2)
                 .with_deadline(deadline)
+                .with_cancel_token(gate)
                 .eval(&nav())
         })
         .unwrap();

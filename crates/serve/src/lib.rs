@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn maintained_views_answer_without_navigation_and_degrade_to_live() {
-        use dataflow::IncrementalView;
+        use matview::IncrementalView;
         use nalg::NalgExpr;
         use parking_lot::RwLock;
         use websim::{FaultPlan, FaultRule};

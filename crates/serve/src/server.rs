@@ -24,7 +24,7 @@
 
 use crate::cache::{quarantine_fingerprint, PlanCache, PlanCacheStats};
 use adm::{Relation, WebScheme};
-use dataflow::IncrementalView;
+use matview::IncrementalView;
 use nalg::{DegradationMode, PageSource, SharedPageCache};
 use obs::reqctx::{FetchClock, RequestCtx};
 use obs::{

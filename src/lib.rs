@@ -16,11 +16,10 @@
 //! | [`nalg`] | the navigational algebra: expressions, plan display, evaluation |
 //! | [`wvcore`] | the optimizer: rewrite rules 2–9, statistics, cost model, Algorithm 1 |
 //! | [`wvquery`] | the SQL-subset front end |
-//! | [`matview`] | materialized views: URLCheck, Algorithm 3 lazy maintenance |
+//! | [`matview`] | the materialized view and its one maintenance engine: URLCheck + Algorithm 3 (pull mode), change-feed ± deltas with byte-budgeted partial state and upqueries (push mode) |
 //! | [`resilience`] | fault tolerance: retry policies, circuit breakers, partial-result degradation over a chaos-capable web |
 //! | [`obs`] | observability: structured tracing, metrics registry, EXPLAIN ANALYZE plumbing |
 //! | [`serve`] | multi-tenant serving: plan cache, admission control, single-flight fetch coalescing |
-//! | [`dataflow`] | partially-stateful incremental view maintenance: change feeds, ± delta propagation, byte-budgeted partial state with upqueries |
 //!
 //! ## Quickstart
 //!
@@ -49,8 +48,10 @@
 //! ```
 
 pub use adm;
-pub use dataflow;
 pub use matview;
+/// The former crate name of the push mode, kept because
+/// `benchmark/src/api.rs` names `webviews::dataflow::IncrementalView`.
+pub use matview as dataflow;
 pub use nalg;
 pub use obs;
 pub use resilience;
@@ -66,8 +67,9 @@ pub mod prelude {
         AttrRef, Field, InclusionConstraint, LinkConstraint, PageScheme, Relation, Tuple, Url,
         Value, WebScheme, WebType,
     };
-    pub use dataflow::{DeltaReport, IncrementalView, PartialStore};
-    pub use matview::{MatAnalyzedOutcome, MatOutcome, MatSession, MatStore};
+    pub use matview::{
+        DeltaReport, IncrementalView, MatAnalyzedOutcome, MatOutcome, MatSession, MatStore,
+    };
     pub use nalg::{
         CoalescingSource, DegradationMode, EvalReport, Evaluator, HedgeConfig, NalgExpr,
         PageSource, Pred,
