@@ -451,9 +451,9 @@ pub fn x5_serving(cfg: &ServeLoadConfig) -> ServeSmoke {
         (
             "plan_cache".to_string(),
             format!(
-                "{{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"invalidations\": {}, \"quarantine_rejections\": {}, \"hit_rate\": {:.3}}}",
-                pc.hits, pc.misses, pc.evictions, pc.invalidations, pc.quarantine_rejections,
-                pc.hit_rate()
+                "{{\"hits\": {}, \"misses\": {}, \"rebinds\": {}, \"evictions\": {}, \"invalidations\": {}, \"quarantine_rejections\": {}, \"hit_rate\": {:.3}}}",
+                pc.hits, pc.misses, pc.rebinds, pc.evictions, pc.invalidations,
+                pc.quarantine_rejections, pc.hit_rate()
             ),
         ),
         (

@@ -353,7 +353,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             link: Vec::new(),
             inclusion: Vec::new(),
         };
-        for d in &best.dependencies {
+        for d in best.dependencies.iter() {
             match d {
                 ConstraintDependency::Link(c) => cfg.link.push(c.clone()),
                 ConstraintDependency::Inclusion(c) => cfg.inclusion.push(c.clone()),
@@ -731,7 +731,7 @@ mod tests {
             .explain
             .report()
             .contains("quarantined (excluded from rewrites):"));
-        for d in &second.explain.best().dependencies {
+        for d in second.explain.best().dependencies.iter() {
             assert!(!fb.violated.contains(&d.key()));
         }
         assert_eq!(

@@ -24,13 +24,14 @@ use crate::stats::SiteStatistics;
 use crate::views::ViewCatalog;
 use crate::{OptError, Result};
 use adm::intern::Symbol;
-use adm::WebScheme;
+use adm::{Value, WebScheme};
 use nalg::NalgExpr;
 use obs::trace::{EventKind, FieldValue, TraceSink};
 use resilience::ConstraintHealth;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Enables/disables individual rewrite stages (for ablation studies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,13 +107,15 @@ impl RuleMask {
 pub struct CandidatePlan {
     /// The (validated, computable) plan.
     pub expr: NalgExpr,
-    /// Its cost estimate.
-    pub estimate: Estimate,
+    /// Its cost estimate. Shared: an estimate belongs to the plan's shape,
+    /// so binding the plan to other constants ([`Explain::bind`]) keeps it.
+    pub estimate: Arc<Estimate>,
     /// Provenance: every link/inclusion constraint some rewrite along the
     /// way assumed. A plan with an empty set is constraint-free — its
     /// correctness does not depend on the site honouring the scheme's
-    /// declared constraints. Sorted and deduplicated.
-    pub dependencies: Vec<ConstraintDependency>,
+    /// declared constraints. Sorted and deduplicated; shared like the
+    /// estimate.
+    pub dependencies: Arc<[ConstraintDependency]>,
 }
 
 /// The optimizer's full output: every surviving candidate, cheapest first.
@@ -133,6 +136,35 @@ impl Explain {
         &self.candidates[0]
     }
 
+    /// This plan set, planned for one instance of a query shape, as the
+    /// plan set of another instance `q`: `stored` and `params` are the two
+    /// instances' parameter vectors ([`ConjunctiveQuery::shape`], equal
+    /// keys, hence equal lengths and the same equality partition), and
+    /// every selection constant `stored[k]` in every candidate becomes
+    /// `params[k]`. Estimates, dependency sets and candidate order are
+    /// those of the shape and are shared; [`Explain::query`] is rendered
+    /// from `q`, so the result never shows the other instance's constants.
+    pub fn bind(&self, q: &ConjunctiveQuery, stored: &[Value], params: &[Value]) -> Explain {
+        debug_assert_eq!(stored.len(), params.len(), "one shape, one arity");
+        let rebind = |v: &Value| match stored.iter().position(|s| s == v) {
+            Some(k) => params[k].clone(),
+            None => v.clone(),
+        };
+        Explain {
+            query: q.to_string(),
+            candidates: self
+                .candidates
+                .iter()
+                .map(|c| CandidatePlan {
+                    expr: c.expr.map_constants(&rebind),
+                    estimate: Arc::clone(&c.estimate),
+                    dependencies: Arc::clone(&c.dependencies),
+                })
+                .collect(),
+            quarantined: self.quarantined.clone(),
+        }
+    }
+
     /// A multi-line report: the query, then each candidate with its
     /// estimated cost and plan tree (paper Figures 3–4 style).
     pub fn report(&self) -> String {
@@ -146,7 +178,7 @@ impl Explain {
                 "{marker} plan {i}: est. cost {} (card {:.1})",
                 c.estimate.cost, c.estimate.card
             );
-            for d in &c.dependencies {
+            for d in c.dependencies.iter() {
                 let _ = writeln!(out, "    assumes {d}");
             }
             for line in nalg::display::tree(&c.expr).lines() {
@@ -391,8 +423,8 @@ impl<'a> Optimizer<'a> {
             };
             candidates.push(CandidatePlan {
                 expr: rw.arena.export(plan),
-                estimate: est,
-                dependencies: rw.dependencies(&deps),
+                estimate: Arc::new(est),
+                dependencies: rw.dependencies(&deps).into(),
             });
         }
         if let Some(sink) = sink {
@@ -880,7 +912,7 @@ mod tests {
             explain.report()
         );
         let r = explain.report();
-        for d in &best.dependencies {
+        for d in best.dependencies.iter() {
             assert!(
                 r.contains(&format!("assumes {d}")),
                 "missing in report:\n{r}"
@@ -919,7 +951,7 @@ mod tests {
         assert!(!deps.is_empty());
         // Quarantine every constraint the winning plan leaned on.
         let health = ConstraintHealth::new();
-        for d in &deps {
+        for d in deps.iter() {
             health.record(&d.key(), 1, 1);
         }
         let guarded = Optimizer::new(&ws, &cat, &stats)
@@ -928,7 +960,7 @@ mod tests {
             .unwrap();
         let quarantined: Vec<String> = deps.iter().map(|d| d.key()).collect();
         for c in &guarded.candidates {
-            for d in &c.dependencies {
+            for d in c.dependencies.iter() {
                 assert!(
                     !quarantined.contains(&d.key()),
                     "quarantined constraint still licensed a rewrite: {d}"

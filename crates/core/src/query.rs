@@ -70,8 +70,11 @@ impl ConjunctiveQuery {
         self
     }
 
-    /// The query's canonical cache key: a normalized rendering under
-    /// which two queries compare equal iff they ask for the same thing.
+    /// The **exact-query** key: a normalized rendering under which two
+    /// queries compare equal iff they ask for the same thing, constants
+    /// included. This is what a maintained view is registered and looked
+    /// up under (a view answers one exact query) and what request ids are
+    /// derived from; plans are cached under [`ConjunctiveQuery::shape`].
     ///
     /// Normalization: the report [`ConjunctiveQuery::name`] is excluded
     /// (it never affects planning); each join pair is ordered so
@@ -80,6 +83,58 @@ impl ConjunctiveQuery {
     /// semantically significant (atom indices anchor every attribute
     /// reference, and the projection fixes the output column order).
     pub fn cache_key(&self) -> String {
+        let mut selections: Vec<String> = self
+            .selections
+            .iter()
+            .map(|((i, a), v)| format!("{i}.{a}='{v}'"))
+            .collect();
+        selections.sort();
+        self.render_key(&selections)
+    }
+
+    /// The **planning** key — the query with its constants taken out —
+    /// and the constants, one per equality class.
+    ///
+    /// Normalization is [`ConjunctiveQuery::cache_key`]'s, except that a
+    /// selection renders as `i.attr=$<tag><k>`: `k` numbers the constant's
+    /// equality class in first-appearance order over the selections sorted
+    /// by position (then value), and `<tag>` names its [`Value`] variant
+    /// (`t`ext, `l`ink, `n`ull, lis`m`). `params[k]` is class `k`'s
+    /// constant, so key and parameters together give the query back.
+    ///
+    /// Algorithm 1 never looks at a constant — the cost model prices
+    /// `σ A='c'` by the distinct values of `A`, and no rule reads one — so
+    /// every query of one shape gets the same candidates, estimates and
+    /// dependency sets up to renaming constants class by class
+    /// ([`crate::Explain::bind`]). *Which constants are equal* does reach
+    /// the plan (equal `σ` atoms are one hash-consed node), which is why
+    /// the partition is in the key and not just a parameter count.
+    pub fn shape(&self) -> (String, Vec<Value>) {
+        let mut sorted: Vec<&(AttrPos, Value)> = self.selections.iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
+        let mut params: Vec<Value> = Vec::new();
+        let selections: Vec<String> = sorted
+            .into_iter()
+            .map(|((i, a), v)| {
+                let k = params.iter().position(|p| p == v).unwrap_or_else(|| {
+                    params.push(v.clone());
+                    params.len() - 1
+                });
+                let tag = match v {
+                    Value::Text(_) => 't',
+                    Value::Link(_) => 'l',
+                    Value::Null => 'n',
+                    Value::List(_) => 'm',
+                };
+                format!("{i}.{a}=${tag}{k}")
+            })
+            .collect();
+        (self.render_key(&selections), params)
+    }
+
+    /// The normalized rendering both keys share, around the given
+    /// (already ordered) selection renderings.
+    fn render_key(&self, selections: &[String]) -> String {
         let pos = |(i, a): &AttrPos| format!("{i}.{a}");
         let mut joins: Vec<String> = self
             .joins
@@ -90,12 +145,6 @@ impl ConjunctiveQuery {
             })
             .collect();
         joins.sort();
-        let mut selections: Vec<String> = self
-            .selections
-            .iter()
-            .map(|(a, v)| format!("{}='{v}'", pos(a)))
-            .collect();
-        selections.sort();
         let projection: Vec<String> = self.projection.iter().map(pos).collect();
         format!(
             "atoms[{}] joins[{}] sel[{}] proj[{}]",
@@ -282,6 +331,76 @@ mod tests {
         // And so is the selection constant.
         let d = example_71().select((0, "Rank"), "Associate");
         assert_ne!(a.cache_key(), d.cache_key());
+    }
+
+    #[test]
+    fn shape_drops_constants_and_keeps_their_equality_partition() {
+        let (key, params) = example_71().shape();
+        assert_eq!(
+            key,
+            "atoms[Professor,CourseInstructor,Course] \
+             joins[0.PName=1.PName,1.CName=2.CName] \
+             sel[0.Rank=$t0,2.Session=$t1] proj[2.CName,2.Description]"
+        );
+        assert_eq!(params, vec![Value::text("Full"), Value::text("Fall")]);
+        // Other constants, selections listed the other way round: same
+        // shape, parameters in the key's order.
+        let other = ConjunctiveQuery::new("x")
+            .atom("Professor")
+            .atom("CourseInstructor")
+            .atom("Course")
+            .join((0, "PName"), (1, "PName"))
+            .join((1, "CName"), (2, "CName"))
+            .select((2, "Session"), "Winter")
+            .select((0, "Rank"), "Associate")
+            .project((2, "CName"))
+            .project((2, "Description"));
+        let (other_key, other_params) = other.shape();
+        assert_eq!(other_key, key);
+        assert_eq!(
+            other_params,
+            vec![Value::text("Associate"), Value::text("Winter")]
+        );
+        assert_ne!(other.cache_key(), example_71().cache_key());
+        // One constant on both attributes is one class — another shape.
+        let same = ConjunctiveQuery::new("x")
+            .atom("Professor")
+            .select((0, "Rank"), "v")
+            .select((0, "PName"), "v")
+            .project((0, "PName"));
+        let (same_key, same_params) = same.shape();
+        assert!(
+            same_key.contains("sel[0.PName=$t0,0.Rank=$t0]"),
+            "{same_key}"
+        );
+        assert_eq!(same_params, vec![Value::text("v")]);
+        let differ = ConjunctiveQuery::new("x")
+            .atom("Professor")
+            .select((0, "Rank"), "v")
+            .select((0, "PName"), "w")
+            .project((0, "PName"));
+        assert!(differ.shape().0.contains("sel[0.PName=$t0,0.Rank=$t1]"));
+        // The variant is part of the shape; the value is not.
+        let link = ConjunctiveQuery::new("x")
+            .atom("Professor")
+            .select((0, "PName"), Value::link("/p/1"))
+            .project((0, "PName"));
+        assert!(link.shape().0.contains("sel[0.PName=$l0]"));
+        // Contradictory selections are an ordinary two-class shape.
+        let both = ConjunctiveQuery::new("x")
+            .atom("Professor")
+            .select((0, "Rank"), "Full")
+            .select((0, "Rank"), "Associate")
+            .project((0, "PName"));
+        let (both_key, both_params) = both.shape();
+        assert!(
+            both_key.contains("sel[0.Rank=$t0,0.Rank=$t1]"),
+            "{both_key}"
+        );
+        assert_eq!(
+            both_params,
+            vec![Value::text("Associate"), Value::text("Full")]
+        );
     }
 
     #[test]

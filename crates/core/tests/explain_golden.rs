@@ -299,7 +299,7 @@ fn cases() -> Vec<(String, String)> {
     let q = cs_professors();
     let trusted = Optimizer::new(ws, &catalog, &stats).optimize(&q).unwrap();
     let health = ConstraintHealth::new();
-    for d in &trusted.best().dependencies {
+    for d in trusted.best().dependencies.iter() {
         health.record(&d.key(), 1, 1);
     }
     let guarded = Optimizer::new(ws, &catalog, &stats)

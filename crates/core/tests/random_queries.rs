@@ -3,7 +3,8 @@
 //! the naive (rule-1-only) plan. The naive plan is correct by
 //! construction — it just evaluates the default navigations — so this
 //! pins the whole rewrite stack. The same queries' plans also pin the
-//! optimizer's plan arena to the tree it stands for.
+//! optimizer's plan arena to the tree it stands for, and the premise of the
+//! shape-keyed plan cache: Algorithm 1 never looks at a selection constant.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -135,6 +136,20 @@ fn answer_of(
         .collect()
 }
 
+/// `rq` with its selection constants replaced: selection `j` takes
+/// `picks[j]` from its attribute's pool widened by constants that occur
+/// under *other* attributes and one no page carries, so vectors repeat a
+/// value across attributes and leave the site.
+fn with_constants(rq: &RandomQuery, picks: &[prop::sample::Index]) -> RandomQuery {
+    let mut out = rq.clone();
+    for ((_, attr, value), pick) in out.selections.iter_mut().zip(picks) {
+        let mut pool = values_for(attr);
+        pool.extend(["Full", "Fall", "Computer Science", "absent from the site"]);
+        *value = pool[pick.index(pool.len())].to_string();
+    }
+    out
+}
+
 /// `e` and every subtree of it.
 fn subtrees(e: &nalg::NalgExpr, out: &mut Vec<nalg::NalgExpr>) {
     out.push(e.clone());
@@ -176,6 +191,53 @@ proptest! {
             ne.best().estimate.cost,
             q
         );
+    }
+
+    // The plan cache's premise: the candidate set, its order, every
+    // estimate and every dependency set are functions of the query's
+    // shape. Two instances whose constants are equal in the same places
+    // have one shape key, and the plan set of one, bound to the other, is
+    // the plan set the optimizer makes for the other; two instances whose
+    // constants are equal in different places have different keys.
+    #[test]
+    fn plans_depend_on_the_shape_not_on_the_constants(
+        rq in arb_query(),
+        picks in proptest::collection::vec(any::<prop::sample::Index>(), 4),
+    ) {
+        let fx = fixture();
+        let (a, b) = (with_constants(&rq, &picks[..2]), with_constants(&rq, &picks[2..]));
+        let (qa, qb) = (build(&a), build(&b));
+        let ((key_a, params_a), (key_b, params_b)) = (qa.shape(), qb.shape());
+        // arb_query draws at most two selections, so "equal in the same
+        // places" is one comparison.
+        let same_partition = match (&a.selections[..], &b.selections[..]) {
+            ([x0, x1], [y0, y1]) => (x0.2 == x1.2) == (y0.2 == y1.2),
+            _ => true,
+        };
+        prop_assert_eq!(key_a == key_b, same_partition, "{} vs {}", qa, qb);
+        if same_partition {
+            // `b` with its selections listed the way `a` lists them (two
+            // selections on one attribute sort by value in the key, so the
+            // class-by-class renaming may swap them): the same query.
+            let mut b_listed = a.clone();
+            for (_, _, value) in &mut b_listed.selections {
+                let class = params_a.iter().position(|p| p.as_text() == Some(value));
+                *value = params_b[class.expect("a constant of a")].to_string();
+            }
+            let qb_listed = build(&b_listed);
+            prop_assert_eq!(qb_listed.cache_key(), qb.cache_key());
+            let opt = Optimizer::new(&fx.u.site.scheme, &fx.catalog, &fx.stats);
+            let planned_a = opt.optimize(&qa).expect("optimizes");
+            let planned_b = opt.optimize(&qb_listed).expect("optimizes");
+            let bound = planned_a.bind(&qb_listed, &params_a, &params_b);
+            prop_assert_eq!(&bound.query, &planned_b.query);
+            prop_assert_eq!(bound.candidates.len(), planned_b.candidates.len(), "{} vs {}", qa, qb);
+            for (x, y) in bound.candidates.iter().zip(&planned_b.candidates) {
+                prop_assert_eq!(&x.expr, &y.expr, "{} vs {}", qa, qb);
+                prop_assert_eq!(format!("{:?}", x.estimate), format!("{:?}", y.estimate));
+                prop_assert_eq!(&x.dependencies, &y.dependencies);
+            }
+        }
     }
 
     // Arena ≡ tree: every candidate plan of a random query (optimized and

@@ -55,6 +55,16 @@ impl Pred {
             Pred::And(ps) => ps.iter().flat_map(|p| p.attrs()).collect(),
         }
     }
+
+    /// A copy with every `attr = constant` atom's constant replaced by
+    /// `f(constant)`; attributes and structure are kept.
+    pub fn map_constants(&self, f: &impl Fn(&Value) -> Value) -> Pred {
+        match self {
+            Pred::Eq(a, v) => Pred::Eq(a.clone(), f(v)),
+            Pred::And(ps) => Pred::And(ps.iter().map(|p| p.map_constants(f)).collect()),
+            Pred::EqAttr(..) => self.clone(),
+        }
+    }
 }
 
 impl fmt::Display for Pred {
@@ -318,6 +328,45 @@ impl NalgExpr {
             leaf => leaf,
         };
         f(rebuilt)
+    }
+
+    /// A copy of the tree with every selection constant replaced by
+    /// `f(constant)` ([`Pred::map_constants`]); everything else — shape,
+    /// schemes, aliases, columns — is kept. This is how a plan made for
+    /// one instance of a query shape is bound to another instance.
+    pub fn map_constants(&self, f: &impl Fn(&Value) -> Value) -> NalgExpr {
+        let sub = |e: &NalgExpr| Box::new(e.map_constants(f));
+        match self {
+            NalgExpr::Select { input, pred } => NalgExpr::Select {
+                input: sub(input),
+                pred: pred.map_constants(f),
+            },
+            NalgExpr::Project { input, cols } => NalgExpr::Project {
+                input: sub(input),
+                cols: cols.clone(),
+            },
+            NalgExpr::Unnest { input, attr } => NalgExpr::Unnest {
+                input: sub(input),
+                attr: attr.clone(),
+            },
+            NalgExpr::Follow {
+                input,
+                link,
+                target,
+                alias,
+            } => NalgExpr::Follow {
+                input: sub(input),
+                link: link.clone(),
+                target: target.clone(),
+                alias: alias.clone(),
+            },
+            NalgExpr::Join { left, right, on } => NalgExpr::Join {
+                left: sub(left),
+                right: sub(right),
+                on: on.clone(),
+            },
+            leaf => leaf.clone(),
+        }
     }
 
     /// The alias → page-scheme map contributed by this expression's
@@ -625,6 +674,30 @@ mod tests {
             other => other,
         });
         assert_eq!(stripped, nav());
+    }
+
+    #[test]
+    fn map_constants_touches_only_constants() {
+        let plan = |a: &str, b: &str| {
+            nav()
+                .select(Pred::And(vec![
+                    Pred::eq("Info", a),
+                    Pred::EqAttr("ItemPage.Name".into(), "Items.Name".into()),
+                ]))
+                .join(
+                    NalgExpr::entry_as("ListPage", "L2").select(Pred::eq("L2.URL", b)),
+                    vec![("ListPage.URL", "L2.URL")],
+                )
+                .project(vec!["Info"])
+        };
+        let swap = |v: &Value| match v.as_text() {
+            Some("x") => Value::text("p"),
+            Some("y") => Value::text("q"),
+            _ => v.clone(),
+        };
+        assert_eq!(plan("x", "y").map_constants(&swap), plan("p", "q"));
+        assert_eq!(plan("x", "x").map_constants(&swap), plan("p", "p"));
+        assert_eq!(plan("a", "b").map_constants(&swap), plan("a", "b"));
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! The plan cache: repeated queries skip rule 1–9 enumeration.
+//! The plan cache: one rule 1–9 enumeration per query *shape*.
 //!
 //! Algorithm 1 re-derives the same winning plan every time a popular
-//! query arrives; on a serving workload that CPU is pure waste. The cache
-//! maps a [`PlanKey`] — the *normalized* query
-//! ([`wvcore::ConjunctiveQuery::cache_key`]), the statistics epoch, and a
+//! query arrives, and — because it never looks at a selection constant —
+//! the same plan up to constants for every query of one shape; on a
+//! serving workload that CPU is pure waste. The cache maps a [`PlanKey`]
+//! — the query's constant-free shape
+//! ([`wvcore::ConjunctiveQuery::shape`]), the statistics epoch, and a
 //! fingerprint of the current quarantine set — to the full [`Explain`]
-//! the optimizer produced, so a hit replays plan selection for free via
-//! [`wvcore::QuerySession::run_planned`].
+//! the optimizer produced for the first instance of the shape, together
+//! with that instance's constants. A hit by the same constants shares the
+//! stored plan set; a hit by other constants gets it re-addressed
+//! ([`Explain::bind`], counted as `serve_plan_rebinds`). Either way the
+//! hit replays plan selection via [`wvcore::QuerySession::run_planned`].
 //!
 //! **Invalidation.** All three key components exist to invalidate:
 //! recollecting statistics bumps the epoch, and any
@@ -23,17 +28,19 @@
 //! Counters live under the `serve` prefix of an [`obs::MetricsRegistry`],
 //! mirroring the `cache`/`resilience`/`constraint` registries elsewhere.
 
+use adm::Value;
 use obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wvcore::Explain;
+use wvcore::{ConjunctiveQuery, Explain};
 
 /// What a cached plan is keyed on. Any component changing is a miss.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// [`wvcore::ConjunctiveQuery::cache_key`] — the normalized query AST.
-    pub query: String,
+    /// The key half of [`wvcore::ConjunctiveQuery::shape`] — the
+    /// normalized query AST with its constants taken out.
+    pub shape: String,
     /// The serving layer's statistics epoch (bumped on recollection).
     pub stats_epoch: u64,
     /// [`quarantine_fingerprint`] of the quarantined constraint keys.
@@ -63,13 +70,18 @@ pub fn quarantine_fingerprint(quarantined: &[String]) -> u64 {
 }
 
 struct Entry {
+    /// The plan set as planned for the shape's first instance…
     explain: Arc<Explain>,
+    /// …and that instance's constants (the parameter half of its shape).
+    params: Arc<[Value]>,
     last_used: u64,
 }
 
 struct CacheState {
     map: HashMap<PlanKey, Entry>,
     clock: u64,
+    /// The `(stats_epoch, quarantine_fp)` of the last [`PlanCache::sync`].
+    synced: Option<(u64, u64)>,
 }
 
 /// A bounded LRU plan cache with `serve`-prefixed metrics.
@@ -82,6 +94,7 @@ pub struct PlanCache {
     evictions: Counter,
     invalidations: Counter,
     quarantine_rejections: Counter,
+    rebinds: Counter,
 }
 
 impl PlanCache {
@@ -99,8 +112,10 @@ impl PlanCache {
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
                 clock: 0,
+                synced: None,
             }),
             hits: registry.counter("plan_hits"),
+            rebinds: registry.counter("plan_rebinds"),
             misses: registry.counter("plan_misses"),
             evictions: registry.counter("plan_evictions"),
             invalidations: registry.counter("plan_invalidations"),
@@ -118,8 +133,19 @@ impl PlanCache {
     /// with the current `(stats_epoch, quarantine_fp)` — the explicit
     /// invalidation on statistics recollection and on quarantine /
     /// re-admission. Returns how many entries were dropped.
+    ///
+    /// The serving layer calls this on every request, and the pair moves
+    /// only on recollection or a quarantine transition: a call repeating
+    /// the last synced pair returns 0 without scanning. (An entry a racing
+    /// request inserts under the *old* pair just after the change can
+    /// never match a lookup again; it leaves at the next change or by
+    /// LRU rather than at the next request.)
     pub fn sync(&self, stats_epoch: u64, quarantine_fp: u64) -> u64 {
         let mut state = self.state.lock();
+        if state.synced.replace((stats_epoch, quarantine_fp)) == Some((stats_epoch, quarantine_fp))
+        {
+            return 0;
+        }
         let before = state.map.len();
         state
             .map
@@ -129,38 +155,59 @@ impl PlanCache {
         dropped
     }
 
-    /// Looks up a plan. Counted as a hit only when the key matches **and**
-    /// the served (best) plan's constraint-dependency set is disjoint from
-    /// `quarantined` — a cached plan licensed by a quarantined constraint
-    /// is removed and reported as a miss (the correctness guard).
-    pub fn lookup(&self, key: &PlanKey, quarantined: &[String]) -> Option<Arc<Explain>> {
-        let mut state = self.state.lock();
-        state.clock += 1;
-        let clock = state.clock;
-        let Some(entry) = state.map.get_mut(key) else {
-            self.misses.inc();
-            return None;
+    /// Looks up the plan set for `q`, whose shape is `key.shape` with
+    /// parameters `params`. Counted as a hit only when the key matches
+    /// **and** the served (best) plan's constraint-dependency set is
+    /// disjoint from `quarantined` — a cached plan licensed by a
+    /// quarantined constraint is removed and reported as a miss (the
+    /// correctness guard; dependencies belong to the shape, so this judges
+    /// every instance of it alike).
+    ///
+    /// A hit whose `params` are the stored ones shares the stored
+    /// [`Explain`]; any other hit is bound to `q` ([`Explain::bind`],
+    /// outside the cache lock) and counted in `rebinds` as well.
+    pub fn lookup(
+        &self,
+        key: &PlanKey,
+        q: &ConjunctiveQuery,
+        params: &[Value],
+        quarantined: &[String],
+    ) -> Option<Arc<Explain>> {
+        let (plan, stored) = {
+            let mut state = self.state.lock();
+            state.clock += 1;
+            let clock = state.clock;
+            let Some(entry) = state.map.get_mut(key) else {
+                self.misses.inc();
+                return None;
+            };
+            let tainted = entry
+                .explain
+                .best()
+                .dependencies
+                .iter()
+                .any(|d| quarantined.iter().any(|k| *k == d.key()));
+            if tainted {
+                state.map.remove(key);
+                self.quarantine_rejections.inc();
+                self.misses.inc();
+                return None;
+            }
+            entry.last_used = clock;
+            (Arc::clone(&entry.explain), Arc::clone(&entry.params))
         };
-        let tainted = entry
-            .explain
-            .best()
-            .dependencies
-            .iter()
-            .any(|d| quarantined.iter().any(|q| *q == d.key()));
-        if tainted {
-            state.map.remove(key);
-            self.quarantine_rejections.inc();
-            self.misses.inc();
-            return None;
-        }
-        entry.last_used = clock;
-        let plan = Arc::clone(&entry.explain);
         self.hits.inc();
-        Some(plan)
+        if *stored == *params {
+            return Some(plan);
+        }
+        self.rebinds.inc();
+        Some(Arc::new(plan.bind(q, &stored, params)))
     }
 
-    /// Inserts a plan, evicting the least-recently-used entry when full.
-    pub fn insert(&self, key: PlanKey, explain: Arc<Explain>) {
+    /// Inserts the plan set planned for the instance of `key.shape` whose
+    /// parameters are `params`, evicting the least-recently-used entry
+    /// when full.
+    pub fn insert(&self, key: PlanKey, params: Vec<Value>, explain: Arc<Explain>) {
         let mut state = self.state.lock();
         state.clock += 1;
         let clock = state.clock;
@@ -179,12 +226,14 @@ impl PlanCache {
             key,
             Entry {
                 explain,
+                params: params.into(),
                 last_used: clock,
             },
         );
     }
 
-    /// Drops one entry (e.g. a plan whose audit just failed).
+    /// Drops one entry (e.g. a shape whose plan just failed its audit —
+    /// the falsified constraint was assumed for every instance of it).
     pub fn remove(&self, key: &PlanKey) -> bool {
         let removed = self.state.lock().map.remove(key).is_some();
         if removed {
@@ -211,6 +260,7 @@ impl PlanCache {
             evictions: self.evictions.get(),
             invalidations: self.invalidations.get(),
             quarantine_rejections: self.quarantine_rejections.get(),
+            rebinds: self.rebinds.get(),
             entries: self.len(),
         }
     }
@@ -229,6 +279,9 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
     /// Hits refused because the plan depended on a quarantined constraint.
     pub quarantine_rejections: u64,
+    /// Hits (a subset of `hits`) whose constants differed from the cached
+    /// instance's, so the plan set had to be bound to the request.
+    pub rebinds: u64,
     /// Entries resident right now (a gauge).
     pub entries: usize,
 }
@@ -253,7 +306,7 @@ mod tests {
 
     fn key(q: &str, epoch: u64, fp: u64) -> PlanKey {
         PlanKey {
-            query: q.to_string(),
+            shape: q.to_string(),
             stats_epoch: epoch,
             quarantine_fp: fp,
         }
@@ -272,11 +325,19 @@ mod tests {
             query: "q".to_string(),
             candidates: vec![CandidatePlan {
                 expr,
-                estimate,
-                dependencies: deps,
+                estimate: estimate.into(),
+                dependencies: deps.into(),
             }],
             quarantined: Vec::new(),
         })
+    }
+
+    // The request every lookup below is made for; its constants are the
+    // ones every insert below stores, so hits share the stored plan set.
+    fn q() -> ConjunctiveQuery {
+        ConjunctiveQuery::new("q")
+            .atom("Dept")
+            .project((0, "DName"))
     }
 
     fn link_dep() -> ConstraintDependency {
@@ -303,14 +364,14 @@ mod tests {
     #[test]
     fn hit_miss_and_lru_eviction() {
         let cache = PlanCache::new(2);
-        assert!(cache.lookup(&key("q1", 0, 0), &[]).is_none());
-        cache.insert(key("q1", 0, 0), explain_with(vec![]));
-        cache.insert(key("q2", 0, 0), explain_with(vec![]));
-        assert!(cache.lookup(&key("q1", 0, 0), &[]).is_some());
+        assert!(cache.lookup(&key("q1", 0, 0), &q(), &[], &[]).is_none());
+        cache.insert(key("q1", 0, 0), vec![], explain_with(vec![]));
+        cache.insert(key("q2", 0, 0), vec![], explain_with(vec![]));
+        assert!(cache.lookup(&key("q1", 0, 0), &q(), &[], &[]).is_some());
         // q2 is now least recently used; inserting q3 evicts it.
-        cache.insert(key("q3", 0, 0), explain_with(vec![]));
-        assert!(cache.lookup(&key("q2", 0, 0), &[]).is_none());
-        assert!(cache.lookup(&key("q1", 0, 0), &[]).is_some());
+        cache.insert(key("q3", 0, 0), vec![], explain_with(vec![]));
+        assert!(cache.lookup(&key("q2", 0, 0), &q(), &[], &[]).is_none());
+        assert!(cache.lookup(&key("q1", 0, 0), &q(), &[], &[]).is_some());
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.hits, 2);
@@ -321,26 +382,93 @@ mod tests {
     #[test]
     fn sync_purges_stale_epochs_and_fingerprints() {
         let cache = PlanCache::new(8);
-        cache.insert(key("q1", 0, 0), explain_with(vec![]));
-        cache.insert(key("q2", 0, 7), explain_with(vec![]));
-        cache.insert(key("q3", 1, 0), explain_with(vec![]));
+        cache.insert(key("q1", 0, 0), vec![], explain_with(vec![]));
+        cache.insert(key("q2", 0, 7), vec![], explain_with(vec![]));
+        cache.insert(key("q3", 1, 0), vec![], explain_with(vec![]));
         assert_eq!(cache.sync(1, 0), 2, "old epoch and old fingerprint go");
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key("q3", 1, 0), &[]).is_some());
+        assert!(cache.lookup(&key("q3", 1, 0), &q(), &[], &[]).is_some());
         assert_eq!(cache.stats().invalidations, 2);
+    }
+
+    #[test]
+    fn sync_scans_only_when_the_pair_moves() {
+        let cache = PlanCache::new(8);
+        assert_eq!(cache.sync(0, 0), 0);
+        // A request that raced a change inserts under the pair it read.
+        cache.insert(key("late", 0, 9), vec![], explain_with(vec![]));
+        assert_eq!(cache.sync(0, 0), 0, "same pair: nothing is looked at");
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup(&key("late", 0, 0), &q(), &[], &[]).is_none());
+        assert_eq!(cache.sync(1, 0), 1, "the next change takes it along");
+        assert_eq!(cache.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn a_hit_by_other_constants_is_bound_to_the_request() {
+        use nalg::{NalgExpr, Pred};
+        let cache = PlanCache::new(8);
+        let dept = |name: &str| {
+            ConjunctiveQuery::new("dept")
+                .atom("Dept")
+                .select((0, "DName"), name)
+                .project((0, "DName"))
+        };
+        let plan_for = |name: &str| {
+            NalgExpr::entry("DeptListPage")
+                .unnest("DeptList")
+                .select(Pred::eq("DeptList.DName", name))
+        };
+        let (cs, maths) = (dept("Computer Science"), dept("Mathematics"));
+        let ((shape, cs_params), (maths_shape, maths_params)) = (cs.shape(), maths.shape());
+        assert_eq!(shape, maths_shape);
+        let mut planned = Explain::clone(&explain_with(vec![]));
+        planned.query = cs.to_string();
+        planned.candidates[0].expr = plan_for("Computer Science");
+        let planned = Arc::new(planned);
+        cache.insert(key(&shape, 0, 0), cs_params.clone(), Arc::clone(&planned));
+
+        let same = cache.lookup(&key(&shape, 0, 0), &cs, &cs_params, &[]);
+        assert!(
+            Arc::ptr_eq(&same.expect("hit"), &planned),
+            "shared as stored"
+        );
+        assert_eq!(cache.stats().rebinds, 0);
+
+        let bound = cache
+            .lookup(&key(&shape, 0, 0), &maths, &maths_params, &[])
+            .expect("hit");
+        assert_eq!(bound.best().expr, plan_for("Mathematics"));
+        assert_eq!(bound.query, maths.to_string());
+        assert!(
+            !bound.report().contains("Computer Science"),
+            "{}",
+            bound.report()
+        );
+        assert!(Arc::ptr_eq(
+            &bound.best().estimate,
+            &planned.best().estimate
+        ));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.rebinds, s.entries), (2, 0, 1, 1));
     }
 
     #[test]
     fn quarantined_dependency_is_never_served() {
         let cache = PlanCache::new(8);
         let dep = link_dep();
-        cache.insert(key("q", 0, 0), explain_with(vec![dep.clone()]));
+        cache.insert(key("q", 0, 0), vec![], explain_with(vec![dep.clone()]));
         // Clean quarantine set: served.
-        assert!(cache.lookup(&key("q", 0, 0), &[]).is_some());
+        assert!(cache.lookup(&key("q", 0, 0), &q(), &[], &[]).is_some());
         // The plan's own constraint is quarantined: refused AND removed,
         // even though the key (with its stale fingerprint) still matches.
-        assert!(cache.lookup(&key("q", 0, 0), &[dep.key()]).is_none());
-        assert!(cache.lookup(&key("q", 0, 0), &[]).is_none(), "entry gone");
+        assert!(cache
+            .lookup(&key("q", 0, 0), &q(), &[], &[dep.key()])
+            .is_none());
+        assert!(
+            cache.lookup(&key("q", 0, 0), &q(), &[], &[]).is_none(),
+            "entry gone"
+        );
         let s = cache.stats();
         assert_eq!(s.quarantine_rejections, 1);
     }
@@ -348,12 +476,13 @@ mod tests {
     #[test]
     fn registers_under_serve_prefix() {
         let cache = PlanCache::new(2);
-        let _ = cache.lookup(&key("q", 0, 0), &[]);
-        cache.insert(key("q", 0, 0), explain_with(vec![]));
-        let _ = cache.lookup(&key("q", 0, 0), &[]);
+        let _ = cache.lookup(&key("q", 0, 0), &q(), &[], &[]);
+        cache.insert(key("q", 0, 0), vec![], explain_with(vec![]));
+        let _ = cache.lookup(&key("q", 0, 0), &q(), &[], &[]);
         let prom = cache.metrics().render_prometheus();
         assert!(prom.contains("serve_plan_hits 1"));
         assert!(prom.contains("serve_plan_misses 1"));
         assert!(prom.contains("serve_plan_evictions 0"));
+        assert!(prom.contains("serve_plan_rebinds 0"));
     }
 }

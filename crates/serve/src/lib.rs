@@ -5,12 +5,13 @@
 //! read-heavy, and heavily skewed toward a few popular queries. This
 //! crate supplies the layer that exploits exactly that shape:
 //!
-//! * [`PlanCache`] — repeated queries skip rule 1–9 enumeration: plans
-//!   are cached under `(normalized query AST, statistics epoch,
-//!   quarantine fingerprint)` and explicitly invalidated when statistics
-//!   are recollected or [`resilience::ConstraintHealth`]
-//!   quarantines/readmits a constraint, with hit/miss/evict counters
-//!   under the `serve` metrics prefix;
+//! * [`PlanCache`] — one rule 1–9 enumeration per query *shape*: plans
+//!   are cached under `(the query with its constants taken out,
+//!   statistics epoch, quarantine fingerprint)`, bound to a request's own
+//!   constants on a hit, and explicitly invalidated when statistics are
+//!   recollected or [`resilience::ConstraintHealth`] quarantines/readmits
+//!   a constraint, with hit/miss/rebind/evict counters under the `serve`
+//!   metrics prefix;
 //! * [`QueryServer`] — admission control (bounded concurrent sessions,
 //!   shed-with-partial beyond the limit, via
 //!   [`resilience::AdmissionControl`]), a cheap borrowed
@@ -44,7 +45,14 @@
 //! let first = server.serve(&q).unwrap();
 //! let second = server.serve(&q).unwrap();
 //! assert!(!first.cached_plan && second.cached_plan);
-//! assert_eq!(server.stats().plan_cache.hits, 1);
+//! // Another rank is the same shape: planned already, bound on the hit.
+//! let associates = ConjunctiveQuery::new("associate professors")
+//!     .atom("Professor")
+//!     .select((0, "Rank"), "Associate")
+//!     .project((0, "PName"));
+//! assert!(server.serve(&associates).unwrap().cached_plan);
+//! let cache = server.stats().plan_cache;
+//! assert_eq!((cache.hits, cache.misses, cache.rebinds), (2, 1, 1));
 //! ```
 
 pub mod cache;
@@ -154,6 +162,7 @@ mod tests {
         assert!(prom.contains("serve_requests 2"));
         assert!(prom.contains("serve_plan_hits 1"));
         assert!(prom.contains("serve_plan_misses 1"));
+        assert!(prom.contains("serve_plan_rebinds 0"));
         assert!(prom.contains("serve_shed 0"));
     }
 

@@ -14,15 +14,15 @@
 //!    [`QuerySession::run`]), so quarantine TTLs age identically whether
 //!    plans come from the cache or the optimizer;
 //! 3. **plan cache** — lookup under the current
-//!    `(normalized query, statistics epoch, quarantine fingerprint)`;
-//!    a hit skips rule 1–9 enumeration via
-//!    [`QuerySession::run_planned`], a miss optimizes and fills the
-//!    cache;
+//!    `(query shape, statistics epoch, quarantine fingerprint)`; a hit
+//!    — by these constants or any others of the shape — skips rule 1–9
+//!    enumeration via [`QuerySession::run_planned`], a miss optimizes and
+//!    fills the cache;
 //! 4. **audit settlement** — when runtime auditing catches a violated
 //!    plan assumption, the drift fallback answers (as in `run`) and the
 //!    poisoned plan is dropped from the cache.
 
-use crate::cache::{quarantine_fingerprint, PlanCache, PlanCacheStats};
+use crate::cache::{quarantine_fingerprint, PlanCache, PlanCacheStats, PlanKey};
 use adm::{Relation, WebScheme};
 use matview::IncrementalView;
 use nalg::{DegradationMode, PageSource, SharedPageCache};
@@ -111,7 +111,7 @@ pub struct ServeOutcome {
     /// admission (an empty partial answer: no rows, not complete).
     pub outcome: Option<QueryOutcome>,
     /// True when the plan came from the cache (rule 1–9 enumeration was
-    /// skipped).
+    /// skipped) — shared as stored, or bound to this request's constants.
     pub cached_plan: bool,
     /// True when admission control shed this request.
     pub shed: bool,
@@ -635,8 +635,9 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         let epoch = self.stats_epoch();
         let (quarantined, fp) = self.current_quarantine_fp();
         self.plan_cache.sync(epoch, fp);
-        let key = crate::cache::PlanKey {
-            query: q.cache_key(),
+        let (shape, params) = q.shape();
+        let key = PlanKey {
+            shape,
             stats_epoch: epoch,
             quarantine_fp: fp,
         };
@@ -661,7 +662,7 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         if self.relevance {
             session = session.with_relevance_cancel();
         }
-        let (explain, cached_plan) = match self.plan_cache.lookup(&key, &quarantined) {
+        let (explain, cached_plan) = match self.plan_cache.lookup(&key, q, &params, &quarantined) {
             Some(plan) => (plan, true),
             None => {
                 // Rule 1–9 enumeration is the most expensive pre-fetch
@@ -728,10 +729,12 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             o.phases.eval_us = total.saturating_sub(o.phases.fetch_us);
         }
         if outcome.fell_back() {
-            // The plan's own audit falsified it — never serve it again.
+            // The plan's own audit falsified it — never serve it again,
+            // to this or any other instance of the shape.
             self.plan_cache.remove(&key);
         } else if !cached_plan {
-            self.plan_cache.insert(key, Arc::clone(&outcome.explain));
+            self.plan_cache
+                .insert(key, params, Arc::clone(&outcome.explain));
         }
         Ok(outcome_of(
             &obs,

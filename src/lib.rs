@@ -19,7 +19,7 @@
 //! | [`matview`] | the materialized view and its one maintenance engine: URLCheck + Algorithm 3 (pull mode), change-feed ± deltas with byte-budgeted partial state and upqueries (push mode) |
 //! | [`resilience`] | fault tolerance: retry policies, circuit breakers, partial-result degradation over a chaos-capable web |
 //! | [`obs`] | observability: structured tracing, metrics registry, EXPLAIN ANALYZE plumbing |
-//! | [`serve`] | multi-tenant serving: plan cache, admission control, single-flight fetch coalescing |
+//! | [`serve`] | multi-tenant serving: plan cache keyed on the query's constant-free shape, admission control, single-flight fetch coalescing |
 //!
 //! ## Quickstart
 //!
@@ -266,13 +266,27 @@ mod tests {
                 });
             }
         });
+        // ...and so does the same question about another rank: one
+        // shape, one plan, bound to this request's constant.
+        let associates = ConjunctiveQuery::new("associate professors")
+            .atom("Professor")
+            .select((0, "Rank"), "Associate")
+            .project((0, "PName"));
+        let bound = server.serve(&associates).unwrap();
+        assert!(bound.cached_plan);
+        let expected = QuerySession::new(&site.site.scheme, &catalog, &stats, &live)
+            .run(&associates)
+            .unwrap();
+        assert_eq!(
+            bound.relation().unwrap().sorted(),
+            expected.report.relation.sorted()
+        );
         let s = server.stats();
-        assert_eq!(s.requests, 4);
-        assert_eq!(s.plan_cache.hits, 3, "one miss fills, the rest hit");
-        assert!(server
-            .metrics()
-            .render_prometheus()
-            .contains("serve_requests 4"));
+        assert_eq!(s.requests, 5);
+        assert_eq!(s.plan_cache.hits, 4, "one miss fills, the rest hit");
+        assert_eq!(s.plan_cache.rebinds, 1);
+        let prom = server.metrics().render_prometheus();
+        assert!(prom.contains("serve_requests 5") && prom.contains("serve_plan_rebinds 1"));
     }
 
     // The README's "Bounding tail latency" walkthrough: under seeded

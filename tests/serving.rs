@@ -52,6 +52,53 @@ fn workload() -> Vec<ConjunctiveQuery> {
     ]
 }
 
+/// Further instances of `workload()`'s shapes: other constants, and where
+/// there are two selections, listed the other way round. Served through
+/// the plan the shape's first instance cached.
+fn variants() -> Vec<ConjunctiveQuery> {
+    vec![
+        ConjunctiveQuery::new("associate professors")
+            .atom("Professor")
+            .select((0, "Rank"), "Associate")
+            .project((0, "PName")),
+        ConjunctiveQuery::new("mathematics professors")
+            .atom("Professor")
+            .atom("ProfDept")
+            .join((0, "PName"), (1, "PName"))
+            .select((1, "DName"), "Mathematics")
+            .project((0, "PName"))
+            .project((0, "Email")),
+        ConjunctiveQuery::new("example 7.1, winter, associates")
+            .atom("Professor")
+            .atom("CourseInstructor")
+            .atom("Course")
+            .join((0, "PName"), (1, "PName"))
+            .join((1, "CName"), (2, "CName"))
+            .select((2, "Session"), "Winter")
+            .select((0, "Rank"), "Associate")
+            .project((2, "CName"))
+            .project((2, "Description")),
+        ConjunctiveQuery::new("winter undergraduate courses")
+            .atom("Course")
+            .select((0, "Type"), "Undergraduate")
+            .select((0, "Session"), "Winter")
+            .project((0, "CName")),
+        ConjunctiveQuery::new("courses of a session no page carries")
+            .atom("Course")
+            .select((0, "Session"), "Monsoon")
+            .select((0, "Type"), "Graduate")
+            .project((0, "CName")),
+    ]
+}
+
+/// `workload()` followed by `variants()`; the fixture's oracle is indexed
+/// like this.
+fn mix() -> Vec<ConjunctiveQuery> {
+    let mut queries = workload();
+    queries.extend(variants());
+    queries
+}
+
 /// One fixed university site + statistics + per-query oracle, shared by
 /// every proptest case (generation is deterministic, so sharing is safe).
 struct Fixture {
@@ -68,7 +115,7 @@ fn fixture() -> &'static Fixture {
         let stats = SiteStatistics::from_site(&site.site);
         let catalog = university_catalog();
         let source = LiveSource::for_site(&site.site);
-        let oracle = workload()
+        let oracle = mix()
             .iter()
             .map(|q| {
                 let out = QuerySession::new(&site.site.scheme, &catalog, &stats, &source)
@@ -112,32 +159,36 @@ proptest! {
     #[test]
     fn concurrent_coalesced_serving_equals_sequential_uncached(seed in 0u64..500) {
         let f = fixture();
-        let queries = workload();
+        let queries = mix();
+        let shape_of = |qi: usize| queries[qi].shape().0;
         let schedule = zipf_schedule(seed, queries.len(), 24);
         let live = LiveSource::for_site(&f.site.site);
         let coalesced = nalg::CoalescingSource::new(&live);
         let server = QueryServer::new(&f.site.site.scheme, &f.catalog, &f.stats, &coalesced)
             .with_admission_capacity(4);
+        let check = |qi: usize, out: webviews::serve::ServeOutcome| {
+            let out = out.outcome.unwrap();
+            assert_eq!(
+                out.report.relation.sorted(),
+                f.oracle[qi].0,
+                "rows diverged for {:?} (seed {seed})",
+                queries[qi].name
+            );
+            assert_eq!(
+                out.report.page_accesses,
+                f.oracle[qi].1,
+                "page accesses diverged for {:?} (seed {seed})",
+                queries[qi].name
+            );
+        };
         std::thread::scope(|scope| {
             for w in 0..4usize {
-                let (server, schedule, queries, f) = (&server, &schedule, &queries, &f);
+                let (server, schedule, queries, check) = (&server, &schedule, &queries, &check);
                 scope.spawn(move || {
                     let mut i = w;
                     while i < schedule.len() {
                         let qi = schedule[i];
-                        let out = server.serve(&queries[qi]).unwrap().outcome.unwrap();
-                        assert_eq!(
-                            out.report.relation.sorted(),
-                            f.oracle[qi].0,
-                            "rows diverged for {:?} (seed {seed})",
-                            queries[qi].name
-                        );
-                        assert_eq!(
-                            out.report.page_accesses,
-                            f.oracle[qi].1,
-                            "page accesses diverged for {:?} (seed {seed})",
-                            queries[qi].name
-                        );
+                        check(qi, server.serve(&queries[qi]).unwrap());
                         i += 4;
                     }
                 });
@@ -146,11 +197,35 @@ proptest! {
         let s = server.stats();
         prop_assert_eq!(s.requests, 24);
         prop_assert_eq!(s.shed, 0);
-        // 24 requests over 5 distinct plans: the cache must be hitting.
-        // (Concurrent cold lookups of one query may each miss, so the
-        // floor is requests − queries×workers, not requests − queries.)
-        prop_assert!(s.plan_cache.hits >= 24 - (queries.len() * 4) as u64);
+        // 24 requests over 5 distinct shapes: the cache must be hitting.
+        // (Concurrent cold lookups of one shape may each miss, so the
+        // floor is requests − shapes×workers, not requests − shapes.)
+        let shapes: std::collections::HashSet<String> =
+            (0..queries.len()).map(shape_of).collect();
+        prop_assert_eq!(shapes.len(), workload().len());
+        prop_assert!(s.plan_cache.hits >= 24 - (shapes.len() * 4) as u64);
         prop_assert_eq!(s.plan_cache.hits + s.plan_cache.misses, 24);
+        // Then every instance once more, one at a time: whatever is not
+        // the first of its shape on this server is a plan-cache hit —
+        // listed the other way round, about other constants — and
+        // answers exactly like its own sequential uncached run.
+        let mut planned: std::collections::HashSet<String> =
+            schedule.iter().map(|&qi| shape_of(qi)).collect();
+        for (qi, q) in queries.iter().enumerate() {
+            let out = server.serve(q).unwrap();
+            prop_assert_eq!(
+                out.cached_plan,
+                !planned.insert(shape_of(qi)),
+                "{:?} (seed {})", &q.name, seed
+            );
+            check(qi, out);
+        }
+        let s = server.stats();
+        prop_assert_eq!(s.plan_cache.hits + s.plan_cache.misses, 24 + queries.len() as u64);
+        prop_assert_eq!(s.plan_cache.entries, shapes.len());
+        // Four shapes have more than one instance; sweeping all of them
+        // binds the stored plan to other constants at least once each.
+        prop_assert!((4..=s.plan_cache.hits).contains(&s.plan_cache.rebinds));
     }
 }
 
@@ -367,6 +442,10 @@ fn quarantine_invalidates_dependent_cached_plans() {
         .atom("Dept")
         .select((0, "DName"), "Computer Science")
         .project((0, "Address"));
+    let q2 = ConjunctiveQuery::new("math-dept")
+        .atom("Dept")
+        .select((0, "DName"), "Mathematics")
+        .project((0, "Address"));
 
     // Pristine phase: the constraint-licensed plan answers and is cached.
     let health = ConstraintHealth::new();
@@ -381,6 +460,10 @@ fn quarantine_invalidates_dependent_cached_plans() {
             server.serve(&q).unwrap().cached_plan,
             "plan cached while healthy"
         );
+        // Another department: the same shape, served by binding that plan.
+        let other = server.serve(&q2).unwrap();
+        assert!(other.cached_plan && !other.outcome.as_ref().unwrap().fell_back());
+        assert_eq!(server.stats().plan_cache.rebinds, 1);
     }
 
     // The site drifts under the cached plan's feet.
@@ -430,6 +513,136 @@ fn quarantine_invalidates_dependent_cached_plans() {
 
     // ...and the constraint-free plan is cacheable like any other.
     assert!(server.serve(&q).unwrap().cached_plan);
+
+    // The quarantine judges the shape, so its other instance fares the
+    // same: bound to the constraint-free plan, it answers like its own
+    // default navigation without falling back.
+    let naive2 = QuerySession::new(&site.site.scheme, &catalog, &stats, &source)
+        .with_mask(RuleMask::none())
+        .run(&q2)
+        .unwrap();
+    let quarantined = health.quarantined();
+    let trusts_nothing_quarantined = |out: &QueryOutcome| {
+        let deps = &out.explain.best().dependencies;
+        !deps.iter().any(|d| quarantined.contains(&d.key()))
+    };
+    let bound = server.serve(&q2).unwrap();
+    let out = bound.outcome.as_ref().unwrap();
+    assert!(bound.cached_plan && !out.fell_back() && trusts_nothing_quarantined(out));
+    assert_eq!(
+        out.report.relation.sorted(),
+        naive2.report.relation.sorted()
+    );
+
+    // And were the stale plan set still cached under the current key (a
+    // colliding fingerprint), the hit-time dependency check refuses it to
+    // this instance exactly as to the one it was planned for.
+    let stale = caught.outcome.as_ref().unwrap().fallback.as_ref().unwrap();
+    let (shape, params) = q.shape();
+    let key = webviews::serve::PlanKey {
+        shape,
+        stats_epoch: server.stats_epoch(),
+        quarantine_fp: webviews::serve::quarantine_fingerprint(&quarantined),
+    };
+    assert!(server.plan_cache().remove(&key));
+    server
+        .plan_cache()
+        .insert(key, params, stale.suspect_explain.clone());
+    let refused = server.serve(&q2).unwrap();
+    let out = refused.outcome.as_ref().unwrap();
+    assert!(
+        !refused.cached_plan,
+        "a tainted plan must not be bound either"
+    );
+    assert_eq!(server.stats().plan_cache.quarantine_rejections, 1);
+    assert!(!out.fell_back() && trusts_nothing_quarantined(out));
+    assert_eq!(
+        out.report.relation.sorted(),
+        naive2.report.relation.sorted()
+    );
+}
+
+// Plans are cached per shape; maintained views are not. A view answers
+// the one exact query it was registered for, constants included.
+#[test]
+fn a_view_answers_its_exact_query_not_its_shape() {
+    use webviews::matview::IncrementalView;
+    let u = University::generate(UniversityConfig::default()).unwrap();
+    let stats = SiteStatistics::from_site(&u.site);
+    let catalog = university_catalog();
+    let dept = |name: &str| {
+        ConjunctiveQuery::new(name)
+            .atom("Dept")
+            .select((0, "DName"), name)
+            .project((0, "Address"))
+    };
+    let (cs, maths) = (dept("Computer Science"), dept("Mathematics"));
+    assert_eq!(cs.shape().0, maths.shape().0);
+
+    let mut iv = IncrementalView::new(&u.site.scheme);
+    iv.materialize(&u.site.server).unwrap();
+    iv.set_cursor(u.site.change_cursor());
+    let plan = Optimizer::new(&u.site.scheme, &catalog, &stats)
+        .optimize(&cs)
+        .unwrap();
+    iv.register("cs", cs.cache_key(), &plan.best().expr, &u.site.server)
+        .unwrap();
+    let views = parking_lot::RwLock::new(iv);
+
+    let source = LiveSource::for_site(&u.site);
+    let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &source).with_views(&views);
+    let live = |q| {
+        let out = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
+            .run(q)
+            .unwrap();
+        out.report.relation.sorted()
+    };
+    let from_view = server.serve(&cs).unwrap();
+    assert!(from_view.from_view());
+    assert_eq!(from_view.relation().unwrap().sorted(), live(&cs));
+    let navigated = server.serve(&maths).unwrap();
+    assert!(
+        !navigated.from_view(),
+        "the view is about another department"
+    );
+    assert_eq!(navigated.relation().unwrap().sorted(), live(&maths));
+    assert_ne!(live(&cs), live(&maths));
+    assert_eq!(server.stats().view_hits, 1);
+}
+
+// `A='x' AND A='y'` needs no special case: it is a two-class shape like
+// any other, planned once, and empty for every instance.
+#[test]
+fn contradictory_selections_are_an_ordinary_shape_with_an_empty_answer() {
+    let f = fixture();
+    let live = LiveSource::for_site(&f.site.site);
+    let server = QueryServer::new(&f.site.site.scheme, &f.catalog, &f.stats, &live);
+    let ranks = |a: &str, b: &str| {
+        ConjunctiveQuery::new("two ranks at once")
+            .atom("Professor")
+            .select((0, "Rank"), a)
+            .select((0, "Rank"), b)
+            .project((0, "PName"))
+    };
+    for (i, q) in [ranks("Full", "Associate"), ranks("Assistant", "Full")]
+        .iter()
+        .enumerate()
+    {
+        let oracle = QuerySession::new(&f.site.site.scheme, &f.catalog, &f.stats, &live)
+            .run(q)
+            .unwrap();
+        let out = server.serve(q).unwrap();
+        assert_eq!(out.cached_plan, i == 1, "cold, then a bound hit");
+        let o = out.outcome.unwrap();
+        assert!(o.report.relation.is_empty());
+        assert_eq!(o.report.relation.sorted(), oracle.report.relation.sorted());
+        assert_eq!(o.report.page_accesses, oracle.report.page_accesses);
+    }
+    // One constant twice is another shape (one class), and not empty.
+    let out = server.serve(&ranks("Full", "Full")).unwrap();
+    assert!(!out.cached_plan);
+    assert!(!out.relation().unwrap().is_empty());
+    assert_eq!(server.stats().plan_cache.rebinds, 1);
 }
 
 // Statistics recollection on a live server: the epoch bump invalidates
