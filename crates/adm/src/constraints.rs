@@ -97,6 +97,27 @@ impl fmt::Display for InclusionConstraint {
 /// page of the scheme, its URL and nested tuple.
 pub type Instance<'a> = &'a [(Url, Tuple)];
 
+/// One page of an instance, by reference: what the whole-instance
+/// verifiers iterate over. An owned instance (`&[(Url, Tuple)]`) yields
+/// `&(Url, Tuple)`, a borrowed walk of a store yields `(&Url, &Tuple)`;
+/// both verify without being copied into the other shape first.
+pub trait PageRef<'a> {
+    /// The page's URL and tuple.
+    fn page(self) -> (&'a Url, &'a Tuple);
+}
+
+impl<'a> PageRef<'a> for &'a (Url, Tuple) {
+    fn page(self) -> (&'a Url, &'a Tuple) {
+        (&self.0, &self.1)
+    }
+}
+
+impl<'a> PageRef<'a> for (&'a Url, &'a Tuple) {
+    fn page(self) -> (&'a Url, &'a Tuple) {
+        self
+    }
+}
+
 /// Collects the values at `path` from a tuple, flattening through lists.
 /// Returns every occurrence (one per inner row for nested paths).
 pub fn collect_values<'a>(tuple: &'a Tuple, path: &[String]) -> Vec<&'a Value> {
@@ -184,21 +205,21 @@ pub struct Violation {
 ///    co-located `source_attr` value;
 /// 2. whenever `source_attr` equals some page's `target_attr`, the link
 ///    points at (one of) the page(s) with that value.
-pub fn verify_link_constraint(
-    c: &LinkConstraint,
-    source: Instance<'_>,
-    target: Instance<'_>,
-) -> Vec<Violation> {
+pub fn verify_link_constraint<'a, S, T>(c: &LinkConstraint, source: S, target: T) -> Vec<Violation>
+where
+    S: IntoIterator<Item: PageRef<'a>>,
+    T: IntoIterator<Item: PageRef<'a>>,
+{
     let mut violations = Vec::new();
     let mut by_url: HashMap<&str, &Value> = HashMap::new();
     let mut urls_by_value: HashMap<&Value, HashSet<&str>> = HashMap::new();
-    for (url, t) in target {
+    for (url, t) in target.into_iter().map(PageRef::page) {
         if let Some(v) = t.get(c.target_attr.leaf()) {
             by_url.insert(url.as_str(), v);
             urls_by_value.entry(v).or_default().insert(url.as_str());
         }
     }
-    for (src_url, t) in source {
+    for (src_url, t) in source.into_iter().map(PageRef::page) {
         for (a, l) in collect_pairs(t, &c.source_attr.path, &c.link.path) {
             let Value::Link(u) = l else {
                 if !l.is_null() {
@@ -235,13 +256,17 @@ pub fn verify_link_constraint(
 
 /// Verifies an inclusion constraint `sub ⊆ sup` given the instances of the
 /// two source schemes: every URL occurring at `sub` must occur at `sup`.
-pub fn verify_inclusion_constraint(
+pub fn verify_inclusion_constraint<'a, S, T>(
     c: &InclusionConstraint,
-    sub_instance: Instance<'_>,
-    sup_instance: Instance<'_>,
-) -> Vec<Violation> {
+    sub_instance: S,
+    sup_instance: T,
+) -> Vec<Violation>
+where
+    S: IntoIterator<Item: PageRef<'a>>,
+    T: IntoIterator<Item: PageRef<'a>>,
+{
     let mut sup_urls: HashSet<&str> = HashSet::new();
-    for (_, t) in sup_instance {
+    for (_, t) in sup_instance.into_iter().map(PageRef::page) {
         for v in collect_values(t, &c.sup.path) {
             if let Value::Link(u) = v {
                 sup_urls.insert(u.as_str());
@@ -249,7 +274,7 @@ pub fn verify_inclusion_constraint(
         }
     }
     let mut violations = Vec::new();
-    for (page_url, t) in sub_instance {
+    for (page_url, t) in sub_instance.into_iter().map(PageRef::page) {
         for v in collect_values(t, &c.sub.path) {
             if let Value::Link(u) = v {
                 if !sup_urls.contains(u.as_str()) {

@@ -117,9 +117,9 @@ impl SiteStatistics {
         let mut acc = Accumulator::default();
         let mut bytes: HashMap<String, (f64, f64)> = HashMap::new();
         for ps in site.scheme.schemes() {
-            for (url, tuple) in site.instance(&ps.name) {
-                acc.record_page(&ps.name, &ps.fields, &tuple);
-                if let Ok(resp) = site.server.get(&url) {
+            for (url, tuple) in site.pages(&ps.name) {
+                acc.record_page(&ps.name, &ps.fields, tuple);
+                if let Ok(resp) = site.server.get(url) {
                     let e = bytes.entry(ps.name.clone()).or_insert((0.0, 0.0));
                     e.0 += resp.body.len() as f64;
                     e.1 += 1.0;
@@ -206,23 +206,24 @@ impl SiteStatistics {
     }
 }
 
-/// Incremental accumulator for per-attribute statistics.
+/// Incremental accumulator for per-attribute statistics, borrowing the
+/// values it counts from the pages it is shown.
 #[derive(Default)]
-struct Accumulator {
+struct Accumulator<'a> {
     card: HashMap<String, f64>,
     // list path -> (total items, occurrences)
     lists: HashMap<String, (f64, f64)>,
     // mono path -> distinct values
-    values: HashMap<String, HashSet<Value>>,
+    values: HashMap<String, HashSet<&'a Value>>,
 }
 
-impl Accumulator {
-    fn record_page(&mut self, scheme: &str, fields: &[Field], tuple: &Tuple) {
+impl<'a> Accumulator<'a> {
+    fn record_page(&mut self, scheme: &str, fields: &[Field], tuple: &'a Tuple) {
         *self.card.entry(scheme.to_string()).or_insert(0.0) += 1.0;
         self.record_fields(scheme, fields, std::slice::from_ref(tuple));
     }
 
-    fn record_fields(&mut self, prefix: &str, fields: &[Field], rows: &[Tuple]) {
+    fn record_fields(&mut self, prefix: &str, fields: &[Field], rows: &'a [Tuple]) {
         for f in fields {
             let key = format!("{prefix}.{}", f.name);
             match &f.ty {
@@ -237,15 +238,13 @@ impl Accumulator {
                     }
                 }
                 _ => {
-                    for row in rows {
-                        if let Some(v) = row.get(&f.name) {
-                            if !v.is_null() {
-                                self.values
-                                    .entry(key.clone())
-                                    .or_default()
-                                    .insert(v.clone());
-                            }
-                        }
+                    let mut present = rows
+                        .iter()
+                        .filter_map(|row| row.get(&f.name))
+                        .filter(|v| !v.is_null())
+                        .peekable();
+                    if present.peek().is_some() {
+                        self.values.entry(key).or_default().extend(present);
                     }
                 }
             }

@@ -10,7 +10,7 @@
 //! generated site's ground truth (a test oracle the real system would not
 //! have).
 
-use crate::store::MatStore;
+use crate::store::{MatStore, MaterializeReport};
 use crate::Result;
 use adm::WebScheme;
 use obs::trace::{EventKind, TraceSink};
@@ -119,6 +119,20 @@ pub fn full_refresh(
     full_refresh_traced(store, ws, server, None)
 }
 
+/// [`full_refresh`] with the crawl's full account and the number of
+/// unreachable pages the sweep dropped.
+pub fn full_refresh_report(
+    store: &mut MatStore,
+    ws: &WebScheme,
+    server: &impl websim::PageServer,
+) -> Result<(MaterializeReport, usize)> {
+    store.check_missing.clear(); // the crawl re-derives any suspicions
+    store.reset_status();
+    let report = store.materialize_report(ws, server)?;
+    let dropped = store.sweep_unreachable(ws);
+    Ok((report, dropped))
+}
+
 /// [`full_refresh`] with an optional trace sink: the refresh is recorded
 /// as one `maintain.refresh` event carrying the pages downloaded and the
 /// store size afterwards. The result is identical with or without a sink.
@@ -128,10 +142,7 @@ pub fn full_refresh_traced(
     server: &impl websim::PageServer,
     trace: Option<&TraceSink>,
 ) -> Result<usize> {
-    store.check_missing.clear(); // the crawl re-derives any suspicions
-    store.reset_status();
-    let report = store.materialize_report(ws, server)?;
-    store.sweep_unreachable(ws);
+    let (report, _) = full_refresh_report(store, ws, server)?;
     if let Some(sink) = trace {
         sink.event(
             EventKind::Maintenance,
@@ -152,10 +163,10 @@ pub fn audit(store: &MatStore, site: &websim::Site) -> Vec<String> {
     let mut diffs = Vec::new();
     let mut live_urls = std::collections::HashSet::new();
     for ps in site.scheme.schemes() {
-        for (url, truth) in site.instance(&ps.name) {
-            match store.get(&url) {
+        for (url, truth) in site.pages(&ps.name) {
+            match store.get(url) {
                 None => diffs.push(format!("missing locally: {url}")),
-                Some(p) if p.tuple != truth => diffs.push(format!("stale: {url}")),
+                Some(p) if p.tuple != *truth => diffs.push(format!("stale: {url}")),
                 Some(_) => {}
             }
             live_urls.insert(url);

@@ -144,6 +144,9 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Targeted upqueries issued (each one server `GET`).
     pub upqueries: u64,
+    /// Reachability walks performed: calls of
+    /// [`MatStore::sweep_unreachable`] that found the link graph moved.
+    pub sweeps: u64,
 }
 
 /// The store's counters and gauges. Detached by default; an
@@ -153,6 +156,7 @@ pub struct StoreStats {
 struct StoreMetrics {
     evictions: Counter,
     upqueries: Counter,
+    sweeps: Counter,
     resident_bytes: Gauge,
     resident_pages: Gauge,
     skeleton_pages: Gauge,
@@ -173,6 +177,11 @@ pub struct MatStore {
     bytes: usize,
     /// Recency of the resident pages; kept only while a budget is set.
     lru: Lru,
+    /// True when the link graph over `pages` may have changed since the
+    /// last reachability walk: an entry came, went, or was replaced by a
+    /// version with other outlinks. While false, every known page is
+    /// reachable from an entry point and a sweep has nothing to drop.
+    links_moved: bool,
     metrics: StoreMetrics,
 }
 
@@ -257,6 +266,7 @@ impl MatStore {
         self.metrics = StoreMetrics {
             evictions: registry.counter("store_evictions"),
             upqueries: registry.counter("store_upqueries"),
+            sweeps: registry.counter("store_sweeps"),
             resident_bytes: registry.gauge("store.resident_bytes"),
             resident_pages: registry.gauge("store.resident_pages"),
             skeleton_pages: registry.gauge("store.skeleton_pages"),
@@ -294,6 +304,7 @@ impl MatStore {
             resident_bytes: self.bytes as u64,
             evictions: self.metrics.evictions.get(),
             upqueries: self.metrics.upqueries.get(),
+            sweeps: self.metrics.sweeps.get(),
         }
     }
 
@@ -346,12 +357,15 @@ impl MatStore {
     /// Inserts or replaces a page, stamping it most-recently-used when a
     /// budget is set. A fresh download is never stale. The budget itself
     /// is applied by [`MatStore::download`], which knows the scheme an
-    /// eviction needs.
+    /// eviction needs — and the outlinks: a bare `put` cannot tell whether
+    /// the page's links changed, so it counts as a link-graph move.
     pub fn put(&mut self, url: Url, scheme: impl Into<String>, tuple: Tuple, access_date: u64) {
         self.replace(url, scheme.into(), tuple, access_date);
+        self.links_moved = true;
     }
 
-    /// [`MatStore::put`], returning the entry it replaced.
+    /// Stores a page with its byte and LRU accounting, returning the entry
+    /// it replaced. The caller answers for `links_moved`.
     fn replace(
         &mut self,
         url: Url,
@@ -391,6 +405,7 @@ impl MatStore {
     /// Drops a page entirely (a confirmed deletion, not an eviction).
     pub fn remove(&mut self, url: &Url) -> bool {
         let dropped = self.take(url).is_some();
+        self.links_moved |= dropped;
         self.publish_gauges();
         dropped
     }
@@ -518,6 +533,9 @@ impl MatStore {
         let old = self.replace(url.clone(), scheme.to_string(), new.clone(), date);
         self.evict_to_budget(ws);
         let old_links = old.as_ref().map(|e| e.outlinks(ws)).unwrap_or_default();
+        // a new page, or a version that links elsewhere, moves the graph;
+        // an edit that leaves every outlink where it was cannot
+        self.links_moved |= old.is_none() || old_links != links;
         let old = match old {
             Some(Entry::Resident(p)) => Some(p.tuple),
             _ => None,
@@ -614,7 +632,22 @@ impl MatStore {
     /// over the stored outlinks (resident or remembered) — zero fetches.
     /// Returns the number of pages dropped. Shared by the full refresh
     /// and the change-feed sync.
+    ///
+    /// The store owns the invariant, so callers sweep whenever their
+    /// protocol says "after this batch" and pay for a walk only when one
+    /// can drop something: every way an entry enters, leaves or changes
+    /// its outlinks ([`MatStore::put`], [`MatStore::remove`],
+    /// [`MatStore::drop_missing`], [`MatStore::download`] — so the crawl,
+    /// URLCheck, upqueries and the sync alike) notes that the link graph
+    /// moved, and while none has since the last walk the answer is 0
+    /// without looking: nothing was unreachable then and no edge or node
+    /// has changed. Evicting a payload keeps its outlinks and moves
+    /// nothing. [`StoreStats::sweeps`] counts the walks.
     pub fn sweep_unreachable(&mut self, ws: &WebScheme) -> usize {
+        if !self.links_moved {
+            return 0;
+        }
+        self.metrics.sweeps.inc();
         let mut reached = HashSet::new();
         let mut queue: VecDeque<Url> = ws.entry_points().iter().map(|e| e.url.clone()).collect();
         while let Some(url) = queue.pop_front() {
@@ -636,6 +669,8 @@ impl MatStore {
         for url in &doomed {
             self.remove(url);
         }
+        // what is left is exactly what the walk reached
+        self.links_moved = false;
         doomed.len()
     }
 

@@ -21,6 +21,14 @@
 //!    are dropped from the store, matching the full refresh's
 //!    retain-reached sweep. Their view rows were already retracted by the
 //!    deltas that removed the links, so no further propagation is needed.
+//!    The store walks only when its link graph moved since the last sweep
+//!    ([`MatStore::sweep_unreachable`]); a batch of content edits costs
+//!    nothing here.
+//!
+//! The view's cursor is registered with the site it syncs against, which
+//! keeps the feed from the cursor on and nothing before it. A view whose
+//! cursor lies below what the site still holds cannot be told what it
+//! missed; it refreshes the store in full and rebuilds every view.
 //!
 //! When needed state is gone — an evicted payload of a page that changed,
 //! an evicted follow slice that could not be prewarmed — the affected view
@@ -29,7 +37,8 @@
 //! returns `None` (the serving layer falls back to live evaluation) until
 //! a later sync rebuilds it successfully.
 
-use crate::delta::{add_row, sorted_rows, PageDelta, RowSet};
+use crate::delta::{Answer, PageDelta};
+use crate::maintain::full_refresh_report;
 use crate::ops::{compile, Ctx, OpTree};
 use crate::store::{Download, MatStore};
 use crate::{MatError, Result};
@@ -37,7 +46,7 @@ use adm::{Relation, Url, WebScheme};
 use nalg::NalgExpr;
 use obs::{EventKind, MetricsRegistry, TraceSink};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use websim::{ChangeKind, PageServer, Site, SiteChange};
+use websim::{ChangeKind, FeedCursor, FeedTrimmed, PageServer, Site, SiteChange};
 
 /// What one [`IncrementalView::apply_changes`] batch did.
 #[derive(Debug, Clone, Default)]
@@ -71,7 +80,7 @@ struct RegisteredView {
     key: String,
     expr: NalgExpr,
     tree: OpTree,
-    answer: RowSet,
+    answer: Answer,
     /// Serving is suspended (transient failure); `answer` returns `None`.
     degraded: bool,
     /// State was lost mid-batch; rebuild from the store at batch end.
@@ -84,7 +93,9 @@ struct RegisteredView {
 pub struct IncrementalView<'a> {
     ws: &'a WebScheme,
     store: MatStore,
-    cursor: u64,
+    /// Where the next sync resumes; registered with the site it syncs
+    /// against, which keeps the feed from here on and drops the rest.
+    cursor: FeedCursor,
     views: Vec<RegisteredView>,
     registry: MetricsRegistry,
     trace: Option<TraceSink>,
@@ -119,7 +130,7 @@ impl<'a> IncrementalView<'a> {
         IncrementalView {
             ws,
             store,
-            cursor: 0,
+            cursor: FeedCursor::new(0),
             views: Vec::new(),
             registry,
             trace: None,
@@ -175,14 +186,14 @@ impl<'a> IncrementalView<'a> {
 
     /// The feed cursor the next [`IncrementalView::sync`] resumes from.
     pub fn cursor(&self) -> u64 {
-        self.cursor
+        self.cursor.get()
     }
 
     /// Positions the feed cursor (typically `site.change_cursor()` taken
     /// right after [`IncrementalView::materialize`], so the crawl itself
     /// is not replayed as changes).
     pub fn set_cursor(&mut self, cursor: u64) {
-        self.cursor = cursor;
+        self.cursor.set(cursor);
     }
 
     /// Registers a query for maintenance under a lookup key, evaluating it
@@ -201,7 +212,7 @@ impl<'a> IncrementalView<'a> {
             key: key.into(),
             expr: expr.clone(),
             tree: compile(expr, self.ws, self.slice_budget)?,
-            answer: RowSet::new(),
+            answer: Answer::default(),
             degraded: false,
             needs_rebuild: false,
             rebuilds: 0,
@@ -236,14 +247,16 @@ impl<'a> IncrementalView<'a> {
     }
 
     /// The maintained answer for `key`: rows in deterministic sorted
-    /// order. `None` when no such view is registered or the view is
-    /// degraded — the caller should fall back to live evaluation.
+    /// order ([`crate::delta::row_cmp`] — the order the answer is kept
+    /// in, so a read copies and never sorts). `None` when no such view is
+    /// registered or the view is degraded — the caller should fall back
+    /// to live evaluation.
     pub fn answer(&self, key: &str) -> Option<Relation> {
         let v = self.views.iter().find(|v| v.key == key)?;
         if v.degraded {
             return None;
         }
-        Relation::from_rows(v.tree.columns.clone(), sorted_rows(&v.answer)).ok()
+        Relation::from_rows(v.tree.columns.clone(), v.answer.rows()).ok()
     }
 
     /// Total (slice evictions, slice upqueries) across every follow
@@ -282,11 +295,39 @@ impl<'a> IncrementalView<'a> {
     /// Like [`IncrementalView::sync`], fetching through `server` — pass a
     /// `resilience`-wrapped server to get retries on the delta path's
     /// fetches and upqueries.
+    ///
+    /// The first sync against a site registers this view's cursor with it
+    /// ([`Site::changes_for`]); from then on the site keeps the feed from
+    /// the cursor on and the view, by advancing it, lets the rest go. A
+    /// view whose cursor lies below what the site still holds (it came
+    /// late to a feed other readers had consumed) cannot learn what it
+    /// missed: it refreshes in full — the store re-crawled and swept,
+    /// every view rebuilt from it — and resumes from the end of the feed.
     pub fn sync_with(&mut self, site: &Site, server: &impl PageServer) -> Result<DeltaReport> {
-        let changes: Vec<SiteChange> = site.changes_since(self.cursor).to_vec();
-        let rep = self.apply_changes(server, &changes)?;
-        self.cursor = site.change_cursor();
+        let rep = match site.changes_for(&self.cursor) {
+            Ok(changes) => self.apply_changes(server, changes)?,
+            Err(FeedTrimmed { .. }) => self.refresh(server)?,
+        };
+        self.cursor.set(site.change_cursor());
         Ok(rep)
+    }
+
+    /// Brings store and views up to date without the feed: a full refresh
+    /// of the store, then every view rebuilt from it.
+    fn refresh(&mut self, server: &impl PageServer) -> Result<DeltaReport> {
+        let upq_before = self.store.stats().upqueries;
+        let (crawl, dropped) = full_refresh_report(&mut self.store, self.ws, server)?;
+        let rep = DeltaReport {
+            pages_fetched: crawl.downloaded as u64,
+            pages_dropped: dropped as u64,
+            marked_stale: self.store.stale_count() as u64,
+            failed: crawl.failed,
+            ..DeltaReport::default()
+        };
+        for v in &mut self.views {
+            v.needs_rebuild = true;
+        }
+        self.finish_batch(server, rep, upq_before)
     }
 
     /// Applies a batch of feed entries (the three-phase protocol in the
@@ -454,10 +495,23 @@ impl<'a> IncrementalView<'a> {
         }
 
         // ── phase 3: reachability sweep (store only; the link-removal
-        // deltas already retracted any affected view rows) ───────────────
+        // deltas already retracted any affected view rows). The store
+        // walks iff its link graph moved — a batch of content edits is 0
+        // without looking ───────────────────────────────────────────────
         rep.pages_dropped = self.store.sweep_unreachable(ws) as u64;
 
-        // rebuild any view whose state was lost (or that was degraded)
+        self.finish_batch(server, rep, upq_before)
+    }
+
+    /// The tail every batch shares: rebuild any view whose state was lost
+    /// (or that was degraded), close the report and count it.
+    fn finish_batch(
+        &mut self,
+        server: &impl PageServer,
+        mut rep: DeltaReport,
+        upq_before: u64,
+    ) -> Result<DeltaReport> {
+        let ws = self.ws;
         for v in self.views.iter_mut().filter(|v| v.needs_rebuild) {
             let old = std::mem::replace(&mut v.tree, compile(&v.expr, ws, self.slice_budget)?);
             match v.populate(&mut self.store, ws, server) {
@@ -531,7 +585,7 @@ impl<'a> IncrementalView<'a> {
                         } else {
                             rep.rows_removed += (-w) as u64;
                         }
-                        add_row(&mut v.answer, row, w);
+                        v.answer.add(row, w);
                     }
                 }
                 Err(e) => v.lose_state(e, rep),
@@ -579,9 +633,9 @@ impl RegisteredView {
             server,
             dirty: &HashSet::new(),
         };
-        let mut answer = RowSet::new();
+        let mut answer = Answer::default();
         for (row, w) in self.tree.root.eval(&mut cx, true)? {
-            add_row(&mut answer, row, w);
+            answer.add(row, w);
         }
         self.answer = answer;
         self.needs_rebuild = false;

@@ -348,3 +348,211 @@ fn purge_on_the_views_own_store_keeps_the_byte_account_exact() {
     assert_eq!(iv.store().stats().resident_bytes, resident as u64);
     assert!(resident <= budget);
 }
+
+/// A maintainer over `u` as it is now, the three views registered.
+fn three_views<'a>(u: &University, ws: &'a adm::WebScheme) -> IncrementalView<'a> {
+    let mut iv = IncrementalView::new(ws);
+    iv.materialize(&u.site.server).unwrap();
+    iv.set_cursor(u.site.change_cursor());
+    for (key, expr) in [
+        ("depts", dept_expr()),
+        ("profs", prof_expr()),
+        ("courses", course_expr()),
+    ] {
+        iv.register(key, key, &expr, &u.site.server).unwrap();
+    }
+    iv
+}
+
+/// [`three_views`], synced once: the store's reachability invariant is
+/// established (the crawl leaves it pending: one walk, nothing to drop).
+fn maintained<'a>(u: &University, ws: &'a adm::WebScheme) -> IncrementalView<'a> {
+    let mut iv = three_views(u, ws);
+    assert_eq!(iv.sync(&u.site).unwrap().pages_dropped, 0);
+    assert_eq!(iv.store().stats().sweeps, 1);
+    iv
+}
+
+#[test]
+fn edit_only_rounds_never_walk_the_store() {
+    let mut u = university(11);
+    let ws = u.site.scheme.clone();
+    let mut iv = maintained(&u, &ws);
+    let mut twin = MatStore::new();
+    twin.materialize(&ws, &u.site.server).unwrap();
+
+    let plan = MutationPlan::new(7)
+        .with_rule(MutationRule::edit_attr("DeptPage", "Address", 0.5))
+        .with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.3))
+        .with_rule(MutationRule::edit_attr("CoursePage", "Description", 0.2));
+    let mut edits = 0;
+    for round in 0..50 {
+        edits += plan.apply_round(&mut u.site, round).unwrap().edited_pages;
+        let rep = iv.sync(&u.site).unwrap();
+        assert_eq!(rep.pages_dropped, 0);
+    }
+    assert!(edits > 100, "{edits} edits are too few to mean anything");
+    // content moved, no link did: the one walk is still the only one
+    assert_eq!(iv.store().stats().sweeps, 1);
+    assert_eq!(
+        iv.metrics().counter("store_sweeps").get(),
+        1,
+        "counted under the dataflow prefix, beside sync_pages_dropped"
+    );
+    full_refresh(&mut twin, &ws, &u.site.server).unwrap();
+    assert_eq!(fingerprint(iv.store()), fingerprint(&twin));
+}
+
+#[test]
+fn a_batch_that_moves_a_link_walks_once_and_drops_what_a_full_refresh_drops() {
+    let mut u = university(23);
+    let ws = u.site.scheme.clone();
+    let mut iv = maintained(&u, &ws);
+    let mut twin = MatStore::new();
+    twin.materialize(&ws, &u.site.server).unwrap();
+
+    let drop_depts = MutationPlan::new(5).with_rule(MutationRule::drop_links(
+        "DeptListPage",
+        &["DeptList", "ToDept"],
+        0.5,
+    ));
+    let course = u.course_ids()[0];
+    type Step<'s> = (&'s str, Box<dyn Fn(&mut University) + 's>, usize);
+    // each batch, and how many pages it leaves unreachable: a department
+    // off the list is still linked from its professors, a course removed
+    // for good is linked from nowhere
+    let steps: [Step<'_>; 3] = [
+        (
+            "dropped links",
+            Box::new(|u| {
+                assert!(
+                    drop_depts
+                        .apply_round(&mut u.site, 0)
+                        .unwrap()
+                        .dropped_links
+                        > 0
+                );
+            }),
+            0,
+        ),
+        (
+            "a deleted page",
+            Box::new(|u| u.remove_course(course).unwrap()),
+            1,
+        ),
+        (
+            "a newly linked page",
+            Box::new(|u| {
+                u.add_course(1, "Fall", "Seminar").unwrap();
+            }),
+            0,
+        ),
+    ];
+    for (walks, (what, mutate, unreachable)) in steps.iter().enumerate() {
+        mutate(&mut u);
+        let rep = iv.sync(&u.site).unwrap();
+        assert_eq!(
+            iv.store().stats().sweeps,
+            walks as u64 + 2,
+            "{what}: exactly one walk for the batch"
+        );
+        let (_, dropped) =
+            matview::maintain::full_refresh_report(&mut twin, &ws, &u.site.server).unwrap();
+        assert_eq!(dropped, *unreachable, "{what}");
+        assert_eq!(rep.pages_dropped, dropped as u64, "{what}");
+        assert_eq!(fingerprint(iv.store()), fingerprint(&twin), "{what}");
+    }
+    // and a change-free sync after all that looks at nothing
+    iv.sync(&u.site).unwrap();
+    assert_eq!(iv.store().stats().sweeps, 4);
+}
+
+#[test]
+fn an_upquery_that_returns_other_outlinks_makes_the_next_sweep_walk() {
+    let mut u = university(3);
+    let ws = u.site.scheme.clone();
+    let mut iv = maintained(&u, &ws);
+    let list = ws.entry_point("DeptListPage").unwrap().url.clone();
+
+    // evicted and read back unchanged: the remembered outlinks are the
+    // page's outlinks, the graph stands, the sweep does not look
+    assert!(iv.evict_page(&list));
+    iv.store_mut().read(&ws, &u.site.server, &list).unwrap();
+    assert_eq!(iv.store_mut().sweep_unreachable(&ws), 0);
+    assert_eq!(iv.store().stats().sweeps, 1);
+
+    // evicted, then the live page loses links behind the store's back: the
+    // upquery brings back a version that links elsewhere
+    assert!(iv.evict_page(&list));
+    let plan = MutationPlan::new(5).with_rule(MutationRule::drop_links(
+        "DeptListPage",
+        &["DeptList", "ToDept"],
+        0.5,
+    ));
+    assert!(plan.apply_round(&mut u.site, 0).unwrap().dropped_links > 0);
+    iv.store_mut().read(&ws, &u.site.server, &list).unwrap();
+    assert_eq!(iv.store().stats().upqueries, 2);
+    iv.store_mut().sweep_unreachable(&ws);
+    assert_eq!(iv.store().stats().sweeps, 2, "the upquery moved the graph");
+    iv.store_mut().sweep_unreachable(&ws);
+    assert_eq!(iv.store().stats().sweeps, 2, "and the walk settled it");
+}
+
+#[test]
+fn a_view_that_fell_behind_the_feed_refreshes_in_full_and_rejoins_its_twin() {
+    let mut u = university(11);
+    let ws = u.site.scheme.clone();
+    let mut ahead = maintained(&u, &ws);
+    // the late view is built on the same site state, cursor and all, but
+    // never syncs — so it never registers, and the site trims past it
+    let mut late = three_views(&u, &ws);
+
+    let plan = MutationPlan::new(77)
+        .with_rule(MutationRule::edit_attr("DeptPage", "Address", 0.6))
+        .with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.5));
+    for round in 0..4 {
+        assert!(plan.apply_round(&mut u.site, round).unwrap().total() > 0);
+        if round == 1 {
+            u.remove_course(u.course_ids()[0]).unwrap();
+            u.add_course(2, "Winter", "Lab").unwrap();
+        }
+        ahead.sync(&u.site).unwrap();
+    }
+    let missed = late.cursor();
+    assert!(
+        u.site
+            .changes_for(&websim::FeedCursor::new(missed))
+            .is_err(),
+        "the feed must have been trimmed past the late view"
+    );
+
+    u.site.server.reset_stats();
+    let rep = late.sync(&u.site).unwrap();
+    assert_eq!(rep.changes_seen, 0, "no feed entry was read");
+    assert_eq!(rep.view_rebuilds, 3);
+    assert_eq!(rep.pages_fetched as usize, u.site.total_pages());
+    assert_eq!(u.site.server.stats().gets as usize, u.site.total_pages());
+    assert_eq!(fingerprint(late.store()), fingerprint(ahead.store()));
+    assert_eq!(late.cursor(), u.site.change_cursor());
+    for key in ["depts", "profs", "courses"] {
+        assert_eq!(
+            late.answer(key).unwrap().rows(),
+            ahead.answer(key).unwrap().rows(),
+            "{key}"
+        );
+    }
+
+    // from here on both follow the feed, and stay together
+    plan.apply_round(&mut u.site, 4).unwrap();
+    let (a, b) = (ahead.sync(&u.site).unwrap(), late.sync(&u.site).unwrap());
+    assert!(a.changes_seen > 0);
+    assert_eq!(a.changes_seen, b.changes_seen);
+    assert_eq!(a.pages_fetched, b.pages_fetched);
+    for key in ["depts", "profs", "courses"] {
+        assert_eq!(
+            late.answer(key).unwrap().rows(),
+            ahead.answer(key).unwrap().rows(),
+            "{key} after rejoining"
+        );
+    }
+}

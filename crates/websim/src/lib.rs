@@ -9,9 +9,9 @@
 //!   download) and `HEAD` ("light connection", Section 8) requests, atomic
 //!   access counters, per-page `Last-Modified` stamps driven by a logical
 //!   clock, and 404s;
-//! * [`html`] — a from-scratch HTML AST and writer (no external crates);
 //! * [`page`] — rendering of ADM nested tuples into real HTML documents
-//!   carrying extraction markers the `wrapper` crate parses back;
+//!   carrying extraction markers the `wrapper` crate parses back, written
+//!   front to back into one buffer (no document tree in between);
 //! * [`sitegen`] — generators for the paper's two running examples: the
 //!   **university site** of Figure 1 and a **bibliography site** modeled on
 //!   the Trier DBLP repository used in the introduction;
@@ -21,7 +21,9 @@
 //!   link/inclusion constraints for the constraint-auditing experiments,
 //!   and seeded ordinary-life mutation rounds ([`MutationPlan`]) whose
 //!   edits/deletions land in the site's [`SiteChange`] feed for
-//!   incremental view maintenance to consume;
+//!   incremental view maintenance to consume — a feed that retains what
+//!   its registered readers ([`FeedCursor`]) have not consumed yet, and
+//!   nothing else;
 //! * [`fault`] — deterministic, seed-driven fault injection ([`FaultPlan`])
 //!   for chaos testing: transient 5xx/timeouts, permanent link rot, slow
 //!   responses, and truncated bodies, all counted separately from the
@@ -29,7 +31,6 @@
 
 pub mod error;
 pub mod fault;
-pub mod html;
 pub mod mutation;
 pub mod page;
 pub mod server;
@@ -46,7 +47,7 @@ pub use server::{
     AccessSnapshot, DriftSnapshot, FaultSnapshot, HeadResponse, LatencyProfile, PageResponse,
     PageServer, VirtualServer,
 };
-pub use site::{ChangeKind, Site, SiteChange};
+pub use site::{ChangeKind, FeedCursor, FeedTrimmed, Site, SiteChange};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, WebError>;

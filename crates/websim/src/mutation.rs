@@ -22,6 +22,7 @@
 use crate::fault::decision_fraction;
 use crate::site::Site;
 use crate::Result;
+use adm::constraints::collect_values;
 use adm::{Tuple, Url, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -37,8 +38,7 @@ pub fn perturb_text_attr(
     revision: u64,
     rng: &mut StdRng,
 ) -> Result<usize> {
-    let instance = site.instance(scheme_name);
-    let mut urls: Vec<_> = instance.iter().map(|(u, _)| u.clone()).collect();
+    let mut urls: Vec<Url> = site.pages(scheme_name).map(|(u, _)| u.clone()).collect();
     urls.shuffle(rng);
     let n = ((urls.len() as f64) * fraction).round() as usize;
     let mut touched = 0;
@@ -176,32 +176,31 @@ impl DriftPlan {
     pub fn apply(&self, site: &mut Site) -> Result<DriftReport> {
         let mut report = DriftReport::default();
         for (i, rule) in self.rules.iter().enumerate() {
-            for (url, tuple) in site.instance(&rule.scheme) {
-                let drifted = match &rule.kind {
+            // A borrowed walk decides; only a drifted page is copied.
+            let mut drifted: Vec<(Url, Tuple)> = Vec::new();
+            for (url, tuple) in site.pages(&rule.scheme) {
+                match &rule.kind {
                     DriftKind::PerturbAttr { attr } => {
-                        if !self.drifts_page(i, &url) {
-                            continue;
+                        if self.drifts_page(i, url) {
+                            report.perturbed_pages += 1;
+                            drifted
+                                .push((url.clone(), drift_attr(tuple, attr, self.seed, i as u64)));
                         }
-                        report.perturbed_pages += 1;
-                        drift_attr(&tuple, attr, self.seed, i as u64)
                     }
                     DriftKind::DropLinks { path } => {
-                        let (t, dropped) = drop_links(&tuple, path, &|u: &Url| {
+                        let dropped = drop_links(tuple, path, &|u: &Url| {
                             decision_fraction(self.seed, i as u64, u, u64::MAX) < rule.rate
                         });
-                        if dropped == 0 {
-                            continue;
+                        if let Some((t, dropped)) = dropped {
+                            report.dropped_links += dropped;
+                            drifted.push((url.clone(), t));
                         }
-                        report.dropped_links += dropped;
-                        t
                     }
-                };
-                site.republish(
-                    &rule.scheme,
-                    url,
-                    drifted,
-                    &format!("{} (drift)", rule.scheme),
-                )?;
+                }
+            }
+            let title = format!("{} (drift)", rule.scheme);
+            for (url, tuple) in drifted {
+                site.republish(&rule.scheme, url, tuple, &title)?;
             }
         }
         if report.total() > 0 {
@@ -347,38 +346,42 @@ impl MutationPlan {
     pub fn apply_round(&self, site: &mut Site, round: u64) -> Result<MutationReport> {
         let mut report = MutationReport::default();
         for (i, rule) in self.rules.iter().enumerate() {
-            for (url, tuple) in site.instance(&rule.scheme) {
+            // A borrowed walk decides per URL; only a chosen page is
+            // copied, with what to republish (`None`: unpublish). A rule
+            // touches no page but the chosen one, so deciding first and
+            // applying after, in the same URL order, is the same round.
+            let mut chosen: Vec<(Url, Option<Tuple>)> = Vec::new();
+            for (url, tuple) in site.pages(&rule.scheme) {
                 match &rule.kind {
                     MutationKind::EditAttr { attr } => {
-                        if !self.mutates_page(i, &url, round) {
-                            continue;
+                        if self.mutates_page(i, url, round) {
+                            report.edited_pages += 1;
+                            let edited = edit_attr(tuple, attr, self.seed, i as u64, round);
+                            chosen.push((url.clone(), Some(edited)));
                         }
-                        report.edited_pages += 1;
-                        let edited = edit_attr(&tuple, attr, self.seed, i as u64, round);
-                        site.republish(
-                            &rule.scheme,
-                            url,
-                            edited,
-                            &format!("{} (edit)", rule.scheme),
-                        )?;
                     }
                     MutationKind::DropLinks { path } => {
-                        let (t, dropped) = drop_links(&tuple, path, &|u: &Url| {
+                        let dropped = drop_links(tuple, path, &|u: &Url| {
                             decision_fraction(self.seed, i as u64, u, round) < rule.rate
                         });
-                        if dropped == 0 {
-                            continue;
+                        if let Some((t, dropped)) = dropped {
+                            report.dropped_links += dropped;
+                            chosen.push((url.clone(), Some(t)));
                         }
-                        report.dropped_links += dropped;
-                        site.republish(&rule.scheme, url, t, &format!("{} (edit)", rule.scheme))?;
                     }
                     MutationKind::Delete => {
-                        if !self.mutates_page(i, &url, round) {
-                            continue;
+                        if self.mutates_page(i, url, round) {
+                            chosen.push((url.clone(), None));
                         }
-                        if site.unpublish(&rule.scheme, &url) {
-                            report.deleted_pages += 1;
-                        }
+                    }
+                }
+            }
+            let title = format!("{} (edit)", rule.scheme);
+            for (url, edited) in chosen {
+                match edited {
+                    Some(tuple) => site.republish(&rule.scheme, url, tuple, &title)?,
+                    None => {
+                        report.deleted_pages += u64::from(site.unpublish(&rule.scheme, &url));
                     }
                 }
             }
@@ -436,8 +439,16 @@ fn drift_attr(t: &Tuple, attr: &str, seed: u64, rule: u64) -> Tuple {
 
 /// Removes links chosen by `decide` at `path`: rows of a link collection
 /// are dropped whole; a top-level link is set to null. Returns the new
-/// tuple and the number of links removed.
-fn drop_links(t: &Tuple, path: &[String], decide: &dyn Fn(&Url) -> bool) -> (Tuple, u64) {
+/// tuple and the number of links removed, or `None` — without copying
+/// anything — when `decide` chooses no link of this tuple.
+fn drop_links(t: &Tuple, path: &[String], decide: &dyn Fn(&Url) -> bool) -> Option<(Tuple, u64)> {
+    collect_values(t, path)
+        .into_iter()
+        .any(|v| matches!(v, Value::Link(u) if decide(u)))
+        .then(|| rebuild_without(t, path, decide))
+}
+
+fn rebuild_without(t: &Tuple, path: &[String], decide: &dyn Fn(&Url) -> bool) -> (Tuple, u64) {
     let Some((first, rest)) = path.split_first() else {
         return (t.clone(), 0);
     };
@@ -469,7 +480,7 @@ fn drop_links(t: &Tuple, path: &[String], decide: &dyn Fn(&Url) -> bool) -> (Tup
                     }
                     kept.push(row);
                 } else {
-                    let (nr, d) = drop_links(&row, rest, decide);
+                    let (nr, d) = rebuild_without(&row, rest, decide);
                     dropped += d;
                     kept.push(nr);
                 }

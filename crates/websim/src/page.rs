@@ -17,112 +17,149 @@
 //! applied to pages in order to access attribute values": the wrapper crate
 //! actually parses these documents back into nested tuples.
 
-use crate::html::{document, el, Element, Node};
 use adm::{Field, PageScheme, Tuple, Value, WebType};
 
-/// Renders one attribute value. Returns `None` for nulls (nothing emitted).
-fn render_value(field: &Field, value: &Value) -> Option<Node> {
-    match (&field.ty, value) {
-        (_, Value::Null) => None,
-        (WebType::Text, Value::Text(s)) => Some(
-            el("span")
-                .attr("class", "adm-attr")
-                .attr("data-attr", &field.name)
-                .text(s.clone())
-                .into(),
-        ),
-        (WebType::Image, Value::Text(src)) => Some(
-            el("img")
-                .attr("class", "adm-attr")
-                .attr("data-attr", &field.name)
-                .attr("src", src.clone())
-                .into(),
-        ),
-        (WebType::Link { .. }, Value::Link(u)) => Some(
-            el("a")
-                .attr("class", "adm-attr")
-                .attr("data-attr", &field.name)
-                .attr("href", u.as_str())
-                .text("link")
-                .into(),
-        ),
-        (WebType::List(inner), Value::List(rows)) => {
-            // Real sites mix markup styles; lists render as <ul> or as
-            // <table>, chosen deterministically per attribute name. The
-            // wrapper keys on the adm-list/adm-row classes, not the tags.
-            let tabular = field.name.len().is_multiple_of(2);
-            let (list_tag, row_tag) = if tabular {
-                ("table", "tr")
-            } else {
-                ("ul", "li")
+/// The page under construction: markup is pushed as written, content goes
+/// through the escaping writers, nothing is built in between.
+struct Html {
+    out: String,
+}
+
+impl Html {
+    fn raw(&mut self, markup: &str) {
+        self.out.push_str(markup);
+    }
+
+    /// Text content: `&`, `<`, `>` escaped.
+    fn text(&mut self, s: &str) {
+        self.escaped(s, false);
+    }
+
+    /// ` name="value"`, the value escaped like text plus `"`.
+    fn attr(&mut self, name: &str, value: &str) {
+        self.out.push(' ');
+        self.out.push_str(name);
+        self.out.push_str("=\"");
+        self.escaped(value, true);
+        self.out.push('"');
+    }
+
+    /// Copies `s` in runs between the characters that need an entity.
+    fn escaped(&mut self, s: &str, quotes: bool) {
+        let mut from = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let entity = match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' if quotes => "&quot;",
+                _ => continue,
             };
-            let mut list = el(list_tag)
-                .attr("class", "adm-list")
-                .attr("data-attr", &field.name);
-            for row in rows {
-                let mut item = el(row_tag).attr("class", "adm-row");
-                if tabular {
-                    let mut cell = el("td");
-                    for node in render_fields(inner, row) {
-                        cell = cell.child(node);
-                    }
-                    item = item.child(cell);
-                } else {
-                    for node in render_fields(inner, row) {
-                        item = item.child(node);
-                    }
-                }
-                list = list.child(item);
+            self.out.push_str(&s[from..i]);
+            self.out.push_str(entity);
+            from = i + 1;
+        }
+        self.out.push_str(&s[from..]);
+    }
+
+    /// `<tag class="adm-…" data-attr="name"`, left open for more attributes.
+    fn open_marked(&mut self, tag: &str, class: &str, name: &str) {
+        self.out.push('<');
+        self.out.push_str(tag);
+        self.attr("class", class);
+        self.attr("data-attr", name);
+    }
+
+    /// Renders one non-null attribute value.
+    fn value(&mut self, field: &Field, value: &Value) {
+        match (&field.ty, value) {
+            (WebType::Text, Value::Text(s)) => {
+                self.open_marked("span", "adm-attr", &field.name);
+                self.raw(">");
+                self.text(s);
+                self.raw("</span>");
             }
-            Some(list.into())
+            (WebType::Image, Value::Text(src)) => {
+                self.open_marked("img", "adm-attr", &field.name);
+                self.attr("src", src);
+                self.raw(">");
+            }
+            (WebType::Link { .. }, Value::Link(u)) => {
+                self.open_marked("a", "adm-attr", &field.name);
+                self.attr("href", u.as_str());
+                self.raw(">link</a>");
+            }
+            (WebType::List(inner), Value::List(rows)) => {
+                // Real sites mix markup styles; lists render as <ul> or as
+                // <table>, chosen deterministically per attribute name. The
+                // wrapper keys on the adm-list/adm-row classes, not the tags.
+                let tabular = field.name.len().is_multiple_of(2);
+                let (list_tag, row_open, row_close) = if tabular {
+                    ("table", "<tr class=\"adm-row\"><td>", "</td></tr>")
+                } else {
+                    ("ul", "<li class=\"adm-row\">", "</li>")
+                };
+                self.open_marked(list_tag, "adm-list", &field.name);
+                self.raw(">");
+                for row in rows {
+                    self.raw(row_open);
+                    self.fields(inner, row);
+                    self.raw(row_close);
+                }
+                self.raw("</");
+                self.raw(list_tag);
+                self.raw(">");
+            }
+            // Mismatches should never be produced by the generators; render a
+            // comment so they are visible (and wrapping will report the miss).
+            _ => {
+                self.raw("<!-- type mismatch for attribute ");
+                self.raw(&field.name.replace("--", "- -"));
+                self.raw(" -->");
+            }
         }
-        // Mismatches should never be produced by the generators; render a
-        // comment so they are visible (and wrapping will report the miss).
-        _ => Some(Node::Comment(format!(
-            "type mismatch for attribute {}",
-            field.name
-        ))),
+    }
+
+    /// Renders all fields of a tuple, in scheme order, with labels.
+    fn fields(&mut self, fields: &[Field], tuple: &Tuple) {
+        for f in fields {
+            match tuple.get(&f.name) {
+                None | Some(Value::Null) => {}
+                Some(v) => {
+                    // A human-readable label before the value, as real pages have.
+                    self.raw("<b>");
+                    self.text(&f.name);
+                    self.raw(": </b>");
+                    self.value(f, v);
+                    self.raw("<br>");
+                }
+            }
+        }
     }
 }
 
-/// Renders all fields of a tuple, in scheme order, with labels.
-fn render_fields(fields: &[Field], tuple: &Tuple) -> Vec<Node> {
-    let mut out = Vec::new();
-    for f in fields {
-        let v = tuple.get(&f.name).unwrap_or(&Value::Null);
-        if let Some(node) = render_value(f, v) {
-            // A human-readable label before the value, as real pages have.
-            out.push(el("b").text(format!("{}: ", f.name)).into());
-            out.push(node);
-            out.push(el("br").into());
-        }
-    }
-    out
-}
-
-/// Renders a full page for a tuple of the given page-scheme.
+/// Renders a full page for a tuple of the given page-scheme: a complete
+/// HTML document with a title and generator comment, written front to back
+/// into one buffer.
 pub fn render_page(scheme: &PageScheme, tuple: &Tuple, title: &str) -> String {
-    let chrome_top = el("div")
-        .attr("class", "chrome")
-        .child(el("h1").text(title.to_string()))
-        .child(
-            el("p")
-                .attr("class", "nav")
-                .text("Home | About | Search | Help"),
-        )
-        .child(el("hr"));
-    let mut content = el("div")
-        .attr("class", "adm-page")
-        .attr("data-scheme", &scheme.name);
-    for node in render_fields(&scheme.fields, tuple) {
-        content = content.child(node);
-    }
-    let footer = el("div")
-        .attr("class", "chrome footer")
-        .child(el("hr"))
-        .child(el("small").text("Maintained by the webmaster. Last generated automatically."));
-    let body: Element = el("body").child(chrome_top).child(content).child(footer);
-    document(title, body)
+    let mut h = Html {
+        out: String::with_capacity(1024 + 2 * tuple.approx_bytes()),
+    };
+    h.raw("<!DOCTYPE html>\n<!-- generated by websim -->\n<html><head><title>");
+    h.text(title);
+    h.raw("</title><meta charset=\"utf-8\"></head><body><div class=\"chrome\"><h1>");
+    h.text(title);
+    h.raw(
+        "</h1><p class=\"nav\">Home | About | Search | Help</p><hr></div><div class=\"adm-page\"",
+    );
+    h.attr("data-scheme", &scheme.name);
+    h.raw(">");
+    h.fields(&scheme.fields, tuple);
+    h.raw(
+        "</div><div class=\"chrome footer\"><hr><small>Maintained by the webmaster. \
+         Last generated automatically.</small></div></body></html>\n",
+    );
+    h.out
 }
 
 #[cfg(test)]
@@ -180,6 +217,34 @@ mod tests {
         let html = render_page(&prof_scheme(), &prof_tuple(), "Prof");
         assert!(html.contains("Databases &lt;advanced&gt;"));
         assert!(!html.contains("Databases <advanced>"));
+    }
+
+    #[test]
+    fn escaping_copies_runs_and_replaces_only_what_it_must() {
+        let mut h = Html { out: String::new() };
+        h.text("a<b & c>d \"q\" é");
+        h.attr("title", "say \"hi\" & <go>");
+        assert_eq!(
+            h.out,
+            "a&lt;b &amp; c&gt;d \"q\" é title=\"say &quot;hi&quot; &amp; &lt;go&gt;\""
+        );
+    }
+
+    #[test]
+    fn document_has_doctype_escaped_title_and_closed_body() {
+        let html = render_page(&prof_scheme(), &prof_tuple(), "Hello & Co");
+        assert!(html.starts_with("<!DOCTYPE html>\n<!-- generated by websim -->\n<html><head>"));
+        assert!(html.contains("<title>Hello &amp; Co</title><meta charset=\"utf-8\">"));
+        assert!(html.contains("<h1>Hello &amp; Co</h1>"));
+        assert!(html.ends_with("</div></body></html>\n"));
+    }
+
+    #[test]
+    fn a_type_mismatch_renders_as_a_safe_comment() {
+        let scheme = PageScheme::new("P", vec![Field::text("A--B")]).unwrap();
+        let t = Tuple::new().with("A--B", Value::link("/x.html"));
+        let html = render_page(&scheme, &t, "P");
+        assert!(html.contains("<!-- type mismatch for attribute A- -B -->"));
     }
 
     #[test]

@@ -12,7 +12,11 @@ use crate::server::VirtualServer;
 use crate::Result;
 use adm::constraints::{verify_inclusion_constraint, verify_link_constraint, Violation};
 use adm::{Tuple, Url, WebScheme};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 /// What happened to one page, as recorded in the site's change feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +33,8 @@ pub enum ChangeKind {
 /// maintenance process can subscribe to instead of re-crawling the world.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteChange {
-    /// Position in the feed (0-based, dense).
+    /// Position in the feed (0-based, dense, absolute: trimming the feed
+    /// never renumbers it).
     pub seq: u64,
     /// The page-scheme of the affected page.
     pub scheme: String,
@@ -38,6 +43,57 @@ pub struct SiteChange {
     /// What happened.
     pub kind: ChangeKind,
 }
+
+/// A registered reader's position in a site's change feed: the `seq` of
+/// the first entry it has not consumed.
+///
+/// The site keeps every entry at or after the lowest registered cursor and
+/// drops the rest, so a reader owns its cursor and the site only watches it:
+/// [`Site::changes_for`] registers the cursor on first use, the reader
+/// [`set`](FeedCursor::set)s it forward once a batch is applied, and dropping
+/// the `FeedCursor` releases the hold (the site keeps a `Weak`).
+#[derive(Debug, Default)]
+pub struct FeedCursor(Arc<AtomicU64>);
+
+impl FeedCursor {
+    /// A cursor at `at` (typically [`Site::change_cursor`]).
+    pub fn new(at: u64) -> Self {
+        FeedCursor(Arc::new(AtomicU64::new(at)))
+    }
+
+    /// The `seq` of the first entry not consumed yet.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::SeqCst)
+    }
+
+    /// Moves the cursor; everything below it may be dropped by the site.
+    pub fn set(&self, at: u64) {
+        self.0.store(at, Ordering::SeqCst);
+    }
+}
+
+/// A reader asked for feed entries the site no longer holds: the feed keeps
+/// only what its registered readers have not consumed. The reader cannot
+/// catch up from the feed and must refresh in full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FeedTrimmed {
+    /// The cursor the reader asked from.
+    pub cursor: u64,
+    /// The `seq` of the oldest entry still retained.
+    pub retained_from: u64,
+}
+
+impl fmt::Display for FeedTrimmed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "change feed trimmed: asked from {}, retained from {}",
+            self.cursor, self.retained_from
+        )
+    }
+}
+
+impl std::error::Error for FeedTrimmed {}
 
 /// A generated web site.
 #[derive(Debug)]
@@ -52,10 +108,14 @@ pub struct Site {
     /// from. This is the generator's knowledge, *not* available to the
     /// query engine (which must navigate and wrap).
     instances: BTreeMap<String, BTreeMap<Url, Tuple>>,
-    /// Append-only change feed: every publish/republish/unpublish since
-    /// the site was created, in order. Readers keep a cursor
-    /// ([`Site::change_cursor`]) and poll [`Site::changes_since`].
+    /// The retained suffix of the change feed: every publish, republish
+    /// and unpublish with `seq >= trimmed`, in order.
     changes: Vec<SiteChange>,
+    /// Feed entries dropped so far = the `seq` of `changes[0]`.
+    trimmed: u64,
+    /// The cursors of the registered readers; a dead `Weak` is a reader
+    /// that went away.
+    readers: Mutex<Vec<Weak<AtomicU64>>>,
 }
 
 impl Site {
@@ -67,30 +127,95 @@ impl Site {
             server: VirtualServer::new(),
             instances: BTreeMap::new(),
             changes: Vec::new(),
+            trimmed: 0,
+            readers: Mutex::new(Vec::new()),
         }
     }
 
+    /// Appends to the feed, first dropping the prefix every registered
+    /// reader has consumed: the feed holds what some reader still needs
+    /// (everything, while nobody is registered), not the site's history.
     fn record_change(&mut self, scheme: &str, url: Url, kind: ChangeKind) {
-        let seq = self.changes.len() as u64;
+        let mut lowest: Option<u64> = None;
+        self.readers.get_mut().retain(|reader| {
+            let Some(cursor) = reader.upgrade() else {
+                return false;
+            };
+            let at = cursor.load(Ordering::SeqCst);
+            lowest = Some(lowest.map_or(at, |l| l.min(at)));
+            true
+        });
+        if let Some(lowest) = lowest {
+            let consumed = lowest.saturating_sub(self.trimmed) as usize;
+            let consumed = consumed.min(self.changes.len());
+            self.changes.drain(..consumed);
+            self.trimmed += consumed as u64;
+        }
         self.changes.push(SiteChange {
-            seq,
+            seq: self.change_cursor(),
             scheme: scheme.to_string(),
             url,
             kind,
         });
     }
 
-    /// The current end-of-feed cursor. `changes_since(change_cursor())` is
-    /// always empty; take a cursor *before* mutating and the slice after
-    /// covers exactly those mutations.
+    /// The current end-of-feed cursor: the `seq` the next change will get,
+    /// counted from the site's creation whatever has been trimmed since.
+    /// `changes_since(change_cursor())` is always empty; take a cursor
+    /// *before* mutating and the slice after covers exactly those mutations.
     pub fn change_cursor(&self) -> u64 {
-        self.changes.len() as u64
+        self.trimmed + self.changes.len() as u64
     }
 
-    /// Every change recorded at or after `cursor`, in feed order.
+    /// The retained feed from `cursor` on, or `None` when entries at or
+    /// after `cursor` have been dropped.
+    fn retained_since(&self, cursor: u64) -> Option<&[SiteChange]> {
+        let at = cursor.checked_sub(self.trimmed)? as usize;
+        Some(&self.changes[at.min(self.changes.len())..])
+    }
+
+    /// Every change recorded at or after `cursor`, in feed order — the
+    /// unregistered read: a bare `u64` holds nothing back, which is only
+    /// sound while no [`FeedCursor`] is registered (nothing is trimmed
+    /// then). A cursor past the end is an empty slice.
+    ///
+    /// # Panics
+    ///
+    /// If `cursor` lies below the retained feed. A reader that shares the
+    /// site with registered ones must register too
+    /// ([`Site::changes_for`], which reports that case as an error).
     pub fn changes_since(&self, cursor: u64) -> &[SiteChange] {
-        let at = (cursor as usize).min(self.changes.len());
-        &self.changes[at..]
+        self.retained_since(cursor).unwrap_or_else(|| {
+            panic!(
+                "changes_since({cursor}): the feed was trimmed to {} by a registered reader",
+                self.trimmed
+            )
+        })
+    }
+
+    /// Every change at or after the reader's cursor, in feed order. The
+    /// first call registers the cursor with this site: from then on the
+    /// feed keeps what the reader has not consumed, and only that.
+    ///
+    /// A reader that starts below the retained feed (it registered after
+    /// another reader had let the site trim) gets [`FeedTrimmed`] — the
+    /// changes it missed are gone, so the answer is a full refresh, never
+    /// a shorter slice.
+    pub fn changes_for(
+        &self,
+        reader: &FeedCursor,
+    ) -> std::result::Result<&[SiteChange], FeedTrimmed> {
+        {
+            let mut readers = self.readers.lock();
+            if !readers.iter().any(|r| r.as_ptr() == Arc::as_ptr(&reader.0)) {
+                readers.push(Arc::downgrade(&reader.0));
+            }
+        }
+        let cursor = reader.get();
+        self.retained_since(cursor).ok_or(FeedTrimmed {
+            cursor,
+            retained_from: self.trimmed,
+        })
     }
 
     /// Validates, renders, and publishes a page; records ground truth.
@@ -151,12 +276,18 @@ impl Site {
         existed
     }
 
-    /// The ground-truth instance of a page-scheme, URL-ordered.
+    /// The ground-truth pages of a page-scheme, URL-ordered and borrowed:
+    /// the walk for anything that reads many pages and keeps few.
+    pub fn pages(&self, scheme_name: &str) -> impl Iterator<Item = (&Url, &Tuple)> {
+        self.instances.get(scheme_name).into_iter().flatten()
+    }
+
+    /// The ground-truth instance of a page-scheme, URL-ordered — an owned
+    /// copy of every [`Site::pages`] entry.
     pub fn instance(&self, scheme_name: &str) -> Vec<(Url, Tuple)> {
-        self.instances
-            .get(scheme_name)
-            .map(|m| m.iter().map(|(u, t)| (u.clone(), t.clone())).collect())
-            .unwrap_or_default()
+        self.pages(scheme_name)
+            .map(|(u, t)| (u.clone(), t.clone()))
+            .collect()
     }
 
     /// The ground-truth tuple for one URL, if published.
@@ -186,14 +317,18 @@ impl Site {
             let Some(target) = link_field.ty.link_target() else {
                 continue;
             };
-            let source = self.instance(&c.link.scheme);
-            let tgt = self.instance(target);
-            out.extend(verify_link_constraint(c, &source, &tgt));
+            out.extend(verify_link_constraint(
+                c,
+                self.pages(&c.link.scheme),
+                self.pages(target),
+            ));
         }
         for c in self.scheme.inclusion_constraints() {
-            let sub = self.instance(&c.sub.scheme);
-            let sup = self.instance(&c.sup.scheme);
-            out.extend(verify_inclusion_constraint(c, &sub, &sup));
+            out.extend(verify_inclusion_constraint(
+                c,
+                self.pages(&c.sub.scheme),
+                self.pages(&c.sup.scheme),
+            ));
         }
         out
     }
@@ -349,6 +484,101 @@ mod tests {
         assert_eq!(s.change_cursor(), 3);
         // cursor past the end is an empty slice, not a panic
         assert!(s.changes_since(99).is_empty());
+    }
+
+    /// One feed entry: an edit of the one item page.
+    fn edit(s: &mut Site, n: u64) {
+        let t = Tuple::new().with("Name", format!("v{n}"));
+        s.republish("ItemPage", Url::new("/i1.html"), t, "t")
+            .unwrap();
+    }
+
+    #[test]
+    fn a_registered_reader_bounds_the_feed_to_what_it_has_not_consumed() {
+        let mut s = mini_site();
+        // nobody registered: nothing is trimmed, history reads from 0
+        for n in 0..10 {
+            edit(&mut s, n);
+        }
+        assert_eq!(s.changes_since(0).len(), 10);
+
+        let reader = FeedCursor::new(s.change_cursor());
+        assert!(s.changes_for(&reader).unwrap().is_empty());
+        for round in 0..1_000u64 {
+            for n in 0..3 {
+                edit(&mut s, n);
+            }
+            let batch = s.changes_for(&reader).unwrap();
+            assert_eq!(batch.len(), 3);
+            // seq and cursors stay absolute whatever was trimmed
+            assert_eq!(batch[0].seq, 10 + 3 * round);
+            assert_eq!(batch[0].seq, reader.get());
+            reader.set(s.change_cursor());
+            assert!(s.changes.len() <= 3, "round {round}: {}", s.changes.len());
+        }
+        assert_eq!(s.change_cursor(), 10 + 3_000);
+        assert!(s.changes_since(s.change_cursor()).is_empty());
+    }
+
+    #[test]
+    fn the_slowest_live_reader_holds_the_feed_and_a_dropped_one_lets_go() {
+        let mut s = mini_site();
+        let fast = FeedCursor::new(0);
+        let slow = FeedCursor::new(0);
+        for round in 0..5 {
+            for n in 0..3 {
+                edit(&mut s, n);
+            }
+            s.changes_for(&slow).unwrap(); // registers, consumes nothing
+            s.changes_for(&fast).unwrap();
+            fast.set(s.change_cursor());
+            assert_eq!(s.changes.len(), 3 * (round + 1), "slow reader holds all");
+        }
+        assert_eq!(s.changes_for(&slow).unwrap().len(), 15);
+        // the slow reader catches up to 9: the next change trims below it
+        slow.set(9);
+        edit(&mut s, 0);
+        assert_eq!(s.changes_for(&slow).unwrap().len(), 7);
+        assert_eq!(s.changes.len(), 7);
+        // the slow reader goes away: only the fast one (at 15) counts
+        drop(slow);
+        edit(&mut s, 1);
+        assert_eq!(s.changes.len(), 2);
+        assert_eq!(s.changes_for(&fast).unwrap()[0].seq, 15);
+        // nobody left: the feed grows again, nothing is trimmed
+        drop(fast);
+        for n in 0..10 {
+            edit(&mut s, n);
+        }
+        assert_eq!(s.changes.len(), 12);
+    }
+
+    #[test]
+    fn a_cursor_below_the_retained_feed_is_an_error_not_a_shorter_slice() {
+        let mut s = mini_site();
+        let reader = FeedCursor::new(0);
+        for n in 0..4 {
+            edit(&mut s, n);
+        }
+        s.changes_for(&reader).unwrap();
+        reader.set(s.change_cursor());
+        edit(&mut s, 4); // trims 0..4
+        let late = FeedCursor::new(2);
+        assert_eq!(
+            s.changes_for(&late),
+            Err(FeedTrimmed {
+                cursor: 2,
+                retained_from: 4
+            })
+        );
+        // it registered all the same: from the end of the feed it reads on
+        late.set(s.change_cursor());
+        edit(&mut s, 5);
+        assert_eq!(s.changes_for(&late).unwrap().len(), 1);
+        // the unregistered read refuses the same way, loudly
+        let unregistered =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.changes_since(2).len()));
+        assert!(unregistered.is_err());
     }
 
     #[test]
