@@ -131,6 +131,22 @@ fn placeholder() -> Symbol {
 }
 
 impl ColumnRel {
+    /// A one-column relation of non-null links, from ids already interned —
+    /// the URL column of a page-relation, whose URLs the evaluator holds as
+    /// symbols before any page arrives.
+    pub fn of_links(name: Symbol, ids: Vec<Symbol>) -> Self {
+        let mut validity = Bitmap::new();
+        validity.push_valid_n(ids.len());
+        ColumnRel {
+            names: vec![name],
+            len: ids.len(),
+            cols: vec![Column {
+                data: ColumnData::Link(ids),
+                validity,
+            }],
+        }
+    }
+
     /// An empty relation with the given header.
     pub fn empty<S: AsRef<str>>(names: &[S]) -> Self {
         ColumnRel {
@@ -248,11 +264,12 @@ impl ColumnRel {
         }
     }
 
-    /// Materializes row `r` as a [`Tuple`] over the column names.
+    /// Materializes row `r` as a [`Tuple`] over the column names (symbols
+    /// on both sides: no name is copied).
     pub fn tuple_at(&self, row: usize) -> Tuple {
         Tuple::from_pairs(
             (0..self.cols.len())
-                .map(|c| (self.names[c].as_str().to_string(), self.value_at(row, c)))
+                .map(|c| (self.names[c], self.value_at(row, c)))
                 .collect(),
         )
     }
@@ -360,8 +377,8 @@ fn encode_value(v: &Value, out: &mut Vec<u64>) {
             for t in ts {
                 out.push(4);
                 out.push(t.len() as u64);
-                for (n, v) in t.iter() {
-                    out.push(Symbol::intern(n).id() as u64);
+                for (n, v) in t.fields() {
+                    out.push(n.id() as u64);
                     encode_value(v, out);
                 }
             }
@@ -977,38 +994,34 @@ impl BuildCol {
                 Value::List(ts),
             ) => {
                 // The child schema is fixed by the first inner tuple; any
-                // tuple with different field names degrades the column.
-                let compatible = match child {
-                    None => true,
-                    Some(cb) => ts.iter().all(|t| {
-                        t.len() == cb.names.len()
-                            && t.names().zip(cb.names.iter()).all(|(n, s)| n == s.as_str())
-                    }),
+                // tuple with different field names (compared by id) degrades
+                // the column.
+                let names_are = |t: &Tuple, names: &[Symbol]| {
+                    t.len() == names.len() && t.fields().iter().zip(names).all(|((n, _), s)| n == s)
+                };
+                let compatible = match (&*child, ts.first()) {
+                    (Some(cb), _) => ts.iter().all(|t| names_are(t, &cb.names)),
+                    (None, Some(first)) => {
+                        let names: Vec<Symbol> = first.fields().iter().map(|(n, _)| *n).collect();
+                        let all = ts.iter().all(|t| names_are(t, &names));
+                        if all {
+                            *child = Some(Box::new(ColumnRelBuilder::from_symbols(names)));
+                        }
+                        all
+                    }
+                    (None, None) => true,
                 };
                 if !compatible {
                     self.degrade().push(v.clone());
                     return;
                 }
-                if child.is_none() {
-                    if let Some(first) = ts.first() {
-                        let names: Vec<Symbol> = first.names().map(Symbol::intern).collect();
-                        // Re-check remaining tuples against the new schema.
-                        if !ts.iter().all(|t| {
-                            t.len() == names.len()
-                                && t.names().zip(names.iter()).all(|(n, s)| n == s.as_str())
-                        }) {
-                            self.degrade().push(v.clone());
-                            return;
-                        }
-                        *child = Some(Box::new(ColumnRelBuilder::from_symbols(names)));
-                    }
-                }
                 if let Some(cb) = child {
-                    let mut buf: Vec<Value> = Vec::with_capacity(cb.names.len());
+                    // Inner cells go in by reference, arity checked above.
                     for t in ts {
-                        buf.clear();
-                        buf.extend(t.iter().map(|(_, v)| v.clone()));
-                        cb.push_row(&buf).expect("checked arity");
+                        for (c, (_, v)) in cb.cols.iter_mut().zip(t.fields()) {
+                            c.push(v);
+                        }
+                        cb.len += 1;
                     }
                 }
                 offsets.push(match child {
@@ -1107,16 +1120,26 @@ impl ColumnRelBuilder {
         self.len == 0
     }
 
-    /// Appends one row (arity-checked). Values are read by reference: text
-    /// and link payloads are interned, not cloned.
-    pub fn push_row(&mut self, row: &[Value]) -> Result<()> {
+    /// Appends one row (arity-checked) from borrowed cells: a `&[Value]`,
+    /// or any exact-size iterator of `&Value` — [`Tuple::values`] of a
+    /// wrapped page, say — so the caller never builds a row of clones to
+    /// hand over. Nothing is copied on the way in: text and link
+    /// payloads are interned, nested lists are appended to the child
+    /// columns cell by cell. Only a column that has degraded to
+    /// [`ColumnData::Values`] stores a clone.
+    pub fn push_row<'v, I>(&mut self, row: I) -> Result<()>
+    where
+        I: IntoIterator<Item = &'v Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let row = row.into_iter();
         if row.len() != self.cols.len() {
             return Err(AdmError::ArityMismatch {
                 expected: self.cols.len(),
                 found: row.len(),
             });
         }
-        for (c, v) in self.cols.iter_mut().zip(row.iter()) {
+        for (c, v) in self.cols.iter_mut().zip(row) {
             c.push(v);
         }
         self.len += 1;

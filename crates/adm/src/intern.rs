@@ -5,8 +5,23 @@
 //! clones into `u32` copies. The arena leaks its strings (`&'static str`),
 //! which is bounded by the working vocabulary of a process — attribute
 //! names, scheme names, and the distinct URLs it has touched — and lets
-//! [`Symbol::as_str`] hand out references without lifetimes or locks on the
-//! read path.
+//! [`Symbol::as_str`] hand out references without lifetimes.
+//!
+//! # Two structures, one lock
+//!
+//! *string → id* is a hash map behind a lock: [`Symbol::intern`] and
+//! [`Symbol::lookup`] read it shared, and only a string met for the first
+//! time takes it exclusively. *id → string* is an append-only table of
+//! write-once slots — leaves of 1024 under a directory that grows in
+//! doubling chunks, so nothing ever moves — which [`Symbol::as_str`] reads
+//! with no lock at all. A writer, under the exclusive lock, stores in this
+//! order: the string's **slot**, then the **map** entry, then the
+//! **length**. A symbol is only ever handed out after its slot is set, so
+//! a reader that holds one finds its string; and because the length is
+//! the last store, a writer that dies between two of them leaves a slot
+//! the length does not count yet, which the next writer adopts — a
+//! poisoned lock is therefore recovered, never propagated, and nothing in
+//! this module panics.
 //!
 //! # Determinism
 //!
@@ -18,7 +33,8 @@
 use crate::url::Url;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// An interned string: a `u32` id into the global arena.
 ///
@@ -28,38 +44,90 @@ use std::sync::{OnceLock, RwLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-struct Arena {
-    map: HashMap<&'static str, u32>,
-    strs: Vec<&'static str>,
+/// One write-once entry of the id → string table.
+type Slot = OnceLock<&'static str>;
+
+/// A leaf holds the slots of 1024 consecutive ids. Allocating one touches
+/// 24 KB — the most the table ever holds beyond the ids in use, which
+/// matters because nothing here is ever freed.
+type Leaf = OnceLock<Box<[Slot]>>;
+const LEAF_BITS: u32 = 10;
+
+/// The directory of leaves grows in doubling chunks (chunk `k` holds
+/// `4 << k` leaves), so it never moves once allocated either; 21 chunks
+/// cover every `u32` id.
+const FIRST_CHUNK_BITS: u32 = 2;
+const CHUNKS: usize = (u32::BITS - LEAF_BITS - FIRST_CHUNK_BITS + 1) as usize;
+
+static TABLE: [OnceLock<Box<[Leaf]>>; CHUNKS] = [const { OnceLock::new() }; CHUNKS];
+/// Ids handed out so far. Stored (`Release`) after the slot and the map
+/// entry of the newest id; an `Acquire` load of `n` therefore sees the
+/// slots of every id below `n`.
+static LEN: AtomicU32 = AtomicU32::new(0);
+/// Bytes of the strings counted by [`LEN`] (a statistic: `Relaxed`).
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Where an id lives: directory chunk, leaf within it, slot within the leaf.
+fn locate(id: u32) -> (usize, usize, usize) {
+    let leaf = (id >> LEAF_BITS) + (1 << FIRST_CHUNK_BITS);
+    let chunk = leaf.ilog2() - FIRST_CHUNK_BITS;
+    let slot = id & ((1 << LEAF_BITS) - 1);
+    (
+        chunk as usize,
+        (leaf - (1 << leaf.ilog2())) as usize,
+        slot as usize,
+    )
 }
 
-fn arena() -> &'static RwLock<Arena> {
-    static ARENA: OnceLock<RwLock<Arena>> = OnceLock::new();
-    ARENA.get_or_init(|| {
-        RwLock::new(Arena {
-            map: HashMap::new(),
-            strs: Vec::new(),
-        })
-    })
+/// The slot of an id, allocating its leaf (and the leaf's directory chunk)
+/// if this is their first id. Called with the map's write lock held.
+fn slot_for_write(id: u32) -> &'static Slot {
+    let (chunk, leaf, slot) = locate(id);
+    let leaves = TABLE[chunk].get_or_init(|| {
+        let len = 1usize << (FIRST_CHUNK_BITS as usize + chunk);
+        (0..len).map(|_| Leaf::new()).collect()
+    });
+    let slots = leaves[leaf].get_or_init(|| (0..1 << LEAF_BITS).map(|_| Slot::new()).collect());
+    &slots[slot]
+}
+
+/// The string of an id, if its slot is set: the whole lock-free read path.
+fn published(id: u32) -> Option<&'static str> {
+    let (chunk, leaf, slot) = locate(id);
+    TABLE[chunk].get()?[leaf].get()?[slot].get().copied()
+}
+
+fn map() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static MAP: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    MAP.get_or_init(Default::default)
 }
 
 impl Symbol {
     /// Interns a string, returning its symbol (idempotent).
     pub fn intern(s: &str) -> Symbol {
-        {
-            let a = arena().read().expect("interner poisoned");
-            if let Some(&id) = a.map.get(s) {
-                return Symbol(id);
-            }
+        if let Some(sym) = Symbol::lookup(s) {
+            return sym;
         }
-        let mut a = arena().write().expect("interner poisoned");
-        if let Some(&id) = a.map.get(s) {
+        let mut map = map().write().unwrap_or_else(PoisonError::into_inner);
+        // Writers are serialised by the lock, so `LEN` cannot move under us.
+        let mut id = LEN.load(Ordering::Relaxed);
+        // A writer that died after setting its slot left a string the
+        // length does not count: adopt it, so the id is not handed out twice.
+        while let Some(&orphan) = slot_for_write(id).get() {
+            map.insert(orphan, id);
+            BYTES.fetch_add(orphan.len(), Ordering::Relaxed);
+            id += 1;
+            LEN.store(id, Ordering::Release);
+        }
+        if let Some(&id) = map.get(s) {
             return Symbol(id); // raced: someone else interned it
         }
-        let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-        let id = a.strs.len() as u32;
-        a.strs.push(leaked);
-        a.map.insert(leaked, id);
+        let leaked: &'static str = Box::leak(s.into());
+        // The slot is empty (checked above, under the lock), so `set` holds.
+        let _ = slot_for_write(id).set(leaked);
+        map.insert(leaked, id);
+        BYTES.fetch_add(leaked.len(), Ordering::Relaxed);
+        LEN.store(id + 1, Ordering::Release);
         Symbol(id)
     }
 
@@ -67,18 +135,20 @@ impl Symbol {
     /// this string exists yet — useful for constants in predicates: if the
     /// constant was never interned, no stored value can equal it.
     pub fn lookup(s: &str) -> Option<Symbol> {
-        arena()
-            .read()
-            .expect("interner poisoned")
-            .map
-            .get(s)
-            .copied()
-            .map(Symbol)
+        let map = map().read().unwrap_or_else(PoisonError::into_inner);
+        map.get(s).copied().map(Symbol)
     }
 
-    /// The interned string.
+    /// The interned string, read from the id → string table without taking
+    /// a lock: three loads (directory chunk, leaf, slot) and no contention
+    /// with concurrent [`Symbol::intern`] calls.
+    ///
+    /// A `Symbol` only comes out of [`Symbol::intern`], which sets the slot
+    /// before it returns the id, so the slot of a symbol in hand is always
+    /// set; the empty-string arm keeps the read path free of panics and is
+    /// not reachable through this API.
     pub fn as_str(self) -> &'static str {
-        arena().read().expect("interner poisoned").strs[self.0 as usize]
+        published(self.0).unwrap_or_default()
     }
 
     /// The raw id (stable within a process run only).
@@ -91,9 +161,22 @@ impl Symbol {
         Symbol::intern(u.as_str())
     }
 
-    /// The interned string as a fresh [`Url`].
+    /// The interned string as a fresh [`Url`] (lock-free, like
+    /// [`Symbol::as_str`]; allocates the URL's string).
     pub fn to_url(self) -> Url {
         Url::new(self.as_str())
+    }
+}
+
+impl From<&str> for Symbol {
+    fn from(s: &str) -> Self {
+        Symbol::intern(s)
+    }
+}
+
+impl From<String> for Symbol {
+    fn from(s: String) -> Self {
+        Symbol::intern(&s)
     }
 }
 
@@ -111,18 +194,12 @@ impl fmt::Display for Symbol {
 
 /// Number of distinct strings interned so far (diagnostics).
 pub fn interned_count() -> usize {
-    arena().read().expect("interner poisoned").strs.len()
+    LEN.load(Ordering::Acquire) as usize
 }
 
 /// Total bytes held by the arena's strings (diagnostics).
 pub fn interned_bytes() -> usize {
-    arena()
-        .read()
-        .expect("interner poisoned")
-        .strs
-        .iter()
-        .map(|s| s.len())
-        .sum()
+    BYTES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -177,5 +254,129 @@ mod tests {
                 assert_eq!(Symbol::intern(s.as_str()), *s);
             }
         }
+    }
+
+    #[test]
+    fn ids_map_onto_leaves_under_a_doubling_directory() {
+        assert_eq!(locate(0), (0, 0, 0));
+        assert_eq!(locate(1023), (0, 0, 1023));
+        assert_eq!(locate(1024), (0, 1, 0));
+        assert_eq!(locate(4095), (0, 3, 1023));
+        assert_eq!(locate(4096), (1, 0, 0));
+        assert_eq!(locate(12 * 1024 - 1), (1, 7, 1023));
+        assert_eq!(locate(12 * 1024), (2, 0, 0));
+        assert_eq!(locate(u32::MAX), (CHUNKS - 1, 3, 1023));
+    }
+
+    #[test]
+    fn counters_follow_interning() {
+        let (count, bytes) = (interned_count(), interned_bytes());
+        Symbol::intern("intern-test-counted-once");
+        Symbol::intern("intern-test-counted-once");
+        // other tests intern beside this one: at least ours, exactly once
+        assert!(interned_count() > count);
+        assert!(interned_bytes() >= bytes + "intern-test-counted-once".len());
+    }
+
+    /// Readers hammer `as_str` below a moving watermark while a writer
+    /// interns across leaf and directory-chunk boundaries; then, with the map's write lock
+    /// *held*, they read everything again — a read path that took the lock
+    /// would never finish.
+    #[test]
+    fn as_str_reads_published_slots_without_the_lock() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+
+        // Enough fresh strings to cross leaf boundaries and one directory
+        // chunk boundary, wherever the other tests of this process have
+        // left the table.
+        let first = interned_count() as u32;
+        let mut n = 5_000;
+        while locate(first + n as u32).0 == locate(first).0 {
+            n += 1 << LEAF_BITS;
+        }
+        let name = |j: usize| format!("intern-stress-{j}");
+        let ids: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
+        let done = AtomicUsize::new(0);
+
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| loop {
+                    // `Acquire` pairs with the writer's `Release`: the ids
+                    // below the watermark were returned by `intern`.
+                    let watermark = done.load(Ordering::Acquire);
+                    for (j, id) in ids[..watermark].iter().enumerate() {
+                        assert_eq!(Symbol(id.load(Ordering::Relaxed)).as_str(), name(j));
+                    }
+                    // Every id the length counts has its slot set.
+                    for id in 0..interned_count() as u32 {
+                        assert!(published(id).is_some(), "empty slot at id {id}");
+                    }
+                    if watermark == n {
+                        break;
+                    }
+                });
+            }
+            s.spawn(|| {
+                for (j, id) in ids.iter().enumerate() {
+                    id.store(Symbol::intern(&name(j)).0, Ordering::Relaxed);
+                    done.store(j + 1, Ordering::Release);
+                }
+            });
+        });
+        let (lo, hi) = (
+            ids[0].load(Ordering::Relaxed),
+            ids[n - 1].load(Ordering::Relaxed),
+        );
+        assert!(
+            locate(hi).0 > locate(lo).0,
+            "ids {lo}..{hi}: one directory chunk"
+        );
+        assert!(
+            hi - lo >= 4 << LEAF_BITS,
+            "ids {lo}..{hi}: under five leaves"
+        );
+
+        let guard = map().write().unwrap_or_else(PoisonError::into_inner);
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..8 {
+            let (ids, tx) = (Arc::clone(&ids), tx.clone());
+            std::thread::spawn(move || {
+                let ok = (ids.iter().enumerate())
+                    .all(|(j, id)| Symbol(id.load(Ordering::Relaxed)).as_str() == name(j));
+                let _ = tx.send(ok);
+            });
+        }
+        for _ in 0..8 {
+            let ok = rx.recv_timeout(Duration::from_secs(60));
+            assert_eq!(ok, Ok(true), "a reader blocked on the lock or misread");
+        }
+        drop(guard);
+    }
+
+    /// The write path stores slot, map entry, length — in that order. A
+    /// writer that dies after the first store poisons the lock and leaves
+    /// a slot the length does not count; the next writer recovers the
+    /// guard and adopts the slot instead of handing its id out again.
+    #[test]
+    fn a_writer_that_dies_between_its_stores_leaves_the_arena_consistent() {
+        let died = std::thread::spawn(|| {
+            let _guard = map().write().unwrap_or_else(PoisonError::into_inner);
+            let id = LEN.load(Ordering::Relaxed);
+            slot_for_write(id).set("intern-test-orphan").unwrap();
+            panic!("a writer dies holding the lock (this test's doing)");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(map().is_poisoned());
+
+        let fresh = Symbol::intern("intern-test-after-the-orphan");
+        assert_eq!(fresh.as_str(), "intern-test-after-the-orphan");
+        let orphan = Symbol::lookup("intern-test-orphan").unwrap(); // adopted
+        assert_eq!(orphan.as_str(), "intern-test-orphan");
+        assert_ne!(orphan, fresh);
+        assert_eq!(Symbol::intern("intern-test-orphan"), orphan);
+        assert_eq!(Symbol::intern("intern-test-after-the-orphan"), fresh);
     }
 }

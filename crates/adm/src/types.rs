@@ -4,6 +4,7 @@
 //! a base type (`text`, `image`) or `link to P` — or multi-valued — a
 //! `list of (A1:T1, …, An:Tn)` of (possibly nested) tuples.
 
+use crate::intern::Symbol;
 use std::fmt;
 
 /// The type of a page-scheme attribute.
@@ -111,7 +112,7 @@ impl fmt::Display for WebType {
 
 /// A named, typed, possibly optional attribute of a page-scheme or of a
 /// list type. Optional attributes may produce [`crate::Value::Null`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Field {
     /// Attribute name, unique among its siblings.
     pub name: String,
@@ -119,25 +120,38 @@ pub struct Field {
     pub ty: WebType,
     /// Whether the attribute may be absent (null) in some pages.
     pub optional: bool,
+    /// `name`, interned when the field was built. Private, so that
+    /// [`Field::new`] and [`Field::optional`] stay the only constructors.
+    sym: Symbol,
 }
 
 impl Field {
     /// A required field.
     pub fn new(name: impl Into<String>, ty: WebType) -> Self {
-        Field {
-            name: name.into(),
-            ty,
-            optional: false,
-        }
+        Field::build(name.into(), ty, false)
     }
 
     /// An optional field (may generate nulls).
     pub fn optional(name: impl Into<String>, ty: WebType) -> Self {
+        Field::build(name.into(), ty, true)
+    }
+
+    fn build(name: String, ty: WebType, optional: bool) -> Self {
         Field {
-            name: name.into(),
+            sym: Symbol::intern(&name),
+            name,
             ty,
-            optional: true,
+            optional,
         }
+    }
+
+    /// The field's name as an interned [`Symbol`]: interned once, when the
+    /// scheme was built, so that whoever produces or reads tuples under
+    /// this field — the wrapper, the evaluator, [`crate::Tuple::conforms_to`]
+    /// — names it by copying a `u32` instead of cloning or comparing a
+    /// string per tuple.
+    pub fn sym(&self) -> Symbol {
+        self.sym
     }
 
     /// Shorthand for a required text field.
@@ -153,6 +167,18 @@ impl Field {
     /// Shorthand for a required list field.
     pub fn list(name: impl Into<String>, fields: Vec<Field>) -> Self {
         Field::new(name, WebType::list(fields))
+    }
+}
+
+/// Prints `name`, `ty` and `optional` only: the symbol is `name` again, and
+/// its id follows interning order, which no log line may depend on.
+impl fmt::Debug for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Field")
+            .field("name", &self.name)
+            .field("ty", &self.ty)
+            .field("optional", &self.optional)
+            .finish()
     }
 }
 

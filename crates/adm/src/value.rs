@@ -5,10 +5,12 @@
 //! for every attribute. We keep nested relations in Partitioned Normal Form
 //! (PNF): the mono-valued attributes at each level form a key.
 
+use crate::intern::Symbol;
 use crate::types::{Field, WebType};
 use crate::url::Url;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A value of a web type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -160,9 +162,18 @@ impl From<Url> for Value {
 ///
 /// Field order is significant for display but not for equality of *sets* of
 /// tuples; the schema layer always produces fields in scheme order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// A field's name is an interned [`Symbol`]: attribute names belong to the
+/// scheme, not to each tuple extracted under it, so a tuple built from a
+/// scheme's fields ([`Field::sym`]) allocates no name, and lookup, equality
+/// and conformance compare ids. Everything a caller can *see* still goes
+/// through the name's string — [`Tuple::iter`] and [`Tuple::names`] yield
+/// `&str`, and `Hash`, `Debug`, `Display` and [`Tuple::total_cmp`] hash,
+/// print and order by it — because ids follow interning order, which
+/// differs between processes (see [`crate::intern`], *Determinism*).
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Tuple {
-    fields: Vec<(String, Value)>,
+    fields: Vec<(Symbol, Value)>,
 }
 
 impl Tuple {
@@ -171,25 +182,29 @@ impl Tuple {
         Tuple { fields: Vec::new() }
     }
 
-    /// Builds a tuple from (name, value) pairs.
-    pub fn from_pairs(pairs: Vec<(String, Value)>) -> Self {
-        Tuple { fields: pairs }
+    /// Builds a tuple from (name, value) pairs; a name is anything that
+    /// converts to a [`Symbol`] (`&str`, `String`, or a symbol in hand,
+    /// which costs nothing).
+    pub fn from_pairs<N: Into<Symbol>>(pairs: Vec<(N, Value)>) -> Self {
+        Tuple {
+            fields: pairs.into_iter().map(|(n, v)| (n.into(), v)).collect(),
+        }
     }
 
     /// Appends a field; builder style.
-    pub fn with(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, name: impl Into<Symbol>, value: impl Into<Value>) -> Self {
         self.fields.push((name.into(), value.into()));
         self
     }
 
     /// Appends a list field; builder style.
-    pub fn with_list(mut self, name: impl Into<String>, rows: Vec<Tuple>) -> Self {
+    pub fn with_list(mut self, name: impl Into<Symbol>, rows: Vec<Tuple>) -> Self {
         self.fields.push((name.into(), Value::List(rows)));
         self
     }
 
     /// Appends a null field; builder style.
-    pub fn with_null(mut self, name: impl Into<String>) -> Self {
+    pub fn with_null(mut self, name: impl Into<Symbol>) -> Self {
         self.fields.push((name.into(), Value::Null));
         self
     }
@@ -208,7 +223,14 @@ impl Tuple {
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.fields
             .iter()
-            .find_map(|(n, v)| (n == name).then_some(v))
+            .find_map(|(n, v)| (n.as_str() == name).then_some(v))
+    }
+
+    /// Looks a field up by its interned name: id compares only.
+    pub fn get_sym(&self, name: Symbol) -> Option<&Value> {
+        self.fields
+            .iter()
+            .find_map(|(n, v)| (*n == name).then_some(v))
     }
 
     /// Looks a (possibly nested) dotted path up, descending into list values
@@ -236,9 +258,23 @@ impl Tuple {
         self.fields.iter().map(|(n, _)| n.as_str())
     }
 
-    /// Consumes the tuple into its pairs.
+    /// The (interned name, value) pairs in order.
+    pub fn fields(&self) -> &[(Symbol, Value)] {
+        &self.fields
+    }
+
+    /// The values in field order, borrowed — a row for
+    /// [`crate::ColumnRelBuilder::push_row`] as it stands.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
+        self.fields.iter().map(|(_, v)| v)
+    }
+
+    /// Consumes the tuple into its pairs (a fresh `String` per name).
     pub fn into_pairs(self) -> Vec<(String, Value)> {
         self.fields
+            .into_iter()
+            .map(|(n, v)| (n.as_str().to_string(), v))
+            .collect()
     }
 
     /// Checks the tuple against a field list: every required field present
@@ -247,7 +283,7 @@ impl Tuple {
         if self.fields.len() != fields.len() {
             return false;
         }
-        fields.iter().all(|f| match self.get(&f.name) {
+        fields.iter().all(|f| match self.get_sym(f.sym()) {
             None => false,
             Some(Value::Null) => f.optional,
             Some(v) => v.conforms_to(&f.ty),
@@ -255,22 +291,52 @@ impl Tuple {
     }
 
     /// Estimated in-memory footprint in bytes (see [`Value::approx_bytes`]).
+    /// A name counts its string's bytes, as it did when each tuple owned
+    /// one: byte-budgeted caches evict by this number.
     pub fn approx_bytes(&self) -> usize {
         self.fields
             .iter()
-            .map(|(n, v)| n.len() + v.approx_bytes())
+            .map(|(n, v)| n.as_str().len() + v.approx_bytes())
             .sum()
     }
 
-    /// Total order for deterministic sorting.
+    /// Total order for deterministic sorting: names order by their strings
+    /// (equal ids are equal names, so the strings are read only to order).
     pub fn total_cmp(&self, other: &Tuple) -> Ordering {
         for ((an, av), (bn, bv)) in self.fields.iter().zip(other.fields.iter()) {
-            match an.cmp(bn).then_with(|| av.total_cmp(bv)) {
+            let names = if an == bn {
+                Ordering::Equal
+            } else {
+                an.as_str().cmp(bn.as_str())
+            };
+            match names.then_with(|| av.total_cmp(bv)) {
                 Ordering::Equal => continue,
                 o => return o,
             }
         }
         self.fields.len().cmp(&other.fields.len())
+    }
+}
+
+/// Hashes what `#[derive(Hash)]` hashed when names were `String`s — the
+/// field count, then each name's string and value — so a digest of a tuple
+/// is the same in every process, whatever ids its names were given.
+impl Hash for Tuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.fields.len());
+        for (n, v) in &self.fields {
+            n.as_str().hash(state);
+            v.hash(state);
+        }
+    }
+}
+
+/// Prints what `#[derive(Debug)]` printed when names were `String`s: the
+/// name's string, never its id.
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pairs: Vec<(&str, &Value)> = self.iter().collect();
+        f.debug_struct("Tuple").field("fields", &pairs).finish()
     }
 }
 

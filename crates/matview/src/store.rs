@@ -234,7 +234,7 @@ pub fn outlinks(fields: &[Field], tuple: &Tuple) -> Vec<(String, Url)> {
     let mut out = Vec::new();
     fn walk(fields: &[Field], tuple: &Tuple, out: &mut Vec<(String, Url)>) {
         for f in fields {
-            match (&f.ty, tuple.get(&f.name)) {
+            match (&f.ty, tuple.get_sym(f.sym())) {
                 (WebType::Link { target }, Some(Value::Link(u))) => {
                     out.push((target.clone(), u.clone()));
                 }

@@ -35,8 +35,8 @@ use crate::expr::{field_of_column, resolve_column, NalgExpr, Pred};
 use crate::fetch::{Done, FetchPool, Job};
 use crate::Result;
 use adm::{
-    ColumnRel, ColumnRelBuilder, InclusionConstraint, LinkConstraint, Relation, Symbol, Tuple, Url,
-    Value, WebScheme,
+    ColumnRel, ColumnRelBuilder, Field, InclusionConstraint, LinkConstraint, Relation, Symbol,
+    Tuple, Url, Value, WebScheme,
 };
 use obs::trace::{EventKind, TraceSink};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -713,19 +713,6 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         Some(report)
     }
 
-    /// The cell values of a page tuple as one row of its page-relation:
-    /// the URL, then each top-level field in scheme order (see
-    /// [`crate::expr::page_columns`] for the matching header).
-    fn page_values(&self, scheme: &str, url: &Url, tuple: &Tuple) -> Result<Vec<Value>> {
-        let ps = self.ws.scheme(scheme)?;
-        let mut vals = Vec::with_capacity(ps.fields.len() + 1);
-        vals.push(Value::Link(url.clone()));
-        for f in &ps.fields {
-            vals.push(tuple.get(&f.name).cloned().unwrap_or(Value::Null));
-        }
-        Ok(vals)
-    }
-
     /// Traced entry to operator evaluation. Without a sink this is a
     /// plain passthrough to [`Evaluator::eval_node`]; with one it opens
     /// a span (pre-order id assignment), evaluates the node, and closes
@@ -791,10 +778,10 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     EvalError::NotComputable(format!("{scheme} is not an entry point"))
                 })?;
                 let header = crate::expr::page_columns(self.ws, scheme, alias)?;
-                let mut page = ColumnRelBuilder::new(&header);
+                let mut page = PageBatch::new(&header, &self.ws.scheme(scheme)?.fields);
                 let order = [Symbol::from_url(&ep.url)];
-                self.acquire(ctx, pool, scheme, &order, None, |_, url, tuple| {
-                    Ok(page.push_row(&self.page_values(scheme, url, tuple)?)?)
+                self.acquire(ctx, pool, scheme, &order, None, |url, tuple| {
+                    page.push(url, tuple).map(|_| ())
                 })?;
                 // `acquire` already recorded a skipped URL as unreachable;
                 // in Partial mode (or past the deadline) an unreachable
@@ -902,23 +889,22 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         scheme: &str,
         order: &[Symbol],
         carrier: Option<(&ColumnRel, usize, &[String])>,
-        mut deliver: impl FnMut(Symbol, &Url, &Tuple) -> Result<()>,
+        mut deliver: impl FnMut(Symbol, &Tuple) -> Result<()>,
     ) -> Result<()> {
         let mut misses: Vec<Symbol> = Vec::new();
         for &s in order {
             if self.cache_enabled {
                 if let Some(t) = ctx.cache.get(&s) {
                     ctx.cache_hits += 1;
-                    deliver(s, &s.to_url(), t)?;
+                    deliver(s, t)?;
                     continue;
                 }
             }
             if let Some(shared) = self.shared {
-                let url = s.to_url();
-                if let Some(t) = shared.get(&url) {
+                if let Some(t) = shared.get(&s.to_url()) {
                     ctx.shared_hits += 1;
                     self.audit_record(ctx, s, scheme, &t);
-                    deliver(s, &url, &t)?;
+                    deliver(s, &t)?;
                     if self.cache_enabled {
                         ctx.cache.insert(s, t);
                     }
@@ -985,7 +971,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         pool: &FetchPool<'_>,
         scheme: &str,
         misses: &[Symbol],
-        deliver: &mut impl FnMut(Symbol, &Url, &Tuple) -> Result<()>,
+        deliver: &mut impl FnMut(Symbol, &Tuple) -> Result<()>,
     ) -> Result<()> {
         use std::time::{Duration, Instant};
         if misses.is_empty() {
@@ -1116,7 +1102,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         scheme: &str,
         done: Done,
-        deliver: &mut impl FnMut(Symbol, &Url, &Tuple) -> Result<()>,
+        deliver: &mut impl FnMut(Symbol, &Tuple) -> Result<()>,
     ) -> Result<()> {
         match done.outcome {
             Ok((t, lm)) => {
@@ -1125,7 +1111,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     shared.insert(&done.url, &t, lm);
                 }
                 self.audit_record(ctx, done.job.url, scheme, &t);
-                deliver(done.job.url, &done.url, &t)?;
+                deliver(done.job.url, &t)?;
                 if self.cache_enabled {
                     ctx.cache.insert(done.job.url, t);
                 }
@@ -1180,16 +1166,15 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         // The page header is static (alias.URL + alias.fields), so the
         // batch builder exists before any page arrives.
         let header = crate::expr::page_columns(self.ws, target, alias)?;
-        let mut pages = ColumnRelBuilder::new(&header);
+        let mut pages = PageBatch::new(&header, &self.ws.scheme(target)?.fields);
         self.acquire(
             ctx,
             pool,
             target,
             &order,
             Some((rel, li, &header[..])),
-            |s, url, tuple| {
-                pages.push_row(&self.page_values(target, url, tuple)?)?;
-                page_row.insert(s, Some(pages.len() as u32 - 1));
+            |s, tuple| {
+                page_row.insert(s, Some(pages.push(s, tuple)?));
                 Ok(())
             },
         )?;
@@ -1205,6 +1190,48 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             }
         }
         Ok(rel.take(&li_idx).hstack(pages.finish().take(&ri_idx)))
+    }
+}
+
+/// The page-relation an `Entry` or a `Follow` is acquiring: one row per
+/// delivered page, appended *by reference*. The URL column is the symbols
+/// the operator already holds; the attribute columns take each field of
+/// the tuple where it lies (found by the scheme's interned name, null when
+/// the source left it out), so no cell is cloned on its way into a column.
+struct PageBatch<'a> {
+    url_column: Symbol,
+    urls: Vec<Symbol>,
+    fields: &'a [Field],
+    attrs: ColumnRelBuilder,
+}
+
+impl<'a> PageBatch<'a> {
+    /// `header` is [`crate::expr::page_columns`] of the scheme whose
+    /// top-level `fields` these are: `alias.URL`, then one column a field.
+    fn new(header: &[String], fields: &'a [Field]) -> Self {
+        PageBatch {
+            url_column: Symbol::intern(&header[0]),
+            urls: Vec::new(),
+            fields,
+            attrs: ColumnRelBuilder::new(&header[1..]),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.urls.is_empty()
+    }
+
+    /// Appends one page, returning its row index.
+    fn push(&mut self, url: Symbol, tuple: &Tuple) -> Result<u32> {
+        static NULL: Value = Value::Null;
+        let cell = |f: &Field| tuple.get_sym(f.sym()).unwrap_or(&NULL);
+        self.attrs.push_row(self.fields.iter().map(cell))?;
+        self.urls.push(url);
+        Ok(self.urls.len() as u32 - 1)
+    }
+
+    fn finish(self) -> ColumnRel {
+        ColumnRel::of_links(self.url_column, self.urls).hstack(self.attrs.finish())
     }
 }
 

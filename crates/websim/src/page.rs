@@ -123,7 +123,7 @@ impl Html {
     /// Renders all fields of a tuple, in scheme order, with labels.
     fn fields(&mut self, fields: &[Field], tuple: &Tuple) {
         for f in fields {
-            match tuple.get(&f.name) {
+            match tuple.get_sym(f.sym()) {
                 None | Some(Value::Null) => {}
                 Some(v) => {
                     // A human-readable label before the value, as real pages have.

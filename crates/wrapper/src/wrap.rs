@@ -88,14 +88,15 @@ fn extract_fields(
                 });
             }
         };
-        pairs.push((f.name.clone(), value));
+        pairs.push((f.sym(), value));
     }
     Ok(Tuple::from_pairs(pairs))
 }
 
 /// Wraps a page: parses `html` and extracts the nested tuple described by
 /// `scheme`. The returned tuple conforms to the scheme's fields, and its
-/// field names and values are the only strings the call leaves allocated.
+/// values are the only strings the call leaves allocated: a field is named
+/// by the scheme's interned symbol, and the wrapper itself interns nothing.
 pub fn wrap_page(scheme: &PageScheme, html: &str) -> Result<Tuple> {
     let doc = Document::parse(html)?;
     // Prefer the marked content container; fall back to the first root
@@ -116,17 +117,16 @@ pub fn wrap_bytes(scheme: &PageScheme, body: &[u8]) -> Result<Tuple> {
     wrap_page(scheme, html)
 }
 
-/// Wraps a page into a single-row columnar relation: [`wrap_page`]'s tuple
-/// pushed through a [`ColumnRelBuilder`], which interns text/link payloads
+/// Wraps a page into a single-row columnar relation — the evaluator's own
+/// path from bytes to a column row: [`wrap_page`]'s tuple appended *by
+/// reference* to a [`ColumnRelBuilder`], which interns text/link payloads
 /// as they land in the typed columns. Column names are the scheme's field
-/// names (unqualified — the evaluator qualifies by alias).
+/// symbols (unqualified — the evaluator qualifies by alias).
 pub fn wrap_page_columnar(scheme: &PageScheme, html: &str) -> Result<ColumnRel> {
-    let row: Vec<Value> = (wrap_page(scheme, html)?.into_pairs().into_iter())
-        .map(|(_, value)| value)
-        .collect();
-    let names: Vec<&str> = scheme.fields.iter().map(|f| f.name.as_str()).collect();
-    let mut b = ColumnRelBuilder::new(&names);
-    b.push_row(&row)
+    let tuple = wrap_page(scheme, html)?;
+    let mut b = ColumnRelBuilder::from_symbols(scheme.fields.iter().map(Field::sym).collect());
+    // `wrap_page` yields exactly the scheme's fields, in scheme order.
+    b.push_row(tuple.values())
         .map_err(|e| WrapError::BadStructure(e.to_string()))?;
     Ok(b.finish())
 }

@@ -39,11 +39,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// The owned-`String` tokenizer and `Vec<Node>` tree (the commit before
-/// the arena) averaged 376.36 allocations a page here; the arena wrapper
-/// measures 25.80 — the 3 of the parse plus what the returned tuple owns
-/// (a vector per nesting level, a name and a value per field). The budget
-/// leaves room for a richer tuple, not for a per-token string.
-const WRAP_ALLOCS_PER_PAGE: f64 = 90.0;
+/// the arena) averaged 376.36 allocations a page here, the arena wrapper
+/// 25.80 while a tuple still owned a `String` per field name; with the
+/// scheme's interned names it measures 15.88 — the 3 of the parse plus
+/// what the returned tuple owns (a vector per nesting level, a `String`
+/// per value, no name). The budget leaves room for a slightly richer
+/// tuple, not for a name per field and not for a per-token string.
+const WRAP_ALLOCS_PER_PAGE: f64 = 20.0;
 
 /// Two vectors and the open-element stack, plus a `Cow::Owned` for each
 /// text run or attribute value in which an entity decoded: 3.00 measured

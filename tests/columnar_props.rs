@@ -241,3 +241,87 @@ fn columnar_matches_row_path_on_default_site() {
         }
     });
 }
+
+/// Appends every page of `site` to two builders — once by reference, the
+/// way the evaluator does (`push_row` over the tuple's cells where they
+/// lie), once from a row of clones — and asserts both finish into the same
+/// relation, which materializes back into the pages. A last, hand-made
+/// column runs through text, link, null, empty list and two inner schemas
+/// in turn, so that it degrades to boundary values half-way through on
+/// every site, however small.
+fn assert_borrowed_push_equals_cloned(site: &websim::Site) {
+    use webviews::adm::{ColumnData, ColumnRelBuilder};
+    for ps in site.scheme.schemes() {
+        let mut header: Vec<&str> = ps.fields.iter().map(|f| f.name.as_str()).collect();
+        header.push("Mixed");
+        let mixed = |i: usize, url: &Url| match i % 6 {
+            0 => Value::text(url.as_str()),
+            1 => Value::Link(url.clone()),
+            2 => Value::Null,
+            3 => Value::List(vec![]),
+            4 => Value::List(vec![Tuple::new().with("A", url.as_str())]),
+            _ => Value::List(vec![Tuple::new().with_null("B").with_list("A", vec![])]),
+        };
+        let pages: Vec<Tuple> = (site.pages(&ps.name).enumerate())
+            .map(|(i, (url, t))| t.clone().with("Mixed", mixed(i, url)))
+            .collect();
+        let (mut borrowed, mut cloned) = (
+            ColumnRelBuilder::new(&header),
+            ColumnRelBuilder::new(&header),
+        );
+        for t in &pages {
+            borrowed.push_row(t.values()).unwrap();
+            let row: Vec<Value> = t.values().cloned().collect();
+            cloned.push_row(&row).unwrap();
+        }
+        let (borrowed, cloned) = (borrowed.finish(), cloned.finish());
+        let ctx = &ps.name;
+        assert_eq!(borrowed.to_relation(), cloned.to_relation(), "{ctx}");
+        assert_eq!(borrowed.to_table(), cloned.to_table(), "{ctx}");
+        assert_eq!(format!("{borrowed:?}"), format!("{cloned:?}"), "{ctx}");
+        for (i, t) in pages.iter().enumerate() {
+            assert_eq!(&borrowed.tuple_at(i), t, "{ctx} row {i}");
+        }
+        if pages.len() >= 6 {
+            let mixed = &borrowed.columns()[ps.fields.len()].data;
+            assert!(matches!(mixed, ColumnData::Values(_)), "{ctx}: {mixed:?}");
+        }
+        // a row of the wrong arity is refused before a cell goes in
+        let mut short = ColumnRelBuilder::new(&header);
+        assert!(short.push_row(&[Value::Null]).is_err());
+        assert!(short.is_empty());
+    }
+}
+
+// `push_row` over borrowed cells ≡ `push_row` over their clones.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    #[test]
+    fn borrowed_push_equals_cloned_push_on_seeded_sites(
+        departments in 1usize..4,
+        extra_profs in 0usize..8,
+        courses in 2usize..16,
+        seed in 0u64..10_000,
+    ) {
+        let u = University::generate(UniversityConfig {
+            departments,
+            professors: departments + extra_profs,
+            courses,
+            seed,
+            ..UniversityConfig::default()
+        }).unwrap();
+        assert_borrowed_push_equals_cloned(&u.site);
+        // nested lists two deep, which the University has none of
+        let b = Bibliography::generate(BibConfig {
+            authors: 10 + courses,
+            conferences: departments + 1,
+            db_conferences: 1,
+            featured: 1,
+            editions_per_conf: 2,
+            papers_per_edition: 3,
+            seed,
+            ..BibConfig::default()
+        }).unwrap();
+        assert_borrowed_push_equals_cloned(&b.site);
+    }
+}
