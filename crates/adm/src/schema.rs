@@ -195,7 +195,7 @@ impl fmt::Display for PageScheme {
 /// A web scheme: page-schemes, entry points, and constraints
 /// (Section 3.3). Build one with [`WebSchemeBuilder`]; construction
 /// validates referential integrity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WebScheme {
     schemes: BTreeMap<String, PageScheme>,
     entry_points: Vec<EntryPoint>,

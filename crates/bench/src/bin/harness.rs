@@ -197,7 +197,7 @@ fn main() {
         emit("e5", vec![("updated_pct", format!("{pcts:?}"))], &|| {
             e5_materialized_views(&pcts)
         });
-        emit("e5b", vec![], &e5_structural);
+        emit_extras("e5b", vec![], &e5_structural_with_extras);
     }
     if want("e6") {
         emit("e6", vec![], &e6_optimizer_wins);

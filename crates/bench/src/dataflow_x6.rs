@@ -22,15 +22,22 @@
 //! (modulo `access_date`) and the same answers as live evaluation, and
 //! that the budgeted twin never exceeded its budget while backfilling
 //! evicted pages byte-identically.
+//!
+//! Beside the table, each round also reads the refreshed store in pull
+//! mode — one [`matview::MatSession`] query, URL-checked — so the JSON's
+//! `matview` extra shows light connections and downloads next to the
+//! store's plan cache (planned in round 0, a hit in every later one).
 
 use crate::table::Table;
 use adm::{Relation, Tuple, Value};
 use matview::maintain::full_refresh;
-use matview::{IncrementalView, MatStore};
+use matview::urlcheck::CheckCounters;
+use matview::{IncrementalView, MatSession, MatStore};
 use nalg::{Evaluator, NalgExpr};
 use websim::sitegen::{University, UniversityConfig};
 use websim::{MutationPlan, MutationRule};
-use wvcore::LiveSource;
+use wvcore::views::university_catalog;
+use wvcore::{ConjunctiveQuery, LiveSource, SiteStatistics};
 
 /// Knobs of the X6 run. `Default` is the full benchmark scale; CI's
 /// `dataflow-smoke` runs a reduced copy (see the harness).
@@ -181,6 +188,14 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
 
     let mut mat = MatStore::new();
     mat.materialize(&ws, &ur.site.server).expect("materialize");
+    // The pull-mode reader of the refreshed twin (JSON extras only).
+    let stats = SiteStatistics::from_site(&ur.site);
+    let catalog = university_catalog();
+    let pull_query = ConjunctiveQuery::new("depts")
+        .atom("Dept")
+        .project((0, "DName"))
+        .project((0, "Address"));
+    let mut pull = CheckCounters::default();
 
     let mut bv = IncrementalView::new(&ws).with_byte_budget(cfg.budget);
     bv.materialize(&ub.site.server).expect("materialize");
@@ -244,6 +259,13 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
 
         let round_store_ok = fingerprint(iv.store()) == fingerprint(&mat);
         store_equivalent &= round_store_ok;
+        // After the round's fetch count is taken: nothing below reaches a
+        // table cell, and the next refresh re-crawls whatever this touched.
+        let read = MatSession::new(&ws, &catalog, &stats, &ur.site.server)
+            .run(&mut mat, &pull_query)
+            .expect("pull-mode query");
+        pull.light_connections += read.counters.light_connections;
+        pull.downloads += read.counters.downloads;
 
         let src = LiveSource::new(&ws, &ud.site.server);
         let live = Evaluator::new(&ws, &src);
@@ -331,6 +353,7 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
                 "{{\"answers_match\": {answers_match}, \"store_equivalent\": {store_equivalent}}}"
             ),
         ),
+        crate::matview_extra(&pull, &mat),
     ];
     DataflowSmoke {
         table: t,

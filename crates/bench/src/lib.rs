@@ -252,6 +252,25 @@ pub fn e4_cost_model() -> Table {
     t
 }
 
+/// The `"matview"` extra of an experiment's JSON: the URL-check traffic of
+/// the materialized-view queries it ran against `store`, beside the
+/// counters and retained bytes of that store's plan cache.
+pub(crate) fn matview_extra(
+    counters: &matview::urlcheck::CheckCounters,
+    store: &matview::MatStore,
+) -> (String, String) {
+    let pc = store.plan_cache().stats();
+    (
+        "matview".to_string(),
+        format!(
+            "{{\"light_connections\": {}, \"downloads\": {}, \"plan_cache\": {{\"hits\": {}, \"rebinds\": {}, \"misses\": {}, \"evictions\": {}, \"invalidations\": {}, \"refused\": {}, \"entries\": {}, \"retained_bytes\": {}}}}}",
+            counters.light_connections, counters.downloads, pc.hits, pc.rebinds, pc.misses,
+            pc.evictions, pc.invalidations, pc.refused, pc.entries,
+            store.plan_cache().retained_bytes()
+        ),
+    )
+}
+
 /// E5 — materialized views: per-query maintenance traffic as a function of
 /// the fraction of course pages updated between queries, compared with the
 /// virtual-view cost and a full eager refresh.
@@ -318,6 +337,13 @@ pub fn e5_materialized_views(update_pcts: &[u32]) -> Table {
 /// each kind, then the same query; downloads stay proportional to the
 /// pages the mutation actually touched.
 pub fn e5_structural() -> Table {
+    e5_structural_with_extras().0
+}
+
+/// [`e5_structural`] plus its JSON extras: the five queries' summed
+/// URL-check traffic and the store's plan cache (one miss, four hits — the
+/// one store outlives the five sessions).
+pub fn e5_structural_with_extras() -> (Table, Vec<(String, String)>) {
     use matview::{MatSession, MatStore};
     let mut t = Table::new(
         "E5b — §8: maintenance traffic per structural mutation          (query: graduate courses)",
@@ -361,10 +387,13 @@ pub fn e5_structural() -> Table {
             }),
         ),
     ];
+    let mut traffic = matview::urlcheck::CheckCounters::default();
     for (name, mutate) in mutations {
         mutate(&mut u);
         let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
         let out = session.run(&mut store, &q).expect("matview query");
+        traffic.light_connections += out.counters.light_connections;
+        traffic.downloads += out.counters.downloads;
         t.row(vec![
             name.to_string(),
             out.counters.light_connections.to_string(),
@@ -373,7 +402,8 @@ pub fn e5_structural() -> Table {
             out.relation.len().to_string(),
         ]);
     }
-    t
+    let extras = vec![matview_extra(&traffic, &store)];
+    (t, extras)
 }
 
 /// E6 — optimizer effectiveness: the chosen plan vs the naive plan
@@ -1132,6 +1162,13 @@ mod tests {
         assert_eq!(downloads[2], 2, "add course: session page + new page");
         assert_eq!(downloads[3], 1, "remove course: session page");
         assert_eq!(downloads[4], 0, "professor churn invisible to course query");
+    }
+
+    #[test]
+    fn e5_structural_plans_once_for_its_five_sessions() {
+        let (_, extras) = e5_structural_with_extras();
+        assert!(extras[0].1.contains("\"hits\": 4"), "{}", extras[0].1);
+        assert!(extras[0].1.contains("\"misses\": 1"), "{}", extras[0].1);
     }
 
     #[test]

@@ -18,6 +18,9 @@ pub enum OptError {
     BadQuery(String),
     /// No candidate plan survived rewriting and validation.
     NoPlan(String),
+    /// The session's deadline had already passed when its plan cache
+    /// missed: rule 1–9 enumeration was never started.
+    DeadlineExceeded,
     /// Data-model error.
     Adm(adm::AdmError),
     /// Evaluation error.
@@ -36,6 +39,7 @@ impl fmt::Display for OptError {
             }
             OptError::BadQuery(m) => write!(f, "bad query: {m}"),
             OptError::NoPlan(m) => write!(f, "no executable plan: {m}"),
+            OptError::DeadlineExceeded => write!(f, "deadline exceeded before planning"),
             OptError::Adm(e) => write!(f, "{e}"),
             OptError::Eval(e) => write!(f, "{e}"),
         }

@@ -19,9 +19,15 @@
 //! [`QuerySession::with_constraint_health`] attached, audit results also
 //! feed a [`ConstraintHealth`] registry so violated constraints are
 //! quarantined and stop licensing rewrites on subsequent queries.
+//!
+//! **Plan once per shape.** A session built
+//! [`QuerySession::with_plan_cache`] asks its owner's [`PlanCache`] before
+//! planning and fills it afterwards; [`QuerySession::run`] is the only
+//! place that protocol is written down.
 
 use crate::analyze::ExplainAnalyze;
 use crate::optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
+use crate::plan_cache::{quarantine_fingerprint, PlanCache, PlanKey, PlanOrigin};
 use crate::query::ConjunctiveQuery;
 use crate::rules::ConstraintDependency;
 use crate::stats::SiteStatistics;
@@ -32,6 +38,7 @@ use nalg::{AuditConfig, DegradationMode, EvalReport, Evaluator, PageSource, Shar
 use obs::trace::TraceSink;
 use resilience::ConstraintHealth;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What happened when a run's audit caught the plan's own constraint
 /// assumptions being violated and the session re-answered the query from
@@ -59,15 +66,38 @@ pub struct QueryOutcome {
     /// The optimizer's explanation (all candidate plans, costed). When a
     /// fallback fired this is the *fallback* plan's explanation; the
     /// abandoned one is in [`FallbackOutcome::suspect_explain`]. Shared,
-    /// not copied: the serving layer's plan cache holds the same plan set.
+    /// not copied. A plan set served by a [`PlanCache::winners_only`] cache
+    /// (a materialized store's) lists the winning candidate only.
     pub explain: Arc<Explain>,
     /// The evaluation report of the authoritative plan.
     pub report: EvalReport,
     /// Present when auditing triggered the default-navigation fallback.
     pub fallback: Option<FallbackOutcome>,
+    /// How the executed plan was come by: planned for this run, or served
+    /// by the session's plan cache (as stored, or bound to this query's
+    /// constants). Always [`PlanOrigin::Planned`] without a cache.
+    pub plan: PlanOrigin,
+    /// Wall-clock µs [`QuerySession::run`] spent obtaining the plan —
+    /// cache lookup and binding, or rule 1–9 enumeration. 0 for
+    /// [`QuerySession::run_planned`], which is handed its plan.
+    pub plan_us: u64,
 }
 
 impl QueryOutcome {
+    fn planned(
+        explain: Arc<Explain>,
+        report: EvalReport,
+        fallback: Option<FallbackOutcome>,
+    ) -> Self {
+        QueryOutcome {
+            explain,
+            report,
+            fallback,
+            plan: PlanOrigin::Planned,
+            plan_us: 0,
+        }
+    }
+
     /// Estimated page accesses of the chosen plan (cost-model 𝒞).
     pub fn estimated_pages(&self) -> f64 {
         self.explain.best().estimate.cost.pages
@@ -142,6 +172,8 @@ pub struct QuerySession<'a, S: PageSource> {
     cancel: Option<obs::CancelToken>,
     hedge: Option<nalg::HedgeConfig>,
     relevance: bool,
+    /// The owner's plan cache and the owner's planning-context epoch.
+    plan_cache: Option<(&'a PlanCache, u64)>,
 }
 
 type EnablePool<'a, S> = fn(Evaluator<'a, S>, usize) -> Evaluator<'a, S>;
@@ -176,7 +208,26 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             cancel: None,
             hedge: None,
             relevance: false,
+            plan_cache: None,
         }
+    }
+
+    /// Makes [`QuerySession::run`] plan once per query shape: it looks the
+    /// shape up in `cache` first and plans (and fills the cache) only on a
+    /// miss.
+    ///
+    /// `cache` belongs to something that outlives this session — a
+    /// server, a materialized store — and `context` is that owner's word
+    /// for everything a plan depends on besides the query's shape and the
+    /// quarantine set (which the session reads off its own
+    /// [`ConstraintHealth`]): the scheme, the catalog, the statistics, the
+    /// rule mask and whether incomplete navigations are allowed. Plans are
+    /// keyed on it, so the owner must hand the same number only to
+    /// sessions that plan alike and a new one whenever any of those
+    /// inputs changes; an owner that cannot know compares them by value.
+    pub fn with_plan_cache(mut self, cache: &'a PlanCache, context: u64) -> Self {
+        self.plan_cache = Some((cache, context));
+        self
     }
 
     /// Bounds every evaluation in this session by `deadline`: once the
@@ -367,32 +418,99 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         self.optimizer_traced(self.trace.as_ref()).optimize(q)
     }
 
-    /// Optimizes and executes the best plan. With auditing on, the fetched
+    /// Obtains a plan and executes it. With auditing on, the fetched
     /// pages are sampled against the plan's assumed constraints; a
     /// violation books into the attached [`ConstraintHealth`] (quarantine)
     /// and re-answers the query from its default navigation (see
     /// [`FallbackOutcome`]).
+    ///
+    /// Without a plan cache the plan is Algorithm 1's, every time. With
+    /// one ([`QuerySession::with_plan_cache`]) this is the whole protocol,
+    /// for every owner of a cache:
+    ///
+    /// 1. advance the health clock, read the quarantine set, and purge the
+    ///    cache if the owner's context or the set moved
+    ///    ([`PlanCache::sync`]);
+    /// 2. look the query's shape up; a hit — as stored, or bound to this
+    ///    query's constants — skips rule 1–9 enumeration;
+    /// 3. on a miss, plan — unless the session's deadline has already
+    ///    passed ([`crate::OptError::DeadlineExceeded`]: enumeration is the
+    ///    most expensive thing before the first fetch);
+    /// 4. execute and settle exactly as [`QuerySession::run_planned`];
+    /// 5. a plan its own audit falsified leaves the cache (the constraint
+    ///    was assumed for every instance of the shape); a freshly planned
+    ///    one enters it — unless a default navigation of the query's
+    ///    relations selects on a constant of its own, in which case binding
+    ///    the plan to other constants could rewrite that constant too, so
+    ///    it is refused and the shape is planned every time.
+    ///
+    /// [`QueryOutcome::plan`] says which way the plan came.
     pub fn run(&self, q: &ConjunctiveQuery) -> Result<QueryOutcome> {
         if let Some(h) = self.health {
             h.tick();
         }
-        let explain = Arc::new(self.explain(q)?);
-        self.run_planned(q, explain)
+        let started = Instant::now();
+        let Some((cache, context)) = self.plan_cache else {
+            let explain = Arc::new(self.explain(q)?);
+            let plan_us = started.elapsed().as_micros() as u64;
+            let mut outcome = self.run_planned(q, explain)?;
+            outcome.plan_us = plan_us;
+            return Ok(outcome);
+        };
+        let quarantined = self.health.map(|h| h.quarantined()).unwrap_or_default();
+        let quarantine_fp = quarantine_fingerprint(&quarantined);
+        cache.sync(context, quarantine_fp);
+        let (shape, params) = q.shape();
+        let key = PlanKey {
+            shape,
+            stats_epoch: context,
+            quarantine_fp,
+        };
+        let (explain, origin) = match cache.lookup_origin(&key, q, &params, &quarantined) {
+            Some(hit) => hit,
+            None if self.deadline.is_some_and(|d| d.expired()) => {
+                return Err(crate::OptError::DeadlineExceeded)
+            }
+            None => (Arc::new(self.explain(q)?), PlanOrigin::Planned),
+        };
+        let plan_us = started.elapsed().as_micros() as u64;
+        let mut outcome = self.run_planned(q, explain)?;
+        outcome.plan = origin;
+        outcome.plan_us = plan_us;
+        if outcome.fell_back() {
+            cache.remove(&key);
+        } else if origin == PlanOrigin::Planned {
+            if self.navigations_carry_constants(q) {
+                cache.note_refused();
+            } else {
+                cache.insert(key, params, Arc::clone(&outcome.explain));
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// True when a default navigation of one of `q`'s relations selects on
+    /// a constant: a plan over it holds constants that are not `q`'s, the
+    /// one thing [`Explain::bind`] cannot tell apart.
+    fn navigations_carry_constants(&self, q: &ConjunctiveQuery) -> bool {
+        q.atoms.iter().any(|name| {
+            self.catalog
+                .relation(name)
+                .is_ok_and(|rel| rel.navigations.iter().any(|nav| nav.expr.has_constants()))
+        })
     }
 
     /// Executes an already-optimized plan set for `q`, skipping rule 1–9
-    /// enumeration entirely — the serving layer's plan-cache hit path.
-    /// Auditing, constraint-health booking, and the drift fallback behave
-    /// exactly as in [`QuerySession::run`]; the only difference is that
-    /// this does **not** advance the health registry's logical clock (the
-    /// caller owns the tick, so a cache hit and a cache miss age
-    /// quarantines identically).
+    /// enumeration entirely — what [`QuerySession::run`] does once it has
+    /// its plan. Auditing, constraint-health booking, and the drift
+    /// fallback behave exactly as there; this neither advances the health
+    /// registry's logical clock nor touches a plan cache.
     ///
     /// Correctness is the caller's contract: `explain` must have been
     /// produced for this `q` over the session's current statistics and
     /// quarantine set (a [`crate::CandidatePlan`] licensed by a
     /// since-quarantined constraint would execute here unchallenged —
-    /// the serve-layer plan cache guards exactly that).
+    /// the plan cache guards exactly that).
     pub fn run_planned(&self, q: &ConjunctiveQuery, explain: Arc<Explain>) -> Result<QueryOutcome> {
         let mut ev = self.evaluator();
         if let Some(cfg) = self.audit_config(explain.best()) {
@@ -413,11 +531,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     ) -> Result<QueryOutcome> {
         let (violated, newly_quarantined) = {
             let Some(audit) = report.audit.as_ref() else {
-                return Ok(QueryOutcome {
-                    explain,
-                    report,
-                    fallback: None,
-                });
+                return Ok(QueryOutcome::planned(explain, report, None));
             };
             let mut violated = Vec::new();
             let mut newly_quarantined = Vec::new();
@@ -434,11 +548,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             (violated, newly_quarantined)
         };
         if violated.is_empty() {
-            return Ok(QueryOutcome {
-                explain,
-                report,
-                fallback: None,
-            });
+            return Ok(QueryOutcome::planned(explain, report, None));
         }
         // Every audited constraint was load-bearing for this plan, so a
         // violation invalidates the rewrite chain that produced it. Answer
@@ -455,24 +565,26 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         let fb_explain = Arc::new(fb_opt.optimize(q)?);
         let fb_report = self.evaluator().eval(&fb_explain.best().expr)?;
         let diverged = report.relation.sorted() != fb_report.relation.sorted();
-        Ok(QueryOutcome {
-            explain: fb_explain,
-            report: fb_report,
-            fallback: Some(FallbackOutcome {
+        Ok(QueryOutcome::planned(
+            fb_explain,
+            fb_report,
+            Some(FallbackOutcome {
                 violated,
                 newly_quarantined,
                 suspect_explain: explain,
                 suspect_report: report,
                 diverged,
             }),
-        })
+        ))
     }
 
     /// EXPLAIN ANALYZE: optimizes, executes the best plan under a fresh
     /// deterministic trace sink (independent of any session sink), and
     /// joins the optimizer's per-operator estimates onto the executed
     /// operator spans. Results and counters are byte-identical to
-    /// [`QuerySession::run`]; the extra work is bookkeeping only.
+    /// [`QuerySession::run`]; the extra work is bookkeeping only. A
+    /// diagnostic run explains the plan it derives: it always plans afresh
+    /// and neither reads nor fills a plan cache.
     pub fn run_analyzed(&self, q: &ConjunctiveQuery) -> Result<AnalyzedOutcome> {
         let sink = TraceSink::with_seed(0);
         let explain = Arc::new(self.optimizer_traced(Some(&sink)).optimize(q)?);
@@ -481,11 +593,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             .eval(&explain.best().expr)?;
         let analysis = ExplainAnalyze::from_parts(&explain.best().estimate, &sink.events());
         Ok(AnalyzedOutcome {
-            outcome: QueryOutcome {
-                explain,
-                report,
-                fallback: None,
-            },
+            outcome: QueryOutcome::planned(explain, report, None),
             analysis,
             trace: sink,
         })

@@ -21,6 +21,8 @@
 //!   selection, with rule masks for ablation studies;
 //! * [`exec`] — an end-to-end query session over a live (simulated) site:
 //!   optimize, navigate, wrap, and report estimated vs. actual accesses;
+//! * [`plan_cache`] — one rule 1–9 enumeration per query *shape*: the
+//!   cache a server or a materialized store owns and a session consults;
 //! * [`analyze`] — EXPLAIN ANALYZE: joins the optimizer's per-operator
 //!   estimates onto the executed operator spans of a traced run;
 //! * [`source`] — the adapter that turns a `websim` virtual server plus the
@@ -55,6 +57,7 @@ pub mod error;
 pub mod exec;
 pub mod infer;
 pub mod optimizer;
+pub mod plan_cache;
 pub mod query;
 pub mod registry;
 pub mod rules;
@@ -71,6 +74,9 @@ pub use error::OptError;
 pub use exec::{AnalyzedOutcome, FallbackOutcome, QueryOutcome, QuerySession};
 pub use infer::{auto_catalog, auto_relation, infer_navigations, InferredNavigation};
 pub use optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
+pub use plan_cache::{
+    quarantine_fingerprint, PlanCache, PlanCacheStats, PlanKey, PlanOrigin, PLAN_CACHE_CAPACITY,
+};
 pub use query::ConjunctiveQuery;
 pub use registry::{RewritePhase, RewriteRule};
 pub use rules::ConstraintDependency;

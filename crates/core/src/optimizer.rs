@@ -144,6 +144,12 @@ impl Explain {
     /// `params[k]`. Estimates, dependency sets and candidate order are
     /// those of the shape and are shared; [`Explain::query`] is rendered
     /// from `q`, so the result never shows the other instance's constants.
+    ///
+    /// *Every* constant equal to `stored[k]` is rewritten, whoever put it
+    /// in the plan: binding is sound only for plan sets whose constants
+    /// are all the query's. [`crate::QuerySession::run`] therefore never
+    /// caches — and so never binds — a plan over a relation whose default
+    /// navigation selects on a constant of its own.
     pub fn bind(&self, q: &ConjunctiveQuery, stored: &[Value], params: &[Value]) -> Explain {
         debug_assert_eq!(stored.len(), params.len(), "one shape, one arity");
         let rebind = |v: &Value| match stored.iter().position(|s| s == v) {
@@ -163,6 +169,31 @@ impl Explain {
                 .collect(),
             quarantined: self.quarantined.clone(),
         }
+    }
+
+    /// Estimated heap footprint in bytes of everything this plan set owns
+    /// or shares: each candidate's plan tree, estimate and dependency set.
+    /// What a plan cache retains per shape.
+    pub fn approx_bytes(&self) -> usize {
+        let text = |s: &String| std::mem::size_of::<String>() + s.len();
+        let candidates: usize = self
+            .candidates
+            .iter()
+            .map(|c| {
+                let est = &c.estimate;
+                std::mem::size_of::<CandidatePlan>()
+                    + c.expr.approx_bytes()
+                    + std::mem::size_of::<Estimate>()
+                    + est
+                        .per_operator
+                        .iter()
+                        .map(|(label, _)| text(label) + 8)
+                        .sum::<usize>()
+                    + est.nodes.iter().map(|n| text(&n.label) + 16).sum::<usize>()
+                    + c.dependencies.len() * std::mem::size_of::<ConstraintDependency>()
+            })
+            .sum();
+        self.query.len() + candidates + self.quarantined.iter().map(text).sum::<usize>()
     }
 
     /// A multi-line report: the query, then each candidate with its

@@ -3,45 +3,72 @@
 //! Algorithm 1 re-derives the same winning plan every time a popular
 //! query arrives, and — because it never looks at a selection constant —
 //! the same plan up to constants for every query of one shape; on a
-//! serving workload that CPU is pure waste. The cache maps a [`PlanKey`]
-//! — the query's constant-free shape
-//! ([`wvcore::ConjunctiveQuery::shape`]), the statistics epoch, and a
-//! fingerprint of the current quarantine set — to the full [`Explain`]
+//! serving or maintenance workload that CPU is pure waste. The cache maps
+//! a [`PlanKey`] — the query's constant-free shape
+//! ([`ConjunctiveQuery::shape`]), the owner's planning-context epoch, and
+//! a fingerprint of the current quarantine set — to the full [`Explain`]
 //! the optimizer produced for the first instance of the shape, together
 //! with that instance's constants. A hit by the same constants shares the
 //! stored plan set; a hit by other constants gets it re-addressed
-//! ([`Explain::bind`], counted as `serve_plan_rebinds`). Either way the
-//! hit replays plan selection via [`wvcore::QuerySession::run_planned`].
+//! ([`Explain::bind`], counted as `rebinds`).
 //!
-//! **Invalidation.** All three key components exist to invalidate:
-//! recollecting statistics bumps the epoch, and any
-//! [`resilience::ConstraintHealth`] quarantine or TTL re-admission
-//! changes the fingerprint — either way cached plans stop matching and
-//! [`PlanCache::sync`] purges them (counted as `serve_plan_invalidations`).
-//! On top of that, [`PlanCache::lookup`] re-checks the served plan's own
-//! [`wvcore::rules::ConstraintDependency`] set against the quarantine list
-//! at hit time:
-//! a cached plan licensed by a since-quarantined constraint is **never
-//! served**, even if a stale fingerprint were to collide (counted as
-//! `serve_plan_quarantine_rejections`).
+//! **Who consults it.** Nobody but [`crate::QuerySession::run`], for a
+//! session built [`crate::QuerySession::with_plan_cache`]: lookup, plan on
+//! a miss, execute, then insert — or remove, when the plan's own audit
+//! falsified it. A cache has an *owner* that outlives sessions and says
+//! what else, besides shape and quarantine set, a plan was planned under
+//! (the `context` it hands each session): a `serve::QueryServer` borrows
+//! scheme, catalog and statistics for its whole life, so its context is
+//! its statistics epoch; a `matview::MatStore` outlives the sessions that
+//! borrow those inputs, so its context counts the distinct (rule mask,
+//! scheme, catalog, statistics) — compared by value — it has planned under.
 //!
-//! Counters live under the `serve` prefix of an [`obs::MetricsRegistry`],
-//! mirroring the `cache`/`resilience`/`constraint` registries elsewhere.
+//! **Invalidation.** All three key components exist to invalidate: a new
+//! context epoch (statistics recollected, other planning inputs) and any
+//! [`resilience::ConstraintHealth`] quarantine or TTL re-admission (a new
+//! fingerprint) stop cached plans from matching, and [`PlanCache::sync`]
+//! purges them (counted as `invalidations`). On top of that,
+//! [`PlanCache::lookup`] re-checks the served plan's own
+//! [`crate::rules::ConstraintDependency`] set against the quarantine list
+//! at hit time: a cached plan licensed by a since-quarantined constraint
+//! is **never served**, even if a stale fingerprint were to collide
+//! (counted as `quarantine_rejections`).
+//!
+//! **What is never stored.** [`Explain::bind`] rewrites every constant
+//! equal to a stored parameter, which is sound only while the plan's
+//! constants are the query's. A catalog whose default navigations select
+//! on constants of their own breaks that premise, so the plan set of a
+//! query over such a relation is refused (counted as `refused`) and the
+//! shape is planned every time.
+//!
+//! **What an entry keeps** is the owner's choice: whole plan sets (the
+//! serving layer, whose hits list every candidate as its misses do), or
+//! each set's winning candidate alone ([`PlanCache::winners_only`] — a
+//! store, which bounds what it retains).
+//!
+//! Counters register on an [`obs::MetricsRegistry`] under a caller-chosen
+//! stem: `serve_plan_*` for the serving layer, `…_store_plan_*` for a
+//! materialized store.
 
+use crate::{ConjunctiveQuery, Explain};
 use adm::Value;
 use obs::{Counter, MetricsRegistry};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
-use wvcore::{ConjunctiveQuery, Explain};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Plans either owner of a cache keeps: the serving layer's and a
+/// materialized store's.
+pub const PLAN_CACHE_CAPACITY: usize = 64;
 
 /// What a cached plan is keyed on. Any component changing is a miss.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// The key half of [`wvcore::ConjunctiveQuery::shape`] — the
-    /// normalized query AST with its constants taken out.
+    /// The key half of [`ConjunctiveQuery::shape`] — the normalized query
+    /// AST with its constants taken out.
     pub shape: String,
-    /// The serving layer's statistics epoch (bumped on recollection).
+    /// The owner's planning-context epoch: the serving layer's statistics
+    /// epoch (bumped on recollection), or a store's count of the planning
+    /// inputs it has seen change.
     pub stats_epoch: u64,
     /// [`quarantine_fingerprint`] of the quarantined constraint keys.
     pub quarantine_fp: u64,
@@ -69,6 +96,27 @@ pub fn quarantine_fingerprint(quarantined: &[String]) -> u64 {
     z ^ (z >> 31)
 }
 
+/// How a run came by its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanOrigin {
+    /// Rule 1–9 enumeration ran: no cache was attached, or it missed.
+    Planned,
+    /// The cached plan set of the query's shape, planned for these very
+    /// constants and shared as stored.
+    ShapeHit,
+    /// The cached plan set of the query's shape, planned for other
+    /// constants and bound to this query's ([`Explain::bind`]).
+    Rebound,
+}
+
+impl PlanOrigin {
+    /// True when rule 1–9 enumeration was skipped.
+    pub fn is_cached(self) -> bool {
+        self != PlanOrigin::Planned
+    }
+}
+
+#[derive(Debug)]
 struct Entry {
     /// The plan set as planned for the shape's first instance…
     explain: Arc<Explain>,
@@ -77,6 +125,7 @@ struct Entry {
     last_used: u64,
 }
 
+#[derive(Debug)]
 struct CacheState {
     map: HashMap<PlanKey, Entry>,
     clock: u64,
@@ -84,9 +133,14 @@ struct CacheState {
     synced: Option<(u64, u64)>,
 }
 
-/// A bounded LRU plan cache with `serve`-prefixed metrics.
+/// A bounded LRU cache of plan sets, one per query shape. See the module
+/// docs for who owns one, what its key contains and what a hit skips.
+#[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
+    /// Keep each plan set's winning candidate only
+    /// ([`PlanCache::winners_only`]).
+    winners_only: bool,
     state: Mutex<CacheState>,
     registry: MetricsRegistry,
     hits: Counter,
@@ -95,53 +149,76 @@ pub struct PlanCache {
     invalidations: Counter,
     quarantine_rejections: Counter,
     rebinds: Counter,
+    refused: Counter,
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans (minimum 1), with a fresh
-    /// `serve`-prefixed registry.
+    /// A cache holding at most `capacity` plans (minimum 1), counting as
+    /// `serve_plan_*` on a fresh registry of its own.
     pub fn new(capacity: usize) -> Self {
-        Self::with_registry(capacity, &MetricsRegistry::with_prefix("serve"))
+        Self::with_registry(capacity, &MetricsRegistry::with_prefix("serve"), "plan")
     }
 
     /// [`PlanCache::new`] registering its counters on an existing registry
-    /// (the serving layer shares one `serve` registry across subsystems).
-    pub fn with_registry(capacity: usize, registry: &MetricsRegistry) -> Self {
+    /// as `<stem>_hits`, `<stem>_misses`, … (the serving layer shares one
+    /// `serve` registry across subsystems; a store registers under the
+    /// prefix of whoever maintains it).
+    pub fn with_registry(capacity: usize, registry: &MetricsRegistry, stem: &str) -> Self {
+        let counter = |name: &str| registry.counter(&format!("{stem}_{name}"));
         PlanCache {
             capacity: capacity.max(1),
+            winners_only: false,
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
                 clock: 0,
                 synced: None,
             }),
-            hits: registry.counter("plan_hits"),
-            rebinds: registry.counter("plan_rebinds"),
-            misses: registry.counter("plan_misses"),
-            evictions: registry.counter("plan_evictions"),
-            invalidations: registry.counter("plan_invalidations"),
-            quarantine_rejections: registry.counter("plan_quarantine_rejections"),
+            hits: counter("hits"),
+            rebinds: counter("rebinds"),
+            misses: counter("misses"),
+            evictions: counter("evictions"),
+            invalidations: counter("invalidations"),
+            quarantine_rejections: counter("quarantine_rejections"),
+            refused: counter("refused"),
             registry: registry.clone(),
         }
     }
 
-    /// The registry carrying this cache's counters (prefix `serve`).
+    /// Keeps only the winning candidate of every plan set inserted from now
+    /// on: a hit serves the plan that runs, and the candidates it beat
+    /// belong to an enumeration a hit does not repeat. (The 79 candidates
+    /// of one four-way join are 350 KB of trees and per-node estimates;
+    /// its winner is 4 KB.) A hit's [`Explain::candidates`] then has one
+    /// entry. For an owner that bounds what it retains — a materialized
+    /// store; the serving layer keeps serving whole plan sets, as it
+    /// always has.
+    pub fn winners_only(mut self) -> Self {
+        self.winners_only = true;
+        self
+    }
+
+    /// The registry carrying this cache's counters.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.registry
     }
 
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Purges every entry whose epoch or quarantine fingerprint disagrees
     /// with the current `(stats_epoch, quarantine_fp)` — the explicit
-    /// invalidation on statistics recollection and on quarantine /
+    /// invalidation on a new planning context and on quarantine /
     /// re-admission. Returns how many entries were dropped.
     ///
-    /// The serving layer calls this on every request, and the pair moves
+    /// A session calls this on every run, and the pair moves
     /// only on recollection or a quarantine transition: a call repeating
     /// the last synced pair returns 0 without scanning. (An entry a racing
     /// request inserts under the *old* pair just after the change can
     /// never match a lookup again; it leaves at the next change or by
     /// LRU rather than at the next request.)
     pub fn sync(&self, stats_epoch: u64, quarantine_fp: u64) -> u64 {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         if state.synced.replace((stats_epoch, quarantine_fp)) == Some((stats_epoch, quarantine_fp))
         {
             return 0;
@@ -173,8 +250,21 @@ impl PlanCache {
         params: &[Value],
         quarantined: &[String],
     ) -> Option<Arc<Explain>> {
+        self.lookup_origin(key, q, params, quarantined)
+            .map(|(plan, _)| plan)
+    }
+
+    /// [`PlanCache::lookup`], also saying which kind of hit it was
+    /// ([`PlanOrigin::ShapeHit`] or [`PlanOrigin::Rebound`]).
+    pub fn lookup_origin(
+        &self,
+        key: &PlanKey,
+        q: &ConjunctiveQuery,
+        params: &[Value],
+        quarantined: &[String],
+    ) -> Option<(Arc<Explain>, PlanOrigin)> {
         let (plan, stored) = {
-            let mut state = self.state.lock();
+            let mut state = self.state();
             state.clock += 1;
             let clock = state.clock;
             let Some(entry) = state.map.get_mut(key) else {
@@ -198,17 +288,27 @@ impl PlanCache {
         };
         self.hits.inc();
         if *stored == *params {
-            return Some(plan);
+            return Some((plan, PlanOrigin::ShapeHit));
         }
         self.rebinds.inc();
-        Some(Arc::new(plan.bind(q, &stored, params)))
+        Some((Arc::new(plan.bind(q, &stored, params)), PlanOrigin::Rebound))
     }
 
     /// Inserts the plan set planned for the instance of `key.shape` whose
     /// parameters are `params`, evicting the least-recently-used entry
-    /// when full.
+    /// when full. A [`PlanCache::winners_only`] cache keeps a copy holding
+    /// the winning candidate alone.
     pub fn insert(&self, key: PlanKey, params: Vec<Value>, explain: Arc<Explain>) {
-        let mut state = self.state.lock();
+        let explain = if self.winners_only && explain.candidates.len() > 1 {
+            Arc::new(Explain {
+                query: explain.query.clone(),
+                candidates: vec![explain.best().clone()],
+                quarantined: explain.quarantined.clone(),
+            })
+        } else {
+            explain
+        };
+        let mut state = self.state();
         state.clock += 1;
         let clock = state.clock;
         if !state.map.contains_key(&key) && state.map.len() >= self.capacity {
@@ -235,16 +335,38 @@ impl PlanCache {
     /// Drops one entry (e.g. a shape whose plan just failed its audit —
     /// the falsified constraint was assumed for every instance of it).
     pub fn remove(&self, key: &PlanKey) -> bool {
-        let removed = self.state.lock().map.remove(key).is_some();
+        let removed = self.state().map.remove(key).is_some();
         if removed {
             self.invalidations.inc();
         }
         removed
     }
 
+    /// Counts a freshly planned plan set its owner's session declined to
+    /// store (see the module docs: the catalog's navigations carry
+    /// constants, so binding it to other constants would be unsound).
+    pub fn note_refused(&self) {
+        self.refused.inc();
+    }
+
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.state.lock().map.len()
+        self.state().map.len()
+    }
+
+    /// An estimate of the heap bytes the cached plan sets hold on to
+    /// ([`Explain::approx_bytes`] plus each entry's key and parameters).
+    pub fn retained_bytes(&self) -> usize {
+        let state = self.state();
+        state
+            .map
+            .iter()
+            .map(|(k, e)| {
+                k.shape.len()
+                    + e.explain.approx_bytes()
+                    + e.params.iter().map(Value::approx_bytes).sum::<usize>()
+            })
+            .sum()
     }
 
     /// True when the cache holds no plans.
@@ -261,6 +383,7 @@ impl PlanCache {
             invalidations: self.invalidations.get(),
             quarantine_rejections: self.quarantine_rejections.get(),
             rebinds: self.rebinds.get(),
+            refused: self.refused.get(),
             entries: self.len(),
         }
     }
@@ -282,6 +405,9 @@ pub struct PlanCacheStats {
     /// Hits (a subset of `hits`) whose constants differed from the cached
     /// instance's, so the plan set had to be bound to the request.
     pub rebinds: u64,
+    /// Freshly planned plan sets that were not stored because the
+    /// catalog's navigations carry constants of their own.
+    pub refused: u64,
     /// Entries resident right now (a gauge).
     pub entries: usize,
 }
@@ -302,7 +428,7 @@ impl PlanCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wvcore::{CandidatePlan, ConstraintDependency};
+    use crate::{CandidatePlan, ConstraintDependency};
 
     fn key(q: &str, epoch: u64, fp: u64) -> PlanKey {
         PlanKey {
@@ -315,10 +441,10 @@ mod tests {
     // A minimal Explain whose best plan depends on the given constraints.
     fn explain_with(deps: Vec<ConstraintDependency>) -> Arc<Explain> {
         let expr = nalg::NalgExpr::entry("HomePage");
-        let estimate = wvcore::cost::estimate(
+        let estimate = crate::cost::estimate(
             &expr,
             &websim::sitegen::university::university_scheme(),
-            &wvcore::SiteStatistics::default(),
+            &crate::SiteStatistics::default(),
         )
         .expect("entry estimates");
         Arc::new(Explain {
@@ -451,6 +577,51 @@ mod tests {
         ));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.rebinds, s.entries), (2, 0, 1, 1));
+    }
+
+    #[test]
+    fn a_winners_only_cache_keeps_the_winning_candidate() {
+        let cache = PlanCache::new(8).winners_only();
+        let mut planned = Explain::clone(&explain_with(vec![]));
+        let mut loser = planned.candidates[0].clone();
+        loser.expr = nalg::NalgExpr::entry("HomePage").unnest("Links");
+        planned.candidates.push(loser);
+        let planned = Arc::new(planned);
+        cache.insert(key("q", 0, 0), vec![], Arc::clone(&planned));
+        let (hit, origin) = cache
+            .lookup_origin(&key("q", 0, 0), &q(), &[], &[])
+            .expect("hit");
+        assert_eq!(origin, PlanOrigin::ShapeHit);
+        assert!(origin.is_cached() && !PlanOrigin::Planned.is_cached());
+        assert_eq!(hit.candidates.len(), 1);
+        assert_eq!(hit.best().expr, planned.best().expr);
+        assert_eq!(
+            (&hit.query, &hit.quarantined),
+            (&planned.query, &planned.quarantined)
+        );
+        let kept = cache.retained_bytes();
+        assert!(
+            0 < kept && kept < planned.approx_bytes(),
+            "{kept} of {}",
+            planned.approx_bytes()
+        );
+        // Without the policy the plan set is shared as planned.
+        let whole = PlanCache::new(8);
+        whole.insert(key("q", 0, 0), vec![], Arc::clone(&planned));
+        let hit = whole.lookup(&key("q", 0, 0), &q(), &[], &[]).expect("hit");
+        assert!(Arc::ptr_eq(&hit, &planned));
+    }
+
+    #[test]
+    fn refusals_are_counted_under_the_stem() {
+        let registry = MetricsRegistry::with_prefix("dataflow");
+        let cache = PlanCache::with_registry(2, &registry, "store_plan");
+        cache.note_refused();
+        assert_eq!(cache.stats().refused, 1);
+        assert!(cache.is_empty());
+        let prom = cache.metrics().render_prometheus();
+        assert!(prom.contains("dataflow_store_plan_refused 1"), "{prom}");
+        assert!(prom.contains("dataflow_store_plan_hits 0"), "{prom}");
     }
 
     #[test]

@@ -26,6 +26,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DefaultNavigation {
     /// The navigation expression (no σ/π; those are applied by queries).
+    /// A navigation that does select on a constant still answers
+    /// correctly, but plans over its relation are never plan-cached
+    /// ([`crate::QuerySession::run`]).
     pub expr: NalgExpr,
     /// Attribute → fully qualified column.
     pub bindings: Vec<(String, String)>,
@@ -88,7 +91,7 @@ impl ExternalRelation {
 }
 
 /// The set of external relations offered over a site.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ViewCatalog {
     relations: BTreeMap<String, ExternalRelation>,
 }

@@ -8,24 +8,33 @@
 //! [`crate::maintain::purge_missing`]). Answering a query thus costs
 //! 𝒞(E) light connections plus one download per actually-updated page —
 //! and maintains the view as a side effect.
+//!
+//! The paper prices the URL checks and never the plan selection; here the
+//! plan is selected once per query *shape*: the store keeps the plan sets
+//! it answered with ([`MatStore::plan_cache`]) and [`MatSession::run`]
+//! hands that cache to the [`QuerySession`] it evaluates with.
 
 use crate::store::{MatStore, UrlStatus};
 use crate::urlcheck::{url_check, CheckCounters};
-use crate::{MatError, Result};
+use crate::Result;
 use adm::{Relation, Tuple, Url, WebScheme};
 use nalg::{DegradationMode, NalgExpr, PageSource, SharedPageCache, SourceError};
 use obs::trace::{EventKind, TraceSink};
 use std::cell::RefCell;
 use std::sync::Arc;
 use wvcore::{
-    ConjunctiveQuery, Explain, ExplainAnalyze, QuerySession, SiteStatistics, ViewCatalog,
+    ConjunctiveQuery, Explain, ExplainAnalyze, PlanCache, QuerySession, SiteStatistics, ViewCatalog,
 };
 
 /// The outcome of a materialized-view query.
 #[derive(Debug, Clone)]
 pub struct MatOutcome {
-    /// The optimizer's explanation.
-    pub explain: Explain,
+    /// The plan set the query was answered with (`.explain.best()` is the
+    /// plan that ran). Shared, never copied: a freshly planned set is the
+    /// optimizer's, every candidate in it; one served by the store's plan
+    /// cache is the cache's own `Arc` — the winning candidate only — or,
+    /// for other constants of the shape, that plan bound to them.
+    pub explain: Arc<Explain>,
     /// The answer.
     pub relation: Relation,
     /// Maintenance traffic incurred while answering.
@@ -189,7 +198,6 @@ pub struct MatSession<'a, P = websim::VirtualServer> {
     mask: wvcore::RuleMask,
     shared_cache: Option<&'a SharedPageCache>,
     degradation: DegradationMode,
-    trace: Option<TraceSink>,
 }
 
 impl<'a, P: websim::PageServer> MatSession<'a, P> {
@@ -208,17 +216,7 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
             mask: wvcore::RuleMask::all(),
             shared_cache: None,
             degradation: DegradationMode::FailFast,
-            trace: None,
         }
-    }
-
-    /// Attaches a trace sink: optimizer rule events, one span per
-    /// executed operator, and one maintenance event per URL check.
-    /// Answers and every counter ([`CheckCounters`] included) are
-    /// byte-identical with or without a sink.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
     }
 
     /// Sets the optimizer rule mask (builder style).
@@ -248,30 +246,34 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
 
     /// Runs a conjunctive query against the materialized view,
     /// lazily maintaining it (Algorithm 3).
+    ///
+    /// The plan is chosen once per query shape: the store's plan cache is
+    /// consulted under a context that stands for this session's rule mask,
+    /// scheme, catalog and statistics *by value*, so a plan is reused only
+    /// by a session that would have chosen it. Every URL check, download
+    /// and counter is what a freshly planned run would have made.
     pub fn run(&self, store: &mut MatStore, q: &ConjunctiveQuery) -> Result<MatOutcome> {
-        self.run_traced(store, q, self.trace.as_ref())
+        let plans = store.plans();
+        let context = plans.context(self.mask, self.ws, self.catalog, self.stats);
+        self.run_with(store, q, None, Some((plans.cache(), context)))
     }
 
-    fn run_traced(
+    fn run_with(
         &self,
         store: &mut MatStore,
         q: &ConjunctiveQuery,
         trace: Option<&TraceSink>,
+        plans: Option<(&PlanCache, u64)>,
     ) -> Result<MatOutcome> {
         let source = self.source(store, trace);
-        let session = self.session(&source, trace);
-        let explain = session.explain(q)?;
-        // `Explain::best` indexes candidates[0]: an empty candidate set is
-        // an error here, not a panic there.
-        if explain.candidates.is_empty() {
-            return Err(MatError::Opt(
-                "optimizer produced no candidate plans".into(),
-            ));
+        let mut session = self.session(&source, trace);
+        if let Some((cache, context)) = plans {
+            session = session.with_plan_cache(cache, context);
         }
-        let outcome = session.run_planned(q, Arc::new(explain))?;
+        let outcome = session.run(q)?;
         let counters = source.finish()?;
         Ok(MatOutcome {
-            explain: Arc::try_unwrap(outcome.explain).unwrap_or_else(|shared| (*shared).clone()),
+            explain: outcome.explain,
             relation: outcome.report.relation,
             counters,
             broken_links: outcome.report.broken_links,
@@ -279,9 +281,11 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         })
     }
 
-    /// EXPLAIN ANALYZE over the materialized view: optimizes, answers
-    /// under a fresh deterministic trace sink, and joins the optimizer's
-    /// per-operator estimates onto the executed spans. Note the
+    /// EXPLAIN ANALYZE over the materialized view: optimizes afresh — a
+    /// diagnostic run explains the plan it derives, so the store's plan
+    /// cache is neither read nor filled — answers under a fresh
+    /// deterministic trace sink, and joins the optimizer's per-operator
+    /// estimates onto the executed spans. Note the
     /// semantics: predicted pages are what a *virtual*-view evaluation
     /// would download, while observed downloads are the re-downloads the
     /// URL-check protocol actually decided on — the gap between the two
@@ -294,7 +298,7 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         // Its own sink, handed to the session and the checking source
         // alike, so `matview.urlcheck` events land beside the operators'.
         let sink = TraceSink::with_seed(0);
-        let outcome = self.run_traced(store, q, Some(&sink))?;
+        let outcome = self.run_with(store, q, Some(&sink), None)?;
         let analysis = ExplainAnalyze::from_parts(&outcome.explain.best().estimate, &sink.events());
         Ok(MatAnalyzedOutcome {
             outcome,
@@ -311,9 +315,8 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         store: &mut MatStore,
         plan: &NalgExpr,
     ) -> Result<(Relation, CheckCounters, u64, Vec<Url>)> {
-        let trace = self.trace.as_ref();
-        let source = self.source(store, trace);
-        let report = self.session(&source, trace).execute(plan)?;
+        let source = self.source(store, None);
+        let report = self.session(&source, None).execute(plan)?;
         let counters = source.finish()?;
         Ok((
             report.relation,

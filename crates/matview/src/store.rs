@@ -18,12 +18,19 @@
 //! [`MatStore::download`]; the crawl, URLCheck, the upquery and the
 //! change-feed sync differ only in what they do when it reports the page
 //! *gone* or the server *transiently* failing.
+//!
+//! The store also keeps **the plans it answered with**
+//! ([`MatStore::plan_cache`]): Algorithm 3 opens by choosing a plan with
+//! Algorithm 1, a [`crate::MatSession`] lives for one round, and the store
+//! is the only value of a materialized-view query that lives longer.
 
 use crate::{MatError, Result};
 use adm::{Field, Tuple, Url, Value, WebScheme, WebType};
 use obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 use websim::PageServer;
+use wvcore::{PlanCache, RuleMask, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY};
 
 /// A materialized page: its wrapped tuple plus the logical date it was
 /// last downloaded.
@@ -162,7 +169,101 @@ struct StoreMetrics {
     skeleton_pages: Gauge,
 }
 
-/// The local materialized store.
+/// Everything besides the query's shape that a plan over the store depends
+/// on. Sessions come and go between the store's queries, each borrowing
+/// inputs of its own, so the store keeps a copy and compares by value.
+#[derive(Debug)]
+struct PlanInputs {
+    mask: RuleMask,
+    ws: WebScheme,
+    catalog: ViewCatalog,
+    stats: SiteStatistics,
+}
+
+/// The plan cache a store owns, and the context its plans are keyed on.
+#[derive(Debug)]
+pub(crate) struct StorePlans {
+    cache: PlanCache,
+    /// The inputs the cached plans were planned under, and how many
+    /// different ones have been seen — the epoch sessions key plans on.
+    planned_under: Mutex<(u64, Option<PlanInputs>)>,
+}
+
+impl StorePlans {
+    fn registered(registry: &MetricsRegistry) -> Self {
+        StorePlans {
+            cache: PlanCache::with_registry(PLAN_CACHE_CAPACITY, registry, "store_plan")
+                .winners_only(),
+            planned_under: Mutex::new((0, None)),
+        }
+    }
+
+    pub(crate) fn cache(&self) -> &PlanCache {
+        &self.cache
+    }
+
+    /// The context epoch for a session planning under these inputs: the
+    /// current one when they equal — by value, never by address — the
+    /// inputs the cached plans were planned under, else a new one (which
+    /// makes every cached plan a miss, and the next sync drops them).
+    pub(crate) fn context(
+        &self,
+        mask: RuleMask,
+        ws: &WebScheme,
+        catalog: &ViewCatalog,
+        stats: &SiteStatistics,
+    ) -> u64 {
+        let mut guard = self
+            .planned_under
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (epoch, inputs) = &mut *guard;
+        let same = inputs.as_ref().is_some_and(|i| {
+            i.mask == mask && i.stats == *stats && i.ws == *ws && i.catalog == *catalog
+        });
+        if !same {
+            *epoch += 1;
+            *inputs = Some(PlanInputs {
+                mask,
+                ws: ws.clone(),
+                catalog: catalog.clone(),
+                stats: stats.clone(),
+            });
+        }
+        *epoch
+    }
+}
+
+/// A store's handle on its plans. A cloned store copies the pages, not the
+/// plans: it starts with an empty cache and counters of its own.
+#[derive(Debug)]
+struct Plans(Arc<StorePlans>);
+
+impl Default for Plans {
+    fn default() -> Self {
+        Plans(Arc::new(StorePlans::registered(&MetricsRegistry::new())))
+    }
+}
+
+impl Clone for Plans {
+    fn clone(&self) -> Self {
+        Plans::default()
+    }
+}
+
+/// The local materialized store: the pages, and the plans queries over
+/// them were answered with.
+///
+/// **Plans.** A store owns a [`PlanCache`] because it is the only value of
+/// a materialized-view query that outlives a round — a
+/// [`crate::MatSession`] is rebuilt whenever the site handle is
+/// re-borrowed. [`crate::MatSession::run`] plans once per query shape
+/// through it. The store cannot know that the next session borrows the
+/// scheme, catalog, statistics and rule mask the last one did, so it keeps
+/// a copy of the ones its plans were planned under and compares by value
+/// on every query; any difference starts a new context and the old plans
+/// are dropped. Cloning a store copies its pages and starts the clone with
+/// no plans.
 #[derive(Debug, Default, Clone)]
 pub struct MatStore {
     pages: HashMap<Url, Entry>,
@@ -183,6 +284,7 @@ pub struct MatStore {
     /// reachable from an entry point and a sweep has nothing to drop.
     links_moved: bool,
     metrics: StoreMetrics,
+    plans: Plans,
 }
 
 /// What one [`MatStore::download`] found.
@@ -261,8 +363,12 @@ impl MatStore {
         MatStore::default()
     }
 
-    /// Registers the store's counters and gauges under `registry`.
+    /// Registers the store's counters and gauges under `registry`,
+    /// those of its plan cache (`store_plan_hits`, `_rebinds`, `_misses`,
+    /// `_evictions`, `_invalidations`, `_refused`, …) included. Called on a
+    /// new store: what was counted or cached before is left behind.
     pub(crate) fn register_metrics(&mut self, registry: &MetricsRegistry) {
+        self.plans = Plans(Arc::new(StorePlans::registered(registry)));
         self.metrics = StoreMetrics {
             evictions: registry.counter("store_evictions"),
             upqueries: registry.counter("store_upqueries"),
@@ -294,6 +400,18 @@ impl MatStore {
     /// The configured byte budget.
     pub fn budget(&self) -> Option<usize> {
         self.budget
+    }
+
+    /// The plans this store answered with (counters, entries, retained
+    /// bytes). Filled and consulted by [`crate::MatSession::run`] only.
+    pub fn plan_cache(&self) -> &PlanCache {
+        self.plans.0.cache()
+    }
+
+    /// A handle on the plans that does not borrow the store, for the
+    /// session that is about to borrow it mutably.
+    pub(crate) fn plans(&self) -> Arc<StorePlans> {
+        Arc::clone(&self.plans.0)
     }
 
     /// Point-in-time counters.
@@ -779,6 +897,30 @@ mod tests {
         for (url, truth) in u.site.instance("ProfPage") {
             assert_eq!(store.get(&url).unwrap().tuple, truth);
         }
+    }
+
+    #[test]
+    fn the_plan_cache_registers_beside_the_store_counters() {
+        let registry = MetricsRegistry::with_prefix("dataflow");
+        let mut store = MatStore::new();
+        store.register_metrics(&registry);
+        let names = registry.names();
+        for counter in [
+            "hits",
+            "rebinds",
+            "misses",
+            "evictions",
+            "invalidations",
+            "refused",
+        ] {
+            let name = format!("dataflow_store_plan_{counter}");
+            assert!(names.contains(&name), "{name} missing from {names:?}");
+        }
+        assert!(names.contains(&"dataflow_store_evictions".to_string()));
+        // A clone keeps the pages and starts without plans or counters.
+        store.plan_cache().note_refused();
+        assert_eq!(registry.counter("store_plan_refused").get(), 1);
+        assert_eq!(store.clone().plan_cache().stats().refused, 0);
     }
 
     #[test]

@@ -6,13 +6,25 @@
 //! answering, the off-line audit flags the rest, and when a re-download
 //! fails the affected tuple is retained **marked stale** rather than
 //! silently passed off as current.
+//!
+//! The store also remembers the plans it answered with. The second half
+//! of this file pins that memory as invisible: a store that remembers
+//! answers exactly like one that does not — rows, maintenance traffic and
+//! chosen plan — through mutation rounds and for other constants of a
+//! shape, and a plan is never handed to a session that would not have
+//! chosen it.
 
 use matview::maintain::{audit, full_refresh};
 use matview::{MatSession, MatStore};
-use websim::mutation::{DriftPlan, DriftRule};
-use websim::sitegen::{University, UniversityConfig};
-use wvcore::views::university_catalog;
-use wvcore::{ConjunctiveQuery, SiteStatistics, ViewCatalog};
+use proptest::prelude::*;
+use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
+use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
+use websim::Site;
+use wvcore::views::{bibliography_catalog, university_catalog};
+use wvcore::{
+    ConjunctiveQuery, ExternalRelation, LiveSource, PlanCache, QuerySession, RuleMask,
+    SiteStatistics, ViewCatalog,
+};
 
 fn setup() -> (University, MatStore, SiteStatistics, ViewCatalog) {
     let u = University::generate(UniversityConfig {
@@ -189,4 +201,380 @@ fn failed_redownload_is_marked_stale_not_kept_wrong() {
         .unwrap()
         .contains("[drift"));
     assert!(audit(&store, &u.site).is_empty());
+}
+
+// ---------------------------------------------------------------------
+// A store that remembers its plans ≡ a store that does not.
+// ---------------------------------------------------------------------
+
+/// A site, its external view, and what to draw queries and mutations from.
+struct World {
+    site: Site,
+    catalog: ViewCatalog,
+    /// Relations with their attributes (first one is projected).
+    relations: &'static [(&'static str, &'static [&'static str])],
+    /// Plausible constants per attribute.
+    values: fn(&str) -> &'static [&'static str],
+    plan: MutationPlan,
+}
+
+fn university_world(site_seed: u64, plan_seed: u64) -> World {
+    let u = University::generate(UniversityConfig {
+        departments: 3,
+        professors: 8,
+        courses: 12,
+        seed: site_seed,
+        ..UniversityConfig::default()
+    })
+    .unwrap();
+    World {
+        site: u.site,
+        catalog: university_catalog(),
+        relations: &[
+            ("Dept", &["DName", "Address"]),
+            ("Professor", &["PName", "Rank", "Email"]),
+            ("Course", &["CName", "Session", "Description", "Type"]),
+            ("CourseInstructor", &["CName", "PName"]),
+            ("ProfDept", &["PName", "DName"]),
+        ],
+        values: |attr| match attr {
+            "Rank" => &["Full", "Associate", "Assistant"],
+            "Session" => &["Fall", "Winter", "Summer"],
+            "Type" => &["Graduate", "Undergraduate"],
+            "DName" => &["Computer Science", "Mathematics", "Physics", "Nowhere"],
+            _ => &["no-such-value"],
+        },
+        plan: MutationPlan::new(plan_seed)
+            .with_rule(MutationRule::edit_attr("DeptPage", "Address", 0.5))
+            .with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.3))
+            .with_rule(MutationRule::edit_attr("CoursePage", "Description", 0.3))
+            .with_rule(MutationRule::delete("CoursePage", 0.15)),
+    }
+}
+
+fn bibliography_world(site_seed: u64, plan_seed: u64) -> World {
+    let bib = Bibliography::generate(BibConfig {
+        authors: 12,
+        conferences: 3,
+        db_conferences: 2,
+        featured: 1,
+        editions_per_conf: 2,
+        papers_per_edition: 3,
+        seed: site_seed,
+        ..BibConfig::default()
+    })
+    .unwrap();
+    World {
+        site: bib.site,
+        catalog: bibliography_catalog(),
+        relations: &[
+            ("Conference", &["ConfName"]),
+            ("ConfEdition", &["ConfName", "Year", "Editors"]),
+            ("Author", &["AName"]),
+            ("AuthorPub", &["AName", "ConfName", "Year"]),
+            ("Paper", &["Title", "ConfName", "Year"]),
+        ],
+        values: |attr| match attr {
+            "ConfName" => &["VLDB", "SIGMOD", "PODS", "Nowhere"],
+            "Year" => &["1997", "1996", "1990"],
+            _ => &["no-such-value"],
+        },
+        plan: MutationPlan::new(plan_seed)
+            .with_rule(MutationRule::edit_attr("EditionPage", "Editors", 0.5))
+            .with_rule(MutationRule::delete("AuthorPage", 0.1)),
+    }
+}
+
+/// A query drawn as `crates/core/tests/random_queries.rs`'s `arb_query`
+/// draws them — one to three atoms, up to two selections, natural joins or
+/// none — but as picks, so the same draw reads against either world.
+#[derive(Debug, Clone)]
+struct QueryPicks {
+    atoms: Vec<prop::sample::Index>,
+    selections: Vec<(prop::sample::Index, prop::sample::Index)>,
+    join_all_shared: bool,
+}
+
+fn arb_query() -> impl Strategy<Value = QueryPicks> {
+    (
+        proptest::collection::vec(any::<prop::sample::Index>(), 1..=3),
+        proptest::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            0..3,
+        ),
+        any::<bool>(),
+    )
+        .prop_map(|(atoms, selections, join_all_shared)| QueryPicks {
+            atoms,
+            selections,
+            join_all_shared,
+        })
+}
+
+/// The drawn query over `world`; `shift` moves every selection constant
+/// that many places along its attribute's pool, giving another instance of
+/// the same shape.
+fn build(world: &World, picks: &QueryPicks, shift: usize) -> ConjunctiveQuery {
+    let atoms: Vec<_> = picks
+        .atoms
+        .iter()
+        .map(|i| world.relations[i.index(world.relations.len())])
+        .collect();
+    let mut q = ConjunctiveQuery::new("drawn");
+    for (name, _) in &atoms {
+        q = q.atom(*name);
+    }
+    if picks.join_all_shared {
+        for j in 1..atoms.len() {
+            for i in 0..j {
+                for attr in atoms[i].1 {
+                    if atoms[j].1.contains(attr) {
+                        q = q.join((i, *attr), (j, *attr));
+                    }
+                }
+            }
+        }
+    }
+    for (at, which) in &picks.selections {
+        let atom = at.index(atoms.len());
+        let attrs = atoms[atom].1;
+        let attr = attrs[which.index(attrs.len())];
+        // One selection per attribute: two on one attribute are listed by
+        // value in the shape, so another instance may get its two σ in the
+        // other order — an equal plan, but not an equal tree
+        // (`tests/serving.rs` holds such shapes to their answers).
+        if q.selections
+            .iter()
+            .any(|((i, a), _)| (*i, a.as_str()) == (atom, attr))
+        {
+            continue;
+        }
+        let pool = (world.values)(attr);
+        q = q.select(
+            (atom, attr),
+            pool[(which.index(pool.len()) + shift) % pool.len()],
+        );
+    }
+    for (i, (_, attrs)) in atoms.iter().enumerate() {
+        q = q.project((i, attrs[0]));
+    }
+    q
+}
+
+/// Answers `q` from `remembering` and from a clone of it, which starts
+/// with no plans, and holds the two outcomes to each other.
+fn same_as_a_store_without_plans(
+    world: &World,
+    stats: &SiteStatistics,
+    remembering: &mut MatStore,
+    q: &ConjunctiveQuery,
+) {
+    let mut forgetting = remembering.clone();
+    assert!(forgetting.plan_cache().is_empty());
+    let session = MatSession::new(
+        &world.site.scheme,
+        &world.catalog,
+        stats,
+        &world.site.server,
+    );
+    let kept = session.run(remembering, q).unwrap();
+    let fresh = session.run(&mut forgetting, q).unwrap();
+    assert_eq!(kept.relation.sorted(), fresh.relation.sorted(), "{q}");
+    assert_eq!(kept.counters, fresh.counters, "{q}");
+    assert_eq!(kept.broken_links, fresh.broken_links, "{q}");
+    assert_eq!(kept.unreachable, fresh.unreachable, "{q}");
+    assert_eq!(kept.explain.best().expr, fresh.explain.best().expr, "{q}");
+    assert_eq!(forgetting.plan_cache().stats().hits, 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // Whatever the site, the queries and the mutations between them: the
+    // first instance of a shape (planned), the same instance again after a
+    // mutation round (shared as stored) and another instance of the shape
+    // after one more (bound to its constants) are all answered as a store
+    // with an empty plan cache answers them.
+    #[test]
+    fn a_store_that_remembers_its_plans_answers_like_one_that_does_not(
+        on_bibliography in any::<bool>(),
+        site_seed in 0u64..=1000,
+        plan_seed in 0u64..=u64::MAX,
+        drawn in proptest::collection::vec(arb_query(), 2..=4),
+    ) {
+        let mut world = if on_bibliography {
+            bibliography_world(site_seed, plan_seed)
+        } else {
+            university_world(site_seed, plan_seed)
+        };
+        let stats = SiteStatistics::from_site(&world.site);
+        let mut store = MatStore::new();
+        store.materialize(&world.site.scheme, &world.site.server).unwrap();
+        for (round, shift) in [0usize, 0, 1].into_iter().enumerate() {
+            if round > 0 {
+                world.plan.apply_round(&mut world.site, round as u64).unwrap();
+            }
+            for picks in &drawn {
+                let q = build(&world, picks, shift);
+                same_as_a_store_without_plans(&world, &stats, &mut store, &q);
+            }
+        }
+        // Every query of the second and third pass found its shape planned.
+        let cache = store.plan_cache().stats();
+        prop_assert_eq!(cache.hits + cache.misses, 3 * drawn.len() as u64);
+        prop_assert!(cache.hits >= 2 * drawn.len() as u64, "{:?}", cache);
+        prop_assert!(cache.misses as usize == cache.entries, "{:?}", cache);
+        prop_assert_eq!((cache.refused, cache.invalidations), (0, 0));
+    }
+}
+
+fn grad_courses() -> ConjunctiveQuery {
+    ConjunctiveQuery::new("graduate courses")
+        .atom("Course")
+        .select((0, "Type"), "Graduate")
+        .project((0, "CName"))
+}
+
+/// Rule 6 pushes this selection below the link to the department page, so
+/// the full rule mask and the empty one choose different plans for it.
+fn cs_address() -> ConjunctiveQuery {
+    ConjunctiveQuery::new("cs-dept")
+        .atom("Dept")
+        .select((0, "DName"), "Computer Science")
+        .project((0, "Address"))
+}
+
+#[test]
+fn a_plan_is_never_handed_to_a_session_with_another_rule_mask() {
+    let (u, mut store, stats, catalog) = setup();
+    let session =
+        |mask| MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server).with_mask(mask);
+    let planned = |mask| {
+        session(mask)
+            .run(&mut store.clone(), &cs_address())
+            .unwrap()
+            .explain
+            .best()
+            .expr
+            .clone()
+    };
+    let (optimized, naive) = (planned(RuleMask::all()), planned(RuleMask::none()));
+    assert_ne!(
+        optimized, naive,
+        "the masks must disagree for this to pin anything"
+    );
+    for (mask, want) in [
+        (RuleMask::all(), &optimized),
+        (RuleMask::none(), &naive),
+        (RuleMask::all(), &optimized),
+    ] {
+        let out = session(mask).run(&mut store, &cs_address()).unwrap();
+        assert_eq!(&out.explain.best().expr, want);
+    }
+    let cache = store.plan_cache().stats();
+    assert_eq!(
+        (cache.hits, cache.misses),
+        (0, 3),
+        "each mask change re-plans"
+    );
+    // The same mask again is a hit.
+    session(RuleMask::all())
+        .run(&mut store, &cs_address())
+        .unwrap();
+    assert_eq!(store.plan_cache().stats().hits, 1);
+}
+
+#[test]
+fn recollected_statistics_hit_when_equal_and_replan_when_not() {
+    let (u, mut store, stats, catalog) = setup();
+    let run = |store: &mut MatStore, stats: &SiteStatistics| {
+        MatSession::new(&u.site.scheme, &catalog, stats, &u.site.server)
+            .run(store, &grad_courses())
+            .unwrap()
+    };
+    run(&mut store, &stats);
+    // Collected again from the unchanged site: another value at another
+    // address, equal content — the plan stands.
+    let again = SiteStatistics::from_site(&u.site);
+    assert_eq!(again, stats);
+    run(&mut store, &again);
+    let cache = store.plan_cache().stats();
+    assert_eq!((cache.hits, cache.misses, cache.invalidations), (1, 1, 0));
+    // Statistics that say something else: the ranking they produced is not
+    // this session's, so it plans for itself and the old plan is dropped.
+    let mut other = stats.clone();
+    *other.scheme_card.get_mut("CoursePage").unwrap() *= 10.0;
+    let want = run(&mut store.clone(), &other);
+    let got = run(&mut store, &other);
+    assert_eq!(got.explain.best().expr, want.explain.best().expr);
+    let cache = store.plan_cache().stats();
+    assert_eq!((cache.hits, cache.misses, cache.invalidations), (1, 2, 1));
+    assert_eq!(cache.entries, 1);
+}
+
+#[test]
+fn a_second_catalog_over_the_same_store_plans_for_itself() {
+    let (u, mut store, stats, catalog) = setup();
+    let run = |store: &mut MatStore, catalog: &ViewCatalog| {
+        MatSession::new(&u.site.scheme, catalog, &stats, &u.site.server)
+            .run(store, &dept_query())
+            .unwrap()
+    };
+    let first = run(&mut store, &catalog);
+    // An equal catalog built elsewhere is the same catalog.
+    run(&mut store, &university_catalog());
+    assert_eq!(store.plan_cache().stats().hits, 1);
+    // One whose `Dept` is navigated differently is not — even though the
+    // query's shape is the same text.
+    let other = university_catalog().with(ExternalRelation::new(
+        "Dept",
+        vec!["DName", "Address"],
+        vec![wvcore::DefaultNavigation::new(
+            nalg::NalgExpr::entry("ProfListPage")
+                .unnest("ProfList")
+                .follow("ToProf", "ProfPage")
+                .follow("ToDept", "DeptPage"),
+            vec![("DName", "DeptPage.DName"), ("Address", "DeptPage.Address")],
+        )],
+    ));
+    other.validate(&u.site.scheme).unwrap();
+    let second = run(&mut store, &other);
+    assert_ne!(second.explain.best().expr, first.explain.best().expr);
+    assert_eq!(second.relation.sorted(), first.relation.sorted());
+    let cache = store.plan_cache().stats();
+    assert_eq!((cache.hits, cache.misses), (1, 2));
+}
+
+// The protocol a store's sessions run is `QuerySession::run`'s, so this is
+// pinned where it lives: a cached plan whose own audit falsifies it leaves
+// the cache with the fallback that answered instead.
+#[test]
+fn a_plan_whose_audit_falls_back_is_removed() {
+    let (mut u, _store, stats, catalog) = setup();
+    let cache = PlanCache::new(8);
+    let q = cs_address();
+    let run = |site: &Site| {
+        let live = LiveSource::for_site(site);
+        QuerySession::new(&site.scheme, &catalog, &stats, &live)
+            .with_audit(1.0, 7)
+            .with_plan_cache(&cache, 0)
+            .run(&q)
+            .unwrap()
+    };
+    assert!(!run(&u.site).fell_back());
+    assert_eq!(cache.len(), 1);
+    // The anchor-replication constraint that licensed the cached plan's
+    // pushed selection stops holding.
+    DriftPlan::new(3)
+        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
+        .apply(&mut u.site)
+        .unwrap();
+    let caught = run(&u.site);
+    assert!(caught.fell_back() && caught.plan.is_cached());
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.entries, stats.invalidations), (1, 0, 1));
+    // No health registry is attached, so nothing is quarantined and the
+    // shape is planned — and falsified, and not stored — again.
+    assert!(run(&u.site).fell_back());
+    assert!(cache.is_empty());
 }

@@ -65,6 +65,27 @@ impl Pred {
             Pred::EqAttr(..) => self.clone(),
         }
     }
+
+    /// True when some atom compares an attribute with a constant.
+    pub fn has_constants(&self) -> bool {
+        match self {
+            Pred::Eq(..) => true,
+            Pred::EqAttr(..) => false,
+            Pred::And(ps) => ps.iter().any(Pred::has_constants),
+        }
+    }
+
+    /// Estimated heap footprint in bytes (names, constants, vectors).
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            Pred::Eq(a, v) => a.len() + v.approx_bytes(),
+            Pred::EqAttr(a, b) => a.len() + b.len(),
+            Pred::And(ps) => ps
+                .iter()
+                .map(|p| std::mem::size_of::<Pred>() + p.approx_bytes())
+                .sum(),
+        }
+    }
 }
 
 impl fmt::Display for Pred {
@@ -282,6 +303,45 @@ impl NalgExpr {
     /// Number of operator nodes (tree size).
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()
+    }
+
+    /// True when some selection in the tree compares an attribute with a
+    /// constant ([`Pred::has_constants`]).
+    pub fn has_constants(&self) -> bool {
+        matches!(self, NalgExpr::Select { pred, .. } if pred.has_constants())
+            || self.children().iter().any(|c| c.has_constants())
+    }
+
+    /// Estimated in-memory footprint of the tree in bytes: one node per
+    /// operator plus the names, columns and predicates it owns.
+    pub fn approx_bytes(&self) -> usize {
+        let own = match self {
+            NalgExpr::Entry { scheme, alias } => scheme.len() + alias.len(),
+            NalgExpr::External { name } => name.len(),
+            NalgExpr::Select { pred, .. } => pred.approx_bytes(),
+            NalgExpr::Project { cols, .. } => cols
+                .iter()
+                .map(|c| std::mem::size_of::<String>() + c.len())
+                .sum(),
+            NalgExpr::Join { on, .. } => on
+                .iter()
+                .map(|(l, r)| 2 * std::mem::size_of::<String>() + l.len() + r.len())
+                .sum(),
+            NalgExpr::Unnest { attr, .. } => attr.len(),
+            NalgExpr::Follow {
+                link,
+                target,
+                alias,
+                ..
+            } => link.len() + target.len() + alias.len(),
+        };
+        std::mem::size_of::<NalgExpr>()
+            + own
+            + self
+                .children()
+                .iter()
+                .map(|c| c.approx_bytes())
+                .sum::<usize>()
     }
 
     /// Number of follow-link operators (navigations).

@@ -5,18 +5,18 @@
 //! read-heavy, and heavily skewed toward a few popular queries. This
 //! crate supplies the layer that exploits exactly that shape:
 //!
-//! * [`PlanCache`] — one rule 1–9 enumeration per query *shape*: plans
-//!   are cached under `(the query with its constants taken out,
-//!   statistics epoch, quarantine fingerprint)`, bound to a request's own
-//!   constants on a hit, and explicitly invalidated when statistics are
-//!   recollected or [`resilience::ConstraintHealth`] quarantines/readmits
-//!   a constraint, with hit/miss/rebind/evict counters under the `serve`
-//!   metrics prefix;
-//! * [`QueryServer`] — admission control (bounded concurrent sessions,
-//!   shed-with-partial beyond the limit, via
-//!   [`resilience::AdmissionControl`]), a cheap borrowed
-//!   [`wvcore::QuerySession`] per request, and audit-driven cache
-//!   poisoning control;
+//! * [`PlanCache`] (defined in `wvcore`, beside the session that consults
+//!   it) — one rule 1–9 enumeration per query *shape*: plans are cached
+//!   under `(the query with its constants taken out, statistics epoch,
+//!   quarantine fingerprint)`, bound to a request's own constants on a
+//!   hit, and explicitly invalidated when statistics are recollected or
+//!   [`resilience::ConstraintHealth`] quarantines/readmits a constraint,
+//!   with hit/miss/rebind/evict counters under the `serve` metrics prefix;
+//! * [`QueryServer`] — owns that cache and the statistics epoch, and adds
+//!   admission control (bounded concurrent sessions, shed-with-partial
+//!   beyond the limit, via [`resilience::AdmissionControl`]) around a
+//!   cheap borrowed [`wvcore::QuerySession`] per request, whose `run`
+//!   does the lookup, the planning on a miss and the cache fill;
 //! * pairs with [`nalg::CoalescingSource`] so concurrent sessions
 //!   chasing the same hot URL share one in-flight GET.
 //!
@@ -55,11 +55,12 @@
 //! assert_eq!((cache.hits, cache.misses, cache.rebinds), (2, 1, 1));
 //! ```
 
-pub mod cache;
 pub mod server;
 
-pub use cache::{quarantine_fingerprint, PlanCache, PlanCacheStats, PlanKey};
+// The plan cache lives in `wvcore`, beside the session that consults it;
+// the names this crate used to define stay importable from here.
 pub use server::{QueryServer, ServeOutcome, ServerStats};
+pub use wvcore::plan_cache::{quarantine_fingerprint, PlanCache, PlanCacheStats, PlanKey};
 
 #[cfg(test)]
 mod tests {

@@ -10,19 +10,17 @@
 //! 1. **admission** — beyond the concurrency limit the request is shed
 //!    immediately: an empty, explicitly incomplete answer in the spirit
 //!    of [`nalg::DegradationMode::Partial`], never an error or a queue;
-//! 2. **health tick** — one logical tick per served request (exactly like
-//!    [`QuerySession::run`]), so quarantine TTLs age identically whether
-//!    plans come from the cache or the optimizer;
-//! 3. **plan cache** — lookup under the current
-//!    `(query shape, statistics epoch, quarantine fingerprint)`; a hit
-//!    — by these constants or any others of the shape — skips rule 1–9
-//!    enumeration via [`QuerySession::run_planned`], a miss optimizes and
-//!    fills the cache;
-//! 4. **audit settlement** — when runtime auditing catches a violated
-//!    plan assumption, the drift fallback answers (as in `run`) and the
-//!    poisoned plan is dropped from the cache.
+//! 2. **maintained views** — a registered, healthy view answers with zero
+//!    page accesses;
+//! 3. **the session** — everything else is [`QuerySession::run`] on a
+//!    session handed the server's plan cache and statistics epoch: the
+//!    health tick, the lookup under `(query shape, statistics epoch,
+//!    quarantine fingerprint)`, planning on a miss (never past the
+//!    deadline), the audit settlement, and the cache fill — or the
+//!    poisoned plan's removal — are written down there, once, for every
+//!    owner of a cache. The server reads [`QueryOutcome::plan`] for its
+//!    `cached_plan` flag and its `serve.plan_cache` event.
 
-use crate::cache::{quarantine_fingerprint, PlanCache, PlanCacheStats, PlanKey};
 use adm::{Relation, WebScheme};
 use matview::IncrementalView;
 use nalg::{DegradationMode, PageSource, SharedPageCache};
@@ -35,9 +33,11 @@ use parking_lot::{Mutex, RwLock};
 use resilience::{AdmissionControl, AdmissionStats, ConstraintHealth};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
-use wvcore::{ConjunctiveQuery, QueryOutcome, QuerySession, Result, SiteStatistics, ViewCatalog};
+use wvcore::{
+    quarantine_fingerprint, ConjunctiveQuery, OptError, PlanCache, PlanCacheStats, QueryOutcome,
+    QuerySession, Result, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY,
+};
 
 /// Finalizer of the splitmix64 generator — a cheap, well-mixed 64-bit
 /// permutation used to derive request ids.
@@ -207,7 +207,7 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             stats: RwLock::new(stats),
             source,
             stats_epoch: AtomicU64::new(0),
-            plan_cache: PlanCache::with_registry(64, &registry),
+            plan_cache: PlanCache::with_registry(PLAN_CACHE_CAPACITY, &registry, "plan"),
             admission: AdmissionControl::new(8),
             health: None,
             shared_cache: None,
@@ -229,12 +229,6 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             view_fallbacks: registry.counter("views_fallback"),
             registry,
         }
-    }
-
-    /// Sets the plan-cache capacity (builder style).
-    pub fn with_plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache = PlanCache::with_registry(capacity, &self.registry);
-        self
     }
 
     /// Sets the admission limit: at most `capacity` concurrent sessions,
@@ -407,21 +401,23 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             *slot = stats;
             self.stats_epoch.fetch_add(1, Ordering::SeqCst) + 1
         };
-        self.plan_cache.sync(epoch, self.current_quarantine_fp().1);
+        let quarantined = self.health.map(|h| h.quarantined()).unwrap_or_default();
+        self.plan_cache
+            .sync(epoch, quarantine_fingerprint(&quarantined));
         epoch
     }
 
-    fn current_quarantine_fp(&self) -> (Vec<String>, u64) {
-        let quarantined = self.health.map(|h| h.quarantined()).unwrap_or_default();
-        let fp = quarantine_fingerprint(&quarantined);
-        (quarantined, fp)
-    }
-
-    /// Builds the per-request session over the current statistics.
-    fn session(&self) -> QuerySession<'a, S> {
-        let stats: &'a SiteStatistics = *self.stats.read();
+    /// Builds the per-request session over the current statistics, with
+    /// the plan cache keyed on the epoch those statistics belong to (read
+    /// under one lock: a recollection swaps both under its write lock).
+    fn session(&self) -> QuerySession<'_, S> {
+        let (stats, epoch): (&'a SiteStatistics, u64) = {
+            let slot = self.stats.read();
+            (*slot, self.stats_epoch())
+        };
         let mut session = QuerySession::new(self.ws, self.catalog, stats, self.source)
-            .with_degradation(self.degradation);
+            .with_degradation(self.degradation)
+            .with_plan_cache(&self.plan_cache, epoch);
         if let Some(cache) = self.shared_cache {
             session = session.with_shared_cache(cache);
         }
@@ -625,22 +621,6 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
                 }
             }
         }
-        // One logical tick per served request, exactly like
-        // `QuerySession::run`; re-admissions change the quarantine set,
-        // which the sync below turns into explicit invalidation.
-        if let Some(h) = self.health {
-            h.tick();
-        }
-        let t_plan = Instant::now();
-        let epoch = self.stats_epoch();
-        let (quarantined, fp) = self.current_quarantine_fp();
-        self.plan_cache.sync(epoch, fp);
-        let (shape, params) = q.shape();
-        let key = PlanKey {
-            shape,
-            stats_epoch: epoch,
-            quarantine_fp: fp,
-        };
         let mut session = self.session();
         if let Some(o) = obs.as_deref_mut() {
             session = session.with_trace(&o.sink).with_trace_parent(o.root);
@@ -662,36 +642,7 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         if self.relevance {
             session = session.with_relevance_cancel();
         }
-        let (explain, cached_plan) = match self.plan_cache.lookup(&key, q, &params, &quarantined) {
-            Some(plan) => (plan, true),
-            None => {
-                // Rule 1–9 enumeration is the most expensive pre-fetch
-                // phase; never start it with the budget already gone.
-                if deadline.expired() {
-                    self.brown_outs.inc();
-                    if let Some(o) = obs.as_deref_mut() {
-                        o.sink.event(
-                            EventKind::Serve,
-                            "serve.deadline",
-                            Some(o.root),
-                            vec![("pre_plan".to_string(), 1u64.into())],
-                        );
-                    }
-                    return Ok(outcome_of(&obs, None, false, true, true, None));
-                }
-                (Arc::new(session.explain(q)?), false)
-            }
-        };
-        if let Some(o) = obs.as_deref_mut() {
-            o.phases.plan_us = t_plan.elapsed().as_micros() as u64;
-            o.sink.event(
-                EventKind::Serve,
-                "serve.plan_cache",
-                Some(o.root),
-                vec![("hit".to_string(), u64::from(cached_plan).into())],
-            );
-        }
-        let t_eval = Instant::now();
+        let t_run = Instant::now();
         // The ambient request context carries the deadline and token to
         // the layers that only see the thread — pool workers, coalescing
         // followers — so even an untraced request installs one when a
@@ -715,26 +666,44 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             }),
             (None, None) => None,
         };
-        let outcome = match ctx {
-            Some(ctx) => obs::reqctx::with_ctx(Some(ctx), || session.run_planned(q, explain))?,
-            None => session.run_planned(q, explain)?,
+        let ran = match ctx {
+            Some(ctx) => obs::reqctx::with_ctx(Some(ctx), || session.run(q)),
+            None => session.run(q),
         };
+        let outcome = match ran {
+            Ok(outcome) => outcome,
+            // The plan cache missed with the budget already gone: rule
+            // 1–9 enumeration was never started.
+            Err(OptError::DeadlineExceeded) => {
+                self.brown_outs.inc();
+                if let Some(o) = obs.as_deref_mut() {
+                    o.sink.event(
+                        EventKind::Serve,
+                        "serve.deadline",
+                        Some(o.root),
+                        vec![("pre_plan".to_string(), 1u64.into())],
+                    );
+                }
+                return Ok(outcome_of(&obs, None, false, true, true, None));
+            }
+            Err(e) => return Err(e),
+        };
+        let cached_plan = outcome.plan.is_cached();
         let brown_out = outcome.report.deadline_exceeded;
         if brown_out {
             self.brown_outs.inc();
         }
         if let Some(o) = obs.as_deref_mut() {
-            let total = t_eval.elapsed().as_micros() as u64;
+            let total = t_run.elapsed().as_micros() as u64;
+            o.phases.plan_us = outcome.plan_us;
             o.phases.fetch_us = o.clock.total_us();
-            o.phases.eval_us = total.saturating_sub(o.phases.fetch_us);
-        }
-        if outcome.fell_back() {
-            // The plan's own audit falsified it — never serve it again,
-            // to this or any other instance of the shape.
-            self.plan_cache.remove(&key);
-        } else if !cached_plan {
-            self.plan_cache
-                .insert(key, params, Arc::clone(&outcome.explain));
+            o.phases.eval_us = total.saturating_sub(o.phases.plan_us + o.phases.fetch_us);
+            o.sink.event(
+                EventKind::Serve,
+                "serve.plan_cache",
+                Some(o.root),
+                vec![("hit".to_string(), u64::from(cached_plan).into())],
+            );
         }
         Ok(outcome_of(
             &obs,

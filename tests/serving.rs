@@ -670,3 +670,82 @@ fn recollection_is_a_single_epoch_invalidation() {
         assert_eq!(o.report.page_accesses, f.oracle[i].1);
     }
 }
+
+// `Explain::bind` rewrites every constant equal to a stored parameter; it
+// cannot tell a query's constant from one a default navigation selects on.
+// Both shipped catalogs keep σ out of their navigations; a catalog that
+// does not must still be answered correctly, so plans over such a relation
+// are never cached.
+#[test]
+fn a_navigation_that_selects_on_a_constant_is_planned_every_time() {
+    use webviews::wvcore::{DefaultNavigation, ExternalRelation};
+    let f = fixture();
+    let courses = NalgExpr::entry("SessionListPage")
+        .unnest("SesList")
+        .follow("ToSes", "SessionPage")
+        .unnest("SessionPage.CourseList")
+        .follow("SessionPage.CourseList.ToCourse", "CoursePage");
+    let catalog = ViewCatalog::new()
+        .with(ExternalRelation::new(
+            "GraduateCourse",
+            vec!["CName", "Session"],
+            vec![DefaultNavigation::new(
+                courses.select(Pred::eq("CoursePage.Type", "Graduate")),
+                vec![
+                    ("CName", "CoursePage.CName"),
+                    ("Session", "CoursePage.Session"),
+                ],
+            )],
+        ))
+        .with(ExternalRelation::new(
+            "Dept",
+            vec!["DName"],
+            vec![DefaultNavigation::new(
+                NalgExpr::entry("DeptListPage").unnest("DeptList"),
+                vec![("DName", "DeptListPage.DeptList.DName")],
+            )],
+        ));
+    catalog.validate(&f.site.site.scheme).unwrap();
+    let in_session = |session: &str| {
+        ConjunctiveQuery::new("graduate courses of a session")
+            .atom("GraduateCourse")
+            .select((0, "Session"), session)
+            .project((0, "CName"))
+    };
+    let expected = |session: &str| {
+        let mut names: Vec<String> = f
+            .site
+            .expected_course()
+            .into_iter()
+            .filter(|(_, s, _, t)| s == session && t == "Graduate")
+            .map(|(name, ..)| name)
+            .collect();
+        names.sort();
+        names
+    };
+    let live = LiveSource::for_site(&f.site.site);
+    let server = QueryServer::new(&f.site.site.scheme, &catalog, &f.stats, &live);
+    // The first instance's constant happens to be the navigation's own.
+    for session in ["Graduate", "Fall", "Winter"] {
+        let out = server.serve(&in_session(session)).unwrap();
+        let mut got: Vec<String> = out
+            .relation()
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r[0].as_text().unwrap().to_string())
+            .collect();
+        got.sort();
+        assert_eq!(got, expected(session), "{session}");
+        assert!(!out.cached_plan, "{session}: planned, not bound");
+    }
+    assert!(expected("Graduate").is_empty() && !expected("Fall").is_empty());
+    let cache = server.stats().plan_cache;
+    assert_eq!((cache.hits, cache.misses, cache.entries), (0, 3, 0));
+    // A relation whose navigation carries no constant is cached as ever.
+    let depts = ConjunctiveQuery::new("departments")
+        .atom("Dept")
+        .project((0, "DName"));
+    assert!(!server.serve(&depts).unwrap().cached_plan);
+    assert!(server.serve(&depts).unwrap().cached_plan);
+}
