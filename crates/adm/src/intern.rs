@@ -9,9 +9,19 @@
 //!
 //! # Two structures, one lock
 //!
-//! *string → id* is a hash map behind a lock: [`Symbol::intern`] and
-//! [`Symbol::lookup`] read it shared, and only a string met for the first
-//! time takes it exclusively. *id → string* is an append-only table of
+//! *string → id* is two hash tables behind one lock, probed in order. The
+//! first 57,344 strings (`EARLY`) — the working vocabulary: names, URLs, values
+//! a site starts with — are `(&str, id)` pairs, the cheapest entry to hit.
+//! Every later string is an id alone, hashed and compared as its string
+//! through the table below: 5 bytes an entry where a pair is 25, and three
+//! more loads a hit (with every entry an id, `hot_navigate` lost 5 %). The
+//! arena never frees, a workload that mints strings (edit markers on
+//! `view_maintain`) grows it for as long as it runs, and a std table that
+//! doubles holds old and new side by side while it does — as pairs, 6.5 MB
+//! at 115 k strings, a fifth of that workload's peak RSS, paid by whichever
+//! run completed enough rounds. [`Symbol::intern`] and [`Symbol::lookup`]
+//! read the tables shared, and only a string met for the first time takes
+//! the lock exclusively. *id → string* is an append-only table of
 //! write-once slots — leaves of 1024 under a directory that grows in
 //! doubling chunks, so nothing ever moves — which [`Symbol::as_str`] reads
 //! with no lock at all. A writer, under the exclusive lock, stores in this
@@ -31,8 +41,10 @@
 //! ordering visible to a caller is derived from the underlying strings.
 
 use crate::url::Url;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{OnceLock, PoisonError, RwLock};
 
@@ -97,8 +109,54 @@ fn published(id: u32) -> Option<&'static str> {
     TABLE[chunk].get()?[leaf].get()?[slot].get().copied()
 }
 
-fn map() -> &'static RwLock<HashMap<&'static str, u32>> {
-    static MAP: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+/// How many strings get a pair entry: 7/8 of 65,536 buckets, the most a
+/// std table of that size holds, so the pair table stops at 1.6 MB.
+const EARLY: usize = 57_344;
+
+/// A late entry: the id, standing for its string. It is only ever inserted
+/// after its slot is set, so the string is there to hash and compare; two
+/// entries are the same string exactly when they are the same id, because
+/// a string is interned once.
+#[derive(PartialEq, Eq)]
+struct ById(u32);
+
+impl Borrow<str> for ById {
+    fn borrow(&self) -> &str {
+        published(self.0).unwrap_or_default()
+    }
+}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Borrow::<str>::borrow(self).hash(state)
+    }
+}
+
+/// The string → id map (see the module docs).
+#[derive(Default)]
+struct Ids {
+    early: HashMap<&'static str, u32>,
+    late: HashSet<ById>,
+}
+
+impl Ids {
+    fn get(&self, s: &str) -> Option<u32> {
+        let early = self.early.get(s).copied();
+        early.or_else(|| self.late.get(s).map(|&ById(id)| id))
+    }
+
+    /// Enters `id`, whose slot holds `s`.
+    fn insert(&mut self, s: &'static str, id: u32) {
+        if self.early.len() < EARLY {
+            self.early.insert(s, id);
+        } else {
+            self.late.insert(ById(id));
+        }
+    }
+}
+
+fn map() -> &'static RwLock<Ids> {
+    static MAP: OnceLock<RwLock<Ids>> = OnceLock::new();
     MAP.get_or_init(Default::default)
 }
 
@@ -119,7 +177,7 @@ impl Symbol {
             id += 1;
             LEN.store(id, Ordering::Release);
         }
-        if let Some(&id) = map.get(s) {
+        if let Some(id) = map.get(s) {
             return Symbol(id); // raced: someone else interned it
         }
         let leaked: &'static str = Box::leak(s.into());
@@ -136,7 +194,7 @@ impl Symbol {
     /// constant was never interned, no stored value can equal it.
     pub fn lookup(s: &str) -> Option<Symbol> {
         let map = map().read().unwrap_or_else(PoisonError::into_inner);
-        map.get(s).copied().map(Symbol)
+        map.get(s).map(Symbol)
     }
 
     /// The interned string, read from the id → string table without taking
@@ -254,6 +312,33 @@ mod tests {
                 assert_eq!(Symbol::intern(s.as_str()), *s);
             }
         }
+    }
+
+    #[test]
+    fn strings_past_the_early_table_are_found_by_their_id() {
+        // More fresh strings than the pair table holds: wherever the other
+        // tests have left it, the last of these are late entries.
+        let name = |j: usize| format!("intern-late-{j}");
+        let syms: Vec<Symbol> = (0..EARLY + 2_000)
+            .map(|j| Symbol::intern(&name(j)))
+            .collect();
+        {
+            let ids = map().read().unwrap_or_else(PoisonError::into_inner);
+            assert_eq!(ids.early.len(), EARLY, "the pair table stops growing");
+            assert!(ids.late.len() >= 2_000);
+            assert!(ids.late.contains(name(EARLY + 1_999).as_str()));
+        }
+        for (j, sym) in syms
+            .iter()
+            .enumerate()
+            .step_by(97)
+            .chain(syms.iter().enumerate().skip(EARLY))
+        {
+            assert_eq!(sym.as_str(), name(j));
+            assert_eq!(Symbol::lookup(&name(j)), Some(*sym));
+            assert_eq!(Symbol::intern(&name(j)), *sym);
+        }
+        assert!(Symbol::lookup("intern-late-never").is_none());
     }
 
     #[test]

@@ -15,12 +15,23 @@ use crate::value::{Tuple, Value};
 use crate::Result;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A relation: a header of qualified column names plus rows of values.
+///
+/// **The rows are shared, copy-on-write.** They sit behind one `Arc`, so
+/// [`Clone`], [`Relation::rename`] and [`Relation::qualify`] copy the header
+/// and bump a reference — a maintained view hands the same rows to every
+/// reader ([`Relation::from_shared_rows`]). The only writer is
+/// [`Relation::push_row`] (and [`Relation::union`], which builds on a clone):
+/// it writes in place while it is the rows' only holder and copies them
+/// first otherwise, so no holder ever sees a row it did not put there.
+/// Equality, `Debug` and every row accessor read through the `Arc` and are
+/// what they were when the rows were owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     columns: Vec<String>,
-    rows: Vec<Vec<Value>>,
+    rows: Arc<Vec<Vec<Value>>>,
 }
 
 impl Relation {
@@ -28,17 +39,33 @@ impl Relation {
     pub fn new<S: Into<String>>(columns: Vec<S>) -> Self {
         Relation {
             columns: columns.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
+            rows: Arc::default(),
         }
     }
 
     /// Builds a relation from a header and rows, checking arity.
     pub fn from_rows<S: Into<String>>(columns: Vec<S>, rows: Vec<Vec<Value>>) -> Result<Self> {
-        let mut r = Relation::new(columns);
-        for row in rows {
-            r.push_row(row)?;
+        Relation::from_shared_rows(columns, Arc::new(rows))
+    }
+
+    /// Builds a relation over rows someone else also holds, checking arity
+    /// and copying nothing: the relation reads the caller's rows for as long
+    /// as nobody pushes to it (see the type's copy-on-write contract).
+    pub fn from_shared_rows<S: Into<String>>(
+        columns: Vec<S>,
+        rows: Arc<Vec<Vec<Value>>>,
+    ) -> Result<Self> {
+        let expected = columns.len();
+        if let Some(row) = rows.iter().find(|r| r.len() != expected) {
+            return Err(AdmError::ArityMismatch {
+                expected,
+                found: row.len(),
+            });
         }
-        Ok(r)
+        Ok(Relation {
+            columns: columns.into_iter().map(Into::into).collect(),
+            rows,
+        })
     }
 
     /// The column header.
@@ -69,7 +96,7 @@ impl Relation {
                 found: row.len(),
             });
         }
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
         Ok(())
     }
 
@@ -110,7 +137,7 @@ impl Relation {
     pub fn select<F: FnMut(&[Value]) -> bool>(&self, mut pred: F) -> Relation {
         Relation {
             columns: self.columns.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
+            rows: Arc::new(self.rows.iter().filter(|r| pred(r)).cloned().collect()),
         }
     }
 
@@ -129,13 +156,16 @@ impl Relation {
         let columns: Vec<String> = idx.iter().map(|&i| self.columns[i].clone()).collect();
         let mut seen = HashSet::new();
         let mut rows = Vec::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             let out: Vec<Value> = idx.iter().map(|&i| row[i].clone()).collect();
             if seen.insert(out.clone()) {
                 rows.push(out);
             }
         }
-        Ok(Relation { columns, rows })
+        Ok(Relation {
+            columns,
+            rows: Arc::new(rows),
+        })
     }
 
     /// Removes duplicate rows.
@@ -143,12 +173,13 @@ impl Relation {
         let mut seen = HashSet::new();
         Relation {
             columns: self.columns.clone(),
-            rows: self
-                .rows
-                .iter()
-                .filter(|r| seen.insert((*r).clone()))
-                .cloned()
-                .collect(),
+            rows: Arc::new(
+                self.rows
+                    .iter()
+                    .filter(|r| seen.insert((*r).clone()))
+                    .cloned()
+                    .collect(),
+            ),
         }
     }
 
@@ -188,7 +219,7 @@ impl Relation {
             table.entry(key).or_default().push(ri);
         }
         let mut rows = Vec::new();
-        for lrow in &self.rows {
+        for lrow in self.rows.iter() {
             let key: Vec<&Value> = left_keys.iter().map(|&i| &lrow[i]).collect();
             if key.iter().any(|v| v.is_null()) {
                 continue;
@@ -201,7 +232,10 @@ impl Relation {
                 }
             }
         }
-        Ok(Relation { columns, rows })
+        Ok(Relation {
+            columns,
+            rows: Arc::new(rows),
+        })
     }
 
     /// Unnests a list column: each inner tuple produces an output row; the
@@ -222,7 +256,7 @@ impl Relation {
             columns.push(format!("{col_name}.{f}"));
         }
         let mut rows = Vec::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             let Value::List(inner) = &row[ci] else {
                 if row[ci].is_null() {
                     continue; // null list ≡ empty list
@@ -246,7 +280,10 @@ impl Relation {
                 rows.push(out);
             }
         }
-        Ok(Relation { columns, rows })
+        Ok(Relation {
+            columns,
+            rows: Arc::new(rows),
+        })
     }
 
     /// Unnests, inferring inner field names from the first non-empty list.
@@ -272,7 +309,7 @@ impl Relation {
         columns[i] = to.to_string();
         Ok(Relation {
             columns,
-            rows: self.rows.clone(),
+            rows: Arc::clone(&self.rows),
         })
     }
 
@@ -284,7 +321,7 @@ impl Relation {
                 .iter()
                 .map(|c| format!("{prefix}.{c}"))
                 .collect(),
-            rows: self.rows.clone(),
+            rows: Arc::clone(&self.rows),
         }
     }
 
@@ -297,7 +334,7 @@ impl Relation {
             });
         }
         let mut out = self.clone();
-        out.rows.extend(other.rows.iter().cloned());
+        Arc::make_mut(&mut out.rows).extend(other.rows.iter().cloned());
         Ok(out.distinct())
     }
 
@@ -312,18 +349,19 @@ impl Relation {
         let exclude: HashSet<&Vec<Value>> = other.rows.iter().collect();
         Ok(Relation {
             columns: self.columns.clone(),
-            rows: self
-                .rows
-                .iter()
-                .filter(|r| !exclude.contains(r))
-                .cloned()
-                .collect(),
+            rows: Arc::new(
+                self.rows
+                    .iter()
+                    .filter(|r| !exclude.contains(r))
+                    .cloned()
+                    .collect(),
+            ),
         })
     }
 
     /// Rows sorted deterministically (for stable output and tests).
     pub fn sorted(&self) -> Relation {
-        let mut rows = self.rows.clone();
+        let mut rows = Vec::clone(&self.rows);
         rows.sort_by(|a, b| {
             for (x, y) in a.iter().zip(b.iter()) {
                 match x.total_cmp(y) {
@@ -335,7 +373,7 @@ impl Relation {
         });
         Relation {
             columns: self.columns.clone(),
-            rows,
+            rows: Arc::new(rows),
         }
     }
 
@@ -359,7 +397,7 @@ impl Relation {
     pub fn to_table(&self) -> String {
         let sorted = self.sorted();
         let mut cells = Vec::with_capacity(sorted.rows.len() * sorted.columns.len());
-        for row in &sorted.rows {
+        for row in sorted.rows.iter() {
             cells.extend(row.iter().map(|v| v.to_string()));
         }
         crate::display::render_ascii_table(&sorted.columns, sorted.rows.len(), &cells)
@@ -587,6 +625,72 @@ mod tests {
         assert!(r.resolve("R").is_ok());
         let q = profs().qualify("X");
         assert!(q.resolve("X.ProfPage.PName").is_ok());
+    }
+
+    #[test]
+    fn a_pushed_row_reaches_no_other_holder_of_the_rows() {
+        let original = profs();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.rows, &copy.rows), "a clone shares");
+        copy.push_row(vec![
+            Value::link("/p4"),
+            Value::text("Lamport"),
+            Value::Null,
+        ])
+        .unwrap();
+        assert_eq!((original.len(), copy.len()), (3, 4));
+        assert_eq!(original, profs());
+        assert_eq!(copy.rows()[..3], *original.rows());
+        // the only holder writes in place
+        let before = Arc::as_ptr(&copy.rows);
+        copy.push_row(vec![Value::Null, Value::Null, Value::Null])
+            .unwrap();
+        assert_eq!(before, Arc::as_ptr(&copy.rows));
+        // union builds on a clone and leaves both inputs alone
+        let both = original.union(&copy).unwrap();
+        assert_eq!((original.len(), copy.len(), both.len()), (3, 5, 5));
+        // rows somebody else holds are read, never written
+        let shared = Arc::new(original.rows().to_vec());
+        let mut over =
+            Relation::from_shared_rows(original.columns().to_vec(), Arc::clone(&shared)).unwrap();
+        assert!(Arc::ptr_eq(&shared, &over.rows));
+        over.push_row(vec![Value::Null, Value::Null, Value::Null])
+            .unwrap();
+        assert_eq!((shared.len(), over.len()), (3, 4));
+        assert!(
+            Relation::from_shared_rows(vec!["A"], shared).is_err(),
+            "arity"
+        );
+    }
+
+    #[test]
+    fn rename_and_qualify_share_the_rows() {
+        let r = profs();
+        let renamed = r.rename("ProfPage.Rank", "R").unwrap();
+        let qualified = r.qualify("X");
+        assert!(Arc::ptr_eq(&r.rows, &renamed.rows));
+        assert!(Arc::ptr_eq(&r.rows, &qualified.rows));
+        assert_eq!(renamed.rows(), r.rows());
+        assert_eq!(qualified.columns()[0], "X.ProfPage.URL");
+    }
+
+    #[test]
+    fn equality_and_debug_read_through_the_sharing() {
+        let (a, b) = (profs(), profs());
+        assert!(!Arc::ptr_eq(&a.rows, &b.rows));
+        assert_eq!(a, b);
+        assert_eq!(a, a.clone());
+        assert_ne!(a, a.qualify("X"));
+        assert_ne!(a, a.select_eq("Rank", &Value::text("Full")).unwrap());
+        // what `#[derive(Debug)]` printed when the rows were owned
+        assert_eq!(
+            format!("{a:?}"),
+            format!(
+                "Relation {{ columns: {:?}, rows: {:?} }}",
+                a.columns(),
+                a.rows()
+            )
+        );
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn fingerprint(store: &MatStore) -> Vec<(String, String, Tuple, bool)> {
             (
                 u.as_str().to_string(),
                 p.scheme.clone(),
-                p.tuple.clone(),
+                (*p.tuple).clone(),
                 p.stale,
             )
         })
@@ -318,7 +318,7 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
         for (url, truth) in ub.site.instance(scheme) {
             match bv.store_mut().read(&ws, &ub.site.server, &url) {
                 Ok(Some((tuple, s))) => {
-                    backfill_identical &= tuple == truth && s == scheme;
+                    backfill_identical &= *tuple == truth && s == scheme;
                 }
                 _ => backfill_identical = false,
             }

@@ -12,6 +12,7 @@
 
 use adm::{Tuple, Url, WebScheme};
 use nalg::{PageSource, SharedPageCache, SourceError};
+use std::sync::Arc;
 use websim::{VirtualServer, WebError};
 
 /// A page source over a live (simulated) site.
@@ -66,6 +67,11 @@ impl PageSource for LiveSource<'_> {
 /// touching the inner source. Cache hits cost no connection; misses are
 /// forwarded and the wrapped result is cached with its Last-Modified
 /// stamp. A 404 from the inner source evicts any stale cached copy.
+///
+/// The cache holds the pages, so [`PageSource::fetch_shared`] is the
+/// method this source implements: a hit is the cache's own `Arc`, a miss
+/// is cached and returned as one `Arc`. `fetch` and `fetch_stamped` copy
+/// the page out of it for a caller that wants to own one.
 pub struct CachedSource<'a, S> {
     inner: &'a S,
     cache: &'a SharedPageCache,
@@ -88,10 +94,19 @@ impl<S: PageSource> PageSource for CachedSource<'_, S> {
     }
 
     fn fetch_stamped(&self, url: &Url, scheme: &str) -> Result<(Tuple, Option<u64>), SourceError> {
+        let (t, lm) = self.fetch_shared(url, scheme)?;
+        Ok((Tuple::clone(&t), lm))
+    }
+
+    fn fetch_shared(
+        &self,
+        url: &Url,
+        scheme: &str,
+    ) -> Result<(Arc<Tuple>, Option<u64>), SourceError> {
         if let Some(t) = self.cache.get(url) {
             return Ok((t, None));
         }
-        match self.inner.fetch_stamped(url, scheme) {
+        match self.inner.fetch_shared(url, scheme) {
             Ok((t, lm)) => {
                 self.cache.insert(url, &t, lm);
                 Ok((t, lm))

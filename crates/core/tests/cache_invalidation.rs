@@ -95,7 +95,7 @@ fn stale_reinsert_after_invalidation_is_caught_by_the_next_check() {
     assert!(!cache.invalidate_older_than(&url, lm2));
 
     // R wakes up and inserts its stale download
-    cache.insert(&url, &stale_tuple, stale_lm);
+    cache.insert(&url, &std::sync::Arc::new(stale_tuple), stale_lm);
     assert_eq!(text_of(&cache.get(&url).unwrap()), "v1", "stale again");
 
     // the next check catches it

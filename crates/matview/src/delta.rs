@@ -5,16 +5,19 @@
 //! **row deltas**: `(row, weight)` pairs where a positive weight inserts
 //! and a negative weight retracts. Operator state and view answers are
 //! weighted multisets ([`RowSet`], and [`Answer`] — the same multiset kept
-//! in answer order); a row is *in* the answer iff its net weight is
-//! positive, and consolidation keeps every map free of zero entries so
+//! as the rows a reader gets); a row is *in* the answer iff its net weight
+//! is positive, and consolidation keeps every map free of zero entries so
 //! state size tracks the live rows only.
 
 use adm::{Tuple, Url, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{btree_map, BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-/// One page-level change as the operator tree sees it.
+/// One page-level change as the operator tree sees it. Both versions are
+/// references: `old` is the copy the store gave up, `new` the one it now
+/// holds — a sync copies neither.
 #[derive(Debug, Clone)]
 pub struct PageDelta {
     /// The changed URL.
@@ -24,9 +27,9 @@ pub struct PageDelta {
     /// The content before the change; `None` when the page was absent —
     /// or when it was known but its payload had been evicted, in which
     /// case `was_known` distinguishes the two.
-    pub old: Option<Tuple>,
+    pub old: Option<Arc<Tuple>>,
     /// The content after the change; `None` for a removal.
-    pub new: Option<Tuple>,
+    pub new: Option<Arc<Tuple>>,
     /// True when the store knew the page (resident or evicted skeleton)
     /// before the change. `old == None && was_known` means the prior
     /// content is unrecoverable and dependent state must rebuild.
@@ -90,60 +93,69 @@ pub fn sorted_rows(set: &RowSet) -> Vec<Vec<Value>> {
     rows
 }
 
-/// A row as a key of [`Answer`]: ordered by [`row_cmp`], which calls two
-/// rows equal exactly when they are.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AnswerRow(Vec<Value>);
-
-impl Ord for AnswerRow {
-    fn cmp(&self, other: &Self) -> Ordering {
-        row_cmp(&self.0, &other.0)
-    }
-}
-
-impl PartialOrd for AnswerRow {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A view's maintained answer: the weighted multiset of a [`RowSet`], kept
-/// in [`row_cmp`] order as the deltas fold in, so that reading it is a walk
-/// — [`Answer::rows`] returns what [`sorted_rows`] would, without sorting.
+/// **in the one form it is read in** — the rows in [`row_cmp`] order, each
+/// repeated its weight's worth, exactly what [`sorted_rows`] would render —
+/// behind an `Arc`. Reading it ([`Answer::rows`]) is a reference bump,
+/// whatever the answer's size; the writer does the work: [`Answer::add`]
+/// finds a row's run by binary search and splices copies in or out.
+///
+/// The ordered rows are the only ordered structure. A row whose net weight
+/// is negative (a retraction that arrived before its insertion) has no place
+/// among rows that are *in* the answer; it waits in a small side map until
+/// insertions cancel it.
+///
+/// **A reader that keeps an answer keeps that answer.** The rows are
+/// copy-on-write: while a reader still holds the `Arc` of an earlier read,
+/// the next `add` copies the rows once and writes to the copy — the writer
+/// pays one copy for the batch, and the reader never sees a row change.
 #[derive(Debug, Clone, Default)]
 pub struct Answer {
-    rows: BTreeMap<AnswerRow, i64>,
+    rows: Arc<Vec<Vec<Value>>>,
+    /// Net-negative weights, keyed by row; never a zero, never a positive.
+    owed: RowSet,
 }
 
 impl Answer {
-    /// Folds one weighted row in, dropping the entry when its net weight
-    /// reaches zero.
+    /// Folds one weighted row in: a positive weight first pays off what the
+    /// row owes, then inserts that many copies at the row's place; a
+    /// negative weight removes copies, and owes what it could not remove.
     pub fn add(&mut self, row: Vec<Value>, w: i64) {
         if w == 0 {
             return;
         }
-        match self.rows.entry(AnswerRow(row)) {
-            btree_map::Entry::Occupied(mut o) => {
-                *o.get_mut() += w;
-                if *o.get() == 0 {
-                    o.remove();
-                }
-            }
-            btree_map::Entry::Vacant(v) => {
-                v.insert(w);
-            }
+        let lo = self
+            .rows
+            .partition_point(|r| row_cmp(r, &row) == Ordering::Less);
+        let present = self.rows[lo..]
+            .iter()
+            .take_while(|r| row_cmp(r, &row) == Ordering::Equal)
+            .count() as i64;
+        // the row's net weight before and after: present copies, or a debt
+        let before = match present {
+            0 => self.owed.get(&row).copied().unwrap_or(0),
+            n => n,
+        };
+        let after = before + w;
+        let (had, want) = (before.max(0) as usize, after.max(0) as usize);
+        if want < had {
+            Arc::make_mut(&mut self.rows).drain(lo + want..lo + had);
+        }
+        if before < 0 && after >= 0 {
+            self.owed.remove(&row);
+        }
+        if after < 0 {
+            self.owed.insert(row, after);
+        } else if want > had {
+            let copies = std::iter::repeat_n(row, want - had);
+            Arc::make_mut(&mut self.rows).splice(lo..lo, copies);
         }
     }
 
-    /// The rows in order, each repeated its weight's worth.
-    pub fn rows(&self) -> Vec<Vec<Value>> {
-        let mut rows = Vec::with_capacity(self.rows.len());
-        for (row, w) in &self.rows {
-            for _ in 0..(*w).max(0) {
-                rows.push(row.0.clone());
-            }
-        }
-        rows
+    /// The rows in order, each repeated its weight's worth — shared, not
+    /// copied.
+    pub fn rows(&self) -> Arc<Vec<Vec<Value>>> {
+        Arc::clone(&self.rows)
     }
 }
 
@@ -165,7 +177,9 @@ mod tests {
     #[test]
     fn an_answer_reads_as_its_row_set_sorted_whatever_the_history() {
         // a seeded walk of inserts and retractions over a small row space,
-        // with duplicates, nulls, links, ragged lengths and negative nets
+        // with duplicates, nulls, links, ragged lengths and negative nets;
+        // a reader keeps the answer it read at the previous check across
+        // the writes that follow
         let cell = |k: u64| match k % 4 {
             0 => Value::Null,
             1 => Value::text(format!("t{}", k % 7)),
@@ -181,17 +195,53 @@ mod tests {
         };
         let mut set = RowSet::new();
         let mut answer = Answer::default();
+        // what the reader holds, and a deep copy taken when it was read
+        let mut held = (answer.rows(), sorted_rows(&set));
+        let (mut saw_duplicates, mut saw_debt, mut saw_repaid) = (false, false, false);
         for step in 0..2_000 {
             let row: Vec<Value> = (0..1 + next() % 3).map(|_| cell(next())).collect();
             let w = [1, 1, 2, -1, -1, -3][(next() % 6) as usize];
+            saw_repaid |= w > 0 && answer.owed.contains_key(&row);
             add_row(&mut set, row.clone(), w);
             answer.add(row, w);
+            saw_duplicates |= set.values().any(|w| *w > 1);
+            saw_debt |= !answer.owed.is_empty();
             if step % 97 == 0 {
-                assert_eq!(answer.rows(), sorted_rows(&set), "step {step}");
+                assert_eq!(*answer.rows(), sorted_rows(&set), "step {step}");
+                assert_eq!(*held.0, held.1, "a kept answer moved by step {step}");
+                held = (answer.rows(), sorted_rows(&set));
             }
         }
-        assert_eq!(answer.rows(), sorted_rows(&set));
-        assert_eq!(answer.rows.len(), set.len(), "no zero-weight entries");
+        assert_eq!(*answer.rows(), sorted_rows(&set));
+        assert_eq!(*held.0, held.1);
+        assert!(saw_duplicates && saw_debt && saw_repaid, "the walk covers");
+        // one entry a row, in the rows or in the side map, never both, and
+        // no zero anywhere
+        let mut distinct = answer.rows().to_vec();
+        distinct.dedup();
+        assert!(distinct.iter().all(|r| !answer.owed.contains_key(r)));
+        assert!(answer.owed.values().all(|w| *w < 0));
+        assert_eq!(distinct.len() + answer.owed.len(), set.len());
+    }
+
+    #[test]
+    fn a_read_shares_the_rows_and_a_write_never_reaches_a_reader() {
+        let row = |s: &str| vec![Value::text(s)];
+        let mut answer = Answer::default();
+        answer.add(row("b"), 1);
+        answer.add(row("a"), 2);
+        let first = answer.rows();
+        assert!(Arc::ptr_eq(&first, &answer.rows()), "a read is a reference");
+        // the writer copies once for a reader that is still holding on …
+        answer.add(row("c"), 1);
+        answer.add(row("a"), -1);
+        assert_eq!(*first, vec![row("a"), row("a"), row("b")]);
+        assert_eq!(*answer.rows(), vec![row("a"), row("b"), row("c")]);
+        // … and writes in place once the reader has let go
+        drop(first);
+        let before = Arc::as_ptr(&answer.rows);
+        answer.add(row("d"), 1);
+        assert_eq!(before, Arc::as_ptr(&answer.rows));
     }
 
     #[test]

@@ -78,10 +78,13 @@ struct CheckingSource<'a, P> {
     counters: RefCell<CheckCounters>,
     error: RefCell<Option<crate::MatError>>,
     /// Shared cross-query cache, kept in sync as a side effect of URL
-    /// checking: freshly verified tuples are written through with their
-    /// Last-Modified stamp, deleted pages are invalidated. The cache is
-    /// never *read* here — every access still goes through the paper's
-    /// URL-check protocol, so `CheckCounters` are unaffected.
+    /// checking: freshly verified tuples — a light connection or a
+    /// download vouched for them — are written through with their
+    /// Last-Modified stamp, deleted pages are invalidated. A copy served
+    /// stale (its check failed transiently) is *not* written through:
+    /// nothing attested it. The cache is never *read* here — every access
+    /// still goes through the paper's URL-check protocol, so
+    /// `CheckCounters` are unaffected.
     shared: Option<&'a SharedPageCache>,
     /// Records one [`EventKind::Maintenance`] event per URL check,
     /// carrying what the protocol decided (downloaded / from_store /
@@ -115,8 +118,19 @@ impl<P> CheckingSource<'_, P> {
     }
 }
 
+/// The store holds the pages, so `fetch_shared` is the method that does the
+/// work — the evaluator's only call — and returns the store's own `Arc`.
 impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
     fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+        self.fetch_shared(url, scheme)
+            .map(|(t, _)| Tuple::clone(&t))
+    }
+
+    fn fetch_shared(
+        &self,
+        url: &Url,
+        scheme: &str,
+    ) -> std::result::Result<(Arc<Tuple>, Option<u64>), SourceError> {
         let mut store = self.store.borrow_mut();
         // "URLs whose flag equals missing … will not be used in the query
         // evaluation phase; we defer this check and do it periodically
@@ -147,7 +161,10 @@ impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
                     outcome_of(&counters),
                     counters.light_connections - before.light_connections,
                 );
-                if let Some(cache) = self.shared {
+                // Only what a light connection or a download vouched for is
+                // written through; a copy served stale stays out of the cache.
+                let attested = counters.stale_served == before.stale_served;
+                if let Some(cache) = self.shared.filter(|_| attested) {
                     // The store's access date is the freshest stamp we can
                     // attest for this tuple: drop any older cached copy
                     // and write the verified one through.
@@ -157,7 +174,7 @@ impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
                     }
                     cache.insert(url, &t, lm);
                 }
-                Ok(t)
+                Ok((t, None))
             }
             Ok(None) => {
                 if let Some(cache) = self.shared {

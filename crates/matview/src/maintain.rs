@@ -166,7 +166,7 @@ pub fn audit(store: &MatStore, site: &websim::Site) -> Vec<String> {
         for (url, truth) in site.pages(&ps.name) {
             match store.get(url) {
                 None => diffs.push(format!("missing locally: {url}")),
-                Some(p) if p.tuple != *truth => diffs.push(format!("stale: {url}")),
+                Some(p) if *p.tuple != *truth => diffs.push(format!("stale: {url}")),
                 Some(_) => {}
             }
             live_urls.insert(url);

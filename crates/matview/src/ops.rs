@@ -23,6 +23,7 @@ use adm::{Tuple, Url, Value, WebScheme};
 use nalg::expr::{field_of_column, resolve_column};
 use nalg::{NalgExpr, Pred};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use websim::PageServer;
 
 /// What an operator works against besides its own state.
@@ -40,7 +41,7 @@ impl<P: PageServer> Ctx<'_, P> {
     /// *dirty*. An upquery would see the post-change server and corrupt
     /// the bilinear rule, so the only safe answer is "that state is gone,
     /// rebuild".
-    fn read(&mut self, url: &Url) -> Result<Option<(Tuple, String)>> {
+    fn read(&mut self, url: &Url) -> Result<Option<(Arc<Tuple>, String)>> {
         if self.dirty.contains(url) && self.store.knows(url) && self.store.get(url).is_none() {
             return Err(MatError::StateGone(format!(
                 "{url} changed this sync and its old payload is evicted"

@@ -34,12 +34,21 @@ use wvcore::{PlanCache, RuleMask, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACI
 
 /// A materialized page: its wrapped tuple plus the logical date it was
 /// last downloaded.
+///
+/// The store owns the page and lends it: `tuple` is the one copy, and
+/// everything that reads a stored page — a URL check answering "use the
+/// stored tuple", [`MatStore::read`], the delta a sync pushes through the
+/// views — receives a clone of this `Arc`, never of the page. A stored page
+/// is immutable; [`MatStore::download`] and [`MatStore::put`] *replace* it,
+/// and a reader still holding the previous version keeps reading that
+/// version. Bytes are charged once per stored page (URL +
+/// [`adm::Tuple::approx_bytes`]), however many readers hold it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredPage {
     /// The page-scheme the page belongs to.
     pub scheme: String,
-    /// The wrapped nested tuple.
-    pub tuple: Tuple,
+    /// The wrapped nested tuple, shared with every reader.
+    pub tuple: Arc<Tuple>,
     /// Logical time of the last download.
     pub access_date: u64,
     /// True when the last refresh attempt failed and the page was
@@ -303,10 +312,10 @@ pub enum Download {
 #[derive(Debug)]
 pub struct Fresh {
     /// The payload the download replaced (`None` when the page was
-    /// unknown or evicted).
-    pub old: Option<Tuple>,
-    /// The payload now stored.
-    pub new: Tuple,
+    /// unknown or evicted): the store's former copy, moved out.
+    pub old: Option<Arc<Tuple>>,
+    /// The payload now stored, shared with the store.
+    pub new: Arc<Tuple>,
     /// Outlinks of the previous version (remembered ones if it was
     /// evicted).
     pub old_links: Vec<(String, Url)>,
@@ -477,7 +486,13 @@ impl MatStore {
     /// is applied by [`MatStore::download`], which knows the scheme an
     /// eviction needs — and the outlinks: a bare `put` cannot tell whether
     /// the page's links changed, so it counts as a link-graph move.
-    pub fn put(&mut self, url: Url, scheme: impl Into<String>, tuple: Tuple, access_date: u64) {
+    pub fn put(
+        &mut self,
+        url: Url,
+        scheme: impl Into<String>,
+        tuple: Arc<Tuple>,
+        access_date: u64,
+    ) {
         self.replace(url, scheme.into(), tuple, access_date);
         self.links_moved = true;
     }
@@ -488,7 +503,7 @@ impl MatStore {
         &mut self,
         url: Url,
         scheme: String,
-        tuple: Tuple,
+        tuple: Arc<Tuple>,
         access_date: u64,
     ) -> Option<Entry> {
         let old = self.take(&url);
@@ -614,7 +629,7 @@ impl MatStore {
             let instance: Vec<(Url, Tuple)> = pages
                 .iter()
                 .filter(|(_, p)| p.scheme == scheme.name)
-                .map(|(u, p)| ((*u).clone(), p.tuple.clone()))
+                .map(|(u, p)| ((*u).clone(), Tuple::clone(&p.tuple)))
                 .collect();
             if instance.is_empty() {
                 continue;
@@ -645,10 +660,11 @@ impl MatStore {
         };
         let ps = ws.scheme(scheme)?;
         let new = wrapper::wrap_bytes(ps, &resp.body)
+            .map(Arc::new)
             .map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
         let links = outlinks(&ps.fields, &new);
         let date = resp.last_modified.max(server.now());
-        let old = self.replace(url.clone(), scheme.to_string(), new.clone(), date);
+        let old = self.replace(url.clone(), scheme.to_string(), Arc::clone(&new), date);
         self.evict_to_budget(ws);
         let old_links = old.as_ref().map(|e| e.outlinks(ws)).unwrap_or_default();
         // a new page, or a version that links elsewhere, moves the graph;
@@ -667,20 +683,20 @@ impl MatStore {
     }
 
     /// Reads a page, upquerying if its payload was evicted. Returns the
-    /// tuple and scheme, or `None` if the page is gone (unknown, or the
-    /// upquery got a definite 404 — in which case the page is dropped and
-    /// the URL queued on `CheckMissing`). A transient upquery failure is
+    /// stored tuple (the store's `Arc`, not a copy) and scheme, or `None` if
+    /// the page is gone (unknown, or the upquery got a definite 404 — in
+    /// which case the page is dropped and the URL queued on `CheckMissing`). A transient upquery failure is
     /// an error: the caller cannot know the page's content.
     pub fn read(
         &mut self,
         ws: &WebScheme,
         server: &impl PageServer,
         url: &Url,
-    ) -> Result<Option<(Tuple, String)>> {
+    ) -> Result<Option<(Arc<Tuple>, String)>> {
         let scheme = match self.pages.get(url) {
             None => return Ok(None),
             Some(Entry::Resident(p)) => {
-                let out = (p.tuple.clone(), p.scheme.clone());
+                let out = (Arc::clone(&p.tuple), p.scheme.clone());
                 if self.budget.is_some() {
                     self.lru.touch(url);
                 }
@@ -895,7 +911,7 @@ mod tests {
         assert_eq!(store.cardinality("CoursePage"), 10);
         // stored tuples equal ground truth
         for (url, truth) in u.site.instance("ProfPage") {
-            assert_eq!(store.get(&url).unwrap().tuple, truth);
+            assert_eq!(*store.get(&url).unwrap().tuple, truth);
         }
     }
 
@@ -970,7 +986,7 @@ mod tests {
     fn put_remove_roundtrip() {
         let mut store = MatStore::new();
         let url = Url::new("/p.html");
-        store.put(url.clone(), "P", Tuple::new().with("A", "x"), 3);
+        store.put(url.clone(), "P", Arc::new(Tuple::new().with("A", "x")), 3);
         assert_eq!(store.get(&url).unwrap().access_date, 3);
         assert!(store.remove(&url));
         assert!(!store.remove(&url));
@@ -982,7 +998,7 @@ mod tests {
         let mut store = MatStore::new();
         let url = Url::new("/p.html");
         assert!(!store.mark_stale(&url), "nothing stored yet");
-        store.put(url.clone(), "P", Tuple::new().with("A", "x"), 3);
+        store.put(url.clone(), "P", Arc::new(Tuple::new().with("A", "x")), 3);
         assert!(!store.is_stale(&url), "fresh download is never stale");
         assert!(store.mark_stale(&url));
         assert!(store.is_stale(&url));
@@ -991,7 +1007,7 @@ mod tests {
         assert!(!store.is_stale(&url));
         store.mark_stale(&url);
         // re-downloading resets the flag
-        store.put(url.clone(), "P", Tuple::new().with("A", "y"), 4);
+        store.put(url.clone(), "P", Arc::new(Tuple::new().with("A", "y")), 4);
         assert!(!store.is_stale(&url));
         assert_eq!(store.stale_count(), 0);
     }

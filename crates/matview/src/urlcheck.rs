@@ -11,6 +11,10 @@
 //! status(U) := checked
 //! ```
 //!
+//! "Use the stored tuple" costs nothing in the paper's model, and here it
+//! is a reference: the check returns the store's own `Arc`, and a download
+//! returns the `Arc` it just stored.
+//!
 //! A 404 on the light connection means the page itself was deleted: it is
 //! removed from the store and pushed onto `CheckMissing` for the off-line
 //! sweep. A *transient* failure (timeout, 5xx) means nothing of the sort:
@@ -21,6 +25,7 @@
 use crate::store::{Download, MatStore, UrlStatus};
 use crate::{MatError, Result};
 use adm::{Tuple, Url, WebScheme};
+use std::sync::Arc;
 use websim::PageServer;
 
 /// Access counters of the maintenance protocol.
@@ -40,12 +45,21 @@ pub struct CheckCounters {
 
 /// Serves the stored copy of a page whose check failed transiently,
 /// flagging it stale.
-fn serve_stale(store: &mut MatStore, counters: &mut CheckCounters, url: &Url) -> Option<Tuple> {
-    let tuple = store.get(url).map(|p| p.tuple.clone())?;
+fn serve_stale(
+    store: &mut MatStore,
+    counters: &mut CheckCounters,
+    url: &Url,
+) -> Option<Arc<Tuple>> {
+    let tuple = stored(store, url)?;
     store.mark_stale(url);
     store.set_status(url.clone(), UrlStatus::Checked);
     counters.stale_served += 1;
     Some(tuple)
+}
+
+/// The store's copy of a resident page, by reference.
+fn stored(store: &MatStore, url: &Url) -> Option<Arc<Tuple>> {
+    store.get(url).map(|p| Arc::clone(&p.tuple))
 }
 
 /// Checks one URL, returning the (fresh) tuple, or `None` if the page no
@@ -57,12 +71,12 @@ pub fn url_check(
     server: &impl PageServer,
     url: &Url,
     scheme: &str,
-) -> Result<Option<Tuple>> {
+) -> Result<Option<Arc<Tuple>>> {
     // (A checked page whose payload a budgeted store has since evicted
     // falls through to the download below, like any evicted page.)
     if store.status(url) == UrlStatus::Checked && (store.get(url).is_some() || !store.knows(url)) {
         counters.from_store += 1;
-        return Ok(store.get(url).map(|p| p.tuple.clone()));
+        return Ok(stored(store, url));
     }
     // Capture the stored access date up front: the freshness comparison
     // below must not assume the entry is still there after the light
@@ -97,7 +111,7 @@ pub fn url_check(
         // staleness flag left by an earlier failed check
         store.clear_stale(url);
         store.set_status(url.clone(), UrlStatus::Checked);
-        return Ok(store.get(url).map(|p| p.tuple.clone()));
+        return Ok(stored(store, url));
     }
     match store.download(ws, server, url, scheme)? {
         Download::Fresh(fresh) => {
@@ -169,7 +183,7 @@ mod tests {
         )
         .unwrap()
         .unwrap();
-        assert_eq!(&t, u.site.ground_truth("ProfPage", &url).unwrap());
+        assert_eq!(&*t, u.site.ground_truth("ProfPage", &url).unwrap());
         assert_eq!(c.light_connections, 1);
         assert_eq!(c.downloads, 0);
         assert_eq!(c.from_store, 1);
@@ -192,7 +206,7 @@ mod tests {
         )
         .unwrap()
         .unwrap();
-        assert_eq!(&t, u.site.ground_truth("ProfPage", &url).unwrap());
+        assert_eq!(&*t, u.site.ground_truth("ProfPage", &url).unwrap());
         assert_eq!((c.light_connections, c.downloads, c.from_store), (0, 1, 0));
         assert_eq!(u.site.server.stats().gets, 1);
         assert_eq!(u.site.server.stats().heads, 0);
@@ -462,7 +476,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(
-                t.as_ref(),
+                t.as_deref(),
                 u.site.ground_truth("CoursePage", &url),
                 "status {status:?}, stored {keep_copy}"
             );

@@ -46,6 +46,7 @@ use adm::{Relation, Url, WebScheme};
 use nalg::NalgExpr;
 use obs::{EventKind, MetricsRegistry, TraceSink};
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::sync::Arc;
 use websim::{ChangeKind, FeedCursor, FeedTrimmed, PageServer, Site, SiteChange};
 
 /// What one [`IncrementalView::apply_changes`] batch did.
@@ -247,16 +248,19 @@ impl<'a> IncrementalView<'a> {
     }
 
     /// The maintained answer for `key`: rows in deterministic sorted
-    /// order ([`crate::delta::row_cmp`] — the order the answer is kept
-    /// in, so a read copies and never sorts). `None` when no such view is
-    /// registered or the view is degraded — the caller should fall back
-    /// to live evaluation.
+    /// order ([`crate::delta::row_cmp`] — the form the answer is kept in,
+    /// so a read copies the header and *shares* the rows: it costs the same
+    /// for ten rows and for a thousand). The relation stays what it was
+    /// when it was read; a sync that finds a reader still holding it copies
+    /// the rows once before writing (see [`Answer`]). `None` when no such
+    /// view is registered or the view is degraded — the caller should fall
+    /// back to live evaluation.
     pub fn answer(&self, key: &str) -> Option<Relation> {
         let v = self.views.iter().find(|v| v.key == key)?;
         if v.degraded {
             return None;
         }
-        Relation::from_rows(v.tree.columns.clone(), v.answer.rows()).ok()
+        Relation::from_shared_rows(v.tree.columns.clone(), v.answer.rows()).ok()
     }
 
     /// Total (slice evictions, slice upqueries) across every follow
@@ -607,7 +611,7 @@ impl<'a> IncrementalView<'a> {
         let d = PageDelta {
             url: url.clone(),
             scheme: scheme.to_string(),
-            old: self.store.get(url).map(|p| p.tuple.clone()),
+            old: self.store.get(url).map(|p| Arc::clone(&p.tuple)),
             new: None,
             was_known: true,
         };

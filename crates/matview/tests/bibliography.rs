@@ -66,6 +66,6 @@ fn nested_author_lists_survive_store_round_trip() {
         .unwrap();
     // every edition page's doubly-nested tuple is stored intact
     for (url, truth) in bib.site.instance("EditionPage") {
-        assert_eq!(store.get(&url).unwrap().tuple, truth);
+        assert_eq!(*store.get(&url).unwrap().tuple, truth);
     }
 }

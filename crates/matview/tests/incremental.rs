@@ -74,7 +74,7 @@ fn fingerprint(store: &MatStore) -> Vec<(String, String, adm::Tuple, bool)> {
             (
                 u.as_str().to_string(),
                 p.scheme.clone(),
-                p.tuple.clone(),
+                (*p.tuple).clone(),
                 p.stale,
             )
         })
@@ -210,7 +210,7 @@ fn budgeted_store_stays_under_budget_and_upqueries_backfill() {
             .read(&ws, &u.site.server, &url)
             .unwrap()
             .expect("live page");
-        assert_eq!(tuple, truth, "upquery must restore {url} exactly");
+        assert_eq!(*tuple, truth, "upquery must restore {url} exactly");
         assert_eq!(scheme, "ProfPage");
         assert!(iv.store().stats().resident_bytes <= budget as u64);
     }

@@ -13,17 +13,26 @@
 //! chosen plan — through mutation rounds and for other constants of a
 //! shape, and a plan is never handed to a session that would not have
 //! chosen it.
+//!
+//! The last part pins the sharing of pages and answers as invisible too:
+//! whoever holds a page hands out a reference to its own copy, what a
+//! reader keeps stays what it was handed whatever the store, the cache and
+//! the views do next, and only an attested page reaches the shared cache.
 
+use adm::{Relation, Tuple, Url, Value};
 use matview::maintain::{audit, full_refresh};
-use matview::{MatSession, MatStore};
+use matview::urlcheck::{url_check, CheckCounters};
+use matview::{IncrementalView, MatSession, MatStore};
+use nalg::{Evaluator, NalgExpr, PageSource, SharedPageCache};
 use proptest::prelude::*;
+use std::sync::Arc;
 use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use websim::Site;
 use wvcore::views::{bibliography_catalog, university_catalog};
 use wvcore::{
-    ConjunctiveQuery, ExternalRelation, LiveSource, PlanCache, QuerySession, RuleMask,
-    SiteStatistics, ViewCatalog,
+    CachedSource, ConjunctiveQuery, ExternalRelation, LiveSource, PlanCache, QuerySession,
+    RuleMask, SiteStatistics, ViewCatalog,
 };
 
 fn setup() -> (University, MatStore, SiteStatistics, ViewCatalog) {
@@ -577,4 +586,239 @@ fn a_plan_whose_audit_falls_back_is_removed() {
     // shape is planned — and falsified, and not stored — again.
     assert!(run(&u.site).fell_back());
     assert!(cache.is_empty());
+}
+
+// ---------------------------------------------------------------------
+// A read is a reference, and nobody can tell.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_copy_served_stale_is_not_written_through_to_the_shared_cache() {
+    let (u, mut store, stats, catalog) = setup();
+    let cache = SharedPageCache::default();
+    let victim = University::dept_url(0);
+    let outage = || {
+        websim::FaultPlan::new(4).with_rule(
+            websim::FaultRule::unavailable(1.0)
+                .for_url_prefix(victim.as_str())
+                .with_max_per_url(None),
+        )
+    };
+    let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
+    // a light connection vouches for every department page: written through
+    let caching =
+        MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server).with_shared_cache(&cache);
+    caching.run(&mut store, &dept_query()).unwrap();
+    assert!(cache.get(&victim).is_some());
+    // the cache lets the page go; then its check fails transiently and the
+    // stored copy is served stale — answered with, vouched for by nobody
+    cache.invalidate(&victim);
+    let mut plain_store = store.clone();
+    u.site.server.set_fault_plan(outage());
+    let out = caching.run(&mut store, &dept_query()).unwrap();
+    assert_eq!(out.counters.stale_served, 1);
+    assert!(store.is_stale(&victim));
+    assert!(
+        cache.get(&victim).is_none(),
+        "an unverified copy reappeared in the shared cache"
+    );
+    assert!(cache.get(&University::dept_url(1)).is_some());
+    // the cache is written to, never read: same traffic as without one
+    u.site.server.set_fault_plan(outage());
+    let plain = session.run(&mut plain_store, &dept_query()).unwrap();
+    assert_eq!(out.counters, plain.counters);
+    assert_eq!(out.relation, plain.relation);
+}
+
+#[test]
+fn whoever_holds_a_page_hands_out_a_reference_to_its_own_copy() {
+    let (u, mut store, stats, catalog) = setup();
+    let (ws, server) = (&u.site.scheme, &u.site.server);
+    let url = University::prof_url(0);
+    let kept = |store: &MatStore| Arc::clone(&store.get(&url).unwrap().tuple);
+    // the store: "use the stored tuple" and a plain read
+    let mut counters = CheckCounters::default();
+    let checked = url_check(&mut store, &mut counters, ws, server, &url, "ProfPage")
+        .unwrap()
+        .unwrap();
+    assert_eq!((counters.light_connections, counters.from_store), (1, 1));
+    assert!(Arc::ptr_eq(&checked, &kept(&store)));
+    let (read, _) = store.read(ws, server, &url).unwrap().unwrap();
+    assert!(Arc::ptr_eq(&read, &kept(&store)));
+    // a download: what is returned is what was stored, and the version it
+    // replaced is still the caller's to read
+    store.evict(ws, &url);
+    store.reset_status();
+    let fresh = url_check(&mut store, &mut counters, ws, server, &url, "ProfPage")
+        .unwrap()
+        .unwrap();
+    assert_eq!(counters.downloads, 1);
+    assert!(Arc::ptr_eq(&fresh, &kept(&store)));
+    assert!(!Arc::ptr_eq(&fresh, &checked));
+    assert_eq!(fresh, checked);
+    // the shared cache: a hit is the inserted page, and the URL check's
+    // write-through shares the store's copy
+    let cache = SharedPageCache::default();
+    let dept = University::dept_url(0);
+    MatSession::new(ws, &catalog, &stats, server)
+        .with_shared_cache(&cache)
+        .run(&mut store, &dept_query())
+        .unwrap();
+    let hit = cache.get(&dept).unwrap();
+    assert!(Arc::ptr_eq(&hit, &store.get(&dept).unwrap().tuple));
+    assert!(Arc::ptr_eq(&hit, &cache.get(&dept).unwrap()));
+    // a caching source: the miss it cached and the hits after it
+    let live = LiveSource::for_site(&u.site);
+    let (other, cached) = (SharedPageCache::default(), University::course_url(1));
+    let source = CachedSource::new(&live, &other);
+    let (miss, _) = source.fetch_shared(&cached, "CoursePage").unwrap();
+    let (again, _) = source.fetch_shared(&cached, "CoursePage").unwrap();
+    assert!(Arc::ptr_eq(&miss, &again));
+    assert!(Arc::ptr_eq(&miss, &other.get(&cached).unwrap()));
+    assert_eq!(other.stats().insertions, 1);
+}
+
+fn view_exprs() -> [(&'static str, NalgExpr); 3] {
+    let depts = NalgExpr::entry("DeptListPage")
+        .unnest("DeptList")
+        .follow("ToDept", "DeptPage");
+    [
+        (
+            "depts",
+            depts
+                .clone()
+                .project(vec!["DeptPage.DName", "DeptPage.Address"]),
+        ),
+        (
+            "profs",
+            depts
+                .unnest("ProfList")
+                .follow("ToProf", "ProfPage")
+                .project(vec!["ProfPage.PName", "ProfPage.Rank", "DeptPage.DName"]),
+        ),
+        (
+            "courses",
+            NalgExpr::entry("ProfListPage")
+                .unnest("ProfList")
+                .follow("ToProf", "ProfPage")
+                .unnest("CourseList")
+                .follow("ToCourse", "CoursePage")
+                .project(vec!["CoursePage.CName", "CoursePage.Description"]),
+        ),
+    ]
+}
+
+/// Everything a reader was handed and kept, each beside a deep copy taken
+/// at that moment.
+#[derive(Default)]
+struct Kept {
+    pages: Vec<(Arc<Tuple>, Tuple)>,
+    answers: Vec<(Relation, Vec<String>, Vec<Vec<Value>>)>,
+}
+
+impl Kept {
+    fn page(&mut self, page: Arc<Tuple>) {
+        let copy = Tuple::clone(&page);
+        self.pages.push((page, copy));
+    }
+
+    fn answer(&mut self, answer: Relation) {
+        let (columns, rows) = (answer.columns().to_vec(), answer.rows().to_vec());
+        self.answers.push((answer, columns, rows));
+    }
+
+    fn assert_untouched(&self, step: &str) {
+        for (page, copy) in &self.pages {
+            assert_eq!(&**page, copy, "a kept page changed after {step}");
+        }
+        for (answer, columns, rows) in &self.answers {
+            assert_eq!(
+                answer.columns(),
+                columns,
+                "a kept header changed after {step}"
+            );
+            assert_eq!(answer.rows(), rows, "a kept answer changed after {step}");
+        }
+    }
+}
+
+#[test]
+fn what_a_reader_keeps_stays_what_it_was_handed() {
+    let (mut u, mut store, stats, catalog) = setup();
+    let ws = u.site.scheme.clone();
+    let cache = SharedPageCache::default();
+    let mut views = IncrementalView::new(&ws);
+    views.materialize(&u.site.server).unwrap();
+    views.set_cursor(u.site.change_cursor());
+    for (key, expr) in view_exprs() {
+        views.register(key, key, &expr, &u.site.server).unwrap();
+    }
+    let plan = MutationPlan::new(41)
+        .with_rule(MutationRule::edit_attr("DeptPage", "Address", 0.6))
+        .with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.5))
+        .with_rule(MutationRule::edit_attr("CoursePage", "Description", 0.4))
+        .with_rule(MutationRule::delete("CoursePage", 0.15));
+    let queries = [dept_query(), grad_courses(), cs_address()];
+    let urls: Vec<Url> = (u.site.instance("DeptPage").into_iter())
+        .chain(u.site.instance("ProfPage"))
+        .chain(u.site.instance("CoursePage"))
+        .map(|(url, _)| url)
+        .collect();
+    let mut kept = Kept::default();
+    let mut edits = 0;
+    for round in 0..6 {
+        edits += plan.apply_round(&mut u.site, round).unwrap().total();
+        kept.assert_untouched("a mutation round");
+
+        views.sync(&u.site).unwrap();
+        kept.assert_untouched("a sync");
+
+        // view reads: each is the view's row set in order, and is kept
+        // across every sync that follows
+        let live = LiveSource::for_site(&u.site);
+        for (key, expr) in view_exprs() {
+            let rows = Evaluator::new(&ws, &live).eval(&expr).unwrap().relation;
+            let answer = views.answer(key).unwrap();
+            assert_eq!(answer, rows.sorted(), "{key} after round {round}");
+            kept.answer(answer.clone());
+            // a reader that writes to its copy reaches nobody else's
+            let mut scribbled = answer;
+            let width = scribbled.columns().len();
+            scribbled.push_row(vec![Value::Null; width]).unwrap();
+            assert_eq!(views.answer(key).unwrap().len() + 1, scribbled.len());
+        }
+        kept.assert_untouched("view reads");
+
+        // a URL-checked query: answers, the pages it re-downloaded replaced
+        // in the store and in the cache under whoever still reads the old
+        let session =
+            MatSession::new(&ws, &catalog, &stats, &u.site.server).with_shared_cache(&cache);
+        let out = session
+            .run(&mut store, &queries[round as usize % 3])
+            .unwrap();
+        kept.answer(out.relation);
+        kept.assert_untouched("a materialized-view query");
+
+        for url in urls.iter().skip(round as usize % 3).step_by(3) {
+            if let Some(page) = store.get(url) {
+                kept.page(Arc::clone(&page.tuple));
+            }
+            if let Some(page) = cache.get(url) {
+                kept.page(page);
+            }
+            if let Some((page, _)) = views.store_mut().read(&ws, &u.site.server, url).unwrap() {
+                kept.page(page);
+            }
+        }
+        kept.assert_untouched("page reads");
+    }
+    assert!(edits > 20, "the history must edit pages: {edits}");
+    let replaced = (kept.pages.iter())
+        .filter(|(page, _)| Arc::strong_count(page) == 1)
+        .count();
+    assert!(
+        replaced > 5,
+        "pages were replaced under their readers: {replaced}"
+    );
+    assert!(kept.pages.len() > 100 && kept.answers.len() == 24);
 }

@@ -68,7 +68,7 @@ fn fingerprint(store: &MatStore) -> Vec<(String, String, adm::Tuple, bool)> {
             (
                 u.as_str().to_string(),
                 p.scheme.clone(),
-                p.tuple.clone(),
+                (*p.tuple).clone(),
                 p.stale,
             )
         })
@@ -168,7 +168,7 @@ proptest! {
                     .read(&ws, &u.site.server, &url)
                     .unwrap()
                     .expect("published page");
-                prop_assert_eq!(&tuple, &truth, "upquery must restore {} exactly", url);
+                prop_assert_eq!(&*tuple, &truth, "upquery must restore {} exactly", url);
                 prop_assert_eq!(got_scheme.as_str(), scheme);
                 prop_assert!(iv.store().stats().resident_bytes <= budget as u64);
             }

@@ -31,6 +31,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of independently locked shards. A power of two; sized so that a
 /// 16-worker fetch pool rarely contends on a shard lock.
@@ -40,9 +41,14 @@ pub const SHARDS: usize = 16;
 /// sites while still exercising eviction in stress tests.
 pub const DEFAULT_BYTE_BUDGET: usize = 16 << 20;
 
-/// One cached wrapped page.
+/// One cached wrapped page. The cache owns a reference to the page, never
+/// a copy of it: the `Arc` came in through [`SharedPageCache::insert`] and
+/// goes out, cloned, through [`SharedPageCache::get`]. A cached page is
+/// never written to — a newer version replaces the entry.
 struct Entry {
-    tuple: Tuple,
+    tuple: Arc<Tuple>,
+    /// What the entry is charged against the shard's budget: the URL plus
+    /// [`adm::Tuple::approx_bytes`] of the page, however many readers hold it.
     bytes: usize,
     /// Server Last-Modified stamp, when the inserting layer knows it.
     last_modified: Option<u64>,
@@ -67,6 +73,10 @@ pub struct CacheStats {
     pub insertions: u64,
     pub evictions: u64,
     pub invalidations: u64,
+    /// Inserts refused because the page alone exceeds one shard's budget
+    /// (total budget / [`SHARDS`]): such a page is never cached, and every
+    /// request for it goes to the network.
+    pub rejected_oversize: u64,
     /// Current number of cached pages.
     pub entries: usize,
     /// Current estimated resident bytes.
@@ -89,6 +99,7 @@ pub struct SharedPageCache {
     insertions: Counter,
     evictions: Counter,
     invalidations: Counter,
+    rejected_oversize: Counter,
     trace: Option<TraceSink>,
 }
 
@@ -111,6 +122,7 @@ impl SharedPageCache {
             insertions: registry.counter("insertions"),
             evictions: registry.counter("evictions"),
             invalidations: registry.counter("invalidations"),
+            rejected_oversize: registry.counter("rejected_oversize"),
             registry,
             trace: None,
         }
@@ -138,14 +150,18 @@ impl SharedPageCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Looks up a page, refreshing its recency on hit.
-    pub fn get(&self, url: &Url) -> Option<Tuple> {
+    /// Looks up a page, refreshing its recency on hit. A hit hands out a
+    /// reference to the cached page — `Arc::ptr_eq` to what
+    /// [`SharedPageCache::insert`] was given — so the shard's write lock is
+    /// held for a count bump, not for a deep copy, and the page stays
+    /// readable after the entry is evicted or replaced.
+    pub fn get(&self, url: &Url) -> Option<Arc<Tuple>> {
         let mut shard = self.shard_of(url).write();
         let stamp = self.tick();
         match shard.map.get_mut(url) {
             Some(e) => {
                 let old = std::mem::replace(&mut e.stamp, stamp);
-                let t = e.tuple.clone();
+                let t = Arc::clone(&e.tuple);
                 shard.by_stamp.remove(&old);
                 shard.by_stamp.insert(stamp, url.clone());
                 self.hits.inc();
@@ -159,11 +175,14 @@ impl SharedPageCache {
     }
 
     /// Inserts (or refreshes) a page, evicting least-recently-used entries
-    /// if the shard exceeds its byte budget. Pages larger than a whole
-    /// shard budget are not cached.
-    pub fn insert(&self, url: &Url, tuple: &Tuple, last_modified: Option<u64>) {
+    /// if the shard exceeds its byte budget. The cache keeps a clone of the
+    /// `Arc`, not of the page: the caller and the cache share one copy. A
+    /// page larger than a whole shard budget is not cached, and counted in
+    /// [`CacheStats::rejected_oversize`].
+    pub fn insert(&self, url: &Url, tuple: &Arc<Tuple>, last_modified: Option<u64>) {
         let bytes = url.as_str().len() + tuple.approx_bytes();
         if bytes > self.shard_budget {
+            self.rejected_oversize.inc();
             return;
         }
         let mut shard = self.shard_of(url).write();
@@ -175,7 +194,7 @@ impl SharedPageCache {
         shard.map.insert(
             url.clone(),
             Entry {
-                tuple: tuple.clone(),
+                tuple: Arc::clone(tuple),
                 bytes,
                 last_modified,
                 stamp,
@@ -185,17 +204,13 @@ impl SharedPageCache {
         shard.bytes += bytes;
         self.insertions.inc();
         while shard.bytes > self.shard_budget {
-            let (&victim_stamp, victim) = shard
-                .by_stamp
-                .iter()
-                .next()
-                .expect("over budget implies at least one entry");
-            let victim = victim.clone();
-            shard.by_stamp.remove(&victim_stamp);
-            let e = shard
-                .map
-                .remove(&victim)
-                .expect("stamp index entry has a map entry");
+            // Over budget implies an entry, and every stamp indexes one.
+            let Some((_, victim)) = shard.by_stamp.pop_first() else {
+                break;
+            };
+            let Some(e) = shard.map.remove(&victim) else {
+                continue;
+            };
             shard.bytes -= e.bytes;
             self.evictions.inc();
             if let Some(sink) = &self.trace {
@@ -226,18 +241,20 @@ impl SharedPageCache {
     /// Returns true if an entry was dropped.
     pub fn invalidate_older_than(&self, url: &Url, last_modified: u64) -> bool {
         let mut shard = self.shard_of(url).write();
-        let stale = match shard.map.get(url) {
-            Some(e) => e.last_modified.is_none_or(|lm| lm < last_modified),
-            None => false,
-        };
-        if stale {
-            let e = shard.map.remove(url).expect("checked above");
+        let stale = shard
+            .map
+            .get(url)
+            .is_some_and(|e| e.last_modified.is_none_or(|lm| lm < last_modified));
+        if !stale {
+            return false;
+        }
+        if let Some(e) = shard.map.remove(url) {
             shard.bytes -= e.bytes;
             shard.by_stamp.remove(&e.stamp);
             self.invalidations.inc();
             self.trace_invalidate(url);
         }
-        stale
+        true
     }
 
     fn trace_invalidate(&self, url: &Url) {
@@ -286,6 +303,7 @@ impl SharedPageCache {
             insertions: self.insertions.get(),
             evictions: self.evictions.get(),
             invalidations: self.invalidations.get(),
+            rejected_oversize: self.rejected_oversize.get(),
             entries,
             bytes,
         }
@@ -296,8 +314,8 @@ impl SharedPageCache {
 mod tests {
     use super::*;
 
-    fn page(name: &str) -> Tuple {
-        Tuple::new().with("Name", name)
+    fn page(name: &str) -> Arc<Tuple> {
+        Arc::new(Tuple::new().with("Name", name))
     }
 
     #[test]
@@ -324,6 +342,33 @@ mod tests {
         assert!(s.bytes <= SHARDS * 400);
         // most-recently inserted page should still be resident
         assert!(cache.get(urls.last().unwrap()).is_some());
+    }
+
+    #[test]
+    fn a_hit_is_the_inserted_page_and_outlives_its_entry() {
+        let cache = SharedPageCache::default();
+        let (url, v1, v2) = (Url::new("/a"), page("v1"), page("v2"));
+        cache.insert(&url, &v1, Some(1));
+        let hit = cache.get(&url).unwrap();
+        assert!(Arc::ptr_eq(&hit, &v1) && Arc::ptr_eq(&hit, &cache.get(&url).unwrap()));
+        // a newer version replaces the entry; the reader keeps the old page
+        cache.insert(&url, &v2, Some(2));
+        assert!(Arc::ptr_eq(&cache.get(&url).unwrap(), &v2));
+        cache.invalidate(&url);
+        assert_eq!((hit, Arc::strong_count(&v1)), (page("v1"), 2));
+    }
+
+    #[test]
+    fn a_page_larger_than_a_shard_is_refused_and_counted() {
+        let cache = SharedPageCache::with_byte_budget(SHARDS * 400);
+        let big = page(&"x".repeat(400));
+        cache.insert(&Url::new("/big"), &big, None);
+        cache.insert(&Url::new("/small"), &page("s"), None);
+        let s = cache.stats();
+        assert_eq!((s.rejected_oversize, s.insertions, s.entries), (1, 1, 1));
+        assert_eq!(cache.get(&Url::new("/big")), None);
+        assert_eq!(cache.metrics().counter("rejected_oversize").get(), 1);
+        assert_eq!(Arc::strong_count(&big), 1, "a refused page is not held");
     }
 
     #[test]

@@ -41,6 +41,7 @@ use adm::{
 use obs::trace::{EventKind, TraceSink};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors a [`PageSource`] may return, split into the taxonomy the
 /// resilience layer acts on: **transient** failures (a retry may succeed)
@@ -147,6 +148,34 @@ pub trait PageSource {
         scheme: &str,
     ) -> std::result::Result<(Tuple, Option<u64>), SourceError> {
         self.fetch(url, scheme).map(|t| (t, None))
+    }
+
+    /// Like [`PageSource::fetch_stamped`], handing the page out behind an
+    /// `Arc` — a wrapped page is immutable, so whoever holds one (a cache,
+    /// a store, a coalesced flight) can give every reader a reference to
+    /// its own copy instead of a copy.
+    ///
+    /// **Who calls it:** the evaluator, for every page it acquires, and the
+    /// source wrappers on their way down to the source they wrap. **Who
+    /// overrides it:** a source that *holds* pages (`CachedSource`,
+    /// `CoalescingSource`, matview's URL-checking source over a `MatStore`)
+    /// returns a clone of the `Arc` it keeps, and a wrapper that only
+    /// forwards (`ResilientSource`) forwards this method too, so the
+    /// reference survives the stack. A source that *produces* pages
+    /// (`LiveSource`, a test fixture) implements `fetch` or `fetch_stamped`
+    /// and inherits this default, which wraps what it produced.
+    ///
+    /// **Why the other two stay:** a producing source has no `Arc` to give
+    /// and should not have to invent one, and an owning caller (the crawler,
+    /// statistics collection) wants a `Tuple`; a holder answers those from
+    /// `fetch_shared` plus the one copy such a caller asks for.
+    fn fetch_shared(
+        &self,
+        url: &Url,
+        scheme: &str,
+    ) -> std::result::Result<(Arc<Tuple>, Option<u64>), SourceError> {
+        self.fetch_stamped(url, scheme)
+            .map(|(t, lm)| (Arc::new(t), lm))
     }
 }
 
@@ -341,8 +370,9 @@ fn run_pooled<S: PageSource + Sync>(ev: &Evaluator<'_, S>, expr: &NalgExpr) -> R
 
 #[derive(Default)]
 struct Ctx {
-    /// Per-query page cache, keyed by interned URL id.
-    cache: HashMap<Symbol, Tuple>,
+    /// Per-query page cache, keyed by interned URL id. A hit delivers the
+    /// `Arc` the page arrived in.
+    cache: HashMap<Symbol, Arc<Tuple>>,
     /// Pre-order index of the next operator node (tracing only); matches
     /// the node numbering of `cost::Estimate::nodes` for the same plan.
     node_seq: usize,
@@ -1409,6 +1439,70 @@ mod tests {
         assert_eq!(report.cache_hits, 1);
         // the cost model counts both entry accesses
         assert_eq!(report.cost_model_accesses(), 5);
+    }
+
+    /// A source that holds its pages behind `Arc`s, hands out references,
+    /// and notes how many holders the entry page has whenever a page is
+    /// asked for.
+    struct HeldSource {
+        pages: HashMap<Url, Arc<Tuple>>,
+        entry_holders: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl PageSource for HeldSource {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            self.fetch_shared(url, scheme)
+                .map(|(t, _)| Tuple::clone(&t))
+        }
+
+        fn fetch_shared(
+            &self,
+            url: &Url,
+            _scheme: &str,
+        ) -> std::result::Result<(Arc<Tuple>, Option<u64>), SourceError> {
+            let entry = &self.pages[&Url::new("/list.html")];
+            self.entry_holders
+                .lock()
+                .unwrap()
+                .push(Arc::strong_count(entry));
+            let page = self.pages.get(url).map(|t| (Arc::clone(t), None));
+            page.ok_or_else(|| SourceError::NotFound(url.clone()))
+        }
+    }
+
+    #[test]
+    fn the_caches_keep_the_reference_they_were_handed() {
+        let ws = scheme();
+        let src = HeldSource {
+            pages: (source().pages.into_iter())
+                .map(|(url, t)| (url, Arc::new(t)))
+                .collect(),
+            entry_holders: Default::default(),
+        };
+        let holders = || std::mem::take(&mut *src.entry_holders.lock().unwrap());
+        let left = NalgExpr::entry("ListPage").unnest("Items");
+        let right = NalgExpr::entry_as("ListPage", "L2").unnest("Items");
+        let e = left
+            .join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")])
+            .follow("ListPage.Items.ToItem", "ItemPage");
+        // The entry page is fetched once and hit once in the per-query
+        // cache; while the items are fetched the cache still holds it — the
+        // source's own `Arc`, not a copy — and lets go with the query.
+        let shared = crate::cache::SharedPageCache::default();
+        let report = Evaluator::new(&ws, &src)
+            .with_shared_cache(&shared)
+            .eval(&e)
+            .unwrap();
+        assert_eq!((report.page_accesses, report.cache_hits), (4, 1));
+        assert_eq!(holders(), vec![1, 3, 3, 3], "source, query cache, shared");
+        // the shared cache holds the very page the source handed out
+        for (url, page) in &src.pages {
+            assert!(Arc::ptr_eq(page, &shared.get(url).unwrap()), "{url}");
+            assert_eq!(Arc::strong_count(page), 2, "{url}");
+        }
+        let report = Evaluator::new(&ws, &src).without_cache().eval(&e).unwrap();
+        assert_eq!((report.page_accesses, report.cache_hits), (5, 0));
+        assert_eq!(holders(), vec![2; 5], "nobody but the source and `shared`");
     }
 
     #[test]

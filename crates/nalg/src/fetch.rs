@@ -22,7 +22,8 @@
 //! single-flight semantics: when N callers (concurrent sessions, pool
 //! workers) request the same URL at the same time, exactly one — the
 //! *leader* — performs the inner fetch; the rest — *followers* — block and
-//! receive a clone of the leader's result. This deduplicates server GETs
+//! receive the leader's result: the same page, by reference. This
+//! deduplicates server GETs
 //! without touching the paper's accounting: `page_accesses` is counted by
 //! each evaluation at fetch *completion*, above this layer, so every
 //! session reports exactly the numbers it would report uncoalesced (pinned
@@ -52,9 +53,10 @@ pub(crate) struct Job {
     pub hedge: bool,
 }
 
-/// The result of one page fetch: the wrapped tuple plus the source's
-/// Last-Modified stamp when known.
-pub(crate) type FetchOutcome = Result<(Tuple, Option<u64>), SourceError>;
+/// The result of one page fetch: the wrapped tuple — behind the `Arc` its
+/// holder gave out, or a fresh one around what the source produced — plus
+/// the source's Last-Modified stamp when known.
+pub(crate) type FetchOutcome = Result<(Arc<Tuple>, Option<u64>), SourceError>;
 
 /// A completed fetch: the job it answers and what the source said. `url`
 /// is `job.url` as the `Url` the source was called with, handed on so the
@@ -93,7 +95,7 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
         let outcome = if skip {
             Err(SourceError::Cancelled(url.clone()))
         } else {
-            self.source.fetch_stamped(&url, job.scheme.as_str())
+            self.source.fetch_shared(&url, job.scheme.as_str())
         };
         if let (Some(clock), Some(t0)) = (&self.clock, t0) {
             clock.add_us(t0.elapsed().as_micros() as u64);
@@ -319,7 +321,8 @@ impl HedgeConfig {
 }
 
 /// One in-flight fetch: followers park on the condvar until the leader
-/// (or a shutdown) publishes into the slot.
+/// (or a shutdown) publishes into the slot. The slot holds the page behind
+/// its `Arc`; the leader and every follower leave with a reference to it.
 struct Flight {
     slot: StdMutex<Option<FetchOutcome>>,
     cv: Condvar,
@@ -475,7 +478,7 @@ impl<'a, S: PageSource + Sync> CoalescingSource<'a, S> {
             flight,
             outcome: None,
         };
-        let outcome = self.inner.fetch_stamped(url, scheme);
+        let outcome = self.inner.fetch_shared(url, scheme);
         retire.outcome = Some(outcome.clone());
         drop(retire);
         outcome
@@ -532,7 +535,12 @@ impl<S: PageSource + Sync> PageSource for CoalescingSource<'_, S> {
         self.fetch_stamped(url, scheme).map(|(t, _)| t)
     }
 
-    fn fetch_stamped(&self, url: &Url, scheme: &str) -> FetchOutcome {
+    fn fetch_stamped(&self, url: &Url, scheme: &str) -> Result<(Tuple, Option<u64>), SourceError> {
+        let (t, lm) = self.fetch_shared(url, scheme)?;
+        Ok((Tuple::clone(&t), lm))
+    }
+
+    fn fetch_shared(&self, url: &Url, scheme: &str) -> FetchOutcome {
         if self.is_shut_down() {
             return Err(SourceError::Cancelled(url.clone()));
         }
@@ -816,6 +824,27 @@ mod tests {
         let stats = coalesced.stats();
         assert_eq!((stats.leaders, stats.followers), (1, 4));
         assert_eq!(stats.saved_gets(), 4);
+    }
+
+    #[test]
+    fn a_coalesced_follower_shares_the_leaders_page() {
+        let (gated, entered_rx, release_tx) = GatedSource::new();
+        let coalesced = CoalescingSource::new(&gated);
+        let pages: Vec<Arc<Tuple>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| coalesced.fetch_shared(&Url::new("/hot"), "P")))
+                .collect();
+            entered_rx.recv().unwrap(); // the single leader is inside
+            await_followers(&coalesced, 2);
+            release_tx.send(()).unwrap();
+            (handles.into_iter())
+                .map(|h| h.join().unwrap().expect("shared fetch succeeds").0)
+                .collect()
+        });
+        assert_eq!(gated.fetches.load(Ordering::SeqCst), 1);
+        // one page, three references: the flight is retired and holds none
+        assert!(pages.iter().all(|p| Arc::ptr_eq(p, &pages[0])));
+        assert_eq!(Arc::strong_count(&pages[0]), 3);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::policy::RetryPolicy;
 use crate::stats::ResilienceSnapshot;
 use adm::{Tuple, Url};
 use nalg::{PageSource, SourceError};
+use std::sync::Arc;
 
 /// Wraps any [`PageSource`] with retries and per-scheme circuit breakers.
 ///
@@ -80,21 +81,41 @@ fn classify(e: &SourceError) -> Class {
     }
 }
 
+impl<S> ResilientSource<'_, S> {
+    /// Runs one fetch of the inner source under the retry policy and the
+    /// scheme's breaker.
+    fn governed<T>(
+        &self,
+        url: &Url,
+        scheme: &str,
+        fetch: impl FnMut() -> Result<T, SourceError>,
+    ) -> Result<T, SourceError> {
+        self.gov
+            .call(scheme, fetch, classify, || SourceError::Unavailable {
+                url: url.clone(),
+                reason: format!("circuit breaker open for scheme {scheme}"),
+            })
+    }
+}
+
+/// Holds no page: each method forwards to the inner source's method of the
+/// same name, so a page the inner source shares stays shared and one it
+/// produces is not wrapped only to be copied out again.
 impl<S: PageSource> PageSource for ResilientSource<'_, S> {
     fn fetch(&self, url: &Url, scheme: &str) -> Result<Tuple, SourceError> {
         self.fetch_stamped(url, scheme).map(|(t, _)| t)
     }
 
     fn fetch_stamped(&self, url: &Url, scheme: &str) -> Result<(Tuple, Option<u64>), SourceError> {
-        self.gov.call(
-            scheme,
-            || self.inner.fetch_stamped(url, scheme),
-            classify,
-            || SourceError::Unavailable {
-                url: url.clone(),
-                reason: format!("circuit breaker open for scheme {scheme}"),
-            },
-        )
+        self.governed(url, scheme, || self.inner.fetch_stamped(url, scheme))
+    }
+
+    fn fetch_shared(
+        &self,
+        url: &Url,
+        scheme: &str,
+    ) -> Result<(Arc<Tuple>, Option<u64>), SourceError> {
+        self.governed(url, scheme, || self.inner.fetch_shared(url, scheme))
     }
 }
 

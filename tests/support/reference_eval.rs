@@ -64,13 +64,13 @@ impl<S: PageSource> Reference<'_, S> {
         }
         let tuple = if let Some(t) = self.shared.and_then(|s| s.get(url)) {
             c.shared_cache_hits += 1;
-            t
+            (*t).clone()
         } else {
             match self.source.fetch_stamped(url, scheme) {
                 Ok((t, last_modified)) => {
                     c.page_accesses += 1;
                     if let Some(shared) = self.shared {
-                        shared.insert(url, &t, last_modified);
+                        shared.insert(url, &std::sync::Arc::new(t.clone()), last_modified);
                     }
                     t
                 }
