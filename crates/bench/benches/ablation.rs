@@ -4,7 +4,7 @@
 use bench::{query_71, query_72};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use websim::sitegen::{University, UniversityConfig};
-use wvcore::{Optimizer, RuleMask, SiteStatistics};
+use wvcore::{ExecPolicy, Optimizer, RuleMask, SiteStatistics};
 
 fn bench_ablation(c: &mut Criterion) {
     let u = University::generate(UniversityConfig::default()).unwrap();
@@ -25,7 +25,11 @@ fn bench_ablation(c: &mut Criterion) {
     for (name, mask) in masks {
         for (qname, q) in [("q71", query_71()), ("q72", query_72())] {
             group.bench_with_input(BenchmarkId::new(name, qname), &q, |b, q| {
-                let opt = Optimizer::new(&u.site.scheme, &catalog, &stats).with_mask(mask);
+                let opt =
+                    Optimizer::new(&u.site.scheme, &catalog, &stats).with_policy(&ExecPolicy {
+                        mask,
+                        ..Default::default()
+                    });
                 b.iter(|| opt.optimize(q).unwrap().candidates.len())
             });
         }

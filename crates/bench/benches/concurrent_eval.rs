@@ -8,7 +8,7 @@
 //! is exhausted). The warm-cache rows skip the network entirely.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nalg::{Evaluator, NalgExpr, SharedPageCache};
+use nalg::{EvalPolicy, Evaluator, Fetch, NalgExpr, SharedPageCache};
 use std::time::Duration;
 use websim::sitegen::{University, UniversityConfig};
 use wvcore::LiveSource;
@@ -22,6 +22,15 @@ fn course_navigation() -> NalgExpr {
         .project(vec!["CoursePage.CName", "CoursePage.Type"])
 }
 
+/// One worker is the inline executor; more are a pool.
+fn fetch_with(workers: usize) -> Fetch {
+    if workers <= 1 {
+        Fetch::Inline
+    } else {
+        Fetch::pool(workers)
+    }
+}
+
 fn bench_concurrent_eval(c: &mut Criterion) {
     let u = University::generate(UniversityConfig::default()).unwrap();
     let source = LiveSource::for_site(&u.site);
@@ -33,13 +42,17 @@ fn bench_concurrent_eval(c: &mut Criterion) {
         u.site.server.set_latency(Duration::from_millis(latency_ms));
         for workers in [1usize, 2, 4, 8, 16] {
             group.bench_with_input(BenchmarkId::new("cold", workers), &workers, |b, &w| {
+                let policy = EvalPolicy {
+                    fetch: fetch_with(w),
+                    ..Default::default()
+                };
                 b.iter(|| {
-                    let ev = if w <= 1 {
-                        Evaluator::new(&u.site.scheme, &source)
-                    } else {
-                        Evaluator::new(&u.site.scheme, &source).with_concurrent_fetch(w)
-                    };
-                    ev.eval(&plan).unwrap().relation.len()
+                    Evaluator::new(&u.site.scheme, &source)
+                        .with_policy(&policy)
+                        .eval(&plan)
+                        .unwrap()
+                        .relation
+                        .len()
                 })
             });
             group.bench_with_input(
@@ -49,16 +62,20 @@ fn bench_concurrent_eval(c: &mut Criterion) {
                     let cache = SharedPageCache::default();
                     // warm it once; every timed iteration is then pure hits
                     Evaluator::new(&u.site.scheme, &source)
-                        .with_shared_cache(&cache)
+                        .with_policy(&EvalPolicy {
+                            shared_cache: Some(&cache),
+                            ..Default::default()
+                        })
                         .eval(&plan)
                         .unwrap();
+                    let policy = EvalPolicy {
+                        fetch: fetch_with(w),
+                        shared_cache: Some(&cache),
+                        ..Default::default()
+                    };
                     b.iter(|| {
-                        let ev = if w <= 1 {
-                            Evaluator::new(&u.site.scheme, &source)
-                        } else {
-                            Evaluator::new(&u.site.scheme, &source).with_concurrent_fetch(w)
-                        };
-                        ev.with_shared_cache(&cache)
+                        Evaluator::new(&u.site.scheme, &source)
+                            .with_policy(&policy)
                             .eval(&plan)
                             .unwrap()
                             .relation

@@ -34,6 +34,7 @@
 use crate::serving::zipf_schedule;
 use crate::table::Table;
 use adm::{Field, PageScheme, Tuple, Url, Value, WebScheme};
+use nalg::{EvalPolicy, Fetch};
 use obs::FixedHistogram;
 use resilience::HedgePolicy;
 use serve::QueryServer;
@@ -42,7 +43,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use websim::sitegen::{University, UniversityConfig};
 use websim::LatencyProfile;
-use wvcore::{ConjunctiveQuery, LiveSource, QuerySession, SiteStatistics};
+use wvcore::{ConjunctiveQuery, ExecPolicy, LiveSource, QuerySession, SiteStatistics};
 
 /// Knobs of the X8 tail-latency benchmark. `Default` is the full scale;
 /// CI's `deadline-smoke` runs a reduced copy.
@@ -199,7 +200,7 @@ struct ArmStats {
 /// Drives one closed-loop schedule through a server with `workers`
 /// threads (the X5 closed loop, minus the open-loop variant — queueing
 /// is not what X8 measures).
-fn drive_arm<S: nalg::PageSource + Sync>(
+fn drive_arm<S: nalg::PageSource>(
     server: &QueryServer<'_, S>,
     queries: &[(&'static str, ConjunctiveQuery)],
     schedule: &[usize],
@@ -326,7 +327,10 @@ pub fn relevance_micro() -> RelevanceMicro {
         .select(nalg::Pred::eq("Items.Name", "b"));
     let plain = nalg::Evaluator::new(&ws, &src).eval(&e).expect("plain");
     let pruned = nalg::Evaluator::new(&ws, &src)
-        .with_relevance_cancel()
+        .with_policy(&EvalPolicy {
+            relevance: true,
+            ..Default::default()
+        })
         .eval(&e)
         .expect("pruned");
     RelevanceMicro {
@@ -444,9 +448,14 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
     // 3 — hedge only: tails are raced, nothing browns out.
     let hedge_policy = HedgePolicy::new(hedge_delay_us).with_jitter_seed(cfg.seed);
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
-        .with_admission_capacity(cfg.workers)
-        .with_concurrent_fetch(cfg.fetch_workers)
-        .with_hedging(hedge_policy.config());
+        .with_policy(&ExecPolicy {
+            eval: EvalPolicy {
+                fetch: Fetch::hedged(cfg.fetch_workers, hedge_policy.config()),
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .with_admission_capacity(cfg.workers);
     warm(&server);
     u.site.server.reset_stats();
     let hedge_warm = hedge_policy.snapshot();
@@ -461,10 +470,15 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
     // the deadline caps the stragglers.
     let guarded_policy = HedgePolicy::new(hedge_delay_us).with_jitter_seed(cfg.seed ^ 1);
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
+        .with_policy(&ExecPolicy {
+            eval: EvalPolicy {
+                fetch: Fetch::hedged(cfg.fetch_workers, guarded_policy.config()),
+                ..Default::default()
+            },
+            ..Default::default()
+        })
         .with_admission_capacity(cfg.workers)
-        .with_concurrent_fetch(cfg.fetch_workers)
-        .with_deadline_budget(budget_us)
-        .with_hedging(guarded_policy.config());
+        .with_deadline_budget(budget_us);
     warm(&server);
     u.site.server.reset_stats();
     let guarded_warm = guarded_policy.snapshot();

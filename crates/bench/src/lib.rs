@@ -32,10 +32,12 @@ pub use serving::{x5_serving, ServeLoadConfig, ServeSmoke};
 pub use sweep::{sweep_rows_per_sec, SweepSmoke};
 
 use fixtures::*;
-use nalg::Evaluator;
+use nalg::{EvalPolicy, Evaluator, Fetch};
 use table::Table;
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
-use wvcore::{ConjunctiveQuery, LiveSource, Optimizer, QuerySession, RuleMask, SiteStatistics};
+use wvcore::{
+    ConjunctiveQuery, ExecPolicy, LiveSource, Optimizer, QuerySession, RuleMask, SiteStatistics,
+};
 
 /// E1 — the introduction's four strategies for "authors who had papers in
 /// the last three VLDB conferences", swept over the author population.
@@ -419,7 +421,10 @@ pub fn e6_optimizer_wins() -> Table {
     let source = LiveSource::for_site(&u.site);
     for (name, q) in university_workload() {
         let naive_session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_mask(RuleMask::none());
+            .with_policy(&ExecPolicy {
+                mask: RuleMask::none(),
+                ..Default::default()
+            });
         let naive = naive_session.run(&q).expect("naive").measured_pages();
         let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
         let opt = session.run(&q).expect("optimized").measured_pages();
@@ -481,7 +486,10 @@ pub fn e8_ablation() -> Table {
     for (name, mask) in masks {
         let mut cells = vec![name.to_string()];
         for q in &queries {
-            let opt = Optimizer::new(&u.site.scheme, &catalog, &stats).with_mask(mask);
+            let opt = Optimizer::new(&u.site.scheme, &catalog, &stats).with_policy(&ExecPolicy {
+                mask,
+                ..Default::default()
+            });
             match opt.optimize(q) {
                 Ok(e) => cells.push(format!("{:.1}", e.best().estimate.cost.pages)),
                 Err(_) => cells.push("—".to_string()),
@@ -545,11 +553,15 @@ pub fn x1_latency_hiding(latency_ms: u64, workers: &[usize]) -> Table {
         .set_latency(std::time::Duration::from_millis(latency_ms));
     let mut baseline: Option<(f64, adm::Relation, u64)> = None;
     for &w in workers {
-        let evaluator = if w <= 1 {
-            Evaluator::new(&u.site.scheme, &source)
+        let fetch = if w <= 1 {
+            Fetch::Inline
         } else {
-            Evaluator::new(&u.site.scheme, &source).with_concurrent_fetch(w)
+            Fetch::pool(w)
         };
+        let evaluator = Evaluator::new(&u.site.scheme, &source).with_policy(&EvalPolicy {
+            fetch,
+            ..Default::default()
+        });
         let t0 = std::time::Instant::now();
         let report = evaluator.eval(&plan).expect("plan evaluates");
         let elapsed = t0.elapsed().as_secs_f64() * 1e3;
@@ -600,7 +612,13 @@ pub fn x2_shared_cache_detailed() -> (Table, Vec<(String, String)>) {
     let source = LiveSource::for_site(&u.site);
     let cache = nalg::SharedPageCache::default();
     let session =
-        QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_shared_cache(&cache);
+        QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+            eval: EvalPolicy {
+                shared_cache: Some(&cache),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
     for pass in 1..=2u32 {
         u.site.server.reset_stats();
         let (mut downloads, mut hits, mut model) = (0u64, 0u64, 0u64);
@@ -692,7 +710,10 @@ fn x3_chaos_inner(rates_pct: &[u8]) -> (Table, resilience::ResilienceSnapshot) {
         u.site.server.reset_stats();
         let resilient = ResilientSource::new(&source, RetryPolicy::new(4));
         let report = Evaluator::new(&u.site.scheme, &resilient)
-            .with_degradation(nalg::DegradationMode::Partial)
+            .with_policy(&EvalPolicy {
+                degradation: nalg::DegradationMode::Partial,
+                ..Default::default()
+            })
             .eval(&plan)
             .expect("plan evaluates");
         let stats = u.site.server.stats();
@@ -878,7 +899,10 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
         .iter()
         .map(|(_, q)| {
             QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-                .with_mask(RuleMask::none())
+                .with_policy(&ExecPolicy {
+                    mask: RuleMask::none(),
+                    ..Default::default()
+                })
                 .run(q)
                 .expect("naive run")
         })
@@ -910,8 +934,11 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
         for rate in [0.0, 0.25, 0.5, 1.0] {
             let health = ConstraintHealth::new();
             let out = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-                .with_audit(rate, AUDIT_SEED)
-                .with_constraint_health(&health)
+                .with_policy(&ExecPolicy {
+                    audit: Some((rate, AUDIT_SEED)),
+                    health: Some(&health),
+                    ..Default::default()
+                })
                 .run(q)
                 .expect("audited run");
             let (checks, violations) = audit_numbers(&out);
@@ -945,9 +972,12 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
     );
     let health = ConstraintHealth::new();
     let mut fallbacks_match_naive = true;
-    let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-        .with_audit(1.0, AUDIT_SEED)
-        .with_constraint_health(&health);
+    let session =
+        QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+            audit: Some((1.0, AUDIT_SEED)),
+            health: Some(&health),
+            ..Default::default()
+        });
     for pass in 1..=2u32 {
         for ((label, q), naive) in queries.iter().zip(&naives) {
             let out = session.run(q).expect("audited run");
@@ -1220,9 +1250,12 @@ mod tests {
         let catalog = wvcore::views::university_catalog();
         let source = LiveSource::for_site(&u.site);
         let health = resilience::ConstraintHealth::new();
-        let audited = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 0xA0D17)
-            .with_constraint_health(&health);
+        let audited =
+            QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+                audit: Some((1.0, 0xA0D17)),
+                health: Some(&health),
+                ..Default::default()
+            });
         let plain = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
         for (label, q) in university_workload() {
             let a = audited.run(&q).expect("audited");

@@ -185,7 +185,7 @@ fn check(outcome: Option<&wvcore::QueryOutcome>, oracle: &Oracle, diverged: &Ato
 /// its next request on completion. Open loop: request `i` is due at
 /// `start + i·interval` whatever the server's progress, and its latency
 /// is measured from that due time (queueing included).
-fn drive<S: nalg::PageSource + Sync>(
+fn drive<S: nalg::PageSource>(
     server: &QueryServer<'_, S>,
     queries: &[(&'static str, ConjunctiveQuery)],
     schedule: &[usize],

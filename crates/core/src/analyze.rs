@@ -274,7 +274,7 @@ mod tests {
     use crate::stats::SiteStatistics;
     use crate::views::university_catalog;
     use crate::ConjunctiveQuery;
-    use nalg::Evaluator;
+    use nalg::{EvalPolicy, Evaluator};
     use obs::trace::TraceSink;
     use websim::sitegen::{University, UniversityConfig};
 
@@ -291,7 +291,10 @@ mod tests {
         let explain = opt.optimize(&q).unwrap();
         let sink = TraceSink::with_seed(0);
         let report = Evaluator::new(&u.site.scheme, &source)
-            .with_trace(&sink)
+            .with_policy(&EvalPolicy {
+                trace: Some((sink.clone(), None)),
+                ..Default::default()
+            })
             .eval(&explain.best().expr)
             .unwrap();
         let analysis = ExplainAnalyze::from_parts(&explain.best().estimate, &sink.events());

@@ -4,14 +4,10 @@
 //! exploring the site by means of a tool such as WebSQL". This module is
 //! that tool: a BFS from the entry points that follows every typed link
 //! and wraps every page, returning the full instance of every page-scheme.
-//! A work-stealing parallel variant (crossbeam scoped threads) exists for
-//! large sites — the virtual server and the wrappers are thread-safe.
 
 use adm::{Field, Tuple, Url, Value, WebScheme, WebType};
 use nalg::PageSource;
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A crawled site instance: page-scheme name → URL-sorted pages.
 pub type SiteInstance = BTreeMap<String, Vec<(Url, Tuple)>>;
@@ -66,82 +62,6 @@ pub fn crawl_instance(ws: &WebScheme, source: &impl PageSource) -> SiteInstance 
     out
 }
 
-/// Parallel crawl with `workers` scoped threads over a shared frontier.
-/// Produces exactly the same instance as [`crawl_instance`].
-pub fn crawl_instance_parallel(
-    ws: &WebScheme,
-    source: &(impl PageSource + Sync),
-    workers: usize,
-) -> SiteInstance {
-    let workers = workers.max(1);
-    let queue: Mutex<VecDeque<(Url, String)>> = Mutex::new(
-        ws.entry_points()
-            .iter()
-            .map(|e| (e.url.clone(), e.scheme.clone()))
-            .collect(),
-    );
-    let seen: Mutex<HashSet<Url>> =
-        Mutex::new(ws.entry_points().iter().map(|e| e.url.clone()).collect());
-    let results: Mutex<Vec<(String, Url, Tuple)>> = Mutex::new(Vec::new());
-    let in_flight = AtomicUsize::new(0);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let item = {
-                    let mut q = queue.lock().expect("queue lock");
-                    match q.pop_front() {
-                        Some(x) => {
-                            in_flight.fetch_add(1, Ordering::SeqCst);
-                            Some(x)
-                        }
-                        None => None,
-                    }
-                };
-                match item {
-                    Some((url, scheme)) => {
-                        if let (Ok(tuple), Ok(ps)) =
-                            (source.fetch(&url, &scheme), ws.scheme(&scheme))
-                        {
-                            let links = outlinks(&ps.fields, &tuple);
-                            {
-                                let mut s = seen.lock().expect("seen lock");
-                                let mut q = queue.lock().expect("queue lock");
-                                for (target, link) in links {
-                                    if s.insert(link.clone()) {
-                                        q.push_back((link, target));
-                                    }
-                                }
-                            }
-                            results
-                                .lock()
-                                .expect("results lock")
-                                .push((scheme, url, tuple));
-                        }
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    None => {
-                        if in_flight.load(Ordering::SeqCst) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-    })
-    .expect("crawler threads do not panic");
-
-    let mut out: SiteInstance = BTreeMap::new();
-    for (scheme, url, tuple) in results.into_inner().expect("no poisoned lock") {
-        out.entry(scheme).or_default().push((url, tuple));
-    }
-    for pages in out.values_mut() {
-        pages.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,26 +92,6 @@ mod tests {
                 assert_eq!(Some(t), u.site.ground_truth(scheme, url));
             }
         }
-    }
-
-    #[test]
-    fn parallel_crawl_equals_sequential() {
-        let u = uni();
-        let src = LiveSource::for_site(&u.site);
-        let seq = crawl_instance(&u.site.scheme, &src);
-        for workers in [1, 2, 4, 8] {
-            let par = crawl_instance_parallel(&u.site.scheme, &src, workers);
-            assert_eq!(par, seq, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_crawl_downloads_each_page_once() {
-        let u = uni();
-        let src = LiveSource::for_site(&u.site);
-        u.site.server.reset_stats();
-        crawl_instance_parallel(&u.site.scheme, &src, 4);
-        assert_eq!(u.site.server.stats().gets as usize, u.site.total_pages());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! page accesses, so experiments can validate the cost model (estimated
 //! vs. actual) with one call.
 //!
-//! **Constraint-drift defense.** With [`QuerySession::with_audit`] set,
+//! **Constraint-drift defense.** With [`ExecPolicy::audit`] set,
 //! each run samples the pages it fetched and re-checks exactly the
 //! constraints the winning plan assumed (its
 //! [`CandidatePlan::dependencies`]). A clean audit changes nothing —
@@ -15,10 +15,10 @@
 //! **falls back**: the query is re-executed via its default navigation
 //! (rule mask off — a plan that assumes no constraints), the fallback's
 //! answer becomes the authoritative one, and the abandoned run is kept in
-//! [`FallbackOutcome`] for inspection. With
-//! [`QuerySession::with_constraint_health`] attached, audit results also
-//! feed a [`ConstraintHealth`] registry so violated constraints are
-//! quarantined and stop licensing rewrites on subsequent queries.
+//! [`FallbackOutcome`] for inspection. With a health registry in
+//! [`ExecPolicy::health`], audit results also feed it, so violated
+//! constraints are quarantined and stop licensing rewrites on subsequent
+//! queries.
 //!
 //! **Plan once per shape.** A session built
 //! [`QuerySession::with_plan_cache`] asks its owner's [`PlanCache`] before
@@ -28,15 +28,15 @@
 use crate::analyze::ExplainAnalyze;
 use crate::optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
 use crate::plan_cache::{quarantine_fingerprint, PlanCache, PlanKey, PlanOrigin};
+use crate::policy::ExecPolicy;
 use crate::query::ConjunctiveQuery;
 use crate::rules::ConstraintDependency;
 use crate::stats::SiteStatistics;
 use crate::views::ViewCatalog;
 use crate::Result;
 use adm::WebScheme;
-use nalg::{AuditConfig, DegradationMode, EvalReport, Evaluator, PageSource, SharedPageCache};
+use nalg::{AuditConfig, EvalPolicy, EvalReport, Evaluator, PageSource};
 use obs::trace::TraceSink;
-use resilience::ConstraintHealth;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,7 +48,7 @@ pub struct FallbackOutcome {
     /// Constraint keys whose audit found violations this run.
     pub violated: Vec<String>,
     /// Keys this run's audit pushed into quarantine (empty without an
-    /// attached [`ConstraintHealth`]).
+    /// attached [`ExecPolicy::health`] registry).
     pub newly_quarantined: Vec<String>,
     /// The abandoned optimized plan's explanation.
     pub suspect_explain: Arc<Explain>,
@@ -152,38 +152,13 @@ pub struct QuerySession<'a, S: PageSource> {
     catalog: &'a ViewCatalog,
     stats: &'a SiteStatistics,
     source: &'a S,
-    mask: RuleMask,
-    use_incomplete: bool,
-    shared_cache: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
-    trace: Option<TraceSink>,
-    /// Parent span id planner events and the top-level operator span
-    /// nest under (set by the serving layer's request root span).
-    trace_parent: Option<u64>,
-    /// `(rate, seed)` for runtime constraint auditing; `None` (or a zero
-    /// rate) disables it.
-    audit: Option<(f64, u64)>,
-    health: Option<&'a ConstraintHealth>,
-    /// `(workers, enable)` — the fn pointer monomorphizes the `S: Sync`
-    /// bound at builder time so the rest of the session stays available
-    /// for non-`Sync` sources.
-    concurrency: Option<(usize, EnablePool<'a, S>)>,
-    deadline: Option<obs::Deadline>,
-    cancel: Option<obs::CancelToken>,
-    hedge: Option<nalg::HedgeConfig>,
-    relevance: bool,
+    policy: ExecPolicy<'a>,
     /// The owner's plan cache and the owner's planning-context epoch.
     plan_cache: Option<(&'a PlanCache, u64)>,
 }
 
-type EnablePool<'a, S> = fn(Evaluator<'a, S>, usize) -> Evaluator<'a, S>;
-
-fn enable_pool<'a, S: PageSource + Sync>(ev: Evaluator<'a, S>, workers: usize) -> Evaluator<'a, S> {
-    ev.with_concurrent_fetch(workers)
-}
-
 impl<'a, S: PageSource> QuerySession<'a, S> {
-    /// Creates a session.
+    /// Creates a session under the default [`ExecPolicy`].
     pub fn new(
         ws: &'a WebScheme,
         catalog: &'a ViewCatalog,
@@ -195,21 +170,18 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             catalog,
             stats,
             source,
-            mask: RuleMask::all(),
-            use_incomplete: false,
-            shared_cache: None,
-            degradation: DegradationMode::FailFast,
-            trace: None,
-            trace_parent: None,
-            audit: None,
-            health: None,
-            concurrency: None,
-            deadline: None,
-            cancel: None,
-            hedge: None,
-            relevance: false,
+            policy: ExecPolicy::default(),
             plan_cache: None,
         }
+    }
+
+    /// Plans and evaluates under `policy`: the optimizer is handed
+    /// `policy`, the evaluator `policy.eval`. Results and every counter
+    /// are identical under every trace setting; see [`ExecPolicy`] for
+    /// what each field changes.
+    pub fn with_policy(mut self, policy: &ExecPolicy<'a>) -> Self {
+        self.policy = policy.clone();
+        self
     }
 
     /// Makes [`QuerySession::run`] plan once per query shape: it looks the
@@ -219,9 +191,9 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// `cache` belongs to something that outlives this session — a
     /// server, a materialized store — and `context` is that owner's word
     /// for everything a plan depends on besides the query's shape and the
-    /// quarantine set (which the session reads off its own
-    /// [`ConstraintHealth`]): the scheme, the catalog, the statistics, the
-    /// rule mask and whether incomplete navigations are allowed. Plans are
+    /// quarantine set (which the session reads off its policy's health
+    /// registry): the scheme, the catalog, the statistics, the rule mask
+    /// and whether incomplete navigations are allowed. Plans are
     /// keyed on it, so the owner must hand the same number only to
     /// sessions that plan alike and a new one whenever any of those
     /// inputs changes; an owner that cannot know compares them by value.
@@ -230,176 +202,21 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         self
     }
 
-    /// Bounds every evaluation in this session by `deadline`: once the
-    /// budget is gone, not-yet-fetched pages are reported in the
-    /// outcome's unreachable set (a brown-out) instead of being fetched
-    /// past it — even under [`DegradationMode::FailFast`].
-    pub fn with_deadline(mut self, deadline: obs::Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
+    fn optimizer(&self, policy: &ExecPolicy<'a>) -> Optimizer<'a> {
+        Optimizer::new(self.ws, self.catalog, self.stats).with_policy(policy)
     }
 
-    /// Attaches a cooperative cancellation token, shared with the fetch
-    /// pool so queued work for cancelled URLs is skipped pre-dispatch.
-    pub fn with_cancel_token(mut self, token: obs::CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
+    fn evaluator(&self, policy: &EvalPolicy<'a>) -> Evaluator<'a, S> {
+        Evaluator::new(self.ws, self.source).with_policy(policy)
     }
 
-    /// Hedges laggard pooled fetches: after `cfg.delay_us` in flight one
-    /// backup GET races the primary and the first response wins. Rows
-    /// and every paper counter are unchanged; hedge activity lands only
-    /// in `cfg`'s counters. A no-op without concurrent fetch.
-    pub fn with_hedging(mut self, cfg: nalg::HedgeConfig) -> Self {
-        self.hedge = Some(cfg);
-        self
-    }
-
-    /// Cancels pending fetches that relevance analysis proves can no
-    /// longer contribute an output tuple (σ/⋈ residuals reject every
-    /// carrying row). Rows are unchanged; only downloads shrink.
-    pub fn with_relevance_cancel(mut self) -> Self {
-        self.relevance = true;
-        self
-    }
-
-    /// Enables runtime constraint auditing: each [`QuerySession::run`]
-    /// samples the pages it fetched (a page is audited with probability
-    /// `rate`, decided deterministically from `seed` and the URL) and
-    /// re-checks the constraints the winning plan assumed. A violated
-    /// audit triggers the default-navigation fallback. `rate` 0 disables
-    /// auditing entirely; auditing never fetches a page.
-    pub fn with_audit(mut self, rate: f64, seed: u64) -> Self {
-        self.audit = (rate > 0.0).then_some((rate.min(1.0), seed));
-        self
-    }
-
-    /// Attaches a [`ConstraintHealth`] registry: audit results feed its
-    /// per-constraint counters, violated constraints are quarantined (and
-    /// thereby barred from licensing rewrites on later queries in this or
-    /// any session sharing the registry), and each `run` advances its
-    /// logical clock so quarantines expire.
-    pub fn with_constraint_health(mut self, health: &'a ConstraintHealth) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// Attaches a trace sink: subsequent [`QuerySession::explain`] calls
-    /// record optimizer rule events and [`QuerySession::run`] /
-    /// [`QuerySession::execute`] calls record one span per executed
-    /// operator. Results and every reported counter are byte-identical
-    /// with or without a sink attached.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
-    }
-
-    /// Parents everything this session traces — optimizer rule events,
-    /// the top-level operator span, audit events — under `parent`, so a
-    /// served request's planning and execution form one causal tree
-    /// rooted at the server's request span. A no-op without a sink.
-    pub fn with_trace_parent(mut self, parent: u64) -> Self {
-        self.trace_parent = Some(parent);
-        self
-    }
-
-    /// Sets what happens when a fetch ultimately fails during execution:
-    /// abort the query (`FailFast`, the default) or complete the plan over
-    /// reachable pages and report the unreachable-URL set (`Partial`).
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
-        self
-    }
-
-    /// Sets the rule mask (builder style).
-    pub fn with_mask(mut self, mask: RuleMask) -> Self {
-        self.mask = mask;
-        self
-    }
-
-    /// Allows designer-declared incomplete navigations (builder style).
-    pub fn allow_incomplete_navigations(mut self) -> Self {
-        self.use_incomplete = true;
-        self
-    }
-
-    /// Evaluates plans with a persistent pool of `workers` fetch threads
-    /// (spawned once per evaluation, shared by every navigation in the
-    /// plan). Results and page-access counts are identical to sequential
-    /// execution; only wall-clock changes.
-    pub fn with_concurrent_fetch(mut self, workers: usize) -> Self
-    where
-        S: Sync,
-    {
-        self.concurrency = Some((workers.max(1), enable_pool::<S>));
-        self
-    }
-
-    /// Shares a cross-query page cache between this session's queries (and
-    /// anything else holding the cache — crawler, other sessions). Hits
-    /// are reported as `shared_cache_hits`, never as page accesses.
-    pub fn with_shared_cache(mut self, cache: &'a SharedPageCache) -> Self {
-        self.shared_cache = Some(cache);
-        self
-    }
-
-    fn evaluator(&self) -> Evaluator<'a, S> {
-        self.evaluator_traced(self.trace.as_ref())
-    }
-
-    fn evaluator_traced(&self, trace: Option<&TraceSink>) -> Evaluator<'a, S> {
-        let mut ev = Evaluator::new(self.ws, self.source).with_degradation(self.degradation);
-        if let Some(cache) = self.shared_cache {
-            ev = ev.with_shared_cache(cache);
-        }
-        if let Some(sink) = trace {
-            ev = ev.with_trace(sink);
-            if let Some(parent) = self.trace_parent {
-                ev = ev.with_trace_parent(parent);
-            }
-        }
-        if let Some((workers, enable)) = self.concurrency {
-            ev = enable(ev, workers);
-        }
-        if let Some(deadline) = self.deadline {
-            ev = ev.with_deadline(deadline);
-        }
-        if let Some(token) = &self.cancel {
-            ev = ev.with_cancel_token(token.clone());
-        }
-        if let Some(cfg) = &self.hedge {
-            ev = ev.with_hedging(cfg.clone());
-        }
-        if self.relevance {
-            ev = ev.with_relevance_cancel();
-        }
-        ev
-    }
-
-    fn optimizer_traced(&self, trace: Option<&TraceSink>) -> Optimizer<'a> {
-        let mut opt = Optimizer::new(self.ws, self.catalog, self.stats).with_mask(self.mask);
-        if self.use_incomplete {
-            opt = opt.allow_incomplete_navigations();
-        }
-        if let Some(sink) = trace {
-            opt = opt.with_trace(sink);
-            if let Some(parent) = self.trace_parent {
-                opt = opt.with_trace_parent(parent);
-            }
-        }
-        if let Some(h) = self.health {
-            opt = opt.with_constraint_health(h);
-        }
-        opt
-    }
-
-    /// The audit configuration for a chosen plan: the session's rate/seed
+    /// The audit configuration for a chosen plan: the policy's rate/seed
     /// over exactly the constraints the plan assumed. `None` when auditing
     /// is off or the plan is constraint-free (nothing to check).
     fn audit_config(&self, best: &CandidatePlan) -> Option<AuditConfig> {
-        let (rate, seed) = self.audit?;
+        let (rate, seed) = self.policy.audit?;
         let mut cfg = AuditConfig {
-            rate,
+            rate: rate.min(1.0),
             seed,
             link: Vec::new(),
             inclusion: Vec::new(),
@@ -415,60 +232,62 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
 
     /// Optimizes without executing.
     pub fn explain(&self, q: &ConjunctiveQuery) -> Result<Explain> {
-        self.optimizer_traced(self.trace.as_ref()).optimize(q)
+        self.optimizer(&self.policy).optimize(q)
     }
 
     /// Obtains a plan and executes it. With auditing on, the fetched
     /// pages are sampled against the plan's assumed constraints; a
-    /// violation books into the attached [`ConstraintHealth`] (quarantine)
-    /// and re-answers the query from its default navigation (see
+    /// violation books into the policy's health registry (quarantine) and
+    /// re-answers the query from its default navigation (see
     /// [`FallbackOutcome`]).
     ///
-    /// Without a plan cache the plan is Algorithm 1's, every time. With
-    /// one ([`QuerySession::with_plan_cache`]) this is the whole protocol,
-    /// for every owner of a cache:
+    /// One flow for every session, with or without a plan cache
+    /// ([`QuerySession::with_plan_cache`]):
     ///
-    /// 1. advance the health clock, read the quarantine set, and purge the
-    ///    cache if the owner's context or the set moved
-    ///    ([`PlanCache::sync`]);
-    /// 2. look the query's shape up; a hit — as stored, or bound to this
-    ///    query's constants — skips rule 1–9 enumeration;
-    /// 3. on a miss, plan — unless the session's deadline has already
-    ///    passed ([`crate::OptError::DeadlineExceeded`]: enumeration is the
-    ///    most expensive thing before the first fetch);
-    /// 4. execute and settle exactly as [`QuerySession::run_planned`];
-    /// 5. a plan its own audit falsified leaves the cache (the constraint
-    ///    was assumed for every instance of the shape); a freshly planned
-    ///    one enters it — unless a default navigation of the query's
-    ///    relations selects on a constant of its own, in which case binding
-    ///    the plan to other constants could rewrite that constant too, so
-    ///    it is refused and the shape is planned every time.
+    /// 1. advance the health clock; with a cache, read the quarantine set
+    ///    and purge the cache if the owner's context or the set moved
+    ///    ([`PlanCache::sync`]), then look the query's shape up — a hit, as
+    ///    stored or bound to this query's constants, skips rule 1–9
+    ///    enumeration;
+    /// 2. otherwise plan — unless the policy's deadline has already passed
+    ///    ([`crate::OptError::DeadlineExceeded`]: enumeration is the most
+    ///    expensive thing before the first fetch, and nothing plans past
+    ///    the deadline);
+    /// 3. execute and settle exactly as [`QuerySession::run_planned`];
+    /// 4. with a cache, a plan its own audit falsified leaves it (the
+    ///    constraint was assumed for every instance of the shape); a
+    ///    freshly planned one enters it — unless a default navigation of
+    ///    the query's relations selects on a constant of its own, in which
+    ///    case binding the plan to other constants could rewrite that
+    ///    constant too, so it is refused and the shape is planned every
+    ///    time.
     ///
     /// [`QueryOutcome::plan`] says which way the plan came.
     pub fn run(&self, q: &ConjunctiveQuery) -> Result<QueryOutcome> {
-        if let Some(h) = self.health {
+        if let Some(h) = self.policy.health {
             h.tick();
         }
         let started = Instant::now();
-        let Some((cache, context)) = self.plan_cache else {
-            let explain = Arc::new(self.explain(q)?);
-            let plan_us = started.elapsed().as_micros() as u64;
-            let mut outcome = self.run_planned(q, explain)?;
-            outcome.plan_us = plan_us;
-            return Ok(outcome);
-        };
-        let quarantined = self.health.map(|h| h.quarantined()).unwrap_or_default();
-        let quarantine_fp = quarantine_fingerprint(&quarantined);
-        cache.sync(context, quarantine_fp);
-        let (shape, params) = q.shape();
-        let key = PlanKey {
-            shape,
-            stats_epoch: context,
-            quarantine_fp,
-        };
-        let (explain, origin) = match cache.lookup_origin(&key, q, &params, &quarantined) {
+        let mut cached = self.plan_cache.map(|(cache, context)| {
+            let quarantined = self
+                .policy
+                .health
+                .map(|h| h.quarantined())
+                .unwrap_or_default();
+            let quarantine_fp = quarantine_fingerprint(&quarantined);
+            cache.sync(context, quarantine_fp);
+            let (shape, params) = q.shape();
+            let key = PlanKey {
+                shape,
+                stats_epoch: context,
+                quarantine_fp,
+            };
+            let hit = cache.lookup_origin(&key, q, &params, &quarantined);
+            (cache, key, params, hit)
+        });
+        let (explain, origin) = match cached.as_mut().and_then(|(.., hit)| hit.take()) {
             Some(hit) => hit,
-            None if self.deadline.is_some_and(|d| d.expired()) => {
+            None if self.policy.eval.deadline.expired() => {
                 return Err(crate::OptError::DeadlineExceeded)
             }
             None => (Arc::new(self.explain(q)?), PlanOrigin::Planned),
@@ -477,13 +296,15 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         let mut outcome = self.run_planned(q, explain)?;
         outcome.plan = origin;
         outcome.plan_us = plan_us;
-        if outcome.fell_back() {
-            cache.remove(&key);
-        } else if origin == PlanOrigin::Planned {
-            if self.navigations_carry_constants(q) {
-                cache.note_refused();
-            } else {
-                cache.insert(key, params, Arc::clone(&outcome.explain));
+        if let Some((cache, key, params, _)) = cached {
+            if outcome.fell_back() {
+                cache.remove(&key);
+            } else if origin == PlanOrigin::Planned {
+                if self.navigations_carry_constants(q) {
+                    cache.note_refused();
+                } else {
+                    cache.insert(key, params, Arc::clone(&outcome.explain));
+                }
             }
         }
         Ok(outcome)
@@ -512,7 +333,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// since-quarantined constraint would execute here unchallenged —
     /// the plan cache guards exactly that).
     pub fn run_planned(&self, q: &ConjunctiveQuery, explain: Arc<Explain>) -> Result<QueryOutcome> {
-        let mut ev = self.evaluator();
+        let mut ev = self.evaluator(&self.policy.eval);
         if let Some(cfg) = self.audit_config(explain.best()) {
             ev = ev.with_audit(cfg);
         }
@@ -521,14 +342,17 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     }
 
     /// Books a run's audit findings into the health registry and, when the
-    /// audit caught the plan's own assumptions being violated, re-executes
-    /// the query constraint-free and promotes that answer.
+    /// audit caught the plan's own assumptions being violated, re-plans the
+    /// query constraint-free — the same policy with the rule mask off, so
+    /// the re-plan is traced and parented like the first — and promotes
+    /// that answer.
     fn settle(
         &self,
         q: &ConjunctiveQuery,
         explain: Arc<Explain>,
         report: EvalReport,
     ) -> Result<QueryOutcome> {
+        let health = self.policy.health;
         let (violated, newly_quarantined) = {
             let Some(audit) = report.audit.as_ref() else {
                 return Ok(QueryOutcome::planned(explain, report, None));
@@ -536,7 +360,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             let mut violated = Vec::new();
             let mut newly_quarantined = Vec::new();
             for row in &audit.constraints {
-                if let Some(h) = self.health {
+                if let Some(h) = health {
                     if h.record(&row.key, row.checks, row.violations.len() as u64) {
                         newly_quarantined.push(row.key.clone());
                     }
@@ -554,16 +378,17 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         // violation invalidates the rewrite chain that produced it. Answer
         // instead from the default navigation (rule mask off), which
         // assumes nothing about the drifted site.
-        if let Some(h) = self.health {
+        if let Some(h) = health {
             h.note_fallback();
         }
-        let mut fb_opt =
-            Optimizer::new(self.ws, self.catalog, self.stats).with_mask(RuleMask::none());
-        if self.use_incomplete {
-            fb_opt = fb_opt.allow_incomplete_navigations();
-        }
-        let fb_explain = Arc::new(fb_opt.optimize(q)?);
-        let fb_report = self.evaluator().eval(&fb_explain.best().expr)?;
+        let fallback = ExecPolicy {
+            mask: RuleMask::none(),
+            ..self.policy.clone()
+        };
+        let fb_explain = Arc::new(self.optimizer(&fallback).optimize(q)?);
+        let fb_report = self
+            .evaluator(&fallback.eval)
+            .eval(&fb_explain.best().expr)?;
         let diverged = report.relation.sorted() != fb_report.relation.sorted();
         Ok(QueryOutcome::planned(
             fb_explain,
@@ -579,7 +404,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     }
 
     /// EXPLAIN ANALYZE: optimizes, executes the best plan under a fresh
-    /// deterministic trace sink (independent of any session sink), and
+    /// deterministic trace sink (in place of the policy's own), and
     /// joins the optimizer's per-operator estimates onto the executed
     /// operator spans. Results and counters are byte-identical to
     /// [`QuerySession::run`]; the extra work is bookkeeping only. A
@@ -587,10 +412,15 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// and neither reads nor fills a plan cache.
     pub fn run_analyzed(&self, q: &ConjunctiveQuery) -> Result<AnalyzedOutcome> {
         let sink = TraceSink::with_seed(0);
-        let explain = Arc::new(self.optimizer_traced(Some(&sink)).optimize(q)?);
-        let report = self
-            .evaluator_traced(Some(&sink))
-            .eval(&explain.best().expr)?;
+        let traced = ExecPolicy {
+            eval: EvalPolicy {
+                trace: Some((sink.clone(), self.policy.eval.trace_parent())),
+                ..self.policy.eval.clone()
+            },
+            ..self.policy.clone()
+        };
+        let explain = Arc::new(self.optimizer(&traced).optimize(q)?);
+        let report = self.evaluator(&traced.eval).eval(&explain.best().expr)?;
         let analysis = ExplainAnalyze::from_parts(&explain.best().estimate, &sink.events());
         Ok(AnalyzedOutcome {
             outcome: QueryOutcome::planned(explain, report, None),
@@ -602,7 +432,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// Executes a specific plan (used by experiments to run non-optimal
     /// candidates for comparison).
     pub fn execute(&self, expr: &nalg::NalgExpr) -> Result<EvalReport> {
-        Ok(self.evaluator().eval(expr)?)
+        Ok(self.evaluator(&self.policy.eval).eval(expr)?)
     }
 }
 
@@ -611,6 +441,7 @@ mod tests {
     use super::*;
     use crate::source::LiveSource;
     use crate::views::university_catalog;
+    use nalg::Fetch;
     use websim::sitegen::{University, UniversityConfig};
 
     #[test]
@@ -669,9 +500,15 @@ mod tests {
             .run(&q)
             .unwrap();
         let cache = nalg::SharedPageCache::default();
-        let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_concurrent_fetch(8)
-            .with_shared_cache(&cache);
+        let session =
+            QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    shared_cache: Some(&cache),
+                    fetch: Fetch::pool(8),
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
         let cold = session.run(&q).unwrap();
         assert_eq!(
             cold.report.relation.sorted(),
@@ -760,8 +597,11 @@ mod tests {
             .unwrap();
         let health = resilience::ConstraintHealth::new();
         let audited = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
-            .with_constraint_health(&health)
+            .with_policy(&ExecPolicy {
+                audit: Some((1.0, 7)),
+                health: Some(&health),
+                ..Default::default()
+            })
             .run(&q)
             .unwrap();
         // On a pristine site auditing observes, quarantines nothing, and
@@ -803,9 +643,12 @@ mod tests {
         assert!(report.perturbed_pages > 0);
         let source = LiveSource::for_site(&u.site);
         let health = resilience::ConstraintHealth::new();
-        let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
-            .with_constraint_health(&health);
+        let session =
+            QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+                audit: Some((1.0, 7)),
+                health: Some(&health),
+                ..Default::default()
+            });
         let outcome = session.run(&q).unwrap();
         // The audit caught the violation and the answer fell back.
         assert!(outcome.fell_back());
@@ -816,7 +659,10 @@ mod tests {
         assert!(fb.suspect_report.audit.as_ref().unwrap().violation_count() > 0);
         // The authoritative answer equals a constraint-free run.
         let naive = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_mask(RuleMask::none())
+            .with_policy(&ExecPolicy {
+                mask: RuleMask::none(),
+                ..Default::default()
+            })
             .run(&q)
             .unwrap();
         assert_eq!(
@@ -899,5 +745,34 @@ mod tests {
             est <= meas * 2.0 + 2.0 && meas <= est * 2.0 + 2.0,
             "estimate {est} vs measured {meas}"
         );
+    }
+
+    /// "Never plan past the deadline" holds for every session, not only
+    /// for one that owns a plan cache.
+    #[test]
+    fn a_session_without_a_cache_never_plans_past_its_deadline() {
+        let u = University::generate(UniversityConfig::default()).unwrap();
+        let stats = SiteStatistics::from_site(&u.site);
+        let catalog = university_catalog();
+        let source = LiveSource::for_site(&u.site);
+        let expired = ExecPolicy {
+            eval: EvalPolicy {
+                deadline: obs::Deadline::after_us(0),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let session =
+            QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(&expired);
+        let q = ConjunctiveQuery::new("full professors")
+            .atom("Professor")
+            .select((0, "Rank"), "Full")
+            .project((0, "PName"));
+        u.site.server.reset_stats();
+        assert!(matches!(
+            session.run(&q),
+            Err(crate::OptError::DeadlineExceeded)
+        ));
+        assert_eq!(u.site.server.stats().gets, 0);
     }
 }

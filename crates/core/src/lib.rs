@@ -23,6 +23,8 @@
 //!   optimize, navigate, wrap, and report estimated vs. actual accesses;
 //! * [`plan_cache`] — one rule 1–9 enumeration per query *shape*: the
 //!   cache a server or a materialized store owns and a session consults;
+//! * [`policy`] — [`ExecPolicy`], every execution knob declared once and
+//!   handed from session to optimizer and evaluator by reference;
 //! * [`analyze`] — EXPLAIN ANALYZE: joins the optimizer's per-operator
 //!   estimates onto the executed operator spans of a traced run;
 //! * [`source`] — the adapter that turns a `websim` virtual server plus the
@@ -58,6 +60,7 @@ pub mod exec;
 pub mod infer;
 pub mod optimizer;
 pub mod plan_cache;
+pub mod policy;
 pub mod query;
 pub mod registry;
 pub mod rules;
@@ -68,7 +71,7 @@ pub mod views;
 pub use analyze::{ExplainAnalyze, OpAnalysis};
 pub use arena::{NodeId, PlanArena};
 pub use cost::{Cost, Estimate, NodeEstimate};
-pub use crawl::{crawl_instance, crawl_instance_parallel, SiteInstance};
+pub use crawl::{crawl_instance, SiteInstance};
 pub use discover::{discover_constraints, Discovered};
 pub use error::OptError;
 pub use exec::{AnalyzedOutcome, FallbackOutcome, QueryOutcome, QuerySession};
@@ -77,6 +80,7 @@ pub use optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
 pub use plan_cache::{
     quarantine_fingerprint, PlanCache, PlanCacheStats, PlanKey, PlanOrigin, PLAN_CACHE_CAPACITY,
 };
+pub use policy::ExecPolicy;
 pub use query::ConjunctiveQuery;
 pub use registry::{RewritePhase, RewriteRule};
 pub use rules::ConstraintDependency;

@@ -17,6 +17,7 @@
 
 use crate::arena::{APred, Col, Node, NodeId};
 use crate::cost::Estimate;
+use crate::policy::ExecPolicy;
 use crate::query::ConjunctiveQuery;
 use crate::registry::{rules_for_phase, RewritePhase, RewriteRule, RuleOutcome, CANDIDATE_PHASES};
 use crate::rules::{ConstraintDependency, DepId, Rewriter};
@@ -27,7 +28,6 @@ use adm::intern::Symbol;
 use adm::{Value, WebScheme};
 use nalg::NalgExpr;
 use obs::trace::{EventKind, FieldValue, TraceSink};
-use resilience::ConstraintHealth;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -231,66 +231,40 @@ pub struct Optimizer<'a> {
     ws: &'a WebScheme,
     catalog: &'a ViewCatalog,
     stats: &'a SiteStatistics,
-    /// Stage mask (ablations).
-    pub mask: RuleMask,
     /// Cap on the candidate pool during rule-8/9 closure.
     pub max_candidates: usize,
-    /// Whether designer-declared *incomplete* navigations may be used
-    /// (see [`crate::views`]); off by default.
-    pub use_incomplete_navigations: bool,
-    trace: Option<TraceSink>,
-    trace_parent: Option<u64>,
-    health: Option<&'a ConstraintHealth>,
+    policy: ExecPolicy<'a>,
 }
 
 impl<'a> Optimizer<'a> {
-    /// Creates an optimizer over a scheme, view catalog, and statistics.
+    /// Creates an optimizer over a scheme, view catalog, and statistics,
+    /// under the default [`ExecPolicy`]: every rule, complete navigations
+    /// only, no health registry, untraced.
     pub fn new(ws: &'a WebScheme, catalog: &'a ViewCatalog, stats: &'a SiteStatistics) -> Self {
         Optimizer {
             ws,
             catalog,
             stats,
-            mask: RuleMask::all(),
             max_candidates: 128,
-            use_incomplete_navigations: false,
-            trace: None,
-            trace_parent: None,
-            health: None,
+            policy: ExecPolicy::default(),
         }
     }
 
-    /// Consults a [`ConstraintHealth`] registry during rewriting: a
-    /// quarantined constraint may not license rules 6–9, so the plans a
-    /// drifted site has falsified are simply never generated. With a
-    /// healthy (or absent) registry the output is unchanged.
-    pub fn with_constraint_health(mut self, health: &'a ConstraintHealth) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// Sets the rule mask (builder style).
-    pub fn with_mask(mut self, mask: RuleMask) -> Self {
-        self.mask = mask;
-        self
-    }
-
-    /// Attaches a trace sink: every rule application (rules 1–9) is
-    /// recorded as an [`EventKind::Optimizer`] event carrying the
-    /// estimated cost before and after the rewrite, and each `optimize`
-    /// call ends with an `optimizer.summary` event reporting how many
-    /// candidates each pruning stage dropped. Tracing never changes
-    /// which plans are generated or how they are ranked.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
-    }
-
-    /// Parents every traced rule event (and the summary) under `parent`
-    /// — the serving layer passes its request root span so rule 1–9
-    /// planning shows up inside the request's causal tree. A no-op
-    /// without a sink.
-    pub fn with_trace_parent(mut self, parent: u64) -> Self {
-        self.trace_parent = Some(parent);
+    /// Plans under `policy`. The optimizer reads its planning half:
+    /// - `mask` — which rewrite stages may fire (ablations);
+    /// - `incomplete_navigations` — whether designer-declared incomplete
+    ///   navigations may seed plans;
+    /// - `health` — a quarantined constraint may not license rules 6–9, so
+    ///   the plans a drifted site has falsified are never generated (with
+    ///   a healthy or absent registry the output is unchanged);
+    /// - `eval.trace` — every rule application (rules 1–9) is recorded as
+    ///   an [`EventKind::Optimizer`] event with the estimated cost before
+    ///   and after the rewrite, parented under the trace's span, and each
+    ///   `optimize` ends with an `optimizer.summary` event counting what
+    ///   each pruning stage dropped. Tracing never changes which plans are
+    ///   generated or how they are ranked.
+    pub fn with_policy(mut self, policy: &ExecPolicy<'a>) -> Self {
+        self.policy = policy.clone();
         self
     }
 
@@ -320,24 +294,18 @@ impl<'a> Optimizer<'a> {
         sink.event(
             EventKind::Optimizer,
             rule.trace_name(),
-            self.trace_parent,
+            self.policy.eval.trace_parent(),
             fields,
         );
-    }
-
-    /// Allows incomplete navigations (builder style).
-    pub fn allow_incomplete_navigations(mut self) -> Self {
-        self.use_incomplete_navigations = true;
-        self
     }
 
     /// Runs Algorithm 1 on a conjunctive query.
     pub fn optimize(&self, q: &ConjunctiveQuery) -> Result<Explain> {
         q.validate(self.catalog)?;
-        let sink = self.trace.as_ref();
+        let sink = self.policy.eval.sink();
         // The constraint gate: a quarantined constraint may not license a
         // rewrite. Without a health registry the gate is always open.
-        let health = self.health;
+        let health = self.policy.health;
         let gate =
             move |d: &ConstraintDependency| health.is_none_or(|h| !h.is_quarantined(&d.key()));
         // Every plan of this call lives in the rewriter's arena; only the
@@ -354,7 +322,7 @@ impl<'a> Optimizer<'a> {
         // Step 3: normalization (rule 4, via the phase registry).
         for seed in &mut seeds {
             for &rule in rules_for_phase(RewritePhase::Normalize) {
-                if !rule.enabled(&self.mask) {
+                if !rule.enabled(&self.policy.mask) {
                     continue;
                 }
                 if let RuleOutcome::Applied { expr, .. } = rule.apply(&mut rw, *seed) {
@@ -384,7 +352,8 @@ impl<'a> Optimizer<'a> {
                 break;
             }
             let e = pool[at].0;
-            let fires = |rule: RewriteRule| rule.enabled(&self.mask) && rule.matches(&rw.arena, e);
+            let fires =
+                |rule: RewriteRule| rule.enabled(&self.policy.mask) && rule.matches(&rw.arena, e);
             let (join, chase) = (
                 fires(RewriteRule::PointerJoin),
                 fires(RewriteRule::PointerChase),
@@ -417,7 +386,7 @@ impl<'a> Optimizer<'a> {
             // twice — which is why rule 4 runs again here.)
             for &phase in CANDIDATE_PHASES {
                 for &rule in rules_for_phase(phase) {
-                    if !rule.enabled(&self.mask) {
+                    if !rule.enabled(&self.policy.mask) {
                         continue;
                     }
                     match rule.apply(&mut rw, cur) {
@@ -462,7 +431,7 @@ impl<'a> Optimizer<'a> {
             sink.event(
                 EventKind::Optimizer,
                 "optimizer.summary",
-                self.trace_parent,
+                self.policy.eval.trace_parent(),
                 vec![
                     ("seeds".to_string(), (seed_count as u64).into()),
                     ("pool".to_string(), (pool_count as u64).into()),
@@ -492,7 +461,7 @@ impl<'a> Optimizer<'a> {
         Ok(Explain {
             query: q.to_string(),
             candidates,
-            quarantined: self.health.map(|h| h.quarantined()).unwrap_or_default(),
+            quarantined: health.map(|h| h.quarantined()).unwrap_or_default(),
         })
     }
 
@@ -505,7 +474,7 @@ impl<'a> Optimizer<'a> {
             let rel = self.catalog.relation(rel_name)?;
             let mut navs = Vec::new();
             for nav in &rel.navigations {
-                if !(nav.complete || self.use_incomplete_navigations) {
+                if !(nav.complete || self.policy.incomplete_navigations) {
                     continue;
                 }
                 let raw = rw.arena.import(&nav.expr);
@@ -746,6 +715,8 @@ fn connected_orders(q: &ConjunctiveQuery, cap: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::views::university_catalog;
+    use nalg::EvalPolicy;
+    use resilience::ConstraintHealth;
     use websim::sitegen::{University, UniversityConfig};
 
     fn fixtures() -> (WebScheme, ViewCatalog, SiteStatistics) {
@@ -810,7 +781,10 @@ mod tests {
     #[test]
     fn mask_none_still_produces_plans() {
         let (ws, cat, stats) = fixtures();
-        let opt = Optimizer::new(&ws, &cat, &stats).with_mask(RuleMask::none());
+        let opt = Optimizer::new(&ws, &cat, &stats).with_policy(&ExecPolicy {
+            mask: RuleMask::none(),
+            ..Default::default()
+        });
         let explain = opt.optimize(&single_relation_query()).unwrap();
         assert!(!explain.candidates.is_empty());
         // naive plans cost at least as much as optimized ones
@@ -855,7 +829,10 @@ mod tests {
             strict.optimize(&q),
             Err(crate::OptError::NoPlan(_))
         ));
-        let lax = Optimizer::new(&ws, &cat, &stats).allow_incomplete_navigations();
+        let lax = Optimizer::new(&ws, &cat, &stats).with_policy(&ExecPolicy {
+            incomplete_navigations: true,
+            ..Default::default()
+        });
         assert!(lax.optimize(&q).is_ok());
     }
 
@@ -889,7 +866,13 @@ mod tests {
     fn tracing_records_rule_applications_and_summary() {
         let (ws, cat, stats) = fixtures();
         let sink = TraceSink::with_seed(7);
-        let opt = Optimizer::new(&ws, &cat, &stats).with_trace(&sink);
+        let opt = Optimizer::new(&ws, &cat, &stats).with_policy(&ExecPolicy {
+            eval: EvalPolicy {
+                trace: Some((sink.clone(), None)),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let traced = opt.optimize(&single_relation_query()).unwrap();
         let events = sink.events();
         let rule1 = events
@@ -961,7 +944,10 @@ mod tests {
             .optimize(&single_relation_query())
             .unwrap();
         let gated = Optimizer::new(&ws, &cat, &stats)
-            .with_constraint_health(&health)
+            .with_policy(&ExecPolicy {
+                health: Some(&health),
+                ..Default::default()
+            })
             .optimize(&single_relation_query())
             .unwrap();
         assert_eq!(plain.candidates.len(), gated.candidates.len());
@@ -986,7 +972,10 @@ mod tests {
             health.record(&d.key(), 1, 1);
         }
         let guarded = Optimizer::new(&ws, &cat, &stats)
-            .with_constraint_health(&health)
+            .with_policy(&ExecPolicy {
+                health: Some(&health),
+                ..Default::default()
+            })
             .optimize(&q)
             .unwrap();
         let quarantined: Vec<String> = deps.iter().map(|d| d.key()).collect();

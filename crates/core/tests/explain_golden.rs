@@ -10,12 +10,13 @@
 //! cargo test -p wv-core --test explain_golden -- --ignored bless
 //! ```
 
+use nalg::EvalPolicy;
 use obs::trace::TraceSink;
 use resilience::ConstraintHealth;
 use std::path::PathBuf;
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use wvcore::views::{bibliography_catalog, university_catalog};
-use wvcore::{ConjunctiveQuery, Explain, Optimizer, RuleMask, SiteStatistics};
+use wvcore::{ConjunctiveQuery, ExecPolicy, Explain, Optimizer, RuleMask, SiteStatistics};
 
 /// The four `adhoc_plan` templates of the perf ledger (A1–A4), with one
 /// constant each from the default site's ground truth.
@@ -261,7 +262,10 @@ fn cases() -> Vec<(String, String)> {
     let optimize = |q: &ConjunctiveQuery, mask: RuleMask| {
         render(
             &Optimizer::new(ws, &catalog, &stats)
-                .with_mask(mask)
+                .with_policy(&ExecPolicy {
+                    mask,
+                    ..Default::default()
+                })
                 .optimize(q)
                 .unwrap(),
         )
@@ -303,7 +307,10 @@ fn cases() -> Vec<(String, String)> {
         health.record(&d.key(), 1, 1);
     }
     let guarded = Optimizer::new(ws, &catalog, &stats)
-        .with_constraint_health(&health)
+        .with_policy(&ExecPolicy {
+            health: Some(&health),
+            ..Default::default()
+        })
         .optimize(&q)
         .unwrap();
     out.push(("quarantined_cs_professors".to_string(), render(&guarded)));
@@ -314,7 +321,13 @@ fn cases() -> Vec<(String, String)> {
     ] {
         let sink = TraceSink::with_seed(11);
         let traced = Optimizer::new(ws, &catalog, &stats)
-            .with_trace(&sink)
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    trace: Some((sink.clone(), None)),
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
             .optimize(&q)
             .unwrap();
         assert_eq!(render(&traced), optimize(&q, RuleMask::all()));
@@ -327,8 +340,11 @@ fn cases() -> Vec<(String, String)> {
     for (name, q) in bibliography_workload() {
         let strict = Optimizer::new(&bib.site.scheme, &bib_catalog, &bib_stats);
         out.push((format!("bib_{name}"), render(&strict.optimize(&q).unwrap())));
-        let lax = Optimizer::new(&bib.site.scheme, &bib_catalog, &bib_stats)
-            .allow_incomplete_navigations();
+        let lax =
+            Optimizer::new(&bib.site.scheme, &bib_catalog, &bib_stats).with_policy(&ExecPolicy {
+                incomplete_navigations: true,
+                ..Default::default()
+            });
         out.push((
             format!("bib_incomplete_{name}"),
             render(&lax.optimize(&q).unwrap()),

@@ -13,7 +13,9 @@
 use std::collections::HashSet;
 use websim::sitegen::{University, UniversityConfig};
 use wvcore::views::university_catalog;
-use wvcore::{ConjunctiveQuery, LiveSource, Optimizer, QuerySession, RuleMask, SiteStatistics};
+use wvcore::{
+    ConjunctiveQuery, ExecPolicy, LiveSource, Optimizer, QuerySession, RuleMask, SiteStatistics,
+};
 
 fn university() -> University {
     University::generate(UniversityConfig::default()).unwrap()
@@ -201,7 +203,10 @@ fn example_72_disabling_rule9_degrades_plan() {
         .optimize(&query_72())
         .unwrap();
     let no_chase = Optimizer::new(&u.site.scheme, &catalog, &stats)
-        .with_mask(RuleMask::all().without_pointer_chase())
+        .with_policy(&ExecPolicy {
+            mask: RuleMask::all().without_pointer_chase(),
+            ..Default::default()
+        })
         .optimize(&query_72())
         .unwrap();
     assert!(

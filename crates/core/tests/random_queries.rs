@@ -11,8 +11,8 @@ use std::sync::OnceLock;
 use websim::sitegen::{University, UniversityConfig};
 use wvcore::views::university_catalog;
 use wvcore::{
-    ConjunctiveQuery, LiveSource, Optimizer, PlanArena, QuerySession, RuleMask, SiteStatistics,
-    ViewCatalog,
+    ConjunctiveQuery, ExecPolicy, LiveSource, Optimizer, PlanArena, QuerySession, RuleMask,
+    SiteStatistics, ViewCatalog,
 };
 
 struct Fixture {
@@ -168,7 +168,10 @@ proptest! {
         let source = LiveSource::for_site(&fx.u.site);
         let optimized = QuerySession::new(&fx.u.site.scheme, &fx.catalog, &fx.stats, &source);
         let naive = QuerySession::new(&fx.u.site.scheme, &fx.catalog, &fx.stats, &source)
-            .with_mask(RuleMask::none());
+            .with_policy(&ExecPolicy {
+                mask: RuleMask::none(),
+                ..Default::default()
+            });
         let a = answer_of(&optimized, &q);
         let b = answer_of(&naive, &q);
         prop_assert_eq!(a, b, "query: {}", q);
@@ -181,7 +184,10 @@ proptest! {
         let source = LiveSource::for_site(&fx.u.site);
         let optimized = QuerySession::new(&fx.u.site.scheme, &fx.catalog, &fx.stats, &source);
         let naive = QuerySession::new(&fx.u.site.scheme, &fx.catalog, &fx.stats, &source)
-            .with_mask(RuleMask::none());
+            .with_policy(&ExecPolicy {
+                mask: RuleMask::none(),
+                ..Default::default()
+            });
         let oe = optimized.explain(&q).expect("optimizes");
         let ne = naive.explain(&q).expect("optimizes");
         prop_assert!(
@@ -252,7 +258,10 @@ proptest! {
         let mut plans = Vec::new();
         for mask in [RuleMask::all(), RuleMask::none()] {
             let explain = Optimizer::new(ws, &fx.catalog, &fx.stats)
-                .with_mask(mask)
+                .with_policy(&ExecPolicy {
+                    mask,
+                    ..Default::default()
+                })
                 .optimize(&q)
                 .expect("optimizes");
             for c in &explain.candidates {

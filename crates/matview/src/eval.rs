@@ -18,12 +18,13 @@ use crate::store::{MatStore, UrlStatus};
 use crate::urlcheck::{url_check, CheckCounters};
 use crate::Result;
 use adm::{Relation, Tuple, Url, WebScheme};
-use nalg::{DegradationMode, NalgExpr, PageSource, SharedPageCache, SourceError};
+use nalg::{Fetch, NalgExpr, PageSource, SharedPageCache, SourceError};
 use obs::trace::{EventKind, TraceSink};
-use std::cell::RefCell;
+use parking_lot::Mutex;
 use std::sync::Arc;
 use wvcore::{
-    ConjunctiveQuery, Explain, ExplainAnalyze, PlanCache, QuerySession, SiteStatistics, ViewCatalog,
+    ConjunctiveQuery, ExecPolicy, Explain, ExplainAnalyze, PlanCache, QuerySession, SiteStatistics,
+    ViewCatalog,
 };
 
 /// The outcome of a materialized-view query.
@@ -42,7 +43,8 @@ pub struct MatOutcome {
     /// Links that turned out to point at deleted pages.
     pub broken_links: u64,
     /// Pages skipped because they were unreachable (sorted, deduplicated;
-    /// non-empty only under [`DegradationMode::Partial`] with faults).
+    /// non-empty only under [`nalg::DegradationMode::Partial`] with
+    /// faults).
     pub unreachable: Vec<Url>,
 }
 
@@ -71,12 +73,17 @@ pub struct MatAnalyzedOutcome {
 
 /// A page source that consults the materialized store, checking freshness
 /// through light connections (Algorithm 3's per-URL protocol).
+///
+/// The store, the counters and the protocol error each sit behind a lock
+/// — always taken store first — so a pooled evaluation may call it
+/// from several workers: the store lock serialises the URL checks, and
+/// every check books exactly what it would book inline.
 struct CheckingSource<'a, P> {
     ws: &'a WebScheme,
     server: &'a P,
-    store: RefCell<&'a mut MatStore>,
-    counters: RefCell<CheckCounters>,
-    error: RefCell<Option<crate::MatError>>,
+    store: Mutex<&'a mut MatStore>,
+    counters: Mutex<CheckCounters>,
+    error: Mutex<Option<crate::MatError>>,
     /// Shared cross-query cache, kept in sync as a side effect of URL
     /// checking: freshly verified tuples — a light connection or a
     /// download vouched for them — are written through with their
@@ -120,7 +127,7 @@ impl<P> CheckingSource<'_, P> {
 
 /// The store holds the pages, so `fetch_shared` is the method that does the
 /// work — the evaluator's only call — and returns the store's own `Arc`.
-impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
+impl<P: websim::PageServer + Sync> PageSource for CheckingSource<'_, P> {
     fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
         self.fetch_shared(url, scheme)
             .map(|(t, _)| Tuple::clone(&t))
@@ -131,7 +138,7 @@ impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
         url: &Url,
         scheme: &str,
     ) -> std::result::Result<(Arc<Tuple>, Option<u64>), SourceError> {
-        let mut store = self.store.borrow_mut();
+        let mut store = self.store.lock();
         // "URLs whose flag equals missing … will not be used in the query
         // evaluation phase; we defer this check and do it periodically
         // off-line."
@@ -143,7 +150,7 @@ impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
             self.trace_check(url, "deferred_missing", 0);
             return Err(SourceError::NotFound(url.clone()));
         }
-        let mut counters = self.counters.borrow_mut();
+        let mut counters = self.counters.lock();
         let before = *counters;
         let outcome_of = |after: &CheckCounters| {
             if after.downloads > before.downloads {
@@ -195,7 +202,7 @@ impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
                 Err(SourceError::Unavailable { url, reason })
             }
             Err(e) => {
-                *self.error.borrow_mut() = Some(e.clone());
+                *self.error.lock() = Some(e.clone());
                 Err(SourceError::Other(e.to_string()))
             }
         }
@@ -212,13 +219,11 @@ pub struct MatSession<'a, P = websim::VirtualServer> {
     catalog: &'a ViewCatalog,
     stats: &'a SiteStatistics,
     server: &'a P,
-    mask: wvcore::RuleMask,
-    shared_cache: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
+    policy: ExecPolicy<'a>,
 }
 
-impl<'a, P: websim::PageServer> MatSession<'a, P> {
-    /// Creates a session.
+impl<'a, P: websim::PageServer + Sync> MatSession<'a, P> {
+    /// Creates a session under the default [`ExecPolicy`].
     pub fn new(
         ws: &'a WebScheme,
         catalog: &'a ViewCatalog,
@@ -230,34 +235,24 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
             catalog,
             stats,
             server,
-            mask: wvcore::RuleMask::all(),
-            shared_cache: None,
-            degradation: DegradationMode::FailFast,
+            policy: ExecPolicy::default(),
         }
     }
 
-    /// Sets the optimizer rule mask (builder style).
-    pub fn with_mask(mut self, mask: wvcore::RuleMask) -> Self {
-        self.mask = mask;
-        self
-    }
-
-    /// Sets the degradation mode for evaluation (builder style). In
-    /// [`DegradationMode::Partial`] a page that is transiently unreachable
-    /// *and* has no stored copy to serve stale is skipped and reported,
-    /// instead of aborting the query.
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
-        self
-    }
-
-    /// Keeps a shared cross-query page cache in sync while answering:
-    /// URL-checked tuples are written through with their freshness stamp
-    /// and pages found deleted are invalidated. Maintenance traffic
-    /// ([`CheckCounters`]) is unchanged — the cache is never consulted in
-    /// place of the URL-check protocol.
-    pub fn with_shared_cache(mut self, cache: &'a SharedPageCache) -> Self {
-        self.shared_cache = Some(cache);
+    /// Plans and evaluates under `policy`, as a [`QuerySession`] would,
+    /// with one difference: `policy.eval.shared_cache` is kept in sync
+    /// while answering — URL-checked tuples are written through with their
+    /// freshness stamp, pages found deleted are invalidated — and never
+    /// read in place of the URL-check protocol, so [`CheckCounters`] are
+    /// those of a session without it. Under
+    /// [`nalg::DegradationMode::Partial`] a page that is transiently
+    /// unreachable *and* has no stored copy to serve stale is skipped and
+    /// reported instead of aborting the query. Under [`Fetch::Pool`] the
+    /// checks run on the pool's workers, one at a time through the store's
+    /// lock, and unhedged: a URL check is a light connection booked in
+    /// [`CheckCounters`], and a backup check would book a second one.
+    pub fn with_policy(mut self, policy: &ExecPolicy<'a>) -> Self {
+        self.policy = policy.clone();
         self
     }
 
@@ -271,7 +266,7 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
     /// and counter is what a freshly planned run would have made.
     pub fn run(&self, store: &mut MatStore, q: &ConjunctiveQuery) -> Result<MatOutcome> {
         let plans = store.plans();
-        let context = plans.context(self.mask, self.ws, self.catalog, self.stats);
+        let context = plans.context(&self.policy, self.ws, self.catalog, self.stats);
         self.run_with(store, q, None, Some((plans.cache(), context)))
     }
 
@@ -353,35 +348,39 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         CheckingSource {
             ws: self.ws,
             server: self.server,
-            store: RefCell::new(store),
-            counters: RefCell::new(CheckCounters::default()),
-            error: RefCell::new(None),
-            shared: self.shared_cache,
-            trace: trace.cloned(),
+            store: Mutex::new(store),
+            counters: Mutex::new(CheckCounters::default()),
+            error: Mutex::new(None),
+            shared: self.policy.eval.shared_cache,
+            trace: trace.or(self.policy.eval.sink()).cloned(),
         }
     }
 
-    /// The [`QuerySession`] that plans and evaluates over `source` with
-    /// this session's mask, degradation mode and trace sink. (The shared
-    /// cache is the source's to keep in sync, not the evaluator's to read.)
+    /// The [`QuerySession`] that plans and evaluates over `source` under
+    /// this session's policy, traced into `trace` when given. The shared
+    /// cache is the source's to keep in sync, not the evaluator's to read,
+    /// and a URL check is never hedged.
     fn session<'s, 'c>(
         &'s self,
         source: &'s CheckingSource<'c, P>,
         trace: Option<&TraceSink>,
     ) -> QuerySession<'s, CheckingSource<'c, P>> {
-        let session = QuerySession::new(self.ws, self.catalog, self.stats, source)
-            .with_mask(self.mask)
-            .with_degradation(self.degradation);
-        match trace {
-            Some(sink) => session.with_trace(sink),
-            None => session,
+        let mut policy = self.policy.clone();
+        policy.eval.shared_cache = None;
+        if let Fetch::Pool { hedge, .. } = &mut policy.eval.fetch {
+            *hedge = None;
         }
+        if let Some(sink) = trace {
+            policy.eval.trace = Some((sink.clone(), None));
+        }
+        QuerySession::new(self.ws, self.catalog, self.stats, source).with_policy(&policy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nalg::{DegradationMode, EvalPolicy};
     use websim::sitegen::{University, UniversityConfig};
     use wvcore::views::university_catalog;
 
@@ -527,8 +526,12 @@ mod tests {
     fn rule_mask_controls_plan_and_traffic() {
         let (u, mut store, stats, catalog) = setup();
         // naive mask must still answer correctly, just touch more pages
-        let naive = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server)
-            .with_mask(wvcore::RuleMask::none());
+        let naive = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server).with_policy(
+            &ExecPolicy {
+                mask: wvcore::RuleMask::none(),
+                ..Default::default()
+            },
+        );
         let out_naive = naive.run(&mut store, &grad_query()).unwrap();
         store.reset_status();
         let smart = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
@@ -547,7 +550,13 @@ mod tests {
         let victim = u.course_ids()[0];
         {
             let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server)
-                .with_shared_cache(&cache);
+                .with_policy(&ExecPolicy {
+                    eval: EvalPolicy {
+                        shared_cache: Some(&cache),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                });
             let out = session.run(&mut store, &grad_query()).unwrap();
             // Traffic is exactly what the plain session pays: the cache is
             // write-through only, never consulted instead of the URL check.
@@ -562,7 +571,13 @@ mod tests {
         // URL-check exists to detect): answering again evicts it.
         u.site.server.remove(&University::course_url(victim));
         let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server)
-            .with_shared_cache(&cache);
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    shared_cache: Some(&cache),
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
         session.run(&mut store, &grad_query()).unwrap();
         assert!(cache.get(&University::course_url(victim)).is_none());
     }
@@ -613,7 +628,13 @@ mod tests {
         );
         store.reset_status();
         let lenient = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server)
-            .with_degradation(DegradationMode::Partial);
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    degradation: DegradationMode::Partial,
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
         let out = lenient.run(&mut store, &grad_query()).unwrap();
         assert_eq!(out.unreachable, vec![new_url], "the exact skipped set");
         assert!(!out.is_complete());

@@ -30,7 +30,7 @@ use obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 use websim::PageServer;
-use wvcore::{PlanCache, RuleMask, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY};
+use wvcore::{ExecPolicy, PlanCache, RuleMask, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY};
 
 /// A materialized page: its wrapped tuple plus the logical date it was
 /// last downloaded.
@@ -184,6 +184,7 @@ struct StoreMetrics {
 #[derive(Debug)]
 struct PlanInputs {
     mask: RuleMask,
+    incomplete_navigations: bool,
     ws: WebScheme,
     catalog: ViewCatalog,
     stats: SiteStatistics,
@@ -211,13 +212,15 @@ impl StorePlans {
         &self.cache
     }
 
-    /// The context epoch for a session planning under these inputs: the
-    /// current one when they equal — by value, never by address — the
-    /// inputs the cached plans were planned under, else a new one (which
-    /// makes every cached plan a miss, and the next sync drops them).
+    /// The context epoch for a session planning under these inputs — the
+    /// planning half of its policy, the scheme, the catalog and the
+    /// statistics: the current one when they equal — by value, never by
+    /// address — the inputs the cached plans were planned under, else a
+    /// new one (which makes every cached plan a miss, and the next sync
+    /// drops them).
     pub(crate) fn context(
         &self,
-        mask: RuleMask,
+        policy: &ExecPolicy<'_>,
         ws: &WebScheme,
         catalog: &ViewCatalog,
         stats: &SiteStatistics,
@@ -227,13 +230,19 @@ impl StorePlans {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let (epoch, inputs) = &mut *guard;
+        let (mask, incomplete_navigations) = (policy.mask, policy.incomplete_navigations);
         let same = inputs.as_ref().is_some_and(|i| {
-            i.mask == mask && i.stats == *stats && i.ws == *ws && i.catalog == *catalog
+            i.mask == mask
+                && i.incomplete_navigations == incomplete_navigations
+                && i.stats == *stats
+                && i.ws == *ws
+                && i.catalog == *catalog
         });
         if !same {
             *epoch += 1;
             *inputs = Some(PlanInputs {
                 mask,
+                incomplete_navigations,
                 ws: ws.clone(),
                 catalog: catalog.clone(),
                 stats: stats.clone(),

@@ -23,7 +23,7 @@ use adm::{Relation, Tuple, Url, Value};
 use matview::maintain::{audit, full_refresh};
 use matview::urlcheck::{url_check, CheckCounters};
 use matview::{IncrementalView, MatSession, MatStore};
-use nalg::{Evaluator, NalgExpr, PageSource, SharedPageCache};
+use nalg::{EvalPolicy, Evaluator, Fetch, NalgExpr, PageSource, SharedPageCache};
 use proptest::prelude::*;
 use std::sync::Arc;
 use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
@@ -31,8 +31,8 @@ use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use websim::Site;
 use wvcore::views::{bibliography_catalog, university_catalog};
 use wvcore::{
-    CachedSource, ConjunctiveQuery, ExternalRelation, LiveSource, PlanCache, QuerySession,
-    RuleMask, SiteStatistics, ViewCatalog,
+    CachedSource, ConjunctiveQuery, ExecPolicy, ExternalRelation, LiveSource, PlanCache,
+    QuerySession, RuleMask, SiteStatistics, ViewCatalog,
 };
 
 fn setup() -> (University, MatStore, SiteStatistics, ViewCatalog) {
@@ -371,23 +371,35 @@ fn build(world: &World, picks: &QueryPicks, shift: usize) -> ConjunctiveQuery {
 }
 
 /// Answers `q` from `remembering` and from a clone of it, which starts
-/// with no plans, and holds the two outcomes to each other.
+/// with no plans and checks its URLs under `fetch`, and holds the two
+/// outcomes to each other.
 fn same_as_a_store_without_plans(
     world: &World,
     stats: &SiteStatistics,
     remembering: &mut MatStore,
     q: &ConjunctiveQuery,
+    fetch: &Fetch,
 ) {
     let mut forgetting = remembering.clone();
     assert!(forgetting.plan_cache().is_empty());
-    let session = MatSession::new(
-        &world.site.scheme,
-        &world.catalog,
-        stats,
-        &world.site.server,
-    );
-    let kept = session.run(remembering, q).unwrap();
-    let fresh = session.run(&mut forgetting, q).unwrap();
+    let session = |fetch: &Fetch| {
+        let policy = ExecPolicy {
+            eval: EvalPolicy {
+                fetch: fetch.clone(),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        MatSession::new(
+            &world.site.scheme,
+            &world.catalog,
+            stats,
+            &world.site.server,
+        )
+        .with_policy(&policy)
+    };
+    let kept = session(&Fetch::Inline).run(remembering, q).unwrap();
+    let fresh = session(fetch).run(&mut forgetting, q).unwrap();
     assert_eq!(kept.relation.sorted(), fresh.relation.sorted(), "{q}");
     assert_eq!(kept.counters, fresh.counters, "{q}");
     assert_eq!(kept.broken_links, fresh.broken_links, "{q}");
@@ -403,14 +415,17 @@ proptest! {
     // first instance of a shape (planned), the same instance again after a
     // mutation round (shared as stored) and another instance of the shape
     // after one more (bound to its constants) are all answered as a store
-    // with an empty plan cache answers them.
+    // with an empty plan cache answers them — checking its URLs inline or
+    // on a two-worker pool.
     #[test]
     fn a_store_that_remembers_its_plans_answers_like_one_that_does_not(
         on_bibliography in any::<bool>(),
         site_seed in 0u64..=1000,
         plan_seed in 0u64..=u64::MAX,
         drawn in proptest::collection::vec(arb_query(), 2..=4),
+        pooled in any::<bool>(),
     ) {
+        let fetch = if pooled { Fetch::pool(2) } else { Fetch::Inline };
         let mut world = if on_bibliography {
             bibliography_world(site_seed, plan_seed)
         } else {
@@ -425,7 +440,7 @@ proptest! {
             }
             for picks in &drawn {
                 let q = build(&world, picks, shift);
-                same_as_a_store_without_plans(&world, &stats, &mut store, &q);
+                same_as_a_store_without_plans(&world, &stats, &mut store, &q, &fetch);
             }
         }
         // Every query of the second and third pass found its shape planned.
@@ -456,8 +471,12 @@ fn cs_address() -> ConjunctiveQuery {
 #[test]
 fn a_plan_is_never_handed_to_a_session_with_another_rule_mask() {
     let (u, mut store, stats, catalog) = setup();
-    let session =
-        |mask| MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server).with_mask(mask);
+    let session = |mask| {
+        MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server).with_policy(&ExecPolicy {
+            mask,
+            ..Default::default()
+        })
+    };
     let planned = |mask| {
         session(mask)
             .run(&mut store.clone(), &cs_address())
@@ -565,7 +584,10 @@ fn a_plan_whose_audit_falls_back_is_removed() {
     let run = |site: &Site| {
         let live = LiveSource::for_site(site);
         QuerySession::new(&site.scheme, &catalog, &stats, &live)
-            .with_audit(1.0, 7)
+            .with_policy(&ExecPolicy {
+                audit: Some((1.0, 7)),
+                ..Default::default()
+            })
             .with_plan_cache(&cache, 0)
             .run(&q)
             .unwrap()
@@ -606,8 +628,15 @@ fn a_copy_served_stale_is_not_written_through_to_the_shared_cache() {
     };
     let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
     // a light connection vouches for every department page: written through
-    let caching =
-        MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server).with_shared_cache(&cache);
+    let caching = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server).with_policy(
+        &ExecPolicy {
+            eval: EvalPolicy {
+                shared_cache: Some(&cache),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
     caching.run(&mut store, &dept_query()).unwrap();
     assert!(cache.get(&victim).is_some());
     // the cache lets the page go; then its check fails transiently and the
@@ -661,7 +690,13 @@ fn whoever_holds_a_page_hands_out_a_reference_to_its_own_copy() {
     let cache = SharedPageCache::default();
     let dept = University::dept_url(0);
     MatSession::new(ws, &catalog, &stats, server)
-        .with_shared_cache(&cache)
+        .with_policy(&ExecPolicy {
+            eval: EvalPolicy {
+                shared_cache: Some(&cache),
+                ..Default::default()
+            },
+            ..Default::default()
+        })
         .run(&mut store, &dept_query())
         .unwrap();
     let hit = cache.get(&dept).unwrap();
@@ -792,7 +827,13 @@ fn what_a_reader_keeps_stays_what_it_was_handed() {
         // a URL-checked query: answers, the pages it re-downloaded replaced
         // in the store and in the cache under whoever still reads the old
         let session =
-            MatSession::new(&ws, &catalog, &stats, &u.site.server).with_shared_cache(&cache);
+            MatSession::new(&ws, &catalog, &stats, &u.site.server).with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    shared_cache: Some(&cache),
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
         let out = session
             .run(&mut store, &queries[round as usize % 3])
             .unwrap();

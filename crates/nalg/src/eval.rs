@@ -14,31 +14,32 @@
 //! `Evaluator::acquire`, which owns the cache → shared cache → network
 //! ladder, the single drain loop and every access counter.
 //!
-//! Two engine features sit on top of the paper's model, both strictly
-//! accounted so the paper numbers stay reproducible:
+//! Everything besides the paper's model is an [`EvalPolicy`] field, each
+//! strictly accounted so the paper numbers stay reproducible. The two that
+//! change the drain loop itself:
 //!
-//! * **Pipelined concurrent fetch** ([`Evaluator::with_concurrent_fetch`]):
-//!   a persistent worker pool is spawned once per evaluation and serves
-//!   every operator in the plan; distinct links stream into the pool and
-//!   wrapped tuples are consumed as they arrive, overlapping network
-//!   latency with row assembly. Without it the same drain loop runs over
-//!   an inline executor — one fetch at a time on the calling thread.
-//!   Results and all access counts are identical either way.
-//! * **Shared cross-query cache** ([`Evaluator::with_shared_cache`]): hits
-//!   against a [`SharedPageCache`] avoid the network entirely and are
-//!   reported separately (`shared_cache_hits`), never as `page_accesses`,
-//!   so cost-model comparisons are unaffected.
+//! * **Pipelined concurrent fetch** ([`Fetch::Pool`]): a persistent worker
+//!   pool is spawned once per evaluation and serves every operator in the
+//!   plan; distinct links stream into the pool and wrapped tuples are
+//!   consumed as they arrive, overlapping network latency with row
+//!   assembly. [`Fetch::Inline`] runs the same drain loop over an inline
+//!   executor — one fetch at a time on the calling thread. Results and all
+//!   access counts are identical either way.
+//! * **Shared cross-query cache** ([`EvalPolicy::shared_cache`]): hits
+//!   against a [`crate::SharedPageCache`] avoid the network entirely and
+//!   are reported separately (`shared_cache_hits`), never as
+//!   `page_accesses`, so cost-model comparisons are unaffected.
 
-use crate::cache::SharedPageCache;
 use crate::error::EvalError;
 use crate::expr::{field_of_column, resolve_column, NalgExpr, Pred};
 use crate::fetch::{Done, FetchPool, Job};
+use crate::policy::{EvalPolicy, Fetch};
 use crate::Result;
 use adm::{
     ColumnRel, ColumnRelBuilder, Field, InclusionConstraint, LinkConstraint, Relation, Symbol,
     Tuple, Url, Value, WebScheme,
 };
-use obs::trace::{EventKind, TraceSink};
+use obs::trace::EventKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -133,7 +134,15 @@ pub enum DegradationMode {
 /// Anything that can deliver the wrapped tuple of a page: the live virtual
 /// web (`wv-core`'s adapter), a materialized store (`matview`), or a test
 /// fixture.
-pub trait PageSource {
+///
+/// **`Sync` is part of the contract.** A source may be called from several
+/// threads at once — the workers of a [`Fetch::Pool`], the sessions of a
+/// server — so it keeps any state of its own behind atomics or locks. Every
+/// source can therefore run under every [`EvalPolicy`]; one that holds a
+/// single store (matview's URL-checking source) serialises its calls with
+/// one lock, and a pool over it still returns exactly the inline answer
+/// and counters.
+pub trait PageSource: Sync {
     /// Fetches and wraps the page at `url`, expected to be an instance of
     /// page-scheme `scheme`.
     fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError>;
@@ -276,7 +285,7 @@ pub struct EvalReport {
     /// Fetches answered by the per-query cache.
     pub cache_hits: u64,
     /// Fetches answered by the shared cross-query cache (zero unless the
-    /// evaluator was built [`Evaluator::with_shared_cache`]). These are
+    /// policy names a [`EvalPolicy::shared_cache`]). These are
     /// *not* page accesses: no connection was opened.
     pub shared_cache_hits: u64,
     /// Links that pointed to missing pages (skipped).
@@ -323,49 +332,9 @@ impl EvalReport {
 pub struct Evaluator<'a, S: PageSource> {
     ws: &'a WebScheme,
     source: &'a S,
-    cache_enabled: bool,
-    fetch_workers: usize,
-    shared: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
+    policy: EvalPolicy<'a>,
     /// Set by [`Evaluator::with_audit`] when the config is active.
     audit: Option<AuditConfig>,
-    /// Set by [`Evaluator::with_concurrent_fetch`]: a monomorphized entry
-    /// point that spawns the worker pool (requires `S: Sync`, which this
-    /// fn pointer captures without constraining the whole type).
-    pooled_run: Option<PooledRun<'a, S>>,
-    /// Optional trace sink: one [`EventKind::Operator`] span per operator
-    /// in the evaluated plan. `None` (the default) costs nothing.
-    trace: Option<TraceSink>,
-    /// Parent span id the top-level operator span (and pool/audit
-    /// events) nest under — set by the serving layer so a whole
-    /// evaluation hangs off its request's root span.
-    trace_parent: Option<u64>,
-    /// The evaluation's wall-clock budget. Infinite (never fires) by
-    /// default; when finite, every blocking point checks it and the
-    /// evaluation fails over to a partial answer with an exact
-    /// not-yet-fetched URL set instead of blocking past it.
-    deadline: obs::Deadline,
-    /// Cooperative cancellation shared with pool workers and coalescing
-    /// followers; auto-created by [`Evaluator::with_relevance_cancel`].
-    cancel: Option<obs::CancelToken>,
-    /// Hedged-GET policy for the drain loop; `None` disables.
-    hedge: Option<crate::fetch::HedgeConfig>,
-    /// When true, σ/⋈ residuals above each Follow are used to prove
-    /// pending URLs irrelevant and skip their fetches.
-    relevance: bool,
-}
-
-type PooledRun<'a, S> = fn(&Evaluator<'a, S>, &NalgExpr) -> Result<EvalReport>;
-
-fn run_pooled<S: PageSource + Sync>(ev: &Evaluator<'_, S>, expr: &NalgExpr) -> Result<EvalReport> {
-    crate::fetch::with_pool(
-        ev.source,
-        ev.fetch_workers,
-        ev.trace.as_ref(),
-        ev.trace_parent,
-        ev.cancel.as_ref(),
-        |pool| ev.eval_with(expr, pool),
-    )
 }
 
 #[derive(Default)]
@@ -392,6 +361,9 @@ struct Ctx {
     cancelled: BTreeSet<Url>,
     /// Set when a finite deadline fired at any blocking point.
     deadline_exceeded: bool,
+    /// The evaluation's token ([`EvalPolicy::cancel_token`]), shared with
+    /// the pool's workers.
+    cancel: Option<obs::CancelToken>,
     /// Monotonic tag for drains: a deadline-aborted drain leaves stale
     /// completions in the pool; later drains skip them by epoch.
     fetch_epoch: u64,
@@ -467,25 +439,23 @@ fn survivors(
 }
 
 impl<'a, S: PageSource> Evaluator<'a, S> {
-    /// An evaluator with the per-query page cache enabled (the realistic
-    /// engine configuration).
+    /// An evaluator under the default [`EvalPolicy`]: the paper's engine
+    /// with its per-query page cache.
     pub fn new(ws: &'a WebScheme, source: &'a S) -> Self {
         Evaluator {
             ws,
             source,
-            cache_enabled: true,
-            fetch_workers: 1,
-            shared: None,
-            degradation: DegradationMode::FailFast,
+            policy: EvalPolicy::default(),
             audit: None,
-            pooled_run: None,
-            trace: None,
-            trace_parent: None,
-            deadline: obs::Deadline::infinite(),
-            cancel: None,
-            hedge: None,
-            relevance: false,
         }
+    }
+
+    /// Evaluates under `policy` (see [`EvalPolicy`] for what each field
+    /// does). Whatever the policy, the answer's rows and the cost-model
+    /// charges `accesses_by_operator` are those of the default one.
+    pub fn with_policy(mut self, policy: &EvalPolicy<'a>) -> Self {
+        self.policy = policy.clone();
+        self
     }
 
     /// Attaches a constraint audit: a deterministic sample of the pages
@@ -497,117 +467,6 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         self
     }
 
-    /// Sets what happens when a fetch ultimately fails: abort the query
-    /// ([`DegradationMode::FailFast`], the default) or complete the plan
-    /// over reachable pages and report the unreachable set
-    /// ([`DegradationMode::Partial`]).
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
-        self
-    }
-
-    /// Disables the page cache: each operator re-downloads the pages it
-    /// needs, making actual downloads equal the cost model's sum.
-    pub fn without_cache(mut self) -> Self {
-        self.cache_enabled = false;
-        self
-    }
-
-    /// Fetches the distinct links of each navigation with `workers`
-    /// persistent worker threads (spawned once per evaluation, shared by
-    /// every `follow` in the plan). Links stream into the pool and
-    /// completions are consumed as they arrive, hiding network latency;
-    /// page-access *counts* and the result relation are unchanged.
-    /// Requires a thread-safe page source.
-    pub fn with_concurrent_fetch(mut self, workers: usize) -> Self
-    where
-        S: Sync,
-    {
-        self.fetch_workers = workers.max(1);
-        self.pooled_run = Some(run_pooled::<S>);
-        self
-    }
-
-    /// Consults (and feeds) a shared cross-query page cache. Hits count as
-    /// `shared_cache_hits`, never as `page_accesses`, so every paper
-    /// experiment still reproduces its numbers by simply not attaching a
-    /// shared cache.
-    pub fn with_shared_cache(mut self, cache: &'a SharedPageCache) -> Self {
-        self.shared = Some(cache);
-        self
-    }
-
-    /// Attaches a trace sink: every operator application records an
-    /// [`EventKind::Operator`] span carrying its pre-order node index,
-    /// output cardinality, and subtree deltas of downloads, cache hits,
-    /// shared-cache hits and broken links. Counters and results are
-    /// byte-identical with and without a sink; traced shared-cache hits
-    /// in particular are never `page_accesses`.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
-    }
-
-    /// Parents every span this evaluation opens (the top-level operator
-    /// span, fetch-worker terminals, audit events) under `parent`, so a
-    /// request's whole evaluation is one connected causal tree. A no-op
-    /// without a trace sink.
-    pub fn with_trace_parent(mut self, parent: u64) -> Self {
-        self.trace_parent = Some(parent);
-        self
-    }
-
-    /// Sets the evaluation's wall-clock budget. When it expires, every
-    /// not-yet-fetched URL is reported in [`EvalReport::unreachable`],
-    /// [`EvalReport::deadline_exceeded`] is set, and the evaluation
-    /// returns the partial answer over the pages fetched so far — even
-    /// under [`DegradationMode::FailFast`] (a fired deadline *is* the
-    /// degradation decision). The default [`obs::Deadline::infinite`]
-    /// never fires and leaves results byte-identical.
-    pub fn with_deadline(mut self, deadline: obs::Deadline) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Shares `token` with pool workers and coalescing followers so
-    /// in-flight fetches can be cancelled cooperatively (deadline
-    /// aborts, hedge losers, relevance-proved-irrelevant URLs).
-    pub fn with_cancel_token(mut self, token: obs::CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Enables hedged GETs in the drain loop (requires
-    /// [`Evaluator::with_concurrent_fetch`] to have any effect): after
-    /// `cfg.delay_us` without a completion, one backup fetch is launched
-    /// for the laggard; first response wins, the loser is cancelled
-    /// through the cancel token (auto-created if none was attached).
-    /// Hedge completions are never charged to `page_accesses`.
-    pub fn with_hedging(mut self, cfg: crate::fetch::HedgeConfig) -> Self {
-        self.hedge = Some(cfg);
-        if self.cancel.is_none() {
-            self.cancel = Some(obs::CancelToken::new());
-        }
-        self
-    }
-
-    /// Enables the relevance monitor: σ/⋈ residuals above each Follow
-    /// are specialized to the navigation's output header, and a pending
-    /// URL whose carrying input rows all provably fail one of them is
-    /// cancelled instead of fetched ([`EvalReport::cancelled`]). Rows
-    /// of the final answer are unchanged — a cancelled page could only
-    /// ever have produced rows the residual filters discard — and the
-    /// cost-model charge (`accesses_by_operator`) still counts every
-    /// distinct link, so E1–E8 cost numbers stay paper-exact while
-    /// `page_accesses` shrinks.
-    pub fn with_relevance_cancel(mut self) -> Self {
-        self.relevance = true;
-        if self.cancel.is_none() {
-            self.cancel = Some(obs::CancelToken::new());
-        }
-        self
-    }
-
     /// Evaluates a computable expression.
     pub fn eval(&self, expr: &NalgExpr) -> Result<EvalReport> {
         if !expr.is_computable() {
@@ -615,16 +474,35 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 "leaves must be entry points: {expr}"
             )));
         }
-        match self.pooled_run {
-            Some(run) => run(self, expr),
-            None => self.eval_with(expr, &FetchPool::inline(self.source, self.cancel.as_ref())),
+        let cancel = self.policy.cancel_token();
+        match &self.policy.fetch {
+            Fetch::Inline => {
+                let pool = FetchPool::inline(self.source, cancel.as_ref());
+                self.eval_with(expr, &pool, cancel)
+            }
+            Fetch::Pool { workers, .. } => crate::fetch::with_pool(
+                self.source,
+                workers.get(),
+                self.policy.sink(),
+                self.policy.trace_parent(),
+                cancel.as_ref(),
+                |pool| self.eval_with(expr, pool, cancel.clone()),
+            ),
         }
     }
 
-    fn eval_with(&self, expr: &NalgExpr, pool: &FetchPool<'_>) -> Result<EvalReport> {
-        let mut ctx = Ctx::default();
+    fn eval_with(
+        &self,
+        expr: &NalgExpr,
+        pool: &FetchPool<'_>,
+        cancel: Option<obs::CancelToken>,
+    ) -> Result<EvalReport> {
+        let mut ctx = Ctx {
+            cancel,
+            ..Ctx::default()
+        };
         let relation = self
-            .eval_expr(expr, &mut ctx, pool, self.trace_parent)?
+            .eval_expr(expr, &mut ctx, pool, self.policy.trace_parent())?
             .to_relation();
         let audit = self.run_audit(&mut ctx);
         Ok(EvalReport {
@@ -709,7 +587,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             sampled_pages: ctx.audit_sampled.len() as u64,
             constraints,
         };
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.policy.sink() {
             for row in &report.constraints {
                 if row.checks == 0 && row.violations.is_empty() {
                     continue;
@@ -717,7 +595,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 sink.event(
                     EventKind::Constraint,
                     "audit",
-                    self.trace_parent,
+                    self.policy.trace_parent(),
                     vec![
                         ("constraint".to_string(), row.key.as_str().into()),
                         ("checks".to_string(), row.checks.into()),
@@ -731,7 +609,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     sink.event(
                         EventKind::Constraint,
                         "violation",
-                        self.trace_parent,
+                        self.policy.trace_parent(),
                         vec![
                             ("constraint".to_string(), row.key.as_str().into()),
                             ("detail".to_string(), detail.as_str().into()),
@@ -758,7 +636,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         pool: &FetchPool<'_>,
         parent: Option<u64>,
     ) -> Result<ColumnRel> {
-        let Some(sink) = &self.trace else {
+        let Some(sink) = self.policy.sink() else {
             return self.eval_node(expr, ctx, pool, parent);
         };
         let node = ctx.node_seq;
@@ -818,7 +696,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 // entry point degrades to an empty relation with the right
                 // header instead of aborting the query.
                 if page.is_empty()
-                    && self.degradation != DegradationMode::Partial
+                    && self.policy.degradation != DegradationMode::Partial
                     && !ctx.deadline_exceeded
                 {
                     return Err(EvalError::Source(format!("entry point {} missing", ep.url)));
@@ -830,11 +708,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 // Relevance: this predicate filters everything the input
                 // subtree produces; Follows inside it can use it to prove
                 // pending URLs irrelevant before fetching them.
-                if self.relevance {
+                if self.policy.relevance {
                     ctx.residual.push(ResidualFilter::Pred(pred.clone()));
                 }
                 let rel = self.eval_expr(input, ctx, pool, parent);
-                if self.relevance {
+                if self.policy.relevance {
                     ctx.residual.pop();
                 }
                 apply_pred_col(&rel?, pred)
@@ -852,7 +730,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 // never reach an output tuple. A key column that does not
                 // resolve pushes nothing, which is conservative.
                 let mut pushed = 0usize;
-                if self.relevance {
+                if self.policy.relevance {
                     for (a, b) in on {
                         if let Ok(i) = l.resolve(a) {
                             ctx.residual.push(ResidualFilter::InSet {
@@ -923,19 +801,19 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     ) -> Result<()> {
         let mut misses: Vec<Symbol> = Vec::new();
         for &s in order {
-            if self.cache_enabled {
+            if self.policy.per_query_cache {
                 if let Some(t) = ctx.cache.get(&s) {
                     ctx.cache_hits += 1;
                     deliver(s, t)?;
                     continue;
                 }
             }
-            if let Some(shared) = self.shared {
+            if let Some(shared) = self.policy.shared_cache {
                 if let Some(t) = shared.get(&s.to_url()) {
                     ctx.shared_hits += 1;
                     self.audit_record(ctx, s, scheme, &t);
                     deliver(s, &t)?;
-                    if self.cache_enabled {
+                    if self.policy.per_query_cache {
                         ctx.cache.insert(s, t);
                     }
                     continue;
@@ -974,7 +852,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         misses.retain(|s| {
             let keep = live.contains(s);
             if !keep {
-                if let Some(t) = &self.cancel {
+                if let Some(t) = &ctx.cancel {
                     t.cancel_url(s.as_str());
                 }
                 ctx.cancelled.insert(s.to_url());
@@ -1010,7 +888,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         let shutdown = || EvalError::Source("fetch worker pool shut down".to_string());
         // A backup fetch needs someone to race: over the inline executor
         // nothing runs concurrently with this loop, so hedging is inert.
-        let hedge = self.hedge.as_ref().filter(|_| self.pooled_run.is_some());
+        let hedge = self.policy.fetch.hedge();
         ctx.fetch_epoch += 1;
         let (scheme, epoch) = (Symbol::intern(scheme), ctx.fetch_epoch);
         let job = |url, hedge| Job {
@@ -1026,14 +904,14 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         }
         let mut pending: HashMap<Symbol, Pending> = HashMap::with_capacity(misses.len());
         for &s in misses {
-            if self.deadline.expired() {
+            if self.policy.deadline.expired() {
                 ctx.deadline_exceeded = true;
                 ctx.unreachable.insert(s.to_url());
                 continue;
             }
             // A URL cancelled for an earlier navigation may be needed
             // now; clear its mark before a worker can see the job.
-            if let Some(t) = &self.cancel {
+            if let Some(t) = &ctx.cancel {
                 t.uncancel_url(s.as_str());
             }
             if !pool.submit_tagged(job(s, false)) {
@@ -1048,14 +926,14 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             );
         }
         while !pending.is_empty() {
-            if self.deadline.expired() {
+            if self.policy.deadline.expired() {
                 // Budget gone: the pending set IS the exact not-yet-
                 // fetched URL set. Cancel the queued jobs cooperatively
                 // (workers skip them pre-dispatch) and brown out.
                 ctx.deadline_exceeded = true;
                 pool.discard_queued();
                 for (s, _) in pending.drain() {
-                    if let Some(t) = &self.cancel {
+                    if let Some(t) = &ctx.cancel {
                         t.cancel_url(s.as_str());
                     }
                     ctx.unreachable.insert(s.to_url());
@@ -1064,7 +942,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             }
             // Sleep until the next actionable instant: budget expiry or
             // the earliest hedge coming due.
-            let mut wait = self.deadline.remaining().unwrap_or(Duration::from_secs(60));
+            let mut wait = self
+                .policy
+                .deadline
+                .remaining()
+                .unwrap_or(Duration::from_secs(60));
             if let Some(h) = hedge {
                 let delay = Duration::from_micros(h.delay_us);
                 for (&s, p) in pending.iter_mut().filter(|(_, p)| !p.hedged) {
@@ -1106,7 +988,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             if p.hedged {
                 // First response wins; cancel the losing twin before a
                 // worker dispatches it.
-                if let Some(t) = &self.cancel {
+                if let Some(t) = &ctx.cancel {
                     t.cancel_url(done.job.url.as_str());
                 }
                 if done.job.hedge {
@@ -1137,25 +1019,26 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         match done.outcome {
             Ok((t, lm)) => {
                 ctx.page_accesses += 1;
-                if let Some(shared) = self.shared {
+                if let Some(shared) = self.policy.shared_cache {
                     shared.insert(&done.url, &t, lm);
                 }
                 self.audit_record(ctx, done.job.url, scheme, &t);
                 deliver(done.job.url, &t)?;
-                if self.cache_enabled {
+                if self.policy.per_query_cache {
                     ctx.cache.insert(done.job.url, t);
                 }
                 return Ok(());
             }
             Err(SourceError::NotFound(_)) => ctx.broken_links += 1,
             Err(SourceError::Cancelled(_))
-                if self.deadline.is_finite() || self.degradation == DegradationMode::Partial =>
+                if self.policy.deadline.is_finite()
+                    || self.policy.degradation == DegradationMode::Partial =>
             {
-                if self.deadline.expired() {
+                if self.policy.deadline.expired() {
                     ctx.deadline_exceeded = true;
                 }
             }
-            Err(_) if self.degradation == DegradationMode::Partial => {}
+            Err(_) if self.policy.degradation == DegradationMode::Partial => {}
             Err(e) => return Err(EvalError::Source(e.to_string())),
         }
         ctx.unreachable.insert(done.url);
@@ -1490,7 +1373,10 @@ mod tests {
         // source's own `Arc`, not a copy — and lets go with the query.
         let shared = crate::cache::SharedPageCache::default();
         let report = Evaluator::new(&ws, &src)
-            .with_shared_cache(&shared)
+            .with_policy(&EvalPolicy {
+                shared_cache: Some(&shared),
+                ..Default::default()
+            })
             .eval(&e)
             .unwrap();
         assert_eq!((report.page_accesses, report.cache_hits), (4, 1));
@@ -1500,7 +1386,13 @@ mod tests {
             assert!(Arc::ptr_eq(page, &shared.get(url).unwrap()), "{url}");
             assert_eq!(Arc::strong_count(page), 2, "{url}");
         }
-        let report = Evaluator::new(&ws, &src).without_cache().eval(&e).unwrap();
+        let report = Evaluator::new(&ws, &src)
+            .with_policy(&EvalPolicy {
+                per_query_cache: false,
+                ..Default::default()
+            })
+            .eval(&e)
+            .unwrap();
         assert_eq!((report.page_accesses, report.cache_hits), (5, 0));
         assert_eq!(holders(), vec![2; 5], "nobody but the source and `shared`");
     }
@@ -1514,7 +1406,13 @@ mod tests {
         let e = left
             .join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")])
             .follow("ListPage.Items.ToItem", "ItemPage");
-        let report = Evaluator::new(&ws, &src).without_cache().eval(&e).unwrap();
+        let report = Evaluator::new(&ws, &src)
+            .with_policy(&EvalPolicy {
+                per_query_cache: false,
+                ..Default::default()
+            })
+            .eval(&e)
+            .unwrap();
         assert_eq!(report.page_accesses, report.cost_model_accesses());
     }
 
@@ -1584,7 +1482,10 @@ mod tests {
         let seq = Evaluator::new(&ws, &src).eval(&nav()).unwrap();
         for workers in [1, 2, 8] {
             let par = Evaluator::new(&ws, &src)
-                .with_concurrent_fetch(workers)
+                .with_policy(&EvalPolicy {
+                    fetch: Fetch::pool(workers),
+                    ..Default::default()
+                })
                 .eval(&nav())
                 .unwrap();
             assert_eq!(par.relation.sorted(), seq.relation.sorted());
@@ -1599,7 +1500,10 @@ mod tests {
         let mut src = source();
         src.pages.remove(&Url::new("/i/b"));
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(4)
+            .with_policy(&EvalPolicy {
+                fetch: Fetch::pool(4),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -1612,13 +1516,19 @@ mod tests {
         let src = source();
         let shared = crate::cache::SharedPageCache::default();
         let cold = Evaluator::new(&ws, &src)
-            .with_shared_cache(&shared)
+            .with_policy(&EvalPolicy {
+                shared_cache: Some(&shared),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(cold.page_accesses, 4);
         assert_eq!(cold.shared_cache_hits, 0);
         let warm = Evaluator::new(&ws, &src)
-            .with_shared_cache(&shared)
+            .with_policy(&EvalPolicy {
+                shared_cache: Some(&shared),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(warm.page_accesses, 0);
@@ -1635,15 +1545,21 @@ mod tests {
         let baseline = Evaluator::new(&ws, &src).eval(&nav()).unwrap();
         let shared = crate::cache::SharedPageCache::default();
         let cold = Evaluator::new(&ws, &src)
-            .with_shared_cache(&shared)
-            .with_concurrent_fetch(8)
+            .with_policy(&EvalPolicy {
+                shared_cache: Some(&shared),
+                fetch: Fetch::pool(8),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(cold.relation.sorted(), baseline.relation.sorted());
         assert_eq!(cold.page_accesses, baseline.page_accesses);
         let warm = Evaluator::new(&ws, &src)
-            .with_shared_cache(&shared)
-            .with_concurrent_fetch(8)
+            .with_policy(&EvalPolicy {
+                shared_cache: Some(&shared),
+                fetch: Fetch::pool(8),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(warm.relation.sorted(), baseline.relation.sorted());
@@ -1716,7 +1632,10 @@ mod tests {
             ),
         ]);
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 1);
@@ -1734,7 +1653,10 @@ mod tests {
         let mut src = source();
         src.pages.remove(&Url::new("/i/b"));
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -1753,7 +1675,10 @@ mod tests {
             },
         )]);
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.relation.is_empty());
@@ -1768,7 +1693,10 @@ mod tests {
         let src = source();
         for mode in [DegradationMode::FailFast, DegradationMode::Partial] {
             let report = Evaluator::new(&ws, &src)
-                .with_degradation(mode)
+                .with_policy(&EvalPolicy {
+                    degradation: mode,
+                    ..Default::default()
+                })
                 .eval(&nav())
                 .unwrap();
             assert!(report.is_complete());
@@ -1781,12 +1709,18 @@ mod tests {
         let ws = scheme();
         let src = failing(&[("/i/b", SourceError::Timeout(Url::new("/i/b")))]);
         let seq = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         let par = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
-            .with_concurrent_fetch(4)
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                fetch: Fetch::pool(4),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(par.relation.sorted(), seq.relation.sorted());
@@ -1869,8 +1803,11 @@ mod tests {
             .unwrap();
         for workers in [2, 8] {
             let par = Evaluator::new(&ws, &src)
+                .with_policy(&EvalPolicy {
+                    fetch: Fetch::pool(workers),
+                    ..Default::default()
+                })
                 .with_audit(audit_cfg(0.6))
-                .with_concurrent_fetch(workers)
                 .eval(&nav())
                 .unwrap();
             assert_eq!(par.audit, seq.audit, "sampling is order-independent");
@@ -1898,7 +1835,10 @@ mod tests {
         // FailFast: the panic surfaces as a source error, not a process
         // abort (the scope join would otherwise re-raise it).
         let err = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(3)
+            .with_policy(&EvalPolicy {
+                fetch: Fetch::pool(3),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap_err();
         match err {
@@ -1907,8 +1847,11 @@ mod tests {
         }
         // Partial: the poisoned page is skipped like any other failure.
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(3)
-            .with_degradation(DegradationMode::Partial)
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                fetch: Fetch::pool(3),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -1933,14 +1876,20 @@ mod tests {
         let src = source();
         let token = obs::CancelToken::new();
         token.cancel_all();
-        let ev = || Evaluator::new(&ws, &src).with_cancel_token(token.clone());
-        let report = ev()
-            .with_degradation(DegradationMode::Partial)
-            .eval(&nav())
-            .unwrap();
+        let ev = |degradation| {
+            Evaluator::new(&ws, &src).with_policy(&EvalPolicy {
+                degradation,
+                cancel: Some(token.clone()),
+                ..Default::default()
+            })
+        };
+        let report = ev(DegradationMode::Partial).eval(&nav()).unwrap();
         assert_eq!(report.unreachable, vec![Url::new("/list.html")]);
         assert_eq!(report.page_accesses, 0);
-        assert!(matches!(ev().eval(&nav()), Err(EvalError::Source(_))));
+        assert!(matches!(
+            ev(DegradationMode::FailFast).eval(&nav()),
+            Err(EvalError::Source(_))
+        ));
     }
 
     /// A source that sleeps before serving named URLs. With `slow_once`
@@ -1996,7 +1945,10 @@ mod tests {
         let ws = scheme();
         let src = source();
         let report = Evaluator::new(&ws, &src)
-            .with_deadline(obs::Deadline::after_us(0))
+            .with_policy(&EvalPolicy {
+                deadline: obs::Deadline::after_us(0),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.deadline_exceeded);
@@ -2010,8 +1962,11 @@ mod tests {
         let ws = scheme();
         let src = slow(&["/i/a", "/i/b", "/i/c"], 20, false);
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
-            .with_deadline(obs::Deadline::after_us(10_000))
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                deadline: obs::Deadline::after_us(10_000),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.deadline_exceeded);
@@ -2029,10 +1984,13 @@ mod tests {
         let src = slow(&["/i/a", "/i/b", "/i/c"], 50, false);
         let token = obs::CancelToken::new();
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(1)
-            .with_degradation(DegradationMode::Partial)
-            .with_deadline(obs::Deadline::after_us(10_000))
-            .with_cancel_token(token.clone())
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                deadline: obs::Deadline::after_us(10_000),
+                cancel: Some(token.clone()),
+                fetch: Fetch::pool(1),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.deadline_exceeded);
@@ -2049,12 +2007,16 @@ mod tests {
         let src = source();
         let e = nav().select(Pred::eq("Items.Name", "b"));
         let plain = Evaluator::new(&ws, &src).eval(&e).unwrap();
-        for workers in [None, Some(2)] {
-            let mut ev = Evaluator::new(&ws, &src).with_relevance_cancel();
-            if let Some(w) = workers {
-                ev = ev.with_concurrent_fetch(w);
-            }
-            let report = ev.eval(&e).unwrap();
+        for fetch in [Fetch::Inline, Fetch::pool(2)] {
+            let policy = EvalPolicy {
+                relevance: true,
+                fetch,
+                ..Default::default()
+            };
+            let report = Evaluator::new(&ws, &src)
+                .with_policy(&policy)
+                .eval(&e)
+                .unwrap();
             // Same rows, fewer downloads: /i/a and /i/c can never join
             // into an output tuple once σ[Items.Name='b'] is residual.
             assert_eq!(report.relation.sorted(), plain.relation.sorted());
@@ -2076,7 +2038,10 @@ mod tests {
         // before the fetch, so every page is still downloaded.
         let e = nav().select(Pred::eq("ItemPage.Kind", "x"));
         let report = Evaluator::new(&ws, &src)
-            .with_relevance_cancel()
+            .with_policy(&EvalPolicy {
+                relevance: true,
+                ..Default::default()
+            })
             .eval(&e)
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -2099,7 +2064,10 @@ mod tests {
         let e = left.join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")]);
         let plain = Evaluator::new(&ws, &src).eval(&e).unwrap();
         let report = Evaluator::new(&ws, &src)
-            .with_relevance_cancel()
+            .with_policy(&EvalPolicy {
+                relevance: true,
+                ..Default::default()
+            })
             .eval(&e)
             .unwrap();
         assert_eq!(report.relation.sorted(), plain.relation.sorted());
@@ -2117,8 +2085,10 @@ mod tests {
         let cfg = crate::fetch::HedgeConfig::new(1_000);
         let (hedges, wins) = (cfg.hedges.clone(), cfg.hedge_wins.clone());
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(2)
-            .with_hedging(cfg)
+            .with_policy(&EvalPolicy {
+                fetch: Fetch::hedged(2, cfg),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 3);
@@ -2136,14 +2106,17 @@ mod tests {
         let src = source();
         let e = nav().select(Pred::eq("Kind", "x"));
         let plain = Evaluator::new(&ws, &src).eval(&e).unwrap();
-        for workers in [None, Some(3)] {
-            let mut ev = Evaluator::new(&ws, &src)
-                .with_deadline(obs::Deadline::infinite())
-                .with_cancel_token(obs::CancelToken::new());
-            if let Some(w) = workers {
-                ev = ev.with_concurrent_fetch(w);
-            }
-            let report = ev.eval(&e).unwrap();
+        for fetch in [Fetch::Inline, Fetch::pool(3)] {
+            let policy = EvalPolicy {
+                deadline: obs::Deadline::infinite(),
+                cancel: Some(obs::CancelToken::new()),
+                fetch,
+                ..Default::default()
+            };
+            let report = Evaluator::new(&ws, &src)
+                .with_policy(&policy)
+                .eval(&e)
+                .unwrap();
             assert_eq!(report.relation.sorted(), plain.relation.sorted());
             assert_eq!(report.page_accesses, plain.page_accesses);
             assert_eq!(report.cache_hits, plain.cache_hits);
@@ -2198,9 +2171,12 @@ mod tests {
         let t0 = std::time::Instant::now();
         let report = obs::reqctx::with_ctx(Some(ctx), || {
             Evaluator::new(&ws, &src)
-                .with_concurrent_fetch(2)
-                .with_deadline(deadline)
-                .with_cancel_token(gate)
+                .with_policy(&EvalPolicy {
+                    deadline,
+                    cancel: Some(gate),
+                    fetch: Fetch::pool(2),
+                    ..Default::default()
+                })
                 .eval(&nav())
         })
         .unwrap();
@@ -2222,8 +2198,10 @@ mod tests {
         let cfg = crate::fetch::HedgeConfig::new(1_000);
         let (hedges, wins) = (cfg.hedges.clone(), cfg.hedge_wins.clone());
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(2)
-            .with_hedging(cfg)
+            .with_policy(&EvalPolicy {
+                fetch: Fetch::hedged(2, cfg),
+                ..Default::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 3);
@@ -2255,9 +2233,11 @@ mod tests {
             vec![("ListPage.Items.ToItem", "L2.Items.ToItem")],
         );
         let report = Evaluator::new(&ws, &src)
-            .without_cache()
-            .with_concurrent_fetch(1)
-            .with_hedging(cfg)
+            .with_policy(&EvalPolicy {
+                per_query_cache: false,
+                fetch: Fetch::hedged(1, cfg),
+                ..Default::default()
+            })
             .eval(&e)
             .unwrap();
         assert_eq!(report.relation.len(), 3);
@@ -2279,29 +2259,29 @@ mod tests {
         );
     }
 
-    /// A source that is not `Sync` (it logs through a `RefCell`), as
-    /// matview's `CheckingSource` is: only the inline executor can run it.
-    struct CellSource {
+    /// A source that logs its calls through a lock, as matview's
+    /// `CheckingSource` keeps its store behind one.
+    struct LoggingSource {
         inner: MapSource,
-        fetched: std::cell::RefCell<Vec<Url>>,
+        fetched: std::sync::Mutex<Vec<Url>>,
     }
 
-    impl PageSource for CellSource {
+    impl PageSource for LoggingSource {
         fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
-            self.fetched.borrow_mut().push(url.clone());
+            self.fetched.lock().unwrap().push(url.clone());
             self.inner.fetch(url, scheme)
         }
     }
 
     #[test]
-    fn non_sync_source_runs_inline_with_the_counters_of_a_one_worker_pool() {
+    fn inline_fetch_has_the_counters_of_a_one_worker_pool() {
         let ws = scheme();
         let mut pages = source().pages;
         pages.remove(&Url::new("/i/b"));
         let twin = MapSource {
             pages: pages.clone(),
         };
-        let cell = CellSource {
+        let logged = LoggingSource {
             inner: MapSource { pages },
             fetched: Default::default(),
         };
@@ -2309,9 +2289,12 @@ mod tests {
             NalgExpr::entry_as("ListPage", "L2").unnest("Items"),
             vec![("ListPage.Items.ToItem", "L2.Items.ToItem")],
         );
-        let inline = Evaluator::new(&ws, &cell).eval(&e).unwrap();
+        let inline = Evaluator::new(&ws, &logged).eval(&e).unwrap();
         let pooled = Evaluator::new(&ws, &twin)
-            .with_concurrent_fetch(1)
+            .with_policy(&EvalPolicy {
+                fetch: Fetch::pool(1),
+                ..Default::default()
+            })
             .eval(&e)
             .unwrap();
         assert_eq!(inline.relation.sorted(), pooled.relation.sorted());
@@ -2322,7 +2305,13 @@ mod tests {
         assert_eq!(inline.unreachable, pooled.unreachable);
         assert_eq!((inline.page_accesses, inline.cache_hits), (3, 1));
         // Inline is sequential: one GET at a time, in first-appearance order.
-        let order: Vec<String> = cell.fetched.borrow().iter().map(Url::to_string).collect();
+        let order: Vec<String> = logged
+            .fetched
+            .lock()
+            .unwrap()
+            .iter()
+            .map(Url::to_string)
+            .collect();
         assert_eq!(order, ["/list.html", "/i/a", "/i/b", "/i/c"]);
     }
 }

@@ -11,14 +11,16 @@
 //!   assembly) overlaps network latency.
 //! * **inline** ([`FetchPool::inline`]): no threads at all — receiving a
 //!   completion runs the next queued job on the calling thread. This is
-//!   sequential fetching, and the only executor a non-`Sync` source (such
-//!   as matview's `CheckingSource`) can use.
+//!   sequential fetching.
+//!
+//! [`crate::Fetch`] picks one per evaluation; every source can run under
+//! either (`PageSource: Sync`).
 //!
 //! Both run a job through the same [`Runner::run`]. Completions of the
 //! threaded pool arrive out of order; the evaluator's `follow` assembly is
 //! keyed by URL, so results are independent of completion order.
 //!
-//! **Coalescing.** [`CoalescingSource`] wraps any `PageSource + Sync` with
+//! **Coalescing.** [`CoalescingSource`] wraps any `PageSource` with
 //! single-flight semantics: when N callers (concurrent sessions, pool
 //! workers) request the same URL at the same time, exactly one — the
 //! *leader* — performs the inner fetch; the rest — *followers* — block and
@@ -199,7 +201,7 @@ pub(crate) fn with_pool<S, R>(
     f: impl FnOnce(&FetchPool<'_>) -> R,
 ) -> R
 where
-    S: PageSource + Sync,
+    S: PageSource,
 {
     let workers = workers.max(1);
     let (job_tx, job_rx) = unbounded::<Job>();
@@ -400,7 +402,7 @@ pub struct CoalescingSource<'a, S> {
     cancel_wakes: AtomicU64,
 }
 
-impl<'a, S: PageSource + Sync> CoalescingSource<'a, S> {
+impl<'a, S: PageSource> CoalescingSource<'a, S> {
     /// Wraps `inner` with single-flight semantics.
     pub fn new(inner: &'a S) -> Self {
         CoalescingSource {
@@ -530,7 +532,7 @@ impl<'a, S: PageSource + Sync> CoalescingSource<'a, S> {
     }
 }
 
-impl<S: PageSource + Sync> PageSource for CoalescingSource<'_, S> {
+impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
     fn fetch(&self, url: &Url, scheme: &str) -> Result<Tuple, SourceError> {
         self.fetch_stamped(url, scheme).map(|(t, _)| t)
     }
@@ -790,7 +792,7 @@ mod tests {
     }
 
     /// Spins until `src` has `n` parked followers (bounded wait).
-    fn await_followers<S: PageSource + Sync>(src: &CoalescingSource<'_, S>, n: u64) {
+    fn await_followers<S: PageSource>(src: &CoalescingSource<'_, S>, n: u64) {
         for _ in 0..2000 {
             if src.stats().followers >= n {
                 return;

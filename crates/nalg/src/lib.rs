@@ -18,7 +18,9 @@
 //! * [`display`] — paper-style pretty printing of expressions and query
 //!   plans (Figures 2–4);
 //! * [`eval`] — an evaluator over any [`PageSource`], with page-access
-//!   accounting that realizes the paper's cost measure.
+//!   accounting that realizes the paper's cost measure;
+//! * [`policy`] — [`EvalPolicy`], everything an evaluation may do besides
+//!   navigate (pool, caches, deadline, tracing), declared once.
 //!
 //! ```
 //! use nalg::{NalgExpr, Pred};
@@ -42,6 +44,7 @@ pub mod error;
 pub mod eval;
 pub mod expr;
 mod fetch;
+pub mod policy;
 
 pub use cache::{CacheStats, SharedPageCache};
 pub use error::EvalError;
@@ -51,6 +54,7 @@ pub use eval::{
 };
 pub use expr::{NalgExpr, Pred};
 pub use fetch::{CoalesceStats, CoalescingSource, HedgeConfig};
+pub use policy::{EvalPolicy, Fetch};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EvalError>;

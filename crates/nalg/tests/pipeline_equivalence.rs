@@ -6,7 +6,7 @@
 //! out-of-order reassembly logic of the `Follow` pipeline.
 
 use adm::{Field, PageScheme, Tuple, Url, Value, WebScheme};
-use nalg::{Evaluator, NalgExpr, PageSource, SharedPageCache, SourceError};
+use nalg::{EvalPolicy, Evaluator, Fetch, NalgExpr, PageSource, SharedPageCache, SourceError};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -96,7 +96,10 @@ proptest! {
 
         let seq = Evaluator::new(&ws, &src).eval(&plan).unwrap();
         let par = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(workers)
+            .with_policy(&EvalPolicy {
+                fetch: Fetch::pool(workers),
+                ..Default::default()
+            })
             .eval(&plan)
             .unwrap();
 
@@ -109,14 +112,20 @@ proptest! {
         // And through a warm shared cache: same answer, zero downloads.
         let cache = SharedPageCache::default();
         let cold = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(workers)
-            .with_shared_cache(&cache)
+            .with_policy(&EvalPolicy {
+                shared_cache: Some(&cache),
+                fetch: Fetch::pool(workers),
+                ..Default::default()
+            })
             .eval(&plan)
             .unwrap();
         prop_assert_eq!(cold.page_accesses, seq.page_accesses);
         let warm = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(workers)
-            .with_shared_cache(&cache)
+            .with_policy(&EvalPolicy {
+                shared_cache: Some(&cache),
+                fetch: Fetch::pool(workers),
+                ..Default::default()
+            })
             .eval(&plan)
             .unwrap();
         prop_assert_eq!(warm.relation.sorted(), seq.relation.sorted());

@@ -14,7 +14,7 @@
 //! the environment so CI can pin one reproducible chaos configuration.
 
 use adm::{Field, PageScheme, Url, WebScheme};
-use nalg::{DegradationMode, Evaluator, NalgExpr};
+use nalg::{DegradationMode, EvalPolicy, Evaluator, Fetch, NalgExpr};
 use proptest::prelude::*;
 use resilience::{ResilientSource, RetryPolicy};
 use websim::{FaultPlan, FaultRule, VirtualServer};
@@ -96,7 +96,10 @@ fn check_transient_equivalence(n_items: usize, seed: u64, rate: f64, workers: us
     server.set_fault_plan(transient_plan(seed, rate));
     let resilient = ResilientSource::new(&live, RetryPolicy::new(4));
     let chaos = Evaluator::new(&ws, &resilient)
-        .with_degradation(DegradationMode::Partial)
+        .with_policy(&EvalPolicy {
+            degradation: DegradationMode::Partial,
+            ..Default::default()
+        })
         .eval(&plan)
         .unwrap();
 
@@ -124,7 +127,10 @@ fn check_transient_equivalence(n_items: usize, seed: u64, rate: f64, workers: us
     // and the same holds through the concurrent fetch pool
     server.reset_stats();
     let pooled = Evaluator::new(&ws, &resilient)
-        .with_concurrent_fetch(workers)
+        .with_policy(&EvalPolicy {
+            fetch: Fetch::pool(workers),
+            ..Default::default()
+        })
         .eval(&plan)
         .unwrap();
     prop_assert_eq!(pooled.relation.sorted(), baseline.relation.sorted());
@@ -173,7 +179,10 @@ proptest! {
         server.set_fault_plan(fault_plan);
 
         let partial = Evaluator::new(&ws, &live)
-            .with_degradation(DegradationMode::Partial)
+            .with_policy(&EvalPolicy {
+                degradation: DegradationMode::Partial,
+                ..Default::default()
+            })
             .eval(&plan)
             .unwrap();
 

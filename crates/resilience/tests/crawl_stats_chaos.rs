@@ -6,7 +6,7 @@
 
 use websim::sitegen::{University, UniversityConfig};
 use websim::{FaultPlan, FaultRule};
-use wvcore::{crawl_instance, crawl_instance_parallel, LiveSource, SiteStatistics};
+use wvcore::{crawl_instance, LiveSource, SiteStatistics};
 
 use resilience::{ResilientSource, RetryPolicy};
 
@@ -47,18 +47,6 @@ fn retrying_crawl_discovers_the_same_instance_under_chaos() {
     assert!(injected > 0, "the chaos plan actually fired");
     assert_eq!(resilient.stats().retries, injected);
     assert_eq!(resilient.stats().giveups, 0);
-}
-
-#[test]
-fn parallel_crawl_through_retries_matches_sequential() {
-    let u = university();
-    let live = LiveSource::for_site(&u.site);
-    let clean = crawl_instance(&u.site.scheme, &live);
-
-    u.site.server.set_fault_plan(chaos_plan());
-    let resilient = ResilientSource::new(&live, RetryPolicy::new(4));
-    let chaotic = crawl_instance_parallel(&u.site.scheme, &resilient, 4);
-    assert_eq!(chaotic, clean);
 }
 
 #[test]

@@ -65,9 +65,10 @@ pub use wvcore::plan_cache::{quarantine_fingerprint, PlanCache, PlanCacheStats, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nalg::EvalPolicy;
     use websim::sitegen::{University, UniversityConfig};
     use wvcore::views::university_catalog;
-    use wvcore::{ConjunctiveQuery, LiveSource, SiteStatistics};
+    use wvcore::{ConjunctiveQuery, ExecPolicy, LiveSource, SiteStatistics};
 
     fn query(name: &str) -> ConjunctiveQuery {
         match name {
@@ -391,7 +392,13 @@ mod tests {
             .server
             .set_latency(std::time::Duration::from_millis(5));
         let slow = QueryServer::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_degradation(nalg::DegradationMode::Partial)
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    degradation: nalg::DegradationMode::Partial,
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
             .with_deadline_budget(8_000);
         let browned = slow.serve(&query("profs")).unwrap();
         assert!(browned.brown_out && !browned.is_complete());

@@ -2,8 +2,9 @@
 //!
 //! A [`QueryServer`] owns what is shared between concurrent sessions over
 //! one site — the plan cache, the admission gate, the statistics epoch,
-//! and optional shared page cache / constraint health — and builds a
-//! cheap borrowed [`QuerySession`] per request. `serve` is `&self` and
+//! and one [`ExecPolicy`] (shared page cache, constraint health, pool, …)
+//! — and builds a cheap borrowed [`QuerySession`] per request under a
+//! per-request clone of that policy. `serve` is `&self` and
 //! thread-safe: N serving threads call it concurrently over one server.
 //!
 //! Per request:
@@ -23,20 +24,20 @@
 
 use adm::{Relation, WebScheme};
 use matview::IncrementalView;
-use nalg::{DegradationMode, PageSource, SharedPageCache};
+use nalg::{Fetch, PageSource, SharedPageCache};
 use obs::reqctx::{FetchClock, RequestCtx};
 use obs::{
     Counter, EventKind, FlightRecorder, MetricsRegistry, PhaseBreakdown, RequestTrace, SloTracker,
     TraceSink, TriggerKind,
 };
 use parking_lot::{Mutex, RwLock};
-use resilience::{AdmissionControl, AdmissionStats, ConstraintHealth};
+use resilience::{AdmissionControl, AdmissionStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use wvcore::{
-    quarantine_fingerprint, ConjunctiveQuery, OptError, PlanCache, PlanCacheStats, QueryOutcome,
-    QuerySession, Result, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY,
+    quarantine_fingerprint, ConjunctiveQuery, ExecPolicy, OptError, PlanCache, PlanCacheStats,
+    QueryOutcome, QuerySession, Result, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY,
 };
 
 /// Finalizer of the splitmix64 generator — a cheap, well-mixed 64-bit
@@ -157,10 +158,10 @@ impl ServeOutcome {
     }
 }
 
-/// A multi-tenant serving layer over one site. `S` must be `Sync` — the
-/// whole point is concurrent sessions sharing one source (typically a
-/// [`nalg::CoalescingSource`] stacked on the live/resilient source).
-pub struct QueryServer<'a, S: PageSource + Sync> {
+/// A multi-tenant serving layer over one site: concurrent sessions share
+/// one source (typically a [`nalg::CoalescingSource`] stacked on the
+/// live/resilient source).
+pub struct QueryServer<'a, S: PageSource> {
     ws: &'a WebScheme,
     catalog: &'a ViewCatalog,
     stats: RwLock<&'a SiteStatistics>,
@@ -168,21 +169,15 @@ pub struct QueryServer<'a, S: PageSource + Sync> {
     stats_epoch: AtomicU64,
     plan_cache: PlanCache,
     admission: AdmissionControl,
-    health: Option<&'a ConstraintHealth>,
-    shared_cache: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
-    audit: Option<(f64, u64)>,
-    fetch_workers: Option<usize>,
+    /// What every served session runs under; each request clones it once
+    /// to set its own deadline, cancel token and trace.
+    policy: ExecPolicy<'a>,
     views: Option<&'a RwLock<IncrementalView<'a>>>,
     tracing: Option<ServeTracing>,
     slo: Option<SloTracker>,
     recorder: Option<FlightRecorder>,
-    /// Default per-request deadline budget in µs (explicit override).
+    /// Default per-request deadline budget in µs.
     deadline_budget_us: Option<u64>,
-    /// Derive the default budget from the attached SLO's objective.
-    deadline_from_slo: bool,
-    hedge: Option<nalg::HedgeConfig>,
-    relevance: bool,
     registry: MetricsRegistry,
     requests: Counter,
     shed: Counter,
@@ -191,9 +186,9 @@ pub struct QueryServer<'a, S: PageSource + Sync> {
     view_fallbacks: Counter,
 }
 
-impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
-    /// A server with default policy: 64 cached plans, 8 concurrent
-    /// sessions, fail-fast degradation, no audit, sequential fetches.
+impl<'a, S: PageSource> QueryServer<'a, S> {
+    /// A server with the default [`ExecPolicy`], 64 cached plans and 8
+    /// concurrent sessions.
     pub fn new(
         ws: &'a WebScheme,
         catalog: &'a ViewCatalog,
@@ -209,19 +204,12 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             stats_epoch: AtomicU64::new(0),
             plan_cache: PlanCache::with_registry(PLAN_CACHE_CAPACITY, &registry, "plan"),
             admission: AdmissionControl::new(8),
-            health: None,
-            shared_cache: None,
-            degradation: DegradationMode::FailFast,
-            audit: None,
-            fetch_workers: None,
+            policy: ExecPolicy::default(),
             views: None,
             tracing: None,
             slo: None,
             recorder: None,
             deadline_budget_us: None,
-            deadline_from_slo: false,
-            hedge: None,
-            relevance: false,
             requests: registry.counter("requests"),
             shed: registry.counter("shed"),
             brown_outs: registry.counter("brown_outs"),
@@ -231,6 +219,18 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         }
     }
 
+    /// Serves every session under `policy` (see [`ExecPolicy`]); a
+    /// [`ConstraintHealth`](resilience::ConstraintHealth) in it also keys
+    /// the plan cache, so quarantines invalidate the plans they licensed.
+    /// Per request the server sets the deadline (see
+    /// [`QueryServer::serve_with_deadline`]) and the trace; a cancel token
+    /// set here is shared by every request, else each gets its own when
+    /// something will use it ([`nalg::EvalPolicy::cancel_token`]).
+    pub fn with_policy(mut self, policy: &ExecPolicy<'a>) -> Self {
+        self.policy = policy.clone();
+        self
+    }
+
     /// Sets the admission limit: at most `capacity` concurrent sessions,
     /// the rest shed (builder style).
     pub fn with_admission_capacity(mut self, capacity: usize) -> Self {
@@ -238,36 +238,20 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         self
     }
 
-    /// Attaches a [`ConstraintHealth`] registry — quarantines invalidate
-    /// cached plans and bar constraints from licensing new ones.
-    pub fn with_constraint_health(mut self, health: &'a ConstraintHealth) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// Shares a cross-query page cache between every served session.
+    /// Shares a cross-query page cache between every served session (the
+    /// policy's `eval.shared_cache`).
     pub fn with_shared_cache(mut self, cache: &'a SharedPageCache) -> Self {
-        self.shared_cache = Some(cache);
+        self.policy.eval.shared_cache = Some(cache);
         self
     }
 
-    /// Sets the degradation mode of served sessions (see
-    /// [`QuerySession::with_degradation`]).
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
-        self
-    }
-
-    /// Enables runtime constraint auditing on served sessions (see
-    /// [`QuerySession::with_audit`]).
-    pub fn with_audit(mut self, rate: f64, seed: u64) -> Self {
-        self.audit = (rate > 0.0).then_some((rate.min(1.0), seed));
-        self
-    }
-
-    /// Served sessions evaluate with a pool of `workers` fetch threads.
+    /// Served sessions evaluate with a pool of `workers` fetch threads,
+    /// keeping the policy's hedging (the policy's `eval.fetch`).
     pub fn with_concurrent_fetch(mut self, workers: usize) -> Self {
-        self.fetch_workers = Some(workers.max(1));
+        self.policy.eval.fetch = match self.policy.eval.fetch.hedge() {
+            Some(hedge) => Fetch::hedged(workers, hedge.clone()),
+            None => Fetch::pool(workers),
+        };
         self
     }
 
@@ -326,50 +310,6 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         self
     }
 
-    /// Derives the default deadline budget from the attached SLO's
-    /// latency objective (`threshold_us`), so the server never spends
-    /// longer on a request than the objective it is judged against. An
-    /// explicit [`QueryServer::with_deadline_budget`] wins; without an
-    /// SLO attached this is a no-op.
-    pub fn with_deadline_from_slo(mut self) -> Self {
-        self.deadline_from_slo = true;
-        self
-    }
-
-    /// Hedges laggard pooled fetches in served sessions (see
-    /// [`QuerySession::with_hedging`]): after `cfg.delay_us` in flight,
-    /// one backup GET races the primary; the first response wins and the
-    /// loser is cancelled. Rows and paper counters are unchanged; hedge
-    /// activity lands only in `cfg`'s counters (typically a
-    /// `resilience::HedgePolicy`'s registry cells).
-    pub fn with_hedging(mut self, cfg: nalg::HedgeConfig) -> Self {
-        self.hedge = Some(cfg);
-        self
-    }
-
-    /// Cancels pending fetches that relevance analysis proves can no
-    /// longer contribute to the answer (see
-    /// [`QuerySession::with_relevance_cancel`]).
-    pub fn with_relevance_cancel(mut self) -> Self {
-        self.relevance = true;
-        self
-    }
-
-    /// The default deadline for [`QueryServer::serve`]: the explicit
-    /// budget if set, else the SLO objective when opted in, else
-    /// infinite.
-    fn default_deadline(&self) -> obs::Deadline {
-        if let Some(us) = self.deadline_budget_us {
-            return obs::Deadline::after_us(us);
-        }
-        if self.deadline_from_slo {
-            if let Some(slo) = &self.slo {
-                return obs::Deadline::after_us(slo.objective().threshold_us);
-            }
-        }
-        obs::Deadline::infinite()
-    }
-
     /// The `serve`-prefixed registry (requests, shed, plan-cache
     /// counters).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -401,36 +341,28 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             *slot = stats;
             self.stats_epoch.fetch_add(1, Ordering::SeqCst) + 1
         };
-        let quarantined = self.health.map(|h| h.quarantined()).unwrap_or_default();
+        let quarantined = self
+            .policy
+            .health
+            .map(|h| h.quarantined())
+            .unwrap_or_default();
         self.plan_cache
             .sync(epoch, quarantine_fingerprint(&quarantined));
         epoch
     }
 
-    /// Builds the per-request session over the current statistics, with
-    /// the plan cache keyed on the epoch those statistics belong to (read
-    /// under one lock: a recollection swaps both under its write lock).
-    fn session(&self) -> QuerySession<'_, S> {
+    /// Builds the per-request session over the current statistics, under
+    /// `policy`, with the plan cache keyed on the epoch those statistics
+    /// belong to (read under one lock: a recollection swaps both under its
+    /// write lock).
+    fn session<'s>(&'s self, policy: &ExecPolicy<'s>) -> QuerySession<'s, S> {
         let (stats, epoch): (&'a SiteStatistics, u64) = {
             let slot = self.stats.read();
             (*slot, self.stats_epoch())
         };
-        let mut session = QuerySession::new(self.ws, self.catalog, stats, self.source)
-            .with_degradation(self.degradation)
-            .with_plan_cache(&self.plan_cache, epoch);
-        if let Some(cache) = self.shared_cache {
-            session = session.with_shared_cache(cache);
-        }
-        if let Some(h) = self.health {
-            session = session.with_constraint_health(h);
-        }
-        if let Some((rate, seed)) = self.audit {
-            session = session.with_audit(rate, seed);
-        }
-        if let Some(workers) = self.fetch_workers {
-            session = session.with_concurrent_fetch(workers);
-        }
-        session
+        QuerySession::new(self.ws, self.catalog, stats, self.source)
+            .with_policy(policy)
+            .with_plan_cache(&self.plan_cache, epoch)
     }
 
     /// Serves one query (thread-safe). See the module docs for the
@@ -441,7 +373,10 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
     /// answer (rows, completeness, page accesses) never depends on
     /// whether observation is on.
     pub fn serve(&self, q: &ConjunctiveQuery) -> Result<ServeOutcome> {
-        self.serve_with_deadline(q, self.default_deadline())
+        let deadline = self
+            .deadline_budget_us
+            .map_or_else(obs::Deadline::infinite, obs::Deadline::after_us);
+        self.serve_with_deadline(q, deadline)
     }
 
     /// [`QueryServer::serve`] with an explicit per-request deadline,
@@ -621,33 +556,18 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
                 }
             }
         }
-        let mut session = self.session();
-        if let Some(o) = obs.as_deref_mut() {
-            session = session.with_trace(&o.sink).with_trace_parent(o.root);
-        }
-        // A per-request cancel token whenever some mechanism will use
-        // it: deadline aborts, hedging's loser cancellation, or
-        // relevance-driven cancellation.
-        let token = (deadline.is_finite() || self.hedge.is_some() || self.relevance)
-            .then(obs::CancelToken::new);
-        if deadline.is_finite() {
-            session = session.with_deadline(deadline);
-        }
-        if let Some(t) = &token {
-            session = session.with_cancel_token(t.clone());
-        }
-        if let Some(cfg) = &self.hedge {
-            session = session.with_hedging(cfg.clone());
-        }
-        if self.relevance {
-            session = session.with_relevance_cancel();
-        }
+        let mut policy = self.policy.clone();
+        policy.eval.deadline = deadline;
+        policy.eval.trace = obs.as_deref().map(|o| (o.sink.clone(), Some(o.root)));
+        policy.eval.cancel = policy.eval.cancel_token();
+        let session = self.session(&policy);
         let t_run = Instant::now();
         // The ambient request context carries the deadline and token to
         // the layers that only see the thread — pool workers, coalescing
         // followers — so even an untraced request installs one when a
         // finite budget or a token needs to propagate.
-        let ctx = match (obs.as_deref(), &token) {
+        let token = &policy.eval.cancel;
+        let ctx = match (obs.as_deref(), token) {
             (Some(o), _) => Some(RequestCtx {
                 sink: o.attr.clone(),
                 parent: o.root,

@@ -647,7 +647,8 @@ mod tests {
         let cursor = a.site.change_cursor();
         let ra = plan.apply_round(&mut a.site, 0).unwrap();
         assert!(ra.total() > 0, "rates must choose something over 10 pages");
-        let feed: Vec<_> = a.site.changes_since(cursor).to_vec();
+        let since = || crate::FeedCursor::new(cursor);
+        let feed: Vec<_> = a.site.changes_for(&since()).unwrap().to_vec();
         assert_eq!(
             feed.len() as u64,
             ra.edited_pages + ra.deleted_pages,
@@ -657,7 +658,7 @@ mod tests {
         let mut b = uni();
         let rb = plan.apply_round(&mut b.site, 0).unwrap();
         assert_eq!(ra, rb);
-        assert_eq!(b.site.changes_since(cursor), &feed[..]);
+        assert_eq!(b.site.changes_for(&since()).unwrap(), &feed[..]);
         // A later round picks a different (still deterministic) page set.
         let r1 = plan.apply_round(&mut a.site, 1).unwrap();
         let r1b = plan.apply_round(&mut b.site, 1).unwrap();
@@ -680,7 +681,8 @@ mod tests {
         let report = plan.apply_round(&mut u.site, 0).unwrap();
         assert_eq!(report, MutationReport::default());
         assert_eq!(u.site.server.now(), clock, "no republish, no tick");
-        assert!(u.site.changes_since(cursor).is_empty());
+        let feed = u.site.changes_for(&crate::FeedCursor::new(cursor));
+        assert!(feed.unwrap().is_empty());
     }
 
     #[test]

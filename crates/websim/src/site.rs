@@ -161,36 +161,10 @@ impl Site {
 
     /// The current end-of-feed cursor: the `seq` the next change will get,
     /// counted from the site's creation whatever has been trimmed since.
-    /// `changes_since(change_cursor())` is always empty; take a cursor
+    /// A reader at `change_cursor()` reads an empty slice; take a cursor
     /// *before* mutating and the slice after covers exactly those mutations.
     pub fn change_cursor(&self) -> u64 {
         self.trimmed + self.changes.len() as u64
-    }
-
-    /// The retained feed from `cursor` on, or `None` when entries at or
-    /// after `cursor` have been dropped.
-    fn retained_since(&self, cursor: u64) -> Option<&[SiteChange]> {
-        let at = cursor.checked_sub(self.trimmed)? as usize;
-        Some(&self.changes[at.min(self.changes.len())..])
-    }
-
-    /// Every change recorded at or after `cursor`, in feed order — the
-    /// unregistered read: a bare `u64` holds nothing back, which is only
-    /// sound while no [`FeedCursor`] is registered (nothing is trimmed
-    /// then). A cursor past the end is an empty slice.
-    ///
-    /// # Panics
-    ///
-    /// If `cursor` lies below the retained feed. A reader that shares the
-    /// site with registered ones must register too
-    /// ([`Site::changes_for`], which reports that case as an error).
-    pub fn changes_since(&self, cursor: u64) -> &[SiteChange] {
-        self.retained_since(cursor).unwrap_or_else(|| {
-            panic!(
-                "changes_since({cursor}): the feed was trimmed to {} by a registered reader",
-                self.trimmed
-            )
-        })
     }
 
     /// Every change at or after the reader's cursor, in feed order. The
@@ -212,10 +186,11 @@ impl Site {
             }
         }
         let cursor = reader.get();
-        self.retained_since(cursor).ok_or(FeedTrimmed {
+        let at = cursor.checked_sub(self.trimmed).ok_or(FeedTrimmed {
             cursor,
             retained_from: self.trimmed,
-        })
+        })? as usize;
+        Ok(&self.changes[at.min(self.changes.len())..])
     }
 
     /// Validates, renders, and publishes a page; records ground truth.
@@ -468,11 +443,12 @@ mod tests {
             .unwrap();
         let cursor = s.change_cursor();
         assert_eq!(cursor, 1);
-        assert_eq!(s.changes_since(0)[0].kind, ChangeKind::Added);
+        let since = FeedCursor::new;
+        assert_eq!(s.changes_for(&since(0)).unwrap()[0].kind, ChangeKind::Added);
         s.republish("ItemPage", u.clone(), Tuple::new().with("Name", "two"), "t")
             .unwrap();
         s.unpublish("ItemPage", &u);
-        let tail = s.changes_since(cursor);
+        let tail = s.changes_for(&since(cursor)).unwrap();
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].kind, ChangeKind::Edited);
         assert_eq!(tail[0].url, u);
@@ -483,7 +459,7 @@ mod tests {
         assert!(!s.unpublish("ItemPage", &u));
         assert_eq!(s.change_cursor(), 3);
         // cursor past the end is an empty slice, not a panic
-        assert!(s.changes_since(99).is_empty());
+        assert!(s.changes_for(&since(99)).unwrap().is_empty());
     }
 
     /// One feed entry: an edit of the one item page.
@@ -500,7 +476,7 @@ mod tests {
         for n in 0..10 {
             edit(&mut s, n);
         }
-        assert_eq!(s.changes_since(0).len(), 10);
+        assert_eq!(s.changes_for(&FeedCursor::new(0)).unwrap().len(), 10);
 
         let reader = FeedCursor::new(s.change_cursor());
         assert!(s.changes_for(&reader).unwrap().is_empty());
@@ -517,7 +493,8 @@ mod tests {
             assert!(s.changes.len() <= 3, "round {round}: {}", s.changes.len());
         }
         assert_eq!(s.change_cursor(), 10 + 3_000);
-        assert!(s.changes_since(s.change_cursor()).is_empty());
+        let end = FeedCursor::new(s.change_cursor());
+        assert!(s.changes_for(&end).unwrap().is_empty());
     }
 
     #[test]
@@ -575,10 +552,6 @@ mod tests {
         late.set(s.change_cursor());
         edit(&mut s, 5);
         assert_eq!(s.changes_for(&late).unwrap().len(), 1);
-        // the unregistered read refuses the same way, loudly
-        let unregistered =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.changes_since(2).len()));
-        assert!(unregistered.is_err());
     }
 
     #[test]

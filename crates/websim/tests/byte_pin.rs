@@ -114,7 +114,10 @@ fn twenty_mutation_rounds_are_pinned() {
     );
     let mut d = Digest::new();
     let (total, pages) = bodies(&uni.site, &mut d);
-    let feed = uni.site.changes_since(start);
+    let feed = uni
+        .site
+        .changes_for(&websim::FeedCursor::new(start))
+        .unwrap();
     for c in feed {
         d.bytes(&c.seq.to_le_bytes());
         d.bytes(c.scheme.as_bytes());

@@ -48,8 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .join((1, "AName"), (2, "AName"))
         .project((0, "AName"));
 
-    let session = QuerySession::new(&bib.site.scheme, &catalog, &stats, &source)
-        .allow_incomplete_navigations();
+    let session =
+        QuerySession::new(&bib.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+            incomplete_navigations: true,
+            ..Default::default()
+        });
     let outcome = session.run(&q)?;
     println!(
         "optimizer chose (estimated {:.1} pages, measured {}):\n{}",

@@ -53,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("no rewriting at all", RuleMask::none()),
     ];
     for (name, mask) in variants {
-        let opt = Optimizer::new(&u.site.scheme, &catalog, &stats).with_mask(mask);
+        let opt = Optimizer::new(&u.site.scheme, &catalog, &stats).with_policy(&ExecPolicy {
+            mask,
+            ..Default::default()
+        });
         match opt.optimize(&query) {
             Ok(e) => println!("  {name:<32} {:>8.1}", e.best().estimate.cost.pages),
             Err(err) => println!("  {name:<32} failed: {err}"),

@@ -16,16 +16,14 @@
 //! ```
 
 use webviews::prelude::*;
-use webviews::wvcore::{
-    auto_catalog, crawl_instance_parallel, discover_constraints, infer_navigations,
-};
+use webviews::wvcore::{auto_catalog, crawl_instance, discover_constraints, infer_navigations};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let u = University::generate(UniversityConfig::default())?;
     let source = LiveSource::for_site(&u.site);
 
-    // 1. explore the site (parallel crawl through the HTML wrappers)
-    let instance = crawl_instance_parallel(&u.site.scheme, &source, 4);
+    // 1. explore the site (a crawl through the HTML wrappers)
+    let instance = crawl_instance(&u.site.scheme, &source);
     let pages: usize = instance.values().map(Vec::len).sum();
     println!(
         "crawled {pages} pages across {} page-schemes",

@@ -71,8 +71,8 @@ pub mod prelude {
         DeltaReport, IncrementalView, MatAnalyzedOutcome, MatOutcome, MatSession, MatStore,
     };
     pub use nalg::{
-        CoalescingSource, DegradationMode, EvalReport, Evaluator, HedgeConfig, NalgExpr,
-        PageSource, Pred,
+        CoalescingSource, DegradationMode, EvalPolicy, EvalReport, Evaluator, Fetch, HedgeConfig,
+        NalgExpr, PageSource, Pred,
     };
     pub use obs::{
         CancelToken, Deadline, EventKind, FixedHistogram, FlightDump, FlightRecorder,
@@ -90,9 +90,9 @@ pub mod prelude {
     pub use wrapper::wrap_page;
     pub use wvcore::views::{bibliography_catalog, university_catalog};
     pub use wvcore::{
-        AnalyzedOutcome, ConjunctiveQuery, ConstraintDependency, Cost, Explain, ExplainAnalyze,
-        FallbackOutcome, LiveSource, Optimizer, QueryOutcome, QuerySession, RuleMask,
-        SiteStatistics, ViewCatalog,
+        AnalyzedOutcome, ConjunctiveQuery, ConstraintDependency, Cost, ExecPolicy, Explain,
+        ExplainAnalyze, FallbackOutcome, LiveSource, Optimizer, QueryOutcome, QuerySession,
+        RuleMask, SiteStatistics, ViewCatalog,
     };
     pub use wvquery::parse_query;
 }
@@ -126,9 +126,13 @@ mod tests {
         let catalog = university_catalog();
         let source = LiveSource::for_site(&site.site);
         let health = ConstraintHealth::new();
-        let session = QuerySession::new(&site.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
-            .with_constraint_health(&health);
+        let policy = ExecPolicy {
+            audit: Some((1.0, 7)),
+            health: Some(&health),
+            ..Default::default()
+        };
+        let session =
+            QuerySession::new(&site.site.scheme, &catalog, &stats, &source).with_policy(&policy);
 
         let q = ConjunctiveQuery::new("cs-dept")
             .atom("Dept")
@@ -309,11 +313,17 @@ mod tests {
         });
 
         let hedge = HedgePolicy::new(500).with_jitter_seed(7);
+        let policy = ExecPolicy {
+            eval: EvalPolicy {
+                fetch: Fetch::hedged(3, hedge.config()),
+                relevance: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
         let server = QueryServer::new(&site.site.scheme, &catalog, &stats, &coalesced)
-            .with_concurrent_fetch(3)
-            .with_deadline_budget(250_000)
-            .with_hedging(hedge.config())
-            .with_relevance_cancel();
+            .with_policy(&policy)
+            .with_deadline_budget(250_000);
 
         let q = ConjunctiveQuery::new("full professors")
             .atom("Professor")

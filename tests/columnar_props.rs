@@ -132,16 +132,13 @@ fn assert_paths_agree(
     // configuration under test, not state carried between the two runs.
     let col_cache = SharedPageCache::with_byte_budget(1 << 20);
     let row_cache = SharedPageCache::with_byte_budget(1 << 20);
-    let mut col_eval = Evaluator::new(&site.scheme, source).with_degradation(degradation);
-    if let Some(workers) = cfg.workers {
-        col_eval = col_eval.with_concurrent_fetch(workers);
-    }
-    if !cfg.cache {
-        col_eval = col_eval.without_cache();
-    }
-    if cfg.shared {
-        col_eval = col_eval.with_shared_cache(&col_cache);
-    }
+    let col_eval = Evaluator::new(&site.scheme, source).with_policy(&EvalPolicy {
+        degradation,
+        fetch: cfg.workers.map_or(Fetch::Inline, Fetch::pool),
+        per_query_cache: cfg.cache,
+        shared_cache: cfg.shared.then_some(&col_cache),
+        ..Default::default()
+    });
     set_faults();
     let col = col_eval.eval(expr).expect("columnar eval");
     set_faults();

@@ -74,22 +74,26 @@ fn assert_inert_budget_is_identity(
     workers: usize,
 ) {
     let source = LiveSource::for_site(site);
-    let plain = {
-        let mut ev = Evaluator::new(&site.scheme, &source);
-        if workers > 1 {
-            ev = ev.with_concurrent_fetch(workers);
-        }
-        ev.eval(expr).expect("plain eval")
+    let plain = EvalPolicy {
+        fetch: if workers > 1 {
+            Fetch::pool(workers)
+        } else {
+            Fetch::Inline
+        },
+        ..Default::default()
     };
-    let budgeted = {
-        let mut ev = Evaluator::new(&site.scheme, &source)
-            .with_deadline(Deadline::infinite())
-            .with_cancel_token(CancelToken::new());
-        if workers > 1 {
-            ev = ev.with_concurrent_fetch(workers);
-        }
-        ev.eval(expr).expect("budgeted eval")
+    let budgeted = EvalPolicy {
+        deadline: Deadline::infinite(),
+        cancel: Some(CancelToken::new()),
+        ..plain.clone()
     };
+    let eval = |policy| {
+        Evaluator::new(&site.scheme, &source)
+            .with_policy(policy)
+            .eval(expr)
+    };
+    let plain = eval(&plain).expect("plain eval");
+    let budgeted = eval(&budgeted).expect("budgeted eval");
     let ctx = format!("{label} (workers={workers})");
     assert_eq!(
         budgeted.relation.sorted(),
@@ -139,8 +143,10 @@ fn assert_hedging_is_paper_blind(site: &websim::Site, expr: &NalgExpr, label: &s
     });
     let cfg = HedgeConfig::new(300);
     let hedged = Evaluator::new(&site.scheme, &source)
-        .with_concurrent_fetch(3)
-        .with_hedging(cfg.clone())
+        .with_policy(&EvalPolicy {
+            fetch: Fetch::hedged(3, cfg.clone()),
+            ..Default::default()
+        })
         .eval(expr)
         .expect("hedged eval");
     site.server.clear_latency_profile();

@@ -227,8 +227,11 @@ fn incomplete_navigations_excluded_by_default() {
     // with incomplete navigations allowed, the optimizer may choose the
     // cheaper subset path — which would be WRONG for this query; the
     // designer enables them only for queries inside their coverage.
-    let lax = QuerySession::new(&bib.site.scheme, &catalog, &stats, &source)
-        .allow_incomplete_navigations();
+    let lax =
+        QuerySession::new(&bib.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+            incomplete_navigations: true,
+            ..Default::default()
+        });
     let lax_outcome = lax.run(&q).unwrap();
     assert!(
         lax_outcome.report.relation.len() <= outcome.report.relation.len(),

@@ -106,7 +106,13 @@ proptest! {
         assert_counter_identical(&plain, &analyzed);
 
         let pooled = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_concurrent_fetch(3);
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    fetch: Fetch::pool(3),
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
         let plain_pooled = pooled.run(q).unwrap();
         let analyzed_pooled = pooled.run_analyzed(q).unwrap();
         assert_counter_identical(&plain_pooled, &analyzed_pooled);
@@ -170,8 +176,15 @@ fn same_seed_traces_are_deterministic_pooled() {
             let stats = SiteStatistics::from_site(&u.site);
             let catalog = university_catalog();
             let source = LiveSource::for_site(&u.site);
-            let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-                .with_concurrent_fetch(3);
+            let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(
+                &ExecPolicy {
+                    eval: EvalPolicy {
+                        fetch: Fetch::pool(3),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+            );
             blank_jobs(&session.run_analyzed(q).unwrap().trace.export_jsonl())
         })
         .collect();
@@ -285,4 +298,51 @@ fn matview_run_analyzed_is_counter_identical() {
     );
     assert_eq!(plain.counters, analyzed.outcome.counters);
     assert!(!analyzed.analysis.ops.is_empty());
+}
+
+// ── served fallbacks ───────────────────────────────────────────────────
+
+// A served request whose audit falls back plans twice — the optimized plan
+// and the default navigation it re-answers from — and its trace shows both
+// plannings under the request's root, beside the operator spans of both
+// evaluations: the fallback re-plans under the request's own policy.
+#[test]
+fn a_fallback_request_traces_both_plannings_under_its_root() {
+    let mut u = University::generate(UniversityConfig::default()).unwrap();
+    DriftPlan::new(3)
+        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
+        .apply(&mut u.site)
+        .unwrap();
+    let stats = SiteStatistics::from_site(&u.site);
+    let catalog = university_catalog();
+    let source = LiveSource::for_site(&u.site);
+    let recorder = FlightRecorder::new();
+    let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &source)
+        .with_policy(&ExecPolicy {
+            audit: Some((1.0, 7)),
+            ..Default::default()
+        })
+        .with_trace(7)
+        .with_flight_recorder(&recorder);
+    let q = ConjunctiveQuery::new("cs-dept")
+        .atom("Dept")
+        .select((0, "DName"), "Computer Science")
+        .project((0, "Address"));
+    let served = server.serve(&q).unwrap();
+    assert!(served.outcome.as_ref().unwrap().fell_back());
+
+    let trace = &recorder.recent()[0];
+    let root = trace
+        .events
+        .iter()
+        .find(|e| e.name == "serve.request")
+        .expect("root span")
+        .id;
+    let summaries: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "optimizer.summary")
+        .collect();
+    assert_eq!(summaries.len(), 2, "the optimized plan and the fallback");
+    assert!(summaries.iter().all(|e| e.parent == Some(root)));
 }

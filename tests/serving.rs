@@ -451,9 +451,13 @@ fn quarantine_invalidates_dependent_cached_plans() {
     let health = ConstraintHealth::new();
     {
         let source = LiveSource::for_site(&site.site);
-        let server = QueryServer::new(&site.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
-            .with_constraint_health(&health);
+        let server = QueryServer::new(&site.site.scheme, &catalog, &stats, &source).with_policy(
+            &ExecPolicy {
+                audit: Some((1.0, 7)),
+                health: Some(&health),
+                ..Default::default()
+            },
+        );
         let cold = server.serve(&q).unwrap();
         assert!(!cold.cached_plan && !cold.outcome.as_ref().unwrap().fell_back());
         assert!(
@@ -472,13 +476,19 @@ fn quarantine_invalidates_dependent_cached_plans() {
         .apply(&mut site.site)
         .unwrap();
     let source = LiveSource::for_site(&site.site);
-    let server = QueryServer::new(&site.site.scheme, &catalog, &stats, &source)
-        .with_audit(1.0, 7)
-        .with_constraint_health(&health);
+    let server =
+        QueryServer::new(&site.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
+            audit: Some((1.0, 7)),
+            health: Some(&health),
+            ..Default::default()
+        });
 
     // Ground truth on the drifted site: the default navigation.
     let naive = QuerySession::new(&site.site.scheme, &catalog, &stats, &source)
-        .with_mask(RuleMask::none())
+        .with_policy(&ExecPolicy {
+            mask: RuleMask::none(),
+            ..Default::default()
+        })
         .run(&q)
         .unwrap();
 
@@ -518,7 +528,10 @@ fn quarantine_invalidates_dependent_cached_plans() {
     // same: bound to the constraint-free plan, it answers like its own
     // default navigation without falling back.
     let naive2 = QuerySession::new(&site.site.scheme, &catalog, &stats, &source)
-        .with_mask(RuleMask::none())
+        .with_policy(&ExecPolicy {
+            mask: RuleMask::none(),
+            ..Default::default()
+        })
         .run(&q2)
         .unwrap();
     let quarantined = health.quarantined();
@@ -748,4 +761,220 @@ fn a_navigation_that_selects_on_a_constant_is_planned_every_time() {
         .project((0, "DName"));
     assert!(!server.serve(&depts).unwrap().cached_plan);
     assert!(server.serve(&depts).unwrap().cached_plan);
+}
+
+// The policy is declared once and handed down, so a field set on an owner
+// must reach the evaluation it owns. One row per field: each sets the
+// field on a server — and on a materialized-view session where the field
+// applies — and checks the field's mark on what was served.
+#[test]
+fn every_policy_field_reaches_evaluation_from_every_owner() {
+    use webviews::nalg::SharedPageCache;
+    use webviews::wvcore::{DefaultNavigation, ExternalRelation};
+    let query = |name: &str, rel: &str, attr: &str, value: &str, out: &str| {
+        ConjunctiveQuery::new(name)
+            .atom(rel)
+            .select((0, attr), value)
+            .project((0, out))
+    };
+    let cs_dept = query("cs-dept", "Dept", "DName", "Computer Science", "Address");
+    let graduate = query("graduate", "Course", "Type", "Graduate", "CName");
+    // A navigation whose selection sits above a follow when the rules are
+    // off: the relevance monitor's case.
+    let dept_profs = ViewCatalog::new().with(ExternalRelation::new(
+        "DeptProf",
+        vec!["DName", "PName"],
+        vec![DefaultNavigation::new(
+            NalgExpr::entry("DeptListPage")
+                .unnest("DeptList")
+                .follow("ToDept", "DeptPage")
+                .unnest("DeptPage.ProfList")
+                .follow("DeptPage.ProfList.ToProf", "ProfPage"),
+            vec![("DName", "DeptPage.DName"), ("PName", "ProfPage.PName")],
+        )],
+    ));
+    let cs_profs = query("cs profs", "DeptProf", "DName", "Computer Science", "PName");
+    fn exec(eval: EvalPolicy<'_>) -> ExecPolicy<'_> {
+        ExecPolicy {
+            eval,
+            ..Default::default()
+        }
+    }
+    fn unmasked(eval: EvalPolicy<'_>) -> ExecPolicy<'_> {
+        ExecPolicy {
+            mask: RuleMask::none(),
+            ..exec(eval)
+        }
+    }
+
+    for field in [
+        "degradation",
+        "fetch",
+        "shared_cache",
+        "relevance",
+        "mask",
+        "audit",
+        "health",
+    ] {
+        let mut u = University::generate(UniversityConfig::default()).unwrap();
+        let stats = SiteStatistics::from_site(&u.site);
+        let shared = SharedPageCache::default();
+        let health = ConstraintHealth::new();
+        let hedge = HedgeConfig::new(500);
+        let (catalog, q, policy) = match field {
+            "degradation" => {
+                u.site.server.set_fault_plan(
+                    FaultPlan::new(4).with_rule(
+                        FaultRule::timeouts(1.0)
+                            .for_url_prefix("/univ/course/")
+                            .with_max_per_url(None),
+                    ),
+                );
+                let eval = EvalPolicy {
+                    degradation: DegradationMode::Partial,
+                    ..Default::default()
+                };
+                (university_catalog(), graduate.clone(), exec(eval))
+            }
+            "fetch" => {
+                u.site.server.set_latency_profile(LatencyProfile {
+                    floor_us: 100,
+                    tail_us: 5_000,
+                    tail_rate: 0.2,
+                    seed: 7,
+                });
+                let fetch = Fetch::hedged(3, hedge.clone());
+                let eval = EvalPolicy {
+                    fetch,
+                    ..Default::default()
+                };
+                (university_catalog(), graduate.clone(), exec(eval))
+            }
+            "shared_cache" => {
+                let eval = EvalPolicy {
+                    shared_cache: Some(&shared),
+                    ..Default::default()
+                };
+                (university_catalog(), graduate.clone(), exec(eval))
+            }
+            "relevance" => {
+                let eval = EvalPolicy {
+                    relevance: true,
+                    ..Default::default()
+                };
+                (dept_profs.clone(), cs_profs.clone(), unmasked(eval))
+            }
+            "mask" => (
+                university_catalog(),
+                cs_dept.clone(),
+                unmasked(EvalPolicy::default()),
+            ),
+            "audit" => {
+                let policy = ExecPolicy {
+                    audit: Some((1.0, 7)),
+                    ..Default::default()
+                };
+                (university_catalog(), cs_dept.clone(), policy)
+            }
+            "health" => {
+                DriftPlan::new(3)
+                    .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
+                    .apply(&mut u.site)
+                    .unwrap();
+                let policy = ExecPolicy {
+                    audit: Some((1.0, 7)),
+                    health: Some(&health),
+                    ..Default::default()
+                };
+                (university_catalog(), cs_dept.clone(), policy)
+            }
+            other => unreachable!("{other}"),
+        };
+        // What the same owner serves under the default policy.
+        let baseline = ExecPolicy {
+            mask: policy.mask,
+            ..Default::default()
+        };
+        let live = LiveSource::for_site(&u.site);
+        let serve = |policy: &ExecPolicy<'_>| {
+            let server =
+                QueryServer::new(&u.site.scheme, &catalog, &stats, &live).with_policy(policy);
+            let first = server.serve(&q).map(|s| s.outcome.unwrap());
+            let second = server.serve(&q).map(|s| s.outcome.unwrap());
+            (first, second)
+        };
+        let mut store = MatStore::new();
+        if field != "degradation" {
+            store.materialize(&u.site.scheme, &u.site.server).unwrap();
+        }
+        let mut answer = |policy: &ExecPolicy<'_>| {
+            MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server)
+                .with_policy(policy)
+                .run(&mut store, &q)
+        };
+
+        let (first, second) = serve(&policy);
+        let (first, second) = (first.unwrap(), second.unwrap());
+        let report = &first.report;
+        match field {
+            "degradation" => {
+                assert!(serve(&baseline).0.is_err(), "fail-fast aborts");
+                assert!(!report.unreachable.is_empty(), "{field}: skipped pages");
+                let out = answer(&policy).unwrap();
+                assert!(!out.unreachable.is_empty(), "{field}: store session");
+            }
+            "fetch" => {
+                assert!(hedge.hedges.get() > 0, "{field}: the pool hedged");
+                // A URL check is a light connection, not a GET to race: a
+                // store session runs the pool without hedging.
+                let hedges = hedge.hedges.get();
+                let pooled = answer(&policy).unwrap();
+                assert_eq!(hedge.hedges.get(), hedges, "{field}: store session");
+                let inline = answer(&baseline).unwrap();
+                assert_eq!(pooled.relation.sorted(), inline.relation.sorted());
+                assert_eq!(pooled.counters, inline.counters);
+            }
+            "shared_cache" => {
+                assert_eq!(report.shared_cache_hits, 0);
+                assert_eq!(second.report.shared_cache_hits, report.page_accesses);
+                shared.clear();
+                answer(&policy).unwrap();
+                assert!(
+                    !shared.is_empty(),
+                    "{field}: the store session writes through"
+                );
+            }
+            "relevance" => {
+                assert!(!report.cancelled.is_empty(), "{field}: dead pages skipped");
+                let pruned = answer(&policy).unwrap();
+                let full = answer(&baseline).unwrap();
+                assert_eq!(pruned.relation.sorted(), full.relation.sorted());
+                assert!(
+                    pruned.counters.light_connections < full.counters.light_connections,
+                    "{field}: store session"
+                );
+            }
+            "mask" => {
+                let optimized = serve(&ExecPolicy::default()).0.unwrap().report;
+                assert!(report.cost_model_accesses() > optimized.cost_model_accesses());
+                assert!(first.explain.best().dependencies.is_empty());
+                let out = answer(&policy).unwrap();
+                assert!(out.explain.best().dependencies.is_empty(), "{field}: store");
+            }
+            "audit" => assert!(report.audit.is_some(), "{field}: the plan was audited"),
+            "health" => {
+                assert!(first.fell_back());
+                assert!(
+                    !second.explain.quarantined.is_empty(),
+                    "{field}: quarantine"
+                );
+                let out = answer(&policy).unwrap();
+                assert!(
+                    !out.explain.quarantined.is_empty(),
+                    "{field}: store session"
+                );
+            }
+            _ => unreachable!(),
+        }
+    }
 }
