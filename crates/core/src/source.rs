@@ -103,7 +103,7 @@ impl<S: PageSource> PageSource for CachedSource<'_, S> {
         url: &Url,
         scheme: &str,
     ) -> Result<(Arc<Tuple>, Option<u64>), SourceError> {
-        if let Some(t) = self.cache.get(url) {
+        if let Some(t) = self.cache.get(url.as_str()) {
             return Ok((t, None));
         }
         match self.inner.fetch_shared(url, scheme) {

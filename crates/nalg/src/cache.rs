@@ -10,10 +10,14 @@
 //!   crawler, and statistics collection concurrently (`&self` API, `Sync`);
 //! * **sharded** — entries are spread over [`SHARDS`] independently locked
 //!   shards by URL hash, so concurrent fetch workers do not serialize on a
-//!   single lock;
+//!   single lock, and a hit takes only its shard's *read* lock;
 //! * **size-bounded** — a byte budget (estimated via
-//!   [`adm::Tuple::approx_bytes`]) is enforced per shard with LRU
-//!   eviction;
+//!   [`adm::Tuple::approx_bytes`]) is enforced per shard with S3-FIFO
+//!   eviction (Yang et al., SOSP 2023): a page enters a small probationary
+//!   queue, is promoted to the main queue only if it is read again before
+//!   it reaches that queue's head, and a page read again soon after being
+//!   dropped from it goes straight to main. A one-shot scan passes through
+//!   the small queue without displacing the pages that are re-read;
 //! * **freshness-aware** — entries carry an optional Last-Modified stamp;
 //!   [`SharedPageCache::invalidate_older_than`] lets a URL-check protocol
 //!   (matview) drop entries superseded by a newer server copy.
@@ -24,13 +28,13 @@
 //! run with the shared cache disabled and reproduce the original numbers.
 
 use adm::{Tuple, Url};
-use obs::trace::{EventKind, TraceSink};
 use obs::{Counter, MetricsRegistry};
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Number of independently locked shards. A power of two; sized so that a
@@ -40,6 +44,18 @@ pub const SHARDS: usize = 16;
 /// Default total byte budget (16 MiB) — plenty for the paper's simulated
 /// sites while still exercising eviction in stress tests.
 pub const DEFAULT_BYTE_BUDGET: usize = 16 << 20;
+
+/// Share of a shard's budget, in percent, the small queue may hold before
+/// eviction takes from it first.
+const SMALL_PERCENT: usize = 10;
+
+/// Cap of an entry's read count: a main-queue page survives at most this
+/// many passes of the queue's head without being read again.
+const FREQ_CAP: u8 = 3;
+
+/// Queue slots a shard may carry beyond two per entry before the slots
+/// left behind by invalidations are compacted away.
+const SLOT_SLACK: usize = 16;
 
 /// One cached wrapped page. The cache owns a reference to the page, never
 /// a copy of it: the `Arc` came in through [`SharedPageCache::insert`] and
@@ -52,17 +68,135 @@ struct Entry {
     bytes: usize,
     /// Server Last-Modified stamp, when the inserting layer knows it.
     last_modified: Option<u64>,
-    /// LRU stamp: value of the global clock at last touch.
-    stamp: u64,
+    /// Reads since the entry last passed a queue head, capped at
+    /// [`FREQ_CAP`]. Bumped under the shard's read lock with a relaxed
+    /// load and store: two racing hits may count as one, which only makes
+    /// the policy see a page as slightly colder than it is.
+    freq: AtomicU8,
+    /// Whether the entry's slot is in the main queue (else the small one).
+    main: bool,
+    /// The entry's live queue slot. A slot whose id differs was left
+    /// behind by an invalidated entry of the same URL and is skipped.
+    slot: u64,
+}
+
+/// URL hashes recently evicted from the small queue, at most as many as
+/// the shard holds entries. A miss on one of them enters the main queue.
+#[derive(Default)]
+struct Ghosts {
+    /// Hash → sequence number of its live slot in `order`.
+    live: HashMap<u64, u64>,
+    order: VecDeque<(u64, u64)>,
+    seq: u64,
+}
+
+impl Ghosts {
+    fn remember(&mut self, hash: u64, cap: usize) {
+        self.seq += 1;
+        self.live.insert(hash, self.seq);
+        self.order.push_back((hash, self.seq));
+        while self.order.len() > cap {
+            let Some((h, seq)) = self.order.pop_front() else {
+                break;
+            };
+            if self.live.get(&h) == Some(&seq) {
+                self.live.remove(&h);
+            }
+        }
+    }
+
+    /// True (and forgotten) if `hash` is a ghost.
+    fn take(&mut self, hash: u64) -> bool {
+        self.live.remove(&hash).is_some()
+    }
 }
 
 #[derive(Default)]
 struct Shard {
     map: HashMap<Url, Entry>,
-    /// stamp → URL index for O(log n) LRU eviction. Stamps are unique
-    /// (global atomic counter), so this is a faithful recency order.
-    by_stamp: BTreeMap<u64, Url>,
+    small: VecDeque<(Url, u64)>,
+    main: VecDeque<(Url, u64)>,
+    ghosts: Ghosts,
+    /// Bytes of all entries, and of the small queue's.
     bytes: usize,
+    small_bytes: usize,
+    next_slot: u64,
+}
+
+impl Shard {
+    /// Evicts one entry: the small queue's head while that queue is over
+    /// its share (or main is empty), else main's. A small-queue page read
+    /// since it entered moves to main instead; a main page read since it
+    /// last passed the head goes round again with one read fewer. False if
+    /// the shard is empty.
+    fn evict_one(&mut self, small_budget: usize) -> bool {
+        while self.bytes > 0 {
+            let from_small = self.small_bytes > small_budget || self.small_bytes == self.bytes;
+            let queue = if from_small {
+                &mut self.small
+            } else {
+                &mut self.main
+            };
+            let Some(head) = queue.pop_front() else {
+                return false;
+            };
+            let Some(e) = self.map.get_mut(&head.0).filter(|e| e.slot == head.1) else {
+                continue; // left behind by an invalidated entry
+            };
+            let freq = e.freq.get_mut();
+            if *freq > 0 {
+                if from_small {
+                    e.main = true;
+                    self.small_bytes -= e.bytes;
+                } else {
+                    *freq -= 1;
+                }
+                self.main.push_back(head);
+                continue;
+            }
+            let (url, _) = head;
+            if let Some(e) = self.map.remove(&url) {
+                self.bytes -= e.bytes;
+                if from_small {
+                    self.small_bytes -= e.bytes;
+                    self.ghosts.remember(hash_of(&url), self.map.len());
+                }
+            }
+            return true;
+        }
+        false
+    }
+
+    /// Drops `url`'s entry. Its slot stays behind until compaction.
+    fn remove(&mut self, url: &Url) -> bool {
+        let Some(e) = self.map.remove(url) else {
+            return false;
+        };
+        self.bytes -= e.bytes;
+        if !e.main {
+            self.small_bytes -= e.bytes;
+        }
+        self.compact();
+        true
+    }
+
+    /// Drops stale slots once they outnumber the entries: without this,
+    /// invalidate / re-insert churn at a budget that never evicts would
+    /// grow the queues forever.
+    fn compact(&mut self) {
+        if self.small.len() + self.main.len() > 2 * self.map.len() + SLOT_SLACK {
+            let map = &self.map;
+            let live = |(u, s): &(Url, u64)| map.get(u).is_some_and(|e| e.slot == *s);
+            self.small.retain(live);
+            self.main.retain(live);
+        }
+    }
+}
+
+fn hash_of<Q: Hash + ?Sized>(url: &Q) -> u64 {
+    let mut h = DefaultHasher::new();
+    url.hash(&mut h);
+    h.finish()
 }
 
 /// Point-in-time counters of cache behaviour.
@@ -92,7 +226,6 @@ pub struct SharedPageCache {
     shards: Vec<RwLock<Shard>>,
     /// Byte budget per shard (total budget / [`SHARDS`]).
     shard_budget: usize,
-    clock: AtomicU64,
     registry: MetricsRegistry,
     hits: Counter,
     misses: Counter,
@@ -100,7 +233,6 @@ pub struct SharedPageCache {
     evictions: Counter,
     invalidations: Counter,
     rejected_oversize: Counter,
-    trace: Option<TraceSink>,
 }
 
 impl Default for SharedPageCache {
@@ -116,7 +248,6 @@ impl SharedPageCache {
         SharedPageCache {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             shard_budget: (budget / SHARDS).max(1),
-            clock: AtomicU64::new(0),
             hits: registry.counter("hits"),
             misses: registry.counter("misses"),
             insertions: registry.counter("insertions"),
@@ -124,15 +255,7 @@ impl SharedPageCache {
             invalidations: registry.counter("invalidations"),
             rejected_oversize: registry.counter("rejected_oversize"),
             registry,
-            trace: None,
         }
-    }
-
-    /// Attaches a trace sink: evictions and invalidations are recorded
-    /// as [`EventKind::Cache`] events. No effect on accounting.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
     }
 
     /// The registry backing this cache's counters (prefix `cache`).
@@ -140,98 +263,92 @@ impl SharedPageCache {
         &self.registry
     }
 
-    fn shard_of(&self, url: &Url) -> &RwLock<Shard> {
-        let mut h = DefaultHasher::new();
-        url.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    fn shard_of<Q: Hash + ?Sized>(&self, url: &Q) -> &RwLock<Shard> {
+        &self.shards[(hash_of(url) as usize) % SHARDS]
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Looks up a page, refreshing its recency on hit. A hit hands out a
-    /// reference to the cached page — `Arc::ptr_eq` to what
-    /// [`SharedPageCache::insert`] was given — so the shard's write lock is
-    /// held for a count bump, not for a deep copy, and the page stays
-    /// readable after the entry is evicted or replaced.
-    pub fn get(&self, url: &Url) -> Option<Arc<Tuple>> {
-        let mut shard = self.shard_of(url).write();
-        let stamp = self.tick();
-        match shard.map.get_mut(url) {
-            Some(e) => {
-                let old = std::mem::replace(&mut e.stamp, stamp);
-                let t = Arc::clone(&e.tuple);
-                shard.by_stamp.remove(&old);
-                shard.by_stamp.insert(stamp, url.clone());
-                self.hits.inc();
-                Some(t)
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+    /// Looks up a page by URL (a `&Url` or its `&str`, so a caller holding
+    /// a link symbol need not build a `Url`). A hit takes the shard's read
+    /// lock, bumps the entry's read count and hands out a reference to the
+    /// cached page — `Arc::ptr_eq` to what [`SharedPageCache::insert`] was
+    /// given — which stays readable after the entry is evicted or replaced.
+    pub fn get<Q>(&self, url: &Q) -> Option<Arc<Tuple>>
+    where
+        Url: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let shard = self.shard_of(url).read();
+        let Some(e) = shard.map.get(url) else {
+            self.misses.inc();
+            return None;
+        };
+        let freq = e.freq.load(Ordering::Relaxed);
+        if freq < FREQ_CAP {
+            e.freq.store(freq + 1, Ordering::Relaxed);
         }
+        self.hits.inc();
+        Some(Arc::clone(&e.tuple))
     }
 
-    /// Inserts (or refreshes) a page, evicting least-recently-used entries
-    /// if the shard exceeds its byte budget. The cache keeps a clone of the
-    /// `Arc`, not of the page: the caller and the cache share one copy. A
-    /// page larger than a whole shard budget is not cached, and counted in
+    /// Inserts (or refreshes) a page, evicting if the shard exceeds its
+    /// byte budget. A new URL enters the small queue, or the main queue if
+    /// it was recently evicted from the small one; a refreshed URL keeps
+    /// its place. The cache keeps a clone of the `Arc`, not of the page:
+    /// the caller and the cache share one copy. A page larger than a whole
+    /// shard budget is not cached, and counted in
     /// [`CacheStats::rejected_oversize`].
     pub fn insert(&self, url: &Url, tuple: &Arc<Tuple>, last_modified: Option<u64>) {
         let bytes = url.as_str().len() + tuple.approx_bytes();
         if bytes > self.shard_budget {
             self.rejected_oversize.inc();
+            // The older copy this one supersedes must not be served either.
+            self.shard_of(url).write().remove(url);
             return;
         }
-        let mut shard = self.shard_of(url).write();
-        let stamp = self.tick();
-        if let Some(old) = shard.map.remove(url) {
-            shard.bytes -= old.bytes;
-            shard.by_stamp.remove(&old.stamp);
-        }
-        shard.map.insert(
-            url.clone(),
-            Entry {
+        let hash = hash_of(url);
+        let mut guard = self.shards[(hash as usize) % SHARDS].write();
+        let shard = &mut *guard;
+        if let Some(e) = shard.map.get_mut(url) {
+            shard.bytes = shard.bytes - e.bytes + bytes;
+            if !e.main {
+                shard.small_bytes = shard.small_bytes - e.bytes + bytes;
+            }
+            e.tuple = Arc::clone(tuple);
+            e.bytes = bytes;
+            e.last_modified = last_modified;
+        } else {
+            let main = shard.ghosts.take(hash);
+            let slot = shard.next_slot;
+            shard.next_slot += 1;
+            let entry = Entry {
                 tuple: Arc::clone(tuple),
                 bytes,
                 last_modified,
-                stamp,
-            },
-        );
-        shard.by_stamp.insert(stamp, url.clone());
-        shard.bytes += bytes;
-        self.insertions.inc();
-        while shard.bytes > self.shard_budget {
-            // Over budget implies an entry, and every stamp indexes one.
-            let Some((_, victim)) = shard.by_stamp.pop_first() else {
-                break;
+                freq: AtomicU8::new(0),
+                main,
+                slot,
             };
-            let Some(e) = shard.map.remove(&victim) else {
-                continue;
-            };
-            shard.bytes -= e.bytes;
-            self.evictions.inc();
-            if let Some(sink) = &self.trace {
-                sink.event(
-                    EventKind::Cache,
-                    "cache.evict",
-                    None,
-                    vec![("url".to_string(), victim.as_str().into())],
-                );
+            shard.map.insert(url.clone(), entry);
+            if main {
+                shard.main.push_back((url.clone(), slot));
+            } else {
+                shard.small.push_back((url.clone(), slot));
+                shard.small_bytes += bytes;
             }
+            shard.bytes += bytes;
         }
+        self.insertions.inc();
+        let small_budget = self.shard_budget * SMALL_PERCENT / 100;
+        while shard.bytes > self.shard_budget && shard.evict_one(small_budget) {
+            self.evictions.inc();
+        }
+        shard.compact();
     }
 
     /// Drops a page (e.g. the server now returns 404 for it).
     pub fn invalidate(&self, url: &Url) {
-        let mut shard = self.shard_of(url).write();
-        if let Some(e) = shard.map.remove(url) {
-            shard.bytes -= e.bytes;
-            shard.by_stamp.remove(&e.stamp);
+        if self.shard_of(url).write().remove(url) {
             self.invalidations.inc();
-            self.trace_invalidate(url);
         }
     }
 
@@ -245,38 +362,18 @@ impl SharedPageCache {
             .map
             .get(url)
             .is_some_and(|e| e.last_modified.is_none_or(|lm| lm < last_modified));
-        if !stale {
-            return false;
-        }
-        if let Some(e) = shard.map.remove(url) {
-            shard.bytes -= e.bytes;
-            shard.by_stamp.remove(&e.stamp);
+        if stale && shard.remove(url) {
             self.invalidations.inc();
-            self.trace_invalidate(url);
         }
-        true
-    }
-
-    fn trace_invalidate(&self, url: &Url) {
-        if let Some(sink) = &self.trace {
-            sink.event(
-                EventKind::Cache,
-                "cache.invalidate",
-                None,
-                vec![("url".to_string(), url.as_str().into())],
-            );
-        }
+        stale
     }
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut s = shard.write();
-            let n = s.map.len() as u64;
-            s.map.clear();
-            s.by_stamp.clear();
-            s.bytes = 0;
-            self.invalidations.add(n);
+            self.invalidations.add(s.map.len() as u64);
+            *s = Shard::default();
         }
     }
 
@@ -313,9 +410,28 @@ impl SharedPageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn page(name: &str) -> Arc<Tuple> {
         Arc::new(Tuple::new().with("Name", name))
+    }
+
+    /// Every shard's books against its entries: resident bytes are the sum
+    /// of what each entry is charged, within the budget, and the queues
+    /// carry at most two slots an entry plus [`SLOT_SLACK`].
+    fn audit(cache: &SharedPageCache) {
+        for shard in &cache.shards {
+            let s = shard.read();
+            let mut small = 0;
+            for (url, e) in &s.map {
+                assert_eq!(e.bytes, url.as_str().len() + e.tuple.approx_bytes());
+                small += if e.main { 0 } else { e.bytes };
+            }
+            let bytes: usize = s.map.values().map(|e| e.bytes).sum();
+            assert_eq!((s.bytes, s.small_bytes), (bytes, small));
+            assert!(s.bytes <= cache.shard_budget);
+            assert!(s.small.len() + s.main.len() <= 2 * s.map.len() + SLOT_SLACK);
+        }
     }
 
     #[test]
@@ -325,12 +441,17 @@ mod tests {
         assert_eq!(cache.get(&url), None);
         cache.insert(&url, &page("a"), None);
         assert_eq!(cache.get(&url), Some(page("a")));
+        assert_eq!(
+            cache.get("/a"),
+            Some(page("a")),
+            "a &str probe finds the entry"
+        );
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
     }
 
     #[test]
-    fn byte_budget_evicts_lru() {
+    fn byte_budget_evicts() {
         // Budget small enough that a few pages overflow one shard.
         let cache = SharedPageCache::with_byte_budget(SHARDS * 400);
         let urls: Vec<Url> = (0..64).map(|i| Url::new(format!("/p/{i}"))).collect();
@@ -342,6 +463,7 @@ mod tests {
         assert!(s.bytes <= SHARDS * 400);
         // most-recently inserted page should still be resident
         assert!(cache.get(urls.last().unwrap()).is_some());
+        audit(&cache);
     }
 
     #[test]
@@ -369,22 +491,38 @@ mod tests {
         assert_eq!(cache.get(&Url::new("/big")), None);
         assert_eq!(cache.metrics().counter("rejected_oversize").get(), 1);
         assert_eq!(Arc::strong_count(&big), 1, "a refused page is not held");
+        // A refused newer version does not leave the older one served.
+        cache.insert(&Url::new("/small"), &big, None);
+        assert_eq!(cache.get(&Url::new("/small")), None);
+        audit(&cache);
     }
 
+    // A hot set read between passes of a one-shot scan many times larger
+    // than the cache stays resident: scanned pages are never read again,
+    // so they leave through the small queue, while the hot pages, read
+    // while there, were promoted to main. Per-shard LRU evicts the whole
+    // hot set on every pass.
     #[test]
-    fn lru_prefers_recently_used() {
-        // Single-page budget per shard: inserting a second page into the
-        // same shard evicts the first.
-        let cache = SharedPageCache::with_byte_budget(SHARDS * 120);
-        let a = Url::new("/a");
-        cache.insert(&a, &page("a"), None);
-        assert!(cache.get(&a).is_some());
-        // Touch /a, then insert colliding pages until /a's shard overflows.
-        for i in 0..64 {
-            cache.insert(&Url::new(format!("/spill/{i}")), &page("s"), None);
+    fn a_hot_set_survives_a_scan() {
+        let cache = SharedPageCache::with_byte_budget(SHARDS * 4096);
+        let hot: Vec<Url> = (0..24).map(|i| Url::new(format!("/hot/{i}"))).collect();
+        for u in &hot {
+            cache.insert(u, &page(&"h".repeat(100)), None);
         }
-        let s = cache.stats();
-        assert!(s.evictions > 0);
+        for pass in 0..3 {
+            for u in &hot {
+                assert!(cache.get(u).is_some(), "{u} lost before scan pass {pass}");
+            }
+            for i in 0..3_000 {
+                let u = Url::new(format!("/scan/{pass}/{i}"));
+                assert!(cache.get(&u).is_none());
+                cache.insert(&u, &page(&"s".repeat(100)), None);
+            }
+        }
+        let survivors = hot.iter().filter(|u| cache.get(*u).is_some()).count();
+        assert_eq!(survivors, hot.len());
+        assert!(cache.stats().evictions >= 8_000);
+        audit(&cache);
     }
 
     #[test]
@@ -417,26 +555,152 @@ mod tests {
         assert_eq!(cache.stats().bytes, 0);
     }
 
+    // The default budget never evicts, so only compaction bounds the slots
+    // that invalidate / re-insert churn leaves behind (a matview store
+    // writes its refreshed pages through every round).
+    #[test]
+    fn invalidation_churn_leaves_bounded_queues() {
+        let cache = SharedPageCache::default();
+        let urls: Vec<Url> = (0..40).map(|i| Url::new(format!("/c/{i}"))).collect();
+        for round in 0..2_000u64 {
+            for (i, u) in urls.iter().enumerate() {
+                cache.insert(u, &page("c"), Some(round));
+                if (i as u64 + round).is_multiple_of(3) {
+                    cache.invalidate_older_than(u, round + 1);
+                }
+            }
+            audit(&cache);
+        }
+        assert_eq!(cache.stats().evictions, 0);
+    }
+
     #[test]
     fn concurrent_mixed_use_is_safe() {
-        let cache = SharedPageCache::with_byte_budget(SHARDS * 4096);
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                let cache = &cache;
-                s.spawn(move || {
-                    for i in 0..200 {
-                        let url = Url::new(format!("/t/{}", (t * 7 + i) % 50));
-                        if i % 3 == 0 {
-                            cache.insert(&url, &page("c"), Some(i as u64));
-                        } else {
-                            let _ = cache.get(&url);
+        // Small enough to evict, so hits race promotions and evictions.
+        let cache = SharedPageCache::with_byte_budget(SHARDS * 256);
+        let (gets, inserts) = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|t| {
+                    let cache = &cache;
+                    s.spawn(move || {
+                        let (mut gets, mut inserts) = (0, 0);
+                        for i in 0..2_000 {
+                            let url = Url::new(format!("/t/{}", (t * 7 + i) % 120));
+                            match i % 7 {
+                                0 | 3 => {
+                                    cache.insert(&url, &page("c"), Some(i as u64));
+                                    inserts += 1;
+                                }
+                                5 => cache.invalidate(&url),
+                                _ => {
+                                    let _ = cache.get(url.as_str());
+                                    gets += 1;
+                                }
+                            }
                         }
-                    }
-                });
-            }
+                        (gets, inserts)
+                    })
+                })
+                .collect();
+            let counts = workers.into_iter().map(|w| w.join().unwrap());
+            counts.fold((0, 0), |(g, n), (dg, dn)| (g + dg, n + dn))
         });
         let s = cache.stats();
-        assert!(s.insertions > 0 && s.hits > 0);
-        assert!(s.bytes <= SHARDS * 4096);
+        assert_eq!(s.hits + s.misses, gets);
+        assert_eq!(s.insertions, inserts);
+        assert!(s.hits > 0 && s.evictions > 0);
+        assert!(s.bytes <= SHARDS * 256);
+        audit(&cache);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(usize),
+        Insert(usize, usize, Option<u64>),
+        Invalidate(usize),
+        InvalidateOlderThan(usize, u64),
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let url = 0usize..24;
+        prop_oneof![
+            (url.clone()).prop_map(Op::Get),
+            (url.clone()).prop_map(Op::Get),
+            (url.clone(), 0usize..300, 0u64..8).prop_map(|(u, n, lm)| Op::Insert(
+                u,
+                n,
+                (lm > 0).then_some(lm)
+            )),
+            (url.clone()).prop_map(Op::Invalidate),
+            (url, 0u64..8).prop_map(|(u, lm)| Op::InvalidateOlderThan(u, lm)),
+            (0usize..40).prop_map(|n| if n == 0 { Op::Clear } else { Op::Get(n % 24) }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Random operation sequences against a model holding the last page
+        // inserted per URL and not dropped since. The cache may forget a
+        // page (eviction) but never serves one the model does not hold, and
+        // at a budget that cannot fill it forgets nothing.
+        #[test]
+        fn the_cache_agrees_with_its_model(
+            ops in prop::collection::vec(op(), 1..400),
+            roomy in any::<bool>(),
+        ) {
+            let budget = if roomy { DEFAULT_BYTE_BUDGET } else { SHARDS * 700 };
+            let cache = SharedPageCache::with_byte_budget(budget);
+            let urls: Vec<Url> = (0..24).map(|i| Url::new(format!("/m/{i}"))).collect();
+            let mut model: HashMap<usize, (Arc<Tuple>, Option<u64>)> = HashMap::new();
+            let mut gets = 0;
+            for op in ops {
+                match op {
+                    Op::Get(u) => {
+                        gets += 1;
+                        let hit = cache.get(urls[u].as_str());
+                        match (&hit, model.get(&u)) {
+                            (Some(h), Some((p, _))) => prop_assert!(Arc::ptr_eq(h, p)),
+                            (Some(_), None) => prop_assert!(false, "served a dropped page"),
+                            (None, held) => prop_assert!(!roomy || held.is_none()),
+                        }
+                    }
+                    Op::Insert(u, n, lm) => {
+                        let p = page(&"p".repeat(n));
+                        cache.insert(&urls[u], &p, lm);
+                        if urls[u].as_str().len() + p.approx_bytes() <= cache.shard_budget {
+                            model.insert(u, (p, lm));
+                        } else {
+                            model.remove(&u);
+                        }
+                    }
+                    Op::Invalidate(u) => {
+                        cache.invalidate(&urls[u]);
+                        model.remove(&u);
+                    }
+                    Op::InvalidateOlderThan(u, lm) => {
+                        let dropped = cache.invalidate_older_than(&urls[u], lm);
+                        let stale = model
+                            .get(&u)
+                            .is_some_and(|(_, at)| at.is_none_or(|at| at < lm));
+                        prop_assert!(!dropped || stale);
+                        prop_assert!(!roomy || dropped == stale);
+                        if stale {
+                            model.remove(&u);
+                        }
+                    }
+                    Op::Clear => {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                let s = cache.stats();
+                prop_assert_eq!(s.hits + s.misses, gets);
+                prop_assert!(s.bytes <= budget);
+                prop_assert!(!roomy || s.entries == model.len());
+                audit(&cache);
+            }
+        }
     }
 }

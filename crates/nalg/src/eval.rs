@@ -809,7 +809,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 }
             }
             if let Some(shared) = self.policy.shared_cache {
-                if let Some(t) = shared.get(&s.to_url()) {
+                if let Some(t) = shared.get(s.as_str()) {
                     ctx.shared_hits += 1;
                     self.audit_record(ctx, s, scheme, &t);
                     deliver(s, &t)?;

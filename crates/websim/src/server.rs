@@ -237,7 +237,10 @@ pub struct VirtualServer {
     not_found: Counter,
     /// Distribution of completed GET body sizes.
     get_bytes: Histogram,
-    gets_by_scheme: RwLock<HashMap<String, u64>>,
+    /// GETs per page-scheme. A scheme's cell is created once, under the
+    /// write lock; every later GET of it takes the read lock and bumps an
+    /// atomic.
+    gets_by_scheme: RwLock<HashMap<String, AtomicU64>>,
     /// Simulated network latency per request, in microseconds (0 = off).
     latency_us: AtomicU64,
     /// Fast-path flag: true only while a latency profile is installed.
@@ -500,8 +503,8 @@ impl VirtualServer {
     pub fn get(&self, url: &Url) -> Result<PageResponse> {
         self.simulate_latency(url);
         let pages = self.pages.read();
-        let scheme = pages.get(url).map(|p| p.scheme.clone());
-        match self.apply_fault(url, scheme.as_deref(), false) {
+        let scheme = pages.get(url).map(|p| p.scheme.as_str());
+        match self.apply_fault(url, scheme, false) {
             Some(FaultKind::Unavailable) => {
                 return Err(WebError::Unavailable {
                     url: url.clone(),
@@ -526,11 +529,7 @@ impl VirtualServer {
                     self.gets.inc();
                     self.bytes.add(body.len() as u64);
                     self.get_bytes.observe(body.len() as u64);
-                    *self
-                        .gets_by_scheme
-                        .write()
-                        .entry(p.scheme.clone())
-                        .or_insert(0) += 1;
+                    self.count_get(&p.scheme);
                     return Ok(PageResponse {
                         scheme: p.scheme.clone(),
                         body,
@@ -546,11 +545,7 @@ impl VirtualServer {
                 self.gets.inc();
                 self.bytes.add(p.body.len() as u64);
                 self.get_bytes.observe(p.body.len() as u64);
-                *self
-                    .gets_by_scheme
-                    .write()
-                    .entry(p.scheme.clone())
-                    .or_insert(0) += 1;
+                self.count_get(&p.scheme);
                 Ok(PageResponse {
                     scheme: p.scheme.clone(),
                     body: p.body.clone(),
@@ -569,8 +564,8 @@ impl VirtualServer {
     pub fn head(&self, url: &Url) -> Result<HeadResponse> {
         self.simulate_latency(url);
         let pages = self.pages.read();
-        let scheme = pages.get(url).map(|p| p.scheme.clone());
-        match self.apply_fault(url, scheme.as_deref(), true) {
+        let scheme = pages.get(url).map(|p| p.scheme.as_str());
+        match self.apply_fault(url, scheme, true) {
             Some(FaultKind::Unavailable) => {
                 return Err(WebError::Unavailable {
                     url: url.clone(),
@@ -655,9 +650,23 @@ impl VirtualServer {
         self.d_dropped.add(dropped_links);
     }
 
+    fn count_get(&self, scheme: &str) {
+        if let Some(n) = self.gets_by_scheme.read().get(scheme) {
+            n.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let mut by = self.gets_by_scheme.write();
+        by.entry(scheme.to_string())
+            .or_default()
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
     /// GET counts broken down by page-scheme.
     pub fn gets_by_scheme(&self) -> HashMap<String, u64> {
-        self.gets_by_scheme.read().clone()
+        let by = self.gets_by_scheme.read();
+        by.iter()
+            .map(|(s, n)| (s.clone(), n.load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Resets all access counters (not the clock, the pages, or the fault
@@ -779,6 +788,30 @@ mod tests {
         let by = s.gets_by_scheme();
         assert_eq!(by["APage"], 2);
         assert_eq!(by["BPage"], 1);
+    }
+
+    #[test]
+    fn per_scheme_counters_are_exact_under_concurrent_gets() {
+        let s = server_with_page();
+        s.put(Url::new("/b.html"), "BPage", "<html>B</html>");
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..250 {
+                        let url = if (t + i) % 5 == 0 {
+                            "/b.html"
+                        } else {
+                            "/a.html"
+                        };
+                        s.get(&Url::new(url)).unwrap();
+                    }
+                });
+            }
+        });
+        let by = s.gets_by_scheme();
+        assert_eq!((by["APage"], by["BPage"]), (800, 200));
+        assert_eq!(s.stats().gets, 1_000);
     }
 
     #[test]
