@@ -12,8 +12,8 @@
 //! * **slices live as long as the body** — tag names, attribute names and
 //!   comments are `&'a str` into the page; attribute values and text are
 //!   `Cow<'a, str>`, owned only where an entity decoded;
-//! * **names are compared, never copied** — [`Element::is_tag`] and
-//!   [`Element::attr`] use `eq_ignore_ascii_case`;
+//! * **names are compared, never copied** — close tags, void tags and
+//!   attribute lookups use `eq_ignore_ascii_case`;
 //! * **index order is document pre-order** — a node is created when its
 //!   tag opens, so an element's subtree is the contiguous index range
 //!   `id + 1 .. end`, where `end` is recorded when the element closes. The
@@ -40,6 +40,29 @@ pub(crate) const MARK_LIST: u8 = 1;
 pub(crate) const MARK_ROW: u8 = 2;
 /// `class` contains `adm-page`.
 pub(crate) const MARK_PAGE: u8 = 4;
+
+/// The `MARK_*` bits of a `class` value, split into words where
+/// `str::split_whitespace` splits it. An ASCII value (every generated
+/// one) is split on bytes, with no char decoding.
+fn class_marks(class: &str) -> u8 {
+    let mark = |word: &[u8]| match word {
+        b"adm-list" => MARK_LIST,
+        b"adm-row" => MARK_ROW,
+        b"adm-page" => MARK_PAGE,
+        _ => 0,
+    };
+    if class.is_ascii() {
+        // the ASCII chars `char::is_whitespace` takes: '\t'..='\r' and ' '
+        let words = class
+            .as_bytes()
+            .split(|b| matches!(b, b'\t'..=b'\r' | b' '));
+        words.fold(0, |m, w| m | mark(w))
+    } else {
+        class
+            .split_whitespace()
+            .fold(0, |m, w| m | mark(w.as_bytes()))
+    }
+}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Kind<'a> {
@@ -117,7 +140,9 @@ impl<'a> Document<'a> {
                 Token::Doctype(_) => {}
                 Token::Comment(c) => nodes.push(leaf(Kind::Comment(c), id)),
                 Token::Text(t) => {
-                    if !t.trim().is_empty() {
+                    // `!t.trim().is_empty()`, stopping at the first
+                    // non-blank char instead of trimming both ends
+                    if t.chars().any(|c| !c.is_whitespace()) {
                         nodes.push(leaf(Kind::Text(t), id));
                     }
                 }
@@ -135,14 +160,7 @@ impl<'a> Document<'a> {
                             rec.data_attr = i;
                         } else if !class_seen && a.name.eq_ignore_ascii_case("class") {
                             class_seen = true;
-                            for word in a.value.split_whitespace() {
-                                rec.marks |= match word {
-                                    "adm-list" => MARK_LIST,
-                                    "adm-row" => MARK_ROW,
-                                    "adm-page" => MARK_PAGE,
-                                    _ => 0,
-                                };
-                            }
+                            rec.marks = class_marks(&a.value);
                         }
                     }
                     nodes.push(rec);
@@ -264,11 +282,6 @@ impl<'a> Document<'a> {
         matches!(self.rec(id)?.kind, Kind::Element(_)).then_some(Element { doc: self, id })
     }
 
-    /// The elements with indices in `from..to`, in document order.
-    fn elements_in(&self, from: u32, to: u32) -> impl Iterator<Item = Element<'_>> {
-        (from..to).filter_map(|id| self.element(id))
-    }
-
     /// The children of `parent` as [`Node`]s.
     fn child_nodes(&self, parent: u32) -> impl Iterator<Item = Node<'_>> {
         self.child_ids(parent).filter_map(move |id| {
@@ -292,12 +305,6 @@ impl<'a> Document<'a> {
         self.child_ids(0).filter_map(|id| self.element(id))
     }
 
-    /// The first element in the document satisfying the predicate, in
-    /// document order.
-    pub fn find(&self, pred: impl Fn(Element<'_>) -> bool) -> Option<Element<'_>> {
-        self.elements_in(1, self.end_of(0)).find(|&e| pred(e))
-    }
-
     /// The first element whose `class` carries all of `marks`.
     pub(crate) fn first_marked(&self, marks: u8) -> Option<u32> {
         let at = self.nodes.iter().position(|n| n.marks & marks == marks)?;
@@ -319,52 +326,14 @@ impl<'d> Element<'d> {
         }
     }
 
-    /// True if the tag name is `name`, ignoring ASCII case.
-    pub fn is_tag(self, name: &str) -> bool {
-        self.tag().eq_ignore_ascii_case(name)
-    }
-
     /// Attributes in document order, names as written.
     pub fn attrs(self) -> &'d [Attr<'d>] {
         self.doc.attrs_of(self.id)
     }
 
-    /// The value of an attribute, if present. `name` matches ignoring
-    /// ASCII case; the first attribute of that name wins.
-    pub fn attr(self, name: &str) -> Option<&'d str> {
-        self.doc.attr(self.id, name)
-    }
-
-    /// True if the space-separated `class` attribute contains `class_name`.
-    pub fn has_class(self, class_name: &str) -> bool {
-        self.attr("class")
-            .is_some_and(|c| c.split_whitespace().any(|x| x == class_name))
-    }
-
     /// Children in document order.
     pub fn children(self) -> impl Iterator<Item = Node<'d>> {
         self.doc.child_nodes(self.id)
-    }
-
-    /// Child elements (skipping text/comments).
-    pub fn child_elements(self) -> impl Iterator<Item = Element<'d>> {
-        let doc = self.doc;
-        doc.child_ids(self.id).filter_map(move |id| doc.element(id))
-    }
-
-    /// All text content, concatenated and trimmed.
-    pub fn text_content(self) -> String {
-        self.doc.text_content(self.id)
-    }
-
-    /// All descendant elements (self excluded), in document order.
-    pub fn descendants(self) -> impl Iterator<Item = Element<'d>> {
-        self.doc.elements_in(self.id + 1, self.doc.end_of(self.id))
-    }
-
-    /// The first descendant satisfying the predicate, in document order.
-    pub fn find(self, pred: impl Fn(Element<'d>) -> bool) -> Option<Element<'d>> {
-        self.descendants().find(|&e| pred(e))
     }
 }
 
@@ -372,89 +341,144 @@ impl<'d> Element<'d> {
 mod tests {
     use super::*;
 
+    /// The elements of `d` in index (= document) order.
+    fn elements<'d>(d: &'d Document<'d>) -> impl Iterator<Item = Element<'d>> {
+        (1..d.end_of(0)).filter_map(|id| d.element(id))
+    }
+
+    /// The first element tagged `tag` (any case), in document order.
+    fn first<'d>(d: &'d Document<'d>, tag: &str) -> Element<'d> {
+        elements(d)
+            .find(|e| e.tag().eq_ignore_ascii_case(tag))
+            .unwrap()
+    }
+
+    fn child_elements(e: Element<'_>) -> impl Iterator<Item = Element<'_>> {
+        e.children().filter_map(|n| match n {
+            Node::Element(e) => Some(e),
+            _ => None,
+        })
+    }
+
     #[test]
     fn parses_nested_structure() {
         let d = Document::parse("<html><body><p>one</p><p>two</p></body></html>").unwrap();
         let html = d.root_elements().next().unwrap();
         assert_eq!(html.tag(), "html");
-        let body = html.child_elements().next().unwrap();
-        assert_eq!(body.child_elements().count(), 2);
+        let body = child_elements(html).next().unwrap();
+        assert_eq!(child_elements(body).count(), 2);
     }
 
     #[test]
     fn text_content_concatenates() {
         let d = Document::parse("<p>a <b>bold</b> c</p>").unwrap();
-        let p = d.find(|e| e.is_tag("p")).unwrap();
-        assert_eq!(p.text_content(), "a bold c");
+        assert_eq!(d.text_content(first(&d, "p").id()), "a bold c");
         let d = Document::parse("<p> \u{a0}<i> x </i>&nbsp;</p><q> y </q><s></s>").unwrap();
-        assert_eq!(d.find(|e| e.is_tag("p")).unwrap().text_content(), "x");
-        assert_eq!(d.find(|e| e.is_tag("q")).unwrap().text_content(), "y");
-        assert_eq!(d.find(|e| e.is_tag("s")).unwrap().text_content(), "");
+        assert_eq!(d.text_content(first(&d, "p").id()), "x");
+        assert_eq!(d.text_content(first(&d, "q").id()), "y");
+        assert_eq!(d.text_content(first(&d, "s").id()), "");
     }
 
     #[test]
     fn void_elements_take_no_children() {
         let d = Document::parse("<p>x<br>y</p>").unwrap();
-        let p = d.find(|e| e.is_tag("p")).unwrap();
-        let br = p.child_elements().next().unwrap();
+        let p = first(&d, "p");
+        let br = child_elements(p).next().unwrap();
         assert_eq!(br.tag(), "br");
         assert_eq!(br.children().count(), 0);
-        assert_eq!(p.text_content(), "xy");
+        assert_eq!(d.text_content(p.id()), "xy");
     }
 
     #[test]
     fn auto_close_on_mismatch() {
         // <b> never closed; </p> should auto-close it.
         let d = Document::parse("<p><b>bold</p>after").unwrap();
-        let p = d.find(|e| e.is_tag("p")).unwrap();
-        assert!(p.find(|e| e.is_tag("b")).is_some());
-        assert_eq!(p.text_content(), "bold");
+        let p = first(&d, "p");
+        assert!(child_elements(p).any(|e| e.tag() == "b"));
+        assert_eq!(d.text_content(p.id()), "bold");
     }
 
     #[test]
     fn stray_close_ignored() {
         let d = Document::parse("</div><p>ok</p>").unwrap();
-        assert!(d.find(|e| e.is_tag("p")).is_some());
+        assert_eq!(d.root_elements().next().unwrap().tag(), "p");
     }
 
     #[test]
     fn unclosed_at_eof() {
         let d = Document::parse("<div><p>dangling").unwrap();
-        let div = d.find(|e| e.is_tag("div")).unwrap();
-        assert!(div.find(|e| e.is_tag("p")).is_some());
+        let div = first(&d, "div");
+        assert!(child_elements(div).any(|e| e.tag() == "p"));
     }
 
     #[test]
-    fn has_class_splits_words() {
-        let d = Document::parse("<div class=\"chrome footer\"></div>").unwrap();
-        let e = d.find(|e| e.is_tag("div")).unwrap();
-        assert!(e.has_class("footer"));
-        assert!(e.has_class("chrome"));
-        assert!(!e.has_class("foo"));
-    }
-
-    #[test]
-    fn find_is_depth_first() {
+    fn class_words_set_marks() {
+        // the first `class` is split into words on any whitespace, Unicode
+        // included; a mark is a whole, case-sensitive word
         let d = Document::parse(
-            "<div><span id=\"a\"><span id=\"b\"></span></span><span id=\"c\"></span></div>",
+            "<div class=\"chrome adm-list\tadm-row\" class=adm-page></div>\
+             <p class=\"adm-pages ADM-ROW\"></p><i class=\"x\u{2003}adm-page\"></i>",
         )
         .unwrap();
-        let first = d.find(|e| e.is_tag("span")).unwrap();
-        assert_eq!(first.attr("id"), Some("a"));
+        assert_eq!(d.marks(first(&d, "div").id()), MARK_LIST | MARK_ROW);
+        assert_eq!(d.marks(first(&d, "p").id()), 0);
+        assert_eq!(d.marks(first(&d, "i").id()), MARK_PAGE);
+        // '\x0B' is whitespace to `char::is_whitespace` (not to
+        // `u8::is_ascii_whitespace`); '\x1F' is not
+        for (class, marks) in [
+            ("adm-row\x0Badm-list", MARK_ROW | MARK_LIST),
+            ("\x0C\radm-row\n", MARK_ROW),
+            ("adm-row\x1Fadm-list", 0),
+            ("\u{a0}adm-page\u{85}", MARK_PAGE),
+        ] {
+            assert_eq!(class_marks(class), marks, "{class:?}");
+        }
+    }
+
+    /// The marks of `class` read through `str::split_whitespace` alone.
+    fn reference_marks(class: &str) -> u8 {
+        let words = class.split_whitespace();
+        words.fold(0, |m, w| match w {
+            "adm-list" => m | MARK_LIST,
+            "adm-row" => m | MARK_ROW,
+            "adm-page" => m | MARK_PAGE,
+            _ => m,
+        })
+    }
+
+    #[test]
+    fn class_marks_split_as_split_whitespace_does() {
+        // every ASCII byte and a few others between two marked words
+        let others = ['\u{85}', '\u{a0}', '\u{2003}', '\u{3000}', 'é', '\u{200B}'];
+        for c in (0..0x80u8).map(char::from).chain(others) {
+            for class in [format!("adm-row{c}adm-list"), format!("{c}adm-page{c}")] {
+                assert_eq!(class_marks(&class), reference_marks(&class), "{class:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_marked_is_depth_first() {
+        let d = Document::parse(
+            "<div><span class=adm-page id=\"a\"><span class=adm-page id=\"b\"></span></span>\
+             <span class=adm-page id=\"c\"></span></div>",
+        )
+        .unwrap();
+        let first = d.first_marked(MARK_PAGE).unwrap();
+        assert_eq!(d.attr(first, "id"), Some("a"));
     }
 
     #[test]
     fn whitespace_only_text_dropped() {
         let d = Document::parse("<ul>\n  <li>x</li>\n</ul>").unwrap();
-        let ul = d.find(|e| e.is_tag("ul")).unwrap();
-        assert_eq!(ul.children().count(), 1);
+        assert_eq!(first(&d, "ul").children().count(), 1);
     }
 
     #[test]
-    fn descendants_counts_all() {
+    fn a_subtree_is_an_index_range() {
         let d = Document::parse("<a><b><c></c></b><d></d></a>").unwrap();
-        let a = d.find(|e| e.is_tag("a")).unwrap();
-        assert_eq!(a.descendants().count(), 3);
+        let a = first(&d, "a").id();
+        assert_eq!(d.end_of(a) - a - 1, 3);
     }
 
     #[test]
@@ -462,8 +486,7 @@ mod tests {
         let d = Document::parse("<DIV Class=\"adm-page\" DATA-ATTR=\"X\">t</div>").unwrap();
         let div = d.root_elements().next().unwrap();
         assert_eq!(div.tag(), "DIV");
-        assert!(div.is_tag("div"));
-        assert_eq!(div.attr("data-attr"), Some("X"));
+        assert_eq!(d.attr(div.id(), "data-attr"), Some("X"));
         assert_eq!(d.data_attr(div.id()), Some("X"));
         assert_eq!(d.first_marked(MARK_PAGE), Some(div.id()));
         // the mixed-case close tag closed it: the text is its only child
@@ -473,10 +496,9 @@ mod tests {
     #[test]
     fn index_order_is_preorder_and_subtrees_are_ranges() {
         let d = Document::parse("<a><b>x<c></c></b><!-- n --><d></d></a><e></e>").unwrap();
-        let tags: Vec<_> = d.elements_in(1, d.end_of(0)).map(|e| e.tag()).collect();
+        let tags: Vec<_> = elements(&d).map(|e| e.tag()).collect();
         assert_eq!(tags, ["a", "b", "c", "d", "e"]);
-        let a = d.find(|e| e.is_tag("a")).unwrap();
-        let kinds: Vec<_> = a
+        let kinds: Vec<_> = first(&d, "a")
             .children()
             .map(|n| match n {
                 Node::Element(e) => e.tag(),

@@ -13,6 +13,13 @@
 //! actually decoded to something, which is the only time lexing allocates
 //! a string. Attributes of all open tags share one vector; an open token
 //! holds its range in it.
+//!
+//! Every token is read in one pass over its bytes. A byte's role inside a
+//! tag is one lookup in a 256-entry class table (whitespace, name byte,
+//! letter, attribute-name end, bare-value end); the scan that finds where
+//! a text run or an attribute value ends also notes whether it holds an
+//! `&`, and only a run that does is handed to [`decode_entities`]. Every class
+//! is ASCII, so every slice boundary the lexer cuts at is a char boundary.
 
 use crate::error::WrapError;
 use crate::Result;
@@ -87,8 +94,87 @@ impl<'a> Tokens<'a> {
     }
 }
 
-/// Offset of the first `needle` in `hay`. Runs are a few dozen bytes, so a
-/// plain loop beats a vectorised search's setup.
+/// `u8::is_ascii_whitespace`: space, `\t`, `\n`, `\x0C`, `\r` (not `\x0B`).
+const WS: u8 = 1;
+/// A tag-name byte: `u8::is_ascii_alphanumeric` or `-`.
+const NAME: u8 = 2;
+/// `u8::is_ascii_alphabetic`: what may follow `<` to open a tag.
+const ALPHA: u8 = 4;
+/// Ends an attribute name: whitespace, `=`, `>` or `/`.
+const ATTR_END: u8 = 8;
+/// Ends a bare (unquoted) attribute value: whitespace or `>`.
+const BARE_END: u8 = 16;
+
+/// The class bits of every byte, built from the predicates above. No
+/// non-ASCII byte has a bit.
+const CLASS: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        let mut bits = 0;
+        if c.is_ascii_whitespace() {
+            bits |= WS | ATTR_END | BARE_END;
+        }
+        if c.is_ascii_alphanumeric() || c == b'-' {
+            bits |= NAME;
+        }
+        if c.is_ascii_alphabetic() {
+            bits |= ALPHA;
+        }
+        if matches!(c, b'=' | b'>' | b'/') {
+            bits |= ATTR_END;
+        }
+        if c == b'>' {
+            bits |= BARE_END;
+        }
+        table[b] = bits;
+        b += 1;
+    }
+    table
+};
+
+/// Whether `b` has a bit of `class`.
+#[inline]
+fn is(b: u8, class: u8) -> bool {
+    CLASS[b as usize] & class != 0
+}
+
+/// The first index at or after `i` whose byte is not of `class`.
+#[inline]
+fn skip(bytes: &[u8], mut i: usize, class: u8) -> usize {
+    while bytes.get(i).is_some_and(|&b| is(b, class)) {
+        i += 1;
+    }
+    i
+}
+
+/// The text of a run that ends where its scan stopped: decoded only if the
+/// scan saw an `&`.
+#[inline]
+fn decoded(run: &str, amp: bool) -> Cow<'_, str> {
+    if amp {
+        decode_entities(run)
+    } else {
+        Cow::Borrowed(run)
+    }
+}
+
+/// `s.trim()`, without the call when an ASCII graphic byte already stands
+/// at each end (a close tag as written, `</div>`).
+#[inline]
+fn trimmed(s: &str) -> &str {
+    let b = s.as_bytes();
+    match (b.first(), b.last()) {
+        (Some(f), Some(l)) if f.is_ascii_graphic() && l.is_ascii_graphic() => s,
+        _ => s.trim(),
+    }
+}
+
+/// Offset of the first `needle` in `hay`: the end of a close tag or a
+/// declaration, and the `&` / `;` of [`decode_entities`]. Text runs and
+/// attribute values are scanned by the lexer's own loops.
+#[inline]
 fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     hay.iter().position(|&b| b == needle)
 }
@@ -103,10 +189,14 @@ fn entity_char(entity: &str) -> Option<char> {
         "apos" => Some('\''),
         "nbsp" => Some('\u{a0}'),
         _ => {
+            // digits only: `u32`'s parsers would also take a leading `+`
             let digits = entity.strip_prefix('#')?;
             let code = match digits.strip_prefix(['x', 'X']) {
-                Some(hex) => u32::from_str_radix(hex, 16).ok()?,
-                None => digits.parse::<u32>().ok()?,
+                Some(hex) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
+                    u32::from_str_radix(hex, 16).ok()?
+                }
+                None if digits.bytes().all(|b| b.is_ascii_digit()) => digits.parse().ok()?,
+                _ => return None,
             };
             char::from_u32(code)
         }
@@ -155,7 +245,8 @@ pub fn decode_entities(s: &str) -> Cow<'_, str> {
 ///
 /// [`tokenize`] collects its output; [`crate::dom::Document::parse`] pulls
 /// from it directly, so a page is scanned once and no token outlives the
-/// step that consumes it.
+/// step that consumes it. Both steps are `#[inline]`: the parse loop holds
+/// the lexer's code, not a call per token.
 pub(crate) struct Lexer<'a> {
     input: &'a str,
     pos: usize,
@@ -176,6 +267,7 @@ impl<'a> Lexer<'a> {
 
     /// The next token, or `None` at end of input. An open tag's attributes
     /// are appended to `attrs` and the token holds their range.
+    #[inline]
     pub(crate) fn next_token(&mut self, attrs: &mut Vec<Attr<'a>>) -> Result<Option<Token<'a>>> {
         let input = self.input;
         let bytes = input.as_bytes();
@@ -185,74 +277,70 @@ impl<'a> Lexer<'a> {
         };
         if first == b'<' {
             let rest = &bytes[i..];
-            if rest.starts_with(b"<!--") {
-                let end = input[i + 4..].find("-->").ok_or_else(|| WrapError::Lex {
-                    offset: i,
-                    message: "unterminated comment".into(),
-                })?;
-                self.pos = i + 4 + end + 3;
-                return Ok(Some(Token::Comment(input[i + 4..i + 4 + end].trim())));
-            }
-            if rest.starts_with(b"<!") {
-                let end = find_byte(rest, b'>').ok_or_else(|| WrapError::Lex {
-                    offset: i,
-                    message: "unterminated declaration".into(),
-                })?;
-                self.pos = i + end + 1;
-                return Ok(Some(Token::Doctype(input[i + 2..i + end].trim())));
-            }
-            if rest.starts_with(b"</") {
-                let end = find_byte(rest, b'>').ok_or_else(|| WrapError::Lex {
-                    offset: i,
-                    message: "unterminated close tag".into(),
-                })?;
-                self.pos = i + end + 1;
-                return Ok(Some(Token::Close(input[i + 2..i + end].trim())));
-            }
-            if rest.get(1).is_some_and(u8::is_ascii_alphabetic) {
-                return self.lex_open_tag(attrs).map(Some);
+            match rest.get(1) {
+                Some(b'!') if rest.starts_with(b"<!--") => {
+                    let end = input[i + 4..].find("-->").ok_or_else(|| WrapError::Lex {
+                        offset: i,
+                        message: "unterminated comment".into(),
+                    })?;
+                    self.pos = i + 4 + end + 3;
+                    return Ok(Some(Token::Comment(trimmed(&input[i + 4..i + 4 + end]))));
+                }
+                Some(b'!') => {
+                    let end = find_byte(rest, b'>').ok_or_else(|| WrapError::Lex {
+                        offset: i,
+                        message: "unterminated declaration".into(),
+                    })?;
+                    self.pos = i + end + 1;
+                    return Ok(Some(Token::Doctype(trimmed(&input[i + 2..i + end]))));
+                }
+                Some(b'/') => {
+                    let end = find_byte(rest, b'>').ok_or_else(|| WrapError::Lex {
+                        offset: i,
+                        message: "unterminated close tag".into(),
+                    })?;
+                    self.pos = i + end + 1;
+                    return Ok(Some(Token::Close(trimmed(&input[i + 2..i + end]))));
+                }
+                Some(&b) if is(b, ALPHA) => return self.lex_open_tag(attrs).map(Some),
+                _ => {} // a stray '<': text
             }
         }
         // A text run: up to the next '<' that starts markup. A stray '<'
-        // is text, and so stays inside the run.
-        let starts_markup = |lt: usize| {
-            let next = bytes.get(lt + 1);
-            next.is_some_and(|&b| b == b'!' || b == b'/' || b.is_ascii_alphabetic())
-        };
+        // is text, and so stays inside the run. One scan finds the end and
+        // notes any '&' on the way.
+        let mut amp = first == b'&';
         let mut from = i + 1;
         let end = loop {
-            match find_byte(&bytes[from..], b'<') {
-                None => break bytes.len(),
-                Some(j) if starts_markup(from + j) => break from + j,
-                Some(j) => from += j + 1,
+            let lt = bytes[from..].iter().position(|&b| {
+                amp |= b == b'&';
+                b == b'<'
+            });
+            let Some(lt) = lt.map(|j| from + j) else {
+                break bytes.len();
+            };
+            match bytes.get(lt + 1) {
+                Some(&b) if b == b'!' || b == b'/' || is(b, ALPHA) => break lt,
+                _ => from = lt + 1,
             }
         };
         self.pos = end;
-        Ok(Some(Token::Text(decode_entities(&input[i..end]))))
+        Ok(Some(Token::Text(decoded(&input[i..end], amp))))
     }
 
     /// Lexes the open tag at `self.pos` (which points at `<`).
+    #[inline]
     fn lex_open_tag(&mut self, attrs: &mut Vec<Attr<'a>>) -> Result<Token<'a>> {
         let input = self.input;
         let bytes = input.as_bytes();
         let start = self.pos;
-        let at = |i: usize| bytes.get(i).copied();
-        let skip_ws = |mut i: usize| {
-            while at(i).is_some_and(|b| b.is_ascii_whitespace()) {
-                i += 1;
-            }
-            i
-        };
-        let mut i = start + 1;
-        while at(i).is_some_and(|b| b.is_ascii_alphanumeric() || b == b'-') {
-            i += 1;
-        }
+        let mut i = skip(bytes, start + 1, NAME);
         let name = &input[start + 1..i];
         let first_attr = attrs.len();
         let mut self_closing = false;
         loop {
-            i = skip_ws(i);
-            let Some(b) = at(i) else {
+            i = skip(bytes, i, WS);
+            let Some(&b) = bytes.get(i) else {
                 return Err(WrapError::Lex {
                     offset: start,
                     message: format!("unterminated tag <{}", name.to_ascii_lowercase()),
@@ -269,9 +357,7 @@ impl<'a> Lexer<'a> {
                 }
                 _ => {
                     let an_start = i;
-                    while at(i).is_some_and(|b| {
-                        !b.is_ascii_whitespace() && b != b'=' && b != b'>' && b != b'/'
-                    }) {
+                    while bytes.get(i).is_some_and(|&b| !is(b, ATTR_END)) {
                         i += 1;
                     }
                     if i == an_start {
@@ -281,27 +367,32 @@ impl<'a> Lexer<'a> {
                         });
                     }
                     let an = &input[an_start..i];
-                    i = skip_ws(i);
-                    let value = if at(i) == Some(b'=') {
-                        i = skip_ws(i + 1);
-                        match at(i) {
-                            Some(quote @ (b'"' | b'\'')) => {
+                    i = skip(bytes, i, WS);
+                    let value = if bytes.get(i) == Some(&b'=') {
+                        i = skip(bytes, i + 1, WS);
+                        let mut amp = false;
+                        match bytes.get(i) {
+                            Some(&quote @ (b'"' | b'\'')) => {
                                 let v_start = i + 1;
-                                let len = find_byte(&bytes[v_start..], quote).ok_or_else(|| {
-                                    WrapError::Lex {
+                                let len = (bytes[v_start..].iter())
+                                    .position(|&b| {
+                                        amp |= b == b'&';
+                                        b == quote
+                                    })
+                                    .ok_or_else(|| WrapError::Lex {
                                         offset: v_start,
                                         message: "unterminated attribute value".into(),
-                                    }
-                                })?;
+                                    })?;
                                 i = v_start + len + 1; // past the quote
-                                decode_entities(&input[v_start..v_start + len])
+                                decoded(&input[v_start..v_start + len], amp)
                             }
                             _ => {
                                 let v_start = i;
-                                while at(i).is_some_and(|b| !b.is_ascii_whitespace() && b != b'>') {
+                                while let Some(&b) = bytes.get(i).filter(|&&b| !is(b, BARE_END)) {
+                                    amp |= b == b'&';
                                     i += 1;
                                 }
-                                decode_entities(&input[v_start..i])
+                                decoded(&input[v_start..i], amp)
                             }
                         }
                     } else {
@@ -367,6 +458,19 @@ mod tests {
         assert_eq!(decode_entities("&"), "&");
         // multi-byte text around entities survives
         assert_eq!(decode_entities("é&amp;ß"), "é&ß");
+    }
+
+    #[test]
+    fn a_numeric_entity_is_digits_only() {
+        // `str::parse::<u32>` and `u32::from_str_radix` accept a leading
+        // '+'; an HTML numeric reference does not
+        for signed in [
+            "&#+65;", "&#x+41;", "&#X+41;", "&#-65;", "&# 65;", "&#x 41;",
+        ] {
+            assert_eq!(decode_entities(signed), signed);
+            assert!(matches!(decode_entities(signed), Cow::Borrowed(_)));
+        }
+        assert_eq!(decode_entities("&#0065;&#x0041;&#XaB;"), "AA\u{ab}");
     }
 
     #[test]

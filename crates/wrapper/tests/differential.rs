@@ -379,6 +379,8 @@ fn named_cases_agree() {
         "<p data-attr=A>&am< p; &#6< 5; &</p>",
         // the first of duplicate attributes wins
         "<div class=x class=adm-page><span data-attr=A data-attr=B>1</span></div>",
+        // a signed numeric entity is literal text, in text and in a value
+        "<p data-attr=A title=\"&#+65;\">&#+65;&#x+41;&#X+41;&#-65;&#65;</p>",
     ] {
         same_everywhere(&schemes, input);
     }

@@ -6,7 +6,7 @@
 
 use adm::{Field, PageScheme, Tuple, Value};
 use websim::page::render_page;
-use wrapper::{dom::Document, error::WrapError, lexer::tokenize, wrap_page};
+use wrapper::{dom::Document, error::WrapError, lexer::tokenize, wrap_page, Element, Node};
 
 fn scheme() -> PageScheme {
     PageScheme::new(
@@ -108,23 +108,41 @@ fn entity_edge_cases_lex_cleanly() {
     }
 }
 
+/// The first element tagged `tag` among `nodes` and their descendants, in
+/// document order (an explicit stack, like every walk of the arena).
+fn find<'d>(nodes: impl Iterator<Item = Node<'d>>, tag: &str) -> Option<Element<'d>> {
+    let mut stack: Vec<Node<'d>> = nodes.collect();
+    stack.reverse();
+    while let Some(node) = stack.pop() {
+        if let Node::Element(e) = node {
+            if e.tag() == tag {
+                return Some(e);
+            }
+            let next = stack.len();
+            stack.extend(e.children());
+            stack[next..].reverse();
+        }
+    }
+    None
+}
+
 /// The inputs that exercise the former DOM `expect()` pops: deep
 /// auto-closing and interleaved mismatched close tags.
 #[test]
 fn mismatched_nesting_builds_a_tree() {
     let d = Document::parse("<a><b><c><d>deep</a>tail").unwrap();
-    let a = d.find(|e| e.is_tag("a")).unwrap();
+    let a = find(d.roots(), "a").unwrap();
     // everything above <a> was auto-closed into it
-    assert!(a.find(|e| e.is_tag("d")).is_some());
+    assert!(find(a.children(), "d").is_some());
 
     // interleaved closes: </i> closes nothing open at top, </b> auto-closes <i>
     let d = Document::parse("<b><i>x</b>y</i>z").unwrap();
-    assert!(d.find(|e| e.is_tag("b")).is_some());
+    assert!(find(d.roots(), "b").is_some());
 
     // a stray close for a tag opened-and-closed twice
     let d = Document::parse("<p>a</p></p><p>b</p>").unwrap();
     assert_eq!(
-        d.root_elements().filter(|e| e.is_tag("p")).count(),
+        d.root_elements().filter(|e| e.tag() == "p").count(),
         2,
         "both paragraphs survive the stray close"
     );

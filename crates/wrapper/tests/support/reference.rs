@@ -59,13 +59,21 @@ pub mod lexer {
                         "quot" => Some('"'),
                         "apos" => Some('\''),
                         "nbsp" => Some('\u{a0}'),
+                        // numeric references are digits only: `u32`'s
+                        // parsers would also take a leading `+`
                         _ if entity.starts_with("#x") || entity.starts_with("#X") => {
-                            u32::from_str_radix(&entity[2..], 16)
-                                .ok()
+                            let hex = &entity[2..];
+                            (hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .then(|| u32::from_str_radix(hex, 16).ok())
+                                .flatten()
                                 .and_then(char::from_u32)
                         }
                         _ if entity.starts_with('#') => {
-                            entity[1..].parse::<u32>().ok().and_then(char::from_u32)
+                            let digits = &entity[1..];
+                            (digits.bytes().all(|b| b.is_ascii_digit()))
+                                .then(|| digits.parse::<u32>().ok())
+                                .flatten()
+                                .and_then(char::from_u32)
                         }
                         _ => None,
                     };
