@@ -573,12 +573,31 @@ impl ColumnRel {
         self.project_cols(&(0..self.cols.len()).collect::<Vec<_>>())
     }
 
-    /// Glues two relations of equal length side by side.
-    pub fn hstack(mut self, other: ColumnRel) -> ColumnRel {
-        assert_eq!(self.len, other.len, "hstack length mismatch");
+    /// Glues two relations of equal length side by side; relations of
+    /// different lengths are a [`AdmError::RowCountMismatch`].
+    pub fn hstack(mut self, other: ColumnRel) -> Result<ColumnRel> {
+        if self.len != other.len {
+            return Err(AdmError::RowCountMismatch {
+                left: self.len,
+                right: other.len,
+            });
+        }
         self.names.extend(other.names);
         self.cols.extend(other.cols);
-        self
+        Ok(self)
+    }
+
+    /// The rows `self[l] ++ other[r]`, one for each pair `(l, r)` in order:
+    /// the gather that assembles a join's or a follow's output. Both sides
+    /// are gathered through the one list of pairs, so they cannot differ in
+    /// length.
+    pub fn take_pairs(&self, other: &ColumnRel, pairs: &[(u32, u32)]) -> ColumnRel {
+        let (left, right): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
+        let mut out = self.take(&left);
+        out.names.extend_from_slice(&other.names);
+        out.cols
+            .extend(other.cols.iter().map(|c| take_column(c, &right)));
+        out
     }
 
     /// Equi-join on column index pairs: hashes the right side on token-
@@ -604,8 +623,7 @@ impl ColumnRel {
                 }
             }
         }
-        let mut li: Vec<u32> = Vec::new();
-        let mut ri: Vec<u32> = Vec::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         'left: for row in 0..self.len {
             key.clear();
             for &(lc, _) in on {
@@ -615,13 +633,10 @@ impl ColumnRel {
                 self.encode_cell(row, lc, &mut key);
             }
             if let Some(matches) = table.get(&key) {
-                for &m in matches {
-                    li.push(row as u32);
-                    ri.push(m);
-                }
+                pairs.extend(matches.iter().map(|&m| (row as u32, m)));
             }
         }
-        self.take(&li).hstack(other.take(&ri))
+        self.take_pairs(other, &pairs)
     }
 
     /// Equi-join on named column pairs (see [`ColumnRel::join_on`]).
@@ -733,23 +748,22 @@ impl ColumnRel {
     pub fn from_relation(r: &Relation) -> ColumnRel {
         let mut b = ColumnRelBuilder::new(r.columns());
         for row in r.rows() {
-            b.push_row(row).expect("arity checked by Relation");
+            // A `Relation` refuses every row whose arity is not its header's.
+            b.append(row);
         }
         b.finish()
     }
 
     /// Materializes back into a boundary [`Relation`] (row order preserved).
     pub fn to_relation(&self) -> Relation {
-        let mut out = Relation::new(self.column_strings());
-        for row in 0..self.len {
-            out.push_row(
+        let rows = (0..self.len)
+            .map(|row| {
                 (0..self.cols.len())
                     .map(|c| self.value_at(row, c))
-                    .collect(),
-            )
-            .expect("arity by construction");
-        }
-        out
+                    .collect()
+            })
+            .collect();
+        Relation::from_full_rows(self.column_strings(), rows)
     }
 
     // ---- rendering -------------------------------------------------------
@@ -828,6 +842,19 @@ impl std::fmt::Display for ColumnRel {
 
 // ---- builder -------------------------------------------------------------
 
+/// What a builder column keeps of each cell pushed into it
+/// ([`ColumnRelBuilder::keeping`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Keep {
+    /// The whole cell, as it is.
+    All,
+    /// Of a list, only the named fields of each inner tuple, in this order,
+    /// each kept as its own `Keep` says. A field an inner tuple lacks is
+    /// null, which is what unnesting reads for it either way: such a column
+    /// is there to be unnested, not to be read as a value.
+    Fields(Vec<(Symbol, Keep)>),
+}
+
 /// Builds a [`ColumnRel`] row by row, specializing column types on first
 /// non-null observation and degrading to [`ColumnData::Values`] on conflict.
 #[derive(Debug)]
@@ -852,17 +879,29 @@ enum BuildCol {
         validity: Bitmap,
     },
     Nested {
+        /// Row *i* spans child rows `offsets[i]..offsets[i+1]`, so the last
+        /// offset is always the child's length (0 while there is no child).
         offsets: Vec<u32>,
         validity: Bitmap,
-        /// Set when the first inner tuple fixes the child schema.
+        /// The inner tuples' columns: fixed by the first inner tuple, or —
+        /// when `picked` — given up front by a [`Keep::Fields`].
         child: Option<Box<ColumnRelBuilder>>,
+        picked: bool,
     },
     Values(Vec<Value>),
 }
 
 impl BuildCol {
-    fn new() -> Self {
-        BuildCol::Empty { nulls: 0 }
+    fn new(keep: Keep) -> Self {
+        match keep {
+            Keep::All => BuildCol::Empty { nulls: 0 },
+            Keep::Fields(fields) => BuildCol::Nested {
+                offsets: vec![0],
+                validity: Bitmap::new(),
+                child: Some(Box::new(ColumnRelBuilder::keeping(fields))),
+                picked: true,
+            },
+        }
     }
 
     /// Materializes the column built so far into boundary values (degrade
@@ -896,12 +935,13 @@ impl BuildCol {
                 offsets,
                 validity,
                 child,
+                ..
             } => {
                 let child = match child {
                     Some(b) => b.finish(),
                     None => ColumnRel::empty::<&str>(&[]),
                 };
-                (0..offsets.len() - 1)
+                (0..validity.len())
                     .map(|i| {
                         if validity.get(i) {
                             let lo = offsets[i] as usize;
@@ -917,13 +957,13 @@ impl BuildCol {
         }
     }
 
-    fn degrade(&mut self) -> &mut Vec<Value> {
+    /// Turns the column into boundary values and appends `v` to them: the
+    /// way out of a type conflict (cold).
+    fn degrade_push(&mut self, v: &Value) {
         let old = std::mem::replace(self, BuildCol::Values(Vec::new()));
-        *self = BuildCol::Values(old.into_values());
-        match self {
-            BuildCol::Values(vs) => vs,
-            _ => unreachable!(),
-        }
+        let mut values = old.into_values();
+        values.push(v.clone());
+        *self = BuildCol::Values(values);
     }
 
     fn push(&mut self, v: &Value) {
@@ -964,6 +1004,7 @@ impl BuildCol {
                         offsets,
                         validity,
                         child: None,
+                        picked: false,
                     };
                 }
             }
@@ -990,6 +1031,25 @@ impl BuildCol {
                     offsets,
                     validity,
                     child,
+                    picked: true,
+                },
+                Value::List(ts),
+            ) => {
+                // The kept fields only, found by name.
+                if let Some(cb) = child {
+                    for t in ts {
+                        cb.append_fields(t);
+                    }
+                }
+                offsets.push(child.as_ref().map_or(0, |cb| cb.len as u32));
+                validity.push(true);
+            }
+            (
+                BuildCol::Nested {
+                    offsets,
+                    validity,
+                    child,
+                    picked: false,
                 },
                 Value::List(ts),
             ) => {
@@ -1012,36 +1072,33 @@ impl BuildCol {
                     (None, None) => true,
                 };
                 if !compatible {
-                    self.degrade().push(v.clone());
+                    self.degrade_push(v);
                     return;
                 }
                 if let Some(cb) = child {
                     // Inner cells go in by reference, arity checked above.
                     for t in ts {
-                        for (c, (_, v)) in cb.cols.iter_mut().zip(t.fields()) {
-                            c.push(v);
-                        }
-                        cb.len += 1;
+                        cb.append(t.values());
                     }
                 }
-                offsets.push(match child {
-                    Some(cb) => cb.len as u32,
-                    None => *offsets.last().unwrap(),
-                });
+                offsets.push(child.as_ref().map_or(0, |cb| cb.len as u32));
                 validity.push(true);
             }
             (
                 BuildCol::Nested {
-                    offsets, validity, ..
+                    offsets,
+                    validity,
+                    child,
+                    ..
                 },
                 Value::Null,
             ) => {
-                offsets.push(*offsets.last().unwrap());
+                offsets.push(child.as_ref().map_or(0, |cb| cb.len as u32));
                 validity.push(false);
             }
             (BuildCol::Values(vs), v) => vs.push(v.clone()),
             // type conflict: degrade and retry
-            (_, v) => self.degrade().push(v.clone()),
+            (_, v) => self.degrade_push(v),
         }
     }
 
@@ -1070,6 +1127,7 @@ impl BuildCol {
                 offsets,
                 validity,
                 child,
+                ..
             } => Column {
                 data: ColumnData::Nested {
                     offsets,
@@ -1102,7 +1160,18 @@ impl ColumnRelBuilder {
 
     /// A builder over pre-interned column names.
     pub fn from_symbols(names: Vec<Symbol>) -> Self {
-        let cols = names.iter().map(|_| BuildCol::new()).collect();
+        let cols = names.iter().map(|_| BuildCol::new(Keep::All)).collect();
+        ColumnRelBuilder {
+            names,
+            cols,
+            len: 0,
+        }
+    }
+
+    /// A builder whose column `cols[i].0` keeps of each cell what
+    /// `cols[i].1` says.
+    pub fn keeping(cols: Vec<(Symbol, Keep)>) -> Self {
+        let (names, cols) = cols.into_iter().map(|(n, k)| (n, BuildCol::new(k))).unzip();
         ColumnRelBuilder {
             names,
             cols,
@@ -1139,11 +1208,26 @@ impl ColumnRelBuilder {
                 found: row.len(),
             });
         }
+        self.append(row);
+        Ok(())
+    }
+
+    /// Appends a row whose arity the caller knows to be the builder's.
+    fn append<'v>(&mut self, row: impl IntoIterator<Item = &'v Value>) {
         for (c, v) in self.cols.iter_mut().zip(row) {
             c.push(v);
         }
         self.len += 1;
-        Ok(())
+    }
+
+    /// Appends the fields of `t` the columns are named after, a null for
+    /// each that `t` lacks.
+    fn append_fields(&mut self, t: &Tuple) {
+        static NULL: Value = Value::Null;
+        for (c, name) in self.cols.iter_mut().zip(&self.names) {
+            c.push(t.get_sym(*name).unwrap_or(&NULL));
+        }
+        self.len += 1;
     }
 
     /// Finishes into a [`ColumnRel`].
@@ -1388,9 +1472,93 @@ mod tests {
         let c = ColumnRel::from_relation(&profs());
         let left = c.take(&[0, 2]);
         let right = c.take(&[1, 3]);
-        let wide = left.hstack(right);
+        let wide = left.hstack(right).unwrap();
         assert_eq!(wide.len(), 2);
         assert_eq!(wide.names().len(), 6);
+        // relations of different lengths are refused, not glued
+        assert_eq!(
+            c.take(&[0]).hstack(c.take(&[1, 2])).unwrap_err(),
+            AdmError::RowCountMismatch { left: 1, right: 2 }
+        );
+        // pairs gather both sides at once: row i is left[l_i] ++ right[r_i]
+        let paired = c.take_pairs(&c, &[(0, 1), (3, 3)]);
+        let mut rows = vec![];
+        for (l, r) in [(0u32, 1u32), (3, 3)] {
+            rows.push(c.take(&[l]).hstack(c.take(&[r])).unwrap().tuple_at(0));
+        }
+        assert_eq!((0..2).map(|i| paired.tuple_at(i)).collect::<Vec<_>>(), rows);
+    }
+
+    /// A list kept down to some inner fields unnests to exactly what the
+    /// whole list unnests to on those fields — two lists deep, with a
+    /// field some inner tuples lack, a null list and an empty one.
+    #[test]
+    fn a_picked_list_unnests_like_the_whole_one() {
+        let inner = |a: &str, with_b: bool| {
+            let t = Tuple::new().with("A", a);
+            let t = if with_b { t.with("B", "b") } else { t };
+            t.with_list("L2", vec![Tuple::new().with("X", a).with("Y", "y")])
+        };
+        let r = Relation::from_rows(
+            vec!["P.URL", "P.L"],
+            vec![
+                vec![
+                    Value::link("/1"),
+                    Value::List(vec![inner("p", true), inner("q", false)]),
+                ],
+                vec![Value::link("/2"), Value::Null],
+                vec![Value::link("/3"), Value::List(vec![])],
+            ],
+        )
+        .unwrap();
+        let (url, l) = (Symbol::intern("P.URL"), Symbol::intern("P.L"));
+        let mut picked = ColumnRelBuilder::keeping(vec![
+            (url, Keep::All),
+            (
+                l,
+                Keep::Fields(vec![
+                    (Symbol::intern("B"), Keep::All),
+                    (
+                        Symbol::intern("L2"),
+                        Keep::Fields(vec![(Symbol::intern("X"), Keep::All)]),
+                    ),
+                ]),
+            ),
+        ]);
+        for row in r.rows() {
+            picked.push_row(row).unwrap();
+        }
+        let picked = picked.finish();
+        let whole = ColumnRel::from_relation(&r);
+        let unnest = |c: &ColumnRel| {
+            c.unnest("L", &["B".to_string(), "L2".to_string()])
+                .unwrap()
+                .unnest("L2", &["X".to_string()])
+                .unwrap()
+                .to_relation()
+        };
+        assert_eq!(unnest(&picked), unnest(&whole));
+        assert_eq!(unnest(&picked).len(), 2);
+        // only the kept fields were built
+        let ColumnData::Nested { child, .. } = &picked.columns()[1].data else {
+            panic!("a picked list stays nested");
+        };
+        let names: Vec<&str> = child.names().iter().map(|s| s.as_str()).collect();
+        assert_eq!(names, ["B", "L2"]);
+        // a cell of another type degrades the column to the picked values
+        let mut odd = ColumnRelBuilder::keeping(vec![(
+            l,
+            Keep::Fields(vec![(Symbol::intern("A"), Keep::All)]),
+        )]);
+        odd.push_row(&[Value::List(vec![inner("p", true)])])
+            .unwrap();
+        odd.push_row(&[Value::text("not a list")]).unwrap();
+        let odd = odd.finish();
+        assert!(matches!(odd.columns()[0].data, ColumnData::Values(_)));
+        assert_eq!(
+            odd.value_at(0, 0),
+            Value::List(vec![Tuple::new().with("A", "p")])
+        );
     }
 
     #[test]

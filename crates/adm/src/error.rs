@@ -45,6 +45,13 @@ pub enum AdmError {
     },
     /// A duplicate name was introduced where names must be unique.
     DuplicateName(String),
+    /// Two relations glued side by side had different numbers of rows.
+    RowCountMismatch {
+        /// Rows of the left relation.
+        left: usize,
+        /// Rows of the right relation.
+        right: usize,
+    },
 }
 
 impl fmt::Display for AdmError {
@@ -76,6 +83,9 @@ impl fmt::Display for AdmError {
                 )
             }
             AdmError::DuplicateName(name) => write!(f, "duplicate name `{name}`"),
+            AdmError::RowCountMismatch { left, right } => {
+                write!(f, "row count mismatch: {left} rows beside {right}")
+            }
         }
     }
 }

@@ -38,7 +38,7 @@ pub mod types;
 pub mod url;
 pub mod value;
 
-pub use columnar::{Bitmap, Column, ColumnData, ColumnRel, ColumnRelBuilder};
+pub use columnar::{Bitmap, Column, ColumnData, ColumnRel, ColumnRelBuilder, Keep};
 pub use constraints::{InclusionConstraint, LinkConstraint};
 pub use error::AdmError;
 pub use intern::Symbol;

@@ -68,6 +68,16 @@ impl Relation {
         })
     }
 
+    /// A relation over rows the caller built with one value per column, so
+    /// there is no arity to check.
+    pub(crate) fn from_full_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
+        debug_assert!(rows.iter().all(|r| r.len() == columns.len()));
+        Relation {
+            columns,
+            rows: Arc::new(rows),
+        }
+    }
+
     /// The column header.
     pub fn columns(&self) -> &[String] {
         &self.columns

@@ -339,11 +339,9 @@ impl WebScheme {
     pub fn describe(&self) -> String {
         let mut out = String::new();
         for s in self.schemes.values() {
-            let entry = if self.is_entry_point(&s.name) {
-                let ep = self.entry_point(&s.name).unwrap();
-                format!("  [entry point: {}]", ep.url)
-            } else {
-                String::new()
+            let entry = match self.entry_point(&s.name) {
+                Some(ep) => format!("  [entry point: {}]", ep.url),
+                None => String::new(),
             };
             out.push_str(&format!("{s}{entry}\n"));
         }

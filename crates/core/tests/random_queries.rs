@@ -6,6 +6,10 @@
 //! optimizer's plan arena to the tree it stands for, and the premise of the
 //! shape-keyed plan cache: Algorithm 1 never looks at a selection constant.
 
+#[path = "../../../tests/support/arb_query.rs"]
+mod arb_query;
+
+use arb_query::{arb_query, DrawnQuery, QuerySpace};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use websim::sitegen::{University, UniversityConfig};
@@ -19,6 +23,7 @@ struct Fixture {
     u: University,
     stats: SiteStatistics,
     catalog: ViewCatalog,
+    space: QuerySpace,
 }
 
 fn fixture() -> &'static Fixture {
@@ -33,93 +38,21 @@ fn fixture() -> &'static Fixture {
         })
         .unwrap();
         let stats = SiteStatistics::from_site(&u.site);
+        let catalog = university_catalog();
+        let space = QuerySpace::new(&catalog, &u.site);
         Fixture {
             u,
             stats,
-            catalog: university_catalog(),
+            catalog,
+            space,
         }
     })
 }
 
-/// The relations and, per attribute, a pool of plausible constants.
-const RELATIONS: &[(&str, &[&str])] = &[
-    ("Dept", &["DName", "Address"]),
-    ("Professor", &["PName", "Rank", "Email"]),
-    ("Course", &["CName", "Session", "Description", "Type"]),
-    ("CourseInstructor", &["CName", "PName"]),
-    ("ProfDept", &["PName", "DName"]),
-];
-
-fn values_for(attr: &str) -> Vec<&'static str> {
-    match attr {
-        "Rank" => vec!["Full", "Associate", "Assistant"],
-        "Session" => vec!["Fall", "Winter", "Summer"],
-        "Type" => vec!["Graduate", "Undergraduate"],
-        "DName" => vec!["Computer Science", "Mathematics", "Physics", "Nowhere"],
-        _ => vec!["no-such-value"],
-    }
-}
-
-#[derive(Debug, Clone)]
-struct RandomQuery {
-    atoms: Vec<usize>,                        // indices into RELATIONS
-    selections: Vec<(usize, String, String)>, // (atom, attr, value)
-    join_all_shared: bool,
-}
-
-fn arb_query() -> impl Strategy<Value = RandomQuery> {
-    (
-        proptest::collection::vec(0usize..RELATIONS.len(), 1..=3),
-        proptest::collection::vec(
-            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-            0..3,
-        ),
-        any::<bool>(),
-    )
-        .prop_map(|(atoms, sel_picks, join_all_shared)| {
-            let mut selections = Vec::new();
-            for (ai, vi) in sel_picks {
-                let atom = ai.index(atoms.len());
-                let attrs = RELATIONS[atoms[atom]].1;
-                let attr = attrs[vi.index(attrs.len())];
-                let pool = values_for(attr);
-                let value = pool[vi.index(pool.len())];
-                selections.push((atom, attr.to_string(), value.to_string()));
-            }
-            RandomQuery {
-                atoms,
-                selections,
-                join_all_shared,
-            }
-        })
-}
-
-fn build(rq: &RandomQuery) -> ConjunctiveQuery {
-    let mut q = ConjunctiveQuery::new("random");
-    for &a in &rq.atoms {
-        q = q.atom(RELATIONS[a].0);
-    }
-    // join every later atom to every earlier one on shared attribute names
-    // (natural-join style), so most queries are connected
-    if rq.join_all_shared {
-        for j in 1..rq.atoms.len() {
-            for i in 0..j {
-                for attr in RELATIONS[rq.atoms[i]].1 {
-                    if RELATIONS[rq.atoms[j]].1.contains(attr) {
-                        q = q.join((i, *attr), (j, *attr));
-                    }
-                }
-            }
-        }
-    }
-    for (atom, attr, value) in &rq.selections {
-        q = q.select((*atom, attr.clone()), value.clone());
-    }
-    // project the first attribute of every atom
-    for (i, &a) in rq.atoms.iter().enumerate() {
-        q = q.project((i, RELATIONS[a].1[0]));
-    }
-    q
+/// The query `picks` draws over the fixture.
+fn build(picks: &arb_query::QueryPicks) -> ConjunctiveQuery {
+    let space = &fixture().space;
+    space.build(&space.draw(picks, 0))
 }
 
 fn answer_of(
@@ -137,15 +70,14 @@ fn answer_of(
 }
 
 /// `rq` with its selection constants replaced: selection `j` takes
-/// `picks[j]` from its attribute's pool widened by constants that occur
-/// under *other* attributes and one no page carries, so vectors repeat a
-/// value across attributes and leave the site.
-fn with_constants(rq: &RandomQuery, picks: &[prop::sample::Index]) -> RandomQuery {
+/// `picks[j]` from its attribute's constants widened by constants that
+/// occur under *other* attributes and one no page carries, so vectors
+/// repeat a value across attributes and leave the site.
+fn with_constants(rq: &DrawnQuery, picks: &[prop::sample::Index]) -> DrawnQuery {
     let mut out = rq.clone();
     for ((_, attr, value), pick) in out.selections.iter_mut().zip(picks) {
-        let mut pool = values_for(attr);
-        pool.extend(["Full", "Fall", "Computer Science", "absent from the site"]);
-        *value = pool[pick.index(pool.len())].to_string();
+        let pool = fixture().space.widened(attr);
+        *value = pool[pick.index(pool.len())].clone();
     }
     out
 }
@@ -161,9 +93,9 @@ fn subtrees(e: &nalg::NalgExpr, out: &mut Vec<nalg::NalgExpr>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
-    fn optimized_equals_naive(rq in arb_query()) {
+    fn optimized_equals_naive(picks in arb_query()) {
         let fx = fixture();
-        let q = build(&rq);
+        let q = build(&picks);
         q.validate(&fx.catalog).expect("generated query is valid");
         let source = LiveSource::for_site(&fx.u.site);
         let optimized = QuerySession::new(&fx.u.site.scheme, &fx.catalog, &fx.stats, &source);
@@ -178,9 +110,9 @@ proptest! {
     }
 
     #[test]
-    fn optimized_never_costs_more_than_naive(rq in arb_query()) {
+    fn optimized_never_costs_more_than_naive(picks in arb_query()) {
         let fx = fixture();
-        let q = build(&rq);
+        let q = build(&picks);
         let source = LiveSource::for_site(&fx.u.site);
         let optimized = QuerySession::new(&fx.u.site.scheme, &fx.catalog, &fx.stats, &source);
         let naive = QuerySession::new(&fx.u.site.scheme, &fx.catalog, &fx.stats, &source)
@@ -207,12 +139,13 @@ proptest! {
     // constants are equal in different places have different keys.
     #[test]
     fn plans_depend_on_the_shape_not_on_the_constants(
-        rq in arb_query(),
+        drawn in arb_query(),
         picks in proptest::collection::vec(any::<prop::sample::Index>(), 4),
     ) {
         let fx = fixture();
+        let rq = fx.space.draw(&drawn, 0);
         let (a, b) = (with_constants(&rq, &picks[..2]), with_constants(&rq, &picks[2..]));
-        let (qa, qb) = (build(&a), build(&b));
+        let (qa, qb) = (fx.space.build(&a), fx.space.build(&b));
         let ((key_a, params_a), (key_b, params_b)) = (qa.shape(), qb.shape());
         // arb_query draws at most two selections, so "equal in the same
         // places" is one comparison.
@@ -230,7 +163,7 @@ proptest! {
                 let class = params_a.iter().position(|p| p.as_text() == Some(value));
                 *value = params_b[class.expect("a constant of a")].to_string();
             }
-            let qb_listed = build(&b_listed);
+            let qb_listed = fx.space.build(&b_listed);
             prop_assert_eq!(qb_listed.cache_key(), qb.cache_key());
             let opt = Optimizer::new(&fx.u.site.scheme, &fx.catalog, &fx.stats);
             let planned_a = opt.optimize(&qa).expect("optimizes");
@@ -251,9 +184,9 @@ proptest! {
     // survive the round trip through one shared arena, get one id per
     // structure, and have the header and the estimate the tree has.
     #[test]
-    fn arena_agrees_with_the_tree(rq in arb_query()) {
+    fn arena_agrees_with_the_tree(picks in arb_query()) {
         let fx = fixture();
-        let q = build(&rq);
+        let q = build(&picks);
         let ws = &fx.u.site.scheme;
         let mut plans = Vec::new();
         for mask in [RuleMask::all(), RuleMask::none()] {

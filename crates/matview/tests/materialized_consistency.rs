@@ -19,7 +19,11 @@
 //! reader keeps stays what it was handed whatever the store, the cache and
 //! the views do next, and only an attested page reaches the shared cache.
 
+#[path = "../../../tests/support/arb_query.rs"]
+mod arb_query;
+
 use adm::{Relation, Tuple, Url, Value};
+use arb_query::{arb_query, QueryPicks, QuerySpace};
 use matview::maintain::{audit, full_refresh};
 use matview::urlcheck::{url_check, CheckCounters};
 use matview::{IncrementalView, MatSession, MatStore};
@@ -220,11 +224,22 @@ fn failed_redownload_is_marked_stale_not_kept_wrong() {
 struct World {
     site: Site,
     catalog: ViewCatalog,
-    /// Relations with their attributes (first one is projected).
-    relations: &'static [(&'static str, &'static [&'static str])],
-    /// Plausible constants per attribute.
-    values: fn(&str) -> &'static [&'static str],
+    /// Relations, attributes and constants, from the catalog and the site
+    /// as generated.
+    space: QuerySpace,
     plan: MutationPlan,
+}
+
+impl World {
+    fn new(site: Site, catalog: ViewCatalog, plan: MutationPlan) -> Self {
+        let space = QuerySpace::new(&catalog, &site);
+        World {
+            site,
+            catalog,
+            space,
+            plan,
+        }
+    }
 }
 
 fn university_world(site_seed: u64, plan_seed: u64) -> World {
@@ -236,29 +251,15 @@ fn university_world(site_seed: u64, plan_seed: u64) -> World {
         ..UniversityConfig::default()
     })
     .unwrap();
-    World {
-        site: u.site,
-        catalog: university_catalog(),
-        relations: &[
-            ("Dept", &["DName", "Address"]),
-            ("Professor", &["PName", "Rank", "Email"]),
-            ("Course", &["CName", "Session", "Description", "Type"]),
-            ("CourseInstructor", &["CName", "PName"]),
-            ("ProfDept", &["PName", "DName"]),
-        ],
-        values: |attr| match attr {
-            "Rank" => &["Full", "Associate", "Assistant"],
-            "Session" => &["Fall", "Winter", "Summer"],
-            "Type" => &["Graduate", "Undergraduate"],
-            "DName" => &["Computer Science", "Mathematics", "Physics", "Nowhere"],
-            _ => &["no-such-value"],
-        },
-        plan: MutationPlan::new(plan_seed)
+    World::new(
+        u.site,
+        university_catalog(),
+        MutationPlan::new(plan_seed)
             .with_rule(MutationRule::edit_attr("DeptPage", "Address", 0.5))
             .with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.3))
             .with_rule(MutationRule::edit_attr("CoursePage", "Description", 0.3))
             .with_rule(MutationRule::delete("CoursePage", 0.15)),
-    }
+    )
 }
 
 fn bibliography_world(site_seed: u64, plan_seed: u64) -> World {
@@ -273,101 +274,31 @@ fn bibliography_world(site_seed: u64, plan_seed: u64) -> World {
         ..BibConfig::default()
     })
     .unwrap();
-    World {
-        site: bib.site,
-        catalog: bibliography_catalog(),
-        relations: &[
-            ("Conference", &["ConfName"]),
-            ("ConfEdition", &["ConfName", "Year", "Editors"]),
-            ("Author", &["AName"]),
-            ("AuthorPub", &["AName", "ConfName", "Year"]),
-            ("Paper", &["Title", "ConfName", "Year"]),
-        ],
-        values: |attr| match attr {
-            "ConfName" => &["VLDB", "SIGMOD", "PODS", "Nowhere"],
-            "Year" => &["1997", "1996", "1990"],
-            _ => &["no-such-value"],
-        },
-        plan: MutationPlan::new(plan_seed)
+    World::new(
+        bib.site,
+        bibliography_catalog(),
+        MutationPlan::new(plan_seed)
             .with_rule(MutationRule::edit_attr("EditionPage", "Editors", 0.5))
             .with_rule(MutationRule::delete("AuthorPage", 0.1)),
-    }
-}
-
-/// A query drawn as `crates/core/tests/random_queries.rs`'s `arb_query`
-/// draws them — one to three atoms, up to two selections, natural joins or
-/// none — but as picks, so the same draw reads against either world.
-#[derive(Debug, Clone)]
-struct QueryPicks {
-    atoms: Vec<prop::sample::Index>,
-    selections: Vec<(prop::sample::Index, prop::sample::Index)>,
-    join_all_shared: bool,
-}
-
-fn arb_query() -> impl Strategy<Value = QueryPicks> {
-    (
-        proptest::collection::vec(any::<prop::sample::Index>(), 1..=3),
-        proptest::collection::vec(
-            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-            0..3,
-        ),
-        any::<bool>(),
     )
-        .prop_map(|(atoms, selections, join_all_shared)| QueryPicks {
-            atoms,
-            selections,
-            join_all_shared,
-        })
 }
 
 /// The drawn query over `world`; `shift` moves every selection constant
 /// that many places along its attribute's pool, giving another instance of
 /// the same shape.
 fn build(world: &World, picks: &QueryPicks, shift: usize) -> ConjunctiveQuery {
-    let atoms: Vec<_> = picks
-        .atoms
-        .iter()
-        .map(|i| world.relations[i.index(world.relations.len())])
-        .collect();
-    let mut q = ConjunctiveQuery::new("drawn");
-    for (name, _) in &atoms {
-        q = q.atom(*name);
-    }
-    if picks.join_all_shared {
-        for j in 1..atoms.len() {
-            for i in 0..j {
-                for attr in atoms[i].1 {
-                    if atoms[j].1.contains(attr) {
-                        q = q.join((i, *attr), (j, *attr));
-                    }
-                }
-            }
-        }
-    }
-    for (at, which) in &picks.selections {
-        let atom = at.index(atoms.len());
-        let attrs = atoms[atom].1;
-        let attr = attrs[which.index(attrs.len())];
-        // One selection per attribute: two on one attribute are listed by
-        // value in the shape, so another instance may get its two σ in the
-        // other order — an equal plan, but not an equal tree
-        // (`tests/serving.rs` holds such shapes to their answers).
-        if q.selections
-            .iter()
-            .any(|((i, a), _)| (*i, a.as_str()) == (atom, attr))
-        {
-            continue;
-        }
-        let pool = (world.values)(attr);
-        q = q.select(
-            (atom, attr),
-            pool[(which.index(pool.len()) + shift) % pool.len()],
-        );
-    }
-    for (i, (_, attrs)) in atoms.iter().enumerate() {
-        q = q.project((i, attrs[0]));
-    }
-    q
+    let mut drawn = world.space.draw(picks, shift);
+    // One selection per attribute: two on one attribute are listed by
+    // value in the shape, so another instance may get its two σ in the
+    // other order — an equal plan, but not an equal tree
+    // (`tests/serving.rs` holds such shapes to their answers).
+    let mut seen = Vec::new();
+    drawn.selections.retain(|(atom, attr, _)| {
+        let first = !seen.contains(&(*atom, attr.clone()));
+        seen.push((*atom, attr.clone()));
+        first
+    });
+    world.space.build(&drawn)
 }
 
 /// Answers `q` from `remembering` and from a clone of it, which starts

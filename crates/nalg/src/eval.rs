@@ -34,9 +34,10 @@ use crate::error::EvalError;
 use crate::expr::{field_of_column, resolve_column, NalgExpr, Pred};
 use crate::fetch::{Done, FetchPool, Job};
 use crate::policy::{EvalPolicy, Fetch};
+use crate::reads::Reads;
 use crate::Result;
 use adm::{
-    ColumnRel, ColumnRelBuilder, Field, InclusionConstraint, LinkConstraint, Relation, Symbol,
+    ColumnRel, ColumnRelBuilder, InclusionConstraint, LinkConstraint, PageScheme, Relation, Symbol,
     Tuple, Url, Value, WebScheme,
 };
 use obs::trace::EventKind;
@@ -502,7 +503,13 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             ..Ctx::default()
         };
         let relation = self
-            .eval_expr(expr, &mut ctx, pool, self.policy.trace_parent())?
+            .eval_expr(
+                expr,
+                &mut ctx,
+                pool,
+                self.policy.trace_parent(),
+                &Reads::root(),
+            )?
             .to_relation();
         let audit = self.run_audit(&mut ctx);
         Ok(EvalReport {
@@ -635,9 +642,10 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         pool: &FetchPool<'_>,
         parent: Option<u64>,
+        reads: &Reads,
     ) -> Result<ColumnRel> {
         let Some(sink) = self.policy.sink() else {
-            return self.eval_node(expr, ctx, pool, parent);
+            return self.eval_node(expr, ctx, pool, parent, reads);
         };
         let node = ctx.node_seq;
         ctx.node_seq += 1;
@@ -649,7 +657,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             ctx.broken_links,
             ctx.per_op.len(),
         );
-        let result = self.eval_node(expr, ctx, pool, Some(span.id()));
+        let result = self.eval_node(expr, ctx, pool, Some(span.id()), reads);
         span.set("node", node);
         match &result {
             Ok(rel) => span.set("rows_out", rel.len() as u64),
@@ -670,13 +678,18 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         result
     }
 
+    /// Evaluates one operator. `reads` is what the operators above can read
+    /// of its output ([`Reads`]): a page-relation builds only the columns
+    /// it keeps, and µ emits only the inner fields it names.
     fn eval_node(
         &self,
         expr: &NalgExpr,
         ctx: &mut Ctx,
         pool: &FetchPool<'_>,
         parent: Option<u64>,
+        reads: &Reads,
     ) -> Result<ColumnRel> {
+        let below = &reads.below(expr);
         match expr {
             NalgExpr::External { name } => Err(EvalError::NotComputable(format!(
                 "external relation {name}"
@@ -685,8 +698,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 let ep = self.ws.entry_point(scheme).ok_or_else(|| {
                     EvalError::NotComputable(format!("{scheme} is not an entry point"))
                 })?;
-                let header = crate::expr::page_columns(self.ws, scheme, alias)?;
-                let mut page = PageBatch::new(&header, &self.ws.scheme(scheme)?.fields);
+                let (_, mut page) = PageBatch::new(self.ws.scheme(scheme)?, alias, reads);
                 let order = [Symbol::from_url(&ep.url)];
                 self.acquire(ctx, pool, scheme, &order, None, |url, tuple| {
                     page.push(url, tuple).map(|_| ())
@@ -702,7 +714,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     return Err(EvalError::Source(format!("entry point {} missing", ep.url)));
                 }
                 ctx.per_op.push((format!("entry {scheme}"), 1));
-                Ok(page.finish())
+                page.finish()
             }
             NalgExpr::Select { input, pred } => {
                 // Relevance: this predicate filters everything the input
@@ -711,19 +723,19 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 if self.policy.relevance {
                     ctx.residual.push(ResidualFilter::Pred(pred.clone()));
                 }
-                let rel = self.eval_expr(input, ctx, pool, parent);
+                let rel = self.eval_expr(input, ctx, pool, parent, below);
                 if self.policy.relevance {
                     ctx.residual.pop();
                 }
                 apply_pred_col(&rel?, pred)
             }
             NalgExpr::Project { input, cols } => {
-                let rel = self.eval_expr(input, ctx, pool, parent)?;
+                let rel = self.eval_expr(input, ctx, pool, parent, below)?;
                 let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
                 Ok(rel.project(&refs)?)
             }
             NalgExpr::Join { left, right, on } => {
-                let l = self.eval_expr(left, ctx, pool, parent)?;
+                let l = self.eval_expr(left, ctx, pool, parent, below)?;
                 // Relevance: the left side is computed, so its join-key
                 // values bound what the right side can contribute — a
                 // right-side Follow row whose key joins none of them can
@@ -741,7 +753,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                         }
                     }
                 }
-                let r = self.eval_expr(right, ctx, pool, parent);
+                let r = self.eval_expr(right, ctx, pool, parent, below);
                 for _ in 0..pushed {
                     ctx.residual.pop();
                 }
@@ -750,7 +762,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 Ok(l.join(&r?, &pairs)?)
             }
             NalgExpr::Unnest { input, attr } => {
-                let rel = self.eval_expr(input, ctx, pool, parent)?;
+                let rel = self.eval_expr(input, ctx, pool, parent, below)?;
                 let qualified = rel.names()[rel.resolve(attr)?].as_str().to_string();
                 let aliases = expr.alias_map()?;
                 let field = field_of_column(self.ws, &aliases, &qualified)?;
@@ -765,6 +777,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                         })
                     })?
                     .iter()
+                    .filter(|f| reads.unnests(&qualified, f))
                     .map(|f| f.name.clone())
                     .collect();
                 Ok(rel.unnest(attr, &inner)?)
@@ -775,8 +788,9 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 target,
                 alias,
             } => {
-                let rel = self.eval_expr(input, ctx, pool, parent)?;
-                self.follow(&rel, link, target, alias, ctx, pool)
+                let rel = self.eval_expr(input, ctx, pool, parent, below)?;
+                let pages = PageBatch::new(self.ws.scheme(target)?, alias, reads);
+                self.follow(&rel, link, target, pages, ctx, pool)
             }
         }
     }
@@ -1048,16 +1062,16 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// `follow link`: acquire the distinct interned link ids of the input
     /// in first-appearance order — so `per_op` charges and every access
     /// counter follow the paper's rules — then gather. The *local* side is
-    /// batch: acquired pages land in one [`ColumnRelBuilder`] batch, keyed
-    /// by interned id so completion order cannot affect the result, and
-    /// the output is a gather (`take` + `hstack`) over input-row and
-    /// page-row index vectors.
+    /// batch: acquired pages land in one [`PageBatch`], keyed by interned
+    /// id so completion order cannot affect the result, and the output is
+    /// one gather ([`ColumnRel::take_pairs`]) of input rows beside page
+    /// rows. `pages` is the target's empty batch beside its header.
     fn follow(
         &self,
         rel: &ColumnRel,
         link: &str,
         target: &str,
-        alias: &str,
+        (header, mut pages): (Vec<String>, PageBatch),
         ctx: &mut Ctx,
         pool: &FetchPool<'_>,
     ) -> Result<ColumnRel> {
@@ -1076,10 +1090,6 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         }
         ctx.per_op
             .push((format!("–{link}→ {target}"), order.len() as u64));
-        // The page header is static (alias.URL + alias.fields), so the
-        // batch builder exists before any page arrives.
-        let header = crate::expr::page_columns(self.ws, target, alias)?;
-        let mut pages = PageBatch::new(&header, &self.ws.scheme(target)?.fields);
         self.acquire(
             ctx,
             pool,
@@ -1091,43 +1101,54 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 Ok(())
             },
         )?;
-        // Output assembly: one gather per side, input-row order.
-        let mut li_idx: Vec<u32> = Vec::new();
-        let mut ri_idx: Vec<u32> = Vec::new();
+        // Output assembly: one gather, input-row order.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         for row in 0..rel.len() {
-            if let Some(s) = link_of(row) {
-                if let Some(Some(pr)) = page_row.get(&s) {
-                    li_idx.push(row as u32);
-                    ri_idx.push(*pr);
-                }
+            if let Some(Some(pr)) = link_of(row).and_then(|s| page_row.get(&s)) {
+                pairs.push((row as u32, *pr));
             }
         }
-        Ok(rel.take(&li_idx).hstack(pages.finish().take(&ri_idx)))
+        Ok(rel.take_pairs(&pages.finish()?, &pairs))
     }
 }
 
 /// The page-relation an `Entry` or a `Follow` is acquiring: one row per
 /// delivered page, appended *by reference*. The URL column is the symbols
-/// the operator already holds; the attribute columns take each field of
-/// the tuple where it lies (found by the scheme's interned name, null when
-/// the source left it out), so no cell is cloned on its way into a column.
-struct PageBatch<'a> {
+/// the operator already holds; each other column is a field of the
+/// page-scheme that the operators above can read ([`Reads::keeps`]),
+/// taken from the tuple where it lies (found by the field's interned name,
+/// null when the source left it out), so no cell is cloned on its way into
+/// a column and no field nobody reads is interned.
+struct PageBatch {
     url_column: Symbol,
     urls: Vec<Symbol>,
-    fields: &'a [Field],
+    /// The kept fields' names, one a column of `attrs`.
+    fields: Vec<Symbol>,
     attrs: ColumnRelBuilder,
 }
 
-impl<'a> PageBatch<'a> {
-    /// `header` is [`crate::expr::page_columns`] of the scheme whose
-    /// top-level `fields` these are: `alias.URL`, then one column a field.
-    fn new(header: &[String], fields: &'a [Field]) -> Self {
-        PageBatch {
+impl PageBatch {
+    /// The batch for `alias`'s pages of `scheme`, beside its header:
+    /// `alias.URL`, then `alias.F` for each kept field `F`.
+    fn new(scheme: &PageScheme, alias: &str, reads: &Reads) -> (Vec<String>, Self) {
+        let mut header = vec![format!("{alias}.URL")];
+        let mut fields = Vec::new();
+        let mut cols = Vec::new();
+        for f in &scheme.fields {
+            if let Some(keep) = reads.keeps(alias, f) {
+                let column = format!("{alias}.{}", f.name);
+                cols.push((Symbol::intern(&column), keep));
+                header.push(column);
+                fields.push(f.sym());
+            }
+        }
+        let batch = PageBatch {
             url_column: Symbol::intern(&header[0]),
             urls: Vec::new(),
             fields,
-            attrs: ColumnRelBuilder::new(&header[1..]),
-        }
+            attrs: ColumnRelBuilder::keeping(cols),
+        };
+        (header, batch)
     }
 
     fn is_empty(&self) -> bool {
@@ -1137,14 +1158,15 @@ impl<'a> PageBatch<'a> {
     /// Appends one page, returning its row index.
     fn push(&mut self, url: Symbol, tuple: &Tuple) -> Result<u32> {
         static NULL: Value = Value::Null;
-        let cell = |f: &Field| tuple.get_sym(f.sym()).unwrap_or(&NULL);
+        let cell = |f: &Symbol| tuple.get_sym(*f).unwrap_or(&NULL);
         self.attrs.push_row(self.fields.iter().map(cell))?;
         self.urls.push(url);
         Ok(self.urls.len() as u32 - 1)
     }
 
-    fn finish(self) -> ColumnRel {
-        ColumnRel::of_links(self.url_column, self.urls).hstack(self.attrs.finish())
+    fn finish(self) -> Result<ColumnRel> {
+        let urls = ColumnRel::of_links(self.url_column, self.urls);
+        Ok(urls.hstack(self.attrs.finish())?)
     }
 }
 
@@ -1868,14 +1890,36 @@ mod tests {
         let _ = Evaluator::new(&ws, &src).eval(&nav());
     }
 
+    /// A source that, serving `/i/a`, cancels `/i/b` on the evaluation's
+    /// token — while `/i/b`'s job is already queued behind it — and logs
+    /// every URL that reaches it.
+    struct CancellingSource {
+        inner: MapSource,
+        token: obs::CancelToken,
+        fetched: std::sync::Mutex<Vec<Url>>,
+    }
+
+    impl PageSource for CancellingSource {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            if url.as_str() == "/i/a" {
+                self.token.cancel_url("/i/b");
+            }
+            self.fetched.lock().unwrap().push(url.clone());
+            self.inner.fetch(url, scheme)
+        }
+    }
+
     /// The inline executor consults the cancel token like a pool worker
-    /// does: a cancelled request's fetches never reach the source.
+    /// does: a URL cancelled before its job runs never reaches the source.
     #[test]
     fn sequential_eval_honours_a_cancelled_token() {
         let ws = scheme();
-        let src = source();
         let token = obs::CancelToken::new();
-        token.cancel_all();
+        let src = CancellingSource {
+            inner: source(),
+            token: token.clone(),
+            fetched: Default::default(),
+        };
         let ev = |degradation| {
             Evaluator::new(&ws, &src).with_policy(&EvalPolicy {
                 degradation,
@@ -1884,12 +1928,15 @@ mod tests {
             })
         };
         let report = ev(DegradationMode::Partial).eval(&nav()).unwrap();
-        assert_eq!(report.unreachable, vec![Url::new("/list.html")]);
-        assert_eq!(report.page_accesses, 0);
+        assert_eq!(report.unreachable, vec![Url::new("/i/b")]);
+        assert_eq!((report.page_accesses, report.relation.len()), (3, 2));
+        let fetched = std::mem::take(&mut *src.fetched.lock().unwrap());
+        assert_eq!(fetched, ["/list.html", "/i/a", "/i/c"].map(Url::new));
         assert!(matches!(
             ev(DegradationMode::FailFast).eval(&nav()),
             Err(EvalError::Source(_))
         ));
+        assert!(!src.fetched.lock().unwrap().contains(&Url::new("/i/b")));
     }
 
     /// A source that sleeps before serving named URLs. With `slow_once`

@@ -45,6 +45,7 @@ pub mod eval;
 pub mod expr;
 mod fetch;
 pub mod policy;
+mod reads;
 
 pub use cache::{CacheStats, SharedPageCache};
 pub use error::EvalError;

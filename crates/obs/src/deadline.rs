@@ -17,7 +17,6 @@
 
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,14 +68,6 @@ impl Deadline {
     }
 }
 
-#[derive(Debug, Default)]
-struct TokenInner {
-    /// Whole-request cancellation (shutdown, budget exhaustion).
-    all: AtomicBool,
-    /// Individually cancelled URLs (relevance monitor).
-    urls: Mutex<HashSet<String>>,
-}
-
 /// Cooperative cancellation shared between the evaluator and the fetch
 /// layer. Cheap to clone; all clones observe the same state.
 ///
@@ -87,7 +78,8 @@ struct TokenInner {
 /// irrelevant for one navigation turns out to be needed by a later one.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
+    /// Individually cancelled URLs.
+    urls: Arc<Mutex<HashSet<String>>>,
 }
 
 impl CancelToken {
@@ -95,35 +87,24 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Cancels everything sharing this token.
-    pub fn cancel_all(&self) {
-        self.inner.all.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether whole-request cancellation fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.all.load(Ordering::SeqCst)
-    }
-
     /// Marks one URL as not worth fetching.
     pub fn cancel_url(&self, url: &str) {
-        self.inner.urls.lock().insert(url.to_string());
+        self.urls.lock().insert(url.to_string());
     }
 
     /// Clears a per-URL cancellation (the URL became relevant again).
     pub fn uncancel_url(&self, url: &str) {
-        self.inner.urls.lock().remove(url);
+        self.urls.lock().remove(url);
     }
 
-    /// Whether fetching `url` should be skipped — either the whole
-    /// request is cancelled or this URL specifically is.
+    /// Whether fetching `url` should be skipped.
     pub fn is_url_cancelled(&self, url: &str) -> bool {
-        self.is_cancelled() || self.inner.urls.lock().contains(url)
+        self.urls.lock().contains(url)
     }
 
     /// Number of individually cancelled URLs.
     pub fn cancelled_url_count(&self) -> usize {
-        self.inner.urls.lock().len()
+        self.urls.lock().len()
     }
 }
 
@@ -172,17 +153,5 @@ mod tests {
         t.uncancel_url("http://a");
         assert!(!t2.is_url_cancelled("http://a"));
         assert_eq!(t2.cancelled_url_count(), 0);
-    }
-
-    #[test]
-    fn cancel_all_covers_every_url() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        t.cancel_all();
-        assert!(t.is_cancelled());
-        assert!(t.is_url_cancelled("http://anything"));
-        // Per-URL uncancel cannot undo whole-request cancellation.
-        t.uncancel_url("http://anything");
-        assert!(t.is_url_cancelled("http://anything"));
     }
 }

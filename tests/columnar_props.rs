@@ -12,13 +12,18 @@
 //! site and — under `DegradationMode::Partial` — on one with broken and
 //! failing links.
 
+#[path = "support/arb_query.rs"]
+mod arb_query;
 #[path = "support/reference_eval.rs"]
 mod reference_eval;
 
+use arb_query::{arb_query, QuerySpace};
 use proptest::prelude::*;
 use reference_eval::{Counters, Reference};
 use webviews::nalg::SharedPageCache;
 use webviews::prelude::*;
+use wvcore::views::{bibliography_catalog, university_catalog};
+use wvcore::{Optimizer, SiteStatistics};
 
 /// The three plan shapes the paper's experiments exercise — a pointer
 /// chase through the department hierarchy, a pointer join intersecting
@@ -176,8 +181,17 @@ fn assert_paths_agree(
 
 /// Pins every plan shape under every configuration on `site`, handing each
 /// reference result on to `check`.
-fn pin_site(site: &websim::Site, mut check: impl FnMut(&str, Config, Relation, Counters)) {
-    for (label, expr) in plans() {
+fn pin_site(site: &websim::Site, check: impl FnMut(&str, Config, Relation, Counters)) {
+    pin_plans(site, plans(), check)
+}
+
+/// Pins each of `plans` under every configuration on `site`.
+fn pin_plans(
+    site: &websim::Site,
+    plans: Vec<(&str, NalgExpr)>,
+    mut check: impl FnMut(&str, Config, Relation, Counters),
+) {
+    for (label, expr) in plans {
         for workers in [None, Some(3)] {
             for cache in [true, false] {
                 for shared in [false, true] {
@@ -320,5 +334,209 @@ proptest! {
             ..BibConfig::default()
         }).unwrap();
         assert_borrowed_push_equals_cloned(&b.site);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The read set: a page-relation builds only the fields read above it.
+// ---------------------------------------------------------------------
+
+/// University plans that lean on the read set: one that ends without π, so
+/// nothing may be pruned; two aliases of one page-scheme whose shared field
+/// names an unqualified π reads, so both keep it; and a µ above a π that
+/// reads an inner field of the list the π kept.
+fn read_set_plans() -> Vec<(&'static str, NalgExpr)> {
+    let no_pi = NalgExpr::entry("ProfListPage")
+        .unnest("ProfList")
+        .follow("ToProf", "ProfPage")
+        .select(Pred::eq("ProfPage.Rank", "Full"));
+    let dept = |list: &str, page: &str| {
+        NalgExpr::entry_as("DeptListPage", list)
+            .unnest(format!("{list}.DeptList"))
+            .follow_as(format!("{list}.DeptList.ToDept"), "DeptPage", page)
+    };
+    let two_aliases = (dept("L1", "D1").project(vec!["D1.URL", "Address"]))
+        .join(
+            dept("L2", "D2").project(vec!["D2.URL", "D2.DName"]),
+            vec![("D1.URL", "D2.URL")],
+        )
+        .project(vec!["Address", "DName"]);
+    let unnest_above_pi = NalgExpr::entry("ProfListPage")
+        .unnest("ProfList")
+        .follow("ToProf", "ProfPage")
+        .project(vec!["ProfPage.PName", "ProfPage.CourseList"])
+        .unnest("CourseList")
+        .project(vec!["PName", "CName"]);
+    vec![
+        ("no π", no_pi),
+        ("two aliases", two_aliases),
+        ("µ above π", unnest_above_pi),
+    ]
+}
+
+/// Bibliography plans through `EditionPage.PaperList.Authors`, lists two
+/// deep, each reading one inner field of a list it unnests.
+fn bibliography_plans() -> Vec<(&'static str, NalgExpr)> {
+    let editions = || {
+        NalgExpr::entry("BibHomePage")
+            .follow("ToConfList", "ConfListPage")
+            .unnest("ConfList")
+            .follow("ToConf", "ConfPage")
+            .unnest("EditionList")
+            .follow("ToEdition", "EditionPage")
+    };
+    let authors = editions()
+        .unnest("PaperList")
+        .unnest("EditionPage.PaperList.Authors")
+        .project(vec!["EditionPage.PaperList.Authors.AName"]);
+    let titles = editions()
+        .select(Pred::eq("EditionPage.Year", "1997"))
+        .unnest("PaperList")
+        .project(vec!["EditionPage.PaperList.Title"]);
+    let author_pages = editions()
+        .unnest("PaperList")
+        .unnest("Authors")
+        .follow("ToAuthor", "AuthorPage")
+        .project(vec!["AuthorPage.AName", "EditionPage.ConfName"]);
+    let unnest_above_pi = editions()
+        .project(vec!["EditionPage.Year", "EditionPage.PaperList"])
+        .unnest("PaperList")
+        .unnest("Authors")
+        .project(vec!["Year", "AName"]);
+    vec![
+        ("authors", authors),
+        ("titles", titles),
+        ("author pages", author_pages),
+        ("bib µ above π", unnest_above_pi),
+    ]
+}
+
+fn small_bibliography(seed: u64) -> Bibliography {
+    Bibliography::generate(BibConfig {
+        authors: 12,
+        conferences: 3,
+        db_conferences: 2,
+        featured: 1,
+        editions_per_conf: 2,
+        papers_per_edition: 3,
+        seed,
+        ..BibConfig::default()
+    })
+    .unwrap()
+}
+
+// Pruned columns ≡ the reference, which never prunes, on seeded sites.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+    #[test]
+    fn read_set_plans_match_the_reference_on_seeded_sites(
+        departments in 1usize..4,
+        extra_profs in 0usize..8,
+        courses in 2usize..16,
+        seed in 0u64..10_000,
+    ) {
+        let u = University::generate(UniversityConfig {
+            departments,
+            professors: departments + extra_profs,
+            courses,
+            seed,
+            ..UniversityConfig::default()
+        }).unwrap();
+        pin_plans(&u.site, read_set_plans(), |_, _, _, _| {});
+        pin_plans(&small_bibliography(seed).site, bibliography_plans(), |_, _, _, _| {});
+    }
+}
+
+/// The same on the default sites, where each plan is also checked to keep
+/// rows, and a name that is ambiguous over the whole header is ambiguous
+/// over the pruned one: both engines refuse it with the same error.
+#[test]
+fn read_set_plans_match_the_reference_on_default_sites() {
+    let u = University::generate(UniversityConfig::default()).unwrap();
+    pin_plans(&u.site, read_set_plans(), |label, cfg, relation, _| {
+        if !cfg.flaky {
+            assert!(!relation.is_empty(), "{label} {cfg:?}: no rows");
+        }
+    });
+    let b = Bibliography::generate(BibConfig::default()).unwrap();
+    pin_plans(&b.site, bibliography_plans(), |label, cfg, relation, _| {
+        assert!(!relation.is_empty(), "{label} {cfg:?}: no rows");
+    });
+
+    let source = &LiveSource::for_site(&u.site);
+    let ambiguous = NalgExpr::entry("ProfListPage")
+        .unnest("ProfList")
+        .follow("ToProf", "ProfPage")
+        .select(Pred::eq("ProfPage.Rank", "Full"))
+        .project(vec!["PName"]);
+    let col = Evaluator::new(&u.site.scheme, source).eval(&ambiguous);
+    let row = Reference {
+        ws: &u.site.scheme,
+        source,
+        cache_enabled: true,
+        shared: None,
+        degradation: DegradationMode::FailFast,
+    }
+    .eval(&ambiguous);
+    let (Err(col), Err(row)) = (col, row) else {
+        panic!("`PName` binds the anchor and the page: it must stay ambiguous");
+    };
+    assert_eq!(col.to_string(), row.to_string());
+    assert!(col.to_string().contains("ambiguous"), "{col}");
+}
+
+/// Evaluates the plan the optimizer picks for each drawn query — under the
+/// sequential evaluator with its cache, and the pooled one with the shared
+/// cache on a flaky site — against the reference interpreter.
+fn pin_drawn_queries(site: &websim::Site, catalog: &ViewCatalog, drawn: &[arb_query::QueryPicks]) {
+    let space = QuerySpace::new(catalog, site);
+    let stats = SiteStatistics::from_site(site);
+    let optimizer = Optimizer::new(&site.scheme, catalog, &stats);
+    for picks in drawn {
+        let q = space.build(&space.draw(picks, 0));
+        let explain = optimizer.optimize(&q).expect("a drawn query plans");
+        let label = q.to_string();
+        for cfg in [
+            Config {
+                workers: None,
+                cache: true,
+                shared: false,
+                flaky: false,
+            },
+            Config {
+                workers: Some(3),
+                cache: false,
+                shared: true,
+                flaky: true,
+            },
+        ] {
+            assert_paths_agree(site, &explain.best().expr, &label, cfg);
+        }
+    }
+    site.server.clear_fault_plan();
+}
+
+// The optimizer's chosen plan, evaluated, ≡ the reference interpreter on
+// the same plan, for queries drawn over either catalog.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+    #[test]
+    fn chosen_plans_of_drawn_queries_match_the_reference(
+        on_bibliography in any::<bool>(),
+        seed in 0u64..1_000,
+        drawn in proptest::collection::vec(arb_query(), 1..=4),
+    ) {
+        if on_bibliography {
+            pin_drawn_queries(&small_bibliography(seed).site, &bibliography_catalog(), &drawn);
+        } else {
+            let u = University::generate(UniversityConfig {
+                departments: 3,
+                professors: 8,
+                courses: 12,
+                seed,
+                ..UniversityConfig::default()
+            }).unwrap();
+            pin_drawn_queries(&u.site, &university_catalog(), &drawn);
+        }
     }
 }
