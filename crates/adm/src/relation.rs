@@ -11,7 +11,7 @@
 //! (per the paper, footnote 3) no duplicates arise inside pages.
 
 use crate::error::AdmError;
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 use crate::Result;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -20,14 +20,20 @@ use std::sync::Arc;
 /// A relation: a header of qualified column names plus rows of values.
 ///
 /// **The rows are shared, copy-on-write.** They sit behind one `Arc`, so
-/// [`Clone`], [`Relation::rename`] and [`Relation::qualify`] copy the header
-/// and bump a reference — a maintained view hands the same rows to every
-/// reader ([`Relation::from_shared_rows`]). The only writer is
+/// [`Clone`] and [`Relation::rename`] copy the header and bump a reference —
+/// a maintained view hands the same rows to every reader
+/// ([`Relation::from_shared_rows`]). The only writer is
 /// [`Relation::push_row`] (and [`Relation::union`], which builds on a clone):
 /// it writes in place while it is the rows' only holder and copies them
 /// first otherwise, so no holder ever sees a row it did not put there.
 /// Equality, `Debug` and every row accessor read through the `Arc` and are
 /// what they were when the rows were owned.
+///
+/// **The row operators are the reference, not the request path.** The
+/// evaluator runs σ, π, ⋈ and μ on [`crate::ColumnRel`]'s kernels; `select`,
+/// `select_eq`, `project`, `join`, `unnest`, `union` and `minus` stay as the
+/// row-at-a-time semantics those kernels are checked against (the reference
+/// interpreter, the property suites and the columnar-vs-row unit tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     columns: Vec<String>,
@@ -193,18 +199,6 @@ impl Relation {
         }
     }
 
-    /// Number of distinct values in a column (nulls excluded).
-    pub fn distinct_count(&self, column: &str) -> Result<usize> {
-        let i = self.resolve(column)?;
-        let set: HashSet<&Value> = self
-            .rows
-            .iter()
-            .map(|r| &r[i])
-            .filter(|v| !v.is_null())
-            .collect();
-        Ok(set.len())
-    }
-
     /// Equi-join on pairs of columns (hash join on the left). Column names
     /// from both sides are preserved; the header must stay unambiguous, so
     /// callers qualify columns before joining.
@@ -323,18 +317,6 @@ impl Relation {
         })
     }
 
-    /// Prefixes every column with `prefix.` (used when aliasing a scheme).
-    pub fn qualify(&self, prefix: &str) -> Relation {
-        Relation {
-            columns: self
-                .columns
-                .iter()
-                .map(|c| format!("{prefix}.{c}"))
-                .collect(),
-            rows: Arc::clone(&self.rows),
-        }
-    }
-
     /// Set union (headers must match exactly).
     pub fn union(&self, other: &Relation) -> Result<Relation> {
         if self.columns != other.columns {
@@ -387,22 +369,6 @@ impl Relation {
         }
     }
 
-    /// Converts each row to a [`Tuple`] over the column names.
-    pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.rows
-            .iter()
-            .map(|r| {
-                Tuple::from_pairs(
-                    self.columns
-                        .iter()
-                        .cloned()
-                        .zip(r.iter().cloned())
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
     /// Renders an ASCII table (sorted rows) — handy in examples and tests.
     pub fn to_table(&self) -> String {
         let sorted = self.sorted();
@@ -423,6 +389,7 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Tuple;
 
     fn profs() -> Relation {
         Relation::from_rows(
@@ -621,20 +588,9 @@ mod tests {
     }
 
     #[test]
-    fn distinct_count_ignores_nulls() {
-        let mut r = profs();
-        r.push_row(vec![Value::link("/p4"), Value::Null, Value::text("Full")])
-            .unwrap();
-        assert_eq!(r.distinct_count("PName").unwrap(), 3);
-        assert_eq!(r.distinct_count("Rank").unwrap(), 2);
-    }
-
-    #[test]
-    fn rename_and_qualify() {
+    fn rename_resolves_the_new_name() {
         let r = profs().rename("ProfPage.Rank", "R").unwrap();
         assert!(r.resolve("R").is_ok());
-        let q = profs().qualify("X");
-        assert!(q.resolve("X.ProfPage.PName").is_ok());
     }
 
     #[test]
@@ -674,14 +630,12 @@ mod tests {
     }
 
     #[test]
-    fn rename_and_qualify_share_the_rows() {
+    fn rename_shares_the_rows() {
         let r = profs();
         let renamed = r.rename("ProfPage.Rank", "R").unwrap();
-        let qualified = r.qualify("X");
         assert!(Arc::ptr_eq(&r.rows, &renamed.rows));
-        assert!(Arc::ptr_eq(&r.rows, &qualified.rows));
         assert_eq!(renamed.rows(), r.rows());
-        assert_eq!(qualified.columns()[0], "X.ProfPage.URL");
+        assert_eq!(renamed.columns()[2], "R");
     }
 
     #[test]
@@ -690,7 +644,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&a.rows, &b.rows));
         assert_eq!(a, b);
         assert_eq!(a, a.clone());
-        assert_ne!(a, a.qualify("X"));
+        assert_ne!(a, a.rename("ProfPage.URL", "X").unwrap());
         assert_ne!(a, a.select_eq("Rank", &Value::text("Full")).unwrap());
         // what `#[derive(Debug)]` printed when the rows were owned
         assert_eq!(
@@ -710,12 +664,5 @@ mod tests {
         assert_eq!(t1, t2);
         assert!(t1.contains("Codd"));
         assert!(t1.contains("ProfPage.PName"));
-    }
-
-    #[test]
-    fn to_tuples_round_trip_names() {
-        let ts = profs().to_tuples();
-        assert_eq!(ts.len(), 3);
-        assert!(ts[0].get("ProfPage.PName").is_some());
     }
 }

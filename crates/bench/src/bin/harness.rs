@@ -8,14 +8,19 @@
 //! cargo run --release -p bench --bin harness -- e3 --json  # + BENCH_E3.json
 //! cargo run --release -p bench --bin harness -- --explain-analyze
 //! cargo run --release -p bench --bin harness -- --explain-analyze --check 4.0
-//! cargo run --release -p bench --bin harness -- sweep --json --sweep-check 2.0
+//! cargo run --release -p bench --bin harness -- x4 --json --drift-check
 //! cargo run --release -p bench --bin harness -- x5 --json --serve-check
 //! cargo run --release -p bench --bin harness -- x5 --json --obs-check
 //! cargo run --release -p bench --bin harness -- x6 --json --dataflow-check
 //! cargo run --release -p bench --bin harness -- x8 --json --deadline-check
 //! cargo run --release -p bench --bin harness -- benchcmp old.json new.json
+//! cargo run --release -p bench --bin harness -- benchcmp --deterministic old.json new.json
 //! cargo run --release -p bench --bin harness -- trace TRACE_X5.jsonl
 //! ```
+//!
+//! Every table here is a count — page accesses, GETs, rows, light
+//! connections — or the wall-clock shape of a serving run; wall-clock
+//! throughput claims live in the perf ledger (`benchmark/`).
 //!
 //! With `--json`, every table experiment also writes a machine-readable
 //! `BENCH_<ID>.json` (see [`bench::json`]) into the current directory;
@@ -83,24 +88,6 @@ fn main() {
         .and_then(|v| v.parse().ok());
     let check_value: Vec<String> = check.map(|t| t.to_string()).into_iter().collect();
     let drift_check = args.iter().any(|a| a == "--drift-check");
-    // `--sweep-check [min]`: gate the rows/sec sweep; optional numeric floor
-    // (default 2.0, a conservative CI floor — see EXPERIMENTS.md for the
-    // measured speedups).
-    let sweep_check_at = args.iter().position(|a| a == "--sweep-check");
-    // The raw numeric argument (when present) must pass through the
-    // experiment-id filter untouched.
-    let sweep_check_value: Vec<String> = sweep_check_at
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| v.parse::<f64>().is_ok())
-        .cloned()
-        .into_iter()
-        .collect();
-    let sweep_check: Option<f64> = sweep_check_at.map(|_| {
-        sweep_check_value
-            .first()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2.0)
-    });
     let serve_check = args.iter().any(|a| a == "--serve-check");
     let dataflow_check = args.iter().any(|a| a == "--dataflow-check");
     let obs_check = args.iter().any(|a| a == "--obs-check");
@@ -119,9 +106,7 @@ fn main() {
             || a == "--dataflow-check"
             || a == "--obs-check"
             || a == "--deadline-check"
-            || a == "--sweep-check"
             || check_value.contains(a)
-            || sweep_check_value.contains(a)
     };
     let want = |id: &str| {
         (!explain_analyze && args.iter().filter(|a| !passthrough(a)).count() == 0)
@@ -207,62 +192,6 @@ fn main() {
     }
     if want("e8") {
         emit("e8", vec![], &e8_ablation);
-    }
-    if want("sweep") || sweep_check.is_some() {
-        let scales: Vec<usize> = if full {
-            vec![1000, 10000, 40000]
-        } else {
-            vec![1000, 10000]
-        };
-        let reps = if full { 50 } else { 10 };
-        let t0 = Instant::now();
-        let smoke = sweep_rows_per_sec(&scales, reps);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if markdown {
-            println!("{}", smoke.table.render_markdown());
-        } else {
-            println!("{}", smoke.table);
-        }
-        if json {
-            match bench::json::write_experiment_json_with_extras(
-                std::path::Path::new("."),
-                "sweep",
-                &[
-                    ("scales", format!("{scales:?}")),
-                    ("reps", reps.to_string()),
-                ],
-                wall_ms,
-                &smoke.table,
-                &smoke.extras,
-            ) {
-                Ok(p) => eprintln!("wrote {}", p.display()),
-                Err(e) => eprintln!("BENCH_SWEEP.json: {e}"),
-            }
-        }
-        if let Some(min) = sweep_check {
-            if smoke.min_gated_speedup < min {
-                eprintln!(
-                    "sweep check FAILED: worst gated columnar speedup {:.2}x < floor {min}x — the chunk-at-a-time kernels regressed",
-                    smoke.min_gated_speedup
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "sweep check ok: every gated operator (σ, π, join) at least {:.2}x over the row path (floor {min}x)",
-                smoke.min_gated_speedup
-            );
-        }
-    }
-    if want("x1") {
-        let (latency_ms, workers) = (2u64, [1usize, 2, 4, 8, 16]);
-        emit(
-            "x1",
-            vec![
-                ("latency_ms", latency_ms.to_string()),
-                ("workers", format!("{workers:?}")),
-            ],
-            &|| x1_latency_hiding(latency_ms, &workers),
-        );
     }
     if want("x2") {
         emit_extras("x2", vec![], &x2_shared_cache_detailed);

@@ -182,9 +182,9 @@ mod tests {
         let dir = std::env::temp_dir().join("wv_bench_json_test");
         std::fs::create_dir_all(&dir).unwrap();
         let t = Table::new("t", vec!["a"]);
-        let p = write_experiment_json(&dir, "x1", &[], 1.0, &t).unwrap();
-        assert!(p.ends_with("BENCH_X1.json"));
-        assert!(std::fs::read_to_string(&p).unwrap().contains("\"x1\""));
+        let p = write_experiment_json(&dir, "e4", &[], 1.0, &t).unwrap();
+        assert!(p.ends_with("BENCH_E4.json"));
+        assert!(std::fs::read_to_string(&p).unwrap().contains("\"e4\""));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,17 +22,15 @@ pub mod deadline_x8;
 pub mod fixtures;
 pub mod json;
 pub mod serving;
-pub mod sweep;
 pub mod table;
 pub mod tracecmd;
 
 pub use dataflow_x6::{x6_dataflow, DataflowConfig, DataflowSmoke};
 pub use deadline_x8::{x8_deadline, DeadlineLoadConfig, DeadlineSmoke};
 pub use serving::{x5_serving, ServeLoadConfig, ServeSmoke};
-pub use sweep::{sweep_rows_per_sec, SweepSmoke};
 
 use fixtures::*;
-use nalg::{EvalPolicy, Evaluator, Fetch};
+use nalg::{EvalPolicy, Evaluator};
 use table::Table;
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use wvcore::{
@@ -525,62 +523,6 @@ pub fn f1_schemes() -> String {
     out
 }
 
-/// X1 (extension) — latency hiding with concurrent fetching: the paper's
-/// cost model counts pages; a real engine also overlaps network latency.
-/// Full course navigation (54 pages) against a server with simulated
-/// per-request latency, at increasing connection counts.
-pub fn x1_latency_hiding(latency_ms: u64, workers: &[usize]) -> Table {
-    let mut t = Table::new(
-        format!("X1 — latency hiding: full course navigation, {latency_ms} ms/request simulated"),
-        vec![
-            "connections",
-            "wall-clock ms",
-            "speedup",
-            "page accesses",
-            "result",
-        ],
-    );
-    let u = University::generate(UniversityConfig::default()).expect("site");
-    let source = LiveSource::for_site(&u.site);
-    let plan = nalg::NalgExpr::entry("SessionListPage")
-        .unnest("SesList")
-        .follow("ToSes", "SessionPage")
-        .unnest("SessionPage.CourseList")
-        .follow("SessionPage.CourseList.ToCourse", "CoursePage")
-        .project(vec!["CoursePage.CName", "CoursePage.Type"]);
-    u.site
-        .server
-        .set_latency(std::time::Duration::from_millis(latency_ms));
-    let mut baseline: Option<(f64, adm::Relation, u64)> = None;
-    for &w in workers {
-        let fetch = if w <= 1 {
-            Fetch::Inline
-        } else {
-            Fetch::pool(w)
-        };
-        let evaluator = Evaluator::new(&u.site.scheme, &source).with_policy(&EvalPolicy {
-            fetch,
-            ..Default::default()
-        });
-        let t0 = std::time::Instant::now();
-        let report = evaluator.eval(&plan).expect("plan evaluates");
-        let elapsed = t0.elapsed().as_secs_f64() * 1e3;
-        let (base_ms, base_rel, base_accesses) = baseline
-            .get_or_insert_with(|| (elapsed, report.relation.sorted(), report.page_accesses));
-        let identical =
-            report.relation.sorted() == *base_rel && report.page_accesses == *base_accesses;
-        t.row(vec![
-            w.to_string(),
-            format!("{elapsed:.0}"),
-            format!("{:.1}×", *base_ms / elapsed.max(1e-9)),
-            report.page_accesses.to_string(),
-            if identical { "identical" } else { "DIVERGED" }.to_string(),
-        ]);
-    }
-    u.site.server.set_latency(std::time::Duration::ZERO);
-    t
-}
-
 /// X2 (extension) — cross-query shared page cache: the E4 university
 /// workload, twice, through one session holding a [`nalg::SharedPageCache`].
 /// The first pass pays the cold downloads (minus intra-workload sharing);
@@ -647,9 +589,10 @@ pub fn x2_shared_cache_detailed() -> (Table, Vec<(String, String)>) {
     (t, extras)
 }
 
-/// X3 (extension) — chaos resilience: the X1 course navigation against a
-/// server injecting transient faults at increasing per-attempt rates,
-/// evaluated through a retrying [`resilience::ResilientSource`]. The
+/// X3 (extension) — chaos resilience: the full course navigation (session
+/// list → sessions → courses, 54 pages) against a server injecting
+/// transient faults at increasing per-attempt rates, evaluated through a
+/// retrying [`resilience::ResilientSource`]. The
 /// paper's accounting (`page accesses`, result rows, server GETs) must be
 /// byte-identical at every transient rate — retries live in counters of
 /// their own, never added to page accesses. A final row rots a quarter of
@@ -1125,17 +1068,6 @@ mod tests {
         let s3: u64 = row[3].split('/').next().unwrap().trim().parse().unwrap();
         let s4: u64 = row[4].split('/').next().unwrap().trim().parse().unwrap();
         assert!(s4 > 20 * s3, "S3 {s3} vs S4 {s4}");
-    }
-
-    #[test]
-    fn x1_page_accesses_invariant_across_workers() {
-        let t = x1_latency_hiding(0, &[1, 4]);
-        assert_eq!(t.rows.len(), 2);
-        assert_eq!(
-            t.rows[0][3], t.rows[1][3],
-            "concurrency must not change counts"
-        );
-        assert!(t.rows.iter().all(|r| r[4] == "identical"));
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! Fixed-precision (HDR-style sub-bucketed) histogram.
 //!
-//! The log2 [`crate::Histogram`] doubles its bucket width at every
-//! octave, so a p99 read from it can be off by almost 2× — fine for
-//! order-of-magnitude dashboards, useless for SLO math. A
-//! [`FixedHistogram`] subdivides every octave into `2^SUB_BITS = 32`
+//! A [`FixedHistogram`] subdivides every octave into `2^SUB_BITS = 32`
 //! sub-buckets, bounding the relative quantization error of any
 //! reported quantile at `1/32 ≈ 3.1%` while still covering the full
 //! `u64` range with a fixed 1920-slot table (no allocation per

@@ -14,9 +14,9 @@
 //!   `AccessSnapshot`, `ResilienceSnapshot`, …) are views over
 //!   registry-backed handles, so the registry is the single
 //!   registration point without changing any public API.
-//! * [`hist`] — a [`FixedHistogram`]: HDR-style sub-bucketed latency
-//!   histogram bounding quantile quantization error at ~3.1%, where the
-//!   log2 [`Histogram`] can be off by almost 2×.
+//! * [`hist`] — a [`FixedHistogram`]: HDR-style sub-bucketed histogram
+//!   bounding quantile quantization error at ~3.1%; it is also what the
+//!   registry hands out for a named histogram.
 //! * [`slo`] — latency objectives with deterministic request-count
 //!   multi-window burn-rate accounting over a [`FixedHistogram`].
 //! * [`flight`] — a [`FlightRecorder`]: a bounded ring of recent
@@ -43,6 +43,6 @@ pub mod trace;
 pub use deadline::{CancelToken, Deadline};
 pub use flight::{FlightDump, FlightRecorder, PhaseBreakdown, RequestTrace, TriggerKind};
 pub use hist::FixedHistogram;
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use slo::{LatencyObjective, SloSnapshot, SloTracker};
 pub use trace::{EventKind, FieldValue, Span, TraceEvent, TraceSink};

@@ -1,7 +1,7 @@
 //! A registry of named counters, gauges and histograms.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap cloneable
-//! `Arc`-backed cells; the registry maps stable names to handles and
+//! Handles ([`Counter`], [`Gauge`], [`FixedHistogram`]) are cheap
+//! cloneable `Arc`-backed cells; the registry maps stable names to handles and
 //! renders them as Prometheus-style text or a JSON snapshot.
 //! Subsystems keep their existing snapshot structs (`CacheStats`,
 //! `AccessSnapshot`, …) as *views*: the struct is assembled by reading
@@ -13,6 +13,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+
+use crate::hist::FixedHistogram;
 
 /// A monotonically increasing counter (resettable for test harnesses).
 #[derive(Debug, Clone, Default)]
@@ -71,76 +73,11 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets: bucket `k` counts observations whose
-/// value needs `k` bits, i.e. `v <= 2^k - 1` and `v > 2^(k-1) - 1`.
-const HISTOGRAM_BUCKETS: usize = 65;
-
-#[derive(Debug)]
-struct HistogramCells {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// A histogram over `u64` observations with power-of-two buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCells>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram(Arc::new(HistogramCells {
-            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }))
-    }
-}
-
-impl Histogram {
-    /// A histogram not registered anywhere.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        let k = (64 - v.leading_zeros()) as usize;
-        self.0.buckets[k].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Non-empty buckets as `(upper_bound, raw_count)`, smallest bound
-    /// first. The upper bound of bucket `k` is `2^k - 1`.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        (0..HISTOGRAM_BUCKETS)
-            .filter_map(|k| {
-                let n = self.0.buckets[k].load(Ordering::Relaxed);
-                if n == 0 {
-                    return None;
-                }
-                let le = if k >= 64 { u64::MAX } else { (1u64 << k) - 1 };
-                Some((le, n))
-            })
-            .collect()
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
+    Histogram(FixedHistogram),
 }
 
 impl Metric {
@@ -234,12 +171,12 @@ impl MetricsRegistry {
     ///
     /// # Panics
     /// If `name` is already registered as a different metric type.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub fn histogram(&self, name: &str) -> FixedHistogram {
         let full = self.full_name(name);
         let mut map = self.inner.metrics.write();
         match map
             .entry(full.clone())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
+            .or_insert_with(|| Metric::Histogram(FixedHistogram::new()))
         {
             Metric::Histogram(h) => h.clone(),
             other => panic!("metric {full} already registered as {}", other.type_name()),
@@ -344,21 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_power_of_two() {
-        let h = Histogram::new();
-        h.observe(0);
-        h.observe(1);
-        h.observe(2);
-        h.observe(3);
-        h.observe(1000);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1006);
-        let b = h.buckets();
-        // 0 → le 0; 1 → le 1; 2,3 → le 3; 1000 → le 1023.
-        assert_eq!(b, vec![(0, 1), (1, 1), (3, 2), (1023, 1)]);
-    }
-
-    #[test]
     fn prometheus_rendering_shapes() {
         let reg = MetricsRegistry::with_prefix("websim");
         reg.counter("gets").add(3);
@@ -369,8 +291,8 @@ mod tests {
         assert!(text.contains("# TYPE websim_gets counter"));
         assert!(text.contains("websim_gets 3"));
         assert!(text.contains("# TYPE websim_get_bytes histogram"));
-        assert!(text.contains("websim_get_bytes_bucket{le=\"127\"} 1"));
-        assert!(text.contains("websim_get_bytes_bucket{le=\"255\"} 2"));
+        assert!(text.contains("websim_get_bytes_bucket{le=\"101\"} 1"));
+        assert!(text.contains("websim_get_bytes_bucket{le=\"203\"} 2"));
         assert!(text.contains("websim_get_bytes_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("websim_get_bytes_sum 300"));
         assert!(text.contains("websim_get_bytes_count 2"));

@@ -18,7 +18,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::Result;
 use adm::Url;
 use bytes::Bytes;
-use obs::{Counter, Histogram, MetricsRegistry};
+use obs::{Counter, FixedHistogram, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -236,7 +236,7 @@ pub struct VirtualServer {
     bytes: Counter,
     not_found: Counter,
     /// Distribution of completed GET body sizes.
-    get_bytes: Histogram,
+    get_bytes: FixedHistogram,
     /// GETs per page-scheme. A scheme's cell is created once, under the
     /// write lock; every later GET of it takes the read lock and bumps an
     /// atomic.
