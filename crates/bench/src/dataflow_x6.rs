@@ -15,32 +15,25 @@
 //!   evicted pages come back through targeted upqueries.
 //!
 //! Every table cell is a deterministic counter (no wall-clock): the same
-//! seeds produce the same table on every machine, which is what lets CI
-//! `benchcmp` a fresh run against the committed baseline. The
-//! `--dataflow-check` gate asserts the delta path fetched **strictly**
-//! fewer pages than full refresh while producing the same store
-//! (modulo `access_date`) and the same answers as live evaluation, and
-//! that the budgeted twin never exceeded its budget while backfilling
-//! evicted pages byte-identically.
-//!
-//! Beside the table, each round also reads the refreshed store in pull
-//! mode — one [`matview::MatSession`] query, URL-checked — so the JSON's
-//! `matview` extra shows light connections and downloads next to the
-//! store's plan cache (planned in round 0, a hit in every later one).
+//! seeds produce the same table on every machine, which is what lets
+//! `tests/golden.rs` pin it cell for cell. The
+//! `x6_delta_dominates_refresh_with_equal_answers` test asserts the delta
+//! path fetched **strictly** fewer pages than full refresh while producing
+//! the same store (modulo `access_date`) and the same answers as live
+//! evaluation, and that the budgeted twin never exceeded its budget while
+//! backfilling evicted pages byte-identically.
 
 use crate::table::Table;
 use adm::{Relation, Tuple, Value};
 use matview::maintain::full_refresh;
-use matview::urlcheck::CheckCounters;
-use matview::{IncrementalView, MatSession, MatStore};
+use matview::{IncrementalView, MatStore};
 use nalg::{Evaluator, NalgExpr};
 use websim::sitegen::{University, UniversityConfig};
 use websim::{MutationPlan, MutationRule};
-use wvcore::views::university_catalog;
-use wvcore::{ConjunctiveQuery, LiveSource, SiteStatistics};
+use wvcore::LiveSource;
 
-/// Knobs of the X6 run. `Default` is the full benchmark scale; CI's
-/// `dataflow-smoke` runs a reduced copy (see the harness).
+/// Knobs of the X6 run. `Default` is the full benchmark scale; the
+/// tests run a reduced copy.
 #[derive(Debug, Clone)]
 pub struct DataflowConfig {
     /// Seed of the three twin sites.
@@ -77,9 +70,6 @@ impl Default for DataflowConfig {
 pub struct DataflowSmoke {
     /// One row per round plus a Σ totals row.
     pub table: Table,
-    /// Raw-JSON extras for `BENCH_X6.json`: fetch totals, budget
-    /// counters, view counters.
-    pub extras: Vec<(String, String)>,
     /// Total delta-path page accesses (GET + HEAD) across all rounds.
     pub delta_accesses: u64,
     /// Total full-refresh page accesses (GET + HEAD) across all rounds.
@@ -93,7 +83,7 @@ pub struct DataflowSmoke {
     pub budget_held: bool,
     /// Every evicted page read back byte-identical to the server.
     pub backfill_identical: bool,
-    /// Upqueries issued by the budgeted twin (gate: must be positive).
+    /// Upqueries issued by the budgeted twin.
     pub upqueries: u64,
 }
 
@@ -158,8 +148,8 @@ fn fingerprint(store: &MatStore) -> Vec<(String, String, Tuple, bool)> {
         .collect()
 }
 
-/// X6 — see the module docs. Returns the per-round table plus the gate
-/// verdicts `--dataflow-check` asserts.
+/// X6 — see the module docs. Returns the per-round table plus the
+/// verdicts its test asserts.
 pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
     let mk = || {
         University::generate(UniversityConfig {
@@ -188,14 +178,6 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
 
     let mut mat = MatStore::new();
     mat.materialize(&ws, &ur.site.server).expect("materialize");
-    // The pull-mode reader of the refreshed twin (JSON extras only).
-    let stats = SiteStatistics::from_site(&ur.site);
-    let catalog = university_catalog();
-    let pull_query = ConjunctiveQuery::new("depts")
-        .atom("Dept")
-        .project((0, "DName"))
-        .project((0, "Address"));
-    let mut pull = CheckCounters::default();
 
     let mut bv = IncrementalView::new(&ws).with_byte_budget(cfg.budget);
     bv.materialize(&ub.site.server).expect("materialize");
@@ -259,13 +241,6 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
 
         let round_store_ok = fingerprint(iv.store()) == fingerprint(&mat);
         store_equivalent &= round_store_ok;
-        // After the round's fetch count is taken: nothing below reaches a
-        // table cell, and the next refresh re-crawls whatever this touched.
-        let read = MatSession::new(&ws, &catalog, &stats, &ur.site.server)
-            .run(&mut mat, &pull_query)
-            .expect("pull-mode query");
-        pull.light_connections += read.counters.light_connections;
-        pull.downloads += read.counters.downloads;
 
         let src = LiveSource::new(&ws, &ud.site.server);
         let live = Evaluator::new(&ws, &src);
@@ -325,46 +300,15 @@ pub fn x6_dataflow(cfg: &DataflowConfig) -> DataflowSmoke {
             budget_held &= bv.store().stats().resident_bytes <= cfg.budget as u64;
         }
     }
-    let bs = bv.store().stats();
-
-    let saved_pct = if refresh_accesses > 0 {
-        100.0 * (refresh_accesses.saturating_sub(delta_accesses)) as f64 / refresh_accesses as f64
-    } else {
-        0.0
-    };
-    let extras = vec![
-        (
-            "fetches".to_string(),
-            format!(
-                "{{\"delta\": {delta_accesses}, \"full_refresh\": {refresh_accesses}, \"saved_pct\": {saved_pct:.1}}}"
-            ),
-        ),
-        (
-            "budget".to_string(),
-            format!(
-                "{{\"budget_bytes\": {}, \"resident_bytes\": {}, \"skeleton_pages\": {}, \"upqueries\": {}, \"held\": {}, \"backfill_identical\": {}}}",
-                cfg.budget, bs.resident_bytes, bs.skeleton_pages, bs.upqueries,
-                budget_held, backfill_identical
-            ),
-        ),
-        (
-            "equivalence".to_string(),
-            format!(
-                "{{\"answers_match\": {answers_match}, \"store_equivalent\": {store_equivalent}}}"
-            ),
-        ),
-        crate::matview_extra(&pull, &mat),
-    ];
     DataflowSmoke {
         table: t,
-        extras,
         delta_accesses,
         refresh_accesses,
         answers_match,
         store_equivalent,
         budget_held,
         backfill_identical,
-        upqueries: bs.upqueries,
+        upqueries: bv.store().stats().upqueries,
     }
 }
 
@@ -412,6 +356,5 @@ mod tests {
         let a = x6_dataflow(&cfg);
         let b = x6_dataflow(&cfg);
         assert_eq!(a.table.rows, b.table.rows, "X6 cells must be seed-pure");
-        assert_eq!(a.extras, b.extras);
     }
 }

@@ -15,12 +15,13 @@
 //! | E7 | Figures 2–4 — query plans | [`e7_figures`] |
 //! | E8 | §6–7 — rule ablations | [`e8_ablation`] |
 //! | F1 | Figure 1 — the web schemes + constraint checks | [`f1_schemes`] |
+//!
+//! [`EXPERIMENTS`] fixes the scale of every deterministic experiment: the
+//! harness prints it and `tests/golden.rs` pins it.
 
-pub mod benchcmp;
 pub mod dataflow_x6;
 pub mod deadline_x8;
 pub mod fixtures;
-pub mod json;
 pub mod serving;
 pub mod table;
 pub mod tracecmd;
@@ -36,6 +37,96 @@ use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use wvcore::{
     ConjunctiveQuery, ExecPolicy, LiveSource, Optimizer, QuerySession, RuleMask, SiteStatistics,
 };
+
+/// What one experiment renders: free text (F1's schemes, E7's plan trees,
+/// XA's per-operator reports), then its count table, if it has one.
+pub struct Output {
+    /// Printed before the table; empty for a table-only experiment.
+    pub text: String,
+    /// The count table.
+    pub table: Option<Table>,
+}
+
+impl Output {
+    /// A table-only output.
+    pub fn table(table: Table) -> Self {
+        Output {
+            text: String::new(),
+            table: Some(table),
+        }
+    }
+
+    /// A text-only output.
+    pub fn text(text: String) -> Self {
+        Output { text, table: None }
+    }
+
+    /// The golden form: the table in markdown, as EXPERIMENTS.md quotes
+    /// it, or the text of a table-less experiment.
+    pub fn golden(&self) -> String {
+        match &self.table {
+            Some(t) => t.render_markdown(),
+            None => self.text.clone(),
+        }
+    }
+
+    /// What the harness prints: the text, then the table padded or in
+    /// markdown.
+    pub fn render(&self, markdown: bool) -> String {
+        let mut out = String::new();
+        if !self.text.is_empty() {
+            out.push_str(&self.text);
+            out.push('\n');
+        }
+        if let Some(t) = &self.table {
+            out.push_str(&if markdown {
+                t.render_markdown()
+            } else {
+                t.render()
+            });
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Renders one experiment of [`EXPERIMENTS`].
+pub type Render = fn() -> Output;
+
+/// Every deterministic experiment, in harness order, as `(id, render)` at
+/// the scale the harness prints. `crates/bench/tests/golden.rs` pins each
+/// render against `tests/golden/<id>.{md,txt}`; X5 and X8 are left out
+/// because their cells are wall-clock or load-dependent.
+pub const EXPERIMENTS: &[(&str, Render)] = &[
+    ("f1", || Output::text(f1_schemes())),
+    ("e1", || {
+        Output::table(e1_intro_strategies(&[100, 400, 1600]))
+    }),
+    ("e2", || Output::table(e2_pointer_join(&[20, 50, 100, 200]))),
+    ("e3", || Output::table(e3_pointer_chase(&[1, 2, 3, 4, 6]))),
+    ("e4", || Output::table(e4_cost_model())),
+    ("e5", || {
+        Output::table(e5_materialized_views(&[0, 1, 5, 10, 25, 50]))
+    }),
+    ("e5b", || Output::table(e5_structural())),
+    ("e6", || Output::table(e6_optimizer_wins())),
+    ("e7", || Output::text(e7_figures())),
+    ("e8", || Output::table(e8_ablation())),
+    ("x2", || Output::table(x2_shared_cache())),
+    ("x3", || Output::table(x3_chaos(&[0, 20, 40, 60]))),
+    ("x4a", || Output::table(x4_drift(3).accuracy)),
+    ("x4b", || Output::table(x4_drift(3).pages)),
+    ("x6", || {
+        Output::table(x6_dataflow(&DataflowConfig::default()).table)
+    }),
+    ("xa", || {
+        let xa = xa_explain_analyze();
+        Output {
+            text: xa.reports,
+            table: Some(xa.table),
+        }
+    }),
+];
 
 /// E1 — the introduction's four strategies for "authors who had papers in
 /// the last three VLDB conferences", swept over the author population.
@@ -252,25 +343,6 @@ pub fn e4_cost_model() -> Table {
     t
 }
 
-/// The `"matview"` extra of an experiment's JSON: the URL-check traffic of
-/// the materialized-view queries it ran against `store`, beside the
-/// counters and retained bytes of that store's plan cache.
-pub(crate) fn matview_extra(
-    counters: &matview::urlcheck::CheckCounters,
-    store: &matview::MatStore,
-) -> (String, String) {
-    let pc = store.plan_cache().stats();
-    (
-        "matview".to_string(),
-        format!(
-            "{{\"light_connections\": {}, \"downloads\": {}, \"plan_cache\": {{\"hits\": {}, \"rebinds\": {}, \"misses\": {}, \"evictions\": {}, \"invalidations\": {}, \"refused\": {}, \"entries\": {}, \"retained_bytes\": {}}}}}",
-            counters.light_connections, counters.downloads, pc.hits, pc.rebinds, pc.misses,
-            pc.evictions, pc.invalidations, pc.refused, pc.entries,
-            store.plan_cache().retained_bytes()
-        ),
-    )
-}
-
 /// E5 — materialized views: per-query maintenance traffic as a function of
 /// the fraction of course pages updated between queries, compared with the
 /// virtual-view cost and a full eager refresh.
@@ -337,13 +409,6 @@ pub fn e5_materialized_views(update_pcts: &[u32]) -> Table {
 /// each kind, then the same query; downloads stay proportional to the
 /// pages the mutation actually touched.
 pub fn e5_structural() -> Table {
-    e5_structural_with_extras().0
-}
-
-/// [`e5_structural`] plus its JSON extras: the five queries' summed
-/// URL-check traffic and the store's plan cache (one miss, four hits — the
-/// one store outlives the five sessions).
-pub fn e5_structural_with_extras() -> (Table, Vec<(String, String)>) {
     use matview::{MatSession, MatStore};
     let mut t = Table::new(
         "E5b — §8: maintenance traffic per structural mutation          (query: graduate courses)",
@@ -387,13 +452,10 @@ pub fn e5_structural_with_extras() -> (Table, Vec<(String, String)>) {
             }),
         ),
     ];
-    let mut traffic = matview::urlcheck::CheckCounters::default();
     for (name, mutate) in mutations {
         mutate(&mut u);
         let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
         let out = session.run(&mut store, &q).expect("matview query");
-        traffic.light_connections += out.counters.light_connections;
-        traffic.downloads += out.counters.downloads;
         t.row(vec![
             name.to_string(),
             out.counters.light_connections.to_string(),
@@ -402,8 +464,7 @@ pub fn e5_structural_with_extras() -> (Table, Vec<(String, String)>) {
             out.relation.len().to_string(),
         ]);
     }
-    let extras = vec![matview_extra(&traffic, &store)];
-    (t, extras)
+    t
 }
 
 /// E6 — optimizer effectiveness: the chosen plan vs the naive plan
@@ -530,14 +591,6 @@ pub fn f1_schemes() -> String {
 /// server GETs — while the cost-model accounting stays byte-for-byte the
 /// same (the paper's numbers are cache-blind).
 pub fn x2_shared_cache() -> Table {
-    x2_shared_cache_detailed().0
-}
-
-/// [`x2_shared_cache`] plus raw-JSON extras for `BENCH_X2.json`: the
-/// shared cache's own counters (hits, misses, insertions, evictions,
-/// invalidations) after both passes — the numbers the table's
-/// cost-model column deliberately ignores.
-pub fn x2_shared_cache_detailed() -> (Table, Vec<(String, String)>) {
     let mut t = Table::new(
         "X2 — shared page cache: E4 university workload, two passes through one cache",
         vec![
@@ -578,15 +631,7 @@ pub fn x2_shared_cache_detailed() -> (Table, Vec<(String, String)>) {
             model.to_string(),
         ]);
     }
-    let c = cache.stats();
-    let extras = vec![(
-        "cache".to_string(),
-        format!(
-            "{{\"hits\": {}, \"misses\": {}, \"insertions\": {}, \"evictions\": {}, \"invalidations\": {}, \"entries\": {}, \"bytes\": {}}}",
-            c.hits, c.misses, c.insertions, c.evictions, c.invalidations, c.entries, c.bytes
-        ),
-    )];
-    (t, extras)
+    t
 }
 
 /// X3 (extension) — chaos resilience: the full course navigation (session
@@ -599,32 +644,6 @@ pub fn x2_shared_cache_detailed() -> (Table, Vec<(String, String)>) {
 /// the course pages permanently and answers in
 /// [`nalg::DegradationMode::Partial`], reporting the unreachable set.
 pub fn x3_chaos(rates_pct: &[u8]) -> Table {
-    x3_chaos_detailed(rates_pct).0
-}
-
-/// [`x3_chaos`] plus raw-JSON extras for `BENCH_X3.json`: the summed
-/// [`resilience::ResilienceSnapshot`] across every fault plan — the full
-/// resilience side-channel (give-ups, budget exhaustion, backoff time)
-/// that the table only samples.
-pub fn x3_chaos_detailed(rates_pct: &[u8]) -> (Table, Vec<(String, String)>) {
-    let (t, total) = x3_chaos_inner(rates_pct);
-    let extras = vec![(
-        "resilience".to_string(),
-        format!(
-            "{{\"retries\": {}, \"giveups\": {}, \"breaker_trips\": {}, \"breaker_rejections\": {}, \"budget_exhausted\": {}, \"backoff_us\": {}, \"slow_responses\": {}}}",
-            total.retries,
-            total.giveups,
-            total.breaker_trips,
-            total.breaker_rejections,
-            total.budget_exhausted,
-            total.backoff_us,
-            total.slow_responses
-        ),
-    )];
-    (t, extras)
-}
-
-fn x3_chaos_inner(rates_pct: &[u8]) -> (Table, resilience::ResilienceSnapshot) {
     use resilience::{ResilientSource, RetryPolicy};
     let mut t = Table::new(
         "X3 — chaos resilience: course navigation under injected faults, retries counted separately",
@@ -647,7 +666,6 @@ fn x3_chaos_inner(rates_pct: &[u8]) -> (Table, resilience::ResilienceSnapshot) {
         .unnest("SessionPage.CourseList")
         .follow("SessionPage.CourseList.ToCourse", "CoursePage")
         .project(vec!["CoursePage.CName", "CoursePage.Type"]);
-    let mut total = resilience::ResilienceSnapshot::default();
     let mut run = |label: String, fault_plan: websim::FaultPlan| {
         u.site.server.set_fault_plan(fault_plan);
         u.site.server.reset_stats();
@@ -666,13 +684,6 @@ fn x3_chaos_inner(rates_pct: &[u8]) -> (Table, resilience::ResilienceSnapshot) {
             + stats.faults.slow
             + stats.faults.truncated;
         let res = resilient.stats();
-        total.retries += res.retries;
-        total.giveups += res.giveups;
-        total.breaker_trips += res.breaker_trips;
-        total.breaker_rejections += res.breaker_rejections;
-        total.budget_exhausted += res.budget_exhausted;
-        total.backoff_us += res.backoff_us;
-        total.slow_responses += res.slow_responses;
         t.row(vec![
             label,
             report.page_accesses.to_string(),
@@ -699,19 +710,18 @@ fn x3_chaos_inner(rates_pct: &[u8]) -> (Table, resilience::ResilienceSnapshot) {
             .with_rule(websim::FaultRule::link_rot(0.25).for_scheme("CoursePage")),
     );
     u.site.server.clear_fault_plan();
-    (t, total)
+    t
 }
 
 /// Output of the EXPLAIN ANALYZE smoke run (see [`xa_explain_analyze`]).
 pub struct ExplainSmoke {
     /// One summary row per workload query.
     pub table: Table,
-    /// `(query label, rendered per-operator table)` for stdout.
-    pub renders: Vec<(String, String)>,
-    /// Raw-JSON extras for `BENCH_XA.json`: per-query analysis + trace.
-    pub extras: Vec<(String, String)>,
+    /// Each query's rendered per-operator report, under an `EXPLAIN
+    /// ANALYZE: <query>` line.
+    pub reports: String,
     /// The worst per-operator predicted/observed page-access ratio across
-    /// the whole workload — the number the CI smoke gate bounds.
+    /// the whole workload — the number the drift test bounds.
     pub worst_ratio: f64,
 }
 
@@ -721,8 +731,8 @@ pub struct ExplainSmoke {
 /// operator spans; the summary table reports predicted vs. observed
 /// cost-model pages and the worst per-operator ratio. Because sites,
 /// statistics, and traces are all seeded, the numbers are deterministic
-/// — CI pins a tolerance on [`ExplainSmoke::worst_ratio`] and fails when
-/// the cost model and the evaluator drift apart.
+/// — a test bounds [`ExplainSmoke::worst_ratio`] and fails when the cost
+/// model and the evaluator drift apart.
 pub fn xa_explain_analyze() -> ExplainSmoke {
     let u = University::generate(UniversityConfig::default()).expect("site");
     let stats = SiteStatistics::from_site(&u.site);
@@ -739,10 +749,9 @@ pub fn xa_explain_analyze() -> ExplainSmoke {
             "worst op ratio",
         ],
     );
-    let mut renders = Vec::new();
-    let mut explains = String::from("[");
+    let mut reports = Vec::new();
     let mut worst = 1.0f64;
-    for (i, (label, q)) in university_workload().into_iter().enumerate() {
+    for (label, q) in university_workload() {
         let a = session.run_analyzed(&q).expect("query runs");
         let ratio = a.analysis.worst_pages_ratio();
         worst = worst.max(ratio);
@@ -753,22 +762,11 @@ pub fn xa_explain_analyze() -> ExplainSmoke {
             a.outcome.downloads().to_string(),
             format!("{ratio:.2}"),
         ]);
-        if i > 0 {
-            explains.push(',');
-        }
-        let jsonl = a.trace.export_jsonl();
-        let trace = jsonl.lines().collect::<Vec<_>>().join(",");
-        explains.push_str(&format!(
-            "{{\"query\": \"{label}\", \"analysis\": {}, \"trace\": [{trace}]}}",
-            a.analysis.to_json(),
-        ));
-        renders.push((label.to_string(), a.analysis.render()));
+        reports.push(format!("EXPLAIN ANALYZE: {label}\n{}", a.analysis.render()));
     }
-    explains.push(']');
     ExplainSmoke {
         table: t,
-        renders,
-        extras: vec![("explains".to_string(), explains)],
+        reports: reports.join("\n"),
         worst_ratio: worst,
     }
 }
@@ -780,15 +778,10 @@ pub struct DriftSmoke {
     /// X4b — pages vs fallback: full audit, one shared health registry,
     /// two passes (the second shows quarantine paying off).
     pub pages: Table,
-    /// Raw-JSON extras for `BENCH_X4.json`: drift counters, the final
-    /// [`resilience::ConstraintHealthSnapshot`], quarantined keys, and the
-    /// X4b table.
-    pub extras: Vec<(String, String)>,
-    /// True when at least one constraint was quarantined — the CI smoke
-    /// gate asserts this.
+    /// True when at least one constraint was quarantined.
     pub quarantine_fired: bool,
     /// True when every query that fell back produced exactly the
-    /// default-navigation plan's answer — the CI smoke gate asserts this.
+    /// default-navigation plan's answer.
     pub fallbacks_match_naive: bool,
 }
 
@@ -812,7 +805,7 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
     let mut u = University::generate(UniversityConfig::default()).expect("site");
     let stats = SiteStatistics::from_site(&u.site);
     let catalog = wvcore::views::university_catalog();
-    let drift = DriftPlan::new(drift_seed)
+    DriftPlan::new(drift_seed)
         .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
         .with_rule(DriftRule::perturb_attr("CoursePage", "CName", 0.35))
         .with_rule(DriftRule::drop_links(
@@ -941,37 +934,10 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
         }
     }
 
-    let snap = health.snapshot();
-    let quarantined = health.quarantined();
-    let keys: Vec<String> = quarantined.iter().map(|k| format!("\"{k}\"")).collect();
-    let extras = vec![
-        (
-            "drift".to_string(),
-            format!(
-                "{{\"seed\": {drift_seed}, \"perturbed_pages\": {}, \"dropped_links\": {}}}",
-                drift.perturbed_pages, drift.dropped_links
-            ),
-        ),
-        (
-            "health".to_string(),
-            format!(
-                "{{\"checks\": {}, \"violations\": {}, \"quarantines\": {}, \"readmissions\": {}, \"fallbacks\": {}, \"quarantined_now\": {}, \"quarantined\": [{}]}}",
-                snap.checks,
-                snap.violations,
-                snap.quarantines,
-                snap.readmissions,
-                snap.fallbacks,
-                snap.quarantined_now,
-                keys.join(", ")
-            ),
-        ),
-        ("pages_vs_fallback".to_string(), json::table_json(&pages)),
-    ];
     DriftSmoke {
         accuracy,
         pages,
-        extras,
-        quarantine_fired: snap.quarantines > 0,
+        quarantine_fired: health.snapshot().quarantines > 0,
         fallbacks_match_naive,
     }
 }
@@ -1127,10 +1093,13 @@ mod tests {
     }
 
     #[test]
-    fn e5_structural_plans_once_for_its_five_sessions() {
-        let (_, extras) = e5_structural_with_extras();
-        assert!(extras[0].1.contains("\"hits\": 4"), "{}", extras[0].1);
-        assert!(extras[0].1.contains("\"misses\": 1"), "{}", extras[0].1);
+    fn xa_worst_operator_ratio_stays_within_the_drift_bound() {
+        // A golden alone could be blessed past the bound; this cannot.
+        let worst = xa_explain_analyze().worst_ratio;
+        assert!(
+            worst <= 2.0,
+            "worst per-operator page ratio {worst:.3} > 2.0"
+        );
     }
 
     #[test]
@@ -1167,10 +1136,6 @@ mod tests {
             .expect("pass-2 row");
         assert_eq!(pass2_cs[2], "no", "no fallback needed after quarantine");
         assert_eq!(pass2_cs[7], "yes", "and the answer is the naive one");
-        assert!(smoke
-            .extras
-            .iter()
-            .any(|(k, v)| k == "health" && v.contains("\"quarantines\"")));
     }
 
     #[test]

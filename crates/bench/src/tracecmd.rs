@@ -9,8 +9,8 @@
 //! heaviest operator chain, weighted by page downloads).
 //!
 //! The parser is hand-rolled for exactly the subset
-//! [`obs::RequestTrace::to_json`] emits — like `benchcmp`, the harness
-//! has no JSON dependency and does not need one. Lines that are not
+//! [`obs::RequestTrace::to_json`] emits — the harness has no JSON
+//! dependency and does not need one. Lines that are not
 //! request objects (flight-dump headers) are skipped, so both export
 //! shapes feed the same command.
 

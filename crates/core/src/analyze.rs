@@ -212,59 +212,6 @@ impl ExplainAnalyze {
         );
         out
     }
-
-    /// The table as a raw JSON value (for embedding in benchmark output).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"predicted_pages\":");
-        let _ = write!(out, "{}", self.predicted_pages);
-        let _ = write!(out, ",\"observed_pages\":{}", self.observed_pages);
-        let _ = write!(out, ",\"worst_pages_ratio\":{}", self.worst_pages_ratio());
-        out.push_str(",\"operators\":[");
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"node\":{},\"label\":{},\"est_card\":{},\"est_pages\":{},\"pages\":{},\"downloads\":{}",
-                op.node,
-                json_str(&op.label),
-                op.est_card,
-                op.est_pages,
-                op.pages,
-                op.downloads
-            );
-            if let Some(r) = op.rows_out {
-                let _ = write!(out, ",\"rows_out\":{r}");
-            }
-            if let Some(e) = &op.error {
-                let _ = write!(out, ",\"error\":{}", json_str(e));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -320,14 +267,11 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_mention_each_operator() {
+    fn render_mentions_each_operator() {
         let (a, _) = analyzed();
         let table = a.render();
         assert!(table.contains("est.pages"));
         assert!(table.contains("total:"));
-        let json = a.to_json();
-        assert!(json.contains("\"operators\":["));
-        assert!(json.contains("\"predicted_pages\""));
         for op in &a.ops {
             assert!(table.contains(&op.label));
         }

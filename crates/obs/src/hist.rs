@@ -23,11 +23,6 @@ const EXACT_LIMIT: u64 = SUB_COUNT * 2; // 64
 /// Total bucket count: 64 exact slots + 58 octaves × 32 sub-buckets.
 const BUCKETS: usize = (EXACT_LIMIT + (63 - SUB_BITS as u64) * SUB_COUNT) as usize;
 
-/// Stable identifier for this bucket layout, embedded in benchmark
-/// output so `benchcmp` can flag resolution changes instead of
-/// silently diffing percentiles quantized on different grids.
-pub const RESOLUTION: &str = "hdr32";
-
 #[derive(Debug)]
 struct Inner {
     buckets: Vec<AtomicU64>,

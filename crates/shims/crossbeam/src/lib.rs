@@ -1,43 +1,9 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Provides the two facilities the workspace uses:
-//!
-//! * [`scope`] — crossbeam-style scoped threads (the spawn closure receives
-//!   the scope, so workers can spawn siblings), implemented over
-//!   `std::thread::scope`;
-//! * [`channel`] — multi-producer **multi-consumer** channels (std's mpsc
-//!   receiver is not cloneable; the fetch worker pool needs work-stealing
-//!   consumption), implemented with a mutex-guarded deque and condvars.
-
-use std::any::Any;
-
-/// Scoped threads; the closure receives a [`Scope`] handle usable from
-/// inside spawned threads.
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    // std::thread::scope propagates panics from unjoined spawned threads by
-    // panicking itself, which matches how every caller here uses
-    // crossbeam's Result (immediate .expect).
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
-
-/// Handle for spawning threads inside a [`scope`].
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: for<'s> FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        self.inner.spawn(move || f(&Scope { inner }))
-    }
-}
+//! Provides the one facility the workspace uses: [`channel`] —
+//! multi-producer **multi-consumer** channels (std's mpsc receiver is not
+//! cloneable; the fetch worker pool needs work-stealing consumption),
+//! implemented with a mutex-guarded deque and condvars.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -411,30 +377,5 @@ pub mod channel {
             }
             panic!("a receiver missed the last-sender disconnect and parked forever");
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scope_spawns_and_joins() {
-        let data = [1, 2, 3];
-        let sum = super::scope(|s| {
-            let h = s.spawn(|_| data.iter().sum::<i32>());
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(sum, 6);
-    }
-
-    #[test]
-    fn nested_spawn_from_worker() {
-        let n = super::scope(|s| {
-            s.spawn(|inner| inner.spawn(|_| 41).join().unwrap() + 1)
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(n, 42);
     }
 }

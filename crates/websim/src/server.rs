@@ -17,11 +17,11 @@ use crate::error::WebError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::Result;
 use adm::Url;
-use bytes::Bytes;
 use obs::{Counter, FixedHistogram, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A stored page.
@@ -30,7 +30,7 @@ struct StoredPage {
     /// Page-scheme name, carried as out-of-band metadata the way a real
     /// deployment would carry a wrapper registry keyed by URL pattern.
     scheme: String,
-    body: Bytes,
+    body: Arc<[u8]>,
     last_modified: u64,
 }
 
@@ -39,8 +39,8 @@ struct StoredPage {
 pub struct PageResponse {
     /// The page-scheme this URL belongs to.
     pub scheme: String,
-    /// The HTML body.
-    pub body: Bytes,
+    /// The HTML body, shared with the stored page.
+    pub body: Arc<[u8]>,
     /// Logical last-modified stamp.
     pub last_modified: u64,
 }
@@ -475,10 +475,10 @@ impl VirtualServer {
     }
 
     /// Publishes (or replaces) a page; stamps it with the *current* clock.
-    pub fn put(&self, url: Url, scheme: impl Into<String>, body: impl Into<Bytes>) {
+    pub fn put(&self, url: Url, scheme: impl Into<String>, body: impl Into<Vec<u8>>) {
         let page = StoredPage {
             scheme: scheme.into(),
-            body: body.into(),
+            body: body.into().into(),
             last_modified: self.now(),
         };
         self.pages.write().insert(url, page);
@@ -486,7 +486,7 @@ impl VirtualServer {
 
     /// Publishes a page after bumping the clock — the page is strictly
     /// newer than anything stamped before this call.
-    pub fn put_updated(&self, url: Url, scheme: impl Into<String>, body: impl Into<Bytes>) {
+    pub fn put_updated(&self, url: Url, scheme: impl Into<String>, body: impl Into<Vec<u8>>) {
         self.tick();
         self.put(url, scheme, body);
     }
@@ -524,7 +524,7 @@ impl VirtualServer {
                 // "succeeded" on the wire but the document is mangled.
                 if let Some(p) = pages.get(url) {
                     let keep = p.body.len() * keep_pct.min(100) as usize / 100;
-                    let body = Bytes::copy_from_slice(&p.body[..keep]);
+                    let body: Arc<[u8]> = Arc::from(&p.body[..keep]);
                     self.simulate_transfer(body.len());
                     self.gets.inc();
                     self.bytes.add(body.len() as u64);
