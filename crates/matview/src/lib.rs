@@ -81,6 +81,10 @@
 //! assert!(!answer.is_empty());
 //! ```
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod delta;
 pub mod error;
 pub mod eval;

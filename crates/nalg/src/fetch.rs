@@ -5,7 +5,8 @@
 //! executors behind one interface:
 //!
 //! * **threads** ([`with_pool`]): workers spawned **once per evaluation**
-//!   serve every operator in the plan through a pair of MPMC channels.
+//!   serve every operator in the plan through a pair of `std::sync::mpsc`
+//!   channels; the workers share the job receiver behind one lock.
 //!   The evaluator streams distinct links into the job channel and
 //!   consumes wrapped tuples as they complete, so CPU-side work (row
 //!   assembly) overlaps network latency.
@@ -33,13 +34,13 @@
 
 use crate::eval::{PageSource, SourceError};
 use adm::{Symbol, Tuple, Url};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::reqctx::FetchClock;
 use obs::trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// A fetch request: the URL and the page-scheme it is expected to match,
@@ -155,7 +156,6 @@ impl<'s> FetchPool<'s> {
     /// when the pool shut down (or, inline, has no job left to run). The
     /// inline executor runs the next queued job here and never waits.
     pub(crate) fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Done, bool> {
-        use crossbeam::channel::RecvTimeoutError;
         match self {
             FetchPool::Threads { done_rx, .. } => {
                 done_rx.recv_timeout(timeout).map_err(|e| match e {
@@ -204,8 +204,9 @@ where
     S: PageSource,
 {
     let workers = workers.max(1);
-    let (job_tx, job_rx) = unbounded::<Job>();
-    let (done_tx, done_rx) = unbounded::<Done>();
+    let (job_tx, job_rx) = mpsc::channel::<Job>();
+    let job_rx = Mutex::new(job_rx);
+    let (done_tx, done_rx) = mpsc::channel::<Done>();
     let terminals: Mutex<Vec<(usize, u64, &'static str)>> = Mutex::new(Vec::new());
     // Capture the spawning thread's ambient request context so worker
     // threads charge fetch time (and attribute coalesced waits) to the
@@ -213,7 +214,7 @@ where
     let reqctx = obs::reqctx::current();
     let result = std::thread::scope(|scope| {
         for idx in 0..workers {
-            let job_rx = job_rx.clone();
+            let job_rx = &job_rx;
             let done_tx = done_tx.clone();
             let terminals = &terminals;
             let traced = trace.is_some();
@@ -228,7 +229,11 @@ where
                 obs::reqctx::with_ctx(reqctx, || {
                     let mut jobs = 0u64;
                     let mut reason = "drained";
-                    while let Ok(job) = job_rx.recv() {
+                    loop {
+                        // The guard drops at the end of this statement, so
+                        // workers take turns waiting but run jobs in
+                        // parallel (a `while let` would hold it throughout).
+                        let Ok(job) = job_rx.lock().recv() else { break };
                         // A panicking source must not take the worker (and
                         // with it the whole process, via the scope join)
                         // down: catch it and report the job as a source
@@ -261,8 +266,7 @@ where
                 });
             });
         }
-        // The pool handle owns the only remaining sender/receiver ends.
-        drop(job_rx);
+        // The pool handle owns the only job sender and done receiver.
         drop(done_tx);
         let pool = FetchPool::Threads { job_tx, done_rx };
         let result = f(&pool);
@@ -488,43 +492,40 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
 
     fn follow_flight(&self, url: &Url, flight: &Arc<Flight>) -> FetchOutcome {
         self.followers.fetch_add(1, Ordering::SeqCst);
-        let ctx = obs::reqctx::current();
         // Followers with a finite deadline or a cancel token in scope
         // poll in short quanta so a budget exhaustion / relevance
         // cancellation wakes them without waiting out the leader; all
         // others park on the condvar for free exactly as before.
-        let watches = ctx
-            .as_ref()
-            .is_some_and(|c| c.deadline.is_finite() || c.cancel.is_some());
+        let watched =
+            obs::reqctx::current().filter(|c| c.deadline.is_finite() || c.cancel.is_some());
         let mut slot = flight.slot.lock().unwrap_or_else(|e| e.into_inner());
-        while slot.is_none() {
-            if watches {
-                let c = ctx.as_ref().expect("watches implies ctx");
-                let cancelled = c
-                    .cancel
-                    .as_ref()
-                    .is_some_and(|t| t.is_url_cancelled(url.as_str()));
-                if cancelled || c.deadline.expired() {
-                    drop(slot);
-                    self.cancel_wakes.fetch_add(1, Ordering::SeqCst);
-                    return Err(SourceError::Cancelled(url.clone()));
-                }
-                let quantum = c
-                    .deadline
-                    .remaining()
-                    .unwrap_or(std::time::Duration::from_millis(1))
-                    .min(std::time::Duration::from_millis(1))
-                    .max(std::time::Duration::from_micros(50));
-                let (s, _) = flight
-                    .cv
-                    .wait_timeout(slot, quantum)
-                    .unwrap_or_else(|e| e.into_inner());
-                slot = s;
-            } else {
-                slot = flight.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
+        let outcome = loop {
+            if let Some(outcome) = slot.as_ref() {
+                break outcome.clone();
             }
-        }
-        let outcome = slot.as_ref().expect("published").clone();
+            let Some(c) = &watched else {
+                slot = flight.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
+                continue;
+            };
+            let cancelled = c
+                .cancel
+                .as_ref()
+                .is_some_and(|t| t.is_url_cancelled(url.as_str()));
+            if cancelled || c.deadline.expired() {
+                drop(slot);
+                self.cancel_wakes.fetch_add(1, Ordering::SeqCst);
+                return Err(SourceError::Cancelled(url.clone()));
+            }
+            let quantum = c
+                .deadline
+                .remaining()
+                .unwrap_or(std::time::Duration::from_millis(1))
+                .min(std::time::Duration::from_millis(1))
+                .max(std::time::Duration::from_micros(50));
+            slot = (flight.cv.wait_timeout(slot, quantum))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        };
         if matches!(&outcome, Err(SourceError::Cancelled(_))) {
             self.shutdown_wakes.fetch_add(1, Ordering::SeqCst);
         }
@@ -674,17 +675,33 @@ mod tests {
         });
     }
 
+    /// Dropping the pool must terminate its workers however much of the
+    /// work was consumed (the scope join would hang otherwise). The cycles
+    /// alternate a full drain with an early return after a jittered number
+    /// of completions, so shutdown lands in every phase of a worker's
+    /// take → run → send cycle. They run on a detached thread under a
+    /// watchdog: a hung worker fails the test instead of wedging the suite.
     #[test]
     fn early_exit_leaves_no_hung_workers() {
-        let src = CountingSource(AtomicUsize::new(0));
-        // Submit work but consume only part of it; dropping the pool must
-        // still terminate the workers (scope join would hang otherwise).
-        with_pool(&src, 3, None, None, None, |pool| {
-            for i in 0..20 {
-                assert!(enqueue(pool, &format!("/{i}")));
+        let (finished_tx, finished_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let src = CountingSource(AtomicUsize::new(0));
+            for cycle in 0..300 {
+                let consumed = if cycle % 2 == 0 { 20 } else { cycle % 7 };
+                with_pool(&src, 3, None, None, None, |pool| {
+                    for i in 0..20 {
+                        assert!(enqueue(pool, &format!("/{i}")));
+                    }
+                    for _ in 0..consumed {
+                        next_done(pool);
+                    }
+                });
             }
-            next_done(pool);
+            finished_tx.send(()).unwrap();
         });
+        finished_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a fetch worker hung on pool shutdown");
     }
 
     /// A source that panics on some URLs.
@@ -755,26 +772,25 @@ mod tests {
         );
     }
 
-    /// A source that blocks each fetch until released, reporting arrivals.
+    /// A source that blocks each fetch until released, reporting arrivals;
+    /// with `panics` set, a released fetch panics instead of answering.
     struct GatedSource {
-        entered_tx: crossbeam::channel::Sender<()>,
-        release_rx: crossbeam::channel::Receiver<()>,
+        entered_tx: Sender<()>,
+        release_rx: Mutex<Receiver<()>>,
         fetches: AtomicUsize,
+        panics: bool,
     }
 
     impl GatedSource {
-        fn new() -> (
-            Self,
-            crossbeam::channel::Receiver<()>,
-            crossbeam::channel::Sender<()>,
-        ) {
-            let (entered_tx, entered_rx) = unbounded();
-            let (release_tx, release_rx) = unbounded();
+        fn new(panics: bool) -> (Self, Receiver<()>, Sender<()>) {
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel();
             (
                 GatedSource {
                     entered_tx,
-                    release_rx,
+                    release_rx: Mutex::new(release_rx),
                     fetches: AtomicUsize::new(0),
+                    panics,
                 },
                 entered_rx,
                 release_tx,
@@ -786,7 +802,10 @@ mod tests {
         fn fetch(&self, url: &Url, _scheme: &str) -> Result<Tuple, SourceError> {
             self.fetches.fetch_add(1, Ordering::SeqCst);
             self.entered_tx.send(()).unwrap();
-            self.release_rx.recv().unwrap();
+            self.release_rx.lock().recv().unwrap();
+            if self.panics {
+                panic!("leader exploded");
+            }
             Ok(Tuple::new().with("Path", url.as_str()))
         }
     }
@@ -804,7 +823,7 @@ mod tests {
 
     #[test]
     fn concurrent_fetches_of_one_url_share_one_inner_fetch() {
-        let (gated, entered_rx, release_tx) = GatedSource::new();
+        let (gated, entered_rx, release_tx) = GatedSource::new(false);
         let coalesced = CoalescingSource::new(&gated);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..5)
@@ -830,7 +849,7 @@ mod tests {
 
     #[test]
     fn a_coalesced_follower_shares_the_leaders_page() {
-        let (gated, entered_rx, release_tx) = GatedSource::new();
+        let (gated, entered_rx, release_tx) = GatedSource::new(false);
         let coalesced = CoalescingSource::new(&gated);
         let pages: Vec<Arc<Tuple>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
@@ -876,7 +895,7 @@ mod tests {
 
     #[test]
     fn shutdown_wakes_waiting_followers_with_clean_error() {
-        let (gated, entered_rx, release_tx) = GatedSource::new();
+        let (gated, entered_rx, release_tx) = GatedSource::new(false);
         let coalesced = CoalescingSource::new(&gated);
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| coalesced.fetch_stamped(&Url::new("/slow"), "P"));
@@ -912,23 +931,7 @@ mod tests {
 
     #[test]
     fn leader_panic_wakes_followers_with_error_not_hang() {
-        struct PanicAfterSignal {
-            entered_tx: crossbeam::channel::Sender<()>,
-            release_rx: crossbeam::channel::Receiver<()>,
-        }
-        impl PageSource for PanicAfterSignal {
-            fn fetch(&self, _url: &Url, _scheme: &str) -> Result<Tuple, SourceError> {
-                self.entered_tx.send(()).unwrap();
-                self.release_rx.recv().unwrap();
-                panic!("leader exploded");
-            }
-        }
-        let (entered_tx, entered_rx) = unbounded();
-        let (release_tx, release_rx) = unbounded();
-        let src = PanicAfterSignal {
-            entered_tx,
-            release_rx,
-        };
+        let (src, entered_rx, release_tx) = GatedSource::new(true);
         let coalesced = CoalescingSource::new(&src);
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
@@ -957,23 +960,7 @@ mod tests {
     fn leader_panic_races_follower_cancellation() {
         use obs::reqctx::{with_ctx, FetchClock, RequestCtx};
 
-        struct PanicAfterSignal {
-            entered_tx: crossbeam::channel::Sender<()>,
-            release_rx: crossbeam::channel::Receiver<()>,
-        }
-        impl PageSource for PanicAfterSignal {
-            fn fetch(&self, _url: &Url, _scheme: &str) -> Result<Tuple, SourceError> {
-                self.entered_tx.send(()).unwrap();
-                self.release_rx.recv().unwrap();
-                panic!("leader exploded");
-            }
-        }
-        let (entered_tx, entered_rx) = unbounded();
-        let (release_tx, release_rx) = unbounded();
-        let src = PanicAfterSignal {
-            entered_tx,
-            release_rx,
-        };
+        let (src, entered_rx, release_tx) = GatedSource::new(true);
         let coalesced = CoalescingSource::new(&src);
         let token = obs::CancelToken::new();
         let follower_ctx = RequestCtx {
@@ -1088,7 +1075,7 @@ mod tests {
         };
         let (leader_ctx, follower_ctx) = (ctx(1), ctx(2));
 
-        let (gated, entered_rx, release_tx) = GatedSource::new();
+        let (gated, entered_rx, release_tx) = GatedSource::new(false);
         let coalesced = CoalescingSource::new(&gated);
         std::thread::scope(|scope| {
             let lc = leader_ctx.clone();

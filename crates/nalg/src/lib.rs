@@ -38,6 +38,10 @@
 //! assert!(expr.is_computable());
 //! ```
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod cache;
 pub mod display;
 pub mod error;

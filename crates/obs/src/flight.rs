@@ -62,6 +62,15 @@ impl TriggerKind {
     ];
 }
 
+// `ALL` is in declaration order, so `kind as usize` is a kind's counter slot.
+const _: () = {
+    let mut i = 0;
+    while i < TriggerKind::ALL.len() {
+        assert!(TriggerKind::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 impl fmt::Display for TriggerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
@@ -264,8 +273,7 @@ impl FlightRecorder {
     /// dump was actually taken.
     pub fn trigger(&self, kind: TriggerKind, request_id: u64) -> bool {
         let mut st = self.state.lock();
-        let slot = TriggerKind::ALL.iter().position(|k| *k == kind).unwrap();
-        st.fired[slot] += 1;
+        st.fired[kind as usize] += 1;
         if st.dumps.len() >= self.max_dumps {
             return false;
         }
@@ -299,13 +307,7 @@ impl FlightRecorder {
     /// past the dump cap.
     pub fn fired(&self) -> Vec<(TriggerKind, u64)> {
         let st = self.state.lock();
-        TriggerKind::ALL
-            .iter()
-            .map(|k| {
-                let slot = TriggerKind::ALL.iter().position(|x| x == k).unwrap();
-                (*k, st.fired[slot])
-            })
-            .collect()
+        TriggerKind::ALL.into_iter().zip(st.fired).collect()
     }
 
     /// Exports the ring as one full request line each, sorted by

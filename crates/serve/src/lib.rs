@@ -55,6 +55,10 @@
 //! assert_eq!((cache.hits, cache.misses, cache.rebinds), (2, 1, 1));
 //! ```
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod server;
 
 // The plan cache lives in `wvcore`, beside the session that consults it;

@@ -22,6 +22,10 @@
 //! nesting level it never descends into nested lists, so inner attribute
 //! names may shadow outer ones without ambiguity.
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod dom;
 pub mod error;
 pub mod lexer;
