@@ -32,10 +32,12 @@ pub use serving::{x5_serving, ServeLoadConfig, ServeSmoke};
 
 use fixtures::*;
 use nalg::{EvalPolicy, Evaluator};
+use obs::trace::TraceSink;
 use table::Table;
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use wvcore::{
-    ConjunctiveQuery, ExecPolicy, LiveSource, Optimizer, QuerySession, RuleMask, SiteStatistics,
+    ConjunctiveQuery, ExecPolicy, ExplainAnalyze, LiveSource, Optimizer, QuerySession, RuleMask,
+    SiteStatistics,
 };
 
 /// What one experiment renders: free text (F1's schemes, E7's plan trees,
@@ -726,9 +728,9 @@ pub struct ExplainSmoke {
 }
 
 /// XA (extension) — EXPLAIN ANALYZE smoke: the fixed-seed university
-/// workload through [`QuerySession::run_analyzed`]. For every query the
+/// workload through traced [`QuerySession::run`]s. For every query the
 /// optimizer's per-operator estimates are joined onto the executed
-/// operator spans; the summary table reports predicted vs. observed
+/// operator spans ([`ExplainAnalyze::from_parts`]); the summary table reports predicted vs. observed
 /// cost-model pages and the worst per-operator ratio. Because sites,
 /// statistics, and traces are all seeded, the numbers are deterministic
 /// — a test bounds [`ExplainSmoke::worst_ratio`] and fails when the cost
@@ -738,7 +740,6 @@ pub fn xa_explain_analyze() -> ExplainSmoke {
     let stats = SiteStatistics::from_site(&u.site);
     let catalog = wvcore::views::university_catalog();
     let source = LiveSource::for_site(&u.site);
-    let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
     let mut t = Table::new(
         "XA — EXPLAIN ANALYZE: predicted vs observed cost-model pages (fixed seed)",
         vec![
@@ -752,17 +753,28 @@ pub fn xa_explain_analyze() -> ExplainSmoke {
     let mut reports = Vec::new();
     let mut worst = 1.0f64;
     for (label, q) in university_workload() {
-        let a = session.run_analyzed(&q).expect("query runs");
-        let ratio = a.analysis.worst_pages_ratio();
+        let sink = TraceSink::with_seed(0);
+        let outcome = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    trace: Some((sink.clone(), None)),
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
+            .run(&q)
+            .expect("query runs");
+        let a = ExplainAnalyze::from_parts(&outcome.explain.best().estimate, &sink.events());
+        let ratio = a.worst_pages_ratio();
         worst = worst.max(ratio);
         t.row(vec![
             label.to_string(),
-            format!("{:.1}", a.analysis.predicted_pages),
-            a.analysis.observed_pages.to_string(),
-            a.outcome.downloads().to_string(),
+            format!("{:.1}", a.predicted_pages),
+            a.observed_pages.to_string(),
+            outcome.downloads().to_string(),
             format!("{ratio:.2}"),
         ]);
-        reports.push(format!("EXPLAIN ANALYZE: {label}\n{}", a.analysis.render()));
+        reports.push(format!("EXPLAIN ANALYZE: {label}\n{}", a.render()));
     }
     ExplainSmoke {
         table: t,

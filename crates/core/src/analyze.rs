@@ -17,6 +17,59 @@
 //! page accesses. Span counters are subtree-cumulative, so exclusive
 //! per-operator values are recovered by subtracting the operator's
 //! direct children.
+//!
+//! EXPLAIN ANALYZE is an ordinary [`crate::QuerySession::run`] whose
+//! policy carries a trace sink, joined with the estimate of the plan that
+//! answered (`outcome.explain.best()` — freshly planned, served by a plan
+//! cache, or the audit fallback). A store session's run and a served
+//! request read the same way; the latter's spans are its flight
+//! recorder's `RequestTrace::events`.
+//!
+//! ```
+//! use nalg::EvalPolicy;
+//! use obs::trace::TraceSink;
+//! use websim::sitegen::{University, UniversityConfig};
+//! use wvcore::views::university_catalog;
+//! use wvcore::{ConjunctiveQuery, ExecPolicy, ExplainAnalyze, LiveSource};
+//! use wvcore::{QuerySession, SiteStatistics};
+//!
+//! let site = University::generate(UniversityConfig::default()).unwrap();
+//! let stats = SiteStatistics::from_site(&site.site);
+//! let catalog = university_catalog();
+//! let source = LiveSource::for_site(&site.site);
+//! let sink = TraceSink::with_seed(0);
+//! let traced = ExecPolicy {
+//!     eval: EvalPolicy {
+//!         trace: Some((sink.clone(), None)),
+//!         ..Default::default()
+//!     },
+//!     ..Default::default()
+//! };
+//! let session =
+//!     QuerySession::new(&site.site.scheme, &catalog, &stats, &source).with_policy(&traced);
+//!
+//! let q = ConjunctiveQuery::new("full professors")
+//!     .atom("Professor")
+//!     .select((0, "Rank"), "Full")
+//!     .project((0, "PName"));
+//! let outcome = session.run(&q).unwrap(); // the answer, as untraced
+//! let a = ExplainAnalyze::from_parts(&outcome.explain.best().estimate, &sink.events());
+//! assert_eq!(a.observed_pages, outcome.measured_pages());
+//! assert_eq!(
+//!     a.render(),
+//!     "\
+//! operator                                 est.card     rows  est.pages   pages downloads  cached
+//! π                                             6.7        4        0.0       0         0       0
+//!   σ                                           6.7        4        0.0       0         0       0
+//!     –ProfListPage.ProfList.ToProf→ ProfPage       20.0       20       20.0      20        20       0
+//!       µ ProfListPage.ProfList                20.0       20        0.0       0         0       0
+//!         entry ProfListPage                    1.0        1        1.0       1         1       0
+//! total: 21.0 pages predicted, 21 observed (worst per-operator ratio 1.00)
+//! "
+//! );
+//! let jsonl = sink.export_jsonl(); // the whole trace, one JSON event a line
+//! assert!(jsonl.lines().count() > a.ops.len());
+//! ```
 
 use crate::cost::{Estimate, NodeEstimate};
 use obs::trace::{EventKind, TraceEvent};
@@ -84,19 +137,17 @@ impl ExplainAnalyze {
     /// resilience) are ignored. If the trace holds several evaluations
     /// of the same plan, the latest span per node index wins.
     pub fn from_parts(estimate: &Estimate, events: &[TraceEvent]) -> ExplainAnalyze {
-        let ops: Vec<&TraceEvent> = events
+        let ops: Vec<(usize, &TraceEvent)> = events
             .iter()
-            .filter(|e| e.kind == EventKind::Operator && e.field_u64("node").is_some())
+            .filter(|e| e.kind == EventKind::Operator)
+            .filter_map(|e| Some((e.field_u64("node")? as usize, e)))
             .collect();
         // span id → event, and node index → latest event for that node
-        let by_id: HashMap<u64, &TraceEvent> = ops.iter().map(|e| (e.id, *e)).collect();
-        let mut by_node: HashMap<usize, &TraceEvent> = HashMap::new();
-        for e in &ops {
-            by_node.insert(e.field_u64("node").unwrap() as usize, e);
-        }
+        let by_id: HashMap<u64, &TraceEvent> = ops.iter().map(|&(_, e)| (e.id, e)).collect();
+        let by_node: HashMap<usize, &TraceEvent> = ops.iter().copied().collect();
         // children by parent id, for exclusive-counter subtraction
         let mut children: HashMap<u64, Vec<&TraceEvent>> = HashMap::new();
-        for e in &ops {
+        for &(_, e) in &ops {
             if let Some(p) = e.parent {
                 if by_id.contains_key(&p) {
                     children.entry(p).or_default().push(e);

@@ -352,7 +352,9 @@ impl<'ws> PlanArena<'ws> {
             return id;
         }
         let info = self.analyse(&node);
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 plan nodes"));
+        // Every id numbers a node the arena holds, so memory runs out long
+        // before the count reaches 2^32.
+        let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node.clone());
         self.infos.push(info);
         self.dedup.insert(node, id);

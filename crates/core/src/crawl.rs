@@ -95,27 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn crawl_and_statistics_share_one_download_pass() {
-        let u = uni();
-        let live = LiveSource::for_site(&u.site);
-        let cache = nalg::SharedPageCache::default();
-        let src = crate::source::CachedSource::new(&live, &cache);
-        u.site.server.reset_stats();
-        let inst = crawl_instance(&u.site.scheme, &src);
-        let cold_gets = u.site.server.stats().gets;
-        assert_eq!(cold_gets as usize, u.site.total_pages());
-        // Statistics collection re-crawls through the same shared cache:
-        // no second download pass.
-        let stats = crate::stats::SiteStatistics::crawl(&u.site.scheme, &src);
-        assert_eq!(u.site.server.stats().gets, cold_gets);
-        assert_eq!(stats.card("ProfPage"), 8.0);
-        // And a repeat crawl is also free.
-        let again = crawl_instance(&u.site.scheme, &src);
-        assert_eq!(again, inst);
-        assert_eq!(u.site.server.stats().gets, cold_gets);
-    }
-
-    #[test]
     fn crawl_skips_dangling_pages() {
         let u = uni();
         // remove a course page directly from the server (dangling links)

@@ -25,7 +25,6 @@
 //! planning and fills it afterwards; [`QuerySession::run`] is the only
 //! place that protocol is written down.
 
-use crate::analyze::ExplainAnalyze;
 use crate::optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
 use crate::plan_cache::{quarantine_fingerprint, PlanCache, PlanKey, PlanOrigin};
 use crate::policy::ExecPolicy;
@@ -36,7 +35,6 @@ use crate::views::ViewCatalog;
 use crate::Result;
 use adm::WebScheme;
 use nalg::{AuditConfig, EvalPolicy, EvalReport, Evaluator, PageSource};
-use obs::trace::TraceSink;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,8 +76,7 @@ pub struct QueryOutcome {
     /// constants). Always [`PlanOrigin::Planned`] without a cache.
     pub plan: PlanOrigin,
     /// Wall-clock µs [`QuerySession::run`] spent obtaining the plan —
-    /// cache lookup and binding, or rule 1–9 enumeration. 0 for
-    /// [`QuerySession::run_planned`], which is handed its plan.
+    /// cache lookup and binding, or rule 1–9 enumeration.
     pub plan_us: u64,
 }
 
@@ -129,21 +126,6 @@ impl QueryOutcome {
                 .as_ref()
                 .map_or(0, |f| f.suspect_report.page_accesses)
     }
-}
-
-/// A [`QueryOutcome`] plus its EXPLAIN ANALYZE join and the trace it was
-/// computed from (see [`QuerySession::run_analyzed`]).
-#[derive(Debug, Clone)]
-pub struct AnalyzedOutcome {
-    /// The ordinary outcome — results and counters are byte-identical
-    /// to an untraced [`QuerySession::run`].
-    pub outcome: QueryOutcome,
-    /// Predicted vs. observed page accesses and cardinalities, joined
-    /// per operator.
-    pub analysis: ExplainAnalyze,
-    /// The trace the run produced (optimizer rule events + operator
-    /// spans), exportable with [`TraceSink::export_jsonl`].
-    pub trace: TraceSink,
 }
 
 /// A query session over a site.
@@ -253,7 +235,8 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     ///    ([`crate::OptError::DeadlineExceeded`]: enumeration is the most
     ///    expensive thing before the first fetch, and nothing plans past
     ///    the deadline);
-    /// 3. execute and settle exactly as [`QuerySession::run_planned`];
+    /// 3. execute the plan, auditing it when the policy asks, and settle
+    ///    the audit: a violation re-answers from the default navigation;
     /// 4. with a cache, a plan its own audit falsified leaves it (the
     ///    constraint was assumed for every instance of the shape); a
     ///    freshly planned one enters it — unless a default navigation of
@@ -263,6 +246,12 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     ///    time.
     ///
     /// [`QueryOutcome::plan`] says which way the plan came.
+    ///
+    /// EXPLAIN ANALYZE is this run with a trace sink in the policy:
+    /// [`crate::ExplainAnalyze::from_parts`] over the outcome's
+    /// `explain.best().estimate` and the sink's events explains the plan
+    /// that answered — planned, served by the cache, or the fallback,
+    /// whose operator spans come last and so win the join.
     pub fn run(&self, q: &ConjunctiveQuery) -> Result<QueryOutcome> {
         if let Some(h) = self.policy.health {
             h.tick();
@@ -293,7 +282,12 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             None => (Arc::new(self.explain(q)?), PlanOrigin::Planned),
         };
         let plan_us = started.elapsed().as_micros() as u64;
-        let mut outcome = self.run_planned(q, explain)?;
+        let mut ev = self.evaluator(&self.policy.eval);
+        if let Some(cfg) = self.audit_config(explain.best()) {
+            ev = ev.with_audit(cfg);
+        }
+        let report = ev.eval(&explain.best().expr)?;
+        let mut outcome = self.settle(q, explain, report)?;
         outcome.plan = origin;
         outcome.plan_us = plan_us;
         if let Some((cache, key, params, _)) = cached {
@@ -319,26 +313,6 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
                 .relation(name)
                 .is_ok_and(|rel| rel.navigations.iter().any(|nav| nav.expr.has_constants()))
         })
-    }
-
-    /// Executes an already-optimized plan set for `q`, skipping rule 1–9
-    /// enumeration entirely — what [`QuerySession::run`] does once it has
-    /// its plan. Auditing, constraint-health booking, and the drift
-    /// fallback behave exactly as there; this neither advances the health
-    /// registry's logical clock nor touches a plan cache.
-    ///
-    /// Correctness is the caller's contract: `explain` must have been
-    /// produced for this `q` over the session's current statistics and
-    /// quarantine set (a [`crate::CandidatePlan`] licensed by a
-    /// since-quarantined constraint would execute here unchallenged —
-    /// the plan cache guards exactly that).
-    pub fn run_planned(&self, q: &ConjunctiveQuery, explain: Arc<Explain>) -> Result<QueryOutcome> {
-        let mut ev = self.evaluator(&self.policy.eval);
-        if let Some(cfg) = self.audit_config(explain.best()) {
-            ev = ev.with_audit(cfg);
-        }
-        let report = ev.eval(&explain.best().expr)?;
-        self.settle(q, explain, report)
     }
 
     /// Books a run's audit findings into the health registry and, when the
@@ -401,32 +375,6 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
                 diverged,
             }),
         ))
-    }
-
-    /// EXPLAIN ANALYZE: optimizes, executes the best plan under a fresh
-    /// deterministic trace sink (in place of the policy's own), and
-    /// joins the optimizer's per-operator estimates onto the executed
-    /// operator spans. Results and counters are byte-identical to
-    /// [`QuerySession::run`]; the extra work is bookkeeping only. A
-    /// diagnostic run explains the plan it derives: it always plans afresh
-    /// and neither reads nor fills a plan cache.
-    pub fn run_analyzed(&self, q: &ConjunctiveQuery) -> Result<AnalyzedOutcome> {
-        let sink = TraceSink::with_seed(0);
-        let traced = ExecPolicy {
-            eval: EvalPolicy {
-                trace: Some((sink.clone(), self.policy.eval.trace_parent())),
-                ..self.policy.eval.clone()
-            },
-            ..self.policy.clone()
-        };
-        let explain = Arc::new(self.optimizer(&traced).optimize(q)?);
-        let report = self.evaluator(&traced.eval).eval(&explain.best().expr)?;
-        let analysis = ExplainAnalyze::from_parts(&explain.best().estimate, &sink.events());
-        Ok(AnalyzedOutcome {
-            outcome: QueryOutcome::planned(explain, report, None),
-            analysis,
-            trace: sink,
-        })
     }
 
     /// Executes a specific plan (used by experiments to run non-optimal
@@ -532,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn run_analyzed_matches_plain_run_exactly() {
+    fn a_traced_run_matches_plain_run_and_explains_it() {
         let u = University::generate(UniversityConfig {
             departments: 3,
             professors: 10,
@@ -550,30 +498,35 @@ mod tests {
             .select((0, "Type"), "Graduate")
             .project((0, "CName"));
         let plain = session.run(&q).unwrap();
-        let analyzed = session.run_analyzed(&q).unwrap();
+        let sink = obs::trace::TraceSink::with_seed(0);
+        let traced = session
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    trace: Some((sink.clone(), None)),
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
+            .run(&q)
+            .unwrap();
+        let events = sink.events();
+        let analysis = crate::ExplainAnalyze::from_parts(&traced.explain.best().estimate, &events);
         // tracing must not perturb results or any counter
-        assert_eq!(analyzed.outcome.report.relation, plain.report.relation);
+        assert_eq!(traced.report.relation, plain.report.relation);
+        assert_eq!(traced.report.page_accesses, plain.report.page_accesses);
         assert_eq!(
-            analyzed.outcome.report.page_accesses,
-            plain.report.page_accesses
-        );
-        assert_eq!(
-            analyzed.outcome.report.accesses_by_operator,
+            traced.report.accesses_by_operator,
             plain.report.accesses_by_operator
         );
         // the joined table's observed total is the cost-model total
-        assert_eq!(
-            analyzed.analysis.observed_pages,
-            plain.report.cost_model_accesses()
-        );
+        assert_eq!(analysis.observed_pages, plain.report.cost_model_accesses());
         // every executed operator appears, with the plan's estimate joined
         assert_eq!(
-            analyzed.analysis.ops.len(),
+            analysis.ops.len(),
             plain.explain.best().estimate.nodes.len()
         );
-        assert!(analyzed.analysis.render().contains("total:"));
+        assert!(analysis.render().contains("total:"));
         // the trace carries both optimizer events and operator spans
-        let events = analyzed.trace.events();
         assert!(events
             .iter()
             .any(|e| e.kind == obs::trace::EventKind::Optimizer));
@@ -692,38 +645,6 @@ mod tests {
             second.report.relation.sorted(),
             naive.report.relation.sorted()
         );
-    }
-
-    #[test]
-    fn run_planned_matches_run_and_skips_optimization() {
-        let u = University::generate(UniversityConfig {
-            departments: 3,
-            professors: 10,
-            courses: 20,
-            seed: 21,
-            ..UniversityConfig::default()
-        })
-        .unwrap();
-        let stats = SiteStatistics::from_site(&u.site);
-        let catalog = university_catalog();
-        let source = LiveSource::for_site(&u.site);
-        let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
-        let q = ConjunctiveQuery::new("graduate-courses")
-            .atom("Course")
-            .select((0, "Type"), "Graduate")
-            .project((0, "CName"));
-        let plain = session.run(&q).unwrap();
-        let replayed = session.run_planned(&q, Arc::clone(&plain.explain)).unwrap();
-        assert_eq!(
-            replayed.report.relation.sorted(),
-            plain.report.relation.sorted()
-        );
-        assert_eq!(replayed.report.page_accesses, plain.report.page_accesses);
-        assert_eq!(
-            replayed.report.accesses_by_operator,
-            plain.report.accesses_by_operator
-        );
-        assert_eq!(replayed.explain.best().expr, plain.explain.best().expr);
     }
 
     #[test]

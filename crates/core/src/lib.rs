@@ -50,6 +50,10 @@
 //! assert!(outcome.estimated_pages() >= outcome.measured_pages() as f64 - 1.0);
 //! ```
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod analyze;
 pub mod arena;
 pub mod cost;
@@ -74,7 +78,7 @@ pub use cost::{Cost, Estimate, NodeEstimate};
 pub use crawl::{crawl_instance, SiteInstance};
 pub use discover::{discover_constraints, Discovered};
 pub use error::OptError;
-pub use exec::{AnalyzedOutcome, FallbackOutcome, QueryOutcome, QuerySession};
+pub use exec::{FallbackOutcome, QueryOutcome, QuerySession};
 pub use infer::{auto_catalog, auto_relation, infer_navigations, InferredNavigation};
 pub use optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
 pub use plan_cache::{
@@ -84,7 +88,7 @@ pub use policy::ExecPolicy;
 pub use query::ConjunctiveQuery;
 pub use registry::{RewritePhase, RewriteRule};
 pub use rules::ConstraintDependency;
-pub use source::{CachedSource, LiveSource};
+pub use source::LiveSource;
 pub use stats::SiteStatistics;
 pub use views::{DefaultNavigation, ExternalRelation, ViewCatalog};
 

@@ -4,15 +4,11 @@
 //! from a [`websim::VirtualServer`] (a counted `GET`) and running the
 //! scheme's wrapper over the HTML — the full pipeline the paper assumes
 //! ("pages have to be downloaded from the network, then wrapped in order to
-//! extract attribute values").
-//!
-//! [`CachedSource`] layers a [`SharedPageCache`] over any page source, so
-//! the crawler and statistics collection share wrapped pages with query
-//! evaluation instead of re-downloading them.
+//! extract attribute values"). A cross-query cache in front of it is the
+//! evaluator's to consult: [`nalg::EvalPolicy::shared_cache`].
 
 use adm::{Tuple, Url, WebScheme};
-use nalg::{PageSource, SharedPageCache, SourceError};
-use std::sync::Arc;
+use nalg::{PageSource, SourceError};
 use websim::{VirtualServer, WebError};
 
 /// A page source over a live (simulated) site.
@@ -63,63 +59,6 @@ impl PageSource for LiveSource<'_> {
     }
 }
 
-/// A page source that consults (and feeds) a [`SharedPageCache`] before
-/// touching the inner source. Cache hits cost no connection; misses are
-/// forwarded and the wrapped result is cached with its Last-Modified
-/// stamp. A 404 from the inner source evicts any stale cached copy.
-///
-/// The cache holds the pages, so [`PageSource::fetch_shared`] is the
-/// method this source implements: a hit is the cache's own `Arc`, a miss
-/// is cached and returned as one `Arc`. `fetch` and `fetch_stamped` copy
-/// the page out of it for a caller that wants to own one.
-pub struct CachedSource<'a, S> {
-    inner: &'a S,
-    cache: &'a SharedPageCache,
-}
-
-impl<'a, S: PageSource> CachedSource<'a, S> {
-    pub fn new(inner: &'a S, cache: &'a SharedPageCache) -> Self {
-        CachedSource { inner, cache }
-    }
-
-    /// The shared cache behind this source.
-    pub fn cache(&self) -> &'a SharedPageCache {
-        self.cache
-    }
-}
-
-impl<S: PageSource> PageSource for CachedSource<'_, S> {
-    fn fetch(&self, url: &Url, scheme: &str) -> Result<Tuple, SourceError> {
-        self.fetch_stamped(url, scheme).map(|(t, _)| t)
-    }
-
-    fn fetch_stamped(&self, url: &Url, scheme: &str) -> Result<(Tuple, Option<u64>), SourceError> {
-        let (t, lm) = self.fetch_shared(url, scheme)?;
-        Ok((Tuple::clone(&t), lm))
-    }
-
-    fn fetch_shared(
-        &self,
-        url: &Url,
-        scheme: &str,
-    ) -> Result<(Arc<Tuple>, Option<u64>), SourceError> {
-        if let Some(t) = self.cache.get(url.as_str()) {
-            return Ok((t, None));
-        }
-        match self.inner.fetch_shared(url, scheme) {
-            Ok((t, lm)) => {
-                self.cache.insert(url, &t, lm);
-                Ok((t, lm))
-            }
-            Err(SourceError::NotFound(u)) => {
-                self.cache.invalidate(url);
-                Err(SourceError::NotFound(u))
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,54 +80,6 @@ mod tests {
         assert_eq!(Some(&t), u.site.ground_truth("ProfPage", &url));
         // a GET was counted
         assert_eq!(u.site.server.stats().gets, 1);
-    }
-
-    #[test]
-    fn cached_source_avoids_repeat_gets() {
-        let u = University::generate(UniversityConfig {
-            departments: 2,
-            professors: 4,
-            courses: 6,
-            seed: 2,
-            ..UniversityConfig::default()
-        })
-        .unwrap();
-        let live = LiveSource::for_site(&u.site);
-        let cache = SharedPageCache::default();
-        let src = CachedSource::new(&live, &cache);
-        let url = University::prof_url(0);
-        let t1 = src.fetch(&url, "ProfPage").unwrap();
-        let t2 = src.fetch(&url, "ProfPage").unwrap();
-        assert_eq!(t1, t2);
-        assert_eq!(u.site.server.stats().gets, 1);
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn cached_source_evicts_on_not_found() {
-        let u = University::generate(UniversityConfig {
-            departments: 2,
-            professors: 4,
-            courses: 6,
-            seed: 2,
-            ..UniversityConfig::default()
-        })
-        .unwrap();
-        let live = LiveSource::for_site(&u.site);
-        let cache = SharedPageCache::default();
-        let src = CachedSource::new(&live, &cache);
-        let url = University::prof_url(0);
-        src.fetch(&url, "ProfPage").unwrap();
-        assert_eq!(cache.len(), 1);
-        u.site.server.remove(&url);
-        // still cached: the cache answers before the server
-        assert!(src.fetch(&url, "ProfPage").is_ok());
-        cache.invalidate(&url);
-        assert!(matches!(
-            src.fetch(&url, "ProfPage"),
-            Err(SourceError::NotFound(_))
-        ));
-        assert!(cache.is_empty());
     }
 
     #[test]

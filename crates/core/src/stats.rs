@@ -17,7 +17,10 @@
 //!
 //! Statistics can be [`SiteStatistics::crawl`]ed through the same
 //! page-source abstraction the evaluator uses, computed from a generated
-//! site's ground truth, or written/parsed in a plain text format.
+//! site's ground truth, or written/parsed in a plain text format. A crawl
+//! downloads every page it reaches: no cache stands between it and the
+//! source (the cross-query page cache is the evaluator's,
+//! [`nalg::EvalPolicy::shared_cache`]).
 
 use adm::{Field, Tuple, Value, WebScheme, WebType};
 use nalg::PageSource;

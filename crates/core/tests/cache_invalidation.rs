@@ -1,7 +1,9 @@
 //! Integration tests for [`nalg::SharedPageCache`] Last-Modified
 //! invalidation when the server's `put_updated` races concurrent reads.
 //!
-//! The cache is write-through and never authoritative: a page updated on
+//! The cache is read the way it ships: an [`Evaluator`] under
+//! [`EvalPolicy::shared_cache`] consults it before the network and writes
+//! every download through. It is write-through and never authoritative: a page updated on
 //! the server keeps being served from cache until a URL check (HEAD)
 //! observes the newer Last-Modified stamp and calls
 //! `invalidate_older_than`. These tests pin the three read paths — cold,
@@ -10,9 +12,9 @@
 //! *after* the invalidation ran.
 
 use adm::{Field, PageScheme, Tuple, Url, WebScheme};
-use nalg::{PageSource, SharedPageCache};
+use nalg::{EvalPolicy, Evaluator, NalgExpr, PageSource, SharedPageCache};
 use websim::VirtualServer;
-use wvcore::{CachedSource, LiveSource};
+use wvcore::LiveSource;
 
 fn one_page_site() -> (WebScheme, VirtualServer, Url) {
     let scheme = WebScheme::builder()
@@ -34,29 +36,39 @@ fn text_of(t: &Tuple) -> String {
     t.get("A").unwrap().as_text().unwrap().to_string()
 }
 
+/// One query reading the page through `cache`: a hit costs no connection,
+/// a miss is downloaded and written through with its Last-Modified stamp.
+fn read(ws: &WebScheme, live: &LiveSource<'_>, cache: &SharedPageCache) -> String {
+    let report = Evaluator::new(ws, live)
+        .with_policy(&EvalPolicy {
+            shared_cache: Some(cache),
+            ..Default::default()
+        })
+        .eval(&NalgExpr::entry("P").project(vec!["P.A"]))
+        .unwrap();
+    report.relation.rows()[0][0].as_text().unwrap().to_string()
+}
+
 #[test]
 fn cold_warm_invalidated_paths_on_hit_miss_counters() {
     let (ws, server, url) = one_page_site();
     let live = LiveSource::new(&ws, &server);
     let cache = SharedPageCache::default();
-    let src = CachedSource::new(&live, &cache);
 
     // cold: miss, forwarded to the server, written through
-    let t = src.fetch(&url, "P").unwrap();
-    assert_eq!(text_of(&t), "v1");
+    assert_eq!(read(&ws, &live, &cache), "v1");
     assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
     assert_eq!(server.stats().gets, 1);
 
     // warm: hit, no connection
-    let t = src.fetch(&url, "P").unwrap();
-    assert_eq!(text_of(&t), "v1");
+    assert_eq!(read(&ws, &live, &cache), "v1");
     assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     assert_eq!(server.stats().gets, 1);
 
     // the server publishes v2; the cache keeps answering v1 until a HEAD
     // observes the newer stamp and invalidates
     server.put_updated(url.clone(), "P", body("v2"));
-    assert_eq!(text_of(&src.fetch(&url, "P").unwrap()), "v1");
+    assert_eq!(read(&ws, &live, &cache), "v1");
     assert_eq!((cache.stats().hits, cache.stats().misses), (2, 1));
 
     let lm = server.head(&url).unwrap().last_modified;
@@ -64,14 +76,13 @@ fn cold_warm_invalidated_paths_on_hit_miss_counters() {
     assert_eq!(cache.stats().invalidations, 1);
 
     // invalidated: miss again, the fresh tuple comes from the server
-    let t = src.fetch(&url, "P").unwrap();
-    assert_eq!(text_of(&t), "v2");
+    assert_eq!(read(&ws, &live, &cache), "v2");
     assert_eq!((cache.stats().hits, cache.stats().misses), (2, 2));
     assert_eq!(server.stats().gets, 2);
 
     // a current entry survives the same check
     assert!(!cache.invalidate_older_than(&url, lm), "entry is current");
-    assert_eq!(text_of(&src.fetch(&url, "P").unwrap()), "v2");
+    assert_eq!(read(&ws, &live, &cache), "v2");
     assert_eq!((cache.stats().hits, cache.stats().misses), (3, 2));
 }
 
@@ -101,10 +112,7 @@ fn stale_reinsert_after_invalidation_is_caught_by_the_next_check() {
     // the next check catches it
     assert!(cache.invalidate_older_than(&url, lm2));
     assert!(cache.get(&url).is_none());
-    assert_eq!(
-        text_of(&CachedSource::new(&live, &cache).fetch(&url, "P").unwrap()),
-        "v2"
-    );
+    assert_eq!(read(&ws, &live, &cache), "v2");
     // counters saw exactly: one hit (the stale read), two misses (the
     // post-invalidation get + the refetch), one invalidation
     let s = cache.stats();
@@ -122,11 +130,10 @@ fn put_updated_racing_concurrent_reads_converges() {
     std::thread::scope(|s| {
         for _ in 0..READERS {
             s.spawn(|| {
-                let src = CachedSource::new(&live, &cache);
                 for _ in 0..200 {
                     // every answer must be a version that existed at some
                     // point — never a torn or phantom page
-                    let v = text_of(&src.fetch(&url, "P").unwrap());
+                    let v = read(&ws, &live, &cache);
                     let n: usize = v.strip_prefix('v').unwrap().parse().unwrap();
                     assert!((1..=VERSIONS).contains(&n), "phantom version {v}");
                 }
@@ -145,11 +152,7 @@ fn put_updated_racing_concurrent_reads_converges() {
     // final URL check flushes it and the cache settles on the last one
     let lm = server.head(&url).unwrap().last_modified;
     cache.invalidate_older_than(&url, lm);
-    let src = CachedSource::new(&live, &cache);
-    assert_eq!(
-        text_of(&src.fetch(&url, "P").unwrap()),
-        format!("v{VERSIONS}")
-    );
+    assert_eq!(read(&ws, &live, &cache), format!("v{VERSIONS}"));
     assert_eq!(
         text_of(&cache.get(&url).unwrap()),
         format!("v{VERSIONS}"),

@@ -22,10 +22,7 @@ use nalg::{Fetch, NalgExpr, PageSource, SharedPageCache, SourceError};
 use obs::trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use wvcore::{
-    ConjunctiveQuery, ExecPolicy, Explain, ExplainAnalyze, PlanCache, QuerySession, SiteStatistics,
-    ViewCatalog,
-};
+use wvcore::{ConjunctiveQuery, ExecPolicy, Explain, QuerySession, SiteStatistics, ViewCatalog};
 
 /// The outcome of a materialized-view query.
 #[derive(Debug, Clone)]
@@ -53,22 +50,6 @@ impl MatOutcome {
     pub fn is_complete(&self) -> bool {
         self.unreachable.is_empty()
     }
-}
-
-/// A [`MatOutcome`] plus its EXPLAIN ANALYZE join and the trace it was
-/// computed from (see [`MatSession::run_analyzed`]).
-#[derive(Debug, Clone)]
-pub struct MatAnalyzedOutcome {
-    /// The ordinary outcome — answer and counters byte-identical to an
-    /// untraced [`MatSession::run`].
-    pub outcome: MatOutcome,
-    /// Predicted vs. observed page accesses per operator. Observed
-    /// *downloads* here are the maintenance re-downloads the URL-check
-    /// protocol decided on, so a fresh view shows 0 everywhere.
-    pub analysis: ExplainAnalyze,
-    /// The full trace (optimizer events, operator spans, per-URL-check
-    /// maintenance events).
-    pub trace: TraceSink,
 }
 
 /// A page source that consults the materialized store, checking freshness
@@ -264,25 +245,22 @@ impl<'a, P: websim::PageServer + Sync> MatSession<'a, P> {
     /// scheme, catalog and statistics *by value*, so a plan is reused only
     /// by a session that would have chosen it. Every URL check, download
     /// and counter is what a freshly planned run would have made.
+    ///
+    /// A trace sink in the policy receives the operator spans and one
+    /// `matview.urlcheck` event per URL check; EXPLAIN ANALYZE is
+    /// [`ExplainAnalyze::from_parts`](wvcore::ExplainAnalyze::from_parts)
+    /// over `explain.best().estimate` and that sink's events. Its predicted
+    /// pages are what a *virtual*-view evaluation would download; its
+    /// observed downloads are the re-downloads the URL-check protocol
+    /// decided on — the gap between the two is what materialization saves.
     pub fn run(&self, store: &mut MatStore, q: &ConjunctiveQuery) -> Result<MatOutcome> {
         let plans = store.plans();
         let context = plans.context(&self.policy, self.ws, self.catalog, self.stats);
-        self.run_with(store, q, None, Some((plans.cache(), context)))
-    }
-
-    fn run_with(
-        &self,
-        store: &mut MatStore,
-        q: &ConjunctiveQuery,
-        trace: Option<&TraceSink>,
-        plans: Option<(&PlanCache, u64)>,
-    ) -> Result<MatOutcome> {
-        let source = self.source(store, trace);
-        let mut session = self.session(&source, trace);
-        if let Some((cache, context)) = plans {
-            session = session.with_plan_cache(cache, context);
-        }
-        let outcome = session.run(q)?;
+        let source = self.source(store);
+        let outcome = self
+            .session(&source)
+            .with_plan_cache(plans.cache(), context)
+            .run(q)?;
         let counters = source.finish()?;
         Ok(MatOutcome {
             explain: outcome.explain,
@@ -290,32 +268,6 @@ impl<'a, P: websim::PageServer + Sync> MatSession<'a, P> {
             counters,
             broken_links: outcome.report.broken_links,
             unreachable: outcome.report.unreachable,
-        })
-    }
-
-    /// EXPLAIN ANALYZE over the materialized view: optimizes afresh — a
-    /// diagnostic run explains the plan it derives, so the store's plan
-    /// cache is neither read nor filled — answers under a fresh
-    /// deterministic trace sink, and joins the optimizer's per-operator
-    /// estimates onto the executed spans. Note the
-    /// semantics: predicted pages are what a *virtual*-view evaluation
-    /// would download, while observed downloads are the re-downloads the
-    /// URL-check protocol actually decided on — the gap between the two
-    /// columns is exactly what materialization saves.
-    pub fn run_analyzed(
-        &self,
-        store: &mut MatStore,
-        q: &ConjunctiveQuery,
-    ) -> Result<MatAnalyzedOutcome> {
-        // Its own sink, handed to the session and the checking source
-        // alike, so `matview.urlcheck` events land beside the operators'.
-        let sink = TraceSink::with_seed(0);
-        let outcome = self.run_with(store, q, Some(&sink), None)?;
-        let analysis = ExplainAnalyze::from_parts(&outcome.explain.best().estimate, &sink.events());
-        Ok(MatAnalyzedOutcome {
-            outcome,
-            analysis,
-            trace: sink,
         })
     }
 
@@ -327,8 +279,8 @@ impl<'a, P: websim::PageServer + Sync> MatSession<'a, P> {
         store: &mut MatStore,
         plan: &NalgExpr,
     ) -> Result<(Relation, CheckCounters, u64, Vec<Url>)> {
-        let source = self.source(store, None);
-        let report = self.session(&source, None).execute(plan)?;
+        let source = self.source(store);
+        let report = self.session(&source).execute(plan)?;
         let counters = source.finish()?;
         Ok((
             report.relation,
@@ -339,11 +291,7 @@ impl<'a, P: websim::PageServer + Sync> MatSession<'a, P> {
     }
 
     /// A fresh query's URL-checking view of `store`.
-    fn source<'s>(
-        &'s self,
-        store: &'s mut MatStore,
-        trace: Option<&TraceSink>,
-    ) -> CheckingSource<'s, P> {
+    fn source<'s>(&'s self, store: &'s mut MatStore) -> CheckingSource<'s, P> {
         store.reset_status();
         CheckingSource {
             ws: self.ws,
@@ -352,26 +300,21 @@ impl<'a, P: websim::PageServer + Sync> MatSession<'a, P> {
             counters: Mutex::new(CheckCounters::default()),
             error: Mutex::new(None),
             shared: self.policy.eval.shared_cache,
-            trace: trace.or(self.policy.eval.sink()).cloned(),
+            trace: self.policy.eval.sink().cloned(),
         }
     }
 
     /// The [`QuerySession`] that plans and evaluates over `source` under
-    /// this session's policy, traced into `trace` when given. The shared
-    /// cache is the source's to keep in sync, not the evaluator's to read,
-    /// and a URL check is never hedged.
+    /// this session's policy. The shared cache is the source's to keep in
+    /// sync, not the evaluator's to read, and a URL check is never hedged.
     fn session<'s, 'c>(
         &'s self,
         source: &'s CheckingSource<'c, P>,
-        trace: Option<&TraceSink>,
     ) -> QuerySession<'s, CheckingSource<'c, P>> {
         let mut policy = self.policy.clone();
         policy.eval.shared_cache = None;
         if let Fetch::Pool { hedge, .. } = &mut policy.eval.fetch {
             *hedge = None;
-        }
-        if let Some(sink) = trace {
-            policy.eval.trace = Some((sink.clone(), None));
         }
         QuerySession::new(self.ws, self.catalog, self.stats, source).with_policy(&policy)
     }
@@ -660,28 +603,40 @@ mod tests {
     }
 
     #[test]
-    fn run_analyzed_is_counter_identical_and_joins_urlchecks() {
+    fn a_traced_hit_is_counter_identical_and_joins_urlchecks() {
         let (u, mut store, stats, catalog) = setup();
         let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
         let plain = session.run(&mut store, &grad_query()).unwrap();
-        let analyzed = session.run_analyzed(&mut store, &grad_query()).unwrap();
+        // the traced run is a store plan-cache hit: the plan that answered
+        let sink = TraceSink::with_seed(0);
+        let traced = session
+            .with_policy(&ExecPolicy {
+                eval: EvalPolicy {
+                    trace: Some((sink.clone(), None)),
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
+            .run(&mut store, &grad_query())
+            .unwrap();
         // tracing changes nothing the paper reports
         assert_eq!(
-            analyzed.outcome.relation.sorted().rows(),
+            traced.relation.sorted().rows(),
             plain.relation.sorted().rows()
         );
-        assert_eq!(analyzed.outcome.counters, plain.counters);
+        assert_eq!(traced.counters, plain.counters);
         // the join renders, and maintenance events carry the protocol's
         // per-URL decisions
-        assert!(analyzed.analysis.render().contains("total:"));
-        let events = analyzed.trace.events();
+        let events = sink.events();
+        let analysis = wvcore::ExplainAnalyze::from_parts(&traced.explain.best().estimate, &events);
+        assert!(analysis.render().contains("total:"));
         let checks: Vec<_> = events
             .iter()
             .filter(|e| e.name == "matview.urlcheck")
             .collect();
         // one event per URL check: every successful check lands in
         // exactly one of the three counters
-        let c = &analyzed.outcome.counters;
+        let c = &traced.counters;
         assert_eq!(
             checks.len() as u64,
             c.from_store + c.downloads + c.stale_served

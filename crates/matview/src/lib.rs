@@ -96,7 +96,7 @@ pub mod view;
 
 pub use delta::PageDelta;
 pub use error::MatError;
-pub use eval::{MatAnalyzedOutcome, MatOutcome, MatSession};
+pub use eval::{MatOutcome, MatSession};
 pub use store::{MatStore, StoreStats, StoredPage, UrlStatus};
 pub use view::{DeltaReport, IncrementalView};
 

@@ -27,7 +27,7 @@ use arb_query::{arb_query, QueryPicks, QuerySpace};
 use matview::maintain::{audit, full_refresh};
 use matview::urlcheck::{url_check, CheckCounters};
 use matview::{IncrementalView, MatSession, MatStore};
-use nalg::{EvalPolicy, Evaluator, Fetch, NalgExpr, PageSource, SharedPageCache};
+use nalg::{EvalPolicy, Evaluator, Fetch, NalgExpr, SharedPageCache};
 use proptest::prelude::*;
 use std::sync::Arc;
 use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
@@ -35,8 +35,8 @@ use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use websim::Site;
 use wvcore::views::{bibliography_catalog, university_catalog};
 use wvcore::{
-    CachedSource, ConjunctiveQuery, ExecPolicy, ExternalRelation, LiveSource, PlanCache,
-    QuerySession, RuleMask, SiteStatistics, ViewCatalog,
+    ConjunctiveQuery, ExecPolicy, ExternalRelation, LiveSource, PlanCache, QuerySession, RuleMask,
+    SiteStatistics, ViewCatalog,
 };
 
 fn setup() -> (University, MatStore, SiteStatistics, ViewCatalog) {
@@ -633,15 +633,6 @@ fn whoever_holds_a_page_hands_out_a_reference_to_its_own_copy() {
     let hit = cache.get(&dept).unwrap();
     assert!(Arc::ptr_eq(&hit, &store.get(&dept).unwrap().tuple));
     assert!(Arc::ptr_eq(&hit, &cache.get(&dept).unwrap()));
-    // a caching source: the miss it cached and the hits after it
-    let live = LiveSource::for_site(&u.site);
-    let (other, cached) = (SharedPageCache::default(), University::course_url(1));
-    let source = CachedSource::new(&live, &other);
-    let (miss, _) = source.fetch_shared(&cached, "CoursePage").unwrap();
-    let (again, _) = source.fetch_shared(&cached, "CoursePage").unwrap();
-    assert!(Arc::ptr_eq(&miss, &again));
-    assert!(Arc::ptr_eq(&miss, &other.get(&cached).unwrap()));
-    assert_eq!(other.stats().insertions, 1);
 }
 
 fn view_exprs() -> [(&'static str, NalgExpr); 3] {

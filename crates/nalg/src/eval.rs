@@ -167,11 +167,11 @@ pub trait PageSource: Sync {
     ///
     /// **Who calls it:** the evaluator, for every page it acquires, and the
     /// source wrappers on their way down to the source they wrap. **Who
-    /// overrides it:** a source that *holds* pages (`CachedSource`,
-    /// `CoalescingSource`, matview's URL-checking source over a `MatStore`)
-    /// returns a clone of the `Arc` it keeps, and a wrapper that only
-    /// forwards (`ResilientSource`) forwards this method too, so the
-    /// reference survives the stack. A source that *produces* pages
+    /// overrides it:** a source that *holds* pages (`CoalescingSource`,
+    /// matview's URL-checking source over a `MatStore`) returns a clone of
+    /// the `Arc` it keeps, and a wrapper that only forwards
+    /// (`ResilientSource`) forwards this method too, so the reference
+    /// survives the stack. A source that *produces* pages
     /// (`LiveSource`, a test fixture) implements `fetch` or `fetch_stamped`
     /// and inherits this default, which wraps what it produced.
     ///

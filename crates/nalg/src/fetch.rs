@@ -386,9 +386,9 @@ impl CoalesceStats {
 
 /// Single-flight coalescing wrapper around a thread-safe [`PageSource`].
 ///
-/// Composes like the other source wrappers (`CachedSource`,
-/// `ResilientSource`): it borrows the inner source, so retry/breaker
-/// machinery stacks *underneath* — one coalesced fetch runs the full
+/// Composes like the other source wrappers (`ResilientSource`): it
+/// borrows the inner source, so retry/breaker machinery stacks
+/// *underneath* — one coalesced fetch runs the full
 /// resilient path once and every follower shares the outcome, including
 /// an error outcome (an error is cheaper to share than to rediscover
 /// N times; the per-evaluation degradation policy still applies above).

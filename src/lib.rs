@@ -67,9 +67,7 @@ pub mod prelude {
         AttrRef, Field, InclusionConstraint, LinkConstraint, PageScheme, Relation, Tuple, Url,
         Value, WebScheme, WebType,
     };
-    pub use matview::{
-        DeltaReport, IncrementalView, MatAnalyzedOutcome, MatOutcome, MatSession, MatStore,
-    };
+    pub use matview::{DeltaReport, IncrementalView, MatOutcome, MatSession, MatStore};
     pub use nalg::{
         CoalescingSource, DegradationMode, EvalPolicy, EvalReport, Evaluator, Fetch, HedgeConfig,
         NalgExpr, PageSource, Pred,
@@ -90,9 +88,9 @@ pub mod prelude {
     pub use wrapper::wrap_page;
     pub use wvcore::views::{bibliography_catalog, university_catalog};
     pub use wvcore::{
-        AnalyzedOutcome, ConjunctiveQuery, ConstraintDependency, Cost, ExecPolicy, Explain,
-        ExplainAnalyze, FallbackOutcome, LiveSource, Optimizer, QueryOutcome, QuerySession,
-        RuleMask, SiteStatistics, ViewCatalog,
+        ConjunctiveQuery, ConstraintDependency, Cost, ExecPolicy, Explain, ExplainAnalyze,
+        FallbackOutcome, LiveSource, Optimizer, QueryOutcome, QuerySession, RuleMask,
+        SiteStatistics, ViewCatalog,
     };
     pub use wvquery::parse_query;
 }

@@ -1,13 +1,18 @@
 //! Observability invariants: tracing and EXPLAIN ANALYZE must be pure
-//! observers. Attaching a sink — or running the fully-instrumented
-//! `run_analyzed` path — may never change a query's answer, its page
-//! accounting, or the plan the optimizer picks, sequentially or under a
-//! concurrent fetch pool. Traces themselves must be deterministic: the
-//! same seed over the same site yields the same span ids in the same
-//! order, so CI can diff exported traces across runs.
+//! observers. EXPLAIN ANALYZE is an ordinary run with a trace sink in its
+//! policy, so attaching a sink may never change a query's answer, its
+//! page accounting, its audit fallback, its deadline, or the plan the
+//! optimizer picks, sequentially or under a concurrent fetch pool; and
+//! the analysis read off the trace explains the plan that answered — a
+//! session's, a store session's, or a served request's. Traces
+//! themselves must be deterministic: the same seed over the same site
+//! yields the same span ids in the same order, so CI can diff exported
+//! traces across runs.
 
 use proptest::prelude::*;
+use webviews::obs::trace::TraceEvent;
 use webviews::prelude::*;
+use webviews::wvcore::OptError;
 
 // ── fixture workload ───────────────────────────────────────────────────
 // The university queries mirror the E4/E6 harness workload; the
@@ -60,22 +65,96 @@ fn university(seed: u64, departments: usize, professors: usize, courses: usize) 
     .expect("site generation")
 }
 
-/// Asserts that an analyzed (traced) outcome is byte-identical to a plain
-/// untraced one: same rows, same counters, same per-operator accounting.
-fn assert_counter_identical(plain: &QueryOutcome, analyzed: &AnalyzedOutcome) {
-    let (p, a) = (&plain.report, &analyzed.outcome.report);
+fn cs_dept() -> ConjunctiveQuery {
+    ConjunctiveQuery::new("cs-dept")
+        .atom("Dept")
+        .select((0, "DName"), "Computer Science")
+        .project((0, "Address"))
+}
+
+/// Drifts every `DeptPage.DName`: the anchor-replication constraint that
+/// licenses pushing `cs_dept`'s selection across the follow is false.
+fn drift_dept_names(u: &mut University) {
+    DriftPlan::new(3)
+        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
+        .apply(&mut u.site)
+        .expect("drift");
+}
+
+/// `policy` plus a fresh seed-0 trace sink: a run under it is EXPLAIN
+/// ANALYZE as it ships.
+fn traced<'a>(policy: &ExecPolicy<'a>) -> (ExecPolicy<'a>, TraceSink) {
+    let sink = TraceSink::with_seed(0);
+    let mut traced = policy.clone();
+    traced.eval.trace = Some((sink.clone(), None));
+    (traced, sink)
+}
+
+/// The EXPLAIN ANALYZE table of a traced run: the plan that answered,
+/// joined onto the run's operator spans.
+fn analysis_of(outcome: &QueryOutcome, events: &[TraceEvent]) -> ExplainAnalyze {
+    ExplainAnalyze::from_parts(&outcome.explain.best().estimate, events)
+}
+
+/// `q` on `site` under `policy`, run twice in fresh sessions: untraced,
+/// and traced. Returns both results and the traced run's sink.
+fn run_untraced_and_traced(
+    site: &Site,
+    stats: &SiteStatistics,
+    catalog: &ViewCatalog,
+    policy: &ExecPolicy<'_>,
+    q: &ConjunctiveQuery,
+) -> (
+    Result<QueryOutcome, OptError>,
+    Result<QueryOutcome, OptError>,
+    TraceSink,
+) {
+    let source = LiveSource::for_site(site);
+    let plain = QuerySession::new(&site.scheme, catalog, stats, &source)
+        .with_policy(policy)
+        .run(q);
+    let (traced_policy, sink) = traced(policy);
+    let traced = QuerySession::new(&site.scheme, catalog, stats, &source)
+        .with_policy(&traced_policy)
+        .run(q);
+    (plain, traced, sink)
+}
+
+/// Asserts that a traced outcome is byte-identical to a plain untraced
+/// one — same rows, same counters, same per-operator accounting, same
+/// fallback — and that its trace explains the plan that answered.
+fn assert_counter_identical(
+    plain: &QueryOutcome,
+    traced: &QueryOutcome,
+    sink: &TraceSink,
+) -> ExplainAnalyze {
+    let (p, a) = (&plain.report, &traced.report);
     assert_eq!(p.relation.clone().sorted(), a.relation.clone().sorted());
     assert_eq!(p.page_accesses, a.page_accesses);
     assert_eq!(p.cache_hits, a.cache_hits);
     assert_eq!(p.shared_cache_hits, a.shared_cache_hits);
     assert_eq!(p.broken_links, a.broken_links);
     assert_eq!(p.accesses_by_operator, a.accesses_by_operator);
+    assert_eq!(plain.explain.best().expr, traced.explain.best().expr);
+    assert_eq!(plain.total_downloads(), traced.total_downloads());
+    let fallback = |o: &QueryOutcome| {
+        o.fallback.as_ref().map(|f| {
+            (
+                f.violated.clone(),
+                f.diverged,
+                f.suspect_report.cost_model_accesses(),
+            )
+        })
+    };
+    assert_eq!(fallback(plain), fallback(traced));
     // and the join is total: observed pages re-derive the cost-model count
-    assert_eq!(analyzed.analysis.observed_pages, a.cost_model_accesses());
+    let analysis = analysis_of(traced, &sink.events());
+    assert_eq!(analysis.observed_pages, a.cost_model_accesses());
     assert_eq!(
-        analyzed.analysis.ops.len(),
-        analyzed.outcome.explain.best().estimate.nodes.len()
+        analysis.ops.len(),
+        traced.explain.best().estimate.nodes.len()
     );
+    analysis
 }
 
 // ── traced ≡ untraced (property) ───────────────────────────────────────
@@ -83,39 +162,46 @@ fn assert_counter_identical(plain: &QueryOutcome, analyzed: &AnalyzedOutcome) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Over arbitrary sites and workload queries, `run_analyzed` returns
-    // the same relation and the same counters as `run` — sequentially
-    // and under a 3-worker fetch pool.
+    // Over arbitrary sites and workload queries, a traced `run` returns
+    // the same relation and the same counters as an untraced one —
+    // sequentially and under a 3-worker fetch pool, on a pristine site and
+    // on one whose drifted department names the audit catches.
     #[test]
     fn traced_equals_untraced_sequential_and_pooled(
         seed in 0u64..10_000,
         departments in 1usize..=3,
         professors in 3usize..=9,
         courses in 5usize..=15,
-        qi in 0usize..4,
+        qi in 0usize..5,
+        drifted in any::<bool>(),
     ) {
-        let u = university(seed, departments, professors, courses);
+        let mut u = university(seed, departments, professors, courses);
         let stats = SiteStatistics::from_site(&u.site);
+        if drifted {
+            drift_dept_names(&mut u);
+        }
         let catalog = university_catalog();
-        let source = LiveSource::for_site(&u.site);
-        let q = &university_queries()[qi];
+        let q = university_queries().into_iter().chain([cs_dept()]).nth(qi).unwrap();
+        let audit = drifted.then_some((1.0, 7));
 
-        let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
-        let plain = session.run(q).unwrap();
-        let analyzed = session.run_analyzed(q).unwrap();
-        assert_counter_identical(&plain, &analyzed);
+        let sequential = ExecPolicy { audit, ..Default::default() };
+        let (plain, traced, sink) =
+            run_untraced_and_traced(&u.site, &stats, &catalog, &sequential, &q);
+        let plain = plain.unwrap();
+        assert_counter_identical(&plain, &traced.unwrap(), &sink);
 
-        let pooled = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_policy(&ExecPolicy {
-                eval: EvalPolicy {
-                    fetch: Fetch::pool(3),
-                    ..Default::default()
-                },
+        let pooled = ExecPolicy {
+            audit,
+            eval: EvalPolicy {
+                fetch: Fetch::pool(3),
                 ..Default::default()
-            });
-        let plain_pooled = pooled.run(q).unwrap();
-        let analyzed_pooled = pooled.run_analyzed(q).unwrap();
-        assert_counter_identical(&plain_pooled, &analyzed_pooled);
+            },
+            ..Default::default()
+        };
+        let (plain_pooled, traced_pooled, sink) =
+            run_untraced_and_traced(&u.site, &stats, &catalog, &pooled, &q);
+        let plain_pooled = plain_pooled.unwrap();
+        assert_counter_identical(&plain_pooled, &traced_pooled.unwrap(), &sink);
 
         // pooling itself is also answer- and accounting-preserving
         prop_assert_eq!(
@@ -124,6 +210,52 @@ proptest! {
         );
         prop_assert_eq!(plain.report.page_accesses, plain_pooled.report.page_accesses);
     }
+}
+
+// ── traced ≡ untraced (the runs an analysis must not skip) ─────────────
+
+// An audit that catches drift falls back, traced or not, and the analysis
+// explains the fallback plan that answered — not the suspect one.
+#[test]
+fn traced_equals_untraced_when_the_audit_falls_back() {
+    let mut u = University::generate(UniversityConfig::default()).unwrap();
+    drift_dept_names(&mut u);
+    let stats = SiteStatistics::from_site(&u.site);
+    let catalog = university_catalog();
+    let policy = ExecPolicy {
+        audit: Some((1.0, 7)),
+        ..Default::default()
+    };
+    let (plain, traced, sink) =
+        run_untraced_and_traced(&u.site, &stats, &catalog, &policy, &cs_dept());
+    let (plain, traced) = (plain.unwrap(), traced.unwrap());
+    assert!(plain.fell_back() && traced.fell_back());
+    let analysis = assert_counter_identical(&plain, &traced, &sink);
+    assert_eq!(analysis.observed_pages, plain.measured_pages());
+    let suspect = &traced.fallback.as_ref().unwrap().suspect_explain;
+    assert_ne!(suspect.best().expr, traced.explain.best().expr);
+}
+
+// A deadline that has passed refuses to plan, traced or not.
+#[test]
+fn traced_equals_untraced_past_the_deadline() {
+    let u = university(7, 3, 9, 15);
+    let stats = SiteStatistics::from_site(&u.site);
+    let catalog = university_catalog();
+    let policy = ExecPolicy {
+        eval: EvalPolicy {
+            deadline: Deadline::after_us(0),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    u.site.server.reset_stats();
+    let (plain, traced, sink) =
+        run_untraced_and_traced(&u.site, &stats, &catalog, &policy, &university_queries()[0]);
+    assert!(matches!(plain, Err(OptError::DeadlineExceeded)));
+    assert!(matches!(traced, Err(OptError::DeadlineExceeded)));
+    assert_eq!(u.site.server.stats().gets, 0);
+    assert!(sink.events().is_empty(), "nothing planned, nothing ran");
 }
 
 // ── trace determinism ──────────────────────────────────────────────────
@@ -137,8 +269,12 @@ fn same_seed_traces_are_byte_identical_sequential() {
                 let stats = SiteStatistics::from_site(&u.site);
                 let catalog = university_catalog();
                 let source = LiveSource::for_site(&u.site);
-                let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
-                session.run_analyzed(q).unwrap().trace.export_jsonl()
+                let (policy, sink) = traced(&ExecPolicy::default());
+                QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
+                    .with_policy(&policy)
+                    .run(q)
+                    .unwrap();
+                sink.export_jsonl()
             })
             .collect();
         assert!(!exports[0].is_empty());
@@ -176,16 +312,18 @@ fn same_seed_traces_are_deterministic_pooled() {
             let stats = SiteStatistics::from_site(&u.site);
             let catalog = university_catalog();
             let source = LiveSource::for_site(&u.site);
-            let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(
-                &ExecPolicy {
-                    eval: EvalPolicy {
-                        fetch: Fetch::pool(3),
-                        ..Default::default()
-                    },
+            let (policy, sink) = traced(&ExecPolicy {
+                eval: EvalPolicy {
+                    fetch: Fetch::pool(3),
                     ..Default::default()
                 },
-            );
-            blank_jobs(&session.run_analyzed(q).unwrap().trace.export_jsonl())
+                ..Default::default()
+            });
+            QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
+                .with_policy(&policy)
+                .run(q)
+                .unwrap();
+            blank_jobs(&sink.export_jsonl())
         })
         .collect();
     assert!(!exports[0].0.is_empty());
@@ -201,16 +339,14 @@ fn explain_analyze_matches_untraced_runs_on_both_fixture_sites() {
     let u = university(7, 3, 9, 15);
     let stats = SiteStatistics::from_site(&u.site);
     let catalog = university_catalog();
-    let source = LiveSource::for_site(&u.site);
-    let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
     for q in &university_queries() {
-        let plain = session.run(q).unwrap();
-        let analyzed = session.run_analyzed(q).unwrap();
-        assert_counter_identical(&plain, &analyzed);
-        let render = analyzed.analysis.render();
+        let (plain, traced, sink) =
+            run_untraced_and_traced(&u.site, &stats, &catalog, &ExecPolicy::default(), q);
+        let analysis = assert_counter_identical(&plain.unwrap(), &traced.unwrap(), &sink);
+        let render = analysis.render();
         assert!(render.contains("operator"), "header missing:\n{render}");
         assert!(render.contains("total"), "total line missing:\n{render}");
-        assert!(analyzed.analysis.worst_pages_ratio() >= 1.0);
+        assert!(analysis.worst_pages_ratio() >= 1.0);
     }
 
     // bibliography fixtures (E1 shapes)
@@ -222,12 +358,11 @@ fn explain_analyze_matches_untraced_runs_on_both_fixture_sites() {
     .expect("bibliography site");
     let stats = SiteStatistics::from_site(&b.site);
     let catalog = bibliography_catalog();
-    let source = LiveSource::for_site(&b.site);
-    let session = QuerySession::new(&b.site.scheme, &catalog, &stats, &source);
     for q in &bibliography_queries() {
-        let plain = session.run(q).unwrap();
-        let analyzed = session.run_analyzed(q).unwrap();
-        assert_counter_identical(&plain, &analyzed);
+        let (plain, traced, sink) =
+            run_untraced_and_traced(&b.site, &stats, &catalog, &ExecPolicy::default(), q);
+        let plain = plain.unwrap();
+        assert_counter_identical(&plain, &traced.unwrap(), &sink);
         assert!(!plain.report.relation.is_empty(), "{:?} empty", q.name);
     }
 }
@@ -281,8 +416,10 @@ fn dataflow_sync_traced_equals_untraced_with_byte_identical_exports() {
 
 // ── materialized sessions ──────────────────────────────────────────────
 
+// A store session's traced run is an ordinary run: on a store plan-cache
+// hit it books exactly the URL checks an untraced hit books.
 #[test]
-fn matview_run_analyzed_is_counter_identical() {
+fn matview_traced_run_on_a_store_plan_hit_is_counter_identical() {
     let u = university(13, 2, 6, 10);
     let stats = SiteStatistics::from_site(&u.site);
     let catalog = university_catalog();
@@ -290,14 +427,66 @@ fn matview_run_analyzed_is_counter_identical() {
     store.materialize(&u.site.scheme, &u.site.server).unwrap();
     let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
     let q = &university_queries()[0];
+    session.run(&mut store, q).unwrap(); // plans, and fills the store's cache
     let plain = session.run(&mut store, q).unwrap();
-    let analyzed = session.run_analyzed(&mut store, q).unwrap();
+    let (policy, sink) = traced(&ExecPolicy::default());
+    let traced = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server)
+        .with_policy(&policy)
+        .run(&mut store, q)
+        .unwrap();
+    let plans = store.plan_cache().stats();
+    assert_eq!((plans.misses, plans.hits), (1, 2), "both later runs hit");
     assert_eq!(
         plain.relation.clone().sorted(),
-        analyzed.outcome.relation.clone().sorted()
+        traced.relation.clone().sorted()
     );
-    assert_eq!(plain.counters, analyzed.outcome.counters);
-    assert!(!analyzed.analysis.ops.is_empty());
+    assert_eq!(plain.counters, traced.counters);
+    let analysis = ExplainAnalyze::from_parts(&traced.explain.best().estimate, &sink.events());
+    assert!(!analysis.ops.is_empty());
+    assert!(analysis.ops.iter().all(|op| op.rows_out.is_some()));
+}
+
+// ── served requests, explained after the fact ──────────────────────────
+
+// A flight recorder's trace of a served request holds its operator spans,
+// so the request can be explained later: the same table as a traced
+// session run of the same query, on the plan-cache miss and on the hit.
+#[test]
+fn a_served_request_is_explained_from_its_flight_record() {
+    let u = university(7, 3, 9, 15);
+    let stats = SiteStatistics::from_site(&u.site);
+    let catalog = university_catalog();
+    let source = LiveSource::for_site(&u.site);
+    let recorder = FlightRecorder::new();
+    let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &source)
+        .with_trace(7)
+        .with_flight_recorder(&recorder);
+    let q = &university_queries()[2];
+    let served: Vec<_> = (0..2).map(|_| server.serve(q).unwrap()).collect();
+    assert_eq!(
+        served.iter().map(|s| s.cached_plan).collect::<Vec<_>>(),
+        [false, true]
+    );
+    let (_, fresh, sink) =
+        run_untraced_and_traced(&u.site, &stats, &catalog, &ExecPolicy::default(), q);
+    let fresh = analysis_of(&fresh.unwrap(), &sink.events());
+    let table = |a: &ExplainAnalyze| {
+        let ops: Vec<_> = a
+            .ops
+            .iter()
+            .map(|op| (op.label.clone(), op.pages, op.downloads, op.rows_out))
+            .collect();
+        (ops, a.observed_pages)
+    };
+    let records = recorder.recent();
+    assert_eq!(records.len(), 2);
+    for (s, record) in served.iter().zip(&records) {
+        assert_eq!(s.request_id, Some(record.request_id));
+        let outcome = s.outcome.as_ref().unwrap();
+        let analysis = analysis_of(outcome, &record.events);
+        assert_eq!(table(&analysis), table(&fresh));
+        assert_eq!(analysis.observed_pages, outcome.measured_pages());
+    }
 }
 
 // ── served fallbacks ───────────────────────────────────────────────────
