@@ -31,7 +31,6 @@ pub mod dot;
 pub mod error;
 pub mod intern;
 pub mod paths;
-pub mod pnf;
 pub mod relation;
 pub mod schema;
 pub mod types;

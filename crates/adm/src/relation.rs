@@ -290,22 +290,6 @@ impl Relation {
         })
     }
 
-    /// Unnests, inferring inner field names from the first non-empty list.
-    pub fn unnest_infer(&self, column: &str) -> Result<Relation> {
-        let ci = self.resolve(column)?;
-        let fields: Vec<String> = self
-            .rows
-            .iter()
-            .find_map(|r| match &r[ci] {
-                Value::List(ts) if !ts.is_empty() => {
-                    Some(ts[0].names().map(str::to_string).collect())
-                }
-                _ => None,
-            })
-            .unwrap_or_default();
-        self.unnest(column, &fields)
-    }
-
     /// Renames a column (exact name required).
     pub fn rename(&self, from: &str, to: &str) -> Result<Relation> {
         let i = self.resolve(from)?;
@@ -543,19 +527,6 @@ mod tests {
         .unwrap();
         let u = r.unnest("L", &["A".into(), "B".into()]).unwrap();
         assert!(u.value(0, "P.L.B").unwrap().is_null());
-    }
-
-    #[test]
-    fn unnest_infer_takes_fields_from_data() {
-        let r = Relation::from_rows(
-            vec!["P.L"],
-            vec![vec![Value::List(vec![Tuple::new()
-                .with("A", "x")
-                .with("B", "y")])]],
-        )
-        .unwrap();
-        let u = r.unnest_infer("L").unwrap();
-        assert_eq!(u.columns(), &["P.L.A".to_string(), "P.L.B".to_string()]);
     }
 
     #[test]

@@ -646,7 +646,7 @@ pub fn x2_shared_cache() -> Table {
 /// the course pages permanently and answers in
 /// [`nalg::DegradationMode::Partial`], reporting the unreachable set.
 pub fn x3_chaos(rates_pct: &[u8]) -> Table {
-    use resilience::{ResilientSource, RetryPolicy};
+    use resilience::ResilientSource;
     let mut t = Table::new(
         "X3 — chaos resilience: course navigation under injected faults, retries counted separately",
         vec![
@@ -671,7 +671,7 @@ pub fn x3_chaos(rates_pct: &[u8]) -> Table {
     let mut run = |label: String, fault_plan: websim::FaultPlan| {
         u.site.server.set_fault_plan(fault_plan);
         u.site.server.reset_stats();
-        let resilient = ResilientSource::new(&source, RetryPolicy::new(4));
+        let resilient = ResilientSource::new(&source, 4);
         let report = Evaluator::new(&u.site.scheme, &resilient)
             .with_policy(&EvalPolicy {
                 degradation: nalg::DegradationMode::Partial,

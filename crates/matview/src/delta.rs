@@ -61,13 +61,6 @@ pub fn add_row(set: &mut RowSet, row: Vec<Value>, w: i64) {
     }
 }
 
-/// Estimated in-memory footprint of one row, mirroring
-/// [`adm::Tuple::approx_bytes`] so page and operator budgets use the same
-/// unit.
-pub fn row_bytes(row: &[Value]) -> usize {
-    row.iter().map(Value::approx_bytes).sum()
-}
-
 /// The deterministic order every answer comparison uses: column by column
 /// under [`Value::total_cmp`], a prefix before its extensions.
 pub fn row_cmp(a: &[Value], b: &[Value]) -> Ordering {

@@ -35,11 +35,11 @@
 //!   set-semantics counts, joins keep keyed state on both sides and apply
 //!   the bilinear rule `Δ(L⋈R) = ΔL⋈R_old + L_new⋈ΔR`, unnests fan out,
 //!   and follow resolves only the *touched* URLs;
-//! * state is **partial**: page payloads and per-key follow slices are
-//!   evictable under a byte budget (LRU), and a read that misses evicted
-//!   state triggers a targeted **upquery** — an ordinary `GET`, counted in
-//!   the paper's page-access statistics like any other fetch (and wrapped
-//!   by a `resilience::ResilientServer` transparently);
+//! * state is **partial** in one place: the store's page payloads are
+//!   evictable under a byte budget (LRU), and a read that misses an
+//!   evicted payload triggers a targeted **upquery** — an ordinary `GET`,
+//!   counted in the paper's page-access statistics like any other fetch.
+//!   The operators' own state (follow slices included) is never evicted;
 //! * registered queries keep a maintained answer that the serving layer
 //!   reads directly, falling back to live evaluation when an upquery fails
 //!   and the view degrades.

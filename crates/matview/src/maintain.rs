@@ -13,7 +13,6 @@
 use crate::store::{MatStore, MaterializeReport};
 use crate::Result;
 use adm::WebScheme;
-use obs::trace::{EventKind, TraceSink};
 
 /// Outcome of a `CheckMissing` sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,18 +37,6 @@ pub struct PurgeReport {
 /// definite 404 deletes: a transient failure (timeout, 5xx) retains the
 /// page and re-queues the URL for the next sweep.
 pub fn purge_missing(store: &mut MatStore, server: &impl websim::PageServer) -> PurgeReport {
-    purge_missing_traced(store, server, None)
-}
-
-/// [`purge_missing`] with an optional trace sink: each confirmed
-/// deletion is recorded as a `maintain.purge.deleted` event and the
-/// sweep ends with a `maintain.purge` summary. The report is identical
-/// with or without a sink.
-pub fn purge_missing_traced(
-    store: &mut MatStore,
-    server: &impl websim::PageServer,
-    trace: Option<&TraceSink>,
-) -> PurgeReport {
     let mut report = PurgeReport::default();
     let mut seen = std::collections::HashSet::new();
     let mut requeue = Vec::new();
@@ -71,38 +58,10 @@ pub fn purge_missing_traced(
             Err(_) => {
                 store.remove(&url);
                 report.confirmed_deleted += 1;
-                if let Some(sink) = trace {
-                    sink.event(
-                        EventKind::Maintenance,
-                        "maintain.purge.deleted",
-                        None,
-                        vec![("url".to_string(), url.as_str().into())],
-                    );
-                }
             }
         }
     }
     store.check_missing.extend(requeue);
-    if let Some(sink) = trace {
-        sink.event(
-            EventKind::Maintenance,
-            "maintain.purge",
-            None,
-            vec![
-                ("checked".to_string(), report.checked.into()),
-                (
-                    "confirmed_deleted".to_string(),
-                    report.confirmed_deleted.into(),
-                ),
-                ("still_alive".to_string(), report.still_alive.into()),
-                ("inconclusive".to_string(), report.inconclusive.into()),
-                (
-                    "duplicates_skipped".to_string(),
-                    report.duplicates_skipped.into(),
-                ),
-            ],
-        );
-    }
     report
 }
 
@@ -116,7 +75,7 @@ pub fn full_refresh(
     ws: &WebScheme,
     server: &impl websim::PageServer,
 ) -> Result<usize> {
-    full_refresh_traced(store, ws, server, None)
+    Ok(full_refresh_report(store, ws, server)?.0.downloaded)
 }
 
 /// [`full_refresh`] with the crawl's full account and the number of
@@ -131,30 +90,6 @@ pub fn full_refresh_report(
     let report = store.materialize_report(ws, server)?;
     let dropped = store.sweep_unreachable(ws);
     Ok((report, dropped))
-}
-
-/// [`full_refresh`] with an optional trace sink: the refresh is recorded
-/// as one `maintain.refresh` event carrying the pages downloaded and the
-/// store size afterwards. The result is identical with or without a sink.
-pub fn full_refresh_traced(
-    store: &mut MatStore,
-    ws: &WebScheme,
-    server: &impl websim::PageServer,
-    trace: Option<&TraceSink>,
-) -> Result<usize> {
-    let (report, _) = full_refresh_report(store, ws, server)?;
-    if let Some(sink) = trace {
-        sink.event(
-            EventKind::Maintenance,
-            "maintain.refresh",
-            None,
-            vec![
-                ("downloaded".to_string(), (report.downloaded as u64).into()),
-                ("store_pages".to_string(), (store.len() as u64).into()),
-            ],
-        );
-    }
-    Ok(report.downloaded)
 }
 
 /// Compares the store against a generated site's ground truth. Returns one

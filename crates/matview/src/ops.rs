@@ -9,15 +9,12 @@
 //!   rule `Δ(L⋈R) = ΔL ⋈ R_old + L_new ⋈ ΔR` (null keys never join);
 //! * **unnest** is stateless — each delta row fans out over its list;
 //! * **follow** keeps a per-target-URL *slice* of its input multiset, so a
-//!   page delta touches exactly the rows that point at it. Slices are the
-//!   evictable per-operator partial state: under a byte budget the
-//!   coldest slices are dropped, deltas aimed at a hole are discarded
-//!   (Noria-style), and a page change that needs a missing slice triggers
-//!   a targeted upquery — `prewarm` recomputes just that key's slice from
-//!   the *pre-delta* store, keeping the bilinear rule exact.
+//!   page delta touches exactly the rows that point at it. Slices are
+//!   never evicted: the one partial state is the store's byte-budgeted
+//!   page payloads, and a read of an evicted payload is an upquery.
 
-use crate::delta::{add_row, row_bytes, PageDelta, RowDeltas, RowSet};
-use crate::store::{Lru, MatStore};
+use crate::delta::{add_row, PageDelta, RowDeltas, RowSet};
+use crate::store::MatStore;
 use crate::{MatError, Result};
 use adm::{Tuple, Url, Value, WebScheme};
 use nalg::expr::{field_of_column, resolve_column};
@@ -108,59 +105,6 @@ fn join_key(row: &[Value], idx: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// The evictable per-key state of a follow operator.
-#[derive(Debug, Default)]
-struct SliceState {
-    slices: HashMap<Url, RowSet>,
-    evicted: HashSet<Url>,
-    budget: Option<usize>,
-    lru: Lru,
-    evictions: u64,
-    upqueries: u64,
-}
-
-impl SliceState {
-    fn forget(&mut self, url: &Url) {
-        self.slices.remove(url);
-        self.lru.forget(url);
-    }
-
-    /// Folds one input row into the slice keyed on `url` (a new slice
-    /// starts most-recently-used).
-    fn fold(&mut self, url: &Url, row: Vec<Value>, w: i64) {
-        if !self.slices.contains_key(url) {
-            self.lru.touch(url);
-        }
-        add_row(self.slices.entry(url.clone()).or_default(), row, w);
-    }
-
-    /// Drops the slice keyed on `url`, leaving a hole for `prewarm`.
-    fn evict(&mut self, url: Url) {
-        self.forget(&url);
-        self.evicted.insert(url);
-        self.evictions += 1;
-    }
-
-    fn bytes(&self) -> usize {
-        self.slices
-            .iter()
-            .map(|(u, s)| u.as_str().len() + s.keys().map(|r| row_bytes(r)).sum::<usize>())
-            .sum()
-    }
-
-    fn evict_to_budget(&mut self) {
-        let Some(budget) = self.budget else {
-            return;
-        };
-        while self.bytes() > budget && self.slices.len() > 1 {
-            let Some(url) = self.lru.coldest().cloned() else {
-                break;
-            };
-            self.evict(url);
-        }
-    }
-}
-
 /// One compiled operator.
 #[derive(Debug)]
 pub(crate) struct Node {
@@ -207,7 +151,8 @@ enum Kind {
         li: usize,
         target: String,
         fields: Vec<String>,
-        state: SliceState,
+        /// Input rows keyed on the URL their link points at.
+        slices: HashMap<Url, RowSet>,
     },
 }
 
@@ -219,15 +164,9 @@ pub(crate) struct OpTree {
 }
 
 /// Compiles a computable NALG expression into an operator tree.
-/// `slice_budget` bounds each follow operator's slice bytes (None =
-/// unbounded).
-pub(crate) fn compile(
-    expr: &NalgExpr,
-    ws: &WebScheme,
-    slice_budget: Option<usize>,
-) -> Result<OpTree> {
+pub(crate) fn compile(expr: &NalgExpr, ws: &WebScheme) -> Result<OpTree> {
     let columns = expr.output_columns(ws)?;
-    let root = compile_node(expr, ws, slice_budget)?;
+    let root = compile_node(expr, ws)?;
     Ok(OpTree { root, columns })
 }
 
@@ -240,8 +179,8 @@ fn field_names(ws: &WebScheme, scheme: &str) -> Result<Vec<String>> {
         .collect())
 }
 
-fn compile_node(expr: &NalgExpr, ws: &WebScheme, slice_budget: Option<usize>) -> Result<Node> {
-    let child = |e: &NalgExpr| compile_node(e, ws, slice_budget).map(Box::new);
+fn compile_node(expr: &NalgExpr, ws: &WebScheme) -> Result<Node> {
+    let child = |e: &NalgExpr| compile_node(e, ws).map(Box::new);
     let (label, kind) = match expr {
         NalgExpr::Entry { scheme, alias: _ } => {
             let ep = ws.entry_point(scheme).ok_or_else(|| {
@@ -331,10 +270,7 @@ fn compile_node(expr: &NalgExpr, ws: &WebScheme, slice_budget: Option<usize>) ->
                 li,
                 target: target.clone(),
                 fields: field_names(ws, target)?,
-                state: SliceState {
-                    budget: slice_budget,
-                    ..SliceState::default()
-                },
+                slices: HashMap::new(),
                 input: child(input)?,
             };
             (format!("–{link}→ {target}"), kind)
@@ -426,77 +362,32 @@ impl Node {
         }
     }
 
-    /// Upqueries this sync will need: restores any evicted follow slice
-    /// keyed on `url` *before* the page delta lands in the store, so the
-    /// slice reflects the pre-delta input (the bilinear `In_old ⋈ ΔP`
-    /// term stays exact).
-    pub fn prewarm(
-        &mut self,
-        url: &Url,
-        scheme: &str,
-        cx: &mut Ctx<'_, impl PageServer>,
-    ) -> Result<()> {
-        for input in self.inputs_mut() {
-            input.prewarm(url, scheme, cx)?;
-        }
-        if let Kind::Follow {
-            input,
-            li,
-            target,
-            state,
-            ..
-        } = &mut self.kind
-        {
-            if target == scheme && state.evicted.contains(url) {
-                // targeted upquery: recompute just this key's slice
-                let mut slice = RowSet::new();
-                for (row, w) in input.eval(cx, false)? {
-                    if matches!(&row[*li], Value::Link(u) if u == url) {
-                        add_row(&mut slice, row, w);
-                    }
-                }
-                state.evicted.remove(url);
-                state.slices.insert(url.clone(), slice);
-                state.lru.touch(url);
-                state.upqueries += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// Full evaluation against the current store (reads may upquery
-    /// evicted pages), returning the row multiset. With `populate` it also
-    /// (re)builds every operator's state from those rows — a registration
-    /// or rebuild; without, state is left alone — a slice upquery.
-    pub fn eval(&mut self, cx: &mut Ctx<'_, impl PageServer>, populate: bool) -> Result<RowDeltas> {
+    /// evicted pages), returning the row multiset and (re)building every
+    /// operator's state from those rows — a registration or a rebuild.
+    pub fn eval(&mut self, cx: &mut Ctx<'_, impl PageServer>) -> Result<RowDeltas> {
         let out = match &mut self.kind {
             Kind::Entry { url, fields, last } => match cx.read(url)? {
                 Some((t, _)) => {
                     let row = expand(url, &t, fields);
-                    if populate {
-                        *last = Some(row.clone());
-                    }
+                    *last = Some(row.clone());
                     vec![(row, 1)]
                 }
                 None => return Err(MatError::StateGone(format!("entry page {url} gone"))),
             },
             Kind::Select { input, pred } => input
-                .eval(cx, populate)?
+                .eval(cx)?
                 .into_iter()
                 .filter(|(r, _)| eval_pred(pred, r))
                 .collect(),
             Kind::Project { input, idx, counts } => {
-                let rows = input.eval(cx, populate)?;
-                if populate {
-                    counts.clear();
-                    project(counts, idx, rows)
-                } else {
-                    project(&mut RowSet::new(), idx, rows)
-                }
+                let rows = input.eval(cx)?;
+                counts.clear();
+                project(counts, idx, rows)
             }
             Kind::Unnest { input, ci, inner } => {
                 let mut out = Vec::new();
-                for (row, w) in input.eval(cx, populate)? {
+                for (row, w) in input.eval(cx)? {
                     unnest_row(&row, *ci, inner, w, &mut out)?;
                 }
                 out
@@ -510,8 +401,8 @@ impl Node {
                 rstate,
             } => {
                 let (mut l, mut r) = (HashMap::new(), HashMap::new());
-                fold_keyed(&mut l, lk, left.eval(cx, populate)?);
-                fold_keyed(&mut r, rk, right.eval(cx, populate)?);
+                fold_keyed(&mut l, lk, left.eval(cx)?);
+                fold_keyed(&mut r, rk, right.eval(cx)?);
                 let mut out = Vec::new();
                 for (k, ls) in &l {
                     for (rrow, rw) in r.get(k).into_iter().flatten() {
@@ -520,46 +411,32 @@ impl Node {
                         }
                     }
                 }
-                if populate {
-                    (*lstate, *rstate) = (l, r);
-                }
+                (*lstate, *rstate) = (l, r);
                 out
             }
             Kind::Follow {
                 input,
                 li,
                 fields,
-                state,
+                slices,
                 ..
             } => {
-                let rows = input.eval(cx, populate)?;
-                if populate {
-                    state.slices.clear();
-                    state.evicted.clear();
-                    state.lru.clear();
-                }
+                let rows = input.eval(cx)?;
+                slices.clear();
                 let mut out = Vec::new();
                 for (row, w) in rows {
                     let Value::Link(u) = &row[*li] else {
                         continue;
                     };
-                    let u = u.clone();
-                    if populate {
-                        state.fold(&u, row.clone(), w);
+                    add_row(slices.entry(u.clone()).or_default(), row.clone(), w);
+                    if let Some((t, _)) = cx.read(u)? {
+                        out.push((concat(&row, &expand(u, &t, fields)), w));
                     }
-                    if let Some((t, _)) = cx.read(&u)? {
-                        out.push((concat(&row, &expand(&u, &t, fields)), w));
-                    }
-                }
-                if populate {
-                    state.evict_to_budget();
                 }
                 out
             }
         };
-        if populate {
-            self.note(&out);
-        }
+        self.note(&out);
         Ok(out)
     }
 
@@ -634,23 +511,13 @@ impl Node {
                 li,
                 target,
                 fields,
-                state,
+                slices,
             } => {
                 let mut out = Vec::new();
                 // (b) page-driven: In_old ⋈ ΔP, from the slice as it was
                 // before this delta's input rows are folded in
                 if d.scheme == *target {
-                    let slice_rows: Vec<(Vec<Value>, i64)> = match state.slices.get(&d.url) {
-                        Some(s) => s.iter().map(|(r, w)| (r.clone(), *w)).collect(),
-                        None if state.evicted.contains(&d.url) => {
-                            return Err(MatError::StateGone(format!(
-                                "follow slice for {} evicted and not prewarmed",
-                                d.url
-                            )))
-                        }
-                        None => Vec::new(),
-                    };
-                    if !slice_rows.is_empty() {
+                    if let Some(slice) = slices.get(&d.url) {
                         let old_vals = match &d.old {
                             Some(t) => Some(expand(&d.url, t, fields)),
                             None if d.was_known => {
@@ -662,7 +529,7 @@ impl Node {
                             None => None,
                         };
                         let new_vals = d.new.as_ref().map(|t| expand(&d.url, t, fields));
-                        for (row, w) in &slice_rows {
+                        for (row, w) in slice {
                             if let Some(ov) = &old_vals {
                                 out.push((concat(row, ov), -w));
                             }
@@ -670,7 +537,6 @@ impl Node {
                                 out.push((concat(row, nv), *w));
                             }
                         }
-                        state.lru.touch(&d.url);
                     }
                 }
                 // (a) input-driven: ΔIn ⋈ P_new (the store already holds
@@ -679,55 +545,20 @@ impl Node {
                     let Value::Link(u) = &row[*li] else {
                         continue;
                     };
-                    let u = u.clone();
-                    if !state.evicted.contains(&u) {
-                        // fold into the slice; deltas aimed at an evicted
-                        // hole are discarded (the upquery recomputes)
-                        state.fold(&u, row.clone(), w);
-                        if state.slices.get(&u).is_some_and(|s| s.is_empty()) {
-                            state.forget(&u);
-                        }
+                    let slice = slices.entry(u.clone()).or_default();
+                    add_row(slice, row.clone(), w);
+                    if slice.is_empty() {
+                        slices.remove(u);
                     }
-                    if let Some((t, _)) = cx.read(&u)? {
-                        out.push((concat(&row, &expand(&u, &t, fields)), w));
+                    if let Some((t, _)) = cx.read(u)? {
+                        out.push((concat(&row, &expand(u, &t, fields)), w));
                     }
                 }
-                state.evict_to_budget();
                 out
             }
         };
         self.note(&out);
         Ok(out)
-    }
-
-    /// (slice evictions, slice upqueries) accumulated across all follow
-    /// operators in this subtree.
-    pub fn slice_stats(&self) -> (u64, u64) {
-        let (mut evictions, mut upqueries) = match &self.kind {
-            Kind::Follow { state, .. } => (state.evictions, state.upqueries),
-            _ => (0, 0),
-        };
-        for input in self.inputs() {
-            let (e, u) = input.slice_stats();
-            evictions += e;
-            upqueries += u;
-        }
-        (evictions, upqueries)
-    }
-
-    /// Force-evicts the follow slices keyed on `url` (tests/experiments).
-    pub fn evict_slice(&mut self, url: &Url) -> bool {
-        let mut hit = false;
-        for input in self.inputs_mut() {
-            hit |= input.evict_slice(url);
-        }
-        if let Kind::Follow { state, .. } = &mut self.kind {
-            if state.slices.contains_key(url) {
-                state.evict(url.clone());
-                hit = true;
-            }
-        }
-        hit
     }
 }
 

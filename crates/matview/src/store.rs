@@ -114,10 +114,10 @@ pub enum UrlStatus {
 }
 
 /// Least-recently-used order over one logical clock (the single-threaded
-/// sibling of the `nalg::cache` sharded shape). Shared by the page store
-/// and the follow operators' slices.
+/// sibling of the `nalg::cache` sharded shape): the page store's eviction
+/// order.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct Lru {
+struct Lru {
     clock: u64,
     stamps: HashMap<Url, u64>,
     by_stamp: BTreeMap<u64, Url>,
@@ -125,24 +125,24 @@ pub(crate) struct Lru {
 
 impl Lru {
     /// Stamps `url` most-recently-used.
-    pub(crate) fn touch(&mut self, url: &Url) {
+    fn touch(&mut self, url: &Url) {
         self.forget(url);
         self.clock += 1;
         self.stamps.insert(url.clone(), self.clock);
         self.by_stamp.insert(self.clock, url.clone());
     }
 
-    pub(crate) fn forget(&mut self, url: &Url) {
+    fn forget(&mut self, url: &Url) {
         if let Some(stamp) = self.stamps.remove(url) {
             self.by_stamp.remove(&stamp);
         }
     }
 
-    pub(crate) fn coldest(&self) -> Option<&Url> {
+    fn coldest(&self) -> Option<&Url> {
         self.by_stamp.values().next()
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         *self = Lru::default();
     }
 }
@@ -603,14 +603,6 @@ impl MatStore {
         self.pages.is_empty()
     }
 
-    /// Number of resident pages of one scheme.
-    pub fn cardinality(&self, scheme: &str) -> usize {
-        self.pages
-            .values()
-            .filter(|e| matches!(e, Entry::Resident(p) if p.scheme == scheme))
-            .count()
-    }
-
     /// The status flag of a URL.
     pub fn status(&self, url: &Url) -> UrlStatus {
         self.status.get(url).copied().unwrap_or_default()
@@ -624,30 +616,6 @@ impl MatStore {
     /// Resets all status flags (done at the start of every query).
     pub fn reset_status(&mut self) {
         self.status.clear();
-    }
-
-    /// Exports the store as flat relations in Partitioned Normal Form —
-    /// the paper's observation that the materialized nested relations
-    /// "can be easily decomposed in flat relations and stored in a
-    /// relational DBMS". One table per nesting level, named
-    /// `Scheme` / `Scheme.List` / `Scheme.List.Inner`.
-    pub fn export_flat(&self, ws: &WebScheme) -> Result<BTreeMap<String, adm::Relation>> {
-        let mut out = BTreeMap::new();
-        let pages = self.pages_sorted();
-        for scheme in ws.schemes() {
-            let instance: Vec<(Url, Tuple)> = pages
-                .iter()
-                .filter(|(_, p)| p.scheme == scheme.name)
-                .map(|(u, p)| ((*u).clone(), Tuple::clone(&p.tuple)))
-                .collect();
-            if instance.is_empty() {
-                continue;
-            }
-            for (name, rel) in adm::pnf::decompose(scheme, &instance)? {
-                out.insert(name, rel);
-            }
-        }
-        Ok(out)
     }
 
     /// The one page-download routine: `GET`, wrap under `scheme`, stamp
@@ -917,7 +885,14 @@ mod tests {
         let n = store.materialize(&u.site.scheme, &u.site.server).unwrap();
         assert_eq!(n, u.site.total_pages());
         assert_eq!(store.len(), u.site.total_pages());
-        assert_eq!(store.cardinality("CoursePage"), 10);
+        let pages = store.pages_sorted();
+        assert_eq!(
+            pages
+                .iter()
+                .filter(|(_, p)| p.scheme == "CoursePage")
+                .count(),
+            10
+        );
         // stored tuples equal ground truth
         for (url, truth) in u.site.instance("ProfPage") {
             assert_eq!(*store.get(&url).unwrap().tuple, truth);
@@ -967,28 +942,6 @@ mod tests {
         let links = outlinks(&ps.fields, tuple);
         // at least the department link
         assert!(links.iter().any(|(s, _)| s == "DeptPage"), "{url}");
-    }
-
-    #[test]
-    fn export_flat_decomposes_per_level() {
-        let u = uni();
-        let mut store = MatStore::new();
-        store.materialize(&u.site.scheme, &u.site.server).unwrap();
-        let tables = store.export_flat(&u.site.scheme).unwrap();
-        // top tables exist per populated scheme, plus one per list level
-        assert_eq!(tables["ProfPage"].len(), 6);
-        assert_eq!(tables["CoursePage"].len(), 10);
-        // every course appears exactly once in its professor's list table
-        assert_eq!(tables["ProfPage.CourseList"].len(), 10);
-        // child tables carry the parent key
-        assert!(tables["ProfPage.CourseList"]
-            .columns()
-            .contains(&"ProfPage.URL".to_string()));
-        // PNF holds on the stored instances
-        for scheme in u.site.scheme.schemes() {
-            let inst = u.site.instance(&scheme.name);
-            assert!(adm::pnf::is_pnf(scheme, &inst), "{}", scheme.name);
-        }
     }
 
     #[test]

@@ -30,12 +30,11 @@
 //! cursor lies below what the site still holds cannot be told what it
 //! missed; it refreshes the store in full and rebuilds every view.
 //!
-//! When needed state is gone — an evicted payload of a page that changed,
-//! an evicted follow slice that could not be prewarmed — the affected view
-//! **rebuilds** from the post-sync store at the end of the batch. A
-//! transient upquery failure instead **degrades** the view: `answer`
-//! returns `None` (the serving layer falls back to live evaluation) until
-//! a later sync rebuilds it successfully.
+//! When needed state is gone — the evicted payload of a page that changed —
+//! the affected view **rebuilds** from the post-sync store at the end of
+//! the batch. A transient upquery failure instead **degrades** the view:
+//! `answer` returns `None` (the serving layer falls back to live
+//! evaluation) until a later sync rebuilds it successfully.
 
 use crate::delta::{Answer, PageDelta};
 use crate::maintain::full_refresh_report;
@@ -49,7 +48,7 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 use websim::{ChangeKind, FeedCursor, FeedTrimmed, PageServer, Site, SiteChange};
 
-/// What one [`IncrementalView::apply_changes`] batch did.
+/// What one [`IncrementalView::sync`] batch did.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaReport {
     /// Feed entries consumed.
@@ -100,7 +99,6 @@ pub struct IncrementalView<'a> {
     views: Vec<RegisteredView>,
     registry: MetricsRegistry,
     trace: Option<TraceSink>,
-    slice_budget: Option<usize>,
 }
 
 /// Adds `runs` batches and their report to the `sync_*` counters (a zero
@@ -135,20 +133,12 @@ impl<'a> IncrementalView<'a> {
             views: Vec::new(),
             registry,
             trace: None,
-            slice_budget: None,
         }
     }
 
     /// Bounds the page store's resident payload bytes.
     pub fn with_byte_budget(mut self, budget: usize) -> Self {
         self.store.set_budget(self.ws, Some(budget));
-        self
-    }
-
-    /// Bounds each follow operator's slice bytes (applies to views
-    /// registered afterwards).
-    pub fn with_state_budget(mut self, budget: usize) -> Self {
-        self.slice_budget = Some(budget);
         self
     }
 
@@ -212,7 +202,7 @@ impl<'a> IncrementalView<'a> {
             name: name.into(),
             key: key.into(),
             expr: expr.clone(),
-            tree: compile(expr, self.ws, self.slice_budget)?,
+            tree: compile(expr, self.ws)?,
             answer: Answer::default(),
             degraded: false,
             needs_rebuild: false,
@@ -242,11 +232,6 @@ impl<'a> IncrementalView<'a> {
             .unwrap_or(0)
     }
 
-    /// The registered view names, in registration order.
-    pub fn view_names(&self) -> Vec<&str> {
-        self.views.iter().map(|v| v.name.as_str()).collect()
-    }
-
     /// The maintained answer for `key`: rows in deterministic sorted
     /// order ([`crate::delta::row_cmp`] — the form the answer is kept in,
     /// so a read copies the header and *shares* the rows: it costs the same
@@ -263,42 +248,15 @@ impl<'a> IncrementalView<'a> {
         Relation::from_shared_rows(v.tree.columns.clone(), v.answer.rows()).ok()
     }
 
-    /// Total (slice evictions, slice upqueries) across every follow
-    /// operator of every registered view.
-    pub fn slice_stats(&self) -> (u64, u64) {
-        let mut evictions = 0;
-        let mut upqueries = 0;
-        for v in &self.views {
-            let (e, u) = v.tree.root.slice_stats();
-            evictions += e;
-            upqueries += u;
-        }
-        (evictions, upqueries)
-    }
-
-    /// Force-evicts a page payload (tests and experiments).
-    pub fn evict_page(&mut self, url: &Url) -> bool {
-        self.store.evict(self.ws, url)
-    }
-
-    /// Force-evicts every follow slice keyed on `url` across all views.
-    pub fn evict_slices(&mut self, url: &Url) -> bool {
-        let mut hit = false;
-        for v in &mut self.views {
-            hit |= v.tree.root.evict_slice(url);
-        }
-        hit
-    }
-
     /// Drains the site's change feed through the views, advancing the
     /// cursor. Fetches go to the site's own server.
     pub fn sync(&mut self, site: &Site) -> Result<DeltaReport> {
         self.sync_with(site, &site.server)
     }
 
-    /// Like [`IncrementalView::sync`], fetching through `server` — pass a
-    /// `resilience`-wrapped server to get retries on the delta path's
-    /// fetches and upqueries.
+    /// Like [`IncrementalView::sync`], fetching through `server` instead of
+    /// the site's own (the perf ledger passes one that times every GET and
+    /// HEAD under a span).
     ///
     /// The first sync against a site registers this view's cursor with it
     /// ([`Site::changes_for`]); from then on the site keeps the feed from
@@ -342,7 +300,7 @@ impl<'a> IncrementalView<'a> {
     /// for its duration so store upqueries issued on the views' behalf
     /// attribute themselves to the sync (as `dataflow.upquery` events
     /// parented under the span).
-    pub fn apply_changes(
+    fn apply_changes(
         &mut self,
         server: &impl PageServer,
         changes: &[SiteChange],
@@ -439,7 +397,6 @@ impl<'a> IncrementalView<'a> {
             if !processed.insert(url.clone()) {
                 continue;
             }
-            self.prewarm(&url, &scheme, server, &dirty, &mut rep);
             let was_known = self.store.knows(&url);
             let (links, delta) = match self.store.download(ws, server, &url, &scheme)? {
                 Download::Fresh(fresh) => {
@@ -494,7 +451,6 @@ impl<'a> IncrementalView<'a> {
             if !self.store.knows(url) {
                 continue;
             }
-            self.prewarm(url, scheme, server, &dirty, &mut rep);
             self.retract(url, scheme, server, &dirty, &mut rep);
         }
 
@@ -517,7 +473,7 @@ impl<'a> IncrementalView<'a> {
     ) -> Result<DeltaReport> {
         let ws = self.ws;
         for v in self.views.iter_mut().filter(|v| v.needs_rebuild) {
-            let old = std::mem::replace(&mut v.tree, compile(&v.expr, ws, self.slice_budget)?);
+            let old = std::mem::replace(&mut v.tree, compile(&v.expr, ws)?);
             match v.populate(&mut self.store, ws, server) {
                 Ok(()) => {
                     v.rebuilds += 1;
@@ -544,27 +500,6 @@ impl<'a> IncrementalView<'a> {
     /// trustworthy state this batch.
     fn live_views(views: &mut [RegisteredView]) -> impl Iterator<Item = &mut RegisteredView> {
         views.iter_mut().filter(|v| !v.degraded && !v.needs_rebuild)
-    }
-
-    fn prewarm(
-        &mut self,
-        url: &Url,
-        scheme: &str,
-        server: &impl PageServer,
-        dirty: &HashSet<Url>,
-        rep: &mut DeltaReport,
-    ) {
-        let mut cx = Ctx {
-            store: &mut self.store,
-            ws: self.ws,
-            server,
-            dirty,
-        };
-        for v in Self::live_views(&mut self.views) {
-            if let Err(e) = v.tree.root.prewarm(url, scheme, &mut cx) {
-                v.lose_state(e, rep);
-            }
-        }
     }
 
     fn propagate(
@@ -638,7 +573,7 @@ impl RegisteredView {
             dirty: &HashSet::new(),
         };
         let mut answer = Answer::default();
-        for (row, w) in self.tree.root.eval(&mut cx, true)? {
+        for (row, w) in self.tree.root.eval(&mut cx)? {
             answer.add(row, w);
         }
         self.answer = answer;

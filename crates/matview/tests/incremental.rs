@@ -49,6 +49,22 @@ fn course_expr() -> NalgExpr {
         .project(vec!["CoursePage.CName", "CoursePage.Description"])
 }
 
+/// Republishes the department list with its entries in reverse order:
+/// the same departments, a different page.
+fn republish_reordered_dept_list(u: &mut University) {
+    let (url, page) = u.site.instance("DeptListPage")[0].clone();
+    let mut depts = page
+        .get("DeptList")
+        .and_then(Value::as_list)
+        .unwrap()
+        .to_vec();
+    depts.reverse();
+    let page = adm::Tuple::new().with_list("DeptList", depts);
+    u.site
+        .republish("DeptListPage", url, page, "Depts")
+        .unwrap();
+}
+
 fn sorted(rel: &Relation) -> Vec<Vec<Value>> {
     let mut rows = rel.rows().to_vec();
     rows.sort_by(|a, b| {
@@ -235,19 +251,20 @@ fn transient_upquery_failure_degrades_then_rebuild_recovers() {
     iv.register("depts", "depts", &dept_expr(), &u.site.server)
         .unwrap();
 
-    // lose both the follow slice for one dept and the entry payload, so
-    // the prewarm upquery has to hit the server — which is down
-    let (dept_url, dept_tuple) = u.site.instance("DeptPage")[0].clone();
-    let entry_url = ws.entry_point("DeptListPage").unwrap().url.clone();
-    assert!(iv.evict_slices(&dept_url));
-    assert!(iv.evict_page(&entry_url));
-    u.site
-        .server
-        .set_fault_plan(FaultPlan::new(1).with_rule(FaultRule::timeouts(1.0)));
-
-    u.site
-        .republish("DeptPage", dept_url.clone(), dept_tuple, "Dept")
-        .unwrap();
+    // evict every dept payload and time out only dept pages, then change
+    // the entry page: the follow must read the depts back — an upquery
+    // to a server that is down for them
+    for (url, _) in u.site.instance("DeptPage") {
+        assert!(iv.store_mut().evict(&ws, &url));
+    }
+    u.site.server.set_fault_plan(
+        FaultPlan::new(1).with_rule(
+            FaultRule::timeouts(1.0)
+                .for_scheme("DeptPage")
+                .with_max_per_url(None),
+        ),
+    );
+    republish_reordered_dept_list(&mut u);
     let rep = iv.sync(&u.site).unwrap();
     assert!(!rep.failed.is_empty());
     assert!(iv.is_degraded("depts"));
@@ -272,44 +289,6 @@ fn transient_upquery_failure_degrades_then_rebuild_recovers() {
             .relation,
     );
     assert_eq!(iv.answer("depts").unwrap().rows().to_vec(), want);
-}
-
-#[test]
-fn evicted_slices_are_restored_by_targeted_upqueries() {
-    let mut u = university(31);
-    let ws = u.site.scheme.clone();
-    let mut iv = IncrementalView::new(&ws);
-    iv.materialize(&u.site.server).unwrap();
-    iv.set_cursor(u.site.change_cursor());
-    iv.register("profs", "profs", &prof_expr(), &u.site.server)
-        .unwrap();
-
-    // evict the slices of every prof page, then edit some profs: each
-    // affected slice must be prewarmed back before its delta applies
-    for (url, _) in u.site.instance("ProfPage") {
-        iv.evict_slices(&url);
-    }
-    let plan = MutationPlan::new(13).with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.7));
-    let mutated = plan.apply_round(&mut u.site, 0).unwrap();
-    assert!(mutated.edited_pages > 0);
-
-    let rep = iv.sync(&u.site).unwrap();
-    assert!(rep.failed.is_empty());
-    let (_, slice_upqueries) = iv.slice_stats();
-    assert!(
-        slice_upqueries >= mutated.edited_pages,
-        "each edited prof needs its slice restored ({slice_upqueries} < {})",
-        mutated.edited_pages
-    );
-
-    let src = LiveSource::new(&ws, &u.site.server);
-    let want = sorted(
-        &Evaluator::new(&ws, &src)
-            .eval(&prof_expr())
-            .unwrap()
-            .relation,
-    );
-    assert_eq!(iv.answer("profs").unwrap().rows().to_vec(), want);
 }
 
 /// The push engine fills `CheckMissing`; the pull engine's sweep drains it
@@ -476,14 +455,14 @@ fn an_upquery_that_returns_other_outlinks_makes_the_next_sweep_walk() {
 
     // evicted and read back unchanged: the remembered outlinks are the
     // page's outlinks, the graph stands, the sweep does not look
-    assert!(iv.evict_page(&list));
+    assert!(iv.store_mut().evict(&ws, &list));
     iv.store_mut().read(&ws, &u.site.server, &list).unwrap();
     assert_eq!(iv.store_mut().sweep_unreachable(&ws), 0);
     assert_eq!(iv.store().stats().sweeps, 1);
 
     // evicted, then the live page loses links behind the store's back: the
     // upquery brings back a version that links elsewhere
-    assert!(iv.evict_page(&list));
+    assert!(iv.store_mut().evict(&ws, &list));
     let plan = MutationPlan::new(5).with_rule(MutationRule::drop_links(
         "DeptListPage",
         &["DeptList", "ToDept"],

@@ -1,36 +1,23 @@
 //! Per-key circuit breakers.
 //!
 //! A breaker watches *call-level* outcomes (after the retry loop has done
-//! its work): consecutive failures trip it **Open**, in which state calls
-//! are rejected without touching the network. Because the simulated web
-//! has no independent clock to wait on, cooldown is counted in *rejected
-//! calls* rather than wall time — after `cooldown_rejections` fast-fails
-//! the breaker moves to **HalfOpen** and lets a single probe through;
-//! the probe's outcome either closes the breaker or re-opens it. Page
-//! absence (404) never counts toward tripping: a missing page is a fact
-//! about the site, not the server's health.
+//! its work): `FAILURE_THRESHOLD` (5) consecutive failures trip it **Open**,
+//! in which state calls are rejected without touching the network. Because
+//! the simulated web has no independent clock to wait on, cooldown is
+//! counted in *rejected calls* rather than wall time — after
+//! `COOLDOWN_REJECTIONS` (3) fast-fails the breaker moves to **HalfOpen** and
+//! lets a single probe through; the probe's outcome either closes the
+//! breaker or re-opens it. Page absence (404) never counts toward tripping:
+//! a missing page is a fact about the site, not the server's health.
 
-/// Tuning of a circuit breaker.
+/// Consecutive call-level failures that trip a breaker Open.
+pub(crate) const FAILURE_THRESHOLD: u32 = 5;
+/// Rejected calls the Open state absorbs before allowing a probe.
+pub(crate) const COOLDOWN_REJECTIONS: u32 = 3;
+
+/// The state of a breaker, as its transitions are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive call-level failures that trip the breaker Open.
-    pub failure_threshold: u32,
-    /// Rejected calls the Open state absorbs before allowing a probe.
-    pub cooldown_rejections: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 5,
-            cooldown_rejections: 3,
-        }
-    }
-}
-
-/// The externally visible state of a breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Calls flow normally; failures are being counted.
     Closed,
     /// Calls are rejected without being attempted.
@@ -46,17 +33,16 @@ enum State {
     HalfOpen,
 }
 
-/// One circuit breaker (the resilient wrappers keep one per key).
+/// One circuit breaker ([`crate::ResilientSource`] keeps one per page
+/// scheme).
 #[derive(Debug)]
 pub(crate) struct Breaker {
-    cfg: BreakerConfig,
     state: State,
 }
 
 impl Breaker {
-    pub(crate) fn new(cfg: BreakerConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Breaker {
-            cfg,
             state: State::Closed { consecutive: 0 },
         }
     }
@@ -68,7 +54,7 @@ impl Breaker {
             State::Closed { .. } | State::HalfOpen => true,
             State::Open { rejected } => {
                 let rejected = rejected + 1;
-                self.state = if rejected >= self.cfg.cooldown_rejections {
+                self.state = if rejected >= COOLDOWN_REJECTIONS {
                     State::HalfOpen
                 } else {
                     State::Open { rejected }
@@ -89,7 +75,7 @@ impl Breaker {
         match self.state {
             State::Closed { consecutive } => {
                 let consecutive = consecutive + 1;
-                if consecutive >= self.cfg.failure_threshold {
+                if consecutive >= FAILURE_THRESHOLD {
                     self.state = State::Open { rejected: 0 };
                     true
                 } else {
@@ -118,43 +104,45 @@ impl Breaker {
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_rejections: 2,
+    fn tripped() -> Breaker {
+        let mut b = Breaker::new();
+        for _ in 0..FAILURE_THRESHOLD {
+            b.on_failure();
         }
+        b
     }
 
     #[test]
     fn trips_after_consecutive_failures() {
-        let mut b = Breaker::new(cfg());
-        assert!(!b.on_failure());
-        assert!(!b.on_failure());
-        assert!(b.on_failure()); // third trips
+        let mut b = Breaker::new();
+        for _ in 1..FAILURE_THRESHOLD {
+            assert!(!b.on_failure());
+        }
+        assert!(b.on_failure()); // the threshold-th failure trips
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.admit());
     }
 
     #[test]
     fn success_resets_the_count() {
-        let mut b = Breaker::new(cfg());
-        b.on_failure();
-        b.on_failure();
+        let mut b = Breaker::new();
+        for _ in 1..FAILURE_THRESHOLD {
+            b.on_failure();
+        }
         b.on_success();
-        assert!(!b.on_failure());
-        assert!(!b.on_failure());
+        for _ in 1..FAILURE_THRESHOLD {
+            assert!(!b.on_failure());
+        }
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn cooldown_then_half_open_probe() {
-        let mut b = Breaker::new(cfg());
-        for _ in 0..3 {
-            b.on_failure();
+        let mut b = tripped();
+        // The cooldown's rejections…
+        for _ in 0..COOLDOWN_REJECTIONS {
+            assert!(!b.admit());
         }
-        // Two rejections of cooldown…
-        assert!(!b.admit());
-        assert!(!b.admit());
         // …then a probe is admitted.
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(b.admit());
@@ -166,10 +154,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let mut b = Breaker::new(cfg());
-        for _ in 0..3 {
-            b.on_failure();
-        }
+        let mut b = tripped();
         while !b.admit() {}
         assert!(b.on_failure()); // failed probe counts as a trip
         assert_eq!(b.state(), BreakerState::Open);

@@ -9,13 +9,12 @@
 //! and plan selection (which asks, per constraint, whether it is still
 //! trustworthy):
 //!
-//! * a constraint whose violation count reaches the quarantine threshold
-//!   is **quarantined** — the optimizer excludes it from rewrites until it
-//!   is re-admitted;
-//! * quarantine expires after a TTL measured in logical ticks (one tick
-//!   per query session run), re-admitting the constraint on probation with
-//!   its violation count cleared — if the site was fixed the constraint
-//!   stays, if not the next audited violation re-quarantines it.
+//! * a constraint with one audited violation is **quarantined** — the
+//!   optimizer excludes it from rewrites until it is re-admitted;
+//! * quarantine expires after 8 logical ticks (one tick per query session
+//!   run), re-admitting the constraint on probation with its violation
+//!   count cleared — if the site was fixed the constraint stays, if not
+//!   the next audited violation re-quarantines it.
 //!
 //! Counters live in an [`obs::MetricsRegistry`] under the `constraint`
 //! prefix, mirroring how [`crate::ResilienceSnapshot`] wraps the
@@ -25,6 +24,11 @@
 use obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+
+/// Audited violations that quarantine a constraint.
+const QUARANTINE_THRESHOLD: u64 = 1;
+/// Quarantine duration in logical ticks.
+const QUARANTINE_TTL: u64 = 8;
 
 /// Per-constraint bookkeeping.
 #[derive(Debug, Default, Clone)]
@@ -47,10 +51,6 @@ pub struct ConstraintHealth {
     quarantines: Counter,
     readmissions: Counter,
     fallbacks: Counter,
-    /// Violations before a constraint is quarantined.
-    threshold: u64,
-    /// Quarantine duration in logical ticks.
-    ttl: u64,
     state: Mutex<(u64, BTreeMap<String, ConstraintState>)>,
 }
 
@@ -61,8 +61,8 @@ impl Default for ConstraintHealth {
 }
 
 impl ConstraintHealth {
-    /// A registry with the default policy: one audited violation
-    /// quarantines a constraint for 8 ticks.
+    /// An empty registry: one audited violation quarantines a constraint
+    /// for 8 ticks.
     pub fn new() -> Self {
         let registry = MetricsRegistry::with_prefix("constraint");
         ConstraintHealth {
@@ -71,24 +71,9 @@ impl ConstraintHealth {
             quarantines: registry.counter("quarantines"),
             readmissions: registry.counter("readmissions"),
             fallbacks: registry.counter("fallbacks"),
-            threshold: 1,
-            ttl: 8,
             state: Mutex::new((0, BTreeMap::new())),
             registry,
         }
-    }
-
-    /// Sets the violation count at which a constraint is quarantined
-    /// (minimum 1).
-    pub fn with_threshold(mut self, threshold: u64) -> Self {
-        self.threshold = threshold.max(1);
-        self
-    }
-
-    /// Sets the quarantine TTL in logical ticks (minimum 1).
-    pub fn with_ttl(mut self, ttl: u64) -> Self {
-        self.ttl = ttl.max(1);
-        self
     }
 
     /// The registry backing this health's counters (prefix `constraint`).
@@ -106,10 +91,10 @@ impl ConstraintHealth {
         let mut readmitted = Vec::new();
         for (key, st) in map.iter_mut() {
             if let Some(at) = st.quarantined_at {
-                if now.saturating_sub(at) >= self.ttl {
+                if now.saturating_sub(at) >= QUARANTINE_TTL {
                     st.quarantined_at = None;
                     // Probation: the slate is clean, but one fresh
-                    // violation (at the default threshold) re-quarantines.
+                    // violation re-quarantines.
                     st.violations = 0;
                     self.readmissions.inc();
                     readmitted.push(key.clone());
@@ -130,7 +115,7 @@ impl ConstraintHealth {
         let st = map.entry(key.to_string()).or_default();
         st.checks += checks;
         st.violations += violations;
-        if st.quarantined_at.is_none() && st.violations >= self.threshold {
+        if st.quarantined_at.is_none() && st.violations >= QUARANTINE_THRESHOLD {
             st.quarantined_at = Some(now);
             self.quarantines.inc();
             return true;
@@ -159,24 +144,6 @@ impl ConstraintHealth {
             .iter()
             .filter(|(_, s)| s.quarantined_at.is_some())
             .map(|(k, _)| k.clone())
-            .collect()
-    }
-
-    /// Per-constraint `(key, checks, violations, quarantined)` rows,
-    /// sorted by key (inspection/report helper).
-    pub fn by_constraint(&self) -> Vec<(String, u64, u64, bool)> {
-        let guard = self.state.lock();
-        guard
-            .1
-            .iter()
-            .map(|(k, s)| {
-                (
-                    k.clone(),
-                    s.checks,
-                    s.violations,
-                    s.quarantined_at.is_some(),
-                )
-            })
             .collect()
     }
 
@@ -264,10 +231,9 @@ mod tests {
 
     #[test]
     fn violations_quarantine_at_threshold() {
-        let h = ConstraintHealth::new().with_threshold(3);
-        assert!(!h.record(KEY, 1, 1));
-        assert!(!h.record(KEY, 1, 1));
-        assert!(h.record(KEY, 1, 1), "third violation quarantines");
+        let h = ConstraintHealth::new();
+        assert!(!h.record(KEY, 3, 0));
+        assert!(h.record(KEY, 1, 1), "the first violation quarantines");
         assert!(h.is_quarantined(KEY));
         assert!(!h.record(KEY, 1, 1), "already quarantined: no re-trigger");
         assert_eq!(h.quarantined(), vec![KEY.to_string()]);
@@ -279,12 +245,14 @@ mod tests {
 
     #[test]
     fn ttl_readmits_on_probation() {
-        let h = ConstraintHealth::new().with_ttl(2);
+        let h = ConstraintHealth::new();
         h.record(KEY, 1, 1);
         assert!(h.is_quarantined(KEY));
-        assert!(h.tick().is_empty(), "tick 1: still quarantined");
-        assert!(h.is_quarantined(KEY));
-        assert_eq!(h.tick(), vec![KEY.to_string()], "tick 2: readmitted");
+        for tick in 1..QUARANTINE_TTL {
+            assert!(h.tick().is_empty(), "tick {tick}: still quarantined");
+            assert!(h.is_quarantined(KEY));
+        }
+        assert_eq!(h.tick(), vec![KEY.to_string()], "tick 8: readmitted");
         assert!(!h.is_quarantined(KEY));
         assert_eq!(h.snapshot().readmissions, 1);
         // Probation: a fresh violation re-quarantines immediately.
@@ -323,17 +291,5 @@ mod tests {
         assert_eq!(d.checks, 0);
         assert_eq!(d.violations, 1);
         assert_eq!(d.quarantined_now, 1, "gauge is carried, not subtracted");
-    }
-
-    #[test]
-    fn per_constraint_rows_are_sorted_and_accurate() {
-        let h = ConstraintHealth::new();
-        h.record("b ⊆ c", 2, 0);
-        h.record("a = b  (via l)", 3, 1);
-        let rows = h.by_constraint();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "a = b  (via l)");
-        assert_eq!(rows[0], ("a = b  (via l)".to_string(), 3, 1, true));
-        assert_eq!(rows[1], ("b ⊆ c".to_string(), 2, 0, false));
     }
 }

@@ -6,19 +6,12 @@
 //! machinery that lets the rest of the engine keep the paper's model while
 //! surviving a faulty web:
 //!
-//! * [`RetryPolicy`] — capped exponential backoff with seeded jitter, an
-//!   optional cross-call retry budget, and an (observational) per-request
-//!   timeout;
-//! * [`BreakerConfig`] / [`BreakerState`] — a per-key circuit breaker
-//!   (keyed by page scheme for query sources, a single key for servers)
-//!   that fast-fails calls after consecutive failures and recovers through
-//!   a half-open probe;
-//! * [`ResilientSource`] — wraps any [`nalg::PageSource`] (the live
-//!   source, a cached source, …) so query evaluation, the fetch worker
-//!   pool, the crawler, and statistics collection all retry transient
-//!   errors transparently;
-//! * [`ResilientServer`] — wraps any [`websim::PageServer`] so
-//!   materialized-view URL-checks and refreshes get the same treatment;
+//! * [`ResilientSource`] — wraps any [`nalg::PageSource`] so evaluation,
+//!   the fetch worker pool, the crawler and statistics collection retry
+//!   transient errors at once, up to a given number of attempts, behind a
+//!   per-scheme circuit breaker that fast-fails calls
+//!   after consecutive failures and recovers through a half-open probe.
+//!   X3 and the chaos tests stack it; nothing else does;
 //! * [`HedgePolicy`] — tail-latency hedging for pooled fetches: after a
 //!   (seeded, jittered) delay — typically a high latency quantile — one
 //!   backup GET races the laggard, first response wins, and the loser is
@@ -34,29 +27,27 @@
 //!
 //! **Counter separation.** Every action this crate takes is counted in
 //! [`ResilienceSnapshot`] — retries, give-ups, breaker trips and
-//! rejections, budget exhaustion — and *never* in the paper's page-access
+//! rejections, hedges — and *never* in the paper's page-access
 //! statistics. A retried GET that eventually succeeds is one download; a
 //! failed attempt is zero downloads plus one retry. With a zero-fault
-//! plan the wrappers are pure pass-throughs and every paper number is
+//! plan the wrapper is a pure pass-through and every paper number is
 //! byte-identical to running without them (pinned by the equivalence
 //! proptests in `tests/chaos_equivalence.rs`).
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod admission;
-pub mod breaker;
-mod govern;
+mod breaker;
 pub mod health;
 pub mod hedge;
-pub mod policy;
-pub mod server;
 pub mod source;
 pub mod stats;
 
 pub use admission::{AdmissionControl, AdmissionPermit, AdmissionStats};
-pub use breaker::{BreakerConfig, BreakerState};
 pub use health::{ConstraintHealth, ConstraintHealthSnapshot};
 pub use hedge::HedgePolicy;
-pub use policy::RetryPolicy;
-pub use server::ResilientServer;
 pub use source::ResilientSource;
 pub use stats::ResilienceSnapshot;
 // Deadline budgets and cooperative cancellation live in `obs` (they are

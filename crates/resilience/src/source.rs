@@ -1,76 +1,103 @@
 //! A fault-tolerant [`PageSource`] wrapper.
 
-use crate::breaker::{BreakerConfig, BreakerState};
-use crate::govern::{Class, Governor};
-use crate::policy::RetryPolicy;
-use crate::stats::ResilienceSnapshot;
+use crate::breaker::{Breaker, BreakerState};
+use crate::stats::{ResilienceSnapshot, StatCells};
 use adm::{Tuple, Url};
 use nalg::{PageSource, SourceError};
+use obs::trace::{EventKind, FieldValue};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Wraps any [`PageSource`] with retries and per-scheme circuit breakers.
 ///
 /// Transient errors ([`SourceError::Unavailable`], [`SourceError::Timeout`])
-/// are retried under the [`RetryPolicy`]; permanent ones are returned
-/// immediately. The breaker is keyed by page scheme — a sick department
+/// are retried at once, up to `max_attempts` attempts a call; permanent
+/// ones are returned immediately, and a 404 is final without counting as a
+/// failure. The breaker is keyed by page scheme — a sick department
 /// server (all `ProfPage` fetches failing) stops being hammered while
-/// `CoursePage` fetches flow on. Calls an Open breaker rejects fail with
-/// [`SourceError::Unavailable`] without touching the inner source.
+/// `CoursePage` fetches flow on. Five consecutive failed calls trip it;
+/// it rejects the next three calls without touching the inner source
+/// (they fail with [`SourceError::Unavailable`]) and then lets one probe
+/// through.
+///
+/// Retries, give-ups and breaker transitions are
+/// [`EventKind::Resilience`] events on the ambient request context
+/// ([`obs::reqctx::current`]), parented under its span: a retry inside a
+/// traced served request shows in that request's trace, and with no
+/// context installed nothing is recorded. The counters in
+/// [`ResilientSource::stats`] are the same either way.
 ///
 /// The wrapper is itself a [`PageSource`], so it drops into every consumer
 /// unchanged: sequential evaluation, the concurrent fetch pool (it is
 /// `Sync` when the inner source is), the crawler, and statistics
 /// collection.
+///
+/// ```
+/// use nalg::{DegradationMode, EvalPolicy, Evaluator, NalgExpr};
+/// use resilience::ResilientSource;
+/// use websim::sitegen::{University, UniversityConfig};
+/// use websim::{FaultPlan, FaultRule};
+/// use wvcore::LiveSource;
+///
+/// let site = University::generate(UniversityConfig::default()).unwrap();
+/// let server = &site.site.server;
+///
+/// // 30% of requests fail transiently, and 10% of course pages are gone.
+/// let faults = FaultPlan::new(42)
+///     .with_rule(FaultRule::unavailable(0.3).with_max_per_url(Some(2)))
+///     .with_rule(FaultRule::link_rot(0.1).for_scheme("CoursePage"));
+/// server.set_fault_plan(faults.clone());
+///
+/// // Retry through the chaos; answer what's still reachable.
+/// let plan = NalgExpr::entry("SessionListPage")
+///     .unnest("SesList")
+///     .follow("ToSes", "SessionPage")
+///     .unnest("SessionPage.CourseList")
+///     .follow("SessionPage.CourseList.ToCourse", "CoursePage")
+///     .project(vec!["CoursePage.CName", "CoursePage.Type"]);
+/// let source = LiveSource::for_site(&site.site);
+/// let resilient = ResilientSource::new(&source, 4);
+/// let report = Evaluator::new(&site.site.scheme, &resilient)
+///     .with_policy(&EvalPolicy {
+///         degradation: DegradationMode::Partial,
+///         ..Default::default()
+///     })
+///     .eval(&plan)
+///     .unwrap();
+///
+/// // the rotted course pages, exactly, are unreachable
+/// let rotted: Vec<_> = site
+///     .site
+///     .pages("CoursePage")
+///     .map(|(url, _)| url.clone())
+///     .filter(|url| faults.is_rotted(url, Some("CoursePage")))
+///     .collect();
+/// assert!(!rotted.is_empty());
+/// assert_eq!(report.unreachable, rotted);
+/// // each injected transient fault cost one retry and no page access
+/// assert_eq!(resilient.stats().retries, server.stats().faults.unavailable);
+/// assert_eq!(resilient.stats().giveups, 0);
+/// ```
 pub struct ResilientSource<'a, S> {
     inner: &'a S,
-    gov: Governor,
+    /// Total attempts per call, including the first (≥ 1).
+    max_attempts: u32,
+    stats: StatCells,
+    breakers: Mutex<HashMap<String, Breaker>>,
 }
 
-impl<'a, S: PageSource> ResilientSource<'a, S> {
-    /// Wraps `inner` under `policy` with default breaker tuning.
-    pub fn new(inner: &'a S, policy: RetryPolicy) -> Self {
-        ResilientSource {
-            inner,
-            gov: Governor::new(policy, BreakerConfig::default()),
-        }
-    }
-
-    /// Overrides the breaker tuning.
-    pub fn with_breaker(inner: &'a S, policy: RetryPolicy, breaker: BreakerConfig) -> Self {
-        ResilientSource {
-            inner,
-            gov: Governor::new(policy, breaker),
-        }
-    }
-
-    /// Attaches a trace sink: retries, give-ups and breaker transitions
-    /// are recorded as [`obs::trace::EventKind::Resilience`] events.
-    /// No effect on accounting.
-    pub fn with_trace(mut self, sink: &obs::trace::TraceSink) -> Self {
-        self.gov.set_trace(sink);
-        self
-    }
-
-    /// The registry backing this wrapper's counters (prefix `resilience`).
-    pub fn metrics(&self) -> &obs::MetricsRegistry {
-        self.gov.metrics()
-    }
-
-    /// Current resilience counters (never part of page-access statistics).
-    pub fn stats(&self) -> ResilienceSnapshot {
-        self.gov.snapshot()
-    }
-
-    /// Zeroes the counters, closes every breaker, and restores the retry
-    /// budget.
-    pub fn reset(&self) {
-        self.gov.reset()
-    }
-
-    /// The breaker state for a page scheme.
-    pub fn breaker_state(&self, scheme: &str) -> BreakerState {
-        self.gov.breaker_state(scheme)
-    }
+/// How a call-level error is treated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// The page does not exist (404). Final, and *not* a server failure:
+    /// no retry, no breaker effect.
+    Absence,
+    /// A retry may succeed (5xx, timeout).
+    Transient,
+    /// Retrying is pointless (malformed body, infrastructure error), but
+    /// the failure does count toward the breaker.
+    Permanent,
 }
 
 fn classify(e: &SourceError) -> Class {
@@ -81,20 +108,116 @@ fn classify(e: &SourceError) -> Class {
     }
 }
 
+/// Records a resilience event on the ambient request context, if any.
+fn ambient_event(name: &str, scheme: &str, extra: Option<(&str, FieldValue)>) {
+    let Some(ctx) = obs::reqctx::current() else {
+        return;
+    };
+    let mut fields = vec![("key".to_string(), FieldValue::Str(scheme.to_string()))];
+    fields.extend(extra.map(|(k, v)| (k.to_string(), v)));
+    ctx.sink
+        .event(EventKind::Resilience, name, Some(ctx.parent), fields);
+}
+
+impl<'a, S: PageSource> ResilientSource<'a, S> {
+    /// Wraps `inner`, making up to `max_attempts` attempts a call
+    /// (at least one).
+    pub fn new(inner: &'a S, max_attempts: u32) -> Self {
+        ResilientSource {
+            inner,
+            max_attempts: max_attempts.max(1),
+            stats: StatCells::default(),
+            breakers: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Current resilience counters (never part of page-access statistics).
+    pub fn stats(&self) -> ResilienceSnapshot {
+        self.stats.snapshot()
+    }
+
+    /// Zeroes the counters and closes every breaker.
+    pub fn reset(&self) {
+        self.stats.reset();
+        self.breakers.lock().clear();
+    }
+}
+
 impl<S> ResilientSource<'_, S> {
-    /// Runs one fetch of the inner source under the retry policy and the
+    /// Runs one fetch of the inner source under the retry loop and the
     /// scheme's breaker.
     fn governed<T>(
         &self,
         url: &Url,
         scheme: &str,
-        fetch: impl FnMut() -> Result<T, SourceError>,
+        mut fetch: impl FnMut() -> Result<T, SourceError>,
     ) -> Result<T, SourceError> {
-        self.gov
-            .call(scheme, fetch, classify, || SourceError::Unavailable {
+        let admitted = self
+            .breakers
+            .lock()
+            .entry(scheme.to_string())
+            .or_insert_with(Breaker::new)
+            .admit();
+        if !admitted {
+            self.stats.breaker_rejections.inc();
+            ambient_event("breaker.reject", scheme, None);
+            return Err(SourceError::Unavailable {
                 url: url.clone(),
                 reason: format!("circuit breaker open for scheme {scheme}"),
-            })
+            });
+        }
+        let mut attempt = 1u32;
+        // (outcome, counts as a call-level failure for the breaker?)
+        let (result, failed) = loop {
+            match fetch() {
+                Ok(v) => break (Ok(v), false),
+                Err(e) => match classify(&e) {
+                    Class::Absence => break (Err(e), false),
+                    Class::Permanent => break (Err(e), true),
+                    Class::Transient if attempt >= self.max_attempts => {
+                        self.stats.giveups.inc();
+                        ambient_event("giveup", scheme, None);
+                        break (Err(e), true);
+                    }
+                    Class::Transient => {
+                        self.stats.retries.inc();
+                        ambient_event(
+                            "retry",
+                            scheme,
+                            Some(("attempt", u64::from(attempt).into())),
+                        );
+                        attempt += 1;
+                    }
+                },
+            }
+        };
+        // The entry is taken again rather than assumed: a `reset` while
+        // the fetch ran may have cleared the map.
+        let mut breakers = self.breakers.lock();
+        let breaker = breakers
+            .entry(scheme.to_string())
+            .or_insert_with(Breaker::new);
+        match (&result, failed) {
+            // Absence is final but says nothing about server health.
+            (Err(_), false) => {}
+            (Ok(_), _) => {
+                let was = breaker.state();
+                breaker.on_success();
+                drop(breakers);
+                if was != BreakerState::Closed {
+                    ambient_event("breaker.close", scheme, None);
+                }
+            }
+            (Err(_), true) => {
+                let tripped = breaker.on_failure();
+                drop(breakers);
+                if tripped {
+                    self.stats.breaker_trips.inc();
+                    ambient_event("breaker.trip", scheme, None);
+                }
+            }
+        }
+        result
     }
 }
 
@@ -122,7 +245,16 @@ impl<S: PageSource> PageSource for ResilientSource<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::breaker::{COOLDOWN_REJECTIONS, FAILURE_THRESHOLD};
+
+    /// The breaker state for a page scheme (Closed when none exists yet).
+    fn state<S>(rs: &ResilientSource<'_, S>, scheme: &str) -> BreakerState {
+        rs.breakers
+            .lock()
+            .get(scheme)
+            .map(Breaker::state)
+            .unwrap_or(BreakerState::Closed)
+    }
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Fails each URL `fail_first` times with the given error, then serves.
@@ -167,7 +299,7 @@ mod tests {
     #[test]
     fn transient_errors_are_retried_to_success() {
         let src = FlakySource::new(2, |u| SourceError::Timeout(u.clone()));
-        let rs = ResilientSource::new(&src, RetryPolicy::new(4));
+        let rs = ResilientSource::new(&src, 4);
         let t = rs.fetch(&Url::new("/p"), "P").unwrap();
         assert_eq!(t.get("Name").unwrap().as_text(), Some("p"));
         assert_eq!(src.calls.load(Ordering::SeqCst), 3);
@@ -182,7 +314,7 @@ mod tests {
             url: u.clone(),
             reason: "truncated".into(),
         });
-        let rs = ResilientSource::new(&src, RetryPolicy::new(4));
+        let rs = ResilientSource::new(&src, 4);
         assert!(matches!(
             rs.fetch(&Url::new("/p"), "P"),
             Err(SourceError::Malformed { .. })
@@ -194,14 +326,17 @@ mod tests {
     #[test]
     fn not_found_passes_through_untouched() {
         let src = FlakySource::new(0, |u| SourceError::NotFound(u.clone()));
-        let rs = ResilientSource::new(&src, RetryPolicy::new(4));
-        assert!(matches!(
-            rs.fetch(&Url::new("/missing"), "P"),
-            Err(SourceError::NotFound(_))
-        ));
-        assert_eq!(src.calls.load(Ordering::SeqCst), 1);
+        let rs = ResilientSource::new(&src, 4);
+        // more absences than the breaker's threshold: none counts
+        for _ in 0..2 * FAILURE_THRESHOLD {
+            assert!(matches!(
+                rs.fetch(&Url::new("/missing"), "P"),
+                Err(SourceError::NotFound(_))
+            ));
+        }
+        assert_eq!(src.calls.load(Ordering::SeqCst), 2 * FAILURE_THRESHOLD);
         assert!(rs.stats().is_quiet());
-        assert_eq!(rs.breaker_state("P"), BreakerState::Closed);
+        assert_eq!(state(&rs, "P"), BreakerState::Closed);
     }
 
     #[test]
@@ -210,7 +345,7 @@ mod tests {
             url: u.clone(),
             reason: "http 503".into(),
         });
-        let rs = ResilientSource::new(&src, RetryPolicy::new(3));
+        let rs = ResilientSource::new(&src, 3);
         assert!(matches!(
             rs.fetch(&Url::new("/p"), "P"),
             Err(SourceError::Unavailable { .. })
@@ -219,24 +354,22 @@ mod tests {
         let s = rs.stats();
         assert_eq!(s.retries, 2);
         assert_eq!(s.giveups, 1);
+        // zero attempts still makes the one
+        let once = ResilientSource::new(&src, 0);
+        assert!(once.fetch(&Url::new("/p"), "P").is_err());
+        assert_eq!(src.calls.load(Ordering::SeqCst), 4);
+        assert_eq!(once.stats().retries, 0);
     }
 
     #[test]
     fn breaker_is_per_scheme() {
         let src = FlakySource::new(99, |u| SourceError::Timeout(u.clone()));
-        let rs = ResilientSource::with_breaker(
-            &src,
-            RetryPolicy::no_retries(),
-            BreakerConfig {
-                failure_threshold: 2,
-                cooldown_rejections: 100,
-            },
-        );
-        for _ in 0..2 {
+        let rs = ResilientSource::new(&src, 1);
+        for _ in 0..FAILURE_THRESHOLD {
             let _ = rs.fetch(&Url::new("/p"), "Sick");
         }
-        assert_eq!(rs.breaker_state("Sick"), BreakerState::Open);
-        assert_eq!(rs.breaker_state("Fine"), BreakerState::Closed);
+        assert_eq!(state(&rs, "Sick"), BreakerState::Open);
+        assert_eq!(state(&rs, "Fine"), BreakerState::Closed);
         // Rejected without touching the inner source.
         let calls_before = src.calls.load(Ordering::SeqCst);
         let err = rs.fetch(&Url::new("/p"), "Sick").unwrap_err();
@@ -247,9 +380,104 @@ mod tests {
     }
 
     #[test]
+    fn breaker_trips_and_rejects_then_a_probe_recovers() {
+        // each call fails until the threshold-th, then the page serves
+        let src = FlakySource::new(FAILURE_THRESHOLD, |u| SourceError::Timeout(u.clone()));
+        let rs = ResilientSource::new(&src, 1);
+        let url = Url::new("/p");
+        for _ in 0..FAILURE_THRESHOLD {
+            assert!(rs.fetch(&url, "P").is_err());
+        }
+        assert_eq!(state(&rs, "P"), BreakerState::Open);
+        for _ in 0..COOLDOWN_REJECTIONS {
+            assert!(rs.fetch(&url, "P").is_err());
+        }
+        assert_eq!(state(&rs, "P"), BreakerState::HalfOpen);
+        assert_eq!(
+            src.calls.load(Ordering::SeqCst),
+            FAILURE_THRESHOLD,
+            "rejections never reach the source"
+        );
+        assert!(rs.fetch(&url, "P").is_ok(), "the probe succeeds");
+        assert_eq!(state(&rs, "P"), BreakerState::Closed);
+        let s = rs.stats();
+        assert_eq!(s.breaker_trips, 1);
+        assert_eq!(s.breaker_rejections, u64::from(COOLDOWN_REJECTIONS));
+    }
+
+    #[test]
+    fn reset_closes_breakers_and_zeroes_counters() {
+        let src = FlakySource::new(99, |u| SourceError::Timeout(u.clone()));
+        let rs = ResilientSource::new(&src, 1);
+        for _ in 0..FAILURE_THRESHOLD {
+            let _ = rs.fetch(&Url::new("/p"), "P");
+        }
+        assert_eq!(state(&rs, "P"), BreakerState::Open);
+        rs.reset();
+        assert_eq!(state(&rs, "P"), BreakerState::Closed);
+        assert!(rs.stats().is_quiet());
+    }
+
+    #[test]
+    fn a_reset_between_admission_and_outcome_does_not_panic() {
+        let src = FlakySource::new(0, |u| SourceError::NotFound(u.clone()));
+        let rs = ResilientSource::new(&src, 1);
+        let url = Url::new("/p");
+        let out: Result<(), SourceError> = rs.governed(&url, "P", || {
+            rs.reset();
+            Err(SourceError::Timeout(url.clone()))
+        });
+        assert!(matches!(out, Err(SourceError::Timeout(_))));
+        assert_eq!(rs.stats().giveups, 1);
+        let out = rs.governed(&url, "P", || {
+            rs.reset();
+            Ok(())
+        });
+        assert!(out.is_ok());
+        assert_eq!(state(&rs, "P"), BreakerState::Closed);
+    }
+
+    #[test]
+    fn retries_and_giveups_go_to_the_ambient_context() {
+        use obs::reqctx::{with_ctx, FetchClock, RequestCtx};
+        use obs::trace::TraceSink;
+
+        let sink = TraceSink::with_seed(1);
+        let ctx = RequestCtx {
+            sink: sink.clone(),
+            parent: 42,
+            request_id: 7,
+            clock: FetchClock::new(),
+            deadline: obs::Deadline::infinite(),
+            cancel: None,
+        };
+        let run = |ctx: Option<RequestCtx>| {
+            let src = FlakySource::new(99, |u| SourceError::Timeout(u.clone()));
+            let rs = ResilientSource::new(&src, 3);
+            let out = with_ctx(ctx, || rs.fetch(&Url::new("/p"), "P"));
+            assert!(matches!(out, Err(SourceError::Timeout(_))));
+            rs.stats()
+        };
+
+        let plain = run(None);
+        assert!(sink.is_empty(), "no context, no events");
+        let traced = run(Some(ctx));
+        assert_eq!(traced, plain, "the counters do not depend on the context");
+        assert_eq!((plain.retries, plain.giveups), (2, 1));
+
+        let events = sink.events();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["retry", "retry", "giveup"]);
+        for e in &events {
+            assert_eq!(e.kind, EventKind::Resilience);
+            assert_eq!(e.parent, Some(42));
+        }
+    }
+
+    #[test]
     fn fault_free_wrapper_is_invisible() {
         let src = FlakySource::new(0, |u| SourceError::NotFound(u.clone()));
-        let rs = ResilientSource::new(&src, RetryPolicy::default());
+        let rs = ResilientSource::new(&src, 4);
         for _ in 0..5 {
             rs.fetch(&Url::new("/p"), "P").unwrap();
         }

@@ -2,7 +2,7 @@
 //!
 //! Nothing in this module ever feeds `page_accesses`, `gets`, or any other
 //! number the paper's experiments report. Retries, give-ups, breaker
-//! activity, and backoff time live here and only here, so the cost-model
+//! activity and hedging live here and only here, so the cost-model
 //! experiments stay byte-identical whether or not a resilient wrapper sits
 //! in the fetch path.
 //!
@@ -21,9 +21,6 @@ pub(crate) struct StatCells {
     pub giveups: Counter,
     pub breaker_trips: Counter,
     pub breaker_rejections: Counter,
-    pub budget_exhausted: Counter,
-    pub backoff_us: Counter,
-    pub slow_responses: Counter,
     pub hedges: Counter,
     pub hedge_wins: Counter,
     pub hedge_cancelled: Counter,
@@ -37,9 +34,6 @@ impl Default for StatCells {
             giveups: registry.counter("giveups"),
             breaker_trips: registry.counter("breaker_trips"),
             breaker_rejections: registry.counter("breaker_rejections"),
-            budget_exhausted: registry.counter("budget_exhausted"),
-            backoff_us: registry.counter("backoff_us"),
-            slow_responses: registry.counter("slow_responses"),
             hedges: registry.counter("hedges"),
             hedge_wins: registry.counter("hedge_wins"),
             hedge_cancelled: registry.counter("hedge_cancelled"),
@@ -59,9 +53,6 @@ impl StatCells {
             giveups: self.giveups.get(),
             breaker_trips: self.breaker_trips.get(),
             breaker_rejections: self.breaker_rejections.get(),
-            budget_exhausted: self.budget_exhausted.get(),
-            backoff_us: self.backoff_us.get(),
-            slow_responses: self.slow_responses.get(),
             hedges: self.hedges.get(),
             hedge_wins: self.hedge_wins.get(),
             hedge_cancelled: self.hedge_cancelled.get(),
@@ -73,9 +64,6 @@ impl StatCells {
         self.giveups.reset();
         self.breaker_trips.reset();
         self.breaker_rejections.reset();
-        self.budget_exhausted.reset();
-        self.backoff_us.reset();
-        self.slow_responses.reset();
         self.hedges.reset();
         self.hedge_wins.reset();
         self.hedge_cancelled.reset();
@@ -87,18 +75,12 @@ impl StatCells {
 pub struct ResilienceSnapshot {
     /// Transient failures that were retried.
     pub retries: u64,
-    /// Calls that exhausted their attempts (or the budget) and failed.
+    /// Calls that exhausted their attempts and failed.
     pub giveups: u64,
     /// Breaker transitions into Open (including failed half-open probes).
     pub breaker_trips: u64,
     /// Calls rejected by an Open breaker without touching the source.
     pub breaker_rejections: u64,
-    /// Retries denied because the cross-call budget ran out.
-    pub budget_exhausted: u64,
-    /// Total computed backoff (µs), whether or not it was slept.
-    pub backoff_us: u64,
-    /// Calls slower than the policy's observational request timeout.
-    pub slow_responses: u64,
     /// Backup fetches launched by a hedge policy.
     pub hedges: u64,
     /// Hedged fetches where the backup's response arrived first.
@@ -121,11 +103,6 @@ impl ResilienceSnapshot {
             breaker_rejections: self
                 .breaker_rejections
                 .saturating_sub(earlier.breaker_rejections),
-            budget_exhausted: self
-                .budget_exhausted
-                .saturating_sub(earlier.budget_exhausted),
-            backoff_us: self.backoff_us.saturating_sub(earlier.backoff_us),
-            slow_responses: self.slow_responses.saturating_sub(earlier.slow_responses),
             hedges: self.hedges.saturating_sub(earlier.hedges),
             hedge_wins: self.hedge_wins.saturating_sub(earlier.hedge_wins),
             hedge_cancelled: self.hedge_cancelled.saturating_sub(earlier.hedge_cancelled),
@@ -148,19 +125,19 @@ mod tests {
         let newer = ResilienceSnapshot {
             retries: 5,
             giveups: 0,
-            backoff_us: 100,
+            hedges: 100,
             ..Default::default()
         };
         let earlier = ResilienceSnapshot {
             retries: 2,
             giveups: 3, // went backwards (reset between snapshots)
-            backoff_us: 400,
+            hedges: 400,
             ..Default::default()
         };
         let d = newer.since(&earlier);
         assert_eq!(d.retries, 3);
         assert_eq!(d.giveups, 0, "backwards field saturates to 0");
-        assert_eq!(d.backoff_us, 0);
+        assert_eq!(d.hedges, 0);
     }
 
     #[test]
@@ -174,9 +151,6 @@ mod tests {
             giveups: 1,
             breaker_trips: 2,
             breaker_rejections: 3,
-            budget_exhausted: 1,
-            backoff_us: 999,
-            slow_responses: 4,
             hedges: 6,
             hedge_wins: 2,
             hedge_cancelled: 1,

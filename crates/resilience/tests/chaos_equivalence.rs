@@ -16,7 +16,7 @@
 use adm::{Field, PageScheme, Url, WebScheme};
 use nalg::{DegradationMode, EvalPolicy, Evaluator, Fetch, NalgExpr};
 use proptest::prelude::*;
-use resilience::{ResilientSource, RetryPolicy};
+use resilience::ResilientSource;
 use websim::{FaultPlan, FaultRule, VirtualServer};
 use wvcore::LiveSource;
 
@@ -94,7 +94,7 @@ fn check_transient_equivalence(n_items: usize, seed: u64, rate: f64, workers: us
 
     // chaos run through the retry layer
     server.set_fault_plan(transient_plan(seed, rate));
-    let resilient = ResilientSource::new(&live, RetryPolicy::new(4));
+    let resilient = ResilientSource::new(&live, 4);
     let chaos = Evaluator::new(&ws, &resilient)
         .with_policy(&EvalPolicy {
             degradation: DegradationMode::Partial,

@@ -8,7 +8,7 @@ use websim::sitegen::{University, UniversityConfig};
 use websim::{FaultPlan, FaultRule};
 use wvcore::{crawl_instance, LiveSource, SiteStatistics};
 
-use resilience::{ResilientSource, RetryPolicy};
+use resilience::ResilientSource;
 
 fn university() -> University {
     University::generate(UniversityConfig {
@@ -37,7 +37,7 @@ fn retrying_crawl_discovers_the_same_instance_under_chaos() {
     u.site.server.reset_stats();
 
     u.site.server.set_fault_plan(chaos_plan());
-    let resilient = ResilientSource::new(&live, RetryPolicy::new(4));
+    let resilient = ResilientSource::new(&live, 4);
     let chaotic = crawl_instance(&u.site.scheme, &resilient);
 
     assert_eq!(chaotic, clean, "same pages, same tuples");
@@ -56,7 +56,7 @@ fn statistics_collected_under_chaos_are_identical() {
     let clean = SiteStatistics::crawl(&u.site.scheme, &live);
 
     u.site.server.set_fault_plan(chaos_plan());
-    let resilient = ResilientSource::new(&live, RetryPolicy::new(4));
+    let resilient = ResilientSource::new(&live, 4);
     let chaotic = SiteStatistics::crawl(&u.site.scheme, &resilient);
 
     for ps in u.site.scheme.schemes() {

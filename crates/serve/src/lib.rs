@@ -193,17 +193,33 @@ mod tests {
         iv.register("depts", q.cache_key(), &expr, &u.site.server)
             .unwrap();
 
-        // Degrade the view before the server exists: evict the state an
-        // upquery would need, time the server out, and push a change.
-        let (dept_url, dept_tuple) = u.site.instance("DeptPage")[0].clone();
-        let entry_url = ws.entry_point("DeptListPage").unwrap().url.clone();
-        assert!(iv.evict_slices(&dept_url));
-        assert!(iv.evict_page(&entry_url));
+        // Degrade the view before the server exists: evict the dept pages,
+        // time them out, and change the entry page so the follow must
+        // upquery them.
+        for (url, _) in u.site.instance("DeptPage") {
+            assert!(iv.store_mut().evict(&ws, &url));
+        }
+        u.site.server.set_fault_plan(
+            FaultPlan::new(1).with_rule(
+                FaultRule::timeouts(1.0)
+                    .for_scheme("DeptPage")
+                    .with_max_per_url(None),
+            ),
+        );
+        let (list_url, list) = u.site.instance("DeptListPage")[0].clone();
+        let mut depts = list
+            .get("DeptList")
+            .and_then(adm::Value::as_list)
+            .unwrap()
+            .to_vec();
+        depts.reverse();
         u.site
-            .server
-            .set_fault_plan(FaultPlan::new(1).with_rule(FaultRule::timeouts(1.0)));
-        u.site
-            .republish("DeptPage", dept_url, dept_tuple, "Dept")
+            .republish(
+                "DeptListPage",
+                list_url,
+                adm::Tuple::new().with_list("DeptList", depts),
+                "Depts",
+            )
             .unwrap();
         iv.sync(&u.site).unwrap();
         assert!(iv.is_degraded(&q.cache_key()));

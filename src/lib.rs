@@ -17,7 +17,7 @@
 //! | [`wvcore`] | the optimizer: rewrite rules 2–9, statistics, cost model, Algorithm 1 |
 //! | [`wvquery`] | the SQL-subset front end |
 //! | [`matview`] | the materialized view and its one maintenance engine: URLCheck + Algorithm 3 (pull mode), change-feed ± deltas with byte-budgeted partial state and upqueries (push mode) |
-//! | [`resilience`] | fault tolerance: retry policies, circuit breakers, partial-result degradation over a chaos-capable web |
+//! | [`resilience`] | fault tolerance: a retrying, circuit-broken page source, hedging, admission control, constraint health |
 //! | [`obs`] | observability: structured tracing, metrics registry, EXPLAIN ANALYZE plumbing |
 //! | [`serve`] | multi-tenant serving: plan cache keyed on the query's constant-free shape, admission control, single-flight fetch coalescing |
 //!
@@ -77,10 +77,7 @@ pub mod prelude {
         LatencyObjective, MetricsRegistry, PhaseBreakdown, RequestTrace, SloSnapshot, SloTracker,
         TraceSink, TriggerKind,
     };
-    pub use resilience::{
-        ConstraintHealth, HedgePolicy, ResilienceSnapshot, ResilientServer, ResilientSource,
-        RetryPolicy,
-    };
+    pub use resilience::{ConstraintHealth, HedgePolicy, ResilienceSnapshot, ResilientSource};
     pub use serve::{PlanCache, QueryServer, ServeOutcome, ServerStats};
     pub use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
     pub use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};

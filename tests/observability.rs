@@ -98,7 +98,7 @@ fn analysis_of(outcome: &QueryOutcome, events: &[TraceEvent]) -> ExplainAnalyze 
 
 /// `q` on `site` under `policy`, run twice in fresh sessions: untraced,
 /// and traced. Returns both results and the traced run's sink.
-fn run_untraced_and_traced(
+fn run_with_and_without_trace(
     site: &Site,
     stats: &SiteStatistics,
     catalog: &ViewCatalog,
@@ -186,7 +186,7 @@ proptest! {
 
         let sequential = ExecPolicy { audit, ..Default::default() };
         let (plain, traced, sink) =
-            run_untraced_and_traced(&u.site, &stats, &catalog, &sequential, &q);
+            run_with_and_without_trace(&u.site, &stats, &catalog, &sequential, &q);
         let plain = plain.unwrap();
         assert_counter_identical(&plain, &traced.unwrap(), &sink);
 
@@ -199,7 +199,7 @@ proptest! {
             ..Default::default()
         };
         let (plain_pooled, traced_pooled, sink) =
-            run_untraced_and_traced(&u.site, &stats, &catalog, &pooled, &q);
+            run_with_and_without_trace(&u.site, &stats, &catalog, &pooled, &q);
         let plain_pooled = plain_pooled.unwrap();
         assert_counter_identical(&plain_pooled, &traced_pooled.unwrap(), &sink);
 
@@ -227,7 +227,7 @@ fn traced_equals_untraced_when_the_audit_falls_back() {
         ..Default::default()
     };
     let (plain, traced, sink) =
-        run_untraced_and_traced(&u.site, &stats, &catalog, &policy, &cs_dept());
+        run_with_and_without_trace(&u.site, &stats, &catalog, &policy, &cs_dept());
     let (plain, traced) = (plain.unwrap(), traced.unwrap());
     assert!(plain.fell_back() && traced.fell_back());
     let analysis = assert_counter_identical(&plain, &traced, &sink);
@@ -251,7 +251,7 @@ fn traced_equals_untraced_past_the_deadline() {
     };
     u.site.server.reset_stats();
     let (plain, traced, sink) =
-        run_untraced_and_traced(&u.site, &stats, &catalog, &policy, &university_queries()[0]);
+        run_with_and_without_trace(&u.site, &stats, &catalog, &policy, &university_queries()[0]);
     assert!(matches!(plain, Err(OptError::DeadlineExceeded)));
     assert!(matches!(traced, Err(OptError::DeadlineExceeded)));
     assert_eq!(u.site.server.stats().gets, 0);
@@ -341,7 +341,7 @@ fn explain_analyze_matches_untraced_runs_on_both_fixture_sites() {
     let catalog = university_catalog();
     for q in &university_queries() {
         let (plain, traced, sink) =
-            run_untraced_and_traced(&u.site, &stats, &catalog, &ExecPolicy::default(), q);
+            run_with_and_without_trace(&u.site, &stats, &catalog, &ExecPolicy::default(), q);
         let analysis = assert_counter_identical(&plain.unwrap(), &traced.unwrap(), &sink);
         let render = analysis.render();
         assert!(render.contains("operator"), "header missing:\n{render}");
@@ -360,7 +360,7 @@ fn explain_analyze_matches_untraced_runs_on_both_fixture_sites() {
     let catalog = bibliography_catalog();
     for q in &bibliography_queries() {
         let (plain, traced, sink) =
-            run_untraced_and_traced(&b.site, &stats, &catalog, &ExecPolicy::default(), q);
+            run_with_and_without_trace(&b.site, &stats, &catalog, &ExecPolicy::default(), q);
         let plain = plain.unwrap();
         assert_counter_identical(&plain, &traced.unwrap(), &sink);
         assert!(!plain.report.relation.is_empty(), "{:?} empty", q.name);
@@ -468,7 +468,7 @@ fn a_served_request_is_explained_from_its_flight_record() {
         [false, true]
     );
     let (_, fresh, sink) =
-        run_untraced_and_traced(&u.site, &stats, &catalog, &ExecPolicy::default(), q);
+        run_with_and_without_trace(&u.site, &stats, &catalog, &ExecPolicy::default(), q);
     let fresh = analysis_of(&fresh.unwrap(), &sink.events());
     let table = |a: &ExplainAnalyze| {
         let ops: Vec<_> = a
