@@ -214,7 +214,7 @@ where
     let mut by_url: HashMap<&str, &Value> = HashMap::new();
     let mut urls_by_value: HashMap<&Value, HashSet<&str>> = HashMap::new();
     for (url, t) in target.into_iter().map(PageRef::page) {
-        if let Some(v) = t.get(c.target_attr.leaf()) {
+        if let Some(v) = c.target_attr.leaf().and_then(|leaf| t.get(leaf)) {
             by_url.insert(url.as_str(), v);
             urls_by_value.entry(v).or_default().insert(url.as_str());
         }
@@ -304,7 +304,7 @@ pub fn verify_link_constraint_partial(
 ) -> (u64, Vec<Violation>) {
     let mut by_url: HashMap<&str, &Value> = HashMap::new();
     for (url, t) in target {
-        if let Some(v) = t.get(c.target_attr.leaf()) {
+        if let Some(v) = c.target_attr.leaf().and_then(|leaf| t.get(leaf)) {
             by_url.insert(url.as_str(), v);
         }
     }

@@ -24,6 +24,10 @@
 //! [`Relation`]s, and `wv-core` reasons about the constraints to optimize
 //! queries.
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod columnar;
 pub mod constraints;
 pub mod display;

@@ -137,13 +137,16 @@ pub fn enumerate_paths(ws: &WebScheme, target: &str, max_hops: usize) -> Vec<Nav
             if visited.iter().any(|v| v == &link_target) {
                 continue;
             }
+            let Some((link, lists)) = link_path.split_last() else {
+                continue;
+            };
             let mut p = path.clone();
             // Unnest every enclosing list, then follow the leaf link.
-            for seg in &link_path[..link_path.len() - 1] {
+            for seg in lists {
                 p.steps.push(PathStep::Unnest(seg.clone()));
             }
             p.steps.push(PathStep::Follow {
-                link: link_path.last().unwrap().clone(),
+                link: link.clone(),
                 target: link_target.clone(),
             });
             let mut v = visited.clone();

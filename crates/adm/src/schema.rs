@@ -20,7 +20,9 @@ use std::fmt;
 pub struct AttrRef {
     /// The page-scheme the path starts from.
     pub scheme: String,
-    /// Attribute names from the top level downwards; never empty.
+    /// Attribute names from the top level downwards. [`AttrRef::parse`]
+    /// never yields an empty path; [`AttrRef::new`] and this field allow
+    /// one, and such a reference has no [`AttrRef::leaf`].
     pub path: Vec<String>,
 }
 
@@ -47,9 +49,10 @@ impl AttrRef {
         Ok(AttrRef { scheme, path })
     }
 
-    /// The final path segment (the attribute's own name).
-    pub fn leaf(&self) -> &str {
-        self.path.last().expect("AttrRef path is never empty")
+    /// The final path segment (the attribute's own name); `None` for an
+    /// empty path.
+    pub fn leaf(&self) -> Option<&str> {
+        self.path.last().map(String::as_str)
     }
 
     /// The fully qualified dotted form, `Scheme.a.b`.
@@ -558,10 +561,15 @@ mod tests {
         let a = AttrRef::parse("ProfPage.CourseList.ToCourse").unwrap();
         assert_eq!(a.scheme, "ProfPage");
         assert_eq!(a.path, vec!["CourseList", "ToCourse"]);
-        assert_eq!(a.leaf(), "ToCourse");
+        assert_eq!(a.leaf(), Some("ToCourse"));
         assert_eq!(a.to_string(), "ProfPage.CourseList.ToCourse");
         assert!(AttrRef::parse("NoPath").is_err());
         assert!(AttrRef::parse("").is_err());
+    }
+
+    #[test]
+    fn an_empty_path_has_no_leaf() {
+        assert_eq!(AttrRef::new("P", Vec::<String>::new()).leaf(), None);
     }
 
     #[test]

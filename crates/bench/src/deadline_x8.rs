@@ -13,10 +13,10 @@
 //! * **deadline** — [`serve::QueryServer::with_deadline_budget`]: past
 //!   the budget the request browns out into an exact partial answer
 //!   (rows so far + the not-yet-fetched URL set), never blocking the SLO;
-//! * **hedge** — [`resilience::HedgePolicy`]: a laggard GET is raced by
-//!   one backup request; the winner's bytes are used, the loser is
-//!   cancelled, and neither twin is ever double-charged to
-//!   `page_accesses`;
+//! * **hedge** — [`nalg::HedgeConfig`]: a laggard GET is raced by one
+//!   backup request after a seeded, jittered delay; the winner's bytes
+//!   are used, the loser is cancelled, and neither twin is ever
+//!   double-charged to `page_accesses`;
 //! * **deadline + hedge** — both; hedges recover most tails *within*
 //!   the budget, the deadline caps whatever still escapes.
 //!
@@ -34,9 +34,8 @@
 use crate::serving::zipf_schedule;
 use crate::table::Table;
 use adm::{Field, PageScheme, Tuple, Url, Value, WebScheme};
-use nalg::{EvalPolicy, Fetch};
+use nalg::{EvalPolicy, Fetch, HedgeConfig};
 use obs::FixedHistogram;
-use resilience::HedgePolicy;
 use serve::QueryServer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -432,11 +431,11 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
 
     stage("hedge arm");
     // 3 — hedge only: tails are raced, nothing browns out.
-    let hedge_policy = HedgePolicy::new(hedge_delay_us).with_jitter_seed(cfg.seed);
+    let hedge = HedgeConfig::new(jittered_delay_us(hedge_delay_us, cfg.seed));
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
         .with_policy(&ExecPolicy {
             eval: EvalPolicy {
-                fetch: Fetch::hedged(cfg.fetch_workers, hedge_policy.config()),
+                fetch: Fetch::hedged(cfg.fetch_workers, hedge.clone()),
                 ..Default::default()
             },
             ..Default::default()
@@ -444,20 +443,20 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
         .with_admission_capacity(cfg.workers);
     warm(&server);
     u.site.server.reset_stats();
-    let hedge_warm = hedge_policy.snapshot();
+    let hedge_warm = hedge.hedges.get();
     stage("drive hedge");
     let hedged = drive_arm(&server, &queries, &schedule, &oracle, cfg.workers);
-    let hedge_snap = hedge_policy.snapshot().since(&hedge_warm);
-    t.row(hedged.row("hedge", cfg.requests, hedge_snap.hedges));
+    let hedge_count = hedge.hedges.get().saturating_sub(hedge_warm);
+    t.row(hedged.row("hedge", cfg.requests, hedge_count));
 
     stage("guarded arm");
     // 4 — deadline + hedge: hedges recover tails inside the budget,
     // the deadline caps the stragglers.
-    let guarded_policy = HedgePolicy::new(hedge_delay_us).with_jitter_seed(cfg.seed ^ 1);
+    let guarded_hedge = HedgeConfig::new(jittered_delay_us(hedge_delay_us, cfg.seed ^ 1));
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
         .with_policy(&ExecPolicy {
             eval: EvalPolicy {
-                fetch: Fetch::hedged(cfg.fetch_workers, guarded_policy.config()),
+                fetch: Fetch::hedged(cfg.fetch_workers, guarded_hedge.clone()),
                 ..Default::default()
             },
             ..Default::default()
@@ -466,11 +465,11 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
         .with_deadline_budget(budget_us);
     warm(&server);
     u.site.server.reset_stats();
-    let guarded_warm = guarded_policy.snapshot();
+    let guarded_warm = guarded_hedge.hedges.get();
     stage("drive guarded");
     let guarded = drive_arm(&server, &queries, &schedule, &oracle, cfg.workers);
-    let guarded_snap = guarded_policy.snapshot().since(&guarded_warm);
-    t.row(guarded.row("deadline + hedge", cfg.requests, guarded_snap.hedges));
+    let guarded_count = guarded_hedge.hedges.get().saturating_sub(guarded_warm);
+    t.row(guarded.row("deadline + hedge", cfg.requests, guarded_count));
 
     u.site.server.clear_latency_profile();
 
@@ -484,13 +483,40 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
         p999_baseline_ms: baseline.p999_ms(),
         p999_guarded_ms: guarded.p999_ms(),
         brown_outs: deadline.brown_outs,
-        hedges: hedge_snap.hedges + guarded_snap.hedges,
+        hedges: hedge_count + guarded_count,
     }
+}
+
+/// The hedge delay actually used: `delay_us` ± 12.5%, derived
+/// deterministically from `seed` (seed 0 means no jitter), so hedged arms
+/// sharing one configured delay do not launch their backups in lockstep
+/// while any single seeded run stays reproducible.
+fn jittered_delay_us(delay_us: u64, seed: u64) -> u64 {
+    if seed == 0 || delay_us == 0 {
+        return delay_us;
+    }
+    // splitmix64 over the seed; spread in [-delay/8, +delay/8].
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    let span = (delay_us / 8).max(1);
+    let offset = z % (2 * span);
+    (delay_us + offset).saturating_sub(span).max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn effective_delay_is_deterministic_and_bounded() {
+        let d = jittered_delay_us(8_000, 42);
+        assert_eq!(d, jittered_delay_us(8_000, 42));
+        assert!((7_000..=9_000).contains(&d), "±12.5% spread, got {d}");
+        // Seed 0 disables jitter entirely.
+        assert_eq!(jittered_delay_us(8_000, 0), 8_000);
+    }
 
     #[test]
     fn relevance_micro_prunes_exactly_the_dead_urls() {

@@ -639,14 +639,14 @@ pub fn x2_shared_cache() -> Table {
 /// X3 (extension) — chaos resilience: the full course navigation (session
 /// list → sessions → courses, 54 pages) against a server injecting
 /// transient faults at increasing per-attempt rates, evaluated through a
-/// retrying [`resilience::ResilientSource`]. The
+/// retrying [`nalg::ResilientSource`]. The
 /// paper's accounting (`page accesses`, result rows, server GETs) must be
 /// byte-identical at every transient rate — retries live in counters of
 /// their own, never added to page accesses. A final row rots a quarter of
 /// the course pages permanently and answers in
 /// [`nalg::DegradationMode::Partial`], reporting the unreachable set.
 pub fn x3_chaos(rates_pct: &[u8]) -> Table {
-    use resilience::ResilientSource;
+    use nalg::ResilientSource;
     let mut t = Table::new(
         "X3 — chaos resilience: course navigation under injected faults, retries counted separately",
         vec![
@@ -805,12 +805,12 @@ pub struct DriftSmoke {
 /// statistics and scheme. X4a sweeps the audit rate and reports detection
 /// (checks, violations, fallback) and accuracy against the
 /// default-navigation ground truth; X4b runs three queries twice through
-/// one [`resilience::ConstraintHealth`] at full audit — pass 1 pays the
+/// one [`wvcore::ConstraintHealth`] at full audit — pass 1 pays the
 /// suspect-plus-fallback double execution, pass 2 shows the quarantine
 /// already steering the optimizer to constraint-free plans.
 pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
-    use resilience::ConstraintHealth;
     use websim::{DriftPlan, DriftRule};
+    use wvcore::ConstraintHealth;
     const AUDIT_SEED: u64 = 0xA0D17;
     // Statistics (and the scheme's constraints) come from the pristine
     // site — the optimizer's knowledge predates the drift.
@@ -1158,7 +1158,7 @@ mod tests {
         let stats = SiteStatistics::from_site(&u.site);
         let catalog = wvcore::views::university_catalog();
         let source = LiveSource::for_site(&u.site);
-        let health = resilience::ConstraintHealth::new();
+        let health = wvcore::ConstraintHealth::new();
         let audited =
             QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_policy(&ExecPolicy {
                 audit: Some((1.0, 0xA0D17)),

@@ -32,18 +32,6 @@ pub struct Discovered {
     pub inclusion_constraints: Vec<InclusionConstraint>,
 }
 
-impl Discovered {
-    /// True if the given link constraint was discovered.
-    pub fn has_link(&self, c: &LinkConstraint) -> bool {
-        self.link_constraints.contains(c)
-    }
-
-    /// True if the given inclusion constraint was discovered.
-    pub fn has_inclusion(&self, c: &InclusionConstraint) -> bool {
-        self.inclusion_constraints.contains(c)
-    }
-}
-
 /// All mono-valued attribute paths of a scheme (recursively).
 fn mono_paths(fields: &[Field]) -> Vec<Vec<String>> {
     let mut out = Vec::new();
@@ -193,7 +181,10 @@ mod tests {
     fn rediscovers_every_declared_link_constraint() {
         let (ws, found) = discovered_university();
         for declared in ws.link_constraints() {
-            assert!(found.has_link(declared), "not rediscovered: {declared}");
+            assert!(
+                found.link_constraints.contains(declared),
+                "not rediscovered: {declared}"
+            );
         }
     }
 
@@ -202,7 +193,7 @@ mod tests {
         let (ws, found) = discovered_university();
         for declared in ws.inclusion_constraints() {
             assert!(
-                found.has_inclusion(declared),
+                found.inclusion_constraints.contains(declared),
                 "not rediscovered: {declared}"
             );
         }
@@ -216,7 +207,7 @@ mod tests {
         // scheme never declared it
         let extra =
             InclusionConstraint::parse("ProfPage.ToDept", "DeptListPage.DeptList.ToDept").unwrap();
-        assert!(found.has_inclusion(&extra));
+        assert!(found.inclusion_constraints.contains(&extra));
     }
 
     #[test]
@@ -272,7 +263,7 @@ mod tests {
             "EditionPage.Editors",
         )
         .unwrap();
-        assert!(found.has_link(&editors));
+        assert!(found.link_constraints.contains(&editors));
     }
 
     #[test]

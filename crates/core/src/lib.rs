@@ -15,6 +15,9 @@
 //!   plan arena with per-subtree memo tables, alive for one `optimize`;
 //! * [`rules`] — rewrite rules 2–9, including **pointer-join** (rule 8)
 //!   and **pointer-chase** (rule 9), over that arena;
+//! * [`health`] — [`ConstraintHealth`], the constraint-drift defense:
+//!   audited violations quarantine a constraint, which then stops
+//!   licensing rewrites until its TTL re-admits it;
 //! * [`registry`] — the phase-staged registry naming rules 1–9, their
 //!   stages, trace labels, and ablation gates;
 //! * [`optimizer`] — Algorithm 1: staged rewriting and cost-based plan
@@ -61,6 +64,7 @@ pub mod crawl;
 pub mod discover;
 pub mod error;
 pub mod exec;
+pub mod health;
 pub mod infer;
 pub mod optimizer;
 pub mod plan_cache;
@@ -79,6 +83,7 @@ pub use crawl::{crawl_instance, SiteInstance};
 pub use discover::{discover_constraints, Discovered};
 pub use error::OptError;
 pub use exec::{FallbackOutcome, QueryOutcome, QuerySession};
+pub use health::{ConstraintHealth, ConstraintHealthSnapshot};
 pub use infer::{auto_catalog, auto_relation, infer_navigations, InferredNavigation};
 pub use optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
 pub use plan_cache::{

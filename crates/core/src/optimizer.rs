@@ -171,31 +171,6 @@ impl Explain {
         }
     }
 
-    /// Estimated heap footprint in bytes of everything this plan set owns
-    /// or shares: each candidate's plan tree, estimate and dependency set.
-    /// What a plan cache retains per shape.
-    pub fn approx_bytes(&self) -> usize {
-        let text = |s: &String| std::mem::size_of::<String>() + s.len();
-        let candidates: usize = self
-            .candidates
-            .iter()
-            .map(|c| {
-                let est = &c.estimate;
-                std::mem::size_of::<CandidatePlan>()
-                    + c.expr.approx_bytes()
-                    + std::mem::size_of::<Estimate>()
-                    + est
-                        .per_operator
-                        .iter()
-                        .map(|(label, _)| text(label) + 8)
-                        .sum::<usize>()
-                    + est.nodes.iter().map(|n| text(&n.label) + 16).sum::<usize>()
-                    + c.dependencies.len() * std::mem::size_of::<ConstraintDependency>()
-            })
-            .sum();
-        self.query.len() + candidates + self.quarantined.iter().map(text).sum::<usize>()
-    }
-
     /// A multi-line report: the query, then each candidate with its
     /// estimated cost and plan tree (paper Figures 3–4 style).
     pub fn report(&self) -> String {
@@ -714,9 +689,9 @@ fn connected_orders(q: &ConjunctiveQuery, cap: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::ConstraintHealth;
     use crate::views::university_catalog;
     use nalg::EvalPolicy;
-    use resilience::ConstraintHealth;
     use websim::sitegen::{University, UniversityConfig};
 
     fn fixtures() -> (WebScheme, ViewCatalog, SiteStatistics) {

@@ -30,9 +30,9 @@
 //! assert_eq!(fallback.audit, policy.audit);
 //! ```
 
+use crate::health::ConstraintHealth;
 use crate::optimizer::RuleMask;
 use nalg::EvalPolicy;
-use resilience::ConstraintHealth;
 
 /// Everything a query session reads besides the query, the scheme, the
 /// catalog, the statistics and the source. See the [module docs](self).

@@ -70,11 +70,6 @@ impl fmt::Display for ConstraintDependency {
 /// correct, just less optimized).
 pub type ConstraintGate<'g> = &'g dyn Fn(&ConstraintDependency) -> bool;
 
-/// The gate that admits every constraint (no quarantine in effect).
-pub fn open_gate(_: &ConstraintDependency) -> bool {
-    true
-}
-
 /// A [`ConstraintDependency`] a [`Rewriter`] has met, by position in its
 /// table. Like every id here it stands for equality only; provenance is
 /// ordered by the constraints themselves ([`Rewriter::dependencies`]).
@@ -961,6 +956,11 @@ mod tests {
     use websim::sitegen::university::university_scheme;
     use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 
+    /// The gate that admits every constraint (no quarantine in effect).
+    fn open_gate(_: &ConstraintDependency) -> bool {
+        true
+    }
+
     fn uni_fixtures() -> (WebScheme, SiteStatistics) {
         let u = University::generate(UniversityConfig::default()).unwrap();
         let stats = SiteStatistics::from_site(&u.site);
@@ -1151,14 +1151,18 @@ mod tests {
         assert_eq!(rw.push_selections(pushed).unwrap().0, pushed);
     }
 
-    fn editors_query(atoms: Vec<Pred>) -> NalgExpr {
+    fn editors_query(mut atoms: Vec<Pred>) -> NalgExpr {
+        let pred = match atoms.len() {
+            1 => atoms.remove(0),
+            _ => Pred::And(atoms),
+        };
         NalgExpr::entry("BibHomePage")
             .follow("ToConfList", "ConfListPage")
             .unnest("ConfList")
             .follow("ToConf", "ConfPage")
             .unnest("EditionList")
             .follow("ToEdition", "EditionPage")
-            .select(Pred::from_conjuncts(atoms).unwrap())
+            .select(pred)
             .project(vec!["EditionPage.Editors"])
     }
 

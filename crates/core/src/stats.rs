@@ -168,45 +168,6 @@ impl SiteStatistics {
         }
         lines.join("\n")
     }
-
-    /// Parses the text format produced by [`SiteStatistics::to_text`].
-    /// Unknown or malformed lines are skipped.
-    pub fn from_text(text: &str) -> SiteStatistics {
-        let mut s = SiteStatistics::default();
-        for line in text.lines() {
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            match parts.as_slice() {
-                ["card", k, v] => {
-                    if let Ok(v) = v.parse() {
-                        s.scheme_card.insert((*k).to_string(), v);
-                    }
-                }
-                ["fanout", k, v] => {
-                    if let Ok(v) = v.parse() {
-                        s.fanout.insert((*k).to_string(), v);
-                    }
-                }
-                ["distinct", k, v] => {
-                    if let Ok(v) = v.parse() {
-                        s.distinct.insert((*k).to_string(), v);
-                    }
-                }
-                ["bytes", k, v] => {
-                    if let Ok(v) = v.parse() {
-                        s.page_bytes.insert((*k).to_string(), v);
-                    }
-                }
-                ["jsel", a, b, v] => {
-                    if let Ok(v) = v.parse() {
-                        s.join_selectivity
-                            .insert(((*a).to_string(), (*b).to_string()), v);
-                    }
-                }
-                _ => {}
-            }
-        }
-        s
-    }
 }
 
 /// Incremental accumulator for per-attribute statistics, borrowing the
@@ -349,15 +310,18 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip() {
+    fn text_lists_every_datum_once() {
         let u = uni();
         let stats = SiteStatistics::from_site(&u.site);
         let text = stats.to_text();
-        let parsed = SiteStatistics::from_text(&text);
-        assert_eq!(stats.scheme_card, parsed.scheme_card);
-        assert_eq!(stats.fanout, parsed.fanout);
-        assert_eq!(stats.distinct, parsed.distinct);
-        assert_eq!(stats.page_bytes, parsed.page_bytes);
+        let lines = |tag: &str| text.lines().filter(|l| l.starts_with(tag)).count();
+        assert_eq!(lines("card "), stats.scheme_card.len());
+        assert_eq!(lines("fanout "), stats.fanout.len());
+        assert_eq!(lines("distinct "), stats.distinct.len());
+        assert_eq!(lines("bytes "), stats.page_bytes.len());
+        assert_eq!(lines("jsel "), stats.join_selectivity.len());
+        let profs = stats.scheme_card["ProfPage"];
+        assert!(text.contains(&format!("card ProfPage {profs}\n")));
     }
 
     #[test]

@@ -12,11 +12,12 @@
 
 use nalg::EvalPolicy;
 use obs::trace::TraceSink;
-use resilience::ConstraintHealth;
 use std::path::PathBuf;
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use wvcore::views::{bibliography_catalog, university_catalog};
-use wvcore::{ConjunctiveQuery, ExecPolicy, Explain, Optimizer, RuleMask, SiteStatistics};
+use wvcore::{
+    ConjunctiveQuery, ConstraintHealth, ExecPolicy, Explain, Optimizer, RuleMask, SiteStatistics,
+};
 
 /// The four `adhoc_plan` templates of the perf ledger (A1–A4), with one
 /// constant each from the default site's ground truth.

@@ -38,15 +38,6 @@ impl Pred {
         }
     }
 
-    /// Rebuilds a predicate from conjuncts (`None` if empty).
-    pub fn from_conjuncts(mut atoms: Vec<Pred>) -> Option<Pred> {
-        match atoms.len() {
-            0 => None,
-            1 => Some(atoms.remove(0)),
-            _ => Some(Pred::And(atoms)),
-        }
-    }
-
     /// The attribute names this predicate mentions.
     pub fn attrs(&self) -> Vec<&str> {
         match self {
@@ -72,18 +63,6 @@ impl Pred {
             Pred::Eq(..) => true,
             Pred::EqAttr(..) => false,
             Pred::And(ps) => ps.iter().any(Pred::has_constants),
-        }
-    }
-
-    /// Estimated heap footprint in bytes (names, constants, vectors).
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            Pred::Eq(a, v) => a.len() + v.approx_bytes(),
-            Pred::EqAttr(a, b) => a.len() + b.len(),
-            Pred::And(ps) => ps
-                .iter()
-                .map(|p| std::mem::size_of::<Pred>() + p.approx_bytes())
-                .sum(),
         }
     }
 }
@@ -310,38 +289,6 @@ impl NalgExpr {
     pub fn has_constants(&self) -> bool {
         matches!(self, NalgExpr::Select { pred, .. } if pred.has_constants())
             || self.children().iter().any(|c| c.has_constants())
-    }
-
-    /// Estimated in-memory footprint of the tree in bytes: one node per
-    /// operator plus the names, columns and predicates it owns.
-    pub fn approx_bytes(&self) -> usize {
-        let own = match self {
-            NalgExpr::Entry { scheme, alias } => scheme.len() + alias.len(),
-            NalgExpr::External { name } => name.len(),
-            NalgExpr::Select { pred, .. } => pred.approx_bytes(),
-            NalgExpr::Project { cols, .. } => cols
-                .iter()
-                .map(|c| std::mem::size_of::<String>() + c.len())
-                .sum(),
-            NalgExpr::Join { on, .. } => on
-                .iter()
-                .map(|(l, r)| 2 * std::mem::size_of::<String>() + l.len() + r.len())
-                .sum(),
-            NalgExpr::Unnest { attr, .. } => attr.len(),
-            NalgExpr::Follow {
-                link,
-                target,
-                alias,
-                ..
-            } => link.len() + target.len() + alias.len(),
-        };
-        std::mem::size_of::<NalgExpr>()
-            + own
-            + self
-                .children()
-                .iter()
-                .map(|c| c.approx_bytes())
-                .sum::<usize>()
     }
 
     /// Number of follow-link operators (navigations).
@@ -702,11 +649,7 @@ mod tests {
                 Pred::EqAttr("C".into(), "D".into()),
             ]),
         ]);
-        let atoms = p.conjuncts();
-        assert_eq!(atoms.len(), 3);
-        let rebuilt = Pred::from_conjuncts(atoms).unwrap();
-        assert_eq!(rebuilt.conjuncts().len(), 3);
-        assert!(Pred::from_conjuncts(vec![]).is_none());
+        assert_eq!(p.conjuncts().len(), 3);
     }
 
     #[test]

@@ -297,11 +297,10 @@ where
 /// for the laggard; first response wins and the loser is cancelled
 /// through the evaluator's [`obs::CancelToken`].
 ///
-/// The counters are [`obs::Counter`] handles so a resilience policy can
-/// hand in its registry-backed cells and observe hedge activity in
-/// `ResilienceSnapshot` directly; hedge completions are **never**
-/// charged to `page_accesses` (only the first completion per URL is),
-/// keeping the paper's counters exact.
+/// The counters are shared [`obs::Counter`] handles: a clone of the
+/// config kept by the caller reads what the evaluator's hedging did.
+/// Hedge completions are **never** charged to `page_accesses` (only the
+/// first completion per URL is), keeping the paper's counters exact.
 #[derive(Debug, Clone)]
 pub struct HedgeConfig {
     /// Delay before launching the backup fetch, microseconds.

@@ -20,7 +20,11 @@
 //! * [`eval`] — an evaluator over any [`PageSource`], with page-access
 //!   accounting that realizes the paper's cost measure;
 //! * [`policy`] — [`EvalPolicy`], everything an evaluation may do besides
-//!   navigate (pool, caches, deadline, tracing), declared once.
+//!   navigate (pool, caches, deadline, tracing), declared once;
+//! * two [`PageSource`] wrappers: [`CoalescingSource`] (single-flight
+//!   fetches shared across sessions) and [`ResilientSource`] (retries of
+//!   transient errors behind a per-scheme circuit breaker, counted in
+//!   [`ResilienceSnapshot`] and never in page accesses).
 //!
 //! ```
 //! use nalg::{NalgExpr, Pred};
@@ -42,6 +46,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
+mod breaker;
 pub mod cache;
 pub mod display;
 pub mod error;
@@ -50,6 +55,7 @@ pub mod expr;
 mod fetch;
 pub mod policy;
 mod reads;
+mod retry;
 
 pub use cache::{CacheStats, SharedPageCache};
 pub use error::EvalError;
@@ -60,6 +66,7 @@ pub use eval::{
 pub use expr::{NalgExpr, Pred};
 pub use fetch::{CoalesceStats, CoalescingSource, HedgeConfig};
 pub use policy::{EvalPolicy, Fetch};
+pub use retry::{ResilienceSnapshot, ResilientSource};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EvalError>;

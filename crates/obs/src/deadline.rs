@@ -101,11 +101,6 @@ impl CancelToken {
     pub fn is_url_cancelled(&self, url: &str) -> bool {
         self.urls.lock().contains(url)
     }
-
-    /// Number of individually cancelled URLs.
-    pub fn cancelled_url_count(&self) -> usize {
-        self.urls.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -148,10 +143,8 @@ mod tests {
         t2.cancel_url("http://a");
         assert!(t.is_url_cancelled("http://a"));
         assert!(!t.is_url_cancelled("http://b"));
-        assert_eq!(t.cancelled_url_count(), 1);
 
         t.uncancel_url("http://a");
         assert!(!t2.is_url_cancelled("http://a"));
-        assert_eq!(t2.cancelled_url_count(), 0);
     }
 }

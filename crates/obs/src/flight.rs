@@ -298,11 +298,6 @@ impl FlightRecorder {
         self.state.lock().dumps.clone()
     }
 
-    /// Number of retained dumps.
-    pub fn dump_count(&self) -> usize {
-        self.state.lock().dumps.len()
-    }
-
     /// `(trigger, times fired)` for every trigger kind, including fires
     /// past the dump cap.
     pub fn fired(&self) -> Vec<(TriggerKind, u64)> {
@@ -371,7 +366,7 @@ mod tests {
         assert!(rec.trigger(TriggerKind::SloBreach, 1));
         assert!(rec.trigger(TriggerKind::SloBreach, 1));
         assert!(!rec.trigger(TriggerKind::SloBreach, 1));
-        assert_eq!(rec.dump_count(), 2);
+        assert_eq!(rec.dumps().len(), 2);
         let fired = rec.fired();
         let slo = fired
             .iter()

@@ -11,7 +11,7 @@
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
 //!   histograms with Prometheus-style text exposition and a JSON
 //!   snapshot. Subsystem counter structs (`CacheStats`,
-//!   `AccessSnapshot`, `ResilienceSnapshot`, …) are views over
+//!   `AccessSnapshot`, `AdmissionStats`, …) are views over
 //!   registry-backed handles, so the registry is the single
 //!   registration point without changing any public API.
 //! * [`hist`] — a [`FixedHistogram`]: HDR-style sub-bucketed histogram

@@ -22,6 +22,7 @@
 //!    owner of a cache. The server reads [`QueryOutcome::plan`] for its
 //!    `cached_plan` flag and its `serve.plan_cache` event.
 
+use crate::admission::{AdmissionControl, AdmissionStats};
 use adm::{Relation, WebScheme};
 use matview::IncrementalView;
 use nalg::{Fetch, PageSource, SharedPageCache};
@@ -31,7 +32,6 @@ use obs::{
     TraceSink, TriggerKind,
 };
 use parking_lot::{Mutex, RwLock};
-use resilience::{AdmissionControl, AdmissionStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -220,7 +220,7 @@ impl<'a, S: PageSource> QueryServer<'a, S> {
     }
 
     /// Serves every session under `policy` (see [`ExecPolicy`]); a
-    /// [`ConstraintHealth`](resilience::ConstraintHealth) in it also keys
+    /// [`ConstraintHealth`](wvcore::ConstraintHealth) in it also keys
     /// the plan cache, so quarantines invalidate the plans they licensed.
     /// Per request the server sets the deadline (see
     /// [`QueryServer::serve_with_deadline`]) and the trace; a cancel token

@@ -82,7 +82,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
                         i += 1;
                         break;
                     }
-                    let ch = input[i..].chars().next().expect("in-bounds");
+                    let Some(ch) = input[i..].chars().next() else {
+                        return Err(ParseError::new(offset, "unterminated string literal"));
+                    };
                     s.push(ch);
                     i += ch.len_utf8();
                 }
@@ -113,13 +115,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
                 }
             }
             _ => {
+                let ch: String = input[i..].chars().take(1).collect();
                 return Err(ParseError::new(
                     offset,
-                    format!(
-                        "unexpected character `{}`",
-                        input[i..].chars().next().unwrap()
-                    ),
-                ))
+                    format!("unexpected character `{ch}`"),
+                ));
             }
         };
         out.push(Spanned { token, offset });

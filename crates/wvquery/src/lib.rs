@@ -20,6 +20,10 @@
 //! Qualifiers are atom aliases (or relation names when used once);
 //! unqualified attributes resolve against the catalog when unambiguous.
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod lexer;
 pub mod parser;
 

@@ -116,17 +116,10 @@ impl Parser {
 
     fn term(&mut self) -> Result<Term> {
         match self.peek() {
-            Some(Token::StringLit(_)) => {
-                let Some(Token::StringLit(s)) = self.next() else {
-                    unreachable!()
-                };
-                Ok(Term::Literal(s))
-            }
-            Some(Token::Number(_)) => {
-                let Some(Token::Number(n)) = self.next() else {
-                    unreachable!()
-                };
-                Ok(Term::Literal(n))
+            Some(Token::StringLit(lit) | Token::Number(lit)) => {
+                let term = Term::Literal(lit.clone());
+                self.pos += 1;
+                Ok(term)
             }
             _ => {
                 let (q, a) = self.attr_ref()?;

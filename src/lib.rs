@@ -13,13 +13,12 @@
 //! | [`adm`] | the Araneus data model: page-schemes, nested relations, link & inclusion constraints |
 //! | [`websim`] | the simulated web: virtual server (GET/HEAD + counters), HTML generation, site generators |
 //! | [`wrapper`] | HTML tokenizer, mini-DOM, scheme-driven extraction into nested tuples |
-//! | [`nalg`] | the navigational algebra: expressions, plan display, evaluation |
-//! | [`wvcore`] | the optimizer: rewrite rules 2–9, statistics, cost model, Algorithm 1 |
+//! | [`nalg`] | the navigational algebra: expressions, plan display, evaluation, and the page-source wrappers (coalescing; retries behind circuit breakers) |
+//! | [`wvcore`] | the optimizer: rewrite rules 2–9, statistics, cost model, Algorithm 1, constraint health |
 //! | [`wvquery`] | the SQL-subset front end |
 //! | [`matview`] | the materialized view and its one maintenance engine: URLCheck + Algorithm 3 (pull mode), change-feed ± deltas with byte-budgeted partial state and upqueries (push mode) |
-//! | [`resilience`] | fault tolerance: a retrying, circuit-broken page source, hedging, admission control, constraint health |
 //! | [`obs`] | observability: structured tracing, metrics registry, EXPLAIN ANALYZE plumbing |
-//! | [`serve`] | multi-tenant serving: plan cache keyed on the query's constant-free shape, admission control, single-flight fetch coalescing |
+//! | [`serve`] | multi-tenant serving: plan cache keyed on the query's constant-free shape, admission control |
 //!
 //! ## Quickstart
 //!
@@ -54,7 +53,6 @@ pub use matview;
 pub use matview as dataflow;
 pub use nalg;
 pub use obs;
-pub use resilience;
 pub use serve;
 pub use websim;
 pub use wrapper;
@@ -70,14 +68,13 @@ pub mod prelude {
     pub use matview::{DeltaReport, IncrementalView, MatOutcome, MatSession, MatStore};
     pub use nalg::{
         CoalescingSource, DegradationMode, EvalPolicy, EvalReport, Evaluator, Fetch, HedgeConfig,
-        NalgExpr, PageSource, Pred,
+        NalgExpr, PageSource, Pred, ResilienceSnapshot, ResilientSource,
     };
     pub use obs::{
         CancelToken, Deadline, EventKind, FixedHistogram, FlightDump, FlightRecorder,
         LatencyObjective, MetricsRegistry, PhaseBreakdown, RequestTrace, SloSnapshot, SloTracker,
         TraceSink, TriggerKind,
     };
-    pub use resilience::{ConstraintHealth, HedgePolicy, ResilienceSnapshot, ResilientSource};
     pub use serve::{PlanCache, QueryServer, ServeOutcome, ServerStats};
     pub use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
     pub use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
@@ -85,9 +82,9 @@ pub mod prelude {
     pub use wrapper::wrap_page;
     pub use wvcore::views::{bibliography_catalog, university_catalog};
     pub use wvcore::{
-        ConjunctiveQuery, ConstraintDependency, Cost, ExecPolicy, Explain, ExplainAnalyze,
-        FallbackOutcome, LiveSource, Optimizer, QueryOutcome, QuerySession, RuleMask,
-        SiteStatistics, ViewCatalog,
+        ConjunctiveQuery, ConstraintDependency, ConstraintHealth, Cost, ExecPolicy, Explain,
+        ExplainAnalyze, FallbackOutcome, LiveSource, Optimizer, QueryOutcome, QuerySession,
+        RuleMask, SiteStatistics, ViewCatalog,
     };
     pub use wvquery::parse_query;
 }
@@ -307,10 +304,10 @@ mod tests {
             seed: 7,
         });
 
-        let hedge = HedgePolicy::new(500).with_jitter_seed(7);
+        let hedge = HedgeConfig::new(500);
         let policy = ExecPolicy {
             eval: EvalPolicy {
-                fetch: Fetch::hedged(3, hedge.config()),
+                fetch: Fetch::hedged(3, hedge.clone()),
                 relevance: true,
                 ..Default::default()
             },
@@ -330,8 +327,7 @@ mod tests {
         let report = out.outcome.unwrap().report;
         assert!(report.is_complete() && !report.deadline_exceeded);
 
-        let snap = hedge.snapshot();
-        assert!(snap.hedge_wins <= snap.hedges);
+        assert!(hedge.hedge_wins.get() <= hedge.hedges.get());
 
         let expired = server
             .serve_with_deadline(&q, Deadline::after_us(0))
