@@ -214,6 +214,13 @@ impl Symbol {
         self.0
     }
 
+    /// The symbol of an id this process has handed out, else `None`: the
+    /// inverse of [`Symbol::id`], for decoding a [`crate::Tuple`]'s
+    /// encoded form.
+    pub(crate) fn from_id(id: u32) -> Option<Symbol> {
+        published(id).map(|_| Symbol(id))
+    }
+
     /// Interns a URL (by its string form).
     pub fn from_url(u: &Url) -> Symbol {
         Symbol::intern(u.as_str())

@@ -616,8 +616,8 @@ fn whoever_holds_a_page_hands_out_a_reference_to_its_own_copy() {
     assert!(Arc::ptr_eq(&fresh, &kept(&store)));
     assert!(!Arc::ptr_eq(&fresh, &checked));
     assert_eq!(fresh, checked);
-    // the shared cache: a hit is the inserted page, and the URL check's
-    // write-through shares the store's copy
+    // the shared cache: the URL check writes the store's page through, and
+    // a hit is a copy of it, equal to it and the caller's own
     let cache = SharedPageCache::default();
     let dept = University::dept_url(0);
     MatSession::new(ws, &catalog, &stats, server)
@@ -631,8 +631,8 @@ fn whoever_holds_a_page_hands_out_a_reference_to_its_own_copy() {
         .run(&mut store, &dept_query())
         .unwrap();
     let hit = cache.get(&dept).unwrap();
-    assert!(Arc::ptr_eq(&hit, &store.get(&dept).unwrap().tuple));
-    assert!(Arc::ptr_eq(&hit, &cache.get(&dept).unwrap()));
+    assert_eq!(hit, store.get(&dept).unwrap().tuple);
+    assert_eq!(hit, cache.get(&dept).unwrap());
 }
 
 fn view_exprs() -> [(&'static str, NalgExpr); 3] {

@@ -11,8 +11,14 @@
 //! * **sharded** — entries are spread over [`SHARDS`] independently locked
 //!   shards by URL hash, so concurrent fetch workers do not serialize on a
 //!   single lock, and a hit takes only its shard's *read* lock;
-//! * **size-bounded** — a byte budget (estimated via
-//!   [`adm::Tuple::approx_bytes`]) is enforced per shard with S3-FIFO
+//! * **compact** — a page is kept as one immutable buffer, its
+//!   [`adm::Tuple::encode`]d form, and charged the bytes it holds: the
+//!   URL plus the buffer's length. Encoded, a page takes about a third of
+//!   its [`adm::Tuple::approx_bytes`]. A hit decodes the buffer into a
+//!   fresh copy of the page: this cache is the one holder of wrapped
+//!   pages that hands out a copy rather than a reference, because its
+//!   budget is the one that binds;
+//! * **size-bounded** — the byte budget is enforced per shard with S3-FIFO
 //!   eviction (Yang et al., SOSP 2023): a page enters a small probationary
 //!   queue, is promoted to the main queue only if it is read again before
 //!   it reaches that queue's head, and a page read again soon after being
@@ -57,14 +63,13 @@ const FREQ_CAP: u8 = 3;
 /// left behind by invalidations are compacted away.
 const SLOT_SLACK: usize = 16;
 
-/// One cached wrapped page. The cache owns a reference to the page, never
-/// a copy of it: the `Arc` came in through [`SharedPageCache::insert`] and
-/// goes out, cloned, through [`SharedPageCache::get`]. A cached page is
-/// never written to — a newer version replaces the entry.
+/// One cached wrapped page, encoded by [`SharedPageCache::insert`] and
+/// decoded by each [`SharedPageCache::get`]. The buffer is never written
+/// to — a newer version replaces the entry.
 struct Entry {
-    tuple: Arc<Tuple>,
-    /// What the entry is charged against the shard's budget: the URL plus
-    /// [`adm::Tuple::approx_bytes`] of the page, however many readers hold it.
+    page: Arc<[u8]>,
+    /// What the entry is charged against the shard's budget: the bytes it
+    /// holds, the URL's and the buffer's.
     bytes: usize,
     /// Server Last-Modified stamp, when the inserting layer knows it.
     last_modified: Option<u64>,
@@ -168,7 +173,11 @@ impl Shard {
     }
 
     /// Drops `url`'s entry. Its slot stays behind until compaction.
-    fn remove(&mut self, url: &Url) -> bool {
+    fn remove<Q>(&mut self, url: &Q) -> bool
+    where
+        Url: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let Some(e) = self.map.remove(url) else {
             return false;
         };
@@ -213,7 +222,7 @@ pub struct CacheStats {
     pub rejected_oversize: u64,
     /// Current number of cached pages.
     pub entries: usize,
-    /// Current estimated resident bytes.
+    /// Current resident bytes: URLs plus encoded pages.
     pub bytes: usize,
 }
 
@@ -242,7 +251,8 @@ impl Default for SharedPageCache {
 }
 
 impl SharedPageCache {
-    /// A cache bounded by `budget` estimated bytes in total.
+    /// A cache bounded by `budget` bytes in total, of URLs and encoded
+    /// pages.
     pub fn with_byte_budget(budget: usize) -> Self {
         let registry = MetricsRegistry::with_prefix("cache");
         SharedPageCache {
@@ -269,40 +279,58 @@ impl SharedPageCache {
 
     /// Looks up a page by URL (a `&Url` or its `&str`, so a caller holding
     /// a link symbol need not build a `Url`). A hit takes the shard's read
-    /// lock, bumps the entry's read count and hands out a reference to the
-    /// cached page — `Arc::ptr_eq` to what [`SharedPageCache::insert`] was
-    /// given — which stays readable after the entry is evicted or replaced.
+    /// lock only to bump the entry's read count and clone its buffer, and
+    /// decodes after releasing it, so a writer never waits on a decode.
+    /// What it hands out is a new page equal to the one
+    /// [`SharedPageCache::insert`] was given, the caller's to keep.
+    /// A buffer that does not decode counts as a miss, and its entry is
+    /// dropped.
     pub fn get<Q>(&self, url: &Q) -> Option<Arc<Tuple>>
     where
         Url: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let shard = self.shard_of(url).read();
-        let Some(e) = shard.map.get(url) else {
-            self.misses.inc();
-            return None;
+        let page = {
+            let shard = self.shard_of(url).read();
+            let Some(e) = shard.map.get(url) else {
+                self.misses.inc();
+                return None;
+            };
+            let freq = e.freq.load(Ordering::Relaxed);
+            if freq < FREQ_CAP {
+                e.freq.store(freq + 1, Ordering::Relaxed);
+            }
+            Arc::clone(&e.page)
         };
-        let freq = e.freq.load(Ordering::Relaxed);
-        if freq < FREQ_CAP {
-            e.freq.store(freq + 1, Ordering::Relaxed);
+        if let Some(tuple) = Tuple::decode(&page) {
+            self.hits.inc();
+            return Some(Arc::new(tuple));
         }
-        self.hits.inc();
-        Some(Arc::clone(&e.tuple))
+        self.misses.inc();
+        let mut shard = self.shard_of(url).write();
+        let same = |e: &Entry| Arc::ptr_eq(&e.page, &page);
+        if shard.map.get(url).is_some_and(same) && shard.remove(url) {
+            self.invalidations.inc();
+        }
+        None
     }
 
     /// Inserts (or refreshes) a page, evicting if the shard exceeds its
     /// byte budget. A new URL enters the small queue, or the main queue if
     /// it was recently evicted from the small one; a refreshed URL keeps
-    /// its place. The cache keeps a clone of the `Arc`, not of the page:
-    /// the caller and the cache share one copy. A page larger than a whole
-    /// shard budget is not cached, and counted in
+    /// its place. The page is encoded before the shard is locked, and the
+    /// cache keeps only the encoding. A page whose URL and encoding exceed
+    /// a whole shard budget is not cached, and counted in
     /// [`CacheStats::rejected_oversize`].
     pub fn insert(&self, url: &Url, tuple: &Arc<Tuple>, last_modified: Option<u64>) {
-        let bytes = url.as_str().len() + tuple.approx_bytes();
+        let page: Arc<[u8]> = tuple.encode().into();
+        let bytes = url.as_str().len() + page.len();
         if bytes > self.shard_budget {
             self.rejected_oversize.inc();
             // The older copy this one supersedes must not be served either.
-            self.shard_of(url).write().remove(url);
+            if self.shard_of(url).write().remove(url) {
+                self.invalidations.inc();
+            }
             return;
         }
         let hash = hash_of(url);
@@ -313,7 +341,7 @@ impl SharedPageCache {
             if !e.main {
                 shard.small_bytes = shard.small_bytes - e.bytes + bytes;
             }
-            e.tuple = Arc::clone(tuple);
+            e.page = page;
             e.bytes = bytes;
             e.last_modified = last_modified;
         } else {
@@ -321,7 +349,7 @@ impl SharedPageCache {
             let slot = shard.next_slot;
             shard.next_slot += 1;
             let entry = Entry {
-                tuple: Arc::clone(tuple),
+                page,
                 bytes,
                 last_modified,
                 freq: AtomicU8::new(0),
@@ -416,15 +444,16 @@ mod tests {
         Arc::new(Tuple::new().with("Name", name))
     }
 
-    /// Every shard's books against its entries: resident bytes are the sum
-    /// of what each entry is charged, within the budget, and the queues
-    /// carry at most two slots an entry plus [`SLOT_SLACK`].
+    /// Every shard's books against its entries: each entry is charged the
+    /// bytes it holds, resident bytes are the sum of those charges, within
+    /// the budget, and the queues carry at most two slots an entry plus
+    /// [`SLOT_SLACK`].
     fn audit(cache: &SharedPageCache) {
         for shard in &cache.shards {
             let s = shard.read();
             let mut small = 0;
             for (url, e) in &s.map {
-                assert_eq!(e.bytes, url.as_str().len() + e.tuple.approx_bytes());
+                assert_eq!(e.bytes, url.as_str().len() + e.page.len());
                 small += if e.main { 0 } else { e.bytes };
             }
             let bytes: usize = s.map.values().map(|e| e.bytes).sum();
@@ -472,12 +501,36 @@ mod tests {
         let (url, v1, v2) = (Url::new("/a"), page("v1"), page("v2"));
         cache.insert(&url, &v1, Some(1));
         let hit = cache.get(&url).unwrap();
-        assert!(Arc::ptr_eq(&hit, &v1) && Arc::ptr_eq(&hit, &cache.get(&url).unwrap()));
+        assert_eq!(hit, v1);
+        assert_eq!(Arc::strong_count(&v1), 1, "the cache holds the encoding");
+        assert!(
+            !Arc::ptr_eq(&hit, &cache.get(&url).unwrap()),
+            "a hit is a copy"
+        );
         // a newer version replaces the entry; the reader keeps the old page
         cache.insert(&url, &v2, Some(2));
-        assert!(Arc::ptr_eq(&cache.get(&url).unwrap(), &v2));
+        assert_eq!(cache.get(&url).unwrap(), v2);
         cache.invalidate(&url);
-        assert_eq!((hit, Arc::strong_count(&v1)), (page("v1"), 2));
+        assert_eq!((hit, cache.get(&url)), (page("v1"), None));
+    }
+
+    #[test]
+    fn a_buffer_that_does_not_decode_is_a_miss_and_dropped() {
+        let cache = SharedPageCache::default();
+        let url = Url::new("/a");
+        cache.insert(&url, &page("a"), None);
+        {
+            let shard = &mut *cache.shard_of(&url).write();
+            let e = shard.map.get_mut(&url).unwrap();
+            e.page = Arc::from(&e.page[..e.page.len() - 1]);
+            e.bytes -= 1;
+            shard.bytes -= 1;
+            shard.small_bytes -= 1;
+        }
+        assert_eq!(cache.get(&url), None);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.invalidations, s.entries), (0, 1, 1, 0));
+        audit(&cache);
     }
 
     #[test]
@@ -491,9 +544,12 @@ mod tests {
         assert_eq!(cache.get(&Url::new("/big")), None);
         assert_eq!(cache.metrics().counter("rejected_oversize").get(), 1);
         assert_eq!(Arc::strong_count(&big), 1, "a refused page is not held");
-        // A refused newer version does not leave the older one served.
+        // A refused newer version does not leave the older one served,
+        // and the older one is counted as dropped.
         cache.insert(&Url::new("/small"), &big, None);
         assert_eq!(cache.get(&Url::new("/small")), None);
+        let s = cache.stats();
+        assert_eq!((s.rejected_oversize, s.invalidations, s.entries), (2, 1, 0));
         audit(&cache);
     }
 
@@ -576,8 +632,10 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_use_is_safe() {
-        // Small enough to evict, so hits race promotions and evictions.
-        let cache = SharedPageCache::with_byte_budget(SHARDS * 256);
+        // Room for four pages a shard, of the seven or eight URLs each
+        // shard is given: hits race promotions and evictions.
+        let budget = SHARDS * 4 * ("/t/100".len() + page("c").encode().len());
+        let cache = SharedPageCache::with_byte_budget(budget);
         let (gets, inserts) = std::thread::scope(|s| {
             let workers: Vec<_> = (0..8)
                 .map(|t| {
@@ -609,7 +667,7 @@ mod tests {
         assert_eq!(s.hits + s.misses, gets);
         assert_eq!(s.insertions, inserts);
         assert!(s.hits > 0 && s.evictions > 0);
-        assert!(s.bytes <= SHARDS * 256);
+        assert!(s.bytes <= budget);
         audit(&cache);
     }
 
@@ -661,7 +719,7 @@ mod tests {
                         gets += 1;
                         let hit = cache.get(urls[u].as_str());
                         match (&hit, model.get(&u)) {
-                            (Some(h), Some((p, _))) => prop_assert!(Arc::ptr_eq(h, p)),
+                            (Some(h), Some((p, _))) => prop_assert_eq!(h, p),
                             (Some(_), None) => prop_assert!(false, "served a dropped page"),
                             (None, held) => prop_assert!(!roomy || held.is_none()),
                         }
@@ -669,7 +727,7 @@ mod tests {
                     Op::Insert(u, n, lm) => {
                         let p = page(&"p".repeat(n));
                         cache.insert(&urls[u], &p, lm);
-                        if urls[u].as_str().len() + p.approx_bytes() <= cache.shard_budget {
+                        if urls[u].as_str().len() + p.encode().len() <= cache.shard_budget {
                             model.insert(u, (p, lm));
                         } else {
                             model.remove(&u);

@@ -1037,12 +1037,17 @@ fn hot_schedule(seed: u64, cycles: usize) -> Vec<usize> {
 }
 
 // The shared cache's eviction policy, pinned on the workload it is tuned
-// for: the hot schedule served one request at a time through a 256 KiB
-// cache — below the hot set — over the medium site. The cache keeps the
-// pages the popular queries re-read through the rare large scans, so the
-// replay costs at most 25.5 GETs a request (per-shard LRU: 28.77), and
-// it is invisible to the paper's accounting: every answer's rows, and its
-// downloads plus shared-cache hits, equal the cache-less oracle's.
+// for: the hot schedule served one request at a time over the medium site.
+// The cache is invisible to the paper's accounting: every answer's rows,
+// and its downloads plus shared-cache hits, equal the cache-less oracle's.
+//
+// At 256 KiB the encoded working set (≈ 147 KB) fits, but for the one
+// 15.9 KB Fall session page, which q2 and q4 read and which churns its
+// 16 KiB shard: the replay costs 1.20 GETs a request. At 128 KiB the
+// working set does not fit and the scans (q4's 354 pages, q2's 310) evict
+// thousands of pages, yet the professor pages that q0 and q5, 47 % of the
+// requests, read again survive them: each of the two sends under 2 % of
+// its pages to the network, where q4 sends a fifth of its own.
 #[test]
 fn a_small_shared_cache_keeps_the_hot_pages_through_the_scans() {
     let u = University::generate(UniversityConfig {
@@ -1068,44 +1073,60 @@ fn a_small_shared_cache_keeps_the_hot_pages_through_the_scans() {
             (out.report.relation.sorted(), out.report.page_accesses)
         })
         .collect();
-    let cache = nalg::SharedPageCache::with_byte_budget(256 * 1024);
-    let server =
-        QueryServer::new(&u.site.scheme, &catalog, &stats, &live).with_shared_cache(&cache);
-    let serve = |qi: usize| {
-        let out = server.serve(&queries[qi]).unwrap().outcome.unwrap();
-        assert_eq!(
-            out.report.relation.sorted(),
-            oracle[qi].0,
-            "{}",
-            HOT_QUERIES[qi]
+    // GETs a request of each query, and the cache's counters, after a
+    // warm-up pass and 600 scheduled requests
+    let replay = |budget: usize| {
+        let cache = nalg::SharedPageCache::with_byte_budget(budget);
+        let server =
+            QueryServer::new(&u.site.scheme, &catalog, &stats, &live).with_shared_cache(&cache);
+        let serve = |qi: usize| {
+            let out = server.serve(&queries[qi]).unwrap().outcome.unwrap();
+            assert_eq!(
+                out.report.relation.sorted(),
+                oracle[qi].0,
+                "{}",
+                HOT_QUERIES[qi]
+            );
+            assert_eq!(
+                out.report.page_accesses + out.report.shared_cache_hits,
+                oracle[qi].1,
+                "{}",
+                HOT_QUERIES[qi]
+            );
+        };
+        for qi in 0..queries.len() {
+            serve(qi);
+        }
+        let schedule = hot_schedule(7, 6);
+        let mut gets = [(0u64, 0u64); HOT_QUERIES.len()];
+        for &qi in &schedule {
+            let before = u.site.server.stats().gets;
+            serve(qi);
+            gets[qi].0 += u.site.server.stats().gets - before;
+            gets[qi].1 += 1;
+        }
+        let total: u64 = gets.iter().map(|g| g.0).sum();
+        let per_req = total as f64 / schedule.len() as f64;
+        let per_query: Vec<f64> = gets.iter().map(|&(g, n)| g as f64 / n as f64).collect();
+        eprintln!(
+            "{} KiB: GETs/request {per_req:.2}; per query {per_query:.1?}; {:?}",
+            budget >> 10,
+            cache.stats()
         );
-        assert_eq!(
-            out.report.page_accesses + out.report.shared_cache_hits,
-            oracle[qi].1,
-            "{}",
-            HOT_QUERIES[qi]
-        );
+        (per_req, per_query, cache.stats())
     };
-    for qi in 0..queries.len() {
-        serve(qi);
-    }
-    let schedule = hot_schedule(7, 6);
-    let mut gets = [(0u64, 0u64); HOT_QUERIES.len()];
-    for &qi in &schedule {
-        let before = u.site.server.stats().gets;
-        serve(qi);
-        gets[qi].0 += u.site.server.stats().gets - before;
-        gets[qi].1 += 1;
-    }
-    let total: u64 = gets.iter().map(|g| g.0).sum();
-    let per_req = total as f64 / schedule.len() as f64;
-    let per_query: Vec<String> = gets
-        .iter()
-        .map(|&(g, n)| format!("{:.1}", g as f64 / n.max(1) as f64))
-        .collect();
-    eprintln!("GETs/request {per_req:.2}; per query {per_query:?}");
+
+    let (per_req, per_query, _) = replay(256 * 1024);
     assert!(
-        per_req <= 25.5,
-        "GETs/request {per_req:.2} (per query {per_query:?})"
+        per_req <= 1.5,
+        "GETs/request {per_req:.2} ({per_query:.1?})"
     );
+
+    let (_, per_query, cache) = replay(128 * 1024);
+    assert!(cache.evictions >= 2_000, "the scans evict: {cache:?}");
+    let sent = |qi: usize| per_query[qi] / oracle[qi].1 as f64;
+    for popular in [0, 5] {
+        assert!(sent(popular) < 0.02, "q{popular}: {per_query:.1?}");
+    }
+    assert!(sent(4) > 0.1, "q4 is not the scan it was: {per_query:.1?}");
 }
