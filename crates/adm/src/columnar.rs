@@ -31,7 +31,7 @@
 use crate::error::AdmError;
 use crate::intern::Symbol;
 use crate::relation::Relation;
-use crate::value::{Tuple, Value};
+use crate::value::{Cell, EncodedTuple, Reader, Tuple, Value};
 use crate::Result;
 use std::collections::{HashMap, HashSet};
 
@@ -966,6 +966,49 @@ impl BuildCol {
         *self = BuildCol::Values(values);
     }
 
+    /// Rows pushed so far.
+    fn len(&self) -> usize {
+        match self {
+            BuildCol::Empty { nulls } => *nulls,
+            BuildCol::Text { ids, .. } | BuildCol::Link { ids, .. } => ids.len(),
+            BuildCol::Nested { offsets, .. } => offsets.len() - 1,
+            BuildCol::Values(vs) => vs.len(),
+        }
+    }
+
+    /// Appends the cell a [`Reader`] has just met, reading a list's rows
+    /// from `r`. Text into a text column, a link into a link column and a
+    /// list into a picked column go in where they lie; any other cell — a
+    /// null, a column's first value, a list read whole, a type conflict —
+    /// is built (a null allocates nothing) and [pushed](BuildCol::push).
+    fn push_encoded<'a>(&mut self, cell: Cell<'a>, r: &mut Reader<'a>) -> Option<()> {
+        match (&mut *self, cell) {
+            (BuildCol::Text { ids, validity }, Cell::Text(_))
+            | (BuildCol::Link { ids, validity }, Cell::Link(_)) => {
+                ids.push(Symbol::intern(cell.str()?));
+                validity.push(true);
+            }
+            (
+                BuildCol::Nested {
+                    offsets,
+                    validity,
+                    child: Some(cb),
+                    picked: true,
+                },
+                Cell::List(n),
+            ) => {
+                for _ in 0..n {
+                    let ColumnRelBuilder { names, cols, len } = &mut **cb;
+                    append_encoded(cols, names, len, r)?;
+                }
+                offsets.push(cb.len as u32);
+                validity.push(true);
+            }
+            _ => self.push(&r.value(cell)?),
+        }
+        Some(())
+    }
+
     fn push(&mut self, v: &Value) {
         // Specialize an all-null column on its first non-null value.
         if let BuildCol::Empty { nulls } = self {
@@ -1230,6 +1273,27 @@ impl ColumnRelBuilder {
         self.len += 1;
     }
 
+    /// Appends a page read in place: column `i` takes the page's first
+    /// field named `fields[i]`, as [`Tuple::get_sym`] finds it, or a null;
+    /// fields no column names are skipped, and nothing is built for a cell
+    /// that goes in where it lies (see [`EncodedTuple`]).
+    pub fn push_encoded<B: AsRef<[u8]>>(
+        &mut self,
+        fields: &[Symbol],
+        page: &EncodedTuple<B>,
+    ) -> Result<()> {
+        if fields.len() != self.cols.len() {
+            return Err(AdmError::ArityMismatch {
+                expected: self.cols.len(),
+                found: fields.len(),
+            });
+        }
+        // A checked page reads to its end; were it cut short, the cells
+        // it did not reach would be nulls.
+        let _ = append_encoded(&mut self.cols, fields, &mut self.len, &mut page.reader());
+        Ok(())
+    }
+
     /// Finishes into a [`ColumnRel`].
     pub fn finish(self) -> ColumnRel {
         let len = self.len;
@@ -1243,6 +1307,46 @@ impl ColumnRelBuilder {
             len,
         }
     }
+}
+
+/// Appends to `cols`, named `names`, the row of the tuple `r` stands at:
+/// each field goes into every column of its name that has no cell in this
+/// row yet, so a column takes the first field of its name, as
+/// [`Tuple::get_sym`] finds it. A field no column names is skipped; a
+/// column no field named gets a null.
+fn append_encoded(
+    cols: &mut [BuildCol],
+    names: &[Symbol],
+    len: &mut usize,
+    r: &mut Reader<'_>,
+) -> Option<()> {
+    let row = *len;
+    let mut read = || {
+        for _ in 0..r.varint()? {
+            let (id, cell) = r.field()?;
+            let mut end = None;
+            for (c, _) in cols
+                .iter_mut()
+                .zip(names)
+                .filter(|(c, n)| n.id() == id && c.len() == row)
+            {
+                let mut rest = *r;
+                c.push_encoded(cell, &mut rest)?;
+                end = Some(rest);
+            }
+            match end {
+                Some(rest) => *r = rest,
+                None => r.skip(cell, false)?,
+            }
+        }
+        Some(())
+    };
+    let read = read();
+    for c in cols.iter_mut().filter(|c| c.len() == row) {
+        c.push(&Value::Null);
+    }
+    *len += 1;
+    read
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub use relation::Relation;
 pub use schema::{AttrRef, EntryPoint, PageScheme, WebScheme, WebSchemeBuilder};
 pub use types::{Field, WebType};
 pub use url::Url;
-pub use value::{Tuple, Value};
+pub use value::{EncodedTuple, Tuple, Value};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AdmError>;

@@ -363,11 +363,10 @@ impl Tuple {
 
     /// The tuple [`Tuple::encode`] turned into `bytes`, or `None` if they
     /// are not exactly one encoded tuple of this process (a truncated or
-    /// trailing byte, an unknown tag or symbol id, text that is not UTF-8).
+    /// trailing byte, an unknown tag or symbol id, text that is not UTF-8):
+    /// [`EncodedTuple::parse`], then [`EncodedTuple::to_tuple`].
     pub fn decode(bytes: &[u8]) -> Option<Tuple> {
-        let mut input = Decoder(bytes);
-        let tuple = input.tuple()?;
-        input.0.is_empty().then_some(tuple)
+        EncodedTuple::parse(bytes).map(|page| page.to_tuple())
     }
 }
 
@@ -385,17 +384,72 @@ fn put_str(out: &mut Vec<u8>, tag: u8, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// The bytes of [`Tuple::decode`] not read yet.
-struct Decoder<'a>(&'a [u8]);
+/// One tuple in [`Tuple::encode`]'s form, checked, to be read where it
+/// lies. [`EncodedTuple::parse`] checks the whole buffer exactly as
+/// [`Tuple::decode`] does, but builds nothing; a reader of the checked
+/// tuple ([`crate::ColumnRelBuilder::push_encoded`]) then takes a text or
+/// a link as the buffer's `&str` and skips the fields it does not read.
+/// `B` holds the bytes: a slice, or the `Arc<[u8]>` a cache keeps.
+#[derive(Debug, Clone)]
+pub struct EncodedTuple<B>(B);
 
-impl Decoder<'_> {
+impl<B: AsRef<[u8]>> EncodedTuple<B> {
+    /// `bytes` as a checked tuple, or `None` where [`Tuple::decode`]
+    /// refuses them.
+    pub fn parse(bytes: B) -> Option<Self> {
+        // A tuple is read as a list of one row.
+        let mut rest = Reader(bytes.as_ref());
+        let whole = rest.skip(Cell::List(1), true).is_some() && rest.0.is_empty();
+        whole.then_some(EncodedTuple(bytes))
+    }
+
+    /// The tuple, built: a `String` a text, a `Vec` a tuple.
+    pub fn to_tuple(&self) -> Tuple {
+        // `parse` read these bytes to their end, so reading cannot fail.
+        self.reader().tuple().unwrap_or_default()
+    }
+
+    /// A reader at the tuple's first byte.
+    pub(crate) fn reader(&self) -> Reader<'_> {
+        Reader(self.0.as_ref())
+    }
+}
+
+/// A field's value as [`Reader::field`] meets it. A text or a link is its
+/// bytes, which [`EncodedTuple::parse`] checked are UTF-8 ([`Cell::str`]);
+/// a list's rows follow it in the buffer, each a tuple, to be read or
+/// [skipped](Reader::skip).
+#[derive(Clone, Copy)]
+pub(crate) enum Cell<'a> {
+    Null,
+    Text(&'a [u8]),
+    Link(&'a [u8]),
+    List(usize),
+}
+
+impl<'a> Cell<'a> {
+    /// A text's or a link's string; `None` for any other cell.
+    pub(crate) fn str(self) -> Option<&'a str> {
+        match self {
+            Cell::Text(b) | Cell::Link(b) => std::str::from_utf8(b).ok(),
+            Cell::Null | Cell::List(_) => None,
+        }
+    }
+}
+
+/// The bytes of an encoded tuple not read yet.
+#[derive(Clone, Copy)]
+pub(crate) struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
     fn byte(&mut self) -> Option<u8> {
         let (&b, rest) = self.0.split_first()?;
         self.0 = rest;
         Some(b)
     }
 
-    fn varint(&mut self) -> Option<usize> {
+    /// A count, id or length.
+    pub(crate) fn varint(&mut self) -> Option<usize> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let b = self.byte()?;
@@ -407,11 +461,53 @@ impl Decoder<'_> {
         None
     }
 
-    fn string(&mut self) -> Option<String> {
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.varint()?;
         let (s, rest) = self.0.split_at_checked(len)?;
         self.0 = rest;
-        std::str::from_utf8(s).ok().map(str::to_owned)
+        Some(s)
+    }
+
+    /// The next field of a tuple whose field count was read: its name's
+    /// symbol id and the head of its value, as they lie.
+    pub(crate) fn field(&mut self) -> Option<(u32, Cell<'a>)> {
+        let id = u32::try_from(self.varint()?).ok()?;
+        let cell = match self.byte()? {
+            NULL => Cell::Null,
+            TEXT => Cell::Text(self.bytes()?),
+            LINK => Cell::Link(self.bytes()?),
+            LIST => Cell::List(self.varint()?),
+            _ => return None,
+        };
+        Some((id, cell))
+    }
+
+    /// Passes over what `cell` left unread, a list's rows; when `check`,
+    /// only if each name in them is a symbol of this process and each
+    /// text and link is UTF-8.
+    pub(crate) fn skip(&mut self, cell: Cell<'a>, check: bool) -> Option<()> {
+        let Cell::List(rows) = cell else {
+            return Some(());
+        };
+        for _ in 0..rows {
+            for _ in 0..self.varint()? {
+                let (id, cell) = self.field()?;
+                if check {
+                    Symbol::from_id(id)?;
+                    // ASCII is UTF-8, and quicker to tell in short strings.
+                    if let Cell::Text(b) | Cell::Link(b) = cell {
+                        if !b.is_ascii() {
+                            cell.str()?;
+                        }
+                    }
+                }
+                // Recursing only into a list keeps a call off most fields.
+                if let Cell::List(_) = cell {
+                    self.skip(cell, check)?;
+                }
+            }
+        }
+        Some(())
     }
 
     fn tuple(&mut self) -> Option<Tuple> {
@@ -420,24 +516,26 @@ impl Decoder<'_> {
         // input cannot reserve more than the input could hold.
         let mut fields = Vec::with_capacity(n.min(self.0.len() / 2));
         for _ in 0..n {
-            let name = Symbol::from_id(u32::try_from(self.varint()?).ok()?)?;
-            let value = match self.byte()? {
-                NULL => Value::Null,
-                TEXT => Value::Text(self.string()?),
-                LINK => Value::Link(Url::new(self.string()?)),
-                LIST => {
-                    let n = self.varint()?;
-                    let mut rows = Vec::with_capacity(n.min(self.0.len()));
-                    for _ in 0..n {
-                        rows.push(self.tuple()?);
-                    }
-                    Value::List(rows)
-                }
-                _ => return None,
-            };
-            fields.push((name, value));
+            let (id, cell) = self.field()?;
+            fields.push((Symbol::from_id(id)?, self.value(cell)?));
         }
         Some(Tuple { fields })
+    }
+
+    /// `cell`'s value, built, a list's rows read.
+    pub(crate) fn value(&mut self, cell: Cell<'a>) -> Option<Value> {
+        Some(match cell {
+            Cell::Null => Value::Null,
+            Cell::Text(_) => Value::Text(cell.str()?.to_owned()),
+            Cell::Link(_) => Value::Link(Url::new(cell.str()?)),
+            Cell::List(n) => {
+                let mut rows = Vec::with_capacity(n.min(self.0.len()));
+                for _ in 0..n {
+                    rows.push(self.tuple()?);
+                }
+                Value::List(rows)
+            }
+        })
     }
 }
 
@@ -479,6 +577,7 @@ impl fmt::Display for Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ColumnRelBuilder, Keep};
     use proptest::prelude::*;
 
     fn prof_fields() -> Vec<Field> {
@@ -616,10 +715,55 @@ mod tests {
         prop_oneof![leaf(), rows.prop_map(Value::List)].boxed()
     }
 
+    const NAMES: [&str; 5] = ["PName", "CourseList", "ToCourse", "Straße", "名前"];
+
     fn drawn_tuple(depth: usize) -> impl Strategy<Value = Tuple> {
-        const NAMES: [&str; 5] = ["PName", "CourseList", "ToCourse", "Straße", "名前"];
         let field = ((0..NAMES.len()).prop_map(|i| NAMES[i]), drawn_value(depth));
         prop::collection::vec(field, 0..6).prop_map(Tuple::from_pairs)
+    }
+
+    /// What a builder column keeps, lists picked at most `depth` deep, of
+    /// the names the drawn tuples use and one they never do.
+    fn drawn_keeps(depth: usize) -> BoxedStrategy<Vec<(Symbol, Keep)>> {
+        let name =
+            (0..=NAMES.len()).prop_map(|i| Symbol::intern(NAMES.get(i).unwrap_or(&"Absent")));
+        let keep = if depth == 0 {
+            Just(Keep::All).boxed()
+        } else {
+            prop_oneof![
+                Just(Keep::All),
+                drawn_keeps(depth - 1).prop_map(Keep::Fields)
+            ]
+            .boxed()
+        };
+        prop::collection::vec((name, keep), 0..5).boxed()
+    }
+
+    /// The columns `keeps` builds of `pages`, each page pushed as the
+    /// evaluator pushes one: read in place, or decoded and each column's
+    /// first field of its name handed to `push_row`.
+    fn built(pages: &[&[u8]], keeps: &[(Symbol, Keep)], in_place: bool) -> String {
+        static NULL: Value = Value::Null;
+        let fields: Vec<Symbol> = keeps.iter().map(|(name, _)| *name).collect();
+        let mut b = ColumnRelBuilder::keeping(keeps.to_vec());
+        for &page in pages {
+            if in_place {
+                let page = EncodedTuple::parse(page).unwrap();
+                b.push_encoded(&fields, &page).unwrap();
+            } else {
+                let t = Tuple::decode(page).unwrap();
+                let cell = |f: &Symbol| t.get_sym(*f).unwrap_or(&NULL);
+                b.push_row(fields.iter().map(cell)).unwrap();
+            }
+        }
+        // Ids and all: both sides run in this process.
+        format!("{:?}", b.finish())
+    }
+
+    fn built_both_ways(rows: &[Tuple], keeps: &[(Symbol, Keep)]) -> (String, String) {
+        let bytes: Vec<Vec<u8>> = rows.iter().map(Tuple::encode).collect();
+        let pages: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+        (built(&pages, keeps, true), built(&pages, keeps, false))
     }
 
     proptest! {
@@ -627,6 +771,93 @@ mod tests {
         fn encoding_round_trips_drawn_tuples(t in drawn_tuple(2)) {
             prop_assert_eq!(Tuple::decode(&t.encode()), Some(t));
         }
+
+        #[test]
+        fn a_page_read_in_place_builds_the_columns_its_decoding_builds(
+            rows in prop::collection::vec(drawn_tuple(2), 0..6),
+            keeps in drawn_keeps(2),
+        ) {
+            let (in_place, decoded) = built_both_ways(&rows, &keeps);
+            prop_assert_eq!(in_place, decoded);
+        }
+    }
+
+    // Each case the reader must get right, by hand, beside the property.
+    #[test]
+    fn a_page_read_in_place_meets_every_kind_of_column() {
+        let sym = Symbol::intern;
+        let course = |name: &str, to: Value| Tuple::new().with("CName", name).with("ToCourse", to);
+        let rows = [
+            // PName null before its first value; CourseList twice, the
+            // first one wins; a field no column names.
+            Tuple::new()
+                .with_null("PName")
+                .with_list("CourseList", vec![course("DB", Value::link("/c/1"))])
+                .with_list("CourseList", vec![])
+                .with("Unread", "x"),
+            // PName's first value; an inner tuple without ToCourse.
+            Tuple::new().with("PName", "Codd").with_list(
+                "CourseList",
+                vec![Tuple::new().with("CName", "OS"), course("AI", Value::Null)],
+            ),
+            // PName a link after a text: the column degrades. No list.
+            Tuple::new().with("PName", Value::link("/p/2")),
+        ];
+        let picked = Keep::Fields(vec![
+            (sym("ToCourse"), Keep::All),
+            (sym("CName"), Keep::All),
+            (sym("Absent"), Keep::All),
+        ]);
+        let keeps = [
+            (sym("PName"), Keep::All),
+            (sym("CourseList"), picked),
+            (sym("CourseList"), Keep::All),
+            (sym("Absent"), Keep::All),
+        ];
+        let (in_place, decoded) = built_both_ways(&rows, &keeps);
+        assert_eq!(in_place, decoded);
+        let fields: Vec<Symbol> = keeps.iter().map(|(name, _)| *name).collect();
+        let mut b = ColumnRelBuilder::keeping(keeps.to_vec());
+        for t in &rows {
+            let bytes = t.encode();
+            b.push_encoded(&fields, &EncodedTuple::parse(&bytes[..]).unwrap())
+                .unwrap();
+        }
+        let rel = b.finish();
+        let cols = rel.columns();
+        assert!(
+            matches!(cols[0].data, crate::ColumnData::Values(_)),
+            "degraded"
+        );
+        assert_eq!(rel.value_at(1, 0), Value::text("Codd"));
+        let crate::ColumnData::Nested { offsets, child } = &cols[1].data else {
+            panic!("a picked list is nested");
+        };
+        assert_eq!(offsets, &[0, 1, 3, 3]);
+        assert_eq!(
+            child.names(),
+            &[sym("ToCourse"), sym("CName"), sym("Absent")]
+        );
+        assert_eq!(child.value_at(0, 0), Value::link("/c/1"));
+        assert!(child.is_null_at(1, 0) && child.is_null_at(2, 0) && child.is_null_at(0, 2));
+        assert_eq!(
+            rel.value_at(0, 2),
+            rows[0].get("CourseList").unwrap().clone()
+        );
+        assert!((0..3).all(|row| rel.is_null_at(row, 3)));
+        assert_eq!(
+            push_prof(ColumnRelBuilder::keeping(keeps.to_vec()), &fields[1..]),
+            Err(crate::AdmError::ArityMismatch {
+                expected: 4,
+                found: 3
+            })
+        );
+    }
+
+    /// Pushes [`prof_tuple`] in place.
+    fn push_prof(mut b: ColumnRelBuilder, fields: &[Symbol]) -> crate::Result<()> {
+        let bytes = prof_tuple().encode();
+        b.push_encoded(fields, &EncodedTuple::parse(&bytes[..]).unwrap())
     }
 
     // The property is only as good as its draws. The runner seeds each
@@ -699,6 +930,31 @@ mod tests {
         for cut in 0..bytes.len() {
             assert_eq!(Tuple::decode(&bytes[..cut]), None, "cut at {cut}");
         }
+        // `parse` accepts exactly what `decode` accepts, cut or with any
+        // one bit flipped, and what it accepts reads in place as decoded.
+        let keeps: Vec<(Symbol, Keep)> = ["PName", "Email", "CourseList", "CName"]
+            .into_iter()
+            .map(|name| (Symbol::intern(name), Keep::All))
+            .collect();
+        let mut accepted = 0;
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                for b in [&bytes[..i], &flipped[..]] {
+                    let parsed = EncodedTuple::parse(b);
+                    assert_eq!(
+                        parsed.as_ref().map(EncodedTuple::to_tuple),
+                        Tuple::decode(b)
+                    );
+                    if parsed.is_some() {
+                        accepted += 1;
+                        assert_eq!(built(&[b], &keeps, true), built(&[b], &keeps, false));
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0, "some flips leave an encoded tuple");
         assert_eq!(Tuple::decode(&[bytes.as_slice(), &[0]].concat()), None);
         let field = |id: u32, tag: u8, rest: &[u8]| {
             let mut b = vec![1];

@@ -14,16 +14,17 @@
 //! * **compact** — a page is kept as one immutable buffer, its
 //!   [`adm::Tuple::encode`]d form, and charged the bytes it holds: the
 //!   URL plus the buffer's length. Encoded, a page takes about a third of
-//!   its [`adm::Tuple::approx_bytes`]. A hit decodes the buffer into a
-//!   fresh copy of the page: this cache is the one holder of wrapped
-//!   pages that hands out a copy rather than a reference, because its
-//!   budget is the one that binds;
+//!   its [`adm::Tuple::approx_bytes`]. A hit hands out the buffer, checked
+//!   ([`adm::EncodedTuple`]), and the evaluator reads the page in place
+//!   from it; [`SharedPageCache::get`] decodes a copy for a caller that
+//!   wants a [`Tuple`];
 //! * **size-bounded** — the byte budget is enforced per shard with S3-FIFO
 //!   eviction (Yang et al., SOSP 2023): a page enters a small probationary
 //!   queue, is promoted to the main queue only if it is read again before
 //!   it reaches that queue's head, and a page read again soon after being
 //!   dropped from it goes straight to main. A one-shot scan passes through
-//!   the small queue without displacing the pages that are re-read;
+//!   the small queue without displacing the pages that are re-read. A page
+//!   too large for the main queue's share of its shard is not cached;
 //! * **freshness-aware** — entries carry an optional Last-Modified stamp;
 //!   [`SharedPageCache::invalidate_older_than`] lets a URL-check protocol
 //!   (matview) drop entries superseded by a newer server copy.
@@ -33,7 +34,7 @@
 //! (`EvalReport::shared_cache_hits`) so every paper experiment can still
 //! run with the shared cache disabled and reproduce the original numbers.
 
-use adm::{Tuple, Url};
+use adm::{EncodedTuple, Tuple, Url};
 use obs::{Counter, MetricsRegistry};
 use parking_lot::RwLock;
 use std::borrow::Borrow;
@@ -64,8 +65,8 @@ const FREQ_CAP: u8 = 3;
 const SLOT_SLACK: usize = 16;
 
 /// One cached wrapped page, encoded by [`SharedPageCache::insert`] and
-/// decoded by each [`SharedPageCache::get`]. The buffer is never written
-/// to — a newer version replaces the entry.
+/// parsed by each [`SharedPageCache::get_encoded`]. The buffer is never
+/// written to — a newer version replaces the entry.
 struct Entry {
     page: Arc<[u8]>,
     /// What the entry is charged against the shard's budget: the bytes it
@@ -216,9 +217,11 @@ pub struct CacheStats {
     pub insertions: u64,
     pub evictions: u64,
     pub invalidations: u64,
-    /// Inserts refused because the page alone exceeds one shard's budget
-    /// (total budget / [`SHARDS`]): such a page is never cached, and every
-    /// request for it goes to the network.
+    /// Inserts refused because the page alone exceeds the main queue's
+    /// share of one shard's budget (total budget / [`SHARDS`], less the
+    /// small queue's share): such a page could only be kept by flushing
+    /// its shard, so it is never cached, and every request for it goes to
+    /// the network.
     pub rejected_oversize: u64,
     /// Current number of cached pages.
     pub entries: usize,
@@ -278,14 +281,14 @@ impl SharedPageCache {
     }
 
     /// Looks up a page by URL (a `&Url` or its `&str`, so a caller holding
-    /// a link symbol need not build a `Url`). A hit takes the shard's read
-    /// lock only to bump the entry's read count and clone its buffer, and
-    /// decodes after releasing it, so a writer never waits on a decode.
-    /// What it hands out is a new page equal to the one
-    /// [`SharedPageCache::insert`] was given, the caller's to keep.
-    /// A buffer that does not decode counts as a miss, and its entry is
-    /// dropped.
-    pub fn get<Q>(&self, url: &Q) -> Option<Arc<Tuple>>
+    /// a link symbol need not build a `Url`): the one lookup, which counts
+    /// every hit and miss. A hit takes the shard's read lock only to bump
+    /// the entry's read count and clone its buffer, and
+    /// [parses](EncodedTuple::parse) after releasing it, so a writer never
+    /// waits on a reader. What it hands out is the checked buffer, the
+    /// caller's to keep and to read in place. A buffer that does not parse
+    /// counts as a miss, and its entry is dropped.
+    pub fn get_encoded<Q>(&self, url: &Q) -> Option<EncodedTuple<Arc<[u8]>>>
     where
         Url: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -302,9 +305,9 @@ impl SharedPageCache {
             }
             Arc::clone(&e.page)
         };
-        if let Some(tuple) = Tuple::decode(&page) {
+        if let Some(checked) = EncodedTuple::parse(Arc::clone(&page)) {
             self.hits.inc();
-            return Some(Arc::new(tuple));
+            return Some(checked);
         }
         self.misses.inc();
         let mut shard = self.shard_of(url).write();
@@ -315,17 +318,31 @@ impl SharedPageCache {
         None
     }
 
+    /// [`SharedPageCache::get_encoded`], decoded: a new page equal to the
+    /// one [`SharedPageCache::insert`] was given. The evaluator reads its
+    /// hits in place instead; this copy is for callers that want a
+    /// [`Tuple`].
+    pub fn get<Q>(&self, url: &Q) -> Option<Arc<Tuple>>
+    where
+        Url: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.get_encoded(url).map(|page| Arc::new(page.to_tuple()))
+    }
+
     /// Inserts (or refreshes) a page, evicting if the shard exceeds its
     /// byte budget. A new URL enters the small queue, or the main queue if
     /// it was recently evicted from the small one; a refreshed URL keeps
     /// its place. The page is encoded before the shard is locked, and the
     /// cache keeps only the encoding. A page whose URL and encoding exceed
-    /// a whole shard budget is not cached, and counted in
+    /// the main queue's share of a shard, which it could only enter by
+    /// evicting everything else there, is not cached, and counted in
     /// [`CacheStats::rejected_oversize`].
     pub fn insert(&self, url: &Url, tuple: &Arc<Tuple>, last_modified: Option<u64>) {
         let page: Arc<[u8]> = tuple.encode().into();
         let bytes = url.as_str().len() + page.len();
-        if bytes > self.shard_budget {
+        let small_budget = self.shard_budget * SMALL_PERCENT / 100;
+        if bytes > self.shard_budget - small_budget {
             self.rejected_oversize.inc();
             // The older copy this one supersedes must not be served either.
             if self.shard_of(url).write().remove(url) {
@@ -366,7 +383,6 @@ impl SharedPageCache {
             shard.bytes += bytes;
         }
         self.insertions.inc();
-        let small_budget = self.shard_budget * SMALL_PERCENT / 100;
         while shard.bytes > self.shard_budget && shard.evict_one(small_budget) {
             self.evictions.inc();
         }
@@ -412,6 +428,21 @@ impl SharedPageCache {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Cuts the last byte off `url`'s buffer, books kept: a buffer that no
+    /// longer parses.
+    #[cfg(test)]
+    pub(crate) fn truncate(&self, url: &Url) {
+        let shard = &mut *self.shard_of(url).write();
+        if let Some(e) = shard.map.get_mut(url) {
+            e.page = Arc::from(&e.page[..e.page.len() - 1]);
+            e.bytes -= 1;
+            shard.bytes -= 1;
+            if !e.main {
+                shard.small_bytes -= 1;
+            }
+        }
     }
 
     /// Current counters and occupancy.
@@ -519,14 +550,7 @@ mod tests {
         let cache = SharedPageCache::default();
         let url = Url::new("/a");
         cache.insert(&url, &page("a"), None);
-        {
-            let shard = &mut *cache.shard_of(&url).write();
-            let e = shard.map.get_mut(&url).unwrap();
-            e.page = Arc::from(&e.page[..e.page.len() - 1]);
-            e.bytes -= 1;
-            shard.bytes -= 1;
-            shard.small_bytes -= 1;
-        }
+        cache.truncate(&url);
         assert_eq!(cache.get(&url), None);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.invalidations, s.entries), (0, 1, 1, 0));
@@ -550,6 +574,25 @@ mod tests {
         assert_eq!(cache.get(&Url::new("/small")), None);
         let s = cache.stats();
         assert_eq!((s.rejected_oversize, s.invalidations, s.entries), (2, 1, 0));
+        audit(&cache);
+    }
+
+    #[test]
+    fn a_page_that_would_flush_its_shard_is_refused() {
+        // 400 B a shard, of which the main queue may hold 360.
+        let cache = SharedPageCache::with_byte_budget(SHARDS * 400);
+        let main = 400 - 400 * SMALL_PERCENT / 100;
+        let charge = |url: &str, n: usize| url.len() + page(&"m".repeat(n)).encode().len();
+        let at = (0..400).find(|&n| charge("/at", n) == main).unwrap();
+        assert!((main + 1..=400).contains(&charge("/over", at)));
+        cache.insert(&Url::new("/s"), &page("s"), None);
+        cache.insert(&Url::new("/at"), &page(&"m".repeat(at)), None);
+        cache.insert(&Url::new("/over"), &page(&"m".repeat(at)), None);
+        let s = cache.stats();
+        assert_eq!((s.rejected_oversize, s.insertions, s.evictions), (1, 2, 0));
+        assert!(cache.get(&Url::new("/s")).is_some());
+        assert!(cache.get(&Url::new("/at")).is_some());
+        assert_eq!(cache.get(&Url::new("/over")), None);
         audit(&cache);
     }
 
@@ -727,7 +770,8 @@ mod tests {
                     Op::Insert(u, n, lm) => {
                         let p = page(&"p".repeat(n));
                         cache.insert(&urls[u], &p, lm);
-                        if urls[u].as_str().len() + p.encode().len() <= cache.shard_budget {
+                        let main = cache.shard_budget - cache.shard_budget * SMALL_PERCENT / 100;
+                        if urls[u].as_str().len() + p.encode().len() <= main {
                             model.insert(u, (p, lm));
                         } else {
                             model.remove(&u);

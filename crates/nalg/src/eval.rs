@@ -26,9 +26,10 @@
 //!   executor — one fetch at a time on the calling thread. Results and all
 //!   access counts are identical either way.
 //! * **Shared cross-query cache** ([`EvalPolicy::shared_cache`]): hits
-//!   against a [`crate::SharedPageCache`] avoid the network entirely and
-//!   are reported separately (`shared_cache_hits`), never as
-//!   `page_accesses`, so cost-model comparisons are unaffected.
+//!   against a [`crate::SharedPageCache`] avoid the network entirely, are
+//!   read in place from the cache's encoded buffer, and are reported
+//!   separately (`shared_cache_hits`), never as `page_accesses`, so
+//!   cost-model comparisons are unaffected.
 
 use crate::error::EvalError;
 use crate::expr::{field_of_column, resolve_column, NalgExpr, Pred};
@@ -37,8 +38,8 @@ use crate::policy::{EvalPolicy, Fetch};
 use crate::reads::Reads;
 use crate::Result;
 use adm::{
-    ColumnRel, ColumnRelBuilder, InclusionConstraint, LinkConstraint, PageScheme, Relation, Symbol,
-    Tuple, Url, Value, WebScheme,
+    ColumnRel, ColumnRelBuilder, EncodedTuple, InclusionConstraint, LinkConstraint, PageScheme,
+    Relation, Symbol, Tuple, Url, Value, WebScheme,
 };
 use obs::trace::EventKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -336,8 +337,8 @@ pub struct Evaluator<'a, S: PageSource> {
 #[derive(Default)]
 struct Ctx {
     /// Per-query page cache, keyed by interned URL id. A hit delivers the
-    /// `Arc` the page arrived in.
-    cache: HashMap<Symbol, Arc<Tuple>>,
+    /// page in the form it was acquired in.
+    cache: HashMap<Symbol, Page>,
     /// Pre-order index of the next operator node (tracing only); matches
     /// the node numbering of `cost::Estimate::nodes` for the same plan.
     node_seq: usize,
@@ -524,11 +525,15 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// Records a page acquisition for auditing. A no-op unless an audit is
     /// attached; never fetches or counts anything. Dedup is by interned id
     /// so repeat sightings of a page cost no allocation at all.
-    fn audit_record(&self, ctx: &mut Ctx, sym: Symbol, scheme: &str, tuple: &Tuple) {
+    fn audit_record(&self, ctx: &mut Ctx, sym: Symbol, scheme: &str, page: &Page) {
         let Some(cfg) = &self.audit else { return };
         if !ctx.audit_seen.insert(sym) {
             return;
         }
+        let tuple = match page {
+            Page::Wrapped(t) => Tuple::clone(t),
+            Page::Encoded(page) => page.to_tuple(),
+        };
         let url = sym.to_url();
         if sample_fraction(cfg.seed, &url) < cfg.rate {
             ctx.audit_sampled.insert(url.clone());
@@ -536,7 +541,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx.audit_pages
             .entry(scheme.to_string())
             .or_default()
-            .push((url, tuple.clone()));
+            .push((url, tuple));
     }
 
     /// Checks the configured constraints against the recorded pages with
@@ -695,8 +700,8 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 })?;
                 let (_, mut page) = PageBatch::new(self.ws.scheme(scheme)?, alias, reads);
                 let order = [Symbol::from_url(&ep.url)];
-                self.acquire(ctx, pool, scheme, &order, None, |url, tuple| {
-                    page.push(url, tuple).map(|_| ())
+                self.acquire(ctx, pool, scheme, &order, None, |url, p| {
+                    page.push(url, p).map(|_| ())
                 })?;
                 // `acquire` already recorded a skipped URL as unreachable;
                 // in Partial mode (or past the deadline) an unreachable
@@ -806,24 +811,25 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         scheme: &str,
         order: &[Symbol],
         carrier: Option<(&ColumnRel, usize, &[String])>,
-        mut deliver: impl FnMut(Symbol, &Tuple) -> Result<()>,
+        mut deliver: impl FnMut(Symbol, &Page) -> Result<()>,
     ) -> Result<()> {
         let mut misses: Vec<Symbol> = Vec::new();
         for &s in order {
             if self.policy.per_query_cache {
-                if let Some(t) = ctx.cache.get(&s) {
+                if let Some(page) = ctx.cache.get(&s) {
                     ctx.cache_hits += 1;
-                    deliver(s, t)?;
+                    deliver(s, page)?;
                     continue;
                 }
             }
             if let Some(shared) = self.policy.shared_cache {
-                if let Some(t) = shared.get(s.as_str()) {
+                if let Some(page) = shared.get_encoded(s.as_str()) {
+                    let page = Page::Encoded(page);
                     ctx.shared_hits += 1;
-                    self.audit_record(ctx, s, scheme, &t);
-                    deliver(s, &t)?;
+                    self.audit_record(ctx, s, scheme, &page);
+                    deliver(s, &page)?;
                     if self.policy.per_query_cache {
-                        ctx.cache.insert(s, t);
+                        ctx.cache.insert(s, page);
                     }
                     continue;
                 }
@@ -888,7 +894,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         pool: &FetchPool<'_>,
         scheme: &str,
         misses: &[Symbol],
-        deliver: &mut impl FnMut(Symbol, &Tuple) -> Result<()>,
+        deliver: &mut impl FnMut(Symbol, &Page) -> Result<()>,
     ) -> Result<()> {
         use std::time::{Duration, Instant};
         if misses.is_empty() {
@@ -1023,7 +1029,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         scheme: &str,
         done: Done,
-        deliver: &mut impl FnMut(Symbol, &Tuple) -> Result<()>,
+        deliver: &mut impl FnMut(Symbol, &Page) -> Result<()>,
     ) -> Result<()> {
         match done.outcome {
             Ok((t, lm)) => {
@@ -1031,10 +1037,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 if let Some(shared) = self.policy.shared_cache {
                     shared.insert(&done.url, &t, lm);
                 }
-                self.audit_record(ctx, done.job.url, scheme, &t);
-                deliver(done.job.url, &t)?;
+                let page = Page::Wrapped(t);
+                self.audit_record(ctx, done.job.url, scheme, &page);
+                deliver(done.job.url, &page)?;
                 if self.policy.per_query_cache {
-                    ctx.cache.insert(done.job.url, t);
+                    ctx.cache.insert(done.job.url, page);
                 }
                 return Ok(());
             }
@@ -1091,8 +1098,8 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             target,
             &order,
             Some((rel, li, &header[..])),
-            |s, tuple| {
-                page_row.insert(s, Some(pages.push(s, tuple)?));
+            |s, page| {
+                page_row.insert(s, Some(pages.push(s, page)?));
                 Ok(())
             },
         )?;
@@ -1107,13 +1114,21 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     }
 }
 
+/// A page as the evaluation acquired it: wrapped, from the network, or
+/// encoded, as the shared cache keeps it and checked, to be read in place.
+enum Page {
+    Wrapped(Arc<Tuple>),
+    Encoded(EncodedTuple<Arc<[u8]>>),
+}
+
 /// The page-relation an `Entry` or a `Follow` is acquiring: one row per
 /// delivered page, appended *by reference*. The URL column is the symbols
 /// the operator already holds; each other column is a field of the
 /// page-scheme that the operators above can read ([`Reads::keeps`]),
-/// taken from the tuple where it lies (found by the field's interned name,
-/// null when the source left it out), so no cell is cloned on its way into
-/// a column and no field nobody reads is interned.
+/// taken from the page where it lies (found by the field's interned name,
+/// null when the source left it out): from a wrapped page's tuple, or
+/// from an encoded page's bytes without decoding them. No cell is cloned
+/// on its way into a column and no field nobody reads is interned.
 struct PageBatch {
     url_column: Symbol,
     urls: Vec<Symbol>,
@@ -1151,10 +1166,15 @@ impl PageBatch {
     }
 
     /// Appends one page, returning its row index.
-    fn push(&mut self, url: Symbol, tuple: &Tuple) -> Result<u32> {
+    fn push(&mut self, url: Symbol, page: &Page) -> Result<u32> {
         static NULL: Value = Value::Null;
-        let cell = |f: &Symbol| tuple.get_sym(*f).unwrap_or(&NULL);
-        self.attrs.push_row(self.fields.iter().map(cell))?;
+        match page {
+            Page::Wrapped(tuple) => {
+                let cell = |f: &Symbol| tuple.get_sym(*f).unwrap_or(&NULL);
+                self.attrs.push_row(self.fields.iter().map(cell))?;
+            }
+            Page::Encoded(page) => self.attrs.push_encoded(&self.fields, page)?,
+        }
         self.urls.push(url);
         Ok(self.urls.len() as u32 - 1)
     }
@@ -1556,6 +1576,81 @@ mod tests {
         assert_eq!(warm.cost_model_accesses(), cold.cost_model_accesses());
     }
 
+    // A page two operators reach is read from the shared cache once and
+    // appended twice: the second time from the buffer the per-query cache
+    // kept.
+    #[test]
+    fn a_buffered_page_is_appended_again_from_the_query_cache() {
+        let ws = scheme();
+        let src = source();
+        let left = NalgExpr::entry("ListPage").unnest("Items");
+        let right = NalgExpr::entry_as("ListPage", "L2").unnest("Items");
+        let e = left
+            .join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")])
+            .follow("ListPage.Items.ToItem", "ItemPage");
+        let plain = Evaluator::new(&ws, &src).eval(&e).unwrap();
+        let shared = crate::cache::SharedPageCache::default();
+        let policy = EvalPolicy {
+            shared_cache: Some(&shared),
+            ..Default::default()
+        };
+        let cold = Evaluator::new(&ws, &src)
+            .with_policy(&policy)
+            .eval(&e)
+            .unwrap();
+        let before = shared.stats();
+        let warm = Evaluator::new(&ws, &src)
+            .with_policy(&policy)
+            .eval(&e)
+            .unwrap();
+        for r in [&cold, &warm] {
+            assert_eq!(r.relation, plain.relation);
+            assert_eq!(r.page_accesses + r.shared_cache_hits, plain.page_accesses);
+            assert_eq!(r.cache_hits, 1, "the entry page, again");
+            assert_eq!(r.accesses_by_operator, plain.accesses_by_operator);
+        }
+        assert_eq!((warm.page_accesses, warm.shared_cache_hits), (0, 4));
+        let after = shared.stats();
+        assert_eq!((after.hits - before.hits, after.misses), (4, before.misses));
+    }
+
+    #[test]
+    fn a_buffer_that_does_not_parse_is_fetched_again() {
+        let ws = scheme();
+        let src = source();
+        let shared = crate::cache::SharedPageCache::default();
+        let policy = EvalPolicy {
+            shared_cache: Some(&shared),
+            ..Default::default()
+        };
+        let cold = Evaluator::new(&ws, &src)
+            .with_policy(&policy)
+            .eval(&nav())
+            .unwrap();
+        shared.truncate(&Url::new("/i/b"));
+        let before = shared.stats();
+        let warm = Evaluator::new(&ws, &src)
+            .with_policy(&policy)
+            .eval(&nav())
+            .unwrap();
+        assert_eq!(warm.relation, cold.relation);
+        assert_eq!((warm.page_accesses, warm.shared_cache_hits), (1, 3));
+        let after = shared.stats();
+        let moved = |f: fn(&crate::CacheStats) -> u64| f(&after) - f(&before);
+        assert_eq!(moved(|s| s.misses), 1);
+        assert_eq!(moved(|s| s.invalidations), 1);
+        assert_eq!(
+            moved(|s| s.insertions),
+            1,
+            "the page fetched again is cached again"
+        );
+        let again = Evaluator::new(&ws, &src)
+            .with_policy(&policy)
+            .eval(&nav())
+            .unwrap();
+        assert_eq!((again.page_accesses, again.shared_cache_hits), (0, 4));
+    }
+
     #[test]
     fn shared_cache_with_concurrent_fetch_equals_sequential() {
         let ws = scheme();
@@ -1798,6 +1893,37 @@ mod tests {
         let audit = report.audit.unwrap();
         assert_eq!(audit.violation_count(), 1);
         assert!(audit.constraints[0].violations[0].contains("/i/b"));
+    }
+
+    // An audited shared-cache hit is decoded for the audit alone: it
+    // sees the page the cache keeps, and finds the same drift.
+    #[test]
+    fn an_audit_reads_shared_cache_hits_as_the_pages_they_encode() {
+        let ws = scheme();
+        let mut src = source();
+        src.pages.insert(
+            Url::new("/i/b"),
+            Tuple::new().with("Name", "b [drift]").with("Kind", "y"),
+        );
+        let shared = crate::cache::SharedPageCache::default();
+        let policy = EvalPolicy {
+            shared_cache: Some(&shared),
+            ..Default::default()
+        };
+        let audited = || {
+            let evaluator = Evaluator::new(&ws, &src).with_policy(&policy);
+            evaluator.with_audit(audit_cfg(1.0)).eval(&nav()).unwrap()
+        };
+        let (cold, warm) = (audited(), audited());
+        assert_eq!((warm.page_accesses, warm.shared_cache_hits), (0, 4));
+        assert_eq!(warm.relation, cold.relation);
+        let (cold, warm) = (cold.audit.unwrap(), warm.audit.unwrap());
+        assert_eq!(warm.sampled_pages, 4);
+        assert_eq!(
+            warm.constraints[0].violations,
+            cold.constraints[0].violations
+        );
+        assert_eq!(warm.violation_count(), 1);
     }
 
     #[test]
