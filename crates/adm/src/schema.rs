@@ -10,6 +10,7 @@ use crate::constraints::{InclusionConstraint, LinkConstraint};
 use crate::error::AdmError;
 use crate::types::{Field, WebType};
 use crate::url::Url;
+use crate::value::{Tuple, Value};
 use crate::Result;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -113,6 +114,29 @@ impl PageScheme {
     /// Finds a top-level field by name.
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.name == name)
+    }
+
+    /// Every outgoing link of a page of this scheme, with the page-scheme
+    /// it points to, in field order (a list's links row by row).
+    pub fn outlinks(&self, tuple: &Tuple) -> Vec<(String, Url)> {
+        fn walk(fields: &[Field], tuple: &Tuple, out: &mut Vec<(String, Url)>) {
+            for f in fields {
+                match (&f.ty, tuple.get_sym(f.sym())) {
+                    (WebType::Link { target }, Some(Value::Link(u))) => {
+                        out.push((target.clone(), u.clone()));
+                    }
+                    (WebType::List(inner), Some(Value::List(rows))) => {
+                        for row in rows {
+                            walk(inner, row, out);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.fields, tuple, &mut out);
+        out
     }
 
     /// Resolves a dotted path (excluding the scheme name) to a field,

@@ -5,34 +5,12 @@
 //! that tool: a BFS from the entry points that follows every typed link
 //! and wraps every page, returning the full instance of every page-scheme.
 
-use adm::{Field, Tuple, Url, Value, WebScheme, WebType};
+use adm::{Tuple, Url, WebScheme};
 use nalg::PageSource;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// A crawled site instance: page-scheme name → URL-sorted pages.
 pub type SiteInstance = BTreeMap<String, Vec<(Url, Tuple)>>;
-
-/// All outgoing links of a tuple, with their target schemes.
-pub fn outlinks(fields: &[Field], tuple: &Tuple) -> Vec<(String, Url)> {
-    let mut out = Vec::new();
-    fn walk(fields: &[Field], tuple: &Tuple, out: &mut Vec<(String, Url)>) {
-        for f in fields {
-            match (&f.ty, tuple.get_sym(f.sym())) {
-                (WebType::Link { target }, Some(Value::Link(u))) => {
-                    out.push((target.clone(), u.clone()));
-                }
-                (WebType::List(inner), Some(Value::List(rows))) => {
-                    for row in rows {
-                        walk(inner, row, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(fields, tuple, &mut out);
-    out
-}
 
 /// Sequential BFS crawl from the scheme's entry points. Unreachable or
 /// unwrappable pages are skipped silently (the web is best-effort).
@@ -49,7 +27,7 @@ pub fn crawl_instance(ws: &WebScheme, source: &impl PageSource) -> SiteInstance 
             continue;
         };
         let Ok(ps) = ws.scheme(&scheme) else { continue };
-        for (target, link) in outlinks(&ps.fields, &tuple) {
+        for (target, link) in ps.outlinks(&tuple) {
             if seen.insert(link.clone()) {
                 queue.push_back((link, target));
             }

@@ -30,8 +30,9 @@
 //!   handed from session to optimizer and evaluator by reference;
 //! * [`analyze`] — EXPLAIN ANALYZE: joins the optimizer's per-operator
 //!   estimates onto the executed operator spans of a traced run;
-//! * [`source`] — the adapter that turns a `websim` virtual server plus the
-//!   `wrapper` crate into a [`nalg::PageSource`].
+//! * [`source`] — [`download_page`], the one routine that turns a `GET` from
+//!   any [`nalg::PageServer`] into a wrapped page, and [`LiveSource`], the
+//!   [`nalg::PageSource`] built on it.
 //!
 //! ```
 //! use websim::sitegen::{University, UniversityConfig};
@@ -93,7 +94,7 @@ pub use policy::ExecPolicy;
 pub use query::ConjunctiveQuery;
 pub use registry::{RewritePhase, RewriteRule};
 pub use rules::ConstraintDependency;
-pub use source::LiveSource;
+pub use source::{download_page, LiveSource};
 pub use stats::SiteStatistics;
 pub use views::{DefaultNavigation, ExternalRelation, ViewCatalog};
 

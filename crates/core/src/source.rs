@@ -1,61 +1,68 @@
-//! The live page source: virtual server + wrapper.
+//! The live page source: any page server + the wrapper.
 //!
-//! [`LiveSource`] implements [`nalg::PageSource`] by downloading a page
-//! from a [`websim::VirtualServer`] (a counted `GET`) and running the
-//! scheme's wrapper over the HTML — the full pipeline the paper assumes
-//! ("pages have to be downloaded from the network, then wrapped in order to
-//! extract attribute values"). A cross-query cache in front of it is the
-//! evaluator's to consult: [`nalg::EvalPolicy::shared_cache`].
+//! [`download_page`] is the one routine that turns a `GET` into a page: a
+//! counted download from a [`nalg::PageServer`], then the scheme's wrapper
+//! over the HTML — the full pipeline the paper assumes ("pages have to be
+//! downloaded from the network, then wrapped in order to extract attribute
+//! values"). [`LiveSource`] implements [`nalg::PageSource`] with it, and
+//! `matview`'s store takes every page it downloads from it. A cross-query
+//! cache in front of it is the evaluator's to consult:
+//! [`nalg::EvalPolicy::shared_cache`].
 
-use adm::{Tuple, Url, WebScheme};
-use nalg::{PageSource, SourceError};
-use websim::{VirtualServer, WebError};
+use adm::{PageScheme, Tuple, Url, WebScheme};
+use nalg::{PageServer, PageSource, SourceError};
+use websim::VirtualServer;
 
-/// A page source over a live (simulated) site.
-pub struct LiveSource<'a> {
+/// Downloads `url` from `server` (one counted `GET`) and wraps its body
+/// under `ps`, returning the page and the server's Last-Modified stamp. A
+/// failed request is the server's own error; a body the wrapper refuses
+/// (truncated, corrupt) is [`SourceError::Malformed`].
+pub fn download_page(
+    server: &impl PageServer,
+    ps: &PageScheme,
+    url: &Url,
+) -> Result<(Tuple, u64), SourceError> {
+    let resp = server.get(url)?;
+    let tuple = wrapper::wrap_bytes(ps, &resp.body).map_err(|e| SourceError::Malformed {
+        url: url.clone(),
+        reason: e.to_string(),
+    })?;
+    Ok((tuple, resp.last_modified))
+}
+
+/// A page source over a live site: any [`PageServer`], the simulated one
+/// by default.
+pub struct LiveSource<'a, P = VirtualServer> {
     ws: &'a WebScheme,
-    server: &'a VirtualServer,
+    server: &'a P,
+}
+
+impl<'a, P> LiveSource<'a, P> {
+    /// Wraps a scheme and a server.
+    pub fn new(ws: &'a WebScheme, server: &'a P) -> Self {
+        LiveSource { ws, server }
+    }
 }
 
 impl<'a> LiveSource<'a> {
-    /// Wraps a scheme and a server.
-    pub fn new(ws: &'a WebScheme, server: &'a VirtualServer) -> Self {
-        LiveSource { ws, server }
-    }
-
     /// Convenience constructor over a generated site.
     pub fn for_site(site: &'a websim::Site) -> Self {
-        LiveSource {
-            ws: &site.scheme,
-            server: &site.server,
-        }
+        LiveSource::new(&site.scheme, &site.server)
     }
 }
 
-impl PageSource for LiveSource<'_> {
+impl<P: PageServer + Sync> PageSource for LiveSource<'_, P> {
     fn fetch(&self, url: &Url, scheme: &str) -> Result<Tuple, SourceError> {
         self.fetch_stamped(url, scheme).map(|(t, _)| t)
     }
 
     fn fetch_stamped(&self, url: &Url, scheme: &str) -> Result<(Tuple, Option<u64>), SourceError> {
-        let resp = self.server.get(url).map_err(|e| match e {
-            WebError::NotFound(u) => SourceError::NotFound(u),
-            WebError::Unavailable { url, status } => SourceError::Unavailable {
-                url,
-                reason: format!("http {status}"),
-            },
-            WebError::Timeout(u) => SourceError::Timeout(u),
-            other => SourceError::Other(other.to_string()),
-        })?;
         let ps = self
             .ws
             .scheme(scheme)
             .map_err(|e| SourceError::Other(e.to_string()))?;
-        let tuple = wrapper::wrap_bytes(ps, &resp.body).map_err(|e| SourceError::Malformed {
-            url: url.clone(),
-            reason: e.to_string(),
-        })?;
-        Ok((tuple, Some(resp.last_modified)))
+        let (tuple, last_modified) = download_page(self.server, ps, url)?;
+        Ok((tuple, Some(last_modified)))
     }
 }
 

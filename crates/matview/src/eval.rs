@@ -18,7 +18,7 @@ use crate::store::{MatStore, UrlStatus};
 use crate::urlcheck::{url_check, CheckCounters};
 use crate::Result;
 use adm::{Relation, Tuple, Url, WebScheme};
-use nalg::{Fetch, NalgExpr, PageSource, SharedPageCache, SourceError};
+use nalg::{Fetch, NalgExpr, PageServer, PageSource, SharedPageCache, SourceError};
 use obs::trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -108,7 +108,7 @@ impl<P> CheckingSource<'_, P> {
 
 /// The store holds the pages, so `fetch_shared` is the method that does the
 /// work — the evaluator's only call — and returns the store's own `Arc`.
-impl<P: websim::PageServer + Sync> PageSource for CheckingSource<'_, P> {
+impl<P: PageServer + Sync> PageSource for CheckingSource<'_, P> {
     fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
         self.fetch_shared(url, scheme)
             .map(|(t, _)| Tuple::clone(&t))
@@ -192,10 +192,10 @@ impl<P: websim::PageServer + Sync> PageSource for CheckingSource<'_, P> {
 
 /// A query session over a materialized view of a site.
 ///
-/// Generic over the page server so the maintenance traffic can be routed
-/// through a resilience wrapper (retries, circuit breaking) instead of
-/// hitting the [`websim::VirtualServer`] directly.
-pub struct MatSession<'a, P = websim::VirtualServer> {
+/// Generic over the [`PageServer`] its light connections and downloads go
+/// to: the site's own server, or a wrapper that traces or retries around
+/// it.
+pub struct MatSession<'a, P> {
     ws: &'a WebScheme,
     catalog: &'a ViewCatalog,
     stats: &'a SiteStatistics,
@@ -203,7 +203,7 @@ pub struct MatSession<'a, P = websim::VirtualServer> {
     policy: ExecPolicy<'a>,
 }
 
-impl<'a, P: websim::PageServer + Sync> MatSession<'a, P> {
+impl<'a, P: PageServer + Sync> MatSession<'a, P> {
     /// Creates a session under the default [`ExecPolicy`].
     pub fn new(
         ws: &'a WebScheme,

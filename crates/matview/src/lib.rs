@@ -29,7 +29,7 @@
 //! alternative ([`IncrementalView`]): propagate **deltas** instead of
 //! re-reading the world.
 //!
-//! * every [`websim::SiteChange`] becomes a ±page delta pushed through a
+//! * every [`nalg::SiteChange`] becomes a ±page delta pushed through a
 //!   compiled operator tree over the existing σ/π/⋈/unnest/follow algebra
 //!   ([`ops`]): filters pass deltas through, projections fold them through
 //!   set-semantics counts, joins keep keyed state on both sides and apply
@@ -47,6 +47,13 @@
 //! Both modes issue, wrap, stamp and account every page through one
 //! routine, [`MatStore::download`]; the per-page GET/HEAD counters stay
 //! paper-exact throughout.
+//!
+//! The crate sees the web only through `nalg`'s access boundary: a
+//! [`nalg::PageServer`] for GET and HEAD, a [`nalg::ChangeFeed`] for push
+//! mode, and [`nalg::SourceError`] for what went wrong — of which only
+//! [`nalg::SourceError::NotFound`] says a page is gone. Pages are wrapped by
+//! [`wvcore::download_page`]. The simulated web that implements both traits
+//! is a test dependency only, as in the example below.
 //!
 //! ```
 //! use matview::IncrementalView;

@@ -12,7 +12,8 @@
 
 use crate::store::{MatStore, MaterializeReport};
 use crate::Result;
-use adm::WebScheme;
+use adm::{Tuple, Url, WebScheme};
+use nalg::{PageServer, SourceError};
 
 /// Outcome of a `CheckMissing` sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,9 +35,9 @@ pub struct PurgeReport {
 
 /// Drains the `CheckMissing` queue, verifying each URL with a light
 /// connection and dropping confirmed-deleted pages from the store. Only a
-/// definite 404 deletes: a transient failure (timeout, 5xx) retains the
+/// definite 404 deletes: any other failure (timeout, 5xx) retains the
 /// page and re-queues the URL for the next sweep.
-pub fn purge_missing(store: &mut MatStore, server: &impl websim::PageServer) -> PurgeReport {
+pub fn purge_missing(store: &mut MatStore, server: &impl PageServer) -> PurgeReport {
     let mut report = PurgeReport::default();
     let mut seen = std::collections::HashSet::new();
     let mut requeue = Vec::new();
@@ -51,13 +52,13 @@ pub fn purge_missing(store: &mut MatStore, server: &impl websim::PageServer) -> 
         report.checked += 1;
         match server.head(&url) {
             Ok(_) => report.still_alive += 1,
-            Err(e) if e.is_transient() => {
-                report.inconclusive += 1;
-                requeue.push(url);
-            }
-            Err(_) => {
+            Err(SourceError::NotFound(_)) => {
                 store.remove(&url);
                 report.confirmed_deleted += 1;
+            }
+            Err(_) => {
+                report.inconclusive += 1;
+                requeue.push(url);
             }
         }
     }
@@ -73,7 +74,7 @@ pub fn purge_missing(store: &mut MatStore, server: &impl websim::PageServer) -> 
 pub fn full_refresh(
     store: &mut MatStore,
     ws: &WebScheme,
-    server: &impl websim::PageServer,
+    server: &impl PageServer,
 ) -> Result<usize> {
     Ok(full_refresh_report(store, ws, server)?.0.downloaded)
 }
@@ -83,7 +84,7 @@ pub fn full_refresh(
 pub fn full_refresh_report(
     store: &mut MatStore,
     ws: &WebScheme,
-    server: &impl websim::PageServer,
+    server: &impl PageServer,
 ) -> Result<(MaterializeReport, usize)> {
     store.check_missing.clear(); // the crawl re-derives any suspicions
     store.reset_status();
@@ -92,20 +93,23 @@ pub fn full_refresh_report(
     Ok((report, dropped))
 }
 
-/// Compares the store against a generated site's ground truth. Returns one
-/// line per discrepancy (stale tuple, missing page, phantom page).
-pub fn audit(store: &MatStore, site: &websim::Site) -> Vec<String> {
+/// Compares the store against a site's ground truth — every page the site
+/// holds, with the tuple it was rendered from (a generated site's
+/// `all_pages`). Returns one line per discrepancy (stale tuple, missing
+/// page, phantom page).
+pub fn audit<'a>(
+    store: &MatStore,
+    truth: impl IntoIterator<Item = (&'a Url, &'a Tuple)>,
+) -> Vec<String> {
     let mut diffs = Vec::new();
     let mut live_urls = std::collections::HashSet::new();
-    for ps in site.scheme.schemes() {
-        for (url, truth) in site.pages(&ps.name) {
-            match store.get(url) {
-                None => diffs.push(format!("missing locally: {url}")),
-                Some(p) if *p.tuple != *truth => diffs.push(format!("stale: {url}")),
-                Some(_) => {}
-            }
-            live_urls.insert(url);
+    for (url, truth) in truth {
+        match store.get(url) {
+            None => diffs.push(format!("missing locally: {url}")),
+            Some(p) if *p.tuple != *truth => diffs.push(format!("stale: {url}")),
+            Some(_) => {}
         }
+        live_urls.insert(url);
     }
     // phantom pages: materialized but no longer on the site
     for (url, _) in store.pages_sorted() {
@@ -140,19 +144,19 @@ mod tests {
     #[test]
     fn fresh_store_audits_clean() {
         let (u, store) = setup();
-        assert!(audit(&store, &u.site).is_empty());
+        assert!(audit(&store, u.site.all_pages()).is_empty());
     }
 
     #[test]
     fn audit_detects_staleness_and_refresh_fixes_it() {
         let (mut u, mut store) = setup();
         u.update_course_description(1, "v2").unwrap();
-        let diffs = audit(&store, &u.site);
+        let diffs = audit(&store, u.site.all_pages());
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].contains("stale"));
         let n = full_refresh(&mut store, &u.site.scheme, &u.site.server).unwrap();
         assert_eq!(n, u.site.total_pages());
-        assert!(audit(&store, &u.site).is_empty());
+        assert!(audit(&store, u.site.all_pages()).is_empty());
     }
 
     #[test]
@@ -218,17 +222,17 @@ mod tests {
         let (mut u, mut store) = setup();
         u.remove_course(3).unwrap();
         // stale store still holds the deleted page + the two updated pages
-        let diffs = audit(&store, &u.site);
+        let diffs = audit(&store, u.site.all_pages());
         assert!(!diffs.is_empty());
         // lacking one live page as well, the store is as large as the site
         // again — and the phantom is still named
         store.remove(&University::course_url(1));
         assert_eq!(store.len(), u.site.total_pages());
-        let diffs = audit(&store, &u.site);
+        let diffs = audit(&store, u.site.all_pages());
         assert!(diffs.contains(&format!("phantom: {}", University::course_url(3))));
         assert!(diffs.contains(&format!("missing locally: {}", University::course_url(1))));
         full_refresh(&mut store, &u.site.scheme, &u.site.server).unwrap();
-        assert!(audit(&store, &u.site).is_empty());
+        assert!(audit(&store, u.site.all_pages()).is_empty());
     }
 
     #[test]
@@ -298,5 +302,44 @@ mod tests {
         );
         full_refresh(&mut store, &u.site.scheme, &u.site.server).unwrap();
         assert!(store.get(&gone).is_none(), "no longer reachable: dropped");
+    }
+
+    /// Only a 404 deletes: an error the simulated server never produces
+    /// (a cancelled or refused request) leaves the page where the sweep
+    /// and URLCheck found it.
+    #[test]
+    fn a_failure_that_is_not_a_404_never_deletes() {
+        use crate::store::tests::Refusing;
+        use crate::urlcheck::{url_check, CheckCounters};
+        let (u, mut store) = setup();
+        let url = University::course_url(1);
+        for error in [
+            SourceError::Cancelled(url.clone()),
+            SourceError::Other("connection reset".into()),
+        ] {
+            let server = Refusing {
+                inner: &u.site.server,
+                url: url.clone(),
+                error: Some(error.clone()),
+            };
+            store.check_missing.push_back(url.clone());
+            let report = purge_missing(&mut store, &server);
+            assert_eq!((report.inconclusive, report.confirmed_deleted), (1, 0));
+            assert_eq!(store.check_missing.pop_front(), Some(url.clone()));
+            store.reset_status();
+            let mut counters = CheckCounters::default();
+            let got = url_check(
+                &mut store,
+                &mut counters,
+                &u.site.scheme,
+                &server,
+                &url,
+                "CoursePage",
+            )
+            .unwrap();
+            assert!(got.is_some(), "{error}: served stale, not dropped");
+            assert_eq!(counters.stale_served, 1);
+            assert!(store.is_stale(&url) && store.check_missing.is_empty());
+        }
     }
 }

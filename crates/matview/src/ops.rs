@@ -18,10 +18,9 @@ use crate::store::MatStore;
 use crate::{MatError, Result};
 use adm::{Tuple, Url, Value, WebScheme};
 use nalg::expr::{field_of_column, resolve_column};
-use nalg::{NalgExpr, Pred};
+use nalg::{NalgExpr, PageServer, Pred};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use websim::PageServer;
 
 /// What an operator works against besides its own state.
 pub(crate) struct Ctx<'a, P> {

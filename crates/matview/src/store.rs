@@ -25,11 +25,11 @@
 //! is the only value of a materialized-view query that lives longer.
 
 use crate::{MatError, Result};
-use adm::{Field, Tuple, Url, Value, WebScheme, WebType};
+use adm::{Tuple, Url, WebScheme};
+use nalg::{PageServer, SourceError};
 use obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
-use websim::PageServer;
 use wvcore::{ExecPolicy, PlanCache, RuleMask, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY};
 
 /// A materialized page: its wrapped tuple plus the logical date it was
@@ -91,7 +91,7 @@ impl Entry {
     fn outlinks(&self, ws: &WebScheme) -> Vec<(String, Url)> {
         match self {
             Entry::Resident(p) => match ws.scheme(&p.scheme) {
-                Ok(ps) => outlinks(&ps.fields, &p.tuple),
+                Ok(ps) => ps.outlinks(&p.tuple),
                 Err(_) => Vec::new(),
             },
             Entry::Evicted { outlinks, .. } => outlinks.clone(),
@@ -310,10 +310,11 @@ pub struct MatStore {
 pub enum Download {
     /// The page was downloaded, wrapped, stamped and stored.
     Fresh(Fresh),
-    /// The server failed transiently (timeout, 5xx); the store is
-    /// untouched. Carries the failure's description.
+    /// The request failed without saying the page is gone (a timeout, a
+    /// 5xx, any error but a 404); the store is untouched. Carries the
+    /// failure's description.
     Transient(String),
-    /// A definite 404; the store is untouched.
+    /// A definite 404 ([`SourceError::NotFound`]); the store is untouched.
     Gone,
 }
 
@@ -347,28 +348,6 @@ impl Fresh {
     pub fn removed(&self) -> impl Iterator<Item = &Url> {
         only_in(&self.old_links, &self.links)
     }
-}
-
-/// All outgoing links of a tuple under its scheme's fields.
-pub fn outlinks(fields: &[Field], tuple: &Tuple) -> Vec<(String, Url)> {
-    let mut out = Vec::new();
-    fn walk(fields: &[Field], tuple: &Tuple, out: &mut Vec<(String, Url)>) {
-        for f in fields {
-            match (&f.ty, tuple.get_sym(f.sym())) {
-                (WebType::Link { target }, Some(Value::Link(u))) => {
-                    out.push((target.clone(), u.clone()));
-                }
-                (WebType::List(inner), Some(Value::List(rows))) => {
-                    for row in rows {
-                        walk(inner, row, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(fields, tuple, &mut out);
-    out
 }
 
 fn page_bytes(url: &Url, tuple: &Tuple) -> usize {
@@ -618,11 +597,13 @@ impl MatStore {
         self.status.clear();
     }
 
-    /// The one page-download routine: `GET`, wrap under `scheme`, stamp
-    /// with the access date, store (evicting colder payloads if over
+    /// The one page-download routine: take the page from
+    /// [`wvcore::download_page`] (`GET`, wrap under `scheme`), stamp it
+    /// with the access date, store it (evicting colder payloads if over
     /// budget), and report the page before and after so the caller can
     /// diff outlinks. On a failed `GET` the store is left untouched and
-    /// the caller decides what *gone* and *transient* mean for it.
+    /// the caller decides what *gone* and *transient* mean for it; a body
+    /// the wrapper refuses is the hard [`MatError::Wrap`].
     pub fn download(
         &mut self,
         ws: &WebScheme,
@@ -630,17 +611,18 @@ impl MatStore {
         url: &Url,
         scheme: &str,
     ) -> Result<Download> {
-        let resp = match server.get(url) {
-            Ok(resp) => resp,
-            Err(e) if e.is_transient() => return Ok(Download::Transient(e.to_string())),
-            Err(_) => return Ok(Download::Gone),
-        };
         let ps = ws.scheme(scheme)?;
-        let new = wrapper::wrap_bytes(ps, &resp.body)
-            .map(Arc::new)
-            .map_err(|e| MatError::Wrap(format!("{url}: {e}")))?;
-        let links = outlinks(&ps.fields, &new);
-        let date = resp.last_modified.max(server.now());
+        let (new, last_modified) = match wvcore::download_page(server, ps, url) {
+            Ok(page) => page,
+            Err(SourceError::NotFound(_)) => return Ok(Download::Gone),
+            Err(SourceError::Malformed { url, reason }) => {
+                return Err(MatError::Wrap(format!("{url}: {reason}")))
+            }
+            Err(e) => return Ok(Download::Transient(e.to_string())),
+        };
+        let new = Arc::new(new);
+        let links = ps.outlinks(&new);
+        let date = last_modified.max(server.now());
         let old = self.replace(url.clone(), scheme.to_string(), Arc::clone(&new), date);
         self.evict_to_budget(ws);
         let old_links = old.as_ref().map(|e| e.outlinks(ws)).unwrap_or_default();
@@ -863,9 +845,40 @@ pub struct MaterializeReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use nalg::{HeadResponse, PageResponse};
     use websim::sitegen::{University, UniversityConfig};
+    use websim::{FaultPlan, FaultRule, VirtualServer};
+
+    /// A server that answers one URL with a fixed error (when it has one)
+    /// and passes every other request to the site's server: a failure the
+    /// simulated server never produces.
+    pub(crate) struct Refusing<'a> {
+        pub(crate) inner: &'a VirtualServer,
+        pub(crate) url: Url,
+        pub(crate) error: Option<SourceError>,
+    }
+
+    impl Refusing<'_> {
+        fn refuses(&self, url: &Url) -> Option<SourceError> {
+            self.error.clone().filter(|_| *url == self.url)
+        }
+    }
+
+    impl PageServer for Refusing<'_> {
+        fn get(&self, url: &Url) -> std::result::Result<PageResponse, SourceError> {
+            self.refuses(url).map_or_else(|| self.inner.get(url), Err)
+        }
+
+        fn head(&self, url: &Url) -> std::result::Result<HeadResponse, SourceError> {
+            self.refuses(url).map_or_else(|| self.inner.head(url), Err)
+        }
+
+        fn now(&self) -> u64 {
+            self.inner.now()
+        }
+    }
 
     fn uni() -> University {
         University::generate(UniversityConfig {
@@ -939,7 +952,7 @@ mod tests {
         let u = uni();
         let ps = u.site.scheme.scheme("ProfPage").unwrap();
         let (url, tuple) = &u.site.instance("ProfPage")[0];
-        let links = outlinks(&ps.fields, tuple);
+        let links = ps.outlinks(tuple);
         // at least the department link
         assert!(links.iter().any(|(s, _)| s == "DeptPage"), "{url}");
     }
@@ -1025,5 +1038,86 @@ mod tests {
         assert_eq!(report.failed, vec![victim.clone()]);
         assert!(store.is_stale(&victim), "retained, not silently fresh");
         assert!(store.check_missing.contains(&victim));
+    }
+
+    /// Every outcome of one page access on the store path, and what the
+    /// crawl does with it: only a 404 is *gone* (queued for the sweep),
+    /// every other failed request keeps the stored copy as stale, and a
+    /// body the wrapper refuses aborts with the hard `MatError::Wrap`.
+    #[test]
+    fn every_outcome_of_a_page_access_means_what_it_meant() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Want {
+            Fresh,
+            Gone,
+            Transient,
+            Wrap,
+        }
+        let refused = SourceError::Other("connection reset".into());
+        let rows = [
+            ("no fault", None, None, Want::Fresh),
+            ("link rot", Some(FaultRule::link_rot(1.0)), None, Want::Gone),
+            (
+                "503",
+                Some(FaultRule::unavailable(1.0)),
+                None,
+                Want::Transient,
+            ),
+            (
+                "timeout",
+                Some(FaultRule::timeouts(1.0)),
+                None,
+                Want::Transient,
+            ),
+            (
+                "truncated",
+                Some(FaultRule::truncation(1.0, 10)),
+                None,
+                Want::Wrap,
+            ),
+            ("not a 404", None, Some(refused), Want::Transient),
+        ];
+        for (name, rule, error, want) in rows {
+            let u = uni();
+            let ws = &u.site.scheme;
+            let mut store = MatStore::new();
+            store.materialize(ws, &u.site.server).unwrap();
+            let victim = University::course_url(4);
+            if let Some(rule) = rule {
+                let rule = rule.for_url_prefix(victim.as_str()).with_max_per_url(None);
+                u.site
+                    .server
+                    .set_fault_plan(FaultPlan::new(3).with_rule(rule));
+            }
+            let server = Refusing {
+                inner: &u.site.server,
+                url: victim.clone(),
+                error,
+            };
+            let got = store.download(ws, &server, &victim, "CoursePage");
+            match (want, &got) {
+                (Want::Fresh, Ok(Download::Fresh(f))) => {
+                    assert_eq!(Some(&*f.new), u.site.ground_truth("CoursePage", &victim));
+                }
+                (Want::Gone, Ok(Download::Gone))
+                | (Want::Transient, Ok(Download::Transient(_))) => {}
+                (Want::Wrap, Err(MatError::Wrap(m))) => {
+                    assert!(m.starts_with(&format!("{victim}: ")), "{name}: {m}");
+                }
+                _ => panic!("{name}: wanted {want:?}, got {got:?}"),
+            }
+            let report = store.materialize_report(ws, &server);
+            if want == Want::Wrap {
+                assert!(matches!(report, Err(MatError::Wrap(_))), "{name}");
+                continue;
+            }
+            let report = report.unwrap();
+            let failed = want != Want::Fresh;
+            assert_eq!(report.failed.contains(&victim), failed, "{name}");
+            assert!(store.get(&victim).is_some(), "{name}: the copy is kept");
+            assert_eq!(store.is_stale(&victim), failed, "{name}");
+            let queued = store.check_missing.contains(&victim);
+            assert_eq!(queued, want == Want::Gone, "{name}: only a 404 is queued");
+        }
     }
 }

@@ -15,18 +15,19 @@
 //! is a reference: the check returns the store's own `Arc`, and a download
 //! returns the `Arc` it just stored.
 //!
-//! A 404 on the light connection means the page itself was deleted: it is
-//! removed from the store and pushed onto `CheckMissing` for the off-line
-//! sweep. A *transient* failure (timeout, 5xx) means nothing of the sort:
-//! the stored tuple is served as stale-but-retained — flagged in the store
-//! and counted in [`CheckCounters::stale_served`] — rather than deleting a
-//! page that is probably still alive.
+//! A 404 on the light connection (exactly [`nalg::SourceError::NotFound`])
+//! means the page itself was deleted: it is removed from the store and
+//! pushed onto `CheckMissing` for the off-line sweep. Any other failure (a
+//! timeout, a 5xx) means nothing of the sort: the stored tuple is served as
+//! stale-but-retained — flagged in the store and counted in
+//! [`CheckCounters::stale_served`] — rather than deleting a page that is
+//! probably still alive.
 
 use crate::store::{Download, MatStore, UrlStatus};
 use crate::{MatError, Result};
 use adm::{Tuple, Url, WebScheme};
+use nalg::{PageServer, SourceError};
 use std::sync::Arc;
-use websim::PageServer;
 
 /// Access counters of the maintenance protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,15 +93,15 @@ pub fn url_check(
             counters.light_connections += 1;
             match server.head(url) {
                 Ok(head) => access_date < head.last_modified,
-                Err(e) if e.is_transient() => {
+                Err(SourceError::NotFound(_)) => {
+                    store.drop_missing(url);
+                    return Ok(None);
+                }
+                Err(_) => {
                     // can't verify freshness right now: serve the stored
                     // copy stale-but-retained instead of deleting a live
                     // page
                     return Ok(serve_stale(store, counters, url));
-                }
-                Err(_) => {
-                    store.drop_missing(url);
-                    return Ok(None);
                 }
             }
         }

@@ -42,11 +42,10 @@ use crate::ops::{compile, Ctx, OpTree};
 use crate::store::{Download, MatStore};
 use crate::{MatError, Result};
 use adm::{Relation, Url, WebScheme};
-use nalg::NalgExpr;
+use nalg::{ChangeFeed, ChangeKind, FeedCursor, FeedTrimmed, NalgExpr, PageServer, SiteChange};
 use obs::{EventKind, MetricsRegistry, TraceSink};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
-use websim::{ChangeKind, FeedCursor, FeedTrimmed, PageServer, Site, SiteChange};
 
 /// What one [`IncrementalView::sync`] batch did.
 #[derive(Debug, Clone, Default)]
@@ -249,9 +248,9 @@ impl<'a> IncrementalView<'a> {
     }
 
     /// Drains the site's change feed through the views, advancing the
-    /// cursor. Fetches go to the site's own server.
-    pub fn sync(&mut self, site: &Site) -> Result<DeltaReport> {
-        self.sync_with(site, &site.server)
+    /// cursor. Fetches go to the site itself.
+    pub fn sync(&mut self, site: &(impl ChangeFeed + PageServer)) -> Result<DeltaReport> {
+        self.sync_with(site, site)
     }
 
     /// Like [`IncrementalView::sync`], fetching through `server` instead of
@@ -259,13 +258,17 @@ impl<'a> IncrementalView<'a> {
     /// HEAD under a span).
     ///
     /// The first sync against a site registers this view's cursor with it
-    /// ([`Site::changes_for`]); from then on the site keeps the feed from
+    /// ([`ChangeFeed::changes_for`]); from then on the site keeps the feed from
     /// the cursor on and the view, by advancing it, lets the rest go. A
     /// view whose cursor lies below what the site still holds (it came
     /// late to a feed other readers had consumed) cannot learn what it
     /// missed: it refreshes in full — the store re-crawled and swept,
     /// every view rebuilt from it — and resumes from the end of the feed.
-    pub fn sync_with(&mut self, site: &Site, server: &impl PageServer) -> Result<DeltaReport> {
+    pub fn sync_with(
+        &mut self,
+        site: &impl ChangeFeed,
+        server: &impl PageServer,
+    ) -> Result<DeltaReport> {
         let rep = match site.changes_for(&self.cursor) {
             Ok(changes) => self.apply_changes(server, changes)?,
             Err(FeedTrimmed { .. }) => self.refresh(server)?,

@@ -111,11 +111,11 @@ fn queries_refetch_drifted_pages_and_answer_fresh() {
 fn audit_flags_drift_until_full_refresh() {
     let (mut u, mut store, _stats, _catalog) = setup();
     let report = dept_drift().apply(&mut u.site).unwrap();
-    let diffs = audit(&store, &u.site);
+    let diffs = audit(&store, u.site.all_pages());
     assert_eq!(diffs.len() as u64, report.perturbed_pages);
     assert!(diffs.iter().all(|d| d.starts_with("stale:")));
     full_refresh(&mut store, &u.site.scheme, &u.site.server).unwrap();
-    assert!(audit(&store, &u.site).is_empty());
+    assert!(audit(&store, u.site.all_pages()).is_empty());
     // the refreshed store holds the drifted values
     let marked = u
         .site
@@ -197,7 +197,7 @@ fn failed_redownload_is_marked_stale_not_kept_wrong() {
         .contains("[drift"));
     assert!(store.is_stale(&victim));
     // the audit agrees: exactly the victim is inconsistent
-    let diffs = audit(&store, &u.site);
+    let diffs = audit(&store, u.site.all_pages());
     assert_eq!(diffs.len(), 1);
     assert!(diffs[0].contains(victim.as_str()));
     // a clean refresh completes the repair
@@ -213,7 +213,7 @@ fn failed_redownload_is_marked_stale_not_kept_wrong() {
         .as_text()
         .unwrap()
         .contains("[drift"));
-    assert!(audit(&store, &u.site).is_empty());
+    assert!(audit(&store, u.site.all_pages()).is_empty());
 }
 
 // ---------------------------------------------------------------------

@@ -36,6 +36,7 @@ use crate::expr::{field_of_column, resolve_column, NalgExpr, Pred};
 use crate::fetch::{Done, FetchPool, Job};
 use crate::policy::{EvalPolicy, Fetch};
 use crate::reads::Reads;
+use crate::source::{PageSource, SourceError};
 use crate::Result;
 use adm::{
     ColumnRel, ColumnRelBuilder, EncodedTuple, InclusionConstraint, LinkConstraint, PageScheme,
@@ -43,81 +44,7 @@ use adm::{
 };
 use obs::trace::EventKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
 use std::sync::Arc;
-
-/// Errors a [`PageSource`] may return, split into the taxonomy the
-/// resilience layer acts on: **transient** failures (a retry may succeed)
-/// versus **permanent** ones (retrying is pointless).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SourceError {
-    /// The page does not exist (dangling link / deleted page). Permanent.
-    NotFound(Url),
-    /// The server failed transiently (5xx analogue). Transient.
-    Unavailable {
-        /// The URL that failed.
-        url: Url,
-        /// Human-readable failure detail.
-        reason: String,
-    },
-    /// The request timed out. Transient.
-    Timeout(Url),
-    /// The page was delivered but could not be wrapped (truncated or
-    /// corrupt body). Permanent for a given page version.
-    Malformed {
-        /// The URL whose body failed to parse.
-        url: Url,
-        /// Human-readable parse-failure detail.
-        reason: String,
-    },
-    /// The fetch was cancelled cooperatively — the request's deadline
-    /// expired, a relevance monitor proved the page cannot contribute
-    /// an answer tuple, or the fetch layer shut down mid-wait.
-    /// Permanent for this evaluation; retrying it would defeat the
-    /// cancellation.
-    Cancelled(Url),
-    /// Anything else (infrastructure failure, …). Permanent.
-    Other(String),
-}
-
-impl SourceError {
-    /// True for failures a retry may fix (unavailable, timeout); false for
-    /// permanent conditions (404, malformed body, everything else).
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            SourceError::Unavailable { .. } | SourceError::Timeout(_)
-        )
-    }
-
-    /// The URL the error is about, when the error carries one.
-    pub fn url(&self) -> Option<&Url> {
-        match self {
-            SourceError::NotFound(u) | SourceError::Timeout(u) | SourceError::Cancelled(u) => {
-                Some(u)
-            }
-            SourceError::Unavailable { url, .. } | SourceError::Malformed { url, .. } => Some(url),
-            SourceError::Other(_) => None,
-        }
-    }
-}
-
-impl fmt::Display for SourceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SourceError::NotFound(u) => write!(f, "not found: {u}"),
-            SourceError::Unavailable { url, reason } => {
-                write!(f, "unavailable: {url} ({reason})")
-            }
-            SourceError::Timeout(u) => write!(f, "timeout: {u}"),
-            SourceError::Cancelled(u) => write!(f, "cancelled: {u}"),
-            SourceError::Malformed { url, reason } => {
-                write!(f, "malformed page: {url} ({reason})")
-            }
-            SourceError::Other(m) => write!(f, "{m}"),
-        }
-    }
-}
 
 /// What evaluation does when a fetch ultimately fails (after whatever
 /// retrying the page source performs internally).
@@ -131,63 +58,6 @@ pub enum DegradationMode {
     /// and reporting the exact unreachable-URL set in
     /// [`EvalReport::unreachable`].
     Partial,
-}
-
-/// Anything that can deliver the wrapped tuple of a page: the live virtual
-/// web (`wv-core`'s adapter), a materialized store (`matview`), or a test
-/// fixture.
-///
-/// **`Sync` is part of the contract.** A source may be called from several
-/// threads at once — the workers of a [`Fetch::Pool`], the sessions of a
-/// server — so it keeps any state of its own behind atomics or locks. Every
-/// source can therefore run under every [`EvalPolicy`]; one that holds a
-/// single store (matview's URL-checking source) serialises its calls with
-/// one lock, and a pool over it still returns exactly the inline answer
-/// and counters.
-pub trait PageSource: Sync {
-    /// Fetches and wraps the page at `url`, expected to be an instance of
-    /// page-scheme `scheme`.
-    fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError>;
-
-    /// Like [`PageSource::fetch`], additionally reporting the server's
-    /// Last-Modified stamp when the source knows it (used to stamp shared
-    /// cache entries so URL-check protocols can invalidate stale copies).
-    /// The default reports no stamp.
-    fn fetch_stamped(
-        &self,
-        url: &Url,
-        scheme: &str,
-    ) -> std::result::Result<(Tuple, Option<u64>), SourceError> {
-        self.fetch(url, scheme).map(|t| (t, None))
-    }
-
-    /// Like [`PageSource::fetch_stamped`], handing the page out behind an
-    /// `Arc` — a wrapped page is immutable, so whoever holds one (a cache,
-    /// a store, a coalesced flight) can give every reader a reference to
-    /// its own copy instead of a copy.
-    ///
-    /// **Who calls it:** the evaluator, for every page it acquires, and the
-    /// source wrappers on their way down to the source they wrap. **Who
-    /// overrides it:** a source that *holds* pages (`CoalescingSource`,
-    /// matview's URL-checking source over a `MatStore`) returns a clone of
-    /// the `Arc` it keeps, and a wrapper that only forwards
-    /// (`ResilientSource`) forwards this method too, so the reference
-    /// survives the stack. A source that *produces* pages
-    /// (`LiveSource`, a test fixture) implements `fetch` or `fetch_stamped`
-    /// and inherits this default, which wraps what it produced.
-    ///
-    /// **Why the other two stay:** a producing source has no `Arc` to give
-    /// and should not have to invent one, and an owning caller (the crawler,
-    /// statistics collection) wants a `Tuple`; a holder answers those from
-    /// `fetch_shared` plus the one copy such a caller asks for.
-    fn fetch_shared(
-        &self,
-        url: &Url,
-        scheme: &str,
-    ) -> std::result::Result<(Arc<Tuple>, Option<u64>), SourceError> {
-        self.fetch_stamped(url, scheme)
-            .map(|(t, lm)| (Arc::new(t), lm))
-    }
 }
 
 /// Configuration for runtime constraint auditing: sample a fraction of

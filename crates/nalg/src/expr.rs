@@ -259,26 +259,6 @@ impl NalgExpr {
         }
     }
 
-    /// True if any external-relation leaf remains.
-    pub fn has_external(&self) -> bool {
-        match self {
-            NalgExpr::External { .. } => true,
-            other => other.children().iter().any(|c| c.has_external()),
-        }
-    }
-
-    /// All external relation names, in leaf order.
-    pub fn externals(&self) -> Vec<&str> {
-        match self {
-            NalgExpr::External { name } => vec![name.as_str()],
-            other => other
-                .children()
-                .iter()
-                .flat_map(|c| c.externals())
-                .collect(),
-        }
-    }
-
     /// Number of operator nodes (tree size).
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()
@@ -299,42 +279,6 @@ impl NalgExpr {
             .iter()
             .map(|c| c.follow_count())
             .sum::<usize>()
-    }
-
-    /// Rewrites the tree bottom-up: children first, then `f` on the node.
-    pub fn transform_bottom_up(self, f: &impl Fn(NalgExpr) -> NalgExpr) -> NalgExpr {
-        let rebuilt = match self {
-            NalgExpr::Select { input, pred } => NalgExpr::Select {
-                input: Box::new(input.transform_bottom_up(f)),
-                pred,
-            },
-            NalgExpr::Project { input, cols } => NalgExpr::Project {
-                input: Box::new(input.transform_bottom_up(f)),
-                cols,
-            },
-            NalgExpr::Unnest { input, attr } => NalgExpr::Unnest {
-                input: Box::new(input.transform_bottom_up(f)),
-                attr,
-            },
-            NalgExpr::Follow {
-                input,
-                link,
-                target,
-                alias,
-            } => NalgExpr::Follow {
-                input: Box::new(input.transform_bottom_up(f)),
-                link,
-                target,
-                alias,
-            },
-            NalgExpr::Join { left, right, on } => NalgExpr::Join {
-                left: Box::new(left.transform_bottom_up(f)),
-                right: Box::new(right.transform_bottom_up(f)),
-                on,
-            },
-            leaf => leaf,
-        };
-        f(rebuilt)
     }
 
     /// A copy of the tree with every selection constant replaced by
@@ -570,8 +514,6 @@ mod tests {
         assert!(nav().is_computable());
         let with_ext = NalgExpr::external("R").join(nav(), vec![("a", "b")]);
         assert!(!with_ext.is_computable());
-        assert!(with_ext.has_external());
-        assert_eq!(with_ext.externals(), vec!["R"]);
     }
 
     #[test]
@@ -666,17 +608,6 @@ mod tests {
         let e = nav().select(Pred::eq("Info", "x")).project(vec!["Info"]);
         assert_eq!(e.size(), 5);
         assert_eq!(e.follow_count(), 1);
-    }
-
-    #[test]
-    fn transform_bottom_up_rewrites() {
-        // Remove all projections.
-        let e = nav().project(vec!["Info"]);
-        let stripped = e.transform_bottom_up(&|n| match n {
-            NalgExpr::Project { input, .. } => *input,
-            other => other,
-        });
-        assert_eq!(stripped, nav());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! session reports exactly the numbers it would report uncoalesced (pinned
 //! by the serving-equivalence proptests in `tests/serving.rs`).
 
-use crate::eval::{PageSource, SourceError};
+use crate::source::{PageSource, SourceError};
 use adm::{Symbol, Tuple, Url};
 use obs::reqctx::FetchClock;
 use obs::trace::{EventKind, TraceSink};

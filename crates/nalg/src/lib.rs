@@ -17,6 +17,9 @@
 //!   scheme;
 //! * [`display`] — paper-style pretty printing of expressions and query
 //!   plans (Figures 2–4);
+//! * [`source`] — the access boundary: [`PageServer`] (GET, HEAD, the
+//!   server's clock), [`PageSource`] (a page wrapped into its tuple), the
+//!   [`ChangeFeed`] protocol, and [`SourceError`], the one access error;
 //! * [`eval`] — an evaluator over any [`PageSource`], with page-access
 //!   accounting that realizes the paper's cost measure;
 //! * [`policy`] — [`EvalPolicy`], everything an evaluation may do besides
@@ -56,17 +59,19 @@ mod fetch;
 pub mod policy;
 mod reads;
 mod retry;
+pub mod source;
 
 pub use cache::{CacheStats, SharedPageCache};
 pub use error::EvalError;
-pub use eval::{
-    AuditConfig, AuditReport, ConstraintAudit, DegradationMode, EvalReport, Evaluator, PageSource,
-    SourceError,
-};
+pub use eval::{AuditConfig, AuditReport, ConstraintAudit, DegradationMode, EvalReport, Evaluator};
 pub use expr::{NalgExpr, Pred};
 pub use fetch::{CoalesceStats, CoalescingSource, HedgeConfig};
 pub use policy::{EvalPolicy, Fetch};
 pub use retry::{ResilienceSnapshot, ResilientSource};
+pub use source::{
+    ChangeFeed, ChangeKind, FeedCursor, FeedTrimmed, HeadResponse, PageResponse, PageServer,
+    PageSource, SiteChange, SourceError,
+};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EvalError>;

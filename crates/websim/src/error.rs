@@ -1,64 +1,41 @@
-//! Errors of the virtual web layer.
+//! Errors of the site generators and publishing.
+//!
+//! A request to the server fails with the access boundary's one error,
+//! [`nalg::SourceError`] (re-exported as [`crate::WebError`]); this type is
+//! only for building a site.
 
-use adm::Url;
 use std::fmt;
 
-/// Errors raised by the virtual server and site generators.
+/// Errors raised by the site generators and [`crate::Site::publish`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WebError {
-    /// No page at this URL (HTTP 404 analogue). Permanent: retrying the
-    /// same request cannot succeed.
-    NotFound(Url),
-    /// Transient server failure (HTTP 5xx analogue), injected by a
-    /// [`crate::fault::FaultPlan`]. A retry may succeed.
-    Unavailable {
-        /// The URL that failed.
-        url: Url,
-        /// The simulated HTTP status (e.g. 503).
-        status: u16,
-    },
-    /// The request timed out (injected fault). A retry may succeed.
-    Timeout(Url),
+pub enum SiteError {
     /// A site generator was asked for an impossible configuration.
     BadConfig(String),
     /// An underlying data-model error.
     Adm(adm::AdmError),
 }
 
-impl WebError {
-    /// True for failures a retry may fix (5xx, timeout); false for
-    /// permanent conditions (404, configuration and data-model errors).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, WebError::Unavailable { .. } | WebError::Timeout(_))
-    }
-}
-
-impl fmt::Display for WebError {
+impl fmt::Display for SiteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WebError::NotFound(u) => write!(f, "404 not found: {u}"),
-            WebError::Unavailable { url, status } => {
-                write!(f, "{status} service unavailable: {url}")
-            }
-            WebError::Timeout(u) => write!(f, "timeout: {u}"),
-            WebError::BadConfig(msg) => write!(f, "bad site configuration: {msg}"),
-            WebError::Adm(e) => write!(f, "data model error: {e}"),
+            SiteError::BadConfig(msg) => write!(f, "bad site configuration: {msg}"),
+            SiteError::Adm(e) => write!(f, "data model error: {e}"),
         }
     }
 }
 
-impl std::error::Error for WebError {
+impl std::error::Error for SiteError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            WebError::Adm(e) => Some(e),
-            _ => None,
+            SiteError::Adm(e) => Some(e),
+            SiteError::BadConfig(_) => None,
         }
     }
 }
 
-impl From<adm::AdmError> for WebError {
+impl From<adm::AdmError> for SiteError {
     fn from(e: adm::AdmError) -> Self {
-        WebError::Adm(e)
+        SiteError::Adm(e)
     }
 }
 
@@ -68,9 +45,9 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = WebError::NotFound(Url::new("/x.html"));
-        assert_eq!(e.to_string(), "404 not found: /x.html");
-        let e = WebError::Adm(adm::AdmError::UnknownScheme("P".into()));
+        let e = SiteError::BadConfig("no rows".into());
+        assert_eq!(e.to_string(), "bad site configuration: no rows");
+        let e = SiteError::Adm(adm::AdmError::UnknownScheme("P".into()));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

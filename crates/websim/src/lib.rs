@@ -28,6 +28,13 @@
 //!   for chaos testing: transient 5xx/timeouts, permanent link rot, slow
 //!   responses, and truncated bodies, all counted separately from the
 //!   paper's page-access statistics.
+//!
+//! The access boundary itself is `nalg`'s, and this crate implements it:
+//! [`VirtualServer`] (and a [`Site`], through its server) is a
+//! [`PageServer`], a [`Site`] is a [`ChangeFeed`], and a failed request is
+//! `nalg`'s one access error, re-exported here as [`WebError`] — a 5xx is
+//! `Unavailable { reason: "http 503" }`. Building a site fails with
+//! [`SiteError`] instead.
 
 pub mod error;
 pub mod fault;
@@ -37,17 +44,18 @@ pub mod server;
 pub mod site;
 pub mod sitegen;
 
-pub use error::WebError;
+pub use error::SiteError;
 pub use fault::{FaultKind, FaultPlan, FaultRule};
 pub use mutation::{
     DriftKind, DriftPlan, DriftReport, DriftRule, MutationKind, MutationPlan, MutationReport,
     MutationRule,
 };
-pub use server::{
-    AccessSnapshot, DriftSnapshot, FaultSnapshot, HeadResponse, LatencyProfile, PageResponse,
-    PageServer, VirtualServer,
+pub use nalg::{
+    ChangeFeed, ChangeKind, FeedCursor, FeedTrimmed, HeadResponse, PageResponse, PageServer,
+    SiteChange, SourceError as WebError,
 };
-pub use site::{ChangeKind, FeedCursor, FeedTrimmed, Site, SiteChange};
+pub use server::{AccessSnapshot, DriftSnapshot, FaultSnapshot, LatencyProfile, VirtualServer};
+pub use site::Site;
 
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, WebError>;
+/// Crate-wide result alias: building and publishing a site.
+pub type Result<T> = std::result::Result<T, SiteError>;

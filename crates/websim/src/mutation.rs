@@ -26,6 +26,7 @@ use adm::constraints::collect_values;
 use adm::{Tuple, Url, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use std::fmt;
 
 /// Rewrites attribute `attr` (a top-level text attribute) on a randomly
 /// chosen `fraction` (0.0..=1.0) of the pages of `scheme_name`, appending a
@@ -46,7 +47,7 @@ pub fn perturb_text_attr(
         let Some(t) = site.ground_truth(scheme_name, &url).cloned() else {
             continue;
         };
-        let new_tuple = rewrite_attr(&t, attr, revision);
+        let new_tuple = mark_attr(&t, attr, " [rev ", revision);
         site.republish(scheme_name, url, new_tuple, &format!("{scheme_name} (rev)"))?;
         touched += 1;
     }
@@ -183,8 +184,8 @@ impl DriftPlan {
                     DriftKind::PerturbAttr { attr } => {
                         if self.drifts_page(i, url) {
                             report.perturbed_pages += 1;
-                            drifted
-                                .push((url.clone(), drift_attr(tuple, attr, self.seed, i as u64)));
+                            let stamp = format_args!("{}.{i}", self.seed);
+                            drifted.push((url.clone(), mark_attr(tuple, attr, " [drift ", stamp)));
                         }
                     }
                     DriftKind::DropLinks { path } => {
@@ -356,7 +357,8 @@ impl MutationPlan {
                     MutationKind::EditAttr { attr } => {
                         if self.mutates_page(i, url, round) {
                             report.edited_pages += 1;
-                            let edited = edit_attr(tuple, attr, self.seed, i as u64, round);
+                            let stamp = format_args!("{}.{i}.{round}", self.seed);
+                            let edited = mark_attr(tuple, attr, " [edit ", stamp);
                             chosen.push((url.clone(), Some(edited)));
                         }
                     }
@@ -388,53 +390,6 @@ impl MutationPlan {
         }
         Ok(report)
     }
-}
-
-/// Rewrites `attr` with a deterministic edit marker (non-stacking, and
-/// distinct per round so every chosen round really changes the content).
-fn edit_attr(t: &Tuple, attr: &str, seed: u64, rule: u64, round: u64) -> Tuple {
-    let pairs = t
-        .clone()
-        .into_pairs()
-        .into_iter()
-        .map(|(n, v)| {
-            if n == attr {
-                let base = match &v {
-                    Value::Text(s) => s.split(" [edit ").next().unwrap_or_default().to_string(),
-                    _ => String::new(),
-                };
-                (
-                    n,
-                    Value::Text(format!("{base} [edit {seed}.{rule}.{round}]")),
-                )
-            } else {
-                (n, v)
-            }
-        })
-        .collect();
-    Tuple::from_pairs(pairs)
-}
-
-/// Rewrites `attr` with a deterministic drift marker (replacing any marker
-/// from an earlier drift application, so repeated drift does not stack).
-fn drift_attr(t: &Tuple, attr: &str, seed: u64, rule: u64) -> Tuple {
-    let pairs = t
-        .clone()
-        .into_pairs()
-        .into_iter()
-        .map(|(n, v)| {
-            if n == attr {
-                let base = match &v {
-                    Value::Text(s) => s.split(" [drift ").next().unwrap_or_default().to_string(),
-                    _ => String::new(),
-                };
-                (n, Value::Text(format!("{base} [drift {seed}.{rule}]")))
-            } else {
-                (n, v)
-            }
-        })
-        .collect();
-    Tuple::from_pairs(pairs)
 }
 
 /// Removes links chosen by `decide` at `path`: rows of a link collection
@@ -493,7 +448,12 @@ fn rebuild_without(t: &Tuple, path: &[String], decide: &dyn Fn(&Url) -> bool) ->
     (Tuple::from_pairs(pairs), dropped)
 }
 
-fn rewrite_attr(t: &Tuple, attr: &str, revision: u64) -> Tuple {
+/// Rewrites the text attribute `attr` to its text followed by
+/// `{open}{stamp}]` — `open` is ` [rev `, ` [drift ` or ` [edit `, one per
+/// kind of rewrite — replacing any marker an earlier rewrite of the same
+/// kind left, so markers of one kind never stack. A non-text value becomes
+/// the bare marker.
+fn mark_attr(t: &Tuple, attr: &str, open: &str, stamp: impl fmt::Display) -> Tuple {
     let pairs = t
         .clone()
         .into_pairs()
@@ -501,10 +461,10 @@ fn rewrite_attr(t: &Tuple, attr: &str, revision: u64) -> Tuple {
         .map(|(n, v)| {
             if n == attr {
                 let base = match &v {
-                    Value::Text(s) => s.split(" [rev ").next().unwrap_or_default().to_string(),
-                    _ => String::new(),
+                    Value::Text(s) => s.split(open).next().unwrap_or_default(),
+                    _ => "",
                 };
-                (n, Value::Text(format!("{base} [rev {revision}]")))
+                (n, Value::Text(format!("{base}{open}{stamp}]")))
             } else {
                 (n, v)
             }

@@ -13,10 +13,9 @@
 //! mutations bump the clock, so freshness checks behave like HTTP
 //! `If-Modified-Since` without real time.
 
-use crate::error::WebError;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::Result;
 use adm::Url;
+use nalg::{HeadResponse, PageResponse, PageServer, SourceError};
 use obs::{Counter, FixedHistogram, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -32,24 +31,6 @@ struct StoredPage {
     scheme: String,
     body: Arc<[u8]>,
     last_modified: u64,
-}
-
-/// Response to a full `GET`.
-#[derive(Debug, Clone)]
-pub struct PageResponse {
-    /// The page-scheme this URL belongs to.
-    pub scheme: String,
-    /// The HTML body, shared with the stored page.
-    pub body: Arc<[u8]>,
-    /// Logical last-modified stamp.
-    pub last_modified: u64,
-}
-
-/// Response to a light `HEAD` connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeadResponse {
-    /// Logical last-modified stamp.
-    pub last_modified: u64,
 }
 
 /// A deterministic heavy-tail latency model.
@@ -247,10 +228,6 @@ pub struct VirtualServer {
     profile_on: AtomicBool,
     /// Heavy-tail latency model plus its per-URL attempt counter.
     latency_profile: Mutex<Option<(LatencyProfile, HashMap<Url, u64>)>>,
-    /// Simulated transfer rate for GET bodies, bytes/second (0 = infinite).
-    /// HEADs exchange no body and pay only the latency — the asymmetry that
-    /// makes light connections "light".
-    bandwidth_bps: AtomicU64,
     /// Fast-path flag: true only while a fault plan is installed, so the
     /// zero-fault request path never touches the fault lock.
     chaos_enabled: AtomicBool,
@@ -279,7 +256,6 @@ impl Default for VirtualServer {
             latency_us: AtomicU64::new(0),
             profile_on: AtomicBool::new(false),
             latency_profile: Mutex::new(None),
-            bandwidth_bps: AtomicU64::new(0),
             chaos_enabled: AtomicBool::new(false),
             fault: Mutex::new(FaultState::default()),
             f_unavailable: registry.counter("fault_unavailable"),
@@ -397,22 +373,6 @@ impl VirtualServer {
         }
     }
 
-    /// Sets a simulated transfer rate for GET bodies in bytes per second
-    /// (0 = infinite). Downloading an `n`-byte page then takes latency +
-    /// `n / rate`; HEADs stay latency-only.
-    pub fn set_bandwidth(&self, bytes_per_sec: u64) {
-        self.bandwidth_bps.store(bytes_per_sec, Ordering::Relaxed);
-    }
-
-    fn simulate_transfer(&self, bytes: usize) {
-        let bps = self.bandwidth_bps.load(Ordering::Relaxed);
-        // checked_div: bps == 0 means throttling is off
-        match (bytes as u64).saturating_mul(1_000_000).checked_div(bps) {
-            Some(us) if us > 0 => std::thread::sleep(Duration::from_micros(us)),
-            _ => {}
-        }
-    }
-
     /// Installs a fault plan: subsequent requests consult it and may be
     /// failed, delayed, or mangled. Replaces any previous plan (and its
     /// per-URL attempt bookkeeping).
@@ -500,21 +460,21 @@ impl VirtualServer {
     /// Full download. Counts one GET and the body bytes. A failed request
     /// (404 or injected fault) counts in `not_found`/`faults`, never as a
     /// GET: the paper's cost measure charges only completed downloads.
-    pub fn get(&self, url: &Url) -> Result<PageResponse> {
+    pub fn get(&self, url: &Url) -> Result<PageResponse, SourceError> {
         self.simulate_latency(url);
         let pages = self.pages.read();
         let scheme = pages.get(url).map(|p| p.scheme.as_str());
         match self.apply_fault(url, scheme, false) {
             Some(FaultKind::Unavailable) => {
-                return Err(WebError::Unavailable {
+                return Err(SourceError::Unavailable {
                     url: url.clone(),
-                    status: 503,
+                    reason: "http 503".to_string(),
                 })
             }
-            Some(FaultKind::Timeout) => return Err(WebError::Timeout(url.clone())),
+            Some(FaultKind::Timeout) => return Err(SourceError::Timeout(url.clone())),
             Some(FaultKind::LinkRot) => {
                 self.not_found.inc();
-                return Err(WebError::NotFound(url.clone()));
+                return Err(SourceError::NotFound(url.clone()));
             }
             Some(FaultKind::Slow { delay_us }) if delay_us > 0 => {
                 std::thread::sleep(Duration::from_micros(delay_us));
@@ -525,7 +485,6 @@ impl VirtualServer {
                 if let Some(p) = pages.get(url) {
                     let keep = p.body.len() * keep_pct.min(100) as usize / 100;
                     let body: Arc<[u8]> = Arc::from(&p.body[..keep]);
-                    self.simulate_transfer(body.len());
                     self.gets.inc();
                     self.bytes.add(body.len() as u64);
                     self.get_bytes.observe(body.len() as u64);
@@ -541,7 +500,6 @@ impl VirtualServer {
         }
         match pages.get(url) {
             Some(p) => {
-                self.simulate_transfer(p.body.len());
                 self.gets.inc();
                 self.bytes.add(p.body.len() as u64);
                 self.get_bytes.observe(p.body.len() as u64);
@@ -554,28 +512,28 @@ impl VirtualServer {
             }
             None => {
                 self.not_found.inc();
-                Err(WebError::NotFound(url.clone()))
+                Err(SourceError::NotFound(url.clone()))
             }
         }
     }
 
     /// Light connection: only existence and last-modified are exchanged.
     /// Body-mangling faults do not apply; availability faults do.
-    pub fn head(&self, url: &Url) -> Result<HeadResponse> {
+    pub fn head(&self, url: &Url) -> Result<HeadResponse, SourceError> {
         self.simulate_latency(url);
         let pages = self.pages.read();
         let scheme = pages.get(url).map(|p| p.scheme.as_str());
         match self.apply_fault(url, scheme, true) {
             Some(FaultKind::Unavailable) => {
-                return Err(WebError::Unavailable {
+                return Err(SourceError::Unavailable {
                     url: url.clone(),
-                    status: 503,
+                    reason: "http 503".to_string(),
                 })
             }
-            Some(FaultKind::Timeout) => return Err(WebError::Timeout(url.clone())),
+            Some(FaultKind::Timeout) => return Err(SourceError::Timeout(url.clone())),
             Some(FaultKind::LinkRot) => {
                 self.not_found.inc();
-                return Err(WebError::NotFound(url.clone()));
+                return Err(SourceError::NotFound(url.clone()));
             }
             Some(FaultKind::Slow { delay_us }) => {
                 if delay_us > 0 {
@@ -593,7 +551,7 @@ impl VirtualServer {
             }
             None => {
                 self.not_found.inc();
-                Err(WebError::NotFound(url.clone()))
+                Err(SourceError::NotFound(url.clone()))
             }
         }
     }
@@ -687,25 +645,12 @@ impl VirtualServer {
     }
 }
 
-/// The server-side protocol surface — GET, HEAD, and the logical clock —
-/// abstracted so maintenance code (crawling, URL-check, the `CheckMissing`
-/// sweep) can run against either a raw [`VirtualServer`] or a resilience
-/// wrapper that retries and circuit-breaks around one.
-pub trait PageServer {
-    /// Full download (counted).
-    fn get(&self, url: &Url) -> Result<PageResponse>;
-    /// Light connection (counted).
-    fn head(&self, url: &Url) -> Result<HeadResponse>;
-    /// Current logical time of the underlying server.
-    fn now(&self) -> u64;
-}
-
 impl PageServer for VirtualServer {
-    fn get(&self, url: &Url) -> Result<PageResponse> {
+    fn get(&self, url: &Url) -> Result<PageResponse, SourceError> {
         VirtualServer::get(self, url)
     }
 
-    fn head(&self, url: &Url) -> Result<HeadResponse> {
+    fn head(&self, url: &Url) -> Result<HeadResponse, SourceError> {
         VirtualServer::head(self, url)
     }
 
@@ -752,11 +697,11 @@ mod tests {
         let s = server_with_page();
         assert!(matches!(
             s.get(&Url::new("/nope.html")),
-            Err(WebError::NotFound(_))
+            Err(SourceError::NotFound(_))
         ));
         assert!(matches!(
             s.head(&Url::new("/nope.html")),
-            Err(WebError::NotFound(_))
+            Err(SourceError::NotFound(_))
         ));
         assert_eq!(s.stats().not_found, 2);
     }
@@ -1016,22 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_throttles_gets_not_heads() {
-        let s = server_with_page(); // 14-byte body
-        s.set_bandwidth(1_000); // 1 KB/s → 14 ms per GET
-        let t0 = std::time::Instant::now();
-        s.get(&Url::new("/a.html")).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(14));
-        let t0 = std::time::Instant::now();
-        s.head(&Url::new("/a.html")).unwrap();
-        assert!(t0.elapsed() < Duration::from_millis(14));
-        s.set_bandwidth(0);
-        let t0 = std::time::Instant::now();
-        s.get(&Url::new("/a.html")).unwrap();
-        assert!(t0.elapsed() < Duration::from_millis(14));
-    }
-
-    #[test]
     fn urls_of_scheme_sorted() {
         let s = VirtualServer::new();
         s.put(Url::new("/b"), "P", "x");
@@ -1061,9 +990,9 @@ mod tests {
         // Cap of 2 injections per URL: two failures, then success.
         assert!(matches!(
             s.get(&url),
-            Err(WebError::Unavailable { status: 503, .. })
+            Err(SourceError::Unavailable { reason, .. }) if reason == "http 503"
         ));
-        assert!(matches!(s.get(&url), Err(WebError::Unavailable { .. })));
+        assert!(matches!(s.get(&url), Err(SourceError::Unavailable { .. })));
         let r = s.get(&url).unwrap();
         assert_eq!(&r.body[..], b"<html>A</html>");
         let st = s.stats();
@@ -1078,9 +1007,9 @@ mod tests {
         s.set_fault_plan(FaultPlan::new(3).with_rule(crate::fault::FaultRule::link_rot(1.0)));
         let url = Url::new("/a.html");
         for _ in 0..4 {
-            assert!(matches!(s.get(&url), Err(WebError::NotFound(_))));
+            assert!(matches!(s.get(&url), Err(SourceError::NotFound(_))));
         }
-        assert!(matches!(s.head(&url), Err(WebError::NotFound(_))));
+        assert!(matches!(s.head(&url), Err(SourceError::NotFound(_))));
         let st = s.stats();
         assert_eq!(st.faults.link_rot, 5);
         assert_eq!(st.not_found, 5);

@@ -6,94 +6,18 @@
 //! check wrapper round-trips, verify the declared constraints actually hold
 //! on the instance, and compute query-result oracles without navigation.
 
-use crate::error::WebError;
+use crate::error::SiteError;
 use crate::page::render_page;
 use crate::server::VirtualServer;
 use crate::Result;
 use adm::constraints::{verify_inclusion_constraint, verify_link_constraint, Violation};
 use adm::{Tuple, Url, WebScheme};
+use nalg::{ChangeFeed, HeadResponse, PageResponse, PageServer, SourceError};
+pub use nalg::{ChangeKind, FeedCursor, FeedTrimmed, SiteChange};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-
-/// What happened to one page, as recorded in the site's change feed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChangeKind {
-    /// The page was published at a URL that had no page before.
-    Added,
-    /// An existing page was re-published with new content.
-    Edited,
-    /// The page was removed from the server.
-    Removed,
-}
-
-/// One entry of the site's change feed — the deterministic mutation log a
-/// maintenance process can subscribe to instead of re-crawling the world.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteChange {
-    /// Position in the feed (0-based, dense, absolute: trimming the feed
-    /// never renumbers it).
-    pub seq: u64,
-    /// The page-scheme of the affected page.
-    pub scheme: String,
-    /// The affected URL.
-    pub url: Url,
-    /// What happened.
-    pub kind: ChangeKind,
-}
-
-/// A registered reader's position in a site's change feed: the `seq` of
-/// the first entry it has not consumed.
-///
-/// The site keeps every entry at or after the lowest registered cursor and
-/// drops the rest, so a reader owns its cursor and the site only watches it:
-/// [`Site::changes_for`] registers the cursor on first use, the reader
-/// [`set`](FeedCursor::set)s it forward once a batch is applied, and dropping
-/// the `FeedCursor` releases the hold (the site keeps a `Weak`).
-#[derive(Debug, Default)]
-pub struct FeedCursor(Arc<AtomicU64>);
-
-impl FeedCursor {
-    /// A cursor at `at` (typically [`Site::change_cursor`]).
-    pub fn new(at: u64) -> Self {
-        FeedCursor(Arc::new(AtomicU64::new(at)))
-    }
-
-    /// The `seq` of the first entry not consumed yet.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::SeqCst)
-    }
-
-    /// Moves the cursor; everything below it may be dropped by the site.
-    pub fn set(&self, at: u64) {
-        self.0.store(at, Ordering::SeqCst);
-    }
-}
-
-/// A reader asked for feed entries the site no longer holds: the feed keeps
-/// only what its registered readers have not consumed. The reader cannot
-/// catch up from the feed and must refresh in full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeedTrimmed {
-    /// The cursor the reader asked from.
-    pub cursor: u64,
-    /// The `seq` of the oldest entry still retained.
-    pub retained_from: u64,
-}
-
-impl fmt::Display for FeedTrimmed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "change feed trimmed: asked from {}, retained from {}",
-            self.cursor, self.retained_from
-        )
-    }
-}
-
-impl std::error::Error for FeedTrimmed {}
+use std::sync::Weak;
 
 /// A generated web site.
 #[derive(Debug)]
@@ -180,9 +104,10 @@ impl Site {
         reader: &FeedCursor,
     ) -> std::result::Result<&[SiteChange], FeedTrimmed> {
         {
+            let watch = reader.watch();
             let mut readers = self.readers.lock();
-            if !readers.iter().any(|r| r.as_ptr() == Arc::as_ptr(&reader.0)) {
-                readers.push(Arc::downgrade(&reader.0));
+            if !readers.iter().any(|r| r.ptr_eq(&watch)) {
+                readers.push(watch);
             }
         }
         let cursor = reader.get();
@@ -203,7 +128,7 @@ impl Site {
     ) -> Result<()> {
         let ps = self.scheme.scheme(scheme_name)?;
         if !tuple.conforms_to(&ps.fields) {
-            return Err(WebError::Adm(adm::AdmError::SchemaViolation(format!(
+            return Err(SiteError::Adm(adm::AdmError::SchemaViolation(format!(
                 "tuple for {url} does not conform to page-scheme {scheme_name}"
             ))));
         }
@@ -257,6 +182,12 @@ impl Site {
         self.instances.get(scheme_name).into_iter().flatten()
     }
 
+    /// Every ground-truth page of the site: scheme by scheme in name order,
+    /// URL-ordered within a scheme.
+    pub fn all_pages(&self) -> impl Iterator<Item = (&Url, &Tuple)> {
+        self.instances.values().flatten()
+    }
+
     /// The ground-truth instance of a page-scheme, URL-ordered — an owned
     /// copy of every [`Site::pages`] entry.
     pub fn instance(&self, scheme_name: &str) -> Vec<(Url, Tuple)> {
@@ -306,6 +237,32 @@ impl Site {
             ));
         }
         out
+    }
+}
+
+impl ChangeFeed for Site {
+    fn changes_for(&self, reader: &FeedCursor) -> std::result::Result<&[SiteChange], FeedTrimmed> {
+        Site::changes_for(self, reader)
+    }
+
+    fn change_cursor(&self) -> u64 {
+        Site::change_cursor(self)
+    }
+}
+
+/// A site serves its pages through its own server, so a caller that reads
+/// the feed and fetches what it names can take the site alone.
+impl PageServer for Site {
+    fn get(&self, url: &Url) -> std::result::Result<PageResponse, SourceError> {
+        self.server.get(url)
+    }
+
+    fn head(&self, url: &Url) -> std::result::Result<HeadResponse, SourceError> {
+        self.server.head(url)
+    }
+
+    fn now(&self) -> u64 {
+        self.server.now()
     }
 }
 

@@ -14,7 +14,7 @@
 //! were the editors of VLDB '96 … we do not need to follow the link"),
 //! which the scheme documents with a link constraint.
 
-use crate::error::WebError;
+use crate::error::SiteError;
 use crate::site::Site;
 use crate::sitegen::names;
 use crate::Result;
@@ -241,7 +241,7 @@ impl Bibliography {
             || cfg.authors == 0
             || cfg.max_authors_per_paper == 0
         {
-            return Err(WebError::BadConfig(
+            return Err(SiteError::BadConfig(
                 "need 1 ≤ featured ≤ db_conferences ≤ conferences, ≥1 author, ≥1 author/paper"
                     .into(),
             ));

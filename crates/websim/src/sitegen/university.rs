@@ -12,7 +12,7 @@
 //! and exposes *oracles* (ground-truth external relations) plus a mutation
 //! API used by the materialized-view experiments.
 
-use crate::error::WebError;
+use crate::error::SiteError;
 use crate::site::Site;
 use crate::sitegen::names;
 use crate::Result;
@@ -261,7 +261,7 @@ impl University {
     /// Generates a university site from a configuration.
     pub fn generate(cfg: UniversityConfig) -> Result<University> {
         if cfg.departments == 0 || cfg.professors < cfg.departments || cfg.sessions.is_empty() {
-            return Err(WebError::BadConfig(
+            return Err(SiteError::BadConfig(
                 "need ≥1 department, ≥1 session, and at least as many professors as departments"
                     .into(),
             ));
@@ -560,7 +560,7 @@ impl University {
         let c = self
             .courses
             .get_mut(&id)
-            .ok_or_else(|| WebError::BadConfig(format!("no course {id}")))?;
+            .ok_or_else(|| SiteError::BadConfig(format!("no course {id}")))?;
         c.description = text.into();
         self.render_course(id, true)
     }
@@ -568,7 +568,7 @@ impl University {
     /// Changes a professor's e-mail; only their page changes.
     pub fn update_prof_email(&mut self, i: usize, email: Option<String>) -> Result<()> {
         if i >= self.profs.len() {
-            return Err(WebError::BadConfig(format!("no professor {i}")));
+            return Err(SiteError::BadConfig(format!("no professor {i}")));
         }
         self.profs[i].email = email;
         self.render_prof(i, true)
@@ -578,10 +578,10 @@ impl University {
     /// page and updates the professor's and the session's pages.
     pub fn add_course(&mut self, prof: usize, session: &str, ctype: &str) -> Result<usize> {
         if prof >= self.profs.len() {
-            return Err(WebError::BadConfig(format!("no professor {prof}")));
+            return Err(SiteError::BadConfig(format!("no professor {prof}")));
         }
         if !self.cfg.sessions.iter().any(|s| s == session) {
-            return Err(WebError::BadConfig(format!("no session {session}")));
+            return Err(SiteError::BadConfig(format!("no session {session}")));
         }
         let id = self.next_course_id;
         self.next_course_id += 1;
@@ -605,7 +605,7 @@ impl University {
     /// updates the professor-list and department pages.
     pub fn add_professor(&mut self, dept: usize, rank: &str) -> Result<usize> {
         if dept >= self.depts.len() {
-            return Err(WebError::BadConfig(format!("no department {dept}")));
+            return Err(SiteError::BadConfig(format!("no department {dept}")));
         }
         let i = self.profs.len();
         let name = format!("New Hire {i}");
@@ -648,7 +648,7 @@ impl University {
         let c = self
             .courses
             .remove(&id)
-            .ok_or_else(|| WebError::BadConfig(format!("no course {id}")))?;
+            .ok_or_else(|| SiteError::BadConfig(format!("no course {id}")))?;
         self.site.unpublish("CoursePage", &Self::course_url(id));
         self.render_prof(c.prof, true)?;
         self.render_session(&c.session, true)?;

@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\neager alternative (full refresh): {n} downloads — the lazy strategy did the same \
          job with a handful"
     );
-    assert!(maintain::audit(&store, &u.site).is_empty());
+    assert!(maintain::audit(&store, u.site.all_pages()).is_empty());
     println!("audit: store is consistent with the site ✓");
     Ok(())
 }

@@ -86,7 +86,7 @@ fn interleaved_mutations_and_queries_stay_correct() {
     // the off-line sweep plus a periodic full refresh converge the store
     maintain::purge_missing(&mut store, &u.site.server);
     maintain::full_refresh(&mut store, &u.site.scheme, &u.site.server).unwrap();
-    assert!(maintain::audit(&store, &u.site).is_empty());
+    assert!(maintain::audit(&store, u.site.all_pages()).is_empty());
 }
 
 #[test]
