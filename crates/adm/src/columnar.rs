@@ -83,11 +83,6 @@ impl Bitmap {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Number of set (valid) bits.
-    pub fn count_valid(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 /// The typed payload of one column.

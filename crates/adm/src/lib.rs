@@ -33,6 +33,7 @@ pub mod constraints;
 pub mod display;
 pub mod dot;
 pub mod error;
+pub mod hash;
 pub mod intern;
 pub mod paths;
 pub mod relation;
@@ -44,6 +45,7 @@ pub mod value;
 pub use columnar::{Bitmap, Column, ColumnData, ColumnRel, ColumnRelBuilder, Keep};
 pub use constraints::{InclusionConstraint, LinkConstraint};
 pub use error::AdmError;
+pub use hash::{fnv1a, mix64};
 pub use intern::Symbol;
 pub use paths::{NavPath, PathStep};
 pub use relation::Relation;

@@ -86,17 +86,6 @@ impl NavPath {
             .filter(|s| matches!(s, PathStep::Follow { .. }))
             .count()
     }
-
-    /// The sequence of page-schemes visited (entry first).
-    pub fn schemes_visited(&self) -> Vec<&str> {
-        let mut out = vec![self.entry.as_str()];
-        for s in &self.steps {
-            if let PathStep::Follow { target, .. } = s {
-                out.push(target);
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for NavPath {
@@ -206,7 +195,6 @@ mod tests {
         assert_eq!(p.to_string(), "ListPage ∘ Items –ToItem→ ItemPage");
         assert_eq!(p.final_scheme(), "ItemPage");
         assert_eq!(p.hops(), 1);
-        assert_eq!(p.schemes_visited(), vec!["ListPage", "ItemPage"]);
     }
 
     #[test]

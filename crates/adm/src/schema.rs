@@ -273,14 +273,6 @@ impl WebScheme {
         &self.inclusion_constraints
     }
 
-    /// Link constraints attached to the given link attribute.
-    pub fn link_constraints_for(&self, link: &AttrRef) -> Vec<&LinkConstraint> {
-        self.link_constraints
-            .iter()
-            .filter(|c| &c.link == link)
-            .collect()
-    }
-
     /// All link attributes (across all schemes) that point to `target`.
     pub fn links_to(&self, target: &str) -> Vec<AttrRef> {
         let mut out = Vec::new();

@@ -233,21 +233,6 @@ impl Tuple {
             .find_map(|(n, v)| (*n == name).then_some(v))
     }
 
-    /// Looks a (possibly nested) dotted path up, descending into list values
-    /// is not allowed here — paths must address mono-valued positions; use
-    /// the relation layer's unnest for multi-valued access.
-    pub fn get_path(&self, path: &[&str]) -> Option<&Value> {
-        let (first, rest) = path.split_first()?;
-        let v = self.get(first)?;
-        if rest.is_empty() {
-            Some(v)
-        } else {
-            // Descend only through single-row lists is NOT supported: paths
-            // through lists are a relation-level concern.
-            None
-        }
-    }
-
     /// Iterates over (name, value) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(n, v)| (n.as_str(), v))
@@ -977,12 +962,5 @@ mod tests {
             "unknown id"
         );
         assert_eq!(Tuple::decode(&[0xff; 11]), None, "a varint past 64 bits");
-    }
-
-    #[test]
-    fn get_path_rejects_descent_through_lists() {
-        let t = prof_tuple();
-        assert!(t.get_path(&["CourseList", "CName"]).is_none());
-        assert!(t.get_path(&["PName"]).is_some());
     }
 }

@@ -202,10 +202,9 @@ fn drive_arm<S: nalg::PageSource>(
         bad_brownouts: AtomicU64::new(0),
     };
     let hist = FixedHistogram::new();
-    let debug = std::env::var_os("X8_DEBUG").is_some();
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for _ in 0..workers {
             let (next, stats) = (&next, &stats);
             let hist = hist.clone();
             scope.spawn(move || loop {
@@ -213,16 +212,10 @@ fn drive_arm<S: nalg::PageSource>(
                 if i >= schedule.len() {
                     break;
                 }
-                if debug {
-                    eprintln!("x8-debug: worker {w} start req {i} q={}", schedule[i]);
-                }
                 let t0 = Instant::now();
                 let out = server.serve(&queries[schedule[i]].1).expect("serve");
                 hist.observe(t0.elapsed().as_micros() as u64);
                 classify(&out, &oracle[schedule[i]], stats);
-                if debug {
-                    eprintln!("x8-debug: worker {w} done  req {i}");
-                }
             });
         }
     });
@@ -391,33 +384,21 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
     // an unwarmed first hit would put one planning spike in every
     // arm's tail and the p99.9 columns would compare the optimizer,
     // not the fetch-path levers X8 isolates.
-    let debug = std::env::var_os("X8_DEBUG").is_some();
-    let stage = |s: &str| {
-        if debug {
-            eprintln!("x8-debug: stage {s}");
-        }
-    };
     let warm = |server: &QueryServer<'_, LiveSource>| {
-        for (i, (_, q)) in queries.iter().enumerate() {
-            if debug {
-                eprintln!("x8-debug: warm query {i}");
-            }
+        for (_, q) in &queries {
             let _ = server.serve(q).expect("warmup serve");
         }
     };
 
-    stage("baseline arm");
     // 1 — baseline: tails are waited out in full.
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
         .with_admission_capacity(cfg.workers)
         .with_concurrent_fetch(cfg.fetch_workers);
     warm(&server);
     u.site.server.reset_stats();
-    stage("drive baseline");
     let baseline = drive_arm(&server, &queries, &schedule, &oracle, cfg.workers);
     t.row(baseline.row("baseline", cfg.requests, 0));
 
-    stage("deadline arm");
     // 2 — deadline only: requests brown out at the budget.
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
         .with_admission_capacity(cfg.workers)
@@ -425,11 +406,9 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
         .with_deadline_budget(budget_us);
     warm(&server);
     u.site.server.reset_stats();
-    stage("drive deadline");
     let deadline = drive_arm(&server, &queries, &schedule, &oracle, cfg.workers);
     t.row(deadline.row("deadline", cfg.requests, 0));
 
-    stage("hedge arm");
     // 3 — hedge only: tails are raced, nothing browns out.
     let hedge = HedgeConfig::new(jittered_delay_us(hedge_delay_us, cfg.seed));
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
@@ -444,12 +423,10 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
     warm(&server);
     u.site.server.reset_stats();
     let hedge_warm = hedge.hedges.get();
-    stage("drive hedge");
     let hedged = drive_arm(&server, &queries, &schedule, &oracle, cfg.workers);
     let hedge_count = hedge.hedges.get().saturating_sub(hedge_warm);
     t.row(hedged.row("hedge", cfg.requests, hedge_count));
 
-    stage("guarded arm");
     // 4 — deadline + hedge: hedges recover tails inside the budget,
     // the deadline caps the stragglers.
     let guarded_hedge = HedgeConfig::new(jittered_delay_us(hedge_delay_us, cfg.seed ^ 1));
@@ -466,7 +443,6 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
     warm(&server);
     u.site.server.reset_stats();
     let guarded_warm = guarded_hedge.hedges.get();
-    stage("drive guarded");
     let guarded = drive_arm(&server, &queries, &schedule, &oracle, cfg.workers);
     let guarded_count = guarded_hedge.hedges.get().saturating_sub(guarded_warm);
     t.row(guarded.row("deadline + hedge", cfg.requests, guarded_count));
@@ -496,10 +472,7 @@ fn jittered_delay_us(delay_us: u64, seed: u64) -> u64 {
         return delay_us;
     }
     // splitmix64 over the seed; spread in [-delay/8, +delay/8].
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = adm::mix64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15));
     let span = (delay_us / 8).max(1);
     let offset = z % (2 * span);
     (delay_us + offset).saturating_sub(span).max(1)

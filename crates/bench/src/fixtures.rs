@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn paper_plans_are_computable_and_valid() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         for plan in [
             figure_2_plan(),
             example_71_plan_1d(),
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn strategies_are_computable() {
-        let ws = websim::sitegen::bibliography::bibliography_scheme();
+        let ws = websim::sitegen::bibliography::bibliography_scheme().unwrap();
         for s in intro_strategies(&[1997, 1996, 1995]) {
             assert!(s.is_computable());
             assert!(s.output_columns(&ws).is_ok(), "{s}");

@@ -753,7 +753,7 @@ pub fn xa_explain_analyze() -> ExplainSmoke {
     let mut reports = Vec::new();
     let mut worst = 1.0f64;
     for (label, q) in university_workload() {
-        let sink = TraceSink::with_seed(0);
+        let sink = TraceSink::new();
         let outcome = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
             .with_policy(&ExecPolicy {
                 eval: EvalPolicy {
@@ -960,11 +960,11 @@ pub fn dot_figures() -> String {
     let mut out = String::new();
     out.push_str("// ── university scheme (Figure 1) ──\n");
     out.push_str(&adm::dot::scheme_to_dot(
-        &websim::sitegen::university::university_scheme(),
+        &websim::sitegen::university::university_scheme().expect("the Figure 1 scheme builds"),
     ));
     out.push_str("\n// ── bibliography scheme ──\n");
     out.push_str(&adm::dot::scheme_to_dot(
-        &websim::sitegen::bibliography::bibliography_scheme(),
+        &websim::sitegen::bibliography::bibliography_scheme().expect("the scheme builds"),
     ));
     out.push_str("\n// ── Example 7.2 plan (2), pointer chase ──\n");
     out.push_str(&nalg::display::dot(&example_72_plan_2("Computer Science")));

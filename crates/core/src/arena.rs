@@ -960,7 +960,7 @@ mod tests {
 
     #[test]
     fn import_export_round_trips_and_dedups() {
-        let (ws, stats) = (university_scheme(), SiteStatistics::default());
+        let (ws, stats) = (university_scheme().unwrap(), SiteStatistics::default());
         let mut arena = PlanArena::new(&ws, &stats);
         let e = prof_spine()
             .select(Pred::And(vec![
@@ -983,7 +983,7 @@ mod tests {
 
     #[test]
     fn header_matches_output_columns() {
-        let (ws, stats) = (university_scheme(), SiteStatistics::default());
+        let (ws, stats) = (university_scheme().unwrap(), SiteStatistics::default());
         let mut arena = PlanArena::new(&ws, &stats);
         for e in [
             prof_spine(),
@@ -1005,7 +1005,7 @@ mod tests {
 
     #[test]
     fn validity_tracks_dangling_references() {
-        let (ws, stats) = (university_scheme(), SiteStatistics::default());
+        let (ws, stats) = (university_scheme().unwrap(), SiteStatistics::default());
         let mut arena = PlanArena::new(&ws, &stats);
         let ok = arena.import(&prof_spine());
         assert!(arena.is_valid(ok));
@@ -1019,7 +1019,7 @@ mod tests {
 
     #[test]
     fn replace_at_rebuilds_only_the_spine() {
-        let (ws, stats) = (university_scheme(), SiteStatistics::default());
+        let (ws, stats) = (university_scheme().unwrap(), SiteStatistics::default());
         let mut arena = PlanArena::new(&ws, &stats);
         let e = prof_spine().join(NalgExpr::entry("DeptListPage"), vec![("x", "y")]);
         let root = arena.import(&e);
@@ -1040,7 +1040,7 @@ mod tests {
 
     #[test]
     fn rename_alias_rewrites_refs_and_nodes() {
-        let (ws, stats) = (university_scheme(), SiteStatistics::default());
+        let (ws, stats) = (university_scheme().unwrap(), SiteStatistics::default());
         let mut arena = PlanArena::new(&ws, &stats);
         let e = prof_spine().project(vec!["ProfPage.PName", "ProfPageX.PName"]);
         let id = arena.import(&e);

@@ -353,7 +353,7 @@ mod tests {
     fn fixtures() -> (adm::WebScheme, SiteStatistics) {
         let u = University::generate(UniversityConfig::default()).unwrap();
         let stats = SiteStatistics::from_site(&u.site);
-        (university_scheme(), stats)
+        (university_scheme().unwrap(), stats)
     }
 
     #[test]

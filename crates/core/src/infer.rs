@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn professor_navigation_is_inferred_complete() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         let navs = infer_navigations(&ws, "ProfPage", 3);
         // the ProfListPage path is complete; dept/course paths are not
         let complete: Vec<&InferredNavigation> = navs.iter().filter(|n| n.complete).collect();
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn course_navigation_requires_session_path() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         let navs = infer_navigations(&ws, "CoursePage", 3);
         let complete: Vec<String> = navs
             .iter()
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn dept_page_incomplete_until_inclusion_discovered() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         // the declared scheme has no inclusion among links to DeptPage, so
         // nothing is provably complete…
         assert!(auto_relation(&ws, "DeptPage", 3).is_err());

@@ -80,20 +80,9 @@ pub fn quarantine_fingerprint(quarantined: &[String]) -> u64 {
     if quarantined.is_empty() {
         return 0;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for key in quarantined {
-        for b in key.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff; // key separator
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // splitmix64 finisher for avalanche
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    // Each key ends in a 0xff separator byte.
+    let h = adm::fnv1a(quarantined.iter().flat_map(|k| k.bytes().chain([0xff])));
+    adm::mix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// How a run came by its plan.
@@ -428,7 +417,7 @@ mod tests {
         let expr = nalg::NalgExpr::entry("HomePage");
         let estimate = crate::cost::estimate(
             &expr,
-            &websim::sitegen::university::university_scheme(),
+            &websim::sitegen::university::university_scheme().unwrap(),
             &crate::SiteStatistics::default(),
         )
         .expect("entry estimates");
@@ -452,7 +441,7 @@ mod tests {
     }
 
     fn link_dep() -> ConstraintDependency {
-        let ws = websim::sitegen::university::university_scheme();
+        let ws = websim::sitegen::university::university_scheme().unwrap();
         ConstraintDependency::Link(ws.link_constraints()[0].clone())
     }
 

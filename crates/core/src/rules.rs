@@ -964,7 +964,7 @@ mod tests {
     fn uni_fixtures() -> (WebScheme, SiteStatistics) {
         let u = University::generate(UniversityConfig::default()).unwrap();
         let stats = SiteStatistics::from_site(&u.site);
-        (university_scheme(), stats)
+        (university_scheme().unwrap(), stats)
     }
 
     /// Imports and qualifies a tree.
@@ -1168,7 +1168,7 @@ mod tests {
 
     #[test]
     fn rule6_pushes_through_two_hops() {
-        let ws = bibliography_scheme();
+        let ws = bibliography_scheme().unwrap();
         let stats = SiteStatistics::default();
         let mut rw = Rewriter::new(&ws, &stats, &open_gate);
         let e = editors_query(vec![Pred::eq("EditionPage.ConfName", "VLDB")]);
@@ -1182,7 +1182,7 @@ mod tests {
 
     #[test]
     fn rule5_7_prune_unused_navigation() {
-        let ws = bibliography_scheme();
+        let ws = bibliography_scheme().unwrap();
         let stats = SiteStatistics::default();
         let mut rw = Rewriter::new(&ws, &stats, &open_gate);
         // editors of VLDB '96: the edition page need not be fetched — the
@@ -1351,7 +1351,7 @@ mod tests {
 
     #[test]
     fn bibliography_rule9_home_featured_chase() {
-        let ws = bibliography_scheme();
+        let ws = bibliography_scheme().unwrap();
         let bib = Bibliography::generate(BibConfig {
             authors: 20,
             conferences: 5,

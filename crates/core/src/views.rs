@@ -380,14 +380,14 @@ mod tests {
     #[test]
     fn university_catalog_validates() {
         let cat = university_catalog();
-        cat.validate(&university_scheme()).unwrap();
+        cat.validate(&university_scheme().unwrap()).unwrap();
         assert_eq!(cat.relations().count(), 5);
     }
 
     #[test]
     fn bibliography_catalog_validates() {
         let cat = bibliography_catalog();
-        cat.validate(&bibliography_scheme()).unwrap();
+        cat.validate(&bibliography_scheme().unwrap()).unwrap();
     }
 
     #[test]
@@ -432,7 +432,7 @@ mod tests {
 
     #[test]
     fn catalog_rejects_unbound_attr() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         let bad = ViewCatalog::new().with(ExternalRelation::new(
             "Broken",
             vec!["X"],
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn catalog_rejects_noncomputable_nav() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         let bad = ViewCatalog::new().with(ExternalRelation::new(
             "Broken",
             vec!["X"],

@@ -665,7 +665,7 @@ impl MatStore {
         };
         // Upquery: one ordinary GET, counted by the server like any fetch.
         self.metrics.upqueries.inc();
-        if let Some(ctx) = obs::reqctx::current() {
+        if let Some(ctx) = obs::reqctx::current().and_then(|c| c.trace) {
             ctx.sink.event(
                 obs::EventKind::Dataflow,
                 "dataflow.upquery",

@@ -313,14 +313,12 @@ impl<'a> IncrementalView<'a> {
         };
         let mut span = trace.begin(EventKind::Dataflow, "dataflow.sync", None);
         let parent = span.id();
-        let ctx = obs::reqctx::RequestCtx {
+        let ctx = obs::reqctx::RequestCtx::traced(obs::reqctx::Attribution {
             sink: trace.clone(),
             parent,
             request_id: 0,
             clock: obs::reqctx::FetchClock::new(),
-            deadline: obs::Deadline::infinite(),
-            cancel: None,
-        };
+        });
         let res = obs::reqctx::with_ctx(Some(ctx), || self.apply_changes_inner(server, changes));
         match &res {
             Ok(rep) => {

@@ -130,15 +130,8 @@ impl AuditReport {
 /// bytes mixed with the seed through a splitmix64 finisher. Independent of
 /// fetch order, shared-cache state, and worker count.
 fn sample_fraction(seed: u64, url: &Url) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in url.as_str().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = (seed ^ h).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let h = adm::fnv1a(url.as_str().bytes());
+    let z = adm::mix64((seed ^ h).wrapping_add(0x9E37_79B9_7F4A_7C15));
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -335,6 +328,13 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     }
 
     /// Evaluates a computable expression.
+    ///
+    /// For the evaluation's duration the policy's deadline and token
+    /// ([`EvalPolicy::cancel_token`]) are this request's budget in
+    /// [`obs::reqctx`], installed over the attribution a caller already
+    /// installed, if any: the layers below the access boundary — pool
+    /// workers, coalescing followers, simulated network waits — honour
+    /// them whoever runs the evaluator.
     pub fn eval(&self, expr: &NalgExpr) -> Result<EvalReport> {
         if !expr.is_computable() {
             return Err(EvalError::NotComputable(format!(
@@ -342,20 +342,18 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             )));
         }
         let cancel = self.policy.cancel_token();
-        match &self.policy.fetch {
-            Fetch::Inline => {
-                let pool = FetchPool::inline(self.source, cancel.as_ref());
-                self.eval_with(expr, &pool, cancel)
+        obs::reqctx::with_budget(self.policy.deadline, cancel.clone(), || {
+            match &self.policy.fetch {
+                Fetch::Inline => self.eval_with(expr, &FetchPool::inline(self.source), cancel),
+                Fetch::Pool { workers, .. } => crate::fetch::with_pool(
+                    self.source,
+                    workers.get(),
+                    self.policy.sink(),
+                    self.policy.trace_parent(),
+                    |pool| self.eval_with(expr, pool, cancel.clone()),
+                ),
             }
-            Fetch::Pool { workers, .. } => crate::fetch::with_pool(
-                self.source,
-                workers.get(),
-                self.policy.sink(),
-                self.policy.trace_parent(),
-                cancel.as_ref(),
-                |pool| self.eval_with(expr, pool, cancel.clone()),
-            ),
-        }
+        })
     }
 
     fn eval_with(
@@ -685,12 +683,10 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     ) -> Result<()> {
         let mut misses: Vec<Symbol> = Vec::new();
         for &s in order {
-            if self.policy.per_query_cache {
-                if let Some(page) = ctx.cache.get(&s) {
-                    ctx.cache_hits += 1;
-                    deliver(s, page)?;
-                    continue;
-                }
+            if let Some(page) = ctx.cache.get(&s) {
+                ctx.cache_hits += 1;
+                deliver(s, page)?;
+                continue;
             }
             if let Some(shared) = self.policy.shared_cache {
                 if let Some(page) = shared.get_encoded(s.as_str()) {
@@ -698,9 +694,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     ctx.shared_hits += 1;
                     self.audit_record(ctx, s, scheme, &page);
                     deliver(s, &page)?;
-                    if self.policy.per_query_cache {
-                        ctx.cache.insert(s, page);
-                    }
+                    ctx.cache.insert(s, page);
                     continue;
                 }
             }
@@ -910,9 +904,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 let page = Page::Wrapped(t);
                 self.audit_record(ctx, done.job.url, scheme, &page);
                 deliver(done.job.url, &page)?;
-                if self.policy.per_query_cache {
-                    ctx.cache.insert(done.job.url, page);
-                }
+                ctx.cache.insert(done.job.url, page);
                 return Ok(());
             }
             Err(SourceError::NotFound(_)) => ctx.broken_links += 1,
@@ -1115,19 +1107,23 @@ mod tests {
         }
     }
 
-    fn scheme() -> WebScheme {
-        let list = PageScheme::new(
-            "ListPage",
+    /// A list of named links to item pages, under page-scheme `name`.
+    fn list_scheme(name: &str) -> PageScheme {
+        PageScheme::new(
+            name,
             vec![Field::list(
                 "Items",
                 vec![Field::text("Name"), Field::link("ToItem", "ItemPage")],
             )],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    fn scheme() -> WebScheme {
         let item =
             PageScheme::new("ItemPage", vec![Field::text("Name"), Field::text("Kind")]).unwrap();
         WebScheme::builder()
-            .scheme(list)
+            .scheme(list_scheme("ListPage"))
             .scheme(item)
             .entry_point("ListPage", "/list.html")
             .build()
@@ -1294,34 +1290,18 @@ mod tests {
             assert_eq!(page, &shared.get(url).unwrap(), "{url}");
             assert_eq!(Arc::strong_count(page), 1, "{url}");
         }
-        let report = Evaluator::new(&ws, &src)
-            .with_policy(&EvalPolicy {
-                per_query_cache: false,
-                ..Default::default()
-            })
-            .eval(&e)
-            .unwrap();
-        assert_eq!((report.page_accesses, report.cache_hits), (5, 0));
+        // Five single-page queries fetch the entry page five times: each
+        // time nobody but the source holds it, so neither a finished
+        // query's cache nor the shared cache kept the reference.
+        let entry = NalgExpr::entry("ListPage");
+        let (mut accesses, mut hits) = (0, 0);
+        for _ in 0..5 {
+            let report = Evaluator::new(&ws, &src).eval(&entry).unwrap();
+            accesses += report.page_accesses;
+            hits += report.cache_hits;
+        }
+        assert_eq!((accesses, hits), (5, 0));
         assert_eq!(holders(), vec![1; 5], "nobody but the source");
-    }
-
-    #[test]
-    fn without_cache_downloads_match_cost_model() {
-        let ws = scheme();
-        let src = source();
-        let left = NalgExpr::entry("ListPage").unnest("Items");
-        let right = NalgExpr::entry_as("ListPage", "L2").unnest("Items");
-        let e = left
-            .join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")])
-            .follow("ListPage.Items.ToItem", "ItemPage");
-        let report = Evaluator::new(&ws, &src)
-            .with_policy(&EvalPolicy {
-                per_query_cache: false,
-                ..Default::default()
-            })
-            .eval(&e)
-            .unwrap();
-        assert_eq!(report.page_accesses, report.cost_model_accesses());
     }
 
     #[test]
@@ -2198,29 +2178,16 @@ mod tests {
             inner: source(),
             gate: gate.clone(),
         };
-        let deadline = obs::Deadline::after_us(5_000);
-        // The ambient context carries the same deadline the evaluator
-        // enforces — exactly how the serving layer installs it.
-        let ctx = obs::reqctx::RequestCtx {
-            sink: obs::trace::TraceSink::with_seed(0),
-            parent: 0,
-            request_id: 0,
-            clock: obs::reqctx::FetchClock::new(),
-            deadline,
-            cancel: None,
-        };
         let t0 = std::time::Instant::now();
-        let report = obs::reqctx::with_ctx(Some(ctx), || {
-            Evaluator::new(&ws, &src)
-                .with_policy(&EvalPolicy {
-                    deadline,
-                    cancel: Some(gate),
-                    fetch: Fetch::pool(2),
-                    ..Default::default()
-                })
-                .eval(&nav())
-        })
-        .unwrap();
+        let report = Evaluator::new(&ws, &src)
+            .with_policy(&EvalPolicy {
+                deadline: obs::Deadline::after_us(5_000),
+                cancel: Some(gate),
+                fetch: Fetch::pool(2),
+                ..Default::default()
+            })
+            .eval(&nav())
+            .unwrap();
         assert!(report.deadline_exceeded);
         assert_eq!(report.relation.len(), 0);
         assert!(report.unreachable.contains(&Url::new("/list.html")));
@@ -2254,7 +2221,15 @@ mod tests {
 
     #[test]
     fn every_hedge_is_accounted_for_when_its_twin_outlives_the_drain() {
-        let ws = scheme();
+        // A second entry point onto the same list, at its own URL: its GET
+        // is a second drain after the Follow's.
+        let mut b = WebScheme::builder();
+        for (name, url) in [("ListPage", "/list.html"), ("ListCopy", "/copy.html")] {
+            b = b.scheme(list_scheme(name)).entry_point(name, url);
+        }
+        let item =
+            PageScheme::new("ItemPage", vec![Field::text("Name"), Field::text("Kind")]).unwrap();
+        let ws = b.scheme(item).build().unwrap();
         // One worker, every item hedged after 50ms while /i/a is still in
         // flight: the backups queue behind the primaries, lose, and their
         // completions surface only after the Follow's drain has settled
@@ -2263,6 +2238,8 @@ mod tests {
         // While /i/b's primary dawdles, /i/a is settled and its backup
         // cancelled before the worker gets to it.
         let mut src = slow(&["/i/a", "/i/b", "/i/c"], 0, true);
+        let list = src.inner.pages[&Url::new("/list.html")].clone();
+        src.inner.pages.insert(Url::new("/copy.html"), list);
         src.slow
             .insert(Url::new("/i/a"), std::time::Duration::from_millis(120));
         src.slow
@@ -2270,12 +2247,11 @@ mod tests {
         let cfg = crate::fetch::HedgeConfig::new(50_000);
         let counters = cfg.clone();
         let e = nav().join(
-            NalgExpr::entry_as("ListPage", "L2").unnest("Items"),
-            vec![("ListPage.Items.ToItem", "L2.Items.ToItem")],
+            NalgExpr::entry("ListCopy").unnest("Items"),
+            vec![("ListPage.Items.ToItem", "ListCopy.Items.ToItem")],
         );
         let report = Evaluator::new(&ws, &src)
             .with_policy(&EvalPolicy {
-                per_query_cache: false,
                 fetch: Fetch::hedged(1, cfg),
                 ..Default::default()
             })

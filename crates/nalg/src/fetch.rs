@@ -34,7 +34,7 @@
 
 use crate::source::{PageSource, SourceError};
 use adm::{Symbol, Tuple, Url};
-use obs::reqctx::FetchClock;
+use obs::reqctx::RequestCtx;
 use obs::trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -74,34 +74,34 @@ pub(crate) struct Done {
 /// hold one.
 pub(crate) struct Runner<'s, S: ?Sized> {
     source: &'s S,
-    cancel: Option<obs::CancelToken>,
-    /// The fetch clock of the request this evaluation serves, when one is
-    /// installed (see [`obs::reqctx`]): fetch time is charged to it.
-    /// Timing never touches results or counters.
-    clock: Option<FetchClock>,
+    /// The request context the pool was built under (see
+    /// [`obs::reqctx`]): its token skips cancelled jobs, and an observed
+    /// request's clock is charged fetch time. Timing never touches
+    /// results or counters.
+    ctx: Option<RequestCtx>,
 }
 
 impl<S: PageSource + ?Sized> Runner<'_, S> {
     /// Runs `job` on the calling thread. A panic of the source unwinds
     /// through here.
     fn run(&self, job: Job) -> Done {
-        let t0 = self.clock.as_ref().map(|_| std::time::Instant::now());
+        let attr = self.ctx.as_ref().and_then(|c| c.trace.as_ref());
+        let t0 = attr.map(|_| std::time::Instant::now());
         let url = job.url.to_url();
         // Cooperative cancellation, checked before dispatch: a cancelled
         // job never reaches the source, so the server sees no GET for it.
         // A fetch already inside the source runs to completion (and is
         // counted).
-        let skip = self
-            .cancel
-            .as_ref()
+        let skip = (self.ctx.as_ref())
+            .and_then(|c| c.cancel.as_ref())
             .is_some_and(|t| t.is_url_cancelled(url.as_str()));
         let outcome = if skip {
             Err(SourceError::Cancelled(url.clone()))
         } else {
             self.source.fetch_shared(&url, job.scheme.as_str())
         };
-        if let (Some(clock), Some(t0)) = (&self.clock, t0) {
-            clock.add_us(t0.elapsed().as_micros() as u64);
+        if let (Some(attr), Some(t0)) = (attr, t0) {
+            attr.clock.add_us(t0.elapsed().as_micros() as u64);
         }
         Done { job, url, outcome }
     }
@@ -124,13 +124,13 @@ pub(crate) enum FetchPool<'s> {
 }
 
 impl<'s> FetchPool<'s> {
-    /// The thread-less pool over `source`.
-    pub(crate) fn inline(source: &'s dyn PageSource, cancel: Option<&obs::CancelToken>) -> Self {
+    /// The thread-less pool over `source`, running its jobs under the
+    /// calling thread's request context.
+    pub(crate) fn inline(source: &'s dyn PageSource) -> Self {
         FetchPool::Inline {
             runner: Runner {
                 source,
-                cancel: cancel.cloned(),
-                clock: obs::reqctx::current().map(|c| c.clock),
+                ctx: obs::reqctx::current(),
             },
             queue: RefCell::new(VecDeque::new()),
         }
@@ -181,7 +181,8 @@ impl<'s> FetchPool<'s> {
 
 /// Runs `f` with a pool of `workers` threads fetching from `source`.
 /// Workers live for the whole call — every `follow` in the evaluated plan
-/// shares them — and exit when the pool handle is dropped.
+/// shares them — and exit when the pool handle is dropped. Each worker
+/// runs under the calling thread's request context.
 ///
 /// With a trace sink attached, every worker records a terminal
 /// `fetch.worker` event on its way out, carrying the number of jobs it
@@ -197,7 +198,6 @@ pub(crate) fn with_pool<S, R>(
     workers: usize,
     trace: Option<&TraceSink>,
     trace_parent: Option<u64>,
-    cancel: Option<&obs::CancelToken>,
     f: impl FnOnce(&FetchPool<'_>) -> R,
 ) -> R
 where
@@ -209,8 +209,8 @@ where
     let (done_tx, done_rx) = mpsc::channel::<Done>();
     let terminals: Mutex<Vec<(usize, u64, &'static str)>> = Mutex::new(Vec::new());
     // Capture the spawning thread's ambient request context so worker
-    // threads charge fetch time (and attribute coalesced waits) to the
-    // same request the evaluation serves.
+    // threads honour its budget and charge fetch time (and attribute
+    // coalesced waits) to the same request the evaluation serves.
     let reqctx = obs::reqctx::current();
     let result = std::thread::scope(|scope| {
         for idx in 0..workers {
@@ -219,12 +219,10 @@ where
             let terminals = &terminals;
             let traced = trace.is_some();
             let reqctx = reqctx.clone();
-            let cancel = cancel.cloned();
             scope.spawn(move || {
                 let runner = Runner {
                     source,
-                    cancel,
-                    clock: reqctx.as_ref().map(|c| c.clock.clone()),
+                    ctx: reqctx.clone(),
                 };
                 obs::reqctx::with_ctx(reqctx, || {
                     let mut jobs = 0u64;
@@ -489,20 +487,24 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
         outcome
     }
 
-    fn follow_flight(&self, url: &Url, flight: &Arc<Flight>) -> FetchOutcome {
+    fn follow_flight(
+        &self,
+        url: &Url,
+        flight: &Arc<Flight>,
+        ctx: Option<&RequestCtx>,
+    ) -> FetchOutcome {
         self.followers.fetch_add(1, Ordering::SeqCst);
         // Followers with a finite deadline or a cancel token in scope
         // poll in short quanta so a budget exhaustion / relevance
         // cancellation wakes them without waiting out the leader; all
         // others park on the condvar for free exactly as before.
-        let watched =
-            obs::reqctx::current().filter(|c| c.deadline.is_finite() || c.cancel.is_some());
+        let watched = ctx.filter(|c| c.has_budget());
         let mut slot = flight.slot.lock().unwrap_or_else(|e| e.into_inner());
         let outcome = loop {
             if let Some(outcome) = slot.as_ref() {
                 break outcome.clone();
             }
-            let Some(c) = &watched else {
+            let Some(c) = watched else {
                 slot = flight.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
                 continue;
             };
@@ -547,13 +549,14 @@ impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
             return Err(SourceError::Cancelled(url.clone()));
         }
         let ctx = obs::reqctx::current();
+        let attr = ctx.as_ref().and_then(|c| c.trace.as_ref());
         let (flight, is_leader) = {
             let mut map = self.flights.lock().unwrap_or_else(|e| e.into_inner());
             match map.get(url) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
                     let f = Arc::new(Flight::new());
-                    if let Some(ctx) = &ctx {
+                    if let Some(ctx) = attr {
                         // Tag the flight inside the map lock, before any
                         // follower can join: the join event's linkage
                         // must never observe a half-initialized leader.
@@ -577,9 +580,9 @@ impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
         if is_leader {
             self.lead(url, scheme, &flight)
         } else {
-            let t0 = ctx.as_ref().map(|_| std::time::Instant::now());
-            let outcome = self.follow_flight(url, &flight);
-            if let Some(ctx) = &ctx {
+            let t0 = attr.map(|_| std::time::Instant::now());
+            let outcome = self.follow_flight(url, &flight, ctx.as_ref());
+            if let Some(ctx) = attr {
                 // The coalesced wait is attributed, not invisible: the
                 // follower's own request records where the time went and
                 // which leader fetch it shared.
@@ -642,7 +645,7 @@ mod tests {
     #[test]
     fn pool_serves_multiple_batches_with_same_workers() {
         let src = CountingSource(AtomicUsize::new(0));
-        let total = with_pool(&src, 4, None, None, None, |pool| {
+        let total = with_pool(&src, 4, None, None, |pool| {
             let mut done = 0;
             for batch in 0..3 {
                 for i in 0..10 {
@@ -663,7 +666,7 @@ mod tests {
     #[test]
     fn completions_report_not_found() {
         let src = CountingSource(AtomicUsize::new(0));
-        with_pool(&src, 2, None, None, None, |pool| {
+        with_pool(&src, 2, None, None, |pool| {
             assert!(enqueue(pool, "/ok"));
             assert!(enqueue(pool, "/missing"));
             let outcomes: Vec<_> = (0..2).map(|_| next_done(pool).outcome).collect();
@@ -687,7 +690,7 @@ mod tests {
             let src = CountingSource(AtomicUsize::new(0));
             for cycle in 0..300 {
                 let consumed = if cycle % 2 == 0 { 20 } else { cycle % 7 };
-                with_pool(&src, 3, None, None, None, |pool| {
+                with_pool(&src, 3, None, None, |pool| {
                     for i in 0..20 {
                         assert!(enqueue(pool, &format!("/{i}")));
                     }
@@ -719,7 +722,7 @@ mod tests {
     fn terminal_events_distinguish_drained_from_abandoned() {
         let sink = TraceSink::with_seed(1);
         let src = CountingSource(AtomicUsize::new(0));
-        with_pool(&src, 3, Some(&sink), None, None, |pool| {
+        with_pool(&src, 3, Some(&sink), None, |pool| {
             for i in 0..6 {
                 assert!(enqueue(pool, &format!("/{i}")));
             }
@@ -751,7 +754,7 @@ mod tests {
             }
         }
         let sink = TraceSink::with_seed(1);
-        with_pool(&SlowSource, 2, Some(&sink), None, None, |pool| {
+        with_pool(&SlowSource, 2, Some(&sink), None, |pool| {
             for i in 0..50 {
                 assert!(enqueue(pool, &format!("/{i}")));
             }
@@ -957,19 +960,11 @@ mod tests {
     /// or panic the follower, and the flight must still retire cleanly.
     #[test]
     fn leader_panic_races_follower_cancellation() {
-        use obs::reqctx::{with_ctx, FetchClock, RequestCtx};
+        use obs::reqctx::with_budget;
 
         let (src, entered_rx, release_tx) = GatedSource::new(true);
         let coalesced = CoalescingSource::new(&src);
         let token = obs::CancelToken::new();
-        let follower_ctx = RequestCtx {
-            sink: TraceSink::with_seed(9),
-            parent: 1,
-            request_id: 9,
-            clock: FetchClock::new(),
-            deadline: obs::Deadline::infinite(),
-            cancel: Some(token.clone()),
-        };
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -977,9 +972,8 @@ mod tests {
                 }))
             });
             entered_rx.recv().unwrap(); // leader is inside the source
-            let fc = follower_ctx.clone();
             let follower = scope.spawn(|| {
-                with_ctx(Some(fc), || {
+                with_budget(obs::Deadline::infinite(), Some(token.clone()), || {
                     coalesced.fetch_stamped(&Url::new("/race"), "P")
                 })
             });
@@ -1014,23 +1008,25 @@ mod tests {
         let src = CountingSource(AtomicUsize::new(0));
         let token = obs::CancelToken::new();
         token.cancel_url("/dead");
-        with_pool(&src, 2, None, None, Some(&token), |pool| {
-            assert!(enqueue(pool, "/live"));
-            assert!(enqueue(pool, "/dead"));
-            let outcomes: Vec<_> = (0..2)
-                .map(|_| {
-                    let d = next_done(pool);
-                    (d.url, d.outcome)
-                })
-                .collect();
-            for (url, outcome) in outcomes {
-                if url.as_str() == "/dead" {
-                    assert!(matches!(outcome, Err(SourceError::Cancelled(_))));
-                } else {
-                    assert!(outcome.is_ok());
-                }
-            }
+        let outcomes = obs::reqctx::with_budget(obs::Deadline::infinite(), Some(token), || {
+            with_pool(&src, 2, None, None, |pool| {
+                assert!(enqueue(pool, "/live"));
+                assert!(enqueue(pool, "/dead"));
+                (0..2)
+                    .map(|_| {
+                        let d = next_done(pool);
+                        (d.url, d.outcome)
+                    })
+                    .collect::<Vec<_>>()
+            })
         });
+        for (url, outcome) in outcomes {
+            if url.as_str() == "/dead" {
+                assert!(matches!(outcome, Err(SourceError::Cancelled(_))));
+            } else {
+                assert!(outcome.is_ok());
+            }
+        }
         assert_eq!(
             src.0.load(Ordering::SeqCst),
             1,
@@ -1042,7 +1038,7 @@ mod tests {
     fn coalescing_composes_with_the_fetch_pool() {
         let src = CountingSource(AtomicUsize::new(0));
         let coalesced = CoalescingSource::new(&src);
-        let total = with_pool(&coalesced, 4, None, None, None, |pool| {
+        let total = with_pool(&coalesced, 4, None, None, |pool| {
             for _ in 0..4 {
                 for i in 0..5 {
                     assert!(enqueue(pool, &format!("/{i}")));
@@ -1062,26 +1058,24 @@ mod tests {
 
     #[test]
     fn follower_join_links_to_the_leader_fetch_across_requests() {
-        use obs::reqctx::{with_ctx, FetchClock, RequestCtx};
+        use obs::reqctx::{with_ctx, Attribution, FetchClock};
 
-        let ctx = |req: u64| RequestCtx {
+        let ctx = |req: u64| Attribution {
             sink: TraceSink::with_seed(req),
             parent: req * 100,
             request_id: req,
             clock: FetchClock::new(),
-            deadline: obs::Deadline::infinite(),
-            cancel: None,
         };
         let (leader_ctx, follower_ctx) = (ctx(1), ctx(2));
 
         let (gated, entered_rx, release_tx) = GatedSource::new(false);
         let coalesced = CoalescingSource::new(&gated);
         std::thread::scope(|scope| {
-            let lc = leader_ctx.clone();
+            let lc = RequestCtx::traced(leader_ctx.clone());
             let leader = scope
                 .spawn(|| with_ctx(Some(lc), || coalesced.fetch_stamped(&Url::new("/hot"), "P")));
             entered_rx.recv().unwrap(); // leader is inside the source
-            let fc = follower_ctx.clone();
+            let fc = RequestCtx::traced(follower_ctx.clone());
             let follower = scope
                 .spawn(|| with_ctx(Some(fc), || coalesced.fetch_stamped(&Url::new("/hot"), "P")));
             await_followers(&coalesced, 1);
@@ -1110,7 +1104,7 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_as_source_error() {
-        with_pool(&PanickySource, 2, None, None, None, |pool| {
+        with_pool(&PanickySource, 2, None, None, |pool| {
             assert!(enqueue(pool, "/ok"));
             assert!(enqueue(pool, "/boom"));
             assert!(enqueue(pool, "/ok2"));

@@ -2,8 +2,8 @@
 //! each execution knob the [`crate::Evaluator`] reads is declared.
 //!
 //! An [`EvalPolicy`] is a plain value with public fields and a
-//! [`Default`] that is the paper's engine — fail fast, fetch inline, a
-//! per-query page cache, nothing shared, no deadline, no tracing. Every
+//! [`Default`] that is the paper's engine — fail fast, fetch inline,
+//! nothing shared, no deadline, no tracing. Every
 //! field changes *how* pages are obtained, never which pages the plan
 //! charges: the cost measure 𝒞 (`accesses_by_operator`) is the same under
 //! every policy. Callers above the evaluator (a query session, a
@@ -94,10 +94,6 @@ pub struct EvalPolicy<'a> {
     pub degradation: DegradationMode,
     /// Inline or pooled fetching, and hedging with the pool.
     pub fetch: Fetch,
-    /// The per-query page cache: a page two operators need is downloaded
-    /// once. Off, each operator re-downloads what it needs and downloads
-    /// equal the cost model's sum.
-    pub per_query_cache: bool,
     /// A cross-query page cache consulted before the network and fed by
     /// every download. Its hits are `shared_cache_hits`, never page
     /// accesses.
@@ -111,10 +107,15 @@ pub struct EvalPolicy<'a> {
     pub relevance: bool,
     /// The wall-clock budget. Past it, not-yet-fetched URLs are reported
     /// unreachable and the answer is the partial one over what arrived —
-    /// even under [`DegradationMode::FailFast`].
+    /// even under [`DegradationMode::FailFast`]. A finite one reaches the
+    /// fetch layers through [`obs::reqctx`], as the token does.
     pub deadline: Deadline,
-    /// The token pool workers and coalescing followers check before a
-    /// fetch; see [`EvalPolicy::cancel_token`] for when one is made.
+    /// A token the caller keeps to cancel URLs from outside the
+    /// evaluation. Unset, [`EvalPolicy::cancel_token`] makes one when
+    /// something will use it. Either way the evaluator installs the token,
+    /// with the deadline, in [`obs::reqctx`] for the evaluation's
+    /// duration, where pool workers, coalescing followers and simulated
+    /// network waits check it.
     pub cancel: Option<CancelToken>,
     /// A sink and the span everything traced nests under. Each operator
     /// records a span with its pre-order node index, output cardinality
@@ -130,7 +131,6 @@ impl Default for EvalPolicy<'_> {
         EvalPolicy {
             degradation: DegradationMode::FailFast,
             fetch: Fetch::Inline,
-            per_query_cache: true,
             shared_cache: None,
             relevance: false,
             deadline: Deadline::infinite(),

@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn the_full_professors_plan_reads_two_fields_and_one_link() {
         assert_eq!(
-            read_set(&university_scheme(), &full_professors()),
+            read_set(&university_scheme().unwrap(), &full_professors()),
             set(&[
                 ("ProfListPage", &["ProfList.ToProf"]),
                 ("ProfPage", &["PName", "Rank"]),
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn without_a_pi_at_the_root_everything_is_read() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         let plan = NalgExpr::entry("ProfListPage")
             .unnest("ProfList")
             .follow("ToProf", "ProfPage")
@@ -271,7 +271,7 @@ mod tests {
             .follow("ToProf", "ProfPage")
             .project(vec!["PName"]);
         assert_eq!(
-            read_set(&university_scheme(), &plan),
+            read_set(&university_scheme().unwrap(), &plan),
             set(&[
                 ("ProfListPage", &["ProfList.PName", "ProfList.ToProf"]),
                 ("ProfPage", &["PName"]),
@@ -290,7 +290,7 @@ mod tests {
             .unnest("CourseList")
             .project(vec!["CName"]);
         assert_eq!(
-            read_set(&university_scheme(), &plan),
+            read_set(&university_scheme().unwrap(), &plan),
             set(&[
                 ("ProfListPage", &["ProfList.ToProf"]),
                 ("ProfPage", &["PName", "CourseList"]),
@@ -309,7 +309,7 @@ mod tests {
             .unnest("PaperList")
             .unnest("EditionPage.PaperList.Authors")
             .project(vec!["EditionPage.PaperList.Authors.AName"]);
-        let got = read_set(&bibliography_scheme(), &plan);
+        let got = read_set(&bibliography_scheme().unwrap(), &plan);
         assert_eq!(got["EditionPage"], ["PaperList.Authors.AName"]);
         assert_eq!(got["ConfPage"], ["EditionList.ToEdition"]);
         assert_eq!(got["BibHomePage"], ["ToConfList"]);

@@ -31,10 +31,10 @@ use std::sync::Arc;
 /// through.
 ///
 /// Retries, give-ups and breaker transitions are
-/// [`EventKind::Resilience`] events on the ambient request context
-/// ([`obs::reqctx::current`]), parented under its span: a retry inside a
-/// traced served request shows in that request's trace, and with no
-/// context installed nothing is recorded. The counters in
+/// [`EventKind::Resilience`] events on the ambient request's attribution
+/// ([`obs::reqctx::Attribution`]), parented under its span: a retry inside
+/// a traced served request shows in that request's trace, and with no
+/// attribution installed nothing is recorded. The counters in
 /// [`ResilientSource::stats`] are the same either way.
 ///
 /// The wrapper is itself a [`PageSource`], so it drops into every consumer
@@ -78,7 +78,7 @@ fn classify(e: &SourceError) -> Class {
 
 /// Records a resilience event on the ambient request context, if any.
 fn ambient_event(name: &str, scheme: &str, extra: Option<(&str, FieldValue)>) {
-    let Some(ctx) = obs::reqctx::current() else {
+    let Some(ctx) = obs::reqctx::current().and_then(|c| c.trace) else {
         return;
     };
     let mut fields = vec![("key".to_string(), FieldValue::Str(scheme.to_string()))];
@@ -454,18 +454,16 @@ mod tests {
 
     #[test]
     fn retries_and_giveups_go_to_the_ambient_context() {
-        use obs::reqctx::{with_ctx, FetchClock, RequestCtx};
+        use obs::reqctx::{with_ctx, Attribution, FetchClock, RequestCtx};
         use obs::trace::TraceSink;
 
         let sink = TraceSink::with_seed(1);
-        let ctx = RequestCtx {
+        let ctx = RequestCtx::traced(Attribution {
             sink: sink.clone(),
             parent: 42,
             request_id: 7,
             clock: FetchClock::new(),
-            deadline: obs::Deadline::infinite(),
-            cancel: None,
-        };
+        });
         let run = |ctx: Option<RequestCtx>| {
             let src = FlakySource::new(99, |u| SourceError::Timeout(u.clone()));
             let rs = ResilientSource::new(&src, 3);

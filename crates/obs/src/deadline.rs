@@ -1,7 +1,8 @@
 //! Per-request deadline budgets and cooperative cancellation.
 //!
 //! A [`Deadline`] is a `Copy` wall-clock expiry threaded from the
-//! serving layer through planning, evaluation, and the fetch pool; each
+//! caller's policy through planning, evaluation, and (by the evaluator,
+//! through [`crate::reqctx`]) the fetch layer; each
 //! blocking point checks [`Deadline::expired`] (or bounds its wait by
 //! [`Deadline::remaining`]) and fails over to partial-result degradation
 //! instead of blocking past the SLO. The default is [`Deadline::infinite`],

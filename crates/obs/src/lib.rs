@@ -22,15 +22,20 @@
 //! * [`flight`] — a [`FlightRecorder`]: a bounded ring of recent
 //!   per-request causal traces, frozen into a JSONL dump when a request
 //!   is shed, falls back, misses a degraded view, or breaches the SLO.
-//! * [`reqctx`] — ambient per-request context so the fetch layer
-//!   (coalescing, pool workers, upqueries) can attribute work to the
-//!   request it serves without any API threading.
+//! * [`reqctx`] — ambient per-request context: the budget an evaluation
+//!   installs and an observed request's attribution, which the fetch layer
+//!   (coalescing, pool workers, simulated waits, upqueries) reads without
+//!   any API threading.
 //! * [`deadline`] — per-request wall-clock budgets ([`Deadline`]) and
 //!   cooperative per-URL cancellation ([`CancelToken`]) threaded through
 //!   the same ambient context.
 //!
 //! Everything is offline-shim compatible: the only dependency is the
 //! workspace `parking_lot` shim.
+
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod deadline;
 pub mod flight;

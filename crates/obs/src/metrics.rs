@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::hist::FixedHistogram;
 
@@ -90,10 +90,24 @@ impl Metric {
     }
 }
 
+/// A name asked for as one metric type while the registry holds it as
+/// another — a programming error, which [`MetricsRegistry::clashes`]
+/// reports instead of panicking.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricClash {
+    /// The full (prefixed) name.
+    pub name: String,
+    /// The type the name is registered as.
+    pub registered: &'static str,
+    /// The type it was asked for as.
+    pub requested: &'static str,
+}
+
 #[derive(Debug)]
 struct RegistryInner {
     prefix: String,
     metrics: RwLock<BTreeMap<String, Metric>>,
+    clashes: Mutex<Vec<MetricClash>>,
 }
 
 /// A named collection of metrics. Cloning is cheap; all clones share
@@ -123,6 +137,7 @@ impl MetricsRegistry {
             inner: Arc::new(RegistryInner {
                 prefix: prefix.to_string(),
                 metrics: RwLock::new(BTreeMap::new()),
+                clashes: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -135,52 +150,61 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers (or retrieves) a counter under `name`.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
+    /// Registers (or retrieves) a counter under `name`. A name registered
+    /// as another type keeps that type: the caller gets a counter
+    /// registered nowhere, and the clash is recorded in
+    /// [`MetricsRegistry::clashes`]. The same holds for [`Self::gauge`] and
+    /// [`Self::histogram`].
     pub fn counter(&self, name: &str) -> Counter {
-        let full = self.full_name(name);
-        let mut map = self.inner.metrics.write();
-        match map
-            .entry(full.clone())
-            .or_insert_with(|| Metric::Counter(Counter::new()))
-        {
-            Metric::Counter(c) => c.clone(),
-            other => panic!("metric {full} already registered as {}", other.type_name()),
-        }
+        self.handle(name, Metric::Counter, |m| match m {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        })
     }
 
     /// Registers (or retrieves) a gauge under `name`.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let full = self.full_name(name);
-        let mut map = self.inner.metrics.write();
-        match map
-            .entry(full.clone())
-            .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            other => panic!("metric {full} already registered as {}", other.type_name()),
-        }
+        self.handle(name, Metric::Gauge, |m| match m {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        })
     }
 
     /// Registers (or retrieves) a histogram under `name`.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
     pub fn histogram(&self, name: &str) -> FixedHistogram {
+        self.handle(name, Metric::Histogram, |m| match m {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        })
+    }
+
+    /// The handle registered under `name`, registering a fresh one when the
+    /// name is free; a fresh unregistered one when it holds another type.
+    fn handle<T: Clone + Default>(
+        &self,
+        name: &str,
+        wrap: fn(T) -> Metric,
+        unwrap: fn(&Metric) -> Option<&T>,
+    ) -> T {
         let full = self.full_name(name);
         let mut map = self.inner.metrics.write();
-        match map
+        let metric = map
             .entry(full.clone())
-            .or_insert_with(|| Metric::Histogram(FixedHistogram::new()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            other => panic!("metric {full} already registered as {}", other.type_name()),
+            .or_insert_with(|| wrap(T::default()));
+        if let Some(handle) = unwrap(metric) {
+            return handle.clone();
         }
+        self.inner.clashes.lock().push(MetricClash {
+            name: full,
+            registered: metric.type_name(),
+            requested: wrap(T::default()).type_name(),
+        });
+        T::default()
+    }
+
+    /// Every type clash met so far, in order (see [`Self::counter`]).
+    pub fn clashes(&self) -> Vec<MetricClash> {
+        self.inner.clashes.lock().clone()
     }
 
     /// All registered metric names, sorted.
@@ -311,10 +335,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already registered")]
-    fn type_clash_panics() {
-        let reg = MetricsRegistry::new();
-        reg.counter("x");
-        reg.gauge("x");
+    fn a_type_clash_keeps_the_first_metric_and_is_reported() {
+        let reg = MetricsRegistry::with_prefix("p");
+        reg.counter("x").inc();
+        let g = reg.gauge("x");
+        g.set(-5);
+        assert_eq!(g.get(), -5, "the caller's handle still works");
+        assert_eq!(reg.counter("x").get(), 1, "the name kept its counter");
+        assert_eq!(
+            reg.render_json(),
+            "{\"p_x\":{\"type\":\"counter\",\"value\":1}}"
+        );
+        assert_eq!(
+            reg.clashes(),
+            vec![MetricClash {
+                name: "p_x".into(),
+                registered: "counter",
+                requested: "gauge",
+            }]
+        );
     }
 }

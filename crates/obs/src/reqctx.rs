@@ -1,19 +1,26 @@
-//! Ambient per-request context for fetch-layer attribution.
+//! Ambient per-request context for the fetch layer.
 //!
-//! The fetch layer (`nalg`'s coalescing source, pool workers, the
-//! dataflow store's upqueries) sits below the evaluator and has no
-//! request parameter to thread a trace handle through — a
-//! `PageSource::fetch` call carries a URL and nothing else. This module
-//! provides the missing channel: the serving layer installs a
-//! [`RequestCtx`] for the duration of a request's evaluation (and
-//! re-installs it inside pool worker threads), and the fetch layer
-//! picks it up with [`current`] to emit attribution events and charge
-//! fetch time to the right request.
+//! The fetch layer (`nalg`'s pool workers, coalescing source and retry
+//! wrapper, `websim`'s simulated network waits, the dataflow store's
+//! upqueries) sits below the evaluator and has no request parameter to
+//! thread anything through — a `PageSource::fetch` call carries a URL and
+//! nothing else. This module is the missing channel, and a [`RequestCtx`]
+//! carries two independent things down it:
 //!
-//! The context is deliberately *optional everywhere*: when nothing is
-//! installed, [`current`] is a thread-local read returning `None` and
-//! the fetch layer does no extra work — tracing off stays free, and
-//! results never depend on it.
+//! * **the budget** — the request's [`Deadline`] and [`CancelToken`].
+//!   `nalg::Evaluator::eval` installs them with [`with_budget`] for the
+//!   evaluation's duration, whoever runs the evaluator (a server, a query
+//!   or store session, a bare evaluator), so a blocked follower or a
+//!   simulated GET gives up when the evaluation does;
+//! * **the attribution** — an observed request's [`Attribution`]. The
+//!   serving layer installs it around a traced request (and a traced
+//!   dataflow sync around its batch); the fetch layer emits its events to
+//!   it and charges fetch time to its clock.
+//!
+//! Pool workers re-install the context they were spawned under. The
+//! context is *optional everywhere*: when nothing is installed,
+//! [`current`] is a thread-local read returning `None` and the fetch layer
+//! does no extra work — results never depend on it.
 
 use crate::deadline::{CancelToken, Deadline};
 use crate::trace::TraceSink;
@@ -45,10 +52,9 @@ impl FetchClock {
     }
 }
 
-/// The ambient identity of the request the current thread is working
-/// for.
+/// Who an observed request is, for the fetch layer's attribution.
 #[derive(Debug, Clone)]
-pub struct RequestCtx {
+pub struct Attribution {
     /// Sink receiving fetch attribution events (leader/follower links,
     /// upqueries). The serving layer points this at a side sink so the
     /// request's deterministic causal trace is not perturbed by
@@ -60,12 +66,38 @@ pub struct RequestCtx {
     pub request_id: u64,
     /// Where fetch time is charged.
     pub clock: FetchClock,
-    /// The request's remaining wall-clock budget; infinite when no
-    /// latency objective is configured.
+}
+
+/// What the current thread's work must honour and whom it is done for.
+#[derive(Debug, Clone)]
+pub struct RequestCtx {
+    /// The observed request's identity; `None` in a budget-only context,
+    /// which records no event and times no fetch.
+    pub trace: Option<Attribution>,
+    /// The request's remaining wall-clock budget; infinite when none is
+    /// set.
     pub deadline: Deadline,
-    /// Cooperative cancellation for in-flight fetches, if the request
-    /// opted into relevance-driven cancellation.
+    /// Cooperative per-URL cancellation for in-flight fetches, when the
+    /// evaluation made a token.
     pub cancel: Option<CancelToken>,
+}
+
+impl RequestCtx {
+    /// An observed request's context with no budget of its own; an
+    /// evaluation under it adds its budget with [`with_budget`].
+    pub fn traced(trace: Attribution) -> Self {
+        RequestCtx {
+            trace: Some(trace),
+            deadline: Deadline::infinite(),
+            cancel: None,
+        }
+    }
+
+    /// Whether a blocking wait must watch this context: it has a finite
+    /// deadline or a token. Otherwise waiting it out costs nothing extra.
+    pub fn has_budget(&self) -> bool {
+        self.deadline.is_finite() || self.cancel.is_some()
+    }
 }
 
 thread_local! {
@@ -93,36 +125,52 @@ pub fn with_ctx<R>(ctx: Option<RequestCtx>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `f` with `deadline` and `cancel` installed as this thread's
+/// budget, over the [`Attribution`] already installed, if any, and
+/// restores the previous context afterwards. With an infinite deadline
+/// and no token it installs nothing: `f` runs under the context as it is.
+pub fn with_budget<R>(deadline: Deadline, cancel: Option<CancelToken>, f: impl FnOnce() -> R) -> R {
+    if !deadline.is_finite() && cancel.is_none() {
+        return f();
+    }
+    let trace = CURRENT.with(|c| c.borrow().as_ref().and_then(|c| c.trace.clone()));
+    let ctx = RequestCtx {
+        trace,
+        deadline,
+        cancel,
+    };
+    with_ctx(Some(ctx), f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::{EventKind, TraceSink};
 
     fn ctx(req: u64) -> RequestCtx {
-        RequestCtx {
+        RequestCtx::traced(Attribution {
             sink: TraceSink::with_seed(req),
             parent: 1,
             request_id: req,
             clock: FetchClock::new(),
-            deadline: Deadline::infinite(),
-            cancel: None,
-        }
+        })
+    }
+
+    fn request_id() -> Option<u64> {
+        current().and_then(|c| c.trace).map(|t| t.request_id)
     }
 
     #[test]
     fn install_read_restore() {
         assert!(current().is_none());
         with_ctx(Some(ctx(7)), || {
-            let c = current().unwrap();
-            assert_eq!(c.request_id, 7);
+            assert_eq!(request_id(), Some(7));
             // Nested install shadows, then restores.
-            with_ctx(Some(ctx(8)), || {
-                assert_eq!(current().unwrap().request_id, 8);
-            });
-            assert_eq!(current().unwrap().request_id, 7);
+            with_ctx(Some(ctx(8)), || assert_eq!(request_id(), Some(8)));
+            assert_eq!(request_id(), Some(7));
             // Explicit None clears for the duration.
             with_ctx(None, || assert!(current().is_none()));
-            assert_eq!(current().unwrap().request_id, 7);
+            assert_eq!(request_id(), Some(7));
         });
         assert!(current().is_none());
     }
@@ -139,30 +187,52 @@ mod tests {
     #[test]
     fn clock_is_shared_across_clones_and_threads() {
         let c = ctx(3);
+        let clock = || current().and_then(|c| c.trace).unwrap().clock;
         with_ctx(Some(c.clone()), || {
             let grabbed = current().unwrap();
             std::thread::scope(|s| {
                 s.spawn(move || {
                     // A worker thread re-installs the captured context.
-                    with_ctx(Some(grabbed), || {
-                        current().unwrap().clock.add_us(40);
-                    });
+                    with_ctx(Some(grabbed), || clock().add_us(40));
                 });
             });
-            current().unwrap().clock.add_us(2);
+            clock().add_us(2);
         });
-        assert_eq!(c.clock.total_us(), 42);
+        assert_eq!(c.trace.unwrap().clock.total_us(), 42);
     }
 
     #[test]
     fn sink_receives_attribution_events() {
         let c = ctx(5);
         with_ctx(Some(c.clone()), || {
-            let cur = current().unwrap();
+            let cur = current().and_then(|c| c.trace).unwrap();
             cur.sink
                 .event(EventKind::Fetch, "fetch.join", Some(cur.parent), vec![]);
         });
-        assert_eq!(c.sink.len(), 1);
-        assert_eq!(c.sink.events()[0].parent, Some(1));
+        let sink = &c.trace.unwrap().sink;
+        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.events()[0].parent, Some(1));
+    }
+
+    #[test]
+    fn a_budget_joins_the_installed_attribution_or_stands_alone() {
+        let token = CancelToken::new();
+        // Nothing to honour: nothing is installed.
+        with_budget(Deadline::infinite(), None, || assert!(current().is_none()));
+        // On its own: a budget-only context, with no identity to record.
+        with_budget(Deadline::after_us(1_000_000), None, || {
+            let c = current().unwrap();
+            assert!(c.has_budget() && c.trace.is_none());
+        });
+        // Over an observed request: its identity stays, the budget joins.
+        with_ctx(Some(ctx(4)), || {
+            with_budget(Deadline::infinite(), Some(token.clone()), || {
+                let c = current().unwrap();
+                assert!(c.cancel.is_some() && !c.deadline.is_finite());
+                assert_eq!(request_id(), Some(4));
+            });
+            assert!(!current().unwrap().has_budget(), "restored afterwards");
+        });
+        assert!(current().is_none());
     }
 }

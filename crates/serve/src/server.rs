@@ -26,7 +26,7 @@ use crate::admission::{AdmissionControl, AdmissionStats};
 use adm::{Relation, WebScheme};
 use matview::IncrementalView;
 use nalg::{Fetch, PageSource, SharedPageCache};
-use obs::reqctx::{FetchClock, RequestCtx};
+use obs::reqctx::{Attribution, FetchClock, RequestCtx};
 use obs::{
     Counter, EventKind, FlightRecorder, MetricsRegistry, PhaseBreakdown, RequestTrace, SloTracker,
     TraceSink, TriggerKind,
@@ -40,13 +40,10 @@ use wvcore::{
     QueryOutcome, QuerySession, Result, SiteStatistics, ViewCatalog, PLAN_CACHE_CAPACITY,
 };
 
-/// Finalizer of the splitmix64 generator — a cheap, well-mixed 64-bit
-/// permutation used to derive request ids.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// One splitmix64 step — the golden-ratio increment, then the finaliser:
+/// a cheap, well-mixed 64-bit permutation used to derive request ids.
+fn mix64(z: u64) -> u64 {
+    adm::mix64(z.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Seed salt separating a request's attribution sink from its causal
@@ -80,10 +77,7 @@ impl ServeTracing {
             *n += 1;
             k
         };
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the key bytes
-        for b in key.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = adm::fnv1a(key.bytes());
         mix64(self.base_seed ^ mix64(h) ^ mix64(occurrence))
     }
 }
@@ -559,35 +553,21 @@ impl<'a, S: PageSource> QueryServer<'a, S> {
         let mut policy = self.policy.clone();
         policy.eval.deadline = deadline;
         policy.eval.trace = obs.as_deref().map(|o| (o.sink.clone(), Some(o.root)));
-        policy.eval.cancel = policy.eval.cancel_token();
         let session = self.session(&policy);
         let t_run = Instant::now();
-        // The ambient request context carries the deadline and token to
-        // the layers that only see the thread — pool workers, coalescing
-        // followers — so even an untraced request installs one when a
-        // finite budget or a token needs to propagate.
-        let token = &policy.eval.cancel;
-        let ctx = match (obs.as_deref(), token) {
-            (Some(o), _) => Some(RequestCtx {
-                sink: o.attr.clone(),
-                parent: o.root,
-                request_id: o.rid,
-                clock: o.clock.clone(),
-                deadline,
-                cancel: token.clone(),
-            }),
-            (None, Some(_)) => Some(RequestCtx {
-                sink: TraceSink::with_seed(0),
-                parent: 0,
-                request_id: 0,
-                clock: FetchClock::new(),
-                deadline,
-                cancel: token.clone(),
-            }),
-            (None, None) => None,
-        };
-        let ran = match ctx {
-            Some(ctx) => obs::reqctx::with_ctx(Some(ctx), || session.run(q)),
+        // An observed request's attribution goes to the layers that only
+        // see the thread; its deadline and token reach them from the
+        // evaluator, which installs them over it.
+        let ran = match obs.as_deref() {
+            Some(o) => {
+                let ctx = RequestCtx::traced(Attribution {
+                    sink: o.attr.clone(),
+                    parent: o.root,
+                    request_id: o.rid,
+                    clock: o.clock.clone(),
+                });
+                obs::reqctx::with_ctx(Some(ctx), || session.run(q))
+            }
             None => session.run(q),
         };
         let outcome = match ran {

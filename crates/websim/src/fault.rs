@@ -188,11 +188,6 @@ impl FaultPlan {
         self.rules.is_empty()
     }
 
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Decides the fault (if any) for one request. `attempt` is the
     /// 0-based per-URL request counter and `injected_so_far(i)` reports
     /// how many faults rule `i` already injected on this URL (for
@@ -247,20 +242,11 @@ impl FaultPlan {
 /// (and, with `attempt = u64::MAX`, of every [`crate::mutation::DriftPlan`]
 /// decision).
 pub(crate) fn decision_fraction(seed: u64, rule: u64, url: &Url, attempt: u64) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in url.as_str().as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut state = seed
-        ^ h
+    let state = seed
+        ^ adm::fnv1a(url.as_str().bytes())
         ^ rule.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = adm::mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 

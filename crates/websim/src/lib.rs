@@ -36,6 +36,10 @@
 //! `Unavailable { reason: "http 503" }`. Building a site fails with
 //! [`SiteError`] instead.
 
+// Shipping code reports failures as errors; only tests may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod error;
 pub mod fault;
 pub mod mutation;

@@ -54,17 +54,6 @@ pub struct LatencyProfile {
 }
 
 impl LatencyProfile {
-    /// The latency at quantile `q` ∈ `[0, 1]`: the floor below
-    /// `1 − tail_rate`, the full tail latency above it. This is what a
-    /// hedge policy derives its delay from (e.g. `quantile(0.9)`).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if q < 1.0 - self.tail_rate {
-            self.floor_us
-        } else {
-            self.floor_us + self.tail_us
-        }
-    }
-
     /// The deterministic delay for the `attempt`-th request (1-based) to
     /// `url`.
     pub fn delay_us(&self, url: &Url, attempt: u64) -> u64 {
@@ -72,17 +61,10 @@ impl LatencyProfile {
         if tail_ppm == 0 {
             return self.floor_us;
         }
-        // FNV-1a over the URL bytes, mixed with seed and attempt via
-        // splitmix64 — fully deterministic, no hasher randomness.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in url.as_str().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        let mut z = h ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        // FNV-1a over the URL bytes, mixed with seed and attempt by the
+        // splitmix64 finaliser (no increment) — fully deterministic.
+        let h = adm::fnv1a(url.as_str().bytes());
+        let z = adm::mix64(h ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt);
         if z % 1_000_000 < tail_ppm {
             self.floor_us + self.tail_us
         } else {
@@ -271,20 +253,17 @@ impl Default for VirtualServer {
 }
 
 /// Sleeps out one simulated network delay, abandoning the wait early when
-/// the ambient request (see [`obs::reqctx`]) has a fired deadline or has
-/// cancelled this URL. Abandonment models a client closing its
-/// connection: the server still does the work and charges its access
-/// counters — only the caller's blocked thread is released, so a
-/// browned-out session never sits out a tail it will not use. Without a
-/// finite deadline or a cancel token in scope this is a plain sleep,
-/// byte-identical in effect to the pre-budget server.
+/// the ambient request's budget (see [`obs::reqctx`], which the evaluator
+/// installs) has a fired deadline or has cancelled this URL. Abandonment
+/// models a client closing its connection: the server still does the work
+/// and charges its access counters — only the caller's blocked thread is
+/// released, so a browned-out evaluation never sits out a tail it will
+/// not use. Without a finite deadline or a cancel token in scope this is
+/// a plain sleep, byte-identical in effect to the pre-budget server.
 fn simulated_wait(total: Duration, url: &Url) {
-    let Some(ctx) = obs::reqctx::current() else {
+    let Some(ctx) = obs::reqctx::current().filter(|c| c.has_budget()) else {
         return std::thread::sleep(total);
     };
-    if !ctx.deadline.is_finite() && ctx.cancel.is_none() {
-        return std::thread::sleep(total);
-    }
     let t0 = std::time::Instant::now();
     loop {
         let elapsed = t0.elapsed();
@@ -875,9 +854,6 @@ mod tests {
             .filter(|i| p.delay_us(&Url::new(format!("/p/{i}")), 1) > p.floor_us)
             .count();
         assert!((150..350).contains(&slow), "tail fraction off: {slow}/1000");
-        // Quantiles: the floor below 1 − rate, the full tail above.
-        assert_eq!(p.quantile(0.5), 100);
-        assert_eq!(p.quantile(0.9), 10_000);
     }
 
     #[test]
@@ -917,23 +893,16 @@ mod tests {
 
     #[test]
     fn simulated_waits_are_severed_when_the_requester_gave_up() {
-        use obs::reqctx::{with_ctx, FetchClock, RequestCtx};
+        use obs::reqctx::with_budget;
         let s = server_with_page();
         s.set_latency(Duration::from_millis(50));
         // An expired deadline in the ambient request context: the client
         // has already browned out, so the wait is abandoned — but the GET
         // was still counted (the server did the work).
-        let ctx = RequestCtx {
-            sink: obs::trace::TraceSink::with_seed(0),
-            parent: 0,
-            request_id: 0,
-            clock: FetchClock::new(),
-            deadline: obs::Deadline::after_us(0),
-            cancel: None,
-        };
+        let expired = obs::Deadline::after_us(0);
         let before = s.stats().gets;
         let t0 = std::time::Instant::now();
-        with_ctx(Some(ctx), || s.get(&Url::new("/a.html")).unwrap());
+        with_budget(expired, None, || s.get(&Url::new("/a.html")).unwrap());
         assert!(
             t0.elapsed() < Duration::from_millis(40),
             "an abandoned request must not sit out the full simulated wait"
@@ -942,16 +911,10 @@ mod tests {
         // A cancelled URL severs the wait the same way.
         let token = obs::CancelToken::new();
         token.cancel_url("/a.html");
-        let ctx = RequestCtx {
-            sink: obs::trace::TraceSink::with_seed(0),
-            parent: 0,
-            request_id: 0,
-            clock: FetchClock::new(),
-            deadline: obs::Deadline::infinite(),
-            cancel: Some(token),
-        };
         let t0 = std::time::Instant::now();
-        with_ctx(Some(ctx), || s.get(&Url::new("/a.html")).unwrap());
+        with_budget(obs::Deadline::infinite(), Some(token), || {
+            s.get(&Url::new("/a.html")).unwrap()
+        });
         assert!(t0.elapsed() < Duration::from_millis(40));
         // Without either signal the full wait is simulated as before.
         let t0 = std::time::Instant::now();

@@ -80,7 +80,7 @@ pub struct Bibliography {
 }
 
 /// Builds the bibliography ADM scheme.
-pub fn bibliography_scheme() -> WebScheme {
+pub fn bibliography_scheme() -> Result<WebScheme> {
     let home = PageScheme::new(
         "BibHomePage",
         vec![
@@ -92,14 +92,13 @@ pub fn bibliography_scheme() -> WebScheme {
                 vec![Field::text("ConfName"), Field::link("ToConf", "ConfPage")],
             ),
         ],
-    )
-    .expect("static scheme");
+    )?;
     let conf_list_fields = vec![Field::list(
         "ConfList",
         vec![Field::text("ConfName"), Field::link("ToConf", "ConfPage")],
     )];
-    let conf_list = PageScheme::new("ConfListPage", conf_list_fields.clone()).expect("static");
-    let db_conf_list = PageScheme::new("DBConfListPage", conf_list_fields).expect("static");
+    let conf_list = PageScheme::new("ConfListPage", conf_list_fields.clone())?;
+    let db_conf_list = PageScheme::new("DBConfListPage", conf_list_fields)?;
     let conf = PageScheme::new(
         "ConfPage",
         vec![
@@ -113,8 +112,7 @@ pub fn bibliography_scheme() -> WebScheme {
                 ],
             ),
         ],
-    )
-    .expect("static scheme");
+    )?;
     let edition = PageScheme::new(
         "EditionPage",
         vec![
@@ -132,16 +130,14 @@ pub fn bibliography_scheme() -> WebScheme {
                 ],
             ),
         ],
-    )
-    .expect("static scheme");
+    )?;
     let author_list = PageScheme::new(
         "AuthorListPage",
         vec![Field::list(
             "AuthorList",
             vec![Field::text("AName"), Field::link("ToAuthor", "AuthorPage")],
         )],
-    )
-    .expect("static scheme");
+    )?;
     let author = PageScheme::new(
         "AuthorPage",
         vec![
@@ -155,16 +151,12 @@ pub fn bibliography_scheme() -> WebScheme {
                 ],
             ),
         ],
-    )
-    .expect("static scheme");
+    )?;
 
-    let lc = |link: &str, src: &str, tgt: &str| {
-        LinkConstraint::parse(link, src, tgt).expect("static constraint")
-    };
-    let ic =
-        |sub: &str, sup: &str| InclusionConstraint::parse(sub, sup).expect("static constraint");
+    let lc = |link: &str, src: &str, tgt: &str| LinkConstraint::parse(link, src, tgt);
+    let ic = |sub: &str, sup: &str| InclusionConstraint::parse(sub, sup);
 
-    WebScheme::builder()
+    Ok(WebScheme::builder()
         .scheme(home)
         .scheme(conf_list)
         .scheme(db_conf_list)
@@ -177,58 +169,57 @@ pub fn bibliography_scheme() -> WebScheme {
             "BibHomePage.Featured.ToConf",
             "BibHomePage.Featured.ConfName",
             "ConfPage.ConfName",
-        ))
+        )?)
         .link_constraint(lc(
             "ConfListPage.ConfList.ToConf",
             "ConfListPage.ConfList.ConfName",
             "ConfPage.ConfName",
-        ))
+        )?)
         .link_constraint(lc(
             "DBConfListPage.ConfList.ToConf",
             "DBConfListPage.ConfList.ConfName",
             "ConfPage.ConfName",
-        ))
+        )?)
         // Editions replicate year AND editors on the conference page — the
         // redundancy the paper's "editors of VLDB '96" example exploits.
         .link_constraint(lc(
             "ConfPage.EditionList.ToEdition",
             "ConfPage.EditionList.Year",
             "EditionPage.Year",
-        ))
+        )?)
         .link_constraint(lc(
             "ConfPage.EditionList.ToEdition",
             "ConfPage.EditionList.Editors",
             "EditionPage.Editors",
-        ))
+        )?)
         .link_constraint(lc(
             "ConfPage.EditionList.ToEdition",
             "ConfPage.ConfName",
             "EditionPage.ConfName",
-        ))
+        )?)
         .link_constraint(lc(
             "EditionPage.PaperList.Authors.ToAuthor",
             "EditionPage.PaperList.Authors.AName",
             "AuthorPage.AName",
-        ))
+        )?)
         .link_constraint(lc(
             "AuthorListPage.AuthorList.ToAuthor",
             "AuthorListPage.AuthorList.AName",
             "AuthorPage.AName",
-        ))
+        )?)
         .inclusion(ic(
             "DBConfListPage.ConfList.ToConf",
             "ConfListPage.ConfList.ToConf",
-        ))
+        )?)
         .inclusion(ic(
             "BibHomePage.Featured.ToConf",
             "DBConfListPage.ConfList.ToConf",
-        ))
+        )?)
         .inclusion(ic(
             "EditionPage.PaperList.Authors.ToAuthor",
             "AuthorListPage.AuthorList.ToAuthor",
-        ))
-        .build()
-        .expect("the bibliography scheme is statically valid")
+        )?)
+        .build()?)
 }
 
 impl Bibliography {
@@ -274,7 +265,7 @@ impl Bibliography {
             }
         }
         let mut b = Bibliography {
-            site: Site::new("bibliography", bibliography_scheme()),
+            site: Site::new("bibliography", bibliography_scheme()?),
             cfg,
             author_names,
             conf_names,

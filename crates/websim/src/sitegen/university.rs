@@ -94,7 +94,7 @@ pub struct University {
 }
 
 /// Builds the ADM scheme of Figure 1.
-pub fn university_scheme() -> WebScheme {
+pub fn university_scheme() -> Result<WebScheme> {
     let home = PageScheme::new(
         "HomePage",
         vec![
@@ -102,16 +102,14 @@ pub fn university_scheme() -> WebScheme {
             Field::link("ToProfList", "ProfListPage"),
             Field::link("ToSessionList", "SessionListPage"),
         ],
-    )
-    .expect("static scheme");
+    )?;
     let dept_list = PageScheme::new(
         "DeptListPage",
         vec![Field::list(
             "DeptList",
             vec![Field::text("DName"), Field::link("ToDept", "DeptPage")],
         )],
-    )
-    .expect("static scheme");
+    )?;
     let dept = PageScheme::new(
         "DeptPage",
         vec![
@@ -122,16 +120,14 @@ pub fn university_scheme() -> WebScheme {
                 vec![Field::text("PName"), Field::link("ToProf", "ProfPage")],
             ),
         ],
-    )
-    .expect("static scheme");
+    )?;
     let prof_list = PageScheme::new(
         "ProfListPage",
         vec![Field::list(
             "ProfList",
             vec![Field::text("PName"), Field::link("ToProf", "ProfPage")],
         )],
-    )
-    .expect("static scheme");
+    )?;
     let prof = PageScheme::new(
         "ProfPage",
         vec![
@@ -145,16 +141,14 @@ pub fn university_scheme() -> WebScheme {
                 vec![Field::text("CName"), Field::link("ToCourse", "CoursePage")],
             ),
         ],
-    )
-    .expect("static scheme");
+    )?;
     let session_list = PageScheme::new(
         "SessionListPage",
         vec![Field::list(
             "SesList",
             vec![Field::text("Session"), Field::link("ToSes", "SessionPage")],
         )],
-    )
-    .expect("static scheme");
+    )?;
     let session = PageScheme::new(
         "SessionPage",
         vec![
@@ -164,8 +158,7 @@ pub fn university_scheme() -> WebScheme {
                 vec![Field::text("CName"), Field::link("ToCourse", "CoursePage")],
             ),
         ],
-    )
-    .expect("static scheme");
+    )?;
     let course = PageScheme::new(
         "CoursePage",
         vec![
@@ -176,16 +169,12 @@ pub fn university_scheme() -> WebScheme {
             Field::text("PName"),
             Field::link("ToProf", "ProfPage"),
         ],
-    )
-    .expect("static scheme");
+    )?;
 
-    let lc = |link: &str, src: &str, tgt: &str| {
-        LinkConstraint::parse(link, src, tgt).expect("static constraint")
-    };
-    let ic =
-        |sub: &str, sup: &str| InclusionConstraint::parse(sub, sup).expect("static constraint");
+    let lc = |link: &str, src: &str, tgt: &str| LinkConstraint::parse(link, src, tgt);
+    let ic = |sub: &str, sup: &str| InclusionConstraint::parse(sub, sup);
 
-    WebScheme::builder()
+    Ok(WebScheme::builder()
         .scheme(home)
         .scheme(dept_list)
         .scheme(dept)
@@ -203,58 +192,57 @@ pub fn university_scheme() -> WebScheme {
             "DeptListPage.DeptList.ToDept",
             "DeptListPage.DeptList.DName",
             "DeptPage.DName",
-        ))
+        )?)
         .link_constraint(lc(
             "DeptPage.ProfList.ToProf",
             "DeptPage.ProfList.PName",
             "ProfPage.PName",
-        ))
+        )?)
         .link_constraint(lc(
             "ProfListPage.ProfList.ToProf",
             "ProfListPage.ProfList.PName",
             "ProfPage.PName",
-        ))
+        )?)
         // The two constraints quoted verbatim in the paper:
-        .link_constraint(lc("ProfPage.ToDept", "ProfPage.DName", "DeptPage.DName"))
+        .link_constraint(lc("ProfPage.ToDept", "ProfPage.DName", "DeptPage.DName")?)
         .link_constraint(lc(
             "SessionPage.CourseList.ToCourse",
             "SessionPage.Session",
             "CoursePage.Session",
-        ))
+        )?)
         .link_constraint(lc(
             "ProfPage.CourseList.ToCourse",
             "ProfPage.CourseList.CName",
             "CoursePage.CName",
-        ))
+        )?)
         .link_constraint(lc(
             "SessionListPage.SesList.ToSes",
             "SessionListPage.SesList.Session",
             "SessionPage.Session",
-        ))
+        )?)
         .link_constraint(lc(
             "SessionPage.CourseList.ToCourse",
             "SessionPage.CourseList.CName",
             "CoursePage.CName",
-        ))
+        )?)
         .link_constraint(lc(
             "CoursePage.ToProf",
             "CoursePage.PName",
             "ProfPage.PName",
-        ))
+        )?)
         // The inclusion constraints quoted in the paper (Section 3.2):
-        .inclusion(ic("CoursePage.ToProf", "ProfListPage.ProfList.ToProf"))
+        .inclusion(ic("CoursePage.ToProf", "ProfListPage.ProfList.ToProf")?)
         .inclusion(ic(
             "DeptPage.ProfList.ToProf",
             "ProfListPage.ProfList.ToProf",
-        ))
+        )?)
         // Courses reachable through instructors are a subset of the courses
         // listed under sessions (Section 5).
         .inclusion(ic(
             "ProfPage.CourseList.ToCourse",
             "SessionPage.CourseList.ToCourse",
-        ))
-        .build()
-        .expect("the Figure 1 scheme is statically valid")
+        )?)
+        .build()?)
 }
 
 impl University {
@@ -321,7 +309,7 @@ impl University {
             );
         }
         let mut u = University {
-            site: Site::new("university", university_scheme()),
+            site: Site::new("university", university_scheme()?),
             next_course_id: courses.len(),
             cfg,
             depts,
@@ -880,7 +868,7 @@ mod tests {
 
     #[test]
     fn scheme_has_paper_constraints() {
-        let ws = university_scheme();
+        let ws = university_scheme().unwrap();
         // the two verbatim link constraints
         assert!(ws.link_constraints().iter().any(|c| {
             c.source_attr.qualified() == "ProfPage.DName"

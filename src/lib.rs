@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn prelude_compiles_and_links() {
-        let ws = websim::sitegen::university::university_scheme();
+        let ws = websim::sitegen::university::university_scheme().unwrap();
         assert!(ws.is_entry_point("HomePage"));
         let q = ConjunctiveQuery::new("t")
             .atom("Professor")

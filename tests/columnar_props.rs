@@ -8,7 +8,7 @@
 //! reference interpreter in `tests/support/reference_eval.rs` exactly so
 //! this test can keep pinning the equivalence on arbitrary seeded sites:
 //! for the sequential (inline) and the 3-worker pooled evaluator, with
-//! and without the per-query and the shared page cache, on an intact
+//! and without the shared page cache, on an intact
 //! site and — under `DegradationMode::Partial` — on one with broken and
 //! failing links.
 
@@ -97,7 +97,6 @@ fn plans() -> Vec<(&'static str, NalgExpr)> {
 struct Config {
     /// `None`: sequential; `Some(n)`: an `n`-worker fetch pool.
     workers: Option<usize>,
-    cache: bool,
     shared: bool,
     /// Evaluate under `DegradationMode::Partial` with some professor and
     /// course pages gone (404) and some requests for the others timing out.
@@ -140,7 +139,6 @@ fn assert_paths_agree(
     let col_eval = Evaluator::new(&site.scheme, source).with_policy(&EvalPolicy {
         degradation,
         fetch: cfg.workers.map_or(Fetch::Inline, Fetch::pool),
-        per_query_cache: cfg.cache,
         shared_cache: cfg.shared.then_some(&col_cache),
         ..Default::default()
     });
@@ -150,7 +148,6 @@ fn assert_paths_agree(
     let (row_relation, row) = Reference {
         ws: &site.scheme,
         source,
-        cache_enabled: cfg.cache,
         shared: cfg.shared.then_some(&row_cache),
         degradation,
     }
@@ -193,18 +190,15 @@ fn pin_plans(
 ) {
     for (label, expr) in plans {
         for workers in [None, Some(3)] {
-            for cache in [true, false] {
-                for shared in [false, true] {
-                    for flaky in [false, true] {
-                        let cfg = Config {
-                            workers,
-                            cache,
-                            shared,
-                            flaky,
-                        };
-                        let (relation, counters) = assert_paths_agree(site, &expr, label, cfg);
-                        check(label, cfg, relation, counters);
-                    }
+            for shared in [false, true] {
+                for flaky in [false, true] {
+                    let cfg = Config {
+                        workers,
+                        shared,
+                        flaky,
+                    };
+                    let (relation, counters) = assert_paths_agree(site, &expr, label, cfg);
+                    check(label, cfg, relation, counters);
                 }
             }
         }
@@ -473,7 +467,6 @@ fn read_set_plans_match_the_reference_on_default_sites() {
     let row = Reference {
         ws: &u.site.scheme,
         source,
-        cache_enabled: true,
         shared: None,
         degradation: DegradationMode::FailFast,
     }
@@ -499,13 +492,11 @@ fn pin_drawn_queries(site: &websim::Site, catalog: &ViewCatalog, drawn: &[arb_qu
         for cfg in [
             Config {
                 workers: None,
-                cache: true,
                 shared: false,
                 flaky: false,
             },
             Config {
                 workers: Some(3),
-                cache: false,
                 shared: true,
                 flaky: true,
             },

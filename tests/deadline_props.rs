@@ -225,3 +225,121 @@ fn deadline_pins_hold_on_default_site() {
         assert_hedging_is_paper_blind(&u.site, &expr, label, 7);
     }
 }
+
+/// A small site whose every GET the caller slows down.
+fn slow_site() -> University {
+    University::generate(UniversityConfig {
+        departments: 2,
+        professors: 6,
+        courses: 8,
+        seed: 3,
+        ..UniversityConfig::default()
+    })
+    .unwrap()
+}
+
+/// A budget is honoured below the access boundary whoever runs the
+/// evaluator: with every GET taking a simulated second, a 50 ms deadline
+/// brings a query session and a bare evaluator back well inside that
+/// second, inline and over a 2-worker pool, because the evaluation's own
+/// deadline severs the simulated wait its fetch sits in.
+#[test]
+fn a_deadline_reaches_the_network_under_every_caller() {
+    let u = slow_site();
+    let stats = SiteStatistics::from_site(&u.site);
+    let catalog = university_catalog();
+    let source = LiveSource::for_site(&u.site);
+    let q = parse_query("SELECT PName FROM Professor WHERE Rank = 'Full'", &catalog).unwrap();
+    // Plan once, before the latency: the timed runs are plan-cache hits,
+    // so their budget is spent on fetching alone.
+    let plans = PlanCache::new(4);
+    let session = |eval: EvalPolicy<'static>| {
+        let policy = ExecPolicy {
+            eval,
+            ..Default::default()
+        };
+        QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
+            .with_policy(&policy)
+            .with_plan_cache(&plans, 0)
+    };
+    session(EvalPolicy::default()).run(&q).unwrap();
+    let nav = NalgExpr::entry("ProfListPage")
+        .unnest("ProfList")
+        .follow("ToProf", "ProfPage");
+    u.site.server.set_latency(std::time::Duration::from_secs(1));
+    for fetch in [Fetch::Inline, Fetch::pool(2)] {
+        let budget = || EvalPolicy {
+            fetch: fetch.clone(),
+            deadline: Deadline::after_us(50_000),
+            ..Default::default()
+        };
+        let t0 = std::time::Instant::now();
+        let outcome = session(budget()).run(&q).unwrap();
+        let session_took = t0.elapsed();
+        let t0 = std::time::Instant::now();
+        let report = Evaluator::new(&u.site.scheme, &source)
+            .with_policy(&budget())
+            .eval(&nav)
+            .unwrap();
+        let evaluator_took = t0.elapsed();
+        for (caller, took, report) in [
+            ("session", session_took, &outcome.report),
+            ("evaluator", evaluator_took, &report),
+        ] {
+            assert!(report.deadline_exceeded, "{caller} {fetch:?}");
+            assert!(!report.is_complete(), "{caller} {fetch:?}");
+            assert!(
+                took < std::time::Duration::from_millis(500),
+                "{caller} {fetch:?}: a 50 ms budget took {took:?}"
+            );
+        }
+    }
+    u.site.server.set_latency(std::time::Duration::ZERO);
+}
+
+/// A coalesced follower gives up at its own deadline: while an unbudgeted
+/// leader sleeps out a simulated second on another thread, an evaluation
+/// with a 50 ms budget that joins its fetch returns at its budget, its
+/// wait ended as `Cancelled` (a `cancel_wake`) and its URL reported
+/// unreachable — inline and from a pool worker.
+#[test]
+fn a_coalesced_follower_gives_up_at_its_own_deadline() {
+    let u = slow_site();
+    u.site.server.set_latency(std::time::Duration::from_secs(1));
+    let live = LiveSource::for_site(&u.site);
+    let coalesced = CoalescingSource::new(&live);
+    let url = u
+        .site
+        .scheme
+        .entry_point("ProfListPage")
+        .unwrap()
+        .url
+        .clone();
+    for (i, fetch) in [Fetch::Inline, Fetch::pool(2)].into_iter().enumerate() {
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| coalesced.fetch(&url, "ProfListPage"));
+            while coalesced.stats().leaders == i as u64 {
+                std::thread::yield_now();
+            }
+            let t0 = std::time::Instant::now();
+            let report = Evaluator::new(&u.site.scheme, &coalesced)
+                .with_policy(&EvalPolicy {
+                    fetch: fetch.clone(),
+                    deadline: Deadline::after_us(50_000),
+                    ..Default::default()
+                })
+                .eval(&NalgExpr::entry("ProfListPage"))
+                .unwrap();
+            let took = t0.elapsed();
+            assert!(report.deadline_exceeded, "{fetch:?}");
+            assert_eq!(report.unreachable, vec![url.clone()], "{fetch:?}");
+            assert_eq!(report.page_accesses, 0, "{fetch:?}");
+            assert!(
+                took < std::time::Duration::from_millis(500),
+                "{fetch:?}: the follower waited {took:?} on its leader"
+            );
+            assert_eq!(coalesced.stats().cancel_wakes, i as u64 + 1, "{fetch:?}");
+            assert!(leader.join().unwrap().is_ok(), "the leader's GET completes");
+        });
+    }
+}

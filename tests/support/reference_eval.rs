@@ -25,12 +25,11 @@ use webviews::nalg::{
 
 type Result<T> = std::result::Result<T, EvalError>;
 
-/// The reference interpreter's configuration: the three switches whose
+/// The reference interpreter's configuration: the two switches whose
 /// effect on the counters the paper's rules define.
 pub struct Reference<'a, S> {
     pub ws: &'a WebScheme,
     pub source: &'a S,
-    pub cache_enabled: bool,
     pub shared: Option<&'a SharedPageCache>,
     pub degradation: DegradationMode,
 }
@@ -85,9 +84,7 @@ impl<S: PageSource> Reference<'_, S> {
                 }
             }
         };
-        if self.cache_enabled {
-            c.cache.insert(url.clone(), tuple.clone());
-        }
+        c.cache.insert(url.clone(), tuple.clone());
         Ok(Some(tuple))
     }
 
