@@ -18,10 +18,13 @@
 //! strictly accounted so the paper numbers stay reproducible. The two that
 //! change the drain loop itself:
 //!
-//! * **Pipelined concurrent fetch** ([`Fetch::Pool`]): a persistent worker
-//!   pool is spawned once per evaluation and serves every operator in the
-//!   plan; distinct links stream into the pool and wrapped tuples are
-//!   consumed as they arrive, overlapping network latency with row
+//! * **Pipelined concurrent fetch** ([`Fetch::Pool`]): one worker pool
+//!   per evaluation serves every operator in the plan. Its threads start
+//!   on demand — one per queued fetch, up to the pool's size — and live
+//!   until the evaluation ends, so an evaluation whose pages all come from
+//!   the caches starts none (an idle 4-worker scope cost ≈ 120–150 µs wall on
+//!   a 2-vCPU box). Distinct links stream into the pool and wrapped tuples
+//!   are consumed as they arrive, overlapping network latency with row
 //!   assembly. [`Fetch::Inline`] runs the same drain loop over an inline
 //!   executor — one fetch at a time on the calling thread. Results and all
 //!   access counts are identical either way.
@@ -1501,6 +1504,69 @@ mod tests {
         assert_eq!((again.page_accesses, again.shared_cache_hits), (0, 4));
     }
 
+    /// Evaluates `nav()` traced under `fetch` and `shared`, returning the
+    /// report and how many pool workers started (their `fetch.worker`
+    /// terminal events).
+    fn workers_started(
+        fetch: Fetch,
+        shared: Option<&crate::SharedPageCache>,
+    ) -> (EvalReport, usize) {
+        let (ws, src) = (scheme(), source());
+        let sink = obs::TraceSink::with_seed(1);
+        let report = Evaluator::new(&ws, &src)
+            .with_policy(&EvalPolicy {
+                fetch,
+                shared_cache: shared,
+                trace: Some((sink.clone(), None)),
+                ..Default::default()
+            })
+            .eval(&nav())
+            .unwrap();
+        let started = (sink.events().iter())
+            .filter(|e| e.name == "fetch.worker")
+            .count();
+        (report, started)
+    }
+
+    #[test]
+    fn a_pool_whose_pages_all_hit_the_shared_cache_starts_no_worker() {
+        crate::fetch::tests::under_watchdog("a warm pooled evaluation hung", || {
+            let shared = crate::SharedPageCache::default();
+            let (cold, _) = workers_started(Fetch::pool(4), Some(&shared));
+            assert_eq!(cold.page_accesses, 4);
+            let (warm, started) = workers_started(Fetch::pool(4), Some(&shared));
+            assert_eq!((warm.page_accesses, warm.shared_cache_hits), (0, 4));
+            assert_eq!(warm.relation.sorted(), cold.relation.sorted());
+            assert_eq!(started, 0, "an all-hit evaluation starts no fetch thread");
+        });
+    }
+
+    #[test]
+    fn a_pool_starts_one_worker_per_miss_up_to_its_size() {
+        crate::fetch::tests::under_watchdog("a cold pooled evaluation hung", || {
+            for workers in [1, 2, 4, 8] {
+                let (cold, started) = workers_started(Fetch::pool(workers), None);
+                assert_eq!(cold.page_accesses, 4);
+                assert_eq!(started, workers.min(4), "{workers} workers, 4 misses");
+            }
+            // Three misses once the entry page is in the shared cache.
+            let (ws, src) = (scheme(), source());
+            let shared = crate::SharedPageCache::default();
+            let policy = EvalPolicy {
+                shared_cache: Some(&shared),
+                ..Default::default()
+            };
+            let entry = NalgExpr::entry("ListPage");
+            Evaluator::new(&ws, &src)
+                .with_policy(&policy)
+                .eval(&entry)
+                .unwrap();
+            let (partial, started) = workers_started(Fetch::pool(8), Some(&shared));
+            assert_eq!((partial.page_accesses, partial.shared_cache_hits), (3, 1));
+            assert_eq!(started, 3);
+        });
+    }
+
     #[test]
     fn shared_cache_with_concurrent_fetch_equals_sequential() {
         let ws = scheme();
@@ -2097,17 +2163,52 @@ mod tests {
         assert_eq!(report.cancelled, vec![Url::new("/i/a"), Url::new("/i/c")]);
     }
 
+    /// A source whose first fetch of `held` waits until the drain gives
+    /// that URL up on `gate` (capped at 5 s); every other fetch answers at
+    /// once.
+    struct HeldOnce {
+        inner: MapSource,
+        held: Url,
+        gate: obs::CancelToken,
+        attempts: std::sync::atomic::AtomicUsize,
+    }
+
+    impl PageSource for HeldOnce {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            use std::sync::atomic::Ordering;
+            if *url == self.held && self.attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                let t0 = std::time::Instant::now();
+                while !self.gate.is_url_cancelled(url.as_str())
+                    && t0.elapsed() < std::time::Duration::from_secs(5)
+                {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+            }
+            self.inner.fetch(url, scheme)
+        }
+    }
+
     #[test]
     fn hedged_fetch_wins_without_touching_page_accesses() {
         let ws = scheme();
-        // First attempt on /i/b hangs 50ms; the hedge launched after 1ms
-        // is served immediately and wins.
-        let src = slow(&["/i/b"], 50, true);
-        let cfg = crate::fetch::HedgeConfig::new(1_000);
+        // The primary fetch of /i/b is held until the drain cancels it,
+        // which it does only once the hedge has won, so the hedge always
+        // wins. The 250 ms delay sits far above scheduling noise, so no
+        // other fetch (each answers at once) lives long enough to be
+        // hedged.
+        let gate = obs::CancelToken::new();
+        let src = HeldOnce {
+            inner: source(),
+            held: Url::new("/i/b"),
+            gate: gate.clone(),
+            attempts: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let cfg = crate::fetch::HedgeConfig::new(250_000);
         let (hedges, wins) = (cfg.hedges.clone(), cfg.hedge_wins.clone());
         let report = Evaluator::new(&ws, &src)
             .with_policy(&EvalPolicy {
                 fetch: Fetch::hedged(2, cfg),
+                cancel: Some(gate),
                 ..Default::default()
             })
             .eval(&nav())

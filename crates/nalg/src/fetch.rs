@@ -4,12 +4,18 @@
 //! a [`FetchPool`] and comes back as a [`Done`]. The pool has two
 //! executors behind one interface:
 //!
-//! * **threads** ([`with_pool`]): workers spawned **once per evaluation**
+//! * **threads** ([`with_pool`]): up to `workers` threads per evaluation
 //!   serve every operator in the plan through a pair of `std::sync::mpsc`
 //!   channels; the workers share the job receiver behind one lock.
-//!   The evaluator streams distinct links into the job channel and
-//!   consumes wrapped tuples as they complete, so CPU-side work (row
-//!   assembly) overlaps network latency.
+//!   Workers start **on demand**: queueing the k-th job starts worker k,
+//!   up to `workers`, and a started worker lives until the evaluation
+//!   ends. An evaluation served wholly from the per-query or shared cache
+//!   queues no job and so starts no thread, one with m misses starts
+//!   min(m, `workers`). (Starting and joining an idle 4-worker scope cost
+//!   ≈ 120–150 µs wall and ≈ 170–210 µs CPU on a 2-vCPU box.) The evaluator
+//!   streams distinct links into the job channel and consumes wrapped
+//!   tuples as they complete, so CPU-side work (row assembly) overlaps
+//!   network latency.
 //! * **inline** ([`FetchPool::inline`]): no threads at all — receiving a
 //!   completion runs the next queued job on the calling thread. This is
 //!   sequential fetching.
@@ -37,7 +43,7 @@ use adm::{Symbol, Tuple, Url};
 use obs::reqctx::RequestCtx;
 use obs::trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -111,10 +117,12 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
 /// inside [`with_pool`]'s closure; dropping it closes the job channel,
 /// which is what terminates workers.
 pub(crate) enum FetchPool<'s> {
-    /// Worker threads behind a job and a completion channel.
+    /// Worker threads behind a job and a completion channel, started as
+    /// jobs are queued.
     Threads {
         job_tx: Sender<Job>,
         done_rx: Receiver<Done>,
+        workers: Workers<'s>,
     },
     /// The inline executor: jobs queue here until a receive runs them.
     Inline {
@@ -143,7 +151,15 @@ impl<'s> FetchPool<'s> {
     #[must_use]
     pub(crate) fn submit_tagged(&self, job: Job) -> bool {
         match self {
-            FetchPool::Threads { job_tx, .. } => job_tx.send(job).is_ok(),
+            FetchPool::Threads {
+                job_tx, workers, ..
+            } => {
+                if job_tx.send(job).is_err() {
+                    return false;
+                }
+                workers.start_next();
+                true
+            }
             FetchPool::Inline { queue, .. } => {
                 queue.borrow_mut().push_back(job);
                 true
@@ -153,11 +169,19 @@ impl<'s> FetchPool<'s> {
 
     /// The next completion, in arrival (not submission) order: `Ok` on a
     /// completion, `Err(true)` when `timeout` elapsed first, `Err(false)`
-    /// when the pool shut down (or, inline, has no job left to run). The
-    /// inline executor runs the next queued job here and never waits.
+    /// when no worker can answer: the pool shut down or has started none
+    /// (or, inline, has no job left to run). The inline executor runs the
+    /// next queued job here and never waits.
     pub(crate) fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Done, bool> {
         match self {
-            FetchPool::Threads { done_rx, .. } => {
+            FetchPool::Threads {
+                done_rx, workers, ..
+            } => {
+                // Until a worker starts, the spawner's sender holds the
+                // channel open, yet nothing can answer.
+                if workers.started.get() == 0 {
+                    return Err(false);
+                }
                 done_rx.recv_timeout(timeout).map_err(|e| match e {
                     RecvTimeoutError::Timeout => true,
                     RecvTimeoutError::Disconnected => false,
@@ -179,18 +203,49 @@ impl<'s> FetchPool<'s> {
     }
 }
 
-/// Runs `f` with a pool of `workers` threads fetching from `source`.
-/// Workers live for the whole call — every `follow` in the evaluated plan
-/// shares them — and exit when the pool handle is dropped. Each worker
-/// runs under the calling thread's request context.
+/// The threaded pool's workers, started one per queued job until `cap`
+/// run. A started worker serves until the pool handle drops.
+pub(crate) struct Workers<'s> {
+    cap: usize,
+    started: Cell<usize>,
+    /// The completion sender each new worker gets a clone of. The worker
+    /// that reaches the cap takes it, so from then on only workers hold
+    /// the completion channel open and `Err(false)` means what it says.
+    done_tx: Cell<Option<Sender<Done>>>,
+    /// Spawns worker `idx` on the pool's thread scope.
+    spawn: &'s dyn Fn(usize, Sender<Done>),
+}
+
+impl Workers<'_> {
+    /// Starts the next worker, unless `cap` already run.
+    fn start_next(&self) {
+        let Some(done_tx) = self.done_tx.take() else {
+            return;
+        };
+        let n = self.started.get() + 1;
+        self.started.set(n);
+        if n < self.cap {
+            self.done_tx.set(Some(done_tx.clone()));
+        }
+        (self.spawn)(n - 1, done_tx);
+    }
+}
+
+/// Runs `f` with a pool of up to `workers` threads fetching from `source`.
+/// No worker starts up front: queueing the k-th job starts worker k, up to
+/// `workers`, so a call that queues nothing starts no thread. A started
+/// worker lives for the rest of the call — every later `follow` in the
+/// evaluated plan shares it — and exits when the pool handle is dropped.
+/// Each worker runs under the request context of the thread that called
+/// `with_pool`.
 ///
-/// With a trace sink attached, every worker records a terminal
+/// With a trace sink attached, every started worker records a terminal
 /// `fetch.worker` event on its way out, carrying the number of jobs it
 /// served and the shutdown reason: `drained` (job queue closed after a
 /// graceful drain) or `abandoned` (the evaluator stopped listening —
 /// an early abort). The records are buffered and flushed *after* the
 /// workers have been joined, in worker order, so pooled traces stay
-/// deterministic; a worker index with **no** terminal event in an
+/// deterministic; a started worker index with **no** terminal event in an
 /// exported trace therefore means that worker hung or died rather than
 /// draining its queue.
 pub(crate) fn with_pool<S, R>(
@@ -203,21 +258,18 @@ pub(crate) fn with_pool<S, R>(
 where
     S: PageSource,
 {
-    let workers = workers.max(1);
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Mutex::new(job_rx);
     let (done_tx, done_rx) = mpsc::channel::<Done>();
     let terminals: Mutex<Vec<(usize, u64, &'static str)>> = Mutex::new(Vec::new());
-    // Capture the spawning thread's ambient request context so worker
+    // Capture the calling thread's ambient request context so worker
     // threads honour its budget and charge fetch time (and attribute
     // coalesced waits) to the same request the evaluation serves.
     let reqctx = obs::reqctx::current();
+    let traced = trace.is_some();
     let result = std::thread::scope(|scope| {
-        for idx in 0..workers {
-            let job_rx = &job_rx;
-            let done_tx = done_tx.clone();
-            let terminals = &terminals;
-            let traced = trace.is_some();
+        let (job_rx, terminals, reqctx) = (&job_rx, &terminals, &reqctx);
+        let spawn = |idx: usize, done_tx: Sender<Done>| {
             let reqctx = reqctx.clone();
             scope.spawn(move || {
                 let runner = Runner {
@@ -263,10 +315,17 @@ where
                     }
                 });
             });
-        }
-        // The pool handle owns the only job sender and done receiver.
-        drop(done_tx);
-        let pool = FetchPool::Threads { job_tx, done_rx };
+        };
+        let pool = FetchPool::Threads {
+            job_tx,
+            done_rx,
+            workers: Workers {
+                cap: workers.max(1),
+                started: Cell::new(0),
+                done_tx: Cell::new(Some(done_tx)),
+                spawn: &spawn,
+            },
+        };
         let result = f(&pool);
         drop(pool); // closes the job channel; workers drain and exit
         result
@@ -609,9 +668,35 @@ impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Runs `f` on a detached thread and fails if it has not finished
+    /// within 60 s: a worker that hangs, or never starts, fails the test
+    /// instead of wedging the suite. A panic of `f` is the test's panic.
+    pub(crate) fn under_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (finished_tx, finished_rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            f();
+            let _ = finished_tx.send(());
+        });
+        match finished_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Err(RecvTimeoutError::Timeout) => panic!("{what}: still running after 60 s"),
+            _ => {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+
+    /// The `fetch.worker` terminal events `sink` holds, in record order.
+    fn worker_events(sink: &TraceSink) -> Vec<obs::trace::TraceEvent> {
+        (sink.events().into_iter())
+            .filter(|e| e.name == "fetch.worker")
+            .collect()
+    }
 
     /// Test shorthand: an untagged job for page-scheme `P`.
     fn enqueue(pool: &FetchPool<'_>, url: &str) -> bool {
@@ -685,8 +770,7 @@ mod tests {
     /// watchdog: a hung worker fails the test instead of wedging the suite.
     #[test]
     fn early_exit_leaves_no_hung_workers() {
-        let (finished_tx, finished_rx) = mpsc::channel();
-        std::thread::spawn(move || {
+        under_watchdog("a fetch worker hung on pool shutdown", || {
             let src = CountingSource(AtomicUsize::new(0));
             for cycle in 0..300 {
                 let consumed = if cycle % 2 == 0 { 20 } else { cycle % 7 };
@@ -699,11 +783,58 @@ mod tests {
                     }
                 });
             }
-            finished_tx.send(()).unwrap();
         });
-        finished_rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("a fetch worker hung on pool shutdown");
+    }
+
+    /// A pool that is never handed a job starts no thread, and no worker
+    /// can answer it: a receive says so at once instead of waiting.
+    #[test]
+    fn a_pool_with_nothing_queued_starts_no_worker() {
+        under_watchdog("an idle pool blocked", || {
+            let sink = TraceSink::with_seed(1);
+            let src = CountingSource(AtomicUsize::new(0));
+            with_pool(&src, 4, Some(&sink), None, |pool| {
+                let t0 = std::time::Instant::now();
+                let got = pool.recv_timeout(std::time::Duration::from_secs(30));
+                assert!(matches!(got, Err(false)), "no worker can answer");
+                assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+            });
+            assert!(worker_events(&sink).is_empty(), "no worker started");
+        });
+    }
+
+    /// On-demand start still reaches full concurrency: with a cap of 4,
+    /// four queued jobs are all inside the source at once before any is
+    /// released, and a fifth job starts no fifth worker.
+    #[test]
+    fn workers_started_on_demand_run_jobs_concurrently() {
+        under_watchdog("on-demand workers hung", || {
+            let (gated, entered_rx, release_tx) = GatedSource::new(false);
+            let sink = TraceSink::with_seed(1);
+            // The closure owns the release side: if an assertion fails,
+            // unwinding drops it and the gated workers fail instead of
+            // blocking the pool's join.
+            with_pool(&gated, 4, Some(&sink), None, move |pool| {
+                for i in 0..4 {
+                    assert!(enqueue(pool, &format!("/{i}")));
+                }
+                for inside in 0..4 {
+                    let entered = entered_rx.recv_timeout(std::time::Duration::from_secs(10));
+                    assert!(entered.is_ok(), "only {inside} of 4 jobs inside the source");
+                }
+                assert!(enqueue(pool, "/4"));
+                for _ in 0..5 {
+                    release_tx.send(()).unwrap();
+                }
+                assert!((0..5).all(|_| next_done(pool).outcome.is_ok()));
+            });
+            assert_eq!(gated.fetches.load(Ordering::SeqCst), 5);
+            let events = worker_events(&sink);
+            assert_eq!(events.len(), 4, "one terminal event per started worker");
+            for (i, e) in events.iter().enumerate() {
+                assert_eq!(e.field_u64("worker"), Some(i as u64), "worker order");
+            }
+        });
     }
 
     /// A source that panics on some URLs.
@@ -730,11 +861,7 @@ mod tests {
                 next_done(pool);
             }
         });
-        let events: Vec<_> = sink
-            .events()
-            .into_iter()
-            .filter(|e| e.name == "fetch.worker")
-            .collect();
+        let events = worker_events(&sink);
         assert_eq!(events.len(), 3, "one terminal event per worker");
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.field_u64("worker"), Some(i as u64), "worker order");
@@ -760,11 +887,7 @@ mod tests {
             }
             next_done(pool);
         });
-        let events: Vec<_> = sink
-            .events()
-            .into_iter()
-            .filter(|e| e.name == "fetch.worker")
-            .collect();
+        let events = worker_events(&sink);
         assert_eq!(events.len(), 2);
         assert!(
             events
