@@ -760,78 +760,12 @@ impl ColumnRel {
             .collect();
         Relation::from_full_rows(self.column_strings(), rows)
     }
-
-    // ---- rendering -------------------------------------------------------
-
-    /// Compares two cells of the same column with [`Value::total_cmp`]'s
-    /// total order, without materializing values for typed columns.
-    fn cmp_cells(&self, a: usize, b: usize, col: usize) -> std::cmp::Ordering {
-        let c = &self.cols[col];
-        match &c.data {
-            // Null ranks below any value; interned ids resolve to the very
-            // strings Text/Url ordering compares.
-            ColumnData::Text(ids) | ColumnData::Link(ids) => {
-                match (c.validity.get(a), c.validity.get(b)) {
-                    (true, true) => ids[a].as_str().cmp(ids[b].as_str()),
-                    (va, vb) => va.cmp(&vb),
-                }
-            }
-            ColumnData::Values(vs) => vs[a].total_cmp(&vs[b]),
-            ColumnData::Nested { .. } => self.value_at(a, col).total_cmp(&self.value_at(b, col)),
-        }
-    }
-
-    /// Row indices in the deterministic order of [`Relation::sorted`].
-    fn sorted_indices(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.len as u32).collect();
-        order.sort_by(|&a, &b| {
-            for col in 0..self.cols.len() {
-                match self.cmp_cells(a as usize, b as usize, col) {
-                    std::cmp::Ordering::Equal => continue,
-                    o => return o,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        order
-    }
-
-    /// The display text of one cell, straight from the typed column —
-    /// identical to `Value::to_string` of the materialized cell.
-    fn cell_string(&self, row: usize, col: usize) -> String {
-        let c = &self.cols[col];
-        match &c.data {
-            ColumnData::Text(ids) | ColumnData::Link(ids) => {
-                if c.validity.get(row) {
-                    ids[row].as_str().to_string()
-                } else {
-                    Value::Null.to_string()
-                }
-            }
-            ColumnData::Values(vs) => vs[row].to_string(),
-            ColumnData::Nested { .. } => self.value_at(row, col).to_string(),
-        }
-    }
-
-    /// Renders the same ASCII table as [`Relation::to_table`] — sorted rows,
-    /// byte-identical output — streaming cells out of the typed columns
-    /// without materializing row tuples.
-    pub fn to_table(&self) -> String {
-        let order = self.sorted_indices();
-        let columns = self.column_strings();
-        let mut cells = Vec::with_capacity(self.len * self.cols.len());
-        for &r in &order {
-            for c in 0..self.cols.len() {
-                cells.push(self.cell_string(r as usize, c));
-            }
-        }
-        crate::display::render_ascii_table(&columns, self.len, &cells)
-    }
 }
 
+/// Prints [`ColumnRel::to_relation`]'s table: sorted rows, the one renderer.
 impl std::fmt::Display for ColumnRel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_table())
+        self.to_relation().fmt(f)
     }
 }
 
@@ -1684,27 +1618,6 @@ mod tests {
         assert_eq!(p.names().len(), 0);
         // row path agrees
         assert_eq!(r.project(&[]).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn to_table_matches_row_path_byte_for_byte() {
-        for r in [profs(), depts()] {
-            let c = ColumnRel::from_relation(&r);
-            assert_eq!(c.to_table(), r.to_table());
-            assert_eq!(format!("{c}"), r.to_table());
-        }
-        // heterogeneous (Values fallback) columns render identically too
-        let r = Relation::from_rows(
-            vec!["X", "Y"],
-            vec![
-                vec![Value::text("b"), Value::link("/u")],
-                vec![Value::Null, Value::text("t")],
-                vec![Value::link("/a"), Value::Null],
-            ],
-        )
-        .unwrap();
-        let c = ColumnRel::from_relation(&r);
-        assert_eq!(c.to_table(), r.to_table());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Streaming ASCII table rendering.
 //!
-//! [`crate::Relation::to_table`] and [`crate::ColumnRel::to_table`] both
-//! funnel through [`render_ascii_table`]: cell text is measured once for
+//! [`crate::Relation::to_table`] (and so a [`crate::ColumnRel`]'s
+//! `Display`, which prints its relation) funnels through
+//! [`render_ascii_table`]: cell text is measured once for
 //! column widths, then the table is streamed into a single output buffer.
 //! The previous writer built a `Vec<String>` per row plus a joined line
 //! `String` per row, so wide results (the E7/E8 experiments produce dozens

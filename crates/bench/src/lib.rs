@@ -799,9 +799,9 @@ pub struct DriftSmoke {
 
 /// X4 (extension) — constraint-drift defense: the optimizer's rewrites are
 /// licensed by constraints a drifted site silently breaks. A university
-/// site drifts under fixed-seed [`websim::DriftPlan`] rules (every
-/// `DeptPage.DName` perturbed, 35% of `CoursePage.CName` perturbed, 10% of
-/// session course links dropped) while the optimizer keeps its pristine
+/// site drifts under one fixed-seed [`websim::MutationPlan`] round at
+/// `u64::MAX` (every `DeptPage.DName` perturbed, 35% of `CoursePage.CName`
+/// perturbed, 10% of session course links dropped) while the optimizer keeps its pristine
 /// statistics and scheme. X4a sweeps the audit rate and reports detection
 /// (checks, violations, fallback) and accuracy against the
 /// default-navigation ground truth; X4b runs three queries twice through
@@ -809,7 +809,7 @@ pub struct DriftSmoke {
 /// suspect-plus-fallback double execution, pass 2 shows the quarantine
 /// already steering the optimizer to constraint-free plans.
 pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
-    use websim::{DriftPlan, DriftRule};
+    use websim::{MutationPlan, MutationRule};
     use wvcore::ConstraintHealth;
     const AUDIT_SEED: u64 = 0xA0D17;
     // Statistics (and the scheme's constraints) come from the pristine
@@ -817,15 +817,15 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
     let mut u = University::generate(UniversityConfig::default()).expect("site");
     let stats = SiteStatistics::from_site(&u.site);
     let catalog = wvcore::views::university_catalog();
-    DriftPlan::new(drift_seed)
-        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-        .with_rule(DriftRule::perturb_attr("CoursePage", "CName", 0.35))
-        .with_rule(DriftRule::drop_links(
+    MutationPlan::new(drift_seed)
+        .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+        .with_rule(MutationRule::edit_attr("CoursePage", "CName", 0.35))
+        .with_rule(MutationRule::drop_links(
             "SessionPage",
             &["CourseList", "ToCourse"],
             0.1,
         ))
-        .apply(&mut u.site)
+        .apply_round(&mut u.site, u64::MAX)
         .expect("drift applies");
     let source = LiveSource::for_site(&u.site);
 

@@ -578,7 +578,7 @@ mod tests {
 
     #[test]
     fn drift_triggers_quarantine_and_fallback() {
-        use websim::{DriftPlan, DriftRule};
+        use websim::{MutationPlan, MutationRule};
         let mut u = University::generate(UniversityConfig::default()).unwrap();
         let stats = SiteStatistics::from_site(&u.site);
         let catalog = university_catalog();
@@ -589,11 +589,11 @@ mod tests {
         // Drift every DeptPage's DName: the anchor-replication constraint
         // DeptListPage.DeptList.DName = DeptPage.DName — which licensed
         // pushing the selection across the follow — is now false.
-        let report = DriftPlan::new(3)
-            .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-            .apply(&mut u.site)
+        let report = MutationPlan::new(3)
+            .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+            .apply_round(&mut u.site, u64::MAX)
             .unwrap();
-        assert!(report.perturbed_pages > 0);
+        assert!(report.edited_pages > 0);
         let source = LiveSource::for_site(&u.site);
         let health = crate::ConstraintHealth::new();
         let session =

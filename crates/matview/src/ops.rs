@@ -12,6 +12,11 @@
 //!   page delta touches exactly the rows that point at it. Slices are
 //!   never evicted: the one partial state is the store's byte-budgeted
 //!   page payloads, and a read of an evicted payload is an upquery.
+//!
+//! The delta rules are the only interpreter. A view is built by pushing
+//! *rebuild* through a fresh tree (`Node::on_delta` with no page delta):
+//! each entry emits its stored page as an insertion, and the rules above
+//! turn that into the full answer from empty state.
 
 use crate::delta::{add_row, PageDelta, RowDeltas, RowSet};
 use crate::store::MatStore;
@@ -361,103 +366,39 @@ impl Node {
         }
     }
 
-    /// Full evaluation against the current store (reads may upquery
-    /// evicted pages), returning the row multiset and (re)building every
-    /// operator's state from those rows — a registration or a rebuild.
-    pub fn eval(&mut self, cx: &mut Ctx<'_, impl PageServer>) -> Result<RowDeltas> {
-        let out = match &mut self.kind {
-            Kind::Entry { url, fields, last } => match cx.read(url)? {
-                Some((t, _)) => {
-                    let row = expand(url, &t, fields);
-                    *last = Some(row.clone());
-                    vec![(row, 1)]
-                }
-                None => return Err(MatError::StateGone(format!("entry page {url} gone"))),
-            },
-            Kind::Select { input, pred } => input
-                .eval(cx)?
-                .into_iter()
-                .filter(|(r, _)| eval_pred(pred, r))
-                .collect(),
-            Kind::Project { input, idx, counts } => {
-                let rows = input.eval(cx)?;
-                counts.clear();
-                project(counts, idx, rows)
-            }
-            Kind::Unnest { input, ci, inner } => {
-                let mut out = Vec::new();
-                for (row, w) in input.eval(cx)? {
-                    unnest_row(&row, *ci, inner, w, &mut out)?;
-                }
-                out
-            }
-            Kind::Join {
-                left,
-                right,
-                lk,
-                rk,
-                lstate,
-                rstate,
-            } => {
-                let (mut l, mut r) = (HashMap::new(), HashMap::new());
-                fold_keyed(&mut l, lk, left.eval(cx)?);
-                fold_keyed(&mut r, rk, right.eval(cx)?);
-                let mut out = Vec::new();
-                for (k, ls) in &l {
-                    for (rrow, rw) in r.get(k).into_iter().flatten() {
-                        for (lrow, lw) in ls {
-                            out.push((concat(lrow, rrow), lw * rw));
-                        }
-                    }
-                }
-                (*lstate, *rstate) = (l, r);
-                out
-            }
-            Kind::Follow {
-                input,
-                li,
-                fields,
-                slices,
-                ..
-            } => {
-                let rows = input.eval(cx)?;
-                slices.clear();
-                let mut out = Vec::new();
-                for (row, w) in rows {
-                    let Value::Link(u) = &row[*li] else {
-                        continue;
-                    };
-                    add_row(slices.entry(u.clone()).or_default(), row.clone(), w);
-                    if let Some((t, _)) = cx.read(u)? {
-                        out.push((concat(&row, &expand(u, &t, fields)), w));
-                    }
-                }
-                out
-            }
-        };
-        self.note(&out);
-        Ok(out)
-    }
-
-    /// Propagates one page delta, updating state and returning output-row
-    /// deltas.
+    /// Propagates one input, updating state and returning output-row
+    /// deltas. The input is a page delta, or `None` — *rebuild*: every
+    /// entry reads its page from the store (a missing page is
+    /// [`MatError::StateGone`]) and a follow skips its page-driven half.
+    ///
+    /// A rebuild expects a **fresh tree** (compiled, no input pushed yet):
+    /// from that empty state the delta rules build the whole answer and
+    /// every operator's state — the bilinear ⋈ joins each left row as its
+    /// right side arrives, π counts from zero, each follow fills its
+    /// slices and reads every target page once per input row.
     pub fn on_delta(
         &mut self,
-        d: &PageDelta,
+        d: Option<&PageDelta>,
         cx: &mut Ctx<'_, impl PageServer>,
     ) -> Result<RowDeltas> {
         let out = match &mut self.kind {
             Kind::Entry { url, fields, last } => {
                 let mut out = Vec::new();
-                if d.url == *url {
-                    if let Some(prev) = last.take() {
-                        out.push((prev, -1));
-                    }
-                    if let Some(t) = &d.new {
-                        let row = expand(url, t, fields);
-                        *last = Some(row.clone());
-                        out.push((row, 1));
-                    }
+                let new = match d {
+                    Some(d) if d.url == *url => d.new.clone(),
+                    Some(_) => return Ok(out),
+                    None => match cx.read(url)? {
+                        Some((t, _)) => Some(t),
+                        None => return Err(MatError::StateGone(format!("entry page {url} gone"))),
+                    },
+                };
+                if let Some(prev) = last.take() {
+                    out.push((prev, -1));
+                }
+                if let Some(t) = new {
+                    let row = expand(url, &t, fields);
+                    *last = Some(row.clone());
+                    out.push((row, 1));
                 }
                 out
             }
@@ -515,7 +456,7 @@ impl Node {
                 let mut out = Vec::new();
                 // (b) page-driven: In_old ⋈ ΔP, from the slice as it was
                 // before this delta's input rows are folded in
-                if d.scheme == *target {
+                if let Some(d) = d.filter(|d| d.scheme == *target) {
                     if let Some(slice) = slices.get(&d.url) {
                         let old_vals = match &d.old {
                             Some(t) => Some(expand(&d.url, t, fields)),

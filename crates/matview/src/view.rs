@@ -186,8 +186,9 @@ impl<'a> IncrementalView<'a> {
         self.cursor.set(cursor);
     }
 
-    /// Registers a query for maintenance under a lookup key, evaluating it
-    /// once against the store to seed the answer. The expression must be
+    /// Registers a query for maintenance under a lookup key, seeding the
+    /// answer from the store by a *rebuild* through its freshly compiled
+    /// tree (the same delta rules every sync runs). The expression must be
     /// computable (run the optimizer first — external leaves are not
     /// maintainable).
     pub fn register(
@@ -517,7 +518,7 @@ impl<'a> IncrementalView<'a> {
             dirty,
         };
         for v in Self::live_views(&mut self.views) {
-            match v.tree.root.on_delta(d, &mut cx) {
+            match v.tree.root.on_delta(Some(d), &mut cx) {
                 Ok(rows) => {
                     for (row, w) in rows {
                         if w > 0 {
@@ -560,7 +561,10 @@ impl<'a> IncrementalView<'a> {
 }
 
 impl RegisteredView {
-    /// (Re)builds operator state and the answer from the store.
+    /// Builds operator state and the answer from the store: the tree's
+    /// one delta interpreter run on *rebuild*. The tree must be fresh —
+    /// [`IncrementalView::register`] compiles it just before, and the
+    /// batch's rebuild compiles a new one in place of the lost state.
     fn populate(
         &mut self,
         store: &mut MatStore,
@@ -574,7 +578,7 @@ impl RegisteredView {
             dirty: &HashSet::new(),
         };
         let mut answer = Answer::default();
-        for (row, w) in self.tree.root.eval(&mut cx)? {
+        for (row, w) in self.tree.root.on_delta(None, &mut cx)? {
             answer.add(row, w);
         }
         self.answer = answer;

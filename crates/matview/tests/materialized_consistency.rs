@@ -30,7 +30,7 @@ use matview::{IncrementalView, MatSession, MatStore};
 use nalg::{EvalPolicy, Evaluator, Fetch, NalgExpr, SharedPageCache};
 use proptest::prelude::*;
 use std::sync::Arc;
-use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
+use websim::mutation::{MutationPlan, MutationRule};
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use websim::Site;
 use wvcore::views::{bibliography_catalog, university_catalog};
@@ -64,29 +64,33 @@ fn dept_query() -> ConjunctiveQuery {
         .project((0, "Address"))
 }
 
-fn dept_drift() -> DriftPlan {
-    DriftPlan::new(3).with_rule(DriftRule::perturb_attr("DeptPage", "DName", 0.5))
+/// Drift is one mutation round at `u64::MAX`.
+fn dept_drift(u: &mut University) -> websim::MutationReport {
+    MutationPlan::new(3)
+        .with_rule(MutationRule::edit_attr("DeptPage", "DName", 0.5))
+        .apply_round(&mut u.site, u64::MAX)
+        .unwrap()
 }
 
 #[test]
 fn queries_refetch_drifted_pages_and_answer_fresh() {
     let (mut u, mut store, stats, catalog) = setup();
-    let report = dept_drift().apply(&mut u.site).unwrap();
-    assert!(report.perturbed_pages >= 1, "seed 3 must drift something");
+    let report = dept_drift(&mut u);
+    assert!(report.edited_pages >= 1, "seed 3 must drift something");
     u.site.server.reset_stats();
 
     let session = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server);
     let out = session.run(&mut store, &dept_query()).unwrap();
     // exactly the drifted pages are re-downloaded, nothing else
-    assert_eq!(out.counters.downloads, report.perturbed_pages);
+    assert_eq!(out.counters.downloads, report.edited_pages);
     // the answer carries the drifted values, not the materialized ones
     let drifted_rows = out
         .relation
         .rows()
         .iter()
-        .filter(|r| r[0].as_text().is_some_and(|s| s.contains("[drift")))
+        .filter(|r| r[0].as_text().is_some_and(|s| s.contains("[edit")))
         .count() as u64;
-    assert_eq!(drifted_rows, report.perturbed_pages);
+    assert_eq!(drifted_rows, report.edited_pages);
     // and agrees exactly with the drifted site's ground truth
     let mut expected: Vec<String> = u
         .site
@@ -110,9 +114,9 @@ fn queries_refetch_drifted_pages_and_answer_fresh() {
 #[test]
 fn audit_flags_drift_until_full_refresh() {
     let (mut u, mut store, _stats, _catalog) = setup();
-    let report = dept_drift().apply(&mut u.site).unwrap();
+    let report = dept_drift(&mut u);
     let diffs = audit(&store, u.site.all_pages());
-    assert_eq!(diffs.len() as u64, report.perturbed_pages);
+    assert_eq!(diffs.len() as u64, report.edited_pages);
     assert!(diffs.iter().all(|d| d.starts_with("stale:")));
     full_refresh(&mut store, &u.site.scheme, &u.site.server).unwrap();
     assert!(audit(&store, u.site.all_pages()).is_empty());
@@ -126,16 +130,16 @@ fn audit_flags_drift_until_full_refresh() {
                 .get(url)
                 .and_then(|p| p.tuple.get("DName"))
                 .and_then(|v| v.as_text())
-                .is_some_and(|s| s.contains("[drift"))
+                .is_some_and(|s| s.contains("[edit"))
         })
         .count() as u64;
-    assert_eq!(marked, report.perturbed_pages);
+    assert_eq!(marked, report.edited_pages);
 }
 
 #[test]
 fn outage_serves_old_values_but_marks_them_stale() {
     let (mut u, mut store, stats, catalog) = setup();
-    let report = dept_drift().apply(&mut u.site).unwrap();
+    let report = dept_drift(&mut u);
     // total outage: the drifted pages cannot be re-downloaded
     u.site.server.set_fault_plan(
         websim::FaultPlan::new(4)
@@ -148,7 +152,7 @@ fn outage_serves_old_values_but_marks_them_stale() {
         .relation
         .rows()
         .iter()
-        .all(|r| !r[0].as_text().unwrap().contains("[drift")));
+        .all(|r| !r[0].as_text().unwrap().contains("[edit")));
     assert!(out.counters.stale_served > 0);
     assert_eq!(out.counters.downloads, 0);
     assert!(store.stale_count() > 0, "served tuples are marked stale");
@@ -156,25 +160,25 @@ fn outage_serves_old_values_but_marks_them_stale() {
     u.site.server.clear_fault_plan();
     store.reset_status();
     let out = session.run(&mut store, &dept_query()).unwrap();
-    assert_eq!(out.counters.downloads, report.perturbed_pages);
+    assert_eq!(out.counters.downloads, report.edited_pages);
     let drifted_rows = out
         .relation
         .rows()
         .iter()
-        .filter(|r| r[0].as_text().is_some_and(|s| s.contains("[drift")))
+        .filter(|r| r[0].as_text().is_some_and(|s| s.contains("[edit")))
         .count() as u64;
-    assert_eq!(drifted_rows, report.perturbed_pages);
+    assert_eq!(drifted_rows, report.edited_pages);
 }
 
 #[test]
 fn failed_redownload_is_marked_stale_not_kept_wrong() {
     let (mut u, mut store, _stats, _catalog) = setup();
     // drift every course's replicated CName
-    let report = DriftPlan::new(7)
-        .with_rule(DriftRule::perturb_attr("CoursePage", "CName", 1.0))
-        .apply(&mut u.site)
+    let report = MutationPlan::new(7)
+        .with_rule(MutationRule::edit_attr("CoursePage", "CName", 1.0))
+        .apply_round(&mut u.site, u64::MAX)
         .unwrap();
-    assert_eq!(report.perturbed_pages, 10);
+    assert_eq!(report.edited_pages, 10);
     // one drifted page is unreachable during the refresh
     let victim = University::course_url(2);
     u.site.server.set_fault_plan(
@@ -194,7 +198,7 @@ fn failed_redownload_is_marked_stale_not_kept_wrong() {
         .unwrap()
         .as_text()
         .unwrap()
-        .contains("[drift"));
+        .contains("[edit"));
     assert!(store.is_stale(&victim));
     // the audit agrees: exactly the victim is inconsistent
     let diffs = audit(&store, u.site.all_pages());
@@ -212,7 +216,7 @@ fn failed_redownload_is_marked_stale_not_kept_wrong() {
         .unwrap()
         .as_text()
         .unwrap()
-        .contains("[drift"));
+        .contains("[edit"));
     assert!(audit(&store, u.site.all_pages()).is_empty());
 }
 
@@ -527,9 +531,9 @@ fn a_plan_whose_audit_falls_back_is_removed() {
     assert_eq!(cache.len(), 1);
     // The anchor-replication constraint that licensed the cached plan's
     // pushed selection stops holding.
-    DriftPlan::new(3)
-        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-        .apply(&mut u.site)
+    MutationPlan::new(3)
+        .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+        .apply_round(&mut u.site, u64::MAX)
         .unwrap();
     let caught = run(&u.site);
     assert!(caught.fell_back() && caught.plan.is_cached());

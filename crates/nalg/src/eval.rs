@@ -852,15 +852,16 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             let current = done.job.epoch == epoch;
             let Some(p) = current.then(|| pending.remove(&done.job.url)).flatten() else {
                 // Not a URL this drain still waits for. In this epoch it is
-                // the losing twin of an already-settled URL: a cancelled
-                // loser cost the server nothing; a completed one is dropped
-                // here — the server counted its GET, but only the first
-                // completion was settled, keeping the paper's counters
-                // hedge-invisible. From an earlier epoch it is stale, and
-                // counts only if it is a backup twin cancelled before
-                // dispatch: this is the last place that can account for it.
-                let cancelled = matches!(done.outcome, Err(SourceError::Cancelled(_)));
-                if cancelled && (current || done.job.hedge) {
+                // the losing twin of an already-settled URL: a loser
+                // cancelled before dispatch cost the server nothing; one
+                // that reached the source (completed, or cut off there) is
+                // dropped here — the server counted its GET, but only the
+                // first completion was settled, keeping the paper's
+                // counters hedge-invisible. From an earlier epoch it is
+                // stale, and counts only if it is a backup twin cancelled
+                // before dispatch: this is the last place that can account
+                // for it.
+                if !done.dispatched && (current || done.job.hedge) {
                     if let Some(h) = hedge {
                         h.hedge_cancelled.inc();
                     }

@@ -69,11 +69,15 @@ pub(crate) type FetchOutcome = Result<(Arc<Tuple>, Option<u64>), SourceError>;
 
 /// A completed fetch: the job it answers and what the source said. `url`
 /// is `job.url` as the `Url` the source was called with, handed on so the
-/// evaluator need not allocate it a second time.
+/// evaluator need not allocate it a second time. `dispatched` is false
+/// only for a job skipped before it reached the source (its URL was
+/// cancelled): a source call, even one answered `Cancelled`, may have
+/// cost the server a request.
 pub(crate) struct Done {
     pub job: Job,
     pub url: Url,
     pub outcome: FetchOutcome,
+    pub dispatched: bool,
 }
 
 /// What running one job takes; pool workers and the inline executor each
@@ -96,8 +100,8 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
         let url = job.url.to_url();
         // Cooperative cancellation, checked before dispatch: a cancelled
         // job never reaches the source, so the server sees no GET for it.
-        // A fetch already inside the source runs to completion (and is
-        // counted).
+        // A fetch already inside the source is counted there, even when
+        // the source cuts it off and answers `Cancelled`.
         let skip = (self.ctx.as_ref())
             .and_then(|c| c.cancel.as_ref())
             .is_some_and(|t| t.is_url_cancelled(url.as_str()));
@@ -109,7 +113,12 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
         if let (Some(attr), Some(t0)) = (attr, t0) {
             attr.clock.add_us(t0.elapsed().as_micros() as u64);
         }
-        Done { job, url, outcome }
+        Done {
+            job,
+            url,
+            outcome,
+            dispatched: !skip,
+        }
     }
 }
 
@@ -300,6 +309,7 @@ where
                                 job,
                                 url: job.url.to_url(),
                                 outcome: Err(SourceError::Other(msg)),
+                                dispatched: true,
                             }
                         });
                         jobs += 1;
@@ -367,6 +377,8 @@ pub struct HedgeConfig {
     /// Hedges whose response arrived before the primary's.
     pub hedge_wins: obs::Counter,
     /// Losing twins cancelled before dispatch (no server GET happened).
+    /// A twin the source cut off mid-request is not one of them: it
+    /// reached the server, and counts as a completed loser.
     pub hedge_cancelled: obs::Counter,
 }
 
@@ -429,6 +441,11 @@ pub struct CoalesceStats {
     /// deadline expired or their URL was cancelled while they were
     /// parked on a leader.
     pub cancel_wakes: u64,
+    /// Followers whose leader's own request gave up on the fetch (its
+    /// deadline fired or it cancelled the URL, so the source answered
+    /// the leader `Cancelled`): each fetched the page again, through a
+    /// flight of its own, rather than inherit another request's give-up.
+    pub releads: u64,
 }
 
 impl CoalesceStats {
@@ -437,6 +454,7 @@ impl CoalesceStats {
         self.followers
             .saturating_sub(self.shutdown_wakes)
             .saturating_sub(self.cancel_wakes)
+            .saturating_sub(self.releads)
     }
 }
 
@@ -448,6 +466,9 @@ impl CoalesceStats {
 /// resilient path once and every follower shares the outcome, including
 /// an error outcome (an error is cheaper to share than to rediscover
 /// N times; the per-evaluation degradation policy still applies above).
+/// The one outcome not shared is a `Cancelled` the leader's own budget
+/// caused: a follower fetches again instead (a *relead*), so one
+/// request's deadline never becomes another's missing page.
 ///
 /// The paper's `page_accesses` counter is charged per evaluation at fetch
 /// completion, above this layer, so coalescing never changes any
@@ -460,6 +481,7 @@ pub struct CoalescingSource<'a, S> {
     followers: AtomicU64,
     shutdown_wakes: AtomicU64,
     cancel_wakes: AtomicU64,
+    releads: AtomicU64,
 }
 
 impl<'a, S: PageSource> CoalescingSource<'a, S> {
@@ -473,6 +495,7 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
             followers: AtomicU64::new(0),
             shutdown_wakes: AtomicU64::new(0),
             cancel_wakes: AtomicU64::new(0),
+            releads: AtomicU64::new(0),
         }
     }
 
@@ -505,6 +528,7 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
             followers: self.followers.load(Ordering::SeqCst),
             shutdown_wakes: self.shutdown_wakes.load(Ordering::SeqCst),
             cancel_wakes: self.cancel_wakes.load(Ordering::SeqCst),
+            releads: self.releads.load(Ordering::SeqCst),
         }
     }
 
@@ -546,12 +570,16 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
         outcome
     }
 
+    /// Waits for `flight`'s outcome. `None` when the leader's own request
+    /// gave up on the fetch: a `Cancelled` the leader published while the
+    /// coalescer is not shut down is that request's deadline or cancel
+    /// token, not this follower's, so the caller fetches again.
     fn follow_flight(
         &self,
         url: &Url,
         flight: &Arc<Flight>,
         ctx: Option<&RequestCtx>,
-    ) -> FetchOutcome {
+    ) -> Option<FetchOutcome> {
         self.followers.fetch_add(1, Ordering::SeqCst);
         // Followers with a finite deadline or a cancel token in scope
         // poll in short quanta so a budget exhaustion / relevance
@@ -574,7 +602,7 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
             if cancelled || c.deadline.expired() {
                 drop(slot);
                 self.cancel_wakes.fetch_add(1, Ordering::SeqCst);
-                return Err(SourceError::Cancelled(url.clone()));
+                return Some(Err(SourceError::Cancelled(url.clone())));
             }
             let quantum = c
                 .deadline
@@ -587,9 +615,13 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
                 .0;
         };
         if matches!(&outcome, Err(SourceError::Cancelled(_))) {
+            if !self.is_shut_down() {
+                self.releads.fetch_add(1, Ordering::SeqCst);
+                return None;
+            }
             self.shutdown_wakes.fetch_add(1, Ordering::SeqCst);
         }
-        outcome
+        Some(outcome)
     }
 }
 
@@ -604,41 +636,42 @@ impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
     }
 
     fn fetch_shared(&self, url: &Url, scheme: &str) -> FetchOutcome {
-        if self.is_shut_down() {
-            return Err(SourceError::Cancelled(url.clone()));
-        }
-        let ctx = obs::reqctx::current();
-        let attr = ctx.as_ref().and_then(|c| c.trace.as_ref());
-        let (flight, is_leader) = {
-            let mut map = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-            match map.get(url) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight::new());
-                    if let Some(ctx) = attr {
-                        // Tag the flight inside the map lock, before any
-                        // follower can join: the join event's linkage
-                        // must never observe a half-initialized leader.
-                        let id = ctx.sink.event(
-                            EventKind::Fetch,
-                            "fetch.lead",
-                            Some(ctx.parent),
-                            vec![
-                                ("url".to_string(), url.as_str().into()),
-                                ("request".to_string(), ctx.request_id.into()),
-                            ],
-                        );
-                        *f.leader_tag.lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some((ctx.request_id, id));
-                    }
-                    map.insert(url.clone(), Arc::clone(&f));
-                    (f, true)
-                }
+        loop {
+            if self.is_shut_down() {
+                return Err(SourceError::Cancelled(url.clone()));
             }
-        };
-        if is_leader {
-            self.lead(url, scheme, &flight)
-        } else {
+            let ctx = obs::reqctx::current();
+            let attr = ctx.as_ref().and_then(|c| c.trace.as_ref());
+            let (flight, is_leader) = {
+                let mut map = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+                match map.get(url) {
+                    Some(f) => (Arc::clone(f), false),
+                    None => {
+                        let f = Arc::new(Flight::new());
+                        if let Some(ctx) = attr {
+                            // Tag the flight inside the map lock, before any
+                            // follower can join: the join event's linkage
+                            // must never observe a half-initialized leader.
+                            let id = ctx.sink.event(
+                                EventKind::Fetch,
+                                "fetch.lead",
+                                Some(ctx.parent),
+                                vec![
+                                    ("url".to_string(), url.as_str().into()),
+                                    ("request".to_string(), ctx.request_id.into()),
+                                ],
+                            );
+                            *f.leader_tag.lock().unwrap_or_else(|e| e.into_inner()) =
+                                Some((ctx.request_id, id));
+                        }
+                        map.insert(url.clone(), Arc::clone(&f));
+                        (f, true)
+                    }
+                }
+            };
+            if is_leader {
+                return self.lead(url, scheme, &flight);
+            }
             let t0 = attr.map(|_| std::time::Instant::now());
             let outcome = self.follow_flight(url, &flight, ctx.as_ref());
             if let Some(ctx) = attr {
@@ -662,7 +695,11 @@ impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
                 ctx.sink
                     .event(EventKind::Fetch, "fetch.join", Some(ctx.parent), fields);
             }
-            outcome
+            // A follower whose leader's own request gave up fetches
+            // again (see `follow_flight`).
+            if let Some(outcome) = outcome {
+                return outcome;
+            }
         }
     }
 }

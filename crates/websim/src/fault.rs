@@ -239,7 +239,7 @@ impl FaultPlan {
 
 /// Uniform fraction in `[0, 1)` from (seed, rule, url, attempt) via
 /// FNV-1a + splitmix64 — the deterministic core of every fault decision
-/// (and, with `attempt = u64::MAX`, of every [`crate::mutation::DriftPlan`]
+/// (and, with `attempt` the round, of every [`crate::MutationPlan`]
 /// decision).
 pub(crate) fn decision_fraction(seed: u64, rule: u64, url: &Url, attempt: u64) -> f64 {
     let state = seed

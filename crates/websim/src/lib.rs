@@ -17,13 +17,12 @@
 //!   the Trier DBLP repository used in the introduction;
 //! * [`mutation`] — a site-update API (the autonomous site manager of the
 //!   paper's Section 1), used by the materialized-view experiments, plus
-//!   seeded constraint-drift injection ([`DriftPlan`]) that breaks declared
-//!   link/inclusion constraints for the constraint-auditing experiments,
-//!   and seeded ordinary-life mutation rounds ([`MutationPlan`]) whose
-//!   edits/deletions land in the site's [`SiteChange`] feed for
-//!   incremental view maintenance to consume — a feed that retains what
-//!   its registered readers ([`FeedCursor`]) have not consumed yet, and
-//!   nothing else;
+//!   seeded mutation rounds ([`MutationPlan`]) whose edits, link drops and
+//!   deletions land in the site's [`SiteChange`] feed for incremental view
+//!   maintenance to consume — a feed that retains what its registered
+//!   readers ([`FeedCursor`]) have not consumed yet, and nothing else. One
+//!   round at `u64::MAX` is the constraint drift the auditing experiments
+//!   inject: it breaks declared link/inclusion constraints;
 //! * [`fault`] — deterministic, seed-driven fault injection ([`FaultPlan`])
 //!   for chaos testing: transient 5xx/timeouts, permanent link rot, slow
 //!   responses, and truncated bodies, all counted separately from the
@@ -50,15 +49,12 @@ pub mod sitegen;
 
 pub use error::SiteError;
 pub use fault::{FaultKind, FaultPlan, FaultRule};
-pub use mutation::{
-    DriftKind, DriftPlan, DriftReport, DriftRule, MutationKind, MutationPlan, MutationReport,
-    MutationRule,
-};
+pub use mutation::{MutationKind, MutationPlan, MutationReport, MutationRule};
 pub use nalg::{
     ChangeFeed, ChangeKind, FeedCursor, FeedTrimmed, HeadResponse, PageResponse, PageServer,
     SiteChange, SourceError as WebError,
 };
-pub use server::{AccessSnapshot, DriftSnapshot, FaultSnapshot, LatencyProfile, VirtualServer};
+pub use server::{AccessSnapshot, FaultSnapshot, LatencyProfile, VirtualServer};
 pub use site::Site;
 
 /// Crate-wide result alias: building and publishing a site.

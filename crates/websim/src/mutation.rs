@@ -10,14 +10,18 @@
 //!   materialized-view experiments: rewrites one mono-valued text attribute
 //!   on a fraction of a scheme's pages, changing Last-Modified without
 //!   changing the link structure (and without breaking any constraint);
-//! * [`DriftPlan`] — seeded **constraint drift** injection: perturbs
-//!   replicated attributes and drops links from link collections so that
-//!   the site's declared [`adm::LinkConstraint`]s / [`adm::InclusionConstraint`]s
-//!   no longer hold, exactly the failure mode the optimizer's
-//!   constraint-auditing defense is built against. Every decision is a pure
-//!   function of (seed, rule, URL), so a drifted site is byte-identically
-//!   reproducible, and a plan with all-zero rates leaves the site pristine.
-//!   Applied drift is counted in [`crate::AccessSnapshot::drift`].
+//! * [`MutationPlan`] — seeded, round-based edits, link drops and
+//!   deletions. Every decision is a pure function of (seed, rule, URL,
+//!   round), so a mutated site is byte-identically reproducible, and a
+//!   round with all-zero rates leaves the site pristine. The same plan
+//!   models both kinds of site life the experiments need: ordinary
+//!   maintenance rounds that the change feed carries to incremental
+//!   views, and **constraint drift** — one round at `u64::MAX` that
+//!   rewrites replicated attributes ([`MutationRule::edit_attr`]) and
+//!   drops links from link collections ([`MutationRule::drop_links`]) so
+//!   that the site's declared [`adm::LinkConstraint`]s /
+//!   [`adm::InclusionConstraint`]s no longer hold, the failure mode the
+//!   optimizer's constraint-auditing defense is built against.
 
 use crate::fault::decision_fraction;
 use crate::site::Site;
@@ -54,164 +58,6 @@ pub fn perturb_text_attr(
     Ok(touched)
 }
 
-/// What one drift rule does to the pages of its scheme.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DriftKind {
-    /// Rewrites the named top-level text attribute on drifted pages,
-    /// breaking any link constraint that replicates it.
-    PerturbAttr {
-        /// The mono-valued text attribute to rewrite.
-        attr: String,
-    },
-    /// Drops individual links at `path` (rows of a link collection, or a
-    /// top-level link set to null), breaking inclusion constraints whose
-    /// superset side is that collection.
-    DropLinks {
-        /// Path to the link attribute, e.g. `["CourseList", "ToCourse"]`.
-        path: Vec<String>,
-    },
-}
-
-/// One drift rule: a scheme, a kind, and a rate.
-///
-/// For [`DriftKind::PerturbAttr`] the rate is the per-*page* drift
-/// probability; for [`DriftKind::DropLinks`] it is the per-*link*
-/// drop probability (decided on the link's target URL, so the same link is
-/// dropped from every collection that carries it — drift is a property of
-/// the site, not of one page).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftRule {
-    /// The page-scheme whose pages drift.
-    pub scheme: String,
-    /// What happens to a drifted page.
-    pub kind: DriftKind,
-    /// Drift probability (see above for the unit).
-    pub rate: f64,
-}
-
-impl DriftRule {
-    /// Perturbs `attr` on `rate` of the pages of `scheme`.
-    pub fn perturb_attr(scheme: impl Into<String>, attr: impl Into<String>, rate: f64) -> Self {
-        DriftRule {
-            scheme: scheme.into(),
-            kind: DriftKind::PerturbAttr { attr: attr.into() },
-            rate,
-        }
-    }
-
-    /// Drops `rate` of the links at `path` on pages of `scheme`.
-    pub fn drop_links(scheme: impl Into<String>, path: &[&str], rate: f64) -> Self {
-        DriftRule {
-            scheme: scheme.into(),
-            kind: DriftKind::DropLinks {
-                path: path.iter().map(|s| s.to_string()).collect(),
-            },
-            rate,
-        }
-    }
-}
-
-/// How a drifted site reports what changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DriftReport {
-    /// Pages whose replicated attribute was rewritten.
-    pub perturbed_pages: u64,
-    /// Links removed from link collections.
-    pub dropped_links: u64,
-}
-
-impl DriftReport {
-    /// Total drift events of either kind.
-    pub fn total(&self) -> u64 {
-        self.perturbed_pages + self.dropped_links
-    }
-}
-
-/// A seeded set of drift rules, applied to a [`Site`] in one shot.
-///
-/// Decisions use the same FNV-1a + splitmix64 stream as [`crate::FaultPlan`]
-/// (with the attempt counter pinned, since drift is permanent): the same
-/// seed drifts the same pages and drops the same links, every time, on any
-/// site with the same URLs. A plan with no rules — or all-zero rates — is a
-/// complete no-op: no page is republished, no clock tick happens, and the
-/// site stays byte-identical to a pristine one.
-#[derive(Debug, Clone, Default)]
-pub struct DriftPlan {
-    /// Seed of every drift decision.
-    pub seed: u64,
-    rules: Vec<DriftRule>,
-}
-
-impl DriftPlan {
-    /// An empty plan with a seed.
-    pub fn new(seed: u64) -> Self {
-        DriftPlan {
-            seed,
-            rules: Vec::new(),
-        }
-    }
-
-    /// Adds a rule (builder style).
-    pub fn with_rule(mut self, rule: DriftRule) -> Self {
-        self.rules.push(rule);
-        self
-    }
-
-    /// True if the plan has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// True if this plan perturbs the page at `url` (scheme `scheme`)
-    /// under rule `i` — exposed so tests can compute the exact expected
-    /// drift set without applying the plan.
-    pub fn drifts_page(&self, i: usize, url: &Url) -> bool {
-        self.rules
-            .get(i)
-            .is_some_and(|r| decision_fraction(self.seed, i as u64, url, u64::MAX) < r.rate)
-    }
-
-    /// Applies every rule to `site`, republishing the affected pages
-    /// (which bumps their Last-Modified stamps) and recording the totals
-    /// in the server's [`crate::AccessSnapshot::drift`] counters.
-    pub fn apply(&self, site: &mut Site) -> Result<DriftReport> {
-        let mut report = DriftReport::default();
-        for (i, rule) in self.rules.iter().enumerate() {
-            // A borrowed walk decides; only a drifted page is copied.
-            let mut drifted: Vec<(Url, Tuple)> = Vec::new();
-            for (url, tuple) in site.pages(&rule.scheme) {
-                match &rule.kind {
-                    DriftKind::PerturbAttr { attr } => {
-                        if self.drifts_page(i, url) {
-                            report.perturbed_pages += 1;
-                            let stamp = format_args!("{}.{i}", self.seed);
-                            drifted.push((url.clone(), mark_attr(tuple, attr, " [drift ", stamp)));
-                        }
-                    }
-                    DriftKind::DropLinks { path } => {
-                        let dropped = drop_links(tuple, path, &|u: &Url| {
-                            decision_fraction(self.seed, i as u64, u, u64::MAX) < rule.rate
-                        });
-                        if let Some((t, dropped)) = dropped {
-                            report.dropped_links += dropped;
-                            drifted.push((url.clone(), t));
-                        }
-                    }
-                }
-            }
-            let title = format!("{} (drift)", rule.scheme);
-            for (url, tuple) in drifted {
-                site.republish(&rule.scheme, url, tuple, &title)?;
-            }
-        }
-        if report.total() > 0 {
-            site.server
-                .note_drift(report.perturbed_pages, report.dropped_links);
-        }
-        Ok(report)
-    }
-}
-
 /// What one mutation rule does to the pages of its scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MutationKind {
@@ -221,8 +67,10 @@ pub enum MutationKind {
         /// The mono-valued text attribute to rewrite.
         attr: String,
     },
-    /// Drops individual links at `path`, exactly like
-    /// [`DriftKind::DropLinks`] — a link-removal edit.
+    /// Drops individual links at `path` (rows of a link collection, or a
+    /// top-level link set to null) — a link-removal edit. The decision is
+    /// made on the link's target URL, so the same link is dropped from
+    /// every collection that carries it.
     DropLinks {
         /// Path to the link attribute, e.g. `["CourseList", "ToCourse"]`.
         path: Vec<String>,
@@ -296,9 +144,7 @@ impl MutationReport {
 
 /// A seeded, round-based site mutator feeding the change feed.
 ///
-/// Where [`DriftPlan`] models *silent inconsistency* (drift the auditing
-/// defense must catch), a `MutationPlan` models the ordinary life of a
-/// site: edits, link removals, and deletions that land in the site's
+/// Its edits, link removals and deletions land in the site's
 /// [`crate::SiteChange`] feed for incremental maintenance to consume.
 /// Every decision is a pure function of (seed, rule, URL, round) — same
 /// plan, same round, same site ⇒ byte-identical mutations — and different
@@ -449,7 +295,7 @@ fn rebuild_without(t: &Tuple, path: &[String], decide: &dyn Fn(&Url) -> bool) ->
 }
 
 /// Rewrites the text attribute `attr` to its text followed by
-/// `{open}{stamp}]` — `open` is ` [rev `, ` [drift ` or ` [edit `, one per
+/// `{open}{stamp}]` — `open` is ` [rev ` or ` [edit `, one per
 /// kind of rewrite — replacing any marker an earlier rewrite of the same
 /// kind left, so markers of one kind never stack. A non-text value becomes
 /// the bare marker.
@@ -532,14 +378,15 @@ mod tests {
         }
     }
 
+    /// Constraint drift is one mutation round at `u64::MAX`.
     #[test]
     fn drift_perturb_breaks_link_constraints_deterministically() {
         let plan =
-            DriftPlan::new(17).with_rule(DriftRule::perturb_attr("CoursePage", "CName", 0.5));
+            MutationPlan::new(17).with_rule(MutationRule::edit_attr("CoursePage", "CName", 0.5));
         let mut a = uni();
-        let ra = plan.apply(&mut a.site).unwrap();
+        let ra = plan.apply_round(&mut a.site, u64::MAX).unwrap();
         assert!(
-            ra.perturbed_pages > 0,
+            ra.edited_pages > 0,
             "rate 0.5 over 10 pages must drift some"
         );
         assert!(
@@ -548,54 +395,33 @@ mod tests {
         );
         // Same plan on an identically generated site: identical drift.
         let mut b = uni();
-        let rb = plan.apply(&mut b.site).unwrap();
+        let rb = plan.apply_round(&mut b.site, u64::MAX).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.site.instance("CoursePage"), b.site.instance("CoursePage"));
-        // Counted in the server's access snapshot, separate from gets.
-        let st = a.site.server.stats();
-        assert_eq!(st.drift.perturbed_pages, ra.perturbed_pages);
-        assert_eq!(st.gets, 0);
+        // Publishing is not a request.
+        assert_eq!(a.site.server.stats().gets, 0);
     }
 
     #[test]
     fn drift_drop_links_breaks_inclusion_deterministically() {
-        let plan = DriftPlan::new(23).with_rule(DriftRule::drop_links(
+        let plan = MutationPlan::new(23).with_rule(MutationRule::drop_links(
             "SessionPage",
             &["CourseList", "ToCourse"],
             0.4,
         ));
         let mut a = uni();
-        let ra = plan.apply(&mut a.site).unwrap();
+        let ra = plan.apply_round(&mut a.site, u64::MAX).unwrap();
         assert!(ra.dropped_links > 0);
         assert!(
             !a.site.verify_constraints().is_empty(),
             "dropping sup-side links must violate an inclusion constraint"
         );
         let mut b = uni();
-        assert_eq!(plan.apply(&mut b.site).unwrap(), ra);
+        assert_eq!(plan.apply_round(&mut b.site, u64::MAX).unwrap(), ra);
         assert_eq!(
             a.site.instance("SessionPage"),
             b.site.instance("SessionPage")
         );
-        assert_eq!(a.site.server.stats().drift.dropped_links, ra.dropped_links);
-    }
-
-    #[test]
-    fn zero_rate_drift_is_pristine() {
-        let plan = DriftPlan::new(99)
-            .with_rule(DriftRule::perturb_attr("CoursePage", "CName", 0.0))
-            .with_rule(DriftRule::drop_links(
-                "DepartmentPage",
-                &["CourseList", "ToCourse"],
-                0.0,
-            ));
-        let mut u = uni();
-        let clock = u.site.server.now();
-        let report = plan.apply(&mut u.site).unwrap();
-        assert_eq!(report, DriftReport::default());
-        assert_eq!(u.site.server.now(), clock, "no republish, no tick");
-        assert_eq!(u.site.server.stats().drift.total(), 0);
-        assert!(u.site.verify_constraints().is_empty());
     }
 
     #[test]

@@ -111,33 +111,6 @@ impl FaultSnapshot {
     }
 }
 
-/// Counts of applied constraint drift (all zero until a
-/// [`crate::mutation::DriftPlan`] is applied). Like [`FaultSnapshot`],
-/// these never feed `gets`/`heads`: drifting a site is a publishing
-/// operation, not a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DriftSnapshot {
-    /// Pages whose replicated attribute was perturbed.
-    pub perturbed_pages: u64,
-    /// Individual links dropped from link collections.
-    pub dropped_links: u64,
-}
-
-impl DriftSnapshot {
-    /// Difference of two snapshots (self − earlier), saturating per field.
-    pub fn since(&self, earlier: &DriftSnapshot) -> DriftSnapshot {
-        DriftSnapshot {
-            perturbed_pages: self.perturbed_pages.saturating_sub(earlier.perturbed_pages),
-            dropped_links: self.dropped_links.saturating_sub(earlier.dropped_links),
-        }
-    }
-
-    /// Total drift events of either kind.
-    pub fn total(&self) -> u64 {
-        self.perturbed_pages + self.dropped_links
-    }
-}
-
 /// A snapshot of the access counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessSnapshot {
@@ -151,9 +124,6 @@ pub struct AccessSnapshot {
     pub not_found: u64,
     /// Injected faults by kind (zero without a [`FaultPlan`]).
     pub faults: FaultSnapshot,
-    /// Applied constraint drift (zero without a
-    /// [`crate::mutation::DriftPlan`]).
-    pub drift: DriftSnapshot,
 }
 
 impl AccessSnapshot {
@@ -168,7 +138,6 @@ impl AccessSnapshot {
             bytes: self.bytes.saturating_sub(earlier.bytes),
             not_found: self.not_found.saturating_sub(earlier.not_found),
             faults: self.faults.since(&earlier.faults),
-            drift: self.drift.since(&earlier.drift),
         }
     }
 }
@@ -219,8 +188,6 @@ pub struct VirtualServer {
     f_link_rot: Counter,
     f_slow: Counter,
     f_truncated: Counter,
-    d_perturbed: Counter,
-    d_dropped: Counter,
 }
 
 impl Default for VirtualServer {
@@ -245,8 +212,6 @@ impl Default for VirtualServer {
             f_link_rot: registry.counter("fault_link_rot"),
             f_slow: registry.counter("fault_slow"),
             f_truncated: registry.counter("fault_truncated"),
-            d_perturbed: registry.counter("drift_perturbed"),
-            d_dropped: registry.counter("drift_dropped"),
             registry,
         }
     }
@@ -254,21 +219,24 @@ impl Default for VirtualServer {
 
 /// Sleeps out one simulated network delay, abandoning the wait early when
 /// the ambient request's budget (see [`obs::reqctx`], which the evaluator
-/// installs) has a fired deadline or has cancelled this URL. Abandonment
-/// models a client closing its connection: the server still does the work
-/// and charges its access counters — only the caller's blocked thread is
-/// released, so a browned-out evaluation never sits out a tail it will
-/// not use. Without a finite deadline or a cancel token in scope this is
-/// a plain sleep, byte-identical in effect to the pre-budget server.
-fn simulated_wait(total: Duration, url: &Url) {
+/// installs) has a fired deadline or has cancelled this URL; returns false
+/// when it abandoned. Abandonment models a client closing its connection:
+/// the server still does the work and charges its access counters, but
+/// the caller is answered [`SourceError::Cancelled`] instead of the page,
+/// and its blocked thread is released — so a browned-out evaluation never
+/// sits out a tail it will not use. Without a finite deadline or a cancel
+/// token in scope this is a plain sleep, byte-identical in effect to the
+/// pre-budget server.
+fn simulated_wait(total: Duration, url: &Url) -> bool {
     let Some(ctx) = obs::reqctx::current().filter(|c| c.has_budget()) else {
-        return std::thread::sleep(total);
+        std::thread::sleep(total);
+        return true;
     };
     let t0 = std::time::Instant::now();
     loop {
         let elapsed = t0.elapsed();
         if elapsed >= total {
-            return;
+            return true;
         }
         if ctx.deadline.expired()
             || ctx
@@ -276,9 +244,20 @@ fn simulated_wait(total: Duration, url: &Url) {
                 .as_ref()
                 .is_some_and(|t| t.is_url_cancelled(url.as_str()))
         {
-            return;
+            return false;
         }
         std::thread::sleep((total - elapsed).min(Duration::from_micros(200)));
+    }
+}
+
+/// What a request whose simulated wait was abandoned answers: the
+/// requester gave up, so it gets [`SourceError::Cancelled`] whatever the
+/// server made of the request.
+fn answer<T>(waited: bool, url: &Url, served: Result<T, SourceError>) -> Result<T, SourceError> {
+    if waited {
+        served
+    } else {
+        Err(SourceError::Cancelled(url.clone()))
     }
 }
 
@@ -330,10 +309,13 @@ impl VirtualServer {
         *g = None;
     }
 
-    fn simulate_latency(&self, url: &Url) {
+    /// Waits out the request's simulated latency; false when the wait was
+    /// abandoned (see [`simulated_wait`]).
+    fn simulate_latency(&self, url: &Url) -> bool {
+        let mut waited = true;
         let us = self.latency_us.load(Ordering::Relaxed);
         if us > 0 {
-            simulated_wait(Duration::from_micros(us), url);
+            waited = simulated_wait(Duration::from_micros(us), url);
         }
         if self.profile_on.load(Ordering::Acquire) {
             let delay = {
@@ -346,10 +328,11 @@ impl VirtualServer {
             };
             if let Some(us) = delay {
                 if us > 0 {
-                    simulated_wait(Duration::from_micros(us), url);
+                    waited &= simulated_wait(Duration::from_micros(us), url);
                 }
             }
         }
+        waited
     }
 
     /// Installs a fault plan: subsequent requests consult it and may be
@@ -438,9 +421,18 @@ impl VirtualServer {
 
     /// Full download. Counts one GET and the body bytes. A failed request
     /// (404 or injected fault) counts in `not_found`/`faults`, never as a
-    /// GET: the paper's cost measure charges only completed downloads.
+    /// GET: the paper's cost measure charges only completed downloads. A
+    /// request whose requester gave up during a simulated wait is still
+    /// counted, and answered [`SourceError::Cancelled`].
     pub fn get(&self, url: &Url) -> Result<PageResponse, SourceError> {
-        self.simulate_latency(url);
+        let mut waited = self.simulate_latency(url);
+        let served = self.serve_get(url, &mut waited);
+        answer(waited, url, served)
+    }
+
+    /// The server's side of [`VirtualServer::get`]; a `Slow` fault's wait
+    /// clears `waited` when it is abandoned.
+    fn serve_get(&self, url: &Url, waited: &mut bool) -> Result<PageResponse, SourceError> {
         let pages = self.pages.read();
         let scheme = pages.get(url).map(|p| p.scheme.as_str());
         match self.apply_fault(url, scheme, false) {
@@ -456,7 +448,7 @@ impl VirtualServer {
                 return Err(SourceError::NotFound(url.clone()));
             }
             Some(FaultKind::Slow { delay_us }) if delay_us > 0 => {
-                std::thread::sleep(Duration::from_micros(delay_us));
+                *waited &= simulated_wait(Duration::from_micros(delay_us), url);
             }
             Some(FaultKind::Truncate { keep_pct }) => {
                 // Serve (and count) a prefix of the body: the transfer
@@ -497,9 +489,16 @@ impl VirtualServer {
     }
 
     /// Light connection: only existence and last-modified are exchanged.
-    /// Body-mangling faults do not apply; availability faults do.
+    /// Body-mangling faults do not apply; availability faults do. An
+    /// abandoned wait is answered as [`VirtualServer::get`] answers it.
     pub fn head(&self, url: &Url) -> Result<HeadResponse, SourceError> {
-        self.simulate_latency(url);
+        let mut waited = self.simulate_latency(url);
+        let served = self.serve_head(url, &mut waited);
+        answer(waited, url, served)
+    }
+
+    /// The server's side of [`VirtualServer::head`].
+    fn serve_head(&self, url: &Url, waited: &mut bool) -> Result<HeadResponse, SourceError> {
         let pages = self.pages.read();
         let scheme = pages.get(url).map(|p| p.scheme.as_str());
         match self.apply_fault(url, scheme, true) {
@@ -514,12 +513,10 @@ impl VirtualServer {
                 self.not_found.inc();
                 return Err(SourceError::NotFound(url.clone()));
             }
-            Some(FaultKind::Slow { delay_us }) => {
-                if delay_us > 0 {
-                    std::thread::sleep(Duration::from_micros(delay_us));
-                }
+            Some(FaultKind::Slow { delay_us }) if delay_us > 0 => {
+                *waited &= simulated_wait(Duration::from_micros(delay_us), url);
             }
-            Some(FaultKind::Truncate { .. }) | None => {}
+            Some(FaultKind::Slow { .. } | FaultKind::Truncate { .. }) | None => {}
         }
         match pages.get(url) {
             Some(p) => {
@@ -573,18 +570,7 @@ impl VirtualServer {
                 slow: self.f_slow.get(),
                 truncated: self.f_truncated.get(),
             },
-            drift: DriftSnapshot {
-                perturbed_pages: self.d_perturbed.get(),
-                dropped_links: self.d_dropped.get(),
-            },
         }
-    }
-
-    /// Records drift applied to the stored site (called by
-    /// [`crate::mutation::DriftPlan::apply`]).
-    pub(crate) fn note_drift(&self, perturbed_pages: u64, dropped_links: u64) {
-        self.d_perturbed.add(perturbed_pages);
-        self.d_dropped.add(dropped_links);
     }
 
     fn count_get(&self, scheme: &str) {
@@ -618,8 +604,6 @@ impl VirtualServer {
         self.f_link_rot.reset();
         self.f_slow.reset();
         self.f_truncated.reset();
-        self.d_perturbed.reset();
-        self.d_dropped.reset();
         self.gets_by_scheme.write().clear();
     }
 }
@@ -789,10 +773,6 @@ mod tests {
                 timeout: 2,
                 ..FaultSnapshot::default()
             },
-            drift: DriftSnapshot {
-                perturbed_pages: 3,
-                dropped_links: 0,
-            },
             ..AccessSnapshot::default()
         };
         let earlier = AccessSnapshot {
@@ -804,10 +784,6 @@ mod tests {
                 link_rot: 1,
                 ..FaultSnapshot::default()
             },
-            drift: DriftSnapshot {
-                perturbed_pages: 1,
-                dropped_links: 4, // went backwards
-            },
             ..AccessSnapshot::default()
         };
         let d = newer.since(&earlier);
@@ -817,9 +793,6 @@ mod tests {
         assert_eq!(d.faults.timeout, 0);
         assert_eq!(d.faults.link_rot, 0);
         assert_eq!(d.faults.total(), 0);
-        assert_eq!(d.drift.perturbed_pages, 2);
-        assert_eq!(d.drift.dropped_links, 0, "backwards drift field saturates");
-        assert_eq!(d.drift.total(), 2);
         // the degenerate cases: X.since(X) == 0, X.since(0) == X
         assert_eq!(newer.since(&newer), AccessSnapshot::default());
         assert_eq!(newer.since(&AccessSnapshot::default()), newer);
@@ -899,28 +872,59 @@ mod tests {
         // An expired deadline in the ambient request context: the client
         // has already browned out, so the wait is abandoned — but the GET
         // was still counted (the server did the work).
+        let url = Url::new("/a.html");
+        let cancelled = |r: Result<PageResponse, SourceError>| matches!(r, Err(SourceError::Cancelled(u)) if u == url);
         let expired = obs::Deadline::after_us(0);
         let before = s.stats().gets;
         let t0 = std::time::Instant::now();
-        with_budget(expired, None, || s.get(&Url::new("/a.html")).unwrap());
+        let got = with_budget(expired, None, || s.get(&url));
         assert!(
             t0.elapsed() < Duration::from_millis(40),
             "an abandoned request must not sit out the full simulated wait"
         );
+        assert!(cancelled(got), "the requester gave up: no page");
         assert_eq!(s.stats().gets, before + 1, "the GET is still charged");
         // A cancelled URL severs the wait the same way.
         let token = obs::CancelToken::new();
         token.cancel_url("/a.html");
         let t0 = std::time::Instant::now();
-        with_budget(obs::Deadline::infinite(), Some(token), || {
-            s.get(&Url::new("/a.html")).unwrap()
+        let got = with_budget(obs::Deadline::infinite(), Some(token.clone()), || {
+            s.get(&url)
         });
         assert!(t0.elapsed() < Duration::from_millis(40));
+        assert!(cancelled(got));
+        assert!(matches!(
+            with_budget(expired, None, || s.head(&url)),
+            Err(SourceError::Cancelled(_))
+        ));
         // Without either signal the full wait is simulated as before.
         let t0 = std::time::Instant::now();
-        s.get(&Url::new("/a.html")).unwrap();
+        s.get(&url).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(50));
         s.set_latency(Duration::ZERO);
+        // A `Slow` fault's delay is a simulated wait too: a budget severs
+        // it, and the slow GET is counted but answered `Cancelled`.
+        let slow_rule = crate::fault::FaultRule::slow(1.0, 50_000).with_max_per_url(None);
+        s.set_fault_plan(FaultPlan::new(3).with_rule(slow_rule));
+        let (gets, slow) = (s.stats().gets, s.stats().faults.slow);
+        for (i, (deadline, token)) in [(expired, None), (obs::Deadline::infinite(), Some(token))]
+            .into_iter()
+            .enumerate()
+        {
+            let t0 = std::time::Instant::now();
+            let got = with_budget(deadline, token, || s.get(&url));
+            assert!(t0.elapsed() < Duration::from_millis(40), "budget {i}");
+            assert!(cancelled(got), "budget {i}");
+        }
+        assert_eq!(s.stats().gets, gets + 2);
+        assert_eq!(s.stats().faults.slow, slow + 2);
+        let t0 = std::time::Instant::now();
+        s.get(&url).unwrap();
+        assert!(
+            t0.elapsed() >= Duration::from_millis(50),
+            "unbudgeted: slow"
+        );
+        s.clear_fault_plan();
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod prelude {
         TraceSink, TriggerKind,
     };
     pub use serve::{PlanCache, QueryServer, ServeOutcome, ServerStats};
-    pub use websim::mutation::{DriftPlan, DriftRule, MutationPlan, MutationRule};
+    pub use websim::mutation::{MutationPlan, MutationRule};
     pub use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
     pub use websim::{FaultPlan, FaultRule, LatencyProfile, Site, VirtualServer};
     pub use wrapper::wrap_page;
@@ -109,9 +109,9 @@ mod tests {
     #[test]
     fn readme_drift_walkthrough() {
         let mut site = University::generate(UniversityConfig::default()).unwrap();
-        DriftPlan::new(3)
-            .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-            .apply(&mut site.site)
+        MutationPlan::new(3)
+            .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+            .apply_round(&mut site.site, u64::MAX)
             .unwrap();
 
         let stats = SiteStatistics::from_site(&site.site);

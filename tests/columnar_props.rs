@@ -282,7 +282,7 @@ fn assert_borrowed_push_equals_cloned(site: &websim::Site) {
         let (borrowed, cloned) = (borrowed.finish(), cloned.finish());
         let ctx = &ps.name;
         assert_eq!(borrowed.to_relation(), cloned.to_relation(), "{ctx}");
-        assert_eq!(borrowed.to_table(), cloned.to_table(), "{ctx}");
+        assert_eq!(borrowed.to_string(), cloned.to_string(), "{ctx}");
         assert_eq!(format!("{borrowed:?}"), format!("{cloned:?}"), "{ctx}");
         for (i, t) in pages.iter().enumerate() {
             assert_eq!(&borrowed.tuple_at(i), t, "{ctx} row {i}");

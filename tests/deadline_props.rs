@@ -242,7 +242,8 @@ fn slow_site() -> University {
 /// evaluator: with every GET taking a simulated second, a 50 ms deadline
 /// brings a query session and a bare evaluator back well inside that
 /// second, inline and over a 2-worker pool, because the evaluation's own
-/// deadline severs the simulated wait its fetch sits in.
+/// deadline severs the simulated wait its fetch sits in — and the severed
+/// GET answers `Cancelled`, not the page it gave up on.
 #[test]
 fn a_deadline_reaches_the_network_under_every_caller() {
     let u = slow_site();
@@ -266,6 +267,7 @@ fn a_deadline_reaches_the_network_under_every_caller() {
     let nav = NalgExpr::entry("ProfListPage")
         .unnest("ProfList")
         .follow("ToProf", "ProfPage");
+    let entry = &u.site.scheme.entry_point("ProfListPage").unwrap().url;
     u.site.server.set_latency(std::time::Duration::from_secs(1));
     for fetch in [Fetch::Inline, Fetch::pool(2)] {
         let budget = || EvalPolicy {
@@ -288,6 +290,14 @@ fn a_deadline_reaches_the_network_under_every_caller() {
         ] {
             assert!(report.deadline_exceeded, "{caller} {fetch:?}");
             assert!(!report.is_complete(), "{caller} {fetch:?}");
+            // the entry page's GET was abandoned: the server answered
+            // `Cancelled`, so the page is unreachable and gives no row
+            assert_eq!(
+                report.unreachable,
+                vec![entry.clone()],
+                "{caller} {fetch:?}"
+            );
+            assert!(report.relation.is_empty(), "{caller} {fetch:?}");
             assert!(
                 took < std::time::Duration::from_millis(500),
                 "{caller} {fetch:?}: a 50 ms budget took {took:?}"
@@ -342,4 +352,153 @@ fn a_coalesced_follower_gives_up_at_its_own_deadline() {
             assert!(leader.join().unwrap().is_ok(), "the leader's GET completes");
         });
     }
+}
+
+/// One request's give-up never reaches another: while a leader whose
+/// request gives up sits in a simulated GET — its 100 ms deadline fires,
+/// or its cancel token drops the URL as a hedge loser's would — an
+/// unbudgeted fail-fast evaluation coalesced behind it still gets the
+/// page. The leader's abandoned GET answers it `Cancelled`, and the
+/// follower, rather than inherit that, fetches the page itself (a
+/// `relead`): two GETs reach the server, and the follower's answer is the
+/// uncoalesced one.
+#[test]
+fn a_leader_that_gives_up_does_not_cancel_its_followers() {
+    let u = slow_site();
+    let live = LiveSource::for_site(&u.site);
+    let entry = NalgExpr::entry("ProfListPage");
+    let plain = Evaluator::new(&u.site.scheme, &live).eval(&entry).unwrap();
+    let url = &u.site.scheme.entry_point("ProfListPage").unwrap().url;
+    u.site
+        .server
+        .set_latency(std::time::Duration::from_millis(400));
+    for by_deadline in [true, false] {
+        let coalesced = CoalescingSource::new(&live);
+        let token = CancelToken::new();
+        let gets = u.site.server.stats().gets;
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                let policy = if by_deadline {
+                    EvalPolicy {
+                        deadline: Deadline::after_us(100_000),
+                        ..Default::default()
+                    }
+                } else {
+                    EvalPolicy {
+                        cancel: Some(token.clone()),
+                        ..Default::default()
+                    }
+                };
+                Evaluator::new(&u.site.scheme, &coalesced)
+                    .with_policy(&policy)
+                    .eval(&entry)
+            });
+            while coalesced.stats().leaders == 0 {
+                std::thread::yield_now();
+            }
+            let follower = s.spawn(|| Evaluator::new(&u.site.scheme, &coalesced).eval(&entry));
+            while coalesced.stats().followers == 0 {
+                std::thread::yield_now();
+            }
+            if !by_deadline {
+                token.cancel_url(url.as_str());
+            }
+            let report = follower.join().unwrap().expect("the follower's query");
+            assert_eq!(report.relation.sorted(), plain.relation.sorted());
+            assert_eq!(report.page_accesses, 1);
+            assert!(report.is_complete(), "by_deadline={by_deadline}");
+            // The leader gave up: under its deadline the page is missing
+            // from its answer; under its token the fail-fast query fails.
+            match leader.join().unwrap() {
+                Ok(r) => {
+                    assert!(by_deadline && r.deadline_exceeded);
+                    assert_eq!(r.unreachable, vec![url.clone()]);
+                }
+                Err(e) => assert!(!by_deadline, "{e}"),
+            }
+        });
+        let st = coalesced.stats();
+        assert_eq!(
+            (st.leaders, st.followers, st.releads, st.shutdown_wakes),
+            (2, 1, 1, 0),
+            "by_deadline={by_deadline}"
+        );
+        assert_eq!(st.saved_gets(), 0, "a relead saves no GET");
+        assert_eq!(u.site.server.stats().gets, gets + 2, "both GETs counted");
+    }
+    u.site.server.set_latency(std::time::Duration::ZERO);
+}
+
+/// Every hedge is accounted for against the server's own GET count when
+/// the losing twin is cut off inside the server. Each professor page's
+/// first GET is slow (300 ms) and its backup, launched after 20 ms, is
+/// not: the backup wins and the primary, still in its simulated wait, is
+/// severed by the winner's cancel and answers `Cancelled`. One page is
+/// slow on both attempts (600 ms), so the drain is still open when the
+/// severed primaries arrive. The server charged each of them, so they
+/// are completed losers, not twins cancelled before dispatch.
+#[test]
+fn a_hedge_loser_cut_off_in_the_server_is_a_completed_loser() {
+    let u = slow_site();
+    let live = LiveSource::for_site(&u.site);
+    let nav = NalgExpr::entry("ProfListPage")
+        .unnest("ProfList")
+        .follow("ToProf", "ProfPage");
+    let plain = Evaluator::new(&u.site.scheme, &live).eval(&nav).unwrap();
+    let profs: Vec<Url> = u
+        .site
+        .pages("ProfPage")
+        .map(|(url, _)| url.clone())
+        .collect();
+    let laggard = (profs.iter())
+        .find(|a| {
+            !profs
+                .iter()
+                .any(|b| b != *a && b.as_str().starts_with(a.as_str()))
+        })
+        .unwrap();
+    u.site.server.set_fault_plan(
+        FaultPlan::new(1)
+            .with_rule(
+                FaultRule::slow(1.0, 600_000)
+                    .for_url_prefix(laggard.as_str())
+                    .with_max_per_url(Some(2)),
+            )
+            .with_rule(
+                FaultRule::slow(1.0, 300_000)
+                    .for_scheme("ProfPage")
+                    .with_max_per_url(Some(1)),
+            ),
+    );
+    let cfg = HedgeConfig::new(20_000);
+    let gets = u.site.server.stats().gets;
+    let report = Evaluator::new(&u.site.scheme, &live)
+        .with_policy(&EvalPolicy {
+            fetch: Fetch::hedged(2 * profs.len() + 1, cfg.clone()),
+            ..Default::default()
+        })
+        .eval(&nav)
+        .unwrap();
+    u.site.server.clear_fault_plan();
+    assert_eq!(report.relation.sorted(), plain.relation.sorted());
+    assert_eq!(report.page_accesses, plain.page_accesses);
+    let n = profs.len() as u64;
+    let server_gets = u.site.server.stats().gets - gets;
+    let completed_losers = server_gets - report.page_accesses;
+    assert_eq!(cfg.hedges.get(), n, "one backup per professor page");
+    assert_eq!(
+        cfg.hedge_wins.get(),
+        n - 1,
+        "every backup but the laggard's wins"
+    );
+    assert_eq!(
+        cfg.hedge_cancelled.get(),
+        0,
+        "every twin reached the server"
+    );
+    assert_eq!(completed_losers, n);
+    assert_eq!(
+        cfg.hedges.get(),
+        cfg.hedge_cancelled.get() + completed_losers
+    );
 }

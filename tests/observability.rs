@@ -75,9 +75,9 @@ fn cs_dept() -> ConjunctiveQuery {
 /// Drifts every `DeptPage.DName`: the anchor-replication constraint that
 /// licenses pushing `cs_dept`'s selection across the follow is false.
 fn drift_dept_names(u: &mut University) {
-    DriftPlan::new(3)
-        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-        .apply(&mut u.site)
+    MutationPlan::new(3)
+        .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+        .apply_round(&mut u.site, u64::MAX)
         .expect("drift");
 }
 
@@ -498,9 +498,9 @@ fn a_served_request_is_explained_from_its_flight_record() {
 #[test]
 fn a_fallback_request_traces_both_plannings_under_its_root() {
     let mut u = University::generate(UniversityConfig::default()).unwrap();
-    DriftPlan::new(3)
-        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-        .apply(&mut u.site)
+    MutationPlan::new(3)
+        .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+        .apply_round(&mut u.site, u64::MAX)
         .unwrap();
     let stats = SiteStatistics::from_site(&u.site);
     let catalog = university_catalog();

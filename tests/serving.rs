@@ -471,9 +471,9 @@ fn quarantine_invalidates_dependent_cached_plans() {
     }
 
     // The site drifts under the cached plan's feet.
-    DriftPlan::new(3)
-        .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-        .apply(&mut site.site)
+    MutationPlan::new(3)
+        .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+        .apply_round(&mut site.site, u64::MAX)
         .unwrap();
     let source = LiveSource::for_site(&site.site);
     let server =
@@ -877,9 +877,9 @@ fn every_policy_field_reaches_evaluation_from_every_owner() {
                 (university_catalog(), cs_dept.clone(), policy)
             }
             "health" => {
-                DriftPlan::new(3)
-                    .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
-                    .apply(&mut u.site)
+                MutationPlan::new(3)
+                    .with_rule(MutationRule::edit_attr("DeptPage", "DName", 1.0))
+                    .apply_round(&mut u.site, u64::MAX)
                     .unwrap();
                 let policy = ExecPolicy {
                     audit: Some((1.0, 7)),
