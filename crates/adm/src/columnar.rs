@@ -928,7 +928,8 @@ impl BuildCol {
             ) => {
                 for _ in 0..n {
                     let ColumnRelBuilder { names, cols, len } = &mut **cb;
-                    append_encoded(cols, names, len, r)?;
+                    // The next row starts where this one ends.
+                    append_encoded(cols, names, len, r, true)?;
                 }
                 offsets.push(cb.len as u32);
                 validity.push(true);
@@ -1204,8 +1205,9 @@ impl ColumnRelBuilder {
 
     /// Appends a page read in place: column `i` takes the page's first
     /// field named `fields[i]`, as [`Tuple::get_sym`] finds it, or a null;
-    /// fields no column names are skipped, and nothing is built for a cell
-    /// that goes in where it lies (see [`EncodedTuple`]).
+    /// fields no column names are skipped, nothing is built for a cell that
+    /// goes in where it lies (see [`EncodedTuple`]), and nothing past the
+    /// last field a column takes is read.
     pub fn push_encoded<B: AsRef<[u8]>>(
         &mut self,
         fields: &[Symbol],
@@ -1217,9 +1219,15 @@ impl ColumnRelBuilder {
                 found: fields.len(),
             });
         }
-        // A checked page reads to its end; were it cut short, the cells
-        // it did not reach would be nulls.
-        let _ = append_encoded(&mut self.cols, fields, &mut self.len, &mut page.reader());
+        // A checked page reads as far as its last kept field; were it cut
+        // short, the cells it did not reach would be nulls.
+        let _ = append_encoded(
+            &mut self.cols,
+            fields,
+            &mut self.len,
+            &mut page.reader(),
+            false,
+        );
         Ok(())
     }
 
@@ -1242,16 +1250,23 @@ impl ColumnRelBuilder {
 /// each field goes into every column of its name that has no cell in this
 /// row yet, so a column takes the first field of its name, as
 /// [`Tuple::get_sym`] finds it. A field no column names is skipped; a
-/// column no field named gets a null.
+/// column no field named gets a null. Unless `to_end`, reading stops once
+/// every column has its cell, and `r` is left where it stopped; a row of a
+/// list is read `to_end`, as the next row starts where it ends.
 fn append_encoded(
     cols: &mut [BuildCol],
     names: &[Symbol],
     len: &mut usize,
     r: &mut Reader<'_>,
+    to_end: bool,
 ) -> Option<()> {
     let row = *len;
+    let mut missing = cols.len();
     let mut read = || {
         for _ in 0..r.varint()? {
+            if missing == 0 && !to_end {
+                break;
+            }
             let (id, cell) = r.field()?;
             let mut end = None;
             for (c, _) in cols
@@ -1261,6 +1276,7 @@ fn append_encoded(
             {
                 let mut rest = *r;
                 c.push_encoded(cell, &mut rest)?;
+                missing -= 1;
                 end = Some(rest);
             }
             match end {

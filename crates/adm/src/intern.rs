@@ -7,31 +7,35 @@
 //! names, scheme names, and the distinct URLs it has touched — and lets
 //! [`Symbol::as_str`] hand out references without lifetimes.
 //!
-//! # Two structures, one lock
+//! # One index, no lock on the read path
 //!
-//! *string → id* is two hash tables behind one lock, probed in order. The
-//! first 57,344 strings (`EARLY`) — the working vocabulary: names, URLs, values
-//! a site starts with — are `(&str, id)` pairs, the cheapest entry to hit.
-//! Every later string is an id alone, hashed and compared as its string
-//! through the table below: 5 bytes an entry where a pair is 25, and three
-//! more loads a hit (with every entry an id, `hot_navigate` lost 5 %). The
-//! arena never frees, a workload that mints strings (edit markers on
-//! `view_maintain`) grows it for as long as it runs, and a std table that
-//! doubles holds old and new side by side while it does — as pairs, 6.5 MB
-//! at 115 k strings, a fifth of that workload's peak RSS, paid by whichever
-//! run completed enough rounds. [`Symbol::intern`] and [`Symbol::lookup`]
-//! read the tables shared, and only a string met for the first time takes
-//! the lock exclusively. *id → string* is an append-only table of
+//! *string → id* is one open-addressing index of `u32` cells, probed
+//! linearly from the string's hash under a process-keyed
+//! [`RandomState`] (the strings come from web pages, so the hash stays
+//! keyed). A cell holds 0 while empty and id + 1 once an id is entered;
+//! a probe compares the string of each id it meets with its own until it
+//! finds it or meets an empty cell. The index grows in **generations**:
+//! generation `g` has `4096 << g` cells, is filled with every id so far
+//! before it is published by a `Release` store of its number, and is
+//! never freed (nothing in the arena is), so all generations together
+//! take under twice the current one. Entering an id grows the index
+//! before the load would pass ½. [`Symbol::lookup`], and
+//! [`Symbol::intern`] of a string met before, only load: the generation
+//! number, its cells, and the slots below — no lock, and no store to a
+//! line another core reads. *id → string* is an append-only table of
 //! write-once slots — leaves of 1024 under a directory that grows in
 //! doubling chunks, so nothing ever moves — which [`Symbol::as_str`] reads
-//! with no lock at all. A writer, under the exclusive lock, stores in this
-//! order: the string's **slot**, then the **map** entry, then the
-//! **length**. A symbol is only ever handed out after its slot is set, so
-//! a reader that holds one finds its string; and because the length is
-//! the last store, a writer that dies between two of them leaves a slot
-//! the length does not count yet, which the next writer adopts — a
-//! poisoned lock is therefore recovered, never propagated, and nothing in
-//! this module panics.
+//! the same way.
+//!
+//! Only a string met for the first time takes the writer lock, re-probes
+//! the current generation under it, and stores, in this order: the
+//! string's **slot**, then its **index** cell, then the **length**. A
+//! symbol is only ever handed out after its slot is set, so a reader that
+//! holds one finds its string; and because the length is the last store,
+//! a writer that dies between two of them leaves a slot the length does
+//! not count yet, entered in the index or not, which the next writer
+//! adopts — a poisoned lock is therefore recovered, never propagated, and
+//! nothing in this module panics.
 //!
 //! # Determinism
 //!
@@ -41,12 +45,10 @@
 //! ordering visible to a caller is derived from the underlying strings.
 
 use crate::url::Url;
-use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{OnceLock, PoisonError, RwLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// An interned string: a `u32` id into the global arena.
 ///
@@ -72,8 +74,8 @@ const FIRST_CHUNK_BITS: u32 = 2;
 const CHUNKS: usize = (u32::BITS - LEAF_BITS - FIRST_CHUNK_BITS + 1) as usize;
 
 static TABLE: [OnceLock<Box<[Leaf]>>; CHUNKS] = [const { OnceLock::new() }; CHUNKS];
-/// Ids handed out so far. Stored (`Release`) after the slot and the map
-/// entry of the newest id; an `Acquire` load of `n` therefore sees the
+/// Ids handed out so far. Stored (`Release`) after the slot and the index
+/// cell of the newest id; an `Acquire` load of `n` therefore sees the
 /// slots of every id below `n`.
 static LEN: AtomicU32 = AtomicU32::new(0);
 /// Bytes of the strings counted by [`LEN`] (a statistic: `Relaxed`).
@@ -92,7 +94,7 @@ fn locate(id: u32) -> (usize, usize, usize) {
 }
 
 /// The slot of an id, allocating its leaf (and the leaf's directory chunk)
-/// if this is their first id. Called with the map's write lock held.
+/// if this is their first id. Called with the writer lock held.
 fn slot_for_write(id: u32) -> &'static Slot {
     let (chunk, leaf, slot) = locate(id);
     let leaves = TABLE[chunk].get_or_init(|| {
@@ -109,92 +111,122 @@ fn published(id: u32) -> Option<&'static str> {
     TABLE[chunk].get()?[leaf].get()?[slot].get().copied()
 }
 
-/// How many strings get a pair entry: 7/8 of 65,536 buckets, the most a
-/// std table of that size holds, so the pair table stops at 1.6 MB.
-const EARLY: usize = 57_344;
+/// Generation `g` of the index has `1 << (INDEX_BITS + g)` cells. At most
+/// half of a generation's cells are ever taken, so the last one holds
+/// every `u32` id.
+const INDEX_BITS: u32 = 12;
+const GENERATIONS: usize = (u32::BITS + 2 - INDEX_BITS) as usize;
 
-/// A late entry: the id, standing for its string. It is only ever inserted
-/// after its slot is set, so the string is there to hash and compare; two
-/// entries are the same string exactly when they are the same id, because
-/// a string is interned once.
-#[derive(PartialEq, Eq)]
-struct ById(u32);
+/// The string → id index, one table a generation (see the module docs).
+static INDEX: [OnceLock<Box<[AtomicU32]>>; GENERATIONS] = [const { OnceLock::new() }; GENERATIONS];
+/// The generation readers probe. Stored (`Release`) once every id so far
+/// is in its cells.
+static GENERATION: AtomicUsize = AtomicUsize::new(0);
+/// Held by a writer: only a string met for the first time takes it.
+static WRITER: Mutex<()> = Mutex::new(());
 
-impl Borrow<str> for ById {
-    fn borrow(&self) -> &str {
-        published(self.0).unwrap_or_default()
-    }
+/// The string's hash, keyed once a process.
+fn hash(s: &str) -> usize {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new).hash_one(s) as usize
 }
 
-impl Hash for ById {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        Borrow::<str>::borrow(self).hash(state)
+/// The id of `s`, if the generation readers probe holds it: loads only.
+fn find(s: &str) -> Option<u32> {
+    let cells = INDEX.get(GENERATION.load(Ordering::Acquire))?.get()?;
+    let mask = cells.len() - 1;
+    let mut at = hash(s) & mask;
+    for _ in 0..cells.len() {
+        // `Acquire` pairs with `place`'s `Release`: the slot is set.
+        let id = cells[at].load(Ordering::Acquire).checked_sub(1)?;
+        if published(id) == Some(s) {
+            return Some(id);
+        }
+        at = (at + 1) & mask;
     }
+    None
 }
 
-/// The string → id map (see the module docs).
-#[derive(Default)]
-struct Ids {
-    early: HashMap<&'static str, u32>,
-    late: HashSet<ById>,
-}
-
-impl Ids {
-    fn get(&self, s: &str) -> Option<u32> {
-        let early = self.early.get(s).copied();
-        early.or_else(|| self.late.get(s).map(|&ById(id)| id))
-    }
-
-    /// Enters `id`, whose slot holds `s`.
-    fn insert(&mut self, s: &'static str, id: u32) {
-        if self.early.len() < EARLY {
-            self.early.insert(s, id);
-        } else {
-            self.late.insert(ById(id));
+/// Puts `id`, whose slot is set, in the first empty cell of its probe
+/// sequence, unless it is there already (a dead writer's id is adopted
+/// into a generation it may have reached).
+fn place(cells: &[AtomicU32], id: u32) {
+    let mask = cells.len() - 1;
+    let mut at = hash(published(id).unwrap_or_default()) & mask;
+    for _ in 0..cells.len() {
+        match cells[at].load(Ordering::Relaxed) {
+            0 => return cells[at].store(id + 1, Ordering::Release),
+            cell if cell == id + 1 => return,
+            _ => at = (at + 1) & mask,
         }
     }
 }
 
-fn map() -> &'static RwLock<Ids> {
-    static MAP: OnceLock<RwLock<Ids>> = OnceLock::new();
-    MAP.get_or_init(Default::default)
+/// Enters `id`, whose slot is set, into the index; every id below it is
+/// there already. When `id` would take the current generation past half
+/// full, the next one is filled with every id up to `id` and then
+/// published. Called with the writer lock held.
+fn enter(id: u32) {
+    let g = GENERATION.load(Ordering::Relaxed);
+    let table = |g: usize| INDEX.get(g).map(|t| t.get_or_init(|| cells(g)));
+    let Some(current) = table(g) else {
+        return;
+    };
+    if 2 * (id as usize + 1) <= current.len() {
+        return place(current, id);
+    }
+    let Some(next) = table(g + 1) else {
+        return place(current, id);
+    };
+    for old in 0..=id {
+        place(next, old);
+    }
+    GENERATION.store(g + 1, Ordering::Release);
+}
+
+/// Generation `g`'s cells, all empty.
+fn cells(g: usize) -> Box<[AtomicU32]> {
+    (0..1usize << (g + INDEX_BITS as usize))
+        .map(|_| AtomicU32::new(0))
+        .collect()
 }
 
 impl Symbol {
-    /// Interns a string, returning its symbol (idempotent).
+    /// Interns a string, returning its symbol (idempotent). A string
+    /// met before is found as [`Symbol::lookup`] finds it, taking no lock.
     pub fn intern(s: &str) -> Symbol {
-        if let Some(sym) = Symbol::lookup(s) {
-            return sym;
+        if let Some(id) = find(s) {
+            return Symbol(id);
         }
-        let mut map = map().write().unwrap_or_else(PoisonError::into_inner);
+        let _writer = WRITER.lock().unwrap_or_else(PoisonError::into_inner);
         // Writers are serialised by the lock, so `LEN` cannot move under us.
         let mut id = LEN.load(Ordering::Relaxed);
         // A writer that died after setting its slot left a string the
         // length does not count: adopt it, so the id is not handed out twice.
         while let Some(&orphan) = slot_for_write(id).get() {
-            map.insert(orphan, id);
+            enter(id);
             BYTES.fetch_add(orphan.len(), Ordering::Relaxed);
             id += 1;
             LEN.store(id, Ordering::Release);
         }
-        if let Some(id) = map.get(s) {
+        if let Some(id) = find(s) {
             return Symbol(id); // raced: someone else interned it
         }
         let leaked: &'static str = Box::leak(s.into());
         // The slot is empty (checked above, under the lock), so `set` holds.
         let _ = slot_for_write(id).set(leaked);
-        map.insert(leaked, id);
+        enter(id);
         BYTES.fetch_add(leaked.len(), Ordering::Relaxed);
         LEN.store(id + 1, Ordering::Release);
         Symbol(id)
     }
 
-    /// Looks a string up *without* interning it. `None` means no symbol for
-    /// this string exists yet — useful for constants in predicates: if the
-    /// constant was never interned, no stored value can equal it.
+    /// Looks a string up *without* interning it, and without a lock.
+    /// `None` means no symbol for this string exists yet — useful for
+    /// constants in predicates: if the constant was never interned, no
+    /// stored value can equal it.
     pub fn lookup(s: &str) -> Option<Symbol> {
-        let map = map().read().unwrap_or_else(PoisonError::into_inner);
-        map.get(s).map(Symbol)
+        find(s).map(Symbol)
     }
 
     /// The interned string, read from the id → string table without taking
@@ -322,30 +354,80 @@ mod tests {
     }
 
     #[test]
-    fn strings_past_the_early_table_are_found_by_their_id() {
-        // More fresh strings than the pair table holds: wherever the other
-        // tests have left it, the last of these are late entries.
-        let name = |j: usize| format!("intern-late-{j}");
-        let syms: Vec<Symbol> = (0..EARLY + 2_000)
-            .map(|j| Symbol::intern(&name(j)))
-            .collect();
-        {
-            let ids = map().read().unwrap_or_else(PoisonError::into_inner);
-            assert_eq!(ids.early.len(), EARLY, "the pair table stops growing");
-            assert!(ids.late.len() >= 2_000);
-            assert!(ids.late.contains(name(EARLY + 1_999).as_str()));
+    fn strings_are_found_across_index_generations() {
+        // Fresh strings until the index has grown at least once, wherever
+        // the other tests have left it: the first of them were entered in
+        // a generation readers no longer probe.
+        let name = |j: usize| format!("intern-generation-{j}");
+        let first = GENERATION.load(Ordering::Acquire);
+        let mut syms = Vec::new();
+        while GENERATION.load(Ordering::Acquire) == first || syms.len() < 2_000 {
+            syms.push(Symbol::intern(&name(syms.len())));
         }
-        for (j, sym) in syms
-            .iter()
-            .enumerate()
-            .step_by(97)
-            .chain(syms.iter().enumerate().skip(EARLY))
-        {
+        for (j, sym) in syms.iter().enumerate() {
             assert_eq!(sym.as_str(), name(j));
             assert_eq!(Symbol::lookup(&name(j)), Some(*sym));
             assert_eq!(Symbol::intern(&name(j)), *sym);
         }
-        assert!(Symbol::lookup("intern-late-never").is_none());
+        assert!(Symbol::lookup("intern-generation-never").is_none());
+        every_counted_id_is_found();
+    }
+
+    /// Every id the length counts is found by its string, whichever writer
+    /// entered it and whichever generation it was entered in.
+    fn every_counted_id_is_found() {
+        for id in 0..interned_count() as u32 {
+            let s = published(id).unwrap();
+            assert_eq!(find(s), Some(id), "{s:?} is missing from the index");
+        }
+    }
+
+    /// Readers look known strings up, intern them again and read them
+    /// back while a writer mints strings until the index has grown twice:
+    /// every probe finds its string's id, in whichever generation it
+    /// reads, and a string never interned stays unknown.
+    #[test]
+    fn readers_probe_while_the_index_grows() {
+        use std::time::{Duration, Instant};
+
+        let known: Vec<(String, Symbol)> = (0..256)
+            .map(|j| format!("intern-known-{j}"))
+            .map(|s| (s.clone(), Symbol::intern(&s)))
+            .collect();
+        let name = |j: usize| format!("intern-growth-{j}");
+        let first = GENERATION.load(Ordering::Acquire);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let t0 = Instant::now();
+        let minted: Vec<Symbol> = std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    // At least one pass, and none once the writer is done.
+                    let mut passes = 0;
+                    while passes == 0 || !done.load(Ordering::Acquire) {
+                        for (string, sym) in &known {
+                            assert_eq!(Symbol::lookup(string), Some(*sym));
+                            assert_eq!(Symbol::intern(string), *sym);
+                            assert_eq!(sym.as_str(), string);
+                        }
+                        assert!(Symbol::lookup("intern-growth-never").is_none());
+                        assert!(t0.elapsed() < Duration::from_secs(60), "the writer stalled");
+                        passes += 1;
+                    }
+                });
+            }
+            let minted = (0..)
+                .map(|j| Symbol::intern(&name(j)))
+                .take_while(|_| GENERATION.load(Ordering::Acquire) < first + 2)
+                .collect();
+            done.store(true, Ordering::Release);
+            minted
+        });
+        assert!(GENERATION.load(Ordering::Acquire) >= first + 2);
+        for (j, sym) in minted.iter().enumerate() {
+            assert_eq!(sym.as_str(), name(j));
+            assert_eq!(Symbol::lookup(&name(j)), Some(*sym));
+        }
+        every_counted_id_is_found();
     }
 
     #[test]
@@ -371,14 +453,13 @@ mod tests {
     }
 
     /// Readers hammer `as_str` below a moving watermark while a writer
-    /// interns across leaf and directory-chunk boundaries; then, with the map's write lock
+    /// interns across leaf and directory-chunk boundaries; then, with the writer lock
     /// *held*, they read everything again — a read path that took the lock
     /// would never finish.
     #[test]
     fn as_str_reads_published_slots_without_the_lock() {
         use std::sync::atomic::AtomicUsize;
-        use std::sync::{mpsc, Arc};
-        use std::time::Duration;
+        use std::sync::Arc;
 
         // Enough fresh strings to cross leaf boundaries and one directory
         // chunk boundary, wherever the other tests of this process have
@@ -430,45 +511,78 @@ mod tests {
             "ids {lo}..{hi}: under five leaves"
         );
 
-        let guard = map().write().unwrap_or_else(PoisonError::into_inner);
+        all_finish_under_the_writer_lock(move || {
+            (ids.iter().enumerate())
+                .all(|(j, id)| Symbol(id.load(Ordering::Relaxed)).as_str() == name(j))
+        });
+    }
+
+    /// Runs `check` on 8 threads while this thread holds the writer lock,
+    /// failing unless each returns true within 60 s: a check that took
+    /// the lock would never finish.
+    fn all_finish_under_the_writer_lock(check: impl Fn() -> bool + Clone + Send + 'static) {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let writer = WRITER.lock().unwrap_or_else(PoisonError::into_inner);
         let (tx, rx) = mpsc::channel();
         for _ in 0..8 {
-            let (ids, tx) = (Arc::clone(&ids), tx.clone());
+            let (check, tx) = (check.clone(), tx.clone());
             std::thread::spawn(move || {
-                let ok = (ids.iter().enumerate())
-                    .all(|(j, id)| Symbol(id.load(Ordering::Relaxed)).as_str() == name(j));
-                let _ = tx.send(ok);
+                let _ = tx.send(check());
             });
         }
         for _ in 0..8 {
             let ok = rx.recv_timeout(Duration::from_secs(60));
             assert_eq!(ok, Ok(true), "a reader blocked on the lock or misread");
         }
-        drop(guard);
+        drop(writer);
     }
 
-    /// The write path stores slot, map entry, length — in that order. A
-    /// writer that dies after the first store poisons the lock and leaves
-    /// a slot the length does not count; the next writer recovers the
-    /// guard and adopts the slot instead of handing its id out again.
+    /// A string met before is interned, and looked up, with the writer
+    /// lock held elsewhere: the common case never waits on a writer.
+    #[test]
+    fn a_known_string_is_interned_and_looked_up_without_the_lock() {
+        let name = |j: usize| format!("intern-known-under-lock-{j}");
+        let syms: Vec<Symbol> = (0..2_000).map(|j| Symbol::intern(&name(j))).collect();
+        all_finish_under_the_writer_lock(move || {
+            syms.iter().enumerate().all(|(j, sym)| {
+                Symbol::intern(&name(j)) == *sym && Symbol::lookup(&name(j)) == Some(*sym)
+            })
+        });
+    }
+
+    /// The write path stores slot, index cell, length — in that order. A
+    /// writer that dies after the first store, or after the second,
+    /// poisons the lock and leaves a slot the length does not count; the
+    /// next writer recovers the guard and adopts the slot instead of
+    /// handing its id out again.
     #[test]
     fn a_writer_that_dies_between_its_stores_leaves_the_arena_consistent() {
+        const ORPHANS: [&str; 2] = ["intern-test-orphan-indexed", "intern-test-orphan"];
         let died = std::thread::spawn(|| {
-            let _guard = map().write().unwrap_or_else(PoisonError::into_inner);
+            let _writer = WRITER.lock().unwrap_or_else(PoisonError::into_inner);
             let id = LEN.load(Ordering::Relaxed);
-            slot_for_write(id).set("intern-test-orphan").unwrap();
+            // The first orphan reached the index, the second only its slot.
+            slot_for_write(id).set(ORPHANS[0]).unwrap();
+            enter(id);
+            slot_for_write(id + 1).set(ORPHANS[1]).unwrap();
             panic!("a writer dies holding the lock (this test's doing)");
         })
         .join();
         assert!(died.is_err());
-        assert!(map().is_poisoned());
+        assert!(WRITER.is_poisoned());
 
-        let fresh = Symbol::intern("intern-test-after-the-orphan");
-        assert_eq!(fresh.as_str(), "intern-test-after-the-orphan");
-        let orphan = Symbol::lookup("intern-test-orphan").unwrap(); // adopted
-        assert_eq!(orphan.as_str(), "intern-test-orphan");
-        assert_ne!(orphan, fresh);
-        assert_eq!(Symbol::intern("intern-test-orphan"), orphan);
-        assert_eq!(Symbol::intern("intern-test-after-the-orphan"), fresh);
+        let fresh = Symbol::intern("intern-test-after-the-orphans");
+        assert_eq!(fresh.as_str(), "intern-test-after-the-orphans");
+        let orphans = ORPHANS.map(|s| Symbol::lookup(s).unwrap()); // adopted
+        assert_eq!(orphans[0].id() + 1, orphans[1].id());
+        for (orphan, s) in orphans.into_iter().zip(ORPHANS) {
+            assert_eq!(orphan.as_str(), s);
+            assert_ne!(orphan, fresh);
+            assert_eq!(Symbol::intern(s), orphan);
+        }
+        assert_eq!(Symbol::intern("intern-test-after-the-orphans"), fresh);
+        assert!(interned_count() > orphans[1].id() as usize);
     }
 }

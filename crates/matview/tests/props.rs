@@ -44,6 +44,27 @@ fn course_expr() -> NalgExpr {
         .project(vec!["CoursePage.CName", "CoursePage.Description"])
 }
 
+/// Professors ⋈ departments on `DName`: the drawn edits reach the view
+/// through both sides of the ⋈, a `Rank` from the right and an `Address`
+/// from the left, and a dropped department link from the left.
+fn dept_prof_expr() -> NalgExpr {
+    NalgExpr::entry("DeptListPage")
+        .unnest("DeptList")
+        .follow("ToDept", "DeptPage")
+        .join(
+            NalgExpr::entry("ProfListPage")
+                .unnest("ProfList")
+                .follow("ToProf", "ProfPage"),
+            vec![("DeptPage.DName", "ProfPage.DName")],
+        )
+        .project(vec![
+            "ProfPage.PName",
+            "ProfPage.Rank",
+            "DeptPage.DName",
+            "DeptPage.Address",
+        ])
+}
+
 fn sorted(rel: &Relation) -> Vec<Vec<Value>> {
     let mut rows = rel.rows().to_vec();
     rows.sort_by(|a, b| {
@@ -96,6 +117,7 @@ proptest! {
         iv.set_cursor(u.site.change_cursor());
         iv.register("profs", "profs", &prof_expr(), &u.site.server).unwrap();
         iv.register("courses", "courses", &course_expr(), &u.site.server).unwrap();
+        iv.register("dept-profs", "dept-profs", &dept_prof_expr(), &u.site.server).unwrap();
 
         let mut oracle = MatStore::new();
         oracle.materialize(&ws, &u.site.server).unwrap();
@@ -124,7 +146,12 @@ proptest! {
 
             let src = LiveSource::new(&ws, &u.site.server);
             let live = Evaluator::new(&ws, &src);
-            for (key, expr) in [("profs", prof_expr()), ("courses", course_expr())] {
+            let views = [
+                ("profs", prof_expr()),
+                ("courses", course_expr()),
+                ("dept-profs", dept_prof_expr()),
+            ];
+            for (key, expr) in views {
                 let want = sorted(&live.eval(&expr).unwrap().relation);
                 let got = iv.answer(key).expect("fault-free views never degrade");
                 prop_assert_eq!(got.rows().to_vec(), want, "view {} round {}", key, round);

@@ -14,10 +14,11 @@
 //! * **compact** — a page is kept as one immutable buffer, its
 //!   [`adm::Tuple::encode`]d form, and charged the bytes it holds: the
 //!   URL plus the buffer's length. Encoded, a page takes about a third of
-//!   its [`adm::Tuple::approx_bytes`]. A hit hands out the buffer, checked
-//!   ([`adm::EncodedTuple`]), and the evaluator reads the page in place
-//!   from it; [`SharedPageCache::get`] decodes a copy for a caller that
-//!   wants a [`Tuple`];
+//!   its [`adm::Tuple::approx_bytes`]. The buffer is checked
+//!   ([`adm::EncodedTuple`]) once, when it is inserted; a hit hands it out
+//!   as it is, and the evaluator reads the page in place from it, as far
+//!   as the fields it keeps; [`SharedPageCache::get`] decodes a copy for a
+//!   caller that wants a [`Tuple`];
 //! * **size-bounded** — the byte budget is enforced per shard with S3-FIFO
 //!   eviction (Yang et al., SOSP 2023): a page enters a small probationary
 //!   queue, is promoted to the main queue only if it is read again before
@@ -64,11 +65,12 @@ const FREQ_CAP: u8 = 3;
 /// left behind by invalidations are compacted away.
 const SLOT_SLACK: usize = 16;
 
-/// One cached wrapped page, encoded by [`SharedPageCache::insert`] and
-/// parsed by each [`SharedPageCache::get_encoded`]. The buffer is never
-/// written to — a newer version replaces the entry.
+/// One cached wrapped page, encoded and checked by
+/// [`SharedPageCache::insert`], and handed out as it is by each
+/// [`SharedPageCache::get_encoded`]. The buffer is never written to — a
+/// newer version replaces the entry.
 struct Entry {
-    page: Arc<[u8]>,
+    page: EncodedTuple<Arc<[u8]>>,
     /// What the entry is charged against the shard's budget: the bytes it
     /// holds, the URL's and the buffer's.
     bytes: usize,
@@ -283,39 +285,26 @@ impl SharedPageCache {
     /// Looks up a page by URL (a `&Url` or its `&str`, so a caller holding
     /// a link symbol need not build a `Url`): the one lookup, which counts
     /// every hit and miss. A hit takes the shard's read lock only to bump
-    /// the entry's read count and clone its buffer, and
-    /// [parses](EncodedTuple::parse) after releasing it, so a writer never
-    /// waits on a reader. What it hands out is the checked buffer, the
-    /// caller's to keep and to read in place. A buffer that does not parse
-    /// counts as a miss, and its entry is dropped.
+    /// the entry's read count and clone its buffer, which was
+    /// [checked](EncodedTuple::parse) when it was inserted: what it hands
+    /// out is the caller's to keep and to read in place, with no second
+    /// check.
     pub fn get_encoded<Q>(&self, url: &Q) -> Option<EncodedTuple<Arc<[u8]>>>
     where
         Url: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let page = {
-            let shard = self.shard_of(url).read();
-            let Some(e) = shard.map.get(url) else {
-                self.misses.inc();
-                return None;
-            };
-            let freq = e.freq.load(Ordering::Relaxed);
-            if freq < FREQ_CAP {
-                e.freq.store(freq + 1, Ordering::Relaxed);
-            }
-            Arc::clone(&e.page)
+        let shard = self.shard_of(url).read();
+        let Some(e) = shard.map.get(url) else {
+            self.misses.inc();
+            return None;
         };
-        if let Some(checked) = EncodedTuple::parse(Arc::clone(&page)) {
-            self.hits.inc();
-            return Some(checked);
+        let freq = e.freq.load(Ordering::Relaxed);
+        if freq < FREQ_CAP {
+            e.freq.store(freq + 1, Ordering::Relaxed);
         }
-        self.misses.inc();
-        let mut shard = self.shard_of(url).write();
-        let same = |e: &Entry| Arc::ptr_eq(&e.page, &page);
-        if shard.map.get(url).is_some_and(same) && shard.remove(url) {
-            self.invalidations.inc();
-        }
-        None
+        self.hits.inc();
+        Some(e.page.clone())
     }
 
     /// [`SharedPageCache::get_encoded`], decoded: a new page equal to the
@@ -333,23 +322,35 @@ impl SharedPageCache {
     /// Inserts (or refreshes) a page, evicting if the shard exceeds its
     /// byte budget. A new URL enters the small queue, or the main queue if
     /// it was recently evicted from the small one; a refreshed URL keeps
-    /// its place. The page is encoded before the shard is locked, and the
-    /// cache keeps only the encoding. A page whose URL and encoding exceed
-    /// the main queue's share of a shard, which it could only enter by
-    /// evicting everything else there, is not cached, and counted in
-    /// [`CacheStats::rejected_oversize`].
+    /// its place. The page is encoded and checked before the shard is
+    /// locked, and the cache keeps only the encoding. A page whose URL and
+    /// encoding exceed the main queue's share of a shard, which it could
+    /// only enter by evicting everything else there, is not cached, and
+    /// counted in [`CacheStats::rejected_oversize`].
     pub fn insert(&self, url: &Url, tuple: &Arc<Tuple>, last_modified: Option<u64>) {
-        let page: Arc<[u8]> = tuple.encode().into();
+        self.insert_encoded(url, tuple.encode().into(), last_modified);
+    }
+
+    /// [`SharedPageCache::insert`] from the encoding: the gate every page
+    /// passes. The buffer is [checked](EncodedTuple::parse) here, once, so
+    /// that no hit checks it again; one that does not parse is not cached.
+    /// A refused buffer, too large or not parsing, drops the older copy it
+    /// supersedes.
+    fn insert_encoded(&self, url: &Url, page: Arc<[u8]>, last_modified: Option<u64>) {
         let bytes = url.as_str().len() + page.len();
         let small_budget = self.shard_budget * SMALL_PERCENT / 100;
-        if bytes > self.shard_budget - small_budget {
+        let checked = if bytes > self.shard_budget - small_budget {
             self.rejected_oversize.inc();
-            // The older copy this one supersedes must not be served either.
+            None
+        } else {
+            EncodedTuple::parse(page)
+        };
+        let Some(page) = checked else {
             if self.shard_of(url).write().remove(url) {
                 self.invalidations.inc();
             }
             return;
-        }
+        };
         let hash = hash_of(url);
         let mut guard = self.shards[(hash as usize) % SHARDS].write();
         let shard = &mut *guard;
@@ -430,19 +431,12 @@ impl SharedPageCache {
         self.len() == 0
     }
 
-    /// Cuts the last byte off `url`'s buffer, books kept: a buffer that no
-    /// longer parses.
+    /// Inserts `bytes` as they are, through the gate
+    /// [`SharedPageCache::insert`] takes: a buffer that no page encodes to
+    /// can be offered.
     #[cfg(test)]
-    pub(crate) fn truncate(&self, url: &Url) {
-        let shard = &mut *self.shard_of(url).write();
-        if let Some(e) = shard.map.get_mut(url) {
-            e.page = Arc::from(&e.page[..e.page.len() - 1]);
-            e.bytes -= 1;
-            shard.bytes -= 1;
-            if !e.main {
-                shard.small_bytes -= 1;
-            }
-        }
+    pub(crate) fn insert_raw(&self, url: &Url, bytes: &[u8]) {
+        self.insert_encoded(url, bytes.into(), None);
     }
 
     /// Current counters and occupancy.
@@ -484,7 +478,8 @@ mod tests {
             let s = shard.read();
             let mut small = 0;
             for (url, e) in &s.map {
-                assert_eq!(e.bytes, url.as_str().len() + e.page.len());
+                let page = e.page.to_tuple().encode();
+                assert_eq!(e.bytes, url.as_str().len() + page.len());
                 small += if e.main { 0 } else { e.bytes };
             }
             let bytes: usize = s.map.values().map(|e| e.bytes).sum();
@@ -550,10 +545,15 @@ mod tests {
         let cache = SharedPageCache::default();
         let url = Url::new("/a");
         cache.insert(&url, &page("a"), None);
-        cache.truncate(&url);
+        // The copy it supersedes is dropped, and it is not cached itself.
+        let bytes = page("b").encode();
+        cache.insert_raw(&url, &bytes[..bytes.len() - 1]);
         assert_eq!(cache.get(&url), None);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.invalidations, s.entries), (0, 1, 1, 0));
+        assert_eq!(s.insertions, 1);
+        cache.insert_raw(&url, &bytes);
+        assert_eq!(cache.get(&url), Some(page("b")), "the same gate admits it");
         audit(&cache);
     }
 

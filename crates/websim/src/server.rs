@@ -430,62 +430,67 @@ impl VirtualServer {
         answer(waited, url, served)
     }
 
-    /// The server's side of [`VirtualServer::get`]; a `Slow` fault's wait
+    /// The fault a GET (or, `head`, a HEAD) of `url` meets, decided
+    /// against the page's scheme. An availability fault is the request's
+    /// answer. A `Slow` fault's delay is waited out here, holding no lock,
+    /// as the latency wait is, so a writer never waits on it; the wait
     /// clears `waited` when it is abandoned.
-    fn serve_get(&self, url: &Url, waited: &mut bool) -> Result<PageResponse, SourceError> {
-        let pages = self.pages.read();
-        let scheme = pages.get(url).map(|p| p.scheme.as_str());
-        match self.apply_fault(url, scheme, false) {
-            Some(FaultKind::Unavailable) => {
-                return Err(SourceError::Unavailable {
-                    url: url.clone(),
-                    reason: "http 503".to_string(),
-                })
-            }
-            Some(FaultKind::Timeout) => return Err(SourceError::Timeout(url.clone())),
+    fn meet_fault(
+        &self,
+        url: &Url,
+        head: bool,
+        waited: &mut bool,
+    ) -> Result<Option<FaultKind>, SourceError> {
+        let kind = {
+            let pages = self.pages.read();
+            self.apply_fault(url, pages.get(url).map(|p| p.scheme.as_str()), head)
+        };
+        match kind {
+            Some(FaultKind::Unavailable) => Err(SourceError::Unavailable {
+                url: url.clone(),
+                reason: "http 503".to_string(),
+            }),
+            Some(FaultKind::Timeout) => Err(SourceError::Timeout(url.clone())),
             Some(FaultKind::LinkRot) => {
-                self.not_found.inc();
-                return Err(SourceError::NotFound(url.clone()));
-            }
-            Some(FaultKind::Slow { delay_us }) if delay_us > 0 => {
-                *waited &= simulated_wait(Duration::from_micros(delay_us), url);
-            }
-            Some(FaultKind::Truncate { keep_pct }) => {
-                // Serve (and count) a prefix of the body: the transfer
-                // "succeeded" on the wire but the document is mangled.
-                if let Some(p) = pages.get(url) {
-                    let keep = p.body.len() * keep_pct.min(100) as usize / 100;
-                    let body: Arc<[u8]> = Arc::from(&p.body[..keep]);
-                    self.gets.inc();
-                    self.bytes.add(body.len() as u64);
-                    self.get_bytes.observe(body.len() as u64);
-                    self.count_get(&p.scheme);
-                    return Ok(PageResponse {
-                        scheme: p.scheme.clone(),
-                        body,
-                        last_modified: p.last_modified,
-                    });
-                }
-            }
-            Some(FaultKind::Slow { .. }) | None => {}
-        }
-        match pages.get(url) {
-            Some(p) => {
-                self.gets.inc();
-                self.bytes.add(p.body.len() as u64);
-                self.get_bytes.observe(p.body.len() as u64);
-                self.count_get(&p.scheme);
-                Ok(PageResponse {
-                    scheme: p.scheme.clone(),
-                    body: p.body.clone(),
-                    last_modified: p.last_modified,
-                })
-            }
-            None => {
                 self.not_found.inc();
                 Err(SourceError::NotFound(url.clone()))
             }
+            Some(FaultKind::Slow { delay_us }) => {
+                if delay_us > 0 {
+                    *waited &= simulated_wait(Duration::from_micros(delay_us), url);
+                }
+                Ok(kind)
+            }
+            Some(FaultKind::Truncate { .. }) | None => Ok(kind),
         }
+    }
+
+    /// The server's side of [`VirtualServer::get`].
+    fn serve_get(&self, url: &Url, waited: &mut bool) -> Result<PageResponse, SourceError> {
+        let fault = self.meet_fault(url, false, waited)?;
+        let pages = self.pages.read();
+        let Some(p) = pages.get(url) else {
+            self.not_found.inc();
+            return Err(SourceError::NotFound(url.clone()));
+        };
+        // A truncated transfer "succeeded" on the wire, and is counted,
+        // but the document is mangled: a prefix of the body.
+        let body = match fault {
+            Some(FaultKind::Truncate { keep_pct }) => {
+                let keep = p.body.len() * keep_pct.min(100) as usize / 100;
+                Arc::from(&p.body[..keep])
+            }
+            _ => p.body.clone(),
+        };
+        self.gets.inc();
+        self.bytes.add(body.len() as u64);
+        self.get_bytes.observe(body.len() as u64);
+        self.count_get(&p.scheme);
+        Ok(PageResponse {
+            scheme: p.scheme.clone(),
+            body,
+            last_modified: p.last_modified,
+        })
     }
 
     /// Light connection: only existence and last-modified are exchanged.
@@ -497,28 +502,11 @@ impl VirtualServer {
         answer(waited, url, served)
     }
 
-    /// The server's side of [`VirtualServer::head`].
+    /// The server's side of [`VirtualServer::head`]. Body-mangling faults
+    /// do not apply.
     fn serve_head(&self, url: &Url, waited: &mut bool) -> Result<HeadResponse, SourceError> {
-        let pages = self.pages.read();
-        let scheme = pages.get(url).map(|p| p.scheme.as_str());
-        match self.apply_fault(url, scheme, true) {
-            Some(FaultKind::Unavailable) => {
-                return Err(SourceError::Unavailable {
-                    url: url.clone(),
-                    reason: "http 503".to_string(),
-                })
-            }
-            Some(FaultKind::Timeout) => return Err(SourceError::Timeout(url.clone())),
-            Some(FaultKind::LinkRot) => {
-                self.not_found.inc();
-                return Err(SourceError::NotFound(url.clone()));
-            }
-            Some(FaultKind::Slow { delay_us }) if delay_us > 0 => {
-                *waited &= simulated_wait(Duration::from_micros(delay_us), url);
-            }
-            Some(FaultKind::Slow { .. } | FaultKind::Truncate { .. }) | None => {}
-        }
-        match pages.get(url) {
+        self.meet_fault(url, true, waited)?;
+        match self.pages.read().get(url) {
             Some(p) => {
                 self.heads.inc();
                 Ok(HeadResponse {
@@ -925,6 +913,36 @@ mod tests {
             "unbudgeted: slow"
         );
         s.clear_fault_plan();
+    }
+
+    #[test]
+    fn a_slow_response_holds_no_lock_a_writer_waits_on() {
+        use std::time::Instant;
+        let s = server_with_page();
+        let slow_rule = crate::fault::FaultRule::slow(1.0, 200_000);
+        s.set_fault_plan(FaultPlan::new(3).with_rule(slow_rule));
+        let url = Url::new("/a.html");
+        let (put, (got, slow)) = std::thread::scope(|scope| {
+            let get = scope.spawn(|| {
+                let t0 = Instant::now();
+                (s.get(&url), t0.elapsed())
+            });
+            // The fault is counted when it is decided, before its delay.
+            while s.stats().faults.slow == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let t0 = Instant::now();
+            s.put(Url::new("/b.html"), "BPage", "<html>B</html>");
+            (t0.elapsed(), get.join().unwrap())
+        });
+        assert!(
+            put < Duration::from_millis(100),
+            "a put waited {put:?} on a slow GET"
+        );
+        assert!(slow >= Duration::from_millis(200), "the GET was slow");
+        assert_eq!(&got.unwrap().body[..], b"<html>A</html>");
+        let st = s.stats();
+        assert_eq!((st.gets, st.bytes, st.faults.slow), (1, 14, 1));
     }
 
     #[test]
