@@ -162,11 +162,6 @@ impl ColumnRel {
         &self.names
     }
 
-    /// Column header as strings (allocates).
-    pub fn column_strings(&self) -> Vec<String> {
-        self.names.iter().map(|s| s.as_str().to_string()).collect()
-    }
-
     /// The columns.
     pub fn columns(&self) -> &[Column] {
         &self.cols
@@ -182,41 +177,11 @@ impl ColumnRel {
         self.len == 0
     }
 
-    /// Resolves a column reference: exact match first, then unique dotted
-    /// suffix, mirroring [`Relation::resolve`] including its errors.
+    /// Resolves a column reference by [`crate::name`]'s rule.
     pub fn resolve(&self, name: &str) -> Result<usize> {
-        if let Some(i) = self.names.iter().position(|c| c.as_str() == name) {
-            return Ok(i);
-        }
-        let suffix = format!(".{name}");
-        let hits: Vec<usize> = self
-            .names
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.as_str().ends_with(&suffix))
-            .map(|(i, _)| i)
-            .collect();
-        match hits.len() {
-            1 => Ok(hits[0]),
-            0 => Err(AdmError::UnknownAttribute {
-                attr: name.to_string(),
-                within: format!(
-                    "relation [{}]",
-                    self.names
-                        .iter()
-                        .map(|s| s.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            }),
-            _ => Err(AdmError::AmbiguousAttribute {
-                attr: name.to_string(),
-                candidates: hits
-                    .iter()
-                    .map(|&i| self.names[i].as_str().to_string())
-                    .collect(),
-            }),
-        }
+        crate::name::resolve(&self.names, name, |c| {
+            crate::name::binding(&[c.as_str()], &[name])
+        })
     }
 
     /// True if the cell at `(row, col)` is null.
@@ -758,7 +723,8 @@ impl ColumnRel {
                     .collect()
             })
             .collect();
-        Relation::from_full_rows(self.column_strings(), rows)
+        let names = self.names.iter().map(|s| s.as_str().to_string());
+        Relation::from_full_rows(names.collect(), rows)
     }
 }
 

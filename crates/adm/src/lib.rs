@@ -35,6 +35,7 @@ pub mod dot;
 pub mod error;
 pub mod hash;
 pub mod intern;
+pub mod name;
 pub mod paths;
 pub mod relation;
 pub mod schema;

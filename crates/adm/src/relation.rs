@@ -3,9 +3,9 @@
 //! Intermediate results of the navigational algebra are relations whose
 //! columns carry *qualified dotted names* (`ProfPage.URL`,
 //! `ProfPage.CourseList.CName`, …). Attribute references in queries resolve
-//! by exact match or by unique suffix (`CName` resolves to the single column
-//! ending in `.CName`), mirroring the paper's convention that "attributes
-//! are suitably renamed whenever needed".
+//! by [`crate::name`]: exact match, else unique dotted suffix (`CName`
+//! resolves to the single column ending in `.CName`), the paper's
+//! convention that "attributes are suitably renamed whenever needed".
 //!
 //! All operators have set semantics: projection deduplicates, and we assume
 //! (per the paper, footnote 3) no duplicates arise inside pages.
@@ -116,31 +116,11 @@ impl Relation {
         Ok(())
     }
 
-    /// Resolves a column reference: exact match first, then unique dotted
-    /// suffix (`Name` matches `ProfPage.Name`), with ambiguity detection.
+    /// Resolves a column reference by [`crate::name`]'s rule: the column
+    /// named exactly, else the one whose dotted suffix it is (`Name`
+    /// matches `ProfPage.Name`).
     pub fn resolve(&self, name: &str) -> Result<usize> {
-        if let Some(i) = self.columns.iter().position(|c| c == name) {
-            return Ok(i);
-        }
-        let suffix = format!(".{name}");
-        let hits: Vec<usize> = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.ends_with(&suffix))
-            .map(|(i, _)| i)
-            .collect();
-        match hits.len() {
-            1 => Ok(hits[0]),
-            0 => Err(AdmError::UnknownAttribute {
-                attr: name.to_string(),
-                within: format!("relation [{}]", self.columns.join(", ")),
-            }),
-            _ => Err(AdmError::AmbiguousAttribute {
-                attr: name.to_string(),
-                candidates: hits.iter().map(|&i| self.columns[i].clone()).collect(),
-            }),
-        }
+        crate::name::resolve_name(&self.columns, name)
     }
 
     /// Returns the value at `(row, column-name)`.

@@ -39,8 +39,8 @@ use crate::cost::EstimateMemo;
 use crate::stats::SiteStatistics;
 use crate::{OptError, Result};
 use adm::intern::Symbol;
+use adm::name::{binding, position, Binding};
 use adm::{Field, PageScheme, Value, WebScheme};
-use nalg::expr::resolve_column;
 use nalg::{NalgExpr, Pred};
 use std::collections::HashMap;
 use std::fmt;
@@ -120,10 +120,27 @@ impl Col {
 
     /// `self.ends_with(".URL")` on the strings.
     pub fn is_url(self) -> bool {
-        self.rest.is_some_and(|r| {
-            let r = r.as_str();
-            r == "URL" || r.ends_with(".URL")
-        })
+        self.rest
+            .is_some_and(|r| binding(&[r.as_str()], &["URL"]).is_some())
+    }
+
+    /// How the reference `name`, whose dotted parts are `parts`, binds this
+    /// column by [`adm::name`]'s rule. Equal columns are equal strings, and
+    /// an alias holds no dot, so any other reference that binds the column
+    /// ends it within its path after the alias.
+    fn bound_by(self, name: Col, parts: &[&str]) -> Option<Binding> {
+        if self == name {
+            return Some(Binding::Exact);
+        }
+        binding(&[self.rest?.as_str()], parts).map(|_| Binding::Suffix)
+    }
+
+    /// `f` of the dotted parts, `[alias]` or `[alias, rest]`.
+    fn with_parts<R>(self, f: impl FnOnce(&[&str]) -> R) -> R {
+        match self.rest {
+            Some(rest) => f(&[self.alias.as_str(), rest.as_str()]),
+            None => f(&[self.alias.as_str()]),
+        }
     }
 }
 
@@ -488,19 +505,11 @@ impl<'ws> PlanArena<'ws> {
     }
 
     /// The column of `input`'s header that `name` resolves to, or the error
-    /// `nalg::expr::resolve_column` gives.
+    /// resolution reports.
     pub(crate) fn resolve_or_err(&self, input: NodeId, name: Col) -> Result<Col> {
         let header = self.header_or_err(input)?;
-        match resolve(&header, name) {
-            Some(i) => Ok(header[i]),
-            None => {
-                let cols: Vec<String> = header.iter().map(Col::to_string).collect();
-                Err(match resolve_column(&cols, &name.to_string()) {
-                    Err(e) => OptError::Eval(e),
-                    Ok(_) => OptError::NoPlan(format!("unresolved attribute {name}")),
-                })
-            }
-        }
+        let i = resolve_or_adm_err(&header, name).map_err(|e| OptError::Eval(e.into()))?;
+        Ok(header[i])
     }
 
     /// Full static validation: the plan is computable and every reference
@@ -909,42 +918,14 @@ impl<'ws> PlanArena<'ws> {
     }
 }
 
-/// Resolves a reference against a header: exact match, else unique dotted
-/// suffix — the rule of `nalg::expr::resolve_column`. `None` where that
-/// errors (unknown or ambiguous).
+/// Resolves a reference against a header by [`adm::name`]'s rule.
 pub(crate) fn resolve(header: &[Col], name: Col) -> Option<usize> {
-    if let Some(i) = header.iter().position(|&c| c == name) {
-        return Some(i);
-    }
-    let alias = name.alias.as_str();
-    let rest = name.rest.map(Symbol::as_str);
-    let mut hit = None;
-    for (i, c) in header.iter().enumerate() {
-        // `c` ends with ".{name}": the alias of `c` has no dot, so the
-        // suffix begins at the dot before `c.rest` or inside it.
-        if c.rest
-            .is_some_and(|r| is_dotted_suffix(r.as_str(), alias, rest))
-        {
-            if hit.is_some() {
-                return None;
-            }
-            hit = Some(i);
-        }
-    }
-    hit
+    name.with_parts(|parts| position(header.iter().map(|c| c.bound_by(name, parts))))
 }
 
-/// True when `path` equals `alias[.rest]` or ends with `.alias[.rest]`.
-fn is_dotted_suffix(path: &str, alias: &str, rest: Option<&str>) -> bool {
-    let head = match rest {
-        None => path,
-        Some(rest) => match path.strip_suffix(rest).and_then(|h| h.strip_suffix('.')) {
-            Some(head) => head,
-            None => return false,
-        },
-    };
-    head.strip_suffix(alias)
-        .is_some_and(|before| before.is_empty() || before.ends_with('.'))
+/// [`resolve`], with the error resolution reports.
+fn resolve_or_adm_err(header: &[Col], name: Col) -> adm::Result<usize> {
+    name.with_parts(|parts| adm::name::resolve(header, name, |c| c.bound_by(name, parts)))
 }
 
 #[cfg(test)]
@@ -1057,23 +1038,56 @@ mod tests {
         );
     }
 
-    #[test]
-    fn suffix_resolution_follows_the_string_rule() {
-        assert!(is_dotted_suffix("CourseList.CName", "CName", None));
-        assert!(is_dotted_suffix("CName", "CName", None));
-        assert!(!is_dotted_suffix("CourseList.XCName", "CName", None));
-        assert!(is_dotted_suffix("A.B.C", "B", Some("C")));
-        assert!(is_dotted_suffix("B.C", "B", Some("C")));
-        assert!(!is_dotted_suffix("AB.C", "B", Some("C")));
-        assert!(!is_dotted_suffix("B.XC", "B", Some("C")));
-        let header: Vec<Col> = ["P.URL", "P.L.Name", "Q.Name"]
-            .iter()
-            .map(|s| Col::parse(s))
-            .collect();
-        assert_eq!(resolve(&header, Col::parse("Q.Name")), Some(2));
-        assert_eq!(resolve(&header, Col::parse("L.Name")), Some(1));
-        assert_eq!(resolve(&header, Col::parse("URL")), Some(0));
-        assert_eq!(resolve(&header, Col::parse("Name")), None, "ambiguous");
-        assert_eq!(resolve(&header, Col::parse("Nope")), None);
+    /// Columns that share suffixes: `_1` aliases, nested `List.Field`,
+    /// `URL`.
+    const COLUMNS: [&str; 11] = [
+        "P.URL",
+        "P_1.URL",
+        "P.Name",
+        "P_1.Name",
+        "P.DName",
+        "P.List.Name",
+        "P.List.ToQ",
+        "P_1.List.Name",
+        "Q.URL",
+        "Q.Name",
+        "Q.List.Name",
+    ];
+
+    /// References beside the exact ones: dotted suffixes, suffixes that
+    /// do not start after a dot, unknown names.
+    const REFERENCES: [&str; 10] = [
+        "URL",
+        "Name",
+        "List.Name",
+        "ToQ",
+        "1.Name",
+        "ame",
+        "RL",
+        "List",
+        "Nope",
+        "P.Nope",
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn the_arena_resolves_as_a_relation_does(
+            mask in proptest::collection::vec(proptest::prelude::any::<bool>(), COLUMNS.len()),
+            pick in 0usize..COLUMNS.len() + REFERENCES.len(),
+        ) {
+            let header: Vec<&str> = (COLUMNS.iter().zip(&mask))
+                .filter_map(|(c, &keep)| keep.then_some(*c))
+                .collect();
+            let reference = COLUMNS.iter().chain(&REFERENCES).nth(pick).unwrap();
+            let cols: Vec<Col> = header.iter().map(|c| Col::parse(c)).collect();
+            let by_relation = adm::Relation::new(header.clone()).resolve(reference);
+            let name = Col::parse(reference);
+            assert_eq!(resolve(&cols, name), by_relation.clone().ok(), "{reference} in {header:?}");
+            let kind = |r: adm::Result<usize>| r.map_err(|e| std::mem::discriminant(&e));
+            assert_eq!(kind(resolve_or_adm_err(&cols, name)), kind(by_relation));
+            for c in &cols {
+                assert_eq!(c.is_url(), c.to_string().ends_with(".URL"), "{c}");
+            }
+        }
     }
 }

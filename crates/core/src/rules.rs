@@ -950,7 +950,6 @@ type PruneAction = (Vec<u8>, Vec<(Col, Col)>, Vec<DepId>);
 mod tests {
     use super::*;
     use crate::OptError;
-    use nalg::expr::resolve_column;
     use nalg::{NalgExpr, Pred};
     use websim::sitegen::bibliography::bibliography_scheme;
     use websim::sitegen::university::university_scheme;
@@ -1024,7 +1023,9 @@ mod tests {
         assert_eq!(
             rw.qualify(id),
             Err(OptError::Eval(
-                resolve_column(&cols, "Bogus").expect_err("unknown")
+                adm::name::resolve_name(&cols, "Bogus")
+                    .expect_err("unknown")
+                    .into()
             ))
         );
         let not_a_link = prof_spine().follow("PName", "ProfPage").project(vec!["x"]);

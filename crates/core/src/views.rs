@@ -146,7 +146,7 @@ impl ViewCatalog {
                             relation: rel.name.clone(),
                             attr: attr.clone(),
                         })?;
-                    nalg::expr::resolve_column(&cols, col).map_err(OptError::Eval)?;
+                    adm::name::resolve_name(&cols, col).map_err(|e| OptError::Eval(e.into()))?;
                 }
             }
         }

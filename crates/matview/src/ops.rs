@@ -21,8 +21,9 @@
 use crate::delta::{add_row, PageDelta, RowDeltas, RowSet};
 use crate::store::MatStore;
 use crate::{MatError, Result};
+use adm::name::resolve_name;
 use adm::{Tuple, Url, Value, WebScheme};
-use nalg::expr::{field_of_column, resolve_column};
+use nalg::expr::field_of_column;
 use nalg::{NalgExpr, PageServer, Pred};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -62,8 +63,8 @@ enum RPred {
 
 fn compile_pred(p: &Pred, cols: &[String]) -> Result<RPred> {
     Ok(match p {
-        Pred::Eq(attr, v) => RPred::Eq(resolve_column(cols, attr)?, v.clone()),
-        Pred::EqAttr(a, b) => RPred::EqAttr(resolve_column(cols, a)?, resolve_column(cols, b)?),
+        Pred::Eq(attr, v) => RPred::Eq(resolve_name(cols, attr)?, v.clone()),
+        Pred::EqAttr(a, b) => RPred::EqAttr(resolve_name(cols, a)?, resolve_name(cols, b)?),
         Pred::And(ps) => RPred::And(
             ps.iter()
                 .map(|p| compile_pred(p, cols))
@@ -214,7 +215,7 @@ fn compile_node(expr: &NalgExpr, ws: &WebScheme) -> Result<Node> {
             let in_cols = input.output_columns(ws)?;
             let idx = cols
                 .iter()
-                .map(|c| resolve_column(&in_cols, c).map_err(MatError::from))
+                .map(|c| resolve_name(&in_cols, c).map_err(MatError::from))
                 .collect::<Result<Vec<_>>>()?;
             let kind = Kind::Project {
                 idx,
@@ -229,8 +230,8 @@ fn compile_node(expr: &NalgExpr, ws: &WebScheme) -> Result<Node> {
             let mut lk = Vec::new();
             let mut rk = Vec::new();
             for (l, r) in on {
-                lk.push(resolve_column(&lcols, l)?);
-                rk.push(resolve_column(&rcols, r)?);
+                lk.push(resolve_name(&lcols, l)?);
+                rk.push(resolve_name(&rcols, r)?);
             }
             let kind = Kind::Join {
                 left: child(left)?,
@@ -244,7 +245,7 @@ fn compile_node(expr: &NalgExpr, ws: &WebScheme) -> Result<Node> {
         }
         NalgExpr::Unnest { input, attr } => {
             let in_cols = input.output_columns(ws)?;
-            let ci = resolve_column(&in_cols, attr)?;
+            let ci = resolve_name(&in_cols, attr)?;
             let qualified = in_cols[ci].clone();
             let field = field_of_column(ws, &expr.alias_map()?, &qualified)?;
             let inner: Vec<String> = field
@@ -269,7 +270,7 @@ fn compile_node(expr: &NalgExpr, ws: &WebScheme) -> Result<Node> {
             target,
             alias: _,
         } => {
-            let li = resolve_column(&input.output_columns(ws)?, link)?;
+            let li = resolve_name(&input.output_columns(ws)?, link)?;
             let kind = Kind::Follow {
                 li,
                 target: target.clone(),

@@ -35,12 +35,13 @@
 //!   cost-model comparisons are unaffected.
 
 use crate::error::EvalError;
-use crate::expr::{field_of_column, resolve_column, NalgExpr, Pred};
+use crate::expr::{field_of_column, NalgExpr, Pred};
 use crate::fetch::{Done, FetchPool, Job};
 use crate::policy::{EvalPolicy, Fetch};
 use crate::reads::Reads;
 use crate::source::{PageSource, SourceError};
 use crate::Result;
+use adm::name::{binding, position};
 use adm::{
     ColumnRel, ColumnRelBuilder, EncodedTuple, InclusionConstraint, LinkConstraint, PageScheme,
     Relation, Symbol, Tuple, Url, Value, WebScheme,
@@ -251,9 +252,9 @@ enum ResidualFilter {
 
 /// The rows of a Follow's input `rel` that can survive `filters`, or
 /// `None` when no filter applies. Each atom is resolved against the
-/// Follow's output header (input columns ++ `page_cols`) by the rule σ and
-/// ⋈ themselves resolve by, and is applied — through the same kernels σ
-/// and ⋈ run on, so the semantics cannot drift apart — only when it binds
+/// Follow's output header (input columns ++ `page_cols`) by [`adm::name`],
+/// as σ and ⋈ resolve, and is applied — through the same kernels σ and ⋈
+/// run on, so the semantics cannot drift apart — only when it binds
 /// wholly to the *input* side: a page-side or unresolvable binding cannot
 /// be judged before the page is fetched. `Pred` has no disjunction, so
 /// each atom is independently necessary and any applicable subset is
@@ -264,9 +265,11 @@ fn survivors(
     page_cols: &[String],
 ) -> Option<ColumnRel> {
     let n = rel.names().len();
-    let mut header = rel.column_strings();
-    header.extend_from_slice(page_cols);
-    let input = |attr: &str| resolve_column(&header, attr).ok().filter(|&i| i < n);
+    let input = |attr: &str| {
+        let names = rel.names().iter().map(|c| c.as_str());
+        let header = names.chain(page_cols.iter().map(String::as_str));
+        position(header.map(|c| binding(&[c], &[attr]))).filter(|&i| i < n)
+    };
     let mut cur: Option<ColumnRel> = None;
     for f in filters {
         match f {
@@ -771,6 +774,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         // A backup fetch needs someone to race: over the inline executor
         // nothing runs concurrently with this loop, so hedging is inert.
         let hedge = self.policy.fetch.hedge();
+        let deadline = &self.policy.deadline;
         ctx.fetch_epoch += 1;
         let (scheme, epoch) = (Symbol::intern(scheme), ctx.fetch_epoch);
         let job = |url, hedge| Job {
@@ -786,7 +790,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         }
         let mut pending: HashMap<Symbol, Pending> = HashMap::with_capacity(misses.len());
         for &s in misses {
-            if self.policy.deadline.expired() {
+            if deadline.expired() {
                 ctx.deadline_exceeded = true;
                 ctx.unreachable.insert(s.to_url());
                 continue;
@@ -808,7 +812,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             );
         }
         while !pending.is_empty() {
-            if self.policy.deadline.expired() {
+            if deadline.expired() {
                 // Budget gone: the pending set IS the exact not-yet-
                 // fetched URL set. Cancel the queued jobs cooperatively
                 // (workers skip them pre-dispatch) and brown out.
@@ -824,11 +828,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             }
             // Sleep until the next actionable instant: budget expiry or
             // the earliest hedge coming due.
-            let mut wait = self
-                .policy
-                .deadline
-                .remaining()
-                .unwrap_or(Duration::from_secs(60));
+            let mut wait = deadline.remaining().unwrap_or(Duration::from_secs(60));
             if let Some(h) = hedge {
                 let delay = Duration::from_micros(h.delay_us);
                 for (&s, p) in pending.iter_mut().filter(|(_, p)| !p.hedged) {

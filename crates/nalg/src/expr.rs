@@ -1,13 +1,14 @@
 //! NALG expression trees and their static analysis.
 //!
 //! Expressions reference attributes by name; names resolve against the
-//! expression's *output columns* by exact match or unique dotted suffix,
-//! exactly as the evaluator resolves them against materialized relations.
+//! expression's *output columns* by `adm::name`'s rule, as the evaluator
+//! resolves them against materialized relations.
 //! Every `Entry` and `Follow` node carries an **alias** (defaulting to its
 //! page-scheme name) that qualifies the columns it contributes, so the same
 //! page-scheme may appear several times in one plan (e.g. the three VLDB
 //! edition pages of the introduction's query).
 
+use adm::name::resolve_name;
 use adm::{AdmError, Field, Value, WebScheme};
 use std::collections::HashMap;
 use std::fmt;
@@ -356,7 +357,7 @@ impl NalgExpr {
             NalgExpr::Project { input, cols } => {
                 let in_cols = input.output_columns(ws)?;
                 cols.iter()
-                    .map(|c| resolve_column(&in_cols, c).map(|i| in_cols[i].clone()))
+                    .map(|c| Ok(in_cols[resolve_name(&in_cols, c)?].clone()))
                     .collect()
             }
             NalgExpr::Join { left, right, .. } => {
@@ -366,7 +367,7 @@ impl NalgExpr {
             }
             NalgExpr::Unnest { input, attr } => {
                 let in_cols = input.output_columns(ws)?;
-                let i = resolve_column(&in_cols, attr)?;
+                let i = resolve_name(&in_cols, attr)?;
                 let qualified = in_cols[i].clone();
                 let field = field_of_column(ws, &self.alias_map()?, &qualified)?;
                 let inner = field.ty.list_fields().ok_or_else(|| {
@@ -391,7 +392,7 @@ impl NalgExpr {
                 alias,
             } => {
                 let in_cols = input.output_columns(ws)?;
-                let i = resolve_column(&in_cols, link)?;
+                let i = resolve_name(&in_cols, link)?;
                 let qualified = in_cols[i].clone();
                 let field = field_of_column(ws, &self.alias_map()?, &qualified)?;
                 match field.ty.link_target() {
@@ -426,32 +427,6 @@ pub fn page_columns(ws: &WebScheme, scheme: &str, alias: &str) -> crate::Result<
     let mut cols = vec![format!("{alias}.URL")];
     cols.extend(ps.fields.iter().map(|f| format!("{alias}.{}", f.name)));
     Ok(cols)
-}
-
-/// Resolves a column name against a header: exact match, else unique
-/// dotted-suffix match (same rule as `adm::Relation::resolve`).
-pub fn resolve_column(cols: &[String], name: &str) -> crate::Result<usize> {
-    if let Some(i) = cols.iter().position(|c| c == name) {
-        return Ok(i);
-    }
-    let suffix = format!(".{name}");
-    let hits: Vec<usize> = cols
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.ends_with(&suffix))
-        .map(|(i, _)| i)
-        .collect();
-    match hits.len() {
-        1 => Ok(hits[0]),
-        0 => Err(crate::EvalError::Adm(AdmError::UnknownAttribute {
-            attr: name.to_string(),
-            within: format!("columns [{}]", cols.join(", ")),
-        })),
-        _ => Err(crate::EvalError::Adm(AdmError::AmbiguousAttribute {
-            attr: name.to_string(),
-            candidates: hits.iter().map(|&i| cols[i].clone()).collect(),
-        })),
-    }
 }
 
 /// Maps a fully qualified column (`alias.path…`) to its field definition.

@@ -10,13 +10,11 @@
 //! * µ reads its list attribute, but only to take the inner tuples apart;
 //! * the root reads every column whole, until a π stands in between.
 //!
-//! A field is kept when some name in the read set can bind its column:
-//! when the name is the column's full dotted name or a dotted suffix of it
-//! (`Rank`, `ProfPage.Rank`). That is the rule resolution binds by — exact
-//! match, else the unique dotted suffix — so every column a name could
-//! bind is kept, and resolution on the pruned header binds the column it
-//! binds on the full one: a name that was ambiguous still is, and one that
-//! bound nothing still binds nothing.
+//! A field is kept when some name in the read set binds its column by
+//! [`adm::name`]'s rule, the rule resolution binds by: every column a name
+//! could bind is kept, so resolution on the pruned header binds the column
+//! it binds on the full one — a name that was ambiguous still is, and one
+//! that bound nothing still binds nothing.
 //!
 //! The inner fields of a list are kept by the same rule, one level down
 //! (`ProfListPage.ProfList.ToProf`), unless some name reads the list whole,
@@ -31,6 +29,7 @@
 //! header.
 
 use crate::expr::{NalgExpr, Pred};
+use adm::name::binding;
 use adm::{Field, Keep};
 
 /// What the operators on the path from a node to the root read of the
@@ -109,7 +108,7 @@ impl<'r, 'e> Reads<'r, 'e> {
     /// True when some name read (read whole, if `whole_only`) can bind the
     /// column `{parent}.{field}`.
     fn binds(&self, parent: &str, field: &str, whole_only: bool) -> bool {
-        let hit = |name: &str| names_column(name, parent, field);
+        let hit = |name: &str| binding(&[parent, field], &[name]).is_some();
         let mut link = Some(self);
         while let Some(r) = link {
             if (r.whole || !whole_only) && r.names.any(&hit) {
@@ -146,24 +145,6 @@ impl<'r, 'e> Reads<'r, 'e> {
     pub(crate) fn unnests(&self, column: &str, field: &Field) -> bool {
         self.all || self.binds(column, &field.name, false)
     }
-}
-
-/// True when resolution can bind `name` to the column `{parent}.{field}`:
-/// `name` is the whole dotted name or a dotted suffix of it.
-fn names_column(name: &str, parent: &str, field: &str) -> bool {
-    match name.strip_suffix(field) {
-        Some("") => true,
-        Some(rest) => rest
-            .strip_suffix('.')
-            .is_some_and(|rest| is_dotted_suffix(rest, parent)),
-        None => is_dotted_suffix(name, field),
-    }
-}
-
-/// `name` equals `of` or ends it after a dot.
-fn is_dotted_suffix(name: &str, of: &str) -> bool {
-    of.strip_suffix(name)
-        .is_some_and(|rest| rest.is_empty() || rest.ends_with('.'))
 }
 
 #[cfg(test)]
@@ -315,52 +296,71 @@ mod tests {
         assert_eq!(got["BibHomePage"], ["ToConfList"]);
     }
 
-    #[test]
-    fn a_name_binds_a_column_by_its_dotted_suffixes_only() {
-        for (name, binds) in [
-            ("Rank", true),
-            ("ProfPage.Rank", true),
-            ("P.ProfPage.Rank", false),
-            ("ank", false),
-            ("Page.Rank", false),
-            (".Rank", false),
-            ("", false),
-            ("ProfPage", false),
-        ] {
-            assert_eq!(names_column(name, "ProfPage", "Rank"), binds, "{name}");
-        }
-        // an inner field, under a qualified list column
-        assert!(names_column(
-            "ProfList.ToProf",
-            "ProfListPage.ProfList",
-            "ToProf"
-        ));
-        assert!(names_column(
-            "ProfListPage.ProfList.ToProf",
-            "ProfListPage.ProfList",
-            "ToProf"
-        ));
-        assert!(!names_column(
-            "ProfPage.ToProf",
-            "ProfListPage.ProfList",
-            "ToProf"
-        ));
-        // a dot inside an alias or a field name is one more boundary
-        assert!(names_column("b.F", "a.b", "F"));
-        assert!(names_column("y", "A", "x.y"));
-        assert!(!names_column("x", "A", "x.y"));
-        // and it is resolution's rule, word for word, on a small alphabet
-        let words = ["", "a", "b", "ab", "ba", "a.b", ".a", "b.", "b.a.b"];
-        for name in words {
-            for parent in &words[1..] {
-                for field in &words[1..] {
-                    let column = format!("{parent}.{field}");
-                    let resolves = column == name || column.ends_with(&format!(".{name}"));
-                    assert_eq!(
-                        names_column(name, parent, field),
-                        resolves,
-                        "{name} {column}"
-                    );
+    /// Names of every kind against the fields below: exact, dotted
+    /// suffixes, suffixes that do not start after a dot, unknown.
+    const NAMES: [&str; 14] = [
+        "P.Name",
+        "P_1.Name",
+        "P.List",
+        "P_1.List.Name",
+        "Name",
+        "List.Name",
+        "List",
+        "ToQ",
+        "URL",
+        "ame",
+        "1.Name",
+        "ist.Name",
+        "DName",
+        "Nope",
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn a_page_keeps_a_field_exactly_when_a_name_read_binds_it(
+            projected in proptest::collection::vec(0usize..NAMES.len(), 0..4),
+            unnested in 0usize..NAMES.len() + 1,
+            alias in 0usize..2,
+        ) {
+            let alias = ["P", "P_1"][alias];
+            let fields = [
+                Field::text("Name"),
+                Field::text("DName"),
+                Field::list("List", vec![Field::text("Name"), Field::link("ToQ", "Q")]),
+            ];
+            // π[projected] over µ[unnested] (when drawn) over the page.
+            let mut below_pi = NalgExpr::entry("P");
+            let mut read: Vec<&str> = projected.iter().map(|&i| NAMES[i]).collect();
+            let whole = read.clone();
+            if let Some(&name) = NAMES.get(unnested) {
+                below_pi = below_pi.unnest(name);
+                read.push(name);
+            }
+            let plan = below_pi.clone().project(whole.clone());
+            let binds = |names: &[&str], column: &[&str]| {
+                names.iter().any(|n| adm::name::binding(column, &[n]).is_some())
+            };
+            let root = Reads::root();
+            let above = root.below(&plan);
+            let reads = above.below(&below_pi);
+            for f in &fields {
+                let kept = reads.keeps(alias, f);
+                assert_eq!(kept.is_some(), binds(&read, &[alias, &f.name]), "{f:?} {read:?}");
+                match (kept, f.ty.list_fields()) {
+                    (Some(Keep::Fields(inner)), Some(all)) => {
+                        assert!(!binds(&whole, &[alias, &f.name]));
+                        for g in all {
+                            assert_eq!(
+                                inner.iter().any(|(s, _)| *s == g.sym()),
+                                binds(&read, &[alias, &f.name, &g.name]),
+                                "{g:?} {read:?}"
+                            );
+                        }
+                    }
+                    (Some(Keep::All), Some(_)) => {
+                        assert!(binds(&whole, &[alias, &f.name]), "{read:?}");
+                    }
+                    _ => {}
                 }
             }
         }

@@ -20,6 +20,7 @@ mod reference_eval;
 use arb_query::{arb_query, QuerySpace};
 use proptest::prelude::*;
 use reference_eval::{Counters, Reference};
+use webviews::adm::{AdmError, ColumnRel};
 use webviews::nalg::SharedPageCache;
 use webviews::prelude::*;
 use wvcore::views::{bibliography_catalog, university_catalog};
@@ -528,6 +529,99 @@ proptest! {
                 ..UniversityConfig::default()
             }).unwrap();
             pin_drawn_queries(&u.site, &university_catalog(), &drawn);
+        }
+    }
+}
+
+/// Columns that share suffixes: `_1` aliases, nested `List.Field`, `URL`.
+const COLUMNS: [&str; 11] = [
+    "P.URL",
+    "P_1.URL",
+    "P.Name",
+    "P_1.Name",
+    "P.DName",
+    "P.List.Name",
+    "P.List.ToQ",
+    "P_1.List.Name",
+    "Q.URL",
+    "Q.Name",
+    "Q.List.Name",
+];
+
+/// References beside the exact ones: dotted suffixes, suffixes that do not
+/// start after a dot, unknown names.
+const REFERENCES: [&str; 10] = [
+    "URL",
+    "Name",
+    "List.Name",
+    "ToQ",
+    "1.Name",
+    "ame",
+    "RL",
+    "List",
+    "Nope",
+    "P.Nope",
+];
+
+/// Resolution as NALG states it on the strings: the column named exactly,
+/// else the one that ends with `.` and the reference.
+fn named_by_the_strings(header: &[&str], reference: &str) -> Result<usize, &'static str> {
+    if let Some(i) = header.iter().position(|c| *c == reference) {
+        return Ok(i);
+    }
+    let dotted = format!(".{reference}");
+    let hits: Vec<usize> = (0..header.len())
+        .filter(|&i| header[i].ends_with(&dotted))
+        .collect();
+    match hits[..] {
+        [i] => Ok(i),
+        [] => Err("unknown"),
+        _ => Err("ambiguous"),
+    }
+}
+
+fn kind(resolved: Result<usize, AdmError>) -> Result<usize, &'static str> {
+    resolved.map_err(|e| match e {
+        AdmError::UnknownAttribute { .. } => "unknown",
+        AdmError::AmbiguousAttribute { .. } => "ambiguous",
+        _ => "other",
+    })
+}
+
+// Both page-relations resolve a reference to the column the strings name,
+// or fail the same way, on drawn headers.
+proptest! {
+    #[test]
+    fn both_relations_resolve_the_column_the_strings_name(
+        mask in proptest::collection::vec(any::<bool>(), COLUMNS.len()),
+        pick in 0usize..COLUMNS.len() + REFERENCES.len(),
+    ) {
+        let header: Vec<&str> = (COLUMNS.iter().zip(&mask))
+            .filter_map(|(c, &keep)| keep.then_some(*c))
+            .collect();
+        let reference = COLUMNS.iter().chain(&REFERENCES).nth(pick).unwrap();
+        let expected = named_by_the_strings(&header, reference);
+        prop_assert_eq!(kind(Relation::new(header.clone()).resolve(reference)), expected);
+        prop_assert_eq!(kind(ColumnRel::empty(&header).resolve(reference)), expected);
+    }
+}
+
+/// The rule behind both, word for word, on a small alphabet of names that
+/// hold dots of their own.
+#[test]
+fn a_reference_binds_a_column_as_the_strings_say() {
+    let words = ["", "a", "b", "ab", "ba", "a.b", ".a", "b.", "b.a.b"];
+    for name in words {
+        for parent in &words[1..] {
+            for field in &words[1..] {
+                let column = format!("{parent}.{field}");
+                let binds = column == name || column.ends_with(&format!(".{name}"));
+                assert_eq!(
+                    webviews::adm::name::binding(&[parent, field], &[name]).is_some(),
+                    binds,
+                    "{name} {column}"
+                );
+            }
         }
     }
 }
