@@ -90,23 +90,6 @@ impl Col {
         self.alias == alias && self.rest.is_some()
     }
 
-    /// `self == of || self.starts_with("{of}.")` on the strings.
-    pub fn is_within(self, of: Col) -> bool {
-        if self.alias != of.alias {
-            return false;
-        }
-        match (self.rest, of.rest) {
-            (_, None) => true,
-            (None, Some(_)) => false,
-            (Some(r), Some(o)) => {
-                r == o
-                    || r.as_str()
-                        .strip_prefix(o.as_str())
-                        .is_some_and(|tail| tail.starts_with('.'))
-            }
-        }
-    }
-
     /// The last dotted segment.
     pub fn leaf(self) -> &'static str {
         match self.rest {
@@ -339,12 +322,6 @@ impl<'ws> PlanArena<'ws> {
             attrs: HashMap::new(),
             estimates: EstimateMemo::default(),
         }
-    }
-
-    /// Number of distinct subtrees made so far.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.nodes.len()
     }
 
     pub(crate) fn node(&self, id: NodeId) -> &Node {
@@ -932,6 +909,13 @@ fn resolve_or_adm_err(header: &[Col], name: Col) -> adm::Result<usize> {
 mod tests {
     use super::*;
     use websim::sitegen::university::university_scheme;
+
+    impl PlanArena<'_> {
+        /// Number of distinct subtrees made so far.
+        fn len(&self) -> usize {
+            self.nodes.len()
+        }
+    }
 
     fn prof_spine() -> NalgExpr {
         NalgExpr::entry("ProfListPage")

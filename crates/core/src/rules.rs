@@ -832,24 +832,29 @@ impl<'a> Rewriter<'a> {
     }
 
     // ----------------------------------------------------------------------
-    // rules 3, 5, 7 — navigation & unnest pruning under projections
+    // rules 5, 7 — navigation pruning under projections (the trace still
+    // names the step `rule357`)
     // ----------------------------------------------------------------------
 
-    /// Removes navigations and unnests whose results the query never uses:
+    /// Removes navigations whose results the query never uses:
     ///
     /// * rule 5 — `π_X(R1 –L→ R2) = π_X(R1)` when `X ⊆ attrs(R1)` and `L`
     ///   is non-optional;
     /// * rule 7 — references to replicated target attributes are first
     ///   rewritten onto their source anchors (link constraints), which can
-    ///   turn a used navigation into an unused one;
-    /// * rule 3 — `π_X(R ∘ A) = π_X(R)` when `X` doesn't use the unnested
-    ///   columns.
+    ///   turn a used navigation into an unused one.
     ///
     /// Only applies when the plan root is a projection (the rules hold
     /// under set-projection semantics). Returns the pruned plan and the
-    /// link constraints rule 7 rewrote references through; rules 3 and 5
-    /// assume nothing about the site. Constraints the gate rejects block
-    /// the rule-7 substitution, leaving the navigation in place.
+    /// link constraints rule 7 rewrote references through; rule 5 assumes
+    /// nothing about the site. Constraints the gate rejects block the
+    /// rule-7 substitution, leaving the navigation in place.
+    ///
+    /// An unused unnest stays: `π_X(R ∘ A) = π_X(R)` (rule 3) holds only
+    /// where no tuple's `A` is empty, since `∘` drops a tuple with an
+    /// empty list, and no declared constraint says a list is never empty.
+    /// Pruned, it answered every author on a bibliography's author list
+    /// for `π AName (AuthorPub)`, those without a paper included.
     pub fn prune_navigations(&mut self, root: NodeId) -> Rewritten {
         let mut used = Vec::new();
         if !matches!(self.arena.node(root), Node::Project { .. }) {
@@ -863,8 +868,7 @@ impl<'a> Rewriter<'a> {
                     .arena
                     .map_names(expr, &|c| if c == from { to } else { c }, &|a| a);
             }
-            let (Node::Follow { input, .. } | Node::Unnest { input, .. }) =
-                *self.arena.node(self.arena.node_at(expr, &path))
+            let Node::Follow { input, .. } = *self.arena.node(self.arena.node_at(expr, &path))
             else {
                 break;
             };
@@ -878,60 +882,52 @@ impl<'a> Rewriter<'a> {
         root: NodeId,
     ) -> std::result::Result<Option<PruneAction>, Unrewritable> {
         let aliases = self.arena.info(root).aliases.clone().ok_or(Unrewritable)?;
-        let navigations = self.arena.positions(root, |n| {
-            matches!(n, Node::Follow { .. } | Node::Unnest { .. })
-        });
+        let navigations = self
+            .arena
+            .positions(root, |n| matches!(n, Node::Follow { .. }));
         for (id, path) in navigations {
-            match *self.arena.node(id) {
-                Node::Follow {
-                    input, link, alias, ..
-                } => {
-                    // the link must be non-optional for rule 5 to hold
-                    let Some(field) = self.arena.field_of(&aliases, link) else {
-                        continue;
-                    };
-                    if field.optional {
-                        continue;
-                    }
-                    let mut outside: Vec<Col> = Vec::new();
-                    self.arena.for_each_ref_outside(root, &path, &mut |r| {
-                        if r.is_under_alias(alias) {
-                            outside.push(r);
-                        }
-                    });
-                    if outside.is_empty() {
-                        return Ok(Some((path, vec![], vec![])));
-                    }
-                    // rule 7: try to replace each referenced target
-                    // attribute with its replicated source anchor
-                    let Some(input_cols) = self.arena.info(input).header.clone() else {
-                        continue;
-                    };
-                    let mut subs = Vec::new();
-                    let mut used = Vec::new();
-                    let all_replaceable = outside.iter().all(|&r| {
-                        match self.constraint_source_col(&aliases, link, r) {
-                            Some((src, dep)) if resolve(&input_cols, src).is_some() => {
-                                subs.push((r, src));
-                                used.push(dep);
-                                true
-                            }
-                            _ => false,
-                        }
-                    });
-                    if all_replaceable {
-                        return Ok(Some((path, subs, used)));
-                    }
+            let Node::Follow {
+                input, link, alias, ..
+            } = *self.arena.node(id)
+            else {
+                continue;
+            };
+            // the link must be non-optional for rule 5 to hold
+            let Some(field) = self.arena.field_of(&aliases, link) else {
+                continue;
+            };
+            if field.optional {
+                continue;
+            }
+            let mut outside: Vec<Col> = Vec::new();
+            self.arena.for_each_ref_outside(root, &path, &mut |r| {
+                if r.is_under_alias(alias) {
+                    outside.push(r);
                 }
-                Node::Unnest { attr, .. } => {
-                    let mut used = false;
-                    self.arena
-                        .for_each_ref_outside(root, &path, &mut |r| used |= r.is_within(attr));
-                    if !used {
-                        return Ok(Some((path, vec![], vec![])));
-                    }
-                }
-                _ => {}
+            });
+            if outside.is_empty() {
+                return Ok(Some((path, vec![], vec![])));
+            }
+            // rule 7: try to replace each referenced target
+            // attribute with its replicated source anchor
+            let Some(input_cols) = self.arena.info(input).header.clone() else {
+                continue;
+            };
+            let mut subs = Vec::new();
+            let mut used = Vec::new();
+            let all_replaceable =
+                outside
+                    .iter()
+                    .all(|&r| match self.constraint_source_col(&aliases, link, r) {
+                        Some((src, dep)) if resolve(&input_cols, src).is_some() => {
+                            subs.push((r, src));
+                            used.push(dep);
+                            true
+                        }
+                        _ => false,
+                    });
+            if all_replaceable {
+                return Ok(Some((path, subs, used)));
             }
         }
         Ok(None)
@@ -943,7 +939,7 @@ impl<'a> Rewriter<'a> {
 type MergeAction = (Vec<u8>, NodeId, Vec<(Symbol, Symbol)>);
 
 /// `(path of the navigation to drop, reference substitutions, constraints
-/// the substitutions rely on)` describing one rule-3/5/7 step.
+/// the substitutions rely on)` describing one rule-5/7 step.
 type PruneAction = (Vec<u8>, Vec<(Col, Col)>, Vec<DepId>);
 
 #[cfg(test)]

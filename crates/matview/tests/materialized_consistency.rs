@@ -8,32 +8,28 @@
 //! silently passed off as current.
 //!
 //! The store also remembers the plans it answered with. The second half
-//! of this file pins that memory as invisible: a store that remembers
-//! answers exactly like one that does not — rows, maintenance traffic and
-//! chosen plan — through mutation rounds and for other constants of a
-//! shape, and a plan is never handed to a session that would not have
-//! chosen it.
+//! of this file pins that memory as invisible where a drawn history does
+//! not reach: a plan is never handed to a session that would not have
+//! chosen it, and recollected statistics or a second catalog plan for
+//! themselves. (That a store that remembers answers exactly like one that
+//! does not, over drawn sites and mutation rounds, is the seeded
+//! simulation's: the facade's `tests/sim.rs`.)
 //!
 //! The last part pins the sharing of pages and answers as invisible too:
 //! whoever holds a page hands out a reference to its own copy, what a
 //! reader keeps stays what it was handed whatever the store, the cache and
 //! the views do next, and only an attested page reaches the shared cache.
 
-#[path = "../../../tests/support/arb_query.rs"]
-mod arb_query;
-
 use adm::{Relation, Tuple, Url, Value};
-use arb_query::{arb_query, QueryPicks, QuerySpace};
 use matview::maintain::{audit, full_refresh};
 use matview::urlcheck::{url_check, CheckCounters};
 use matview::{IncrementalView, MatSession, MatStore};
-use nalg::{EvalPolicy, Evaluator, Fetch, NalgExpr, SharedPageCache};
-use proptest::prelude::*;
+use nalg::{EvalPolicy, Evaluator, NalgExpr, SharedPageCache};
 use std::sync::Arc;
 use websim::mutation::{MutationPlan, MutationRule};
-use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
+use websim::sitegen::{University, UniversityConfig};
 use websim::Site;
-use wvcore::views::{bibliography_catalog, university_catalog};
+use wvcore::views::university_catalog;
 use wvcore::{
     ConjunctiveQuery, ExecPolicy, ExternalRelation, LiveSource, PlanCache, QuerySession, RuleMask,
     SiteStatistics, ViewCatalog,
@@ -221,171 +217,9 @@ fn failed_redownload_is_marked_stale_not_kept_wrong() {
 }
 
 // ---------------------------------------------------------------------
-// A store that remembers its plans ≡ a store that does not.
+// A store that remembers its plans ≡ a store that does not over drawn
+// sites, queries and mutation rounds is the facade's `tests/sim.rs`.
 // ---------------------------------------------------------------------
-
-/// A site, its external view, and what to draw queries and mutations from.
-struct World {
-    site: Site,
-    catalog: ViewCatalog,
-    /// Relations, attributes and constants, from the catalog and the site
-    /// as generated.
-    space: QuerySpace,
-    plan: MutationPlan,
-}
-
-impl World {
-    fn new(site: Site, catalog: ViewCatalog, plan: MutationPlan) -> Self {
-        let space = QuerySpace::new(&catalog, &site);
-        World {
-            site,
-            catalog,
-            space,
-            plan,
-        }
-    }
-}
-
-fn university_world(site_seed: u64, plan_seed: u64) -> World {
-    let u = University::generate(UniversityConfig {
-        departments: 3,
-        professors: 8,
-        courses: 12,
-        seed: site_seed,
-        ..UniversityConfig::default()
-    })
-    .unwrap();
-    World::new(
-        u.site,
-        university_catalog(),
-        MutationPlan::new(plan_seed)
-            .with_rule(MutationRule::edit_attr("DeptPage", "Address", 0.5))
-            .with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.3))
-            .with_rule(MutationRule::edit_attr("CoursePage", "Description", 0.3))
-            .with_rule(MutationRule::delete("CoursePage", 0.15)),
-    )
-}
-
-fn bibliography_world(site_seed: u64, plan_seed: u64) -> World {
-    let bib = Bibliography::generate(BibConfig {
-        authors: 12,
-        conferences: 3,
-        db_conferences: 2,
-        featured: 1,
-        editions_per_conf: 2,
-        papers_per_edition: 3,
-        seed: site_seed,
-        ..BibConfig::default()
-    })
-    .unwrap();
-    World::new(
-        bib.site,
-        bibliography_catalog(),
-        MutationPlan::new(plan_seed)
-            .with_rule(MutationRule::edit_attr("EditionPage", "Editors", 0.5))
-            .with_rule(MutationRule::delete("AuthorPage", 0.1)),
-    )
-}
-
-/// The drawn query over `world`; `shift` moves every selection constant
-/// that many places along its attribute's pool, giving another instance of
-/// the same shape.
-fn build(world: &World, picks: &QueryPicks, shift: usize) -> ConjunctiveQuery {
-    let mut drawn = world.space.draw(picks, shift);
-    // One selection per attribute: two on one attribute are listed by
-    // value in the shape, so another instance may get its two σ in the
-    // other order — an equal plan, but not an equal tree
-    // (`tests/serving.rs` holds such shapes to their answers).
-    let mut seen = Vec::new();
-    drawn.selections.retain(|(atom, attr, _)| {
-        let first = !seen.contains(&(*atom, attr.clone()));
-        seen.push((*atom, attr.clone()));
-        first
-    });
-    world.space.build(&drawn)
-}
-
-/// Answers `q` from `remembering` and from a clone of it, which starts
-/// with no plans and checks its URLs under `fetch`, and holds the two
-/// outcomes to each other.
-fn same_as_a_store_without_plans(
-    world: &World,
-    stats: &SiteStatistics,
-    remembering: &mut MatStore,
-    q: &ConjunctiveQuery,
-    fetch: &Fetch,
-) {
-    let mut forgetting = remembering.clone();
-    assert!(forgetting.plan_cache().is_empty());
-    let session = |fetch: &Fetch| {
-        let policy = ExecPolicy {
-            eval: EvalPolicy {
-                fetch: fetch.clone(),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        MatSession::new(
-            &world.site.scheme,
-            &world.catalog,
-            stats,
-            &world.site.server,
-        )
-        .with_policy(&policy)
-    };
-    let kept = session(&Fetch::Inline).run(remembering, q).unwrap();
-    let fresh = session(fetch).run(&mut forgetting, q).unwrap();
-    assert_eq!(kept.relation.sorted(), fresh.relation.sorted(), "{q}");
-    assert_eq!(kept.counters, fresh.counters, "{q}");
-    assert_eq!(kept.broken_links, fresh.broken_links, "{q}");
-    assert_eq!(kept.unreachable, fresh.unreachable, "{q}");
-    assert_eq!(kept.explain.best().expr, fresh.explain.best().expr, "{q}");
-    assert_eq!(forgetting.plan_cache().stats().hits, 0);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    // Whatever the site, the queries and the mutations between them: the
-    // first instance of a shape (planned), the same instance again after a
-    // mutation round (shared as stored) and another instance of the shape
-    // after one more (bound to its constants) are all answered as a store
-    // with an empty plan cache answers them — checking its URLs inline or
-    // on a two-worker pool.
-    #[test]
-    fn a_store_that_remembers_its_plans_answers_like_one_that_does_not(
-        on_bibliography in any::<bool>(),
-        site_seed in 0u64..=1000,
-        plan_seed in 0u64..=u64::MAX,
-        drawn in proptest::collection::vec(arb_query(), 2..=4),
-        pooled in any::<bool>(),
-    ) {
-        let fetch = if pooled { Fetch::pool(2) } else { Fetch::Inline };
-        let mut world = if on_bibliography {
-            bibliography_world(site_seed, plan_seed)
-        } else {
-            university_world(site_seed, plan_seed)
-        };
-        let stats = SiteStatistics::from_site(&world.site);
-        let mut store = MatStore::new();
-        store.materialize(&world.site.scheme, &world.site.server).unwrap();
-        for (round, shift) in [0usize, 0, 1].into_iter().enumerate() {
-            if round > 0 {
-                world.plan.apply_round(&mut world.site, round as u64).unwrap();
-            }
-            for picks in &drawn {
-                let q = build(&world, picks, shift);
-                same_as_a_store_without_plans(&world, &stats, &mut store, &q, &fetch);
-            }
-        }
-        // Every query of the second and third pass found its shape planned.
-        let cache = store.plan_cache().stats();
-        prop_assert_eq!(cache.hits + cache.misses, 3 * drawn.len() as u64);
-        prop_assert!(cache.hits >= 2 * drawn.len() as u64, "{:?}", cache);
-        prop_assert!(cache.misses as usize == cache.entries, "{:?}", cache);
-        prop_assert_eq!((cache.refused, cache.invalidations), (0, 0));
-    }
-}
 
 fn grad_courses() -> ConjunctiveQuery {
     ConjunctiveQuery::new("graduate courses")

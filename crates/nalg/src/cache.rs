@@ -431,14 +431,6 @@ impl SharedPageCache {
         self.len() == 0
     }
 
-    /// Inserts `bytes` as they are, through the gate
-    /// [`SharedPageCache::insert`] takes: a buffer that no page encodes to
-    /// can be offered.
-    #[cfg(test)]
-    pub(crate) fn insert_raw(&self, url: &Url, bytes: &[u8]) {
-        self.insert_encoded(url, bytes.into(), None);
-    }
-
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         let (mut entries, mut bytes) = (0, 0);
@@ -464,6 +456,15 @@ impl SharedPageCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl SharedPageCache {
+        /// Inserts `bytes` as they are, through the gate
+        /// [`SharedPageCache::insert`] takes: a buffer that no page encodes
+        /// to can be offered.
+        pub(crate) fn insert_raw(&self, url: &Url, bytes: &[u8]) {
+            self.insert_encoded(url, bytes.into(), None);
+        }
+    }
 
     fn page(name: &str) -> Arc<Tuple> {
         Arc::new(Tuple::new().with("Name", name))

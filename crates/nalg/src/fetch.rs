@@ -36,7 +36,7 @@
 //! without touching the paper's accounting: `page_accesses` is counted by
 //! each evaluation at fetch *completion*, above this layer, so every
 //! session reports exactly the numbers it would report uncoalesced (pinned
-//! by the serving-equivalence proptests in `tests/serving.rs`).
+//! by the seeded simulation, `tests/sim.rs`).
 
 use crate::source::{PageSource, SourceError};
 use adm::{Symbol, Tuple, Url};
@@ -70,9 +70,9 @@ pub(crate) type FetchOutcome = Result<(Arc<Tuple>, Option<u64>), SourceError>;
 /// A completed fetch: the job it answers and what the source said. `url`
 /// is `job.url` as the `Url` the source was called with, handed on so the
 /// evaluator need not allocate it a second time. `dispatched` is false
-/// only for a job skipped before it reached the source (its URL was
-/// cancelled): a source call, even one answered `Cancelled`, may have
-/// cost the server a request.
+/// only for a job skipped before it reached the source (its request's
+/// deadline had expired or its URL was cancelled): a source call, even
+/// one answered `Cancelled`, may have cost the server a request.
 pub(crate) struct Done {
     pub job: Job,
     pub url: Url,
@@ -98,13 +98,15 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
         let attr = self.ctx.as_ref().and_then(|c| c.trace.as_ref());
         let t0 = attr.map(|_| std::time::Instant::now());
         let url = job.url.to_url();
-        // Cooperative cancellation, checked before dispatch: a cancelled
-        // job never reaches the source, so the server sees no GET for it.
-        // A fetch already inside the source is counted there, even when
-        // the source cuts it off and answers `Cancelled`.
-        let skip = (self.ctx.as_ref())
-            .and_then(|c| c.cancel.as_ref())
-            .is_some_and(|t| t.is_url_cancelled(url.as_str()));
+        // Cooperative cancellation, checked before dispatch: a job whose
+        // request has run out of time, or whose URL was cancelled, never
+        // reaches the source, so the server sees no GET for it. A fetch
+        // already inside the source is counted there, even when the
+        // source cuts it off and answers `Cancelled`.
+        let skip = self.ctx.as_ref().is_some_and(|c| {
+            c.deadline.expired()
+                || (c.cancel.as_ref()).is_some_and(|t| t.is_url_cancelled(url.as_str()))
+        });
         let outcome = if skip {
             Err(SourceError::Cancelled(url.clone()))
         } else {

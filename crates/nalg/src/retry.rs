@@ -23,7 +23,9 @@ use std::sync::Arc;
 /// Transient errors ([`SourceError::Unavailable`], [`SourceError::Timeout`])
 /// are retried at once, up to `max_attempts` attempts a call; permanent
 /// ones are returned immediately, and a 404 is final without counting as a
-/// failure. The breaker is keyed by page scheme — a sick department
+/// failure, as is a fetch its own requester gave up on ([`SourceError::Cancelled`]:
+/// its deadline or token severed the wait), so that one request's give-up
+/// never trips a breaker that rejects another's fetches. The breaker is keyed by page scheme — a sick department
 /// server (all `ProfPage` fetches failing) stops being hammered while
 /// `CoursePage` fetches flow on. Five consecutive failed calls trip it;
 /// it rejects the next three calls without touching the inner source
@@ -58,8 +60,9 @@ pub struct ResilientSource<'a, S> {
 /// How a call-level error is treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
-    /// The page does not exist (404). Final, and *not* a server failure:
-    /// no retry, no breaker effect.
+    /// The page does not exist (404), or the requester gave up on it
+    /// (`Cancelled`). Final, and *not* a server failure: no retry, no
+    /// breaker effect.
     Absence,
     /// A retry may succeed (5xx, timeout).
     Transient,
@@ -70,7 +73,7 @@ enum Class {
 
 fn classify(e: &SourceError) -> Class {
     match e {
-        SourceError::NotFound(_) => Class::Absence,
+        SourceError::NotFound(_) | SourceError::Cancelled(_) => Class::Absence,
         _ if e.is_transient() => Class::Transient,
         _ => Class::Permanent,
     }
@@ -339,19 +342,23 @@ mod tests {
     }
 
     #[test]
-    fn not_found_passes_through_untouched() {
-        let src = FlakySource::new(0, |u| SourceError::NotFound(u.clone()));
-        let rs = ResilientSource::new(&src, 4);
-        // more absences than the breaker's threshold: none counts
-        for _ in 0..2 * FAILURE_THRESHOLD {
-            assert!(matches!(
-                rs.fetch(&Url::new("/missing"), "P"),
-                Err(SourceError::NotFound(_))
-            ));
+    fn not_found_and_cancelled_pass_through_untouched() {
+        let errors: [fn(&Url) -> SourceError; 2] = [
+            |u| SourceError::NotFound(u.clone()),
+            |u| SourceError::Cancelled(u.clone()),
+        ];
+        for error in errors {
+            let src = FlakySource::new(99, error);
+            let rs = ResilientSource::new(&src, 4);
+            // more of them than the breaker's threshold: none counts
+            for _ in 0..2 * FAILURE_THRESHOLD {
+                let got = rs.fetch(&Url::new("/p"), "P").unwrap_err();
+                assert_eq!(got, error(&Url::new("/p")));
+            }
+            assert_eq!(src.calls.load(Ordering::SeqCst), 2 * FAILURE_THRESHOLD);
+            assert!(rs.stats().is_quiet());
+            assert_eq!(state(&rs, "P"), BreakerState::Closed);
         }
-        assert_eq!(src.calls.load(Ordering::SeqCst), 2 * FAILURE_THRESHOLD);
-        assert!(rs.stats().is_quiet());
-        assert_eq!(state(&rs, "P"), BreakerState::Closed);
     }
 
     #[test]

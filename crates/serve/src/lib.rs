@@ -23,7 +23,8 @@
 //! Everything stays **paper-blind**: plan caching and coalescing change
 //! server CPU and GET counts only — every session's answer rows and
 //! `page_accesses` are byte-identical to an unserved sequential run
-//! (pinned by `tests/serving.rs` at the workspace root).
+//! (pinned by the seeded simulation, `tests/sim.rs` at the workspace
+//! root).
 //!
 //! ```
 //! use serve::QueryServer;

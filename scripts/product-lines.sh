@@ -1,27 +1,39 @@
 #!/bin/sh
-# Counts the product's non-test lines, per crate and in total.
+# Counts the product's non-test lines and its test lines, per crate and in
+# total.
 #
 # Counted: every `.rs` file under `crates/*/src` except `crates/bench` (the
 # experiment harness) and `crates/shims` (offline stand-ins for external
-# crates), plus `src/` (the facade and its CLI). In each file only the
-# lines above its first `#[cfg(test)]` count, blank and comment lines
-# included. Run from anywhere: `sh scripts/product-lines.sh`.
+# crates), plus `src/` (the facade and its CLI). In each such file the
+# lines above its first `#[cfg(test)]` are product, and the lines from it
+# on (its test module) are test; blank and comment lines count either way.
+# Every `.rs` file under `tests/` and under `crates/*/tests` of the same
+# crates counts as test. Run from anywhere: `sh scripts/product-lines.sh`.
 set -eu
 cd "$(dirname "$0")/.."
 {
-    for dir in crates/*/src src; do
+    for dir in crates/*/src src crates/*/tests tests; do
         case "$dir" in
         crates/bench/* | crates/shims/*) continue ;;
         esac
+        crate=${dir%/src}
+        crate=${crate%/tests}
+        [ "$crate" = tests ] && crate=src
         find "$dir" -name '*.rs' | sort | while read -r file; do
-            n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
-            echo "${dir%/src} $n"
+            case "$dir" in
+            */tests | tests) echo "$crate 0 $(wc -l <"$file")" ;;
+            *) awk -v crate="$crate" '
+                /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+                { if (test) t++; else p++ }
+                END { print crate, p + 0, t + 0 }' "$file" ;;
+            esac
         done
     done
 } | awk '
-    { lines[$1] += $2; total += $2 }
+    { product[$1] += $2; tests[$1] += $3; p += $2; t += $3 }
     END {
-        for (c in lines) printf "%-16s %7d\n", c, lines[c] | "sort"
+        printf "%-16s %7s %7s\n", "", "product", "test"
+        for (c in product) printf "%-16s %7d %7d\n", c, product[c], tests[c] | "sort"
         close("sort")
-        printf "%-16s %7d\n", "total", total
+        printf "%-16s %7d %7d\n", "total", p, t
     }'

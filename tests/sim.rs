@@ -1,0 +1,919 @@
+//! One seeded simulation of the whole stack, in place of hand-written
+//! equivalence suites.
+//!
+//! A `u64` seed draws a [`Case`]: a small University or Bibliography site
+//! and a list of [`Step`]s over the public APIs. After every step the run
+//! checks each oracle the step can be held to, named in its message:
+//!
+//! * **reference** — a request answers what the reference interpreter
+//!   computes for the plan that answered, rows and page accesses alike,
+//!   whatever the policy: inline or pooled, shared cache, coalescing,
+//!   hedging, tracing, transient faults (a shared-cache hit stands in for
+//!   a download). Under permanent faults the partial answer is the
+//!   reference's under the same faults.
+//! * **candidates** — on a site that honours its constraints, every plan
+//!   the optimizer enumerates answers what the default navigation
+//!   answers. Plans equivalent only under the constraints are checked only
+//!   where they hold: the declared ones (`verify_constraints`) and the
+//!   catalog's claim that each complete navigation reaches all of its
+//!   relation, which a dropped link can break.
+//! * **views** — a maintained view, and a query answered from the lazily
+//!   maintained store, answer what live evaluation answers, and a store
+//!   that remembers its plans answers as one that does not; **delta** — a
+//!   synced store holds what a full refresh fetches.
+//! * **traced** — a traced run equals an untraced one in rows and
+//!   counters, under the audit too, and its analysis accounts for every
+//!   page; past its deadline neither plans.
+//! * **brown-out** — a request past its deadline answers a subset of the
+//!   reference rows, and no fetch reaches the source after its request
+//!   ran out of time: a give-up never adds a row or a GET.
+//! * **gets** — every page access is a server GET or a coalesced
+//!   follower's share of one, and every GET beyond them is a hedge loser:
+//!   `accesses ≤ gets + saved ≤ accesses + broken + hedges − cancelled`
+//!   (a follower may share a 404).
+//! * **budget** — the shared cache holds no more bytes than its budget.
+//! * **purge** — a sweep deletes only pages the server no longer has.
+//! * **crawl** — statistics crawled from the site equal those read off its
+//!   ground truth, page sizes aside.
+//!
+//! A failing seed is printed with its steps, shrunk by dropping one step
+//! at a time while it still fails. To replay one, add it to
+//! [`REGRESSION_SEEDS`]. `cargo test --test sim -- --ignored` runs the soak.
+
+#[path = "support/arb_query.rs"]
+mod arb_query;
+#[path = "support/reference_eval.rs"]
+mod reference_eval;
+
+use arb_query::{arb_query, QueryPicks, QuerySpace};
+use proptest::test_runner::TestRng;
+use proptest::Strategy;
+use reference_eval::{Counters, Reference};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::fmt::Display;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+use webviews::adm::Url;
+use webviews::matview::maintain;
+use webviews::nalg::{SharedPageCache, SourceError};
+use webviews::prelude::*;
+
+/// Seeds that once failed, replayed before the drawn ones.
+const REGRESSION_SEEDS: &[u64] = &[];
+
+/// Seeds every test run draws (`0..SEEDS`, about 15 s in a debug build);
+/// the soak draws the next `SOAK_SEEDS`.
+const SEEDS: u64 = 150;
+const SOAK_SEEDS: u64 = 400;
+
+#[test]
+fn simulated_histories_hold_every_oracle() {
+    for seed in REGRESSION_SEEDS.iter().copied().chain(0..SEEDS) {
+        if let Some(why) = failure(seed) {
+            panic!("{why}");
+        }
+    }
+}
+
+/// Runs every soak seed, then names each that failed.
+#[test]
+#[ignore = "soak: run with --ignored"]
+fn simulated_histories_hold_every_oracle_soak() {
+    let failed: Vec<String> = (SEEDS..SEEDS + SOAK_SEEDS).filter_map(failure).collect();
+    assert!(
+        failed.is_empty(),
+        "{} seeds failed:\n{}",
+        failed.len(),
+        failed.join("\n")
+    );
+}
+
+/// The seed's failure, if its case fails, with the case shrunk.
+fn failure(seed: u64) -> Option<String> {
+    let case = Case::draw(seed);
+    let why = run(&case).err()?;
+    let small = shrink(case);
+    let still = run(&small).err().unwrap_or(why);
+    Some(format!(
+        "seed {seed}: {still}\nshrunk to:\n{}",
+        small.listing()
+    ))
+}
+
+// ── the draw ───────────────────────────────────────────────────────────
+
+#[derive(Debug, Clone)]
+enum SiteDraw {
+    University {
+        depts: usize,
+        profs: usize,
+        courses: usize,
+        seed: u64,
+    },
+    Bibliography {
+        authors: usize,
+        seed: u64,
+    },
+}
+
+/// Faults the server injects for the length of one step.
+#[derive(Debug, Clone, Copy)]
+enum Faults {
+    /// 5xx and timeouts capped per URL below the retry bound: every page
+    /// arrives, and the step must equal a fault-free one.
+    Transient { seed: u64, pct: u8 },
+    /// Timeouts on every attempt, and link rot: pages are lost.
+    Permanent { seed: u64, pct: u8 },
+}
+
+/// How a `Serve` step executes, besides what it asks.
+#[derive(Debug, Clone)]
+struct Exec {
+    /// 0: inline; otherwise pool workers.
+    workers: usize,
+    shared_budget: Option<usize>,
+    /// Concurrent clients, each asking the query and another instance of
+    /// its shape (a plan-cache hit bound to other constants).
+    clients: usize,
+    coalesce: bool,
+    hedge_us: Option<u64>,
+    /// `(latency_us, budget_us)`: every GET takes the latency, and the
+    /// timed requests give up after the budget.
+    deadline: Option<(u64, u64)>,
+    /// Trace the server, and hold a traced run to an untraced one under
+    /// this policy (audited when `audit`).
+    traced: bool,
+    audit: bool,
+    faults: Option<Faults>,
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    Serve(QueryPicks, Exec),
+    /// One request under permanent faults, degrading to a partial answer.
+    Partial(QueryPicks, usize, Faults),
+    /// The query and another instance of its shape, answered from the
+    /// lazily maintained store with that many workers.
+    Stored(QueryPicks, usize),
+    ReadViews,
+    /// A mutation round, then a sync of the maintained views.
+    Mutate(u64),
+    Purge(Option<Faults>),
+}
+
+#[derive(Debug, Clone)]
+struct Case {
+    site: SiteDraw,
+    /// Queries registered as maintained views before the first step.
+    views: Vec<QueryPicks>,
+    steps: Vec<Step>,
+}
+
+impl Case {
+    fn draw(seed: u64) -> Case {
+        let r = &mut TestRng::for_test(&format!("sim {seed}"));
+        let site = if r.below(3) < 2 {
+            let depts = r.in_range(1, 3);
+            SiteDraw::University {
+                depts,
+                profs: depts + r.below(6),
+                courses: r.in_range(2, 14),
+                seed: r.next_u64() % 10_000,
+            }
+        } else {
+            let (authors, seed) = (r.in_range(6, 14), r.next_u64() % 10_000);
+            SiteDraw::Bibliography { authors, seed }
+        };
+        let views = (0..r.below(3)).map(|_| arb_query().generate(r)).collect();
+        let steps = (0..r.in_range(4, 8)).map(|_| Step::draw(r)).collect();
+        Case { site, views, steps }
+    }
+
+    fn listing(&self) -> String {
+        let mut out = format!("{:?}\nviews: {:?}\n", self.site, self.views);
+        for (i, step) in self.steps.iter().enumerate() {
+            out += &format!("{i}: {step:?}\n");
+        }
+        out
+    }
+}
+
+impl Step {
+    fn draw(r: &mut TestRng) -> Step {
+        let seed = r.next_u64();
+        let transient = |r: &mut TestRng| Faults::Transient {
+            seed,
+            pct: r.below(60) as u8,
+        };
+        match r.below(10) {
+            0..=3 => {
+                let deadline = (r.below(3) == 0).then(|| {
+                    let latency = r.in_range(50, 800) as u64;
+                    (latency, latency * r.in_range(1, 12) as u64)
+                });
+                let exec = Exec {
+                    workers: [0, 1, 2, 4][r.below(4)],
+                    shared_budget: (r.below(2) == 0).then(|| 1 << r.in_range(10, 18)),
+                    clients: r.in_range(1, 3),
+                    coalesce: r.below(2) == 0,
+                    hedge_us: (r.below(3) == 0).then(|| r.in_range(0, 400) as u64),
+                    traced: r.below(3) == 0,
+                    audit: r.below(2) == 0,
+                    faults: (deadline.is_none() && r.below(3) == 0).then(|| transient(r)),
+                    deadline,
+                };
+                Step::Serve(arb_query().generate(r), exec)
+            }
+            4 => {
+                let faults = Faults::Permanent {
+                    seed,
+                    pct: r.below(40) as u8,
+                };
+                Step::Partial(arb_query().generate(r), r.below(4), faults)
+            }
+            5 => Step::Stored(arb_query().generate(r), r.below(4)),
+            6 => Step::ReadViews,
+            7 | 8 => Step::Mutate(seed),
+            _ => Step::Purge((r.below(2) == 0).then(|| transient(r))),
+        }
+    }
+}
+
+/// Greedy: drop the first step whose removal still fails, until none does.
+fn shrink(mut case: Case) -> Case {
+    loop {
+        let smaller = (0..case.steps.len())
+            .map(|i| {
+                let mut c = case.clone();
+                c.steps.remove(i);
+                c
+            })
+            .find(|c| run(c).is_err());
+        match smaller {
+            Some(c) => case = c,
+            None => return case,
+        }
+    }
+}
+
+// ── the world ──────────────────────────────────────────────────────────
+
+type Checked = Result<(), String>;
+
+macro_rules! ensure {
+    ($cond:expr, $($why:tt)+) => {
+        if !$cond {
+            return Err(format!($($why)+));
+        }
+    };
+}
+
+fn text(e: impl Display) -> String {
+    e.to_string()
+}
+
+/// The site, and what was read off it as generated.
+struct World {
+    site: Site,
+    ws: WebScheme,
+    catalog: ViewCatalog,
+    stats: SiteStatistics,
+    space: QuerySpace,
+    mutations: MutationPlan,
+}
+
+impl World {
+    fn new(draw: &SiteDraw) -> World {
+        let (site, catalog, mutations) = match *draw {
+            SiteDraw::University {
+                depts,
+                profs,
+                courses,
+                seed,
+            } => {
+                let config = UniversityConfig {
+                    departments: depts,
+                    professors: profs,
+                    courses,
+                    seed,
+                    ..UniversityConfig::default()
+                };
+                let plan = MutationPlan::new(seed)
+                    .with_rule(MutationRule::edit_attr("DeptPage", "Address", 0.4))
+                    .with_rule(MutationRule::edit_attr("ProfPage", "Rank", 0.3))
+                    .with_rule(MutationRule::edit_attr("DeptPage", "DName", 0.1))
+                    .with_rule(MutationRule::delete("CoursePage", 0.15))
+                    .with_rule(MutationRule::drop_links(
+                        "DeptListPage",
+                        &["DeptList", "ToDept"],
+                        0.1,
+                    ));
+                (
+                    University::generate(config).unwrap().site,
+                    university_catalog(),
+                    plan,
+                )
+            }
+            SiteDraw::Bibliography { authors, seed } => {
+                let config = BibConfig {
+                    authors,
+                    conferences: 3,
+                    db_conferences: 2,
+                    featured: 1,
+                    editions_per_conf: 2,
+                    papers_per_edition: 3,
+                    seed,
+                    ..BibConfig::default()
+                };
+                let plan = MutationPlan::new(seed)
+                    .with_rule(MutationRule::edit_attr("EditionPage", "Editors", 0.5))
+                    .with_rule(MutationRule::delete("AuthorPage", 0.1));
+                (
+                    Bibliography::generate(config).unwrap().site,
+                    bibliography_catalog(),
+                    plan,
+                )
+            }
+        };
+        World {
+            ws: site.scheme.clone(),
+            stats: SiteStatistics::from_site(&site),
+            space: QuerySpace::new(&catalog, &site),
+            site,
+            catalog,
+            mutations,
+        }
+    }
+
+    /// The drawn query; `shift` moves its constants along their pools.
+    fn query(&self, picks: &QueryPicks, shift: usize) -> ConjunctiveQuery {
+        self.space.build(&self.space.draw(picks, shift))
+    }
+
+    /// `expr` by the reference interpreter over `source`.
+    fn reference(
+        &self,
+        source: &impl PageSource,
+        mode: DegradationMode,
+        expr: &NalgExpr,
+    ) -> Result<(Relation, Counters), String> {
+        let reference = Reference {
+            ws: &self.ws,
+            source,
+            shared: None,
+            degradation: mode,
+        };
+        reference.eval(expr).map_err(text)
+    }
+
+    /// `expr` evaluated live, sorted.
+    fn live(&self, expr: &NalgExpr) -> Result<Relation, String> {
+        let live = LiveSource::for_site(&self.site);
+        Ok(self
+            .reference(&live, DegradationMode::FailFast, expr)?
+            .0
+            .sorted())
+    }
+}
+
+fn run(case: &Case) -> Checked {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_steps(case))).unwrap_or_else(|p| {
+        let msg = (p.downcast_ref::<String>().cloned())
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()));
+        Err(format!("panicked: {}", msg.unwrap_or_default()))
+    })
+}
+
+fn run_steps(case: &Case) -> Checked {
+    let mut w = World::new(&case.site);
+    crawl(&w)?;
+    let (mut store, mut refreshed) = (MatStore::new(), MatStore::new());
+    store.materialize(&w.ws, &w.site.server).map_err(text)?;
+    refreshed.materialize(&w.ws, &w.site.server).map_err(text)?;
+    let ws = w.ws.clone();
+    let mut iv = IncrementalView::new(&ws);
+    iv.materialize(&w.site.server).map_err(text)?;
+    iv.set_cursor(w.site.change_cursor());
+    let mut views = Vec::new();
+    for picks in &case.views {
+        let q = w.query(picks, 0);
+        let key = q.cache_key();
+        let explain = Optimizer::new(&w.ws, &w.catalog, &w.stats).optimize(&q);
+        let expr = explain.map_err(text)?.best().expr.clone();
+        iv.register(key.clone(), key.clone(), &expr, &w.site.server)
+            .map_err(text)?;
+        views.push((key, expr));
+    }
+    for (i, step) in case.steps.iter().enumerate() {
+        let checked = match step {
+            Step::Serve(picks, exec) => serve(&w, picks, exec),
+            Step::Partial(picks, workers, faults) => partial(&w, picks, *workers, *faults),
+            Step::Stored(picks, workers) => stored(&w, &mut store, picks, *workers),
+            Step::ReadViews => read_views(&w, &iv, &views),
+            Step::Mutate(round) => mutate(&mut w, &mut iv, &mut refreshed, *round)
+                .and_then(|()| read_views(&w, &iv, &views)),
+            Step::Purge(faults) => purge(&w, &mut store, *faults),
+        };
+        checked.map_err(|e| format!("step {i} ({step:?}): {e}"))?;
+    }
+    Ok(())
+}
+
+/// A mutation round, then a sync: the synced store must hold what a full
+/// refresh of `refreshed` fetches.
+fn mutate(
+    w: &mut World,
+    iv: &mut IncrementalView<'_>,
+    refreshed: &mut MatStore,
+    round: u64,
+) -> Checked {
+    w.mutations.apply_round(&mut w.site, round).map_err(text)?;
+    let rep = iv.sync(&w.site).map_err(text)?;
+    ensure!(
+        rep.failed.is_empty(),
+        "views: a fault-free sync failed {:?}",
+        rep.failed
+    );
+    maintain::full_refresh(refreshed, &w.ws, &w.site.server).map_err(text)?;
+    ensure!(
+        pages(iv.store()) == pages(refreshed),
+        "delta: the synced store is not a full refresh's"
+    );
+    Ok(())
+}
+
+/// A store's pages, access dates aside: each maintenance path stamps its
+/// fetches by its own clock.
+fn pages(store: &MatStore) -> Vec<(Url, String, Tuple, bool)> {
+    (store.pages_sorted().into_iter())
+        .map(|(u, p)| (u.clone(), p.scheme.clone(), (*p.tuple).clone(), p.stale))
+        .collect()
+}
+
+// ── the steps ──────────────────────────────────────────────────────────
+
+thread_local! {
+    /// When the last fetch through a [`Probe`] on this thread returned.
+    static RETURNED: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// The source every served request fetches through. It counts each fetch
+/// that reaches it on a thread whose previous fetch returned at or after
+/// the step's deadline: the runner checked that job's deadline after it
+/// expired, so it had to skip the job. Exact whatever the scheduler does:
+/// no margin of time is involved.
+struct Probe<'a> {
+    inner: &'a (dyn PageSource + 'a),
+    deadline: OnceLock<Instant>,
+    late: AtomicU64,
+}
+
+impl PageSource for Probe<'_> {
+    fn fetch(&self, url: &Url, scheme: &str) -> Result<Tuple, SourceError> {
+        self.inner.fetch(url, scheme)
+    }
+
+    fn fetch_shared(
+        &self,
+        url: &Url,
+        scheme: &str,
+    ) -> Result<(Arc<Tuple>, Option<u64>), SourceError> {
+        let previous = RETURNED.get();
+        if (self.deadline.get()).is_some_and(|&d| previous.is_some_and(|t| t >= d)) {
+            self.late.fetch_add(1, Ordering::Relaxed);
+        }
+        let out = self.inner.fetch_shared(url, scheme);
+        RETURNED.set(Some(Instant::now()));
+        out
+    }
+}
+
+fn install(site: &Site, faults: Option<Faults>) {
+    let plan = match faults {
+        None => return site.server.clear_fault_plan(),
+        Some(Faults::Transient { seed, pct }) => FaultPlan::new(seed)
+            .with_rule(FaultRule::unavailable(f64::from(pct) / 100.0).with_max_per_url(Some(2)))
+            .with_rule(FaultRule::timeouts(f64::from(pct) / 100.0).with_max_per_url(Some(1))),
+        Some(Faults::Permanent { seed, pct }) => FaultPlan::new(seed)
+            .with_rule(FaultRule::link_rot(f64::from(pct) / 100.0))
+            .with_rule(FaultRule::timeouts(f64::from(pct) / 100.0).with_max_per_url(None)),
+    };
+    site.server.set_fault_plan(plan);
+}
+
+/// `eval` fetching over `workers` pool threads (none: inline), hedged when
+/// `hedge` is set.
+fn policy<'a>(workers: usize, hedge: Option<&HedgeConfig>, eval: EvalPolicy<'a>) -> ExecPolicy<'a> {
+    let fetch = match (workers, hedge) {
+        (0, _) => Fetch::Inline,
+        (n, Some(h)) => Fetch::hedged(n, h.clone()),
+        (n, None) => Fetch::pool(n),
+    };
+    let eval = EvalPolicy { fetch, ..eval };
+    ExecPolicy {
+        eval,
+        ..Default::default()
+    }
+}
+
+/// Rows as the values they hold, column names aside.
+fn values(r: &Relation) -> BTreeSet<Vec<String>> {
+    (r.rows().iter())
+        .map(|row| row.iter().map(|v| v.to_string()).collect())
+        .collect()
+}
+
+/// A report held to the reference's answer and counters for its plan.
+fn same_as_reference(report: &EvalReport, (rel, c): &(Relation, Counters)) -> Checked {
+    ensure!(
+        !report.deadline_exceeded && report.cancelled.is_empty(),
+        "reference: a brown-out or a cancellation with time left"
+    );
+    ensure!(
+        report.relation.sorted() == rel.sorted(),
+        "reference: rows diverged"
+    );
+    ensure!(
+        report.page_accesses + report.shared_cache_hits == c.page_accesses,
+        "reference: {} accesses + {} shared hits, the reference {}",
+        report.page_accesses,
+        report.shared_cache_hits,
+        c.page_accesses
+    );
+    ensure!(
+        (report.cache_hits, report.broken_links) == (c.cache_hits, c.broken_links),
+        "reference: cache hits or broken links"
+    );
+    ensure!(
+        report.accesses_by_operator == c.accesses_by_operator,
+        "reference: per-operator accesses"
+    );
+    ensure!(
+        report.unreachable.iter().eq(&c.unreachable),
+        "reference: unreachable pages"
+    );
+    Ok(())
+}
+
+fn serve(w: &World, picks: &QueryPicks, exec: &Exec) -> Checked {
+    let queries = [w.query(picks, 0), w.query(picks, 1)];
+    let live = LiveSource::for_site(&w.site);
+    let resilient = ResilientSource::new(&live, 4);
+    let coalescing = CoalescingSource::new(&resilient);
+    let inner: &dyn PageSource = if exec.coalesce {
+        &coalescing
+    } else {
+        &resilient
+    };
+    let probe = Probe {
+        inner,
+        deadline: OnceLock::new(),
+        late: AtomicU64::new(0),
+    };
+    let shared = exec.shared_budget.map(SharedPageCache::with_byte_budget);
+    let hedge = exec.hedge_us.map(HedgeConfig::new);
+    let eval = EvalPolicy {
+        shared_cache: shared.as_ref(),
+        ..Default::default()
+    };
+    let policy = policy(exec.workers, hedge.as_ref(), eval);
+    let mut server = QueryServer::new(&w.ws, &w.catalog, &w.stats, &probe)
+        .with_policy(&policy)
+        .with_admission_capacity(exec.clients);
+    if exec.traced {
+        server = server.with_trace(exec.clients as u64);
+    }
+    let mut served = Vec::new();
+    let mut deadline = None;
+    if let Some((latency, budget)) = exec.deadline {
+        // Plan first: the timed requests are plan-cache hits, so their
+        // budget is spent on fetching.
+        served.push((0, server.serve(&queries[0]).map_err(text)));
+        deadline = Some(
+            *probe
+                .deadline
+                .get_or_init(|| Instant::now() + Duration::from_micros(budget)),
+        );
+        w.site.server.set_latency(Duration::from_micros(latency));
+    }
+    install(&w.site, exec.faults);
+    let gets = w.site.server.stats().gets;
+    std::thread::scope(|s| {
+        let ask = || {
+            (queries.iter().enumerate())
+                .map(|(qi, q)| {
+                    let out = match deadline {
+                        Some(d) => server.serve_with_deadline(q, Deadline::at(d)),
+                        None => server.serve(q),
+                    };
+                    (qi, out.map_err(|e| format!("{q}: {e}")))
+                })
+                .collect::<Vec<_>>()
+        };
+        let clients: Vec<_> = (0..exec.clients).map(|_| s.spawn(ask)).collect();
+        served.extend(clients.into_iter().flat_map(|c| c.join().unwrap()));
+    });
+    let gets = w.site.server.stats().gets - gets;
+    w.site.server.set_latency(Duration::ZERO);
+    install(&w.site, None);
+
+    let late = probe.late.load(Ordering::Relaxed);
+    ensure!(
+        late == 0,
+        "brown-out: {late} fetches reached the source after their deadline"
+    );
+    if let (Some(cache), Some(budget)) = (&shared, exec.shared_budget) {
+        let bytes = cache.stats().bytes;
+        ensure!(
+            bytes <= budget,
+            "budget: the shared cache holds {bytes} bytes of {budget}"
+        );
+    }
+    let (mut accesses, mut broken) = (0, 0);
+    for (qi, out) in served {
+        let (q, out) = (&queries[qi], out?);
+        ensure!(!out.shed || out.brown_out, "{q}: shed below its capacity");
+        ensure!(
+            out.request_id.is_some() == exec.traced && out.phases.is_some() == exec.traced,
+            "traced: {q} has a request id and phases exactly when traced"
+        );
+        ensure!(
+            exec.deadline.is_some() || !out.brown_out,
+            "brown-out: {q} browned out with no deadline"
+        );
+        let Some(outcome) = &out.outcome else {
+            ensure!(out.brown_out, "{q}: no outcome, yet no brown-out");
+            continue;
+        };
+        let report = &outcome.report;
+        (accesses, broken) = (
+            accesses + report.page_accesses,
+            broken + report.broken_links,
+        );
+        let reference = w.reference(
+            &live,
+            DegradationMode::FailFast,
+            &outcome.explain.best().expr,
+        )?;
+        if report.deadline_exceeded {
+            ensure!(out.brown_out, "{q}: a deadline exceeded is a brown-out");
+            let subset = values(&report.relation).is_subset(&values(&reference.0));
+            ensure!(
+                subset,
+                "brown-out: {q} answered rows the reference does not"
+            );
+        } else {
+            same_as_reference(report, &reference).map_err(|e| format!("{q}: {e}"))?;
+        }
+    }
+    if exec.deadline.is_none() {
+        let saved = if exec.coalesce {
+            coalescing.stats().saved_gets()
+        } else {
+            0
+        };
+        let (hedges, cancelled) = hedge
+            .as_ref()
+            .map_or((0, 0), |h| (h.hedges.get(), h.hedge_cancelled.get()));
+        // A hedge loser may end without a GET (a follower woken by the
+        // winner's cancel, an attempt that met a fault), and a follower
+        // may share a 404, which is no GET: only a bound.
+        ensure!(
+            accesses <= gets + saved && gets + saved + cancelled <= accesses + broken + hedges,
+            "gets: {gets} GETs + {saved} saved, {accesses} accesses, {broken} broken links, \
+             {hedges} hedges of which {cancelled} cancelled"
+        );
+    }
+    if exec.traced {
+        let mut policy = policy.clone();
+        policy.eval.shared_cache = None;
+        policy.audit = exec.audit.then_some((1.0, 7));
+        traced_equals_untraced(w, &queries[0], &policy)?;
+    }
+    candidates_match_the_default_navigation(w, &queries[0])
+}
+
+/// A traced run and an untraced one, each in a fresh session: the same
+/// rows and counters, and an analysis that accounts for every page of the
+/// plan that answered. With its deadline gone, neither plans.
+fn traced_equals_untraced(w: &World, q: &ConjunctiveQuery, policy: &ExecPolicy<'_>) -> Checked {
+    let live = LiveSource::for_site(&w.site);
+    let runs = |policy: &ExecPolicy<'_>| {
+        let sink = TraceSink::with_seed(0);
+        let mut traced = policy.clone();
+        traced.eval.trace = Some((sink.clone(), None));
+        let run = |p| {
+            QuerySession::new(&w.ws, &w.catalog, &w.stats, &live)
+                .with_policy(p)
+                .run(q)
+        };
+        (run(policy), run(&traced), sink)
+    };
+    let (a, b, sink) = runs(policy);
+    let (a, b) = (a.map_err(text)?, b.map_err(text)?);
+    let (p, t) = (&a.report, &b.report);
+    ensure!(
+        p.relation.sorted() == t.relation.sorted(),
+        "traced: rows diverged"
+    );
+    ensure!(
+        (p.page_accesses, p.cache_hits, p.broken_links)
+            == (t.page_accesses, t.cache_hits, t.broken_links),
+        "traced: counters diverged"
+    );
+    ensure!(
+        p.accesses_by_operator == t.accesses_by_operator,
+        "traced: per-operator accesses"
+    );
+    ensure!(
+        a.explain.best().expr == b.explain.best().expr,
+        "traced: another plan answered"
+    );
+    ensure!(a.fell_back() == b.fell_back(), "traced: one run fell back");
+    let analysis = ExplainAnalyze::from_parts(&b.explain.best().estimate, &sink.events());
+    ensure!(
+        analysis.observed_pages == t.cost_model_accesses(),
+        "traced: the analysis misses pages"
+    );
+
+    let mut expired = policy.clone();
+    expired.eval.deadline = Deadline::after_us(0);
+    let gets = w.site.server.stats().gets;
+    let (a, b, sink) = runs(&expired);
+    ensure!(
+        a.is_err() && b.is_err(),
+        "traced: a run past its deadline planned"
+    );
+    ensure!(
+        w.site.server.stats().gets == gets && sink.events().is_empty(),
+        "traced: a refused run ran"
+    );
+    Ok(())
+}
+
+/// On a conforming site, every candidate plan answers the values the
+/// default navigation answers.
+fn candidates_match_the_default_navigation(w: &World, q: &ConjunctiveQuery) -> Checked {
+    if !w.site.verify_constraints().is_empty() || !complete_navigations_agree(w)? {
+        return Ok(());
+    }
+    let live = LiveSource::for_site(&w.site);
+    let unmasked = ExecPolicy {
+        mask: RuleMask::none(),
+        ..Default::default()
+    };
+    let session = QuerySession::new(&w.ws, &w.catalog, &w.stats, &live).with_policy(&unmasked);
+    let want = values(&session.run(q).map_err(text)?.report.relation);
+    let explain = Optimizer::new(&w.ws, &w.catalog, &w.stats)
+        .optimize(q)
+        .map_err(text)?;
+    for (i, cand) in explain.candidates.iter().enumerate() {
+        let got = w.live(&cand.expr)?;
+        ensure!(
+            values(&got) == want,
+            "candidates: plan {i} of {q} is not the default navigation's:\n{}",
+            cand.expr
+        );
+    }
+    Ok(())
+}
+
+/// Whether every relation's complete navigations answer the same values.
+fn complete_navigations_agree(w: &World) -> Result<bool, String> {
+    for rel in w.catalog.relations() {
+        let mut answers = Vec::new();
+        for nav in rel.navigations.iter().filter(|n| n.complete) {
+            let cols: Vec<&str> = rel.attrs.iter().filter_map(|a| nav.binding(a)).collect();
+            answers.push(values(&w.live(&nav.expr.clone().project(cols))?));
+        }
+        if answers.windows(2).any(|p| p[0] != p[1]) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// One request under permanent faults: its partial answer is exactly the
+/// reference's under the same faults, and a subset of the fault-free one.
+fn partial(w: &World, picks: &QueryPicks, workers: usize, faults: Faults) -> Checked {
+    let q = w.query(picks, 0);
+    let live = LiveSource::for_site(&w.site);
+    let eval = EvalPolicy {
+        degradation: DegradationMode::Partial,
+        ..Default::default()
+    };
+    let policy = policy(workers, None, eval);
+    // The fault plan decides by URL and attempt: installing it anew
+    // before each run gives the reference the same faults.
+    install(&w.site, Some(faults));
+    let out = QueryServer::new(&w.ws, &w.catalog, &w.stats, &live)
+        .with_policy(&policy)
+        .serve(&q);
+    let outcome = out.map_err(text)?.outcome.ok_or("partial: no outcome")?;
+    let expr = &outcome.explain.best().expr;
+    install(&w.site, Some(faults));
+    let reference = w.reference(&live, DegradationMode::Partial, expr);
+    install(&w.site, None);
+    let reference = reference?;
+    same_as_reference(&outcome.report, &reference).map_err(|e| format!("partial: {q}: {e}"))?;
+    let subset = values(&reference.0).is_subset(&values(&w.live(expr)?));
+    ensure!(
+        subset,
+        "partial: {q} answered rows the fault-free run does not"
+    );
+    Ok(())
+}
+
+/// The query and another instance of its shape (a hit in the store's plan
+/// cache) answered from the lazily maintained store: each as its plan
+/// answers live, and as a copy of the store that remembers no plan
+/// answers it on a pool of `workers`, in rows and maintenance traffic.
+/// (Their plans may differ in the order of two selections on one
+/// attribute, which the shape lists by value: equal plans, unequal trees.)
+fn stored(w: &World, store: &mut MatStore, picks: &QueryPicks, workers: usize) -> Checked {
+    let pooled = policy(workers, None, EvalPolicy::default());
+    let session = |p| MatSession::new(&w.ws, &w.catalog, &w.stats, &w.site.server).with_policy(p);
+    let inline = ExecPolicy::default();
+    for q in [w.query(picks, 0), w.query(picks, 1)] {
+        let mut forgetting = store.clone();
+        ensure!(
+            forgetting.plan_cache().is_empty(),
+            "views: a copied store kept its plans"
+        );
+        let kept = session(&inline)
+            .run(store, &q)
+            .map_err(|e| format!("{q}: {e}"))?;
+        let fresh = session(&pooled)
+            .run(&mut forgetting, &q)
+            .map_err(|e| format!("{q}: {e}"))?;
+        let want = w.live(&kept.explain.best().expr)?;
+        ensure!(
+            kept.relation.sorted() == want,
+            "views: {q} from the store is not the live answer"
+        );
+        ensure!(
+            (
+                kept.relation.sorted(),
+                kept.counters,
+                kept.broken_links,
+                &kept.unreachable
+            ) == (
+                fresh.relation.sorted(),
+                fresh.counters,
+                fresh.broken_links,
+                &fresh.unreachable
+            ),
+            "views: a store that remembers its plans answered {q} unlike one that does not"
+        );
+    }
+    Ok(())
+}
+
+fn read_views(w: &World, iv: &IncrementalView<'_>, views: &[(String, NalgExpr)]) -> Checked {
+    for (key, expr) in views {
+        let got = iv.answer(key).ok_or("views: a fault-free view degraded")?;
+        ensure!(
+            got.sorted() == w.live(expr)?,
+            "views: {key} is not the live answer"
+        );
+    }
+    Ok(())
+}
+
+fn purge(w: &World, store: &mut MatStore, faults: Option<Faults>) -> Checked {
+    let before: Vec<Url> = store
+        .pages_sorted()
+        .into_iter()
+        .map(|(u, _)| u.clone())
+        .collect();
+    install(&w.site, faults);
+    maintain::purge_missing(store, &w.site.server);
+    install(&w.site, None);
+    for url in before.iter().filter(|u| store.get(u).is_none()) {
+        ensure!(
+            !w.site.server.exists(url),
+            "purge: deleted {url}, which the server still has"
+        );
+    }
+    Ok(())
+}
+
+/// Statistics crawled through the live source equal the ground truth's,
+/// page sizes aside (the crawl reads no body sizes).
+fn crawl(w: &World) -> Checked {
+    let counted = |s: &SiteStatistics| {
+        (s.to_text().lines())
+            .filter(|l| !l.starts_with("bytes "))
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let crawled = SiteStatistics::crawl(&w.ws, &LiveSource::for_site(&w.site));
+    w.site.server.reset_stats();
+    ensure!(
+        counted(&crawled) == counted(&w.stats),
+        "crawl: statistics differ from the ground truth's"
+    );
+    Ok(())
+}
