@@ -1,18 +1,32 @@
 //! Columnar page-relations with chunk-at-a-time kernels.
 //!
 //! [`ColumnRel`] is the evaluator's internal representation of a
-//! [`Relation`]: one typed vector per attribute (interned text ids, interned
-//! link ids, nested relations as child columns plus an offset list) with
-//! validity bitmaps for nulls. [`Value`]/[`Tuple`] remain the public
-//! boundary type — `to_relation`/`from_relation` convert at the edges.
+//! [`Relation`]: one typed vector per attribute (text codes, link codes,
+//! nested relations as child columns plus an offset list) with validity
+//! bitmaps for nulls. A code is a string's number in the relation's value
+//! [`Dict`], which the relation holds through an `Arc`: one evaluation
+//! builds all its relations in one dictionary, and it is freed with the
+//! last of them (see [`crate::intern`]). Column names are global
+//! [`Symbol`]s. [`Value`]/[`Tuple`] remain the public boundary type —
+//! `to_relation`/`from_relation` convert at the edges.
 //!
 //! The kernels mirror the row-at-a-time operators of [`Relation`] exactly:
 //! selection produces index vectors, projection deduplicates by hashing
 //! token-encoded column slices, the equi-join probes a hash table of
-//! interned ids in batches, and unnest expands offset ranges. Output *order*
+//! codes in batches, and unnest expands offset ranges. Output *order*
 //! is identical to the row path (selection preserves input order, projection
 //! keeps first appearance, join emits left order × right match order), so
 //! results are byte-identical, not merely set-equal.
+//!
+//! # Two dictionaries
+//!
+//! A kernel over two relations ([`ColumnRel::join_on`],
+//! [`ColumnRel::take_pairs`], [`ColumnRel::hstack`]) compares codes when
+//! both share a dictionary. When they do not — relations built apart, as
+//! [`ColumnRel::from_relation`] and each wrapped page build them — it first
+//! re-encodes the right-hand one into the left one's dictionary through
+//! its strings, and the output is in the left one's. The evaluator never
+//! takes that path.
 //!
 //! # Null vs empty list
 //!
@@ -29,11 +43,15 @@
 //! and keeps row-compatible semantics.
 
 use crate::error::AdmError;
-use crate::intern::Symbol;
+use crate::intern::{Dict, Strings, Symbol};
 use crate::relation::Relation;
+use crate::url::Url;
 use crate::value::{Cell, EncodedTuple, Reader, Tuple, Value};
 use crate::Result;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::sync::Arc;
 
 /// A validity bitmap: bit *i* set ⇔ row *i* is non-null.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -88,10 +106,12 @@ impl Bitmap {
 /// The typed payload of one column.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
-    /// Interned text ids; entries at invalid rows are placeholders.
-    Text(Vec<Symbol>),
-    /// Interned link (URL) ids; entries at invalid rows are placeholders.
-    Link(Vec<Symbol>),
+    /// Text codes in the relation's dictionary; entries at invalid rows
+    /// are placeholders.
+    Text(Vec<u32>),
+    /// Link (URL) codes in the relation's dictionary; entries at invalid
+    /// rows are placeholders.
+    Link(Vec<u32>),
     /// Nested relation: row *i* spans child rows `offsets[i]..offsets[i+1]`.
     Nested {
         /// `len + 1` monotone offsets into the child relation.
@@ -113,36 +133,41 @@ pub struct Column {
     pub validity: Bitmap,
 }
 
-/// A columnar relation: named typed columns of equal length.
-#[derive(Debug, Clone)]
+/// A columnar relation: named typed columns of equal length, whose text
+/// and link cells — nested ones included — are codes in one [`Dict`].
+///
+/// `Debug` prints each cell's string, never its code, so two relations
+/// built alike print alike whatever order their strings were first met in.
+#[derive(Clone)]
 pub struct ColumnRel {
     names: Vec<Symbol>,
     cols: Vec<Column>,
     len: usize,
+    dict: Arc<Dict>,
 }
 
-fn placeholder() -> Symbol {
-    Symbol::intern("")
-}
+/// The code at a row that holds no string: never read as one.
+const PLACEHOLDER: u32 = 0;
 
 impl ColumnRel {
-    /// A one-column relation of non-null links, from ids already interned —
-    /// the URL column of a page-relation, whose URLs the evaluator holds as
-    /// symbols before any page arrives.
-    pub fn of_links(name: Symbol, ids: Vec<Symbol>) -> Self {
+    /// A one-column relation of non-null links, from codes already in
+    /// `dict` — the URL column of a page-relation, whose URLs the evaluator
+    /// holds as codes before any page arrives.
+    pub fn of_links(name: Symbol, dict: &Arc<Dict>, codes: Vec<u32>) -> Self {
         let mut validity = Bitmap::new();
-        validity.push_valid_n(ids.len());
+        validity.push_valid_n(codes.len());
         ColumnRel {
             names: vec![name],
-            len: ids.len(),
+            len: codes.len(),
             cols: vec![Column {
-                data: ColumnData::Link(ids),
+                data: ColumnData::Link(codes),
                 validity,
             }],
+            dict: Arc::clone(dict),
         }
     }
 
-    /// An empty relation with the given header.
+    /// An empty relation with the given header, in a dictionary of its own.
     pub fn empty<S: AsRef<str>>(names: &[S]) -> Self {
         ColumnRel {
             names: names.iter().map(|n| Symbol::intern(n.as_ref())).collect(),
@@ -154,12 +179,29 @@ impl ColumnRel {
                 })
                 .collect(),
             len: 0,
+            dict: Arc::default(),
+        }
+    }
+
+    /// A relation of no columns and no rows in `dict`: the child of a
+    /// list column that never met an inner tuple.
+    fn no_columns(dict: &Arc<Dict>) -> Self {
+        ColumnRel {
+            names: Vec::new(),
+            cols: Vec::new(),
+            len: 0,
+            dict: Arc::clone(dict),
         }
     }
 
     /// Column header symbols.
     pub fn names(&self) -> &[Symbol] {
         &self.names
+    }
+
+    /// The dictionary the text and link codes are codes in.
+    pub fn dict(&self) -> &Arc<Dict> {
+        &self.dict
     }
 
     /// The columns.
@@ -195,18 +237,24 @@ impl ColumnRel {
 
     /// Materializes the cell at `(row, col)` as a boundary [`Value`].
     pub fn value_at(&self, row: usize, col: usize) -> Value {
+        self.value_in(&self.dict.lock(), row, col)
+    }
+
+    /// [`ColumnRel::value_at`] with the dictionary's strings in hand: a
+    /// nested cell reads its child, which shares them, through the same.
+    fn value_in(&self, s: &Strings, row: usize, col: usize) -> Value {
         let c = &self.cols[col];
         match &c.data {
             ColumnData::Text(ids) => {
                 if c.validity.get(row) {
-                    Value::Text(ids[row].as_str().to_string())
+                    Value::Text(s.get(ids[row]).to_string())
                 } else {
                     Value::Null
                 }
             }
             ColumnData::Link(ids) => {
                 if c.validity.get(row) {
-                    Value::Link(ids[row].to_url())
+                    Value::Link(Url::new(s.get(ids[row])))
                 } else {
                     Value::Null
                 }
@@ -215,7 +263,7 @@ impl ColumnRel {
                 if c.validity.get(row) {
                     let lo = offsets[row] as usize;
                     let hi = offsets[row + 1] as usize;
-                    Value::List((lo..hi).map(|r| child.tuple_at(r)).collect())
+                    Value::List((lo..hi).map(|r| child.tuple_in(s, r)).collect())
                 } else {
                     Value::Null
                 }
@@ -227,17 +275,21 @@ impl ColumnRel {
     /// Materializes row `r` as a [`Tuple`] over the column names (symbols
     /// on both sides: no name is copied).
     pub fn tuple_at(&self, row: usize) -> Tuple {
+        self.tuple_in(&self.dict.lock(), row)
+    }
+
+    fn tuple_in(&self, s: &Strings, row: usize) -> Tuple {
         Tuple::from_pairs(
             (0..self.cols.len())
-                .map(|c| (self.names[c], self.value_at(row, c)))
+                .map(|c| (self.names[c], self.value_in(s, row, c)))
                 .collect(),
         )
     }
 
-    /// The interned link id at `(row, col)`, or `None` for null. Errors with
-    /// the same `TypeMismatch` as the row path when the cell holds a
-    /// non-link, non-null value.
-    pub fn link_at(&self, row: usize, col: usize) -> Result<Option<Symbol>> {
+    /// The link's code at `(row, col)` in this relation's dictionary, or
+    /// `None` for null. Errors with the same `TypeMismatch` as the row path
+    /// when the cell holds a non-link, non-null value.
+    pub fn link_at(&self, row: usize, col: usize) -> Result<Option<u32>> {
         let c = &self.cols[col];
         let type_err = |found: String| AdmError::TypeMismatch {
             attr: self.names[col].as_str().to_string(),
@@ -246,17 +298,7 @@ impl ColumnRel {
         };
         match &c.data {
             ColumnData::Link(ids) => Ok(c.validity.get(row).then(|| ids[row])),
-            ColumnData::Text(ids) => {
-                if c.validity.get(row) {
-                    Err(type_err(format!(
-                        "{:?}",
-                        Value::Text(ids[row].as_str().to_string())
-                    )))
-                } else {
-                    Ok(None)
-                }
-            }
-            ColumnData::Nested { .. } => {
+            ColumnData::Text(_) | ColumnData::Nested { .. } => {
                 if c.validity.get(row) {
                     Err(type_err(format!("{:?}", self.value_at(row, col))))
                 } else {
@@ -264,7 +306,7 @@ impl ColumnRel {
                 }
             }
             ColumnData::Values(vs) => match &vs[row] {
-                Value::Link(u) => Ok(Some(Symbol::from_url(u))),
+                Value::Link(u) => Ok(Some(self.dict.code(u.as_str()))),
                 Value::Null => Ok(None),
                 other => Err(type_err(format!("{other:?}"))),
             },
@@ -274,15 +316,17 @@ impl ColumnRel {
     // ---- token encoding (equality keys for dedup / join) ----------------
 
     /// Appends a prefix-free token encoding of the cell to `out`. Two cells
-    /// encode identically iff their boundary [`Value`]s are equal, so token
-    /// vectors are exact hash/equality keys for dedup and join.
-    fn encode_cell(&self, row: usize, col: usize, out: &mut Vec<u64>) {
+    /// of relations in one dictionary `s` encode identically iff their
+    /// boundary [`Value`]s are equal, so token vectors are exact
+    /// hash/equality keys for dedup and join. A text or link of a
+    /// heterogeneous column is given its code in `s` here.
+    fn encode_cell(&self, row: usize, col: usize, s: &mut Strings, out: &mut Vec<u64>) {
         let c = &self.cols[col];
         match &c.data {
             ColumnData::Text(ids) => {
                 if c.validity.get(row) {
                     out.push(1);
-                    out.push(ids[row].id() as u64);
+                    out.push(u64::from(ids[row]));
                 } else {
                     out.push(0);
                 }
@@ -290,7 +334,7 @@ impl ColumnRel {
             ColumnData::Link(ids) => {
                 if c.validity.get(row) {
                     out.push(2);
-                    out.push(ids[row].id() as u64);
+                    out.push(u64::from(ids[row]));
                 } else {
                     out.push(0);
                 }
@@ -306,30 +350,73 @@ impl ColumnRel {
                         out.push(child.cols.len() as u64);
                         for (ci, name) in child.names.iter().enumerate() {
                             out.push(name.id() as u64);
-                            child.encode_cell(r, ci, out);
+                            child.encode_cell(r, ci, s, out);
                         }
                     }
                 } else {
                     out.push(0);
                 }
             }
-            ColumnData::Values(vs) => encode_value(&vs[row], out),
+            ColumnData::Values(vs) => encode_value(&vs[row], s, out),
+        }
+    }
+
+    /// This relation with its codes in `dict`: itself when that is its
+    /// dictionary, else a copy re-encoded through its strings.
+    fn in_dict(&self, dict: &Arc<Dict>) -> Cow<'_, ColumnRel> {
+        if Arc::ptr_eq(&self.dict, dict) {
+            return Cow::Borrowed(self);
+        }
+        // A copy of the strings, so no two dictionaries are ever locked
+        // at once.
+        let from = self.dict.lock().clone();
+        Cow::Owned(self.recoded(&from, &mut dict.lock(), dict))
+    }
+
+    fn recoded(&self, from: &Strings, to: &mut Strings, dict: &Arc<Dict>) -> ColumnRel {
+        let recode = |ids: &[u32], validity: &Bitmap, to: &mut Strings| -> Vec<u32> {
+            (ids.iter().enumerate())
+                .map(|(i, &c)| match validity.get(i) {
+                    true => to.code(from.get(c)),
+                    false => PLACEHOLDER,
+                })
+                .collect()
+        };
+        let cols = (self.cols.iter())
+            .map(|c| Column {
+                data: match &c.data {
+                    ColumnData::Text(ids) => ColumnData::Text(recode(ids, &c.validity, to)),
+                    ColumnData::Link(ids) => ColumnData::Link(recode(ids, &c.validity, to)),
+                    ColumnData::Nested { offsets, child } => ColumnData::Nested {
+                        offsets: offsets.clone(),
+                        child: Box::new(child.recoded(from, to, dict)),
+                    },
+                    ColumnData::Values(vs) => ColumnData::Values(vs.clone()),
+                },
+                validity: c.validity.clone(),
+            })
+            .collect();
+        ColumnRel {
+            names: self.names.clone(),
+            cols,
+            len: self.len,
+            dict: Arc::clone(dict),
         }
     }
 }
 
 /// Token-encodes a boundary [`Value`] with the same scheme as
-/// [`ColumnRel::encode_cell`], interning text as needed.
-fn encode_value(v: &Value, out: &mut Vec<u64>) {
+/// [`ColumnRel::encode_cell`], giving a text or link its code in `s`.
+fn encode_value(v: &Value, s: &mut Strings, out: &mut Vec<u64>) {
     match v {
         Value::Null => out.push(0),
-        Value::Text(s) => {
+        Value::Text(t) => {
             out.push(1);
-            out.push(Symbol::intern(s).id() as u64);
+            out.push(u64::from(s.code(t)));
         }
         Value::Link(u) => {
             out.push(2);
-            out.push(Symbol::from_url(u).id() as u64);
+            out.push(u64::from(s.code(u.as_str())));
         }
         Value::List(ts) => {
             out.push(3);
@@ -339,7 +426,7 @@ fn encode_value(v: &Value, out: &mut Vec<u64>) {
                 out.push(t.len() as u64);
                 for (n, v) in t.fields() {
                     out.push(n.id() as u64);
-                    encode_value(v, out);
+                    encode_value(v, s, out);
                 }
             }
         }
@@ -398,6 +485,7 @@ impl ColumnRel {
             names: self.names.clone(),
             cols: self.cols.iter().map(|c| take_column(c, idx)).collect(),
             len: idx.len(),
+            dict: Arc::clone(&self.dict),
         }
     }
 
@@ -407,14 +495,14 @@ impl ColumnRel {
     pub fn select_eq_const(&self, col: usize, value: &Value) -> Vec<u32> {
         let c = &self.cols[col];
         match (&c.data, value) {
-            (ColumnData::Text(ids), Value::Text(s)) => match Symbol::lookup(s) {
+            (ColumnData::Text(ids), Value::Text(s)) => match self.dict.lookup(s) {
                 None => Vec::new(),
                 Some(want) => (0..self.len)
                     .filter(|&i| c.validity.get(i) && ids[i] == want)
                     .map(|i| i as u32)
                     .collect(),
             },
-            (ColumnData::Link(ids), Value::Link(u)) => match Symbol::lookup(u.as_str()) {
+            (ColumnData::Link(ids), Value::Link(u)) => match self.dict.lookup(u.as_str()) {
                 None => Vec::new(),
                 Some(want) => (0..self.len)
                     .filter(|&i| c.validity.get(i) && ids[i] == want)
@@ -460,8 +548,8 @@ impl ColumnRel {
     /// Projection onto columns `idx` with set-semantics dedup (first
     /// appearance wins), hashing token-encoded column slices.
     pub fn project_cols(&self, idx: &[usize]) -> ColumnRel {
-        // Single interned column: the whole cell packs into one u64
-        // (tag ≪ 32 | symbol id, 0 = null), so dedup needs no key vectors
+        // Single text or link column: the whole cell packs into one u64
+        // (tag ≪ 32 | code, 0 = null), so dedup needs no key vectors
         // at all — this is the hot shape (π onto a key or URL column).
         let keep: Vec<u32> = if let [c] = idx {
             let col = &self.cols[*c];
@@ -475,7 +563,7 @@ impl ColumnRel {
                     (0..self.len)
                         .filter(|&row| {
                             let token = if col.validity.get(row) {
-                                (tag << 32) | ids[row].id() as u64
+                                (tag << 32) | u64::from(ids[row])
                             } else {
                                 0
                             };
@@ -496,6 +584,7 @@ impl ColumnRel {
                 .map(|&i| take_column(&self.cols[i], &keep))
                 .collect(),
             len: keep.len(),
+            dict: Arc::clone(&self.dict),
         }
     }
 
@@ -506,10 +595,11 @@ impl ColumnRel {
         let mut seen: HashSet<Vec<u64>> = HashSet::new();
         let mut keep: Vec<u32> = Vec::new();
         let mut key: Vec<u64> = Vec::new();
+        let mut s = self.dict.lock();
         for row in 0..self.len {
             key.clear();
             for &c in idx {
-                self.encode_cell(row, c, &mut key);
+                self.encode_cell(row, c, &mut s, &mut key);
             }
             if !seen.contains(&key) {
                 seen.insert(key.clone());
@@ -533,8 +623,9 @@ impl ColumnRel {
         self.project_cols(&(0..self.cols.len()).collect::<Vec<_>>())
     }
 
-    /// Glues two relations of equal length side by side; relations of
-    /// different lengths are a [`AdmError::RowCountMismatch`].
+    /// Glues two relations of equal length side by side, in `self`'s
+    /// dictionary; relations of different lengths are a
+    /// [`AdmError::RowCountMismatch`].
     pub fn hstack(mut self, other: ColumnRel) -> Result<ColumnRel> {
         if self.len != other.len {
             return Err(AdmError::RowCountMismatch {
@@ -542,16 +633,21 @@ impl ColumnRel {
                 right: other.len,
             });
         }
+        let other = match Arc::ptr_eq(&self.dict, &other.dict) {
+            true => other,
+            false => other.in_dict(&self.dict).into_owned(),
+        };
         self.names.extend(other.names);
         self.cols.extend(other.cols);
         Ok(self)
     }
 
-    /// The rows `self[l] ++ other[r]`, one for each pair `(l, r)` in order:
-    /// the gather that assembles a join's or a follow's output. Both sides
-    /// are gathered through the one list of pairs, so they cannot differ in
-    /// length.
+    /// The rows `self[l] ++ other[r]`, one for each pair `(l, r)` in order,
+    /// in `self`'s dictionary: the gather that assembles a join's or a
+    /// follow's output. Both sides are gathered through the one list of
+    /// pairs, so they cannot differ in length.
     pub fn take_pairs(&self, other: &ColumnRel, pairs: &[(u32, u32)]) -> ColumnRel {
+        let other = other.in_dict(&self.dict);
         let (left, right): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
         let mut out = self.take(&left);
         out.names.extend_from_slice(&other.names);
@@ -563,17 +659,20 @@ impl ColumnRel {
     /// Equi-join on column index pairs: hashes the right side on token-
     /// encoded keys (null keys never join), probes left rows in order.
     /// Output rows are left order × right match order, columns are
-    /// `self ++ other` — exactly the row path.
+    /// `self ++ other` — exactly the row path. The keys are codes in
+    /// `self`'s dictionary.
     pub fn join_on(&self, other: &ColumnRel, on: &[(usize, usize)]) -> ColumnRel {
+        let right = other.in_dict(&self.dict);
         let mut table: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
         let mut key: Vec<u64> = Vec::new();
-        'right: for row in 0..other.len {
+        let mut s = self.dict.lock();
+        'right: for row in 0..right.len {
             key.clear();
             for &(_, rc) in on {
-                if other.is_null_at(row, rc) {
+                if right.is_null_at(row, rc) {
                     continue 'right;
                 }
-                other.encode_cell(row, rc, &mut key);
+                right.encode_cell(row, rc, &mut s, &mut key);
             }
             // clone the key only on first appearance — the buffer is reused
             match table.get_mut(&key) {
@@ -590,13 +689,14 @@ impl ColumnRel {
                 if self.is_null_at(row, lc) {
                     continue 'left;
                 }
-                self.encode_cell(row, lc, &mut key);
+                self.encode_cell(row, lc, &mut s, &mut key);
             }
             if let Some(matches) = table.get(&key) {
                 pairs.extend(matches.iter().map(|&m| (row as u32, m)));
             }
         }
-        self.take_pairs(other, &pairs)
+        drop(s);
+        self.take_pairs(&right, &pairs)
     }
 
     /// Equi-join on named column pairs (see [`ColumnRel::join_on`]).
@@ -663,12 +763,14 @@ impl ColumnRel {
                     names,
                     cols,
                     len: child_idx.len(),
+                    dict: Arc::clone(&self.dict),
                 })
             }
             _ => {
                 // Row-wise fallback, preserving the row path's semantics:
                 // null ≡ empty list, anything else is a type error.
-                let mut b = ColumnRelBuilder::from_symbols(names);
+                let names = names.into_iter().map(|n| (n, Keep::All)).collect();
+                let mut b = ColumnRelBuilder::in_dict(&self.dict, names);
                 for row in 0..self.len {
                     let v = self.value_at(row, ci);
                     let Value::List(inner) = v else {
@@ -702,24 +804,33 @@ impl ColumnRel {
 
     // ---- boundary conversion --------------------------------------------
 
-    /// Columnarizes a boundary [`Relation`]. Text/link payloads are interned
-    /// (no string clones beyond first interning); heterogeneous columns
-    /// degrade to [`ColumnData::Values`].
+    /// Columnarizes a boundary [`Relation`] in a dictionary of its own.
+    /// Text/link payloads are coded (a string is copied once, when first
+    /// met); heterogeneous columns degrade to [`ColumnData::Values`].
     pub fn from_relation(r: &Relation) -> ColumnRel {
-        let mut b = ColumnRelBuilder::new(r.columns());
+        ColumnRel::from_relation_in(r, &Arc::default())
+    }
+
+    /// Columnarizes a boundary [`Relation`] in `dict`.
+    pub fn from_relation_in(r: &Relation, dict: &Arc<Dict>) -> ColumnRel {
+        let names = r.columns().iter().map(|n| (Symbol::intern(n), Keep::All));
+        let mut b = ColumnRelBuilder::in_dict(dict, names.collect());
+        let mut s = dict.lock();
         for row in r.rows() {
             // A `Relation` refuses every row whose arity is not its header's.
-            b.append(row);
+            b.append(row, &mut s);
         }
+        drop(s);
         b.finish()
     }
 
     /// Materializes back into a boundary [`Relation`] (row order preserved).
     pub fn to_relation(&self) -> Relation {
+        let s = self.dict.lock();
         let rows = (0..self.len)
             .map(|row| {
                 (0..self.cols.len())
-                    .map(|c| self.value_at(row, c))
+                    .map(|c| self.value_in(&s, row, c))
                     .collect()
             })
             .collect();
@@ -729,9 +840,52 @@ impl ColumnRel {
 }
 
 /// Prints [`ColumnRel::to_relation`]'s table: sorted rows, the one renderer.
-impl std::fmt::Display for ColumnRel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ColumnRel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.to_relation().fmt(f)
+    }
+}
+
+impl fmt::Debug for ColumnRel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Shown(self, &self.dict.lock()).fmt(f)
+    }
+}
+
+/// A relation, or one of its columns, printed with its cells' strings.
+struct Shown<'a, T>(&'a T, &'a Strings);
+
+impl fmt::Debug for Shown<'_, ColumnRel> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Shown(rel, s) = *self;
+        let names: Vec<&str> = rel.names.iter().map(|n| n.as_str()).collect();
+        let cols: Vec<Shown<'_, Column>> = rel.cols.iter().map(|c| Shown(c, s)).collect();
+        (f.debug_struct("ColumnRel"))
+            .field("names", &names)
+            .field("cols", &cols)
+            .field("len", &rel.len)
+            .finish()
+    }
+}
+
+impl fmt::Debug for Shown<'_, Column> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Shown(col, s) = *self;
+        let cells = |ids: &[u32]| -> Vec<Option<&str>> {
+            (ids.iter().enumerate())
+                .map(|(i, &c)| col.validity.get(i).then(|| s.get(c)))
+                .collect()
+        };
+        match &col.data {
+            ColumnData::Text(ids) => f.debug_tuple("Text").field(&cells(ids)).finish(),
+            ColumnData::Link(ids) => f.debug_tuple("Link").field(&cells(ids)).finish(),
+            ColumnData::Nested { offsets, child } => (f.debug_struct("Nested"))
+                .field("offsets", offsets)
+                .field("validity", &col.validity)
+                .field("child", &Shown(&**child, s))
+                .finish(),
+            ColumnData::Values(vs) => f.debug_tuple("Values").field(vs).finish(),
+        }
     }
 }
 
@@ -752,11 +906,14 @@ pub enum Keep {
 
 /// Builds a [`ColumnRel`] row by row, specializing column types on first
 /// non-null observation and degrading to [`ColumnData::Values`] on conflict.
+/// Its text and link cells are coded in the builder's dictionary, which
+/// the relation it finishes holds; each row pushed takes its lock once.
 #[derive(Debug)]
 pub struct ColumnRelBuilder {
     names: Vec<Symbol>,
     cols: Vec<BuildCol>,
     len: usize,
+    dict: Arc<Dict>,
 }
 
 #[derive(Debug)]
@@ -766,11 +923,11 @@ enum BuildCol {
         nulls: usize,
     },
     Text {
-        ids: Vec<Symbol>,
+        ids: Vec<u32>,
         validity: Bitmap,
     },
     Link {
-        ids: Vec<Symbol>,
+        ids: Vec<u32>,
         validity: Bitmap,
     },
     Nested {
@@ -787,45 +944,33 @@ enum BuildCol {
 }
 
 impl BuildCol {
-    fn new(keep: Keep) -> Self {
+    fn new(keep: Keep, dict: &Arc<Dict>) -> Self {
         match keep {
             Keep::All => BuildCol::Empty { nulls: 0 },
             Keep::Fields(fields) => BuildCol::Nested {
                 offsets: vec![0],
                 validity: Bitmap::new(),
-                child: Some(Box::new(ColumnRelBuilder::keeping(fields))),
+                child: Some(Box::new(ColumnRelBuilder::in_dict(dict, fields))),
                 picked: true,
             },
         }
     }
 
     /// Materializes the column built so far into boundary values (degrade
-    /// path — cold).
-    fn into_values(self) -> Vec<Value> {
+    /// path — cold), reading strings from `s`, the strings of `dict`.
+    fn into_values(self, s: &Strings, dict: &Arc<Dict>) -> Vec<Value> {
+        let cells = |ids: Vec<u32>, validity: Bitmap, value: fn(&str) -> Value| {
+            (ids.into_iter().enumerate())
+                .map(|(i, c)| match validity.get(i) {
+                    true => value(s.get(c)),
+                    false => Value::Null,
+                })
+                .collect()
+        };
         match self {
             BuildCol::Empty { nulls } => vec![Value::Null; nulls],
-            BuildCol::Text { ids, validity } => ids
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    if validity.get(i) {
-                        Value::Text(s.as_str().to_string())
-                    } else {
-                        Value::Null
-                    }
-                })
-                .collect(),
-            BuildCol::Link { ids, validity } => ids
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    if validity.get(i) {
-                        Value::Link(s.to_url())
-                    } else {
-                        Value::Null
-                    }
-                })
-                .collect(),
+            BuildCol::Text { ids, validity } => cells(ids, validity, |t| Value::Text(t.into())),
+            BuildCol::Link { ids, validity } => cells(ids, validity, |u| Value::Link(Url::new(u))),
             BuildCol::Nested {
                 offsets,
                 validity,
@@ -834,14 +979,14 @@ impl BuildCol {
             } => {
                 let child = match child {
                     Some(b) => b.finish(),
-                    None => ColumnRel::empty::<&str>(&[]),
+                    None => ColumnRel::no_columns(dict),
                 };
                 (0..validity.len())
                     .map(|i| {
                         if validity.get(i) {
                             let lo = offsets[i] as usize;
                             let hi = offsets[i + 1] as usize;
-                            Value::List((lo..hi).map(|r| child.tuple_at(r)).collect())
+                            Value::List((lo..hi).map(|r| child.tuple_in(s, r)).collect())
                         } else {
                             Value::Null
                         }
@@ -854,9 +999,9 @@ impl BuildCol {
 
     /// Turns the column into boundary values and appends `v` to them: the
     /// way out of a type conflict (cold).
-    fn degrade_push(&mut self, v: &Value) {
+    fn degrade_push(&mut self, v: &Value, s: &Strings, dict: &Arc<Dict>) {
         let old = std::mem::replace(self, BuildCol::Values(Vec::new()));
-        let mut values = old.into_values();
+        let mut values = old.into_values(s, dict);
         values.push(v.clone());
         *self = BuildCol::Values(values);
     }
@@ -873,14 +1018,22 @@ impl BuildCol {
 
     /// Appends the cell a [`Reader`] has just met, reading a list's rows
     /// from `r`. Text into a text column, a link into a link column and a
-    /// list into a picked column go in where they lie; any other cell — a
-    /// null, a column's first value, a list read whole, a type conflict —
-    /// is built (a null allocates nothing) and [pushed](BuildCol::push).
-    fn push_encoded<'a>(&mut self, cell: Cell<'a>, r: &mut Reader<'a>) -> Option<()> {
+    /// list into a picked column go in where they lie — a string is looked
+    /// up in `s` by its bytes, and checked for UTF-8 only if it is new
+    /// there; any other cell — a null, a column's first value, a list read
+    /// whole, a type conflict — is built (a null allocates nothing) and
+    /// [pushed](BuildCol::push).
+    fn push_encoded<'a>(
+        &mut self,
+        cell: Cell<'a>,
+        r: &mut Reader<'a>,
+        s: &mut Strings,
+        dict: &Arc<Dict>,
+    ) -> Option<()> {
         match (&mut *self, cell) {
             (BuildCol::Text { ids, validity }, Cell::Text(_))
             | (BuildCol::Link { ids, validity }, Cell::Link(_)) => {
-                ids.push(Symbol::intern(cell.str()?));
+                ids.push(s.code_of_utf8(cell.bytes()?)?);
                 validity.push(true);
             }
             (
@@ -893,76 +1046,61 @@ impl BuildCol {
                 Cell::List(n),
             ) => {
                 for _ in 0..n {
-                    let ColumnRelBuilder { names, cols, len } = &mut **cb;
+                    let ColumnRelBuilder {
+                        names, cols, len, ..
+                    } = &mut **cb;
                     // The next row starts where this one ends.
-                    append_encoded(cols, names, len, r, true)?;
+                    append_encoded(cols, names, len, r, true, s, dict)?;
                 }
                 offsets.push(cb.len as u32);
                 validity.push(true);
             }
-            _ => self.push(&r.value(cell)?),
+            _ => self.push(&r.value(cell)?, s, dict),
         }
         Some(())
     }
 
-    fn push(&mut self, v: &Value) {
+    fn push(&mut self, v: &Value, s: &mut Strings, dict: &Arc<Dict>) {
         // Specialize an all-null column on its first non-null value.
         if let BuildCol::Empty { nulls } = self {
             let nulls = *nulls;
-            match v {
-                Value::Null => {
-                    *self = BuildCol::Empty { nulls: nulls + 1 };
-                    return;
-                }
-                Value::Text(_) => {
-                    let mut validity = Bitmap::new();
-                    let mut ids = Vec::with_capacity(nulls + 1);
-                    for _ in 0..nulls {
-                        validity.push(false);
-                        ids.push(placeholder());
-                    }
-                    *self = BuildCol::Text { ids, validity };
-                }
-                Value::Link(_) => {
-                    let mut validity = Bitmap::new();
-                    let mut ids = Vec::with_capacity(nulls + 1);
-                    for _ in 0..nulls {
-                        validity.push(false);
-                        ids.push(placeholder());
-                    }
-                    *self = BuildCol::Link { ids, validity };
-                }
-                Value::List(_) => {
-                    let mut validity = Bitmap::new();
-                    let mut offsets = vec![0u32; nulls + 1];
-                    offsets.reserve(1);
-                    for _ in 0..nulls {
-                        validity.push(false);
-                    }
-                    *self = BuildCol::Nested {
-                        offsets,
-                        validity,
-                        child: None,
-                        picked: false,
-                    };
-                }
+            if v.is_null() {
+                *self = BuildCol::Empty { nulls: nulls + 1 };
+                return;
             }
-        }
-        match (&mut *self, v) {
-            (BuildCol::Text { ids, validity }, Value::Text(s)) => {
-                ids.push(Symbol::intern(s));
-                validity.push(true);
-            }
-            (BuildCol::Text { ids, validity }, Value::Null) => {
-                ids.push(placeholder());
+            let mut validity = Bitmap::new();
+            for _ in 0..nulls {
                 validity.push(false);
             }
-            (BuildCol::Link { ids, validity }, Value::Link(u)) => {
-                ids.push(Symbol::from_url(u));
+            *self = match v {
+                Value::Text(_) => BuildCol::Text {
+                    ids: vec![PLACEHOLDER; nulls],
+                    validity,
+                },
+                Value::Link(_) => BuildCol::Link {
+                    ids: vec![PLACEHOLDER; nulls],
+                    validity,
+                },
+                // (a null returned above)
+                Value::List(_) | Value::Null => BuildCol::Nested {
+                    offsets: vec![0u32; nulls + 1],
+                    validity,
+                    child: None,
+                    picked: false,
+                },
+            };
+        }
+        match (&mut *self, v) {
+            (BuildCol::Text { ids, validity }, Value::Text(t)) => {
+                ids.push(s.code(t));
                 validity.push(true);
             }
-            (BuildCol::Link { ids, validity }, Value::Null) => {
-                ids.push(placeholder());
+            (BuildCol::Link { ids, validity }, Value::Link(u)) => {
+                ids.push(s.code(u.as_str()));
+                validity.push(true);
+            }
+            (BuildCol::Text { ids, validity } | BuildCol::Link { ids, validity }, Value::Null) => {
+                ids.push(PLACEHOLDER);
                 validity.push(false);
             }
             (
@@ -977,7 +1115,7 @@ impl BuildCol {
                 // The kept fields only, found by name.
                 if let Some(cb) = child {
                     for t in ts {
-                        cb.append_fields(t);
+                        cb.append_fields(t, s);
                     }
                 }
                 offsets.push(child.as_ref().map_or(0, |cb| cb.len as u32));
@@ -1004,20 +1142,21 @@ impl BuildCol {
                         let names: Vec<Symbol> = first.fields().iter().map(|(n, _)| *n).collect();
                         let all = ts.iter().all(|t| names_are(t, &names));
                         if all {
-                            *child = Some(Box::new(ColumnRelBuilder::from_symbols(names)));
+                            let names = names.into_iter().map(|n| (n, Keep::All)).collect();
+                            *child = Some(Box::new(ColumnRelBuilder::in_dict(dict, names)));
                         }
                         all
                     }
                     (None, None) => true,
                 };
                 if !compatible {
-                    self.degrade_push(v);
+                    self.degrade_push(v, s, dict);
                     return;
                 }
                 if let Some(cb) = child {
                     // Inner cells go in by reference, arity checked above.
                     for t in ts {
-                        cb.append(t.values());
+                        cb.append(t.values(), s);
                     }
                 }
                 offsets.push(child.as_ref().map_or(0, |cb| cb.len as u32));
@@ -1037,11 +1176,11 @@ impl BuildCol {
             }
             (BuildCol::Values(vs), v) => vs.push(v.clone()),
             // type conflict: degrade and retry
-            (_, v) => self.degrade_push(v),
+            (_, v) => self.degrade_push(v, s, dict),
         }
     }
 
-    fn finish_col(self_col: BuildCol, len: usize) -> Column {
+    fn finish_col(self_col: BuildCol, len: usize, dict: &Arc<Dict>) -> Column {
         match self_col {
             BuildCol::Empty { nulls } => {
                 debug_assert_eq!(nulls, len);
@@ -1072,7 +1211,7 @@ impl BuildCol {
                     offsets,
                     child: Box::new(match child {
                         Some(b) => b.finish(),
-                        None => ColumnRel::empty::<&str>(&[]),
+                        None => ColumnRel::no_columns(dict),
                     }),
                 },
                 validity,
@@ -1092,29 +1231,35 @@ impl BuildCol {
 }
 
 impl ColumnRelBuilder {
-    /// A builder over string column names.
+    /// A builder over string column names, in a dictionary of its own.
     pub fn new<S: AsRef<str>>(names: &[S]) -> Self {
         ColumnRelBuilder::from_symbols(names.iter().map(|n| Symbol::intern(n.as_ref())).collect())
     }
 
-    /// A builder over pre-interned column names.
+    /// A builder over pre-interned column names, in a dictionary of its
+    /// own.
     pub fn from_symbols(names: Vec<Symbol>) -> Self {
-        let cols = names.iter().map(|_| BuildCol::new(Keep::All)).collect();
-        ColumnRelBuilder {
-            names,
-            cols,
-            len: 0,
-        }
+        ColumnRelBuilder::keeping(names.into_iter().map(|n| (n, Keep::All)).collect())
     }
 
     /// A builder whose column `cols[i].0` keeps of each cell what
-    /// `cols[i].1` says.
+    /// `cols[i].1` says, in a dictionary of its own.
     pub fn keeping(cols: Vec<(Symbol, Keep)>) -> Self {
-        let (names, cols) = cols.into_iter().map(|(n, k)| (n, BuildCol::new(k))).unzip();
+        ColumnRelBuilder::in_dict(&Arc::default(), cols)
+    }
+
+    /// [`ColumnRelBuilder::keeping`] in `dict`, which the relations it
+    /// builds hold: how an evaluation builds all of its relations in one.
+    pub fn in_dict(dict: &Arc<Dict>, cols: Vec<(Symbol, Keep)>) -> Self {
+        let (names, cols) = cols
+            .into_iter()
+            .map(|(n, k)| (n, BuildCol::new(k, dict)))
+            .unzip();
         ColumnRelBuilder {
             names,
             cols,
             len: 0,
+            dict: Arc::clone(dict),
         }
     }
 
@@ -1131,10 +1276,10 @@ impl ColumnRelBuilder {
     /// Appends one row (arity-checked) from borrowed cells: a `&[Value]`,
     /// or any exact-size iterator of `&Value` — [`Tuple::values`] of a
     /// wrapped page, say — so the caller never builds a row of clones to
-    /// hand over. Nothing is copied on the way in: text and link
-    /// payloads are interned, nested lists are appended to the child
-    /// columns cell by cell. Only a column that has degraded to
-    /// [`ColumnData::Values`] stores a clone.
+    /// hand over. Nothing is copied on the way in but a string the
+    /// dictionary has not met: text and link payloads are coded, nested
+    /// lists are appended to the child columns cell by cell. Only a column
+    /// that has degraded to [`ColumnData::Values`] stores a clone.
     pub fn push_row<'v, I>(&mut self, row: I) -> Result<()>
     where
         I: IntoIterator<Item = &'v Value>,
@@ -1147,24 +1292,26 @@ impl ColumnRelBuilder {
                 found: row.len(),
             });
         }
-        self.append(row);
+        let dict = Arc::clone(&self.dict);
+        self.append(row, &mut dict.lock());
         Ok(())
     }
 
-    /// Appends a row whose arity the caller knows to be the builder's.
-    fn append<'v>(&mut self, row: impl IntoIterator<Item = &'v Value>) {
+    /// Appends a row whose arity the caller knows to be the builder's,
+    /// with its dictionary's strings in hand.
+    fn append<'v>(&mut self, row: impl IntoIterator<Item = &'v Value>, s: &mut Strings) {
         for (c, v) in self.cols.iter_mut().zip(row) {
-            c.push(v);
+            c.push(v, s, &self.dict);
         }
         self.len += 1;
     }
 
     /// Appends the fields of `t` the columns are named after, a null for
     /// each that `t` lacks.
-    fn append_fields(&mut self, t: &Tuple) {
+    fn append_fields(&mut self, t: &Tuple, s: &mut Strings) {
         static NULL: Value = Value::Null;
         for (c, name) in self.cols.iter_mut().zip(&self.names) {
-            c.push(t.get_sym(*name).unwrap_or(&NULL));
+            c.push(t.get_sym(*name).unwrap_or(&NULL), s, &self.dict);
         }
         self.len += 1;
     }
@@ -1193,6 +1340,8 @@ impl ColumnRelBuilder {
             &mut self.len,
             &mut page.reader(),
             false,
+            &mut self.dict.lock(),
+            &self.dict,
         );
         Ok(())
     }
@@ -1200,14 +1349,16 @@ impl ColumnRelBuilder {
     /// Finishes into a [`ColumnRel`].
     pub fn finish(self) -> ColumnRel {
         let len = self.len;
+        let dict = self.dict;
         ColumnRel {
             names: self.names,
             cols: self
                 .cols
                 .into_iter()
-                .map(|c| BuildCol::finish_col(c, len))
+                .map(|c| BuildCol::finish_col(c, len, &dict))
                 .collect(),
             len,
+            dict,
         }
     }
 }
@@ -1218,13 +1369,16 @@ impl ColumnRelBuilder {
 /// [`Tuple::get_sym`] finds it. A field no column names is skipped; a
 /// column no field named gets a null. Unless `to_end`, reading stops once
 /// every column has its cell, and `r` is left where it stopped; a row of a
-/// list is read `to_end`, as the next row starts where it ends.
+/// list is read `to_end`, as the next row starts where it ends. Strings
+/// are coded in `s`, the strings of `dict`.
 fn append_encoded(
     cols: &mut [BuildCol],
     names: &[Symbol],
     len: &mut usize,
     r: &mut Reader<'_>,
     to_end: bool,
+    s: &mut Strings,
+    dict: &Arc<Dict>,
 ) -> Option<()> {
     let row = *len;
     let mut missing = cols.len();
@@ -1241,7 +1395,7 @@ fn append_encoded(
                 .filter(|(c, n)| n.id() == id && c.len() == row)
             {
                 let mut rest = *r;
-                c.push_encoded(cell, &mut rest)?;
+                c.push_encoded(cell, &mut rest, s, dict)?;
                 missing -= 1;
                 end = Some(rest);
             }
@@ -1254,7 +1408,7 @@ fn append_encoded(
     };
     let read = read();
     for c in cols.iter_mut().filter(|c| c.len() == row) {
-        c.push(&Value::Null);
+        c.push(&Value::Null, s, dict);
     }
     *len += 1;
     read
@@ -1263,7 +1417,6 @@ fn append_encoded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::url::Url;
 
     fn profs() -> Relation {
         Relation::from_rows(
@@ -1371,7 +1524,7 @@ mod tests {
             c.take(&idx).to_relation(),
             r.select_eq("Rank", &Value::text("Full")).unwrap()
         );
-        // unknown constant: no matches, nothing interned
+        // unknown constant: no matches, and the dictionary is not grown
         assert!(c
             .select_eq_const(2, &Value::text("no-such-rank-xyzzy"))
             .is_empty());
@@ -1471,10 +1624,10 @@ mod tests {
     }
 
     #[test]
-    fn link_at_reads_ids_without_alloc() {
+    fn link_at_reads_codes_without_alloc() {
         let c = ColumnRel::from_relation(&profs());
-        let s = c.link_at(0, 0).unwrap().unwrap();
-        assert_eq!(s.as_str(), "/p1");
+        let code = c.link_at(0, 0).unwrap().unwrap();
+        assert_eq!(c.dict().string(code), "/p1");
         assert!(c.link_at(0, 1).is_err()); // text column
         let d = ColumnRel::from_relation(
             &Relation::from_rows(vec!["A"], vec![vec![Value::Null]]).unwrap(),
@@ -1602,10 +1755,38 @@ mod tests {
         assert_eq!(r.project(&[]).unwrap().len(), 1);
     }
 
+    /// Relations built apart meet in the left one's dictionary: a join, a
+    /// gather and a glue re-encode the right one through its strings, and
+    /// a relation printed lists strings, not the codes it was given.
     #[test]
-    fn url_symbols_round_trip() {
-        let u = Url::new("/dept/42");
-        let s = Symbol::from_url(&u);
-        assert_eq!(s.to_url(), u);
+    fn kernels_over_two_dictionaries_meet_in_the_left_one() {
+        let (courses, profs_r) = (depts(), profs());
+        let unnested = ColumnRel::from_relation(&courses)
+            .unnest("ProfList", &["ToProf".to_string()])
+            .unwrap();
+        let p = ColumnRel::from_relation(&profs_r);
+        assert!(!Arc::ptr_eq(unnested.dict(), p.dict()));
+        let j = unnested.join(&p, &[("ToProf", "ProfPage.URL")]).unwrap();
+        assert!(Arc::ptr_eq(j.dict(), unnested.dict()));
+        let want = (courses.unnest("ProfList", &["ToProf".to_string()]).unwrap())
+            .join(&profs_r, &[("ToProf", "ProfPage.URL")])
+            .unwrap();
+        assert_eq!(j.to_relation(), want);
+        assert_eq!(j.len(), 2);
+        // the same strings met in another order print the same
+        let backwards = Relation::from_rows(
+            profs_r.columns().to_vec(),
+            profs_r.rows().iter().rev().cloned().collect(),
+        )
+        .unwrap();
+        let forwards = ColumnRel::from_relation(&profs_r);
+        let twice = ColumnRel::from_relation(&backwards);
+        let last = twice.take(&[3, 2, 1, 0]);
+        assert_eq!(format!("{forwards:?}"), format!("{last:?}"));
+        assert_ne!(forwards.link_at(0, 0).unwrap(), last.link_at(0, 0).unwrap());
+        let glued = forwards.take(&[0]).hstack(last.take(&[1])).unwrap();
+        assert_eq!(glued.value_at(0, 3), Value::link("/p2"));
+        let paired = forwards.take_pairs(&last, &[(0, 1)]);
+        assert_eq!(paired.tuple_at(0), glued.tuple_at(0));
     }
 }

@@ -1,13 +1,18 @@
-//! Global string interner: attribute names, page-scheme names, and URLs
-//! become `u32` [`Symbol`] ids behind a process-wide arena.
+//! Interning: a name becomes a process-wide [`Symbol`]; a value becomes
+//! a code in a [`Dict`] that is freed with the relations that use it.
 //!
-//! Interning turns the evaluator's per-row `String`/`Url` comparisons and
-//! clones into `u32` copies. The arena leaks its strings (`&'static str`),
-//! which is bounded by the working vocabulary of a process — attribute
-//! names, scheme names, and the distinct URLs it has touched — and lets
-//! [`Symbol::as_str`] hand out references without lifetimes.
+//! # Names: one process-wide arena
 //!
-//! # One index, no lock on the read path
+//! Attribute names, page-scheme names and the column names an evaluation
+//! qualifies them into become `u32` [`Symbol`] ids behind a process-wide
+//! arena. The arena leaks its strings (`&'static str`), which is bounded
+//! by the names a process meets — the schemes' vocabulary and the aliases
+//! queries give them — and lets [`Symbol::as_str`] hand out references
+//! without lifetimes. It holds names only: no text or link value ever
+//! enters it, so [`interned_count`] and [`interned_bytes`] stay flat
+//! however many pages a process reads or edits.
+//!
+//! ## One index, no lock on the read path
 //!
 //! *string → id* is one open-addressing index of `u32` cells, probed
 //! linearly from the string's hash under a process-keyed
@@ -19,8 +24,8 @@
 //! before it is published by a `Release` store of its number, and is
 //! never freed (nothing in the arena is), so all generations together
 //! take under twice the current one. Entering an id grows the index
-//! before the load would pass ½. [`Symbol::lookup`], and
-//! [`Symbol::intern`] of a string met before, only load: the generation
+//! before the load would pass ½. [`Symbol::intern`] of a string met
+//! before only loads: the generation
 //! number, its cells, and the slots below — no lock, and no store to a
 //! line another core reads. *id → string* is an append-only table of
 //! write-once slots — leaves of 1024 under a directory that grows in
@@ -37,20 +42,40 @@
 //! adopts — a poisoned lock is therefore recovered, never propagated, and
 //! nothing in this module panics.
 //!
+//! # Values: one dictionary an evaluation
+//!
+//! A text or link cell of a [`crate::ColumnRel`] is a `u32` code in a
+//! [`Dict`]: the strings end to end in one buffer, in code order, and an
+//! open-addressing index from a string to its code, probed by the
+//! string's bytes under the same process-keyed hash. Codes are dense and
+//! only ever appended. An evaluation builds every relation it makes in one
+//! dictionary, which each relation holds through an `Arc`, so its kernels
+//! compare codes, and the dictionary is freed with the last relation that
+//! holds it: a long-running process keeps the strings of what it still
+//! holds, not of everything it ever read. A probe that finds its string
+//! reads nothing but the bytes it compares, so a cell read in place from a
+//! buffer checked once ([`crate::EncodedTuple`]) is checked for UTF-8 only
+//! on its first sighting, before it is appended. [`live_dicts`] counts the
+//! dictionaries not freed yet.
+//!
+//! A dictionary sits behind a `Mutex`, which only the evaluation that
+//! made it takes: once a row a builder pushes, once a kernel that reads
+//! strings.
+//!
 //! # Determinism
 //!
-//! Symbol ids depend on interning *order*, which under concurrent fetch can
-//! differ between runs. Ids are therefore only ever used for **equality**
-//! (hash keys, dedup, join probes) — never for ordering or output. Any
-//! ordering visible to a caller is derived from the underlying strings.
+//! Symbol ids and dictionary codes depend on interning *order*, which under
+//! concurrent fetch can differ between runs. They are therefore only ever
+//! used for **equality** (hash keys, dedup, join probes) — never for
+//! ordering or output. Any ordering visible to a caller is derived from
+//! the underlying strings.
 
-use crate::url::Url;
 use std::fmt;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// An interned string: a `u32` id into the global arena.
+/// An interned name: a `u32` id into the global arena.
 ///
 /// Equality of symbols is equality of the underlying strings. Symbols are
 /// deliberately *not* `Ord`: ids reflect interning order, not lexicographic
@@ -125,10 +150,15 @@ static GENERATION: AtomicUsize = AtomicUsize::new(0);
 /// Held by a writer: only a string met for the first time takes it.
 static WRITER: Mutex<()> = Mutex::new(());
 
+/// The hash keys, drawn once a process: the strings come from web pages.
+fn keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
+}
+
 /// The string's hash, keyed once a process.
 fn hash(s: &str) -> usize {
-    static KEYS: OnceLock<RandomState> = OnceLock::new();
-    KEYS.get_or_init(RandomState::new).hash_one(s) as usize
+    keys().hash_one(s) as usize
 }
 
 /// The id of `s`, if the generation readers probe holds it: loads only.
@@ -193,7 +223,7 @@ fn cells(g: usize) -> Box<[AtomicU32]> {
 
 impl Symbol {
     /// Interns a string, returning its symbol (idempotent). A string
-    /// met before is found as [`Symbol::lookup`] finds it, taking no lock.
+    /// met before is found taking no lock.
     pub fn intern(s: &str) -> Symbol {
         if let Some(id) = find(s) {
             return Symbol(id);
@@ -221,14 +251,6 @@ impl Symbol {
         Symbol(id)
     }
 
-    /// Looks a string up *without* interning it, and without a lock.
-    /// `None` means no symbol for this string exists yet — useful for
-    /// constants in predicates: if the constant was never interned, no
-    /// stored value can equal it.
-    pub fn lookup(s: &str) -> Option<Symbol> {
-        find(s).map(Symbol)
-    }
-
     /// The interned string, read from the id → string table without taking
     /// a lock: three loads (directory chunk, leaf, slot) and no contention
     /// with concurrent [`Symbol::intern`] calls.
@@ -251,17 +273,6 @@ impl Symbol {
     /// encoded form.
     pub(crate) fn from_id(id: u32) -> Option<Symbol> {
         published(id).map(|_| Symbol(id))
-    }
-
-    /// Interns a URL (by its string form).
-    pub fn from_url(u: &Url) -> Symbol {
-        Symbol::intern(u.as_str())
-    }
-
-    /// The interned string as a fresh [`Url`] (lock-free, like
-    /// [`Symbol::as_str`]; allocates the URL's string).
-    pub fn to_url(self) -> Url {
-        Url::new(self.as_str())
     }
 }
 
@@ -289,19 +300,211 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// Number of distinct strings interned so far (diagnostics).
+/// Number of distinct names interned so far (diagnostics).
 pub fn interned_count() -> usize {
     LEN.load(Ordering::Acquire) as usize
 }
 
-/// Total bytes held by the arena's strings (diagnostics).
+/// Total bytes held by the arena's names (diagnostics).
 pub fn interned_bytes() -> usize {
     BYTES.load(Ordering::Relaxed)
+}
+
+/// Value dictionaries made and not yet freed (a statistic: `Relaxed`).
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// Number of value dictionaries not freed yet (diagnostics): once every
+/// relation an evaluation made is dropped, its dictionary is not counted.
+pub fn live_dicts() -> usize {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// A value dictionary: strings and the dense `u32` codes they were given,
+/// in the order they were first met (see the module docs). Share it as an
+/// `Arc<Dict>`; `Arc::default()` makes a new one.
+pub struct Dict {
+    strings: Mutex<Strings>,
+}
+
+impl Dict {
+    /// An empty dictionary.
+    pub fn new() -> Dict {
+        LIVE.fetch_add(1, Ordering::Relaxed);
+        Dict {
+            strings: Mutex::new(Strings::default()),
+        }
+    }
+
+    /// The strings, locked. A panic while they were held left them as
+    /// they were after their last append, so a poisoned lock is recovered.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Strings> {
+        self.strings.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The code of `s`, appended if `s` is new.
+    pub fn code(&self, s: &str) -> u32 {
+        self.lock().code(s)
+    }
+
+    /// The code of `s` if it has one; never appends. `None` means no cell
+    /// built in this dictionary holds `s`.
+    pub fn lookup(&self, s: &str) -> Option<u32> {
+        self.lock().lookup(s.as_bytes())
+    }
+
+    /// The string of `code`, copied; empty for a code never given.
+    pub fn string(&self, code: u32) -> String {
+        self.with_str(code, str::to_owned)
+    }
+
+    /// `f` of the string of `code`, read in place under the lock: `f` must
+    /// not use this dictionary.
+    pub fn with_str<R>(&self, code: u32, f: impl FnOnce(&str) -> R) -> R {
+        f(self.lock().get(code))
+    }
+}
+
+impl Default for Dict {
+    fn default() -> Self {
+        Dict::new()
+    }
+}
+
+impl Drop for Dict {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl fmt::Debug for Dict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.lock();
+        write!(f, "Dict({} strings, {} bytes)", s.ends.len(), s.text.len())
+    }
+}
+
+/// A dictionary's first index cells and string bytes.
+const FIRST_CELLS: usize = 128;
+const FIRST_TEXT: usize = 1 << 10;
+
+/// What a [`Dict`]'s lock guards.
+#[derive(Default, Clone)]
+pub(crate) struct Strings {
+    /// Every string, end to end, in code order.
+    text: String,
+    /// Where code `c`'s string ends in `text`; it starts where `c − 1`'s ends.
+    ends: Vec<usize>,
+    /// A power of two of cells, at most half of them taken once any is: 0
+    /// while empty, else the low 32 bits of the string's hash above its
+    /// code + 1. A probe compares strings only where the hash bits agree,
+    /// and growing rehashes nothing.
+    index: Vec<u64>,
+}
+
+impl Strings {
+    /// The string of `code`; empty for a code never given.
+    pub(crate) fn get(&self, code: u32) -> &str {
+        let c = code as usize;
+        let Some(&end) = self.ends.get(c) else {
+            return "";
+        };
+        let start = c.checked_sub(1).map_or(0, |p| self.ends[p]);
+        self.text.get(start..end).unwrap_or_default()
+    }
+
+    /// The code of `bytes`, or the empty cell their probe ended at.
+    fn probe(&self, bytes: &[u8], h: u32) -> Result<u32, usize> {
+        let mask = self.index.len() - 1;
+        let mut at = h as usize & mask;
+        for _ in 0..self.index.len() {
+            let cell = self.index[at];
+            if cell == 0 {
+                break;
+            }
+            let code = (cell as u32).wrapping_sub(1);
+            if (cell >> 32) as u32 == h && self.get(code).as_bytes() == bytes {
+                return Ok(code);
+            }
+            at = (at + 1) & mask;
+        }
+        Err(at)
+    }
+
+    /// The code of `bytes`, if they have one.
+    pub(crate) fn lookup(&self, bytes: &[u8]) -> Option<u32> {
+        if self.index.is_empty() {
+            return None;
+        }
+        self.probe(bytes, keys().hash_one(bytes) as u32).ok()
+    }
+
+    /// The code of `bytes`; if they are new, the code they are appended
+    /// under once `checked` has turned them into a string, or `None` when
+    /// `checked` refuses them (or the codes have run out).
+    fn entry<'b>(
+        &mut self,
+        bytes: &'b [u8],
+        checked: impl FnOnce(&'b [u8]) -> Option<&'b str>,
+    ) -> Option<u32> {
+        let h = keys().hash_one(bytes) as u32;
+        if 2 * (self.ends.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let at = match self.probe(bytes, h) {
+            Ok(code) => return Some(code),
+            Err(at) => at,
+        };
+        let code = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&c| c < u32::MAX)?;
+        self.text.push_str(checked(bytes)?);
+        self.ends.push(self.text.len());
+        self.index[at] = u64::from(h) << 32 | u64::from(code + 1);
+        Some(code)
+    }
+
+    /// The code of `s`, appended if `s` is new.
+    pub(crate) fn code(&mut self, s: &str) -> u32 {
+        self.entry(s.as_bytes(), |_| Some(s)).unwrap_or_default()
+    }
+
+    /// The code of `bytes`; if they are new, appended once they are
+    /// checked to be UTF-8, else `None`.
+    pub(crate) fn code_of_utf8(&mut self, bytes: &[u8]) -> Option<u32> {
+        self.entry(bytes, |b| std::str::from_utf8(b).ok())
+    }
+
+    /// Doubles the index, moving each cell to where its hash bits now
+    /// probe from. The first time, it makes room for the few dozen strings
+    /// a small evaluation meets in three allocations, not a dozen
+    /// doublings.
+    fn grow(&mut self) {
+        if self.index.is_empty() {
+            self.text.reserve(FIRST_TEXT);
+            self.ends.reserve(FIRST_CELLS / 2);
+        }
+        let cells = (2 * self.index.len()).max(FIRST_CELLS);
+        let mask = cells - 1;
+        let mut index = vec![0u64; cells];
+        for &cell in self.index.iter().filter(|&&c| c != 0) {
+            let mut at = (cell >> 32) as usize & mask;
+            while index[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            index[at] = cell;
+        }
+        self.index = index;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The symbol of `s` if one was handed out, without interning it.
+    fn lookup(s: &str) -> Option<Symbol> {
+        find(s).map(Symbol)
+    }
 
     #[test]
     fn intern_is_idempotent() {
@@ -320,17 +523,38 @@ mod tests {
 
     #[test]
     fn lookup_does_not_intern() {
-        assert!(Symbol::lookup("intern-test-never-interned-xyzzy").is_none());
+        assert!(lookup("intern-test-never-interned-xyzzy").is_none());
         let s = Symbol::intern("intern-test-lookup");
-        assert_eq!(Symbol::lookup("intern-test-lookup"), Some(s));
+        assert_eq!(lookup("intern-test-lookup"), Some(s));
     }
 
+    /// Codes are dense, in first-seen order, and found again by string or
+    /// by bytes across the index's growths; a lookup appends nothing.
     #[test]
-    fn url_round_trip() {
-        let u = Url::new("/dept/1");
-        let s = Symbol::from_url(&u);
-        assert_eq!(s.to_url(), u);
-        assert_eq!(s.as_str(), "/dept/1");
+    fn a_dictionary_codes_strings_densely_and_finds_them_again() {
+        let dict = Dict::new();
+        let name = |j: usize| format!("dict-{j}");
+        for j in 0..1_000 {
+            assert_eq!(dict.code(&name(j)), j as u32);
+        }
+        assert_eq!(dict.code(""), 1_000, "the empty string is a value");
+        for j in 0..1_000 {
+            assert_eq!(dict.lookup(&name(j)), Some(j as u32));
+            assert_eq!(dict.code(&name(j)), j as u32);
+            assert_eq!(dict.string(j as u32), name(j));
+        }
+        assert_eq!(dict.lookup("dict-never"), None);
+        let s = dict.lock();
+        assert_eq!(s.ends.len(), 1_001);
+        assert_eq!(s.text.len(), (0..1_000).map(|j| name(j).len()).sum());
+        drop(s);
+        assert_eq!(dict.string(5_000), "", "a code never given");
+        let mut s = dict.lock();
+        assert_eq!(s.code_of_utf8("dict-7".as_bytes()), Some(7));
+        // Bytes met before are not checked again; new ones are.
+        assert_eq!(s.code_of_utf8(&[0xff, 0xfe]), None);
+        assert_eq!(s.code_of_utf8("naïve".as_bytes()), Some(1_001));
+        assert_eq!(s.get(1_001), "naïve");
     }
 
     #[test]
@@ -366,10 +590,10 @@ mod tests {
         }
         for (j, sym) in syms.iter().enumerate() {
             assert_eq!(sym.as_str(), name(j));
-            assert_eq!(Symbol::lookup(&name(j)), Some(*sym));
+            assert_eq!(lookup(&name(j)), Some(*sym));
             assert_eq!(Symbol::intern(&name(j)), *sym);
         }
-        assert!(Symbol::lookup("intern-generation-never").is_none());
+        assert!(lookup("intern-generation-never").is_none());
         every_counted_id_is_found();
     }
 
@@ -405,11 +629,11 @@ mod tests {
                     let mut passes = 0;
                     while passes == 0 || !done.load(Ordering::Acquire) {
                         for (string, sym) in &known {
-                            assert_eq!(Symbol::lookup(string), Some(*sym));
+                            assert_eq!(lookup(string), Some(*sym));
                             assert_eq!(Symbol::intern(string), *sym);
                             assert_eq!(sym.as_str(), string);
                         }
-                        assert!(Symbol::lookup("intern-growth-never").is_none());
+                        assert!(lookup("intern-growth-never").is_none());
                         assert!(t0.elapsed() < Duration::from_secs(60), "the writer stalled");
                         passes += 1;
                     }
@@ -425,7 +649,7 @@ mod tests {
         assert!(GENERATION.load(Ordering::Acquire) >= first + 2);
         for (j, sym) in minted.iter().enumerate() {
             assert_eq!(sym.as_str(), name(j));
-            assert_eq!(Symbol::lookup(&name(j)), Some(*sym));
+            assert_eq!(lookup(&name(j)), Some(*sym));
         }
         every_counted_id_is_found();
     }
@@ -546,9 +770,9 @@ mod tests {
         let name = |j: usize| format!("intern-known-under-lock-{j}");
         let syms: Vec<Symbol> = (0..2_000).map(|j| Symbol::intern(&name(j))).collect();
         all_finish_under_the_writer_lock(move || {
-            syms.iter().enumerate().all(|(j, sym)| {
-                Symbol::intern(&name(j)) == *sym && Symbol::lookup(&name(j)) == Some(*sym)
-            })
+            syms.iter()
+                .enumerate()
+                .all(|(j, sym)| Symbol::intern(&name(j)) == *sym && lookup(&name(j)) == Some(*sym))
         });
     }
 
@@ -575,7 +799,7 @@ mod tests {
 
         let fresh = Symbol::intern("intern-test-after-the-orphans");
         assert_eq!(fresh.as_str(), "intern-test-after-the-orphans");
-        let orphans = ORPHANS.map(|s| Symbol::lookup(s).unwrap()); // adopted
+        let orphans = ORPHANS.map(|s| lookup(s).unwrap()); // adopted
         assert_eq!(orphans[0].id() + 1, orphans[1].id());
         for (orphan, s) in orphans.into_iter().zip(ORPHANS) {
             assert_eq!(orphan.as_str(), s);

@@ -47,7 +47,7 @@ pub use columnar::{Bitmap, Column, ColumnData, ColumnRel, ColumnRelBuilder, Keep
 pub use constraints::{InclusionConstraint, LinkConstraint};
 pub use error::AdmError;
 pub use hash::{fnv1a, mix64};
-pub use intern::Symbol;
+pub use intern::{Dict, Symbol};
 pub use paths::{NavPath, PathStep};
 pub use relation::Relation;
 pub use schema::{AttrRef, EntryPoint, PageScheme, WebScheme, WebSchemeBuilder};

@@ -372,8 +372,9 @@ fn put_str(out: &mut Vec<u8>, tag: u8, s: &str) {
 /// One tuple in [`Tuple::encode`]'s form, checked, to be read where it
 /// lies. [`EncodedTuple::parse`] checks the whole buffer exactly as
 /// [`Tuple::decode`] does, but builds nothing; a reader of the checked
-/// tuple ([`crate::ColumnRelBuilder::push_encoded`]) then takes a text or
-/// a link as the buffer's `&str` and skips the fields it does not read.
+/// tuple ([`crate::ColumnRelBuilder::push_encoded`]) then looks a text or
+/// a link up in its dictionary by the buffer's bytes — checking them again
+/// only when they are new there — and skips the fields it does not read.
 /// `B` holds the bytes: a slice, or the `Arc<[u8]>` a cache keeps.
 #[derive(Debug, Clone)]
 pub struct EncodedTuple<B>(B);
@@ -413,12 +414,17 @@ pub(crate) enum Cell<'a> {
 }
 
 impl<'a> Cell<'a> {
-    /// A text's or a link's string; `None` for any other cell.
-    pub(crate) fn str(self) -> Option<&'a str> {
+    /// A text's or a link's bytes; `None` for any other cell.
+    pub(crate) fn bytes(self) -> Option<&'a [u8]> {
         match self {
-            Cell::Text(b) | Cell::Link(b) => std::str::from_utf8(b).ok(),
+            Cell::Text(b) | Cell::Link(b) => Some(b),
             Cell::Null | Cell::List(_) => None,
         }
+    }
+
+    /// A text's or a link's string, checked; `None` for any other cell.
+    pub(crate) fn str(self) -> Option<&'a str> {
+        std::str::from_utf8(self.bytes()?).ok()
     }
 }
 

@@ -8,8 +8,10 @@
 //! the per-operator distinct-link counts (the paper's 𝒞) and the actual
 //! number of downloads.
 //!
-//! There is one engine — operators run chunk-at-a-time on interned,
-//! columnar [`ColumnRel`] batches — and one way a page is obtained:
+//! There is one engine — operators run chunk-at-a-time on columnar
+//! [`ColumnRel`] batches, whose text and link cells are codes in one value
+//! dictionary ([`adm::Dict`]) the evaluation owns and frees — and one way
+//! a page is obtained:
 //! `Entry` and `Follow` both hand their distinct links to
 //! `Evaluator::acquire`, which owns the cache → shared cache → network
 //! ladder, the single drain loop and every access counter.
@@ -43,8 +45,8 @@ use crate::source::{PageSource, SourceError};
 use crate::Result;
 use adm::name::{binding, position};
 use adm::{
-    ColumnRel, ColumnRelBuilder, EncodedTuple, InclusionConstraint, LinkConstraint, PageScheme,
-    Relation, Symbol, Tuple, Url, Value, WebScheme,
+    ColumnRel, ColumnRelBuilder, Dict, EncodedTuple, InclusionConstraint, LinkConstraint,
+    PageScheme, Relation, Symbol, Tuple, Url, Value, WebScheme,
 };
 use obs::trace::EventKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -203,9 +205,13 @@ pub struct Evaluator<'a, S: PageSource> {
 
 #[derive(Default)]
 struct Ctx {
-    /// Per-query page cache, keyed by interned URL id. A hit delivers the
+    /// The evaluation's value dictionary: every relation it builds codes
+    /// its text and links here, a URL included, and it is freed with the
+    /// last of them.
+    dict: Arc<Dict>,
+    /// Per-query page cache, keyed by the URL's code. A hit delivers the
     /// page in the form it was acquired in.
-    cache: HashMap<Symbol, Page>,
+    cache: HashMap<u32, Page>,
     /// Pre-order index of the next operator node (tracing only); matches
     /// the node numbering of `cost::Estimate::nodes` for the same plan.
     node_seq: usize,
@@ -216,10 +222,10 @@ struct Ctx {
     per_op: Vec<(String, u64)>,
     unreachable: BTreeSet<Url>,
     /// Audit bookkeeping (populated only when an audit is attached):
-    /// every acquired page by scheme, the dedup set (interned ids), and
-    /// the sampled URLs.
+    /// every acquired page by scheme, the dedup set (URL codes), and the
+    /// sampled URLs.
     audit_pages: BTreeMap<String, Vec<(Url, Tuple)>>,
-    audit_seen: HashSet<Symbol>,
+    audit_seen: HashSet<u32>,
     audit_sampled: BTreeSet<Url>,
     /// URLs the relevance monitor cancelled (answer-complete skips).
     cancelled: BTreeSet<Url>,
@@ -368,6 +374,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         pool: &FetchPool<'_>,
         cancel: Option<obs::CancelToken>,
     ) -> Result<EvalReport> {
+        // A fresh `Ctx` is a fresh value dictionary.
         let mut ctx = Ctx {
             cancel,
             ..Ctx::default()
@@ -397,18 +404,18 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     }
 
     /// Records a page acquisition for auditing. A no-op unless an audit is
-    /// attached; never fetches or counts anything. Dedup is by interned id
-    /// so repeat sightings of a page cost no allocation at all.
-    fn audit_record(&self, ctx: &mut Ctx, sym: Symbol, scheme: &str, page: &Page) {
+    /// attached; never fetches or counts anything. Dedup is by URL code so
+    /// repeat sightings of a page cost no allocation at all.
+    fn audit_record(&self, ctx: &mut Ctx, code: u32, scheme: &str, page: &Page) {
         let Some(cfg) = &self.audit else { return };
-        if !ctx.audit_seen.insert(sym) {
+        if !ctx.audit_seen.insert(code) {
             return;
         }
         let tuple = match page {
             Page::Wrapped(t) => Tuple::clone(t),
             Page::Encoded(page) => page.to_tuple(),
         };
-        let url = sym.to_url();
+        let url = Url::new(ctx.dict.string(code));
         if sample_fraction(cfg.seed, &url) < cfg.rate {
             ctx.audit_sampled.insert(url.clone());
         }
@@ -572,8 +579,9 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 let ep = self.ws.entry_point(scheme).ok_or_else(|| {
                     EvalError::NotComputable(format!("{scheme} is not an entry point"))
                 })?;
-                let (_, mut page) = PageBatch::new(self.ws.scheme(scheme)?, alias, reads);
-                let order = [Symbol::from_url(&ep.url)];
+                let (_, mut page) =
+                    PageBatch::new(self.ws.scheme(scheme)?, alias, reads, &ctx.dict);
+                let order = [ctx.dict.code(ep.url.as_str())];
                 self.acquire(ctx, pool, scheme, &order, None, |url, p| {
                     page.push(url, p).map(|_| ())
                 })?;
@@ -663,16 +671,16 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 alias,
             } => {
                 let rel = self.eval_expr(input, ctx, pool, parent, below)?;
-                let pages = PageBatch::new(self.ws.scheme(target)?, alias, reads);
+                let pages = PageBatch::new(self.ws.scheme(target)?, alias, reads, &ctx.dict);
                 self.follow(&rel, link, target, pages, ctx, pool)
             }
         }
     }
 
     /// The one page-acquisition path: every page an `Entry` or a `Follow`
-    /// obtains comes through here. `order` holds the operator's distinct
-    /// link symbols in first-appearance order; each is served from the
-    /// per-query cache, else from the shared cache, and only the
+    /// obtains comes through here. `order` holds the codes of the
+    /// operator's distinct links in first-appearance order; each is served
+    /// from the per-query cache, else from the shared cache, and only the
     /// remaining misses — minus those the relevance monitor proves dead
     /// from `carrier`, the Follow's input relation and link column —
     /// touch the network. Each acquired page is handed to `deliver`
@@ -683,11 +691,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         pool: &FetchPool<'_>,
         scheme: &str,
-        order: &[Symbol],
+        order: &[u32],
         carrier: Option<(&ColumnRel, usize, &[String])>,
-        mut deliver: impl FnMut(Symbol, &Page) -> Result<()>,
+        mut deliver: impl FnMut(u32, &Page) -> Result<()>,
     ) -> Result<()> {
-        let mut misses: Vec<Symbol> = Vec::new();
+        let mut misses: Vec<u32> = Vec::new();
         for &s in order {
             if let Some(page) = ctx.cache.get(&s) {
                 ctx.cache_hits += 1;
@@ -695,7 +703,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 continue;
             }
             if let Some(shared) = self.policy.shared_cache {
-                if let Some(page) = shared.get_encoded(s.as_str()) {
+                if let Some(page) = ctx.dict.with_str(s, |url| shared.get_encoded(url)) {
                     let page = Page::Encoded(page);
                     ctx.shared_hits += 1;
                     self.audit_record(ctx, s, scheme, &page);
@@ -723,7 +731,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         rel: &ColumnRel,
         li: usize,
         page_cols: &[String],
-        misses: &mut Vec<Symbol>,
+        misses: &mut Vec<u32>,
     ) {
         if ctx.residual.is_empty() || misses.is_empty() {
             return;
@@ -731,16 +739,17 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         let Some(alive) = survivors(&ctx.residual, rel, page_cols) else {
             return;
         };
-        let live: HashSet<Symbol> = (0..alive.len())
+        let live: HashSet<u32> = (0..alive.len())
             .filter_map(|row| alive.link_at(row, li).ok().flatten())
             .collect();
         misses.retain(|s| {
             let keep = live.contains(s);
             if !keep {
+                let url = Url::new(ctx.dict.string(*s));
                 if let Some(t) = &ctx.cancel {
-                    t.cancel_url(s.as_str());
+                    t.cancel_url(url.as_str());
                 }
-                ctx.cancelled.insert(s.to_url());
+                ctx.cancelled.insert(url);
             }
             keep
         });
@@ -763,8 +772,8 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         pool: &FetchPool<'_>,
         scheme: &str,
-        misses: &[Symbol],
-        deliver: &mut impl FnMut(Symbol, &Page) -> Result<()>,
+        misses: &[u32],
+        deliver: &mut impl FnMut(u32, &Page) -> Result<()>,
     ) -> Result<()> {
         use std::time::{Duration, Instant};
         if misses.is_empty() {
@@ -777,8 +786,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         let deadline = &self.policy.deadline;
         ctx.fetch_epoch += 1;
         let (scheme, epoch) = (Symbol::intern(scheme), ctx.fetch_epoch);
-        let job = |url, hedge| Job {
-            url,
+        let dict = Arc::clone(&ctx.dict);
+        let url = |code| Url::new(dict.string(code));
+        let job = |code, hedge| Job {
+            url: url(code),
+            code,
             scheme,
             epoch,
             hedge,
@@ -788,19 +800,20 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             since: Option<Instant>,
             hedged: bool,
         }
-        let mut pending: HashMap<Symbol, Pending> = HashMap::with_capacity(misses.len());
+        let mut pending: HashMap<u32, Pending> = HashMap::with_capacity(misses.len());
         for &s in misses {
             if deadline.expired() {
                 ctx.deadline_exceeded = true;
-                ctx.unreachable.insert(s.to_url());
+                ctx.unreachable.insert(url(s));
                 continue;
             }
+            let job = job(s, false);
             // A URL cancelled for an earlier navigation may be needed
             // now; clear its mark before a worker can see the job.
             if let Some(t) = &ctx.cancel {
-                t.uncancel_url(s.as_str());
+                t.uncancel_url(job.url.as_str());
             }
-            if !pool.submit_tagged(job(s, false)) {
+            if !pool.submit_tagged(job) {
                 return Err(shutdown());
             }
             pending.insert(
@@ -819,10 +832,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 ctx.deadline_exceeded = true;
                 pool.discard_queued();
                 for (s, _) in pending.drain() {
+                    let url = url(s);
                     if let Some(t) = &ctx.cancel {
-                        t.cancel_url(s.as_str());
+                        t.cancel_url(url.as_str());
                     }
-                    ctx.unreachable.insert(s.to_url());
+                    ctx.unreachable.insert(url);
                 }
                 break;
             }
@@ -850,7 +864,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 Err(false) => return Err(shutdown()),
             };
             let current = done.job.epoch == epoch;
-            let Some(p) = current.then(|| pending.remove(&done.job.url)).flatten() else {
+            let Some(p) = current.then(|| pending.remove(&done.job.code)).flatten() else {
                 // Not a URL this drain still waits for. In this epoch it is
                 // the losing twin of an already-settled URL: a loser
                 // cancelled before dispatch cost the server nothing; one
@@ -897,18 +911,19 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         scheme: &str,
         done: Done,
-        deliver: &mut impl FnMut(Symbol, &Page) -> Result<()>,
+        deliver: &mut impl FnMut(u32, &Page) -> Result<()>,
     ) -> Result<()> {
+        let code = done.job.code;
         match done.outcome {
             Ok((t, lm)) => {
                 ctx.page_accesses += 1;
                 if let Some(shared) = self.policy.shared_cache {
-                    shared.insert(&done.url, &t, lm);
+                    shared.insert(&done.job.url, &t, lm);
                 }
                 let page = Page::Wrapped(t);
-                self.audit_record(ctx, done.job.url, scheme, &page);
-                deliver(done.job.url, &page)?;
-                ctx.cache.insert(done.job.url, page);
+                self.audit_record(ctx, code, scheme, &page);
+                deliver(code, &page)?;
+                ctx.cache.insert(code, page);
                 return Ok(());
             }
             Err(SourceError::NotFound(_)) => ctx.broken_links += 1,
@@ -923,15 +938,15 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             Err(_) if self.policy.degradation == DegradationMode::Partial => {}
             Err(e) => return Err(EvalError::Source(e.to_string())),
         }
-        ctx.unreachable.insert(done.url);
+        ctx.unreachable.insert(done.job.url);
         Ok(())
     }
 
-    /// `follow link`: acquire the distinct interned link ids of the input
-    /// in first-appearance order — so `per_op` charges and every access
+    /// `follow link`: acquire the distinct link codes of the input in
+    /// first-appearance order — so `per_op` charges and every access
     /// counter follow the paper's rules — then gather. The *local* side is
-    /// batch: acquired pages land in one [`PageBatch`], keyed by interned
-    /// id so completion order cannot affect the result, and the output is
+    /// batch: acquired pages land in one [`PageBatch`], keyed by URL code
+    /// so completion order cannot affect the result, and the output is
     /// one gather ([`ColumnRel::take_pairs`]) of input rows beside page
     /// rows. `pages` is the target's empty batch beside its header.
     fn follow(
@@ -946,8 +961,8 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         let li = rel.resolve(link)?;
         // Non-link cells are skipped, not an error.
         let link_of = |row: usize| rel.link_at(row, li).ok().flatten();
-        let mut page_row: HashMap<Symbol, Option<u32>> = HashMap::new();
-        let mut order: Vec<Symbol> = Vec::new();
+        let mut page_row: HashMap<u32, Option<u32>> = HashMap::new();
+        let mut order: Vec<u32> = Vec::new();
         for row in 0..rel.len() {
             if let Some(s) = link_of(row) {
                 if let std::collections::hash_map::Entry::Vacant(e) = page_row.entry(s) {
@@ -988,16 +1003,17 @@ enum Page {
 }
 
 /// The page-relation an `Entry` or a `Follow` is acquiring: one row per
-/// delivered page, appended *by reference*. The URL column is the symbols
-/// the operator already holds; each other column is a field of the
-/// page-scheme that the operators above can read ([`Reads::keeps`]),
-/// taken from the page where it lies (found by the field's interned name,
-/// null when the source left it out): from a wrapped page's tuple, or
-/// from an encoded page's bytes without decoding them. No cell is cloned
-/// on its way into a column and no field nobody reads is interned.
+/// delivered page, appended *by reference*, in the evaluation's
+/// dictionary. The URL column is the codes the operator already holds;
+/// each other column is a field of the page-scheme that the operators
+/// above can read ([`Reads::keeps`]), taken from the page where it lies
+/// (found by the field's interned name, null when the source left it out):
+/// from a wrapped page's tuple, or from an encoded page's bytes without
+/// decoding them. No cell is cloned on its way into a column and no field
+/// nobody reads is coded.
 struct PageBatch {
     url_column: Symbol,
-    urls: Vec<Symbol>,
+    urls: Vec<u32>,
     /// The kept fields' names, one a column of `attrs`.
     fields: Vec<Symbol>,
     attrs: ColumnRelBuilder,
@@ -1006,7 +1022,12 @@ struct PageBatch {
 impl PageBatch {
     /// The batch for `alias`'s pages of `scheme`, beside its header:
     /// `alias.URL`, then `alias.F` for each kept field `F`.
-    fn new(scheme: &PageScheme, alias: &str, reads: &Reads) -> (Vec<String>, Self) {
+    fn new(
+        scheme: &PageScheme,
+        alias: &str,
+        reads: &Reads,
+        dict: &Arc<Dict>,
+    ) -> (Vec<String>, Self) {
         let mut header = vec![format!("{alias}.URL")];
         let mut fields = Vec::new();
         let mut cols = Vec::new();
@@ -1022,7 +1043,7 @@ impl PageBatch {
             url_column: Symbol::intern(&header[0]),
             urls: Vec::new(),
             fields,
-            attrs: ColumnRelBuilder::keeping(cols),
+            attrs: ColumnRelBuilder::in_dict(dict, cols),
         };
         (header, batch)
     }
@@ -1032,7 +1053,7 @@ impl PageBatch {
     }
 
     /// Appends one page, returning its row index.
-    fn push(&mut self, url: Symbol, page: &Page) -> Result<u32> {
+    fn push(&mut self, url: u32, page: &Page) -> Result<u32> {
         static NULL: Value = Value::Null;
         match page {
             Page::Wrapped(tuple) => {
@@ -1046,8 +1067,9 @@ impl PageBatch {
     }
 
     fn finish(self) -> Result<ColumnRel> {
-        let urls = ColumnRel::of_links(self.url_column, self.urls);
-        Ok(urls.hstack(self.attrs.finish())?)
+        let attrs = self.attrs.finish();
+        let urls = ColumnRel::of_links(self.url_column, attrs.dict(), self.urls);
+        Ok(urls.hstack(attrs)?)
     }
 }
 

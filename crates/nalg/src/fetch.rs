@@ -49,14 +49,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-/// A fetch request: the URL and the page-scheme it is expected to match,
-/// both interned, so queueing a job allocates nothing. `epoch` tags the
-/// drain the job belongs to (a deadline-aborted drain may leave stale
-/// completions behind; later drains skip them by epoch), `hedge` marks a
-/// tail-tolerant backup fetch.
-#[derive(Debug, Clone, Copy)]
+/// A fetch request: the URL, its code in the evaluation's value
+/// dictionary, and the page-scheme it is expected to match, interned.
+/// `epoch` tags the drain the job belongs to (a deadline-aborted drain may
+/// leave stale completions behind; later drains skip them by epoch),
+/// `hedge` marks a tail-tolerant backup fetch.
+#[derive(Debug)]
 pub(crate) struct Job {
-    pub url: Symbol,
+    pub url: Url,
+    pub code: u32,
     pub scheme: Symbol,
     pub epoch: u64,
     pub hedge: bool,
@@ -67,15 +68,13 @@ pub(crate) struct Job {
 /// the source's Last-Modified stamp when known.
 pub(crate) type FetchOutcome = Result<(Arc<Tuple>, Option<u64>), SourceError>;
 
-/// A completed fetch: the job it answers and what the source said. `url`
-/// is `job.url` as the `Url` the source was called with, handed on so the
-/// evaluator need not allocate it a second time. `dispatched` is false
-/// only for a job skipped before it reached the source (its request's
-/// deadline had expired or its URL was cancelled): a source call, even
-/// one answered `Cancelled`, may have cost the server a request.
+/// A completed fetch: the job it answers and what the source said.
+/// `dispatched` is false only for a job skipped before it reached the
+/// source (its request's deadline had expired or its URL was cancelled):
+/// a source call, even one answered `Cancelled`, may have cost the server
+/// a request.
 pub(crate) struct Done {
     pub job: Job,
-    pub url: Url,
     pub outcome: FetchOutcome,
     pub dispatched: bool,
 }
@@ -95,9 +94,19 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
     /// Runs `job` on the calling thread. A panic of the source unwinds
     /// through here.
     fn run(&self, job: Job) -> Done {
+        let (outcome, dispatched) = self.attempt(&job);
+        Done {
+            job,
+            outcome,
+            dispatched,
+        }
+    }
+
+    /// What the source said to `job`, and whether it was asked.
+    fn attempt(&self, job: &Job) -> (FetchOutcome, bool) {
         let attr = self.ctx.as_ref().and_then(|c| c.trace.as_ref());
         let t0 = attr.map(|_| std::time::Instant::now());
-        let url = job.url.to_url();
+        let url = &job.url;
         // Cooperative cancellation, checked before dispatch: a job whose
         // request has run out of time, or whose URL was cancelled, never
         // reaches the source, so the server sees no GET for it. A fetch
@@ -110,17 +119,12 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
         let outcome = if skip {
             Err(SourceError::Cancelled(url.clone()))
         } else {
-            self.source.fetch_shared(&url, job.scheme.as_str())
+            self.source.fetch_shared(url, job.scheme.as_str())
         };
         if let (Some(attr), Some(t0)) = (attr, t0) {
             attr.clock.add_us(t0.elapsed().as_micros() as u64);
         }
-        Done {
-            job,
-            url,
-            outcome,
-            dispatched: !skip,
-        }
+        (outcome, !skip)
     }
 }
 
@@ -299,21 +303,22 @@ where
                         // with it the whole process, via the scope join)
                         // down: catch it and report the job as a source
                         // error instead.
-                        let run = std::panic::AssertUnwindSafe(|| runner.run(job));
-                        let done = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "unknown panic".to_string());
-                            let msg = format!("fetch worker panicked: {msg}");
-                            Done {
-                                job,
-                                url: job.url.to_url(),
-                                outcome: Err(SourceError::Other(msg)),
-                                dispatched: true,
-                            }
-                        });
+                        let run = std::panic::AssertUnwindSafe(|| runner.attempt(&job));
+                        let (outcome, dispatched) =
+                            std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                                let msg = payload
+                                    .downcast_ref::<&str>()
+                                    .map(|s| (*s).to_string())
+                                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                                    .unwrap_or_else(|| "unknown panic".to_string());
+                                let msg = format!("fetch worker panicked: {msg}");
+                                (Err(SourceError::Other(msg)), true)
+                            });
+                        let done = Done {
+                            job,
+                            outcome,
+                            dispatched,
+                        };
                         jobs += 1;
                         if done_tx.send(done).is_err() {
                             // Evaluation aborted early (e.g. a source error):
@@ -434,9 +439,12 @@ impl Flight {
 pub struct CoalesceStats {
     /// Fetches that went to the inner source (one per coalition).
     pub leaders: u64,
-    /// Fetches served by joining an in-flight leader — each one is a
-    /// server GET that did not happen.
+    /// Fetches that joined an in-flight leader, whatever they were handed.
     pub followers: u64,
+    /// Followers handed their leader's page: each one is a server GET
+    /// that did not happen. A follower handed the leader's 404 or error
+    /// is not one — a failed request is no GET to save.
+    pub pages_shared: u64,
     /// Followers woken early by [`CoalescingSource::shutdown`].
     pub shutdown_wakes: u64,
     /// Followers that stopped waiting on their own: their request's
@@ -451,12 +459,10 @@ pub struct CoalesceStats {
 }
 
 impl CoalesceStats {
-    /// Server GETs avoided: one per follower that shared a leader's fetch.
+    /// Server GETs avoided: one per follower handed its leader's page
+    /// ([`CoalesceStats::pages_shared`]).
     pub fn saved_gets(&self) -> u64 {
-        self.followers
-            .saturating_sub(self.shutdown_wakes)
-            .saturating_sub(self.cancel_wakes)
-            .saturating_sub(self.releads)
+        self.pages_shared
     }
 }
 
@@ -481,6 +487,7 @@ pub struct CoalescingSource<'a, S> {
     shutdown: AtomicBool,
     leaders: AtomicU64,
     followers: AtomicU64,
+    pages_shared: AtomicU64,
     shutdown_wakes: AtomicU64,
     cancel_wakes: AtomicU64,
     releads: AtomicU64,
@@ -495,6 +502,7 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
             shutdown: AtomicBool::new(false),
             leaders: AtomicU64::new(0),
             followers: AtomicU64::new(0),
+            pages_shared: AtomicU64::new(0),
             shutdown_wakes: AtomicU64::new(0),
             cancel_wakes: AtomicU64::new(0),
             releads: AtomicU64::new(0),
@@ -528,6 +536,7 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
         CoalesceStats {
             leaders: self.leaders.load(Ordering::SeqCst),
             followers: self.followers.load(Ordering::SeqCst),
+            pages_shared: self.pages_shared.load(Ordering::SeqCst),
             shutdown_wakes: self.shutdown_wakes.load(Ordering::SeqCst),
             cancel_wakes: self.cancel_wakes.load(Ordering::SeqCst),
             releads: self.releads.load(Ordering::SeqCst),
@@ -622,6 +631,9 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
                 return None;
             }
             self.shutdown_wakes.fetch_add(1, Ordering::SeqCst);
+        }
+        if outcome.is_ok() {
+            self.pages_shared.fetch_add(1, Ordering::SeqCst);
         }
         Some(outcome)
     }
@@ -740,7 +752,8 @@ pub(crate) mod tests {
     /// Test shorthand: an untagged job for page-scheme `P`.
     fn enqueue(pool: &FetchPool<'_>, url: &str) -> bool {
         pool.submit_tagged(Job {
-            url: Symbol::intern(url),
+            url: Url::new(url),
+            code: 0,
             scheme: Symbol::intern("P"),
             epoch: 0,
             hedge: false,
@@ -970,6 +983,9 @@ pub(crate) mod tests {
             if self.panics {
                 panic!("leader exploded");
             }
+            if url.as_str() == "/missing" {
+                return Err(SourceError::NotFound(url.clone()));
+            }
             Ok(Tuple::new().with("Path", url.as_str()))
         }
     }
@@ -1009,6 +1025,28 @@ pub(crate) mod tests {
         let stats = coalesced.stats();
         assert_eq!((stats.leaders, stats.followers), (1, 4));
         assert_eq!(stats.saved_gets(), 4);
+    }
+
+    /// Followers that share their leader's 404 share no GET: a failed
+    /// request is none, so they save none.
+    #[test]
+    fn followers_of_a_404_save_no_get() {
+        let (gated, entered_rx, release_tx) = GatedSource::new(false);
+        let coalesced = CoalescingSource::new(&gated);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| coalesced.fetch_shared(&Url::new("/missing"), "P")))
+                .collect();
+            entered_rx.recv().unwrap();
+            await_followers(&coalesced, 2);
+            release_tx.send(()).unwrap();
+            for h in handles {
+                assert!(matches!(h.join().unwrap(), Err(SourceError::NotFound(_))));
+            }
+        });
+        let stats = coalesced.stats();
+        assert_eq!((stats.leaders, stats.followers), (1, 2));
+        assert_eq!(stats.saved_gets(), 0);
     }
 
     #[test]
@@ -1177,7 +1215,7 @@ pub(crate) mod tests {
                 (0..2)
                     .map(|_| {
                         let d = next_done(pool);
-                        (d.url, d.outcome)
+                        (d.job.url, d.outcome)
                     })
                     .collect::<Vec<_>>()
             })

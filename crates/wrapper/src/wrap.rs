@@ -119,9 +119,11 @@ pub fn wrap_bytes(scheme: &PageScheme, body: &[u8]) -> Result<Tuple> {
 
 /// Wraps a page into a single-row columnar relation — the evaluator's own
 /// path from bytes to a column row: [`wrap_page`]'s tuple appended *by
-/// reference* to a [`ColumnRelBuilder`], which interns text/link payloads
-/// as they land in the typed columns. Column names are the scheme's field
-/// symbols (unqualified — the evaluator qualifies by alias).
+/// reference* to a [`ColumnRelBuilder`], which codes text/link payloads
+/// in the relation's own value dictionary as they land in the typed
+/// columns. Column names are the scheme's field symbols (unqualified — the
+/// evaluator qualifies by alias). A kernel that meets this relation beside
+/// one of an evaluation re-encodes it into the evaluation's dictionary.
 pub fn wrap_page_columnar(scheme: &PageScheme, html: &str) -> Result<ColumnRel> {
     let tuple = wrap_page(scheme, html)?;
     let mut b = ColumnRelBuilder::from_symbols(scheme.fields.iter().map(Field::sym).collect());

@@ -333,6 +333,148 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Two dictionaries: kernels over relations coded apart.
+// ---------------------------------------------------------------------
+
+/// The cells the drawn relations hold: nulls, the empty string, texts and
+/// links that spell the same, so that equal strings of different kinds
+/// meet and only equal values join.
+fn cell(i: usize) -> Value {
+    match i {
+        0 => Value::Null,
+        1 => Value::text(""),
+        2 => Value::text("a"),
+        3 => Value::text("b"),
+        4 => Value::link("/a"),
+        _ => Value::link("/b"),
+    }
+}
+
+/// A list cell: null, or up to three inner tuples of two drawn cells.
+fn list_cell(rows: Option<Vec<(usize, usize)>>) -> Value {
+    rows.map_or(Value::Null, |rows| {
+        Value::List(
+            (rows.into_iter())
+                .map(|(x, y)| {
+                    Tuple::from_pairs(vec![("X".to_string(), cell(x)), ("Y".to_string(), cell(y))])
+                })
+                .collect(),
+        )
+    })
+}
+
+/// A drawn row: its key's and its value's [`cell`], and its list's
+/// ([`list_cell`]).
+type DrawnRow = (usize, usize, Option<Vec<(usize, usize)>>);
+
+fn drawn_rows() -> impl Strategy<Value = Vec<DrawnRow>> {
+    let list = prop_oneof![
+        Just(None),
+        proptest::collection::vec((0usize..6, 0usize..6), 0..3).prop_map(Some),
+    ];
+    proptest::collection::vec((0usize..6, 0usize..6, list), 0..7)
+}
+
+/// `alias.K`, `alias.V` and the list `alias.L` of each drawn row.
+fn relation_of(alias: &str, rows: Vec<DrawnRow>) -> Relation {
+    let header = ["K", "V", "L"].map(|c| format!("{alias}.{c}"));
+    let rows = (rows.into_iter())
+        .map(|(k, v, l)| vec![cell(k), cell(v), list_cell(l)])
+        .collect();
+    Relation::from_rows(header.to_vec(), rows).unwrap()
+}
+
+/// What σ, ⋈, δ and µ give over `l` and `r`, as rows: the join on the
+/// keys, then of it a selection by constant, one comparing a left column
+/// with a right one, δ of a left and a right column, and µ of each side's
+/// list — the same on every build of the two relations.
+fn kernels(l: &ColumnRel, r: &ColumnRel, constant: &Value) -> Vec<Relation> {
+    let joined = l.join(r, &[("L.K", "R.K")]).unwrap();
+    let (lv, rv) = (
+        joined.resolve("L.V").unwrap(),
+        joined.resolve("R.V").unwrap(),
+    );
+    let fields = ["X".to_string(), "Y".to_string()];
+    let n = l.len().min(r.len()) as u32;
+    let first: Vec<u32> = (0..n).collect();
+    let side_by_side = l.take(&first).hstack(r.take(&first)).unwrap();
+    vec![
+        joined.to_relation(),
+        joined
+            .take(&joined.select_eq_const(rv, constant))
+            .to_relation(),
+        joined.take(&joined.select_eq_cols(lv, rv)).to_relation(),
+        joined
+            .project(&["L.V", "R.L"])
+            .unwrap()
+            .distinct()
+            .to_relation(),
+        side_by_side.distinct().to_relation(),
+        joined.unnest("R.L", &fields).unwrap().to_relation(),
+        side_by_side.unnest("L.L", &fields).unwrap().to_relation(),
+    ]
+}
+
+/// The same, by `adm`'s row operators: the reference.
+fn row_kernels(l: &Relation, r: &Relation, constant: &Value) -> Vec<Relation> {
+    let joined = l.join(r, &[("L.K", "R.K")]).unwrap();
+    let (lv, rv) = (
+        joined.resolve("L.V").unwrap(),
+        joined.resolve("R.V").unwrap(),
+    );
+    let fields = ["X".to_string(), "Y".to_string()];
+    let n = l.len().min(r.len());
+    let header: Vec<String> = l.columns().iter().chain(r.columns()).cloned().collect();
+    let rows = (l.rows().iter().zip(r.rows()).take(n))
+        .map(|(a, b)| a.iter().chain(b).cloned().collect())
+        .collect();
+    let side_by_side = Relation::from_rows(header, rows).unwrap();
+    vec![
+        joined.clone(),
+        joined.select_eq("R.V", constant).unwrap(),
+        joined.select(|row| !row[lv].is_null() && row[lv] == row[rv]),
+        joined.project(&["L.V", "R.L"]).unwrap().distinct(),
+        side_by_side.distinct(),
+        joined.unnest("R.L", &fields).unwrap(),
+        side_by_side.unnest("L.L", &fields).unwrap(),
+    ]
+}
+
+// σ, ⋈, δ and µ over relations coded in two dictionaries ≡ the same over
+// one ≡ the row operators. The right relation's dictionary first meets the
+// drawn strings in a drawn order, so equal strings take different codes on
+// the two sides.
+proptest! {
+    #[test]
+    fn kernels_over_two_dictionaries_match_one_and_the_rows(
+        left in drawn_rows(),
+        right in drawn_rows(),
+        seen_first in proptest::collection::vec(0usize..6, 0..6),
+        constant in 0usize..6,
+    ) {
+        use std::sync::Arc;
+        use webviews::adm::Dict;
+        let (l, r, constant) = (relation_of("L", left), relation_of("R", right), cell(constant));
+        let want = row_kernels(&l, &r, &constant);
+
+        let one: Arc<Dict> = Arc::default();
+        let (l1, r1) = (ColumnRel::from_relation_in(&l, &one), ColumnRel::from_relation_in(&r, &one));
+        let other: Arc<Dict> = Arc::default();
+        for i in seen_first {
+            match cell(i) {
+                Value::Text(s) => other.code(&s),
+                Value::Link(u) => other.code(u.as_str()),
+                _ => 0,
+            };
+        }
+        let (l2, r2) = (ColumnRel::from_relation(&l), ColumnRel::from_relation_in(&r, &other));
+        prop_assert!(!Arc::ptr_eq(l2.dict(), r2.dict()));
+        prop_assert_eq!(kernels(&l1, &r1, &constant), want.clone());
+        prop_assert_eq!(kernels(&l2, &r2, &constant), want);
+    }
+}
+
+// ---------------------------------------------------------------------
 // The read set: a page-relation builds only the fields read above it.
 // ---------------------------------------------------------------------
 

@@ -29,8 +29,7 @@
 //!   ran out of time: a give-up never adds a row or a GET.
 //! * **gets** — every page access is a server GET or a coalesced
 //!   follower's share of one, and every GET beyond them is a hedge loser:
-//!   `accesses ≤ gets + saved ≤ accesses + broken + hedges − cancelled`
-//!   (a follower may share a 404).
+//!   `accesses ≤ gets + saved ≤ accesses + hedges − cancelled`.
 //! * **budget** — the shared cache holds no more bytes than its budget.
 //! * **purge** — a sweep deletes only pages the server no longer has.
 //! * **crawl** — statistics crawled from the site equal those read off its
@@ -678,10 +677,9 @@ fn serve(w: &World, picks: &QueryPicks, exec: &Exec) -> Checked {
             .as_ref()
             .map_or((0, 0), |h| (h.hedges.get(), h.hedge_cancelled.get()));
         // A hedge loser may end without a GET (a follower woken by the
-        // winner's cancel, an attempt that met a fault), and a follower
-        // may share a 404, which is no GET: only a bound.
+        // winner's cancel, an attempt that met a fault): only a bound.
         ensure!(
-            accesses <= gets + saved && gets + saved + cancelled <= accesses + broken + hedges,
+            accesses <= gets + saved && gets + saved + cancelled <= accesses + hedges,
             "gets: {gets} GETs + {saved} saved, {accesses} accesses, {broken} broken links, \
              {hedges} hedges of which {cancelled} cancelled"
         );
