@@ -1,46 +1,30 @@
 //! Interning: a name becomes a process-wide [`Symbol`]; a value becomes
 //! a code in a [`Dict`] that is freed with the relations that use it.
 //!
-//! # Names: one process-wide arena
+//! # Names: one locked table
 //!
 //! Attribute names, page-scheme names and the column names an evaluation
-//! qualifies them into become `u32` [`Symbol`] ids behind a process-wide
-//! arena. The arena leaks its strings (`&'static str`), which is bounded
-//! by the names a process meets — the schemes' vocabulary and the aliases
-//! queries give them — and lets [`Symbol::as_str`] hand out references
-//! without lifetimes. It holds names only: no text or link value ever
-//! enters it, so [`interned_count`] and [`interned_bytes`] stay flat
-//! however many pages a process reads or edits.
+//! qualifies them into become [`Symbol`]s in one process-wide table. The
+//! names come from page-schemes a designer fixes in advance and from the
+//! aliases queries give them, so they form a small, closed set: a process
+//! interns a few dozen to a few hundred, nearly all while it sets up. No
+//! text or link value ever enters the table, so [`interned_count`] and
+//! [`interned_bytes`] stay flat however many pages a process reads or
+//! edits.
 //!
-//! ## One index, no lock on the read path
+//! A name's entry — its id and its string — is leaked once, when the name
+//! is first met, and a [`Symbol`] is a `&'static` reference to it. Reading
+//! a symbol's string or id is therefore one load that no other thread
+//! writes, and two symbols are equal when they point at the same entry.
+//! [`Symbol::intern`], the id → symbol direction (`Symbol::from_id`, for
+//! decoding an encoded tuple) and the two counters take the table's
+//! `Mutex`, which guards a map from string to symbol, the symbols by id,
+//! and the bytes they hold.
 //!
-//! *string → id* is one open-addressing index of `u32` cells, probed
-//! linearly from the string's hash under a process-keyed
-//! [`RandomState`] (the strings come from web pages, so the hash stays
-//! keyed). A cell holds 0 while empty and id + 1 once an id is entered;
-//! a probe compares the string of each id it meets with its own until it
-//! finds it or meets an empty cell. The index grows in **generations**:
-//! generation `g` has `4096 << g` cells, is filled with every id so far
-//! before it is published by a `Release` store of its number, and is
-//! never freed (nothing in the arena is), so all generations together
-//! take under twice the current one. Entering an id grows the index
-//! before the load would pass ½. [`Symbol::intern`] of a string met
-//! before only loads: the generation
-//! number, its cells, and the slots below — no lock, and no store to a
-//! line another core reads. *id → string* is an append-only table of
-//! write-once slots — leaves of 1024 under a directory that grows in
-//! doubling chunks, so nothing ever moves — which [`Symbol::as_str`] reads
-//! the same way.
-//!
-//! Only a string met for the first time takes the writer lock, re-probes
-//! the current generation under it, and stores, in this order: the
-//! string's **slot**, then its **index** cell, then the **length**. A
-//! symbol is only ever handed out after its slot is set, so a reader that
-//! holds one finds its string; and because the length is the last store,
-//! a writer that dies between two of them leaves a slot the length does
-//! not count yet, entered in the index or not, which the next writer
-//! adopts — a poisoned lock is therefore recovered, never propagated, and
-//! nothing in this module panics.
+//! Interning a new name reserves room in both collections before it
+//! writes anything, so a panic inside the lock leaves the table as it was
+//! after its last complete entry. A poisoned lock is therefore recovered,
+//! never propagated, and nothing in this module panics.
 //!
 //! # Values: one dictionary an evaluation
 //!
@@ -70,209 +54,101 @@
 //! ordering or output. Any ordering visible to a caller is derived from
 //! the underlying strings.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// An interned name: a `u32` id into the global arena.
+/// An interned name: a reference to its entry in the process-wide table.
 ///
-/// Equality of symbols is equality of the underlying strings. Symbols are
-/// deliberately *not* `Ord`: ids reflect interning order, not lexicographic
-/// order, and must never drive output ordering.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Symbol(u32);
+/// Equality of symbols is equality of the underlying strings (one entry a
+/// string); hashing hashes the id. Symbols are deliberately *not* `Ord`:
+/// ids reflect interning order, not lexicographic order, and must never
+/// drive output ordering.
+#[derive(Clone, Copy)]
+pub struct Symbol(&'static Entry);
 
-/// One write-once entry of the id → string table.
-type Slot = OnceLock<&'static str>;
-
-/// A leaf holds the slots of 1024 consecutive ids. Allocating one touches
-/// 24 KB — the most the table ever holds beyond the ids in use, which
-/// matters because nothing here is ever freed.
-type Leaf = OnceLock<Box<[Slot]>>;
-const LEAF_BITS: u32 = 10;
-
-/// The directory of leaves grows in doubling chunks (chunk `k` holds
-/// `4 << k` leaves), so it never moves once allocated either; 21 chunks
-/// cover every `u32` id.
-const FIRST_CHUNK_BITS: u32 = 2;
-const CHUNKS: usize = (u32::BITS - LEAF_BITS - FIRST_CHUNK_BITS + 1) as usize;
-
-static TABLE: [OnceLock<Box<[Leaf]>>; CHUNKS] = [const { OnceLock::new() }; CHUNKS];
-/// Ids handed out so far. Stored (`Release`) after the slot and the index
-/// cell of the newest id; an `Acquire` load of `n` therefore sees the
-/// slots of every id below `n`.
-static LEN: AtomicU32 = AtomicU32::new(0);
-/// Bytes of the strings counted by [`LEN`] (a statistic: `Relaxed`).
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
-/// Where an id lives: directory chunk, leaf within it, slot within the leaf.
-fn locate(id: u32) -> (usize, usize, usize) {
-    let leaf = (id >> LEAF_BITS) + (1 << FIRST_CHUNK_BITS);
-    let chunk = leaf.ilog2() - FIRST_CHUNK_BITS;
-    let slot = id & ((1 << LEAF_BITS) - 1);
-    (
-        chunk as usize,
-        (leaf - (1 << leaf.ilog2())) as usize,
-        slot as usize,
-    )
+/// A name's id and string, leaked when the name is first met.
+struct Entry {
+    id: u32,
+    name: Box<str>,
 }
 
-/// The slot of an id, allocating its leaf (and the leaf's directory chunk)
-/// if this is their first id. Called with the writer lock held.
-fn slot_for_write(id: u32) -> &'static Slot {
-    let (chunk, leaf, slot) = locate(id);
-    let leaves = TABLE[chunk].get_or_init(|| {
-        let len = 1usize << (FIRST_CHUNK_BITS as usize + chunk);
-        (0..len).map(|_| Leaf::new()).collect()
-    });
-    let slots = leaves[leaf].get_or_init(|| (0..1 << LEAF_BITS).map(|_| Slot::new()).collect());
-    &slots[slot]
+/// What the table's lock guards.
+#[derive(Default)]
+struct Names {
+    ids: HashMap<&'static str, Symbol>,
+    by_id: Vec<Symbol>,
+    bytes: usize,
 }
 
-/// The string of an id, if its slot is set: the whole lock-free read path.
-fn published(id: u32) -> Option<&'static str> {
-    let (chunk, leaf, slot) = locate(id);
-    TABLE[chunk].get()?[leaf].get()?[slot].get().copied()
+static NAMES: LazyLock<Mutex<Names>> = LazyLock::new(Mutex::default);
+
+/// The table, locked. A panic while it was held left it as it was after
+/// its last complete entry (see the module docs), so a poisoned lock is
+/// recovered.
+fn names() -> MutexGuard<'static, Names> {
+    NAMES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Generation `g` of the index has `1 << (INDEX_BITS + g)` cells. At most
-/// half of a generation's cells are ever taken, so the last one holds
-/// every `u32` id.
-const INDEX_BITS: u32 = 12;
-const GENERATIONS: usize = (u32::BITS + 2 - INDEX_BITS) as usize;
-
-/// The string → id index, one table a generation (see the module docs).
-static INDEX: [OnceLock<Box<[AtomicU32]>>; GENERATIONS] = [const { OnceLock::new() }; GENERATIONS];
-/// The generation readers probe. Stored (`Release`) once every id so far
-/// is in its cells.
-static GENERATION: AtomicUsize = AtomicUsize::new(0);
-/// Held by a writer: only a string met for the first time takes it.
-static WRITER: Mutex<()> = Mutex::new(());
-
-/// The hash keys, drawn once a process: the strings come from web pages.
+/// The hash keys, drawn once a process: value strings come from web pages.
 fn keys() -> &'static RandomState {
     static KEYS: OnceLock<RandomState> = OnceLock::new();
     KEYS.get_or_init(RandomState::new)
 }
 
-/// The string's hash, keyed once a process.
-fn hash(s: &str) -> usize {
-    keys().hash_one(s) as usize
-}
-
-/// The id of `s`, if the generation readers probe holds it: loads only.
-fn find(s: &str) -> Option<u32> {
-    let cells = INDEX.get(GENERATION.load(Ordering::Acquire))?.get()?;
-    let mask = cells.len() - 1;
-    let mut at = hash(s) & mask;
-    for _ in 0..cells.len() {
-        // `Acquire` pairs with `place`'s `Release`: the slot is set.
-        let id = cells[at].load(Ordering::Acquire).checked_sub(1)?;
-        if published(id) == Some(s) {
-            return Some(id);
-        }
-        at = (at + 1) & mask;
-    }
-    None
-}
-
-/// Puts `id`, whose slot is set, in the first empty cell of its probe
-/// sequence, unless it is there already (a dead writer's id is adopted
-/// into a generation it may have reached).
-fn place(cells: &[AtomicU32], id: u32) {
-    let mask = cells.len() - 1;
-    let mut at = hash(published(id).unwrap_or_default()) & mask;
-    for _ in 0..cells.len() {
-        match cells[at].load(Ordering::Relaxed) {
-            0 => return cells[at].store(id + 1, Ordering::Release),
-            cell if cell == id + 1 => return,
-            _ => at = (at + 1) & mask,
-        }
-    }
-}
-
-/// Enters `id`, whose slot is set, into the index; every id below it is
-/// there already. When `id` would take the current generation past half
-/// full, the next one is filled with every id up to `id` and then
-/// published. Called with the writer lock held.
-fn enter(id: u32) {
-    let g = GENERATION.load(Ordering::Relaxed);
-    let table = |g: usize| INDEX.get(g).map(|t| t.get_or_init(|| cells(g)));
-    let Some(current) = table(g) else {
-        return;
-    };
-    if 2 * (id as usize + 1) <= current.len() {
-        return place(current, id);
-    }
-    let Some(next) = table(g + 1) else {
-        return place(current, id);
-    };
-    for old in 0..=id {
-        place(next, old);
-    }
-    GENERATION.store(g + 1, Ordering::Release);
-}
-
-/// Generation `g`'s cells, all empty.
-fn cells(g: usize) -> Box<[AtomicU32]> {
-    (0..1usize << (g + INDEX_BITS as usize))
-        .map(|_| AtomicU32::new(0))
-        .collect()
-}
-
 impl Symbol {
-    /// Interns a string, returning its symbol (idempotent). A string
-    /// met before is found taking no lock.
+    /// Interns a string, returning its symbol (idempotent).
     pub fn intern(s: &str) -> Symbol {
-        if let Some(id) = find(s) {
-            return Symbol(id);
+        let mut names = names();
+        if let Some(&sym) = names.ids.get(s) {
+            return sym;
         }
-        let _writer = WRITER.lock().unwrap_or_else(PoisonError::into_inner);
-        // Writers are serialised by the lock, so `LEN` cannot move under us.
-        let mut id = LEN.load(Ordering::Relaxed);
-        // A writer that died after setting its slot left a string the
-        // length does not count: adopt it, so the id is not handed out twice.
-        while let Some(&orphan) = slot_for_write(id).get() {
-            enter(id);
-            BYTES.fetch_add(orphan.len(), Ordering::Relaxed);
-            id += 1;
-            LEN.store(id, Ordering::Release);
-        }
-        if let Some(id) = find(s) {
-            return Symbol(id); // raced: someone else interned it
-        }
-        let leaked: &'static str = Box::leak(s.into());
-        // The slot is empty (checked above, under the lock), so `set` holds.
-        let _ = slot_for_write(id).set(leaked);
-        enter(id);
-        BYTES.fetch_add(leaked.len(), Ordering::Relaxed);
-        LEN.store(id + 1, Ordering::Release);
-        Symbol(id)
+        // Everything that can fail happens before the first write.
+        names.ids.reserve(1);
+        names.by_id.reserve(1);
+        let entry: &'static Entry = Box::leak(Box::new(Entry {
+            id: names.by_id.len() as u32,
+            name: s.into(),
+        }));
+        let sym = Symbol(entry);
+        names.by_id.push(sym);
+        names.ids.insert(&*entry.name, sym);
+        names.bytes += s.len();
+        sym
     }
 
-    /// The interned string, read from the id → string table without taking
-    /// a lock: three loads (directory chunk, leaf, slot) and no contention
-    /// with concurrent [`Symbol::intern`] calls.
-    ///
-    /// A `Symbol` only comes out of [`Symbol::intern`], which sets the slot
-    /// before it returns the id, so the slot of a symbol in hand is always
-    /// set; the empty-string arm keeps the read path free of panics and is
-    /// not reachable through this API.
+    /// The interned string: read from the symbol's own entry, taking no
+    /// lock.
     pub fn as_str(self) -> &'static str {
-        published(self.0).unwrap_or_default()
+        &self.0.name
     }
 
     /// The raw id (stable within a process run only).
     pub fn id(self) -> u32 {
-        self.0
+        self.0.id
     }
 
     /// The symbol of an id this process has handed out, else `None`: the
     /// inverse of [`Symbol::id`], for decoding a [`crate::Tuple`]'s
     /// encoded form.
     pub(crate) fn from_id(id: u32) -> Option<Symbol> {
-        published(id).map(|_| Symbol(id))
+        names().by_id.get(id as usize).copied()
+    }
+}
+
+impl PartialEq for Symbol {
+    fn eq(&self, other: &Symbol) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Symbol {}
+
+impl Hash for Symbol {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.id.hash(state);
     }
 }
 
@@ -290,7 +166,7 @@ impl From<String> for Symbol {
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Symbol({} {:?})", self.0, self.as_str())
+        write!(f, "Symbol({} {:?})", self.id(), self.as_str())
     }
 }
 
@@ -302,12 +178,12 @@ impl fmt::Display for Symbol {
 
 /// Number of distinct names interned so far (diagnostics).
 pub fn interned_count() -> usize {
-    LEN.load(Ordering::Acquire) as usize
+    names().by_id.len()
 }
 
-/// Total bytes held by the arena's names (diagnostics).
+/// Total bytes of the interned names (diagnostics).
 pub fn interned_bytes() -> usize {
-    BYTES.load(Ordering::Relaxed)
+    names().bytes
 }
 
 /// Value dictionaries made and not yet freed (a statistic: `Relaxed`).
@@ -503,7 +379,7 @@ mod tests {
 
     /// The symbol of `s` if one was handed out, without interning it.
     fn lookup(s: &str) -> Option<Symbol> {
-        find(s).map(Symbol)
+        names().ids.get(s).copied()
     }
 
     #[test]
@@ -511,6 +387,7 @@ mod tests {
         let a = Symbol::intern("ProfPage.PName");
         let b = Symbol::intern("ProfPage.PName");
         assert_eq!(a, b);
+        assert_eq!(a.id(), b.id());
         assert_eq!(a.as_str(), "ProfPage.PName");
     }
 
@@ -519,6 +396,7 @@ mod tests {
         let a = Symbol::intern("intern-test-a");
         let b = Symbol::intern("intern-test-b");
         assert_ne!(a, b);
+        assert_ne!(a.id(), b.id());
     }
 
     #[test]
@@ -526,6 +404,24 @@ mod tests {
         assert!(lookup("intern-test-never-interned-xyzzy").is_none());
         let s = Symbol::intern("intern-test-lookup");
         assert_eq!(lookup("intern-test-lookup"), Some(s));
+    }
+
+    #[test]
+    fn from_id_inverts_id() {
+        let syms: Vec<Symbol> = (0..100)
+            .map(|j| Symbol::intern(&format!("intern-test-id-{j}")))
+            .collect();
+        for sym in syms {
+            assert_eq!(Symbol::from_id(sym.id()), Some(sym));
+            assert_eq!(
+                Symbol::from_id(sym.id()).map(Symbol::as_str),
+                Some(sym.as_str())
+            );
+        }
+        // Every id below the count is handed out, and none at or above it.
+        let count = interned_count() as u32;
+        assert!((0..count).all(|id| Symbol::from_id(id).is_some_and(|s| s.id() == id)));
+        assert_eq!(Symbol::from_id(u32::MAX), None);
     }
 
     /// Codes are dense, in first-seen order, and found again by string or
@@ -573,97 +469,9 @@ mod tests {
         for syms in &all {
             for s in syms {
                 assert_eq!(Symbol::intern(s.as_str()), *s);
+                assert_eq!(Symbol::from_id(s.id()), Some(*s));
             }
         }
-    }
-
-    #[test]
-    fn strings_are_found_across_index_generations() {
-        // Fresh strings until the index has grown at least once, wherever
-        // the other tests have left it: the first of them were entered in
-        // a generation readers no longer probe.
-        let name = |j: usize| format!("intern-generation-{j}");
-        let first = GENERATION.load(Ordering::Acquire);
-        let mut syms = Vec::new();
-        while GENERATION.load(Ordering::Acquire) == first || syms.len() < 2_000 {
-            syms.push(Symbol::intern(&name(syms.len())));
-        }
-        for (j, sym) in syms.iter().enumerate() {
-            assert_eq!(sym.as_str(), name(j));
-            assert_eq!(lookup(&name(j)), Some(*sym));
-            assert_eq!(Symbol::intern(&name(j)), *sym);
-        }
-        assert!(lookup("intern-generation-never").is_none());
-        every_counted_id_is_found();
-    }
-
-    /// Every id the length counts is found by its string, whichever writer
-    /// entered it and whichever generation it was entered in.
-    fn every_counted_id_is_found() {
-        for id in 0..interned_count() as u32 {
-            let s = published(id).unwrap();
-            assert_eq!(find(s), Some(id), "{s:?} is missing from the index");
-        }
-    }
-
-    /// Readers look known strings up, intern them again and read them
-    /// back while a writer mints strings until the index has grown twice:
-    /// every probe finds its string's id, in whichever generation it
-    /// reads, and a string never interned stays unknown.
-    #[test]
-    fn readers_probe_while_the_index_grows() {
-        use std::time::{Duration, Instant};
-
-        let known: Vec<(String, Symbol)> = (0..256)
-            .map(|j| format!("intern-known-{j}"))
-            .map(|s| (s.clone(), Symbol::intern(&s)))
-            .collect();
-        let name = |j: usize| format!("intern-growth-{j}");
-        let first = GENERATION.load(Ordering::Acquire);
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let t0 = Instant::now();
-        let minted: Vec<Symbol> = std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    // At least one pass, and none once the writer is done.
-                    let mut passes = 0;
-                    while passes == 0 || !done.load(Ordering::Acquire) {
-                        for (string, sym) in &known {
-                            assert_eq!(lookup(string), Some(*sym));
-                            assert_eq!(Symbol::intern(string), *sym);
-                            assert_eq!(sym.as_str(), string);
-                        }
-                        assert!(lookup("intern-growth-never").is_none());
-                        assert!(t0.elapsed() < Duration::from_secs(60), "the writer stalled");
-                        passes += 1;
-                    }
-                });
-            }
-            let minted = (0..)
-                .map(|j| Symbol::intern(&name(j)))
-                .take_while(|_| GENERATION.load(Ordering::Acquire) < first + 2)
-                .collect();
-            done.store(true, Ordering::Release);
-            minted
-        });
-        assert!(GENERATION.load(Ordering::Acquire) >= first + 2);
-        for (j, sym) in minted.iter().enumerate() {
-            assert_eq!(sym.as_str(), name(j));
-            assert_eq!(lookup(&name(j)), Some(*sym));
-        }
-        every_counted_id_is_found();
-    }
-
-    #[test]
-    fn ids_map_onto_leaves_under_a_doubling_directory() {
-        assert_eq!(locate(0), (0, 0, 0));
-        assert_eq!(locate(1023), (0, 0, 1023));
-        assert_eq!(locate(1024), (0, 1, 0));
-        assert_eq!(locate(4095), (0, 3, 1023));
-        assert_eq!(locate(4096), (1, 0, 0));
-        assert_eq!(locate(12 * 1024 - 1), (1, 7, 1023));
-        assert_eq!(locate(12 * 1024), (2, 0, 0));
-        assert_eq!(locate(u32::MAX), (CHUNKS - 1, 3, 1023));
     }
 
     #[test]
@@ -674,139 +482,29 @@ mod tests {
         // other tests intern beside this one: at least ours, exactly once
         assert!(interned_count() > count);
         assert!(interned_bytes() >= bytes + "intern-test-counted-once".len());
+        let names = names();
+        assert_eq!(names.by_id.len(), names.ids.len());
+        let held: usize = names.by_id.iter().map(|s| s.as_str().len()).sum();
+        assert_eq!(names.bytes, held);
     }
 
-    /// Readers hammer `as_str` below a moving watermark while a writer
-    /// interns across leaf and directory-chunk boundaries; then, with the writer lock
-    /// *held*, they read everything again — a read path that took the lock
-    /// would never finish.
+    /// A thread that panics holding the table's lock poisons it; the next
+    /// `intern` recovers the guard and finds the table as it was.
     #[test]
-    fn as_str_reads_published_slots_without_the_lock() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-
-        // Enough fresh strings to cross leaf boundaries and one directory
-        // chunk boundary, wherever the other tests of this process have
-        // left the table.
-        let first = interned_count() as u32;
-        let mut n = 5_000;
-        while locate(first + n as u32).0 == locate(first).0 {
-            n += 1 << LEAF_BITS;
-        }
-        let name = |j: usize| format!("intern-stress-{j}");
-        let ids: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
-        let done = AtomicUsize::new(0);
-
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| loop {
-                    // `Acquire` pairs with the writer's `Release`: the ids
-                    // below the watermark were returned by `intern`.
-                    let watermark = done.load(Ordering::Acquire);
-                    for (j, id) in ids[..watermark].iter().enumerate() {
-                        assert_eq!(Symbol(id.load(Ordering::Relaxed)).as_str(), name(j));
-                    }
-                    // Every id the length counts has its slot set.
-                    for id in 0..interned_count() as u32 {
-                        assert!(published(id).is_some(), "empty slot at id {id}");
-                    }
-                    if watermark == n {
-                        break;
-                    }
-                });
-            }
-            s.spawn(|| {
-                for (j, id) in ids.iter().enumerate() {
-                    id.store(Symbol::intern(&name(j)).0, Ordering::Relaxed);
-                    done.store(j + 1, Ordering::Release);
-                }
-            });
-        });
-        let (lo, hi) = (
-            ids[0].load(Ordering::Relaxed),
-            ids[n - 1].load(Ordering::Relaxed),
-        );
-        assert!(
-            locate(hi).0 > locate(lo).0,
-            "ids {lo}..{hi}: one directory chunk"
-        );
-        assert!(
-            hi - lo >= 4 << LEAF_BITS,
-            "ids {lo}..{hi}: under five leaves"
-        );
-
-        all_finish_under_the_writer_lock(move || {
-            (ids.iter().enumerate())
-                .all(|(j, id)| Symbol(id.load(Ordering::Relaxed)).as_str() == name(j))
-        });
-    }
-
-    /// Runs `check` on 8 threads while this thread holds the writer lock,
-    /// failing unless each returns true within 60 s: a check that took
-    /// the lock would never finish.
-    fn all_finish_under_the_writer_lock(check: impl Fn() -> bool + Clone + Send + 'static) {
-        use std::sync::mpsc;
-        use std::time::Duration;
-
-        let writer = WRITER.lock().unwrap_or_else(PoisonError::into_inner);
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..8 {
-            let (check, tx) = (check.clone(), tx.clone());
-            std::thread::spawn(move || {
-                let _ = tx.send(check());
-            });
-        }
-        for _ in 0..8 {
-            let ok = rx.recv_timeout(Duration::from_secs(60));
-            assert_eq!(ok, Ok(true), "a reader blocked on the lock or misread");
-        }
-        drop(writer);
-    }
-
-    /// A string met before is interned, and looked up, with the writer
-    /// lock held elsewhere: the common case never waits on a writer.
-    #[test]
-    fn a_known_string_is_interned_and_looked_up_without_the_lock() {
-        let name = |j: usize| format!("intern-known-under-lock-{j}");
-        let syms: Vec<Symbol> = (0..2_000).map(|j| Symbol::intern(&name(j))).collect();
-        all_finish_under_the_writer_lock(move || {
-            syms.iter()
-                .enumerate()
-                .all(|(j, sym)| Symbol::intern(&name(j)) == *sym && lookup(&name(j)) == Some(*sym))
-        });
-    }
-
-    /// The write path stores slot, index cell, length — in that order. A
-    /// writer that dies after the first store, or after the second,
-    /// poisons the lock and leaves a slot the length does not count; the
-    /// next writer recovers the guard and adopts the slot instead of
-    /// handing its id out again.
-    #[test]
-    fn a_writer_that_dies_between_its_stores_leaves_the_arena_consistent() {
-        const ORPHANS: [&str; 2] = ["intern-test-orphan-indexed", "intern-test-orphan"];
+    fn a_panic_under_the_lock_leaves_a_table_the_next_intern_uses() {
+        let before = Symbol::intern("intern-test-before-the-panic");
         let died = std::thread::spawn(|| {
-            let _writer = WRITER.lock().unwrap_or_else(PoisonError::into_inner);
-            let id = LEN.load(Ordering::Relaxed);
-            // The first orphan reached the index, the second only its slot.
-            slot_for_write(id).set(ORPHANS[0]).unwrap();
-            enter(id);
-            slot_for_write(id + 1).set(ORPHANS[1]).unwrap();
-            panic!("a writer dies holding the lock (this test's doing)");
+            let _names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("a thread dies holding the lock (this test's doing)");
         })
         .join();
         assert!(died.is_err());
-        assert!(WRITER.is_poisoned());
-
-        let fresh = Symbol::intern("intern-test-after-the-orphans");
-        assert_eq!(fresh.as_str(), "intern-test-after-the-orphans");
-        let orphans = ORPHANS.map(|s| lookup(s).unwrap()); // adopted
-        assert_eq!(orphans[0].id() + 1, orphans[1].id());
-        for (orphan, s) in orphans.into_iter().zip(ORPHANS) {
-            assert_eq!(orphan.as_str(), s);
-            assert_ne!(orphan, fresh);
-            assert_eq!(Symbol::intern(s), orphan);
-        }
-        assert_eq!(Symbol::intern("intern-test-after-the-orphans"), fresh);
-        assert!(interned_count() > orphans[1].id() as usize);
+        assert!(NAMES.is_poisoned());
+        let after = Symbol::intern("intern-test-after-the-panic");
+        assert_eq!(after.as_str(), "intern-test-after-the-panic");
+        assert_ne!(after, before);
+        assert_eq!(Symbol::intern("intern-test-before-the-panic"), before);
+        assert_eq!(Symbol::from_id(after.id()), Some(after));
+        assert_eq!(lookup("intern-test-after-the-panic"), Some(after));
     }
 }

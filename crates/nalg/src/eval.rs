@@ -867,13 +867,14 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             let Some(p) = current.then(|| pending.remove(&done.job.code)).flatten() else {
                 // Not a URL this drain still waits for. In this epoch it is
                 // the losing twin of an already-settled URL: a loser
-                // cancelled before dispatch cost the server nothing; one
-                // that reached the source (completed, or cut off there) is
-                // dropped here — the server counted its GET, but only the
-                // first completion was settled, keeping the paper's
-                // counters hedge-invisible. From an earlier epoch it is
-                // stale, and counts only if it is a backup twin cancelled
-                // before dispatch: this is the last place that can account
+                // cancelled before dispatch, or woken by that cancel while
+                // it followed a coalesced flight, cost the server nothing;
+                // one that reached the server (completed, or cut off
+                // there) is dropped here — the server counted its GET, but
+                // only the first completion was settled, keeping the
+                // paper's counters hedge-invisible. From an earlier epoch
+                // it is stale, and counts only if it is a backup twin that
+                // cost nothing: this is the last place that can account
                 // for it.
                 if !done.dispatched && (current || done.job.hedge) {
                     if let Some(h) = hedge {
@@ -1118,6 +1119,7 @@ mod tests {
     use super::*;
     use crate::expr::Pred;
     use adm::{Field, PageScheme};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
 
     /// An in-memory page source over explicit tuples.
     struct MapSource {
@@ -2400,6 +2402,143 @@ mod tests {
         assert_eq!(
             counters.hedges.get(),
             counters.hedge_wins.get() + counters.hedge_cancelled.get() + completed_losers
+        );
+        a_backup_woken_on_another_flight_is_a_hedge_that_made_no_get();
+    }
+
+    /// Waits until `done` holds, for at most 5 s, so a test whose staging
+    /// goes wrong fails instead of hanging.
+    fn wait_until(done: impl Fn() -> bool) {
+        let t0 = std::time::Instant::now();
+        while !done() && t0.elapsed() < std::time::Duration::from_secs(5) {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+    }
+
+    /// What the staged sources of the test below wait on.
+    #[derive(Default)]
+    struct Stage {
+        /// Calls for the entry page below the coalescer.
+        list_calls: AtomicU32,
+        /// Calls for the entry page above it (the primary, then its backup).
+        list_asks: AtomicU32,
+        backup_sent: AtomicBool,
+        primary_back: AtomicBool,
+        backup_back: AtomicBool,
+    }
+
+    /// Below the coalescer: the primary's flight lasts until its backup is
+    /// dispatched, the other request's until the backup has given up, and
+    /// an item page until then too, so the backup's completion surfaces
+    /// while the items' drain is open.
+    struct Below<'a> {
+        inner: MapSource,
+        stage: &'a Stage,
+    }
+
+    impl PageSource for Below<'_> {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            let stage = self.stage;
+            if url.as_str() == "/list.html" {
+                let first = stage.list_calls.fetch_add(1, SeqCst) == 0;
+                let flag = if first {
+                    &stage.backup_sent
+                } else {
+                    &stage.backup_back
+                };
+                wait_until(|| flag.load(SeqCst));
+            } else {
+                wait_until(|| stage.backup_back.load(SeqCst));
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            self.inner.fetch(url, scheme)
+        }
+    }
+
+    /// Above the coalescer, where the evaluator's jobs arrive: the entry
+    /// page's backup joins the flight another request leads once its
+    /// primary's flight has retired.
+    struct Above<'a> {
+        coalescer: &'a crate::fetch::CoalescingSource<'a, Below<'a>>,
+        stage: &'a Stage,
+    }
+
+    impl PageSource for Above<'_> {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            self.fetch_shared(url, scheme)
+                .map(|(t, _)| Tuple::clone(&t))
+        }
+
+        fn fetch_shared(&self, url: &Url, scheme: &str) -> crate::fetch::FetchOutcome {
+            let stage = self.stage;
+            if url.as_str() != "/list.html" {
+                return self.coalescer.fetch_shared(url, scheme);
+            }
+            if stage.list_asks.fetch_add(1, SeqCst) == 0 {
+                let out = self.coalescer.fetch_shared(url, scheme);
+                stage.primary_back.store(true, SeqCst);
+                return out;
+            }
+            stage.backup_sent.store(true, SeqCst);
+            wait_until(|| stage.list_calls.load(SeqCst) >= 2);
+            let out = self.coalescer.fetch_shared(url, scheme);
+            stage.backup_back.store(true, SeqCst);
+            out
+        }
+    }
+
+    /// A losing backup that followed another request's coalesced flight
+    /// and was woken by the cancel of the primary that won sent no GET:
+    /// it is counted with the twins cancelled before dispatch, and the
+    /// identity holds against the calls that reached the source.
+    fn a_backup_woken_on_another_flight_is_a_hedge_that_made_no_get() {
+        let ws = scheme();
+        let stage = Stage::default();
+        let below = Below {
+            inner: source(),
+            stage: &stage,
+        };
+        let coalescer = crate::fetch::CoalescingSource::new(&below);
+        let above = Above {
+            coalescer: &coalescer,
+            stage: &stage,
+        };
+        let cfg = crate::fetch::HedgeConfig::new(50_000);
+        let report = std::thread::scope(|s| {
+            // The other request: it leads the entry page's second flight
+            // once the primary's has retired.
+            s.spawn(|| {
+                wait_until(|| stage.primary_back.load(SeqCst));
+                coalescer.fetch_shared(&Url::new("/list.html"), "ListPage")
+            });
+            Evaluator::new(&ws, &above)
+                .with_policy(&EvalPolicy {
+                    fetch: Fetch::hedged(2, cfg.clone()),
+                    ..Default::default()
+                })
+                .eval(&nav())
+                .unwrap()
+        });
+        assert_eq!(report.relation.len(), 3);
+        assert_eq!(report.page_accesses, 4);
+        let stats = coalescer.stats();
+        assert_eq!((stats.followers, stats.cancel_wakes), (1, 1));
+        // Of the entry page's two calls below the coalescer, the second
+        // was the other request's: the evaluation's own calls are its
+        // accesses, and no loser reached the source.
+        let calls = u64::from(stage.list_calls.load(SeqCst)) - 1 + 3;
+        let completed_losers = calls - report.page_accesses;
+        assert_eq!(
+            (
+                cfg.hedges.get(),
+                cfg.hedge_wins.get(),
+                cfg.hedge_cancelled.get()
+            ),
+            (1, 0, 1)
+        );
+        assert_eq!(
+            cfg.hedges.get(),
+            cfg.hedge_wins.get() + cfg.hedge_cancelled.get() + completed_losers
         );
     }
 

@@ -69,14 +69,24 @@ pub(crate) struct Job {
 pub(crate) type FetchOutcome = Result<(Arc<Tuple>, Option<u64>), SourceError>;
 
 /// A completed fetch: the job it answers and what the source said.
-/// `dispatched` is false only for a job skipped before it reached the
-/// source (its request's deadline had expired or its URL was cancelled):
-/// a source call, even one answered `Cancelled`, may have cost the server
-/// a request.
+/// `dispatched` is false only for a job its own request gave up on (its
+/// deadline had expired or its URL was cancelled) before it cost the
+/// server anything: skipped before it reached the source, or a coalesced
+/// follower that stopped waiting on another fetch's flight. Any other
+/// source call, even one answered `Cancelled`, may have cost the server a
+/// request.
 pub(crate) struct Done {
     pub job: Job,
     pub outcome: FetchOutcome,
     pub dispatched: bool,
+}
+
+thread_local! {
+    /// Set by a coalesced follower that stopped waiting because its own
+    /// request gave up on the URL: the source call it answers sent nothing
+    /// to the server. [`Runner::attempt`] clears it before each source
+    /// call and reads it after.
+    static GAVE_UP_WAITING: Cell<bool> = const { Cell::new(false) };
 }
 
 /// What running one job takes; pool workers and the inline executor each
@@ -119,12 +129,13 @@ impl<S: PageSource + ?Sized> Runner<'_, S> {
         let outcome = if skip {
             Err(SourceError::Cancelled(url.clone()))
         } else {
+            GAVE_UP_WAITING.set(false);
             self.source.fetch_shared(url, job.scheme.as_str())
         };
         if let (Some(attr), Some(t0)) = (attr, t0) {
             attr.clock.add_us(t0.elapsed().as_micros() as u64);
         }
-        (outcome, !skip)
+        (outcome, !skip && !GAVE_UP_WAITING.replace(false))
     }
 }
 
@@ -383,9 +394,11 @@ pub struct HedgeConfig {
     pub hedges: obs::Counter,
     /// Hedges whose response arrived before the primary's.
     pub hedge_wins: obs::Counter,
-    /// Losing twins cancelled before dispatch (no server GET happened).
-    /// A twin the source cut off mid-request is not one of them: it
-    /// reached the server, and counts as a completed loser.
+    /// Losing twins that cost the server no GET: cancelled before
+    /// dispatch, or a coalesced follower of another fetch's flight woken
+    /// by the cancel of the twin that won. A twin the source cut off
+    /// mid-request is not one of them: it reached the server, and counts
+    /// as a completed loser.
     pub hedge_cancelled: obs::Counter,
 }
 
@@ -613,6 +626,7 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
             if cancelled || c.deadline.expired() {
                 drop(slot);
                 self.cancel_wakes.fetch_add(1, Ordering::SeqCst);
+                GAVE_UP_WAITING.set(true);
                 return Some(Err(SourceError::Cancelled(url.clone())));
             }
             let quantum = c

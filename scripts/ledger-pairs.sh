@@ -2,7 +2,10 @@
 # Compares two builds of the perf ledger, a parent's and a change's, by
 # running them in alternating pairs at seed 7 and printing, for each
 # end-to-end metric, the first quartile, median and third quartile of each
-# side and the pairs the change won. It is a reading aid, not a gate.
+# side and the pairs the change won. Its last line, after `# trajectory:`,
+# is the workload's cell of the `"ledger"` field of a TRAJECTORY.jsonl
+# line: each metric's quartiles on the change side, the parent's median
+# and the pairs won. It is a reading aid, not a gate.
 #
 #   sh scripts/ledger-pairs.sh <parent-tree> <change-tree> <workload> <pairs> [seconds]
 #
@@ -64,7 +67,7 @@ done
 
 echo "# $workload, seed 7, $seconds s a run, $pairs pairs: Q1 median Q3 per side"
 printf "%-24s %-28s %-28s %s\n" metric parent change "change won"
-sort -k1,1 -k3,3 -k4,4g "$runs/all" | awk -v pairs="$pairs" '
+sort -k1,1 -k3,3 -k4,4g "$runs/all" | awk -v pairs="$pairs" -v cells="$runs/cells" '
     function q(p,    at, lo) {
         at = (n - 1) * p
         lo = int(at)
@@ -73,6 +76,8 @@ sort -k1,1 -k3,3 -k4,4g "$runs/all" | awk -v pairs="$pairs" '
     function flush() {
         if (n == 0) return
         line[key] = sprintf("%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75))
+        json[key] = sprintf("\"q1\":%.6g,\"median\":%.6g,\"q3\":%.6g", q(0.25), q(0.5), q(0.75))
+        mid[key] = sprintf("%.6g", q(0.5))
         n = 0
     }
     {
@@ -91,5 +96,9 @@ sort -k1,1 -k3,3 -k4,4g "$runs/all" | awk -v pairs="$pairs" '
                 if (m == "req_per_s" ? b > a : b < a) won++
             }
             printf "%-24s %-28s %-28s %d/%d\n", m, line["parent " m], line["change " m], won, pairs
+            printf "\"%s\":{%s,\"parent_median\":%s,\"won\":\"%d/%d\"}\n", m, json["change " m],
+                mid["parent " m], won, pairs >cells
         }
     }' | sort
+printf '# trajectory: "%s":{"pairs":%d,"seconds":%d,%s}\n' "$workload" "$pairs" "$seconds" \
+    "$(sort "$runs/cells" | paste -sd, -)"

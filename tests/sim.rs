@@ -29,7 +29,9 @@
 //!   ran out of time: a give-up never adds a row or a GET.
 //! * **gets** — every page access is a server GET or a coalesced
 //!   follower's share of one, and every GET beyond them is a hedge loser:
-//!   `accesses ≤ gets + saved ≤ accesses + hedges − cancelled`.
+//!   `accesses ≤ gets + saved ≤ accesses + hedges − cancelled`. Without
+//!   hedges, over pages a mutation round deleted, `gets + saved ==
+//!   accesses`: a follower handed a 404 saved no GET.
 //! * **budget** — the shared cache holds no more bytes than its budget.
 //! * **purge** — a sweep deletes only pages the server no longer has.
 //! * **crawl** — statistics crawled from the site equal those read off its
@@ -159,6 +161,9 @@ enum Step {
     ReadViews,
     /// A mutation round, then a sync of the maintained views.
     Mutate(u64),
+    /// A mutation round, then fail-fast clients coalescing onto the pages
+    /// the rounds so far deleted.
+    Gone(u64),
     Purge(Option<Faults>),
 }
 
@@ -234,7 +239,8 @@ impl Step {
             }
             5 => Step::Stored(arb_query().generate(r), r.below(4)),
             6 => Step::ReadViews,
-            7 | 8 => Step::Mutate(seed),
+            7 => Step::Mutate(seed),
+            8 => Step::Gone(seed),
             _ => Step::Purge((r.below(2) == 0).then(|| transient(r))),
         }
     }
@@ -281,11 +287,13 @@ struct World {
     stats: SiteStatistics,
     space: QuerySpace,
     mutations: MutationPlan,
+    /// A navigation to every page of the scheme the mutations delete.
+    gone: NalgExpr,
 }
 
 impl World {
     fn new(draw: &SiteDraw) -> World {
-        let (site, catalog, mutations) = match *draw {
+        let (site, catalog, mutations, gone) = match *draw {
             SiteDraw::University {
                 depts,
                 profs,
@@ -309,10 +317,16 @@ impl World {
                         &["DeptList", "ToDept"],
                         0.1,
                     ));
+                let courses = NalgExpr::entry("SessionListPage")
+                    .unnest("SesList")
+                    .follow("ToSes", "SessionPage")
+                    .unnest("SessionPage.CourseList")
+                    .follow("SessionPage.CourseList.ToCourse", "CoursePage");
                 (
                     University::generate(config).unwrap().site,
                     university_catalog(),
                     plan,
+                    courses,
                 )
             }
             SiteDraw::Bibliography { authors, seed } => {
@@ -329,10 +343,15 @@ impl World {
                 let plan = MutationPlan::new(seed)
                     .with_rule(MutationRule::edit_attr("EditionPage", "Editors", 0.5))
                     .with_rule(MutationRule::delete("AuthorPage", 0.1));
+                let authors = NalgExpr::entry("BibHomePage")
+                    .follow("ToAuthorList", "AuthorListPage")
+                    .unnest("AuthorList")
+                    .follow("ToAuthor", "AuthorPage");
                 (
                     Bibliography::generate(config).unwrap().site,
                     bibliography_catalog(),
                     plan,
+                    authors,
                 )
             }
         };
@@ -343,6 +362,7 @@ impl World {
             site,
             catalog,
             mutations,
+            gone,
         }
     }
 
@@ -413,6 +433,9 @@ fn run_steps(case: &Case) -> Checked {
             Step::ReadViews => read_views(&w, &iv, &views),
             Step::Mutate(round) => mutate(&mut w, &mut iv, &mut refreshed, *round)
                 .and_then(|()| read_views(&w, &iv, &views)),
+            Step::Gone(round) => mutate(&mut w, &mut iv, &mut refreshed, *round)
+                .and_then(|()| read_views(&w, &iv, &views))
+                .and_then(|()| gone(&w, *round)),
             Step::Purge(faults) => purge(&w, &mut store, *faults),
         };
         checked.map_err(|e| format!("step {i} ({step:?}): {e}"))?;
@@ -676,8 +699,8 @@ fn serve(w: &World, picks: &QueryPicks, exec: &Exec) -> Checked {
         let (hedges, cancelled) = hedge
             .as_ref()
             .map_or((0, 0), |h| (h.hedges.get(), h.hedge_cancelled.get()));
-        // A hedge loser may end without a GET (a follower woken by the
-        // winner's cancel, an attempt that met a fault): only a bound.
+        // A hedge loser may end without a GET the counters see (an
+        // attempt that met a fault, a twin of a 404): only a bound.
         ensure!(
             accesses <= gets + saved && gets + saved + cancelled <= accesses + hedges,
             "gets: {gets} GETs + {saved} saved, {accesses} accesses, {broken} broken links, \
@@ -691,6 +714,62 @@ fn serve(w: &World, picks: &QueryPicks, exec: &Exec) -> Checked {
         traced_equals_untraced(w, &queries[0], &policy)?;
     }
     candidates_match_the_default_navigation(w, &queries[0])
+}
+
+/// Two or three fail-fast clients evaluate the navigation to the scheme
+/// the mutations delete, at once, through one coalescing source, every
+/// GET taking 300 µs, so followers join flights that end in a 404. Each
+/// answers what the reference does, and every page access is a server
+/// GET or a page a follower was handed: a shared 404 saves no GET.
+fn gone(w: &World, round: u64) -> Checked {
+    let clients = 2 + (round & 1) as usize;
+    let fetch = if round & 2 == 0 {
+        Fetch::Inline
+    } else {
+        Fetch::pool(2)
+    };
+    let live = LiveSource::for_site(&w.site);
+    let coalescing = CoalescingSource::new(&live);
+    let policy = EvalPolicy {
+        fetch,
+        ..Default::default()
+    };
+    let gets = w.site.server.stats().gets;
+    w.site.server.set_latency(Duration::from_micros(300));
+    let reports = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..clients)
+            .map(|_| {
+                s.spawn(|| {
+                    (Evaluator::new(&w.ws, &coalescing))
+                        .with_policy(&policy)
+                        .eval(&w.gone)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    w.site.server.set_latency(Duration::ZERO);
+    let gets = w.site.server.stats().gets - gets;
+    let reference = w.reference(&live, DegradationMode::FailFast, &w.gone)?;
+    let mut accesses = 0;
+    for report in reports {
+        let report = report.map_err(text)?;
+        same_as_reference(&report, &reference).map_err(|e| format!("gone: {e}"))?;
+        accesses += report.page_accesses;
+    }
+    let stats = coalescing.stats();
+    ensure!(
+        gets + stats.saved_gets() == accesses,
+        "gets: {gets} GETs + {} saved, {accesses} accesses, {} broken links a client, \
+         {} followers",
+        stats.saved_gets(),
+        reference.1.broken_links,
+        stats.followers
+    );
+    Ok(())
 }
 
 /// A traced run and an untraced one, each in a fresh session: the same
