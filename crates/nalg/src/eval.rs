@@ -210,8 +210,12 @@ struct Ctx {
     /// last of them.
     dict: Arc<Dict>,
     /// Per-query page cache, keyed by the URL's code. A hit delivers the
-    /// page in the form it was acquired in.
+    /// page in the form it was acquired in. It holds only pages of the
+    /// schemes in `reacquired`: any other page is dropped once appended.
     cache: HashMap<u32, Page>,
+    /// The page-schemes two or more `Entry`/`Follow` operators of the plan
+    /// acquire ([`reacquired_schemes`]).
+    reacquired: Vec<String>,
     /// Pre-order index of the next operator node (tracing only); matches
     /// the node numbering of `cost::Estimate::nodes` for the same plan.
     node_seq: usize,
@@ -377,6 +381,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         // A fresh `Ctx` is a fresh value dictionary.
         let mut ctx = Ctx {
             cancel,
+            reacquired: reacquired_schemes(expr),
             ..Ctx::default()
         };
         let relation = self
@@ -686,6 +691,9 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// touch the network. Each acquired page is handed to `deliver`
     /// once, as it arrives; a page that could not be acquired is recorded
     /// in `ctx` (broken / unreachable / cancelled) and never delivered.
+    /// The per-query cache keeps an acquired page only when another
+    /// operator acquires the same scheme; otherwise nothing can ask for it
+    /// again, and it is dropped once delivered.
     fn acquire(
         &self,
         ctx: &mut Ctx,
@@ -695,6 +703,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         carrier: Option<(&ColumnRel, usize, &[String])>,
         mut deliver: impl FnMut(u32, &Page) -> Result<()>,
     ) -> Result<()> {
+        let hold = ctx.reacquired.iter().any(|r| r == scheme);
         let mut misses: Vec<u32> = Vec::new();
         for &s in order {
             if let Some(page) = ctx.cache.get(&s) {
@@ -708,7 +717,9 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     ctx.shared_hits += 1;
                     self.audit_record(ctx, s, scheme, &page);
                     deliver(s, &page)?;
-                    ctx.cache.insert(s, page);
+                    if hold {
+                        ctx.cache.insert(s, page);
+                    }
                     continue;
                 }
             }
@@ -717,7 +728,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         if let Some((rel, li, page_cols)) = carrier {
             self.prune_dead(ctx, rel, li, page_cols, &mut misses);
         }
-        self.drain(ctx, pool, scheme, &misses, &mut deliver)
+        self.drain(ctx, pool, (scheme, hold), &misses, &mut deliver)
     }
 
     /// Relevance: a missed URL none of whose carrying rows can survive
@@ -766,12 +777,13 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// simply blocks on each completion; over the inline pool "waiting"
     /// runs the next job, which is sequential fetching. Completions are
     /// tagged with a per-drain epoch so a later drain never consumes a
-    /// stale completion from an aborted one.
+    /// stale completion from an aborted one. `hold` is whether the
+    /// per-query cache keeps `scheme`'s pages.
     fn drain(
         &self,
         ctx: &mut Ctx,
         pool: &FetchPool<'_>,
-        scheme: &str,
+        (scheme, hold): (&str, bool),
         misses: &[u32],
         deliver: &mut impl FnMut(u32, &Page) -> Result<()>,
     ) -> Result<()> {
@@ -895,7 +907,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     }
                 }
             }
-            self.settle(ctx, scheme.as_str(), done, deliver)?;
+            self.settle(ctx, (scheme.as_str(), hold), done, deliver)?;
         }
         Ok(())
     }
@@ -906,11 +918,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// failure is skipped under [`DegradationMode::Partial`] and aborts
     /// the query otherwise, except that a cancelled fetch under a finite
     /// deadline is the budget machinery working as designed, not a query
-    /// failure.
+    /// failure. A page is kept in the per-query cache only when `hold`.
     fn settle(
         &self,
         ctx: &mut Ctx,
-        scheme: &str,
+        (scheme, hold): (&str, bool),
         done: Done,
         deliver: &mut impl FnMut(u32, &Page) -> Result<()>,
     ) -> Result<()> {
@@ -924,7 +936,9 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 let page = Page::Wrapped(t);
                 self.audit_record(ctx, code, scheme, &page);
                 deliver(code, &page)?;
-                ctx.cache.insert(code, page);
+                if hold {
+                    ctx.cache.insert(code, page);
+                }
                 return Ok(());
             }
             Err(SourceError::NotFound(_)) => ctx.broken_links += 1,
@@ -1072,6 +1086,41 @@ impl PageBatch {
         let urls = ColumnRel::of_links(self.url_column, attrs.dict(), self.urls);
         Ok(urls.hstack(attrs)?)
     }
+}
+
+/// The page-schemes that two or more `Entry`/`Follow` operators of `expr`
+/// acquire. An operator acquires each of its distinct links once, so a
+/// page of any other scheme is asked for once in the evaluation — as long
+/// as a URL is a page of one scheme only — and holding it after it is
+/// appended would serve no later access (Benedikt/Gottlob/Senellart's
+/// runtime relevance, applied to the per-query cache).
+fn reacquired_schemes(expr: &NalgExpr) -> Vec<String> {
+    fn walk<'e>(e: &'e NalgExpr, out: &mut Vec<&'e str>) {
+        match e {
+            NalgExpr::Entry { scheme, .. } => out.push(scheme),
+            NalgExpr::External { .. } => {}
+            NalgExpr::Follow { input, target, .. } => {
+                out.push(target);
+                walk(input, out);
+            }
+            NalgExpr::Select { input, .. }
+            | NalgExpr::Project { input, .. }
+            | NalgExpr::Unnest { input, .. } => walk(input, out),
+            NalgExpr::Join { left, right, .. } => {
+                walk(left, out);
+                walk(right, out);
+            }
+        }
+    }
+    let mut acquired = Vec::new();
+    walk(expr, &mut acquired);
+    acquired.sort_unstable();
+    let mut twice: Vec<String> = (acquired.windows(2))
+        .filter(|w| w[0] == w[1])
+        .map(|w| w[0].to_string())
+        .collect();
+    twice.dedup();
+    twice
 }
 
 /// Display label of one operator node, shared (by convention) with the
@@ -1257,10 +1306,25 @@ mod tests {
 
     /// A source that holds its pages behind `Arc`s, hands out references,
     /// and notes how many holders the entry page has whenever a page is
-    /// asked for.
+    /// asked for — and the most holders of any page it handed out before.
     struct HeldSource {
         pages: HashMap<Url, Arc<Tuple>>,
         entry_holders: std::sync::Mutex<Vec<usize>>,
+        handed_out: std::sync::Mutex<Vec<Url>>,
+        peak_holders: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl HeldSource {
+        fn new() -> Self {
+            HeldSource {
+                pages: (source().pages.into_iter())
+                    .map(|(url, t)| (url, Arc::new(t)))
+                    .collect(),
+                entry_holders: Default::default(),
+                handed_out: Default::default(),
+                peak_holders: Default::default(),
+            }
+        }
     }
 
     impl PageSource for HeldSource {
@@ -1279,6 +1343,13 @@ mod tests {
                 .lock()
                 .unwrap()
                 .push(Arc::strong_count(entry));
+            let mut handed_out = self.handed_out.lock().unwrap();
+            let peak = handed_out.iter().map(|u| Arc::strong_count(&self.pages[u]));
+            self.peak_holders
+                .lock()
+                .unwrap()
+                .push(peak.max().unwrap_or(0));
+            handed_out.push(url.clone());
             let page = self.pages.get(url).map(|t| (Arc::clone(t), None));
             page.ok_or_else(|| SourceError::NotFound(url.clone()))
         }
@@ -1287,12 +1358,7 @@ mod tests {
     #[test]
     fn the_caches_keep_the_reference_they_were_handed() {
         let ws = scheme();
-        let src = HeldSource {
-            pages: (source().pages.into_iter())
-                .map(|(url, t)| (url, Arc::new(t)))
-                .collect(),
-            entry_holders: Default::default(),
-        };
+        let src = HeldSource::new();
         let holders = || std::mem::take(&mut *src.entry_holders.lock().unwrap());
         let left = NalgExpr::entry("ListPage").unnest("Items");
         let right = NalgExpr::entry_as("ListPage", "L2").unnest("Items");
@@ -1452,6 +1518,54 @@ mod tests {
         assert_eq!(warm.relation.sorted(), cold.relation.sorted());
         // The paper's cost measure is unaffected by the shared cache.
         assert_eq!(warm.cost_model_accesses(), cold.cost_model_accesses());
+    }
+
+    // The per-query cache holds a page only while another operator of the
+    // plan acquires its scheme: in a one-navigation plan each page is the
+    // source's alone again before the next one is asked for, and in a plan
+    // with two aliases of the entry scheme the entry page stays held.
+    #[test]
+    fn a_page_no_other_operator_acquires_is_dropped_once_appended() {
+        let ws = scheme();
+        let src = HeldSource::new();
+        let report = Evaluator::new(&ws, &src).eval(&nav()).unwrap();
+        assert_eq!((report.page_accesses, report.cache_hits), (4, 0));
+        assert_eq!(report.relation.len(), 3);
+        let peaks = std::mem::take(&mut *src.peak_holders.lock().unwrap());
+        assert_eq!(peaks, vec![0, 1, 1, 1], "held by the source alone");
+
+        src.handed_out.lock().unwrap().clear();
+        let left = NalgExpr::entry("ListPage").unnest("Items");
+        let right = NalgExpr::entry_as("ListPage", "L2").unnest("Items");
+        let e = left
+            .join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")])
+            .follow("ListPage.Items.ToItem", "ItemPage");
+        let report = Evaluator::new(&ws, &src).eval(&e).unwrap();
+        assert_eq!((report.page_accesses, report.cache_hits), (4, 1));
+        let peaks = std::mem::take(&mut *src.peak_holders.lock().unwrap());
+        assert_eq!(
+            peaks,
+            vec![0, 2, 2, 2],
+            "the entry page, in the query cache"
+        );
+        for page in src.pages.values() {
+            assert_eq!(Arc::strong_count(page), 1);
+        }
+    }
+
+    #[test]
+    fn the_schemes_held_are_those_two_operators_acquire() {
+        assert!(reacquired_schemes(&nav()).is_empty());
+        let twice = NalgExpr::entry("ListPage")
+            .unnest("Items")
+            .follow("ToItem", "ItemPage")
+            .join(
+                NalgExpr::entry_as("ListPage", "L2")
+                    .unnest("Items")
+                    .follow_as("ToItem", "ItemPage", "I2"),
+                vec![("ItemPage.Name", "I2.Name")],
+            );
+        assert_eq!(reacquired_schemes(&twice), ["ItemPage", "ListPage"]);
     }
 
     // A page two operators reach is read from the shared cache once and

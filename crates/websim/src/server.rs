@@ -363,12 +363,9 @@ impl VirtualServer {
     }
 
     /// Consults the fault plan for one request, advancing the per-URL
-    /// attempt counter and recording the injection. `None` without a plan
-    /// (the zero-fault fast path) or when no rule fires.
+    /// attempt counter and recording the injection. `None` when no rule
+    /// fires; [`VirtualServer::meet_fault`] calls it only under a plan.
     fn apply_fault(&self, url: &Url, scheme: Option<&str>, is_head: bool) -> Option<FaultKind> {
-        if !self.chaos_enabled.load(Ordering::Acquire) {
-            return None;
-        }
         let mut state = self.fault.lock();
         let attempt = {
             let a = state.attempts.entry(url.clone()).or_insert(0);
@@ -434,13 +431,18 @@ impl VirtualServer {
     /// against the page's scheme. An availability fault is the request's
     /// answer. A `Slow` fault's delay is waited out here, holding no lock,
     /// as the latency wait is, so a writer never waits on it; the wait
-    /// clears `waited` when it is abandoned.
+    /// clears `waited` when it is abandoned. Without a fault plan (the
+    /// zero-fault fast path) it reads nothing: the page table is looked up
+    /// once a request, by the request itself.
     fn meet_fault(
         &self,
         url: &Url,
         head: bool,
         waited: &mut bool,
     ) -> Result<Option<FaultKind>, SourceError> {
+        if !self.chaos_enabled.load(Ordering::Acquire) {
+            return Ok(None);
+        }
         let kind = {
             let pages = self.pages.read();
             self.apply_fault(url, pages.get(url).map(|p| p.scheme.as_str()), head)

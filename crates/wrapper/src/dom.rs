@@ -5,13 +5,19 @@
 //! void elements (`br`, `img`, …) never take children; anything left open
 //! at end-of-input is closed implicitly; whitespace-only text is dropped.
 //!
-//! A [`Document`] is two vectors sized from the page length: node records
-//! and the attributes of all elements. The invariants everything else
-//! leans on:
+//! A [`Document`] is the page body plus four buffers: node records, the
+//! attributes of all elements, the open-element stack of the parse, and a
+//! side string for decoded text. The invariants everything else leans on:
 //!
-//! * **slices live as long as the body** — tag names, attribute names and
-//!   comments are `&'a str` into the page; attribute values and text are
-//!   `Cow<'a, str>`, owned only where an entity decoded;
+//! * **records are spans, not strings** — a tag name, attribute name,
+//!   attribute value, text run or comment is a pair of `u32` offsets into
+//!   the body, or into the side string where an entity decoded; a record
+//!   borrows nothing, so its buffers outlive the page;
+//! * **a thread reuses its buffers** — `Document::parse` takes them from a
+//!   per-thread pool and dropping the document gives them back, emptied, so
+//!   a steady stream of pages parses without allocating. A set of buffers
+//!   above `POOL_CAP_BYTES` (one huge page) is freed instead of kept, and
+//!   a second document alive on the thread parses into fresh buffers;
 //! * **names are compared, never copied** — close tags, void tags and
 //!   attribute lookups use `eq_ignore_ascii_case`;
 //! * **index order is document pre-order** — a node is created when its
@@ -22,17 +28,27 @@
 //!   first-child / last-child / next-sibling links, and "skip this subtree"
 //!   is a single jump;
 //! * **no recursion anywhere** — every walk is a scan of an index range,
-//!   and dropping a document frees two vectors, whatever the nesting depth.
+//!   and dropping a document returns four buffers, whatever the nesting
+//!   depth.
 
-use crate::lexer::{Attr, Lexer, Token};
+use crate::lexer::{Attr, Lexer, RawAttr, RawToken, Span};
 use crate::Result;
 use std::borrow::Cow;
+use std::cell::Cell;
+use std::mem::size_of;
 
 /// Element tags that never have children.
-const VOID_TAGS: &[&str] = &["br", "hr", "img", "meta", "link", "input"];
+const VOID_TAGS: &[&[u8]] = &[b"br", b"hr", b"img", b"meta", b"link", b"input"];
 
 /// "No such attribute" in [`NodeRec::data_attr`].
 const NONE: u32 = u32::MAX;
+
+/// The most bytes of buffer capacity a thread keeps between parses. A
+/// page takes about 2.75 bytes of buffer a body byte (up to twice that
+/// once a vector has doubled), so a page of 190–380 KB or more is parsed
+/// into buffers its document frees; the largest page of the medium
+/// University site is 77 KB.
+const POOL_CAP_BYTES: usize = 1 << 20;
 
 /// `class` contains `adm-list`.
 pub(crate) const MARK_LIST: u8 = 1;
@@ -64,37 +80,102 @@ fn class_marks(class: &str) -> u8 {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Kind<'a> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
     /// The synthetic node 0 whose children are the top-level nodes.
     Root,
-    /// An element and its tag name as written.
-    Element(&'a str),
-    Text(Cow<'a, str>),
-    Comment(&'a str),
+    /// An element; its span is the tag name as written.
+    Element,
+    /// A text run; its span is the entity-decoded text.
+    Text,
+    /// A comment; its span is the trimmed content.
+    Comment,
 }
 
 /// One node of the arena.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct NodeRec<'a> {
-    kind: Kind<'a>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeRec {
+    /// The tag name, text or comment, as [`Kind`] says.
+    span: Span,
     /// One past the last node of this node's subtree.
     end: u32,
-    /// This element's attributes in [`Document::attrs`].
+    /// This element's attributes in [`Buffers::attrs`].
     attrs: (u32, u32),
     /// Index of the first `data-attr` attribute, or [`NONE`]. Cached with
     /// `marks` as the node is created: extraction asks for nothing else
     /// while it searches.
     data_attr: u32,
+    kind: Kind,
     /// `MARK_*` bits read off the first `class` attribute.
     marks: u8,
 }
 
+/// What a document is parsed into. Nothing in it borrows the page, so a
+/// thread keeps one set in [`POOL`] from one parse to the next.
+#[derive(Debug, Clone, Default)]
+struct Buffers {
+    nodes: Vec<NodeRec>,
+    attrs: Vec<RawAttr>,
+    /// The elements still open during the parse (index and tag name),
+    /// innermost last; empty once the document is built.
+    open: Vec<(u32, Span)>,
+    /// Text and attribute values in which an entity decoded.
+    side: String,
+}
+
+thread_local! {
+    /// The buffers the last document dropped on this thread left behind.
+    static POOL: Cell<Buffers> = const {
+        Cell::new(Buffers {
+            nodes: Vec::new(),
+            attrs: Vec::new(),
+            open: Vec::new(),
+            side: String::new(),
+        })
+    };
+}
+
+impl Buffers {
+    /// This thread's pooled buffers, or empty ones when another document
+    /// holds them.
+    fn take() -> Buffers {
+        POOL.try_with(Cell::take).unwrap_or_default()
+    }
+
+    /// Bytes of capacity held.
+    fn capacity_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<NodeRec>()
+            + self.attrs.capacity() * size_of::<RawAttr>()
+            + self.open.capacity() * size_of::<(u32, Span)>()
+            + self.side.capacity()
+    }
+
+    /// Empties the buffers into the pool, unless they hold more than
+    /// [`POOL_CAP_BYTES`]: then they are freed.
+    fn give_back(mut self) {
+        if self.capacity_bytes() > POOL_CAP_BYTES {
+            return;
+        }
+        self.nodes.clear();
+        self.attrs.clear();
+        self.open.clear();
+        self.side.clear();
+        // a thread being torn down has no pool: the buffers are freed
+        let _ = POOL.try_with(|pool| pool.set(self));
+    }
+}
+
 /// A parsed document.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Document<'a> {
-    nodes: Vec<NodeRec<'a>>,
-    attrs: Vec<Attr<'a>>,
+    body: &'a str,
+    bufs: Buffers,
+}
+
+impl Drop for Document<'_> {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.bufs).give_back();
+    }
 }
 
 /// A node handed out while iterating children.
@@ -119,62 +200,89 @@ impl<'a> Document<'a> {
     /// Parses HTML into a document, in one pass over `input`.
     pub fn parse(input: &'a str) -> Result<Document<'a>> {
         let mut lexer = Lexer::new(input)?;
+        // The buffers are locals while they fill, so the loop can keep
+        // their lengths in registers, and a [`Document`] once built.
+        let Buffers {
+            mut nodes,
+            mut attrs,
+            mut open,
+            mut side,
+        } = Buffers::take();
         // Generated pages hold a node per 17 bytes or more and an attribute
         // per 34: sized a little denser, neither vector regrows on them.
-        let mut nodes: Vec<NodeRec<'a>> = Vec::with_capacity(input.len() / 16 + 2);
-        let mut attrs: Vec<Attr<'a>> = Vec::with_capacity(input.len() / 32 + 1);
-        let leaf = |kind, at: usize| NodeRec {
-            kind,
+        nodes.reserve(input.len() / 16 + 2);
+        attrs.reserve(input.len() / 32 + 1);
+        let leaf = |kind, span, at: usize| NodeRec {
+            span,
             end: at as u32 + 1,
             attrs: (0, 0),
             data_attr: NONE,
+            kind,
             marks: 0,
         };
-        nodes.push(leaf(Kind::Root, 0));
-        // The elements still open (index and tag name), innermost last.
-        let mut open: Vec<(u32, &'a str)> = Vec::with_capacity(32);
-        while let Some(tok) = lexer.next_token(&mut attrs)? {
+        // A name's span is always in the body; names compare as bytes.
+        let name = |s: Span| s.bytes(input.as_bytes(), &[]);
+        nodes.push(leaf(Kind::Root, Span::EMPTY, 0));
+        loop {
+            let tok = match lexer.next_token(&mut attrs, &mut side) {
+                Ok(Some(tok)) => tok,
+                Ok(None) => break,
+                Err(e) => {
+                    let bufs = Buffers {
+                        nodes,
+                        attrs,
+                        open,
+                        side,
+                    };
+                    bufs.give_back();
+                    return Err(e);
+                }
+            };
             // `Lexer::new` bounds the input, and every node takes a byte
             let id = nodes.len();
             match tok {
-                Token::Doctype(_) => {}
-                Token::Comment(c) => nodes.push(leaf(Kind::Comment(c), id)),
-                Token::Text(t) => {
+                RawToken::Doctype(_) => {}
+                RawToken::Comment(c) => nodes.push(leaf(Kind::Comment, c, id)),
+                RawToken::Text(t) => {
                     // `!t.trim().is_empty()`, stopping at the first
                     // non-blank char instead of trimming both ends
-                    if t.chars().any(|c| !c.is_whitespace()) {
-                        nodes.push(leaf(Kind::Text(t), id));
+                    if t.get(input, &side).chars().any(|c| !c.is_whitespace()) {
+                        nodes.push(leaf(Kind::Text, t, id));
                     }
                 }
-                Token::Open {
-                    name,
+                RawToken::Open {
+                    name: tag,
                     attrs: range,
                     self_closing,
                 } => {
-                    let mut rec = leaf(Kind::Element(name), id);
+                    let mut rec = leaf(Kind::Element, tag, id);
                     rec.attrs = (range.start, range.end);
                     let own = attrs.get(range.start as usize..).unwrap_or(&[]);
                     let mut class_seen = false;
                     for (i, a) in (range.start..).zip(own) {
-                        if rec.data_attr == NONE && a.name.eq_ignore_ascii_case("data-attr") {
+                        let an = name(a.name);
+                        if rec.data_attr == NONE && an.eq_ignore_ascii_case(b"data-attr") {
                             rec.data_attr = i;
-                        } else if !class_seen && a.name.eq_ignore_ascii_case("class") {
+                        } else if !class_seen && an.eq_ignore_ascii_case(b"class") {
                             class_seen = true;
-                            rec.marks = class_marks(&a.value);
+                            rec.marks = class_marks(a.value.get(input, &side));
                         }
                     }
                     nodes.push(rec);
-                    if !self_closing && !VOID_TAGS.iter().any(|v| v.eq_ignore_ascii_case(name)) {
-                        open.push((id as u32, name));
+                    let tag_name = name(tag);
+                    let void = || VOID_TAGS.iter().any(|v| v.eq_ignore_ascii_case(tag_name));
+                    if !self_closing && !void() {
+                        open.push((id as u32, tag));
                     }
                 }
-                Token::Close(name) => {
+                RawToken::Close(closed) => {
                     // Close the matching open element together with
                     // everything auto-closed above it; a close tag that
                     // matches nothing open is ignored.
+                    let closed = name(closed);
                     if let Some(pos) = open
                         .iter()
-                        .rposition(|(_, tag)| tag.eq_ignore_ascii_case(name))
+                        .rposition(|&(_, tag)| name(tag).eq_ignore_ascii_case(closed))
                     {
                         for (e, _) in open.drain(pos..) {
                             if let Some(rec) = nodes.get_mut(e as usize) {
@@ -187,17 +295,23 @@ impl<'a> Document<'a> {
         }
         // implicitly close anything left open, the root included
         let end = nodes.len() as u32;
-        for (e, _) in open.into_iter().chain([(0, "")]) {
+        for (e, _) in open.drain(..).chain([(0, Span::EMPTY)]) {
             if let Some(rec) = nodes.get_mut(e as usize) {
                 rec.end = end;
             }
         }
-        Ok(Document { nodes, attrs })
+        let bufs = Buffers {
+            nodes,
+            attrs,
+            open,
+            side,
+        };
+        Ok(Document { body: input, bufs })
     }
 
     /// Number of nodes (elements, text runs and comments).
     pub fn len(&self) -> usize {
-        self.nodes.len() - 1
+        self.bufs.nodes.len() - 1
     }
 
     /// True if the page held no node at all.
@@ -205,8 +319,13 @@ impl<'a> Document<'a> {
         self.len() == 0
     }
 
-    fn rec(&self, id: u32) -> Option<&NodeRec<'a>> {
-        self.nodes.get(id as usize)
+    fn rec(&self, id: u32) -> Option<&NodeRec> {
+        self.bufs.nodes.get(id as usize)
+    }
+
+    /// The string `span` names in this document.
+    fn str(&self, span: Span) -> &str {
+        span.get(self.body, &self.bufs.side)
     }
 
     /// One past the last node of `id`'s subtree, which starts at `id + 1`.
@@ -219,23 +338,29 @@ impl<'a> Document<'a> {
         self.rec(id).map_or(0, |r| r.marks)
     }
 
-    fn attrs_of(&self, id: u32) -> &[Attr<'a>] {
+    fn attrs_of(&self, id: u32) -> &[RawAttr] {
         self.rec(id)
-            .and_then(|r| self.attrs.get(r.attrs.0 as usize..r.attrs.1 as usize))
+            .and_then(|r| self.bufs.attrs.get(r.attrs.0 as usize..r.attrs.1 as usize))
             .unwrap_or(&[])
     }
 
-    /// The value of the first `data-attr` attribute of node `id`.
-    pub(crate) fn data_attr(&self, id: u32) -> Option<&str> {
-        let at = self.rec(id)?.data_attr;
-        self.attrs.get(at as usize).map(|a| &*a.value)
+    /// Whether the first `data-attr` attribute of node `id` reads `name`.
+    #[inline]
+    pub(crate) fn data_attr_is(&self, id: u32, name: &str) -> bool {
+        let at = self.rec(id).map_or(NONE, |r| r.data_attr);
+        self.bufs.attrs.get(at as usize).is_some_and(|a| {
+            a.value
+                .bytes(self.body.as_bytes(), self.bufs.side.as_bytes())
+                == name.as_bytes()
+        })
     }
 
     /// The value of attribute `name` (ASCII case-insensitive) of node `id`.
     pub(crate) fn attr(&self, id: u32, name: &str) -> Option<&str> {
-        self.attrs_of(id)
-            .iter()
-            .find_map(|a| a.name.eq_ignore_ascii_case(name).then_some(&*a.value))
+        self.attrs_of(id).iter().find_map(|a| {
+            let found = self.str(a.name).eq_ignore_ascii_case(name);
+            found.then(|| self.str(a.value))
+        })
     }
 
     /// The children of `parent`, by index: each step jumps over a subtree.
@@ -254,15 +379,9 @@ impl<'a> Document<'a> {
     /// All text below node `id`, concatenated and trimmed.
     pub(crate) fn text_content(&self, id: u32) -> String {
         let range = id as usize + 1..self.end_of(id) as usize;
-        let mut texts = self
-            .nodes
-            .get(range)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|n| match &n.kind {
-                Kind::Text(t) => Some(&**t),
-                _ => None,
-            });
+        let mut texts = (self.bufs.nodes.get(range).unwrap_or(&[]).iter())
+            .filter(|n| n.kind == Kind::Text)
+            .map(|n| self.str(n.span));
         let first = texts.next().unwrap_or("");
         match texts.next() {
             // the usual `<span>value</span>`: one copy, already trimmed
@@ -279,16 +398,17 @@ impl<'a> Document<'a> {
     }
 
     fn element(&self, id: u32) -> Option<Element<'_>> {
-        matches!(self.rec(id)?.kind, Kind::Element(_)).then_some(Element { doc: self, id })
+        (self.rec(id)?.kind == Kind::Element).then_some(Element { doc: self, id })
     }
 
     /// The children of `parent` as [`Node`]s.
     fn child_nodes(&self, parent: u32) -> impl Iterator<Item = Node<'_>> {
         self.child_ids(parent).filter_map(move |id| {
-            Some(match &self.rec(id)?.kind {
-                Kind::Element(_) => Node::Element(Element { doc: self, id }),
-                Kind::Text(t) => Node::Text(t),
-                Kind::Comment(c) => Node::Comment(c),
+            let rec = self.rec(id)?;
+            Some(match rec.kind {
+                Kind::Element => Node::Element(Element { doc: self, id }),
+                Kind::Text => Node::Text(self.str(rec.span)),
+                Kind::Comment => Node::Comment(self.str(rec.span)),
                 Kind::Root => return None,
             })
         })
@@ -307,7 +427,7 @@ impl<'a> Document<'a> {
 
     /// The first element whose `class` carries all of `marks`.
     pub(crate) fn first_marked(&self, marks: u8) -> Option<u32> {
-        let at = self.nodes.iter().position(|n| n.marks & marks == marks)?;
+        let at = (self.bufs.nodes.iter()).position(|n| n.marks & marks == marks)?;
         Some(at as u32)
     }
 }
@@ -320,15 +440,16 @@ impl<'d> Element<'d> {
 
     /// The tag name as written on the page (any case).
     pub fn tag(self) -> &'d str {
-        match self.doc.rec(self.id).map(|r| &r.kind) {
-            Some(Kind::Element(tag)) => tag,
-            _ => "",
-        }
+        self.doc.rec(self.id).map_or("", |r| self.doc.str(r.span))
     }
 
     /// Attributes in document order, names as written.
-    pub fn attrs(self) -> &'d [Attr<'d>] {
-        self.doc.attrs_of(self.id)
+    pub fn attrs(self) -> impl Iterator<Item = Attr<'d>> {
+        let doc = self.doc;
+        doc.attrs_of(self.id).iter().map(move |a| Attr {
+            name: doc.str(a.name),
+            value: Cow::Borrowed(doc.str(a.value)),
+        })
     }
 
     /// Children in document order.
@@ -487,10 +608,75 @@ mod tests {
         let div = d.root_elements().next().unwrap();
         assert_eq!(div.tag(), "DIV");
         assert_eq!(d.attr(div.id(), "data-attr"), Some("X"));
-        assert_eq!(d.data_attr(div.id()), Some("X"));
+        assert!(d.data_attr_is(div.id(), "X"));
+        assert!(!d.data_attr_is(div.id(), "x"), "a value is case-sensitive");
         assert_eq!(d.first_marked(MARK_PAGE), Some(div.id()));
         // the mixed-case close tag closed it: the text is its only child
         assert_eq!(div.children().count(), 1);
+    }
+
+    /// Bytes of capacity in this thread's pool.
+    fn pooled_bytes() -> usize {
+        POOL.with(|pool| {
+            let bufs = pool.take();
+            let bytes = bufs.capacity_bytes();
+            pool.set(bufs);
+            bytes
+        })
+    }
+
+    #[test]
+    fn a_dropped_document_leaves_its_buffers_to_the_next_parse() {
+        let html = "<ul class=adm-list><li class=adm-row>a &amp; b</li></ul>";
+        drop(Document::parse(html).unwrap());
+        let pooled = pooled_bytes();
+        assert!(pooled > 0);
+        let d = Document::parse(html).unwrap();
+        assert_eq!(pooled_bytes(), 0, "the document holds the buffers");
+        assert_eq!(d.text_content(1), "a & b");
+        drop(d);
+        assert_eq!(pooled_bytes(), pooled, "given back, not regrown");
+        // a page that does not lex gives the buffers back as well
+        assert!(Document::parse("<p>x</p><a href=\"y").is_err());
+        assert_eq!(pooled_bytes(), pooled);
+    }
+
+    #[test]
+    fn a_page_larger_than_the_pool_cap_is_not_kept() {
+        let row = "<li class=adm-row><span data-attr=N>x</span></li>";
+        let big = format!("<ul>{}</ul>", row.repeat(POOL_CAP_BYTES / row.len() + 1));
+        let d = Document::parse(&big).unwrap();
+        assert!(d.bufs.capacity_bytes() > POOL_CAP_BYTES);
+        assert_eq!(d.len(), 1 + 3 * (POOL_CAP_BYTES / row.len() + 1));
+        drop(d);
+        assert_eq!(pooled_bytes(), 0, "freed, not pooled");
+        drop(Document::parse(row).unwrap());
+        assert!((1..=POOL_CAP_BYTES).contains(&pooled_bytes()));
+    }
+
+    #[test]
+    fn two_documents_alive_on_one_thread_both_parse() {
+        let one = "<p class=adm-page data-attr=A>one &lt;1&gt;</p><br>";
+        let two = "<div><i title='t &amp; u'>two</i> &amp; more</div>";
+        let a = Document::parse(one).unwrap();
+        let b = Document::parse(two).unwrap();
+        let c = Document::parse(one).unwrap();
+        for d in [&a, &c] {
+            let p = first(d, "p");
+            assert_eq!(d.text_content(p.id()), "one <1>");
+            assert!(d.data_attr_is(p.id(), "A"));
+            assert_eq!(d.first_marked(MARK_PAGE), Some(p.id()));
+            assert_eq!(d.len(), 3);
+        }
+        let div = first(&b, "div");
+        assert_eq!(b.text_content(div.id()), "two & more");
+        assert_eq!(b.attr(first(&b, "i").id(), "title"), Some("t & u"));
+        drop(a);
+        // the next parse reuses what `a` left; `b` and `c` are untouched
+        let d = Document::parse(two).unwrap();
+        assert_eq!(d.text_content(first(&d, "div").id()), "two & more");
+        assert_eq!(b.text_content(div.id()), "two & more");
+        assert_eq!(c.text_content(first(&c, "p").id()), "one <1>");
     }
 
     #[test]

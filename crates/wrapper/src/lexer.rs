@@ -6,20 +6,23 @@
 //! values may be double-quoted, single-quoted, or bare; unknown entities
 //! pass through literally; stray `<` in text is treated as text.
 //!
-//! Tokens *borrow* from the page body. Tag and attribute names are slices
-//! of the input exactly as written — compare them with
-//! [`str::eq_ignore_ascii_case`], they are never lower-cased into a copy.
-//! Attribute values and text are [`Cow`]s: borrowed unless an `&` entity
-//! actually decoded to something, which is the only time lexing allocates
-//! a string. Attributes of all open tags share one vector; an open token
-//! holds its range in it.
+//! The lexer itself emits *spans*: `u32` offsets into the page body, or
+//! into a side buffer its caller owns where an `&` entity actually decoded
+//! — the only time lexing writes a string. [`crate::dom::Document::parse`]
+//! keeps the spans; [`tokenize`] turns the same spans into [`Token`]s that
+//! borrow from the body. Tag and attribute names are slices of the input
+//! exactly as written — compare them with [`str::eq_ignore_ascii_case`],
+//! they are never lower-cased into a copy. Attribute values and text are
+//! [`Cow`]s: borrowed unless an entity decoded. Attributes of all open
+//! tags share one vector; an open token holds its range in it.
 //!
 //! Every token is read in one pass over its bytes. A byte's role inside a
 //! tag is one lookup in a 256-entry class table (whitespace, name byte,
 //! letter, attribute-name end, bare-value end); the scan that finds where
 //! a text run or an attribute value ends also notes whether it holds an
-//! `&`, and only a run that does is handed to [`decode_entities`]. Every class
-//! is ASCII, so every slice boundary the lexer cuts at is a char boundary.
+//! `&`, and only a run that does is handed to the entity decoder. Every
+//! class is ASCII, so every slice boundary the lexer cuts at is a char
+//! boundary.
 
 use crate::error::WrapError;
 use crate::Result;
@@ -94,6 +97,77 @@ impl<'a> Tokens<'a> {
     }
 }
 
+/// Where one string of a page lies: bytes `start..end` of the body, or of
+/// the side buffer when `decoded` (an entity decoded in it). Names are
+/// never decoded, so a name's span is always in the body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
+    decoded: bool,
+}
+
+impl Span {
+    /// The boolean attribute's empty value.
+    pub(crate) const EMPTY: Span = Span::body(0, 0);
+
+    /// Bytes `start..end` of the body. `Lexer::new` bounds the body.
+    #[inline]
+    const fn body(start: usize, end: usize) -> Span {
+        Span {
+            start: start as u32,
+            end: end as u32,
+            decoded: false,
+        }
+    }
+
+    /// The string this span names, in `body` or in `side`.
+    #[inline]
+    pub(crate) fn get<'s>(self, body: &'s str, side: &'s str) -> &'s str {
+        let s = if self.decoded { side } else { body };
+        s.get(self.start as usize..self.end as usize).unwrap_or("")
+    }
+
+    /// The bytes this span names, in `body` or in `side`: what a name is
+    /// compared by, with no char-boundary check.
+    #[inline]
+    pub(crate) fn bytes<'s>(self, body: &'s [u8], side: &'s [u8]) -> &'s [u8] {
+        let s = if self.decoded { side } else { body };
+        s.get(self.start as usize..self.end as usize).unwrap_or(&[])
+    }
+
+    /// The string as a token holds it: borrowed from `body`, or an owned
+    /// copy of a decoded run.
+    fn cow<'a>(self, body: &'a str, side: &str) -> Cow<'a, str> {
+        if self.decoded {
+            Cow::Owned(self.get("", side).to_owned())
+        } else {
+            Cow::Borrowed(self.get(body, ""))
+        }
+    }
+}
+
+/// One `name[=value]` pair of an open tag, as the lexer stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RawAttr {
+    pub(crate) name: Span,
+    pub(crate) value: Span,
+}
+
+/// One token as the lexer emits it: [`Token`] with spans for strings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RawToken {
+    Open {
+        name: Span,
+        attrs: Range<u32>,
+        self_closing: bool,
+    },
+    Close(Span),
+    Text(Span),
+    Comment(Span),
+    Doctype(Span),
+}
+
 /// `u8::is_ascii_whitespace`: space, `\t`, `\n`, `\x0C`, `\r` (not `\x0B`).
 const WS: u8 = 1;
 /// A tag-name byte: `u8::is_ascii_alphanumeric` or `-`.
@@ -149,25 +223,21 @@ fn skip(bytes: &[u8], mut i: usize, class: u8) -> usize {
     i
 }
 
-/// The text of a run that ends where its scan stopped: decoded only if the
-/// scan saw an `&`.
+/// `input[start..end].trim()` as a span, without the call when an ASCII
+/// graphic byte already stands at each end (a close tag as written,
+/// `</div>`).
 #[inline]
-fn decoded(run: &str, amp: bool) -> Cow<'_, str> {
-    if amp {
-        decode_entities(run)
-    } else {
-        Cow::Borrowed(run)
-    }
-}
-
-/// `s.trim()`, without the call when an ASCII graphic byte already stands
-/// at each end (a close tag as written, `</div>`).
-#[inline]
-fn trimmed(s: &str) -> &str {
+fn trimmed(input: &str, start: usize, end: usize) -> Span {
+    let s = &input[start..end];
     let b = s.as_bytes();
     match (b.first(), b.last()) {
-        (Some(f), Some(l)) if f.is_ascii_graphic() && l.is_ascii_graphic() => s,
-        _ => s.trim(),
+        (Some(f), Some(l)) if f.is_ascii_graphic() && l.is_ascii_graphic() => {
+            Span::body(start, end)
+        }
+        _ => {
+            let from = start + (s.len() - s.trim_start().len());
+            Span::body(from, from + s.trim().len())
+        }
     }
 }
 
@@ -208,9 +278,19 @@ fn entity_char(entity: &str) -> Option<char> {
 /// Borrows unless at least one entity decoded; linear in `s` whatever it
 /// holds (the position of the next `;` is found once, not once per `&`).
 pub fn decode_entities(s: &str) -> Cow<'_, str> {
+    let mut out = String::new();
+    if decode_into(s, &mut out) {
+        Cow::Owned(out)
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// Appends `s` to `out` with its entities decoded, if at least one entity
+/// decodes, and says whether one did; otherwise leaves `out` untouched.
+fn decode_into(s: &str, out: &mut String) -> bool {
     let bytes = s.as_bytes();
-    let mut out: Option<String> = None;
-    let mut copied = 0; // s[..copied] is already in `out`
+    let mut copied = None; // s[..copied] is already in `out`
     let mut semi = 0; // the next ';' after `i` once it exceeds `i`
     let mut i = 0;
     while let Some(amp) = find_byte(&bytes[i..], b'&').map(|j| i + j) {
@@ -223,21 +303,24 @@ pub fn decode_entities(s: &str) -> Cow<'_, str> {
         // `amp` and `semi` index ASCII bytes, so both are char boundaries
         match entity_char(&s[amp + 1..semi]) {
             Some(c) => {
-                let o = out.get_or_insert_with(|| String::with_capacity(s.len()));
-                o.push_str(&s[copied..amp]);
-                o.push(c);
+                let from = copied.unwrap_or_else(|| {
+                    out.reserve(s.len());
+                    0
+                });
+                out.push_str(&s[from..amp]);
+                out.push(c);
                 i = semi + 1;
-                copied = i;
+                copied = Some(i);
             }
             None => i = amp + 1,
         }
     }
-    match out {
-        Some(mut o) => {
-            o.push_str(&s[copied..]);
-            Cow::Owned(o)
+    match copied {
+        Some(from) => {
+            out.push_str(&s[from..]);
+            true
         }
-        None => Cow::Borrowed(s),
+        None => false,
     }
 }
 
@@ -253,8 +336,10 @@ pub(crate) struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    /// A lexer at the start of `input`. Attribute ranges are `u32`, so a
-    /// body of 4 GiB or more is refused rather than mis-indexed.
+    /// A lexer at the start of `input`. Spans and attribute ranges are
+    /// `u32`, so a body of 4 GiB or more is refused rather than
+    /// mis-indexed. (Decoding never lengthens a run, so the side buffer
+    /// stays below the body's length.)
     pub(crate) fn new(input: &'a str) -> Result<Self> {
         if u32::try_from(input.len()).is_err() {
             return Err(WrapError::Lex {
@@ -265,10 +350,32 @@ impl<'a> Lexer<'a> {
         Ok(Lexer { input, pos: 0 })
     }
 
-    /// The next token, or `None` at end of input. An open tag's attributes
-    /// are appended to `attrs` and the token holds their range.
+    /// The span of `input[start..end]`, a text run or an attribute value:
+    /// in the body, unless the scan saw an `&` and an entity decoded, when
+    /// the decoded run is appended to `side`.
     #[inline]
-    pub(crate) fn next_token(&mut self, attrs: &mut Vec<Attr<'a>>) -> Result<Option<Token<'a>>> {
+    fn run(&self, start: usize, end: usize, amp: bool, side: &mut String) -> Span {
+        let at = side.len();
+        if amp && decode_into(&self.input[start..end], side) {
+            Span {
+                start: at as u32,
+                end: side.len() as u32,
+                decoded: true,
+            }
+        } else {
+            Span::body(start, end)
+        }
+    }
+
+    /// The next token, or `None` at end of input. An open tag's attributes
+    /// are appended to `attrs` and the token holds their range; a run in
+    /// which an entity decoded is appended to `side`.
+    #[inline]
+    pub(crate) fn next_token(
+        &mut self,
+        attrs: &mut Vec<RawAttr>,
+        side: &mut String,
+    ) -> Result<Option<RawToken>> {
         let input = self.input;
         let bytes = input.as_bytes();
         let i = self.pos;
@@ -284,7 +391,7 @@ impl<'a> Lexer<'a> {
                         message: "unterminated comment".into(),
                     })?;
                     self.pos = i + 4 + end + 3;
-                    return Ok(Some(Token::Comment(trimmed(&input[i + 4..i + 4 + end]))));
+                    return Ok(Some(RawToken::Comment(trimmed(input, i + 4, i + 4 + end))));
                 }
                 Some(b'!') => {
                     let end = find_byte(rest, b'>').ok_or_else(|| WrapError::Lex {
@@ -292,7 +399,7 @@ impl<'a> Lexer<'a> {
                         message: "unterminated declaration".into(),
                     })?;
                     self.pos = i + end + 1;
-                    return Ok(Some(Token::Doctype(trimmed(&input[i + 2..i + end]))));
+                    return Ok(Some(RawToken::Doctype(trimmed(input, i + 2, i + end))));
                 }
                 Some(b'/') => {
                     let end = find_byte(rest, b'>').ok_or_else(|| WrapError::Lex {
@@ -300,9 +407,9 @@ impl<'a> Lexer<'a> {
                         message: "unterminated close tag".into(),
                     })?;
                     self.pos = i + end + 1;
-                    return Ok(Some(Token::Close(trimmed(&input[i + 2..i + end]))));
+                    return Ok(Some(RawToken::Close(trimmed(input, i + 2, i + end))));
                 }
-                Some(&b) if is(b, ALPHA) => return self.lex_open_tag(attrs).map(Some),
+                Some(&b) if is(b, ALPHA) => return self.lex_open_tag(attrs, side).map(Some),
                 _ => {} // a stray '<': text
             }
         }
@@ -325,17 +432,17 @@ impl<'a> Lexer<'a> {
             }
         };
         self.pos = end;
-        Ok(Some(Token::Text(decoded(&input[i..end], amp))))
+        Ok(Some(RawToken::Text(self.run(i, end, amp, side))))
     }
 
     /// Lexes the open tag at `self.pos` (which points at `<`).
     #[inline]
-    fn lex_open_tag(&mut self, attrs: &mut Vec<Attr<'a>>) -> Result<Token<'a>> {
+    fn lex_open_tag(&mut self, attrs: &mut Vec<RawAttr>, side: &mut String) -> Result<RawToken> {
         let input = self.input;
         let bytes = input.as_bytes();
         let start = self.pos;
         let mut i = skip(bytes, start + 1, NAME);
-        let name = &input[start + 1..i];
+        let name = Span::body(start + 1, i);
         let first_attr = attrs.len();
         let mut self_closing = false;
         loop {
@@ -343,7 +450,10 @@ impl<'a> Lexer<'a> {
             let Some(&b) = bytes.get(i) else {
                 return Err(WrapError::Lex {
                     offset: start,
-                    message: format!("unterminated tag <{}", name.to_ascii_lowercase()),
+                    message: format!(
+                        "unterminated tag <{}",
+                        name.get(input, "").to_ascii_lowercase()
+                    ),
                 });
             };
             match b {
@@ -366,7 +476,7 @@ impl<'a> Lexer<'a> {
                             message: "empty attribute name".into(),
                         });
                     }
-                    let an = &input[an_start..i];
+                    let an = Span::body(an_start, i);
                     i = skip(bytes, i, WS);
                     let value = if bytes.get(i) == Some(&b'=') {
                         i = skip(bytes, i + 1, WS);
@@ -384,7 +494,7 @@ impl<'a> Lexer<'a> {
                                         message: "unterminated attribute value".into(),
                                     })?;
                                 i = v_start + len + 1; // past the quote
-                                decoded(&input[v_start..v_start + len], amp)
+                                self.run(v_start, v_start + len, amp, side)
                             }
                             _ => {
                                 let v_start = i;
@@ -392,19 +502,19 @@ impl<'a> Lexer<'a> {
                                     amp |= b == b'&';
                                     i += 1;
                                 }
-                                decoded(&input[v_start..i], amp)
+                                self.run(v_start, i, amp, side)
                             }
                         }
                     } else {
-                        Cow::Borrowed("") // boolean attribute
+                        Span::EMPTY // boolean attribute
                     };
-                    attrs.push(Attr { name: an, value });
+                    attrs.push(RawAttr { name: an, value });
                 }
             }
         }
         self.pos = i;
         // `Lexer::new` bounds the input, and each attribute takes a byte
-        Ok(Token::Open {
+        Ok(RawToken::Open {
             name,
             attrs: first_attr as u32..attrs.len() as u32,
             self_closing,
@@ -412,14 +522,40 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Tokenizes an HTML document.
+/// Tokenizes an HTML document: the lexer's span tokens, each resolved
+/// against the body as it is read (a decoded run is copied out of the side
+/// buffer, which then starts over).
 pub fn tokenize(input: &str) -> Result<Tokens<'_>> {
     let mut lexer = Lexer::new(input)?;
     // generated pages hold a token per 11.4 bytes or more, an attribute per 34
     let mut tokens = Vec::with_capacity(input.len() / 11 + 1);
-    let mut attrs = Vec::with_capacity(input.len() / 32 + 1);
-    while let Some(tok) = lexer.next_token(&mut attrs)? {
-        tokens.push(tok);
+    let mut raw = Vec::with_capacity(input.len() / 32 + 1);
+    let mut attrs = Vec::with_capacity(raw.capacity());
+    let mut side = String::new();
+    while let Some(tok) = lexer.next_token(&mut raw, &mut side)? {
+        let name = |s: Span| s.get(input, "");
+        // `raw` and `attrs` grow together, so a token's range indexes both
+        let new = raw.get(attrs.len()..).unwrap_or(&[]).iter();
+        attrs.extend(new.map(|a| Attr {
+            name: name(a.name),
+            value: a.value.cow(input, &side),
+        }));
+        tokens.push(match tok {
+            RawToken::Open {
+                name: tag,
+                attrs,
+                self_closing,
+            } => Token::Open {
+                name: name(tag),
+                attrs,
+                self_closing,
+            },
+            RawToken::Close(s) => Token::Close(name(s)),
+            RawToken::Text(s) => Token::Text(s.cow(input, &side)),
+            RawToken::Comment(s) => Token::Comment(name(s)),
+            RawToken::Doctype(s) => Token::Doctype(name(s)),
+        });
+        side.clear();
     }
     Ok(Tokens { tokens, attrs })
 }

@@ -5,15 +5,17 @@
 //! toolkits). This crate is that substrate, built from scratch:
 //!
 //! * [`lexer`] — an HTML tokenizer (tags, attributes, text, entities,
-//!   comments) whose tokens borrow from the page body;
+//!   comments) whose tokens are spans of the page body;
 //! * [`dom`] — a flat document arena with tolerant parsing (auto-closing of
-//!   mismatched tags, void elements), filled in one pass over the page;
+//!   mismatched tags, void elements), filled in one pass over the page into
+//!   buffers its thread reuses from page to page;
 //! * [`wrap`] — scheme-driven extraction: given a [`adm::PageScheme`] and a
 //!   page's HTML, produce the corresponding nested [`adm::Tuple`].
 //!
 //! Nothing is copied out of the page until extraction builds the tuple:
-//! names are compared ignoring ASCII case instead of being lower-cased,
-//! values and text are owned only where an entity decoded, and no walk
+//! the document records `u32` offsets into the body, names are compared
+//! ignoring ASCII case instead of being lower-cased, text and values are
+//! written to a side string only where an entity decoded, and no walk
 //! recurses over the document's depth.
 //!
 //! Extraction follows the microformat emitted by `websim::page`: attribute

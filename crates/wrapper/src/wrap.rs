@@ -18,7 +18,7 @@ fn find_scoped(doc: &Document<'_>, scope: u32, name: &str) -> Option<u32> {
     let end = doc.end_of(scope);
     let mut id = scope + 1;
     while id < end {
-        if doc.data_attr(id) == Some(name) {
+        if doc.data_attr_is(id, name) {
             return Some(id);
         }
         id = if doc.marks(id) & MARK_LIST != 0 {

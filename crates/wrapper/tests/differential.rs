@@ -46,7 +46,7 @@ fn node_as_reference(n: Node<'_>) -> reference::dom::Node {
     match n {
         Node::Element(e) => reference::dom::Node::Element(reference::dom::Element {
             tag: e.tag().to_ascii_lowercase(),
-            attrs: (e.attrs().iter())
+            attrs: (e.attrs())
                 .map(|a| (a.name.to_ascii_lowercase(), a.value.to_string()))
                 .collect(),
             children: e.children().map(node_as_reference).collect(),

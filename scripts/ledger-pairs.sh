@@ -7,25 +7,42 @@
 # line: each metric's quartiles on the change side, the parent's median
 # and the pairs won. It is a reading aid, not a gate.
 #
-#   sh scripts/ledger-pairs.sh <parent-tree> <change-tree> <workload> <pairs> [seconds]
+#   sh scripts/ledger-pairs.sh <parent-tree> <change-tree> <workload> <pairs> [seconds | ops=N]
 #
 # Each tree is a checkout whose ledger is built, each once, from its own
 # source: `cargo build --release --manifest-path benchmark/Cargo.toml`. The
 # binary is looked for at `<tree>/target/release/perf-ledger`, then at
 # `<tree>/benchmark/target/release/perf-ledger`. A run lasts `seconds`
-# (20 by default) with tracing off. Which side runs first alternates from
-# pair to pair. `req_per_s` is better higher, every other metric lower;
-# a tie wins for neither side. A run that is not `correct` or that failed
-# any request is named on its own line.
+# (20 by default) with tracing off; `ops=N` runs `--ops N` instead, so
+# both sides complete the same requests (the fair reading of
+# `peak_rss_mb`, which grows with the requests a run completes). Which
+# side runs first alternates from pair to pair. `req_per_s` is better
+# higher, every other metric lower; a tie wins for neither side. A run
+# that is not `correct` or that failed any request is named on its own
+# line.
 set -eu
 
-if [ $# -lt 4 ] || [ $# -gt 5 ]; then
-    echo "usage: $0 <parent-tree> <change-tree> <workload> <pairs> [seconds]" >&2
+usage() {
+    echo "usage: $0 <parent-tree> <change-tree> <workload> <pairs> [seconds | ops=N]" >&2
     exit 2
-fi
+}
+[ $# -ge 4 ] && [ $# -le 5 ] || usage
 workload=$3
 pairs=$4
-seconds=${5:-20}
+budget=${5:-20}
+case $budget in
+ops=*[!0-9]* | ops=) usage ;;
+ops=*)
+    length="--ops ${budget#ops=}"
+    label="${budget#ops=} ops"
+    cell="\"ops\":${budget#ops=}"
+    ;;
+*)
+    length="--seconds $budget"
+    label="$budget s"
+    cell="\"seconds\":$budget"
+    ;;
+esac
 
 ledger() {
     for bin in "$1/target/release/perf-ledger" "$1/benchmark/target/release/perf-ledger"; do
@@ -46,7 +63,9 @@ trap 'rm -rf "$runs"' EXIT
 # One run: `<side> <pair> <metric> <value>` lines into $runs/all.
 run() {
     out="$runs/$1.$2"
-    (cd "$runs" && "$3" --workload "$workload" --seed 7 --seconds "$seconds" --trace 0 >"$out")
+    # $length is two words on purpose
+    # shellcheck disable=SC2086
+    (cd "$runs" && "$3" --workload "$workload" --seed 7 $length --trace 0 >"$out")
     awk -v side="$1" -v pair="$2" 'NF == 3 && $1 !~ /^#/ { print side, pair, $1, $3 }' "$out" >>"$runs/all"
     if ! grep -q '"correct":true' "$out" || ! grep -q '"failed":0[,}]' "$out"; then
         echo "$1 run of pair $2 was not correct or failed requests" >&2
@@ -65,7 +84,7 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-echo "# $workload, seed 7, $seconds s a run, $pairs pairs: Q1 median Q3 per side"
+echo "# $workload, seed 7, $label a run, $pairs pairs: Q1 median Q3 per side"
 printf "%-24s %-28s %-28s %s\n" metric parent change "change won"
 sort -k1,1 -k3,3 -k4,4g "$runs/all" | awk -v pairs="$pairs" -v cells="$runs/cells" '
     function q(p,    at, lo) {
@@ -100,5 +119,5 @@ sort -k1,1 -k3,3 -k4,4g "$runs/all" | awk -v pairs="$pairs" -v cells="$runs/cell
                 mid["parent " m], won, pairs >cells
         }
     }' | sort
-printf '# trajectory: "%s":{"pairs":%d,"seconds":%d,%s}\n' "$workload" "$pairs" "$seconds" \
+printf '# trajectory: "%s":{"pairs":%d,%s,%s}\n' "$workload" "$pairs" "$cell" \
     "$(sort "$runs/cells" | paste -sd, -)"
