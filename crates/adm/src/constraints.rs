@@ -8,9 +8,13 @@
 //!   reachable via `L1` is also reachable via `L2`.
 //!
 //! Both kinds capture site redundancy and license the optimizer's rewrite
-//! rules (selection pushing via link constraints, pointer-chase via
-//! inclusion constraints). This module also provides instance-level
-//! verification used by the site generators' self-checks and by tests.
+//! rules 6–9. [`Constraint`] is either kind as one value: what a plan
+//! depends on, what a runtime audit checks and what a whole site is
+//! verified against. Each kind has one check, a walk over the pages of its
+//! *sampled* side against an index of its *reference* side.
+//! [`Constraint::audit`] runs it on whatever pages a query fetched;
+//! [`Constraint::verify`] runs it on a whole instance and adds only the
+//! conditions that need the whole instance.
 
 use crate::schema::AttrRef;
 use crate::url::Url;
@@ -93,14 +97,10 @@ impl fmt::Display for InclusionConstraint {
     }
 }
 
-/// A page-relation instance handed to the verification routines: for each
-/// page of the scheme, its URL and nested tuple.
-pub type Instance<'a> = &'a [(Url, Tuple)];
-
-/// One page of an instance, by reference: what the whole-instance
-/// verifiers iterate over. An owned instance (`&[(Url, Tuple)]`) yields
-/// `&(Url, Tuple)`, a borrowed walk of a store yields `(&Url, &Tuple)`;
-/// both verify without being copied into the other shape first.
+/// One page of an instance, by reference: what a check iterates over. An
+/// owned instance (`&[(Url, Tuple)]`) yields `&(Url, Tuple)`, a borrowed
+/// walk of a site or store yields `(&Url, &Tuple)`; both are checked
+/// without being copied into the other shape first.
 pub trait PageRef<'a> {
     /// The page's URL and tuple.
     fn page(self) -> (&'a Url, &'a Tuple);
@@ -199,172 +199,192 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Verifies a link constraint on instances of its source and target
-/// schemes. Checks both directions of the iff:
-/// 1. every followed link lands on a page whose `target_attr` equals the
-///    co-located `source_attr` value;
-/// 2. whenever `source_attr` equals some page's `target_attr`, the link
-///    points at (one of) the page(s) with that value.
-pub fn verify_link_constraint<'a, S, T>(c: &LinkConstraint, source: S, target: T) -> Vec<Violation>
-where
-    S: IntoIterator<Item: PageRef<'a>>,
-    T: IntoIterator<Item: PageRef<'a>>,
-{
-    let mut violations = Vec::new();
+/// A constraint of either kind. The variant order is the order a plan
+/// lists its dependencies in: link constraints first.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Constraint {
+    /// A link constraint (licenses rules 6, 7 and 8).
+    Link(LinkConstraint),
+    /// An inclusion constraint (licenses rule 9). For a transitively
+    /// implied inclusion this is the *implied* constraint itself — the
+    /// statement an audit can check directly against fetched pages.
+    Inclusion(InclusionConstraint),
+}
+
+impl Constraint {
+    /// The canonical registry key: the display form, shared with the
+    /// `ConstraintHealth` quarantine registry and EXPLAIN output.
+    pub fn key(&self) -> String {
+        self.to_string()
+    }
+
+    /// The page-scheme the check walks, and an audit samples: the pages
+    /// carrying the link, or the contained link set.
+    pub fn sampled_scheme(&self) -> &str {
+        match self {
+            Constraint::Link(c) => &c.link.scheme,
+            Constraint::Inclusion(c) => &c.sub.scheme,
+        }
+    }
+
+    /// The page-scheme the walk is checked against: the link's target, or
+    /// the pages carrying the containing link set.
+    pub fn reference_scheme(&self) -> &str {
+        match self {
+            Constraint::Link(c) => &c.target_attr.scheme,
+            Constraint::Inclusion(c) => &c.sup.scheme,
+        }
+    }
+
+    /// Checks the constraint on *partially fetched* instances, as a runtime
+    /// audit has them: `sampled` pages of [`Constraint::sampled_scheme`]
+    /// against the fetched pages of [`Constraint::reference_scheme`].
+    ///
+    /// A link pair whose target was not fetched is undecidable: it is
+    /// neither checked nor a violation, so a page the query never fetched
+    /// can neither raise nor mask one. With no reference page at all an
+    /// inclusion decides nothing (0 checks); otherwise every `sub` link is
+    /// checked against the fetched `sup` link set, which can report a false
+    /// violation when only part of it was fetched — quarantine-conservative:
+    /// at worst an optimization is disabled, an answer is never corrupted.
+    /// Returns the number of checks with the violations found.
+    pub fn audit<'a>(
+        &self,
+        sampled: impl IntoIterator<Item: PageRef<'a>>,
+        reference: impl IntoIterator<Item: PageRef<'a>>,
+    ) -> (u64, Vec<Violation>) {
+        self.check(sampled, reference, false)
+    }
+
+    /// Verifies the constraint on whole instances of its two schemes. For a
+    /// link constraint this is both directions of the iff: every followed
+    /// link lands on a page whose `target_attr` equals the co-located
+    /// `source_attr` value, and whenever `source_attr` equals some page's
+    /// `target_attr`, the link points at (one of) the pages with that
+    /// value; a link to an unknown page or a non-link value is a violation
+    /// too. For an inclusion, every URL at `sub` must occur at `sup`.
+    pub fn verify<'a>(
+        &self,
+        sampled: impl IntoIterator<Item: PageRef<'a>>,
+        reference: impl IntoIterator<Item: PageRef<'a>>,
+    ) -> Vec<Violation> {
+        self.check(sampled, reference, true).1
+    }
+
+    fn check<'a>(
+        &self,
+        sampled: impl IntoIterator<Item: PageRef<'a>>,
+        reference: impl IntoIterator<Item: PageRef<'a>>,
+        whole: bool,
+    ) -> (u64, Vec<Violation>) {
+        match self {
+            Constraint::Link(c) => check_link(c, sampled, reference, whole),
+            Constraint::Inclusion(c) => check_inclusion(c, sampled, reference, whole),
+        }
+    }
+}
+
+impl fmt::Display for Constraint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Constraint::Link(c) => write!(f, "{c}"),
+            Constraint::Inclusion(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+/// The walk of a link constraint: every `(source_attr, link)` pair of the
+/// source pages against the target pages, indexed by URL. `whole` adds
+/// the conditions only a whole instance decides.
+fn check_link<'a>(
+    c: &LinkConstraint,
+    source: impl IntoIterator<Item: PageRef<'a>>,
+    target: impl IntoIterator<Item: PageRef<'a>>,
+    whole: bool,
+) -> (u64, Vec<Violation>) {
     let mut by_url: HashMap<&str, &Value> = HashMap::new();
-    let mut urls_by_value: HashMap<&Value, HashSet<&str>> = HashMap::new();
     for (url, t) in target.into_iter().map(PageRef::page) {
         if let Some(v) = c.target_attr.leaf().and_then(|leaf| t.get(leaf)) {
             by_url.insert(url.as_str(), v);
-            urls_by_value.entry(v).or_default().insert(url.as_str());
         }
     }
+    // The only-if direction asks which pages carry a value: every page
+    // carrying it must be known, so only a whole instance has the set.
+    let values: HashSet<&Value> = if whole {
+        by_url.values().copied().collect()
+    } else {
+        HashSet::new()
+    };
+    let mut checks = 0u64;
+    let mut violations = Vec::new();
+    let mut violation = |detail| violations.push(Violation { detail });
     for (src_url, t) in source.into_iter().map(PageRef::page) {
         for (a, l) in collect_pairs(t, &c.source_attr.path, &c.link.path) {
             let Value::Link(u) = l else {
-                if !l.is_null() {
-                    violations.push(Violation {
-                        detail: format!("{}: link value is not a URL in {src_url}", c.link),
-                    });
+                if whole && !l.is_null() {
+                    violation(format!("{}: link value is not a URL in {src_url}", c.link));
                 }
                 continue;
             };
-            match by_url.get(u.as_str()) {
-                Some(b) if *b == a => {}
-                Some(b) => violations.push(Violation {
-                    detail: format!("{c}: page {src_url} links to {u} but {a} ≠ {b}"),
-                }),
-                None => violations.push(Violation {
-                    detail: format!("{c}: page {src_url} links to unknown target {u}"),
-                }),
-            }
-            // Only-if direction: the link must point into the set of pages
-            // carrying this attribute value.
-            if let Some(urls) = urls_by_value.get(a) {
-                if !urls.contains(u.as_str()) {
-                    violations.push(Violation {
-                        detail: format!(
-                            "{c}: page {src_url} has value {a} but links outside its page set"
-                        ),
-                    });
+            let b = by_url.get(u.as_str()).copied();
+            match b {
+                Some(b) => {
+                    checks += 1;
+                    if b != a {
+                        violation(format!("{c}: page {src_url} links to {u} but {a} ≠ {b}"));
+                    }
                 }
-            }
-        }
-    }
-    violations
-}
-
-/// Verifies an inclusion constraint `sub ⊆ sup` given the instances of the
-/// two source schemes: every URL occurring at `sub` must occur at `sup`.
-pub fn verify_inclusion_constraint<'a, S, T>(
-    c: &InclusionConstraint,
-    sub_instance: S,
-    sup_instance: T,
-) -> Vec<Violation>
-where
-    S: IntoIterator<Item: PageRef<'a>>,
-    T: IntoIterator<Item: PageRef<'a>>,
-{
-    let mut sup_urls: HashSet<&str> = HashSet::new();
-    for (_, t) in sup_instance.into_iter().map(PageRef::page) {
-        for v in collect_values(t, &c.sup.path) {
-            if let Value::Link(u) = v {
-                sup_urls.insert(u.as_str());
-            }
-        }
-    }
-    let mut violations = Vec::new();
-    for (page_url, t) in sub_instance.into_iter().map(PageRef::page) {
-        for v in collect_values(t, &c.sub.path) {
-            if let Value::Link(u) = v {
-                if !sup_urls.contains(u.as_str()) {
-                    violations.push(Violation {
-                        detail: format!(
-                            "{c}: URL {u} (reached from {page_url}) not reachable via {}",
-                            c.sup
-                        ),
-                    });
+                None if whole => {
+                    violation(format!("{c}: page {src_url} links to unknown target {u}"))
                 }
-            }
-        }
-    }
-    violations
-}
-
-/// Audit-oriented variant of [`verify_link_constraint`] for *partially
-/// fetched* instances, as produced by runtime constraint auditing: checks
-/// only the value-equality direction, and only for pairs whose link target
-/// is present in `target`. A page the query never fetched can neither raise
-/// nor mask a violation, so the check is sound under incomplete knowledge.
-/// Returns the number of pairs checked together with the violations found.
-pub fn verify_link_constraint_partial(
-    c: &LinkConstraint,
-    source: Instance<'_>,
-    target: Instance<'_>,
-) -> (u64, Vec<Violation>) {
-    let mut by_url: HashMap<&str, &Value> = HashMap::new();
-    for (url, t) in target {
-        if let Some(v) = c.target_attr.leaf().and_then(|leaf| t.get(leaf)) {
-            by_url.insert(url.as_str(), v);
-        }
-    }
-    let mut checks = 0u64;
-    let mut violations = Vec::new();
-    for (src_url, t) in source {
-        for (a, l) in collect_pairs(t, &c.source_attr.path, &c.link.path) {
-            let Value::Link(u) = l else { continue };
-            let Some(b) = by_url.get(u.as_str()) else {
                 // Target page not fetched: the pair is undecidable.
-                continue;
-            };
-            checks += 1;
-            if *b != a {
-                violations.push(Violation {
-                    detail: format!("{c}: page {src_url} links to {u} but {a} ≠ {b}"),
-                });
+                None => {}
+            }
+            // Only-if: the link must point into the set of pages carrying
+            // this value, i.e. at a page whose value is `a`.
+            if values.contains(a) && b != Some(a) {
+                violation(format!(
+                    "{c}: page {src_url} has value {a} but links outside its page set"
+                ));
             }
         }
     }
     (checks, violations)
 }
 
-/// Audit-oriented variant of [`verify_inclusion_constraint`] for partially
-/// fetched instances. With an empty `sup` instance nothing is decidable
-/// (0 checks, no violations); otherwise every `sub` link is checked against
-/// the link set of the fetched `sup` pages. Unlike the link-constraint
-/// audit this can report a false violation when the query fetched only part
-/// of the `sup` collection — which is quarantine-conservative: at worst an
-/// optimization is disabled, an answer is never corrupted.
-pub fn verify_inclusion_constraint_partial(
+/// The walk of an inclusion constraint: every link at `sub` against the
+/// link set at `sup`.
+fn check_inclusion<'a>(
     c: &InclusionConstraint,
-    sub_instance: Instance<'_>,
-    sup_instance: Instance<'_>,
+    sub: impl IntoIterator<Item: PageRef<'a>>,
+    sup: impl IntoIterator<Item: PageRef<'a>>,
+    whole: bool,
 ) -> (u64, Vec<Violation>) {
-    if sup_instance.is_empty() {
-        return (0, Vec::new());
-    }
+    let mut sup_pages = 0usize;
     let mut sup_urls: HashSet<&str> = HashSet::new();
-    for (_, t) in sup_instance {
-        for v in collect_values(t, &c.sup.path) {
-            if let Value::Link(u) = v {
-                sup_urls.insert(u.as_str());
-            }
-        }
+    for (_, t) in sup.into_iter().map(PageRef::page) {
+        sup_pages += 1;
+        let links = collect_values(t, &c.sup.path).into_iter();
+        sup_urls.extend(links.filter_map(Value::as_link).map(Url::as_str));
+    }
+    if !whole && sup_pages == 0 {
+        return (0, Vec::new());
     }
     let mut checks = 0u64;
     let mut violations = Vec::new();
-    for (page_url, t) in sub_instance {
-        for v in collect_values(t, &c.sub.path) {
-            if let Value::Link(u) = v {
-                checks += 1;
-                if !sup_urls.contains(u.as_str()) {
-                    violations.push(Violation {
-                        detail: format!(
-                            "{c}: URL {u} (reached from {page_url}) not reachable via {}",
-                            c.sup
-                        ),
-                    });
-                }
+    for (page_url, t) in sub.into_iter().map(PageRef::page) {
+        for u in collect_values(t, &c.sub.path)
+            .into_iter()
+            .filter_map(Value::as_link)
+        {
+            checks += 1;
+            if !sup_urls.contains(u.as_str()) {
+                violations.push(Violation {
+                    detail: format!(
+                        "{c}: URL {u} (reached from {page_url}) not reachable via {}",
+                        c.sup
+                    ),
+                });
             }
         }
     }
@@ -393,13 +413,19 @@ mod tests {
         Tuple::new().with("PName", pname)
     }
 
-    fn link_c() -> LinkConstraint {
-        LinkConstraint::parse(
-            "DeptPage.ProfList.ToProf",
-            "DeptPage.ProfList.PName",
-            "ProfPage.PName",
+    fn link_c() -> Constraint {
+        Constraint::Link(
+            LinkConstraint::parse(
+                "DeptPage.ProfList.ToProf",
+                "DeptPage.ProfList.PName",
+                "ProfPage.PName",
+            )
+            .unwrap(),
         )
-        .unwrap()
+    }
+
+    fn inclusion(sub: &str, sup: &str) -> Constraint {
+        Constraint::Inclusion(InclusionConstraint::parse(sub, sup).unwrap())
     }
 
     #[test]
@@ -459,7 +485,7 @@ mod tests {
             (Url::new("/p1"), prof_tuple("Codd")),
             (Url::new("/p2"), prof_tuple("Gray")),
         ];
-        assert!(verify_link_constraint(&link_c(), &depts, &profs).is_empty());
+        assert!(link_c().verify(&depts, &profs).is_empty());
     }
 
     #[test]
@@ -469,16 +495,22 @@ mod tests {
             (Url::new("/p1"), prof_tuple("Codd")),
             (Url::new("/p2"), prof_tuple("Gray")),
         ];
-        let v = verify_link_constraint(&link_c(), &depts, &profs);
-        assert!(!v.is_empty());
-        assert!(v[0].detail.contains("≠") || v.iter().any(|x| x.detail.contains("outside")));
+        // Both directions fail: /p2's value differs, and Codd's own page
+        // is /p1. An audit that fetched both pages sees only the first.
+        let v = link_c().verify(&depts, &profs);
+        let details: Vec<&str> = v.iter().map(|x| x.detail.as_str()).collect();
+        assert_eq!(details.len(), 2, "{details:?}");
+        assert!(details[0].ends_with("links to /p2 but Codd ≠ Gray"));
+        assert!(details[1].ends_with("has value Codd but links outside its page set"));
+        let (checks, audited) = link_c().audit(&depts, &profs);
+        assert_eq!((checks, audited), (1, v[..1].to_vec()));
     }
 
     #[test]
     fn link_constraint_detects_dangling() {
         let depts = vec![(Url::new("/d1"), dept_tuple("CS", &[("Codd", "/nowhere")]))];
         let profs = vec![(Url::new("/p1"), prof_tuple("Codd"))];
-        let v = verify_link_constraint(&link_c(), &depts, &profs);
+        let v = link_c().verify(&depts, &profs);
         assert!(v.iter().any(|x| x.detail.contains("unknown target")));
     }
 
@@ -492,14 +524,13 @@ mod tests {
         let profs = vec![(Url::new("/p1"), prof_tuple("Codd"))];
         // Null link, but the only-if direction doesn't fire because the pair
         // never yields a URL; the constraint verifier skips nulls entirely.
-        let v = verify_link_constraint(&link_c(), &depts, &profs);
+        let v = link_c().verify(&depts, &profs);
         assert!(v.is_empty());
     }
 
     #[test]
     fn inclusion_holds_and_fails() {
-        let c = InclusionConstraint::parse("CoursePage.ToProf", "ProfListPage.ProfList.ToProf")
-            .unwrap();
+        let c = inclusion("CoursePage.ToProf", "ProfListPage.ProfList.ToProf");
         let courses = vec![
             (
                 Url::new("/c1"),
@@ -520,7 +551,7 @@ mod tests {
                 ],
             ),
         )];
-        assert!(verify_inclusion_constraint(&c, &courses, &lists).is_empty());
+        assert!(c.verify(&courses, &lists).is_empty());
 
         let partial_lists = vec![(
             Url::new("/profs"),
@@ -529,7 +560,7 @@ mod tests {
                 vec![Tuple::new().with("ToProf", Value::link("/p1"))],
             ),
         )];
-        let v = verify_inclusion_constraint(&c, &courses, &partial_lists);
+        let v = c.verify(&courses, &partial_lists);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("/p2"));
     }
@@ -544,10 +575,9 @@ mod tests {
             &["ProfList".into(), "ToProf".into()],
         )
         .is_empty());
-        assert!(verify_link_constraint(&link_c(), &depts, &profs).is_empty());
-        let c =
-            InclusionConstraint::parse("DeptPage.ProfList.ToProf", "Idx.ProfList.ToProf").unwrap();
-        assert!(verify_inclusion_constraint(&c, &depts, &[]).is_empty());
+        assert!(link_c().verify(&depts, &profs).is_empty());
+        let c = inclusion("DeptPage.ProfList.ToProf", "Idx.ProfList.ToProf");
+        assert!(c.verify(&depts, &[]).is_empty());
     }
 
     #[test]
@@ -560,12 +590,12 @@ mod tests {
         );
         let depts = vec![(Url::new("/d1"), t)];
         let profs = vec![(Url::new("/p1"), Tuple::new().with("Office", "B12"))];
-        let v = verify_link_constraint(&link_c(), &depts, &profs);
+        let v = link_c().verify(&depts, &profs);
         // No PName on the source row → no pair → no violation about values;
         // /p1 lacks PName → it is an unknown target for the constraint.
         assert!(v.is_empty(), "{v:?}");
         let both = vec![(Url::new("/d2"), dept_tuple("CS", &[("Codd", "/p1")]))];
-        let v = verify_link_constraint(&link_c(), &both, &profs);
+        let v = link_c().verify(&both, &profs);
         assert!(v.iter().any(|x| x.detail.contains("unknown target")));
     }
 
@@ -581,16 +611,16 @@ mod tests {
             (Url::new("/p1"), prof_tuple("Codd")),
             (Url::new("/p2"), prof_tuple("Codd")),
         ];
-        assert!(verify_link_constraint(&link_c(), &depts, &profs).is_empty());
+        assert!(link_c().verify(&depts, &profs).is_empty());
         // Duplicate links in the sub instance each count, and stay legal
         // as long as the sup side mentions the URL at least once.
-        let c = InclusionConstraint::parse("A.To", "B.To").unwrap();
+        let c = inclusion("A.To", "B.To");
         let sub = vec![
             (Url::new("/a1"), Tuple::new().with("To", Value::link("/x"))),
             (Url::new("/a2"), Tuple::new().with("To", Value::link("/x"))),
         ];
         let sup = vec![(Url::new("/b1"), Tuple::new().with("To", Value::link("/x")))];
-        assert!(verify_inclusion_constraint(&c, &sub, &sup).is_empty());
+        assert!(c.verify(&sub, &sup).is_empty());
     }
 
     #[test]
@@ -604,7 +634,7 @@ mod tests {
             (Url::new("/p1"), prof_tuple("Codd")),
             (Url::new("/p2"), prof_tuple("Gray [drift]")),
         ];
-        let (checks, v) = verify_link_constraint_partial(&link_c(), &depts, &fetched);
+        let (checks, v) = link_c().audit(&depts, &fetched);
         assert_eq!(checks, 2);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("/p2"));
@@ -615,14 +645,11 @@ mod tests {
 
     #[test]
     fn partial_inclusion_check_needs_a_sup_instance() {
-        let c = InclusionConstraint::parse("A.To", "B.To").unwrap();
+        let c = inclusion("A.To", "B.To");
         let sub = vec![(Url::new("/a1"), Tuple::new().with("To", Value::link("/x")))];
-        assert_eq!(
-            verify_inclusion_constraint_partial(&c, &sub, &[]),
-            (0, vec![])
-        );
+        assert_eq!(c.audit(&sub, &[]), (0, vec![]));
         let sup = vec![(Url::new("/b1"), Tuple::new().with("To", Value::link("/y")))];
-        let (checks, v) = verify_inclusion_constraint_partial(&c, &sub, &sup);
+        let (checks, v) = c.audit(&sub, &sup);
         assert_eq!(checks, 1);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("/x"));
@@ -633,9 +660,11 @@ mod tests {
         let a = LinkConstraint::parse("P.L", "P.A", "Q.B").unwrap();
         let b = LinkConstraint::parse("P.L", "P.A", "Q.C").unwrap();
         assert!(a < b);
-        let i = InclusionConstraint::parse("A.L1", "B.L2").unwrap();
-        let j = InclusionConstraint::parse("A.L1", "C.L2").unwrap();
+        let i = inclusion("A.L1", "B.L2");
+        let j = inclusion("A.L1", "C.L2");
         assert!(i < j);
+        // A plan lists its link constraints before its inclusions.
+        assert!(Constraint::Link(b) < i);
     }
 
     #[test]
@@ -644,7 +673,7 @@ mod tests {
             link_c().to_string(),
             "DeptPage.ProfList.PName = ProfPage.PName  (via DeptPage.ProfList.ToProf)"
         );
-        let i = InclusionConstraint::parse("A.L1", "B.L2").unwrap();
+        let i = inclusion("A.L1", "B.L2");
         assert_eq!(i.to_string(), "A.L1 ⊆ B.L2");
     }
 }

@@ -12,7 +12,7 @@
 //!   documenting attribute replication across pages ([`LinkConstraint`]),
 //! * **inclusion constraints** — `P1.L1 ⊆ P2.L2` containments between sets
 //!   of links, documenting multiple navigation paths to the same pages
-//!   ([`InclusionConstraint`]).
+//!   ([`InclusionConstraint`]); either kind is one [`Constraint`].
 //!
 //! Instances are **page-relations**: sets of nested tuples in Partitioned
 //! Normal Form, one tuple per page, keyed by URL ([`Relation`], [`Tuple`],
@@ -44,7 +44,7 @@ pub mod url;
 pub mod value;
 
 pub use columnar::{Bitmap, Column, ColumnData, ColumnRel, ColumnRelBuilder, Keep};
-pub use constraints::{InclusionConstraint, LinkConstraint};
+pub use constraints::{Constraint, InclusionConstraint, LinkConstraint};
 pub use error::AdmError;
 pub use hash::{fnv1a, mix64};
 pub use intern::{Dict, Symbol};

@@ -6,7 +6,7 @@
 //! URLs are known, and the link/inclusion constraints that document the
 //! site's redundancy (Section 3.3 of the paper).
 
-use crate::constraints::{InclusionConstraint, LinkConstraint};
+use crate::constraints::{Constraint, InclusionConstraint, LinkConstraint};
 use crate::error::AdmError;
 use crate::types::{Field, WebType};
 use crate::url::Url;
@@ -271,6 +271,15 @@ impl WebScheme {
     /// All declared inclusion constraints.
     pub fn inclusion_constraints(&self) -> &[InclusionConstraint] {
         &self.inclusion_constraints
+    }
+
+    /// Every declared constraint, link constraints first.
+    pub fn constraints(&self) -> impl Iterator<Item = Constraint> + '_ {
+        let links = self.link_constraints.iter().cloned();
+        let inclusions = self.inclusion_constraints.iter().cloned();
+        links
+            .map(Constraint::Link)
+            .chain(inclusions.map(Constraint::Inclusion))
     }
 
     /// All link attributes (across all schemes) that point to `target`.

@@ -20,8 +20,7 @@
 //! declare is rediscovered.
 
 use crate::crawl::SiteInstance;
-use adm::constraints::{verify_inclusion_constraint, verify_link_constraint};
-use adm::{AttrRef, Field, InclusionConstraint, LinkConstraint, WebScheme, WebType};
+use adm::{AttrRef, Constraint, Field, InclusionConstraint, LinkConstraint, WebScheme, WebType};
 
 /// Constraints mined from an instance.
 #[derive(Debug, Clone, Default)]
@@ -108,7 +107,8 @@ pub fn discover_constraints(ws: &WebScheme, instance: &SiteInstance) -> Discover
                             path: vec![tf.name.clone()],
                         },
                     );
-                    if verify_link_constraint(&candidate, source_pages, target_pages).is_empty() {
+                    let check = Constraint::Link(candidate.clone());
+                    if check.verify(source_pages, target_pages).is_empty() {
                         found.link_constraints.push(candidate);
                     }
                 }
@@ -146,7 +146,8 @@ pub fn discover_constraints(ws: &WebScheme, instance: &SiteInstance) -> Discover
                 if !has_sub_links {
                     continue;
                 }
-                if verify_inclusion_constraint(&candidate, sub_pages, sup_pages).is_empty() {
+                let check = Constraint::Inclusion(candidate.clone());
+                if check.verify(sub_pages, sup_pages).is_empty() {
                     found.inclusion_constraints.push(candidate);
                 }
             }
@@ -226,18 +227,11 @@ mod tests {
         assert!(!found.link_constraints.is_empty());
         assert!(!found.inclusion_constraints.is_empty());
         for c in &found.link_constraints {
-            let source = inst.get(&c.link.scheme).cloned().unwrap_or_default();
-            let tgt_scheme = u
-                .site
-                .scheme
-                .resolve(&c.link)
-                .unwrap()
-                .ty
-                .link_target()
-                .unwrap()
-                .to_string();
-            let target = inst.get(&tgt_scheme).cloned().unwrap_or_default();
-            assert!(verify_link_constraint(c, &source, &target).is_empty());
+            let c = Constraint::Link(c.clone());
+            let pages = |scheme| inst.get(scheme).into_iter().flatten();
+            assert!(c
+                .verify(pages(c.sampled_scheme()), pages(c.reference_scheme()))
+                .is_empty());
         }
     }
 

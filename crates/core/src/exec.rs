@@ -29,7 +29,6 @@ use crate::optimizer::{CandidatePlan, Explain, Optimizer, RuleMask};
 use crate::plan_cache::{quarantine_fingerprint, PlanCache, PlanKey, PlanOrigin};
 use crate::policy::ExecPolicy;
 use crate::query::ConjunctiveQuery;
-use crate::rules::ConstraintDependency;
 use crate::stats::SiteStatistics;
 use crate::views::ViewCatalog;
 use crate::Result;
@@ -197,18 +196,11 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// is off or the plan is constraint-free (nothing to check).
     fn audit_config(&self, best: &CandidatePlan) -> Option<AuditConfig> {
         let (rate, seed) = self.policy.audit?;
-        let mut cfg = AuditConfig {
+        let cfg = AuditConfig {
             rate: rate.min(1.0),
             seed,
-            link: Vec::new(),
-            inclusion: Vec::new(),
+            constraints: best.dependencies.to_vec(),
         };
-        for d in best.dependencies.iter() {
-            match d {
-                ConstraintDependency::Link(c) => cfg.link.push(c.clone()),
-                ConstraintDependency::Inclusion(c) => cfg.inclusion.push(c.clone()),
-            }
-        }
         cfg.is_active().then_some(cfg)
     }
 
@@ -271,7 +263,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
                 stats_epoch: context,
                 quarantine_fp,
             };
-            let hit = cache.lookup_origin(&key, q, &params, &quarantined);
+            let hit = cache.lookup(&key, q, &params, &quarantined);
             (cache, key, params, hit)
         });
         let (explain, origin) = match cached.as_mut().and_then(|(.., hit)| hit.take()) {

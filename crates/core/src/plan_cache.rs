@@ -230,22 +230,10 @@ impl PlanCache {
     /// every instance of it alike).
     ///
     /// A hit whose `params` are the stored ones shares the stored
-    /// [`Explain`]; any other hit is bound to `q` ([`Explain::bind`],
-    /// outside the cache lock) and counted in `rebinds` as well.
+    /// [`Explain`] ([`PlanOrigin::ShapeHit`]); any other hit is bound to
+    /// `q` ([`Explain::bind`], outside the cache lock), counted in
+    /// `rebinds` as well, and [`PlanOrigin::Rebound`].
     pub fn lookup(
-        &self,
-        key: &PlanKey,
-        q: &ConjunctiveQuery,
-        params: &[Value],
-        quarantined: &[String],
-    ) -> Option<Arc<Explain>> {
-        self.lookup_origin(key, q, params, quarantined)
-            .map(|(plan, _)| plan)
-    }
-
-    /// [`PlanCache::lookup`], also saying which kind of hit it was
-    /// ([`PlanOrigin::ShapeHit`] or [`PlanOrigin::Rebound`]).
-    pub fn lookup_origin(
         &self,
         key: &PlanKey,
         q: &ConjunctiveQuery,
@@ -528,16 +516,17 @@ mod tests {
         let planned = Arc::new(planned);
         cache.insert(key(&shape, 0, 0), cs_params.clone(), Arc::clone(&planned));
 
-        let same = cache.lookup(&key(&shape, 0, 0), &cs, &cs_params, &[]);
-        assert!(
-            Arc::ptr_eq(&same.expect("hit"), &planned),
-            "shared as stored"
-        );
+        let (same, origin) = cache
+            .lookup(&key(&shape, 0, 0), &cs, &cs_params, &[])
+            .expect("hit");
+        assert!(Arc::ptr_eq(&same, &planned), "shared as stored");
+        assert_eq!(origin, PlanOrigin::ShapeHit);
         assert_eq!(cache.stats().rebinds, 0);
 
-        let bound = cache
+        let (bound, origin) = cache
             .lookup(&key(&shape, 0, 0), &maths, &maths_params, &[])
             .expect("hit");
+        assert_eq!(origin, PlanOrigin::Rebound);
         assert_eq!(bound.best().expr, plan_for("Mathematics"));
         assert_eq!(bound.query, maths.to_string());
         assert!(
@@ -562,9 +551,7 @@ mod tests {
         planned.candidates.push(loser);
         let planned = Arc::new(planned);
         cache.insert(key("q", 0, 0), vec![], Arc::clone(&planned));
-        let (hit, origin) = cache
-            .lookup_origin(&key("q", 0, 0), &q(), &[], &[])
-            .expect("hit");
+        let (hit, origin) = cache.lookup(&key("q", 0, 0), &q(), &[], &[]).expect("hit");
         assert_eq!(origin, PlanOrigin::ShapeHit);
         assert!(origin.is_cached() && !PlanOrigin::Planned.is_cached());
         assert_eq!(hit.candidates.len(), 1);
@@ -576,7 +563,7 @@ mod tests {
         // Without the policy the plan set is shared as planned.
         let whole = PlanCache::new(8);
         whole.insert(key("q", 0, 0), vec![], Arc::clone(&planned));
-        let hit = whole.lookup(&key("q", 0, 0), &q(), &[], &[]).expect("hit");
+        let (hit, _) = whole.lookup(&key("q", 0, 0), &q(), &[], &[]).expect("hit");
         assert!(Arc::ptr_eq(&hit, &planned));
     }
 

@@ -25,44 +25,19 @@ use crate::registry::RewriteRule;
 use crate::stats::SiteStatistics;
 use crate::Result;
 use adm::intern::Symbol;
-use adm::{AttrRef, InclusionConstraint, LinkConstraint, WebScheme};
+use adm::{AttrRef, InclusionConstraint, WebScheme};
 use std::collections::HashMap;
-use std::fmt;
 use std::rc::Rc;
 
 // --------------------------------------------------------------------------
 // constraint provenance
 // --------------------------------------------------------------------------
 
-/// A constraint a rewrite relied on. The optimizer collects these on every
-/// candidate plan (its *constraint provenance*), so runtime auditing knows
-/// exactly which site assumptions the winning plan is betting on.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ConstraintDependency {
-    /// A link constraint (licenses rules 6, 7, and 8).
-    Link(LinkConstraint),
-    /// An inclusion constraint (licenses rule 9). For transitively implied
-    /// inclusions this is the *implied* constraint itself — the statement
-    /// auditing can check directly against fetched pages.
-    Inclusion(InclusionConstraint),
-}
-
-impl ConstraintDependency {
-    /// The canonical registry key: the constraint's display form, shared
-    /// with the `ConstraintHealth` quarantine registry and EXPLAIN output.
-    pub fn key(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl fmt::Display for ConstraintDependency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConstraintDependency::Link(c) => write!(f, "{c}"),
-            ConstraintDependency::Inclusion(c) => write!(f, "{c}"),
-        }
-    }
-}
+/// A constraint a rewrite relied on: an [`adm::Constraint`]. The optimizer
+/// collects these on every candidate plan (its *constraint provenance*),
+/// so runtime auditing knows exactly which site assumptions the winning
+/// plan is betting on.
+pub use adm::Constraint as ConstraintDependency;
 
 /// Decides whether a constraint may license a rewrite. The optimizer
 /// passes a closure rejecting quarantined constraints; a rejected

@@ -45,8 +45,8 @@ use crate::source::{PageSource, SourceError};
 use crate::Result;
 use adm::name::{binding, position};
 use adm::{
-    ColumnRel, ColumnRelBuilder, Dict, EncodedTuple, InclusionConstraint, LinkConstraint,
-    PageScheme, Relation, Symbol, Tuple, Url, Value, WebScheme,
+    ColumnRel, ColumnRelBuilder, Constraint, Dict, EncodedTuple, PageScheme, Relation, Symbol,
+    Tuple, Url, Value, WebScheme,
 };
 use obs::trace::EventKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -68,8 +68,7 @@ pub enum DegradationMode {
 
 /// Configuration for runtime constraint auditing: sample a fraction of
 /// the pages a query fetches anyway and check the optimizer's assumed
-/// link/inclusion constraints against them with the partial-knowledge
-/// verifiers of [`adm::constraints`].
+/// constraints against them with [`Constraint::audit`].
 ///
 /// Auditing is **pure observation**: it never fetches a page, so the
 /// answer relation and every access counter are byte-identical with
@@ -81,17 +80,15 @@ pub struct AuditConfig {
     pub rate: f64,
     /// Seed for the deterministic per-URL sampling decision.
     pub seed: u64,
-    /// Link constraints to check over the sampled pages.
-    pub link: Vec<LinkConstraint>,
-    /// Inclusion constraints to check over the sampled pages.
-    pub inclusion: Vec<InclusionConstraint>,
+    /// The constraints to check over the sampled pages.
+    pub constraints: Vec<Constraint>,
 }
 
 impl AuditConfig {
     /// True when auditing will record pages and run checks: a positive
     /// rate and at least one constraint to audit.
     pub fn is_active(&self) -> bool {
-        self.rate > 0.0 && (!self.link.is_empty() || !self.inclusion.is_empty())
+        self.rate > 0.0 && !self.constraints.is_empty()
     }
 }
 
@@ -112,8 +109,7 @@ pub struct ConstraintAudit {
 pub struct AuditReport {
     /// Distinct pages sampled into the audit instance.
     pub sampled_pages: u64,
-    /// One row per configured constraint, in configuration order (link
-    /// constraints first, then inclusions).
+    /// One row per configured constraint, in configuration order.
     pub constraints: Vec<ConstraintAudit>,
 }
 
@@ -430,48 +426,22 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             .push((url, tuple));
     }
 
-    /// Checks the configured constraints against the recorded pages with
-    /// the partial-knowledge verifiers: sampled pages form the source/sub
-    /// instance, every acquired page of the target/sup scheme resolves
-    /// references. Pages are sorted by URL first so pooled completion
-    /// order cannot affect the report.
+    /// Checks the configured constraints against the recorded pages:
+    /// sampled pages of a constraint's sampled scheme against every
+    /// acquired page of its reference scheme. Pages are sorted by URL
+    /// first so pooled completion order cannot affect the report.
     fn run_audit(&self, ctx: &mut Ctx) -> Option<AuditReport> {
         let cfg = self.audit.as_ref()?;
         for pages in ctx.audit_pages.values_mut() {
             pages.sort_by(|a, b| a.0.cmp(&b.0));
         }
-        let empty: Vec<(Url, Tuple)> = Vec::new();
-        let sampled = |scheme: &str| -> Vec<(Url, Tuple)> {
-            ctx.audit_pages
-                .get(scheme)
-                .map(|pages| {
-                    pages
-                        .iter()
-                        .filter(|(u, _)| ctx.audit_sampled.contains(u))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
+        let pages = |scheme: &str| ctx.audit_pages.get(scheme).into_iter().flatten();
         let mut constraints = Vec::new();
-        for c in &cfg.link {
-            let source = sampled(&c.source_attr.scheme);
-            let target = ctx.audit_pages.get(&c.target_attr.scheme).unwrap_or(&empty);
-            let (checks, violations) =
-                adm::constraints::verify_link_constraint_partial(c, &source, target);
+        for c in &cfg.constraints {
+            let sampled = pages(c.sampled_scheme()).filter(|(u, _)| ctx.audit_sampled.contains(u));
+            let (checks, violations) = c.audit(sampled, pages(c.reference_scheme()));
             constraints.push(ConstraintAudit {
-                key: c.to_string(),
-                checks,
-                violations: violations.into_iter().map(|v| v.detail).collect(),
-            });
-        }
-        for c in &cfg.inclusion {
-            let sub = sampled(&c.sub.scheme);
-            let sup = ctx.audit_pages.get(&c.sup.scheme).unwrap_or(&empty);
-            let (checks, violations) =
-                adm::constraints::verify_inclusion_constraint_partial(c, &sub, sup);
-            constraints.push(ConstraintAudit {
-                key: c.to_string(),
+                key: c.key(),
                 checks,
                 violations: violations.into_iter().map(|v| v.detail).collect(),
             });
@@ -1900,16 +1870,15 @@ mod tests {
     }
 
     fn audit_cfg(rate: f64) -> AuditConfig {
-        use adm::AttrRef;
+        use adm::{AttrRef, LinkConstraint};
         AuditConfig {
             rate,
             seed: 7,
-            link: vec![LinkConstraint::new(
+            constraints: vec![Constraint::Link(LinkConstraint::new(
                 AttrRef::new("ListPage", vec!["Items", "ToItem"]),
                 AttrRef::new("ListPage", vec!["Items", "Name"]),
                 AttrRef::new("ItemPage", vec!["Name"]),
-            )],
-            inclusion: vec![],
+            ))],
         }
     }
 

@@ -45,7 +45,7 @@ use obs::trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
@@ -415,8 +415,8 @@ impl HedgeConfig {
 }
 
 /// One in-flight fetch: followers park on the condvar until the leader
-/// (or a shutdown) publishes into the slot. The slot holds the page behind
-/// its `Arc`; the leader and every follower leave with a reference to it.
+/// publishes into the slot. The slot holds the page behind its `Arc`; the
+/// leader and every follower leave with a reference to it.
 struct Flight {
     slot: StdMutex<Option<FetchOutcome>>,
     cv: Condvar,
@@ -436,13 +436,7 @@ impl Flight {
     }
 
     fn publish(&self, outcome: FetchOutcome) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        // First write wins: a shutdown that already woke the followers
-        // must not be overwritten by the leader completing afterwards
-        // (the leader returns its own result directly either way).
-        if slot.is_none() {
-            *slot = Some(outcome);
-        }
+        *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
         self.cv.notify_all();
     }
 }
@@ -458,8 +452,6 @@ pub struct CoalesceStats {
     /// that did not happen. A follower handed the leader's 404 or error
     /// is not one — a failed request is no GET to save.
     pub pages_shared: u64,
-    /// Followers woken early by [`CoalescingSource::shutdown`].
-    pub shutdown_wakes: u64,
     /// Followers that stopped waiting on their own: their request's
     /// deadline expired or their URL was cancelled while they were
     /// parked on a leader.
@@ -497,11 +489,9 @@ impl CoalesceStats {
 pub struct CoalescingSource<'a, S> {
     inner: &'a S,
     flights: StdMutex<HashMap<Url, Arc<Flight>>>,
-    shutdown: AtomicBool,
     leaders: AtomicU64,
     followers: AtomicU64,
     pages_shared: AtomicU64,
-    shutdown_wakes: AtomicU64,
     cancel_wakes: AtomicU64,
     releads: AtomicU64,
 }
@@ -512,36 +502,12 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
         CoalescingSource {
             inner,
             flights: StdMutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
             leaders: AtomicU64::new(0),
             followers: AtomicU64::new(0),
             pages_shared: AtomicU64::new(0),
-            shutdown_wakes: AtomicU64::new(0),
             cancel_wakes: AtomicU64::new(0),
             releads: AtomicU64::new(0),
         }
-    }
-
-    /// Shuts the coalescer down: every *waiting follower* is woken
-    /// immediately with a clean [`SourceError::Cancelled`] (no hang, no
-    /// panic, and distinguishable from a transient server failure so
-    /// degradation layers do not retry it), and subsequent fetches fail
-    /// fast with the same error. Leaders already executing their inner
-    /// fetch run to completion and return their own result.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let flights: Vec<(Url, Arc<Flight>)> = {
-            let mut map = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-            map.drain().collect()
-        };
-        for (url, flight) in flights {
-            flight.publish(Err(SourceError::Cancelled(url)));
-        }
-    }
-
-    /// True once [`CoalescingSource::shutdown`] has been called.
-    pub fn is_shut_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Current leader/follower counters.
@@ -550,7 +516,6 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
             leaders: self.leaders.load(Ordering::SeqCst),
             followers: self.followers.load(Ordering::SeqCst),
             pages_shared: self.pages_shared.load(Ordering::SeqCst),
-            shutdown_wakes: self.shutdown_wakes.load(Ordering::SeqCst),
             cancel_wakes: self.cancel_wakes.load(Ordering::SeqCst),
             releads: self.releads.load(Ordering::SeqCst),
         }
@@ -595,9 +560,9 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
     }
 
     /// Waits for `flight`'s outcome. `None` when the leader's own request
-    /// gave up on the fetch: a `Cancelled` the leader published while the
-    /// coalescer is not shut down is that request's deadline or cancel
-    /// token, not this follower's, so the caller fetches again.
+    /// gave up on the fetch: a `Cancelled` the leader published is that
+    /// request's deadline or cancel token, not this follower's, so the
+    /// caller fetches again.
     fn follow_flight(
         &self,
         url: &Url,
@@ -640,11 +605,8 @@ impl<'a, S: PageSource> CoalescingSource<'a, S> {
                 .0;
         };
         if matches!(&outcome, Err(SourceError::Cancelled(_))) {
-            if !self.is_shut_down() {
-                self.releads.fetch_add(1, Ordering::SeqCst);
-                return None;
-            }
-            self.shutdown_wakes.fetch_add(1, Ordering::SeqCst);
+            self.releads.fetch_add(1, Ordering::SeqCst);
+            return None;
         }
         if outcome.is_ok() {
             self.pages_shared.fetch_add(1, Ordering::SeqCst);
@@ -665,9 +627,6 @@ impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
 
     fn fetch_shared(&self, url: &Url, scheme: &str) -> FetchOutcome {
         loop {
-            if self.is_shut_down() {
-                return Err(SourceError::Cancelled(url.clone()));
-            }
             let ctx = obs::reqctx::current();
             let attr = ctx.as_ref().and_then(|c| c.trace.as_ref());
             let (flight, is_leader) = {
@@ -1107,42 +1066,6 @@ pub(crate) mod tests {
         // A retired flight leaves no residue: the same URL fetches again.
         assert!(coalesced.fetch_stamped(&Url::new("/a"), "P").is_ok());
         assert_eq!(coalesced.stats().leaders, 3);
-    }
-
-    #[test]
-    fn shutdown_wakes_waiting_followers_with_clean_error() {
-        let (gated, entered_rx, release_tx) = GatedSource::new(false);
-        let coalesced = CoalescingSource::new(&gated);
-        std::thread::scope(|scope| {
-            let leader = scope.spawn(|| coalesced.fetch_stamped(&Url::new("/slow"), "P"));
-            entered_rx.recv().unwrap(); // leader is blocked inside the source
-            let followers: Vec<_> = (0..3)
-                .map(|_| scope.spawn(|| coalesced.fetch_stamped(&Url::new("/slow"), "P")))
-                .collect();
-            await_followers(&coalesced, 3);
-            // Shut down while the coalesced fetch has parked followers:
-            // all of them must wake promptly with a clean error.
-            coalesced.shutdown();
-            for f in followers {
-                match f.join().expect("no panic") {
-                    Err(SourceError::Cancelled(url)) => {
-                        assert_eq!(url.as_str(), "/slow");
-                    }
-                    other => panic!("follower should see Cancelled on shutdown, got {other:?}"),
-                }
-            }
-            // New fetches fail fast rather than hanging.
-            assert!(matches!(
-                coalesced.fetch_stamped(&Url::new("/other"), "P"),
-                Err(SourceError::Cancelled(_))
-            ));
-            // The in-flight leader still completes normally.
-            release_tx.send(()).unwrap();
-            assert!(leader.join().unwrap().is_ok());
-        });
-        let stats = coalesced.stats();
-        assert_eq!(stats.shutdown_wakes, 3);
-        assert_eq!(stats.saved_gets(), 0, "shutdown wakes are not savings");
     }
 
     #[test]

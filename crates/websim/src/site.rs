@@ -10,7 +10,7 @@ use crate::error::SiteError;
 use crate::page::render_page;
 use crate::server::VirtualServer;
 use crate::Result;
-use adm::constraints::{verify_inclusion_constraint, verify_link_constraint, Violation};
+use adm::constraints::Violation;
 use adm::{Tuple, Url, WebScheme};
 use nalg::{ChangeFeed, HeadResponse, PageResponse, PageServer, SourceError};
 pub use nalg::{ChangeKind, FeedCursor, FeedTrimmed, SiteChange};
@@ -215,28 +215,15 @@ impl Site {
     /// ground truth; returns all violations (empty means the instance
     /// satisfies its scheme's constraints).
     pub fn verify_constraints(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for c in self.scheme.link_constraints() {
-            let Ok(link_field) = self.scheme.resolve(&c.link) else {
-                continue;
-            };
-            let Some(target) = link_field.ty.link_target() else {
-                continue;
-            };
-            out.extend(verify_link_constraint(
-                c,
-                self.pages(&c.link.scheme),
-                self.pages(target),
-            ));
-        }
-        for c in self.scheme.inclusion_constraints() {
-            out.extend(verify_inclusion_constraint(
-                c,
-                self.pages(&c.sub.scheme),
-                self.pages(&c.sup.scheme),
-            ));
-        }
-        out
+        self.scheme
+            .constraints()
+            .flat_map(|c| {
+                c.verify(
+                    self.pages(c.sampled_scheme()),
+                    self.pages(c.reference_scheme()),
+                )
+            })
+            .collect()
     }
 }
 

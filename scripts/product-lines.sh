@@ -9,8 +9,28 @@
 # on (its test module) are test; blank and comment lines count either way.
 # Every `.rs` file under `tests/` and under `crates/*/tests` of the same
 # crates counts as test. Run from anywhere: `sh scripts/product-lines.sh`.
+#
+# A `#[cfg(test)]` on anything but a `mod tests` (attributes and comments
+# between them aside) would hide the product lines after it, so the script
+# names each such `file:line` on stderr and then exits 1.
 set -eu
 cd "$(dirname "$0")/.."
+hidden=0
+for file in $(find crates/*/src src -name '*.rs' | sort); do
+    case "$file" in
+    crates/bench/* | crates/shims/*) continue ;;
+    esac
+    awk -v file="$file" '
+        at && !/^[[:space:]]*(#\[|\/\/|$)/ {
+            if ($0 !~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod tests[[:space:]]*[{;]/) {
+                print file ":" at ": #[cfg(test)] hides product lines" > "/dev/stderr"
+                bad = 1
+            }
+            at = 0
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { at = NR }
+        END { exit bad }' "$file" || hidden=1
+done
 {
     for dir in crates/*/src src crates/*/tests tests; do
         case "$dir" in
@@ -37,3 +57,4 @@ cd "$(dirname "$0")/.."
         close("sort")
         printf "%-16s %7d %7d\n", "total", p, t
     }'
+exit "$hidden"

@@ -419,8 +419,8 @@ fn a_leader_that_gives_up_does_not_cancel_its_followers() {
         });
         let st = coalesced.stats();
         assert_eq!(
-            (st.leaders, st.followers, st.releads, st.shutdown_wakes),
-            (2, 1, 1, 0),
+            (st.leaders, st.followers, st.releads),
+            (2, 1, 1),
             "by_deadline={by_deadline}"
         );
         assert_eq!(st.saved_gets(), 0, "a relead saves no GET");
